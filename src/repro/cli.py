@@ -385,8 +385,7 @@ def _cmd_run(args) -> int:
         print()
         print(render_attribution(result.attribution,
                                  title="per-op latency attribution"))
-        print(f"trace written to {args.trace} ({nevents} events; "
-              f"open at https://ui.perfetto.dev)")
+        print(_trace_summary(args.trace, nevents, tracer))
     return 0
 
 
@@ -450,6 +449,13 @@ def _render_fleet(fleet: dict) -> str:
     return "\n".join(lines)
 
 
+def _trace_summary(path: str, nevents: int, tracer) -> str:
+    """The closing line of a traced run; says what the ring evicted."""
+    return (f"trace written to {path} ({nevents} events, "
+            f"{tracer.dropped} older ones evicted from the ring; "
+            f"open at https://ui.perfetto.dev)")
+
+
 def _cmd_trace(args) -> int:
     from repro.obs import Tracer, render_attribution, write_chrome_trace
 
@@ -466,8 +472,7 @@ def _cmd_trace(args) -> int:
               f"WA-D={result.steady.wa_d:.2f}")
     print(render_attribution(result.attribution,
                              title="per-op latency attribution"))
-    print(f"trace written to {args.out} ({nevents} events; "
-          f"open at https://ui.perfetto.dev)")
+    print(_trace_summary(args.out, nevents, tracer))
     return 0
 
 

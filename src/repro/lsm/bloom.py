@@ -51,21 +51,18 @@ def _splitmix64(values: np.ndarray) -> np.ndarray:
     return z
 
 
-def hash_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (h1, h2) double-hash pair for a key batch, computed once.
+def probe_matrix(keys: np.ndarray, k: int) -> np.ndarray:
+    """(len(keys), k) unmasked double-hash probe values ``h1 + i*h2``.
 
-    The pair depends only on the keys — never on a filter's geometry —
-    so a batched read path can hash a probe set once and test it
-    against every table's filter via :meth:`BloomFilter.
-    may_contain_hashed`, paying the SplitMix64 mixing a single time
-    instead of once per (key, table) pair.  Bit-identical to the hash
-    portion of :meth:`BloomFilter._positions`.
+    The values depend only on the keys — never on a filter's geometry —
+    so the LSM read index (:mod:`repro.lsm.version`) hashes a probe set
+    once and masks the same matrix against every table's filter.
     """
     with np.errstate(over="ignore"):
         raw = np.asarray(keys).astype(np.uint64)
         h1 = _splitmix64(raw)
         h2 = _splitmix64(raw + _GOLDEN) | np.uint64(1)
-    return h1, h2
+        return h1[:, None] + np.arange(k, dtype=np.uint64)[None, :] * h2[:, None]
 
 
 class BloomFilter:
@@ -82,12 +79,7 @@ class BloomFilter:
 
     def _positions(self, keys: np.ndarray) -> np.ndarray:
         """(len(keys), k) array of bit positions (double hashing)."""
-        with np.errstate(over="ignore"):
-            raw = np.asarray(keys).astype(np.uint64)
-            h1 = _splitmix64(raw)
-            h2 = _splitmix64(raw + _GOLDEN) | np.uint64(1)
-            probes = h1[:, None] + np.arange(self.k, dtype=np.uint64)[None, :] * h2[:, None]
-        return probes & np.uint64(self.nbits - 1)
+        return probe_matrix(keys, self.k) & np.uint64(self.nbits - 1)
 
     def add_many(self, keys: np.ndarray) -> None:
         """Insert all keys."""
@@ -121,20 +113,6 @@ class BloomFilter:
         if len(keys) == 0:
             return np.zeros(0, dtype=bool)
         return self._bits[self._positions(np.asarray(keys))].all(axis=1)
-
-    def may_contain_hashed(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        """:meth:`may_contain_many` from a precomputed hash pair.
-
-        *h1*/*h2* come from :func:`hash_keys`; only the filter-local
-        part of the probe — the k-step double-hash walk masked to this
-        filter's ``nbits`` — runs here, so the verdict per key is
-        bit-identical to :meth:`may_contain_many` on the same keys.
-        """
-        if len(h1) == 0:
-            return np.zeros(0, dtype=bool)
-        with np.errstate(over="ignore"):
-            probes = h1[:, None] + np.arange(self.k, dtype=np.uint64)[None, :] * h2[:, None]
-        return self._bits[probes & np.uint64(self.nbits - 1)].all(axis=1)
 
     @property
     def memory_bytes(self) -> int:

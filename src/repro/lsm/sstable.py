@@ -34,6 +34,8 @@ class SSTable:
         if not np.all(keys[1:] > keys[:-1]):
             raise ConfigError("SSTable keys must be strictly increasing")
         self.table_id = table_id
+        #: The file backing this table in the simulated filesystem.
+        self.filename = f"{table_id:06d}.sst"
         self.config = config
         self.keys = keys
         self.seqs = seqs
@@ -53,11 +55,6 @@ class SSTable:
     # ------------------------------------------------------------------
     # Metadata
     # ------------------------------------------------------------------
-    @property
-    def filename(self) -> str:
-        """The file backing this table in the simulated filesystem."""
-        return f"{self.table_id:06d}.sst"
-
     @property
     def nentries(self) -> int:
         """Number of entries (including tombstones)."""
@@ -110,39 +107,6 @@ class SSTable:
             return True  # no filter: every in-range probe pays a read
         return self.bloom.may_contain(key)
 
-    def may_contain_many(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`may_contain`: identical verdict per key.
-
-        Bloom probes cost no simulated I/O, so the LSM's batched read
-        path computes them in bulk up front (DESIGN.md §7.3); only
-        keys inside the table's range touch the filter.
-        """
-        in_range = (keys >= self.min_key) & (keys <= self.max_key)
-        if not self._bloom_enabled or not in_range.any():
-            return in_range
-        result = np.zeros(len(keys), dtype=bool)
-        sel = np.nonzero(in_range)[0]
-        result[sel] = self.bloom.may_contain_many(keys[sel])
-        return result
-
-    def may_contain_hashed(self, keys: np.ndarray, h1: np.ndarray,
-                           h2: np.ndarray) -> np.ndarray:
-        """:meth:`may_contain_many` from a shared bloom hash pass.
-
-        *h1*/*h2* are :func:`repro.lsm.bloom.hash_keys` of *keys*: the
-        batched read planner hashes a probe set once and reuses the
-        pair across every table of a planning round — per table only
-        the range mask and this filter's bit gathers remain.  The
-        verdict per key is bit-identical to :meth:`may_contain_many`.
-        """
-        in_range = (keys >= self.min_key) & (keys <= self.max_key)
-        if not self._bloom_enabled or not in_range.any():
-            return in_range
-        result = np.zeros(len(keys), dtype=bool)
-        sel = np.nonzero(in_range)[0]
-        result[sel] = self.bloom.may_contain_hashed(h1[sel], h2[sel])
-        return result
-
     def find(self, key: int) -> int:
         """Index of *key* in the table, or -1."""
         idx = int(np.searchsorted(self.keys, key))
@@ -170,6 +134,15 @@ class SSTable:
         nbytes = max(self.config.block_bytes, int(self._offsets[idx + 1]) - start)
         end = min(start + nbytes, self.data_bytes)
         block_start = (start // self.config.block_bytes) * self.config.block_bytes
+        return block_start, end - block_start
+
+    def read_extents(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`read_extent` of every entry, as (offsets, nbytes) columns."""
+        block = self.config.block_bytes
+        start = self._offsets[:-1]
+        end = np.minimum(start + np.maximum(block, self._offsets[1:] - start),
+                         self._offsets[-1])
+        block_start = start // block * block
         return block_start, end - block_start
 
     def check_invariants(self) -> None:

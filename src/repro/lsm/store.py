@@ -40,7 +40,6 @@ from repro.fs.filesystem import ExtentFilesystem
 from repro.kv.api import KVStore, as_int_list
 from repro.kv.stats import KVStats
 from repro.kv.values import Value
-from repro.lsm.bloom import hash_keys
 from repro.lsm.compaction import CompactionExecutor, CompactionPicker
 from repro.lsm.config import LSMConfig
 from repro.lsm.memtable import (KIND_DELETE, KIND_PUT, SCAN_KEY_SHIFT,
@@ -78,9 +77,9 @@ class LSMStore(KVStore):
         self._table_ids = itertools.count(1)
         self._wal_ids = itertools.count(1)
         # Kernel selection (DESIGN.md §12/§13): the array mode runs the
-        # batched scan merge and read-probe planning as numpy kernels;
-        # scalar retains the per-op oracles.  Resolved once and handed
-        # to the compaction executor so one store runs one mode.
+        # batched scan merge as a numpy kernel; scalar retains the heap
+        # oracle.  Resolved once and handed to the compaction executor
+        # so one store runs one mode.
         self.kernel = kernels.resolve(kernel)
         self._array_kernels = self.kernel == kernels.ARRAY
         self.version = Version(self.config)
@@ -241,10 +240,11 @@ class LSMStore(KVStore):
     # ------------------------------------------------------------------
     # Batch API (bit-identical to the scalar loops; DESIGN.md §6)
     # ------------------------------------------------------------------
-    #: Read batches at least this large pre-resolve their table
-    #: candidates with vectorized bloom/manifest probes; smaller runs
-    #: (the norm for mixed workloads, where same-kind runs are short)
-    #: probe per key — numpy setup would cost more than it saves.
+    #: Read batches at least this large are planned through the
+    #: manifest's read index; smaller runs (the norm for mixed
+    #: workloads, where same-kind runs are short) go through get() per
+    #: key.  Planning costs ~75 us per batch plus ~3.5 us per key
+    #: against ~13 us per get(): the crossover (DESIGN.md §13.2).
     BULK_PROBE_MIN = 8
 
     def put_many(self, keys, vseeds, vlens, until: float | None = None,
@@ -269,100 +269,64 @@ class LSMStore(KVStore):
 
     def get_many(self, keys, until: float | None = None,
                  latencies: list | None = None) -> int:
-        """Batched point lookups (DESIGN.md §7.3).
+        """Batched point lookups (DESIGN.md §13.2).
 
-        The run shares one snapshot of the read structure — lookups
-        never mutate the tree, so the memtable references and the
-        manifest are loop invariants — and large runs bulk-probe the
-        bloom filters and the sorted levels' manifest up front
-        (filters are memory-resident: probing costs no simulated I/O).
-        Data-block reads still happen op by op in stream order with
-        the scalar path's exact latency arithmetic.
+        Lookups never mutate the tree, so a large run resolves its
+        memtable probes and then its whole table walk up front through
+        the manifest's read index (bloom filters and index blocks are
+        memory-resident: planning costs no simulated I/O).  What is
+        left per op is the planned data-block reads, issued in stream
+        order with :meth:`get`'s exact latency arithmetic.
         """
         self._ensure_open()
         n = len(keys)
-        if n == 0:
-            return 0
+        # Planning pays off only when the batch is expected to run to
+        # completion: a float `until` is a sampling boundary (rarely
+        # crossed mid-run), but a live event-aware bound stops
+        # deep-pool batches after an op or two, and planning the
+        # remainder on every re-issued call would be quadratic.  Those
+        # and short runs go through get() per op.
+        if n < self.BULK_PROBE_MIN or not (until is None
+                                           or type(until) is float):
+            return KVStore.get_many(self, keys, until, latencies)
+        key_bytes = self.config.key_bytes
+        memtables = [self.memtable._entries]
+        memtables.extend(m._entries for m, _wal in reversed(self._immutables))
+        memtable_bytes = {}
+        misses = []
+        for i, key in enumerate(as_int_list(keys)):
+            for entries in memtables:
+                entry = entries.get(key)
+                if entry is not None:
+                    if entry[3] == KIND_PUT:
+                        memtable_bytes[i] = key_bytes + entry[2]
+                    break
+            else:
+                misses.append(i)
+        bounds, names, offsets, nbytes, hit_bytes = self.version.plan_reads(
+            np.asarray(keys, dtype=np.int64), np.array(misses, dtype=np.int64))
+        for i, user_bytes in memtable_bytes.items():
+            hit_bytes[i] = user_bytes
         clock = self.clock
         cpu = self.config.cpu_overhead
-        key_bytes = self.config.key_bytes
         stats = self._stats
+        pread = self.fs.pread
         append = None if latencies is None else latencies.append
-        keys_list = as_int_list(keys)
-        memtable_get = self.memtable.get
-        find = self._find
-        # Bulk pre-planning pays off only when the batch is expected to
-        # run to completion: a float `until` is a sampling boundary
-        # (rarely crossed mid-run), but a live event-aware bound stops
-        # deep-pool batches after an op or two, and pre-probing the
-        # remainder on every re-issued call would be quadratic — those
-        # calls resolve lazily through the scalar probe path instead.
-        bulk = n >= self.BULK_PROBE_MIN and (until is None
-                                             or type(until) is float)
-        plans = None
-        resolved: list = []
-        if bulk:
-            immutables = [memtable
-                          for memtable, _wal in reversed(self._immutables)]
-            resolved = [None] * n
-            miss_idx: list[int] = []
-            for i, key in enumerate(keys_list):
-                entry = memtable_get(key)
-                if entry is None:
-                    for memtable in immutables:
-                        entry = memtable.get(key)
-                        if entry is not None:
-                            break
-                if entry is not None:
-                    resolved[i] = entry
-                else:
-                    miss_idx.append(i)
-            if self._array_kernels:
-                plans = self._plan_table_probes_array(keys_list, miss_idx)
-            else:
-                plans = self._plan_table_probes(keys_list, miss_idx)
         tracer = self.tracer
         tr_on = tracer.enabled
         done = 0
         try:
             for i in range(n):
-                key = keys_list[i]
                 if tr_on:
                     t0 = clock.now
                     tracer.op_begin()
                 read_latency = 0.0
-                if plans is not None:
-                    entry = resolved[i]
-                    if entry is not None:
-                        _seq, _vseed, vlen, kind = entry
-                        if kind == KIND_PUT:
-                            stats.user_bytes_read += key_bytes + vlen
-                    else:
-                        for table in plans[i]:
-                            idx = table.find(key)
-                            read_latency += self._charge_block_read(
-                                table, max(idx, 0))
-                            if idx >= 0:
-                                if int(table.kinds[idx]) == KIND_PUT:
-                                    stats.user_bytes_read += \
-                                        key_bytes + int(table.vlens[idx])
-                                break
-                else:
-                    entry = memtable_get(key)
-                    if entry is not None:
-                        # Memtable hit: no device work, constant CPU.
-                        _seq, _vseed, vlen, kind = entry
-                        if kind == KIND_PUT:
-                            stats.user_bytes_read += key_bytes + vlen
-                    else:
-                        found = find(key)
-                        if found is not None:
-                            read_latency, value = found
-                            if value is not None:
-                                stats.user_bytes_read += \
-                                    key_bytes + value.length
+                for row in range(bounds[i], bounds[i + 1]):
+                    read_latency += pread(names[row], offsets[row],
+                                          nbytes[row])[0]
                 latency = cpu + read_latency
                 stats.gets += 1
+                stats.user_bytes_read += hit_bytes[i]
                 if tr_on:
                     tracer.op_end("read", t0, latency)
                 clock.advance(latency)
@@ -375,90 +339,6 @@ class LSMStore(KVStore):
             exc.ops_done = done
             raise
         return done
-
-    def _plan_table_probes(self, keys_list: list[int],
-                           miss_idx: list[int]) -> dict[int, list]:
-        """Per-op candidate tables for keys missing every memtable.
-
-        The candidate list is exactly the tables the scalar
-        :meth:`_find` would probe (L0 in order, then one table per
-        sorted level) filtered by the same bloom/range verdicts; the
-        replay loop stops at the first hit, so later candidates whose
-        probes were precomputed simply go unused — bloom verdicts have
-        no simulated cost either way.
-        """
-        plans: dict[int, list] = {i: [] for i in miss_idx}
-        if not miss_idx:
-            return plans
-        levels = self.version.levels
-        miss_keys = np.fromiter((keys_list[i] for i in miss_idx),
-                                dtype=np.int64, count=len(miss_idx))
-        for table in levels[0]:
-            for j in np.nonzero(table.may_contain_many(miss_keys))[0].tolist():
-                plans[miss_idx[j]].append(table)
-        for level in range(1, self.config.num_levels):
-            if not levels[level]:
-                continue
-            assigned = self.version.find_tables(level, miss_keys)
-            by_table: dict[int, tuple] = {}
-            for j, table in enumerate(assigned):
-                if table is not None:
-                    by_table.setdefault(id(table), (table, []))[1].append(j)
-            for table, js in by_table.values():
-                for j, ok in zip(js, table.may_contain_many(
-                        miss_keys[js]).tolist()):
-                    if ok:
-                        plans[miss_idx[j]].append(table)
-        return plans
-
-    def _plan_table_probes_array(self, keys_list: list[int],
-                                 miss_idx: list[int]) -> dict[int, list]:
-        """Array kernel for :meth:`_plan_table_probes` (DESIGN.md §13).
-
-        Produces the identical per-op candidate lists — the bloom
-        verdict per (key, table) and the sorted-level table assignment
-        are bit-equal to the scalar planner's — but the keys are hashed
-        once for the whole round (:func:`~repro.lsm.bloom.hash_keys`,
-        shared across every table's filter) and the sorted levels
-        resolve through :meth:`~repro.lsm.version.Version.
-        find_table_indexes` plus one stable argsort per level instead
-        of a per-key Python bucketing loop.
-        """
-        plans: dict[int, list] = {i: [] for i in miss_idx}
-        if not miss_idx:
-            return plans
-        levels = self.version.levels
-        miss_keys = np.fromiter((keys_list[i] for i in miss_idx),
-                                dtype=np.int64, count=len(miss_idx))
-        h1, h2 = hash_keys(miss_keys)
-        for table in levels[0]:
-            for j in np.nonzero(
-                    table.may_contain_hashed(miss_keys, h1, h2))[0].tolist():
-                plans[miss_idx[j]].append(table)
-        for level in range(1, self.config.num_levels):
-            tables = levels[level]
-            if not tables:
-                continue
-            idxs = self.version.find_table_indexes(level, miss_keys)
-            hit = np.nonzero(idxs >= 0)[0]
-            if not len(hit):
-                continue
-            # Group keys by assigned table: sort the hit positions by
-            # table index, then walk the group boundaries.  Each key
-            # maps to at most one table per level, so plan order per
-            # key is level order regardless of group order.
-            order = hit[np.argsort(idxs[hit], kind="stable")]
-            tidx = idxs[order]
-            starts = np.nonzero(
-                np.r_[True, tidx[1:] != tidx[:-1]])[0].tolist()
-            starts.append(len(tidx))
-            for s, e in zip(starts, starts[1:]):
-                table = tables[int(tidx[s])]
-                js = order[s:e]
-                ok = table.may_contain_hashed(miss_keys[js], h1[js], h2[js])
-                for j in js[ok].tolist():
-                    plans[miss_idx[j]].append(table)
-        return plans
 
     def scan_many(self, start_keys, count: int, until: float | None = None,
                   latencies: list | None = None) -> int:

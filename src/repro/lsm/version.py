@@ -4,17 +4,59 @@ L0 holds flushed memtables, newest first, with overlapping key ranges.
 L1 and deeper hold sorted runs: files with pairwise-disjoint key
 ranges, kept ordered by ``min_key`` so point lookups and overlap
 queries are binary searches.
+
+Batched point reads go through a lazily built *read index* (DESIGN.md
+§13.2): per sorted run — a whole L1+ level, or one L0 table — the
+tables' columns concatenated into one, so a key batch resolves with a
+constant number of array operations per level instead of per table.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.lsm.bloom import probe_matrix
 from repro.lsm.config import LSMConfig
+from repro.lsm.memtable import KIND_PUT
 from repro.lsm.sstable import SSTable
+
+
+class ReadRun:
+    """Read index of one sorted run: disjoint tables ordered by key.
+
+    ``keys`` is the tables' key columns concatenated — globally sorted
+    — with parallel per-entry columns for the data-block extent
+    (:meth:`SSTable.read_extent`, precomputed) and the user bytes a hit
+    returns (0 for a tombstone).  Per table: its first entry's position
+    (whose extent a bloom false positive is charged), key range,
+    filename, and the ``base``/``mask`` locating its bloom filter inside
+    the run's one bit slab (``bits`` is None when filters are disabled).
+    """
+
+    def __init__(self, tables: list[SSTable], config: LSMConfig):
+        self.tables = tables
+        self.min_keys = np.array([t.min_key for t in tables], dtype=np.int64)
+        self.max_keys = np.array([t.max_key for t in tables], dtype=np.int64)
+        self.names = np.array([t.filename for t in tables], dtype=object)
+        self.starts = np.cumsum([0] + [t.nentries for t in tables[:-1]])
+        self.keys = np.concatenate([t.keys for t in tables])
+        extents = [t.read_extents() for t in tables]
+        self.offsets = np.concatenate([offsets for offsets, _ in extents])
+        self.nbytes = np.concatenate([nbytes for _, nbytes in extents])
+        self.hit_bytes = np.where(
+            np.concatenate([t.kinds for t in tables]) == KIND_PUT,
+            np.concatenate([t.vlens for t in tables]) + config.key_bytes, 0)
+        self.bits = None
+        if config.bloom_bits_per_key > 0:
+            blooms = [t.bloom for t in tables]
+            sizes = np.array([b.nbits for b in blooms], dtype=np.uint64)
+            self.k = blooms[0].k
+            self.bits = np.concatenate([b._bits for b in blooms])
+            self.mask = sizes - np.uint64(1)
+            self.base = np.cumsum(sizes) - sizes
 
 
 class Version:
@@ -25,11 +67,10 @@ class Version:
         self.levels: list[list[SSTable]] = [[] for _ in range(config.num_levels)]
         self._level_bytes = [0] * config.num_levels
         self._min_keys: list[list[int]] = [[] for _ in range(config.num_levels)]
-        # Parallel max-key column for sorted levels: lets the batched
-        # read planner fold the per-table bound check of find_table
-        # into one array gather (find_table_indexes) instead of a
-        # Python loop over table objects.
-        self._max_keys: list[list[int]] = [[] for _ in range(config.num_levels)]
+        # Read index: per level its list of ReadRuns, or None when a
+        # manifest change on that level made it stale (rebuilt by the
+        # next plan_reads; the other levels keep theirs).
+        self._read_runs: list[list[ReadRun] | None] = [None] * config.num_levels
 
     # ------------------------------------------------------------------
     # Mutation
@@ -43,8 +84,8 @@ class Version:
             idx = bisect_right(self._min_keys[level], table.min_key)
             self.levels[level].insert(idx, table)
             self._min_keys[level].insert(idx, table.min_key)
-            self._max_keys[level].insert(idx, table.max_key)
         self._level_bytes[level] += table.data_bytes
+        self._read_runs[level] = None
 
     def remove(self, level: int, table: SSTable) -> None:
         """Uninstall a table from a level."""
@@ -53,8 +94,8 @@ class Version:
         del self.levels[level][idx]
         if level > 0:
             del self._min_keys[level][idx]
-            del self._max_keys[level][idx]
         self._level_bytes[level] -= table.data_bytes
+        self._read_runs[level] = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -105,48 +146,80 @@ class Version:
         table = self.levels[level][idx]
         return table if key <= table.max_key else None
 
-    def find_tables(self, level: int, keys: np.ndarray) -> list[SSTable | None]:
-        """Vectorized :meth:`find_table` over a key batch.
-
-        One ``searchsorted`` against the level's min-key column
-        replaces a ``bisect_right`` per key; the per-key verdict is
-        identical.  Used by the LSM's batched read path to amortize
-        manifest lookups across a run (DESIGN.md §7.3).
-        """
-        self._check_level(level)
-        if level == 0:
-            raise ConfigError("find_tables is for sorted levels; probe L0 in order")
+    def _run_tables(self, level: int) -> list[list[SSTable]]:
+        """The level's tables grouped into sorted runs: every L0 table
+        is its own run, a deeper level is one."""
         tables = self.levels[level]
-        min_keys = np.asarray(self._min_keys[level], dtype=np.int64)
-        idxs = np.searchsorted(min_keys, keys, side="right") - 1
-        out: list[SSTable | None] = []
-        for key, idx in zip(keys.tolist(), idxs.tolist()):
-            if idx < 0:
-                out.append(None)
-                continue
-            table = tables[idx]
-            out.append(table if key <= table.max_key else None)
-        return out
-
-    def find_table_indexes(self, level: int, keys: np.ndarray) -> np.ndarray:
-        """:meth:`find_tables` as a pure index array (no object loop).
-
-        Returns, per key, the index into ``levels[level]`` of the
-        unique table that may hold it, or ``-1`` — the same verdict as
-        :meth:`find_table`, but the bound check runs against the
-        level's parallel max-key column as one gather, so no Python
-        executes per key.  Used by the array read-planning kernel
-        (DESIGN.md §13).
-        """
-        self._check_level(level)
         if level == 0:
-            raise ConfigError(
-                "find_table_indexes is for sorted levels; probe L0 in order")
-        min_keys = np.asarray(self._min_keys[level], dtype=np.int64)
-        idxs = np.searchsorted(min_keys, keys, side="right") - 1
-        max_keys = np.asarray(self._max_keys[level], dtype=np.int64)
-        ok = (idxs >= 0) & (keys <= max_keys[np.maximum(idxs, 0)])
-        return np.where(ok, idxs, -1)
+            return [[table] for table in tables]
+        return [list(tables)] if tables else []
+
+    def _runs(self):
+        """The read index's runs in probe order, rebuilding stale levels."""
+        for level in range(self.config.num_levels):
+            runs = self._read_runs[level]
+            if runs is None:
+                runs = self._read_runs[level] = [
+                    ReadRun(group, self.config)
+                    for group in self._run_tables(level)]
+            yield from runs
+
+    def plan_reads(self, keys: np.ndarray, ops: np.ndarray) -> tuple:
+        """Every data-block read the per-key probe walk would issue.
+
+        *ops* are the positions in *keys* to resolve (the keys that
+        missed every memtable).  Runs are walked in the scalar read
+        path's order — L0 newest first, then one run per sorted level —
+        and a key drops out at its first hit, so per key the reads are
+        exactly ``LSMStore._find``'s: one per table whose range and
+        bloom filter admit the key, entry 0's block on a false
+        positive.  Per run: one ``searchsorted`` assigns tables, one
+        gather over the bit slab gives the bloom verdicts, one
+        ``searchsorted`` finds the entries.
+
+        Returns ``(bounds, names, offsets, nbytes, hit_bytes)`` as
+        lists: op *i* reads rows ``bounds[i]:bounds[i + 1]`` of the
+        three row columns in order and is credited ``hit_bytes[i]``.
+        """
+        n = len(keys)
+        hit_bytes = np.zeros(n, dtype=np.int64)
+        rows = []
+        probes = None
+        for run in self._runs():
+            if not len(ops):
+                break
+            k = keys[ops]
+            t = run.min_keys.searchsorted(k, side="right") - 1
+            sel = np.flatnonzero((t >= 0) & (k <= run.max_keys[t]))
+            if run.bits is not None and len(sel):
+                if probes is None:
+                    probes = probe_matrix(keys, run.k)
+                ts = t[sel, None]
+                bit = (probes[ops[sel]] & run.mask[ts]) + run.base[ts]
+                sel = sel[run.bits[bit].all(axis=1)]
+            if not len(sel):
+                continue
+            t, k, probed = t[sel], k[sel], ops[sel]
+            pos = run.keys.searchsorted(k)
+            hit = run.keys[pos] == k
+            pos = np.where(hit, pos, run.starts[t])
+            rows.append((probed, run.names[t], run.offsets[pos],
+                         run.nbytes[pos]))
+            hit_bytes[probed[hit]] = run.hit_bytes[pos[hit]]
+            alive = np.ones(len(ops), dtype=bool)
+            alive[sel[hit]] = False
+            ops = ops[alive]
+        if not rows:
+            return [0] * (n + 1), [], [], [], hit_bytes.tolist()
+        probed = np.concatenate([row[0] for row in rows])
+        # Stable: a key's rows stay in run (= probe) order.
+        order = np.argsort(probed, kind="stable")
+        bounds = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(probed, minlength=n), out=bounds[1:])
+        names, offsets, nbytes = (
+            np.concatenate([row[col] for row in rows])[order].tolist()
+            for col in (1, 2, 3))
+        return bounds.tolist(), names, offsets, nbytes, hit_bytes.tolist()
 
     def deepest_nonempty_level(self) -> int:
         """Index of the deepest level with data, or -1 when empty."""
@@ -162,10 +235,15 @@ class Version:
         """Verify manifest consistency; raises ``AssertionError`` on bugs."""
         for level, tables in enumerate(self.levels):
             assert self._level_bytes[level] == sum(t.data_bytes for t in tables)
+            runs = self._read_runs[level]
+            if runs is not None:  # a built read index must mirror the level
+                assert [run.tables for run in runs] == self._run_tables(level)
+                for run in runs:
+                    assert np.array_equal(run.keys, np.concatenate(
+                        [t.keys for t in run.tables]))
             if level == 0:
                 continue
             assert self._min_keys[level] == [t.min_key for t in tables]
-            assert self._max_keys[level] == [t.max_key for t in tables]
             for left, right in zip(tables, tables[1:]):
                 assert left.max_key < right.min_key, (
                     f"L{level} files overlap: "
@@ -176,7 +254,3 @@ class Version:
     def _check_level(self, level: int) -> None:
         if not 0 <= level < self.config.num_levels:
             raise ConfigError(f"level {level} out of range")
-
-
-# Re-export for callers that only need ordered insertion helpers.
-__all__ = ["Version", "insort"]

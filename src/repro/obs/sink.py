@@ -15,12 +15,17 @@ from typing import Iterable, Iterator
 
 
 class RingSink:
-    """A bounded in-memory ring: keeps the most recent *capacity* events."""
+    """A bounded in-memory ring: keeps the most recent *capacity* events.
+
+    Older events are evicted silently by the deque itself — ``append``
+    is its bound C method, with no Python frame per event — so the
+    ring cannot count them; :attr:`Tracer.dropped` derives the number
+    from its own emitted-events count when the trace is read.
+    """
 
     def __init__(self, capacity: int = 200_000):
         self._ring: deque = deque(maxlen=capacity)
         self.append = self._ring.append  # bound once: called per event
-        self.dropped = 0
         self._capacity = capacity
 
     @property
@@ -54,6 +59,9 @@ class JsonlSink:
         self._fh.write(json.dumps(event, separators=(",", ":")))
         self._fh.write("\n")
         self.count += 1
+
+    def __len__(self) -> int:
+        return self.count
 
     def events(self) -> Iterator[tuple]:
         self._fh.flush()

@@ -90,6 +90,7 @@ class Tracer:
         self.clock = clock
         self.sink = sink if sink is not None else RingSink(ring_capacity)
         self.attribution = AttributionTable()
+        self.emitted = 0  # events handed to the sink
         self.enabled = False
         self.in_op = False
         self.tid = 0
@@ -111,17 +112,25 @@ class Tracer:
     def events(self):
         return self.sink.events()
 
+    @property
+    def dropped(self) -> int:
+        """Emitted events the sink no longer holds (ring overflow)."""
+        return self.emitted - len(self.sink)
+
     # -- raw events ----------------------------------------------------
     def span(self, name, cat, t0, dur, args=None) -> None:
         """A completed interval: ``[t0, t0 + dur]`` in virtual seconds."""
+        self.emitted += 1
         self.sink.append(("X", t0, dur, name, cat, self.tid, args))
 
     def instant(self, name, cat, args=None) -> None:
         """A point event stamped at the current virtual time."""
+        self.emitted += 1
         self.sink.append(("i", self.clock.now, 0.0, name, cat, self.tid, args))
 
     def counter(self, name, values) -> None:
         """A counter sample: *values* is a dict of series name -> value."""
+        self.emitted += 1
         self.sink.append(("C", self.clock.now, 0.0, name, "counter", self.tid, values))
 
     # -- op attribution context ----------------------------------------
@@ -165,6 +174,7 @@ class Tracer:
         if self.shard is not None:
             args["shard"] = self.shard
         args.update(comp)
+        self.emitted += 1
         self.sink.append(("X", t0, latency, f"op:{kind}", "op", self.tid, args))
         self.in_op = False
         self._comp = {}
@@ -187,6 +197,7 @@ class Tracer:
         if self.shard is not None:
             args["shard"] = self.shard
         args.update(comp)
+        self.emitted += 1
         self.sink.append(("X", t0, latency, f"op:{kind}", "op", self.tid, args))
 
 

@@ -1,7 +1,7 @@
-"""The array LSM read kernels vs their scalar oracles (DESIGN.md §13).
+"""The array LSM scan kernel vs its scalar oracle (DESIGN.md §13).
 
 Two stores — one per kernel mode — receive the identical write history,
-then serve the identical read/scan batches; per-op latencies, stats
+then serve the identical scan batches; per-op latencies, stats
 counters and the virtual clock must match exactly (``==``, no
 tolerance).  Also pins the composite-packing overflow fallback and the
 widening-window branch of the merge kernel.
@@ -98,20 +98,6 @@ class TestScanMergeEquivalence:
                 store.put(key, Value(round_, 48))
             assert_scans_identical(scalar, array,
                                    [key, key // 2, 0], 25)
-
-    def test_gets_and_probe_planning_identical(self):
-        scalar, array = make_pair()
-        populate([scalar, array])
-        rng = substream(31, "gets")
-        # Mix of present, deleted and absent keys, batch large enough
-        # for the bulk probe planner (BULK_PROBE_MIN).
-        keys = [int(k) for k in rng.integers(0, 600, size=64)]
-        lat_s: list = []
-        lat_a: list = []
-        assert scalar.get_many(keys, latencies=lat_s) == \
-            array.get_many(keys, latencies=lat_a)
-        assert lat_a == lat_s
-        assert state(array) == state(scalar)
 
 
 class TestOverflowFallback:

@@ -116,6 +116,25 @@ class TestSinks:
         assert len(events) == 10
         assert events[0][1] == 15.0  # oldest retained
 
+    def test_ring_overflow_is_reported(self):
+        """Every emitting method counts, so the tracer can say how many
+        events a 10-event ring evicted — and 0 while it still fits."""
+        clock = VirtualClock()
+        tracer = Tracer(clock=clock, ring_capacity=10)
+        tracer.enable()
+        for i in range(4):
+            tracer.span("wal_append", "lsm", float(i), 0.1)
+        assert (tracer.emitted, tracer.dropped) == (4, 0)
+        for i in range(7):
+            tracer.instant("gc_reclaim", "gc")
+            tracer.counter("channel_occupancy", {"busy": 0.5})
+            tracer.op_begin()
+            tracer.op_end("read", float(i), 0.2)
+            tracer.op_write("update", float(i), 0.2, 0.0)
+        assert tracer.emitted == 4 + 7 * 4
+        assert len(list(tracer.events())) == 10
+        assert tracer.dropped == 22
+
     def test_jsonl_round_trip(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
         sink = JsonlSink(path)
@@ -126,6 +145,7 @@ class TestSinks:
         events = list(tracer.events())
         tracer.close()
         assert sink.count == 2
+        assert tracer.dropped == 0  # a streaming sink keeps everything
         assert events[0][:5] == ("X", 0.5, 0.1, "wal_append", "lsm")
         assert events[0][6] == {"bytes": 4096}
 
