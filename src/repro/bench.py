@@ -6,7 +6,7 @@ the paper's fig-2 update workload (sequential load + uniform updates
 until host writes reach a capacity multiple, §3.2) on the inline
 runner, a scan-mix variant (25% reads / 25% scans) and a read-only
 variant (get-only measured phase) exercising the natively batched
-read/scan paths and the array read kernels (DESIGN.md §7.3, §13), and
+read/scan paths and the read kernels (DESIGN.md §7.3, §13), and
 4- and 16-client pooled cells driving the batched event-scheduler
 client — including a pooled LSM scan-mix cell that pins the
 merge-scan kernel under concurrency (DESIGN.md §7.2; the 16-client
@@ -189,7 +189,7 @@ def bench_case(engine: Engine, scale: Scale, batch: bool = True,
 #: The bench grid: (workload_name, nclients, spec overrides, engines).
 #: ``engines`` restricts a cell to a subset of :data:`ENGINES` (None
 #: means every engine).  The scan-mix and readonly cells exercise the
-#: natively batched read/scan paths and the array read kernels
+#: natively batched read/scan paths and the read kernels
 #: (DESIGN.md §13); the pooled cells exercise the batched multi-client
 #: driver at moderate and deep queue depth, with the pooled scan-mix
 #: cell pinning the LSM merge-scan kernel under concurrency.  Pooled
@@ -402,7 +402,7 @@ def profile_case(engine: Engine, scale_name: str, workload_name: str = "update",
     ``nshards > 1`` (or an ``arrival`` process) profiles the fleet
     path instead: the whole sharded experiment — router, per-shard
     stacks, open-loop sources when requested — runs under the profiler
-    via :func:`~repro.core.experiment.run_experiment`, so the array
+    via :func:`~repro.core.experiment.run_experiment`, so the hot
     kernels can be ranked under the PR 7 open-loop driver, not just
     closed-loop pools.
     """

@@ -4,7 +4,8 @@ One line per completed cell, keyed by the cell spec's stable hash.
 Appends are canonical (sorted keys, fixed separators) so that a
 resumed campaign's merged output is byte-identical to an uninterrupted
 run; a truncated final line — the signature of a killed process — is
-ignored on load rather than poisoning the resume.
+ignored on load and dropped by the next append rather than poisoning
+the resume.
 """
 
 from __future__ import annotations
@@ -29,35 +30,24 @@ class CampaignStore:
         self.path = Path(path)
 
     def load(self) -> dict[str, dict]:
-        """Completed records by cell hash; tolerates a torn last line."""
-        if not self.path.exists():
-            return {}
-        records: dict[str, dict] = {}
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn write from an interrupted campaign
-                cell = record.get("cell")
-                if cell:
-                    records[cell] = record
-        return records
+        """Completed records by cell hash (last wins, for resume lookups)."""
+        return dict(self.records())
 
     def records(self) -> list[tuple[str, dict]]:
         """(cell hash, record) pairs in file order; tolerates torn lines.
 
-        Unlike :meth:`load` (a last-wins dict for resume lookups), this
-        preserves duplicates and order, which is what merging needs.
+        Preserves duplicates and order, which is what merging needs.
+        A record is complete only once its newline is on disk: an
+        unterminated tail is what :meth:`append` drops, so it is not
+        reported here either, even if it happens to parse.
         """
         if not self.path.exists():
             return []
         out: list[tuple[str, dict]] = []
         with self.path.open("r", encoding="utf-8") as handle:
             for line in handle:
+                if not line.endswith("\n"):
+                    continue  # unterminated tail of a killed writer
                 line = line.strip()
                 if not line:
                     continue
@@ -71,10 +61,27 @@ class CampaignStore:
         return out
 
     def append(self, record: dict) -> None:
-        """Durably append one completed cell record."""
+        """Durably append one completed cell record.
+
+        An unterminated tail — the fragment a killed writer left — is
+        truncated away first; appending after it would glue the new
+        record onto the fragment and lose both.
+        """
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(canonical_line(record) + "\n")
+        with self.path.open("a+b") as handle:
+            end = pos = handle.seek(0, os.SEEK_END)
+            keep = 0  # offset just past the last newline
+            while pos > 0:
+                step = min(pos, 1 << 16)
+                pos -= step
+                handle.seek(pos)
+                cut = handle.read(step).rfind(b"\n")
+                if cut >= 0:
+                    keep = pos + cut + 1
+                    break
+            if keep != end:
+                handle.truncate(keep)
+            handle.write((canonical_line(record) + "\n").encode("utf-8"))
             handle.flush()
             os.fsync(handle.fileno())
 

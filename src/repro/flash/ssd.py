@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels
 from repro.core.clock import VirtualClock
 from repro.errors import OutOfRangeError
 from repro.faults.plan import NO_FAULTS
@@ -197,17 +196,9 @@ class SSD:
         config: SSDConfig,
         clock: VirtualClock,
         policy: GCPolicy | None = None,
-        kernel: str | None = None,
     ):
         self.config = config
         self.clock = clock
-        self.kernel = kernels.resolve(kernel)
-        self._array_kernels = self.kernel == kernels.ARRAY
-        # Channel-fold crossover: reads touching fewer pages than this
-        # use the shared scalar loop in both modes (numpy call overhead
-        # exceeds the loop for e.g. a B+Tree's 4-page leaf fault).
-        self._read_fold_min = 5
-        self._iota: np.ndarray | None = None  # cached arange(nchannels)
         self.smart = SmartAttributes()
         # Hot-path caches of config properties/fields (the config is
         # frozen, so these can never go stale).
@@ -697,17 +688,10 @@ class SSD:
         completes when its slowest channel finishes, so reads queue
         behind same-channel work and overlap across channels.
 
-        Dispatches to the array channel fold (DESIGN.md §13) for large
-        reads when the array kernels are selected; small reads take the
-        scalar loop in both modes (see ``_read_fold_min``).
+        A read touches at most ``channels`` (8 or 16) lanes, so the
+        fold is a plain loop: there is nothing to vectorise, and numpy
+        call overhead alone exceeds it (measured in DESIGN.md §13.3).
         """
-        if self._array_kernels and npages >= self._read_fold_min:
-            return self._read_channelized_array(start, npages, nbytes)
-        return self._read_channelized_scalar(start, npages, nbytes)
-
-    def _read_channelized_scalar(self, start: int, npages: int,
-                                 nbytes: int) -> float:
-        """Per-channel Python loop — the oracle for the array fold."""
         cfg = self.config
         channels = self._channels
         busy = channels.busy
@@ -721,7 +705,7 @@ class SSD:
         completion = now
         # add_read_work, inlined per channel (reads touch only the FIFO
         # occupancy, so no epoch bump — the write-backlog memo and
-        # write_max are untouched by reads, exactly as before).
+        # write_max are untouched by reads).
         for i in range(min(npages, nchannels)):
             c = (first + i) % nchannels
             npages_here = base + (1 if i < extra else 0)
@@ -738,44 +722,4 @@ class SSD:
             if done > busy_max:
                 busy_max = done
         channels.busy_max = busy_max
-        return cfg.read_latency + nbytes / cfg.bus_bytes_per_s + (completion - now)
-
-    def _read_channelized_array(self, start: int, npages: int,
-                                nbytes: int) -> float:
-        """Array channel fold: the scalar per-lane loop as one
-        vectorized reduction (DESIGN.md §13).
-
-        A read of ``npages`` pages touches ``min(npages, channels)``
-        *distinct* channels, so the per-lane FIFO update has no
-        intra-batch dependency: the busy gather, the max-with-now, the
-        page-time multiply, and the degrade scaling are all
-        elementwise, and ``completion``/``busy_max`` are maxima over
-        the lane results.  Every arithmetic step keeps the scalar
-        loop's operation order (gather → max → add), so the returned
-        latency and the post-call timeline state are bit-identical.
-        """
-        cfg = self.config
-        channels = self._channels
-        busy = channels.busy
-        nchannels = len(busy)
-        now = self.clock.now
-        iota = self._iota
-        if iota is None:
-            iota = self._iota = np.arange(nchannels, dtype=np.int64)
-        lanes = iota[:npages] if npages < nchannels else iota
-        idx = (start % nchannels + lanes) % nchannels
-        base, extra = divmod(npages, nchannels)
-        seconds = (base + (lanes < extra)) * cfg.page_read_time
-        degrade = self.faults.degrade  # None unless a window is configured
-        if degrade is not None and degrade.start <= now < degrade.end:
-            seconds = np.where(idx == degrade.channel,
-                               seconds * degrade.factor, seconds)
-        done = np.maximum(np.asarray(busy, dtype=np.float64)[idx], now) + seconds
-        completion = float(done.max())
-        for c, d in zip(idx.tolist(), done.tolist()):
-            busy[c] = d
-        if completion > channels.busy_max:
-            channels.busy_max = completion
-        if completion < now:  # unreachable while page_read_time > 0
-            completion = now
         return cfg.read_latency + nbytes / cfg.bus_bytes_per_s + (completion - now)

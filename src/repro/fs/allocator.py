@@ -18,25 +18,21 @@ Three strategies are provided:
 * **first-fit** (ablation): always allocate at the lowest possible
   address, keeping the file footprint compact.
 
-Two implementations share the API (DESIGN.md §12): the scalar original
-(:class:`ScalarExtentAllocator`, Python lists + dict, retained as the
-equivalence oracle) and the array kernel
-(:class:`ArrayExtentAllocator`, the free list as a pair of parallel
-int64 arrays, vectorized carving/coalescing and a batched
-:meth:`free_many`).  The :func:`ExtentAllocator` factory picks one per
-:mod:`repro.kernels`; both produce bit-identical extent streams — the
-scatter pivot draw performs the exact same float arithmetic on the
-exact same RNG, which tests pin.
+The free list is a pair of parallel int64 arrays with in-place
+carving, ``searchsorted`` coalescing and a batched :meth:`~
+ExtentAllocator.free_many` (DESIGN.md §12).  The extent stream is part
+of every simulated fingerprint — the scatter pivot is one ``random()``
+draw against a float64 CDF of the free-extent lengths — and is pinned
+by a recorded stream and a set-of-free-pages model in
+``tests/fs/test_allocator.py``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from itertools import chain
 
 import numpy as np
 
-from repro import kernels
 from repro.errors import ConfigError, NoSpaceError
 
 Extent = tuple[int, int]  # (start_page, npages)
@@ -44,261 +40,19 @@ Extent = tuple[int, int]  # (start_page, npages)
 STRATEGIES = ("scatter", "next-fit", "first-fit")
 
 
-class ScalarExtentAllocator:
+class ExtentAllocator:
     """Tracks free extents over ``[0, npages)`` and hands out space.
 
-    The original per-extent implementation, kept verbatim as the
-    oracle for :class:`ArrayExtentAllocator` (DESIGN.md §12).
-    """
-
-    kernel = "scalar"
-
-    def __init__(self, npages: int, strategy: str = "scatter", seed: int = 0):
-        if npages <= 0:
-            raise ConfigError("allocator needs a positive page count")
-        if strategy not in STRATEGIES:
-            raise ConfigError(f"unknown allocation strategy {strategy!r}")
-        self.npages = npages
-        self.strategy = strategy
-        self._rng = np.random.default_rng(seed)
-        self._starts: list[int] = [0]
-        self._lens: dict[int, int] = {0: npages}
-        # Extent lengths in _starts order: the scatter strategy weights
-        # every allocation by extent size, and rebuilding that vector
-        # from the dict dominated allocation cost on fragmented
-        # filesystems.  Kept strictly parallel to _starts.
-        self._len_list: list[int] = [npages]
-        self._rotor = 0
-        self.free_pages = npages
-        self.peak_used_pages = 0
-
-    # ------------------------------------------------------------------
-    # Allocation
-    # ------------------------------------------------------------------
-    def alloc(self, npages: int, contiguous: bool = False) -> list[Extent]:
-        """Allocate *npages*, returning the extents granted.
-
-        With ``contiguous=True`` a single extent is returned or
-        :class:`NoSpaceError` is raised; otherwise the request may be
-        satisfied by multiple extents.
-        """
-        if npages <= 0:
-            raise ConfigError("allocation size must be positive")
-        if npages > self.free_pages:
-            raise NoSpaceError(
-                f"requested {npages} pages but only {self.free_pages} free"
-            )
-        if contiguous:
-            return [self._alloc_contiguous(npages)]
-        granted: list[Extent] = []
-        remaining = npages
-        while remaining > 0:
-            extent = self._take_some(remaining)
-            granted.append(extent)
-            remaining -= extent[1]
-        return granted
-
-    def free(self, start: int, npages: int) -> None:
-        """Return an extent to the free pool, coalescing neighbours."""
-        if npages <= 0:
-            raise ConfigError("freed extent must be non-empty")
-        if start < 0 or start + npages > self.npages:
-            raise ConfigError("freed extent outside address space")
-        idx = bisect_right(self._starts, start)
-        if idx > 0:
-            prev_start = self._starts[idx - 1]
-            if prev_start + self._lens[prev_start] > start:
-                raise ConfigError("double free: extent overlaps a free extent")
-        if idx < len(self._starts) and start + npages > self._starts[idx]:
-            raise ConfigError("double free: extent overlaps a free extent")
-
-        freed = npages  # only the newly freed pages count toward free_pages
-        # Coalesce with successor.
-        if idx < len(self._starts) and self._starts[idx] == start + npages:
-            npages += self._lens.pop(self._starts[idx])
-            del self._starts[idx]
-            del self._len_list[idx]
-        # Coalesce with predecessor.
-        if idx > 0:
-            prev_start = self._starts[idx - 1]
-            if prev_start + self._lens[prev_start] == start:
-                self._lens[prev_start] += npages
-                self._len_list[idx - 1] += npages
-                self.free_pages += freed
-                return
-        self._starts.insert(idx, start)
-        self._len_list.insert(idx, npages)
-        self._lens[start] = npages
-        self.free_pages += freed
-
-    def free_many(self, extents: list[Extent]) -> None:
-        """Free a batch of extents.
-
-        The scalar oracle frees them one by one — exactly the call
-        pattern file deletion used before the array kernels; the final
-        free-list state is order-independent for non-overlapping
-        extents, which is what the array kernel's single merge pass is
-        pinned against.
-        """
-        for start, npages in extents:
-            self.free(start, npages)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def free_extents(self) -> list[Extent]:
-        """All free extents sorted by start (a copy)."""
-        return [(s, self._lens[s]) for s in self._starts]
-
-    def largest_free_extent(self) -> int:
-        """Size of the largest free extent in pages (0 when full)."""
-        if not self._starts:
-            return 0
-        return max(self._lens.values())
-
-    def check_invariants(self) -> None:
-        """Verify internal consistency; raises ``AssertionError`` on bugs."""
-        assert self._starts == sorted(self._starts)
-        assert set(self._starts) == set(self._lens)
-        assert self._len_list == [self._lens[s] for s in self._starts], \
-            "length cache out of sync with the free-extent list"
-        total = 0
-        prev_end = -1
-        for start in self._starts:
-            length = self._lens[start]
-            assert length > 0
-            assert start > prev_end, "free extents overlap or are uncoalesced"
-            assert start + length <= self.npages
-            prev_end = start + length - 1
-            total += length
-        assert total == self.free_pages
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _scatter_pivot(self) -> int:
-        """Size-weighted random extent index (uniform over free pages).
-
-        This inlines ``rng.choice(count, p=weights / weights.sum())``
-        — same arithmetic, same single ``random()`` draw, so the extent
-        stream is bit-identical (pinned by a test) — without choice's
-        per-call validation overhead.
-        """
-        weights = np.array(self._len_list, dtype=np.float64)
-        cdf = (weights / weights.sum()).cumsum()
-        cdf /= cdf[-1]
-        return int(cdf.searchsorted(self._rng.random(), side="right"))
-
-    def _scan_order(self):
-        """Indices into the free-extent list in allocation-scan order.
-
-        Returns a lazy iterable: the callers stop at the first usable
-        extent (for scatter that is the pivot itself), so materializing
-        the whole order — two list builds per allocation — was pure
-        overhead on the flush path (DESIGN.md §8).
-        """
-        count = len(self._starts)
-        if self.strategy == "first-fit" or not self._starts:
-            return range(count)
-        if self.strategy == "scatter":
-            # Start from the size-weighted pivot, then continue
-            # round-robin so large requests can gather multiple extents.
-            pivot = self._scatter_pivot()
-            return chain(range(pivot, count), range(pivot))
-        pivot = bisect_left(self._starts, self._rotor)
-        if pivot > 0:
-            prev = self._starts[pivot - 1]
-            if prev + self._lens[prev] > self._rotor:
-                pivot -= 1  # rotor points inside the previous extent
-        return chain(range(pivot, count), range(pivot))
-
-    def _alloc_contiguous(self, npages: int) -> Extent:
-        for idx in self._scan_order():
-            start = self._starts[idx]
-            length = self._lens[start]
-            take_from = start
-            if self.strategy == "next-fit" and start < self._rotor < start + length:
-                take_from = self._rotor
-                if start + length - take_from < npages:
-                    take_from = start  # tail too small: use the extent head
-            if start + length - take_from >= npages:
-                self._carve(start, take_from, npages)
-                return (take_from, npages)
-        raise NoSpaceError(
-            f"no contiguous extent of {npages} pages "
-            f"(largest free: {self.largest_free_extent()})"
-        )
-
-    def _take_some(self, limit: int) -> Extent:
-        if self.strategy == "scatter" and self._starts:
-            # The pivot extent always has room (its weight is its
-            # size), so the generic scan collapses to one draw + carve.
-            pivot = self._scatter_pivot()
-            start = self._starts[pivot]
-            take = self._len_list[pivot]
-            if take > limit:
-                take = limit
-            self._carve(start, start, take)
-            return (start, take)
-        for idx in self._scan_order():
-            start = self._starts[idx]
-            length = self._lens[start]
-            take_from = start
-            if self.strategy == "next-fit" and start < self._rotor < start + length:
-                take_from = self._rotor
-            available = start + length - take_from
-            take = min(limit, available)
-            if take > 0:
-                self._carve(start, take_from, take)
-                return (take_from, take)
-        raise NoSpaceError("free accounting drifted: no extent found")
-
-    def _carve(self, extent_start: int, take_from: int, take: int) -> None:
-        """Remove [take_from, take_from+take) from the free extent at
-        *extent_start*, splitting it as needed."""
-        length = self._lens[extent_start]
-        idx = bisect_left(self._starts, extent_start)
-        del self._starts[idx]
-        del self._len_list[idx]
-        del self._lens[extent_start]
-        head = take_from - extent_start
-        tail = (extent_start + length) - (take_from + take)
-        if head > 0:
-            self._starts.insert(idx, extent_start)
-            self._len_list.insert(idx, head)
-            self._lens[extent_start] = head
-            idx += 1
-        if tail > 0:
-            tail_start = take_from + take
-            self._starts.insert(idx, tail_start)
-            self._len_list.insert(idx, tail)
-            self._lens[tail_start] = tail
-        self.free_pages -= take
-        self.peak_used_pages = max(self.peak_used_pages, self.npages - self.free_pages)
-        end = take_from + take
-        self._rotor = 0 if end >= self.npages else end
-
-
-class ArrayExtentAllocator:
-    """The array kernel: free list as parallel int64 arrays.
-
-    Same public API and bit-identical behaviour as
-    :class:`ScalarExtentAllocator` — in particular the scatter pivot
-    performs the exact same ``(weights / weights.sum()).cumsum()``
-    float arithmetic over the exact same values, so the extent stream
-    (and with it every figure) is unchanged.  What the arrays buy
+    The free list is two parallel int64 arrays, sorted by start
     (DESIGN.md §12):
 
-    * the per-allocation weight vector is one ``astype`` of a live
-      int64 column instead of a Python-list conversion;
-    * carving edits the free list in place (one or two element stores)
-      instead of a delete + up to two inserts;
+    * the scatter strategy's per-allocation weight vector is one
+      ``astype`` of the live length column;
+    * carving edits the free list in place (one or two element stores);
     * :meth:`free_many` returns a whole batch of extents (file
       deletion — the LSM's table retirement path) in a single sorted
       merge + vectorized coalescing pass.
     """
-
-    kernel = "array"
 
     #: Initial free-list capacity (grows by doubling).
     _INITIAL_CAPACITY = 16
@@ -325,7 +79,12 @@ class ArrayExtentAllocator:
     # Allocation
     # ------------------------------------------------------------------
     def alloc(self, npages: int, contiguous: bool = False) -> list[Extent]:
-        """Allocate *npages*, returning the extents granted."""
+        """Allocate *npages*, returning the extents granted.
+
+        With ``contiguous=True`` a single extent is returned or
+        :class:`NoSpaceError` is raised; otherwise the request may be
+        satisfied by multiple extents.
+        """
         if npages <= 0:
             raise ConfigError("allocation size must be positive")
         if npages > self.free_pages:
@@ -374,10 +133,10 @@ class ArrayExtentAllocator:
 
         Equivalent to freeing them one by one (the final coalesced
         free list of a set of non-overlapping extents is canonical and
-        order-independent; no RNG is consumed) — pinned against the
-        scalar oracle by tests.  One extent falls through to
-        :meth:`free`; real batches merge the sorted freed extents into
-        the sorted free list and coalesce adjacency with array ops.
+        order-independent; no RNG is consumed).  One extent falls
+        through to :meth:`free`; real batches merge the sorted freed
+        extents into the sorted free list and coalesce adjacency with
+        array ops.
         """
         if len(extents) <= 1:
             for start, npages in extents:
@@ -480,10 +239,11 @@ class ArrayExtentAllocator:
     def _scatter_pivot(self) -> int:
         """Size-weighted random extent index (uniform over free pages).
 
-        Bit-identical to the scalar oracle: the weight vector is the
-        same int64 length column (``astype`` rounds int→float64
-        exactly like the list conversion for page counts < 2^53), and
-        the normalize/cumsum/searchsorted arithmetic is unchanged.
+        The arithmetic is ``rng.choice(count, p=weights /
+        weights.sum())`` inlined — same single ``random()`` draw
+        against the same float64 CDF, without choice's per-call
+        validation — so the extent stream is part of every pinned
+        fingerprint: do not reorder it.
         """
         weights = self._l[:self._n].astype(np.float64)
         cdf = (weights / weights.sum()).cumsum()
@@ -536,7 +296,7 @@ class ArrayExtentAllocator:
                 take_from = int(self._s[idx])
                 self._carve_at(idx, take_from, npages)
                 return (take_from, npages)
-        elif n:  # next-fit: replicate the rotor walk exactly
+        elif n:  # next-fit: walk from the rotor, wrapping
             for idx in self._scan_indices():
                 start = int(self._s[idx])
                 length = int(self._l[idx])
@@ -586,16 +346,3 @@ class ArrayExtentAllocator:
             self.peak_used_pages = used
         end = take_from + take
         self._rotor = 0 if end >= self.npages else end
-
-
-def ExtentAllocator(npages: int, strategy: str = "scatter", seed: int = 0,
-                    kernel: str | None = None):
-    """Build an allocator with the selected kernel (DESIGN.md §12).
-
-    ``kernel=None`` follows the process default (:mod:`repro.kernels`);
-    both implementations are bit-identical, so the choice never
-    changes simulated results.
-    """
-    cls = (ArrayExtentAllocator if kernels.resolve(kernel) == kernels.ARRAY
-           else ScalarExtentAllocator)
-    return cls(npages, strategy=strategy, seed=seed)

@@ -21,18 +21,16 @@ only, since key-value payloads are represented by (seed, length)
 descriptors rather than real bytes.
 
 File extent tables are array-backed (parallel int64 start/length
-columns with a cached cumulative page count); the ``kernel`` knob
-(DESIGN.md §12) selects between the whole-batch extent push /
-vectorized page-run resolution / batched free on deletion (array, the
-default) and the per-extent scalar call pattern retained as the
-equivalence oracle.  Both submit the identical device requests.
+columns with a cached cumulative page count): new extents are pushed
+as one coalescing batch, page runs resolve with two ``searchsorted``
+calls, and deletion frees the whole table in one allocator pass
+(DESIGN.md §12).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels
 from repro.errors import FileExistsError_, FileNotFoundError_, FilesystemError
 from repro.fs.allocator import Extent, ExtentAllocator
 
@@ -97,8 +95,7 @@ class FileMeta:
         self._es, self._el = es, el
 
     def push_extent(self, extent: Extent) -> None:
-        """Append one extent, merging with the previous if adjacent
-        (the scalar oracle's per-extent call pattern)."""
+        """Append one extent, merging with the previous if adjacent."""
         self._cum = None
         self._pages += extent[1]
         ne = self._ne
@@ -159,14 +156,11 @@ class ExtentFilesystem:
     """A minimal extent filesystem exposing the operations engines need."""
 
     def __init__(self, device, strategy: str = "scatter", discard: bool = False,
-                 record_data: bool = False, seed: int = 0,
-                 kernel: str | None = None):
+                 record_data: bool = False, seed: int = 0):
         self.device = device
         self.page_size = device.page_size
-        self.kernel = kernels.resolve(kernel)
-        self._array = self.kernel == kernels.ARRAY
         self.allocator = ExtentAllocator(device.npages, strategy=strategy,
-                                         seed=seed, kernel=self.kernel)
+                                         seed=seed)
         self.discard = discard
         self.record_data = record_data
         self._files: dict[str, FileMeta] = {}
@@ -193,10 +187,9 @@ class ExtentFilesystem:
     def delete(self, name: str) -> None:
         """Delete a file, freeing its extents (TRIM only if ``discard``).
 
-        The array kernel returns all extents to the allocator in one
-        batched :meth:`~repro.fs.allocator.ArrayExtentAllocator.
-        free_many` merge; the scalar oracle frees them one by one.
-        Either way the device sees the same TRIMs in the same order.
+        All extents return to the allocator in one batched
+        :meth:`~repro.fs.allocator.ExtentAllocator.free_many` merge;
+        the device sees one TRIM per extent, in file order.
         """
         meta = self._lookup(name)
         extents = meta.extents
@@ -303,15 +296,9 @@ class ExtentFilesystem:
         return latency
 
     def _push_new_extents(self, meta: FileMeta, npages: int) -> None:
-        """Allocate *npages* and append the granted extents to *meta* —
-        one coalescing batch under the array kernel, per-extent under
-        the scalar oracle."""
-        extents = self.allocator.alloc(npages)
-        if self._array:
-            meta.push_extents(extents)
-        else:
-            for extent in extents:
-                meta.push_extent(extent)
+        """Allocate *npages* and append the granted extents to *meta*
+        as one coalescing batch."""
+        meta.push_extents(self.allocator.alloc(npages))
 
     def _write_file_pages(self, meta: FileMeta, first_page: int, count: int,
                           background: bool) -> float:
@@ -504,8 +491,7 @@ class ExtentFilesystem:
 
     def _run_arrays(self, meta: FileMeta, first_page: int,
                     count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Device runs covering a page range, as (starts, lens) arrays
-        (the array kernel's whole-range resolution)."""
+        """Device runs covering a page range, as (starts, lens) arrays."""
         i0, i1, skip = self._run_bounds(meta, first_page, count)
         starts = meta._es[i0 : i1 + 1].copy()
         lens = meta._el[i0 : i1 + 1].copy()
@@ -519,21 +505,8 @@ class ExtentFilesystem:
         [first_page, first_page+count)."""
         if count <= 0:
             return
-        if self._array:
-            starts, lens = self._run_arrays(meta, first_page, count)
-            yield from zip(starts.tolist(), lens.tolist())
-            return
-        i0, _i1, skip = self._run_bounds(meta, first_page, count)
-        idx = i0
-        remaining = count
-        while remaining > 0:
-            start = int(meta._es[idx])
-            length = int(meta._el[idx])
-            take = min(length - skip, remaining)
-            yield (start + skip, take)
-            remaining -= take
-            skip = 0
-            idx += 1
+        starts, lens = self._run_arrays(meta, first_page, count)
+        yield from zip(starts.tolist(), lens.tolist())
 
     def _file_lpns(self, meta: FileMeta, first_page: int, count: int):
         """Device pages for a file range: a Python-int list for small
@@ -543,26 +516,18 @@ class ExtentFilesystem:
             if run is not None:
                 start, length = run
                 return list(range(start, start + length))
-        if self._array:
-            starts, lens = self._run_arrays(meta, first_page, count)
-            if len(starts) == 1:
-                s0 = int(starts[0])
-                return np.arange(s0, s0 + count, dtype=np.int64)
-            # Concatenation of per-run aranges without materializing
-            # them: repeat each run's (start - pages_before_run) and
-            # add the global page index.
-            before = np.empty(len(lens), dtype=np.int64)
-            before[0] = 0
-            np.cumsum(lens[:-1], out=before[1:])
-            return np.repeat(starts - before, lens) + np.arange(
-                count, dtype=np.int64)
-        runs = list(self._file_runs(meta, first_page, count))
-        if len(runs) == 1:
-            start, length = runs[0]
-            return np.arange(start, start + length, dtype=np.int64)
-        return np.concatenate(
-            [np.arange(s, s + l, dtype=np.int64) for s, l in runs]
-        )
+        starts, lens = self._run_arrays(meta, first_page, count)
+        if len(starts) == 1:
+            s0 = int(starts[0])
+            return np.arange(s0, s0 + count, dtype=np.int64)
+        # Concatenation of per-run aranges without materializing
+        # them: repeat each run's (start - pages_before_run) and
+        # add the global page index.
+        before = np.empty(len(lens), dtype=np.int64)
+        before[0] = 0
+        np.cumsum(lens[:-1], out=before[1:])
+        return np.repeat(starts - before, lens) + np.arange(
+            count, dtype=np.int64)
 
     def _patch_data(self, meta: FileMeta, offset: int, data: bytes) -> None:
         end = offset + len(data)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels
 from repro.fs.filesystem import ExtentFilesystem
 from repro.lsm.config import LSMConfig
 from repro.lsm.memtable import KIND_DELETE
@@ -110,20 +109,12 @@ class CompactionPicker:
 class CompactionExecutor:
     """Runs compactions against the filesystem and manifest."""
 
-    def __init__(self, fs: ExtentFilesystem, config: LSMConfig, next_table_id,
-                 kernel: str | None = None):
+    def __init__(self, fs: ExtentFilesystem, config: LSMConfig, next_table_id):
         self.fs = fs
         self.config = config
         self.next_table_id = next_table_id
         self.stats = CompactionStats()
         self.tracer = NULL_TRACER  # flight recorder (repro.obs)
-        # Kernel selection (DESIGN.md §12): the array kernel orders the
-        # k concatenated sorted runs with ONE stable argsort over a
-        # composite (key, reversed-seq) int64 — timsort's galloping
-        # merges the pre-sorted runs instead of re-sorting from
-        # scratch.  The two-pass lexsort is retained as the oracle.
-        self.kernel = kernels.resolve(kernel)
-        self._array_kernels = self.kernel == kernels.ARRAY
 
     def run(self, compaction: Compaction, version: Version) -> None:
         """Execute one compaction job (trivial move or merge)."""
@@ -216,19 +207,19 @@ class CompactionExecutor:
     def _merge_order(self, keys: np.ndarray, seqs: np.ndarray) -> np.ndarray:
         """Permutation sorting by (key asc, seq desc).
 
-        Array kernel: pack both columns into one int64 composite —
-        ``key * 2^40 + (2^40-1 - seq)`` — and run a single stable
-        argsort.  The inputs are a concatenation of k sorted runs
-        (each SSTable's keys are strictly increasing, so each run is
+        Packs both columns into one int64 composite — ``key * 2^40 +
+        (2^40-1 - seq)`` — and runs a single stable argsort (DESIGN.md
+        §12).  The inputs are a concatenation of k sorted runs (each
+        SSTable's keys are strictly increasing, so each run is
         strictly increasing in the composite too), which timsort's run
-        detection merges in near-linear time.  The permutation is
-        identical to the lexsort oracle: the composite is strictly
-        monotone in (key, -seq), and both sorts are stable, so ties
-        (equal key and seq) resolve to original order either way.
-        Falls back to lexsort when a column could overflow the packing
-        (keys >= 2^22 or seqs >= 2^40 — far beyond any workload here).
+        detection merges in near-linear time.  The composite is
+        strictly monotone in (key, -seq) and the sort is stable, so
+        ties (equal key and seq) keep their original order.  Falls
+        back to ``np.lexsort`` — the same permutation in two passes —
+        when a column could overflow the packing (keys >= 2^22 or
+        seqs >= 2^40 — far beyond any workload here).
         """
-        if self._array_kernels and keys.size:
+        if keys.size:
             seq_span = 1 << self._SEQ_BITS
             if (
                 int(keys.min()) >= 0

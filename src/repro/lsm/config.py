@@ -61,7 +61,7 @@ class LSMConfig:
             # Also load-bearing for the batched scan path: every
             # memtable mutation must grow approximate_bytes by at
             # least key_bytes, which is what validates the memoized
-            # sorted_items() snapshot (DESIGN.md §7.3).
+            # sorted_columns() snapshot (DESIGN.md §13.1).
             raise ConfigError("key_bytes must be positive")
         if self.entry_overhead < 0:
             raise ConfigError("entry_overhead cannot be negative")

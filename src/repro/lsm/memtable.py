@@ -18,10 +18,10 @@ KIND_DELETE = 1
 #: Packed scan composite (DESIGN.md §13): ``key << 41 | (2^40-1 - seq)
 #: << 1 | kind`` as uint64.  Strictly monotone in (key asc, seq desc)
 #: — sequence numbers are globally unique, so the kind bit never
-#: decides an ordering — which lets the array scan merge sort, bound,
+#: decides an ordering — which lets the batched scan merge sort, bound,
 #: dedupe and kind-test source windows from one cached column instead
 #: of three.  ``key < 2^22`` and ``seq < 2^40`` keep the packing inside
-#: 63 bits; callers fall back to the scalar merge outside that range.
+#: 63 bits; callers fall back to per-op ``scan()`` outside that range.
 SCAN_SEQ_SPAN = 1 << 40
 SCAN_KEY_SPAN = 1 << 22
 SCAN_KEY_SHIFT = np.uint64(41)
@@ -39,8 +39,7 @@ def pack_scan_comp(keys: np.ndarray, seqs: np.ndarray,
 class MemTable:
     """A mutable buffer of the newest writes, keyed by integer key."""
 
-    __slots__ = ("config", "_entries", "approximate_bytes", "_sorted_cache",
-                 "_column_cache")
+    __slots__ = ("config", "_entries", "approximate_bytes", "_column_cache")
 
     def __init__(self, config: LSMConfig):
         self.config = config
@@ -49,7 +48,6 @@ class MemTable:
         # with upserts would.
         self._entries: dict[int, tuple[int, int, int, int]] = {}
         self.approximate_bytes = 0
-        self._sorted_cache: tuple | None = None  # see sorted_items()
         self._column_cache: tuple | None = None  # see sorted_columns()
 
     def __len__(self) -> int:
@@ -135,39 +133,17 @@ class MemTable:
         selected.sort(key=lambda kv: kv[0])
         return selected
 
-    def sorted_items(self) -> tuple[list[int], list[tuple[int, int, int, int]]]:
-        """All entries as parallel (keys, entries) lists, key-ordered.
-
-        The batched scan path uses this as a bisectable cursor shared
-        by consecutive scans, instead of re-sorting a
-        :meth:`range_items` selection per scan (DESIGN.md §7.3).  The
-        snapshot is memoized on the memtable and validated against
-        ``approximate_bytes``, which grows on *every* mutation: puts
-        and tombstones both add at least ``key_bytes``, which
-        :class:`~repro.lsm.config.LSMConfig` validates as positive.
-        So scans reuse one sort until the next write, and immutable
-        memtables reuse it forever.  Keys are unique, so sorting the
-        item pairs orders exactly like sorting by key.
-        """
-        cache = self._sorted_cache
-        if cache is not None and cache[0] == self.approximate_bytes:
-            return cache[1], cache[2]
-        items = sorted(self._entries.items())
-        keys = [k for k, _v in items]
-        values = [v for _k, v in items]
-        self._sorted_cache = (self.approximate_bytes, keys, values)
-        return keys, values
-
     def sorted_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Key-ordered (keys, scan_comp, vlens) columns for the array
-        scan-merge kernel (DESIGN.md §13).
+        """Key-ordered (keys, scan_comp, vlens) columns for the batched
+        scan merge (DESIGN.md §13).
 
-        Built directly from the entry dict with one numpy argsort (keys
-        are unique, so the order equals :meth:`sorted_items`'s Python
-        sort) and memoized like it — against ``approximate_bytes``,
-        which grows on every mutation — so consecutive scans between
-        writes reuse one conversion and immutable memtables convert
-        once.  The composite column is pre-packed here because the
+        Built directly from the entry dict with one numpy argsort and
+        memoized against ``approximate_bytes``, which grows on *every*
+        mutation: puts and tombstones both add at least ``key_bytes``,
+        which :class:`~repro.lsm.config.LSMConfig` validates as
+        positive.  So consecutive scans between writes reuse one
+        conversion and immutable memtables convert once.  The
+        composite column is pre-packed here because the
         merge kernel derives key, recency and kind from it by bit ops;
         value seeds are omitted entirely (the scan merge only accounts
         byte counts, never materializes values).

@@ -28,11 +28,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import bisect_left
 
 import numpy as np
 
-from repro import kernels
 from repro.core.clock import VirtualClock
 from repro.errors import ConfigError, NoSpaceError, StoreClosedError
 from repro.flash.ssd import mean_write_backlog
@@ -50,13 +48,13 @@ from repro.lsm.version import Version
 from repro.lsm.wal import WriteAheadLog
 from repro.obs.tracer import NULL_TRACER
 
-#: Composite packing for the array scan merge (DESIGN.md §13): the
-#: compaction kernel's (key asc, seq desc) ordering plus a low kind
+#: Composite packing for the batched scan merge (DESIGN.md §13): the
+#: compaction merge's (key asc, seq desc) ordering plus a low kind
 #: bit, pre-packed per source (``MemTable.sorted_columns`` /
 #: ``SSTable.scan_comp``) so one stable argsort over concatenated
-#: cached columns reproduces the scalar heap's pop order.  Sources
-#: whose keys/seqs could overflow the packing fall back to the scalar
-#: merge.
+#: cached columns reproduces :meth:`LSMStore.scan`'s heap pop order.
+#: Batches whose keys/seqs could overflow the packing go through
+#: ``scan()`` per op.
 _SEQ_SPAN = SCAN_SEQ_SPAN
 _KEY_SPAN = SCAN_KEY_SPAN
 
@@ -67,8 +65,7 @@ class LSMStore(KVStore):
     name = "lsm"
 
     def __init__(self, fs: ExtentFilesystem, clock: VirtualClock,
-                 config: LSMConfig | None = None,
-                 kernel: str | None = None):
+                 config: LSMConfig | None = None):
         self.fs = fs
         self.clock = clock
         self.config = config or LSMConfig()
@@ -76,17 +73,10 @@ class LSMStore(KVStore):
         self._next_seq = 1  # global write sequence (int, so batches can reserve ranges)
         self._table_ids = itertools.count(1)
         self._wal_ids = itertools.count(1)
-        # Kernel selection (DESIGN.md §12/§13): the array mode runs the
-        # batched scan merge as a numpy kernel; scalar retains the heap
-        # oracle.  Resolved once and handed to the compaction executor
-        # so one store runs one mode.
-        self.kernel = kernels.resolve(kernel)
-        self._array_kernels = self.kernel == kernels.ARRAY
         self.version = Version(self.config)
         self.picker = CompactionPicker(self.config)
         self.executor = CompactionExecutor(self.fs, self.config,
-                                           self._next_table_id,
-                                           kernel=self.kernel)
+                                           self._next_table_id)
         self.memtable = MemTable(self.config)
         self.wal = WriteAheadLog(self.fs, self.config, next(self._wal_ids)) \
             if self.config.wal_enabled else None
@@ -346,34 +336,28 @@ class LSMStore(KVStore):
 
         Scans never mutate the tree, so one ``scan_many`` call shares
         a single snapshot of the scan sources across all its scans:
-        the memtables' key-ordered entry lists (built once, bisected
-        per scan — the scalar path re-sorts a selection per scan) and
-        the manifest's table list.  Each scan then replays the scalar
-        merge exactly: same heap order, same per-source one-ahead
-        pulls, same per-table consumed windows, same sequential reads
-        charged in the same order.
+        the memtables' packed sorted columns (memoized per memtable)
+        and the manifest's tables' ``scan_comp`` columns.  Each scan
+        is then one composite-key argsort (:meth:`_scan_merge`) that
+        reproduces :meth:`scan`'s merge exactly: same pop order, same
+        per-table consumed windows, same sequential reads charged in
+        the same order.  A batch whose keys or sequence numbers could
+        overflow the packing goes through :meth:`scan` per op, as
+        ``get_many`` falls back to ``get()``.
         """
         self._ensure_open()
         n = len(start_keys)
         if n == 0:
             return 0
+        sources = self._scan_merge_sources(
+            [table for _level, table in self.version.all_tables()])
+        if sources is None:
+            return KVStore.scan_many(self, start_keys, count, until, latencies)
         clock = self.clock
         cpu = self.config.cpu_overhead
         stats = self._stats
         append = None if latencies is None else latencies.append
         keys_list = as_int_list(start_keys)
-        tables = [table for _level, table in self.version.all_tables()]
-        # Array kernel (DESIGN.md §13): shared per-source column
-        # arrays, merged per scan by one composite-key argsort.  None
-        # means the packing could overflow — fall back to the scalar
-        # heap merge, which is also the pinned oracle.
-        sources = self._scan_merge_sources(tables) \
-            if self._array_kernels else None
-        snapshots = None
-        if sources is None:
-            snapshots = [self.memtable.sorted_items()]
-            for memtable, _wal in self._immutables:
-                snapshots.append(memtable.sorted_items())
         tracer = self.tracer
         tr_on = tracer.enabled
         done = 0
@@ -382,12 +366,7 @@ class LSMStore(KVStore):
                 if tr_on:
                     t0 = clock.now
                     tracer.op_begin()
-                if sources is not None:
-                    latency = cpu + self._scan_once_array(keys_list[i], count,
-                                                          sources)
-                else:
-                    latency = cpu + self._scan_once(keys_list[i], count,
-                                                    snapshots, tables)
+                latency = cpu + self._scan_merge(keys_list[i], count, sources)
                 stats.scans += 1
                 if tr_on:
                     tracer.op_end("scan", t0, latency)
@@ -402,89 +381,17 @@ class LSMStore(KVStore):
             raise
         return done
 
-    def _scan_once(self, start_key: int, count: int,
-                   snapshots: list, tables: list) -> float:
-        """One scan over shared cursors; returns the charged read latency.
-
-        Mirrors :meth:`scan`'s merge bit for bit: sources enter the
-        heap in the same order, each pop immediately pulls the
-        source's next entry (the one-ahead lookahead that defines the
-        consumed windows), duplicate keys are suppressed newest-seq
-        first, and the consumed windows are charged as one sequential
-        read per table in source order.
-        """
-        heap: list = []
-        tie = itertools.count()
-        push = heapq.heappush
-        for skeys, sitems in snapshots:
-            pos = bisect_left(skeys, start_key)
-            if pos < len(skeys):
-                seq, _vseed, vlen, kind = sitems[pos]
-                push(heap, (skeys[pos], -seq, next(tie),
-                            (vlen, kind, (skeys, sitems, [pos + 1]))))
-        consumed: list[tuple] = []
-        for table in tables:
-            if table.max_key < start_key:
-                continue
-            first = int(np.searchsorted(table.keys, start_key))
-            window = [first, first]
-            consumed.append((table, window))
-            if first < table.nentries:
-                window[1] = first + 1
-                push(heap, (int(table.keys[first]), -int(table.seqs[first]),
-                            next(tie), (int(table.vlens[first]),
-                                        int(table.kinds[first]),
-                                        (table, window))))
-        key_bytes = self.config.key_bytes
-        stats = self._stats
-        last_key = None
-        nresults = 0
-        while heap and nresults < count:
-            key, _negseq, _tie, (vlen, kind, source) = heapq.heappop(heap)
-            if len(source) == 3:  # memtable cursor: (keys, items, [pos])
-                skeys, sitems, cursor = source
-                pos = cursor[0]
-                if pos < len(skeys):
-                    cursor[0] = pos + 1
-                    seq, _vseed, nvlen, nkind = sitems[pos]
-                    push(heap, (skeys[pos], -seq, next(tie),
-                                (nvlen, nkind, source)))
-            else:  # table cursor: (table, window)
-                table, window = source
-                idx = window[1]
-                if idx < table.nentries:
-                    window[1] = idx + 1
-                    push(heap, (int(table.keys[idx]), -int(table.seqs[idx]),
-                                next(tie), (int(table.vlens[idx]),
-                                            int(table.kinds[idx]), source)))
-            if key == last_key:
-                continue  # older version of an already-emitted key
-            last_key = key
-            if kind == KIND_PUT:
-                nresults += 1
-                stats.user_bytes_read += key_bytes + vlen
-        latency = 0.0
-        for table, (first, end) in consumed:
-            if end <= first:
-                continue
-            offset = int(table._offsets[first])
-            nbytes = int(table._offsets[end]) - offset
-            read_latency, _ = self.fs.pread(
-                table.filename, offset, min(nbytes, table.data_bytes - offset))
-            latency += read_latency
-        return latency
-
     def _scan_merge_sources(self, tables: list) -> list | None:
-        """Per-source column arrays for the array scan merge, or None.
+        """Per-source column arrays for the batched scan merge, or None.
 
-        Sources are ordered exactly like the scalar merge enters them
-        into its heap: the active memtable, the immutables in rotation
+        Sources are ordered exactly like :meth:`scan` enters them into
+        its heap: the active memtable, the immutables in rotation
         order, then the manifest's tables in :meth:`Version.all_tables`
         order (the order only matters for the per-table read charges —
         sequence numbers are globally unique, so the merge order itself
         has no ties).  Returns None when any key or the sequence
         counter could overflow the composite packing; the caller then
-        uses the scalar heap merge.
+        scans per op.
         """
         if self._next_seq > _SEQ_SPAN:
             return None
@@ -502,24 +409,25 @@ class LSMStore(KVStore):
             sources.append((table.scan_comp, table.vlens, table))
         return sources
 
-    def _scan_once_array(self, start_key: int, count: int,
-                         sources: list) -> float:
-        """Array kernel for :meth:`_scan_once` (DESIGN.md §13).
+    def _scan_merge(self, start_key: int, count: int,
+                    sources: list) -> float:
+        """One scan over the shared sources; returns the charged read
+        latency (DESIGN.md §13).
 
         One composite-key stable argsort over a window of ``count + 1``
-        entries per source replaces the Python heap: the sorted prefix
-        below the smallest out-of-window composite is exactly the
-        scalar merge's pop sequence, so duplicate suppression (first
-        occurrence per key), result counting (first-occurrence puts),
-        and the stop position (the pop that emits result ``count``)
-        are computed on that prefix with masks.  Windows double and the
-        merge recomputes in the rare case the fixed window cannot
-        prove ``count`` results (duplicate/tombstone pile-ups).  The
-        scalar invariants carried over bit for bit: every active table
-        consumes at least its first entry (the initial one-ahead push),
-        a table's consumed window ends at ``first + pops + 1`` capped
-        to the table, and the windows are charged as one sequential
-        read per table in source order.
+        entries per source stands in for :meth:`scan`'s heap: the
+        sorted prefix below the smallest out-of-window composite is
+        exactly the heap's pop sequence, so duplicate suppression
+        (first occurrence per key), result counting (first-occurrence
+        puts), and the stop position (the pop that emits result
+        ``count``) are computed on that prefix with masks.  Windows
+        double and the merge recomputes in the rare case the fixed
+        window cannot prove ``count`` results (duplicate/tombstone
+        pile-ups).  :meth:`scan`'s charging rules hold bit for bit:
+        every active table consumes at least its first entry (the
+        initial one-ahead push), a table's consumed window ends at
+        ``first + pops + 1`` capped to the table, and the windows are
+        charged as one sequential read per table in source order.
         """
         active: list = []      # (pos, comp, vlens) per active source
         charged: list = []     # (table, first, source index) in order
@@ -530,7 +438,7 @@ class LSMStore(KVStore):
                 if table.max_key < start_key:
                     continue
                 # comp >= key << 41 exactly when key >= start_key, so
-                # the composite bound finds the scalar start position.
+                # the composite bound finds scan()'s start position.
                 pos = int(comp.searchsorted(target)) if in_span else 0
                 charged.append((table, pos, len(active)))
             else:
@@ -581,7 +489,7 @@ class LSMStore(KVStore):
                     newkey[0] = True
                     np.not_equal(hi[1:], hi[:-1], out=newkey[1:])
                 # A pop emits a result iff it is the first (newest-seq)
-                # occurrence of its key and is a put — the scalar
+                # occurrence of its key and is a put — scan()'s
                 # last_key/KIND_PUT rule.  KIND_PUT is the packed low
                 # bit's zero value.
                 emit = newkey & ((swin & SCAN_KIND_BIT) == KIND_PUT)
@@ -606,7 +514,7 @@ class LSMStore(KVStore):
                         nemit * self.config.key_bytes
                         + int(cvlens[psel[emitted]].sum()))
                 # Concatenation index -> source index, then pops per
-                # source (how far each scalar cursor advanced).
+                # source (how far each of scan()'s cursors advances).
                 src = np.searchsorted(cumlens, psel, side="right")
                 pops = np.bincount(src, minlength=len(active))
 

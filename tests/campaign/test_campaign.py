@@ -129,6 +129,38 @@ class TestStore:
             handle.write('{"cell": "trunc')  # killed mid-write
         assert set(store.load()) == {"abc"}
 
+    def test_append_after_torn_tail_keeps_every_completed_cell(self, tmp_path):
+        """A killed worker's fragment must not swallow the next record."""
+        path = tmp_path / "results.jsonl"
+        store = CampaignStore(path)
+        store.append({"cell": "a"})
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"cell":"b","x"')  # killed mid-write, no newline
+        store.append({"cell": "c"})
+        assert set(store.load()) == {"a", "c"}
+        assert path.read_text(encoding="utf-8") == '{"cell":"a"}\n{"cell":"c"}\n'
+
+    def test_torn_tail_longer_than_one_read_chunk(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        store = CampaignStore(path)
+        big = {"cell": "big", "x": "y" * 200_000}
+        store.append(big)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"cell":"torn","x":"' + "z" * 200_000)
+        store.append({"cell": "c"})
+        assert store.load() == {"big": big, "c": {"cell": "c"}}
+        # A file that is nothing but a fragment is emptied, not glued to.
+        path.write_text('{"cell":"torn"', encoding="utf-8")
+        store.append({"cell": "c"})
+        assert path.read_text(encoding="utf-8") == '{"cell":"c"}\n'
+
+    def test_unterminated_record_is_not_complete(self, tmp_path):
+        """Complete iff newline-terminated: load() must not report a
+        cell that the next append() is going to drop."""
+        path = tmp_path / "results.jsonl"
+        path.write_text('{"cell":"a"}\n{"cell":"b"}', encoding="utf-8")
+        assert set(CampaignStore(path).load()) == {"a"}
+
     def test_missing_file_is_empty(self, tmp_path):
         assert CampaignStore(tmp_path / "nope.jsonl").load() == {}
 
@@ -177,6 +209,20 @@ class TestRunCampaign:
         assert resumed.to_jsonl() == outcome.to_jsonl()
         # And the store itself now holds all four cells.
         assert len(CampaignStore(interrupted).load()) == 4
+
+    def test_torn_file_resumes_to_the_uninterrupted_bytes(self, finished):
+        """Kill a worker mid-append: two whole lines and a fragment of
+        the third.  The resumed file must equal the uninterrupted
+        run's, byte for byte."""
+        outcome, path = finished
+        torn = path.parent / "torn.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        torn.write_text("\n".join(lines[:2]) + "\n" + lines[2][:40],
+                        encoding="utf-8")
+        resumed = run_campaign(micro_campaign(), out=torn, resume=True)
+        assert resumed.ran == 2 and resumed.skipped == 2
+        assert resumed.to_jsonl() == outcome.to_jsonl()
+        assert torn.read_bytes() == path.read_bytes()
 
     def test_without_resume_completed_work_is_not_clobbered(self, finished):
         """Forgetting --resume must not silently destroy finished

@@ -1,14 +1,18 @@
-"""The array channelized-read fold vs its scalar oracle (DESIGN.md §13).
+"""The channelized-read fold vs a page-by-page FIFO model (DESIGN.md §13.3).
 
-``SSD._read_channelized_array`` must reproduce the per-lane scalar loop
-bit for bit: same returned latency, same per-channel busy horizons,
-same ``busy_max`` — including under a degrade window and at every
-striping shape (npages below, equal to, and far above the channel
-count).  Comparisons are ``==`` with no tolerance, per the oracle
-pattern.
+``SSD._read_channelized`` stripes a read over the per-channel FIFO
+queues lane by lane.  The reference here walks the read *page by page*
+— page ``start + i`` queues one page-read behind channel
+``(start + i) % channels`` — and shares no code with the device: it
+predicts the returned latency, every per-channel busy horizon and
+``busy_max`` from the pre-read timeline, at every striping shape
+(npages below, equal to, and far above the channel count) and across a
+degrade window.  Comparisons are ``==`` with no tolerance.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
@@ -19,14 +23,9 @@ from repro.rng import substream
 from tests.conftest import make_tiny_config
 
 
-def make_channel_ssd(kernel: str, **config_overrides) -> SSD:
-    ssd = SSD(make_tiny_config(**config_overrides), VirtualClock(),
-              kernel=kernel)
+def make_channel_ssd(**config_overrides) -> SSD:
+    ssd = SSD(make_tiny_config(**config_overrides), VirtualClock())
     ssd.enable_channel_timing()
-    if kernel == "array":
-        # Force every read through the fold, including the small reads
-        # the production dispatcher routes to the shared scalar loop.
-        ssd._read_fold_min = 1
     return ssd
 
 
@@ -36,55 +35,71 @@ def timeline_state(ssd: SSD) -> tuple:
             channels.busy_max, channels.write_max)
 
 
-def assert_reads_identical(scalar: SSD, array: SSD, reads) -> None:
+def model_read(ssd: SSD, start: int, npages: int, degrade=None):
+    """Predicted (latency, busy, busy_max) of one read, page by page.
+
+    *degrade* is ``(channel, start, end, factor)`` or None.
+    """
+    cfg = ssd.config
+    now = ssd.clock.now
+    busy = list(ssd._channels.busy)
+    pages = Counter((start + i) % cfg.channels for i in range(npages))
+    for channel, count in pages.items():
+        seconds = count * cfg.page_read_time
+        if degrade and channel == degrade[0] and degrade[1] <= now < degrade[2]:
+            seconds = seconds * degrade[3]
+        busy[channel] = max(busy[channel], now) + seconds
+    completion = max([now] + [busy[c] for c in pages])
+    latency = (cfg.read_latency + npages * cfg.page_size / cfg.bus_bytes_per_s
+               + (completion - now))
+    return latency, busy, max(ssd._channels.busy_max, completion)
+
+
+def assert_reads_match_model(ssd: SSD, reads, degrade=None) -> None:
     for start, npages in reads:
-        lat_s = scalar.read_range(start, npages)
-        lat_a = array.read_range(start, npages)
-        assert lat_a == lat_s, (start, npages)
-        assert timeline_state(array) == timeline_state(scalar), (start, npages)
+        before = timeline_state(ssd)
+        latency, busy, busy_max = model_read(ssd, start, npages, degrade)
+        assert ssd.read_range(start, npages) == latency, (start, npages)
+        # Reads move only the FIFO occupancy, never the write horizons.
+        assert timeline_state(ssd) == (busy, before[1], busy_max, before[3]), \
+            (start, npages)
 
 
-class TestReadChannelizedEquivalence:
+class TestReadChannelized:
     @pytest.mark.parametrize("npages", [1, 3, 7, 8, 9, 16, 61, 256])
-    def test_striping_shapes_identical(self, npages):
+    def test_striping_shapes(self, npages):
         """Below, at, and above the channel count (8), aligned or not."""
-        scalar = make_channel_ssd("scalar")
-        array = make_channel_ssd("array")
-        assert_reads_identical(scalar, array,
-                               [(5, npages), (0, npages), (npages, npages)])
+        ssd = make_channel_ssd()
+        assert_reads_match_model(ssd, [(5, npages), (0, npages),
+                                       (npages, npages)])
 
     def test_zero_and_negative_page_reads_are_free(self):
-        for kernel in ("scalar", "array"):
-            ssd = make_channel_ssd(kernel)
-            before = timeline_state(ssd)
-            assert ssd.read_range(0, 0) == 0.0
-            assert timeline_state(ssd) == before
+        ssd = make_channel_ssd()
+        before = timeline_state(ssd)
+        assert ssd.read_range(0, 0) == 0.0
+        assert ssd.read_range(0, -3) == 0.0
+        assert timeline_state(ssd) == before
 
     def test_single_channel_device(self):
-        scalar = make_channel_ssd("scalar", channels=1)
-        array = make_channel_ssd("array", channels=1)
-        assert_reads_identical(scalar, array, [(0, 1), (3, 5), (0, 40)])
+        ssd = make_channel_ssd(channels=1)
+        assert_reads_match_model(ssd, [(0, 1), (3, 5), (0, 40)])
 
-    def test_randomized_interleaving_identical(self):
+    def test_randomized_interleaving(self):
         """Reads and writes interleaved: the fold sees busy channels."""
-        scalar = make_channel_ssd("scalar")
-        array = make_channel_ssd("array")
+        ssd = make_channel_ssd()
         rng = substream(7, "read-fold")
         for _ in range(300):
             start = int(rng.integers(0, 512))
             npages = int(rng.integers(1, 48))
             if rng.random() < 0.3:
-                assert scalar.write_range(start, npages) == \
-                    array.write_range(start, npages)
+                ssd.write_range(start, npages)
             else:
-                assert_reads_identical(scalar, array, [(start, npages)])
+                assert_reads_match_model(ssd, [(start, npages)])
             if rng.random() < 0.2:
-                dt = float(rng.random()) * 1e-3
-                scalar.clock.advance(dt)
-                array.clock.advance(dt)
+                ssd.clock.advance(float(rng.random()) * 1e-3)
 
-    def test_busy_max_monotone_and_tracks_oracle(self):
-        ssd = make_channel_ssd("array")
+    def test_busy_max_monotone_and_tracks_the_horizons(self):
+        ssd = make_channel_ssd()
         rng = substream(11, "busy-max")
         last = ssd._channels.busy_max
         for _ in range(200):
@@ -97,62 +112,43 @@ class TestReadChannelizedEquivalence:
                 ssd.clock.advance(float(rng.random()) * 1e-3)
 
 
-class TestDegradeWindowEquivalence:
-    def make_pair(self, start: float, seconds: float,
-                  factor: float = 8.0) -> tuple[SSD, SSD]:
-        pair = []
-        for kernel in ("scalar", "array"):
-            ssd = make_channel_ssd(kernel)
-            ssd.faults = FaultPlan(
-                {"degrade": {"channel": 2, "start": start,
-                             "seconds": seconds, "factor": factor}},
-                substream(3, f"degrade-{kernel}"),
-            )
-            pair.append(ssd)
-        return pair[0], pair[1]
+class TestDegradeWindow:
+    def make(self, start: float, seconds: float,
+             factor: float = 8.0) -> tuple[SSD, tuple]:
+        ssd = make_channel_ssd()
+        ssd.faults = FaultPlan(
+            {"degrade": {"channel": 2, "start": start,
+                         "seconds": seconds, "factor": factor}},
+            substream(3, "degrade"),
+        )
+        return ssd, (2, start, start + seconds, factor)
 
     def test_inside_window_scales_the_degraded_channel(self):
-        scalar, array = self.make_pair(start=0.0, seconds=1.0)
-        assert_reads_identical(scalar, array, [(0, 16), (2, 3), (7, 9)])
+        ssd, degrade = self.make(start=0.0, seconds=1.0)
+        assert_reads_match_model(ssd, [(0, 16), (2, 3), (7, 9)], degrade)
         # The window really fired: the degraded channel's horizon leads.
-        busy = scalar._channels.busy
+        busy = ssd._channels.busy
         assert busy[2] == max(busy)
 
     def test_boundary_now_equals_start_is_inside(self):
         """The window is half-open [start, end): now == start scales."""
-        scalar, array = self.make_pair(start=0.5, seconds=1.0)
-        for ssd in (scalar, array):
-            ssd.clock.advance(0.5)
-        assert_reads_identical(scalar, array, [(0, 16), (1, 7)])
-        busy = scalar._channels.busy
+        ssd, degrade = self.make(start=0.5, seconds=1.0)
+        ssd.clock.advance(0.5)
+        assert_reads_match_model(ssd, [(0, 16), (1, 7)], degrade)
+        busy = ssd._channels.busy
         assert busy[2] == max(busy)
 
     def test_boundary_now_equals_end_is_outside(self):
-        scalar, array = self.make_pair(start=0.0, seconds=0.25)
-        for ssd in (scalar, array):
-            ssd.clock.advance(0.25)
-        assert_reads_identical(scalar, array, [(0, 16), (1, 7)])
+        ssd, degrade = self.make(start=0.0, seconds=0.25)
+        ssd.clock.advance(0.25)
+        assert_reads_match_model(ssd, [(0, 16), (1, 7)], degrade)
         # No scaling: every lane of an aligned 16-page read adds the
         # same service time, so no channel's horizon stands out.
-        busy = scalar._channels.busy
+        busy = ssd._channels.busy
         assert busy[2] == busy[3]
 
-    def test_before_and_after_window_identical(self):
-        scalar, array = self.make_pair(start=0.5, seconds=0.1)
-        assert_reads_identical(scalar, array, [(0, 16)])  # before
-        for ssd in (scalar, array):
-            ssd.clock.advance(1.0)
-        assert_reads_identical(scalar, array, [(0, 16)])  # after
-
-
-class TestDispatchThreshold:
-    def test_small_reads_use_shared_scalar_loop(self):
-        ssd = SSD(make_tiny_config(), VirtualClock(), kernel="array")
-        ssd.enable_channel_timing()
-        assert ssd._read_fold_min > 1
-        # Below the threshold both modes literally run the same code;
-        # the result must still match a scalar-kernel device exactly.
-        scalar = make_channel_ssd("scalar")
-        for start, npages in [(0, 1), (3, 2), (9, 4)]:
-            assert ssd.read_range(start, npages) == \
-                scalar.read_range(start, npages)
+    def test_before_and_after_window(self):
+        ssd, degrade = self.make(start=0.5, seconds=0.1)
+        assert_reads_match_model(ssd, [(0, 16)], degrade)  # before
+        ssd.clock.advance(1.0)
+        assert_reads_match_model(ssd, [(0, 16)], degrade)  # after

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,7 +111,7 @@ class TestNextFitBehaviour:
 
 class TestScatterPivotStream:
     def test_inlined_choice_matches_numpy_choice(self):
-        # _scan_order hand-inlines rng.choice(count, p=w / w.sum())
+        # _scatter_pivot hand-inlines rng.choice(count, p=w / w.sum())
         # (same arithmetic, one random() draw).  Pin the equivalence so
         # a numpy whose Generator.choice internals differ is caught —
         # the extent stream, and with it every figure, depends on it.
@@ -138,7 +140,7 @@ class TestScatterPivotStream:
             elif alloc.free_pages:
                 want = int(rng.integers(1, min(32, alloc.free_pages) + 1))
                 held.extend(alloc.alloc(want))
-            alloc.check_invariants()  # asserts _len_list matches _lens
+            alloc.check_invariants()  # asserts Σ lengths == free_pages
 
 
 class TestCoalescing:
@@ -193,29 +195,88 @@ class TestPropertyBased:
         alloc.check_invariants()
 
 
-def _pair(npages=128, strategy="scatter", seed=5):
-    """A scalar/array allocator pair for oracle-pinned edge cases."""
-    return (
-        ExtentAllocator(npages, strategy=strategy, seed=seed, kernel="scalar"),
-        ExtentAllocator(npages, strategy=strategy, seed=seed, kernel="array"),
-    )
+class FreePageModel:
+    """Free space as a plain set of pages; shares no code with ``src/``.
 
-
-def _assert_lockstep(scalar, array):
-    assert scalar.free_extents() == array.free_extents()
-    assert scalar.free_pages == array.free_pages
-    assert scalar.peak_used_pages == array.peak_used_pages
-    scalar.check_invariants()
-    array.check_invariants()
-
-
-class TestEdgeCaseOraclePins:
-    """ISSUE 9 satellite: edge cases pinned scalar-vs-array.
-
-    Each scenario drives the scalar oracle and the array kernel in
-    lockstep and asserts identical free lists, accounting and (where
-    RNG is involved) extent streams.
+    The free list is the set's maximal runs.  ``take``/``give`` replay
+    what the allocator under test granted or was handed back (checking
+    it only ever grants free pages); ``first_fit`` predicts the
+    first-fit policy outright: the lowest free pages, or the lowest
+    run that fits a contiguous request.
     """
+
+    def __init__(self, npages):
+        self.npages, self.pages, self.peak_used = npages, set(range(npages)), 0
+
+    def take(self, extents):
+        for start, n in extents:
+            run = set(range(start, start + n))
+            assert run <= self.pages, "granted a page that was not free"
+            self.pages -= run
+            self.peak_used = max(self.peak_used, self.npages - len(self.pages))
+
+    def give(self, extents):
+        for start, n in extents:
+            self.pages |= set(range(start, start + n))
+
+    def runs(self, pages=None):
+        out = []
+        for page in sorted(self.pages if pages is None else pages):
+            if out and out[-1][0] + out[-1][1] == page:
+                out[-1] = (out[-1][0], out[-1][1] + 1)
+            else:
+                out.append((page, 1))
+        return out
+
+    def first_fit(self, n, contiguous=False):
+        if contiguous:
+            return [next((s, n) for s, length in self.runs() if length >= n)]
+        return self.runs(sorted(self.pages)[:n])
+
+
+def _assert_matches(alloc, model):
+    assert alloc.free_extents() == model.runs()
+    assert alloc.free_pages == len(model.pages)
+    assert alloc.peak_used_pages == model.peak_used
+    alloc.check_invariants()
+
+
+def _first_fit_pair(npages):
+    return (ExtentAllocator(npages, strategy="first-fit"),
+            FreePageModel(npages))
+
+
+def _alloc(alloc, model, npages, contiguous=False):
+    """Allocate on *alloc*; the first-fit model must predict the grant."""
+    got = alloc.alloc(npages, contiguous=contiguous)
+    assert got == model.first_fit(npages, contiguous)
+    model.take(got)
+    return got
+
+
+def _free(alloc, model, start, npages):
+    alloc.free(start, npages)
+    model.give([(start, npages)])
+
+
+#: The scatter strategy consumes RNG, so its extent stream — not just
+#: the final free list — is part of every simulated fingerprint.
+#: Recorded from ``test_scatter_stream_pinned_under_churn`` (512 pages,
+#: seed 11) at the commit that retired the list-based twin allocator,
+#: where both produced it; after a *deliberate* allocator change print
+#: ``granted[-4:]`` and the digest there and update both.
+SCATTER_STREAM_TAIL = [
+    [(287, 2), (507, 3), (215, 1), (384, 3), (262, 2)],
+    [(237, 24)], [(191, 1)], [(192, 4), (420, 6)],
+]
+SCATTER_STREAM_SHA256 = \
+    "b497b1fb0349bca25e35015d85d1f1fb8dc6da64588842941374ad349d7b2daf"
+
+
+class TestEdgeCasePins:
+    """Edge cases pinned against :class:`FreePageModel`: identical free
+    lists and accounting after every step, first-fit grants predicted
+    by the model, the scatter extent stream pinned as a literal."""
 
     def test_coalescing_across_adjacent_frees(self):
         # free B, then A, then C where A|B|C are address-adjacent:
@@ -224,104 +285,99 @@ class TestEdgeCaseOraclePins:
         import itertools as it
 
         for order in it.permutations(range(3)):
-            scalar, array = _pair(strategy="first-fit")
-            runs = []
-            for alloc in (scalar, array):
-                a = alloc.alloc(10, contiguous=True)[0]
-                b = alloc.alloc(10, contiguous=True)[0]
-                c = alloc.alloc(10, contiguous=True)[0]
-                alloc.alloc(20, contiguous=True)  # pin a neighbour
-                runs.append((a, b, c))
-            assert runs[0] == runs[1]
+            alloc, model = _first_fit_pair(128)
+            runs = [_alloc(alloc, model, 10, contiguous=True)[0]
+                    for _ in range(3)]
+            _alloc(alloc, model, 20, contiguous=True)  # pin a neighbour
+            assert runs == [(0, 10), (10, 10), (20, 10)]
             for idx in order:
-                for alloc, run in zip((scalar, array), runs):
-                    alloc.free(*run[idx])
-                _assert_lockstep(scalar, array)
-            assert scalar.free_extents()[0] == (0, 30)
+                _free(alloc, model, *runs[idx])
+                _assert_matches(alloc, model)
+            assert alloc.free_extents()[0] == (0, 30)
 
     def test_exhaustion_mid_alloc_with_partial_extents(self):
         # Fragment the space into single free pages, then ask for more
-        # than exists: both kernels must raise without corrupting
+        # than exists: the allocator must raise without corrupting
         # accounting, and a satisfiable scattered request must then
-        # return the identical multi-extent answer.
-        scalar, array = _pair(npages=64, strategy="first-fit")
-        for alloc in (scalar, array):
-            held = alloc.alloc(64)  # everything
-            [(start, n)] = held
-            for page in range(start, start + n, 2):
-                alloc.free(page, 1)  # free alternate pages
-        _assert_lockstep(scalar, array)
-        assert scalar.free_pages == 32
-        for alloc in (scalar, array):
-            with pytest.raises(NoSpaceError):
-                alloc.alloc(33)
-            with pytest.raises(NoSpaceError):
-                alloc.alloc(2, contiguous=True)
-        _assert_lockstep(scalar, array)
-        got_s = scalar.alloc(5)
-        got_a = array.alloc(5)
-        assert got_s == got_a
-        assert all(n == 1 for _, n in got_s)  # partial extents gathered
-        _assert_lockstep(scalar, array)
+        # return the predicted multi-extent answer.
+        alloc, model = _first_fit_pair(64)
+        [(start, n)] = _alloc(alloc, model, 64)  # everything
+        for page in range(start, start + n, 2):
+            _free(alloc, model, page, 1)  # free alternate pages
+        _assert_matches(alloc, model)
+        assert alloc.free_pages == 32
+        with pytest.raises(NoSpaceError):
+            alloc.alloc(33)
+        with pytest.raises(NoSpaceError):
+            alloc.alloc(2, contiguous=True)
+        _assert_matches(alloc, model)
+        got = _alloc(alloc, model, 5)
+        assert got == [(0, 1), (2, 1), (4, 1), (6, 1), (8, 1)]
+        _assert_matches(alloc, model)
 
     def test_carve_splits_at_both_extent_boundaries(self):
         # Taking from the head, the tail, and the middle of one free
-        # extent exercises all three _carve branches.
+        # extent exercises all three _carve_at branches.
         for take_at in ("head", "tail", "middle"):
-            scalar, array = _pair(npages=100, strategy="first-fit")
-            for alloc in (scalar, array):
-                # leave one free extent [20, 80) surrounded by used space
-                alloc.alloc(100, contiguous=True)
-                alloc.free(20, 60)
-                if take_at == "head":
-                    got = alloc.alloc(10, contiguous=True)
-                    assert got == [(20, 10)]
-                elif take_at == "tail":
-                    # first-fit takes from the head; carve the tail by
-                    # freeing a second, earlier extent the request skips
-                    alloc.free(0, 5)
-                    got = alloc.alloc(5, contiguous=True)
-                    assert got == [(0, 5)]
-                    got = alloc.alloc(60, contiguous=False)
-                else:
-                    got = alloc.alloc(10, contiguous=True)
-                    alloc.free(got[0][0] + 2, 6)  # punch a hole mid-extent
-            _assert_lockstep(scalar, array)
+            alloc, model = _first_fit_pair(100)
+            # leave one free extent [20, 80) surrounded by used space
+            _alloc(alloc, model, 100, contiguous=True)
+            _free(alloc, model, 20, 60)
+            if take_at == "head":
+                assert _alloc(alloc, model, 10, contiguous=True) == [(20, 10)]
+            elif take_at == "tail":
+                # first-fit takes from the head; carve the tail by
+                # freeing a second, earlier extent the request skips
+                _free(alloc, model, 0, 5)
+                assert _alloc(alloc, model, 5, contiguous=True) == [(0, 5)]
+                assert _alloc(alloc, model, 60) == [(20, 60)]
+            else:
+                got = _alloc(alloc, model, 10, contiguous=True)
+                _free(alloc, model, got[0][0] + 2, 6)  # hole mid-extent
+            _assert_matches(alloc, model)
 
-    def test_scatter_stream_identical_under_churn(self):
-        # The strongest pin: the scatter strategy consumes RNG, so the
-        # array kernel must reproduce the exact extent stream, not just
-        # the final free list.
-        scalar, array = _pair(npages=512, strategy="scatter", seed=11)
+    def test_scatter_stream_pinned_under_churn(self):
+        alloc = ExtentAllocator(512, strategy="scatter", seed=11)
+        model = FreePageModel(512)
         rng = np.random.default_rng(2)
         held: list[tuple[int, int]] = []
+        granted: list[list[tuple[int, int]]] = []
         for _ in range(400):
             if held and rng.random() < 0.45:
                 ext = held.pop(int(rng.integers(len(held))))
-                scalar.free(*ext)
-                array.free(*ext)
-            elif scalar.free_pages:
-                want = int(rng.integers(1, min(48, scalar.free_pages) + 1))
-                got_s = scalar.alloc(want)
-                got_a = array.alloc(want)
-                assert got_s == got_a
-                held.extend(got_s)
-        _assert_lockstep(scalar, array)
+                _free(alloc, model, *ext)
+            elif alloc.free_pages:
+                want = int(rng.integers(1, min(48, alloc.free_pages) + 1))
+                got = alloc.alloc(want)
+                assert sum(n for _, n in got) == want
+                model.take(got)
+                granted.append(got)
+                held.extend(got)
+            _assert_matches(alloc, model)
+        assert granted[-4:] == SCATTER_STREAM_TAIL
+        assert hashlib.sha256(repr(granted).encode()).hexdigest() == \
+            SCATTER_STREAM_SHA256
 
-    def test_free_many_matches_sequential_frees(self):
-        scalar, array = _pair(npages=256, strategy="first-fit")
-        extents_s = scalar.alloc(200)
-        extents_a = array.alloc(200)
-        assert extents_s == extents_a
-        scalar.free_many(extents_s)
-        array.free_many(extents_a)
-        _assert_lockstep(scalar, array)
-        assert scalar.free_extents() == [(0, 256)]
+    def test_free_many_matches_the_model(self):
+        alloc, model = _first_fit_pair(256)
+        chunks = [_alloc(alloc, model, 16, contiguous=True)[0]
+                  for _ in range(16)]
+        # Non-adjacent chunks: eight separate runs join the free list.
+        alloc.free_many(chunks[1::2])
+        model.give(chunks[1::2])
+        _assert_matches(alloc, model)
+        assert len(alloc.free_extents()) == 8
+        # The rest, in reverse order: everything coalesces into one run.
+        alloc.free_many(chunks[-2::-2])
+        model.give(chunks[-2::-2])
+        _assert_matches(alloc, model)
+        assert alloc.free_extents() == [(0, 256)]
 
     def test_free_many_double_free_detected(self):
-        for kernel in ("scalar", "array"):
-            alloc = ExtentAllocator(64, kernel=kernel)
-            got = alloc.alloc(16)
+        alloc = ExtentAllocator(64)
+        got = alloc.alloc(16) + alloc.alloc(16)
+        alloc.free_many(got)
+        with pytest.raises(ConfigError):
             alloc.free_many(got)
-            with pytest.raises(ConfigError):
-                alloc.free_many(got)
+        with pytest.raises(ConfigError):
+            alloc.free_many(got[:1])

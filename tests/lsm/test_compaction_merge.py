@@ -1,9 +1,10 @@
-"""Compaction-merge semantics, pinned scalar-first then on the array kernel.
+"""Compaction-merge semantics and the composite-key merge order.
 
-These are the oracle pins for `CompactionExecutor._merge` (DESIGN.md
-§12): every scenario runs once on the scalar (lexsort) merge and once
-on the composite-key array merge, and the resulting table contents,
-version shape and stats must be identical.
+The pins for `CompactionExecutor._merge` (DESIGN.md §12): hand-built
+scenarios with literal expected table contents and stats, a randomized
+merge checked against a newest-version-per-key dict model, and
+`_merge_order` checked against ``np.lexsort((-seqs, keys))`` computed
+in the test.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from repro.lsm.memtable import KIND_DELETE, KIND_PUT
 from repro.lsm.sstable import SSTable
 from repro.lsm.version import Version
 
-KERNELS = ("scalar", "array")
-
 
 def make_table(table_id, entries, config):
     """Build an SSTable from [(key, seq, kind), ...] (sorted by key)."""
@@ -38,15 +37,14 @@ def make_table(table_id, entries, config):
 
 
 class Harness:
-    """A filesystem + version + executor with a chosen merge kernel."""
+    """A filesystem + version + executor."""
 
-    def __init__(self, tiny_ssd, kernel):
+    def __init__(self, tiny_ssd):
         self.config = LSMConfig()
         self.fs = ExtentFilesystem(BlockDevice(tiny_ssd))
         self.version = Version(self.config)
         self.executor = CompactionExecutor(
             self.fs, self.config, lambda c=itertools.count(100): next(c),
-            kernel=kernel,
         )
 
     def install(self, level, table):
@@ -67,19 +65,15 @@ class Harness:
         ]
 
 
-def run_both(tiny_ssd_factory, scenario):
-    """Run *scenario* under both kernels; return both result snapshots."""
-    results = []
-    for kernel in KERNELS:
-        h = Harness(tiny_ssd_factory(), kernel)
-        out = scenario(h)
-        stats = h.executor.stats
-        results.append((out, (
-            stats.compactions, stats.entries_merged,
-            stats.entries_dropped, stats.tombstones_dropped,
-        )))
-    assert results[0] == results[1], "scalar and array merges diverge"
-    return results[0]
+def run(tiny_ssd_factory, scenario):
+    """Run *scenario*; return its result snapshot and the merge stats."""
+    h = Harness(tiny_ssd_factory())
+    out = scenario(h)
+    stats = h.executor.stats
+    return out, (
+        stats.compactions, stats.entries_merged,
+        stats.entries_dropped, stats.tombstones_dropped,
+    )
 
 
 @pytest.fixture
@@ -100,7 +94,7 @@ class TestMergeSemantics:
             out = h.merge(1, 2, [new], [old])
             return h.snapshot(out)
 
-        out, stats = run_both(ssd_factory, scenario)
+        out, stats = run(ssd_factory, scenario)
         (keys, seqs, kinds), = out
         assert keys == [10, 20, 30]
         assert seqs == [5, 2, 6]  # newest seq for key 10 survives
@@ -116,7 +110,7 @@ class TestMergeSemantics:
             out = h.merge(1, 2, [dead], [live])
             return h.snapshot(out)
 
-        out, stats = run_both(ssd_factory, scenario)
+        out, stats = run(ssd_factory, scenario)
         (keys, seqs, kinds), = out
         assert keys == [1]  # key 2: put superseded AND tombstone dropped
         assert kinds == [KIND_PUT]
@@ -133,7 +127,7 @@ class TestMergeSemantics:
             out = h.merge(1, 2, [dead], [live])
             return h.snapshot(out)
 
-        out, stats = run_both(ssd_factory, scenario)
+        out, stats = run(ssd_factory, scenario)
         (keys, seqs, kinds), = out
         assert keys == [2]
         assert kinds == [KIND_DELETE]  # must survive to shadow deeper puts
@@ -152,28 +146,26 @@ class TestMergeSemantics:
             out = h.merge(0, 1, [a, b], [c])
             return h.snapshot(out)
 
-        out, stats = run_both(ssd_factory, scenario)
+        out, stats = run(ssd_factory, scenario)
         (keys, seqs, kinds), = out
         assert keys == [5, 7, 9]
         assert seqs == [20, 11, 21]  # highest seq per key wins
         assert kinds == [KIND_DELETE, KIND_PUT, KIND_PUT]
         assert stats == (1, 7, 4, 0)
 
-    def test_merge_randomized_kernel_equivalence(self, ssd_factory):
+    def test_merge_randomized_matches_dict_model(self, ssd_factory):
         rng = np.random.default_rng(42)
         for trial in range(5):
-            state = rng.bit_generator.state
+            merged: list = []  # every entry that entered the merge
 
-            def scenario(h, state=state):
-                local = np.random.default_rng(0)
-                local.bit_generator.state = state
+            def scenario(h):
                 seq = itertools.count(1)
                 tables = []
                 for tid in range(1, 5):
-                    keys = np.unique(local.integers(0, 60, size=12))
+                    keys = np.unique(rng.integers(0, 60, size=12))
                     entries = [
                         (int(k), next(seq),
-                         KIND_DELETE if local.random() < 0.2 else KIND_PUT)
+                         KIND_DELETE if rng.random() < 0.2 else KIND_PUT)
                         for k in keys
                     ]
                     tables.append(make_table(tid, entries, h.config))
@@ -187,15 +179,32 @@ class TestMergeSemantics:
                     except Exception:
                         continue  # overlapping level-1 placement: skip table
                 next_inputs = [t for t in h.version.levels[1]]
+                for t in tables[:2] + next_inputs:
+                    merged.extend(zip(t.keys.tolist(), t.seqs.tolist(),
+                                      t.kinds.tolist()))
                 out = h.merge(0, 1, tables[:2], next_inputs)
                 return h.snapshot(out)
 
-            run_both(ssd_factory, scenario)
+            out, stats = run(ssd_factory, scenario)
+            # Model: the newest version of each key survives; level 1
+            # is the bottom of this tree, so tombstones are dropped.
+            newest: dict = {}
+            for key, seq, kind in merged:
+                if key not in newest or seq > newest[key][0]:
+                    newest[key] = (seq, kind)
+            want = sorted((k, s, kd) for k, (s, kd) in newest.items()
+                          if kd == KIND_PUT)
+            got = [row for keys, seqs, kinds in out
+                   for row in zip(keys, seqs, kinds)]
+            assert got == want, trial
+            tombstones = sum(kd == KIND_DELETE for _s, kd in newest.values())
+            assert stats == (1, len(merged), len(merged) - len(newest),
+                             tombstones), trial
 
 
-class TestMergeOrderKernel:
-    def test_order_matches_lexsort_oracle(self, ssd_factory):
-        h = Harness(ssd_factory(), "array")
+class TestMergeOrder:
+    def test_order_matches_lexsort(self, ssd_factory):
+        h = Harness(ssd_factory())
         rng = np.random.default_rng(7)
         for _ in range(50):
             runs = []
@@ -210,7 +219,7 @@ class TestMergeOrderKernel:
             assert np.array_equal(got, want)
 
     def test_order_overflow_falls_back(self, ssd_factory):
-        h = Harness(ssd_factory(), "array")
+        h = Harness(ssd_factory())
         keys = np.array([1 << 23, 1 << 24], dtype=np.int64)  # beyond packing
         seqs = np.array([5, 3], dtype=np.int64)
         got = h.executor._merge_order(keys, seqs)

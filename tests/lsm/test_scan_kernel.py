@@ -1,16 +1,16 @@
-"""The array LSM scan kernel vs its scalar oracle (DESIGN.md §13).
+"""The batched LSM scan merge vs the per-op public path (DESIGN.md §13).
 
-Two stores — one per kernel mode — receive the identical write history,
-then serve the identical scan batches; per-op latencies, stats
-counters and the virtual clock must match exactly (``==``, no
-tolerance).  Also pins the composite-packing overflow fallback and the
-widening-window branch of the merge kernel.
+Twin stores receive the identical write history; one then serves a
+scan batch through ``scan_many`` (one composite-key argsort per scan
+over shared packed columns), the other through ``scan()`` per op (a
+Python heap over per-source iterators — it shares no merge code with
+the batch path).  Per-op latencies, the virtual clock, ``KVStats``,
+device read bytes and the ``fs.pread`` call sequence must match
+exactly (``==``, no tolerance).  Also pins the composite-packing
+overflow fallback and the widening-window branch of the merge.
 """
 
 from __future__ import annotations
-
-import numpy as np
-import pytest
 
 from repro.block.device import BlockDevice
 from repro.core.clock import VirtualClock
@@ -23,7 +23,7 @@ from repro.rng import substream
 from tests.conftest import make_tiny_config
 
 
-def make_store(kernel: str, **config_overrides) -> LSMStore:
+def make_store(**config_overrides) -> LSMStore:
     clock = VirtualClock()
     ssd = SSD(make_tiny_config(nblocks=128), clock)
     fs = ExtentFilesystem(BlockDevice(ssd))
@@ -33,12 +33,22 @@ def make_store(kernel: str, **config_overrides) -> LSMStore:
         target_file_bytes=8 * 1024,
     )
     params.update(config_overrides)
-    return LSMStore(fs, clock, LSMConfig(**params), kernel=kernel)
+    store = LSMStore(fs, clock, LSMConfig(**params))
+    # Record every fs.pread the store issues: (file, offset, nbytes).
+    store.preads = []
+    pread = fs.pread
+
+    def recording_pread(name, offset, nbytes):
+        store.preads.append((name, offset, nbytes))
+        return pread(name, offset, nbytes)
+
+    fs.pread = recording_pread
+    return store
 
 
 def make_pair(**config_overrides) -> tuple[LSMStore, LSMStore]:
-    return (make_store("scalar", **config_overrides),
-            make_store("array", **config_overrides))
+    """(per-op reference, batched) twins."""
+    return make_store(**config_overrides), make_store(**config_overrides)
 
 
 def populate(stores, nkeys: int = 400, seed: int = 17,
@@ -58,62 +68,62 @@ def populate(stores, nkeys: int = 400, seed: int = 17,
 
 
 def state(store: LSMStore) -> tuple:
-    stats = store._stats
-    return (store.clock.now, stats.user_bytes_read, stats.gets, stats.scans,
-            store.fs.device.ssd.smart.host_bytes_read)
+    return (store.clock.now, store.stats.snapshot(),
+            store.fs.device.ssd.smart.host_bytes_read, store.preads)
 
 
-def assert_scans_identical(scalar, array, start_keys, count) -> None:
-    lat_s: list = []
-    lat_a: list = []
-    assert scalar.scan_many(start_keys, count, latencies=lat_s) == \
-        array.scan_many(start_keys, count, latencies=lat_a)
-    assert lat_a == lat_s
-    assert state(array) == state(scalar)
+def assert_scans_identical(per_op, batched, start_keys, count) -> None:
+    lat_ref = [per_op.scan(key, count)[0] for key in start_keys]
+    lat: list = []
+    assert batched.scan_many(start_keys, count, latencies=lat) == len(start_keys)
+    assert lat == lat_ref
+    assert state(batched) == state(per_op)
 
 
 class TestScanMergeEquivalence:
     def test_scans_identical_across_levels(self):
-        scalar, array = make_pair()
-        populate([scalar, array])
+        per_op, batched = make_pair()
+        populate([per_op, batched])
         rng = substream(23, "scan-starts")
         starts = [int(k) for k in rng.integers(0, 450, size=60)]
         for count in (1, 7, 100):
-            assert_scans_identical(scalar, array, starts, count)
+            assert_scans_identical(per_op, batched, starts, count)
+        assert batched.preads  # the scans did reach the tables
 
     def test_zero_count_still_charges_active_tables(self):
         """count <= 0 pops nothing but consumes one entry per active
-        table (the scalar merge's initial one-ahead push)."""
-        scalar, array = make_pair()
-        populate([scalar, array])
-        assert_scans_identical(scalar, array, [0, 100, 399], 0)
+        table (``scan()``'s initial one-ahead push)."""
+        per_op, batched = make_pair()
+        populate([per_op, batched])
+        assert_scans_identical(per_op, batched, [0, 100, 399], 0)
+        assert batched.preads
 
     def test_scans_interleaved_with_writes(self):
-        scalar, array = make_pair()
-        populate([scalar, array], nkeys=200)
+        per_op, batched = make_pair()
+        populate([per_op, batched], nkeys=200)
         rng = substream(29, "interleave")
         for round_ in range(10):
             key = int(rng.integers(0, 250))
-            for store in (scalar, array):
+            for store in (per_op, batched):
                 store.put(key, Value(round_, 48))
-            assert_scans_identical(scalar, array,
+            assert_scans_identical(per_op, batched,
                                    [key, key // 2, 0], 25)
 
 
 class TestOverflowFallback:
-    def test_huge_keys_fall_back_to_scalar_merge(self):
-        scalar, array = make_pair()
-        populate([scalar, array], key_of=lambda i: i + _KEY_SPAN)
-        tables = [t for _lvl, t in array.version.all_tables()]
-        assert array._scan_merge_sources(tables) is None
-        assert_scans_identical(scalar, array,
+    def test_huge_keys_fall_back_to_per_op_scan(self):
+        per_op, batched = make_pair()
+        populate([per_op, batched], key_of=lambda i: i + _KEY_SPAN)
+        tables = [t for _lvl, t in batched.version.all_tables()]
+        assert batched._scan_merge_sources(tables) is None
+        assert_scans_identical(per_op, batched,
                                [_KEY_SPAN, _KEY_SPAN + 100], 30)
 
-    def test_in_range_keys_use_the_array_merge(self):
-        array = make_store("array")
-        populate([array])
-        tables = [t for _lvl, t in array.version.all_tables()]
-        sources = array._scan_merge_sources(tables)
+    def test_in_range_keys_use_the_packed_merge(self):
+        store = make_store()
+        populate([store])
+        tables = [t for _lvl, t in store.version.all_tables()]
+        sources = store._scan_merge_sources(tables)
         assert sources is not None
         assert len(sources) >= 1 + len(tables)  # memtable(s) + tables
 
@@ -122,35 +132,34 @@ class TestWideningWindow:
     def test_tombstone_runs_force_widening(self):
         """The first ``count + 1`` merged entries are all tombstones,
         so the fixed window cannot prove ``count`` results and the
-        kernel must widen — a wrong (non-widening) merge would
-        under-count and diverge from the scalar oracle."""
-        scalar, array = make_pair(memtable_bytes=512 * 1024)
-        for store in (scalar, array):
+        merge must widen — a wrong (non-widening) merge would
+        under-count and diverge from ``scan()``."""
+        per_op, batched = make_pair(memtable_bytes=512 * 1024)
+        for store in (per_op, batched):
             for key in range(60):
                 store.put(key, Value(key, 32))
             for key in range(50):
                 store.delete(key)
         # All in one memtable: 50 leading tombstones, then puts.
-        assert_scans_identical(scalar, array, [0], 2)
-        assert_scans_identical(scalar, array, [0, 10, 49, 50], 5)
+        assert_scans_identical(per_op, batched, [0], 2)
+        assert_scans_identical(per_op, batched, [0, 10, 49, 50], 5)
 
     def test_exhaustion_without_boundary_stops_clean(self):
         """Fewer live keys than requested: the merge drains every
         source (boundary None) and stops at the true result count."""
-        scalar, array = make_pair(memtable_bytes=512 * 1024)
-        for store in (scalar, array):
+        per_op, batched = make_pair(memtable_bytes=512 * 1024)
+        for store in (per_op, batched):
             for key in range(8):
                 store.put(key, Value(key, 32))
-        assert_scans_identical(scalar, array, [0, 4], 100)
+        assert_scans_identical(per_op, batched, [0, 4], 100)
 
 
 class TestSequenceOverflowGuard:
     def test_seq_span_exceeded_falls_back(self):
-        array = make_store("array")
-        array.put(1, Value(1, 32))
-        array._next_seq = (1 << 40) + 1
-        assert array._scan_merge_sources([]) is None
-        # And the public path still answers correctly via the oracle.
-        lat: list = []
-        assert array.scan_many([0], 5, latencies=lat) == 1
-        assert len(lat) == 1
+        per_op, batched = make_pair()
+        for store in (per_op, batched):
+            store.put(1, Value(1, 32))
+            store._next_seq = (1 << 40) + 1
+        assert batched._scan_merge_sources([]) is None
+        # And the public path still answers, through scan() per op.
+        assert_scans_identical(per_op, batched, [0], 5)
