@@ -63,7 +63,7 @@ class BlockDevice:
 
     def write_pages(self, lpns: np.ndarray, background: bool = False) -> float:
         """Write a batch of (unique) pages; returns host-visible latency."""
-        t = self.ssd.clock.now
+        t = self._clock.now
         latency = self.ssd.write_pages(lpns, background=background)
         if self._observers:
             arr = np.asarray(lpns)
@@ -90,6 +90,17 @@ class BlockDevice:
         for observer in self._observers:
             observer.on_read(t, start, npages)
         return latency
+
+    def read_ranges(self, starts, lens) -> list[float]:
+        """``read_range`` of every ``(start, npages)`` as one submission;
+        each range is still its own request to SMART and the observers."""
+        t = self._clock.now
+        latencies = self.ssd.read_ranges(starts, lens)
+        for observer in self._observers:
+            for start, npages in zip(starts, lens):
+                if npages > 0:
+                    observer.on_read(t, start, npages)
+        return latencies
 
     def trim_range(self, start: int, npages: int) -> None:
         """TRIM a consecutive page range."""

@@ -86,6 +86,15 @@ class Partition:
             self._check(start, npages)
         return self.parent.read_range(self.start_page + start, npages)
 
+    def read_ranges(self, starts, lens) -> list[float]:
+        """``read_range`` of every ``(start, npages)``, as one submission."""
+        if self._whole:  # identity translation; the SSD checks the same space
+            return self.parent.read_ranges(starts, lens)
+        for start, npages in zip(starts, lens):
+            self._check(start, npages)
+        return self.parent.read_ranges(
+            [self.start_page + start for start in starts], lens)
+
     def trim_range(self, start: int, npages: int) -> None:
         self._check(start, npages)
         self.parent.trim_range(self.start_page + start, npages)

@@ -309,15 +309,7 @@ class SSD:
         if self._channels is not None:
             latency = self._read_channelized(start, npages, nbytes)
         else:
-            latency = (
-                cfg.read_latency
-                + npages * cfg.page_read_time / cfg.channels
-                + nbytes / cfg.bus_bytes_per_s
-            )
-            backlog = self.backlog_seconds()
-            if backlog > 0 and cfg.read_contention > 0:
-                saturation = min(1.0, backlog / cfg.read_contention_window)
-                latency *= 1.0 + cfg.read_contention * saturation
+            latency = self._read_scalar(npages)
         smart = self.smart
         smart.host_bytes_read += nbytes
         smart.nand_bytes_read += nbytes
@@ -347,6 +339,56 @@ class SSD:
             extra = faults.on_read(self)
             if extra:
                 latency += extra
+        return latency
+
+    def read_ranges(self, starts, lens) -> list[float]:
+        """``read_range`` of every ``(start, npages)``, submitted at one
+        instant: the same latencies and the same accounting.  Reads
+        move neither the clock nor the scalar write horizon, so a
+        latency is computed once per distinct length; channel queues,
+        the tracer and fault draws are per-request state: the loop.
+        """
+        if (self._channels is not None or self.tracer.enabled
+                or self.faults.enabled):
+            return [self.read_range(start, npages)
+                    for start, npages in zip(starts, lens)]
+        by_length: dict[int, float] = {}
+        latencies = []
+        pages = requests = 0
+        try:
+            for start, npages in zip(starts, lens):
+                if npages <= 0:
+                    latencies.append(0.0)
+                    continue
+                if start < 0 or start + npages > self._npages:
+                    self._check(start, npages)
+                latency = by_length.get(npages)
+                if latency is None:
+                    latency = by_length[npages] = self._read_scalar(npages)
+                latencies.append(latency)
+                pages += npages
+                requests += 1
+        finally:  # an out-of-range request leaves the earlier ones counted
+            if self.ftl is not None:
+                self.ftl.total_read_pages += pages
+            self.smart.host_bytes_read += pages * self._page_size
+            self.smart.nand_bytes_read += pages * self._page_size
+            self.smart.host_read_requests += requests
+        return latencies
+
+    def _read_scalar(self, npages: int) -> float:
+        """Scalar-timing latency of one *npages* read issued now: the
+        service floor plus the write-backlog contention penalty."""
+        cfg = self.config
+        latency = (
+            cfg.read_latency
+            + npages * cfg.page_read_time / cfg.channels
+            + npages * self._page_size / cfg.bus_bytes_per_s
+        )
+        backlog = self.backlog_seconds()
+        if backlog > 0 and cfg.read_contention > 0:
+            saturation = min(1.0, backlog / cfg.read_contention_window)
+            latency *= 1.0 + cfg.read_contention * saturation
         return latency
 
     def trim_range(self, start: int, npages: int) -> None:

@@ -359,26 +359,32 @@ class ExtentFilesystem:
 
         Data is returned only when the filesystem records contents.
         """
-        meta = self._lookup(name)
-        if nbytes <= 0:
-            return 0.0, b"" if self.record_data else None
-        if offset < 0 or offset + nbytes > meta.size_bytes:
-            raise FilesystemError(
-                f"pread [{offset}, {offset + nbytes}) beyond EOF "
-                f"{meta.size_bytes} of {name!r}"
-            )
-        first_page = offset // self.page_size
-        last_page = _ceil_div(offset + nbytes, self.page_size)
-        count = last_page - first_page
-        run = self._single_run(meta, first_page, count)
-        if run is not None:
-            latency = self.device.read_range(*run)
-        else:
+        latency = 0.0
+        for start, length in self._byte_range_runs(name, offset, nbytes):
+            latency += self.device.read_range(start, length)
+        if not self.record_data:
+            return latency, None
+        return latency, bytes(self._files[name].data[offset : offset + max(nbytes, 0)])
+
+    def pread_many(self, names, offsets, nbytes) -> float:
+        """Read several byte ranges as one device submission.
+
+        Returns the very float ``latency += pread(name, offset,
+        size)[0]`` builds in order — a range's device runs are summed
+        first, then the ranges — going down the device stack once.
+        """
+        ranges = [self._byte_range_runs(name, offset, size)
+                  for name, offset, size in zip(names, offsets, nbytes)]
+        runs = [run for group in ranges for run in group]
+        latencies = iter(self.device.read_ranges(
+            [start for start, _ in runs], [length for _, length in runs]))
+        total = 0.0
+        for group in ranges:
             latency = 0.0
-            for start, length in self._file_runs(meta, first_page, count):
-                latency += self.device.read_range(start, length)
-        data = bytes(meta.data[offset : offset + nbytes]) if self.record_data else None
-        return latency, data
+            for _run in group:
+                latency += next(latencies)
+            total += latency
+        return total
 
     # ------------------------------------------------------------------
     # Accounting
@@ -477,6 +483,25 @@ class ExtentFilesystem:
             return (int(meta._es[idx]) + skip, count)
         return None
 
+    def _byte_range_runs(self, name: str, offset: int, nbytes: int) -> list:
+        """Device ``(start, npages)`` runs backing a byte range of a file."""
+        meta = self._files.get(name) or self._lookup(name)
+        if nbytes <= 0:
+            return []
+        if offset < 0 or offset + nbytes > meta.size_bytes:
+            raise FilesystemError(
+                f"pread [{offset}, {offset + nbytes}) beyond EOF "
+                f"{meta.size_bytes} of {name!r}"
+            )
+        page_size = self.page_size
+        first_page = offset // page_size
+        count = -(-(offset + nbytes) // page_size) - first_page
+        run = self._single_run(meta, first_page, count)
+        if run is not None:
+            return [run]
+        starts, lens = self._run_arrays(meta, first_page, count)
+        return list(zip(starts.tolist(), lens.tolist()))
+
     def _run_bounds(self, meta: FileMeta, first_page: int, count: int):
         """(first_extent, last_extent, skip) covering the page range."""
         cum = meta.cumulative()
@@ -499,14 +524,6 @@ class ExtentFilesystem:
         lens[0] -= skip
         lens[-1] = count - int(lens[:-1].sum())
         return starts, lens
-
-    def _file_runs(self, meta: FileMeta, first_page: int, count: int):
-        """Yield (device_start, length) runs covering file pages
-        [first_page, first_page+count)."""
-        if count <= 0:
-            return
-        starts, lens = self._run_arrays(meta, first_page, count)
-        yield from zip(starts.tolist(), lens.tolist())
 
     def _file_lpns(self, meta: FileMeta, first_page: int, count: int):
         """Device pages for a file range: a Python-int list for small

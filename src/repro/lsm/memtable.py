@@ -8,6 +8,8 @@ order versions of the same key.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 import numpy as np
 
 from repro.lsm.config import LSMConfig
@@ -133,32 +135,33 @@ class MemTable:
         selected.sort(key=lambda kv: kv[0])
         return selected
 
-    def sorted_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Key-ordered (keys, scan_comp, vlens) columns for the batched
-        scan merge (DESIGN.md §13).
+    def sorted_columns(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Key-ordered (scan_comp, vlens) columns for the batched scan
+        merge (DESIGN.md §13.1), or None when a key falls outside the
+        composite packing (checked before anything is packed).
 
-        Built directly from the entry dict with one numpy argsort and
-        memoized against ``approximate_bytes``, which grows on *every*
+        Memoized against ``approximate_bytes``, which grows on *every*
         mutation: puts and tombstones both add at least ``key_bytes``,
         which :class:`~repro.lsm.config.LSMConfig` validates as
         positive.  So consecutive scans between writes reuse one
-        conversion and immutable memtables convert once.  The
-        composite column is pre-packed here because the
-        merge kernel derives key, recency and kind from it by bit ops;
-        value seeds are omitted entirely (the scan merge only accounts
-        byte counts, never materializes values).
+        conversion and immutable memtables convert once.  The merge
+        kernel derives key, recency and kind from the composite by bit
+        ops, and a memtable holds one version per key, so sorting the
+        composite sorts by key; value seeds are omitted entirely (the
+        scan merge only accounts byte counts).
         """
         cache = self._column_cache
         if cache is not None and cache[0] == self.approximate_bytes:
             return cache[1]
         n = len(self._entries)
         keys = np.fromiter(self._entries.keys(), dtype=np.int64, count=n)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        rows = list(self._entries.values())
-        seqs = np.fromiter((r[0] for r in rows), dtype=np.int64, count=n)[order]
-        vlens = np.fromiter((r[2] for r in rows), dtype=np.int64, count=n)[order]
-        kinds = np.fromiter((r[3] for r in rows), dtype=np.int8, count=n)[order]
-        columns = (keys, pack_scan_comp(keys, seqs, kinds), vlens)
+        columns = None
+        if not n or (keys.min() >= 0 and keys.max() < SCAN_KEY_SPAN):
+            seqs, vlens, kinds = (
+                np.fromiter(map(itemgetter(field), self._entries.values()),
+                            dtype=np.int64, count=n) for field in (0, 2, 3))
+            comp = pack_scan_comp(keys, seqs, kinds)
+            order = np.argsort(comp)
+            columns = (comp[order], vlens[order])
         self._column_cache = (self.approximate_bytes, columns)
         return columns

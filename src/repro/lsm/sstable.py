@@ -13,7 +13,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.config import LSMConfig
-from repro.lsm.memtable import KIND_DELETE, KIND_PUT, pack_scan_comp
+from repro.lsm.memtable import KIND_DELETE, KIND_PUT
 
 
 class SSTable:
@@ -50,7 +50,6 @@ class SSTable:
         self.max_key = int(keys[-1])
         self._bloom: BloomFilter | None = None
         self._bloom_enabled = config.bloom_bits_per_key > 0
-        self._scan_comp: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Metadata
@@ -79,18 +78,6 @@ class SSTable:
     def data_bytes(self) -> int:
         """Serialized size of the table's data."""
         return int(self._offsets[-1])
-
-    @property
-    def scan_comp(self) -> np.ndarray:
-        """The packed scan-composite column (DESIGN.md §13), cached.
-
-        Tables are immutable, so the packing is computed at most once
-        per table lifetime; the scan-merge kernel only requests it for
-        tables whose key range fits the packing.
-        """
-        if self._scan_comp is None:
-            self._scan_comp = pack_scan_comp(self.keys, self.seqs, self.kinds)
-        return self._scan_comp
 
     def overlaps(self, min_key: int, max_key: int) -> bool:
         """Whether the table's key range intersects [min_key, max_key]."""

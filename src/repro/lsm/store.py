@@ -51,8 +51,8 @@ from repro.obs.tracer import NULL_TRACER
 #: Composite packing for the batched scan merge (DESIGN.md §13): the
 #: compaction merge's (key asc, seq desc) ordering plus a low kind
 #: bit, pre-packed per source (``MemTable.sorted_columns`` /
-#: ``SSTable.scan_comp``) so one stable argsort over concatenated
-#: cached columns reproduces :meth:`LSMStore.scan`'s heap pop order.
+#: ``ReadRun.comp``) so one stable argsort over concatenated cached
+#: columns reproduces :meth:`LSMStore.scan`'s heap pop order.
 #: Batches whose keys/seqs could overflow the packing go through
 #: ``scan()`` per op.
 _SEQ_SPAN = SCAN_SEQ_SPAN
@@ -337,20 +337,19 @@ class LSMStore(KVStore):
         Scans never mutate the tree, so one ``scan_many`` call shares
         a single snapshot of the scan sources across all its scans:
         the memtables' packed sorted columns (memoized per memtable)
-        and the manifest's tables' ``scan_comp`` columns.  Each scan
-        is then one composite-key argsort (:meth:`_scan_merge`) that
-        reproduces :meth:`scan`'s merge exactly: same pop order, same
-        per-table consumed windows, same sequential reads charged in
-        the same order.  A batch whose keys or sequence numbers could
-        overflow the packing goes through :meth:`scan` per op, as
-        ``get_many`` falls back to ``get()``.
+        and the read index's sorted runs.  Each scan is then one
+        composite-key argsort (:meth:`_scan_merge`) that reproduces
+        :meth:`scan`'s merge exactly: same pop order, same per-table
+        consumed windows, same sequential reads charged in the same
+        order, submitted together.  A batch whose keys or sequence
+        numbers could overflow the packing goes through :meth:`scan`
+        per op, as ``get_many`` falls back to ``get()``.
         """
         self._ensure_open()
         n = len(start_keys)
         if n == 0:
             return 0
-        sources = self._scan_merge_sources(
-            [table for _level, table in self.version.all_tables()])
+        sources = self._scan_merge_sources()
         if sources is None:
             return KVStore.scan_many(self, start_keys, count, until, latencies)
         clock = self.clock
@@ -381,38 +380,38 @@ class LSMStore(KVStore):
             raise
         return done
 
-    def _scan_merge_sources(self, tables: list) -> list | None:
-        """Per-source column arrays for the batched scan merge, or None.
+    def _scan_merge_sources(self) -> list | None:
+        """``(comp, vlens, run)`` per merge source, or None.
 
-        Sources are ordered exactly like :meth:`scan` enters them into
-        its heap: the active memtable, the immutables in rotation
-        order, then the manifest's tables in :meth:`Version.all_tables`
-        order (the order only matters for the per-table read charges —
-        sequence numbers are globally unique, so the merge order itself
-        has no ties).  Returns None when any key or the sequence
-        counter could overflow the composite packing; the caller then
-        scans per op.
+        A source is a sorted run, in the order :meth:`scan` enters its
+        sources into the heap: the active memtable, the immutables in
+        rotation order (``run`` None), then the read index's runs —
+        each L0 table, then one whole level at a time (the order only
+        matters for the read charges — sequence numbers are globally
+        unique, so the merge order itself has no ties).  Returns None
+        when any key or the sequence counter could overflow the
+        composite packing; the caller then scans per op.
         """
         if self._next_seq > _SEQ_SPAN:
             return None
         sources: list = []
-        memtables = [self.memtable]
-        memtables.extend(m for m, _wal in self._immutables)
-        for memtable in memtables:
-            keys, comp, vlens = memtable.sorted_columns()
-            if len(keys) and (int(keys[0]) < 0 or int(keys[-1]) >= _KEY_SPAN):
+        for memtable in [self.memtable, *(m for m, _wal in self._immutables)]:
+            columns = memtable.sorted_columns()
+            if columns is None:
                 return None
-            sources.append((comp, vlens, None))
-        for table in tables:
-            if table.min_key < 0 or table.max_key >= _KEY_SPAN:
+            sources.append((*columns, None))
+        for run in self.version.runs():
+            if run.tables[0].min_key < 0 or run.tables[-1].max_key >= _KEY_SPAN:
                 return None
-            sources.append((table.scan_comp, table.vlens, table))
+            if run.comp is None:
+                run.build_scan_columns()
+            sources.append((run.comp, run.vlens, run))
         return sources
 
     def _scan_merge(self, start_key: int, count: int,
                     sources: list) -> float:
         """One scan over the shared sources; returns the charged read
-        latency (DESIGN.md §13).
+        latency (DESIGN.md §13.1).
 
         One composite-key stable argsort over a window of ``count + 1``
         entries per source stands in for :meth:`scan`'s heap: the
@@ -423,37 +422,29 @@ class LSMStore(KVStore):
         ``count``) are computed on that prefix with masks.  Windows
         double and the merge recomputes in the rare case the fixed
         window cannot prove ``count`` results (duplicate/tombstone
-        pile-ups).  :meth:`scan`'s charging rules hold bit for bit:
-        every active table consumes at least its first entry (the
-        initial one-ahead push), a table's consumed window ends at
-        ``first + pops + 1`` capped to the table, and the windows are
-        charged as one sequential read per table in source order.
+        pile-ups).  :meth:`scan`'s charging rules hold bit for bit,
+        derived per run from its start position and pop count: every
+        table from the one holding the start to the run's last
+        consumes at least its first entry (the initial one-ahead
+        push), a consumed window ends one past the last popped entry,
+        capped to the table, and the windows are charged as one
+        sequential read per table in manifest order, submitted at once.
         """
         active: list = []      # (pos, comp, vlens) per active source
-        charged: list = []     # (table, first, source index) in order
-        in_span = 0 < start_key < _KEY_SPAN
-        target = start_key << 41 if in_span else 0
-        for comp, vlens, table in sources:
-            if table is not None:
-                if table.max_key < start_key:
-                    continue
-                # comp >= key << 41 exactly when key >= start_key, so
-                # the composite bound finds scan()'s start position.
-                pos = int(comp.searchsorted(target)) if in_span else 0
-                charged.append((table, pos, len(active)))
-            else:
-                n = len(comp)
-                if in_span:
-                    pos = int(comp.searchsorted(target))
-                elif start_key < _KEY_SPAN:
-                    pos = 0
-                else:
-                    pos = n
-                if pos >= n:
-                    continue
+        charged: list = []     # (run, pos, source index) in order
+        # comp >= key << 41 exactly when key >= start_key, so the
+        # composite bound finds scan()'s start position.  (A uint64
+        # needle: a plain int would promote the column to float64.)
+        target = np.uint64(min(max(start_key, 0), _KEY_SPAN) << 41)
+        for comp, vlens, run in sources:
+            pos = int(comp.searchsorted(target))
+            if pos == len(comp):
+                continue  # the source ends below start_key
+            if run is not None:
+                charged.append((run, pos, len(active)))
             active.append((pos, comp, vlens))
 
-        pops = None
+        pops = [0] * len(active)
         if count > 0 and active:
             window = count + 1
             while True:
@@ -465,9 +456,8 @@ class LSMStore(KVStore):
                     nentries = len(comp)
                     end = pos + window
                     if end < nentries:
-                        b = int(comp[end])
-                        if boundary is None or b < boundary:
-                            boundary = b
+                        if boundary is None or comp[end] < boundary:
+                            boundary = comp[end]
                     else:
                         end = nentries
                     parts.append((pos, end))
@@ -481,7 +471,7 @@ class LSMStore(KVStore):
                 # composite is provably the true merge order: a deeper
                 # entry of a truncated source could interleave later.
                 limit = len(scomp) if boundary is None else int(
-                    scomp.searchsorted(boundary))
+                    scomp.searchsorted(boundary))  # a uint64 needle too
                 swin = scomp[:limit]
                 hi = swin >> SCAN_KEY_SHIFT
                 newkey = np.empty(limit, dtype=bool)
@@ -516,22 +506,31 @@ class LSMStore(KVStore):
                 # Concatenation index -> source index, then pops per
                 # source (how far each of scan()'s cursors advances).
                 src = np.searchsorted(cumlens, psel, side="right")
-                pops = np.bincount(src, minlength=len(active))
+                pops = np.bincount(src, minlength=len(active)).tolist()
 
-        latency = 0.0
-        pread = self.fs.pread
-        for table, first, si in charged:
-            popped = int(pops[si]) if pops is not None else 0
-            end = first + popped + 1
-            nentries = len(table.keys)
-            if end > nentries:
-                end = nentries
-            offset = int(table._offsets[first])
-            nbytes = int(table._offsets[end]) - offset
-            read_latency, _ = pread(
-                table.filename, offset, min(nbytes, table.data_bytes - offset))
-            latency += read_latency
-        return latency
+        # Table t of a run reads its entries first_t .. min(max(first_t,
+        # pos + pops), last_t): from pos in the table holding it, from
+        # the table's own start in every later one.
+        names: list = []
+        offsets: list = []
+        nbytes: list = []
+        for run, pos, si in charged:
+            ahead = pos + pops[si]
+            if len(run.tables) == 1:  # every L0 run: plain ints
+                offset = int(run.lo[pos])
+                names.append(run.names[0])
+                offsets.append(offset)
+                nbytes.append(int(run.hi[min(ahead, len(run.hi) - 1)]) - offset)
+                continue
+            t0 = int(run.max_keys.searchsorted(start_key))
+            first = run.starts[t0:].copy()
+            first[0] = pos
+            last = np.minimum(np.maximum(first, ahead), run.lasts[t0:])
+            lo = run.lo[first]
+            names.extend(run.names[t0:].tolist())
+            offsets.extend(lo.tolist())
+            nbytes.extend((run.hi[last] - lo).tolist())
+        return self.fs.pread_many(names, offsets, nbytes)
 
     def _write_many(self, keys, vseeds, vlen: int, until: float | None,
                     latencies: list | None, delete: bool) -> int:

@@ -5,10 +5,11 @@ L1 and deeper hold sorted runs: files with pairwise-disjoint key
 ranges, kept ordered by ``min_key`` so point lookups and overlap
 queries are binary searches.
 
-Batched point reads go through a lazily built *read index* (DESIGN.md
+Batched reads go through a lazily built *read index* (DESIGN.md §13.1,
 §13.2): per sorted run — a whole L1+ level, or one L0 table — the
-tables' columns concatenated into one, so a key batch resolves with a
-constant number of array operations per level instead of per table.
+tables' columns concatenated into one, so a key batch resolves, and a
+scan merges and plans its reads, in array operations per level, not
+per table.
 """
 
 from __future__ import annotations
@@ -20,28 +21,39 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.lsm.bloom import probe_matrix
 from repro.lsm.config import LSMConfig
-from repro.lsm.memtable import KIND_PUT
+from repro.lsm.memtable import KIND_PUT, pack_scan_comp
 from repro.lsm.sstable import SSTable
 
 
 class ReadRun:
     """Read index of one sorted run: disjoint tables ordered by key.
 
-    ``keys`` is the tables' key columns concatenated — globally sorted
-    — with parallel per-entry columns for the data-block extent
-    (:meth:`SSTable.read_extent`, precomputed) and the user bytes a hit
-    returns (0 for a tombstone).  Per table: its first entry's position
-    (whose extent a bloom false positive is charged), key range,
-    filename, and the ``base``/``mask`` locating its bloom filter inside
-    the run's one bit slab (``bits`` is None when filters are disabled).
+    Per table: its first and last entries' positions in the run, key
+    range and filename.  Per entry, the tables' columns concatenated,
+    each group built by its first user.  Point reads
+    (:meth:`Version.plan_reads`): the globally sorted ``keys`` with the
+    data-block extent (:meth:`SSTable.read_extent`, precomputed; entry
+    0's is what a bloom false positive is charged) and the user bytes a
+    hit returns (0 for a tombstone), plus the ``base``/``mask``
+    locating each table's bloom filter inside the run's one bit slab
+    (``bits`` is None when filters are disabled).  Scans
+    (``LSMStore._scan_merge``): the packed composite ``comp`` — sorted
+    as well, the key being its high bits — with ``vlens`` and each
+    entry's byte bounds ``lo``/``hi`` in its table's file.
     """
 
     def __init__(self, tables: list[SSTable], config: LSMConfig):
         self.tables = tables
+        self.config = config
         self.min_keys = np.array([t.min_key for t in tables], dtype=np.int64)
         self.max_keys = np.array([t.max_key for t in tables], dtype=np.int64)
         self.names = np.array([t.filename for t in tables], dtype=object)
         self.starts = np.cumsum([0] + [t.nentries for t in tables[:-1]])
+        self.lasts = np.cumsum([t.nentries for t in tables]) - 1
+        self.keys = self.comp = None
+
+    def build_point_columns(self) -> None:
+        tables, config = self.tables, self.config
         self.keys = np.concatenate([t.keys for t in tables])
         extents = [t.read_extents() for t in tables]
         self.offsets = np.concatenate([offsets for offsets, _ in extents])
@@ -57,6 +69,16 @@ class ReadRun:
             self.bits = np.concatenate([b._bits for b in blooms])
             self.mask = sizes - np.uint64(1)
             self.base = np.cumsum(sizes) - sizes
+
+    def build_scan_columns(self) -> None:
+        tables = self.tables
+        self.comp = pack_scan_comp(
+            np.concatenate([t.keys for t in tables]),
+            np.concatenate([t.seqs for t in tables]),
+            np.concatenate([t.kinds for t in tables]))
+        self.vlens = np.concatenate([t.vlens for t in tables])
+        self.lo = np.concatenate([t._offsets[:-1] for t in tables])
+        self.hi = np.concatenate([t._offsets[1:] for t in tables])
 
 
 class Version:
@@ -154,8 +176,9 @@ class Version:
             return [[table] for table in tables]
         return [list(tables)] if tables else []
 
-    def _runs(self):
-        """The read index's runs in probe order, rebuilding stale levels."""
+    def runs(self):
+        """The read index's runs in probe order (L0 newest first, then
+        one per sorted level), rebuilding stale levels."""
         for level in range(self.config.num_levels):
             runs = self._read_runs[level]
             if runs is None:
@@ -185,9 +208,11 @@ class Version:
         hit_bytes = np.zeros(n, dtype=np.int64)
         rows = []
         probes = None
-        for run in self._runs():
+        for run in self.runs():
             if not len(ops):
                 break
+            if run.keys is None:
+                run.build_point_columns()
             k = keys[ops]
             t = run.min_keys.searchsorted(k, side="right") - 1
             sel = np.flatnonzero((t >= 0) & (k <= run.max_keys[t]))
@@ -238,9 +263,15 @@ class Version:
             runs = self._read_runs[level]
             if runs is not None:  # a built read index must mirror the level
                 assert [run.tables for run in runs] == self._run_tables(level)
-                for run in runs:
-                    assert np.array_equal(run.keys, np.concatenate(
-                        [t.keys for t in run.tables]))
+                for run in runs:  # and hold what a fresh build would
+                    fresh = ReadRun(run.tables, self.config)
+                    if run.keys is not None:
+                        fresh.build_point_columns()
+                    if run.comp is not None:
+                        fresh.build_scan_columns()
+                    for name, column in vars(fresh).items():
+                        if isinstance(column, np.ndarray):
+                            assert np.array_equal(column, getattr(run, name)), name
             if level == 0:
                 continue
             assert self._min_keys[level] == [t.min_key for t in tables]

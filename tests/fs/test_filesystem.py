@@ -148,6 +148,47 @@ class TestFragmentation:
         assert data == payload
         filesystem.check_invariants()
 
+    def test_pread_many_adds_up_like_the_pread_loop(self):
+        """Six extents under one file: a range's device runs are summed
+        before the range joins the total, so ``pread_many`` returns the
+        very float ``latency += pread(...)[0]`` builds — a flat sum over
+        the device runs rounds differently on this data."""
+        def build():
+            clock = VirtualClock()
+            ssd = SSD(make_tiny_config(), clock)
+            fs = ExtentFilesystem(BlockDevice(ssd), strategy="first-fit")
+            for i, npages in enumerate([3, 5, 4, 9, 6, 2, 7, 11, 5, 3]):
+                fs.create(f"f{i}")
+                fs.append(f"f{i}", 4096 * npages, background=True)
+            for i in range(0, 10, 2):
+                fs.delete(f"f{i}")
+            fs.create("big")
+            fs.append("big", 4096 * 40, background=True)
+            clock.advance(1e-3)  # part of the write backlog still queued
+            assert ssd.backlog_seconds() > 0
+            return fs, ssd
+
+        ranges = [("big", 0, 4096 * 40), ("f1", 100, 5000),
+                  ("big", 4096 * 2 + 17, 4096 * 9), ("big", 4096 * 30, 100),
+                  ("f3", 0, 0), ("big", 4096 * 6, 4096 * 30)]
+        looped, looped_ssd = build()
+        assert looped._files["big"].nextents == 6
+        total = 0.0
+        for name, offset, nbytes in ranges:
+            total += looped.pread(name, offset, nbytes)[0]
+        batched, batched_ssd = build()
+        assert batched.pread_many(*zip(*ranges)) == total
+        assert batched_ssd.smart == looped_ssd.smart
+        flat = 0.0
+        for name, offset, nbytes in ranges:
+            for start, npages in looped._byte_range_runs(name, offset, nbytes):
+                flat += looped_ssd.read_range(start, npages)
+        assert flat != total
+        with pytest.raises(FilesystemError):
+            batched.pread_many(["f1", "big"], [0, 4096 * 39], [10, 4097])
+        with pytest.raises(FileNotFoundError_):
+            batched.pread_many(["nope"], [0], [0])
+
 
 class TestPropertyBased:
     @settings(max_examples=25, deadline=None)

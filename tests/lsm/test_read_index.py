@@ -22,11 +22,11 @@ from repro.flash.ssd import SSD
 from repro.fs.filesystem import ExtentFilesystem
 from repro.kv.values import Value
 from repro.lsm.config import LSMConfig
-from repro.lsm.memtable import KIND_DELETE, KIND_PUT, MemTable
-from repro.lsm.sstable import SSTable
+from repro.lsm.memtable import KIND_DELETE, KIND_PUT
 from repro.lsm.store import LSMStore
 from tests.conftest import make_tiny_config
-from tests.lsm.test_scan_kernel import populate
+from tests.lsm import test_scan_kernel
+from tests.lsm.test_scan_kernel import install_tree, populate
 
 KEYSPACE = 300
 #: Tombstones, sub-block values, and values larger than a 4 KiB block.
@@ -75,32 +75,7 @@ def make_store(**config_overrides) -> LSMStore:
 
 
 def build_store(tree: dict, bloom_bits: int) -> LSMStore:
-    store = make_store(bloom_bits_per_key=bloom_bits)
-    seq = 1_000_000
-    for level, (keys, kinds, vlens) in tree["tables"]:
-        n = len(keys)
-        seq -= n
-        table = SSTable(
-            store._next_table_id(), store.config,
-            np.array(keys, dtype=np.int64), np.arange(seq, seq + n),
-            np.arange(n, dtype=np.uint64), np.array(vlens, dtype=np.int64),
-            np.array(kinds, dtype=np.int8))
-        store.fs.create(table.filename)
-        store.fs.append(table.filename, table.data_bytes, background=True)
-        store.version.add(level, table)
-    immutable = MemTable(store.config)
-    for memtable, (keys, kinds, vlens) in zip((immutable, store.memtable),
-                                              tree["memtables"]):
-        for key, kind, vlen in zip(keys, kinds, vlens):
-            seq += 1
-            if kind == KIND_PUT:
-                memtable.put(key, seq, key, vlen)
-            else:
-                memtable.delete(key, seq)
-    store._immutables.append((immutable, None))
-    store.fs.device.ssd.drain()
-    store.check_invariants()
-    return store
+    return install_tree(make_store(bloom_bits_per_key=bloom_bits), tree)
 
 
 def record_preads(store: LSMStore, fail_at: int | None = None) -> list:
@@ -207,6 +182,20 @@ class TestLockstep:
         (*bulk, bulk_done), (*twin, _) = outcomes
         assert bulk == twin
         assert bulk_done == len(bulk[1]) == bulk[2][1].gets
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1),
+           starts=st.lists(st.integers(-10, KEYSPACE + 10), min_size=1,
+                           max_size=12),
+           count=st.sampled_from([0, 1, 3, 25, 400]))
+    def test_scans_match_per_op_scans(self, seed, starts, count):
+        """The same runs serve ``scan_many``: one merge source and one
+        read plan per run against ``scan()``'s per-table walk."""
+        tree = random_tree(seed)
+        per_op, batched = (install_tree(test_scan_kernel.make_store(), tree)
+                           for _ in range(2))
+        test_scan_kernel.assert_scans_identical(per_op, batched, starts, count)
 
 
 SMALL = dict(memtable_bytes=8 * 1024, max_bytes_for_level_base=16 * 1024,
