@@ -14,12 +14,27 @@ The implementation is array-based (numpy) so that experiments writing
 millions of simulated pages run in seconds.  All bookkeeping is exact:
 WA-D is *measured* from actual relocations, never modeled.
 
-One deliberate approximation: ``write_pages`` invalidates the previous
-versions of the whole batch before programming it, so garbage
-collection triggered mid-batch will not relocate pages the batch is
-about to overwrite.  Batches are bounded by callers (at most a few
-hundred pages), which keeps the effect negligible — it corresponds to
-the host's write buffer being visible to the controller.
+Host writes are *write-behind*.  A request that still fits the open
+host block closes nothing and triggers no collection — its work is
+``(n, 0, 0)`` by construction — and nothing reads the mapping until
+that block closes, so ``write_range``/``write_pages`` only append the
+request to a log and :meth:`_flush_log` applies the whole log in one
+array pass.  The log is drained exactly where FTL state is observed: a
+request that does not fit the open block (which closes it and may run
+GC), ``trim_range``, ``mapped_pages``/``utilization``/``is_mapped``,
+``check_invariants`` and ``state_arrays`` (the one read accessor for
+white-box tests).  Deferral is exact for the reason
+``VictimIndex.pending`` is: whatever is stale is on the log, and every
+reader drains it first.  Stream-separated devices need ``l2p`` at
+write time to split hot from cold, so they never log.
+
+One deliberate approximation: a request that does not fit the open
+block invalidates the previous versions of its whole batch before
+programming it, so garbage collection triggered mid-batch will not
+relocate pages the batch is about to overwrite.  Batches are bounded
+by callers (at most a few hundred pages), which keeps the effect
+negligible — it corresponds to the host's write buffer being visible
+to the controller.
 """
 
 from __future__ import annotations
@@ -104,6 +119,16 @@ class FlashTranslationLayer:
         # Reusable 0..ppb iota: the programming paths slice it instead
         # of allocating an arange per open-block chunk.
         self._iota = np.arange(ppb, dtype=np.int64)
+        # Write-behind log (module docstring): the requests programmed,
+        # in order, at the cold head since the last drain.  A
+        # ``write_pages`` entry has a placeholder start and its lpns in
+        # ``_log_arrays`` beside their offset in the open block.
+        # ``_log_room`` is what the open block has left after the log;
+        # 0 while no block is open and on stream-separated devices.
+        self._log_starts: list[int] = []
+        self._log_lens: list[int] = []
+        self._log_arrays: list[tuple[int, np.ndarray]] = []
+        self._log_room = 0
         # Watermarks are clamped by the physical spare capacity: with S
         # spare blocks the collector can sustainably keep at most S-2
         # blocks free (two blocks are always open for writing), so a
@@ -128,12 +153,6 @@ class FlashTranslationLayer:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    #: Batch sizes up to this go through the pure-int fast path: most
-    #: write traffic of the B+Tree engine (journal records, page
-    #: reconciliations) is 1-8 pages per request, where numpy's
-    #: per-call overhead dwarfs the actual bookkeeping.
-    SMALL_WRITE_PAGES = 8
-
     def write_pages(self, lpns: np.ndarray) -> WorkUnits:
         """Write the given logical pages (must be unique within the batch).
 
@@ -143,73 +162,24 @@ class FlashTranslationLayer:
         n = len(lpns)
         if n == 0:
             return WorkUnits()
-        if n <= self.SMALL_WRITE_PAGES:
-            work = WorkUnits()
-            self._write_few(lpns, work)
-            work.host_pages += n
-            self.total_host_pages += n
-            return work
         lpns = np.asarray(lpns, dtype=np.int64)
         self._check_range(lpns)
-        work = WorkUnits()
-        if self.config.stream_separation:
-            overwrite = self._l2p[lpns] >= 0
-            hot = lpns[overwrite]
-            cold = lpns[~overwrite]
-            self._invalidate(self._l2p[hot])
-            self._reloc_count[lpns] = 0  # host writes reset the cold clock
-            if cold.size:
-                self._program(cold, work, head="cold")
-            if hot.size:
-                self._program(hot, work, head="hot")
-        else:
-            self._invalidate(self._l2p[lpns])
-            self._program(lpns, work, head="cold")
-        work.host_pages += int(lpns.size)
-        self.total_host_pages += int(lpns.size)
-        return work
+        if n <= self._log_room:
+            # A copy: the caller may reuse its array before the drain.
+            self._log_arrays.append((self._ppb - self._log_room, lpns.copy()))
+            return self._log(0, n)
+        return self._write_through(lpns)
 
     def write_range(self, start: int, npages: int) -> WorkUnits:
         """Write ``npages`` consecutive logical pages starting at *start*."""
-        if npages > 0 and self._reloc_count is None:
-            # Consecutive ranges without stream separation (the default
-            # FTL) skip the page-list machinery entirely: the previous
-            # mappings come from one slice read (per-int for small
-            # requests, vectorized for large ones) and programming uses
-            # slice stores chunk by chunk — state-identical to the
-            # array path (invalidate whole batch, then program).
-            if start < 0 or start + npages > self._logical_pages:
-                raise OutOfRangeError("logical page outside device address space")
-            work = WorkUnits()
-            if npages <= self.SMALL_WRITE_PAGES:
-                p2l = self._p2l
-                valid = self._valid_count
-                ppb = self._ppb
-                index = self._victim_index
-                pend = None if index is None else index.pending
-                for old in self._l2p[start : start + npages].tolist():
-                    if old >= 0:
-                        p2l[old] = -1
-                        blk = old // ppb
-                        valid[blk] -= 1
-                        if pend is not None:
-                            # Deferred index note (see _invalidate).
-                            pend.append(blk)
-                if pend is not None and len(pend) > index._compact_at:
-                    index.maybe_compact(valid, self._state, self._closed_seq)
-            else:
-                self._invalidate(self._l2p[start : start + npages])
-            self._program_range(start, npages, work)
-            work.host_pages += npages
-            self.total_host_pages += npages
-            return work
-        if 0 < npages <= self.SMALL_WRITE_PAGES:
-            work = WorkUnits()
-            self._write_few(range(start, start + npages), work)
-            work.host_pages += npages
-            self.total_host_pages += npages
-            return work
-        return self.write_pages(np.arange(start, start + npages, dtype=np.int64))
+        if npages <= 0:
+            return WorkUnits()
+        if start < 0 or start + npages > self._logical_pages:
+            raise OutOfRangeError("logical page outside device address space")
+        if npages <= self._log_room:
+            return self._log(start, npages)
+        return self._write_through(
+            np.arange(start, start + npages, dtype=np.int64))
 
     def read_range(self, start: int, npages: int) -> None:
         """Read a consecutive logical range (accounting only)."""
@@ -248,6 +218,7 @@ class FlashTranslationLayer:
             raise OutOfRangeError(
                 f"trim [{start}, {start + npages}) outside logical space"
             )
+        self._flush_log()
         view = self._l2p[start : start + npages]
         mapped = view >= 0
         count = int(np.count_nonzero(mapped))
@@ -268,6 +239,7 @@ class FlashTranslationLayer:
     @property
     def mapped_pages(self) -> int:
         """Logical pages that currently have data associated."""
+        self._flush_log()
         return int(np.count_nonzero(self._l2p >= 0))
 
     @property
@@ -290,6 +262,7 @@ class FlashTranslationLayer:
         """Whether the logical page currently has data associated."""
         if not 0 <= lpn < self.config.logical_pages:
             raise OutOfRangeError(f"lpn {lpn} outside logical space")
+        self._flush_log()
         return bool(self._l2p[lpn] >= 0)
 
     # ------------------------------------------------------------------
@@ -310,12 +283,13 @@ class FlashTranslationLayer:
         index = self._victim_index
         pend = None if index is None else index.pending
         if blocks.size <= 16:
-            # Small batches dominate the per-op path (WAL write-outs,
-            # journal records).  Whole-array ops are disproportionately
-            # slow there, and consecutive pages share a block, so the
-            # decrements are applied run by run on Python ints, with
-            # one deferred victim-index note per run (see
-            # VictimIndex.flush).
+            # Small batches are what the immediate route sees: every
+            # host write of a stream-separated device, a journal record
+            # that straddles a block end, a short trim.  Whole-array
+            # ops are disproportionately slow there, and consecutive
+            # pages share a block, so the decrements are applied run by
+            # run on Python ints, with one deferred victim-index note
+            # per run (see VictimIndex.flush).
             last = -1
             count = 0
             for b in blocks.tolist():
@@ -347,85 +321,69 @@ class FlashTranslationLayer:
         if pend is not None and len(pend) > index._compact_at:
             index.maybe_compact(valid, self._state, self._closed_seq)
 
-    def _write_few(self, lpns, work: WorkUnits) -> None:
-        """Small-batch write path on Python ints (no numpy temporaries).
+    def _write_through(self, lpns: np.ndarray) -> WorkUnits:
+        """Drain the log, then invalidate and program *lpns* now: the
+        route of every request that may close a block and collect."""
+        self._flush_log()
+        self._log_room = 0  # stays 0 if the device turns out to be full
+        work = WorkUnits()
+        if self.config.stream_separation:
+            overwrite = self._l2p[lpns] >= 0
+            hot = lpns[overwrite]
+            cold = lpns[~overwrite]
+            self._invalidate(self._l2p[hot])
+            self._reloc_count[lpns] = 0  # host writes reset the cold clock
+            if cold.size:
+                self._program(cold, work, head="cold")
+            if hot.size:
+                self._program(hot, work, head="hot")
+        else:
+            self._invalidate(self._l2p[lpns])
+            self._program(lpns, work, head="cold")
+            self._log_room = self._ppb - self._heads["cold"][1]
+        work.host_pages += lpns.size
+        self.total_host_pages += lpns.size
+        return work
 
-        Replays the exact semantics of the array path — invalidate the
-        whole batch first, then program cold before hot — so the two
-        paths are state-identical for any batch that fits both.
+    def _log(self, start: int, npages: int) -> WorkUnits:
+        """Append one request that fits the open block to the write log."""
+        self._log_room -= npages
+        self._log_starts.append(start)
+        self._log_lens.append(npages)
+        self.total_host_pages += npages
+        return WorkUnits(npages)
+
+    def _flush_log(self) -> None:
+        """Apply the logged requests to the mapping in one array pass.
+
+        The result is what invalidate-then-program of every request in
+        turn leaves: each lpn maps to its *last* logged copy, its
+        pre-log copy and its earlier logged copies are invalid.
         """
-        l2p = self._l2p
-        p2l = self._p2l
-        valid = self._valid_count
-        ppb = self._ppb
-        logical = self._logical_pages
-        reloc = self._reloc_count
-        index = self._victim_index
-        # Deferred index maintenance: note the touched block and move
-        # on — the greedy heap reconciles at its next consultation
-        # (VictimIndex.flush), keeping this per-page loop free of
-        # state probes and heap pushes.
-        pend = None if index is None else index.pending
-        cold: list[int] = []
-        hot: list[int] = []
-        for lpn in lpns:
-            lpn = int(lpn)
-            if lpn < 0 or lpn >= logical:
-                raise OutOfRangeError("logical page outside device address space")
-            old = int(l2p[lpn])
-            if old >= 0:
-                p2l[old] = -1
-                blk = old // ppb
-                valid[blk] -= 1
-                if pend is not None:
-                    pend.append(blk)
-                (hot if reloc is not None else cold).append(lpn)
-            else:
-                cold.append(lpn)
-            if reloc is not None:
-                reloc[lpn] = 0  # host writes reset the cold clock
-        if pend is not None and len(pend) > index._compact_at:
-            index.maybe_compact(valid, self._state, self._closed_seq)
-        heads = self._heads
-        for head, group in (("cold", cold), ("hot", hot)):
-            for lpn in group:
-                block, off = self._open_block(head, work)
-                ppn = block * ppb + off
-                p2l[ppn] = lpn
-                l2p[lpn] = ppn
-                valid[block] += 1
-                heads[head][1] = off + 1
-
-    def _program_range(self, start: int, npages: int, work: WorkUnits,
-                       head: str = "cold") -> None:
-        """Program a consecutive logical range (no stream separation).
-
-        Chunking through open blocks matches :meth:`_program` exactly;
-        consecutive lpns map to consecutive ppns within a chunk, so the
-        mapping updates are slice stores instead of fancy indexing.
-        """
-        l2p = self._l2p
-        p2l = self._p2l
-        valid = self._valid_count
-        ppb = self._ppb
-        heads = self._heads
-        i = 0
-        while i < npages:
-            block, off = self._open_block(head, work)
-            take = min(ppb - off, npages - i)
-            lpn0 = start + i
-            ppn0 = block * ppb + off
-            if take >= 4:
-                iota = self._iota[:take]
-                p2l[ppn0 : ppn0 + take] = lpn0 + iota
-                l2p[lpn0 : lpn0 + take] = ppn0 + iota
-            else:
-                for k in range(take):
-                    p2l[ppn0 + k] = lpn0 + k
-                    l2p[lpn0 + k] = ppn0 + k
-            valid[block] += take
-            heads[head][1] = off + take
-            i += take
+        if not self._log_lens:
+            return
+        block, off = self._heads["cold"]
+        total = self._ppb - self._log_room - off
+        lens = np.array(self._log_lens)
+        lpns = np.repeat(np.array(self._log_starts) - np.cumsum(lens) + lens,
+                         lens) + self._iota[:total]
+        for at, batch in self._log_arrays:
+            lpns[at - off : at - off + batch.size] = batch
+        self._log_starts.clear()
+        self._log_lens.clear()
+        self._log_arrays.clear()
+        # A stable sort keeps log order among equal lpns, so the last
+        # of each run is the copy that survives.
+        order = np.argsort(lpns, kind="stable")
+        ranked = lpns[order]
+        last = np.append(ranked[1:] != ranked[:-1], True)
+        lpns = ranked[last]  # unique
+        ppns = block * self._ppb + off + order[last]
+        self._invalidate(self._l2p[lpns])
+        self._p2l[ppns] = lpns  # superseded copies stay -1
+        self._l2p[lpns] = ppns
+        self._valid_count[block] += lpns.size
+        self._heads["cold"][1] = off + total
 
     def _program(self, lpns: np.ndarray, work: WorkUnits, head: str) -> None:
         """Program *lpns* into the given write head, chunk by chunk."""
@@ -474,9 +432,8 @@ class FlashTranslationLayer:
         """
         index = self._victim_index
         if index is not None and len(index.heap) > index._compact_at:
-            # The per-op small-write path pushes without compacting
-            # (its loop must stay tight); collection is the periodic
-            # hook that keeps the lazy structures bounded.
+            # VictimIndex.flush pushes without compacting; collection
+            # is the periodic hook that keeps the lazy heap bounded.
             index.maybe_compact(self._valid_count, self._state,
                                 self._closed_seq)
         iterations = 0
@@ -567,8 +524,18 @@ class FlashTranslationLayer:
     # ------------------------------------------------------------------
     # Test support
     # ------------------------------------------------------------------
+    def state_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Drain the write log; return the live ``(l2p, p2l, valid_count)``.
+
+        The only way to read the mapping arrays from outside: a raw
+        attribute read would miss whatever is still on the log.
+        """
+        self._flush_log()
+        return self._l2p, self._p2l, self._valid_count
+
     def check_invariants(self) -> None:
         """Verify internal consistency; raises ``AssertionError`` on bugs."""
+        self._flush_log()
         mapped = np.where(self._l2p >= 0)[0]
         ppns = self._l2p[mapped]
         assert np.all(self._p2l[ppns] == mapped), "l2p/p2l are not inverse"

@@ -49,7 +49,7 @@ class VictimIndex:
       matches (closed blocks' counts only ever decrease, and
       ``closed_seq`` disambiguates re-closed blocks for the deque).
     * ``pending`` — blocks whose valid count decremented since the
-      heap was last consulted.  The per-page write paths only append
+      heap was last consulted.  The FTL's invalidations only append
       the touched block here (one ``list.append``, no state probe, no
       push); :meth:`flush` reconciles the heap — one push per *unique*
       touched block at its *current* count — right before any greedy

@@ -263,8 +263,9 @@ class SSD:
         # the identical request on retry.
         extra = faults.on_write(self) if faults.enabled else 0.0
         if self.ftl is not None:
-            # The FTL validates the range itself and has a smallbatch
-            # fast path, so the array round-trip is skipped here.
+            # The FTL validates the range itself and converts (or
+            # copies) what it needs, so the array round-trip is
+            # skipped here.
             work = self.ftl.write_pages(lpns)
         else:
             lpns = np.asarray(lpns, dtype=np.int64)

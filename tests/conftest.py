@@ -5,11 +5,18 @@ milliseconds."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.clock import VirtualClock
 from repro.flash.config import SSDConfig
 from repro.flash.ssd import SSD
 from repro.units import usec
+
+# ``--hypothesis-profile=ci``: ten times the default example count,
+# the same examples on every run.  CI's tier-1 job runs the FTL
+# lockstep (tests/flash/test_ftl_lockstep.py) under it.
+settings.register_profile("ci", max_examples=1000, derandomize=True,
+                          deadline=None)
 
 
 def make_tiny_config(**overrides) -> SSDConfig:

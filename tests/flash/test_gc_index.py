@@ -101,7 +101,8 @@ def test_indexed_matches_scan_oracle_block_for_block(
     assert indexed.ftl.total_erases == oracle.ftl.total_erases
     assert indexed.ftl.total_gc_pages == oracle.ftl.total_gc_pages
     assert np.array_equal(indexed.ftl.erase_counts, oracle.ftl.erase_counts)
-    assert np.array_equal(indexed.ftl._l2p, oracle.ftl._l2p)
+    assert np.array_equal(indexed.ftl.state_arrays()[0],
+                          oracle.ftl.state_arrays()[0])
     assert indexed.device_write_amplification() == \
         oracle.device_write_amplification()
     indexed.ftl.check_invariants()  # includes VictimIndex.check
