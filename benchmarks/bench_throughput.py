@@ -2,9 +2,8 @@
 
 Unlike the figure benches (which pin *simulated* results), this one
 measures how fast the simulator itself executes the fig-2 update
-workload per engine — ops/sec and simulated-pages/sec of wall time —
-plus the batched-vs-scalar driver speedup.  The same measurement backs
-``repro bench`` and the committed ``BENCH_throughput.json`` baseline
+workload per engine — ops/sec and simulated-pages/sec of wall time.
+The same measurement backs ``repro bench`` and the committed ``BENCH_throughput.json`` baseline
 that CI's perf-smoke job checks against.
 """
 
@@ -17,9 +16,6 @@ def test_throughput(benchmark, archive):
     archive("throughput", render_bench(report))
 
     for case in report["suites"]["smoke"]["cases"]:
-        # The batched driver must not be slower than the scalar one it
-        # replaced (generous floor: wall noise on shared CI runners).
-        assert case["speedup_vs_scalar"] > 0.9, case["name"]
-        # And the simulation did real work.
+        # The simulation did real work.
         assert case["sim"]["run_ops"] > 0
         assert case["sim"]["wa_d"] >= 1.0

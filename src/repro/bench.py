@@ -19,25 +19,21 @@ perf trajectory (DESIGN.md §6).
 the top functions, so perf PRs locate hot spots instead of guessing
 (DESIGN.md §8).
 
-Three kinds of numbers are recorded per case:
+Two kinds of numbers are recorded per case:
 
 * **wall**: wall-clock seconds for the load and measured phases, and
   derived ops/sec and simulated-flash-pages/sec.  Machine-dependent:
   comparable along one machine's trajectory, not across machines.
-* **speedup_vs_scalar**: batched driver vs the seed's scalar
-  (one-op-at-a-time) driver, measured back to back in the same
-  process.  A machine-independent ratio — the regression signal for
-  the batching layer itself.
 * **sim**: a fingerprint of the simulated outcome (virtual clock,
   op counts, SMART byte counters, WA-D, sample count).  Fully
   deterministic; any drift vs the committed baseline means the
   simulation's behaviour changed, which a perf PR must never do.
 
 :func:`check_regression` enforces exactly that split: sim fingerprints
-must match bit for bit, the scalar-vs-batched speedup may not regress
-by more than the threshold, and absolute ops/sec regressions beyond
-the threshold are warnings by default, promoted to failures under
-``--strict-wall`` (the CI perf-smoke mode).  Every report embeds
+must match bit for bit and every baseline cell must still be there,
+and absolute ops/sec regressions beyond the threshold are warnings by
+default, promoted to failures under ``--strict-wall`` (the CI
+perf-smoke mode).  Every report embeds
 :func:`machine_metadata`; a baseline produced on a different machine
 triggers an explanatory warning so strict-wall noise is diagnosable,
 and the threshold absorbs ordinary cross-machine spread.  Baselines
@@ -57,19 +53,20 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.experiment import Engine, build_stack
+from repro.core.experiment import Engine, build_stack, run_measured_phase
 from repro.core.figures import SCALES, Scale, spec_for
 from repro.core.metrics import MetricsCollector
 from repro.core.report import render_table
-from repro.obs.tracer import NULL_TRACER, Tracer, attach_tracer
-from repro.sim.clients import ClientPool
-from repro.workload.runner import load_sequential, run_workload
+from repro.obs.tracer import Tracer, attach_tracer
+from repro.workload.runner import load_sequential
 
-#: v2 adds the scan-mix and 4-client pooled cells (DESIGN.md §7) and
-#: per-cell latency percentiles in the pooled fingerprint.  The
-#: 16-client pooled cells (DESIGN.md §8) extend the grid without
-#: changing the record shape, so the schema is unchanged.
-SCHEMA_VERSION = 2
+#: v2 added the scan-mix and 4-client pooled cells (DESIGN.md §7) and
+#: per-cell latency percentiles in the pooled fingerprint; the
+#: 16-client pooled cells (DESIGN.md §8) extended the grid without
+#: changing the record shape.  v3 drops the three per-case fields that
+#: compared against the one-op-at-a-time driver, with that driver; the
+#: ``sim`` blocks are unchanged.
+SCHEMA_VERSION = 3
 
 #: Engines benchmarked, in report order.
 ENGINES = (Engine.LSM, Engine.BTREE)
@@ -87,69 +84,47 @@ WORKLOADS: dict[str, dict] = {
 }
 
 
-def bench_case(engine: Engine, scale: Scale, batch: bool = True,
-               workload_name: str = "update", nclients: int = 1,
-               tracer=None, **overrides) -> dict[str, Any]:
+def bench_case(engine: Engine, scale: Scale, workload_name: str = "update",
+               nclients: int = 1, tracer=None, **overrides) -> dict[str, Any]:
     """Run one bench cell for one engine; returns the record.
 
-    Mirrors :func:`repro.core.experiment.run_experiment`'s phases but
-    times the load and measured phases separately with a wall clock.
-    ``nclients > 1`` drives the measured phase through the
-    :class:`~repro.sim.clients.ClientPool` (``batch`` selects its
-    batched or scalar client); the load phase is always batched — it
-    is identical under both drivers and not part of the comparison.
-    ``tracer`` attaches a flight recorder to the stack, enabled for
-    the measured phase (used by :func:`measure_trace_overhead`).
+    Mirrors :func:`repro.core.experiment.run_experiment`'s phases —
+    same stack, same load, same :func:`~repro.core.experiment.
+    run_measured_phase` — but times the load and measured phases
+    separately with a wall clock.  ``nclients > 1`` makes it a pooled
+    cell.  ``tracer`` attaches a flight recorder to the stack, enabled
+    for the measured phase (used by :func:`measure_trace_overhead`).
     """
-    spec = spec_for(scale, engine, **overrides)
-    if nclients > 1:
-        spec = replace(spec, nclients=nclients)
+    spec = spec_for(scale, engine, nclients=nclients, **overrides)
+    workload = spec.workload()
+    target = int(spec.duration_capacity_writes * spec.capacity_bytes)
+    if workload.read_fraction + workload.scan_fraction >= 1.0:
+        # A write-free measured phase (e.g. the readonly cell) never
+        # moves the host-bytes-written stop condition; bound it by op
+        # count instead, sized like the write target (same ops a
+        # pure-update run of the cell would issue).
+        spec = replace(spec, max_ops=max(1, target // workload.value_bytes))
     clock, ssd, _device, _partition, fs, store, iostat, _trace = build_stack(spec)
     attach_tracer(tracer, clock=clock, ssd=ssd, store=store)
-    workload = spec.workload()
     collector = MetricsCollector(
         clock=clock, ssd=ssd, iostat=iostat, fs=fs, store=store,
         dataset_bytes=workload.dataset_bytes,
     )
     wall_start = time.perf_counter()
-    load = load_sequential(store, workload, batch=batch if nclients == 1 else True)
+    load = load_sequential(store, workload)
     wall_loaded = time.perf_counter()
     ssd.drain()
     collector.start_measurement()
     if tracer is not None:
         tracer.enable()
-    target = int(spec.duration_capacity_writes * spec.capacity_bytes)
     run_clock_start = clock.now
-    stop_when = lambda: collector.host_bytes_written() >= target  # noqa: E731
-    # A write-free measured phase (e.g. the readonly cell) never moves
-    # the host-bytes-written stop condition; bound it by op count
-    # instead, sized like the write target (same ops a pure-update run
-    # of the cell would issue).
-    max_ops = None
-    if workload.read_fraction + workload.scan_fraction >= 1.0:
-        max_ops = max(1, target // workload.value_bytes)
-    pool = None
-    if nclients > 1:
-        pool = ClientPool(
-            store, workload, nclients, seed=spec.seed, stop_when=stop_when,
-            sample_interval=spec.sample_interval, on_sample=collector.sample,
-            max_ops=max_ops, ssd=ssd, batch=batch,
-            tracer=tracer if tracer is not None else NULL_TRACER,
-        )
-        outcome = pool.run()
-    else:
-        outcome = run_workload(
-            store, workload, seed=spec.seed, stop_when=stop_when,
-            sample_interval=spec.sample_interval, on_sample=collector.sample,
-            max_ops=max_ops, batch=batch,
-        )
+    outcome = run_measured_phase(spec, store, ssd, collector, tracer)
     wall_done = time.perf_counter()
 
     load_wall = wall_loaded - wall_start
     run_wall = wall_done - wall_loaded
     smart = ssd.smart
     nand_pages = smart.nand_bytes_written // ssd.page_size
-    suffix = f"-pool{nclients}" if nclients > 1 else ""
     sim = {
         "load_ops": load.ops_issued,
         "run_ops": outcome.ops_issued,
@@ -162,15 +137,15 @@ def bench_case(engine: Engine, scale: Scale, batch: bool = True,
         "samples": len(collector.samples),
         "out_of_space": outcome.out_of_space or load.out_of_space,
     }
-    if pool is not None:
-        # Per-op latencies pin the batched pool's interleaving: any
+    if nclients > 1:
+        # Per-op latencies pin the pool's interleaving: any
         # reordering of client operations would move a percentile.
         latencies = outcome.latencies
         sim["latency_p50"] = latencies.percentile(50)
         sim["latency_p99"] = latencies.percentile(99)
         sim["per_client_ops"] = list(outcome.per_client_ops)
     return {
-        "name": f"fig2-{workload_name}{suffix}-{engine.value}",
+        "name": cell_name(engine, workload_name, nclients),
         "engine": engine.value,
         "wall": {
             "load_seconds": load_wall,
@@ -180,8 +155,7 @@ def bench_case(engine: Engine, scale: Scale, batch: bool = True,
             "run_ops_per_sec": outcome.ops_issued / max(run_wall, 1e-9),
             "sim_pages_per_sec": nand_pages / max(load_wall + run_wall, 1e-9),
         },
-        # Deterministic fingerprint: identical across machines and
-        # across the batched/scalar drivers (the equivalence contract).
+        # Deterministic fingerprint: identical across machines.
         "sim": sim,
     }
 
@@ -192,8 +166,7 @@ def bench_case(engine: Engine, scale: Scale, batch: bool = True,
 #: natively batched read/scan paths and the read kernels
 #: (DESIGN.md §13); the pooled cells exercise the batched multi-client
 #: driver at moderate and deep queue depth, with the pooled scan-mix
-#: cell pinning the LSM merge-scan kernel under concurrency.  Pooled
-#: speedups compare the measured phase only (the load is shared).
+#: cell pinning the LSM merge-scan kernel under concurrency.
 CELLS: tuple[tuple[str, int, dict, tuple[Engine, ...] | None], ...] = (
     ("update", 1, WORKLOADS["update"], None),
     ("scanmix", 1, WORKLOADS["scanmix"], None),
@@ -231,16 +204,13 @@ def run_suite(scale_name: str, repeat: int = 2, cases_glob: str | None = None,
               warmup: int = 0) -> dict[str, Any]:
     """Benchmark every engine and cell at one scale; returns the suite.
 
-    Each cell runs the batched *and* scalar drivers ``repeat`` times
-    (best wall time wins on both sides — the usual best-of-N noise
-    guard, symmetric so the speedup ratio is not biased by a single
-    unlucky scalar run); the two drivers' sim fingerprints are
-    asserted identical on the spot.  ``cases_glob`` restricts the grid
+    Each cell runs ``repeat`` times and the best wall time wins (the
+    usual best-of-N noise guard).  ``cases_glob`` restricts the grid
     to cells whose name matches the glob (DESIGN.md §8.3), so perf
     iteration on one cell doesn't pay for the whole grid; ``warmup`` runs
-    that many unrecorded batched+scalar passes per cell first (page
-    cache, allocator pools and JIT-ish numpy dispatch settle before
-    anything is timed — the perf suite's noise guard).
+    that many unrecorded passes per cell first (page cache, allocator
+    pools and JIT-ish numpy dispatch settle before anything is timed —
+    the perf suite's noise guard).
     """
     scale = SCALES[scale_name]
     cases = []
@@ -251,45 +221,13 @@ def run_suite(scale_name: str, repeat: int = 2, cases_glob: str | None = None,
             name = cell_name(engine, workload_name, nclients)
             if cases_glob and not fnmatch.fnmatch(name, cases_glob):
                 continue
-            best: dict[str, Any] | None = None
-            scalar: dict[str, Any] | None = None
+            cell = dict(workload_name=workload_name, nclients=nclients,
+                        **overrides)
             for _ in range(max(0, warmup)):
-                bench_case(engine, scale, batch=True,
-                           workload_name=workload_name,
-                           nclients=nclients, **overrides)
-                bench_case(engine, scale, batch=False,
-                           workload_name=workload_name,
-                           nclients=nclients, **overrides)
-            for _ in range(max(1, repeat)):
-                record = bench_case(engine, scale, batch=True,
-                                    workload_name=workload_name,
-                                    nclients=nclients, **overrides)
-                if best is None or (record["wall"]["total_seconds"]
-                                    < best["wall"]["total_seconds"]):
-                    best = record
-                record = bench_case(engine, scale, batch=False,
-                                    workload_name=workload_name,
-                                    nclients=nclients, **overrides)
-                if scalar is None or (record["wall"]["total_seconds"]
-                                      < scalar["wall"]["total_seconds"]):
-                    scalar = record
-            if scalar["sim"] != best["sim"]:
-                raise AssertionError(
-                    f"batched and scalar drivers diverged for {best['name']}: "
-                    f"{scalar['sim']} != {best['sim']}"
-                )
-            # Pooled cells compare the measured phase only: the load is
-            # batched on both sides, so including it would dilute the
-            # driver comparison.
-            wall_key = "run_seconds" if nclients > 1 else "total_seconds"
-            best["speedup_vs_scalar"] = (
-                scalar["wall"][wall_key] / max(best["wall"][wall_key], 1e-9)
-            )
-            # Both scalar figures are recorded so the committed record
-            # can reproduce the speedup from its own fields.
-            best["scalar_wall_seconds"] = scalar["wall"][wall_key]
-            best["scalar_wall_total_seconds"] = scalar["wall"]["total_seconds"]
-            cases.append(best)
+                bench_case(engine, scale, **cell)
+            records = [bench_case(engine, scale, **cell)
+                       for _ in range(max(1, repeat))]
+            cases.append(min(records, key=lambda r: r["wall"]["total_seconds"]))
     return {"scale": scale_name, "cases": cases}
 
 
@@ -310,15 +248,14 @@ def measure_trace_overhead(scale_name: str = "small",
     on: dict[str, Any] | None = None
     events = 0
     for _ in range(max(1, repeat)):
-        record = bench_case(Engine.LSM, scale, batch=True,
-                            nclients=POOL_CLIENTS, **WORKLOADS["update"])
+        record = bench_case(Engine.LSM, scale, nclients=POOL_CLIENTS,
+                            **WORKLOADS["update"])
         if off is None or (record["wall"]["run_seconds"]
                            < off["wall"]["run_seconds"]):
             off = record
         tracer = Tracer()
-        record = bench_case(Engine.LSM, scale, batch=True,
-                            nclients=POOL_CLIENTS, tracer=tracer,
-                            **WORKLOADS["update"])
+        record = bench_case(Engine.LSM, scale, nclients=POOL_CLIENTS,
+                            tracer=tracer, **WORKLOADS["update"])
         events = sum(1 for _ in tracer.events())
         tracer.close()
         if on is None or (record["wall"]["run_seconds"]
@@ -368,8 +305,8 @@ def run_bench(smoke: bool = False, repeat: int = 2, suite: str = "std",
         "workload": "fig2-cells",
         "suites": suites,
         # Additive keys below: absent from older baselines; tolerated
-        # by check_regression (which compares sim + speedup + wall
-        # fields, using "machine" only to explain wall noise).
+        # by check_regression (which compares sim + wall fields, using
+        # "machine" only to explain wall noise).
         "suite": suite,
         "machine": machine_metadata(),
     }
@@ -384,7 +321,7 @@ def run_bench(smoke: bool = False, repeat: int = 2, suite: str = "std",
 
 
 def profile_case(engine: Engine, scale_name: str, workload_name: str = "update",
-                 nclients: int = 1, batch: bool = True, top: int = 30,
+                 nclients: int = 1, top: int = 30,
                  sort: str = "cumulative", nshards: int = 1,
                  arrival: str | None = None, arrival_rate: float = 0.0,
                  queue_cap: int = 0) -> str:
@@ -440,14 +377,13 @@ def profile_case(engine: Engine, scale_name: str, workload_name: str = "update",
     else:
         overrides = WORKLOADS[workload_name]
         profiler.enable()
-        record = bench_case(Engine(engine), SCALES[scale_name], batch=batch,
+        record = bench_case(Engine(engine), SCALES[scale_name],
                             workload_name=workload_name, nclients=nclients,
                             **overrides)
         profiler.disable()
         wall = record["wall"]
         header = (
-            f"profile of {record['name']} (scale {scale_name}, "
-            f"{'batched' if batch else 'scalar'} driver)\n"
+            f"profile of {record['name']} (scale {scale_name})\n"
             f"profiled run (cProfile overhead INCLUDED — do not compare "
             f"against `repro bench` walls): load {wall['load_seconds']:.3f}s, "
             f"run {wall['run_seconds']:.3f}s, "
@@ -466,10 +402,11 @@ def check_regression(current: dict[str, Any], baseline: dict[str, Any],
 
     Returns ``(problems, warnings)``:
 
-    * sim fingerprints must match exactly (simulation behaviour is
-      deterministic — any drift is a correctness regression): problem;
-    * the batched-vs-scalar speedup must not regress by more than
-      *threshold* (machine-independent): problem;
+    * sim fingerprints must match exactly, key for key (simulation
+      behaviour is deterministic — any drift is a correctness
+      regression): problem;
+    * every baseline cell of a suite this report ran must be in it,
+      unless the report was filtered with ``cases_glob``: problem;
     * absolute run-phase ops/sec beyond *threshold*: warning by
       default — it only means something when baseline and run share a
       machine — promoted to a problem with ``strict_wall``.
@@ -498,26 +435,23 @@ def check_regression(current: dict[str, Any], baseline: dict[str, Any],
         base_suite = baseline["suites"].get(suite_name)
         if base_suite is None:
             continue
-        base_cases = {c["name"]: c for c in base_suite["cases"]}
-        for case in suite["cases"]:
-            base = base_cases.get(case["name"])
-            if base is None:
+        cases = {c["name"]: c for c in suite["cases"]}
+        for base in base_suite["cases"]:
+            name = f"{suite_name}/{base['name']}"
+            case = cases.get(base["name"])
+            if case is None:
+                if "cases_glob" not in current:
+                    problems.append(
+                        f"{name}: cell is in the baseline but not in this run")
                 continue
-            name = f"{suite_name}/{case['name']}"
             if case["sim"] != base["sim"]:
-                diffs = [
-                    f"{k}: {base['sim'][k]} -> {case['sim'][k]}"
-                    for k in case["sim"]
-                    if case["sim"][k] != base["sim"].get(k)
-                ]
+                diffs = []
+                for k in sorted(set(base["sim"]) | set(case["sim"])):
+                    was = base["sim"].get(k, "<absent>")
+                    now = case["sim"].get(k, "<absent>")
+                    if was != now:
+                        diffs.append(f"{k}: {was} -> {now}")
                 problems.append(f"{name}: sim fingerprint drifted ({'; '.join(diffs)})")
-            floor = base["speedup_vs_scalar"] * (1.0 - threshold)
-            if case["speedup_vs_scalar"] < floor:
-                problems.append(
-                    f"{name}: batched-vs-scalar speedup regressed "
-                    f"x{base['speedup_vs_scalar']:.2f} -> "
-                    f"x{case['speedup_vs_scalar']:.2f} (floor x{floor:.2f})"
-                )
             ops_floor = base["wall"]["run_ops_per_sec"] * (1.0 - threshold)
             if case["wall"]["run_ops_per_sec"] < ops_floor:
                 message = (
@@ -543,12 +477,11 @@ def render_bench(report: dict[str, Any]) -> str:
                 f"{wall['load_ops_per_sec']:,.0f}",
                 f"{wall['run_ops_per_sec']:,.0f}",
                 f"{wall['sim_pages_per_sec']:,.0f}",
-                f"x{case['speedup_vs_scalar']:.2f}",
                 f"{case['sim']['wa_d']:.2f}",
             ])
         sections.append(render_table(
             ["case", "wall s", "load ops/s", "run ops/s",
-             "sim pages/s", "vs scalar", "WA-D"],
+             "sim pages/s", "WA-D"],
             rows,
             title=f"bench[{suite_name}] {report['workload']} "
                   f"(scale {suite['scale']})",

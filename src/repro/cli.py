@@ -130,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--smoke", action="store_true",
                        help="small scale only (the CI perf-smoke job)")
     bench.add_argument("--repeat", type=int, default=2,
-                       help="batched-driver runs per case (best wall time wins)")
+                       help="timed runs per case (best wall time wins)")
     bench.add_argument("--suite", choices=["std", "perf"], default="std",
                        help="perf = dedicated perf runner: one warmup pass "
                             "per cell and >= 3 timed iterations (use when "
@@ -182,9 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--queue-cap", type=int, default=0,
                          help="per-shard admission bound (with --arrival; "
                               "0 = spec default)")
-    profile.add_argument("--scalar", action="store_true",
-                         help="profile the scalar (one-op-at-a-time) driver "
-                              "instead of the batched one")
     profile.add_argument("--top", type=int, default=30,
                          help="rows to print (default %(default)s)")
     profile.add_argument("--sort", choices=["cumulative", "tottime", "ncalls"],
@@ -580,7 +577,7 @@ def _cmd_profile(args) -> int:
 
     table = profile_case(
         Engine(args.engine), args.scale, workload_name=args.workload,
-        nclients=args.clients, batch=not args.scalar, top=args.top,
+        nclients=args.clients, top=args.top,
         sort=args.sort, nshards=args.shards, arrival=args.arrival,
         arrival_rate=args.arrival_rate, queue_cap=args.queue_cap,
     )

@@ -387,40 +387,36 @@ def build_stack(spec: ExperimentSpec, clock: VirtualClock | None = None,
     return clock, ssd, device, partition, fs, store, iostat, trace
 
 
-def run_experiment(spec: ExperimentSpec,
-                   use_client_pool: bool | None = None,
-                   batched: bool = True,
-                   tracer=None) -> ExperimentResult:
+def run_experiment(spec: ExperimentSpec, tracer=None) -> ExperimentResult:
     """Run one full experiment and return its results.
 
-    ``use_client_pool`` overrides the driver choice: by default the
-    measured phase follows ``spec.driver`` — the seed's inline runner
-    for ``nclients == 1`` and the event-driven :class:`~repro.sim.
-    clients.ClientPool` otherwise (``driver="pool"`` forces the pool
-    even at one client, which is bit-identical to the inline runner
-    and additionally records per-op latencies).
-
-    ``batched=False`` forces the scalar (one-op-at-a-time) load,
-    runner, and pool-client loops; the default batched paths are
-    bit-identical to them (DESIGN.md §6, §7), so this switch exists
-    for equivalence tests and the perf-regression harness.
+    One procedure for every spec (§3.2): build the stack — one store,
+    or for a fleet spec (more than one shard, or an open-loop arrival
+    process) N shard stacks behind a router on one clock — load the
+    dataset sequentially, drain, run the measured phase with the driver
+    the spec names (:func:`run_measured_phase`) and close the series.
+    A single-store closed-loop spec hands the bare engine to the
+    driver; a fleet spec's result additionally carries the fleet
+    summary (offered/goodput/SLO + per-shard rows, DESIGN.md §10.3).
 
     ``tracer`` attaches a :class:`repro.obs.Tracer` flight recorder to
     every layer of the stack.  It is enabled only for the measured
     phase (the load phase is not traced), and is a parameter rather
     than a spec field so traced and untraced runs share the same
     ``stable_hash``.  Tracing never changes simulated results.
-
-    Fleet specs — more than one shard, or an open-loop arrival process
-    — dispatch to :func:`run_fleet_experiment`; the single-store
-    closed-loop path below is byte-for-byte the seed's (the
-    ``nshards=1`` compatibility contract, DESIGN.md §10.4).
-    ``use_client_pool`` applies to the single-store path only.
     """
-    if spec.nshards > 1 or spec.arrival is not None:
-        return run_fleet_experiment(spec, batched=batched, tracer=tracer)
-    clock, ssd, _device, _partition, fs, store, iostat, trace = build_stack(spec)
-    attach_tracer(tracer, clock=clock, ssd=ssd, store=store)
+    fleet = spec.nshards > 1 or spec.arrival is not None
+    if fleet:
+        clock, store, ssd, fs, iostat, shard_ssds, shard_stores = \
+            build_fleet_stack(spec)
+        trace = None
+    else:
+        clock, ssd, _device, _partition, fs, store, iostat, trace = \
+            build_stack(spec)
+        shard_ssds, shard_stores = [ssd], [store]
+    attach_tracer(tracer, clock=clock)
+    for shard_ssd, shard_store in zip(shard_ssds, shard_stores):
+        attach_tracer(tracer, ssd=shard_ssd, store=shard_store)
     workload = spec.workload()
     collector = MetricsCollector(
         clock=clock, ssd=ssd, iostat=iostat, fs=fs, store=store,
@@ -429,60 +425,33 @@ def run_experiment(spec: ExperimentSpec,
 
     # Load phase: sequential ingest (§3.2).  WA baselines include it;
     # the time series starts after it, exactly like the paper's plots.
-    load = load_sequential(store, workload, batch=batched)
+    load = load_sequential(store, workload)
     if not load.out_of_space:
         ssd.drain()
     collector.start_measurement()
     if tracer is not None:
         tracer.enable()  # trace the measured phase only
     peak_util = fs.utilization()
+    stats_base = [st.stats.snapshot() for st in shard_stores]
 
-    if use_client_pool is None:
-        use_client_pool = spec.nclients > 1 or spec.driver == "pool"
-    target_bytes = int(spec.duration_capacity_writes * spec.capacity_bytes)
     run_start = clock.now
     outcome = load
     if not load.out_of_space:
-        stop_when = lambda: collector.host_bytes_written() >= target_bytes  # noqa: E731
-        if use_client_pool:
-            pool = ClientPool(
-                store,
-                workload,
-                spec.nclients,
-                seed=spec.seed,
-                stop_when=stop_when,
-                sample_interval=spec.sample_interval,
-                on_sample=collector.sample,
-                max_ops=spec.max_ops,
-                ssd=ssd,
-                batch=batched,
-                tracer=tracer if tracer is not None else NULL_TRACER,
-            )
-            outcome = pool.run()
-        else:
-            outcome = run_workload(
-                store,
-                workload,
-                seed=spec.seed,
-                stop_when=stop_when,
-                sample_interval=spec.sample_interval,
-                on_sample=collector.sample,
-                max_ops=spec.max_ops,
-                batch=batched,
-            )
+        outcome = run_measured_phase(spec, store, ssd, collector, tracer)
         _close_series(collector, spec, clock, run_start)
 
     samples = collector.samples
     steady = summarize(samples) if samples else None
     peak_util = max(peak_util, fs.allocator.peak_used_pages / fs.allocator.npages)
     dataset = max(workload.dataset_bytes, 1)
+    run_seconds = clock.now - run_start
     return ExperimentResult(
         spec=spec,
         samples=samples,
         steady=steady,
         out_of_space=outcome.out_of_space or load.out_of_space,
         load_seconds=load.load_seconds,
-        run_seconds=clock.now - run_start,
+        run_seconds=run_seconds,
         ops_issued=outcome.ops_issued,
         smart=ssd.smart.as_dict(),
         peak_disk_utilization=peak_util,
@@ -498,7 +467,57 @@ def run_experiment(spec: ExperimentSpec,
             "deletes": store.stats.deletes,
         },
         attribution=tracer.attribution.as_dict() if tracer is not None else None,
+        fleet=_fleet_summary(spec, outcome, shard_stores, stats_base,
+                             run_seconds) if fleet else None,
     )
+
+
+def run_measured_phase(spec: ExperimentSpec, store, ssd, collector,
+                       tracer=None):
+    """Drive *spec*'s measured phase on a loaded stack; the outcome.
+
+    The one place a spec becomes a driver.  ``spec.driver`` picks the
+    closed-loop one — the inline runner for one client on one store
+    (unless ``driver="pool"``), the event-driven :class:`~repro.sim.
+    clients.ClientPool` otherwise, which is bit-identical to the inline
+    runner at one client and records per-op latencies; more than one
+    shard always takes the pool, so fleet results carry latencies at
+    every depth.  An arrival process replaces the closed loop with the
+    open-loop :class:`~repro.fleet.pool.FleetPool`.  The run stops once
+    host writes reach ``duration_capacity_writes`` device capacities,
+    or at ``spec.max_ops``.
+    """
+    workload = spec.workload()
+    target_bytes = int(spec.duration_capacity_writes * spec.capacity_bytes)
+    limits = dict(
+        seed=spec.seed,
+        stop_when=lambda: collector.host_bytes_written() >= target_bytes,
+        sample_interval=spec.sample_interval,
+        on_sample=collector.sample,
+        max_ops=spec.max_ops,
+    )
+    if (spec.arrival is None and spec.nshards == 1 and spec.nclients == 1
+            and spec.driver != "pool"):
+        return run_workload(store, workload, **limits)
+    if tracer is None:
+        tracer = NULL_TRACER
+    if spec.arrival is None:
+        return ClientPool(store, workload, spec.nclients, ssd=ssd,
+                          tracer=tracer, **limits).run()
+    arrival = make_arrival(
+        spec.arrival, spec.arrival_rate,
+        rng_mod.substream(spec.seed, "arrival"),
+        **spec.arrival_options,
+    )
+    return FleetPool(
+        store, workload, arrival, queue_cap=spec.queue_cap, ssd=ssd,
+        tracer=tracer, kill_at=spec.kill_at, kill_shard=spec.kill_shard,
+        retry_limit=spec.retry_limit,
+        retry_backoff=spec.retry_backoff_ms / 1e3,
+        op_timeout=(spec.op_timeout_ms / 1e3
+                    if spec.op_timeout_ms is not None else None),
+        **limits,
+    ).run()
 
 
 def _make_store(spec: ExperimentSpec, fs: ExtentFilesystem, clock: VirtualClock):
@@ -579,117 +598,6 @@ def build_fleet_stack(spec: ExperimentSpec):
         stores[spec.kill_shard].enable_crash_tracking()
     return clock, store, FleetSSD(ssds), FleetFilesystem(filesystems), \
         iostat, ssds, stores
-
-
-def run_fleet_experiment(spec: ExperimentSpec, batched: bool = True,
-                         tracer=None) -> ExperimentResult:
-    """Run one fleet experiment (N shards, closed- or open-loop).
-
-    The phases mirror :func:`run_experiment` — sequential load (routed
-    through the sharded store's batch path), drain, measured phase,
-    series close — with the measured phase driven either by the
-    closed-loop :class:`~repro.sim.clients.ClientPool` over the
-    sharded store (``spec.arrival is None``) or the open-loop
-    :class:`~repro.fleet.pool.FleetPool`.  The result additionally
-    carries the fleet summary dict (offered/goodput/SLO + per-shard
-    rows, DESIGN.md §10.3).  ``batched`` governs the load phase and
-    closed-loop clients; open-loop service is inherently per-op.
-    """
-    clock, store, fleet_ssd, fleet_fs, iostat, ssds, stores = \
-        build_fleet_stack(spec)
-    attach_tracer(tracer, clock=clock)
-    for ssd, st in zip(ssds, stores):
-        attach_tracer(tracer, ssd=ssd, store=st)
-    workload = spec.workload()
-    collector = MetricsCollector(
-        clock=clock, ssd=fleet_ssd, iostat=iostat, fs=fleet_fs, store=store,
-        dataset_bytes=workload.dataset_bytes,
-    )
-
-    load = load_sequential(store, workload, batch=batched)
-    if not load.out_of_space:
-        fleet_ssd.drain()
-    collector.start_measurement()
-    if tracer is not None:
-        tracer.enable()
-    peak_util = fleet_fs.utilization()
-    stats_base = [st.stats.snapshot() for st in stores]
-
-    target_bytes = int(spec.duration_capacity_writes * spec.capacity_bytes)
-    run_start = clock.now
-    outcome = load
-    if not load.out_of_space:
-        stop_when = lambda: collector.host_bytes_written() >= target_bytes  # noqa: E731
-        if spec.arrival is not None:
-            arrival = make_arrival(
-                spec.arrival, spec.arrival_rate,
-                rng_mod.substream(spec.seed, "arrival"),
-                **spec.arrival_options,
-            )
-            pool = FleetPool(
-                store,
-                workload,
-                arrival,
-                seed=spec.seed,
-                stop_when=stop_when,
-                sample_interval=spec.sample_interval,
-                on_sample=collector.sample,
-                max_ops=spec.max_ops,
-                queue_cap=spec.queue_cap,
-                ssd=fleet_ssd,
-                tracer=tracer if tracer is not None else NULL_TRACER,
-                kill_at=spec.kill_at,
-                kill_shard=spec.kill_shard,
-                retry_limit=spec.retry_limit,
-                retry_backoff=spec.retry_backoff_ms / 1e3,
-                op_timeout=(spec.op_timeout_ms / 1e3
-                            if spec.op_timeout_ms is not None else None),
-            )
-        else:
-            pool = ClientPool(
-                store,
-                workload,
-                spec.nclients,
-                seed=spec.seed,
-                stop_when=stop_when,
-                sample_interval=spec.sample_interval,
-                on_sample=collector.sample,
-                max_ops=spec.max_ops,
-                ssd=fleet_ssd,
-                batch=batched,
-                tracer=tracer if tracer is not None else NULL_TRACER,
-            )
-        outcome = pool.run()
-        _close_series(collector, spec, clock, run_start)
-
-    samples = collector.samples
-    steady = summarize(samples) if samples else None
-    peak_util = max(peak_util,
-                    fleet_fs.allocator.peak_used_pages / fleet_fs.allocator.npages)
-    dataset = max(workload.dataset_bytes, 1)
-    run_seconds = clock.now - run_start
-    return ExperimentResult(
-        spec=spec,
-        samples=samples,
-        steady=steady,
-        out_of_space=outcome.out_of_space or load.out_of_space,
-        load_seconds=load.load_seconds,
-        run_seconds=run_seconds,
-        ops_issued=outcome.ops_issued,
-        smart=fleet_ssd.smart.as_dict(),
-        peak_disk_utilization=peak_util,
-        peak_space_amp=fleet_fs.peak_used_bytes / dataset,
-        client_latencies=getattr(outcome, "latencies", None),
-        per_client_ops=getattr(outcome, "per_client_ops", None),
-        kv_ops={
-            "puts": store.stats.puts,
-            "gets": store.stats.gets,
-            "scans": store.stats.scans,
-            "deletes": store.stats.deletes,
-        },
-        attribution=tracer.attribution.as_dict() if tracer is not None else None,
-        fleet=_fleet_summary(spec, outcome, stores, stats_base, run_seconds),
-    )
 
 
 def _fleet_summary(spec, outcome, stores, stats_base, run_seconds):

@@ -108,10 +108,8 @@ class FlashTranslationLayer:
         self._seq = 0
         # Victim-selection index (DESIGN.md §8): kept incrementally in
         # sync by every valid-count mutation below, so GC never scans
-        # the block array.  Third-party policies without an indexed
-        # selector fall back to the original scan path.
-        self._victim_index = VictimIndex(config.nblocks) \
-            if self.policy.indexed else None
+        # the block array.
+        self._victim_index = VictimIndex(config.nblocks)
 
         ppb = config.pages_per_block
         self._ppb = ppb
@@ -281,7 +279,7 @@ class FlashTranslationLayer:
         blocks = live // self._ppb
         valid = self._valid_count
         index = self._victim_index
-        pend = None if index is None else index.pending
+        pend = index.pending
         if blocks.size <= 16:
             # Small batches are what the immediate route sees: every
             # host write of a stream-separated device, a journal record
@@ -298,13 +296,11 @@ class FlashTranslationLayer:
                     continue
                 if count:
                     valid[last] = int(valid[last]) - count
-                    if pend is not None:
-                        pend.append(last)
+                    pend.append(last)
                 last = b
                 count = 1
             valid[last] = int(valid[last]) - count
-            if pend is not None:
-                pend.append(last)
+            pend.append(last)
         else:
             # One bincount pass yields both the per-block decrement
             # counts and (via its nonzero support) the deduped set of
@@ -314,11 +310,8 @@ class FlashTranslationLayer:
             cnt = np.bincount(blocks, minlength=len(self._state))
             touched = np.nonzero(cnt)[0]
             valid[touched] -= cnt[touched]
-            if index is not None:
-                pend.extend(
-                    touched[self._state[touched] == _CLOSED].tolist()
-                )
-        if pend is not None and len(pend) > index._compact_at:
+            pend.extend(touched[self._state[touched] == _CLOSED].tolist())
+        if len(pend) > index._compact_at:
             index.maybe_compact(valid, self._state, self._closed_seq)
 
     def _write_through(self, lpns: np.ndarray) -> WorkUnits:
@@ -408,9 +401,8 @@ class FlashTranslationLayer:
         if block >= 0:  # current block is full: close it
             self._state[block] = _CLOSED
             self._closed_seq[block] = self._seq
-            if self._victim_index is not None:
-                self._victim_index.close(
-                    block, int(self._valid_count[block]), self._seq)
+            self._victim_index.close(
+                block, int(self._valid_count[block]), self._seq)
             self._seq += 1
         if head in ("cold", "hot") and len(self._free) <= self._low_count:
             self._collect(work)  # GC heads must never re-enter collection
@@ -431,7 +423,7 @@ class FlashTranslationLayer:
         space *and* no reserve is an error.
         """
         index = self._victim_index
-        if index is not None and len(index.heap) > index._compact_at:
+        if len(index.heap) > index._compact_at:
             # VictimIndex.flush pushes without compacting; collection
             # is the periodic hook that keeps the lazy heap bounded.
             index.maybe_compact(self._valid_count, self._state,
@@ -456,24 +448,13 @@ class FlashTranslationLayer:
         """Pick a victim, or -1 if no closed block would yield space."""
         valid = self._valid_count
         index = self._victim_index
-        if index is not None:
-            victim = self.policy.select_indexed(
-                index, valid, self._state, self._closed_seq)
-            if valid[victim] >= self._ppb:
-                # A fully valid victim yields no space; the greedy heap
-                # answers the livelock-guard fallback in one peek — its
-                # minimum being fully valid means *every* closed block
-                # is.
-                victim = index.greedy_min(valid, self._state)[1]
-                if valid[victim] >= self._ppb:
-                    return -1
-            return victim
-        closed_mask = self._state == _CLOSED
-        victim = self.policy.select_victim(valid, closed_mask, self._closed_seq)
+        victim = self.policy.select_indexed(
+            index, valid, self._state, self._closed_seq)
         if valid[victim] >= self._ppb:
-            # Scan-path fallback (non-indexed policies only).
-            candidates = np.where(closed_mask)[0]
-            victim = int(candidates[np.argmin(valid[candidates])])
+            # A fully valid victim yields no space; the greedy heap
+            # answers the livelock-guard fallback in one peek — its
+            # minimum being fully valid means *every* closed block is.
+            victim = index.greedy_min(valid, self._state)[1]
             if valid[victim] >= self._ppb:
                 return -1
         return victim
@@ -506,8 +487,7 @@ class FlashTranslationLayer:
             self.total_gc_pages += int(valid_lpns.size)
         assert self._valid_count[victim] == 0
         self._state[victim] = _FREE
-        if self._victim_index is not None:
-            self._victim_index.reclaim()
+        self._victim_index.reclaim()
         self._erase_count[victim] += 1
         self._free.append(victim)
         work.erases += 1
@@ -549,6 +529,5 @@ class FlashTranslationLayer:
         state_free = set(np.where(self._state == _FREE)[0].tolist())
         assert free_set == state_free, "free list and block states disagree"
         assert int(np.count_nonzero(self._p2l >= 0)) == mapped.size
-        if self._victim_index is not None:
-            self._victim_index.check(self._valid_count, self._state,
-                                     self._closed_seq)
+        self._victim_index.check(self._valid_count, self._state,
+                                 self._closed_seq)

@@ -7,15 +7,14 @@ models cited by the paper [21, 31, 67] assume.  A FIFO policy is
 provided as an ablation (``benchmarks/bench_ablation_gc_policy.py``)
 to show how victim selection changes WA-D.
 
-Two selection paths exist (DESIGN.md §8).  The array-scan
-``select_victim`` methods are the original semantics: ``np.where``
-over the closed mask plus an argmin, O(nblocks) per victim.  The
-built-in policies also implement ``select_indexed`` against a
-:class:`VictimIndex` the FTL keeps incrementally up to date, which
-answers the same argmin (including first-index tie-breaking) without
-scanning.  The scan methods are retained verbatim as the equivalence
-oracle — tests drive both paths through identical workloads and
-assert the victim sequences match block for block.
+Selection never scans the block array (DESIGN.md §8): each policy's
+``select_indexed`` reads a :class:`VictimIndex` the FTL keeps
+incrementally up to date, which answers the policy's argmin over the
+closed blocks — fewest valid pages, oldest close, fewest valid among
+the oldest — including its tie-breaking.  The argmin itself is spelled
+out, as a whole-device scan, in ``tests/flash/test_gc_index.py`` and
+in the naive FTL (``tests/flash/naive_ftl.py``), which hold the index
+to it victim for victim.
 """
 
 from __future__ import annotations
@@ -42,12 +41,12 @@ class VictimIndex:
     need in O(log n) amortized instead of an O(nblocks) scan:
 
     * ``heap`` — min-heap of ``(valid_count, block)`` entries.  The
-      tuple order reproduces the scan's ``argmin`` tie-breaking
-      exactly: fewest valid pages first, lowest block index among
-      ties.  Entries are never removed eagerly; a popped entry is
-      *live* iff the block is still closed and its valid count still
-      matches (closed blocks' counts only ever decrease, and
-      ``closed_seq`` disambiguates re-closed blocks for the deque).
+      tuple order is greedy's argmin and its tie-breaking: fewest
+      valid pages first, lowest block index among ties.  Entries are
+      never removed eagerly; a popped entry is *live* iff the block is
+      still closed and its valid count still matches (closed blocks'
+      counts only ever decrease, and ``closed_seq`` disambiguates
+      re-closed blocks for the deque).
     * ``pending`` — blocks whose valid count decremented since the
       heap was last consulted.  The FTL's invalidations only append
       the touched block here (one ``list.append``, no state probe, no
@@ -197,30 +196,17 @@ class GCPolicy:
     """Interface for victim selection among closed blocks."""
 
     name = "abstract"
-    #: Policies that implement :meth:`select_indexed` set this; the FTL
-    #: then maintains a :class:`VictimIndex` and never builds the
-    #: closed mask on the hot path.  Third-party policies default to
-    #: the scan interface.
-    indexed = False
-
-    def select_victim(
-        self,
-        valid_count: np.ndarray,
-        closed_mask: np.ndarray,
-        closed_seq: np.ndarray,
-    ) -> int:
-        """Return the block index to reclaim.
-
-        ``valid_count[b]`` is the number of still-valid pages in block
-        *b*; ``closed_mask[b]`` says whether *b* is eligible (closed);
-        ``closed_seq[b]`` is the monotonically increasing sequence
-        number assigned when *b* was closed (for age-based policies).
-        """
-        raise NotImplementedError
 
     def select_indexed(self, index: VictimIndex, valid_count, state,
                        closed_seq) -> int:
-        """Indexed twin of :meth:`select_victim` (same victim, no scan)."""
+        """Return the closed block to reclaim.
+
+        ``valid_count[b]`` is the number of still-valid pages in block
+        *b*; ``state[b]`` is its block-state code (only closed blocks
+        are eligible); ``closed_seq[b]`` is the monotonically increasing
+        sequence number assigned when *b* was closed (for age-based
+        policies); *index* answers the argmins over them.
+        """
         raise NotImplementedError
 
 
@@ -228,18 +214,6 @@ class GreedyPolicy(GCPolicy):
     """Pick the closed block with the fewest valid pages (min-valid)."""
 
     name = "greedy"
-    indexed = True
-
-    def select_victim(
-        self,
-        valid_count: np.ndarray,
-        closed_mask: np.ndarray,
-        closed_seq: np.ndarray,
-    ) -> int:
-        candidates = np.where(closed_mask)[0]
-        if candidates.size == 0:
-            raise ConfigError("no closed block available for garbage collection")
-        return int(candidates[np.argmin(valid_count[candidates])])
 
     def select_indexed(self, index: VictimIndex, valid_count, state,
                        closed_seq) -> int:
@@ -258,18 +232,6 @@ class FifoPolicy(GCPolicy):
     """
 
     name = "fifo"
-    indexed = True
-
-    def select_victim(
-        self,
-        valid_count: np.ndarray,
-        closed_mask: np.ndarray,
-        closed_seq: np.ndarray,
-    ) -> int:
-        candidates = np.where(closed_mask)[0]
-        if candidates.size == 0:
-            raise ConfigError("no closed block available for garbage collection")
-        return int(candidates[np.argmin(closed_seq[candidates])])
 
     def select_indexed(self, index: VictimIndex, valid_count, state,
                        closed_seq) -> int:
@@ -287,32 +249,17 @@ class WindowedGreedyPolicy(GCPolicy):
     """
 
     name = "windowed-greedy"
-    indexed = True
 
     def __init__(self, window: int = 32):
         if window <= 0:
             raise ConfigError("window must be positive")
         self.window = window
 
-    def select_victim(
-        self,
-        valid_count: np.ndarray,
-        closed_mask: np.ndarray,
-        closed_seq: np.ndarray,
-    ) -> int:
-        candidates = np.where(closed_mask)[0]
-        if candidates.size == 0:
-            raise ConfigError("no closed block available for garbage collection")
-        if candidates.size > self.window:
-            oldest = np.argsort(closed_seq[candidates])[: self.window]
-            candidates = candidates[oldest]
-        return int(candidates[np.argmin(valid_count[candidates])])
-
     def select_indexed(self, index: VictimIndex, valid_count, state,
                        closed_seq) -> int:
         if index.nclosed <= self.window:
-            # The scan path leaves candidates in block-index order when
-            # the window covers everything, so ties break like greedy.
+            # The window covers every closed block: plain greedy, ties
+            # to the lowest block index.
             entry = index.greedy_min(valid_count, state)
             if entry is None:
                 raise ConfigError(
@@ -320,8 +267,8 @@ class WindowedGreedyPolicy(GCPolicy):
             return entry[1]
         best = -1
         best_valid = None
-        # Age order matches the scan's argsort-by-seq ordering, so the
-        # strict < keeps the oldest among equal valid counts.
+        # Oldest first, so the strict < keeps the oldest among equal
+        # valid counts.
         for block in index.oldest(self.window, valid_count, state, closed_seq):
             valid = valid_count[block]
             if best_valid is None or valid < best_valid:

@@ -6,9 +6,10 @@ ArrivalProcess` timeline, routes each through the fleet's router, and
 admits it into the owning shard's bounded FIFO queue; a per-shard
 *service* task (spawned on the idle→busy transition, exiting when its
 queue drains) executes admitted operations one at a time through the
-same :func:`~repro.workload.plan.draw_op` / :func:`~repro.workload.
-runner.apply_op` halves the closed-loop drivers use, so the op stream
-for a given seed is identical — only the *timing* of issue changes.
+per-op :func:`~repro.workload.plan.draw_op` / :func:`~repro.workload.
+runner.apply_op` halves, whose draws the closed-loop drivers' planner
+replicates, so the op stream for a given seed is identical — only the
+*timing* of issue changes.
 
 Overload is observable rather than fatal: when an arrival finds the
 queue at ``queue_cap`` (counting the in-service op) it is *rejected*

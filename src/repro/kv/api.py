@@ -52,7 +52,7 @@ class KVStore(ABC):
     engines override them with natively batched hot paths whose
     equivalence is pinned by tests.  Three further conventions let the
     batched workload drivers use these methods without losing the
-    scalar drivers' semantics:
+    semantics of a driver that issues one scalar call at a time:
 
     * ``until``: stop after the first operation that carries the clock
       to or past this bound and return the count performed, so

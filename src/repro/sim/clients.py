@@ -8,8 +8,8 @@ time whenever another task's event is due, then resumes — so at any
 instant up to *nclients* operations are outstanding and the device's
 per-channel queues see a real queue depth.
 
-By default each client is *batched* (DESIGN.md §7): it plans windows
-of operations through the shared :class:`~repro.workload.plan.
+Each client is *batched* (DESIGN.md §7): it plans windows of
+operations through the shared :class:`~repro.workload.plan.
 BatchPlanner` and issues same-kind runs through the store's batch API
 with an event-scheduler-aware ``until`` (:class:`~repro.workload.plan.
 EventAwareUntil`).  A batch call executes operations back to back
@@ -17,8 +17,9 @@ inside one event step only while no other event is pending before the
 client's clock — the moment an operation's completion reaches another
 task's event time (or an operation schedules background work), the
 batch returns, the client yields, and the event order proceeds exactly
-as in the scalar pool.  ``batch=False`` keeps the seed's
-one-op-per-event client as the equivalence oracle.
+as if every operation had been its own scheduler event.  That
+one-op-per-event pool is ``tests/workload/reference_driver.py``; the
+tests hold this module to it.
 
 Reproducibility rules:
 
@@ -30,16 +31,15 @@ Reproducibility rules:
   substreams — statistically independent, deterministic per seed;
 * all cross-client ordering flows through the event heap's ``(time,
   seq)`` key, so a run is a pure function of (seed, spec, nclients);
-* the batched pool performs the same operations at the same virtual
-  times as the scalar pool — only the number of scheduler events
+* the pool performs the same operations at the same virtual times as
+  a one-op-per-event pool — only the number of scheduler events
   differs (batching coalesces consecutive steps of one client), which
   is why ``events_run`` and the trace are diagnostics, not part of
   the equivalence contract.
 
 Per-operation latencies are recorded as the operation's user-visible
-latency (the value the scalar KV call returns and the batch methods
-append to their ``latencies`` sink) — identical floats in the scalar
-and batched pools and in the inline runner's engines.
+latency (the value the per-op KV call returns and the batch methods
+append to their ``latencies`` sink).
 
 ``stop_when`` / ``max_ops`` / sampling are pool-global, mirroring the
 inline runner: the sampling callback fires when *any* client's
@@ -47,7 +47,7 @@ completion crosses the boundary, the op budget counts operations
 across all clients, and ``stop_when`` is evaluated whenever the
 global op count crosses a :data:`~repro.workload.runner.CHECK_EVERY`
 boundary (batch segments are cut at those boundaries so the check
-lands on the same op counts as the scalar pool).
+lands on the same op counts as with one op per event).
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from repro.workload.keys import make_chooser
 from repro.workload.plan import (
     READ, SCAN, UPDATE, BatchPlanner, EventAwareUntil, update_seeds,
 )
-from repro.workload.runner import (CHECK_EVERY, _after_op_sample, issue_one_op,
+from repro.workload.runner import (CHECK_EVERY, _after_op_sample,
                                    validate_sampling)
 from repro.workload.spec import WorkloadSpec
 
@@ -106,7 +106,6 @@ class ClientPool:
         max_ops: int | None = None,
         ssd=None,
         record_trace: bool = False,
-        batch: bool = True,
         tracer=NULL_TRACER,
     ):
         if nclients < 1:
@@ -122,7 +121,6 @@ class ClientPool:
         self.max_ops = max_ops
         self.ssd = ssd
         self.record_trace = record_trace
-        self.batch = batch
         self.tracer = tracer
 
     def run(self) -> PoolOutcome:
@@ -149,9 +147,8 @@ class ClientPool:
             clock.now + self.sample_interval if self.sample_interval else None
         )
         start = clock.now
-        client = self._client if self.batch else self._client_scalar
         for client_id in range(self.nclients):
-            scheduler.spawn(client(client_id), label=f"client{client_id}")
+            scheduler.spawn(self._client(client_id), label=f"client{client_id}")
         try:
             scheduler.run()
         except NoSpaceError:
@@ -166,7 +163,7 @@ class ClientPool:
         return outcome
 
     # ------------------------------------------------------------------
-    # Batched client task (the default; DESIGN.md §7)
+    # The client task (DESIGN.md §7)
     # ------------------------------------------------------------------
     #: Largest single batch-call segment.  Must divide CHECK_EVERY so
     #: segments still end exactly on the global stop_when boundaries;
@@ -300,49 +297,15 @@ class ClientPool:
                 if due:
                     # Another task's event is due (or an op scheduled
                     # background work): suspend until this operation's
-                    # completion time, exactly where the scalar client
-                    # would have yielded.
+                    # completion time, exactly where a one-op-per-event
+                    # client would have yielded.
                     seg = 1
                     yield 0.0
         # Anchor the client's completion on the timeline: step-local
         # time is discarded when a task returns, so end with one no-op
-        # event at the last op's completion — the same final event the
-        # scalar client's last resume-and-break produces.
+        # event at the last op's completion — the same final event a
+        # one-op-per-event client's last resume-and-return produces.
         yield 0.0
-
-    # ------------------------------------------------------------------
-    # Scalar client task (the seed oracle: one op per event)
-    # ------------------------------------------------------------------
-    def _client_scalar(self, client_id: int):
-        spec = self.spec
-        outcome = self._outcome
-        clock = self.store.clock
-        chooser, op_rng = self._substreams(client_id)
-        tracer = self.tracer
-        tr_on = tracer.enabled
-        version = 1
-        while True:
-            if self._stop:
-                break
-            if self.max_ops is not None and outcome.ops_issued >= self.max_ops:
-                break
-            if outcome.ops_issued % CHECK_EVERY == 0 and self.stop_when():
-                self._stop = True
-                break
-            if tr_on:
-                tracer.tid = client_id
-            try:
-                version, latency = issue_one_op(self.store, spec, chooser,
-                                                op_rng, version)
-            except NoSpaceError:
-                outcome.out_of_space = True
-                self._stop = True
-                break
-            outcome.ops_issued += 1
-            outcome.per_client_ops[client_id] += 1
-            outcome.latencies.record(client_id, latency)
-            self._maybe_sample(clock)
-            yield 0.0  # suspend until this operation's completion time
 
     def _substreams(self, client_id: int):
         """(key chooser, op rng) for one client's deterministic stream."""

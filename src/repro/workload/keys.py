@@ -17,8 +17,8 @@ class KeyChooser:
 
     Contract relied on by the batched workload runner (DESIGN.md §6):
     ``batch(n)`` consumes the RNG exactly like ``n`` successive
-    ``next_key()`` calls, so the batched and scalar drivers issue
-    bit-identical key streams for every distribution.
+    ``next_key()`` calls, so the batched drivers issue the key stream
+    of a one-op-at-a-time loop, bit for bit, for every distribution.
     """
 
     def __init__(self, nkeys: int, rng: np.random.Generator):

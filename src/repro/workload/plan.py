@@ -13,8 +13,9 @@ two drivers cannot drift (DESIGN.md §7).
 The RNG contract is the one the batched runner has pinned since
 DESIGN.md §6: ``chooser.batch(n)`` and ``op_rng.random(n)`` consume
 the generators exactly like ``n`` scalar draws, so a planner-driven
-window issues a bit-identical op stream to the one-op-at-a-time loop
-(``issue_one_op``) for the same substreams.
+window issues a bit-identical op stream to a one-op-at-a-time loop
+(:func:`draw_op`; ``tests/workload/reference_driver.py``) for the same
+substreams.
 
 :class:`EventAwareUntil` is the second half of the shared layer: a
 scheduler-aware ``until`` value for batch calls issued from inside an
@@ -38,7 +39,7 @@ from repro.workload.keys import KeyChooser
 from repro.workload.spec import WorkloadSpec
 
 #: Op kinds, in the cumulative-threshold order shared with
-#: ``issue_one_op``'s strict-< comparison chain (searchsorted
+#: :func:`draw_op`'s strict-< comparison chain (searchsorted
 #: side="right": kind = number of thresholds <= draw).
 READ, SCAN, DELETE, UPDATE = 0, 1, 2, 3
 
@@ -108,9 +109,9 @@ def draw_op(spec: WorkloadSpec, chooser: KeyChooser,
     by one op-kind draw, dispatched through the cumulative thresholds
     with strict ``<`` in (read, scan, delete, else update) order —
     the exact comparison chain the planner's ``searchsorted(side=
-    "right")`` split replicates, so every driver (inline runner,
-    closed-loop pool, open-loop fleet sources) produces the same op
-    stream from the same substreams.
+    "right")`` split replicates, so the per-op open-loop fleet
+    sources and the planner-driven closed-loop drivers produce the
+    same op stream from the same substreams.
     """
     key = chooser.next_key()
     draw = op_rng.random()
@@ -129,7 +130,7 @@ def update_seeds(keys: np.ndarray, version: int) -> np.ndarray:
 
     Versions increment per update in stream order, so a run of
     ``len(keys)`` updates beginning at *version* covers
-    ``[version, version + len(keys))`` — exactly the scalar loop's
+    ``[version, version + len(keys))`` — exactly a per-op loop's
     ``version += 1`` per put.
     """
     return seeds_for(keys, np.arange(version, version + len(keys)))

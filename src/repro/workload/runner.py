@@ -6,24 +6,23 @@ a sampling callback fires at a fixed virtual-time interval so metrics
 become a time series (the paper's 10-minute averages map to our
 sampling windows; see DESIGN.md §2).
 
-Batched execution (DESIGN.md §6): by default keys and op types are
-drawn with one RNG call per ``CHECK_EVERY`` window and dispatched as
-runs through the engines' batch API (``put_many`` & co.).  The window
-draw and run segmentation live in the shared batch planner
+Execution is batched (DESIGN.md §6): keys and op types are drawn with
+one RNG call per ``CHECK_EVERY`` window and dispatched as runs through
+the engines' batch API (``put_many`` & co.).  The window draw and run
+segmentation live in the shared batch planner
 (:class:`repro.workload.plan.BatchPlanner`, DESIGN.md §7): the key and
 op-draw substreams are independent generators and numpy's bulk draws
-consume them exactly like the equivalent scalar draws, so the batched
-driver issues a bit-identical op stream, clock, and metrics to the
-seed's one-op-at-a-time loop (``batch=False``, kept as the equivalence
-oracle).  Sampling stays exact because batch calls stop at the
-``until`` boundary — right after the op that crosses it, where the
-scalar loop would have fired the callback.
+consume them exactly like the equivalent scalar draws, so the op
+stream, clock and metrics are those of a loop issuing one per-op KV
+call at a time — which is what ``tests/workload/reference_driver.py``
+is, and what the tests hold this module to.  Sampling stays exact
+because batch calls stop at the ``until`` boundary — right after the
+op that crosses it, where a per-op loop would fire the callback.
 
 Multi-client workloads are driven by :class:`repro.sim.clients.
 ClientPool` on the discrete-event scheduler (DESIGN.md §4); it
-consumes the same planner (or :func:`issue_one_op`, its scalar
-oracle), so a one-client pool issues the exact operation stream of
-this runner.
+consumes the same planner, so a one-client pool issues the exact
+operation stream of this runner.
 """
 
 from __future__ import annotations
@@ -37,18 +36,16 @@ from repro import rng as rng_mod
 from repro.errors import ConfigError, NoSpaceError
 from repro.kv.api import KVStore
 from repro.kv.values import seeds_for, value_for
-from repro.workload.keys import KeyChooser, make_chooser
-from repro.workload.plan import (READ, SCAN, UPDATE, BatchPlanner, draw_op,
-                                 update_seeds)
+from repro.workload.keys import make_chooser
+from repro.workload.plan import READ, SCAN, UPDATE, BatchPlanner, update_seeds
 from repro.workload.spec import WorkloadSpec
 
 
 #: How often (in completed ops) drivers re-evaluate ``stop_when``.
 #: Shared with the client pool so both drivers stop at the same op
 #: counts (part of the bit-identical seed-compatibility contract).
-#: It is also the batched driver's generation window: keys/op-draws
-#: are drawn once per window, so the stop checks land on the same op
-#: counts in both drivers.
+#: It is also the generation window: keys/op-draws are drawn once per
+#: window, so the stop checks land on window boundaries.
 CHECK_EVERY = 64
 
 #: Keys ingested per batch call during the sequential load phase.
@@ -64,27 +61,17 @@ class RunOutcome:
     load_seconds: float = 0.0
 
 
-def load_sequential(store: KVStore, spec: WorkloadSpec,
-                    batch: bool = True) -> RunOutcome:
-    """Ingest all keys in sequential order (the paper's load phase).
-
-    ``batch=True`` (default) ingests through the engines' ``put_many``
-    in :data:`LOAD_CHUNK` slices — bit-identical to the scalar loop,
-    which ``batch=False`` preserves as the equivalence oracle.
-    """
+def load_sequential(store: KVStore, spec: WorkloadSpec) -> RunOutcome:
+    """Ingest all keys in sequential order (the paper's load phase),
+    through the engines' ``put_many`` in :data:`LOAD_CHUNK` slices."""
     outcome = RunOutcome()
     start = store_clock(store).now
     try:
-        if batch:
-            vlen = spec.value_bytes
-            for lo in range(0, spec.nkeys, LOAD_CHUNK):
-                keys = np.arange(lo, min(spec.nkeys, lo + LOAD_CHUNK),
-                                 dtype=np.int64)
-                outcome.ops_issued += store.put_many(keys, seeds_for(keys, 0), vlen)
-        else:
-            for key in range(spec.nkeys):
-                store.put(key, value_for(key, 0, spec.value_bytes))
-                outcome.ops_issued += 1
+        vlen = spec.value_bytes
+        for lo in range(0, spec.nkeys, LOAD_CHUNK):
+            keys = np.arange(lo, min(spec.nkeys, lo + LOAD_CHUNK),
+                             dtype=np.int64)
+            outcome.ops_issued += store.put_many(keys, seeds_for(keys, 0), vlen)
         store.flush()
     except NoSpaceError as exc:
         outcome.ops_issued += getattr(exc, "ops_done", 0)
@@ -120,14 +107,11 @@ def apply_op(
 ) -> tuple[int, float]:
     """Execute one already-drawn operation; returns (version, latency).
 
-    The execution half of the shared op-issue path (the drawing half is
-    :func:`repro.workload.plan.draw_op`): every scalar driver — the
-    inline runner, the closed-loop client pool, and the open-loop fleet
-    sources — lands here, so an op of a given kind always touches the
-    store the same way.  The returned latency is the op's user-visible
-    latency, the same value the engines append into a batch call's
-    ``latencies`` sink — so scalar- and batch-driven latency series are
-    bit-identical.
+    The execution half of the per-op issue path (the drawing half is
+    :func:`repro.workload.plan.draw_op`), used by the open-loop fleet
+    sources, whose service is per-op by definition.  The returned
+    latency is the op's user-visible latency, the same value the
+    engines append into a batch call's ``latencies`` sink.
     """
     if kind == READ:
         latency, _value = store.get(key)
@@ -141,23 +125,6 @@ def apply_op(
     return version, latency
 
 
-def issue_one_op(
-    store: KVStore,
-    spec: WorkloadSpec,
-    chooser: KeyChooser,
-    op_rng: np.random.Generator,
-    version: int,
-) -> tuple[int, float]:
-    """Issue one operation of *spec*; returns (next version, latency).
-
-    Composition of the shared draw (:func:`~repro.workload.plan.
-    draw_op`) and execute (:func:`apply_op`) halves; kept as the scalar
-    oracle the batched drivers are pinned against.
-    """
-    kind, key = draw_op(spec, chooser, op_rng)
-    return apply_op(store, spec, kind, key, version)
-
-
 def run_workload(
     store: KVStore,
     spec: WorkloadSpec,
@@ -166,7 +133,6 @@ def run_workload(
     sample_interval: float | None = None,
     on_sample: Callable[[], None] | None = None,
     max_ops: int | None = None,
-    batch: bool = True,
 ) -> RunOutcome:
     """Run the measured phase until *stop_when* (or *max_ops*).
 
@@ -174,9 +140,6 @@ def run_workload(
     boundary.  Returns the run outcome; an out-of-space condition ends
     the run and is reported rather than raised (the paper reports
     RocksDB running out of space for large datasets, §4.4).
-
-    ``batch=False`` selects the seed's one-op-at-a-time loop; the
-    default batched driver is bit-identical to it (module docstring).
     """
     validate_sampling(sample_interval, on_sample)
     clock = store_clock(store)
@@ -187,25 +150,9 @@ def run_workload(
     version = 1
     next_sample = clock.now + sample_interval if sample_interval else None
 
-    if not batch:
-        try:
-            while True:
-                if max_ops is not None and outcome.ops_issued >= max_ops:
-                    break
-                if outcome.ops_issued % CHECK_EVERY == 0 and stop_when():
-                    break
-                version, _latency = issue_one_op(store, spec, chooser,
-                                                 op_rng, version)
-                outcome.ops_issued += 1
-                next_sample = _after_op_sample(clock, next_sample,
-                                               sample_interval, on_sample)
-        except NoSpaceError:
-            outcome.out_of_space = True
-        return outcome
-
-    # Batched driver: the shared planner draws one RNG window per
-    # CHECK_EVERY ops and segments it into runs of same-type ops,
-    # dispatched through the store's batch API.
+    # The shared planner draws one RNG window per CHECK_EVERY ops and
+    # segments it into runs of same-type ops, dispatched through the
+    # store's batch API; a call returns early at the sampling boundary.
     planner = BatchPlanner(spec, chooser, op_rng)
     vlen = spec.value_bytes
     scan_length = spec.scan_length
@@ -219,44 +166,25 @@ def run_workload(
             if max_ops is not None:
                 n = min(n, max_ops - outcome.ops_issued)
             for run in planner.plan(n):
-                nrun = len(run)
-                if run.kind == UPDATE:
-                    run_keys = run.keys
-                    run_seeds = update_seeds(run_keys, version)
-                    offset = 0
-                    while offset < nrun:
-                        took = store.put_many(run_keys[offset:], run_seeds[offset:],
+                keys = run.keys
+                seeds = update_seeds(keys, version) if run.kind == UPDATE else None
+                offset = 0
+                while offset < len(run):
+                    if run.kind == UPDATE:
+                        took = store.put_many(keys[offset:], seeds[offset:],
                                               vlen, until=next_sample)
                         version += took
-                        offset += took
-                        outcome.ops_issued += took
-                        next_sample = _after_op_sample(clock, next_sample,
-                                                       sample_interval, on_sample)
-                elif run.kind == READ:
-                    offset = 0
-                    while offset < nrun:
-                        took = store.get_many(run.keys[offset:], until=next_sample)
-                        offset += took
-                        outcome.ops_issued += took
-                        next_sample = _after_op_sample(clock, next_sample,
-                                                       sample_interval, on_sample)
-                elif run.kind == SCAN:
-                    offset = 0
-                    while offset < nrun:
-                        took = store.scan_many(run.keys[offset:], scan_length,
+                    elif run.kind == READ:
+                        took = store.get_many(keys[offset:], until=next_sample)
+                    elif run.kind == SCAN:
+                        took = store.scan_many(keys[offset:], scan_length,
                                                until=next_sample)
-                        offset += took
-                        outcome.ops_issued += took
-                        next_sample = _after_op_sample(clock, next_sample,
-                                                       sample_interval, on_sample)
-                else:  # DELETE run
-                    offset = 0
-                    while offset < nrun:
-                        took = store.delete_many(run.keys[offset:], until=next_sample)
-                        offset += took
-                        outcome.ops_issued += took
-                        next_sample = _after_op_sample(clock, next_sample,
-                                                       sample_interval, on_sample)
+                    else:  # DELETE run
+                        took = store.delete_many(keys[offset:], until=next_sample)
+                    offset += took
+                    outcome.ops_issued += took
+                    next_sample = _after_op_sample(clock, next_sample,
+                                                   sample_interval, on_sample)
     except NoSpaceError as exc:
         outcome.ops_issued += getattr(exc, "ops_done", 0)
         outcome.out_of_space = True
@@ -264,12 +192,12 @@ def run_workload(
 
 
 def _after_op_sample(clock, next_sample, sample_interval, on_sample):
-    """The per-op boundary check both drivers share.
+    """The per-op boundary check the runner and the pool share.
 
     Fires ``on_sample`` when the clock reached the boundary and returns
     the next one.  Batch calls return control right after the crossing
-    op (their ``until`` contract), so the callback observes the same
-    store state as in the scalar loop.
+    op (their ``until`` contract), so the callback observes the store
+    exactly as it is when that op completes.
     """
     if next_sample is not None and clock.now >= next_sample:
         on_sample()

@@ -29,15 +29,11 @@ from repro.flash.ftl import FlashTranslationLayer
 from repro.flash.gc import FifoPolicy, GreedyPolicy
 from tests.conftest import make_tiny_config
 from tests.flash.naive_ftl import NaiveFTL
-from tests.flash.test_gc_index import scan_only
 
 LOGICAL = make_tiny_config().logical_pages  # 768 pages in 32-page blocks
 
 
-# "scan": a third-party-style policy (``indexed = False``) — no victim
-# index, the FTL's scan path.
-POLICIES = {"greedy": GreedyPolicy, "fifo": FifoPolicy,
-            "scan": lambda: scan_only(GreedyPolicy)}
+POLICIES = {"greedy": GreedyPolicy, "fifo": FifoPolicy}
 
 lpn = st.integers(0, LOGICAL - 1)
 # Whether the drained state is compared after this op (one op in eight).
@@ -136,7 +132,7 @@ def run_lockstep(ops, window=LOGICAL, prefill=False, separation=False,
 # A trim landing on still-logged pages; a caller that reuses its buffer.
 @example(dict(ops=[("pages", [4, 9, 2, 7], True, False), ("range", 0, 8, False),
                    ("trim", 2, 5, False), ("pages", [3, 4, 5], True, False)],
-              window=LOGICAL, prefill=False, separation=False, policy="scan"))
+              window=LOGICAL, prefill=False, separation=False, policy="greedy"))
 def test_lockstep_with_naive_ftl(stream):
     run_lockstep(**stream)
 

@@ -2,9 +2,9 @@
 
 Three contracts pin the fleet subsystem (DESIGN.md §10.4):
 
-1. *Seed compatibility*: ``nshards=1`` without an arrival process is
-   dispatched to the untouched legacy path, and even when the fleet
-   path is forced it reproduces the legacy run op for op.
+1. *Seed compatibility*: ``nshards=1`` without an arrival process
+   hands the bare engine to the driver, and a one-shard fleet stack
+   reproduces the single-store stack op for op.
 2. *Accounting*: open-loop offered = admitted + rejected, globally
    and per shard, and admission never exceeds the queue cap.
 3. *Determinism*: the same spec reproduces the same fleet summary,
@@ -18,10 +18,13 @@ import pytest
 from repro.core.experiment import (
     Engine,
     ExperimentSpec,
+    build_fleet_stack,
+    build_stack,
     run_experiment,
-    run_fleet_experiment,
 )
+from repro.sim.clients import ClientPool
 from repro.units import MIB
+from repro.workload.runner import load_sequential
 
 #: Small but real: flush/compaction/GC paths exercised in
 #: milliseconds.  The write budget is generous so max_ops decides run
@@ -45,23 +48,32 @@ class TestSeedCompatibility:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_one_shard_fleet_matches_legacy_run(self, engine):
-        """The forced 1-shard fleet path reproduces the legacy run.
+        """A one-shard fleet stack reproduces the single-store stack.
 
         Shard 0 keeps the experiment seed and a 1-shard router is the
-        identity, so load order, op stream and timing must all
-        coincide — checked through clock, SMART and op counters.
+        identity, so under the same driver load order, op stream and
+        timing must all coincide — checked through clock, SMART and
+        op counters.
         """
         spec = ExperimentSpec(engine=engine, **FAST)
-        legacy = run_experiment(spec)
-        fleet = run_fleet_experiment(spec)
-        assert fleet.ops_issued == legacy.ops_issued
-        assert fleet.run_seconds == legacy.run_seconds
-        assert fleet.load_seconds == legacy.load_seconds
-        assert fleet.smart == legacy.smart
-        assert fleet.kv_ops == legacy.kv_ops
-        assert len(fleet.samples) == len(legacy.samples)
-        assert fleet.fleet is not None
-        assert fleet.fleet["per_shard"][0]["ops"] == legacy.ops_issued
+        clock, ssd, _device, _partition, _fs, store, _iostat, _trace = \
+            build_stack(spec)
+        fleet_clock, fleet_store, fleet_ssd, _fs, _iostat, _ssds, shards = \
+            build_fleet_stack(spec)
+        assert fleet_store.shards == shards and len(shards) == 1
+        outcomes = []
+        for st, device in ((store, ssd), (fleet_store, fleet_ssd)):
+            load = load_sequential(st, spec.workload())
+            device.drain()
+            run = ClientPool(st, spec.workload(), 1, seed=spec.seed,
+                             max_ops=spec.max_ops, ssd=device).run()
+            outcomes.append((load, run.ops_issued, run.latencies.series(0).tolist()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] == FAST["max_ops"]
+        assert fleet_clock.now == clock.now
+        assert fleet_ssd.smart.as_dict() == ssd.smart.as_dict()
+        assert fleet_store.stats.snapshot() == store.stats.snapshot()
+        assert shards[0].stats.snapshot() == store.stats.snapshot()
 
 
 def open_loop_spec(engine=Engine.LSM, **overrides) -> ExperimentSpec:
@@ -79,7 +91,7 @@ def open_loop_spec(engine=Engine.LSM, **overrides) -> ExperimentSpec:
 
 class TestOpenLoop:
     def test_offered_splits_into_admitted_plus_rejected(self):
-        fleet = run_fleet_experiment(open_loop_spec()).fleet
+        fleet = run_experiment(open_loop_spec()).fleet
         assert fleet["offered"] == fleet["admitted"] + fleet["rejected"]
         assert fleet["offered"] == FAST["max_ops"]  # max_ops bounds offered
         for key in ("offered", "admitted", "rejected"):
@@ -91,7 +103,7 @@ class TestOpenLoop:
         # 10x the saturation rate against a queue cap of 4: admission
         # control must shed load, and the shed shows up in the SLO
         # attainment denominator.
-        fleet = run_fleet_experiment(
+        fleet = run_experiment(
             open_loop_spec(arrival_rate=200_000.0, queue_cap=4)
         ).fleet
         assert fleet["rejected"] > 0
@@ -100,23 +112,23 @@ class TestOpenLoop:
             + 1e-12
 
     def test_rate_controls_offered_load(self):
-        slow = run_fleet_experiment(
+        slow = run_experiment(
             open_loop_spec(arrival_rate=1000.0, max_ops=800)).fleet
-        fast = run_fleet_experiment(
+        fast = run_experiment(
             open_loop_spec(arrival_rate=16_000.0, max_ops=800)).fleet
         assert slow["offered_rate"] == pytest.approx(1000.0, rel=0.2)
         assert fast["offered_rate"] > slow["offered_rate"] * 4
 
     def test_determinism(self):
-        a = run_fleet_experiment(open_loop_spec())
-        b = run_fleet_experiment(open_loop_spec())
+        a = run_experiment(open_loop_spec())
+        b = run_experiment(open_loop_spec())
         assert a.fleet == b.fleet
         assert a.smart == b.smart
         assert a.run_seconds == b.run_seconds
 
     @pytest.mark.parametrize("router", ("hash", "range"))
     def test_both_routers_spread_load(self, router):
-        fleet = run_fleet_experiment(open_loop_spec(router=router)).fleet
+        fleet = run_experiment(open_loop_spec(router=router)).fleet
         ops = [row["ops"] for row in fleet["per_shard"]]
         assert len(ops) == 2
         assert min(ops) > 0

@@ -98,6 +98,10 @@ def install_tree(store: LSMStore, tree: dict) -> LSMStore:
         store.fs.create(table.filename)
         store.fs.append(table.filename, table.data_bytes, background=True)
         store.version.add(level, table)
+    # Memtable sequence numbers start above every table's: a (key, seq)
+    # pair is unique in a real store, and continuing from the last
+    # table's base would reuse that table's numbers.
+    seq = 1_000_000
     immutable = MemTable(store.config)
     for memtable, (keys, kinds, vlens) in zip((immutable, store.memtable),
                                               tree["memtables"]):

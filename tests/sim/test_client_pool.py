@@ -58,13 +58,17 @@ class TestSeedCompatibility:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_one_client_experiment_matches_legacy_path(self, engine):
-        spec = ExperimentSpec(engine=engine, **FAST)
-        legacy = run_experiment(spec)
-        pooled = run_experiment(spec, use_client_pool=True)
+        """driver="pool" routes a 1-client experiment through the pool:
+        bit-identical to the inline runner, and it records latencies."""
+        legacy = run_experiment(ExperimentSpec(engine=engine, **FAST))
+        pooled = run_experiment(
+            ExperimentSpec(engine=engine, driver="pool", **FAST))
         assert pooled.ops_issued == legacy.ops_issued
         assert pooled.run_seconds == legacy.run_seconds
         assert pooled.samples == legacy.samples
         assert pooled.smart == legacy.smart
+        assert legacy.client_latencies is None
+        assert pooled.client_latencies.count() == pooled.ops_issued
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_one_client_keeps_inline_engine_mode(self, engine):

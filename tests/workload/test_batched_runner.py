@@ -1,9 +1,10 @@
-"""Batched-vs-scalar equivalence: the DESIGN.md §6 contract.
+"""The runner against the reference driver: the DESIGN.md §6 contract.
 
-The batched driver (vectorized RNG windows + engine batch API) must be
-*bit-identical* to the seed's one-op-at-a-time loop: same op stream,
-same virtual clock, same SMART counters, same sample boundaries, for
-both engines and every distribution.  These tests pin that contract.
+The shipped driver (vectorized RNG windows + engine batch API) must be
+*bit-identical* to one user thread issuing one KV call per operation
+(``reference_driver.py``, which shares no code with it): same op
+stream, same virtual clock, same SMART counters, same sample
+boundaries, for both engines and every distribution.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.workload.keys import make_chooser
 from repro.workload.runner import load_sequential, run_workload
 from repro.workload.spec import WorkloadSpec
 from tests.conftest import make_tiny_config
+from tests.workload import reference_driver
 
 
 def make_store(engine: str, nblocks: int = 128):
@@ -45,31 +47,37 @@ def make_store(engine: str, nblocks: int = 128):
 
 
 def state_fingerprint(store, ssd, ticks):
-    return {
+    state = {
         "clock": store.clock.now,
         "smart": ssd.smart.as_dict(),
         "stats": asdict(store.stats.snapshot()),
         "disk": store.disk_bytes_used,
         "ticks": list(ticks),
     }
+    # Read last (it moves the clock): every live key with the value
+    # version it ended on, which no counter above can see.
+    state["contents"] = store.scan(0, 1 << 40)[1]
+    return state
 
 
-def drive(engine: str, spec: WorkloadSpec, batch: bool, *, seed=17,
-          max_ops=1200, sample_interval=None, load=True, stop_when=None):
+def drive(engine: str, spec: WorkloadSpec, reference: bool, *, seed=17,
+          max_ops=1200, sample_interval=None, stop_when=None):
+    """Load and run *spec* on a fresh store with one of the two drivers."""
     store, ssd = make_store(engine)
     ticks: list[float] = []
-    if load:
-        load_out = load_sequential(store, spec, batch=batch)
-        assert load_out.ops_issued == spec.nkeys
+    load_out = (reference_driver.load if reference else load_sequential)(
+        store, spec)
+    assert load_out.ops_issued == spec.nkeys
     kwargs = {}
     if sample_interval is not None:
         kwargs = dict(sample_interval=sample_interval,
                       on_sample=lambda: ticks.append(store.clock.now))
     if stop_when is not None:
         kwargs["stop_when"] = stop_when(store)
-    outcome = run_workload(store, spec, seed=seed, max_ops=max_ops,
-                           batch=batch, **kwargs)
-    return outcome, state_fingerprint(store, ssd, ticks)
+    run = reference_driver.run if reference else run_workload
+    outcome = run(store, spec, seed=seed, max_ops=max_ops, **kwargs)
+    return ((outcome.ops_issued, outcome.out_of_space),
+            state_fingerprint(store, ssd, ticks))
 
 
 ENGINES = ("lsm", "btree")
@@ -114,27 +122,27 @@ class TestBatchedRunnerEquivalence:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_update_only(self, engine):
         spec = WorkloadSpec(nkeys=150, value_bytes=120)
-        scalar = drive(engine, spec, batch=False)
-        batched = drive(engine, spec, batch=True)
-        assert scalar == batched
+        reference = drive(engine, spec, reference=True)
+        shipped = drive(engine, spec, reference=False)
+        assert reference == shipped
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_mixed_with_sampling(self, engine):
         spec = WorkloadSpec(nkeys=150, value_bytes=120, read_fraction=0.3,
                             scan_fraction=0.1, scan_length=7,
                             delete_fraction=0.1)
-        scalar = drive(engine, spec, batch=False, sample_interval=0.02)
-        batched = drive(engine, spec, batch=True, sample_interval=0.02)
-        assert scalar[1]["ticks"], "sampling must have fired for the test to bite"
-        assert scalar == batched
+        reference = drive(engine, spec, reference=True, sample_interval=0.02)
+        shipped = drive(engine, spec, reference=False, sample_interval=0.02)
+        assert reference[1]["ticks"], "sampling must have fired for the test to bite"
+        assert reference == shipped
 
     @pytest.mark.parametrize("distribution", ["zipfian", "hotspot", "sequential"])
     def test_distributions(self, distribution):
         spec = WorkloadSpec(nkeys=150, value_bytes=120, read_fraction=0.2,
                             distribution=distribution)
-        scalar = drive("lsm", spec, batch=False, sample_interval=0.05)
-        batched = drive("lsm", spec, batch=True, sample_interval=0.05)
-        assert scalar == batched
+        reference = drive("lsm", spec, reference=True, sample_interval=0.05)
+        shipped = drive("lsm", spec, reference=False, sample_interval=0.05)
+        assert reference == shipped
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_stop_when_boundaries(self, engine):
@@ -143,31 +151,31 @@ class TestBatchedRunnerEquivalence:
         def stopper(store):
             return lambda: store.clock.now > 0.05
 
-        scalar = drive(engine, spec, batch=False, max_ops=100_000,
-                       stop_when=stopper)
-        batched = drive(engine, spec, batch=True, max_ops=100_000,
+        reference = drive(engine, spec, reference=True, max_ops=100_000,
+                          stop_when=stopper)
+        shipped = drive(engine, spec, reference=False, max_ops=100_000,
                         stop_when=stopper)
-        assert scalar == batched
-        assert scalar[0].ops_issued % 64 == 0  # stopped at a CHECK_EVERY boundary
+        assert reference == shipped
+        assert shipped[0][0] % 64 == 0  # stopped at a CHECK_EVERY boundary
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_max_ops_not_window_aligned(self, engine):
         spec = WorkloadSpec(nkeys=150, value_bytes=120, read_fraction=0.25)
-        scalar = drive(engine, spec, batch=False, max_ops=333)
-        batched = drive(engine, spec, batch=True, max_ops=333)
-        assert scalar[0].ops_issued == batched[0].ops_issued == 333
-        assert scalar == batched
+        reference = drive(engine, spec, reference=True, max_ops=333)
+        shipped = drive(engine, spec, reference=False, max_ops=333)
+        assert shipped[0] == (333, False)
+        assert reference == shipped
 
     def test_out_of_space_equivalence(self):
         # A device too small for the workload: both drivers must stop
         # at the same op with the same partial accounting.
         spec = WorkloadSpec(nkeys=900, value_bytes=2000)
         results = []
-        for batch in (False, True):
+        for load_keys, run in ((reference_driver.load, reference_driver.run),
+                               (load_sequential, run_workload)):
             store, ssd = make_store("lsm", nblocks=32)
-            load = load_sequential(store, spec, batch=batch)
-            outcome = run_workload(store, spec, seed=9, max_ops=100_000,
-                                   batch=batch)
+            load = load_keys(store, spec)
+            outcome = run(store, spec, seed=9, max_ops=100_000)
             results.append((load.ops_issued, load.out_of_space,
                             outcome.ops_issued, outcome.out_of_space,
                             store.clock.now, ssd.smart.as_dict()))
@@ -193,8 +201,8 @@ class TestBatchApiDirect:
         spec = WorkloadSpec(nkeys=100, value_bytes=100)
         a, _ = make_store("lsm")
         b, _ = make_store("lsm")
-        load_sequential(a, spec, batch=False)
-        load_sequential(b, spec, batch=True)
+        reference_driver.load(a, spec)
+        load_sequential(b, spec)
         for key in range(50):
             a.get(key)
         for key in range(30):

@@ -23,7 +23,7 @@ def make_planner(spec: WorkloadSpec, seed: int = 11) -> BatchPlanner:
 
 
 def scalar_stream(spec: WorkloadSpec, n: int, seed: int = 11):
-    """(kind, key) pairs as the scalar issue_one_op dispatch draws them."""
+    """(kind, key) pairs as the per-op ``draw_op`` dispatch draws them."""
     key_rng = rng_mod.substream(seed, "workload-keys")
     op_rng = rng_mod.substream(seed, "workload-ops")
     chooser = make_chooser(spec.distribution, spec.nkeys, key_rng)
