@@ -155,35 +155,15 @@ class BTreeStore(KVStore):
 
     def scan(self, start_key: int, count: int) -> tuple[float, list[tuple[int, Value]]]:
         """Ordered range scan over the leaf chain."""
-        self._ensure_open()
-        tracer = self.tracer
-        tr_on = tracer.enabled
-        if tr_on:
-            t0 = self.clock.now
-            tracer.op_begin()
-        latency = self.config.cpu_overhead
-        leaf, _path = self._descend(start_key)
-        results: list[tuple[int, Value]] = []
-        while leaf is not None and len(results) < count:
-            latency += self._make_resident(leaf)
-            for idx, key in enumerate(leaf.keys):
-                if key < start_key:
-                    continue
-                results.append((key, Value(leaf.vseeds[idx], leaf.vlens[idx])))
-                self._stats.user_bytes_read += self.config.key_bytes + leaf.vlens[idx]
-                if len(results) >= count:
-                    break
-            leaf = leaf.next_leaf
-        self._stats.scans += 1
-        if tr_on:
-            tracer.op_end("scan", t0, latency)
-        self.clock.advance(latency)
-        return latency, results
+        latencies: list = []
+        pairs: list = []
+        self._scan_each([start_key], count, None, latencies, pairs)
+        return latencies[0], pairs
 
     # ------------------------------------------------------------------
-    # Batch API (bit-identical to the scalar loop; DESIGN.md §6)
+    # Batch API (bit-identical to the per-op loop; DESIGN.md §6)
     # ------------------------------------------------------------------
-    def put_many(self, keys, vseeds, vlens, until: float | None = None,
+    def put_many(self, keys, vseeds, vlen: int, until: float | None = None,
                  latencies: list | None = None) -> int:
         """Batched puts with tree-descent reuse.
 
@@ -199,8 +179,6 @@ class BTreeStore(KVStore):
         mode's step time (DESIGN.md §7.2), and checkpoints scheduled by
         an op interrupt the batch through the event-aware ``until``.
         """
-        if not isinstance(vlens, int):
-            return KVStore.put_many(self, keys, vseeds, vlens, until, latencies)
         self._ensure_open()
         n = len(keys)
         if n == 0:
@@ -209,7 +187,6 @@ class BTreeStore(KVStore):
         clock = self.clock
         cpu = config.cpu_overhead
         page_bytes = config.leaf_page_bytes
-        vlen = vlens
         payload = config.key_bytes + vlen
         entry_bytes = config.leaf_entry_bytes(vlen)
         stats = self._stats
@@ -411,12 +388,17 @@ class BTreeStore(KVStore):
         lookup: when it covers the next start key the descent is
         skipped (scans often revisit a neighbourhood, and the
         rightmost leaf absorbs every past-the-end start key).  The
-        walk itself — residency faults, the leaf-chain traversal — is
-        :meth:`scan`'s, op for op; its per-entry accounting loop is
-        one bisect plus a slice sum per visited leaf (DESIGN.md §13):
-        the same leaves fault in, and the counts/byte totals are
-        integer sums, so the result is bit-identical.
+        walk faults in each visited leaf and accounts its qualifying
+        entries with one bisect plus a slice sum (DESIGN.md §13).  A
+        per-op :meth:`scan` is this loop over one start key, with the
+        pairs collected.
         """
+        return self._scan_each(start_keys, count, until, latencies, None)
+
+    def _scan_each(self, start_keys, count: int, until, latencies: list | None,
+                   out: list | None) -> int:
+        """The scan loop behind :meth:`scan_many` and :meth:`scan`;
+        *out*, when given, receives the scans' ``(key, Value)`` pairs."""
         self._ensure_open()
         n = len(start_keys)
         if n == 0:
@@ -463,6 +445,10 @@ class BTreeStore(KVStore):
                         nresults += take
                         stats.user_bytes_read += take * key_bytes + sum(
                             leaf.vlens[pos:pos + take])
+                        if out is not None:
+                            for idx in range(pos, pos + take):
+                                out.append((lkeys[idx], Value(
+                                    leaf.vseeds[idx], leaf.vlens[idx])))
                     leaf = leaf.next_leaf
                 stats.scans += 1
                 if tr_on:

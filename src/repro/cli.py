@@ -28,13 +28,17 @@ from repro.workload.keys import DISTRIBUTIONS
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code (2: a bad spec)."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -43,6 +43,7 @@ from repro.fleet.router import ROUTERS, make_router
 from repro.fleet.sharded import FleetFilesystem, FleetSSD, ShardedStore
 from repro.fs.filesystem import ExtentFilesystem
 from repro.lsm.config import LSMConfig
+from repro.lsm.memtable import SCAN_KEY_SPAN
 from repro.lsm.store import LSMStore
 from repro.obs.tracer import NULL_TRACER, attach_tracer
 from repro.sim.clients import ClientPool
@@ -142,6 +143,12 @@ class ExperimentSpec:
             )
         if self.scan_length < 1:
             raise ConfigError("scan_length must be >= 1")
+        if (Engine(self.engine) is Engine.LSM and self.scan_fraction > 0
+                and self.nkeys > SCAN_KEY_SPAN):
+            # Fail before the load, not at the measured phase's first scan.
+            raise ConfigError(
+                f"the LSM scan merge takes keys below {SCAN_KEY_SPAN}; "
+                f"this spec loads {self.nkeys}")
         if self.distribution not in DISTRIBUTIONS:
             raise ConfigError(
                 f"unknown distribution {self.distribution!r}; "

@@ -87,13 +87,11 @@ class ShardedStore(KVStore):
             raise
         return done
 
-    def put_many(self, keys, vseeds, vlens, until=None, latencies=None):
+    def put_many(self, keys, vseeds, vlen, until=None, latencies=None):
         vseeds = as_int_list(vseeds)
-        scalar_vlen = isinstance(vlens, int)
 
         def dispatch(shard, keys, i, j, until, latencies):
-            vl = vlens if scalar_vlen else vlens[i:j]
-            return shard.put_many(keys[i:j], vseeds[i:j], vl, until, latencies)
+            return shard.put_many(keys[i:j], vseeds[i:j], vlen, until, latencies)
 
         return self._run_batches(keys, dispatch, until, latencies)
 

@@ -47,29 +47,30 @@ class KVStore(ABC):
     ``put_many`` / ``get_many`` / ``delete_many`` / ``scan_many`` apply
     their operations *in order* with per-op clock advancement and are
     required to be bit-identical — clock, SMART counters, stats, and
-    store state — to the equivalent sequence of scalar calls.  The
-    default implementations below guarantee that by construction;
-    engines override them with natively batched hot paths whose
-    equivalence is pinned by tests.  Three further conventions let the
+    store state — to the equivalent sequence of per-op calls.
+    ``put_many`` and ``scan_many`` are each engine's own (its per-op
+    ``put``/``scan`` may share their body); ``get_many`` and
+    ``delete_many`` default to the per-op loop below, which an engine
+    overrides where batching pays.  Three further conventions let the
     batched workload drivers use these methods without losing the
-    semantics of a driver that issues one scalar call at a time:
+    semantics of a driver that issues one per-op call at a time:
 
     * ``until``: stop after the first operation that carries the clock
       to or past this bound and return the count performed, so
-      sampling callbacks fire at exactly the scalar op boundaries.
+      sampling callbacks fire at exactly the per-op call boundaries.
       The bound is checked strictly as ``clock.now >= until`` *after*
       each op — never cached, subtracted, or reordered — because it
       may be a live proxy rather than a float: the batched client pool
       passes :class:`repro.workload.plan.EventAwareUntil`, which
       consults the event scheduler on every comparison (DESIGN.md §7);
     * ``latencies``: when a list is passed, each completed operation
-      appends its user-visible latency — the same float the scalar
+      appends its user-visible latency — the same float the per-op
       call would return — before the ``until`` check, so a batch cut
       short (or aborted by out-of-space) has appended exactly the
       completed ops;
     * on out-of-space, the raised :class:`NoSpaceError` carries the
       number of completed operations in ``ops_done`` (the in-flight
-      op is not counted, matching the scalar loop that would have
+      op is not counted, matching a per-op loop that would have
       counted only completed calls).
     """
 
@@ -94,32 +95,16 @@ class KVStore(ABC):
     # ------------------------------------------------------------------
     # Batch API (see class docstring for the contract)
     # ------------------------------------------------------------------
+    @abstractmethod
     def put_many(self, keys: Sequence[int], vseeds: Sequence[int],
-                 vlens: int | Sequence[int], until: float | None = None,
+                 vlen: int, until: float | None = None,
                  latencies: list | None = None) -> int:
         """Insert/update a batch; returns the operations performed.
 
         ``keys`` and ``vseeds`` are parallel sequences (numpy arrays on
-        the hot path — see :func:`repro.kv.values.seeds_for`); ``vlens``
-        is one int for all values or a per-op sequence.
+        the hot path — see :func:`repro.kv.values.seeds_for`); ``vlen``
+        is the one value length all of them share.
         """
-        clock = self.clock
-        done = 0
-        scalar_vlen = isinstance(vlens, int)
-        append = None if latencies is None else latencies.append
-        try:
-            for i in range(len(keys)):
-                vlen = vlens if scalar_vlen else int(vlens[i])
-                latency = self.put(int(keys[i]), Value(int(vseeds[i]), vlen))
-                done += 1
-                if append is not None:
-                    append(latency)
-                if until is not None and clock.now >= until:
-                    break
-        except NoSpaceError as exc:
-            exc.ops_done = done
-            raise
-        return done
 
     def get_many(self, keys: Sequence[int], until: float | None = None,
                  latencies: list | None = None) -> int:
@@ -164,25 +149,11 @@ class KVStore(ABC):
             raise
         return done
 
+    @abstractmethod
     def scan_many(self, start_keys: Sequence[int], count: int,
                   until: float | None = None,
                   latencies: list | None = None) -> int:
         """Issue a batch of scans; returns the operations performed."""
-        clock = self.clock
-        done = 0
-        append = None if latencies is None else latencies.append
-        try:
-            for i in range(len(start_keys)):
-                latency, _pairs = self.scan(int(start_keys[i]), count)
-                done += 1
-                if append is not None:
-                    append(latency)
-                if until is not None and clock.now >= until:
-                    break
-        except NoSpaceError as exc:
-            exc.ops_done = done
-            raise
-        return done
 
     @abstractmethod
     def flush(self) -> None:

@@ -12,21 +12,24 @@ from operator import itemgetter
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.lsm.config import LSMConfig
 
 KIND_PUT = 0
 KIND_DELETE = 1
 
-#: Packed scan composite (DESIGN.md §13): ``key << 41 | (2^40-1 - seq)
+#: Packed scan composite (DESIGN.md §13): ``key << 37 | (2^36-1 - seq)
 #: << 1 | kind`` as uint64.  Strictly monotone in (key asc, seq desc)
 #: — sequence numbers are globally unique, so the kind bit never
-#: decides an ordering — which lets the batched scan merge sort, bound,
-#: dedupe and kind-test source windows from one cached column instead
-#: of three.  ``key < 2^22`` and ``seq < 2^40`` keep the packing inside
-#: 63 bits; callers fall back to per-op ``scan()`` outside that range.
-SCAN_SEQ_SPAN = 1 << 40
-SCAN_KEY_SPAN = 1 << 22
-SCAN_KEY_SHIFT = np.uint64(41)
+#: decides an ordering — which lets the scan merge sort, bound, dedupe
+#: and kind-test source windows from one cached column instead of
+#: three.  ``key < 2^26`` and ``seq < 2^36`` keep the packing inside
+#: 63 bits (2^26 keys do not fit a Python process; the paper's FULL
+#: scale has 52 k); a scan over anything outside that range is a
+#: :class:`~repro.errors.ConfigError`.
+SCAN_SEQ_SPAN = 1 << 36
+SCAN_KEY_SPAN = 1 << 26
+SCAN_KEY_SHIFT = np.uint64(37)
 SCAN_KIND_BIT = np.uint64(1)
 
 
@@ -77,20 +80,13 @@ class MemTable:
     # ------------------------------------------------------------------
     # Bulk write path (DESIGN.md §6)
     # ------------------------------------------------------------------
-    def capacity_for(self, entry_bytes: int) -> int:
-        """Entries of *entry_bytes* each that keep the memtable below
-        its flush threshold (the next op after these triggers
-        rotation, exactly like the scalar ``full`` check)."""
-        remaining = self.config.memtable_bytes - 1 - self.approximate_bytes
-        return max(0, remaining // entry_bytes)
-
     def bulk_put(self, keys: list[int], first_seq: int,
                  vseeds: list[int], vlen: int) -> None:
         """Batched equal-size puts as one dict update.
 
         Equivalent to ``put(keys[i], first_seq + i, vseeds[i], vlen)``
-        for every *i*; callers bound the batch with
-        :meth:`capacity_for` so no rotation is skipped.
+        for every *i*; callers bound the batch so that the memtable
+        stays below its flush threshold and no rotation is skipped.
         """
         n = len(keys)
         self._entries.update(zip(keys, zip(
@@ -129,16 +125,11 @@ class MemTable:
         kinds = np.fromiter((r[3] for r in rows), dtype=np.int8, count=len(rows))[order]
         return keys, seqs, vseeds, vlens, kinds
 
-    def range_items(self, start_key: int) -> list[tuple[int, tuple[int, int, int, int]]]:
-        """Entries with key >= start_key, ordered by key (for scans)."""
-        selected = [(k, v) for k, v in self._entries.items() if k >= start_key]
-        selected.sort(key=lambda kv: kv[0])
-        return selected
-
-    def sorted_columns(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Key-ordered (scan_comp, vlens) columns for the batched scan
-        merge (DESIGN.md §13.1), or None when a key falls outside the
-        composite packing (checked before anything is packed).
+    def sorted_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Key-ordered (scan_comp, vlens) columns for the scan merge
+        (DESIGN.md §13.1).  Raises :class:`ConfigError` when a key
+        falls outside the composite packing (checked before anything
+        is packed: a negative key would wrap into the high bits).
 
         Memoized against ``approximate_bytes``, which grows on *every*
         mutation: puts and tombstones both add at least ``key_bytes``,
@@ -155,13 +146,15 @@ class MemTable:
             return cache[1]
         n = len(self._entries)
         keys = np.fromiter(self._entries.keys(), dtype=np.int64, count=n)
-        columns = None
-        if not n or (keys.min() >= 0 and keys.max() < SCAN_KEY_SPAN):
-            seqs, vlens, kinds = (
-                np.fromiter(map(itemgetter(field), self._entries.values()),
-                            dtype=np.int64, count=n) for field in (0, 2, 3))
-            comp = pack_scan_comp(keys, seqs, kinds)
-            order = np.argsort(comp)
-            columns = (comp[order], vlens[order])
+        if n and (keys.min() < 0 or keys.max() >= SCAN_KEY_SPAN):
+            raise ConfigError(
+                f"scans need keys in [0, {SCAN_KEY_SPAN}); the memtable "
+                f"holds [{keys.min()}, {keys.max()}]")
+        seqs, vlens, kinds = (
+            np.fromiter(map(itemgetter(field), self._entries.values()),
+                        dtype=np.int64, count=n) for field in (0, 2, 3))
+        comp = pack_scan_comp(keys, seqs, kinds)
+        order = np.argsort(comp)
+        columns = (comp[order], vlens[order])
         self._column_cache = (self.approximate_bytes, columns)
         return columns

@@ -26,7 +26,6 @@ memtables pile up.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 
 import numpy as np
@@ -44,19 +43,9 @@ from repro.lsm.memtable import (KIND_DELETE, KIND_PUT, SCAN_KEY_SHIFT,
                                 SCAN_KEY_SPAN, SCAN_KIND_BIT, SCAN_SEQ_SPAN,
                                 MemTable)
 from repro.lsm.sstable import split_into_tables
-from repro.lsm.version import Version
+from repro.lsm.version import ReadRun, Version
 from repro.lsm.wal import WriteAheadLog
 from repro.obs.tracer import NULL_TRACER
-
-#: Composite packing for the batched scan merge (DESIGN.md §13): the
-#: compaction merge's (key asc, seq desc) ordering plus a low kind
-#: bit, pre-packed per source (``MemTable.sorted_columns`` /
-#: ``ReadRun.comp``) so one stable argsort over concatenated cached
-#: columns reproduces :meth:`LSMStore.scan`'s heap pop order.
-#: Batches whose keys/seqs could overflow the packing go through
-#: ``scan()`` per op.
-_SEQ_SPAN = SCAN_SEQ_SPAN
-_KEY_SPAN = SCAN_KEY_SPAN
 
 
 class LSMStore(KVStore):
@@ -68,6 +57,18 @@ class LSMStore(KVStore):
                  config: LSMConfig | None = None):
         self.fs = fs
         self.clock = clock
+        # The SSD under the filesystem: the write path reads its busy
+        # horizon directly (see _write_many), so it must exist and
+        # share this store's clock.
+        device = fs.device
+        while not hasattr(device, "ssd"):
+            device = getattr(device, "parent", None)
+            if device is None:
+                raise ConfigError("the LSM store needs an SSD under its "
+                                  "filesystem's device stack")
+        self._ssd = device.ssd
+        if self._ssd.clock is not clock:
+            raise ConfigError("the LSM store and its SSD must share one clock")
         self.config = config or LSMConfig()
         self._stats = KVStats()
         self._next_seq = 1  # global write sequence (int, so batches can reserve ranges)
@@ -87,7 +88,6 @@ class LSMStore(KVStore):
         self.scheduler = None  # event-driven background work when attached
         self._bg_worker = None  # FIFO background-thread resource
         self.inline_takeovers = 0  # write-path flushes forced by pile-up
-        self._replay_ssd = None  # memoized device resolution (False = n/a)
         # Cached batch-write constants per write kind (frozen config +
         # record geometry for the last-seen vlen; DESIGN.md §8).
         self._put_consts = None
@@ -102,64 +102,11 @@ class LSMStore(KVStore):
     # ------------------------------------------------------------------
     def put(self, key: int, value: Value) -> float:
         """Insert/update a key."""
-        self._ensure_open()
-        tracer = self.tracer
-        tr_on = tracer.enabled
-        if tr_on:
-            t0 = self.clock.now
-            tracer.op_begin()
-        latency = self.config.cpu_overhead
-        if self.wal is not None:
-            wal_latency = self.wal.append(self.config.key_bytes + value.length)
-            latency += wal_latency
-            if tr_on and wal_latency > 0.0:
-                tracer.span("wal_append", "lsm", t0, wal_latency,
-                            {"bytes": self.config.key_bytes + value.length})
-            if self._crash is not None:
-                self._crash.setdefault(self.wal.log_id, []).append(
-                    (key, value.seed, value.length, KIND_PUT,
-                     self.config.key_bytes + value.length
-                     + self.config.wal_entry_overhead))
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        self.memtable.put(key, seq, value.seed, value.length)
-        self._stats.puts += 1
-        self._stats.user_bytes_written += self.config.key_bytes + value.length
-        latency += self._after_write()
-        if tr_on:
-            tracer.op_end("update", t0, latency)
-        self.clock.advance(latency)
-        return latency
+        return self._write_one(key, value.seed, value.length, False)
 
     def delete(self, key: int) -> float:
         """Write a tombstone for a key."""
-        self._ensure_open()
-        tracer = self.tracer
-        tr_on = tracer.enabled
-        if tr_on:
-            t0 = self.clock.now
-            tracer.op_begin()
-        latency = self.config.cpu_overhead
-        if self.wal is not None:
-            wal_latency = self.wal.append(self.config.key_bytes)
-            latency += wal_latency
-            if tr_on and wal_latency > 0.0:
-                tracer.span("wal_append", "lsm", t0, wal_latency,
-                            {"bytes": self.config.key_bytes})
-            if self._crash is not None:
-                self._crash.setdefault(self.wal.log_id, []).append(
-                    (key, 0, 0, KIND_DELETE,
-                     self.config.key_bytes + self.config.wal_entry_overhead))
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        self.memtable.delete(key, seq)
-        self._stats.deletes += 1
-        self._stats.user_bytes_written += self.config.key_bytes
-        latency += self._after_write()
-        if tr_on:
-            tracer.op_end("delete", t0, latency)
-        self.clock.advance(latency)
-        return latency
+        return self._write_one(key, 0, 0, True)
 
     def get(self, key: int) -> tuple[float, Value | None]:
         """Point lookup."""
@@ -186,49 +133,13 @@ class LSMStore(KVStore):
 
     def scan(self, start_key: int, count: int) -> tuple[float, list[tuple[int, Value]]]:
         """Ordered range scan of up to *count* live pairs."""
-        self._ensure_open()
-        tracer = self.tracer
-        tr_on = tracer.enabled
-        if tr_on:
-            t0 = self.clock.now
-            tracer.op_begin()
-        latency = self.config.cpu_overhead
-        results: list[tuple[int, Value]] = []
-        heap: list[tuple[int, int, int, object]] = []
-        tie = itertools.count()
-
-        def push(source) -> None:
-            try:
-                key, seq, vseed, vlen, kind = next(source)
-            except StopIteration:
-                return
-            # Highest seq first within a key: invert seq for the heap.
-            heapq.heappush(heap, (key, -seq, next(tie), (vseed, vlen, kind, source)))
-
-        consumed: dict[object, list[int]] = {}
-        for source in self._scan_sources(start_key, consumed):
-            push(source)
-
-        last_key = None
-        while heap and len(results) < count:
-            key, _negseq, _tie, (vseed, vlen, kind, source) = heapq.heappop(heap)
-            push(source)
-            if key == last_key:
-                continue  # older version of an already-emitted key
-            last_key = key
-            if kind == KIND_PUT:
-                results.append((key, Value(vseed, vlen)))
-                self._stats.user_bytes_read += self.config.key_bytes + vlen
-
-        latency += self._charge_scan_reads(consumed)
-        self._stats.scans += 1
-        if tr_on:
-            tracer.op_end("scan", t0, latency)
-        self.clock.advance(latency)
-        return latency, results
+        latencies: list = []
+        pairs: list = []
+        self._scan_each([start_key], count, None, latencies, pairs)
+        return latencies[0], pairs
 
     # ------------------------------------------------------------------
-    # Batch API (bit-identical to the scalar loops; DESIGN.md §6)
+    # Batch API (DESIGN.md §6)
     # ------------------------------------------------------------------
     #: Read batches at least this large are planned through the
     #: manifest's read index; smaller runs (the norm for mixed
@@ -237,20 +148,18 @@ class LSMStore(KVStore):
     #: against ~13 us per get(): the crossover (DESIGN.md §13.2).
     BULK_PROBE_MIN = 8
 
-    def put_many(self, keys, vseeds, vlens, until: float | None = None,
+    def put_many(self, keys, vseeds, vlen: int, until: float | None = None,
                  latencies: list | None = None) -> int:
         """Batched puts: bulk memtable upsert + batched WAL accounting.
 
         Between device events (WAL write-outs, memtable rotations) a
         put's only side effects are pure accounting plus the write-stall
         penalty, so runs of ops are applied as one dict update while the
-        clock/penalty recurrence is replayed op by op with the scalar
-        path's exact arithmetic.  Ops that trigger device work go
-        through the scalar :meth:`put` itself.
+        clock/penalty recurrence is replayed op by op.  The op that
+        triggers device work is a :meth:`_write_one`, which is all a
+        per-op :meth:`put` is.
         """
-        if not isinstance(vlens, int):
-            return KVStore.put_many(self, keys, vseeds, vlens, until, latencies)
-        return self._write_many(keys, vseeds, vlens, until, latencies, False)
+        return self._write_many(keys, vseeds, vlen, until, latencies, False)
 
     def delete_many(self, keys, until: float | None = None,
                     latencies: list | None = None) -> int:
@@ -338,20 +247,21 @@ class LSMStore(KVStore):
         a single snapshot of the scan sources across all its scans:
         the memtables' packed sorted columns (memoized per memtable)
         and the read index's sorted runs.  Each scan is then one
-        composite-key argsort (:meth:`_scan_merge`) that reproduces
-        :meth:`scan`'s merge exactly: same pop order, same per-table
-        consumed windows, same sequential reads charged in the same
-        order, submitted together.  A batch whose keys or sequence
-        numbers could overflow the packing goes through :meth:`scan`
-        per op, as ``get_many`` falls back to ``get()``.
+        composite-key argsort (:meth:`_scan_merge`) whose reads are
+        planned per run and submitted together.  A per-op :meth:`scan`
+        is this loop over one start key, with the pairs collected.
         """
+        return self._scan_each(start_keys, count, until, latencies, None)
+
+    def _scan_each(self, start_keys, count: int, until, latencies: list | None,
+                   out: list | None) -> int:
+        """The scan loop behind :meth:`scan_many` and :meth:`scan`;
+        *out*, when given, receives the scans' ``(key, Value)`` pairs."""
         self._ensure_open()
         n = len(start_keys)
         if n == 0:
             return 0
         sources = self._scan_merge_sources()
-        if sources is None:
-            return KVStore.scan_many(self, start_keys, count, until, latencies)
         clock = self.clock
         cpu = self.config.cpu_overhead
         stats = self._stats
@@ -365,7 +275,8 @@ class LSMStore(KVStore):
                 if tr_on:
                     t0 = clock.now
                     tracer.op_begin()
-                latency = cpu + self._scan_merge(keys_list[i], count, sources)
+                latency = cpu + self._scan_merge(keys_list[i], count, sources,
+                                                 out)
                 stats.scans += 1
                 if tr_on:
                     tracer.op_end("scan", t0, latency)
@@ -380,69 +291,74 @@ class LSMStore(KVStore):
             raise
         return done
 
-    def _scan_merge_sources(self) -> list | None:
-        """``(comp, vlens, run)`` per merge source, or None.
+    def _scan_merge_sources(self) -> list:
+        """``(comp, vlens, owner)`` per merge source.
 
-        A source is a sorted run, in the order :meth:`scan` enters its
-        sources into the heap: the active memtable, the immutables in
-        rotation order (``run`` None), then the read index's runs —
+        A source is a sorted run and *owner* the memtable or
+        :class:`~repro.lsm.version.ReadRun` holding its entries, in
+        the order the reads are charged: the active memtable, the
+        immutables in rotation order, then the read index's runs —
         each L0 table, then one whole level at a time (the order only
         matters for the read charges — sequence numbers are globally
-        unique, so the merge order itself has no ties).  Returns None
-        when any key or the sequence counter could overflow the
-        composite packing; the caller then scans per op.
+        unique, so the merge order itself has no ties).  Raises
+        :class:`ConfigError`, before anything is charged, when a key
+        or the sequence counter is outside the composite packing.
         """
-        if self._next_seq > _SEQ_SPAN:
-            return None
+        if self._next_seq > SCAN_SEQ_SPAN:
+            raise ConfigError(
+                f"scans need sequence numbers below {SCAN_SEQ_SPAN}; "
+                f"this store has issued {self._next_seq - 1}")
         sources: list = []
         for memtable in [self.memtable, *(m for m, _wal in self._immutables)]:
-            columns = memtable.sorted_columns()
-            if columns is None:
-                return None
-            sources.append((*columns, None))
+            sources.append((*memtable.sorted_columns(), memtable))
         for run in self.version.runs():
-            if run.tables[0].min_key < 0 or run.tables[-1].max_key >= _KEY_SPAN:
-                return None
+            if run.tables[0].min_key < 0 or run.tables[-1].max_key >= SCAN_KEY_SPAN:
+                raise ConfigError(
+                    f"scans need keys in [0, {SCAN_KEY_SPAN}); a table holds "
+                    f"[{run.tables[0].min_key}, {run.tables[-1].max_key}]")
             if run.comp is None:
                 run.build_scan_columns()
             sources.append((run.comp, run.vlens, run))
         return sources
 
-    def _scan_merge(self, start_key: int, count: int,
-                    sources: list) -> float:
+    def _scan_merge(self, start_key: int, count: int, sources: list,
+                    out: list | None) -> float:
         """One scan over the shared sources; returns the charged read
         latency (DESIGN.md §13.1).
 
-        One composite-key stable argsort over a window of ``count + 1``
-        entries per source stands in for :meth:`scan`'s heap: the
-        sorted prefix below the smallest out-of-window composite is
-        exactly the heap's pop sequence, so duplicate suppression
-        (first occurrence per key), result counting (first-occurrence
-        puts), and the stop position (the pop that emits result
-        ``count``) are computed on that prefix with masks.  Windows
-        double and the merge recomputes in the rare case the fixed
-        window cannot prove ``count`` results (duplicate/tombstone
-        pile-ups).  :meth:`scan`'s charging rules hold bit for bit,
-        derived per run from its start position and pop count: every
-        table from the one holding the start to the run's last
-        consumes at least its first entry (the initial one-ahead
-        push), a consumed window ends one past the last popped entry,
-        capped to the table, and the windows are charged as one
-        sequential read per table in manifest order, submitted at once.
+        A k-way merge of the sources in (key asc, seq desc) order that
+        stops at the pop emitting result ``count``, done as one stable
+        argsort of the packed composites over a window of ``count + 1``
+        entries per source: the sorted prefix below the smallest
+        out-of-window composite is exactly the merge's pop sequence,
+        so duplicate suppression (first occurrence per key), result
+        counting (first-occurrence puts) and the stop position are
+        computed on that prefix with masks.  Windows double and the
+        merge recomputes in the rare case the fixed window cannot
+        prove ``count`` results (duplicate/tombstone pile-ups).  The
+        charging rules, derived per run from its start position and
+        pop count: a merge holds one entry ahead of every source, so
+        every table from the one holding the start to the run's last
+        consumes at least its first entry, a consumed window ends one
+        past the last popped entry, capped to the table, and the
+        windows are charged as one sequential read per table in
+        manifest order, submitted at once.  *out*, when given,
+        receives the emitted ``(key, Value)`` pairs, each read back
+        from the memtable or table that owns it.
         """
-        active: list = []      # (pos, comp, vlens) per active source
+        active: list = []      # (pos, comp, vlens, owner) per active source
         charged: list = []     # (run, pos, source index) in order
-        # comp >= key << 41 exactly when key >= start_key, so the
-        # composite bound finds scan()'s start position.  (A uint64
+        # comp >= key << SCAN_KEY_SHIFT exactly when key >= start_key,
+        # so the composite bound finds the start position.  (A uint64
         # needle: a plain int would promote the column to float64.)
-        target = np.uint64(min(max(start_key, 0), _KEY_SPAN) << 41)
-        for comp, vlens, run in sources:
+        target = np.uint64(min(max(start_key, 0), SCAN_KEY_SPAN)) << SCAN_KEY_SHIFT
+        for comp, vlens, owner in sources:
             pos = int(comp.searchsorted(target))
             if pos == len(comp):
                 continue  # the source ends below start_key
-            if run is not None:
-                charged.append((run, pos, len(active)))
-            active.append((pos, comp, vlens))
+            if type(owner) is ReadRun:
+                charged.append((owner, pos, len(active)))
+            active.append((pos, comp, vlens, owner))
 
         pops = [0] * len(active)
         if count > 0 and active:
@@ -452,7 +368,7 @@ class LSMStore(KVStore):
                 parts: list = []
                 cumlens: list = []
                 total = 0
-                for pos, comp, _vlens in active:
+                for pos, comp, _vlens, _owner in active:
                     nentries = len(comp)
                     end = pos + window
                     if end < nentries:
@@ -479,9 +395,8 @@ class LSMStore(KVStore):
                     newkey[0] = True
                     np.not_equal(hi[1:], hi[:-1], out=newkey[1:])
                 # A pop emits a result iff it is the first (newest-seq)
-                # occurrence of its key and is a put — scan()'s
-                # last_key/KIND_PUT rule.  KIND_PUT is the packed low
-                # bit's zero value.
+                # occurrence of its key and is a put.  KIND_PUT is the
+                # packed low bit's zero value.
                 emit = newkey & ((swin & SCAN_KIND_BIT) == KIND_PUT)
                 cum = np.cumsum(emit)
                 stop = int(cum.searchsorted(count))
@@ -497,16 +412,31 @@ class LSMStore(KVStore):
                 psel = order[:npop]
                 emitted = emit[:npop]
                 nemit = int(emitted.sum())
-                if nemit:
-                    cvlens = np.concatenate(
-                        [src[2][p:e] for src, (p, e) in zip(active, parts)])
-                    self._stats.user_bytes_read += (
-                        nemit * self.config.key_bytes
-                        + int(cvlens[psel[emitted]].sum()))
                 # Concatenation index -> source index, then pops per
-                # source (how far each of scan()'s cursors advances).
-                src = np.searchsorted(cumlens, psel, side="right")
-                pops = np.bincount(src, minlength=len(active)).tolist()
+                # source (how far each source's cursor advances).
+                source_of = np.searchsorted(cumlens, psel, side="right")
+                pops = np.bincount(source_of, minlength=len(active)).tolist()
+                if nemit:
+                    picked = psel[emitted]
+                    cvlens = np.concatenate(
+                        [src[2][p:e] for src, (p, e) in zip(active, parts)])[picked]
+                    self._stats.user_bytes_read += (
+                        nemit * self.config.key_bytes + int(cvlens.sum()))
+                    if out is not None:
+                        for key, vlen, at, si in zip(
+                                hi[:npop][emitted].tolist(), cvlens.tolist(),
+                                picked.tolist(), source_of[emitted].tolist()):
+                            owner = active[si][3]
+                            if type(owner) is MemTable:
+                                vseed = owner._entries[key][1]
+                            else:
+                                # Position in the run, then in its table.
+                                at += parts[si][1] - cumlens[si]
+                                t = int(owner.starts.searchsorted(
+                                    at, side="right")) - 1
+                                vseed = int(owner.tables[t].vseeds[
+                                    at - int(owner.starts[t])])
+                            out.append((key, Value(vseed, vlen)))
 
         # Table t of a run reads its entries first_t .. min(max(first_t,
         # pos + pops), last_t): from pos in the table holding it, from
@@ -541,26 +471,19 @@ class LSMStore(KVStore):
         stall penalty, and inside one batch call no other scheduler
         event can run, so the busy horizon — the scalar ``busy_until``
         or the per-channel ``write_busy`` vector — is a constant and
-        the clock/penalty recurrence is replayed locally with the
-        scalar path's exact arithmetic (step-local capture time
-        accumulates advances identically since the §7 clock refactor).
-        Ops that trigger device work (WAL write-out, memtable rotation)
-        go through the scalar path, which also spawns the event-mode
+        the clock/penalty recurrence is replayed locally, op by op
+        (step-local capture time accumulates advances identically
+        since the §7 clock refactor).  The op that triggers device
+        work (WAL write-out, memtable rotation) is a
+        :meth:`_write_one`, which also spawns the event-mode
         background jobs; an event-aware ``until`` then stops the batch
-        right after them.
+        right after it.
         """
         if self._closed:
             self._ensure_open()
         n = len(keys)
         if n == 0:
             return 0
-        ssd = self._replay_ssd
-        if ssd is None:
-            ssd = self._resolve_replay_ssd()
-        if ssd is False:
-            if delete:
-                return KVStore.delete_many(self, keys, until, latencies)
-            return KVStore.put_many(self, keys, vseeds, vlen, until, latencies)
 
         # Per-call setup is hot at queue depth (interleaving cuts
         # segments down to a few ops), so everything derivable from the
@@ -575,7 +498,7 @@ class LSMStore(KVStore):
             consts = (
                 vlen, config.cpu_overhead, config.backlog_soft_limit,
                 config.backlog_hard_limit, config.slowdown_factor,
-                key_bytes, config.memtable_bytes, config.wal_buffer_bytes,
+                config.memtable_bytes, config.wal_buffer_bytes,
                 config.l0_stop_files, payload,
                 key_bytes + config.entry_overhead + (0 if delete else vlen),
                 payload + config.wal_entry_overhead,
@@ -584,95 +507,17 @@ class LSMStore(KVStore):
                 self._del_consts = consts
             else:
                 self._put_consts = consts
-        (_, cpu, soft, hard, slowdown, key_bytes, memtable_bytes,
-         wal_buffer_bytes, l0_stop_files, payload, entry_bytes,
-         wal_record) = consts
+        (_, cpu, soft, hard, slowdown, memtable_bytes, wal_buffer_bytes,
+         l0_stop_files, payload, entry_bytes, wal_record) = consts
         clock = self.clock
         stats = self._stats
+        ssd = self._ssd
         keys_list = keys if type(keys) is list else as_int_list(keys)
         seeds_list = None if vseeds is None else (
             vseeds if type(vseeds) is list else as_int_list(vseeds))
         tracer = self.tracer
         tr_on = tracer.enabled
         wkind = "delete" if delete else "update"
-
-        if n == 1:
-            # Single-op fast path — the shape the batched pool sends
-            # while interleave-bound (DESIGN.md §8): a one-op call
-            # returns after its op no matter what `until` says, so the
-            # live-bound snapshot and the window scaffolding vanish,
-            # and the capacity checks are two comparisons instead of
-            # two divisions.  Arithmetic is the window loop's, term
-            # for term.
-            key = keys_list[0]
-            wal = self.wal
-            memtable = self.memtable
-            if (wal is None or wal._buffered + wal_record < wal_buffer_bytes) \
-                    and memtable.approximate_bytes + entry_bytes < memtable_bytes:
-                capturing = clock._capturing
-                now = clock._step_now if capturing else clock._now
-                l0_stop = len(self.version.levels[0]) >= l0_stop_files
-                channels = ssd._channels
-                if channels is None:
-                    backlog = ssd.scalar_busy_until - now
-                    if backlog < 0.0:
-                        backlog = 0.0
-                else:
-                    backlog = 0.0 if channels.write_max <= now \
-                        else mean_write_backlog(channels.write_busy, now)
-                if backlog > hard or l0_stop:
-                    penalty = max(0.0, backlog - hard)
-                    penalty += (hard - soft) * slowdown
-                elif backlog > soft:
-                    penalty = (backlog - soft) * slowdown
-                else:
-                    penalty = 0.0
-                if penalty != 0.0:
-                    self.stall_seconds += penalty
-                latency = cpu + penalty
-                if tr_on:
-                    tracer.op_write(wkind, now, latency, penalty)
-                seq = self._next_seq
-                self._next_seq = seq + 1
-                if delete:
-                    memtable._entries[key] = (seq, 0, 0, KIND_DELETE)
-                    stats.deletes += 1
-                else:
-                    memtable._entries[key] = (seq, seeds_list[0], vlen,
-                                              KIND_PUT)
-                    stats.puts += 1
-                memtable.approximate_bytes += entry_bytes
-                if wal is not None:
-                    wal._buffered += wal_record
-                    if self._crash is not None:
-                        self._crash.setdefault(wal.log_id, []).append(
-                            (key, 0 if delete else seeds_list[0],
-                             0 if delete else vlen,
-                             KIND_DELETE if delete else KIND_PUT, wal_record))
-                stats.user_bytes_written += payload
-                now += latency
-                if capturing:
-                    if now > clock._step_now:
-                        clock._step_now = now
-                elif now > clock._now:
-                    clock._now = now
-                if latencies is not None:
-                    latencies.append(latency)
-                return 1
-            # Device-work boundary: the scalar path performs the WAL
-            # write-out / rotation with exact semantics.
-            try:
-                if delete:
-                    latency = self.delete(key)
-                else:
-                    latency = self.put(key, Value(seeds_list[0], vlen))
-            except NoSpaceError as exc:
-                exc.ops_done = 0
-                raise
-            if latencies is not None:
-                latencies.append(latency)
-            return 1
-
         append = None if latencies is None else latencies.append
         done = 0
         try:
@@ -681,24 +526,24 @@ class LSMStore(KVStore):
                 wal = self.wal
                 memtable = self.memtable
                 if wal is not None:
-                    # capacity_for, inlined (the next record past this
-                    # cap triggers the buffered write-out).
+                    # Records that stay below the buffered write-out
+                    # threshold (the next one past this cap triggers
+                    # the device write).
                     wal_cap = (wal_buffer_bytes - 1 - wal._buffered) // wal_record
                     if wal_cap < cap:
                         cap = wal_cap
+                # Entries that keep the memtable below its flush
+                # threshold (the next one rotates it).
                 mem_cap = (memtable_bytes - 1
                            - memtable.approximate_bytes) // entry_bytes
                 if mem_cap < cap:
                     cap = mem_cap
                 if cap <= 0:
                     # The next op triggers a WAL write-out or a memtable
-                    # rotation: run it through the scalar path, which
-                    # performs the device work with exact semantics.
-                    if delete:
-                        latency = self.delete(keys_list[done])
-                    else:
-                        latency = self.put(keys_list[done],
-                                           Value(seeds_list[done], vlen))
+                    # rotation: the one-op body performs the device work.
+                    latency = self._write_one(
+                        keys_list[done], 0 if delete else seeds_list[done],
+                        vlen, delete)
                     done += 1
                     if append is not None:
                         append(latency)
@@ -706,10 +551,10 @@ class LSMStore(KVStore):
                         break
                     continue
 
-                # Replay the scalar clock/stall recurrence locally: no
-                # device work can occur inside this run, so the busy
-                # horizon and the L0 stop condition are constants — and
-                # the replay schedules no events, so a live until proxy
+                # Replay the clock/stall recurrence locally: no device
+                # work can occur inside this run, so the busy horizon
+                # and the L0 stop condition are constants — and the
+                # replay schedules no events, so a live until proxy
                 # can be snapshotted to a plain float for the window.
                 # The clock read/advance pair inlines the capture
                 # protocol (shared with Scheduler.run; see
@@ -723,17 +568,16 @@ class LSMStore(KVStore):
                 l0_stop = len(self.version.levels[0]) >= l0_stop_files
                 channels = ssd._channels
                 if channels is None:
-                    busy = ssd.scalar_busy_until
-                    idle = busy <= now
+                    write_busy = None
+                    wmax = ssd.scalar_busy_until
                 else:
                     write_busy = channels.write_busy
                     wmax = channels.write_max  # exact max(write_busy)
-                    idle = wmax <= now
                 took = 0
-                if idle and not l0_stop:
+                if wmax <= now and not l0_stop:
                     # Zero backlog stays zero: per-op latency is the
                     # constant CPU cost (accumulated op by op, so float
-                    # rounding matches the scalar path).
+                    # rounding matches _write_one's clock advances).
                     if bound is None and append is None and not tr_on:
                         for _ in range(cap):
                             now += cpu
@@ -748,41 +592,24 @@ class LSMStore(KVStore):
                                 append(cpu)
                             if bound is not None and now >= bound:
                                 break
-                elif channels is None:
-                    stall = self.stall_seconds
-                    for _ in range(cap):
-                        backlog = busy - now
-                        if backlog < 0.0:
-                            backlog = 0.0
-                        if backlog > hard or l0_stop:
-                            penalty = max(0.0, backlog - hard)
-                            penalty += (hard - soft) * slowdown
-                        elif backlog > soft:
-                            penalty = (backlog - soft) * slowdown
-                        else:
-                            penalty = 0.0
-                        stall += penalty
-                        if tr_on:
-                            tracer.op_write(wkind, now, cpu + penalty, penalty)
-                        now += cpu + penalty
-                        took += 1
-                        if append is not None:
-                            append(cpu + penalty)
-                        if bound is not None and now >= bound:
-                            break
-                    self.stall_seconds = stall
                 else:
-                    # Channel mode: the stall input is the mean
-                    # per-channel write backlog — the *same function*
-                    # the device model uses (mean_write_backlog, shared
-                    # with ChannelTimeline.backlog), so the two cannot
+                    # The stall input is the device's write backlog:
+                    # what is left of the scalar busy horizon, or in
+                    # channel mode the mean per-channel backlog — the
+                    # *same function* the device model uses
+                    # (mean_write_backlog, shared with
+                    # ChannelTimeline.backlog), so the two cannot
                     # drift.  Once the replay clock passes the max
                     # horizon every remaining term is an exact 0.0 and
                     # the sum is skipped outright.
                     stall = self.stall_seconds
                     for _ in range(cap):
-                        backlog = 0.0 if now >= wmax \
-                            else mean_write_backlog(write_busy, now)
+                        if now >= wmax:
+                            backlog = 0.0
+                        elif write_busy is None:
+                            backlog = wmax - now
+                        else:
+                            backlog = mean_write_backlog(write_busy, now)
                         if backlog > hard or l0_stop:
                             penalty = max(0.0, backlog - hard)
                             penalty += (hard - soft) * slowdown
@@ -826,7 +653,7 @@ class LSMStore(KVStore):
                                           seeds_list[done:done + took], vlen)
                     stats.puts += took
                 if wal is not None:
-                    wal._buffered += took * wal_record  # bulk_append, inlined
+                    wal._buffered += took * wal_record
                     if self._crash is not None:
                         crash_log = self._crash.setdefault(wal.log_id, [])
                         if delete:
@@ -856,26 +683,6 @@ class LSMStore(KVStore):
             exc.ops_done = done
             raise
         return done
-
-    def _resolve_replay_ssd(self):
-        """Resolve and memoize the SSD behind the filesystem.
-
-        Returns the SSD, or ``False`` when the write replay cannot
-        apply (no SSD in the device stack, or it runs on a different
-        clock — both fixed at construction time, so the verdict is
-        cached for the per-op hot path).
-        """
-        device = self.fs.device
-        while not hasattr(device, "ssd"):
-            device = getattr(device, "parent", None)
-            if device is None:
-                self._replay_ssd = False
-                return False
-        ssd = device.ssd
-        if ssd.clock is not self.clock:
-            ssd = False
-        self._replay_ssd = ssd
-        return ssd
 
     def flush(self) -> None:
         """Flush the memtable and run compactions to completion."""
@@ -1006,6 +813,45 @@ class LSMStore(KVStore):
     # ------------------------------------------------------------------
     # Write-path internals
     # ------------------------------------------------------------------
+    def _write_one(self, key: int, vseed: int, vlen: int, delete: bool) -> float:
+        """One put or tombstone through every step of the write path:
+        WAL append (with its write-out), memtable insert, rotation and
+        flush, stall penalty.  :meth:`put` and :meth:`delete` are
+        this, and so is the op of a batch that triggers device work."""
+        self._ensure_open()
+        tracer = self.tracer
+        tr_on = tracer.enabled
+        if tr_on:
+            t0 = self.clock.now
+            tracer.op_begin()
+        config = self.config
+        payload = config.key_bytes + vlen
+        latency = config.cpu_overhead
+        if self.wal is not None:
+            wal_latency = self.wal.append(payload)
+            latency += wal_latency
+            if tr_on and wal_latency > 0.0:
+                tracer.span("wal_append", "lsm", t0, wal_latency,
+                            {"bytes": payload})
+            if self._crash is not None:
+                self._crash.setdefault(self.wal.log_id, []).append(
+                    (key, vseed, vlen, KIND_DELETE if delete else KIND_PUT,
+                     payload + config.wal_entry_overhead))
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        if delete:
+            self.memtable.delete(key, seq)
+            self._stats.deletes += 1
+        else:
+            self.memtable.put(key, seq, vseed, vlen)
+            self._stats.puts += 1
+        self._stats.user_bytes_written += payload
+        latency += self._after_write()
+        if tr_on:
+            tracer.op_end("delete" if delete else "update", t0, latency)
+        self.clock.advance(latency)
+        return latency
+
     def _after_write(self) -> float:
         """Rotate/flush/compact as needed; return stall penalty."""
         if self.memtable.full:
@@ -1167,47 +1013,6 @@ class LSMStore(KVStore):
         if kind == KIND_DELETE:
             return None
         return Value(vseed, vlen)
-
-    def _scan_sources(self, start_key: int, consumed: dict):
-        """Iterators over every data source, each yielding
-        (key, seq, vseed, vlen, kind) in key order."""
-
-        def from_memtable(memtable: MemTable):
-            def generate():
-                for key, (seq, vseed, vlen, kind) in memtable.range_items(start_key):
-                    yield key, seq, vseed, vlen, kind
-            return generate()
-
-        yield from_memtable(self.memtable)
-        for memtable, _wal in self._immutables:
-            yield from_memtable(memtable)
-
-        def from_table(table):
-            first = int(np.searchsorted(table.keys, start_key))
-            window = [first, first]
-            consumed[table] = window
-
-            def generate():
-                for idx in range(first, table.nentries):
-                    window[1] = idx + 1
-                    yield table.entry(idx)
-            return generate()
-
-        for _level, table in self.version.all_tables():
-            if table.max_key >= start_key:
-                yield from_table(table)
-
-    def _charge_scan_reads(self, consumed: dict) -> float:
-        """One sequential read per table for the entries a scan consumed."""
-        latency = 0.0
-        for table, (first, end) in consumed.items():
-            if end <= first:
-                continue
-            offset = int(table._offsets[first])
-            nbytes = int(table._offsets[end]) - offset
-            read_latency, _ = self.fs.pread(table.filename, offset, min(nbytes, table.data_bytes - offset))
-            latency += read_latency
-        return latency
 
     # ------------------------------------------------------------------
     # Helpers

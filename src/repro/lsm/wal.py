@@ -37,25 +37,6 @@ class WriteAheadLog:
             return 0.0
         return self._write_out()
 
-    # ------------------------------------------------------------------
-    # Bulk accounting (DESIGN.md §6)
-    # ------------------------------------------------------------------
-    def capacity_for(self, payload_bytes: int) -> int:
-        """Records of *payload_bytes* each that stay below the buffered
-        write-out threshold (the next record triggers the device
-        write, exactly like the scalar ``append`` check)."""
-        record = payload_bytes + self.config.wal_entry_overhead
-        remaining = self.config.wal_buffer_bytes - 1 - self._buffered
-        return max(0, remaining // record)
-
-    def bulk_append(self, count: int, payload_bytes: int) -> None:
-        """Account *count* equal-size buffered records in one step.
-
-        Callers bound the batch with :meth:`capacity_for`, so no
-        write-out can fall inside it.
-        """
-        self._buffered += count * (payload_bytes + self.config.wal_entry_overhead)
-
     def sync(self) -> float:
         """Force out any buffered records."""
         if self._buffered == 0:

@@ -14,8 +14,10 @@ from repro.units import usec
 
 # ``--hypothesis-profile=ci``: ten times the default example count,
 # the same examples on every run.  CI's tier-1 job runs the FTL
-# lockstep (tests/flash/test_ftl_lockstep.py) and the driver lockstep
-# (tests/workload/test_driver_lockstep.py) under it.
+# lockstep (tests/flash/test_ftl_lockstep.py), the driver lockstep
+# (tests/workload/test_driver_lockstep.py), the LSM reads lockstep
+# (tests/lsm/test_reads_lockstep.py) and the KV model
+# (tests/kv/test_kv_model.py) under it.
 settings.register_profile("ci", max_examples=1000, derandomize=True,
                           deadline=None)
 

@@ -48,6 +48,13 @@ class TestSpec:
         with pytest.raises(ConfigError):
             ExperimentSpec(**bad)
 
+    def test_lsm_scans_beyond_the_packed_key_range_fail_before_the_load(self):
+        big = dict(capacity_bytes=8192 * MIB, value_bytes=16)  # 2^27 keys
+        ExperimentSpec(**big)  # no scans: nothing to pack
+        ExperimentSpec(engine=Engine.BTREE, scan_fraction=0.1, **big)
+        with pytest.raises(ConfigError, match="scan merge"):
+            ExperimentSpec(scan_fraction=0.1, **big)
+
     def test_workload_reflects_spec(self):
         spec = ExperimentSpec(value_bytes=128, read_fraction=0.5)
         workload = spec.workload()

@@ -87,6 +87,17 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["run-figure", "fig99"])
 
+    @pytest.mark.parametrize("bad", [
+        ["--clients", "0"],
+        ["--read-fraction", "0.8", "--scan-fraction", "0.5"],
+    ])
+    def test_bad_spec_is_one_line_on_stderr_and_exit_2(self, bad, capsys):
+        assert main(["run", "--engine", "lsm", "--capacity-mib", "24"] + bad) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_run_with_scan_delete_mix(self, capsys):
         code = main([
             "run", "--engine", "lsm", "--capacity-mib", "24",

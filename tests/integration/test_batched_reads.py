@@ -1,12 +1,15 @@
-"""Native batched read/scan paths vs their scalar loops (DESIGN.md §7.3).
+"""Native batched read/scan paths vs per-op calls (DESIGN.md §7.3).
 
 ``get_many`` / ``scan_many`` are natively batched in both engines as
 of PR 4 (bulk bloom probes and amortized manifest lookups for the LSM,
 sorted-snapshot cursor reuse for LSM scans, cached-leaf descent reuse
 for the B+Tree).  These tests drive the batch methods directly against
-a twin store running the scalar loop and require bit-identical clocks,
-stats, and SMART counters — including under ``until`` cuts and
-interleaved writes that invalidate the reuse cursors.
+a twin store serving one per-op call at a time and require
+bit-identical clocks, stats, and SMART counters — including under
+``until`` cuts and interleaved writes that invalidate the reuse
+cursors.  A scan's per-op and batch calls share their loop, so on the
+LSM every per-op scan is also held to ``reference_reads.scan``: the
+pairs it returns and the reads it pays.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import pytest
 
 from repro.kv.values import value_for
 from repro.workload.spec import WorkloadSpec
+from tests.lsm import reference_reads
+from tests.lsm.test_scan_kernel import record_reads
 from tests.workload.test_batched_runner import make_store
 from repro.workload.runner import load_sequential
 
@@ -31,6 +36,18 @@ def twin_stores(engine: str, nkeys: int = 300, value_bytes: int = 120):
     load_sequential(a, spec)
     load_sequential(b, spec)
     return (a, ssd_a), (b, ssd_b)
+
+
+def checked_scan(store, reads: list | None, start: int, count: int) -> None:
+    """One per-op scan; with *reads* (``record_reads`` of an LSM
+    store) it must return and pay what the reference says."""
+    if reads is None:
+        store.scan(start, count)
+        return
+    pairs, expected = reference_reads.scan(store, start, count)
+    mark = len(reads)
+    assert store.scan(start, count)[1] == pairs
+    assert reads[mark:] == expected
 
 
 def assert_twins_equal(a, ssd_a, b, ssd_b):
@@ -67,8 +84,9 @@ def test_scan_many_equivalent(engine, count):
         np.array([0, 299, 299, 10_000]),  # edges + past-the-end
     ]).astype(np.int64)
     latencies: list[float] = []
+    reads = record_reads(a) if engine == "lsm" else None
     for start in starts:
-        a.scan(int(start), count)
+        checked_scan(a, reads, int(start), count)
     done = b.scan_many(starts, count, latencies=latencies)
     assert done == len(starts)
     assert len(latencies) == done
@@ -81,6 +99,7 @@ def test_reads_interleaved_with_writes_stay_equivalent(engine):
     snapshots are per-call and the B+Tree leaf cursor revalidates, so
     alternating write and read batches stay bit-identical."""
     (a, ssd_a), (b, ssd_b) = twin_stores(engine)
+    reads = record_reads(a) if engine == "lsm" else None
     rng = np.random.default_rng(5)
     version = 1
     for round_id in range(4):
@@ -94,7 +113,7 @@ def test_reads_interleaved_with_writes_stay_equivalent(engine):
         for key in gkeys:
             a.get(int(key))
         for start in skeys:
-            a.scan(int(start), 11)
+            checked_scan(a, reads, int(start), 11)
         assert b.get_many(gkeys) == len(gkeys)
         assert b.scan_many(skeys, 11) == len(skeys)
         # Deletes can unlink B+Tree leaves; the stale read cursor must

@@ -71,13 +71,6 @@ class TestMemTable:
         keys, *_rest = MemTable(LSMConfig()).sorted_arrays()
         assert len(keys) == 0
 
-    def test_range_items(self):
-        mt = MemTable(LSMConfig())
-        for key in (5, 1, 9):
-            mt.put(key, key, 0, 10)
-        items = mt.range_items(4)
-        assert [k for k, _ in items] == [5, 9]
-
 
 class TestBloom:
     def test_no_false_negatives(self):

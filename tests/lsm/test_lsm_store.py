@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.block.device import BlockDevice
 from repro.core.clock import VirtualClock
-from repro.errors import StoreClosedError
+from repro.errors import ConfigError, StoreClosedError
 from repro.flash.ssd import SSD
 from repro.fs.filesystem import ExtentFilesystem
 from repro.kv.values import Value, value_for
@@ -88,6 +88,20 @@ class TestBasicOperations:
         with pytest.raises(StoreClosedError):
             store.put(1, Value(1, 1))
         store.close()  # idempotent
+
+    def test_a_stack_the_write_path_cannot_time_is_refused(self):
+        """The write path reads the SSD's busy horizon on the store's
+        clock: a device stack without an SSD, or with one on another
+        clock, is a ConfigError at construction."""
+        ssd = SSD(make_tiny_config(), VirtualClock())
+        with pytest.raises(ConfigError, match="share one clock"):
+            LSMStore(ExtentFilesystem(BlockDevice(ssd)), VirtualClock())
+
+        class Ramdisk:
+            page_size, npages = 4096, 1024
+
+        with pytest.raises(ConfigError, match="needs an SSD"):
+            LSMStore(ExtentFilesystem(Ramdisk()), VirtualClock())
 
     def test_stats_accumulate(self):
         store = make_store()

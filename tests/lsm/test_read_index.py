@@ -5,7 +5,8 @@ flat rows of preads; ``get()`` walks ``_find`` table by table.  Twin
 stores hold the identical tree: one serves batches, the other per-op
 gets, and everything observable must match exactly — per-op latencies,
 the clock, ``KVStats``, the SMART read counters and the ``fs.pread``
-call sequence.  Also pins the index's per-level invalidation.
+call sequence — and must be what ``reference_reads.get`` says a get
+returns and pays.  Also pins the index's per-level invalidation.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.lsm.config import LSMConfig
 from repro.lsm.memtable import KIND_DELETE, KIND_PUT
 from repro.lsm.store import LSMStore
 from tests.conftest import make_tiny_config
-from tests.lsm import test_scan_kernel
+from tests.lsm import reference_reads, test_scan_kernel
 from tests.lsm.test_scan_kernel import install_tree, populate
 
 KEYSPACE = 300
@@ -93,12 +94,15 @@ def record_preads(store: LSMStore, fail_at: int | None = None) -> list:
     return calls
 
 
-def get_per_op(store: LSMStore, keys, until=None, latencies=None) -> int:
-    """The oracle: one ``get()`` per key, the batch API's contract."""
+def get_per_op(store: LSMStore, keys, until=None, latencies=None,
+               values=None) -> int:
+    """One ``get()`` per key, the batch API's contract."""
     done = 0
     for key in keys:
-        latency, _value = store.get(key)
+        latency, value = store.get(key)
         latencies.append(latency)
+        if values is not None:
+            values.append(value)
         done += 1
         if until is not None and store.clock.now >= until:
             break
@@ -136,13 +140,23 @@ class TestLockstep:
             until = None
             if cut is not None:
                 until = bulk.clock.now + cut * len(keys) * 200e-6
+            expected = [reference_reads.get(twin, key) for key in keys]
+            mark, before = len(twin_preads), twin.stats.user_bytes_read
             bulk_lat: list = []
             twin_lat: list = []
-            assert bulk.get_many(keys, until, bulk_lat) == \
-                get_per_op(twin, keys, until, twin_lat)
+            values: list = []
+            done = get_per_op(twin, keys, until, twin_lat, values)
+            assert bulk.get_many(keys, until, bulk_lat) == done
             assert bulk_lat == twin_lat
             assert state(bulk) == state(twin)
             assert bulk_preads == twin_preads
+            # Third leg: what each get returns and pays.
+            assert values == [value for value, _reads in expected[:done]]
+            assert twin_preads[mark:] == [
+                read for _value, reads in expected[:done] for read in reads]
+            assert twin.stats.user_bytes_read - before == sum(
+                twin.config.key_bytes + value.length for value in values
+                if value is not None)
         bulk.check_invariants()
 
     def test_false_positives_charge_entry_zero(self):
@@ -154,7 +168,11 @@ class TestLockstep:
         store = build_store(tree, bloom_bits=0)
         preads = record_preads(store)
         keys = [15, 25, 4, 41, 35, 20, 15, 15]
+        expected = [reference_reads.get(store, key) for key in keys]
         assert store.get_many(keys) == len(keys)
+        assert preads == [read for _value, reads in expected for read in reads]
+        assert [value is not None for value, _reads in expected] == [
+            key in (25, 20) for key in keys]
         first, second = (t.filename for _lvl, t in store.version.all_tables())
         miss = [(first, 0, 9040), (second, 0, 240)]
         assert preads == (
@@ -190,8 +208,8 @@ class TestLockstep:
                            max_size=12),
            count=st.sampled_from([0, 1, 3, 25, 400]))
     def test_scans_match_per_op_scans(self, seed, starts, count):
-        """The same runs serve ``scan_many``: one merge source and one
-        read plan per run against ``scan()``'s per-table walk."""
+        """The same runs serve scans: one merge source and one read
+        plan per run against the reference's per-table walk."""
         tree = random_tree(seed)
         per_op, batched = (install_tree(test_scan_kernel.make_store(), tree)
                            for _ in range(2))

@@ -1,15 +1,19 @@
-"""The batched LSM scan merge vs the per-op public path (DESIGN.md §13.1).
+"""The LSM scan merge vs the reference reads (DESIGN.md §13.1, §13.4).
 
-Twin stores hold the identical tree; one then serves a scan batch
-through ``scan_many`` (one composite-key argsort per scan over one
-packed column per sorted run, the reads planned per run and submitted
-together through ``fs.pread_many``), the other through ``scan()`` per
-op (a Python heap over per-table iterators and one ``fs.pread`` per
-table — it shares no merge or charging code with the batch path).
-Per-op latencies, the virtual clock, ``KVStats``, device read bytes
-and the stream of ``(file, offset, nbytes)`` reads, in order, must
-match exactly (``==``, no tolerance).  Also pins the composite-packing
-overflow fallback and the widening-window branch of the merge.
+The store serves a scan with one composite-key argsort over one packed
+column per sorted run, the reads planned per run and submitted
+together through ``fs.pread_many``.  ``reference_reads.scan`` says what
+that must return and pay: a ``heapq`` merge over per-table iterators,
+one read per table — it shares no merge or charging code with the
+store.  Every scan here is checked against it: the pairs, the
+``user_bytes_read`` they add up to and the stream of ``(file, offset,
+nbytes)`` reads, in order (``==``, no tolerance).  Twin stores holding
+the identical tree then check the loop around the merge: one serves
+the scans per op, the other as one ``scan_many`` batch, and per-op
+latencies, the virtual clock, ``KVStats`` and device read bytes must
+match.  Also pins the composite-packing limits (a ``ConfigError``
+before anything is charged) and the widening-window branch of the
+merge.
 """
 
 from __future__ import annotations
@@ -19,15 +23,18 @@ import pytest
 
 from repro.block.device import BlockDevice
 from repro.core.clock import VirtualClock
+from repro.errors import ConfigError
 from repro.flash.ssd import SSD
 from repro.fs.filesystem import ExtentFilesystem
 from repro.kv.values import Value
 from repro.lsm.config import LSMConfig
-from repro.lsm.memtable import KIND_DELETE, KIND_PUT, MemTable
+from repro.lsm.memtable import (KIND_DELETE, KIND_PUT, SCAN_KEY_SPAN,
+                                SCAN_SEQ_SPAN, MemTable)
 from repro.lsm.sstable import SSTable
-from repro.lsm.store import _KEY_SPAN, LSMStore
+from repro.lsm.store import LSMStore
 from repro.rng import substream
 from tests.conftest import make_tiny_config
+from tests.lsm import reference_reads
 
 
 def make_store(**config_overrides) -> LSMStore:
@@ -41,26 +48,32 @@ def make_store(**config_overrides) -> LSMStore:
     )
     params.update(config_overrides)
     store = LSMStore(fs, clock, LSMConfig(**params))
-    # Record every read the store issues, whichever entry point it
-    # takes, into one stream: (file, offset, nbytes).
-    store.preads = []
+    store.preads = record_reads(store)
+    return store
+
+
+def record_reads(store: LSMStore) -> list:
+    """Record every read the store issues, whichever entry point it
+    takes, into one stream: (file, offset, nbytes)."""
+    reads: list = []
+    fs = store.fs
     pread, pread_many = fs.pread, fs.pread_many
 
     def recording_pread(name, offset, nbytes):
-        store.preads.append((name, offset, nbytes))
+        reads.append((name, offset, nbytes))
         return pread(name, offset, nbytes)
 
     def recording_pread_many(names, offsets, nbytes):
-        store.preads.extend(zip(names, offsets, nbytes))
+        reads.extend(zip(names, offsets, nbytes))
         return pread_many(names, offsets, nbytes)
 
     fs.pread = recording_pread
     fs.pread_many = recording_pread_many
-    return store
+    return reads
 
 
 def make_pair(**config_overrides) -> tuple[LSMStore, LSMStore]:
-    """(per-op reference, batched) twins."""
+    """(per-op, batched) twins."""
     return make_store(**config_overrides), make_store(**config_overrides)
 
 
@@ -123,7 +136,19 @@ def state(store: LSMStore) -> tuple:
 
 
 def assert_scans_identical(per_op, batched, start_keys, count) -> None:
-    lat_ref = [per_op.scan(key, count)[0] for key in start_keys]
+    """Each scan returns the reference's pairs and pays the reference's
+    reads; one ``scan_many`` batch does what the per-op calls did."""
+    key_bytes = per_op.config.key_bytes
+    lat_ref = []
+    for key in start_keys:
+        pairs, reads = reference_reads.scan(per_op, key, count)
+        mark, before = len(per_op.preads), per_op.stats.user_bytes_read
+        latency, got = per_op.scan(key, count)
+        assert got == pairs
+        assert per_op.preads[mark:] == reads
+        assert per_op.stats.user_bytes_read - before == sum(
+            key_bytes + value.length for _key, value in pairs)
+        lat_ref.append(latency)
     lat: list = []
     assert batched.scan_many(start_keys, count, latencies=lat) == len(start_keys)
     assert lat == lat_ref
@@ -143,7 +168,7 @@ class TestScanMergeEquivalence:
 
     def test_zero_count_still_charges_active_tables(self):
         """count <= 0 pops nothing but consumes one entry per active
-        table (``scan()``'s initial one-ahead push)."""
+        table (the merge's initial one-ahead pull)."""
         per_op, batched = make_pair()
         populate([per_op, batched])
         assert_scans_identical(per_op, batched, [0, 100, 399], 0)
@@ -173,26 +198,44 @@ class TestScanMergeEquivalence:
                                    [key, key // 2, 0], 25)
 
 
-class TestOverflowFallback:
-    def test_huge_keys_fall_back_to_per_op_scan(self):
-        per_op, batched = make_pair()
-        populate([per_op, batched], key_of=lambda i: i + _KEY_SPAN)
-        assert batched._scan_merge_sources() is None
-        assert_scans_identical(per_op, batched,
-                               [_KEY_SPAN, _KEY_SPAN + 100], 30)
+def assert_scan_refused(store: LSMStore, start_keys) -> None:
+    """A scan outside the packing is a ConfigError with nothing
+    charged; the store goes on serving everything else."""
+    def charged():
+        return store.clock.now, store.stats.snapshot(), len(store.preads)
 
-    @pytest.mark.parametrize("key", [-1, _KEY_SPAN])
+    before = charged()
+    with pytest.raises(ConfigError):
+        store.scan(start_keys[0], 30)
+    with pytest.raises(ConfigError):
+        store.scan_many(start_keys, 30)
+    assert charged() == before
+    assert store.get(start_keys[0])[0] > 0.0
+    store.check_invariants()
+
+
+class TestOverflowFallback:
+    """The packing limits.  There is one scan merge and nothing to fall
+    back to, so outside them a scan is refused (the test names date
+    from the heap scan that used to serve these)."""
+
+    def test_huge_keys_fall_back_to_per_op_scan(self):
+        store = make_store()
+        populate([store], key_of=lambda i: i + SCAN_KEY_SPAN)
+        assert_scan_refused(store, [SCAN_KEY_SPAN, SCAN_KEY_SPAN + 100])
+
+    @pytest.mark.parametrize("key", [pytest.param(-1, id="-1"),
+                                     pytest.param(SCAN_KEY_SPAN, id="SPAN")])
     def test_one_unpackable_memtable_key_falls_back(self, key):
         """The guard is on the memtable's key range, before anything
         is packed: a negative key would otherwise wrap into the
         composite's high bits."""
-        per_op, batched = make_pair()
-        populate([per_op, batched])
-        for store in (per_op, batched):
-            store.put(key, Value(5, 40))
-        assert batched.memtable.sorted_columns() is None
-        assert batched._scan_merge_sources() is None
-        assert_scans_identical(per_op, batched, [-5, 0, 300], 30)
+        store = make_store()
+        populate([store])
+        store.put(key, Value(5, 40))
+        with pytest.raises(ConfigError):
+            store.memtable.sorted_columns()
+        assert_scan_refused(store, [-5, 0, 300])
 
     def test_in_range_keys_use_the_packed_merge(self):
         """One merge source per sorted run, not per table."""
@@ -214,7 +257,7 @@ class TestPackingPrecision:
         ulp of the next key's composite, and a rounded comparison
         starts the scan one entry early."""
         per_op, batched = make_pair(memtable_bytes=512 * 1024)
-        base = _KEY_SPAN - 200
+        base = SCAN_KEY_SPAN - 200
         for store in (per_op, batched):
             for i in range(100):
                 store.put(base + i, Value(i, 32))
@@ -227,7 +270,7 @@ class TestWideningWindow:
         """The first ``count + 1`` merged entries are all tombstones,
         so the fixed window cannot prove ``count`` results and the
         merge must widen — a wrong (non-widening) merge would
-        under-count and diverge from ``scan()``."""
+        under-count and diverge from the reference."""
         per_op, batched = make_pair(memtable_bytes=512 * 1024)
         for store in (per_op, batched):
             for key in range(60):
@@ -250,13 +293,12 @@ class TestWideningWindow:
 
 class TestSequenceOverflowGuard:
     def test_seq_span_exceeded_falls_back(self):
-        per_op, batched = make_pair()
-        for store in (per_op, batched):
-            store.put(1, Value(1, 32))
-            store._next_seq = (1 << 40) + 1
-        assert batched._scan_merge_sources() is None
-        # And the public path still answers, through scan() per op.
-        assert_scans_identical(per_op, batched, [0], 5)
+        store = make_store()
+        populate([store])
+        store._next_seq = SCAN_SEQ_SPAN
+        assert store.scan(0, 5)[1]  # the last packable sequence number
+        store._next_seq = SCAN_SEQ_SPAN + 1
+        assert_scan_refused(store, [0, 300])
 
 
 def puts(keys, vlen=40) -> tuple:

@@ -211,21 +211,3 @@ class TestBatchApiDirect:
         assert b.delete_many(np.arange(30, dtype=np.int64)) == 30
         assert a.clock.now == b.clock.now
         assert asdict(a.stats.snapshot()) == asdict(b.stats.snapshot())
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_per_op_vlens_fall_back_to_generic_loop(self, engine):
-        spec = WorkloadSpec(nkeys=64, value_bytes=100)
-        a, _ = make_store(engine)
-        b, _ = make_store(engine)
-        load_sequential(a, spec)
-        load_sequential(b, spec)
-        keys = np.arange(40, dtype=np.int64)
-        seeds = seeds_for(keys, 1 + np.arange(40))
-        vlens = (50 + keys % 7).astype(np.int64)
-        for i in range(40):
-            a.put(int(keys[i]), value_for(int(keys[i]), int(1 + i), int(vlens[i])))
-        # Per-op value lengths take the generic loop; seeds_for uses
-        # value_for's formula, so the streams coincide.
-        assert b.put_many(keys, seeds, vlens) == 40
-        assert a.clock.now == b.clock.now
-        assert asdict(a.stats.snapshot()) == asdict(b.stats.snapshot())
