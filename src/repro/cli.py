@@ -5,8 +5,7 @@
 ``repro run --engine lsm ...``   run a single custom experiment
 ``repro trace --engine lsm ...`` run one experiment with the flight recorder
 ``repro campaign --preset ...``  run a grid of experiments on a worker pool
-``repro bench``                  wall-clock perf benchmark + regression check
-``repro profile``                cProfile one bench cell (top-N hot spots)
+``repro profile``                cProfile one fig-2 cell (top-N hot spots)
 ``repro pitfalls``               print the seven-pitfall checklist
 """
 
@@ -15,14 +14,17 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.bench import WORKLOADS, profile_case
 from repro.campaign import PRESETS, run_campaign
 from repro.core.experiment import Engine, ExperimentSpec, run_experiment
 from repro.core.figures import FIGURES, SCALES
 from repro.core.pitfalls import PITFALLS, EvaluationPlan, check_plan, render_report
-from repro.core.report import render_campaign, render_series, render_table
+from repro.core.report import (render_campaign, render_series,
+                               render_shard_table, render_table)
 from repro.errors import ConfigError
 from repro.flash.state import DriveState
 from repro.fleet import ARRIVALS, ROUTERS
+from repro.fleet.pool import AVAILABILITY_TARGET
 from repro.units import MIB
 from repro.workload.keys import DISTRIBUTIONS
 
@@ -121,52 +123,16 @@ def _build_parser() -> argparse.ArgumentParser:
                                "latency attribution in the JSONL output")
     campaign.set_defaults(func=_cmd_campaign)
 
-    bench = sub.add_parser(
-        "bench",
-        help="measure wall-clock sim throughput (the perf-regression harness)",
-        description=(
-            "Run the fig-2 update workload per engine, timing the simulator's "
-            "wall-clock throughput (DESIGN.md §6).  Writes BENCH_throughput.json; "
-            "--check compares against a baseline file and exits non-zero on a "
-            "sim-fingerprint drift or a >threshold perf regression."
-        ),
-    )
-    bench.add_argument("--smoke", action="store_true",
-                       help="small scale only (the CI perf-smoke job)")
-    bench.add_argument("--repeat", type=int, default=2,
-                       help="timed runs per case (best wall time wins)")
-    bench.add_argument("--suite", choices=["std", "perf"], default="std",
-                       help="perf = dedicated perf runner: one warmup pass "
-                            "per cell and >= 3 timed iterations (use when "
-                            "refreshing a strict-wall baseline)")
-    bench.add_argument("--cases", metavar="GLOB", default=None,
-                       help="run only cells whose name matches this glob, "
-                            "e.g. 'fig2-update-pool4-*' (DESIGN.md §8.3); "
-                            "filtered reports skip the trace-overhead probe "
-                            "and should not be committed as baselines")
-    bench.add_argument("--out", default="BENCH_throughput.json",
-                       help="where to write the report (default %(default)s)")
-    bench.add_argument("--check", metavar="BASELINE", default=None,
-                       help="baseline report to compare against")
-    bench.add_argument("--threshold", type=float, default=0.30,
-                       help="allowed relative perf regression (default 0.30)")
-    bench.add_argument("--strict-wall", action="store_true",
-                       help="fail on absolute ops/sec regressions too "
-                            "(baseline must come from the same machine)")
-    bench.set_defaults(func=_cmd_bench)
-
     profile = sub.add_parser(
         "profile",
-        help="cProfile one bench cell and print the hottest functions",
+        help="cProfile one fig-2 cell and print the hottest functions",
         description=(
-            "Run one `repro bench` cell under cProfile and print the top-N "
+            "Run one fig-2 cell under cProfile and print the top-N "
             "functions (DESIGN.md §8), so perf work starts from measured hot "
-            "spots.  Profiles rank; uninstrumented `repro bench` walls "
-            "decide."
+            "spots.  Profiles rank; the perf ledger (benchmarks/ledger) "
+            "decides."
         ),
     )
-    from repro.bench import WORKLOADS
-
     profile.add_argument("--engine", choices=[e.value for e in Engine],
                          default="lsm")
     profile.add_argument("--workload", choices=sorted(WORKLOADS),
@@ -378,15 +344,8 @@ def _cmd_run(args) -> int:
             f"{steady.wa_a * steady.wa_d:.1f}, space amp={steady.space_amp:.2f}"
         )
     if tracer is not None:
-        from repro.obs import render_attribution, write_chrome_trace
-
-        nevents = write_chrome_trace(tracer.events(), args.trace,
-                                     attribution=result.attribution)
-        tracer.close()
         print()
-        print(render_attribution(result.attribution,
-                                 title="per-op latency attribution"))
-        print(_trace_summary(args.trace, nevents, tracer))
+        _finish_trace(tracer, result, args.trace)
     return 0
 
 
@@ -416,64 +375,43 @@ def _render_fleet(fleet: dict) -> str:
         lines.append(
             f"availability {fleet['availability'] * 100:.2f}% "
             f"(error-budget burn {fleet['error_budget_burn']:.2f}x of "
-            f"{(1 - 0.999) * 100:g}%), "
+            f"{(1 - AVAILABILITY_TARGET) * 100:g}%), "
             f"retry amplification {fleet['retry_amplification']:.3f}x, "
             f"failed {fleet['failed']}, timeouts {fleet['timeouts']}, "
             f"retries {fleet['retries']}, lost keys {fleet['lost_keys']}"
         )
-    per_shard = fleet["per_shard"]
-    if per_shard and "p95" in per_shard[0]:
-        chaos = "health" in per_shard[0]
-        rows = [
-            [str(row["shard"]), str(row["offered"]), str(row["admitted"]),
-             str(row["rejected"]), str(row["ops"]),
-             f"{row['p50'] * 1e6:.0f}", f"{row['p95'] * 1e6:.0f}",
-             f"{row['p99'] * 1e6:.0f}", str(row["qdepth_max"]),
-             f"{row['qdepth_mean']:.2f}"]
-            + ([str(row["failed"]), str(row["retries"]),
-                f"{row['recovery_seconds'] * 1e3:.1f}",
-                f"{row['downtime_seconds'] * 1e3:.1f}", row["health"]]
-               if chaos else [])
-            for row in per_shard
-        ]
-        lines.append(render_table(
-            ["shard", "offered", "admitted", "rejected", "ops", "p50 us",
-             "p95 us", "p99 us", "qd max", "qd mean"]
-            + (["failed", "retries", "recov ms", "down ms", "health"]
-               if chaos else []),
-            rows, title="per-shard breakdown",
-        ))
-    else:
-        rows = [[str(row["shard"]), str(row["ops"])] for row in per_shard]
-        lines.append(render_table(["shard", "ops"], rows,
-                                  title="per-shard breakdown"))
+    lines.append(render_shard_table(fleet["per_shard"],
+                                    title="per-shard breakdown"))
     return "\n".join(lines)
 
 
-def _trace_summary(path: str, nevents: int, tracer) -> str:
-    """The closing line of a traced run; says what the ring evicted."""
-    return (f"trace written to {path} ({nevents} events, "
-            f"{tracer.dropped} older ones evicted from the ring; "
-            f"open at https://ui.perfetto.dev)")
+def _finish_trace(tracer, result, path: str) -> None:
+    """Close a traced run: write the Chrome trace to *path*, then print
+    the attribution table and what the ring evicted."""
+    from repro.obs import render_attribution, write_chrome_trace
+
+    nevents = write_chrome_trace(tracer.events(), path,
+                                 attribution=result.attribution)
+    tracer.close()
+    print(render_attribution(result.attribution,
+                             title="per-op latency attribution"))
+    print(f"trace written to {path} ({nevents} events, "
+          f"{tracer.dropped} older ones evicted from the ring; "
+          f"open at https://ui.perfetto.dev)")
 
 
 def _cmd_trace(args) -> int:
-    from repro.obs import Tracer, render_attribution, write_chrome_trace
+    from repro.obs import Tracer
 
     spec = _spec_from_args(args)
     tracer = Tracer()
     result = run_experiment(spec, tracer=tracer)
-    nevents = write_chrome_trace(tracer.events(), args.out,
-                                 attribution=result.attribution)
-    tracer.close()
     if result.out_of_space:
         print("RUN ENDED: out of space")
     if result.steady:
         print(f"steady state: {result.steady.kv_tput:.0f} ops/s, "
               f"WA-D={result.steady.wa_d:.2f}")
-    print(render_attribution(result.attribution,
-                             title="per-op latency attribution"))
-    print(_trace_summary(args.out, nevents, tracer))
+    _finish_trace(tracer, result, args.out)
     return 0
 
 
@@ -482,14 +420,10 @@ def _cmd_campaign(args) -> int:
         from repro.campaign import merge_stores
 
         if len(args.merge) < 2:
-            print("error: --merge needs an output path and at least one input")
-            return 2
+            raise ConfigError(
+                "--merge needs an output path and at least one input")
         out, inputs = args.merge[0], args.merge[1:]
-        try:
-            merged, dropped = merge_stores(out, inputs, force=args.force)
-        except ConfigError as exc:
-            print(f"error: {exc}")
-            return 1
+        merged, dropped = merge_stores(out, inputs, force=args.force)
         print(f"merged {merged} cell(s) from {len(inputs)} file(s) into {out}"
               + (f" ({dropped} duplicate(s) dropped)" if dropped else ""))
         return 0
@@ -509,8 +443,7 @@ def _cmd_campaign(args) -> int:
         ))
         return 0
     if args.preset is None:
-        print("error: --preset is required (or pass --render FILE)")
-        return 2
+        raise ConfigError("--preset is required (or pass --render FILE)")
     campaign = PRESETS[args.preset]
     cells = campaign.cells()
     print(f"campaign {campaign.name!r}: {len(cells)} cells over "
@@ -545,40 +478,7 @@ def _cmd_campaign(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench import (
-        check_regression, load_report, render_bench, run_bench, save_report,
-    )
-
-    report = run_bench(smoke=args.smoke, repeat=args.repeat,
-                       suite=args.suite, cases_glob=args.cases)
-    if not any(suite["cases"] for suite in report["suites"].values()):
-        print(f"no bench cells match --cases {args.cases!r}")
-        return 2
-    print(render_bench(report))
-    save_report(report, args.out)
-    print(f"\nreport written to {args.out}")
-    if args.check:
-        baseline = load_report(args.check)
-        problems, warnings = check_regression(
-            report, baseline, threshold=args.threshold,
-            strict_wall=args.strict_wall,
-        )
-        for warning in warnings:
-            print(f"warning: {warning}")
-        if problems:
-            print(f"\nREGRESSION vs {args.check}:")
-            for problem in problems:
-                print(f"  - {problem}")
-            return 1
-        print(f"no regression vs {args.check} "
-              f"(threshold {args.threshold:.0%})")
-    return 0
-
-
 def _cmd_profile(args) -> int:
-    from repro.bench import profile_case
-
     table = profile_case(
         Engine(args.engine), args.scale, workload_name=args.workload,
         nclients=args.clients, top=args.top,

@@ -492,16 +492,21 @@ def run_measured_phase(spec: ExperimentSpec, store, ssd, collector,
     every depth.  An arrival process replaces the closed loop with the
     open-loop :class:`~repro.fleet.pool.FleetPool`.  The run stops once
     host writes reach ``duration_capacity_writes`` device capacities,
-    or at ``spec.max_ops``.
+    or at ``spec.max_ops``.  A mix of only gets and scans never moves
+    the host-write counter, so without a ``max_ops`` it gets the op
+    budget a pure-update run would need to reach the write target.
     """
     workload = spec.workload()
     target_bytes = int(spec.duration_capacity_writes * spec.capacity_bytes)
+    max_ops = spec.max_ops
+    if max_ops is None and spec.read_fraction + spec.scan_fraction >= 1.0:
+        max_ops = max(1, target_bytes // max(spec.value_bytes, 1))
     limits = dict(
         seed=spec.seed,
         stop_when=lambda: collector.host_bytes_written() >= target_bytes,
         sample_interval=spec.sample_interval,
         on_sample=collector.sample,
-        max_ops=spec.max_ops,
+        max_ops=max_ops,
     )
     if (spec.arrival is None and spec.nshards == 1 and spec.nclients == 1
             and spec.driver != "pool"):

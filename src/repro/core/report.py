@@ -40,6 +40,40 @@ def render_series(
     return render_table(headers, rows, title=title)
 
 
+def render_shard_table(per_shard: Sequence[dict], title: str = "") -> str:
+    """The per-shard breakdown of a result's ``fleet`` block.
+
+    Open-loop rows carry admission counts, latency percentiles and
+    queue depths, and — from fault injection on — the chaos columns
+    (failures, retries, recovery and down time, health); closed-loop
+    rows have latencies per client, not per shard, so only op counts.
+    """
+    if not per_shard or "p95" not in per_shard[0]:
+        return render_table(
+            ["shard", "ops"],
+            [[str(row["shard"]), str(row["ops"])] for row in per_shard],
+            title=title)
+    chaos = "health" in per_shard[0]
+    rows = [
+        [str(row["shard"]), str(row["offered"]), str(row["admitted"]),
+         str(row["rejected"]), str(row["ops"]),
+         f"{row['p50'] * 1e6:.0f}", f"{row['p95'] * 1e6:.0f}",
+         f"{row['p99'] * 1e6:.0f}", str(row["qdepth_max"]),
+         f"{row['qdepth_mean']:.2f}"]
+        + ([str(row["failed"]), str(row["retries"]),
+            f"{row['recovery_seconds'] * 1e3:.1f}",
+            f"{row['downtime_seconds'] * 1e3:.1f}", row["health"]]
+           if chaos else [])
+        for row in per_shard
+    ]
+    return render_table(
+        ["shard", "offered", "admitted", "rejected", "ops", "p50 us",
+         "p95 us", "p99 us", "qd max", "qd mean"]
+        + (["failed", "retries", "recov ms", "down ms", "health"]
+           if chaos else []),
+        rows, title=title)
+
+
 def render_campaign(records: Sequence[dict], title: str = "") -> str:
     """Consolidated cross-cell table for a campaign's JSONL records.
 
@@ -129,24 +163,8 @@ def render_campaign(records: Sequence[dict], title: str = "") -> str:
     )
     sections = [text]
     for cell, fleet in shard_sections:
-        chaos_rows = any("health" in row for row in fleet["per_shard"])
-        shard_rows = [
-            [str(row["shard"]), str(row["offered"]), str(row["admitted"]),
-             str(row["rejected"]), str(row["ops"]),
-             f"{row['p50'] * 1e6:.0f}", f"{row['p95'] * 1e6:.0f}",
-             f"{row['p99'] * 1e6:.0f}", str(row["qdepth_max"]),
-             f"{row['qdepth_mean']:.2f}"]
-            + ([str(row.get("failed", 0)), str(row.get("retries", 0)),
-                f"{row.get('recovery_seconds', 0.0) * 1e3:.1f}",
-                row.get("health", "-")] if chaos_rows else [])
-            for row in fleet["per_shard"]
-        ]
-        sections.append(render_table(
-            ["shard", "offered", "admitted", "rejected", "ops", "p50 us",
-             "p95 us", "p99 us", "qd max", "qd mean"]
-            + (["failed", "retries", "recov ms", "health"]
-               if chaos_rows else []),
-            shard_rows,
+        sections.append(render_shard_table(
+            fleet["per_shard"],
             title=(f"per-shard breakdown [{cell}] "
                    f"({fleet['arrival']} @ {fleet['arrival_rate']:g}/s, "
                    f"SLO {fleet['slo_ms']:g} ms)"),

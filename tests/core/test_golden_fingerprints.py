@@ -8,8 +8,9 @@ to_dict()``, which holds no host wall-clock field — is serialised
 compared with a literal.  The literals were recorded at the last
 commit that still had the scalar (one-op-at-a-time) drivers, where
 ``batched=True`` and ``batched=False`` both produced every one of
-them; they are what pins the drivers, the extent stream, FTL
-mappings, merge orders and read charges end to end.
+them (the two ``pool16`` ones later, see ``POOL16``); they are what
+pins the drivers, the extent stream, FTL mappings, merge orders and
+read charges end to end.
 
 A mismatch means simulated behaviour changed.  If that is *intended*
 (and justified by an independent reference, per the ROADMAP standing
@@ -69,6 +70,14 @@ OUT_OF_SPACE = dict(
     nclients=4,
 )
 
+#: Fig 2 at the small figure scale with sixteen clients: the deep
+#: interleave, stopping on the host-write target.  Recorded at the
+#: last commit that had the wall-clock perf baseline file, whose
+#: ``sim`` blocks for these two cells (4 992 and 3 136 measured ops)
+#: the runs matched.
+POOL16 = dict(capacity_bytes=48 * MIB, duration_capacity_writes=2.5,
+              sample_interval=0.2, nclients=16)
+
 SPECS = {
     "closed-loop-lsm": dict(engine=Engine.LSM, **FAST),
     "closed-loop-btree": dict(engine=Engine.BTREE, **FAST),
@@ -99,6 +108,8 @@ SPECS = {
     "pool4-mixed-btree": dict(engine=Engine.BTREE, nclients=4, **POOL_MIXED),
     "out-of-space-pool4-lsm": dict(engine=Engine.LSM, **OUT_OF_SPACE),
     "out-of-space-pool4-btree": dict(engine=Engine.BTREE, **OUT_OF_SPACE),
+    "pool16-lsm": dict(engine=Engine.LSM, **POOL16),
+    "pool16-btree": dict(engine=Engine.BTREE, **POOL16),
 }
 
 GOLDEN = {
@@ -138,6 +149,10 @@ GOLDEN = {
         "b3d9cc91df5def0b88c635739538333af1e3da59ce6751bdd5279093bcb9df5b",
     "out-of-space-pool4-btree":
         "7bf780bd2912ed8ea67f3a4d78982df58785893a7979c6596a73e4688ab45059",
+    "pool16-lsm":
+        "c43eb208caee46016c2639fc838cc9b606937256044a1f8de6f95d5df814f70d",
+    "pool16-btree":
+        "a96e05a429d9384f2090c39b13146ad2d483bd46ee2030ae77e0a9e1851a4785",
 }
 
 

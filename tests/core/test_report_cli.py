@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import main
-from repro.core.report import render_series, render_table
+from repro.cli import _render_fleet, main
+from repro.core.experiment import ExperimentSpec, run_experiment
+from repro.core.report import render_campaign, render_series, render_table
+from repro.units import MIB
 
 
 class TestRenderTable:
@@ -35,6 +37,21 @@ class TestRenderTable:
         rows = [[i] for i in range(5)]
         text = render_series("t", ["a"], rows, max_points=10)
         assert len(text.splitlines()) == 3 + 5
+
+
+def test_run_and_campaign_render_the_same_shard_table():
+    """A killed shard's down time shows wherever its row is printed."""
+    result = run_experiment(ExperimentSpec(
+        capacity_bytes=24 * MIB, dataset_fraction=0.3, max_ops=2500,
+        nshards=2, arrival="poisson", arrival_rate=8000.0, queue_cap=16,
+        kill_at=0.05, kill_shard=1))
+    down = result.fleet["per_shard"][1]["downtime_seconds"]
+    assert down > 0.0
+    for text in (_render_fleet(result.fleet),
+                 render_campaign([result.to_dict()])):
+        header, _rule, _shard0, shard1 = text.splitlines()[-4:]
+        assert "down ms" in header
+        assert shard1.split()[-2] == f"{down * 1e3:.1f}"
 
 
 class TestCli:
@@ -97,6 +114,30 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("bad, message", [
+        (["--merge", "only-an-output.jsonl"], "--merge needs"),
+        (["--merge", "out.jsonl", "no-such-input.jsonl"], "does not exist"),
+        ([], "--preset is required"),
+    ])
+    def test_campaign_misuse_is_one_line_on_stderr_and_exit_2(
+            self, bad, message, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["campaign"] + bad) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("mix", [
+        ["--engine", "btree", "--read-fraction", "1.0"],
+        ["--engine", "lsm", "--read-fraction", "0.5", "--scan-fraction", "0.5"],
+    ])
+    def test_write_free_run_ends_on_its_op_budget(self, mix, capsys):
+        """No op of these mixes moves the host-write stop condition."""
+        assert main(["run", "--capacity-mib", "24", "--duration", "0.2"]
+                    + mix) == 0
+        assert "steady state" in capsys.readouterr().out
 
     def test_run_with_scan_delete_mix(self, capsys):
         code = main([

@@ -28,10 +28,15 @@ def reference_record(spec: ExperimentSpec) -> dict:
         collector.start_measurement()
         run_start = clock.now
         target_bytes = int(spec.duration_capacity_writes * spec.capacity_bytes)
+        max_ops = spec.max_ops
+        if max_ops is None and spec.read_fraction + spec.scan_fraction >= 1.0:
+            # Gets and scans write nothing, so stop_when never fires:
+            # allow the ops an all-update run needs to reach the target.
+            max_ops = max(1, target_bytes // max(spec.value_bytes, 1))
         limits = dict(
             stop_when=lambda: collector.host_bytes_written() >= target_bytes,
             sample_interval=spec.sample_interval, on_sample=collector.sample,
-            max_ops=spec.max_ops)
+            max_ops=max_ops)
         if spec.nclients > 1 or spec.driver == "pool":
             outcome = reference_driver.run_pool(
                 store, workload, spec.nclients, spec.seed, ssd=ssd, **limits)

@@ -16,14 +16,18 @@ profile (``tests/conftest.py``): ``--hypothesis-profile=ci``.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.experiment import Engine, ExperimentSpec
 from repro.sim.clients import ClientPool
+from repro.units import MIB
 from repro.workload.keys import DISTRIBUTIONS
 from repro.workload.runner import load_sequential, run_workload
 from repro.workload.spec import WorkloadSpec
 from tests.workload import reference_driver
+from tests.workload.reference_experiment import assert_matches_reference
 from tests.workload.test_batched_runner import make_store, state_fingerprint
 
 fraction = st.sampled_from([0.0, 0.1, 0.3, 0.5])
@@ -95,3 +99,21 @@ def drive(reference: bool, engine, fractions, distribution, scan_length,
               stop_after=None, seed=5, nclients=1))
 def test_shipped_drivers_match_the_reference(workload):
     assert drive(False, **workload) == drive(True, **workload)
+
+
+@pytest.mark.parametrize("mix", [
+    dict(engine=Engine.BTREE, read_fraction=1.0),
+    dict(engine=Engine.LSM, read_fraction=0.5, scan_fraction=0.5,
+         scan_length=10, nclients=2),
+])
+def test_write_free_spec_runs_the_reference_op_budget(mix):
+    """No ``max_ops`` and no op that writes: the host-write target can
+    never be reached, so the experiment ends on an op budget — the one
+    ``reference_experiment`` states for itself, sample for sample."""
+    spec = ExperimentSpec(capacity_bytes=24 * MIB, dataset_fraction=0.3,
+                          duration_capacity_writes=0.1, sample_interval=0.02,
+                          **mix)
+    assert spec.max_ops is None
+    result = assert_matches_reference(spec)
+    assert result.ops_issued == int(0.1 * 24 * MIB) // 4000
+    assert result.samples
