@@ -81,9 +81,3 @@ class PageCache:
     def dirty_pages(self) -> list[LeafNode]:
         """All resident dirty pages (checkpoint working set)."""
         return [leaf for leaf in self._resident.values() if leaf.dirty]
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of touches served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -76,8 +76,8 @@ class Pager:
     def write_slots(self, slots: list[int], background: bool = False) -> float:
         """Write the given slots as one batched submission.
 
-        Each slot remains its own host request, so device accounting
-        matches writing the slots one ``write_at`` at a time, in order.
+        Each slot remains its own host request, submitted in order, so
+        the device accounts one request per slot.
         """
         for slot in slots:
             self._check_slot(slot)
@@ -87,12 +87,6 @@ class Pager:
             latency += self._write_slot(slot, background)
         return latency
 
-    def write_at(self, slot: int, background: bool = False) -> float:
-        """Overwrite an existing slot in place (metadata updates)."""
-        self._check_slot(slot)
-        self.pages_written += 1
-        return self._write_slot(slot, background)
-
     def read(self, slot: int) -> float:
         """Read one page slot; returns latency."""
         self._check_slot(slot)
@@ -100,8 +94,7 @@ class Pager:
         run = self._slot_run(slot)
         if run is not None:
             return self.fs.device.read_range(*run)
-        latency, _ = self.fs.pread(self.filename, slot * self.page_bytes, self.page_bytes)
-        return latency
+        return self.fs.pread(self.filename, slot * self.page_bytes, self.page_bytes)
 
     def _write_slot(self, slot: int, background: bool) -> float:
         """Submit one slot write, via the cached device range if any."""

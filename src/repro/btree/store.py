@@ -656,12 +656,12 @@ class BTreeStore(KVStore):
         replay_bytes = min(self._journal_since_checkpoint,
                            self.config.journal_ring_bytes)
         if replay_bytes > 0:
-            read_latency, _ = fs.pread(self.JOURNAL_FILE, 0, replay_bytes)
+            read_latency = fs.pread(self.JOURNAL_FILE, 0, replay_bytes)
             latency += read_latency
         if fs.exists(self.META_FILE):
             meta_bytes = fs.file_size(self.META_FILE)
             if meta_bytes:
-                read_latency, _ = fs.pread(self.META_FILE, 0, meta_bytes)
+                read_latency = fs.pread(self.META_FILE, 0, meta_bytes)
                 latency += read_latency
         # The page cache is volatile: restart cold.  The root leaf of a
         # young tree is pinned back in, mirroring construction.

@@ -99,7 +99,6 @@ def _execute_cell(spec_dict: dict, trace_out: str | None = None) -> ExperimentRe
     result = run_experiment(spec, tracer=tracer)
     write_chrome_trace(tracer.events(), f"{trace_out}-{spec.stable_hash()}.json",
                        attribution=result.attribution)
-    tracer.close()
     return result
 
 

@@ -3,7 +3,6 @@
 ``repro figures``                list the reproducible paper figures
 ``repro run-figure fig5``        reproduce one figure and print its rows
 ``repro run --engine lsm ...``   run a single custom experiment
-``repro trace --engine lsm ...`` run one experiment with the flight recorder
 ``repro campaign --preset ...``  run a grid of experiments on a worker pool
 ``repro profile``                cProfile one fig-2 cell (top-N hot spots)
 ``repro pitfalls``               print the seven-pitfall checklist
@@ -22,9 +21,11 @@ from repro.core.pitfalls import PITFALLS, EvaluationPlan, check_plan, render_rep
 from repro.core.report import (render_campaign, render_series,
                                render_shard_table, render_table)
 from repro.errors import ConfigError
+from repro.flash.profiles import PROFILES
 from repro.flash.state import DriveState
 from repro.fleet import ARRIVALS, ROUTERS
 from repro.fleet.pool import AVAILABILITY_TARGET
+from repro.rng import DEFAULT_SEED
 from repro.units import MIB
 from repro.workload.keys import DISTRIBUTIONS
 
@@ -69,22 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "phase and write it (Chrome trace_event JSON, "
                           "loadable in Perfetto) to OUT")
     run.set_defaults(func=_cmd_run)
-
-    trace = sub.add_parser(
-        "trace",
-        help="run one experiment with the flight recorder attached",
-        description=(
-            "Run a single experiment (same flags as `repro run`) with the "
-            "structured tracer attached to every layer, write a Chrome "
-            "trace_event JSON (open it at https://ui.perfetto.dev), and "
-            "print the per-op latency attribution table.  Tracing never "
-            "changes simulated results (DESIGN.md §9)."
-        ),
-    )
-    _add_spec_args(trace)
-    trace.add_argument("--out", default="trace.json",
-                       help="trace output path (default %(default)s)")
-    trace.set_defaults(func=_cmd_trace)
 
     campaign = sub.add_parser(
         "campaign",
@@ -143,8 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--shards", type=int, default=1,
                          help=">1 profiles the fleet path (router + "
                               "per-shard stacks, DESIGN.md §10)")
-    profile.add_argument("--arrival", choices=["poisson", "diurnal", "bursty"],
-                         default=None,
+    profile.add_argument("--arrival", choices=sorted(ARRIVALS), default=None,
                          help="profile the open-loop fleet driver with this "
                               "arrival process (implies the fleet path)")
     profile.add_argument("--arrival-rate", type=float, default=0.0,
@@ -166,11 +150,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_spec_args(parser: argparse.ArgumentParser) -> None:
-    """Register the single-experiment spec flags (`run` and `trace`)."""
+    """Register the single-experiment spec flags of `repro run`."""
     parser.add_argument("--engine", choices=[e.value for e in Engine],
                         default="lsm")
-    parser.add_argument("--ssd", choices=["ssd1", "ssd2", "ssd3"],
-                        default="ssd1")
+    parser.add_argument("--ssd", choices=sorted(PROFILES), default="ssd1")
     parser.add_argument("--state", choices=[s.value for s in DriveState],
                         default="trimmed")
     parser.add_argument("--capacity-mib", type=int, default=128)
@@ -186,7 +169,7 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--op-reserved", type=float, default=0.0)
     parser.add_argument("--duration", type=float, default=3.5,
                         help="stop after host writes reach DURATION x capacity")
-    parser.add_argument("--seed", type=int, default=0xD1D0)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--clients", type=int, default=1,
                         help="concurrent clients; >1 runs on the event-driven "
                              "scheduler with channel-parallel device timing")
@@ -392,27 +375,11 @@ def _finish_trace(tracer, result, path: str) -> None:
 
     nevents = write_chrome_trace(tracer.events(), path,
                                  attribution=result.attribution)
-    tracer.close()
     print(render_attribution(result.attribution,
                              title="per-op latency attribution"))
     print(f"trace written to {path} ({nevents} events, "
           f"{tracer.dropped} older ones evicted from the ring; "
           f"open at https://ui.perfetto.dev)")
-
-
-def _cmd_trace(args) -> int:
-    from repro.obs import Tracer
-
-    spec = _spec_from_args(args)
-    tracer = Tracer()
-    result = run_experiment(spec, tracer=tracer)
-    if result.out_of_space:
-        print("RUN ENDED: out of space")
-    if result.steady:
-        print(f"steady state: {result.steady.kv_tput:.0f} ops/s, "
-              f"WA-D={result.steady.wa_d:.2f}")
-    _finish_trace(tracer, result, args.out)
-    return 0
 
 
 def _cmd_campaign(args) -> int:

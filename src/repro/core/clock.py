@@ -10,10 +10,12 @@ changing the inline semantics: while a scheduler runs an event the
 clock is in *capture* mode — ``advance`` moves a step-local time
 instead of global time, so a key-value operation executed inside one
 client's event observes a locally consistent ``now`` while events of
-other clients remain pending at earlier global times.  The scheduler
-turns the captured step time into the completion time of the step's
-follow-up event.  Outside of capture mode (the seed's inline path)
-the step time tracks global time and behaviour is unchanged.
+other clients remain pending at earlier global times.  The clock only
+holds the three capture fields; entering and leaving capture mode is
+``Scheduler.run``'s job (the one place that writes ``_capturing``), and
+the scheduler turns the captured step time into the completion time of
+the step's follow-up event.  Outside of capture mode (the seed's inline
+path) the step time tracks global time and behaviour is unchanged.
 
 The step-local time is an *absolute* float that accumulates advances
 exactly like the inline path accumulates them into global time
@@ -44,17 +46,6 @@ class VirtualClock:
         """Current virtual time in seconds."""
         return self._step_now if self._capturing else self._now
 
-    @property
-    def capturing(self) -> bool:
-        """Whether an event step is capturing advances (DESIGN.md §4).
-
-        The engines' batched *write* fast paths check this: they
-        replay the scalar stall recurrence against the scalar device
-        model, which only applies outside event-driven runs.  Read and
-        scan batches work in both modes (DESIGN.md §7).
-        """
-        return self._capturing
-
     def advance(self, dt: float) -> float:
         """Advance the clock by *dt* seconds and return the new time."""
         if dt < 0:
@@ -64,45 +55,6 @@ class VirtualClock:
         else:
             self._now += dt
         return self.now
-
-    def advance_to(self, t: float) -> float:
-        """Advance the clock to absolute time *t* (no-op if in the past)."""
-        if t > self.now:
-            if self._capturing:
-                self._step_now = t
-            else:
-                self._now = t
-        return self.now
-
-    # ------------------------------------------------------------------
-    # Event-scheduler protocol (repro.sim.scheduler)
-    # ------------------------------------------------------------------
-    def begin_step(self, t: float) -> None:
-        """Enter capture mode at absolute event time *t*.
-
-        Global time jumps to *t* (events are popped in time order, so
-        this never moves backwards); subsequent ``advance`` calls
-        accumulate into the step-local time.
-
-        NOTE: ``Scheduler.step`` inlines this method and
-        :meth:`end_step` (its per-event hot path) — a change to the
-        capture representation here must be mirrored there.
-        """
-        if self._capturing:
-            raise ConfigError("clock is already capturing an event step")
-        if t > self._now:
-            self._now = t
-        self._step_now = self._now
-        self._capturing = True
-
-    def end_step(self) -> float:
-        """Leave capture mode; returns the offset the step accumulated."""
-        if not self._capturing:
-            raise ConfigError("end_step without a matching begin_step")
-        offset = self._step_now - self._now
-        self._step_now = self._now
-        self._capturing = False
-        return offset
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VirtualClock(now={self.now:.6f})"

@@ -10,7 +10,7 @@ controller write-back cache (the mechanism behind the SSD2 results in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.units import MIB, usec
@@ -102,11 +102,6 @@ class SSDConfig:
         return self.logical_pages * self.page_size
 
     @property
-    def physical_bytes(self) -> int:
-        """Raw flash capacity in bytes."""
-        return self.total_pages * self.page_size
-
-    @property
     def block_bytes(self) -> int:
         """Size of one erase block in bytes."""
         return self.pages_per_block * self.page_size
@@ -126,11 +121,3 @@ class SSDConfig:
         """Seconds of flash work the write cache can absorb before the
         host must stall (the cache expressed in time units)."""
         return self.write_cache_bytes / self.sustained_program_rate
-
-    def scaled_capacity(self, nblocks: int) -> "SSDConfig":
-        """Return a copy of this profile with a different block count.
-
-        Used to derive test-sized devices from the standard profiles
-        while keeping all timing parameters identical.
-        """
-        return replace(self, nblocks=nblocks)

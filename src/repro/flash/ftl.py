@@ -179,14 +179,6 @@ class FlashTranslationLayer:
         return self._write_through(
             np.arange(start, start + npages, dtype=np.int64))
 
-    def read_range(self, start: int, npages: int) -> None:
-        """Read a consecutive logical range (accounting only)."""
-        if npages < 0 or start < 0 or start + npages > self._logical_pages:
-            raise OutOfRangeError(
-                f"read [{start}, {start + npages}) outside logical space"
-            )
-        self.total_read_pages += npages
-
     def retire_free_block(self) -> bool:
         """Retire one free block as grown-bad (fault injection).
 

@@ -149,36 +149,6 @@ class ChannelTimeline:
         """Seconds until the most-loaded channel goes idle (any work)."""
         return max(0.0, self.busy_max - now)
 
-    def add_write_work(self, channel: int, now: float, seconds: float) -> None:
-        """Queue program/erase time on *channel* (both horizons)."""
-        busy = self.busy[channel]
-        if now > busy:
-            busy = now
-        busy += seconds
-        self.busy[channel] = busy
-        if busy > self.busy_max:
-            self.busy_max = busy
-        wbusy = self.write_busy[channel]
-        if now > wbusy:
-            wbusy = now
-        wbusy += seconds
-        self.write_busy[channel] = wbusy
-        if wbusy > self.write_max:
-            self.write_max = wbusy
-        self._epoch += 1
-
-    def add_read_work(self, channel: int, now: float, seconds: float) -> float:
-        """Queue read service time on *channel*; returns its completion.
-
-        Extends only the FIFO occupancy: reads contend for the channel
-        but contribute nothing to the write-cache backlog.
-        """
-        done = max(self.busy[channel], now) + seconds
-        self.busy[channel] = done
-        if done > self.busy_max:
-            self.busy_max = done
-        return done
-
     def reset(self, now: float) -> None:
         """Consider every channel idle as of *now*."""
         self.busy = [now] * len(self.busy)
@@ -302,8 +272,9 @@ class SSD:
             self._check(start, npages)
         ftl = self.ftl
         if ftl is not None:
-            # Inlined ftl.read_range: pure accounting, bounds already
-            # checked against the same logical space.
+            # Reads never touch the mapping: the FTL's share is pure
+            # accounting, bounds already checked against the same
+            # logical space.
             ftl.total_read_pages += npages
         cfg = self.config
         nbytes = npages * self._page_size
@@ -657,11 +628,15 @@ class SSD:
         cursor rotates past the channels a request touched, so small
         requests spread over the array instead of piling on channel 0.
 
-        ``ChannelTimeline.add_write_work`` is inlined across the loop
-        (same arithmetic term for term) — a method call per channel per
-        device write is the device model's hottest edge — with the
-        running maxima folded in and the mutation epoch bumped once per
-        request.
+        This loop is the only writer of the write horizons besides
+        ``ChannelTimeline.reset``.  Per touched channel, program/erase
+        time queues behind ``max(horizon, now)`` on *both* horizons
+        (``busy``, the FIFO occupancy, and ``write_busy``, the
+        write-cache drain); the running maxima follow, and the mutation
+        epoch is bumped once per request — without the bump a memoized
+        ``backlog`` answer for the same ``now`` would go stale.  Plain
+        locals rather than a method per channel: this is the device
+        model's hottest edge.
         """
         cfg = self.config
         channels = self._channels
@@ -746,9 +721,10 @@ class SSD:
         page_read_time = cfg.page_read_time
         degrade = self.faults.degrade  # None unless a window is configured
         completion = now
-        # add_read_work, inlined per channel (reads touch only the FIFO
-        # occupancy, so no epoch bump — the write-backlog memo and
-        # write_max are untouched by reads).
+        # Read service time extends only the FIFO occupancy: reads
+        # contend for the channel but hold nothing in the write cache,
+        # so write_busy, write_max and the backlog memo's epoch are
+        # untouched.
         for i in range(min(npages, nchannels)):
             c = (first + i) % nchannels
             npages_here = base + (1 if i < extra else 0)

@@ -38,7 +38,7 @@ from repro.errors import NoSpaceError, TransientDeviceError
 from repro.fleet.arrival import ArrivalProcess
 from repro.fleet.sharded import ShardedStore
 from repro.obs.tracer import NULL_TRACER
-from repro.sim.scheduler import Scheduler, TraceEntry
+from repro.sim.scheduler import Scheduler
 from repro.workload.keys import make_chooser
 from repro.workload.plan import UPDATE, draw_op
 from repro.workload.runner import (CHECK_EVERY, _after_op_sample, apply_op,
@@ -76,7 +76,6 @@ class FleetOutcome:
     qdepth_max: list[int] = field(default_factory=list)
     qdepth_sum: list[int] = field(default_factory=list)
     latencies: ClientLatencies | None = None  # response time, per shard
-    trace: list[TraceEntry] | None = None
     events_run: int = 0
     # Chaos accounting (DESIGN.md §11): all zero unless a kill
     # schedule, op timeout or fault plan is active.
@@ -112,7 +111,6 @@ class FleetPool:
         max_ops: int | None = None,
         queue_cap: int = 64,
         ssd=None,
-        record_trace: bool = False,
         tracer=NULL_TRACER,
         kill_at: float | None = None,
         kill_shard: int = 0,
@@ -132,7 +130,6 @@ class FleetPool:
         self.max_ops = max_ops  # bounds *offered* ops, so overload runs end
         self.queue_cap = queue_cap
         self.ssd = ssd
-        self.record_trace = record_trace
         self.tracer = tracer
         self.nshards = len(store.shards)
         # Chaos knobs (DESIGN.md §11).  `chaos` gates every new branch
@@ -150,7 +147,7 @@ class FleetPool:
     def run(self) -> FleetOutcome:
         """Drive source + service tasks to completion; blocking."""
         clock = self.store.clock
-        scheduler = Scheduler(clock, record_trace=self.record_trace)
+        scheduler = Scheduler(clock)
         scheduler.obs_tracer = self.tracer
         self._scheduler = scheduler
         # Open-loop runs are inherently concurrent (source + N service
@@ -198,7 +195,6 @@ class FleetPool:
             outcome.out_of_space = True
             self._stop = True
         outcome.run_seconds = clock.now - start
-        outcome.trace = scheduler.trace
         outcome.events_run = scheduler.events_run
         return outcome
 

@@ -34,14 +34,6 @@ def mix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`mix64` (uint64 arithmetic wraps like the mask)."""
-    z = x.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
 class Router:
     """Maps every key of a fixed keyspace to one of *nshards* shards."""
 
@@ -58,10 +50,6 @@ class Router:
     def shard_for(self, key: int) -> int:
         """The shard owning *key*."""
         raise NotImplementedError
-
-    def shards_for(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`shard_for` (used by batch routing/tests)."""
-        return np.array([self.shard_for(int(k)) for k in np.asarray(keys)])
 
 
 class HashRouter(Router):
@@ -97,12 +85,6 @@ class HashRouter(Router):
             idx = 0
         return int(self._owners[idx])
 
-    def shards_for(self, keys: np.ndarray) -> np.ndarray:
-        h = _mix64_array(np.asarray(keys, dtype=np.uint64))
-        idx = np.searchsorted(self._ring, h, side="left")
-        idx[idx == len(self._ring)] = 0
-        return self._owners[idx]
-
 
 class RangeRouter(Router):
     """Contiguous, equal-width key ranges: shard = key·nshards // nkeys."""
@@ -113,10 +95,6 @@ class RangeRouter(Router):
         if key >= self.nkeys:  # defensive clamp; keys are drawn < nkeys
             return self.nshards - 1
         return key * self.nshards // self.nkeys
-
-    def shards_for(self, keys: np.ndarray) -> np.ndarray:
-        k = np.minimum(np.asarray(keys, dtype=np.int64), self.nkeys - 1)
-        return k * self.nshards // self.nkeys
 
 
 ROUTERS = {

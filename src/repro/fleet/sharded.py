@@ -163,7 +163,16 @@ class FleetSSD:
             ssd.enable_channel_timing()
 
     def drain(self) -> float:
-        return max((ssd.drain() for ssd in self.ssds), default=0.0)
+        """Advance the shared clock until every shard is idle; returns
+        the wait.  Each shard's ``drain`` moves the one clock, so a
+        later shard reports only what was left after the earlier ones
+        had waited — the fleet's wait is how far the clock moved, not
+        the largest single report."""
+        clock = self.ssds[0].clock
+        start = clock.now
+        for ssd in self.ssds:
+            ssd.drain()
+        return clock.now - start
 
 
 class _FleetAllocator:

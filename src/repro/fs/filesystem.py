@@ -15,10 +15,10 @@ semantics are modeled explicitly:
 Filesystem metadata overhead is not modeled; the paper states it is
 negligible relative to the multi-GB datasets (§3.3).
 
-For functional tests the filesystem can optionally retain file
-contents in memory (``record_data=True``); engines run with accounting
-only, since key-value payloads are represented by (seed, length)
-descriptors rather than real bytes.
+The filesystem does accounting only — sizes, extents, device pages and
+latencies.  No file contents are kept: key-value payloads are (seed,
+length) descriptors rather than real bytes, so ``append`` / ``pwrite``
+take a byte count and ``pread`` returns a latency.
 
 File extent tables are array-backed (parallel int64 start/length
 columns with a cached cumulative page count): new extents are pushed
@@ -43,13 +43,12 @@ class FileMeta:
     invalidated by every extent mutation.
     """
 
-    __slots__ = ("name", "size_bytes", "data", "_es", "_el", "_ne",
+    __slots__ = ("name", "size_bytes", "_es", "_el", "_ne",
                  "_pages", "_cum")
 
-    def __init__(self, name: str, data: bytearray | None = None):
+    def __init__(self, name: str):
         self.name = name
         self.size_bytes = 0
-        self.data = data
         self._es = np.empty(4, dtype=np.int64)  # extent device starts
         self._el = np.empty(4, dtype=np.int64)  # parallel lengths
         self._ne = 0
@@ -156,13 +155,12 @@ class ExtentFilesystem:
     """A minimal extent filesystem exposing the operations engines need."""
 
     def __init__(self, device, strategy: str = "scatter", discard: bool = False,
-                 record_data: bool = False, seed: int = 0):
+                 seed: int = 0):
         self.device = device
         self.page_size = device.page_size
         self.allocator = ExtentAllocator(device.npages, strategy=strategy,
                                          seed=seed)
         self.discard = discard
-        self.record_data = record_data
         self._files: dict[str, FileMeta] = {}
         # Retry-with-backoff over transient device errors (fault
         # injection; repro.faults.RetryPolicy).  None — the default —
@@ -176,9 +174,7 @@ class ExtentFilesystem:
         """Create an empty file."""
         if name in self._files:
             raise FileExistsError_(f"file {name!r} already exists")
-        self._files[name] = FileMeta(
-            name, data=bytearray() if self.record_data else None
-        )
+        self._files[name] = FileMeta(name)
 
     def exists(self, name: str) -> bool:
         """Whether the named file exists."""
@@ -210,23 +206,16 @@ class ExtentFilesystem:
     # ------------------------------------------------------------------
     # I/O
     # ------------------------------------------------------------------
-    def append(self, name: str, data_or_size: bytes | int,
-               background: bool = False) -> float:
-        """Append bytes (or an abstract byte count) to a file.
+    def append(self, name: str, nbytes: int, background: bool = False) -> float:
+        """Append *nbytes* bytes to a file.
 
         New pages are allocated as needed; a partially filled tail page
         is rewritten (the read-modify-write a real filesystem performs
         with direct I/O).  Returns host-visible latency.
         """
         meta = self._lookup(name)
-        nbytes = data_or_size if isinstance(data_or_size, int) else len(data_or_size)
         if nbytes <= 0:
             return 0.0
-        if self.record_data:
-            if isinstance(data_or_size, int):
-                meta.data.extend(b"\0" * nbytes)
-            else:
-                meta.data.extend(data_or_size)
 
         old_size = meta.size_bytes
         new_size = old_size + nbytes
@@ -254,8 +243,6 @@ class ExtentFilesystem:
         meta = self._lookup(name)
         if nbytes <= 0:
             return
-        if self.record_data:
-            meta.data.extend(b"\0" * nbytes)
         old_pages = _ceil_div(meta.size_bytes, self.page_size)
         new_size = meta.size_bytes + nbytes
         new_pages = _ceil_div(new_size, self.page_size)
@@ -263,11 +250,10 @@ class ExtentFilesystem:
             self._push_new_extents(meta, new_pages - old_pages)
         meta.size_bytes = new_size
 
-    def pwrite(self, name: str, offset: int, data_or_size: bytes | int,
+    def pwrite(self, name: str, offset: int, nbytes: int,
                background: bool = False) -> float:
-        """Write within (or extending) a file at a byte offset."""
+        """Write *nbytes* within (or extending) a file at a byte offset."""
         meta = self._lookup(name)
-        nbytes = data_or_size if isinstance(data_or_size, int) else len(data_or_size)
         if nbytes <= 0:
             return 0.0
         if offset < 0 or offset > meta.size_bytes:
@@ -284,11 +270,7 @@ class ExtentFilesystem:
             nbytes -= grow
             end = offset + nbytes
             if nbytes <= 0:
-                if self.record_data and not isinstance(data_or_size, int):
-                    self._patch_data(meta, offset, data_or_size)
                 return latency
-        if self.record_data and not isinstance(data_or_size, int):
-            self._patch_data(meta, offset, data_or_size)
         first_page = offset // self.page_size
         last_page = _ceil_div(end, self.page_size)
         latency += self._write_file_pages(meta, first_page,
@@ -354,23 +336,18 @@ class ExtentFilesystem:
         """
         return self._single_run(self._lookup(name), first_page, count)
 
-    def pread(self, name: str, offset: int, nbytes: int) -> tuple[float, bytes | None]:
-        """Read a byte range; returns (latency, data-or-None).
-
-        Data is returned only when the filesystem records contents.
-        """
+    def pread(self, name: str, offset: int, nbytes: int) -> float:
+        """Read a byte range; returns host-visible latency."""
         latency = 0.0
         for start, length in self._byte_range_runs(name, offset, nbytes):
             latency += self.device.read_range(start, length)
-        if not self.record_data:
-            return latency, None
-        return latency, bytes(self._files[name].data[offset : offset + max(nbytes, 0)])
+        return latency
 
     def pread_many(self, names, offsets, nbytes) -> float:
         """Read several byte ranges as one device submission.
 
         Returns the very float ``latency += pread(name, offset,
-        size)[0]`` builds in order — a range's device runs are summed
+        size)`` builds in order — a range's device runs are summed
         first, then the ranges — going down the device stack once.
         """
         ranges = [self._byte_range_runs(name, offset, size)
@@ -404,11 +381,6 @@ class ExtentFilesystem:
         """High-water mark of allocated space (the paper reports the
         *maximum* utilization for RocksDB, whose usage oscillates)."""
         return self.allocator.peak_used_pages * self.page_size
-
-    @property
-    def free_bytes(self) -> int:
-        """Bytes of unallocated space."""
-        return self.allocator.free_pages * self.page_size
 
     @property
     def capacity_bytes(self) -> int:
@@ -545,12 +517,6 @@ class ExtentFilesystem:
         np.cumsum(lens[:-1], out=before[1:])
         return np.repeat(starts - before, lens) + np.arange(
             count, dtype=np.int64)
-
-    def _patch_data(self, meta: FileMeta, offset: int, data: bytes) -> None:
-        end = offset + len(data)
-        if len(meta.data) < end:
-            meta.data.extend(b"\0" * (end - len(meta.data)))
-        meta.data[offset:end] = data
 
 
 def _ceil_div(a: int, b: int) -> int:

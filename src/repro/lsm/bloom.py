@@ -113,8 +113,3 @@ class BloomFilter:
         if len(keys) == 0:
             return np.zeros(0, dtype=bool)
         return self._bits[self._positions(np.asarray(keys))].all(axis=1)
-
-    @property
-    def memory_bytes(self) -> int:
-        """Approximate in-memory footprint of the filter."""
-        return self.nbits // 8

@@ -222,7 +222,7 @@ class LSMStore(KVStore):
                 read_latency = 0.0
                 for row in range(bounds[i], bounds[i + 1]):
                     read_latency += pread(names[row], offsets[row],
-                                          nbytes[row])[0]
+                                          nbytes[row])
                 latency = cpu + read_latency
                 stats.gets += 1
                 stats.user_bytes_read += hit_bytes[i]
@@ -556,9 +556,9 @@ class LSMStore(KVStore):
                 # and the L0 stop condition are constants — and the
                 # replay schedules no events, so a live until proxy
                 # can be snapshotted to a plain float for the window.
-                # The clock read/advance pair inlines the capture
-                # protocol (shared with Scheduler.run; see
-                # VirtualClock.begin_step).
+                # The clock read/advance pair follows the capture
+                # protocol of Scheduler.run, the one place that enters
+                # and leaves capture mode.
                 capturing = clock._capturing
                 now = clock._step_now if capturing else clock._now
                 if until is None or type(until) is float:
@@ -666,16 +666,16 @@ class LSMStore(KVStore):
                                 crash_log.append((k, s, vlen, KIND_PUT,
                                                   wal_record))
                 stats.user_bytes_written += took * payload
-                # clock.advance_to(now), inlined: `now` only grew from
-                # the value read above, so the past-time guard is the
-                # same comparison.
+                # Store `now` back into the field it was read from.
+                # It only grew from that value; the comparison keeps
+                # the clock monotone by construction, not by trust.
                 if capturing:
                     if now > clock._step_now:
                         clock._step_now = now
                 elif now > clock._now:
                     clock._now = now
                 done += took
-                # `now` is the clock after advance_to, so the boundary
+                # `now` is the clock as just stored, so the boundary
                 # check can reuse the local instead of re-reading it.
                 if bound is not None and now >= bound:
                     break
@@ -773,7 +773,7 @@ class LSMStore(KVStore):
             replay.extend(records[:cut])
             size = fs.file_size(wal.filename)
             if size:
-                read_latency, _ = fs.pread(wal.filename, 0, size)
+                read_latency = fs.pread(wal.filename, 0, size)
                 latency += read_latency
         # Drop the volatile state and the replayed logs.
         for _memtable, wal in live:
@@ -998,7 +998,7 @@ class LSMStore(KVStore):
 
     def _charge_block_read(self, table, idx: int) -> float:
         offset, nbytes = table.read_extent(idx)
-        read_latency, _ = self.fs.pread(table.filename, offset, nbytes)
+        read_latency = self.fs.pread(table.filename, offset, nbytes)
         return read_latency
 
     def _entry_value(self, table, idx: int) -> Value | None:

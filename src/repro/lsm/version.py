@@ -128,11 +128,6 @@ class Version:
         return self._level_bytes[level]
 
     @property
-    def total_bytes(self) -> int:
-        """Serialized bytes across all levels."""
-        return sum(self._level_bytes)
-
-    @property
     def total_files(self) -> int:
         """Number of live SSTables."""
         return sum(len(level) for level in self.levels)

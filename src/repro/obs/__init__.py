@@ -9,23 +9,22 @@ arithmetic (and produces byte-identical fingerprints) as before the
 tracer existed.
 
 A real :class:`Tracer` records typed span/instant/counter events
-stamped on the virtual clock into a bounded ring (or streaming JSONL
-sink) and accumulates a per-op latency attribution table: each
-user-visible operation's latency decomposed into device-service,
-queueing, GC-interference, write-stall and residual CPU components.
+stamped on the virtual clock into a bounded ring and accumulates a
+per-op latency attribution table: each user-visible operation's
+latency decomposed into device-service, queueing, GC-interference,
+write-stall and residual CPU components.
 """
 
 from repro.obs.attribution import (
     ATTRIBUTION_COMPONENTS, AttributionTable, render_attribution,
 )
 from repro.obs.export import write_chrome_trace
-from repro.obs.sink import JsonlSink, RingSink
+from repro.obs.sink import RingSink
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer, attach_tracer
 
 __all__ = [
     "ATTRIBUTION_COMPONENTS",
     "AttributionTable",
-    "JsonlSink",
     "NULL_TRACER",
     "NullTracer",
     "RingSink",

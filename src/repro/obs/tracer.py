@@ -86,9 +86,9 @@ class Tracer:
     nothing and attribution covers the measured phase only.
     """
 
-    def __init__(self, clock=None, sink=None, ring_capacity: int = 200_000):
+    def __init__(self, clock=None, ring_capacity: int = 200_000):
         self.clock = clock
-        self.sink = sink if sink is not None else RingSink(ring_capacity)
+        self.sink = RingSink(ring_capacity)
         self.attribution = AttributionTable()
         self.emitted = 0  # events handed to the sink
         self.enabled = False
@@ -105,9 +105,6 @@ class Tracer:
     def disable(self) -> None:
         self.enabled = False
         self.in_op = False
-
-    def close(self) -> None:
-        self.sink.close()
 
     def events(self):
         return self.sink.events()

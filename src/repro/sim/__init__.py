@@ -5,7 +5,7 @@ an event-driven scheduler so that many concurrent clients, background
 engine work and per-channel device service can share one timeline:
 
 * :mod:`repro.sim.scheduler` — the event heap (keyed on ``(time,
-  seq)``), cooperative generator tasks and the trace recorder;
+  seq)``) and cooperative generator tasks;
 * :mod:`repro.sim.resources` — capacity-limited resources with FIFO
   wait queues (e.g. the LSM engine's background worker);
 * :mod:`repro.sim.clients` — the multi-client workload driver
@@ -18,7 +18,7 @@ bit-identical to a one-client :class:`ClientPool` run.
 
 from repro.sim.clients import ClientPool, PoolOutcome
 from repro.sim.resources import Resource
-from repro.sim.scheduler import Scheduler, Task, TraceEntry
+from repro.sim.scheduler import Scheduler, Task
 
 __all__ = [
     "ClientPool",
@@ -26,5 +26,4 @@ __all__ = [
     "Resource",
     "Scheduler",
     "Task",
-    "TraceEntry",
 ]

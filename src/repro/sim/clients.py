@@ -34,8 +34,8 @@ Reproducibility rules:
 * the pool performs the same operations at the same virtual times as
   a one-op-per-event pool — only the number of scheduler events
   differs (batching coalesces consecutive steps of one client), which
-  is why ``events_run`` and the trace are diagnostics, not part of
-  the equivalence contract.
+  is why ``events_run`` and the ``sched`` spans are diagnostics, not
+  part of the equivalence contract.
 
 Per-operation latencies are recorded as the operation's user-visible
 latency (the value the per-op KV call returns and the batch methods
@@ -60,7 +60,7 @@ from repro.core.metrics import ClientLatencies
 from repro.errors import ConfigError, NoSpaceError
 from repro.kv.api import KVStore
 from repro.obs.tracer import NULL_TRACER
-from repro.sim.scheduler import Scheduler, TraceEntry
+from repro.sim.scheduler import Scheduler
 from repro.workload.keys import make_chooser
 from repro.workload.plan import (
     READ, SCAN, UPDATE, BatchPlanner, EventAwareUntil, update_seeds,
@@ -87,7 +87,6 @@ class PoolOutcome:
     run_seconds: float = 0.0
     per_client_ops: list[int] = field(default_factory=list)
     latencies: ClientLatencies | None = None
-    trace: list[TraceEntry] | None = None
     events_run: int = 0
 
 
@@ -105,7 +104,6 @@ class ClientPool:
         on_sample: Callable[[], None] | None = None,
         max_ops: int | None = None,
         ssd=None,
-        record_trace: bool = False,
         tracer=NULL_TRACER,
     ):
         if nclients < 1:
@@ -120,13 +118,12 @@ class ClientPool:
         self.on_sample = on_sample
         self.max_ops = max_ops
         self.ssd = ssd
-        self.record_trace = record_trace
         self.tracer = tracer
 
     def run(self) -> PoolOutcome:
         """Drive all clients until stop/budget/out-of-space; blocking."""
         clock = self.store.clock
-        scheduler = Scheduler(clock, record_trace=self.record_trace)
+        scheduler = Scheduler(clock)
         scheduler.obs_tracer = self.tracer
         self._scheduler = scheduler
         if self.nclients > 1:
@@ -158,7 +155,6 @@ class ClientPool:
             outcome.out_of_space = True
             self._stop = True
         outcome.run_seconds = clock.now - start
-        outcome.trace = scheduler.trace
         outcome.events_run = scheduler.events_run
         return outcome
 
@@ -280,8 +276,8 @@ class ClientPool:
                 cur_keys = None
             # Client tasks always run inside an event step, so the
             # capture-mode step time *is* clock.now — read it without
-            # the property dispatch (the capture protocol is shared
-            # with Scheduler.run; see VirtualClock.begin_step).
+            # the property dispatch (Scheduler.run owns the capture
+            # protocol and set this field on entry to the step).
             now = clock._step_now
             if self._next_sample is not None and now >= self._next_sample:
                 self._maybe_sample(clock)

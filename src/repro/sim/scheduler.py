@@ -22,6 +22,9 @@ inside one client's step observes a locally consistent ``clock.now``
 while other clients' events remain pending at earlier global times.
 The offset determines when the step's follow-up event fires, which is
 how per-operation latency turns into client think/completion times.
+:meth:`Scheduler.run` is the one loop and the one place that enters
+and leaves capture mode; the timeline of dispatched events is the
+flight recorder's ``sched`` spans (``Scheduler.obs_tracer``).
 """
 
 from __future__ import annotations
@@ -29,21 +32,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Generator, Iterator
+from typing import Callable, Generator
 
 from repro.core.clock import VirtualClock
 from repro.errors import ConfigError
 from repro.obs.tracer import NULL_TRACER
-
-
-@dataclass(frozen=True)
-class TraceEntry:
-    """One executed event, as recorded by the trace."""
-
-    time: float
-    seq: int
-    label: str
 
 
 class _Event:
@@ -55,10 +48,9 @@ class _Event:
     where an ``__lt__`` method would pay a Python dispatch on every
     sift step of every push/pop.  An :class:`_Event` — the handle
     carrying the label and the ``cancelled`` flag — rides along only
-    for :meth:`Scheduler.schedule`/:meth:`~Scheduler.schedule_at`
-    callers (who may cancel) and in trace mode (which needs labels);
-    the per-operation task-step path pushes ``None`` instead and skips
-    the allocation entirely.
+    for :meth:`Scheduler.schedule` callers (who may cancel); the
+    per-operation task-step path pushes ``None`` instead and skips the
+    allocation entirely.
     """
 
     __slots__ = ("time", "seq", "fn", "label", "cancelled")
@@ -92,21 +84,17 @@ class Task:
             self.result = stop.value
             return
         if type(yielded) is float and yielded >= 0.0:
-            # The per-operation hot path: Scheduler.schedule inlined
-            # (clock read, heap push) — its negative-delay validation
-            # is the guard above, the follow-up reuses this task's one
-            # bound step, and no _Event handle is allocated (nothing
-            # ever cancels a task's own resume).  Trace mode takes the
-            # full schedule() path so labels keep flowing.
+            # The per-operation hot path: a clock read and a heap push.
+            # The guard above is the negative-delay validation, the
+            # follow-up reuses this task's one bound step, and no
+            # _Event handle is allocated (nothing ever cancels a task's
+            # own resume; the flight recorder labels it "task").
             scheduler = self._scheduler
-            if scheduler.trace is None:
-                clock = scheduler.clock
-                now = clock._step_now if clock._capturing else clock._now
-                heapq.heappush(scheduler._heap,
-                               (now + yielded, next(scheduler._seq),
-                                self._bound_step, None))
-            else:
-                scheduler.schedule(yielded, self._bound_step, label=self.label)
+            clock = scheduler.clock
+            now = clock._step_now if clock._capturing else clock._now
+            heapq.heappush(scheduler._heap,
+                           (now + yielded, next(scheduler._seq),
+                            self._bound_step, None))
         else:
             self._suspend(yielded)
 
@@ -131,43 +119,24 @@ class Task:
 class Scheduler:
     """A discrete-event loop over a shared virtual clock."""
 
-    def __init__(self, clock: VirtualClock, record_trace: bool = False):
+    def __init__(self, clock: VirtualClock):
         self.clock = clock
         self._heap: list[_Event] = []
         self._seq = itertools.count()
-        self.trace: list[TraceEntry] | None = [] if record_trace else None
         self.events_run = 0
-        # Flight recorder (repro.obs): distinct from the label trace
-        # above — emits event-dispatch spans when enabled, nothing
-        # otherwise (the run/step loops hoist the enabled flag).
+        # Flight recorder (repro.obs): the event timeline.  Emits one
+        # "sched" span per dispatched event when enabled, nothing
+        # otherwise (run() hoists the enabled flag).
         self.obs_tracer = NULL_TRACER
-
-    @property
-    def now(self) -> float:
-        """Current virtual time (step-local while an event runs)."""
-        return self.clock.now
 
     def schedule(self, delay: float, fn: Callable[[], None],
                  label: str = "event") -> _Event:
         """Fire *fn* after *delay* virtual seconds; returns the event."""
         if delay < 0:
             raise ConfigError(f"cannot schedule an event {delay!r}s in the past")
-        # schedule_at, inlined minus its past-time validation: now + a
-        # non-negative delay can never be in the past, and this is the
-        # per-operation path of every client task.
+        # now + a non-negative delay can never be in the past, so the
+        # delay check is the only validation an event time needs.
         time = self.clock.now + delay
-        seq = next(self._seq)
-        event = _Event(time, seq, fn, label)
-        heapq.heappush(self._heap, (time, seq, fn, event))
-        return event
-
-    def schedule_at(self, time: float, fn: Callable[[], None],
-                    label: str = "event") -> _Event:
-        """Fire *fn* at absolute virtual time *time*."""
-        if time < self.clock.now:
-            raise ConfigError(
-                f"cannot schedule at {time!r}, before current time {self.clock.now!r}"
-            )
         seq = next(self._seq)
         event = _Event(time, seq, fn, label)
         heapq.heappush(self._heap, (time, seq, fn, event))
@@ -180,64 +149,31 @@ class Scheduler:
         self.schedule(delay, task._step, label=label)
         return task
 
-    def step(self) -> bool:
-        """Run the earliest pending event; False when none remain."""
-        clock = self.clock
-        obs = self.obs_tracer
-        obs_on = obs.enabled
-        while self._heap:
-            time, seq, fn, event = heapq.heappop(self._heap)
-            if event is not None and event.cancelled:
-                continue
-            # begin_step/end_step, inlined: this is the per-event hot
-            # path and the single-threaded loop cannot nest steps, so
-            # the re-entrancy guards are redundant here.  This mirrors
-            # VirtualClock's capture protocol field for field — any
-            # change to the clock's representation must update both
-            # (a matching note sits on VirtualClock.begin_step).
-            if time > clock._now:
-                clock._now = time
-            clock._step_now = clock._now
-            clock._capturing = True
-            try:
-                fn()
-                if obs_on:
-                    obs.span(event.label if event is not None else "task",
-                             "sched", time, clock._step_now - time)
-            finally:
-                clock._step_now = clock._now
-                clock._capturing = False
-            self.events_run += 1
-            if self.trace is not None:
-                # In trace mode every entry carries its _Event handle
-                # (Task._step falls back to schedule() there).
-                self.trace.append(TraceEntry(time, seq, event.label))
-            return True
-        return False
+    def run(self) -> None:
+        """Run events in time order until the heap drains.
 
-    def run(self, until: Callable[[], bool] | None = None) -> None:
-        """Run events in order until the heap drains (or *until* holds)."""
-        if until is not None:
-            while self._heap:
-                if until():
-                    break
-                self.step()
-            return
-        # The drain-everything form is the multi-client driver's main
-        # loop: one iteration per event, so Scheduler.step is inlined
-        # with the heap/clock/trace lookups hoisted out of the loop.
-        # The try/finally keeps events_run honest when an event raises
-        # (the pool turns NoSpaceError into a reported outcome).
+        This loop is the capture protocol (``core/clock.py`` only holds
+        its three fields): before an event runs, global time jumps to
+        the event's time — events pop in time order, so this never
+        moves backwards — and ``clock.advance`` accumulates into the
+        step-local time from there; after it, the step-local time
+        falls back to global time, so what one client's step consumed
+        never leaks into the time other tasks' pending events see.
+        Steps cannot nest (one loop, one thread), so there is no
+        re-entrancy guard.  The inner try/finally leaves capture mode
+        even when an event raises; the outer one keeps ``events_run``
+        honest then (the pool turns NoSpaceError into a reported
+        outcome).
+        """
         clock = self.clock
         heap = self._heap
         pop = heapq.heappop
-        trace = self.trace
         obs = self.obs_tracer
         obs_on = obs.enabled
         ran = 0
         try:
             while heap:
-                time, seq, fn, event = pop(heap)
+                time, _seq, fn, event = pop(heap)
                 if event is not None and event.cancelled:
                     continue
                 if time > clock._now:
@@ -253,8 +189,6 @@ class Scheduler:
                     clock._step_now = clock._now
                     clock._capturing = False
                 ran += 1
-                if trace is not None:
-                    trace.append(TraceEntry(time, seq, event.label))
         finally:
             self.events_run += ran
 
@@ -283,14 +217,3 @@ class Scheduler:
                 break
             heapq.heappop(heap)
         return heap[0][0] if heap else math.inf
-
-    def pending(self) -> int:
-        """Number of scheduled (non-cancelled) events."""
-        return sum(1 for _t, _s, _f, event in self._heap
-                   if event is None or not event.cancelled)
-
-    def trace_labels(self) -> Iterator[str]:
-        """Labels of executed events, in execution order (trace mode)."""
-        if self.trace is None:
-            raise ConfigError("scheduler was created without record_trace")
-        return (entry.label for entry in self.trace)

@@ -9,36 +9,13 @@ from __future__ import annotations
 
 KIB = 1024
 MIB = 1024 * KIB
-GIB = 1024 * MIB
-TIB = 1024 * GIB
 
 USEC = 1e-6
-MSEC = 1e-3
-
-
-def kib(n: float) -> int:
-    """Return *n* KiB expressed in bytes."""
-    return int(n * KIB)
-
-
-def mib(n: float) -> int:
-    """Return *n* MiB expressed in bytes."""
-    return int(n * MIB)
-
-
-def gib(n: float) -> int:
-    """Return *n* GiB expressed in bytes."""
-    return int(n * GIB)
 
 
 def usec(n: float) -> float:
     """Return *n* microseconds expressed in seconds."""
     return n * USEC
-
-
-def msec(n: float) -> float:
-    """Return *n* milliseconds expressed in seconds."""
-    return n * MSEC
 
 
 def format_bytes(n: float) -> str:
@@ -51,17 +28,3 @@ def format_bytes(n: float) -> str:
             return f"{value:.2f} {suffix}"
         value /= 1024.0
     raise AssertionError("unreachable")
-
-
-def format_rate(bytes_per_s: float) -> str:
-    """Render a throughput as ``<value> MB/s`` (decimal MB, like iostat)."""
-    return f"{bytes_per_s / 1e6:.1f} MB/s"
-
-
-def format_duration(seconds: float) -> str:
-    """Render a (virtual) duration compactly, e.g. ``431 us`` or ``2.50 s``."""
-    if seconds < 1e-3:
-        return f"{seconds * 1e6:.0f} us"
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.1f} ms"
-    return f"{seconds:.2f} s"

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import _render_fleet, main
+from repro.cli import _build_parser, _render_fleet, _spec_from_args, main
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.report import render_campaign, render_series, render_table
+from repro.obs.schema import validate_chrome_trace
 from repro.units import MIB
 
 
@@ -80,6 +81,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert "WA-D" in out
         assert "steady state" in out
+
+    def test_run_defaults_are_the_spec_defaults(self):
+        """`repro run` with no flags is `ExperimentSpec()`: the CLI keeps
+        no defaults of its own."""
+        args = _build_parser().parse_args(["run"])
+        assert _spec_from_args(args) == ExperimentSpec()
+
+    def test_run_with_trace_writes_a_loadable_trace(self, tmp_path, capsys):
+        """`--trace OUT` is the one CLI route to the flight recorder: the
+        series table as without it, then the attribution table and a
+        Chrome trace file that passes the schema checker."""
+        out_file = tmp_path / "trace.json"
+        code = main([
+            "run", "--engine", "lsm", "--clients", "4", "--capacity-mib", "24",
+            "--dataset-fraction", "0.4", "--duration", "1.0",
+            "--trace", str(out_file),
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "WA-D" in out and "per-client latency (4 clients)" in out
+        assert "per-op latency attribution" in out
+        assert f"trace written to {out_file}" in out
+        assert validate_chrome_trace(str(out_file)) == []
 
     def test_run_btree_on_optane(self, capsys):
         code = main([

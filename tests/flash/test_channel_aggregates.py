@@ -3,9 +3,12 @@
 The timeline answers ``backlog`` / ``max_backlog`` / ``backlog_exceeds``
 through running maxima and a mutation-epoch memo (DESIGN.md §8).  Every
 fast path must be *exactly* the value a from-scratch recomputation over
-the horizon vectors yields — these tests drive randomized mutation /
-query interleavings and compare against the naive oracle with ``==``
-(no tolerance).
+the horizon vectors yields.  The horizons have one writer besides
+``reset`` — the SSD's own request paths — so these tests drive
+randomized request / query interleavings through ``SSD.write_range`` /
+``write_pages`` / ``read_range`` / ``settle`` under channel timing and
+compare against the naive oracle with ``==`` (no tolerance) after every
+request.
 """
 
 from __future__ import annotations
@@ -13,8 +16,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.flash.ssd import ChannelTimeline, mean_write_backlog
+from repro.core.clock import VirtualClock
+from repro.flash.ssd import SSD, ChannelTimeline, mean_write_backlog
 from repro.rng import substream
+from tests.conftest import make_tiny_config
+
+
+def timed_ssd(nchannels: int):
+    """A tiny device in channel-timing mode, its timeline and its clock."""
+    clock = VirtualClock()
+    ssd = SSD(make_tiny_config(channels=nchannels), clock)
+    ssd.enable_channel_timing()
+    return ssd, ssd._channels, clock
 
 
 def oracle_backlog(timeline: ChannelTimeline, now: float) -> float:
@@ -33,20 +46,26 @@ def oracle_max_backlog(timeline: ChannelTimeline, now: float) -> float:
 @pytest.mark.parametrize("nchannels", [1, 3, 8, 16])
 def test_randomized_mutations_match_oracle(nchannels):
     rng = substream(13, f"channels-{nchannels}")
-    timeline = ChannelTimeline(nchannels, start=0.0)
-    now = 0.0
+    ssd, timeline, clock = timed_ssd(nchannels)
+    npages = ssd.npages
     for step in range(800):
         roll = rng.random()
-        if roll < 0.40:
-            channel = int(rng.integers(0, nchannels))
-            timeline.add_write_work(channel, now, float(rng.random()) * 1e-3)
+        if roll < 0.20:
+            count = int(rng.integers(1, 40))
+            ssd.write_range(int(rng.integers(0, npages - count)), count,
+                            background=bool(rng.integers(0, 2)))
+        elif roll < 0.40:
+            lpns = rng.choice(npages, size=int(rng.integers(1, 40)),
+                              replace=False)
+            ssd.write_pages(lpns, background=bool(rng.integers(0, 2)))
         elif roll < 0.70:
-            channel = int(rng.integers(0, nchannels))
-            timeline.add_read_work(channel, now, float(rng.random()) * 1e-3)
+            count = int(rng.integers(1, 40))
+            ssd.read_range(int(rng.integers(0, npages - count)), count)
         elif roll < 0.95:
-            now += float(rng.random()) * 2e-3  # drain a little
+            clock.advance(float(rng.random()) * 2e-3)  # drain a little
         else:
-            timeline.reset(now)
+            ssd.settle()
+        now = clock.now
         # Aggregates answer exactly like the naive scan, at every step.
         assert timeline.backlog(now) == oracle_backlog(timeline, now)
         assert timeline.max_backlog(now) == oracle_max_backlog(timeline, now)
@@ -55,36 +74,43 @@ def test_randomized_mutations_match_oracle(nchannels):
         threshold = float(rng.random()) * 2e-3
         assert timeline.backlog_exceeds(now, threshold) == \
             (oracle_backlog(timeline, now) > threshold)
+    # The interleaving reached every horizon writer, GC erases included.
+    assert ssd.smart.blocks_erased > 0 and ssd.smart.host_read_requests > 0
 
 
 def test_memoized_backlog_is_invalidated_by_mutation():
-    timeline = ChannelTimeline(4, start=0.0)
-    timeline.add_write_work(0, 0.0, 0.004)
-    now = 0.001
+    ssd, timeline, clock = timed_ssd(4)
+    ssd.write_range(0, 1, background=True)
+    clock.advance(50e-6)  # a quarter of the one queued page program
+    now = clock.now
     first = timeline.backlog(now)
+    assert first > 0.0
     assert timeline.backlog(now) == first  # memo hit, same value
-    timeline.add_write_work(1, now, 0.008)
-    assert timeline.backlog(now) == oracle_backlog(timeline, now)
-    timeline.reset(now)
+    ssd.write_range(8, 2, background=True)  # same instant: memo must go
+    assert timeline.backlog(now) == oracle_backlog(timeline, now) > first
+    ssd.settle()
     assert timeline.backlog(now) == 0.0
 
 
 def test_drained_timeline_short_circuits_to_exact_zero():
-    timeline = ChannelTimeline(8, start=0.0)
-    timeline.add_write_work(2, 0.0, 0.002)
-    assert timeline.backlog(10.0) == 0.0
-    assert timeline.max_backlog(10.0) == 0.0
-    assert not timeline.backlog_exceeds(10.0, 0.0)
+    ssd, timeline, clock = timed_ssd(8)
+    ssd.write_range(2, 10, background=True)
+    ssd.read_range(0, 4)
+    clock.advance(10.0)
+    assert timeline.backlog(clock.now) == 0.0
+    assert timeline.max_backlog(clock.now) == 0.0
+    assert not timeline.backlog_exceeds(clock.now, 0.0)
+    assert ssd.backlog_seconds() == 0.0 and ssd.drain() == 0.0
 
 
 def test_mean_write_backlog_is_the_shared_definition():
     """The module helper *is* ChannelTimeline.backlog's slow path — the
     engines' stall loops import it, so the two cannot drift."""
-    timeline = ChannelTimeline(5, start=0.0)
+    ssd, timeline, _clock = timed_ssd(5)
     rng = substream(17, "shared-helper")
     for _ in range(50):
-        timeline.add_write_work(int(rng.integers(0, 5)), 0.0,
-                                float(rng.random()) * 1e-3)
+        ssd.write_range(int(rng.integers(0, ssd.npages - 8)),
+                        int(rng.integers(1, 8)), background=True)
     for now in np.linspace(0.0, 0.03, 23).tolist():
-        assert timeline.backlog(now) == \
+        assert ssd.backlog_seconds(at=now) == timeline.backlog(now) == \
             mean_write_backlog(timeline.write_busy, now)

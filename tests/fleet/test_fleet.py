@@ -76,6 +76,26 @@ class TestSeedCompatibility:
         assert shards[0].stats.snapshot() == store.stats.snapshot()
 
 
+def test_fleet_drain_reports_how_far_the_shared_clock_moved():
+    """Every shard's ``drain()`` advances the one clock, so a shard
+    drained after a busier one has nothing left to report: the fleet's
+    wait is the clock's movement, whichever order the backlogs come in
+    (the max of the per-shard reports is right only when shards happen
+    to be sorted by backlog)."""
+    for small, large in ((0, 1), (1, 0)):
+        clock, _store, fleet_ssd, _fs, _iostat, ssds, _stores = \
+            build_fleet_stack(ExperimentSpec(nshards=2,
+                                             capacity_bytes=48 * MIB))
+        ssds[small].write_range(0, 64, background=True)
+        ssds[large].write_range(0, 2048, background=True)
+        backlogs = [ssd.backlog_seconds() for ssd in ssds]
+        assert 0.0 < backlogs[small] < backlogs[large]
+        start = clock.now
+        assert fleet_ssd.drain() == clock.now - start
+        assert clock.now - start == pytest.approx(backlogs[large])
+        assert all(ssd.backlog_seconds() == 0.0 for ssd in ssds)
+
+
 def open_loop_spec(engine=Engine.LSM, **overrides) -> ExperimentSpec:
     params = dict(
         engine=engine,

@@ -21,7 +21,7 @@ from tests.conftest import make_tiny_config
 
 @pytest.fixture
 def filesystem(tiny_ssd):
-    return ExtentFilesystem(BlockDevice(tiny_ssd), record_data=True)
+    return ExtentFilesystem(BlockDevice(tiny_ssd))
 
 
 class TestNamespace:
@@ -59,13 +59,6 @@ class TestIO:
         assert filesystem.used_pages == 4
         filesystem.check_invariants()
 
-    def test_append_content_roundtrip(self, filesystem):
-        filesystem.create("a")
-        payload = bytes(range(256)) * 40
-        filesystem.append("a", payload)
-        _, data = filesystem.pread("a", 0, len(payload))
-        assert data == payload
-
     def test_small_appends_rewrite_tail_page(self, filesystem, tiny_ssd):
         filesystem.create("a")
         filesystem.append("a", 100)
@@ -75,24 +68,21 @@ class TestIO:
 
     def test_pwrite_in_place(self, filesystem):
         filesystem.create("a")
-        filesystem.append("a", b"x" * 8192)
-        filesystem.pwrite("a", 4096, b"y" * 100)
-        _, data = filesystem.pread("a", 4096, 100)
-        assert data == b"y" * 100
+        filesystem.append("a", 8192)
+        filesystem.pwrite("a", 4096, 100)
+        assert filesystem.file_size("a") == 8192
         assert filesystem.used_pages == 2  # no growth
 
     def test_pwrite_extending(self, filesystem):
         filesystem.create("a")
-        filesystem.append("a", b"x" * 4096)
-        filesystem.pwrite("a", 4096, b"y" * 4096)
+        filesystem.append("a", 4096)
+        filesystem.pwrite("a", 4096, 4096)
         assert filesystem.file_size("a") == 8192
-        _, data = filesystem.pread("a", 4096, 4096)
-        assert data == b"y" * 4096
 
     def test_pwrite_past_eof_rejected(self, filesystem):
         filesystem.create("a")
         with pytest.raises(FilesystemError):
-            filesystem.pwrite("a", 10, b"z")
+            filesystem.pwrite("a", 10, 1)
 
     def test_pread_past_eof_rejected(self, filesystem):
         filesystem.create("a")
@@ -103,7 +93,7 @@ class TestIO:
     def test_latencies_are_positive(self, filesystem):
         filesystem.create("a")
         wlat = filesystem.append("a", 4096 * 4)
-        rlat, _ = filesystem.pread("a", 0, 4096)
+        rlat = filesystem.pread("a", 0, 4096)
         assert wlat > 0
         assert rlat > 0
 
@@ -142,16 +132,16 @@ class TestFragmentation:
         for i in range(0, 6, 2):
             filesystem.delete(f"f{i}")
         filesystem.create("big")
-        payload = b"q" * (4096 * 50)
-        filesystem.append("big", payload)
-        _, data = filesystem.pread("big", 0, len(payload))
-        assert data == payload
+        filesystem.append("big", 4096 * 50)
+        assert filesystem.file_size("big") == 4096 * 50
+        assert len(set(filesystem.file_device_pages("big").tolist())) == 50
+        assert filesystem.pread("big", 0, 4096 * 50) > 0
         filesystem.check_invariants()
 
     def test_pread_many_adds_up_like_the_pread_loop(self):
         """Six extents under one file: a range's device runs are summed
         before the range joins the total, so ``pread_many`` returns the
-        very float ``latency += pread(...)[0]`` builds — a flat sum over
+        very float ``latency += pread(...)`` builds — a flat sum over
         the device runs rounds differently on this data."""
         def build():
             clock = VirtualClock()
@@ -175,7 +165,7 @@ class TestFragmentation:
         assert looped._files["big"].nextents == 6
         total = 0.0
         for name, offset, nbytes in ranges:
-            total += looped.pread(name, offset, nbytes)[0]
+            total += looped.pread(name, offset, nbytes)
         batched, batched_ssd = build()
         assert batched.pread_many(*zip(*ranges)) == total
         assert batched_ssd.smart == looped_ssd.smart
@@ -206,26 +196,26 @@ class TestPropertyBased:
     def test_fs_matches_reference_model(self, ops):
         clock = VirtualClock()
         ssd = SSD(make_tiny_config(), clock)
-        fs = ExtentFilesystem(BlockDevice(ssd), record_data=True)
-        model: dict[str, bytearray] = {}
+        fs = ExtentFilesystem(BlockDevice(ssd))
+        model: dict[str, int] = {}
         for kind, idx, size in ops:
             name = f"f{idx}"
             if kind == "create" and name not in model:
                 fs.create(name)
-                model[name] = bytearray()
+                model[name] = 0
             elif kind == "append" and name in model:
-                payload = (name.encode() * (size // 2 + 1))[:size]
                 try:
-                    fs.append(name, payload)
+                    fs.append(name, size)
                 except NoSpaceError:
                     continue
-                model[name].extend(payload)
+                model[name] += size
             elif kind == "delete" and name in model:
                 fs.delete(name)
                 del model[name]
         for name, expected in model.items():
-            assert fs.file_size(name) == len(expected)
+            assert fs.file_size(name) == expected
             if expected:
-                _, data = fs.pread(name, 0, len(expected))
-                assert data == bytes(expected)
+                assert fs.pread(name, 0, expected) > 0
+        assert fs.list_files() == sorted(model)
+        assert fs.used_pages == sum(-(-size // 4096) for size in model.values())
         fs.check_invariants()

@@ -9,7 +9,6 @@ import pytest
 from repro.core.clock import VirtualClock
 from repro.obs import (
     NULL_TRACER,
-    JsonlSink,
     NullTracer,
     RingSink,
     Tracer,
@@ -134,20 +133,6 @@ class TestSinks:
         assert tracer.emitted == 4 + 7 * 4
         assert len(list(tracer.events())) == 10
         assert tracer.dropped == 22
-
-    def test_jsonl_round_trip(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        sink = JsonlSink(path)
-        tracer = Tracer(clock=VirtualClock(), sink=sink)
-        tracer.enable()
-        tracer.span("wal_append", "lsm", 0.5, 0.1, {"bytes": 4096})
-        tracer.instant("write_stall", "lsm", None)
-        events = list(tracer.events())
-        tracer.close()
-        assert sink.count == 2
-        assert tracer.dropped == 0  # a streaming sink keeps everything
-        assert events[0][:5] == ("X", 0.5, 0.1, "wal_append", "lsm")
-        assert events[0][6] == {"bytes": 4096}
 
 
 class TestAttach:

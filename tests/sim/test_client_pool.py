@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.experiment import Engine, ExperimentSpec, build_stack, run_experiment
 from repro.errors import ConfigError
+from repro.obs import NULL_TRACER, Tracer
 from repro.sim.clients import ClientPool
 from repro.units import MIB
 from repro.workload.runner import load_sequential, run_workload
@@ -33,14 +34,28 @@ def loaded_stack(engine: Engine, nclients: int = 1, **overrides):
     return spec, clock, ssd, store
 
 
-def run_pool(engine: Engine, nclients: int, seed: int = 7, **overrides):
+def run_pool(engine: Engine, nclients: int, seed: int = 7,
+             tracer=NULL_TRACER, **overrides):
     spec, clock, ssd, store = loaded_stack(engine, nclients, **overrides)
     pool = ClientPool(
         store, spec.workload(), nclients, seed=seed,
-        max_ops=spec.max_ops, ssd=ssd, record_trace=True,
+        max_ops=spec.max_ops, ssd=ssd, tracer=tracer,
     )
     outcome = pool.run()
     return outcome, clock, ssd, store
+
+
+def run_pool_timeline(engine: Engine, nclients: int, seed: int = 7):
+    """``run_pool`` under a flight recorder wired to the pool alone: the
+    event timeline is its ``sched`` spans, ``(label, time, step
+    seconds)`` per dispatched event in dispatch order."""
+    tracer = Tracer()
+    tracer.enable()
+    outcome, clock, _ssd, store = run_pool(engine, nclients, seed, tracer)
+    assert tracer.dropped == 0
+    timeline = [(e[3], e[1], e[2]) for e in tracer.events() if e[4] == "sched"]
+    assert len(timeline) == outcome.events_run
+    return timeline, outcome, clock, store
 
 
 class TestSeedCompatibility:
@@ -82,18 +97,18 @@ class TestDeterminism:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("nclients", (1, 4))
     def test_same_seed_same_trace_and_stats(self, engine, nclients):
-        first, clock_a, _ssd, store_a = run_pool(engine, nclients)
-        second, clock_b, _ssd, store_b = run_pool(engine, nclients)
-        assert first.trace == second.trace  # identical event timeline
+        trace_a, first, clock_a, store_a = run_pool_timeline(engine, nclients)
+        trace_b, second, clock_b, store_b = run_pool_timeline(engine, nclients)
+        assert trace_a == trace_b  # identical event timeline
         assert first.ops_issued == second.ops_issued
         assert first.per_client_ops == second.per_client_ops
         assert clock_a.now == clock_b.now
         assert store_a.stats.snapshot() == store_b.stats.snapshot()
 
     def test_different_seed_different_trace(self):
-        first, *_ = run_pool(Engine.LSM, nclients=4, seed=7)
-        second, *_ = run_pool(Engine.LSM, nclients=4, seed=8)
-        assert first.trace != second.trace
+        first, *_ = run_pool_timeline(Engine.LSM, nclients=4, seed=7)
+        second, *_ = run_pool_timeline(Engine.LSM, nclients=4, seed=8)
+        assert first != second
 
 
 class TestConcurrency:
@@ -108,14 +123,14 @@ class TestConcurrency:
         assert outcome.latencies.count() == outcome.ops_issued
 
     def test_lsm_background_work_on_timeline(self):
-        outcome, *_ = run_pool(Engine.LSM, nclients=4)
-        labels = {entry.label for entry in outcome.trace}
+        timeline, *_ = run_pool_timeline(Engine.LSM, nclients=4)
+        labels = {label for label, _time, _seconds in timeline}
         assert "lsm-flush" in labels
         assert "lsm-bg-grant" in labels
 
     def test_btree_checkpoints_on_timeline(self):
-        outcome, *_ = run_pool(Engine.BTREE, nclients=4)
-        labels = {entry.label for entry in outcome.trace}
+        timeline, *_ = run_pool_timeline(Engine.BTREE, nclients=4)
+        labels = {label for label, _time, _seconds in timeline}
         assert "btree-checkpoint" in labels
 
     def test_more_clients_raise_virtual_throughput(self):

@@ -6,13 +6,14 @@ import pytest
 
 from repro.core.clock import VirtualClock
 from repro.errors import ConfigError
+from repro.obs import Tracer
 from repro.sim.resources import Resource
 from repro.sim.scheduler import Scheduler
 
 
-def make_scheduler(trace: bool = False):
+def make_scheduler():
     clock = VirtualClock()
-    return Scheduler(clock, record_trace=trace), clock
+    return Scheduler(clock), clock
 
 
 class TestEventOrdering:
@@ -46,8 +47,6 @@ class TestEventOrdering:
         clock.advance(1.0)
         with pytest.raises(ConfigError):
             sched.schedule(-0.1, lambda: None)
-        with pytest.raises(ConfigError):
-            sched.schedule_at(0.5, lambda: None)
 
     def test_cancelled_events_are_skipped(self):
         sched, _clock = make_scheduler()
@@ -59,13 +58,30 @@ class TestEventOrdering:
         assert fired == ["y"]
 
     def test_trace_records_time_seq_label(self):
-        sched, _clock = make_scheduler(trace=True)
+        # The event timeline is the flight recorder's "sched" spans: one
+        # per dispatched event, in (time, seq) order, stamped with the
+        # event's time, its label and what the step consumed.
+        sched, clock = make_scheduler()
+        tracer = Tracer()
+        tracer.enable()
+        sched.obs_tracer = tracer
+
+        def task():
+            clock.advance(0.05)
+            yield 0.0
+
         sched.schedule(0.2, lambda: None, label="late")
-        sched.schedule(0.1, lambda: None, label="early")
+        sched.schedule(0.1, lambda: clock.advance(0.25), label="early")
+        sched.schedule(0.2, lambda: None, label="late-tie")
+        sched.spawn(task(), label="worker", delay=0.3)
         sched.run()
-        assert [entry.label for entry in sched.trace] == ["early", "late"]
-        keys = [(entry.time, entry.seq) for entry in sched.trace]
-        assert keys == sorted(keys)
+        spans = [e for e in tracer.events() if e[4] == "sched"]
+        # A task's own resumes carry no handle, hence the generic label.
+        assert [e[3] for e in spans] == \
+            ["early", "late", "late-tie", "worker", "task"]
+        assert [e[1] for e in spans] == pytest.approx([0.1, 0.2, 0.2, 0.3, 0.35])
+        assert [e[2] for e in spans] == pytest.approx([0.25, 0.0, 0.0, 0.05, 0.0])
+        assert sched.events_run == len(spans) == tracer.emitted
 
 
 class TestTasks:
@@ -213,30 +229,35 @@ class TestResources:
 
 
 class TestClockCapture:
-    def test_nested_capture_rejected(self):
-        clock = VirtualClock()
-        clock.begin_step(0.0)
-        with pytest.raises(ConfigError):
-            clock.begin_step(0.0)
-        clock.end_step()
-
-    def test_end_without_begin_rejected(self):
-        clock = VirtualClock()
-        with pytest.raises(ConfigError):
-            clock.end_step()
+    """The capture protocol, driven through the loop that implements it."""
 
     def test_offset_does_not_leak_into_global_time(self):
-        clock = VirtualClock()
-        clock.begin_step(1.0)
-        clock.advance(0.5)
-        assert clock.now == pytest.approx(1.5)
-        offset = clock.end_step()
-        assert offset == pytest.approx(0.5)
-        assert clock.now == pytest.approx(1.0)
+        sched, clock = make_scheduler()
+        seen = []
 
-    def test_advance_to_in_capture_mode(self):
-        clock = VirtualClock()
-        clock.begin_step(1.0)
-        clock.advance_to(1.75)
-        assert clock.now == pytest.approx(1.75)
-        assert clock.end_step() == pytest.approx(0.75)
+        def step():
+            clock.advance(0.5)
+            seen.append(clock.now)  # step-local: event time + advance
+
+        sched.schedule(1.0, step)
+        sched.schedule(1.2, lambda: seen.append(clock.now))
+        sched.run()
+        # The second event still fires at its own time, and after the
+        # run global time is the last event's time, not 1.5.
+        assert seen == pytest.approx([1.5, 1.2])
+        assert clock.now == pytest.approx(1.2)
+
+    def test_capture_ends_when_an_event_raises(self):
+        sched, clock = make_scheduler()
+
+        def step():
+            clock.advance(0.5)
+            raise RuntimeError("boom")
+
+        sched.schedule(1.0, step)
+        with pytest.raises(RuntimeError):
+            sched.run()
+        assert clock.now == pytest.approx(1.0)
+        clock.advance(0.25)  # inline again: moves global time
+        assert clock.now == pytest.approx(1.25)
+        assert sched.events_run == 0
