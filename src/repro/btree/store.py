@@ -484,6 +484,11 @@ class BTreeStore(KVStore):
         """Cumulative application-level statistics."""
         return self._stats
 
+    def counters(self) -> dict:
+        return {**self._stats.labelled(),
+                "btree.cache_hits": self.cache.hits,
+                "btree.cache_misses": self.cache.misses}
+
     @property
     def disk_bytes_used(self) -> int:
         """Filesystem space occupied (the store owns its filesystem)."""
@@ -664,8 +669,11 @@ class BTreeStore(KVStore):
                 read_latency = fs.pread(self.META_FILE, 0, meta_bytes)
                 latency += read_latency
         # The page cache is volatile: restart cold.  The root leaf of a
-        # young tree is pinned back in, mirroring construction.
+        # young tree is pinned back in, mirroring construction.  Its
+        # hit/miss counters are the store's, so they outlive the restart.
+        hits, misses = self.cache.hits, self.cache.misses
         self.cache = PageCache(self.config.cache_bytes)
+        self.cache.hits, self.cache.misses = hits, misses
         if isinstance(self._root, LeafNode):
             self.cache.insert(id(self._root), self._root)
         self._read_cursor = None

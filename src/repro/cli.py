@@ -17,6 +17,7 @@ from repro.bench import WORKLOADS, profile_case
 from repro.campaign import PRESETS, run_campaign
 from repro.core.experiment import Engine, ExperimentSpec, run_experiment
 from repro.core.figures import FIGURES, SCALES
+from repro.core.metrics import end_to_end_write_amplification
 from repro.core.pitfalls import PITFALLS, EvaluationPlan, check_plan, render_report
 from repro.core.report import (render_campaign, render_series,
                                render_shard_table, render_table)
@@ -324,7 +325,8 @@ def _cmd_run(args) -> int:
             f"steady state ({'CUSUM' if steady.detected else 'tail fallback'}): "
             f"{steady.kv_tput:.0f} ops/s, WA-A={steady.wa_a:.1f}, "
             f"WA-D={steady.wa_d:.2f}, end-to-end WA="
-            f"{steady.wa_a * steady.wa_d:.1f}, space amp={steady.space_amp:.2f}"
+            f"{end_to_end_write_amplification(steady):.1f}, "
+            f"space amp={steady.space_amp:.2f}"
         )
     if tracer is not None:
         print()

@@ -2,6 +2,7 @@
 
 * :mod:`~repro.core.metrics` — the five §3.3 metrics.
 * :mod:`~repro.core.steady_state` — CUSUM detection + 3x-capacity rule.
+* :mod:`~repro.core.stack` — spec → assembled stack; its counter snapshot.
 * :mod:`~repro.core.experiment` — full benchmark orchestration.
 * :mod:`~repro.core.figures` — every paper figure as a function.
 * :mod:`~repro.core.cost` — storage-cost modeling (Figs 6c, 8).

@@ -14,37 +14,25 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
-from enum import Enum
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 import numpy as np
 
 from repro import rng as rng_mod
 from repro.analysis.stats import slo_attainment
-from repro.block.blktrace import BlkTrace
-from repro.block.device import BlockDevice
-from repro.block.iostat import IOStat
-from repro.block.partition import overprovisioned_partition, whole_device_partition
-from repro.btree.config import BTreeConfig
-from repro.btree.store import BTreeStore
-from repro.core.clock import VirtualClock
-from repro.core.metrics import ClientLatencies, MetricsCollector, Sample
+from repro.core.metrics import (ClientLatencies, MetricsCollector, Sample,
+                                ops_in)
+from repro.core.stack import Engine, Stack, build_stack
 from repro.core.steady_state import SteadySummary, summarize
 from repro.errors import ConfigError
-from repro.faults import FaultPlan, RetryPolicy, validate_faults
-from repro.flash.gc import make_policy
-from repro.flash.profiles import get_profile
-from repro.flash.ssd import SSD
-from repro.flash.state import DriveState, apply_drive_state
+from repro.faults import validate_faults
+from repro.flash.state import DriveState
 from repro.fleet.arrival import make_arrival, validate_arrival
-from repro.fleet.pool import AVAILABILITY_TARGET, FleetOutcome, FleetPool
-from repro.fleet.router import ROUTERS, make_router
-from repro.fleet.sharded import FleetFilesystem, FleetSSD, ShardedStore
-from repro.fs.filesystem import ExtentFilesystem
-from repro.lsm.config import LSMConfig
+from repro.fleet.pool import AVAILABILITY_TARGET, FleetCounters, FleetPool
+from repro.fleet.router import ROUTERS
+from repro.fleet.sharded import ShardedStore
 from repro.lsm.memtable import SCAN_KEY_SPAN
-from repro.lsm.store import LSMStore
 from repro.obs.tracer import NULL_TRACER, attach_tracer
 from repro.sim.clients import ClientPool
 from repro.units import MIB
@@ -53,13 +41,6 @@ from repro.workload.runner import load_sequential, run_workload
 from repro.workload.spec import WorkloadSpec
 
 KEY_BYTES = 16  # the paper's key size (§3.2)
-
-
-class Engine(str, Enum):
-    """Which persistent tree structure to benchmark."""
-
-    LSM = "lsm"
-    BTREE = "btree"
 
 
 @dataclass(frozen=True)
@@ -280,7 +261,10 @@ class ExperimentSpec:
 
 @dataclass
 class ExperimentResult:
-    """Everything a run produced."""
+    """Everything a run produced.  ``counters`` is the stack's final
+    snapshot (whole run, load included; an open-loop run adds its
+    ``fleet.*`` totals): ``smart``, ``kv_ops`` and the peak space figures
+    are views of it, and it is not part of :meth:`to_dict`."""
 
     spec: ExperimentSpec
     samples: list[Sample]
@@ -289,16 +273,38 @@ class ExperimentResult:
     load_seconds: float
     run_seconds: float
     ops_issued: int
-    smart: dict[str, Any]
-    peak_disk_utilization: float
-    peak_space_amp: float
+    counters: dict[str, Any]
     lba_histogram: np.ndarray | None = None
     lba_never_written: float | None = None
     client_latencies: ClientLatencies | None = None  # pool-driven runs only
     per_client_ops: list[int] | None = None
-    kv_ops: dict[str, int] = field(default_factory=dict)  # puts/gets/scans/deletes
     attribution: dict[str, Any] | None = None  # traced runs only (repro.obs)
     fleet: dict[str, Any] | None = None  # fleet runs only (DESIGN.md §10.3)
+
+    @property
+    def smart(self) -> dict[str, Any]:
+        """The device's SMART attributes (summed over a fleet's shards)."""
+        return {key[len("flash."):]: value
+                for key, value in self.counters.items()
+                if key.startswith("flash.")}
+
+    @property
+    def kv_ops(self) -> dict[str, int]:
+        """Completed operations by kind."""
+        return {kind: self.counters[f"kv.{kind}"]
+                for kind in ("puts", "gets", "scans", "deletes")}
+
+    @property
+    def peak_disk_utilization(self) -> float:
+        """Largest fraction of filesystem capacity ever in use (a fleet's
+        is the sum of shard peaks, which need not be simultaneous)."""
+        return self.counters["fs.peak_used_pages"] / self.counters["fs.npages"]
+
+    @property
+    def peak_space_amp(self) -> float:
+        """Peak space amplification: disk bytes in use / dataset size."""
+        return self.counters["fs.peak_used_bytes"] / max(
+            self.spec.workload().dataset_bytes, 1)
 
     @property
     def completed(self) -> bool:
@@ -321,7 +327,7 @@ class ExperimentResult:
             "load_seconds": self.load_seconds,
             "run_seconds": self.run_seconds,
             "ops_issued": self.ops_issued,
-            "smart": dict(self.smart),
+            "smart": self.smart,
             "peak_disk_utilization": self.peak_disk_utilization,
             "peak_space_amp": self.peak_space_amp,
             "samples": [asdict(s) for s in self.samples] if include_samples else None,
@@ -337,74 +343,21 @@ class ExperimentResult:
                 else None
             ),
             "per_client_ops": self.per_client_ops,
-            "kv_ops": dict(self.kv_ops),
+            "kv_ops": self.kv_ops,
             "attribution": self.attribution,
             "fleet": self.fleet,
         }
 
 
-def build_stack(spec: ExperimentSpec, clock: VirtualClock | None = None,
-                iostat: IOStat | None = None):
-    """Assemble (clock, ssd, device, partition, fs, store, iostat, trace)
-    for a spec, with the drive already in its initial state.
-
-    ``clock``/``iostat`` let a fleet build share one timeline and one
-    device-throughput monitor across shard stacks (IOStat is an
-    accumulator, so attaching the same instance to every shard's
-    device yields fleet-aggregate rates); by default each stack gets
-    its own, exactly as before.
-    """
-    if clock is None:
-        clock = VirtualClock()
-    profile = get_profile(spec.ssd, spec.capacity_bytes)
-    if spec.ssd_options:
-        profile = replace(profile, **spec.ssd_options)
-    ssd = SSD(profile, clock, make_policy(spec.gc_policy))
-    device = BlockDevice(ssd)
-    if iostat is None:
-        iostat = IOStat(device.page_size,
-                        bin_seconds=min(0.05, spec.sample_interval / 5))
-    device.attach(iostat)
-    trace = None
-    if spec.trace_lba:
-        trace = BlkTrace(device.npages)
-        device.attach(trace)
-    if spec.op_reserved_fraction > 0:
-        partition = overprovisioned_partition(device, spec.op_reserved_fraction)
-    else:
-        partition = whole_device_partition(device)
-    # Only the PTS partition is aged; a reserved range stays trimmed so
-    # it provides software over-provisioning (§3.4, §4.6).
-    apply_drive_state(ssd, spec.drive_state, spec.seed,
-                      start_page=partition.start_page, npages=partition.npages)
-    fs = ExtentFilesystem(
-        partition,
-        strategy=spec.fs_strategy,
-        discard=spec.fs_discard,
-        seed=spec.seed,
-    )
-    store = _make_store(spec, fs, clock)
-    if spec.faults is not None:
-        # Fault draws come from a dedicated substream so two runs of
-        # the same fault-injected spec are identical, and the engines
-        # absorb transient errors through the filesystem's retry wrap.
-        ssd.faults = FaultPlan(spec.faults,
-                               rng_mod.substream(spec.seed, "faults"))
-        fs.retry = RetryPolicy(spec.retry_limit, spec.retry_backoff_ms / 1e3)
-    return clock, ssd, device, partition, fs, store, iostat, trace
-
-
 def run_experiment(spec: ExperimentSpec, tracer=None) -> ExperimentResult:
     """Run one full experiment and return its results.
 
-    One procedure for every spec (§3.2): build the stack — one store,
-    or for a fleet spec (more than one shard, or an open-loop arrival
-    process) N shard stacks behind a router on one clock — load the
-    dataset sequentially, drain, run the measured phase with the driver
-    the spec names (:func:`run_measured_phase`) and close the series.
-    A single-store closed-loop spec hands the bare engine to the
-    driver; a fleet spec's result additionally carries the fleet
-    summary (offered/goodput/SLO + per-shard rows, DESIGN.md §10.3).
+    One procedure for every spec (§3.2): build the stack
+    (:func:`build_stack`), load the dataset sequentially, drain, run
+    the measured phase with the driver the spec names
+    (:func:`run_measured_phase`) and close the series.  A fleet spec's
+    result additionally carries the fleet summary (offered/goodput/SLO
+    + per-shard rows, DESIGN.md §10.3).
 
     ``tracer`` attaches a :class:`repro.obs.Tracer` flight recorder to
     every layer of the stack.  It is enabled only for the measured
@@ -412,74 +365,61 @@ def run_experiment(spec: ExperimentSpec, tracer=None) -> ExperimentResult:
     than a spec field so traced and untraced runs share the same
     ``stable_hash``.  Tracing never changes simulated results.
     """
-    fleet = spec.nshards > 1 or spec.arrival is not None
-    if fleet:
-        clock, store, ssd, fs, iostat, shard_ssds, shard_stores = \
-            build_fleet_stack(spec)
-        trace = None
-    else:
-        clock, ssd, _device, _partition, fs, store, iostat, trace = \
-            build_stack(spec)
-        shard_ssds, shard_stores = [ssd], [store]
+    stack = build_stack(spec)
+    clock = stack.clock
     attach_tracer(tracer, clock=clock)
-    for shard_ssd, shard_store in zip(shard_ssds, shard_stores):
-        attach_tracer(tracer, ssd=shard_ssd, store=shard_store)
+    for shard in stack.shards:
+        attach_tracer(tracer, ssd=shard.ssd, store=shard.store)
     workload = spec.workload()
-    collector = MetricsCollector(
-        clock=clock, ssd=ssd, iostat=iostat, fs=fs, store=store,
-        dataset_bytes=workload.dataset_bytes,
-    )
+    collector = MetricsCollector(stack, workload.dataset_bytes)
 
     # Load phase: sequential ingest (§3.2).  WA baselines include it;
     # the time series starts after it, exactly like the paper's plots.
-    load = load_sequential(store, workload)
+    load = load_sequential(stack.store, workload)
     if not load.out_of_space:
-        ssd.drain()
+        stack.drain()
     collector.start_measurement()
     if tracer is not None:
         tracer.enable()  # trace the measured phase only
-    peak_util = fs.utilization()
-    stats_base = [st.stats.snapshot() for st in shard_stores]
+    shards_base = stack.shard_snapshots()
 
     run_start = clock.now
     outcome = load
     if not load.out_of_space:
-        outcome = run_measured_phase(spec, store, ssd, collector, tracer)
+        outcome = run_measured_phase(spec, stack, collector, tracer)
         _close_series(collector, spec, clock, run_start)
 
     samples = collector.samples
-    steady = summarize(samples) if samples else None
-    peak_util = max(peak_util, fs.allocator.peak_used_pages / fs.allocator.npages)
-    dataset = max(workload.dataset_bytes, 1)
     run_seconds = clock.now - run_start
+    counters = stack.snapshot()
+    if outcome.fleet is not None:
+        counters.update(FleetCounters.total(outcome.fleet).labelled())
+    fleet = None
+    if isinstance(stack.store, ShardedStore):
+        fleet = _fleet_summary(
+            spec, outcome, run_seconds,
+            [ops_in(now) - ops_in(base) for now, base
+             in zip(stack.shard_snapshots(), shards_base)])
+    trace = stack.shards[0].trace
     return ExperimentResult(
         spec=spec,
         samples=samples,
-        steady=steady,
+        steady=summarize(samples) if samples else None,
         out_of_space=outcome.out_of_space or load.out_of_space,
         load_seconds=load.load_seconds,
         run_seconds=run_seconds,
         ops_issued=outcome.ops_issued,
-        smart=ssd.smart.as_dict(),
-        peak_disk_utilization=peak_util,
-        peak_space_amp=fs.peak_used_bytes / dataset,
+        counters=counters,
         lba_histogram=trace.histogram if trace else None,
         lba_never_written=trace.fraction_never_written() if trace else None,
-        client_latencies=getattr(outcome, "latencies", None),
-        per_client_ops=getattr(outcome, "per_client_ops", None),
-        kv_ops={
-            "puts": store.stats.puts,
-            "gets": store.stats.gets,
-            "scans": store.stats.scans,
-            "deletes": store.stats.deletes,
-        },
+        client_latencies=outcome.latencies,
+        per_client_ops=outcome.per_client_ops,
         attribution=tracer.attribution.as_dict() if tracer is not None else None,
-        fleet=_fleet_summary(spec, outcome, shard_stores, stats_base,
-                             run_seconds) if fleet else None,
+        fleet=fleet,
     )
 
 
-def run_measured_phase(spec: ExperimentSpec, store, ssd, collector,
+def run_measured_phase(spec: ExperimentSpec, stack: Stack, collector,
                        tracer=None):
     """Drive *spec*'s measured phase on a loaded stack; the outcome.
 
@@ -510,11 +450,11 @@ def run_measured_phase(spec: ExperimentSpec, store, ssd, collector,
     )
     if (spec.arrival is None and spec.nshards == 1 and spec.nclients == 1
             and spec.driver != "pool"):
-        return run_workload(store, workload, **limits)
+        return run_workload(stack.store, workload, **limits)
     if tracer is None:
         tracer = NULL_TRACER
     if spec.arrival is None:
-        return ClientPool(store, workload, spec.nclients, ssd=ssd,
+        return ClientPool(stack.store, workload, spec.nclients, ssd=stack,
                           tracer=tracer, **limits).run()
     arrival = make_arrival(
         spec.arrival, spec.arrival_rate,
@@ -522,7 +462,7 @@ def run_measured_phase(spec: ExperimentSpec, store, ssd, collector,
         **spec.arrival_options,
     )
     return FleetPool(
-        store, workload, arrival, queue_cap=spec.queue_cap, ssd=ssd,
+        stack.store, workload, arrival, queue_cap=spec.queue_cap, ssd=stack,
         tracer=tracer, kill_at=spec.kill_at, kill_shard=spec.kill_shard,
         retry_limit=spec.retry_limit,
         retry_backoff=spec.retry_backoff_ms / 1e3,
@@ -530,13 +470,6 @@ def run_measured_phase(spec: ExperimentSpec, store, ssd, collector,
                     if spec.op_timeout_ms is not None else None),
         **limits,
     ).run()
-
-
-def _make_store(spec: ExperimentSpec, fs: ExtentFilesystem, clock: VirtualClock):
-    engine = Engine(spec.engine)
-    if engine is Engine.LSM:
-        return LSMStore(fs, clock, LSMConfig(**spec.engine_options))
-    return BTreeStore(fs, clock, BTreeConfig(**spec.engine_options))
 
 
 def _close_series(collector, spec, clock, run_start) -> None:
@@ -550,69 +483,7 @@ def _close_series(collector, spec, clock, run_start) -> None:
         collector.sample()
 
 
-# ----------------------------------------------------------------------
-# Fleet experiments (DESIGN.md §10)
-# ----------------------------------------------------------------------
-
-def _shard_seed(seed: int, shard: int) -> int:
-    """Deterministic per-shard seed; shard 0 keeps the spec seed.
-
-    Keeping shard 0 on the unmodified seed makes the 1-shard fleet
-    stack byte-identical to the single-store stack (same drive-state
-    aging, same filesystem scatter), which the equivalence tests pin.
-    """
-    if shard == 0:
-        return seed
-    return (seed + 0x9E3779B97F4A7C15 * shard) & 0xFFFFFFFFFFFFFFFF
-
-
-def build_fleet_stack(spec: ExperimentSpec):
-    """Assemble a fleet of shard stacks behind a router on one clock.
-
-    Each shard owns 1/nshards of the device budget as its own SSD +
-    filesystem + engine instance (independent channels and GC, per
-    Roh et al.'s internal-parallelism observation), aged from a
-    per-shard seed; one shared :class:`IOStat` accumulates fleet-wide
-    device throughput.  Returns ``(clock, store, fleet_ssd, fleet_fs,
-    iostat, shard_ssds, shard_stores)`` where *store* is the
-    router-fronted :class:`~repro.fleet.sharded.ShardedStore`.
-    """
-    clock = VirtualClock()
-    router = make_router(spec.router, spec.nshards, spec.nkeys)
-    shard_capacity = spec.capacity_bytes // spec.nshards
-    iostat = None
-    ssds, filesystems, stores = [], [], []
-    for shard in range(spec.nshards):
-        shard_spec = replace(
-            spec,
-            name=f"{spec.name}/shard{shard}",
-            capacity_bytes=shard_capacity,
-            seed=_shard_seed(spec.seed, shard),
-            nshards=1,
-            arrival=None,
-            arrival_rate=0.0,
-            arrival_options={},
-            nclients=1,
-            driver="auto",
-            trace_lba=False,
-            kill_at=None,
-            kill_shard=0,
-        )
-        _clock, ssd, _device, _partition, fs, st, iostat, _trace = \
-            build_stack(shard_spec, clock=clock, iostat=iostat)
-        ssds.append(ssd)
-        filesystems.append(fs)
-        stores.append(st)
-    store = ShardedStore(stores, router, clock)
-    if spec.kill_at is not None:
-        # The victim shard records per-key WAL/journal positions so the
-        # crash can compute exactly which writes the lost buffers held.
-        stores[spec.kill_shard].enable_crash_tracking()
-    return clock, store, FleetSSD(ssds), FleetFilesystem(filesystems), \
-        iostat, ssds, stores
-
-
-def _fleet_summary(spec, outcome, stores, stats_base, run_seconds):
+def _fleet_summary(spec, outcome, run_seconds, shard_ops):
     """The fleet block of a result: offered vs goodput, SLO, per-shard.
 
     Metric definitions (DESIGN.md §10.3): *offered* counts every op
@@ -620,12 +491,16 @@ def _fleet_summary(spec, outcome, stores, stats_base, run_seconds):
     second, and *SLO attainment* divides ops answered within
     ``slo_ms`` by *offered* — rejected and still-queued ops count as
     misses.  Closed-loop runs have no admission control, so offered ==
-    completed and attainment reduces to the within-SLO fraction.
+    admitted == completed and attainment reduces to the within-SLO
+    fraction; their per-shard rows are the engines' own op counts over
+    the measured phase (*shard_ops*), latencies being per client.
     """
-    latencies = getattr(outcome, "latencies", None)
     completed = outcome.ops_issued
-    offered = getattr(outcome, "offered", completed)
-    slo_seconds = spec.slo_ms / 1e3
+    open_loop = outcome.fleet is not None
+    total = (FleetCounters.total(outcome.fleet) if open_loop else
+             FleetCounters(offered=completed, admitted=completed))
+    offered = total.offered
+    latencies = outcome.latencies  # None when the load ran out of space
     pooled = latencies.pooled() if latencies is not None else []
     summary = {
         "nshards": spec.nshards,
@@ -635,62 +510,54 @@ def _fleet_summary(spec, outcome, stores, stats_base, run_seconds):
         "queue_cap": spec.queue_cap if spec.arrival else None,
         "slo_ms": spec.slo_ms,
         "offered": offered,
-        "admitted": getattr(outcome, "admitted", completed),
-        "rejected": getattr(outcome, "rejected", 0),
+        "admitted": total.admitted,
+        "rejected": total.rejected,
         "completed": completed,
         "offered_rate": offered / run_seconds if run_seconds > 0 else 0.0,
         "goodput": completed / run_seconds if run_seconds > 0 else 0.0,
-        "slo_attainment": slo_attainment(pooled, slo_seconds, offered=offered),
-        "per_shard": [],
+        "slo_attainment": slo_attainment(pooled, spec.slo_ms / 1e3,
+                                         offered=offered),
+        "per_shard": [{"shard": shard, "ops": ops}
+                      for shard, ops in enumerate(shard_ops)],
     }
-    open_loop = isinstance(outcome, FleetOutcome)
-    if open_loop:
-        # Chaos accounting (DESIGN.md §11): availability is the
-        # fraction of offered ops that completed; the error budget is
-        # burned against the three-nines target; retry amplification
-        # is total attempts (first tries + retries) per offered op.
-        failed = outcome.failed
-        retries = outcome.retries
-        availability = completed / offered if offered else 1.0
-        budget = 1.0 - AVAILABILITY_TARGET
-        summary.update({
-            "failed": failed,
-            "timeouts": outcome.timeouts,
-            "retries": retries,
-            "lost_keys": outcome.lost_keys,
-            "availability": availability,
-            "error_budget_burn": (1.0 - availability) / budget,
-            "retry_amplification": (
-                (offered + retries) / offered if offered else 1.0
-            ),
-        })
-    for shard, st in enumerate(stores):
-        if open_loop:
-            data = latencies.series(shard)
-            row = {
-                "shard": shard,
-                "offered": outcome.offered_per_shard[shard],
-                "admitted": outcome.admitted_per_shard[shard],
-                "rejected": outcome.rejected_per_shard[shard],
-                "ops": outcome.completed_per_shard[shard],
-                "p50": float(np.percentile(data, 50)) if data.size else 0.0,
-                "p95": float(np.percentile(data, 95)) if data.size else 0.0,
-                "p99": float(np.percentile(data, 99)) if data.size else 0.0,
-                "qdepth_max": outcome.qdepth_max[shard],
-                "qdepth_mean": outcome.qdepth_mean(shard),
-                "failed": outcome.failed_per_shard[shard],
-                "timeouts": outcome.timeouts_per_shard[shard],
-                "retries": outcome.retries_per_shard[shard],
-                "recovery_seconds": outcome.recovery_seconds[shard],
-                "downtime_seconds": outcome.downtime_seconds[shard],
-                "health": outcome.health[shard],
-            }
-        else:
-            # Closed-loop: latencies are per *client*, not per shard;
-            # per-shard ops come from the engines' own counters.
-            row = {
-                "shard": shard,
-                "ops": st.stats.delta(stats_base[shard]).ops,
-            }
-        summary["per_shard"].append(row)
+    if not open_loop:
+        return summary
+    # Chaos accounting (DESIGN.md §11): availability is the fraction
+    # of offered ops that completed; the error budget is burned
+    # against the three-nines target; retry amplification is total
+    # attempts (first tries + retries) per offered op.
+    availability = completed / offered if offered else 1.0
+    summary.update({
+        "failed": total.failed,
+        "timeouts": total.timeouts,
+        "retries": total.retries,
+        "lost_keys": total.lost_keys,
+        "availability": availability,
+        "error_budget_burn": (1.0 - availability) / (1.0 - AVAILABILITY_TARGET),
+        "retry_amplification": (
+            (offered + total.retries) / offered if offered else 1.0
+        ),
+    })
+    response = latencies.summary()  # open loop: one series per shard
+    summary["per_shard"] = [
+        {
+            "shard": shard,
+            "offered": row.offered,
+            "admitted": row.admitted,
+            "rejected": row.rejected,
+            "ops": row.completed,
+            "p50": response[shard]["p50"],
+            "p95": response[shard]["p95"],
+            "p99": response[shard]["p99"],
+            "qdepth_max": outcome.qdepth_max[shard],
+            "qdepth_mean": row.qdepth_sum / row.offered if row.offered else 0.0,
+            "failed": row.failed,
+            "timeouts": row.timeouts,
+            "retries": row.retries,
+            "recovery_seconds": row.recovery_seconds,
+            "downtime_seconds": row.downtime_seconds,
+            "health": outcome.health[shard],
+        }
+        for shard, row in enumerate(outcome.fleet)
+    ]
     return summary

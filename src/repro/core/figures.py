@@ -29,6 +29,7 @@ from repro.analysis.stats import (
 )
 from repro.core.cost import CostOption, compare_costs, render_heatmap
 from repro.core.experiment import Engine, ExperimentResult, ExperimentSpec, run_experiment
+from repro.core.metrics import end_to_end_write_amplification
 from repro.core.report import render_series, render_table
 from repro.flash.state import DriveState
 from repro.units import MIB
@@ -127,7 +128,7 @@ def fig2_steady_state(scale: Scale = DEFAULT) -> FigureResult:
             f"{steady.kv_tput / KOPS:.2f} KOps/s "
             f"(x{first.kv_tput / max(steady.kv_tput, 1e-9):.1f} early-measurement error); "
             f"steady WA-A={steady.wa_a:.1f} WA-D={steady.wa_d:.2f} "
-            f"end-to-end WA={steady.wa_a * steady.wa_d:.1f}"
+            f"end-to-end WA={end_to_end_write_amplification(steady):.1f}"
         )
     return FigureResult(
         "fig2", "Steady-state vs bursty performance (trimmed SSD)",

@@ -27,15 +27,17 @@ report percentiles per depth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.block.iostat import IOStat
-from repro.core.clock import VirtualClock
 from repro.errors import ConfigError
-from repro.flash.ssd import SSD
-from repro.fs.filesystem import ExtentFilesystem
-from repro.kv.api import KVStore
+
+if TYPE_CHECKING:
+    from repro.core.stack import Stack
+
+HOST_WRITTEN = "flash.host_bytes_written"
+NAND_WRITTEN = "flash.nand_bytes_written"
 
 
 class ClientLatencies:
@@ -144,25 +146,29 @@ class Sample:
     host_bytes_cum: int  # host bytes written since the baseline
 
 
+#: The four op counts of a snapshot (``kv.<kind>``).
+KV_OPS = ("kv.puts", "kv.gets", "kv.deletes", "kv.scans")
+
+
+def ops_in(snapshot: dict) -> int:
+    """Total operations completed, from a counter snapshot."""
+    return sum(snapshot[key] for key in KV_OPS)
+
+
 @dataclass
 class MetricsCollector:
-    """Samples the five §3.3 metrics against live components."""
+    """Samples the five §3.3 metrics from the stack's counter snapshots."""
 
-    clock: VirtualClock
-    ssd: SSD
-    iostat: IOStat
-    fs: ExtentFilesystem
-    store: KVStore
+    stack: Stack
     dataset_bytes: int
     samples: list[Sample] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self._smart_base = self.ssd.smart.snapshot()
-        self._stats_base = self.store.stats.snapshot()
-        self._t_start = self.clock.now
-        self._window_start = self.clock.now
-        self._window_smart = self.ssd.smart.snapshot()
-        self._window_ops = 0
+        self._rebase()
+
+    def _rebase(self) -> None:
+        self._base = self._window = self.stack.snapshot()
+        self._t_start = self._window_start = self.stack.clock.now
 
     def start_measurement(self) -> None:
         """Reset all baselines at the start of the measured phase.
@@ -173,57 +179,45 @@ class MetricsCollector:
         measured writes land on clean blocks — reproducing the Fig 2
         shape without mixing the load phase into the ratios.
         """
-        self._smart_base = self.ssd.smart.snapshot()
-        self._stats_base = self.store.stats.snapshot()
-        self._t_start = self.clock.now
-        self._window_start = self.clock.now
-        self._window_smart = self.ssd.smart.snapshot()
-        self._window_ops = 0
+        self._rebase()
         self.samples = []
 
     def sample(self) -> Sample:
         """Record one point of the time series."""
-        now = self.clock.now
-        smart = self.ssd.smart
-        smart_delta = smart.delta(self._smart_base)
-        window_delta = smart.delta(self._window_smart)
-        stats_delta = self.store.stats.delta(self._stats_base)
-        ops_total = self._ops_since_base()
+        now = self.stack.clock.now
+        snap = self.stack.snapshot()
+        total = {key: snap[key] - self._base[key] for key in snap}
+        recent = {key: snap[key] - self._window[key] for key in snap}
+        host, nand = total[HOST_WRITTEN], total[NAND_WRITTEN]
         window = max(now - self._window_start, 1e-9)
+        iostat = self.stack.iostat
 
-        user_bytes = max(stats_delta.user_bytes_written, 1)
-        host_bytes = max(smart_delta.host_bytes_written, 1)
         point = Sample(
             t=now - self._t_start,
-            ops=ops_total,
-            kv_tput=(ops_total - self._window_ops) / window,
-            dev_write_mbps=self.iostat.write_rate(self._window_start, now) / 1e6,
-            dev_read_mbps=self.iostat.read_rate(self._window_start, now) / 1e6,
-            wa_a=smart_delta.host_bytes_written / user_bytes,
-            wa_d=smart_delta.nand_bytes_written / host_bytes,
-            wa_d_window=(
-                window_delta.nand_bytes_written / window_delta.host_bytes_written
-                if window_delta.host_bytes_written
-                else 1.0
-            ),
-            space_amp=self.fs.used_bytes / max(self.dataset_bytes, 1),
-            disk_utilization=self.fs.utilization(),
-            host_bytes_cum=smart_delta.host_bytes_written,
+            ops=ops_in(total),
+            kv_tput=ops_in(recent) / window,
+            dev_write_mbps=iostat.write_rate(self._window_start, now) / 1e6,
+            dev_read_mbps=iostat.read_rate(self._window_start, now) / 1e6,
+            wa_a=host / max(total["kv.user_bytes_written"], 1),
+            wa_d=nand / max(host, 1),
+            wa_d_window=(recent[NAND_WRITTEN] / recent[HOST_WRITTEN]
+                         if recent[HOST_WRITTEN] else 1.0),
+            space_amp=snap["fs.used_bytes"] / max(self.dataset_bytes, 1),
+            disk_utilization=snap["fs.used_pages"] / snap["fs.npages"],
+            host_bytes_cum=host,
         )
         self.samples.append(point)
         self._window_start = now
-        self._window_smart = smart.snapshot()
-        self._window_ops = ops_total
+        self._window = snap
         return point
 
     def host_bytes_written(self) -> int:
         """Host bytes written since the collector's baseline."""
-        return self.ssd.smart.host_bytes_written - self._smart_base.host_bytes_written
-
-    def _ops_since_base(self) -> int:
-        return self.store.stats.delta(self._stats_base).ops
+        return sum(shard.ssd.smart.host_bytes_written
+                   for shard in self.stack.shards) - self._base[HOST_WRITTEN]
 
 
-def end_to_end_write_amplification(sample: Sample) -> float:
-    """WA-A x WA-D: application-to-flash-cell amplification (§4.2.ii)."""
-    return sample.wa_a * sample.wa_d
+def end_to_end_write_amplification(point) -> float:
+    """WA-A x WA-D: application-to-flash-cell amplification (§4.2.ii),
+    of a :class:`Sample` or a steady-state summary."""
+    return point.wa_a * point.wa_d

@@ -10,13 +10,7 @@ Public surface:
 """
 
 from repro.flash.config import SSDConfig
-from repro.flash.endurance import (
-    EnduranceEstimate,
-    WearReport,
-    drive_writes_per_day,
-    end_to_end_wa,
-    lifetime_estimate,
-)
+from repro.flash.endurance import EnduranceEstimate, lifetime_estimate
 from repro.flash.ftl import FlashTranslationLayer, WorkUnits
 from repro.flash.gc import FifoPolicy, GCPolicy, GreedyPolicy, WindowedGreedyPolicy, make_policy
 from repro.flash.profiles import (
@@ -24,7 +18,6 @@ from repro.flash.profiles import (
     SSD1_ENTERPRISE,
     SSD2_CONSUMER,
     SSD3_OPTANE,
-    STANDARD_CAPACITY,
     get_profile,
     scale_profile,
 )
@@ -41,9 +34,6 @@ __all__ = [
     "SSDConfig",
     "SSD",
     "EnduranceEstimate",
-    "WearReport",
-    "drive_writes_per_day",
-    "end_to_end_wa",
     "lifetime_estimate",
     "FlashTranslationLayer",
     "WorkUnits",
@@ -57,7 +47,6 @@ __all__ = [
     "SSD1_ENTERPRISE",
     "SSD2_CONSUMER",
     "SSD3_OPTANE",
-    "STANDARD_CAPACITY",
     "get_profile",
     "scale_profile",
     "DriveState",

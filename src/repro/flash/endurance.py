@@ -3,13 +3,11 @@
 §4.2.ii of the paper: end-to-end write amplification (WA-A x WA-D) "is
 the write amplification value that should be used to quantify the I/O
 efficiency of a PTS on flash, and its implications on the lifetime of
-an SSD".  This module turns that observation into numbers:
-
-* :func:`lifetime_estimate` — how long a drive lasts under a measured
-  workload, given its rated program/erase cycles;
-* :func:`drive_writes_per_day` — the DWPD the workload imposes;
-* :class:`WearReport` — per-block erase statistics from the FTL,
-  quantifying how evenly the simulated GC spreads wear.
+an SSD".  :func:`lifetime_estimate` turns that observation into
+numbers: how long a drive lasts under a measured workload, and the
+DWPD that workload imposes, given the rated program/erase cycles (the
+product itself is :func:`repro.core.metrics.
+end_to_end_write_amplification`).
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.flash.ftl import FlashTranslationLayer
 
 SECONDS_PER_DAY = 86_400.0
 
@@ -69,44 +66,3 @@ def lifetime_estimate(
         lifetime_days=lifetime,
         drive_writes_per_day=host_per_day / capacity_bytes,
     )
-
-
-def drive_writes_per_day(capacity_bytes: int, host_bytes_per_second: float) -> float:
-    """Host DWPD: full-capacity writes per day the workload imposes."""
-    if capacity_bytes <= 0:
-        raise ConfigError("capacity must be positive")
-    return host_bytes_per_second * SECONDS_PER_DAY / capacity_bytes
-
-
-@dataclass(frozen=True)
-class WearReport:
-    """Distribution of erase counts across blocks."""
-
-    total_erases: int
-    mean_erases: float
-    max_erases: int
-    min_erases: int
-    stddev: float
-    wear_evenness: float  # min/max in (0, 1]; 1.0 = perfectly even
-
-    @classmethod
-    def from_ftl(cls, ftl: FlashTranslationLayer) -> "WearReport":
-        """Summarize the FTL's per-block erase counters."""
-        counts = ftl.erase_counts
-        total = int(counts.sum())
-        max_count = int(counts.max()) if counts.size else 0
-        return cls(
-            total_erases=total,
-            mean_erases=float(counts.mean()),
-            max_erases=max_count,
-            min_erases=int(counts.min()) if counts.size else 0,
-            stddev=float(counts.std()),
-            wear_evenness=(float(counts.min()) / max_count) if max_count else 1.0,
-        )
-
-
-def end_to_end_wa(wa_app: float, wa_device: float) -> float:
-    """The §4.2.ii product: application-to-flash-cell amplification."""
-    if wa_app < 1.0 or wa_device < 1.0:
-        raise ConfigError("write amplification factors are >= 1")
-    return wa_app * wa_device

@@ -27,9 +27,6 @@ from repro.errors import ConfigError
 from repro.flash.config import SSDConfig
 from repro.units import MIB, usec
 
-#: Nominal logical capacity of all standard profiles (scaled 400 GB).
-STANDARD_CAPACITY = 400 * MIB
-
 SSD1_ENTERPRISE = SSDConfig(
     name="ssd1-enterprise-flash",
     page_size=4096,

@@ -3,18 +3,23 @@
 The paper measures device-level write amplification (WA-D) "via SMART
 attributes of the device" (§3.3): the ratio between bytes written to
 flash (host writes plus garbage-collection relocations) and bytes the
-host sent.  This module provides the same cumulative counters plus
+host sent.  This module provides the same cumulative counters; the
+shared :class:`~repro.counters.Counters` base gives them the
 snapshot/delta helpers so windowed WA-D can be computed as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+
+from repro.counters import Counters
 
 
 @dataclass(slots=True)
-class SmartAttributes:
+class SmartAttributes(Counters):
     """Cumulative device counters, all monotonically non-decreasing."""
+
+    layer = "flash"
 
     host_bytes_written: int = 0
     host_bytes_read: int = 0
@@ -39,20 +44,3 @@ class SmartAttributes:
         if self.host_bytes_written == 0:
             return 1.0
         return self.nand_bytes_written / self.host_bytes_written
-
-    def snapshot(self) -> "SmartAttributes":
-        """Return an independent copy of the current counters."""
-        return SmartAttributes(**{f.name: getattr(self, f.name) for f in fields(self)})
-
-    def delta(self, earlier: "SmartAttributes") -> "SmartAttributes":
-        """Return counters accumulated since *earlier* (a snapshot)."""
-        return SmartAttributes(
-            **{
-                f.name: getattr(self, f.name) - getattr(earlier, f.name)
-                for f in fields(self)
-            }
-        )
-
-    def as_dict(self) -> dict:
-        """Plain-dict view, for reports and serialization."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}

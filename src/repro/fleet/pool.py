@@ -29,11 +29,12 @@ the event heap's ``(time, seq)`` key — a run is a pure function of
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro import rng as rng_mod
 from repro.core.metrics import ClientLatencies
+from repro.counters import Counters
 from repro.errors import NoSpaceError, TransientDeviceError
 from repro.fleet.arrival import ArrivalProcess
 from repro.fleet.sharded import ShardedStore
@@ -41,8 +42,8 @@ from repro.obs.tracer import NULL_TRACER
 from repro.sim.scheduler import Scheduler
 from repro.workload.keys import make_chooser
 from repro.workload.plan import UPDATE, draw_op
-from repro.workload.runner import (CHECK_EVERY, _after_op_sample, apply_op,
-                                   validate_sampling)
+from repro.workload.runner import (CHECK_EVERY, RunOutcome, _after_op_sample,
+                                   apply_op, validate_sampling)
 from repro.workload.spec import WorkloadSpec
 
 #: Health states that accept new work; "recovering"/"down" fail fast.
@@ -53,47 +54,26 @@ AVAILABILITY_TARGET = 0.999
 
 
 @dataclass(slots=True)
-class FleetOutcome:
-    """What happened during an open-loop fleet run.
+class FleetCounters(Counters):
+    """One shard's open-loop accounting; a fleet total is the sum over
+    the shards' blocks (the partition of ``offered`` they obey is
+    stated on :class:`~repro.workload.runner.RunOutcome`)."""
 
-    Duck-compatible with :class:`repro.workload.runner.RunOutcome`
-    (``ops_issued`` counts *completed* operations).  Offered =
-    admitted + rejected; admitted − completed ops were still queued
-    when the run ended.
-    """
+    layer = "fleet"
 
-    ops_issued: int = 0
-    out_of_space: bool = False
-    load_seconds: float = 0.0
-    run_seconds: float = 0.0
-    offered: int = 0
+    offered: int = 0  # arrivals routed to this shard
     admitted: int = 0
-    rejected: int = 0
-    offered_per_shard: list[int] = field(default_factory=list)
-    admitted_per_shard: list[int] = field(default_factory=list)
-    rejected_per_shard: list[int] = field(default_factory=list)
-    completed_per_shard: list[int] = field(default_factory=list)
-    qdepth_max: list[int] = field(default_factory=list)
-    qdepth_sum: list[int] = field(default_factory=list)
-    latencies: ClientLatencies | None = None  # response time, per shard
-    events_run: int = 0
+    rejected: int = 0  # arrivals that found the queue at its cap
+    completed: int = 0
+    qdepth_sum: int = 0  # queue depth seen by each arrival, summed
     # Chaos accounting (DESIGN.md §11): all zero unless a kill
     # schedule, op timeout or fault plan is active.
     failed: int = 0  # ops lost to a down shard or a device error
     timeouts: int = 0  # queued ops that aged past the op timeout
     retries: int = 0  # re-attempts after fail-fast on a down shard
-    failed_per_shard: list[int] = field(default_factory=list)
-    timeouts_per_shard: list[int] = field(default_factory=list)
-    retries_per_shard: list[int] = field(default_factory=list)
-    recovery_seconds: list[float] = field(default_factory=list)
-    downtime_seconds: list[float] = field(default_factory=list)
     lost_keys: int = 0  # newest-version keys lost in crash recovery
-    health: list[str] = field(default_factory=list)  # final per-shard state
-
-    def qdepth_mean(self, shard: int) -> float:
-        """Mean queue depth seen by this shard's arrivals."""
-        offered = self.offered_per_shard[shard]
-        return self.qdepth_sum[shard] / offered if offered else 0.0
+    recovery_seconds: float = 0.0
+    downtime_seconds: float = 0.0
 
 
 class FleetPool:
@@ -117,7 +97,6 @@ class FleetPool:
         retry_limit: int = 3,
         retry_backoff: float = 0.0005,
         op_timeout: float | None = None,
-        retry_rng=None,
     ):
         validate_sampling(sample_interval, on_sample)
         self.store = store
@@ -139,12 +118,10 @@ class FleetPool:
         self.retry_limit = retry_limit
         self.retry_backoff = retry_backoff
         self.op_timeout = op_timeout
-        self._retry_rng = retry_rng
         self._chaos = kill_at is not None or op_timeout is not None
-        if self._chaos and retry_rng is None:
-            self._retry_rng = rng_mod.substream(seed, "fleet-retry")
+        self._jitter_rng = rng_mod.substream(seed, "fleet-retry")
 
-    def run(self) -> FleetOutcome:
+    def run(self) -> RunOutcome:
         """Drive source + service tasks to completion; blocking."""
         clock = self.store.clock
         scheduler = Scheduler(clock)
@@ -158,19 +135,10 @@ class FleetPool:
         if self.ssd is not None:
             self.ssd.enable_channel_timing()
         n = self.nshards
-        outcome = FleetOutcome(
-            offered_per_shard=[0] * n,
-            admitted_per_shard=[0] * n,
-            rejected_per_shard=[0] * n,
-            completed_per_shard=[0] * n,
-            qdepth_max=[0] * n,
-            qdepth_sum=[0] * n,
+        outcome = RunOutcome(
             latencies=ClientLatencies(n),
-            failed_per_shard=[0] * n,
-            timeouts_per_shard=[0] * n,
-            retries_per_shard=[0] * n,
-            recovery_seconds=[0.0] * n,
-            downtime_seconds=[0.0] * n,
+            fleet=[FleetCounters() for _ in range(n)],
+            qdepth_max=[0] * n,
             health=["up"] * n,
         )
         self._outcome = outcome
@@ -194,6 +162,7 @@ class FleetPool:
             # compaction, checkpoint); the run ends and is reported.
             outcome.out_of_space = True
             self._stop = True
+        outcome.ops_issued = sum(row.completed for row in outcome.fleet)
         outcome.run_seconds = clock.now - start
         outcome.events_run = scheduler.events_run
         return outcome
@@ -204,6 +173,8 @@ class FleetPool:
     def _source(self):
         spec = self.spec
         outcome = self._outcome
+        rows = outcome.fleet
+        qdepth_max = outcome.qdepth_max
         clock = self.store.clock
         router = self.store.router
         queues = self._queues
@@ -217,12 +188,13 @@ class FleetPool:
         op_rng = rng_mod.substream(self.seed, "workload-ops")
         chooser = make_chooser(spec.distribution, spec.nkeys, key_rng)
         chaos = self._chaos
+        offered = 0
         while True:
             if self._stop:
                 break
-            if max_ops is not None and outcome.offered >= max_ops:
+            if max_ops is not None and offered >= max_ops:
                 break
-            if outcome.offered % CHECK_EVERY == 0 and stop_when():
+            if offered % CHECK_EVERY == 0 and stop_when():
                 self._stop = True
                 break
             yield arrival.next_gap()  # suspend until the next arrival
@@ -230,8 +202,9 @@ class FleetPool:
                 break
             kind, key = draw_op(spec, chooser, op_rng)
             shard = router.shard_for(key)
-            outcome.offered += 1
-            outcome.offered_per_shard[shard] += 1
+            row = rows[shard]
+            offered += 1
+            row.offered += 1
             if chaos and outcome.health[shard] not in _SERVING:
                 # Fail fast: no queueing behind a dead shard.  The
                 # first arrival that notices the outage triggers the
@@ -242,12 +215,11 @@ class FleetPool:
                 self._retry_or_fail(kind, key, shard, clock._step_now)
                 continue
             depth = len(queues[shard]) + (1 if busy[shard] else 0)
-            outcome.qdepth_sum[shard] += depth
-            if depth > outcome.qdepth_max[shard]:
-                outcome.qdepth_max[shard] = depth
+            row.qdepth_sum += depth
+            if depth > qdepth_max[shard]:
+                qdepth_max[shard] = depth
             if depth >= queue_cap:
-                outcome.rejected += 1
-                outcome.rejected_per_shard[shard] += 1
+                row.rejected += 1
                 continue
             version = 0
             if kind == UPDATE:
@@ -256,8 +228,7 @@ class FleetPool:
                 version = self._version
                 self._version += 1
             queues[shard].append((kind, key, version, clock._step_now))
-            outcome.admitted += 1
-            outcome.admitted_per_shard[shard] += 1
+            row.admitted += 1
             if not busy[shard]:
                 busy[shard] = True
                 scheduler.spawn(self._service(shard), label=f"shard{shard}")
@@ -268,6 +239,7 @@ class FleetPool:
     def _service(self, shard: int):
         spec = self.spec
         outcome = self._outcome
+        row = outcome.fleet[shard]
         store = self.store.shards[shard]  # already routed: go direct
         clock = store.clock
         queue = self._queues[shard]
@@ -281,8 +253,7 @@ class FleetPool:
             if timeout is not None and clock._step_now - t_arr > timeout:
                 # The op aged past its deadline while queued; the
                 # client has given up, so don't burn service on it.
-                outcome.timeouts += 1
-                outcome.timeouts_per_shard[shard] += 1
+                row.timeouts += 1
                 continue
             if tr_on:
                 tracer.tid = shard
@@ -296,15 +267,13 @@ class FleetPool:
             except TransientDeviceError:
                 # Engine-tier retries exhausted: the op fails without
                 # killing the run (availability accounting picks it up).
-                outcome.failed += 1
-                outcome.failed_per_shard[shard] += 1
+                row.failed += 1
                 continue
             # Service tasks run inside an event step; the capture-mode
             # step time is the op's completion time (see ClientPool).
             now = clock._step_now
             sink.append(now - t_arr)  # response = queueing + service
-            outcome.ops_issued += 1
-            outcome.completed_per_shard[shard] += 1
+            row.completed += 1
             if chaos and outcome.health[shard] == "degraded":
                 self._degraded_left[shard] -= 1
                 if self._degraded_left[shard] <= 0:
@@ -339,8 +308,7 @@ class FleetPool:
         self._down_at[shard] = self.store.clock.now
         queue = self._queues[shard]
         dropped = len(queue)
-        outcome.failed += dropped
-        outcome.failed_per_shard[shard] += dropped
+        outcome.fleet[shard].failed += dropped
         queue.clear()
         if self.tracer.enabled:
             self.tracer.instant(
@@ -353,8 +321,8 @@ class FleetPool:
         outcome = self._outcome
         outcome.health[shard] = "recovering"
         seconds, lost = self.store.shards[shard].crash_and_recover()
-        outcome.recovery_seconds[shard] += seconds
-        outcome.lost_keys += len(lost)
+        outcome.fleet[shard].recovery_seconds += seconds
+        outcome.fleet[shard].lost_keys += len(lost)
         self._scheduler.schedule(
             seconds, lambda: self._finish_recovery(shard),
             label=f"recover{shard}",
@@ -365,7 +333,7 @@ class FleetPool:
         outcome = self._outcome
         outcome.health[shard] = "degraded"
         self._degraded_left[shard] = self.queue_cap
-        outcome.downtime_seconds[shard] += (
+        outcome.fleet[shard].downtime_seconds += (
             self.store.clock.now - self._down_at[shard]
         )
         if self.tracer.enabled:
@@ -378,8 +346,7 @@ class FleetPool:
                 self._retry(kind, key, shard, t_arr), label=f"retry{shard}"
             )
         else:
-            self._outcome.failed += 1
-            self._outcome.failed_per_shard[shard] += 1
+            self._outcome.fleet[shard].failed += 1
 
     def _retry(self, kind, key: int, shard: int, t_arr: float):
         """Re-attempt admission with exponential backoff + jitter.
@@ -392,15 +359,14 @@ class FleetPool:
         the SLO-relevant quantity.
         """
         outcome = self._outcome
-        rng = self._retry_rng
+        row = outcome.fleet[shard]
+        rng = self._jitter_rng
         queues = self._queues
         busy = self._busy
         for attempt in range(self.retry_limit):
-            outcome.retries += 1
-            outcome.retries_per_shard[shard] += 1
+            row.retries += 1
             backoff = self.retry_backoff * (2.0 ** attempt)
-            if rng is not None:
-                backoff *= 1.0 + rng.random()
+            backoff *= 1.0 + rng.random()
             yield backoff
             if self._stop:
                 return
@@ -418,13 +384,11 @@ class FleetPool:
                 version = self._version
                 self._version += 1
             queues[shard].append((kind, key, version, t_arr))
-            outcome.admitted += 1
-            outcome.admitted_per_shard[shard] += 1
+            row.admitted += 1
             if not busy[shard]:
                 busy[shard] = True
                 self._scheduler.spawn(
                     self._service(shard), label=f"shard{shard}"
                 )
             return
-        outcome.failed += 1
-        outcome.failed_per_shard[shard] += 1
+        row.failed += 1

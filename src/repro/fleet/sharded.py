@@ -11,12 +11,6 @@ advancement, ``until`` semantics and ``ops_done`` accounting) exactly
 as the inherited scalar loop would.  With one shard every call
 delegates whole-batch to the only shard — which is what makes the
 1-shard fleet path bit-identical to a bare store (pinned by tests).
-
-:class:`FleetSSD` and :class:`FleetFilesystem` are the matching
-read-side facades: they aggregate SMART counters and space accounting
-across shards so :class:`~repro.core.metrics.MetricsCollector` (and
-the experiment layer's peak-utilization bookkeeping) observe the fleet
-as one device, unchanged.
 """
 
 from __future__ import annotations
@@ -24,7 +18,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import NoSpaceError
-from repro.flash.smart import SmartAttributes
 from repro.fleet.router import Router
 from repro.kv.api import KVStore, as_int_list
 from repro.kv.stats import KVStats
@@ -128,86 +121,8 @@ class ShardedStore(KVStore):
 
     @property
     def stats(self) -> KVStats:
-        total = KVStats()
-        for shard in self.shards:
-            s = shard.stats
-            total.puts += s.puts
-            total.gets += s.gets
-            total.deletes += s.deletes
-            total.scans += s.scans
-            total.user_bytes_written += s.user_bytes_written
-            total.user_bytes_read += s.user_bytes_read
-        return total
+        return KVStats.total(shard.stats for shard in self.shards)
 
     @property
     def disk_bytes_used(self) -> int:
         return sum(shard.disk_bytes_used for shard in self.shards)
-
-
-class FleetSSD:
-    """SMART/lifecycle facade summing over the shards' SSDs."""
-
-    def __init__(self, ssds: Sequence):
-        self.ssds = list(ssds)
-
-    @property
-    def smart(self) -> SmartAttributes:
-        total = SmartAttributes()
-        for ssd in self.ssds:
-            for name, value in ssd.smart.as_dict().items():
-                setattr(total, name, getattr(total, name) + value)
-        return total
-
-    def enable_channel_timing(self) -> None:
-        for ssd in self.ssds:
-            ssd.enable_channel_timing()
-
-    def drain(self) -> float:
-        """Advance the shared clock until every shard is idle; returns
-        the wait.  Each shard's ``drain`` moves the one clock, so a
-        later shard reports only what was left after the earlier ones
-        had waited — the fleet's wait is how far the clock moved, not
-        the largest single report."""
-        clock = self.ssds[0].clock
-        start = clock.now
-        for ssd in self.ssds:
-            ssd.drain()
-        return clock.now - start
-
-
-class _FleetAllocator:
-    """Aggregated allocator view (peak pages / total pages)."""
-
-    def __init__(self, filesystems):
-        self._filesystems = filesystems
-
-    @property
-    def peak_used_pages(self) -> int:
-        # Per-shard peaks need not be simultaneous; the sum is the
-        # standard conservative fleet peak (documented in DESIGN §10.3).
-        return sum(fs.allocator.peak_used_pages for fs in self._filesystems)
-
-    @property
-    def npages(self) -> int:
-        return sum(fs.allocator.npages for fs in self._filesystems)
-
-
-class FleetFilesystem:
-    """Space-accounting facade summing over the shards' filesystems."""
-
-    def __init__(self, filesystems: Sequence):
-        self.filesystems = list(filesystems)
-        self.allocator = _FleetAllocator(self.filesystems)
-
-    @property
-    def used_bytes(self) -> int:
-        return sum(fs.used_bytes for fs in self.filesystems)
-
-    @property
-    def peak_used_bytes(self) -> int:
-        return sum(fs.peak_used_bytes for fs in self.filesystems)
-
-    def utilization(self) -> float:
-        used = sum(fs.used_pages for fs in self.filesystems)
-        total = sum(fs.allocator.npages for fs in self.filesystems)
-        return used / total if total else 0.0

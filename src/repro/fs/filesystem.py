@@ -377,19 +377,21 @@ class ExtentFilesystem:
         return self.used_pages * self.page_size
 
     @property
-    def peak_used_bytes(self) -> int:
-        """High-water mark of allocated space (the paper reports the
-        *maximum* utilization for RocksDB, whose usage oscillates)."""
-        return self.allocator.peak_used_pages * self.page_size
-
-    @property
     def capacity_bytes(self) -> int:
         """Total filesystem capacity in bytes."""
         return self.allocator.npages * self.page_size
 
-    def utilization(self) -> float:
-        """Fraction of the filesystem capacity allocated to files."""
-        return self.used_pages / self.allocator.npages
+    def counters(self) -> dict:
+        """Space accounting as layer-labelled counters: pages and bytes
+        in use now (gauges), their high-water marks (the paper reports
+        the *maximum* utilization for RocksDB, whose usage oscillates)
+        and the capacity utilization is measured against."""
+        peak = self.allocator.peak_used_pages
+        return {"fs.used_pages": self.used_pages,
+                "fs.used_bytes": self.used_bytes,
+                "fs.peak_used_pages": peak,
+                "fs.peak_used_bytes": peak * self.page_size,
+                "fs.npages": self.allocator.npages}
 
     def file_device_pages(self, name: str) -> np.ndarray:
         """All device pages of a file, in file order (for tests/traces)."""

@@ -179,6 +179,11 @@ class KVStore(ABC):
     def stats(self) -> KVStats:
         """Cumulative application-level statistics."""
 
+    def counters(self) -> dict:
+        """Every counter block of this store as one layer-labelled
+        dict (``{"kv.puts": ...}``); engines add their internal blocks."""
+        return self.stats.labelled()
+
     @property
     @abstractmethod
     def disk_bytes_used(self) -> int:

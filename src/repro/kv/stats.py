@@ -7,13 +7,17 @@ the store, i.e. key size plus value size per write.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+
+from repro.counters import Counters
 
 
 @dataclass(slots=True)
-class KVStats:
+class KVStats(Counters):
     """Cumulative per-store operation counters (slotted: every
     operation of every engine bumps at least two of these)."""
+
+    layer = "kv"
 
     puts: int = 0
     gets: int = 0
@@ -26,16 +30,3 @@ class KVStats:
     def ops(self) -> int:
         """Total operations completed."""
         return self.puts + self.gets + self.deletes + self.scans
-
-    def snapshot(self) -> "KVStats":
-        """Return an independent copy of the counters."""
-        return KVStats(**{f.name: getattr(self, f.name) for f in fields(self)})
-
-    def delta(self, earlier: "KVStats") -> "KVStats":
-        """Counters accumulated since *earlier* (a snapshot)."""
-        return KVStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(earlier, f.name)
-                for f in fields(self)
-            }
-        )

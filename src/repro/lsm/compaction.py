@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.counters import Counters
 from repro.fs.filesystem import ExtentFilesystem
 from repro.lsm.config import LSMConfig
 from repro.lsm.memtable import KIND_DELETE
@@ -48,8 +49,10 @@ class Compaction:
 
 
 @dataclass
-class CompactionStats:
+class CompactionStats(Counters):
     """I/O accounting of executed compactions."""
+
+    layer = "lsm"
 
     compactions: int = 0
     trivial_moves: int = 0

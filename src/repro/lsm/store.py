@@ -706,6 +706,9 @@ class LSMStore(KVStore):
         """Cumulative application-level statistics."""
         return self._stats
 
+    def counters(self) -> dict:
+        return {**self._stats.labelled(), **self.executor.stats.labelled()}
+
     @property
     def disk_bytes_used(self) -> int:
         """Filesystem space occupied (the store owns its filesystem)."""

@@ -198,8 +198,7 @@ class Tracer:
         self.sink.append(("X", t0, latency, f"op:{kind}", "op", self.tid, args))
 
 
-def attach_tracer(tracer, clock=None, ssd=None, store=None,
-                  scheduler=None) -> None:
+def attach_tracer(tracer, clock=None, ssd=None, store=None) -> None:
     """Bind *tracer* into an assembled stack's layers.
 
     Accepts whatever subset of the stack the caller has; layers not
@@ -221,5 +220,3 @@ def attach_tracer(tracer, clock=None, ssd=None, store=None,
         executor = getattr(store, "executor", None)
         if executor is not None:
             executor.tracer = tracer
-    if scheduler is not None:
-        scheduler.obs_tracer = tracer

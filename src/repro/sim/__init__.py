@@ -16,13 +16,12 @@ run_workload`) remains the degenerate one-client case and is
 bit-identical to a one-client :class:`ClientPool` run.
 """
 
-from repro.sim.clients import ClientPool, PoolOutcome
+from repro.sim.clients import ClientPool
 from repro.sim.resources import Resource
 from repro.sim.scheduler import Scheduler, Task
 
 __all__ = [
     "ClientPool",
-    "PoolOutcome",
     "Resource",
     "Scheduler",
     "Task",

@@ -52,7 +52,6 @@ lands on the same op counts as with one op per event).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from repro import rng as rng_mod
@@ -65,29 +64,9 @@ from repro.workload.keys import make_chooser
 from repro.workload.plan import (
     READ, SCAN, UPDATE, BatchPlanner, EventAwareUntil, update_seeds,
 )
-from repro.workload.runner import (CHECK_EVERY, _after_op_sample,
+from repro.workload.runner import (CHECK_EVERY, RunOutcome, _after_op_sample,
                                    validate_sampling)
 from repro.workload.spec import WorkloadSpec
-
-
-@dataclass(slots=True)
-class PoolOutcome:
-    """What happened during a (partial) multi-client run.
-
-    Duck-compatible with :class:`repro.workload.runner.RunOutcome`
-    (``ops_issued`` / ``out_of_space`` / ``load_seconds``) so the
-    experiment layer treats both drivers uniformly.  Slotted: the
-    shared op counter is read and written on every batch segment of
-    every client.
-    """
-
-    ops_issued: int = 0
-    out_of_space: bool = False
-    load_seconds: float = 0.0
-    run_seconds: float = 0.0
-    per_client_ops: list[int] = field(default_factory=list)
-    latencies: ClientLatencies | None = None
-    events_run: int = 0
 
 
 class ClientPool:
@@ -120,7 +99,7 @@ class ClientPool:
         self.ssd = ssd
         self.tracer = tracer
 
-    def run(self) -> PoolOutcome:
+    def run(self) -> RunOutcome:
         """Drive all clients until stop/budget/out-of-space; blocking."""
         clock = self.store.clock
         scheduler = Scheduler(clock)
@@ -134,7 +113,7 @@ class ClientPool:
             self.store.attach_scheduler(scheduler)
             if self.ssd is not None:
                 self.ssd.enable_channel_timing()
-        outcome = PoolOutcome(
+        outcome = RunOutcome(
             per_client_ops=[0] * self.nclients,
             latencies=ClientLatencies(self.nclients),
         )

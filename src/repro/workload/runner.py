@@ -28,7 +28,7 @@ operation stream of this runner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -39,6 +39,10 @@ from repro.kv.values import seeds_for, value_for
 from repro.workload.keys import make_chooser
 from repro.workload.plan import READ, SCAN, UPDATE, BatchPlanner, update_seeds
 from repro.workload.spec import WorkloadSpec
+
+if TYPE_CHECKING:
+    from repro.core.metrics import ClientLatencies
+    from repro.fleet.pool import FleetCounters
 
 
 #: How often (in completed ops) drivers re-evaluate ``stop_when``.
@@ -52,13 +56,35 @@ CHECK_EVERY = 64
 LOAD_CHUNK = 4096
 
 
-@dataclass
+@dataclass(slots=True)
 class RunOutcome:
-    """What happened during a (partial) workload run."""
+    """What happened during a (partial) load or measured phase, under
+    any driver.  ``ops_issued`` counts *completed* operations; slotted,
+    because the pools update it on every batch segment of every client.
+
+    Closed-loop drivers have no admission control: every op offered is
+    admitted and completes.  An open-loop run attaches one
+    :class:`~repro.fleet.pool.FleetCounters` block per shard (``fleet``;
+    a fleet total is their sum) beside the per-shard state that does
+    not add up.  Every offered op ends in exactly one of rejected /
+    completed / failed / timed-out / still in flight at the stop
+    (queued, or backing off before a retry).  ``failed`` mixes ops
+    dropped after admission with ops bounced off a down shard whose
+    retries ran out before any, so offered = admitted + rejected is
+    *not* a law; ``completed + timeouts <= admitted <= offered -
+    rejected`` is.
+    """
 
     ops_issued: int = 0
     out_of_space: bool = False
     load_seconds: float = 0.0
+    run_seconds: float = 0.0
+    events_run: int = 0  # scheduler events dispatched (pools only)
+    per_client_ops: list[int] | None = None
+    latencies: ClientLatencies | None = None  # per client; per shard open-loop
+    fleet: list[FleetCounters] | None = None
+    qdepth_max: list[int] | None = None
+    health: list[str] | None = None  # final per-shard state
 
 
 def load_sequential(store: KVStore, spec: WorkloadSpec) -> RunOutcome:

@@ -1,0 +1,144 @@
+"""Conservation laws across layers, read off the counter snapshots.
+
+Each law is a pure function of ``Stack.snapshot()`` dicts (DESIGN.md
+§10.5).  They are evaluated at **every sample** — ``MetricsCollector.
+sample`` is wrapped on the class, the seam the perf ledger uses — and
+once more at the end of the run, for six of the golden specs and an
+open-loop run with a shard kill on either engine.  Every law below
+was seen to fail under a one-line mutation of the counter it reads
+(CHANGES.md, PR 21).
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core.experiment import Engine, ExperimentSpec, run_experiment
+from repro.core.metrics import MetricsCollector, ops_in
+from repro.units import MIB
+from tests.core.test_golden_fingerprints import SPECS
+
+#: The snapshot entries that may fall: space in use right now.
+GAUGES = {"fs.used_pages", "fs.used_bytes"}
+
+KILL = dict(
+    capacity_bytes=24 * MIB, dataset_fraction=0.3,
+    duration_capacity_writes=50.0, sample_interval=0.05, max_ops=2500,
+    arrival="poisson", arrival_rate=8000.0, nshards=2, queue_cap=16,
+    read_fraction=0.3, kill_at=0.05, kill_shard=1,
+)
+
+RUNS = {name: SPECS[name] for name in (
+    "closed-loop-lsm", "closed-loop-btree", "pooled-lsm", "pool16-btree",
+    "fleet-2shard-lsm", "out-of-space-pool4-lsm")} | {
+    f"open-loop-kill-{engine.value}": dict(engine=engine, **KILL)
+    for engine in (Engine.LSM, Engine.BTREE)}
+
+
+# ----------------------------------------------------------------------
+# The laws
+# ----------------------------------------------------------------------
+def nand_is_host_plus_relocated(snap: dict) -> bool:
+    """Every flash page programmed is a host write or a GC relocation."""
+    return snap["flash.nand_bytes_written"] == (
+        snap["flash.host_bytes_written"] + snap["flash.gc_bytes_relocated"])
+
+
+def block_matches_flash(earlier: dict, later: dict) -> bool:
+    """What the block layer saw go by is what the device counted, in
+    both directions (drive preconditioning writes below the block layer,
+    so the law is over an interval, not since power-on)."""
+    return all(
+        later[f"flash.host_bytes_{verb}"] - earlier[f"flash.host_bytes_{verb}"]
+        == later[f"block.bytes_{verb}"] - earlier[f"block.bytes_{verb}"]
+        for verb in ("written", "read"))
+
+
+def monotone(earlier: dict, later: dict) -> list[str]:
+    """The counters that fell between two snapshots (expected: none)."""
+    return [key for key in later
+            if key not in GAUGES and later[key] < earlier[key]]
+
+
+def shards_sum_to_fleet(fleet: dict, shards: list[dict]) -> bool:
+    """The fleet's counters are the field-for-field sum of its shards';
+    only the block-layer monitor, shared by all shards, is the fleet's
+    alone."""
+    return {key: sum(shard[key] for shard in shards) for key in shards[0]} == {
+        key: value for key, value in fleet.items()
+        if not key.startswith("block.")}
+
+
+def kv_ops_are_issued_plus_loaded(result) -> bool:
+    """The engines served the sequential load plus every op the driver
+    counted (an op cut short by ENOSPC is counted by neither side the
+    same way, so a full device is exempt)."""
+    return result.out_of_space or (
+        ops_in(result.counters) == result.ops_issued + result.spec.nkeys)
+
+
+def check(earlier: dict, later: dict, stack) -> None:
+    assert shards_sum_to_fleet(later, stack.shard_snapshots())
+    assert nand_is_host_plus_relocated(later)
+    assert block_matches_flash(earlier, later)
+    assert monotone(earlier, later) == []
+
+
+# ----------------------------------------------------------------------
+# Evaluated at every sample and at the end of the run
+# ----------------------------------------------------------------------
+@pytest.fixture
+def watched(monkeypatch):
+    """Check the laws between every two consecutive sampling points."""
+    seen = []
+    start, sample = MetricsCollector.start_measurement, MetricsCollector.sample
+
+    def checked_start(self):
+        start(self)
+        seen[:] = [(self.stack, self.stack.snapshot())]
+
+    def checked_sample(self):
+        point = sample(self)
+        snap = self.stack.snapshot()
+        check(seen[-1][1], snap, self.stack)
+        seen.append((self.stack, snap))
+        return point
+
+    monkeypatch.setattr(MetricsCollector, "start_measurement", checked_start)
+    monkeypatch.setattr(MetricsCollector, "sample", checked_sample)
+    return seen
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_laws_hold_at_every_sample_and_at_the_end(name, watched):
+    result = run_experiment(ExperimentSpec(**RUNS[name]))
+    assert len(watched) == len(result.samples) + 1
+    stack, last = watched[-1]
+    final = {key: value for key, value in result.counters.items()
+             if not key.startswith("fleet.")}
+    check(last, final, stack)
+    check(watched[0][1], final, stack)  # over the whole measured phase
+    assert kv_ops_are_issued_plus_loaded(result)
+    if name.startswith("out-of-space"):
+        assert result.out_of_space
+    if result.spec.arrival is not None:
+        # The open-loop totals ride in the same snapshot.
+        assert result.counters["fleet.completed"] == result.ops_issued
+        assert result.counters["fleet.offered"] == result.fleet["offered"]
+        assert result.counters["fleet.recovery_seconds"] > 0.0
+
+
+def test_snapshot_names_every_layer():
+    """One read returns device, block, filesystem, KV and engine-internal
+    counters under ``layer.name`` keys; the views of a result are cut
+    from it."""
+    result = run_experiment(ExperimentSpec(**SPECS["fleet-2shard-lsm"]))
+    layers = {key.split(".")[0] for key in result.counters}
+    assert layers == {"flash", "block", "fs", "kv", "lsm"}
+    assert result.counters["lsm.compactions"] > 0
+    assert result.smart["gc_pages_moved"] == \
+        result.counters["flash.gc_pages_moved"]
+    assert sum(result.kv_ops.values()) == ops_in(result.counters)
+    btree = run_experiment(ExperimentSpec(**SPECS["closed-loop-btree"]))
+    assert btree.counters["btree.cache_misses"] > 0
+    assert "counters" not in btree.to_dict()

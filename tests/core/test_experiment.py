@@ -88,28 +88,30 @@ class TestSpec:
 class TestBuildStack:
     def test_stack_components_wired(self):
         spec = ExperimentSpec(**FAST)
-        clock, ssd, device, partition, fs, store, iostat, trace = build_stack(spec)
-        assert store.clock is clock
-        assert fs.device is partition
-        assert partition.parent is device
-        assert device.ssd is ssd
-        assert trace is None
+        stack = build_stack(spec)
+        (shard,) = stack.shards
+        assert stack.store is shard.store  # the bare engine, no router
+        assert shard.store.clock is stack.clock
+        assert shard.fs.device is shard.partition
+        assert shard.partition.parent is shard.device
+        assert shard.device.ssd is shard.ssd
+        assert shard.trace is None
 
     def test_op_partition_restricts_space(self):
         spec = ExperimentSpec(op_reserved_fraction=0.25, **FAST)
-        _clock, ssd, _device, partition, fs, _store, _iostat, _trace = build_stack(spec)
-        assert partition.npages == int(ssd.npages * 0.75)
-        assert fs.capacity_bytes < ssd.capacity_bytes
+        (shard,) = build_stack(spec).shards
+        assert shard.partition.npages == int(shard.ssd.npages * 0.75)
+        assert shard.fs.capacity_bytes < shard.ssd.capacity_bytes
 
     def test_engine_selection(self):
-        lsm = build_stack(ExperimentSpec(engine=Engine.LSM, **FAST))[5]
-        btree = build_stack(ExperimentSpec(engine=Engine.BTREE, **FAST))[5]
+        lsm = build_stack(ExperimentSpec(engine=Engine.LSM, **FAST)).store
+        btree = build_stack(ExperimentSpec(engine=Engine.BTREE, **FAST)).store
         assert lsm.name == "lsm"
         assert btree.name == "btree"
 
     def test_preconditioned_drive_is_full(self):
         spec = ExperimentSpec(drive_state=DriveState.PRECONDITIONED, **FAST)
-        ssd = build_stack(spec)[1]
+        ssd = build_stack(spec).shards[0].ssd
         assert ssd.utilization() == 1.0
 
 

@@ -86,6 +86,40 @@ class TestShardKill:
                    for row in fleet["per_shard"])
 
 
+class TestOutcomePartition:
+    """Every offered op ends in exactly one of rejected / completed /
+    failed / timed-out / still in flight when the run stopped."""
+
+    @pytest.mark.parametrize("kill_at", (None, 0.05))
+    @pytest.mark.parametrize("seed", range(10))
+    def test_offered_ops_are_partitioned(self, seed, kill_at):
+        # Past saturation, with a deadline, so every outcome occurs.
+        spec = chaos_spec(seed=seed, kill_at=kill_at, arrival_rate=24_000.0,
+                          op_timeout_ms=4.0)
+        fleet = run_experiment(spec).fleet
+        in_flight = (fleet["offered"] - fleet["rejected"] - fleet["completed"]
+                     - fleet["failed"] - fleet["timeouts"])
+        assert 0 <= in_flight <= spec.nshards * spec.queue_cap
+        # An op budget stops the source only: queues drain and retries
+        # resolve before the run returns, so here nothing is in flight.
+        assert fleet["offered"] == spec.max_ops and in_flight == 0
+        # ``failed`` counts ops bounced off the down shard whose retries
+        # ran out without ever being admitted, so admitted + rejected
+        # may fall short of offered; it can never exceed it.
+        assert fleet["completed"] + fleet["timeouts"] <= fleet["admitted"] \
+            <= fleet["offered"] - fleet["rejected"]
+        for key in ("offered", "admitted", "rejected", "failed", "timeouts",
+                    "retries"):
+            assert sum(row[key] for row in fleet["per_shard"]) == fleet[key]
+        assert sum(row["ops"] for row in fleet["per_shard"]) == \
+            fleet["completed"]
+
+    def test_offered_is_not_admitted_plus_rejected_under_a_kill(self):
+        fleet = run_experiment(chaos_spec(
+            seed=3, kill_at=0.05, arrival_rate=24_000.0, op_timeout_ms=4.0)).fleet
+        assert fleet["offered"] > fleet["admitted"] + fleet["rejected"]
+
+
 class TestOpTimeout:
     def test_aged_ops_are_dropped_not_served(self):
         # Saturating load + a deadline shorter than the queueing delay

@@ -6,14 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.clock import VirtualClock
+from repro.core.metrics import Sample, end_to_end_write_amplification
 from repro.errors import ConfigError
-from repro.flash.endurance import (
-    EnduranceEstimate,
-    WearReport,
-    drive_writes_per_day,
-    end_to_end_wa,
-    lifetime_estimate,
-)
+from repro.flash.endurance import EnduranceEstimate, lifetime_estimate
 from repro.flash.ftl import FlashTranslationLayer
 from repro.flash.ssd import SSD
 from repro.units import MIB
@@ -104,29 +99,11 @@ class TestEndurance:
             lifetime_estimate(0, 1.0, 1.0, 1.0)
         with pytest.raises(ConfigError):
             lifetime_estimate(100, 1.0, 0.5, 1.0)
-        with pytest.raises(ConfigError):
-            drive_writes_per_day(0, 1.0)
-        with pytest.raises(ConfigError):
-            end_to_end_wa(0.9, 1.0)
 
     def test_end_to_end_product(self):
-        assert end_to_end_wa(12.0, 2.1) == pytest.approx(25.2)
-
-
-class TestWearReport:
-    def test_wear_statistics_from_ftl(self):
-        ftl = FlashTranslationLayer(make_tiny_config())
-        n = ftl.config.logical_pages
-        ftl.write_range(0, n)
-        rng = np.random.default_rng(1)
-        for _ in range(15):
-            ftl.write_pages(rng.permutation(n)[: n // 2].astype(np.int64))
-        report = WearReport.from_ftl(ftl)
-        assert report.total_erases == ftl.total_erases
-        assert report.max_erases >= report.mean_erases >= report.min_erases
-        assert 0 <= report.wear_evenness <= 1.0
-
-    def test_fresh_device_even(self):
-        report = WearReport.from_ftl(FlashTranslationLayer(make_tiny_config()))
-        assert report.total_erases == 0
-        assert report.wear_evenness == 1.0
+        """§4.2.ii: what reaches the flash cells is WA-A x WA-D."""
+        point = Sample(t=1.0, ops=1, kv_tput=1.0, dev_write_mbps=0.0,
+                       dev_read_mbps=0.0, wa_a=12.0, wa_d=2.1,
+                       wa_d_window=1.0, space_amp=1.0, disk_utilization=0.5,
+                       host_bytes_cum=0)
+        assert end_to_end_write_amplification(point) == pytest.approx(25.2)

@@ -18,10 +18,11 @@ import pytest
 from repro.core.experiment import (
     Engine,
     ExperimentSpec,
-    build_fleet_stack,
     build_stack,
     run_experiment,
 )
+from repro.fleet.router import make_router
+from repro.fleet.sharded import ShardedStore
 from repro.sim.clients import ClientPool
 from repro.units import MIB
 from repro.workload.runner import load_sequential
@@ -48,32 +49,32 @@ class TestSeedCompatibility:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_one_shard_fleet_matches_legacy_run(self, engine):
-        """A one-shard fleet stack reproduces the single-store stack.
+        """A one-shard fleet reproduces the single store.
 
-        Shard 0 keeps the experiment seed and a 1-shard router is the
-        identity, so under the same driver load order, op stream and
-        timing must all coincide — checked through clock, SMART and
-        op counters.
+        The closed-loop one-shard stack hands the bare engine to the
+        driver; a one-shard ``ShardedStore`` over an identical second
+        stack (shard 0 keeps the experiment seed, a 1-shard router is
+        the identity) must coincide with it under the same driver in
+        load order, op stream and timing — checked through clock,
+        SMART and op counters.
         """
         spec = ExperimentSpec(engine=engine, **FAST)
-        clock, ssd, _device, _partition, _fs, store, _iostat, _trace = \
-            build_stack(spec)
-        fleet_clock, fleet_store, fleet_ssd, _fs, _iostat, _ssds, shards = \
-            build_fleet_stack(spec)
-        assert fleet_store.shards == shards and len(shards) == 1
+        bare, fleet = build_stack(spec), build_stack(spec)
+        assert bare.store is bare.shards[0].store and len(fleet.shards) == 1
+        fleet_store = ShardedStore([fleet.store], make_router("hash", 1, spec.nkeys),
+                                   fleet.clock)
         outcomes = []
-        for st, device in ((store, ssd), (fleet_store, fleet_ssd)):
+        for stack, st in ((bare, bare.store), (fleet, fleet_store)):
             load = load_sequential(st, spec.workload())
-            device.drain()
+            stack.drain()
             run = ClientPool(st, spec.workload(), 1, seed=spec.seed,
-                             max_ops=spec.max_ops, ssd=device).run()
+                             max_ops=spec.max_ops, ssd=stack).run()
             outcomes.append((load, run.ops_issued, run.latencies.series(0).tolist()))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][1] == FAST["max_ops"]
-        assert fleet_clock.now == clock.now
-        assert fleet_ssd.smart.as_dict() == ssd.smart.as_dict()
-        assert fleet_store.stats.snapshot() == store.stats.snapshot()
-        assert shards[0].stats.snapshot() == store.stats.snapshot()
+        assert fleet.clock.now == bare.clock.now
+        assert fleet.snapshot() == bare.snapshot()
+        assert fleet_store.stats.snapshot() == bare.store.stats.snapshot()
 
 
 def test_fleet_drain_reports_how_far_the_shared_clock_moved():
@@ -83,15 +84,14 @@ def test_fleet_drain_reports_how_far_the_shared_clock_moved():
     (the max of the per-shard reports is right only when shards happen
     to be sorted by backlog)."""
     for small, large in ((0, 1), (1, 0)):
-        clock, _store, fleet_ssd, _fs, _iostat, ssds, _stores = \
-            build_fleet_stack(ExperimentSpec(nshards=2,
-                                             capacity_bytes=48 * MIB))
+        stack = build_stack(ExperimentSpec(nshards=2, capacity_bytes=48 * MIB))
+        clock, ssds = stack.clock, [shard.ssd for shard in stack.shards]
         ssds[small].write_range(0, 64, background=True)
         ssds[large].write_range(0, 2048, background=True)
         backlogs = [ssd.backlog_seconds() for ssd in ssds]
         assert 0.0 < backlogs[small] < backlogs[large]
         start = clock.now
-        assert fleet_ssd.drain() == clock.now - start
+        assert stack.drain() == clock.now - start
         assert clock.now - start == pytest.approx(backlogs[large])
         assert all(ssd.backlog_seconds() == 0.0 for ssd in ssds)
 

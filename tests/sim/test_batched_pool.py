@@ -43,9 +43,10 @@ def pool_outcome(engine: Engine, nclients: int, reference: bool = False,
     """Load, drain and run *nclients* on a fresh stack, through the
     shipped pool or the reference one."""
     spec = ExperimentSpec(engine=engine, nclients=nclients, **FAST, **overrides)
-    clock, ssd, _device, _partition, _fs, store, _iostat, _trace = build_stack(spec)
+    stack = build_stack(spec)
+    clock, ssd, store = stack.clock, stack.shards[0].ssd, stack.store
     load_sequential(store, spec.workload())
-    ssd.drain()
+    stack.drain()
     if reference:
         outcome = reference_driver.run_pool(store, spec.workload(), nclients,
                                             seed=7, max_ops=spec.max_ops, ssd=ssd)
@@ -104,10 +105,10 @@ class TestSeedCompatibilityBatched:
     def test_one_client_batched_pool_matches_inline_runner(self, engine):
         """A 1-client pool == the inline runner."""
         spec = ExperimentSpec(engine=engine, **FAST)
-        clock_a = build_stack(spec)
-        clock_a, ssd_a, _d, _p, _f, store_a, _i, _t = clock_a
+        stack = build_stack(spec)
+        clock_a, ssd_a, store_a = stack.clock, stack.shards[0].ssd, stack.store
         load_sequential(store_a, spec.workload())
-        ssd_a.drain()
+        stack.drain()
         legacy = run_workload(store_a, spec.workload(), seed=7,
                               max_ops=spec.max_ops)
         pooled, clock_b, ssd_b, store_b = pool_outcome(engine, 1)

@@ -28,10 +28,10 @@ ENGINES = (Engine.LSM, Engine.BTREE)
 def loaded_stack(engine: Engine, nclients: int = 1, **overrides):
     """A freshly built stack with the dataset loaded and drained."""
     spec = ExperimentSpec(engine=engine, nclients=nclients, **FAST, **overrides)
-    clock, ssd, _device, _partition, _fs, store, _iostat, _trace = build_stack(spec)
-    load_sequential(store, spec.workload())
-    ssd.drain()
-    return spec, clock, ssd, store
+    stack = build_stack(spec)
+    load_sequential(stack.store, spec.workload())
+    stack.drain()
+    return spec, stack.clock, stack.shards[0].ssd, stack.store
 
 
 def run_pool(engine: Engine, nclients: int, seed: int = 7,

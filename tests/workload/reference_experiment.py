@@ -17,10 +17,10 @@ from tests.workload import reference_driver
 
 
 def reference_record(spec: ExperimentSpec) -> dict:
-    clock, ssd, _device, _partition, fs, store, iostat, _trace = build_stack(spec)
+    stack = build_stack(spec)
+    clock, store, ssd = stack.clock, stack.store, stack.shards[0].ssd
     workload = spec.workload()
-    collector = MetricsCollector(clock=clock, ssd=ssd, iostat=iostat, fs=fs,
-                                 store=store, dataset_bytes=workload.dataset_bytes)
+    collector = MetricsCollector(stack, workload.dataset_bytes)
     outcome = reference_driver.load(store, workload)
     load_seconds = run_start = clock.now
     if not outcome.out_of_space:  # else the load's count is the result
