@@ -10,8 +10,8 @@ workload.  Hot pages survive GC cycles long enough to pollute the
 frozen stream, so segregation never converges.  This is exactly why
 [67] builds an update-frequency estimator rather than relying on
 structural signals, and why our simulated (mixed-stream) WA-D
-overshoots the paper's hardware on that workload (EXPERIMENTS.md,
-"known deviations").
+overshoots the paper's hardware on that workload (DESIGN.md §3,
+"One write stream").
 """
 
 from benchmarks.conftest import run_once

@@ -53,13 +53,14 @@ def demo_device():
     print(f"  latency spikes    {smart.latency_spikes}")
     print(f"  realloc'd blocks  {smart.realloc_blocks}")
 
-    # The filesystem's retry wrap turns those raises into latency.
+    # The block layer's retry budget turns those raises into latency.
     clock = VirtualClock()
     ssd = SSD(get_profile("ssd1", capacity_bytes=16 * MIB), clock)
     ssd.faults = FaultPlan({"program": 0.2},
                            rng_mod.substream(SEED, "faults"))
-    fs = ExtentFilesystem(BlockDevice(ssd))
-    fs.retry = RetryPolicy(8, 0.0005)
+    device = BlockDevice(ssd)
+    device.retry = RetryPolicy(8, 0.0005)
+    fs = ExtentFilesystem(device)
     fs.create("f")
     total = sum(fs.pwrite("f", i * 4096, 4096) for i in range(50))
     print(f"50 retried file writes: {ssd.smart.program_failures} faults "

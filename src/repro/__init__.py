@@ -6,8 +6,9 @@ The package bundles:
 
 * a flash SSD simulator (:mod:`repro.flash`) with FTL, garbage
   collection, trim/preconditioning and SSD1/SSD2/SSD3 device profiles;
-* an OS block layer (:mod:`repro.block`) with iostat/blktrace-style
-  monitors and partitions;
+* an OS block layer (:mod:`repro.block`): the device the filesystem
+  mounts, its exposed range (software over-provisioning) and
+  iostat/blktrace-style monitors;
 * an extent filesystem (:mod:`repro.fs`);
 * two key-value engines: an LSM tree (:mod:`repro.lsm`, the RocksDB
   model) and a B+Tree (:mod:`repro.btree`, the WiredTiger model);

@@ -11,8 +11,8 @@ standard forms are implemented:
   and simulations land *below* this value (it assumes victims hold the
   average validity; greedy picks better-than-average victims), so it
   is best read as an upper estimate.  Our simulator measures
-  0.7-0.85x of it across the practical OP range — the validation bench
-  (``benchmarks/bench_model_validation.py``) asserts that band.
+  0.7-0.85x of it across the practical OP range —
+  ``tests/flash/test_wa_closed_forms.py`` asserts that band.
 * :func:`wa_fifo_uniform` — FIFO (oldest-block-first) cleaning: the
   victim validity *p* solves the classic fixed point
   ``p = exp(-(1 - p) / u)`` and ``WA = 1 / (1 - p)``.

@@ -1,19 +1,11 @@
-"""OS block layer: device wrapper, iostat, blktrace and partitions."""
+"""OS block layer: the device the filesystem mounts, iostat, blktrace."""
 
 from repro.block.blktrace import BlkTrace
 from repro.block.device import BlockDevice
 from repro.block.iostat import IOStat
-from repro.block.partition import (
-    Partition,
-    overprovisioned_partition,
-    whole_device_partition,
-)
 
 __all__ = [
     "BlockDevice",
     "IOStat",
     "BlkTrace",
-    "Partition",
-    "whole_device_partition",
-    "overprovisioned_partition",
 ]

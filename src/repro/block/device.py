@@ -1,11 +1,17 @@
-"""OS-level block device wrapper with observation hooks.
+"""The OS block layer: the one object between filesystem and drive.
 
 The paper measures device throughput "as observed by the OS" with
 ``iostat`` and host write access patterns with ``blktrace`` (§3.3,
-§4.3).  :class:`BlockDevice` is the corresponding observation point in
-the simulator: it forwards I/O to the :class:`~repro.flash.ssd.SSD`
-and notifies registered observers (:class:`~repro.block.iostat.IOStat`,
-:class:`~repro.block.blktrace.BlkTrace`) about every request.
+§4.3), and implements software over-provisioning (§4.6) by showing the
+filesystem fewer LBAs than the trimmed drive has.  :class:`BlockDevice`
+is that layer in the simulator: the filesystem mounts it, it exposes a
+prefix of the :class:`~repro.flash.ssd.SSD`'s logical space (a reserved
+tail is never written and acts as extra spare space for garbage
+collection), refuses requests outside that range, notifies registered
+observers (:class:`~repro.block.iostat.IOStat`,
+:class:`~repro.block.blktrace.BlkTrace`) about every request, and
+re-drives writes that hit a transient device error within its retry
+budget (:class:`~repro.faults.retry.RetryPolicy`).
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from typing import Protocol
 
 import numpy as np
 
+from repro.errors import ConfigError, OutOfRangeError
 from repro.flash.ssd import SSD
 
 
@@ -28,10 +35,26 @@ class BlockObserver(Protocol):
 
 
 class BlockDevice:
-    """The host-visible block device over a simulated SSD."""
+    """The host-visible block device over a simulated SSD.
 
-    def __init__(self, ssd: SSD):
+    *reserved_fraction* of the drive's logical space, at its tail, is
+    kept from the filesystem: software over-provisioning, provided the
+    drive was trimmed beforehand (§4.6).
+    """
+
+    def __init__(self, ssd: SSD, reserved_fraction: float = 0.0):
+        if not 0.0 <= reserved_fraction < 1.0:
+            raise ConfigError("reserved_fraction must be in [0, 1)")
+        npages = int(ssd.npages * (1.0 - reserved_fraction))
+        if npages <= 0:
+            raise ConfigError("the exposed range would be empty")
         self.ssd = ssd
+        self.page_size = ssd.page_size  # bytes per logical page
+        self.npages = npages  # logical pages exposed: [0, npages)
+        # Retry-with-backoff over transient device errors (fault
+        # injection; repro.faults.RetryPolicy).  None — the default —
+        # submits every write once.
+        self.retry = None
         self._clock = ssd.clock  # hot-path cache for request timestamps
         self._observers: list[BlockObserver] = []
 
@@ -47,36 +70,42 @@ class BlockDevice:
     # Device protocol
     # ------------------------------------------------------------------
     @property
-    def page_size(self) -> int:
-        """Bytes per logical page."""
-        return self.ssd.page_size
-
-    @property
-    def npages(self) -> int:
-        """Logical pages exposed by the device."""
-        return self.ssd.npages
-
-    @property
     def capacity_bytes(self) -> int:
-        """Nominal device capacity in bytes."""
-        return self.ssd.capacity_bytes
+        """Exposed capacity in bytes."""
+        return self.npages * self.page_size
 
     def write_pages(self, lpns: np.ndarray, background: bool = False) -> float:
         """Write a batch of (unique) pages; returns host-visible latency."""
+        arr = np.asarray(lpns)
+        if arr.size == 0:
+            return 0.0
+        if int(arr.min()) < 0 or int(arr.max()) >= self.npages:
+            raise OutOfRangeError(
+                f"write outside the exposed range of {self.npages} pages")
         t = self._clock.now
-        latency = self.ssd.write_pages(lpns, background=background)
-        if self._observers:
-            arr = np.asarray(lpns)
-            for observer in self._observers:
-                observer.on_write(t, -1, int(arr.size), arr)
+        retry = self.retry
+        if retry is None:
+            latency = self.ssd.write_pages(lpns, background=background)
+        else:
+            latency = retry.run(
+                lambda: self.ssd.write_pages(lpns, background=background))
+        for observer in self._observers:
+            observer.on_write(t, -1, int(arr.size), arr)
         return latency
 
     def write_range(self, start: int, npages: int, background: bool = False) -> float:
         """Write a consecutive page range; returns host-visible latency."""
         if npages <= 0:
             return 0.0
+        if start < 0 or start + npages > self.npages:
+            self._refuse(start, npages)
         t = self._clock.now
-        latency = self.ssd.write_range(start, npages, background=background)
+        retry = self.retry
+        if retry is None:
+            latency = self.ssd.write_range(start, npages, background=background)
+        else:
+            latency = retry.run(lambda: self.ssd.write_range(
+                start, npages, background=background))
         for observer in self._observers:
             observer.on_write(t, start, npages, None)
         return latency
@@ -85,6 +114,8 @@ class BlockDevice:
         """Read a consecutive page range; returns host-visible latency."""
         if npages <= 0:
             return 0.0
+        if start < 0 or start + npages > self.npages:
+            self._refuse(start, npages)
         t = self._clock.now
         latency = self.ssd.read_range(start, npages)
         for observer in self._observers:
@@ -94,6 +125,12 @@ class BlockDevice:
     def read_ranges(self, starts, lens) -> list[float]:
         """``read_range`` of every ``(start, npages)`` as one submission;
         each range is still its own request to SMART and the observers."""
+        exposed = self.npages
+        for i, (start, npages) in enumerate(zip(starts, lens)):
+            if npages > 0 and (start < 0 or start + npages > exposed):
+                # Like the loop: the requests before the bad one are served.
+                self.read_ranges(starts[:i], lens[:i])
+                self._refuse(start, npages)
         t = self._clock.now
         latencies = self.ssd.read_ranges(starts, lens)
         for observer in self._observers:
@@ -104,8 +141,15 @@ class BlockDevice:
 
     def trim_range(self, start: int, npages: int) -> None:
         """TRIM a consecutive page range."""
+        if npages < 0 or start < 0 or start + npages > self.npages:
+            self._refuse(start, npages)
         self.ssd.trim_range(start, npages)
 
     def backlog_seconds(self) -> float:
         """Seconds of queued device work (used for engine stall logic)."""
         return self.ssd.backlog_seconds()
+
+    def _refuse(self, start: int, npages: int) -> None:
+        raise OutOfRangeError(
+            f"range [{start}, {start + npages}) outside the exposed range "
+            f"of {self.npages} pages")

@@ -100,12 +100,6 @@ class Pager:
         """Submit one slot write, via the cached device range if any."""
         run = self._slot_run(slot)
         if run is not None:
-            retry = self.fs.retry
-            if retry is not None:
-                # The cached-range fast path bypasses the filesystem's
-                # retry wrap, so it carries its own (fault injection).
-                return retry.run(lambda: self.fs.device.write_range(
-                    run[0], run[1], background=background))
             return self.fs.device.write_range(run[0], run[1], background=background)
         return self.fs.pwrite(
             self.filename, slot * self.page_bytes, self.page_bytes,

@@ -202,10 +202,7 @@ class BTreeStore(KVStore):
         ring = config.journal_ring_bytes
         page_size = self.fs.page_size
         fs_device = self.fs.device
-        # Under fault injection the cached-range shortcut would bypass
-        # the filesystem's retry wrap, so records fall back to pwrite.
-        ring_run = self._ring_run \
-            if journal and self.fs.retry is None else None
+        ring_run = self._ring_run if journal else None
         ring_base = ring_run[0] if ring_run is not None else None
         pwrite = self.fs.pwrite
         checkpoint_interval = config.checkpoint_interval

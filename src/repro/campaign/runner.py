@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -26,7 +27,7 @@ from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore, canonical_line
 from repro.core.experiment import ExperimentResult, ExperimentSpec, run_experiment
 from repro.core.pitfalls import EvaluationPlan, PitfallViolation, check_plan
-from repro.errors import ConfigError
+from repro.errors import CampaignError, ConfigError
 
 
 @dataclass
@@ -175,7 +176,20 @@ def run_campaign(
                 done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
                 for future in done:
                     index, spec = futures[future]
-                    finish(index, spec, future.result())
+                    try:
+                        finish(index, spec, future.result())
+                    except BrokenProcessPool:
+                        # A worker died: its cell and those still queued
+                        # are lost, the ones that finished are kept.
+                        continue
+        lost = [spec.name for index, spec, _digest in pending
+                if index not in outcomes]
+        if lost:
+            kept = "nothing was kept (no output file)" if store is None else \
+                f"finished cells are in {store.path}; re-run with --resume"
+            raise CampaignError(
+                f"a campaign worker died with {len(lost)} of {len(cells)} "
+                f"cells unfinished ({', '.join(lost)}); {kept}")
 
     ordered = [outcomes[index] for index in range(len(cells))]
     plan = campaign.plan()

@@ -21,7 +21,7 @@ from repro.core.metrics import end_to_end_write_amplification
 from repro.core.pitfalls import PITFALLS, EvaluationPlan, check_plan, render_report
 from repro.core.report import (render_campaign, render_series,
                                render_shard_table, render_table)
-from repro.errors import ConfigError
+from repro.errors import CampaignError, ConfigError
 from repro.flash.profiles import PROFILES
 from repro.flash.state import DriveState
 from repro.fleet import ARRIVALS, ROUTERS
@@ -32,7 +32,8 @@ from repro.workload.keys import DISTRIBUTIONS
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point; returns a process exit code (2: a bad spec)."""
+    """Entry point; returns a process exit code (2: a bad spec; 1: a
+    campaign a dead worker cut short)."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
@@ -40,9 +41,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, CampaignError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

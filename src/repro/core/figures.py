@@ -4,7 +4,9 @@ Each ``figN_*`` function runs the corresponding scaled experiment(s)
 and returns a :class:`FigureResult` whose ``text`` holds the same
 rows/series the paper's figure reports.  The benchmark suite
 (`benchmarks/bench_figNN_*.py`) and the CLI are thin wrappers around
-these functions; EXPERIMENTS.md records paper-vs-measured values.
+these functions; the ledger's claim table
+(``benchmarks/ledger/claims.py``) records which of the paper's
+qualitative results hold.
 
 Scales
 ======

@@ -13,8 +13,6 @@ from repro import rng as rng_mod
 from repro.block.blktrace import BlkTrace
 from repro.block.device import BlockDevice
 from repro.block.iostat import IOStat
-from repro.block.partition import (Partition, overprovisioned_partition,
-                                   whole_device_partition)
 from repro.btree.config import BTreeConfig
 from repro.btree.store import BTreeStore
 from repro.core.clock import VirtualClock
@@ -44,11 +42,10 @@ class Engine(str, Enum):
 
 @dataclass
 class Shard:
-    """One device stack: SSD, block device, partition, filesystem, engine."""
+    """One device stack: SSD, block device, filesystem, engine."""
 
     ssd: SSD
     device: BlockDevice
-    partition: Partition
     fs: ExtentFilesystem
     store: KVStore
     trace: BlkTrace | None
@@ -134,22 +131,19 @@ def build_stack(spec: ExperimentSpec) -> Stack:
 def _build_shard(spec: ExperimentSpec, profile, seed: int,
                  clock: VirtualClock, iostat: IOStat) -> Shard:
     ssd = SSD(profile, clock, make_policy(spec.gc_policy))
-    device = BlockDevice(ssd)
+    device = BlockDevice(ssd, spec.op_reserved_fraction)
     device.attach(iostat)
     trace = None
     if spec.trace_lba:
-        trace = BlkTrace(device.npages)
+        # Sized to the drive, not the exposed range: a reserved tail
+        # counts among the LBAs never written (Fig 4).
+        trace = BlkTrace(ssd.npages)
         device.attach(trace)
-    if spec.op_reserved_fraction > 0:
-        partition = overprovisioned_partition(device, spec.op_reserved_fraction)
-    else:
-        partition = whole_device_partition(device)
-    # Only the PTS partition is aged; a reserved range stays trimmed so
+    # Only the exposed range is aged; a reserved tail stays trimmed so
     # it provides software over-provisioning (§3.4, §4.6).
-    apply_drive_state(ssd, spec.drive_state, seed,
-                      start_page=partition.start_page, npages=partition.npages)
+    apply_drive_state(ssd, spec.drive_state, seed, npages=device.npages)
     fs = ExtentFilesystem(
-        partition,
+        device,
         strategy=spec.fs_strategy,
         discard=spec.fs_discard,
         seed=seed,
@@ -158,11 +152,11 @@ def _build_shard(spec: ExperimentSpec, profile, seed: int,
     if spec.faults is not None:
         # Fault draws come from a dedicated substream so two runs of
         # the same fault-injected spec are identical, and the engines
-        # absorb transient errors through the filesystem's retry wrap.
+        # absorb transient errors through the block layer's retry budget.
         ssd.faults = FaultPlan(spec.faults,
                                rng_mod.substream(seed, "faults"))
-        fs.retry = RetryPolicy(spec.retry_limit, spec.retry_backoff_ms / 1e3)
-    return Shard(ssd, device, partition, fs, store, trace)
+        device.retry = RetryPolicy(spec.retry_limit, spec.retry_backoff_ms / 1e3)
+    return Shard(ssd, device, fs, store, trace)
 
 
 def _shard_seed(seed: int, shard: int) -> int:

@@ -15,6 +15,10 @@ class ConfigError(ReproError):
     """An invalid configuration value was supplied."""
 
 
+class CampaignError(ReproError):
+    """A campaign pass ended with cells unfinished (a worker died)."""
+
+
 class DeviceError(ReproError):
     """Base class for SSD / block-device errors."""
 
@@ -27,8 +31,8 @@ class TransientDeviceError(DeviceError):
     """A fault-injected device error that may succeed on retry.
 
     Raised only when a :class:`repro.faults.FaultPlan` is active; the
-    engine tier wraps durability-critical writes in a bounded
-    retry-with-backoff loop (``fs.retry``) that absorbs these.
+    block layer re-drives a failed write in a bounded
+    retry-with-backoff loop (``BlockDevice.retry``) that absorbs these.
     """
 
 

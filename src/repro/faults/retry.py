@@ -2,10 +2,11 @@
 
 The engine tier must not lose durability writes to a transient fault:
 WAL write-outs, SSTable flushes, compaction output, journal records
-and checkpoints all funnel through the filesystem (or a cached
-device-range fast path beside it), and those sites wrap their device
-submission in ``fs.retry.run(...)`` when a policy is attached.  Each
-failed attempt re-drives the whole request — the FTL commits nothing
+and checkpoints all reach the drive through the block layer, whether
+by way of the filesystem or a cached device range, and
+:class:`~repro.block.device.BlockDevice` wraps its write submission in
+``retry.run(...)`` when a policy is attached.  Each failed attempt
+re-drives the whole request — the FTL commits nothing
 on a program fault — and charges an exponentially growing backoff to
 the returned latency, so retry cost is visible in op latencies and in
 the fleet's tail percentiles.  A request that still fails after

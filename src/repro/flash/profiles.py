@@ -16,7 +16,8 @@ of 400 GB — see DESIGN.md §2 for the scaling substitution):
   WA-D == 1), very low latency, high sustained bandwidth.
 
 The absolute numbers are calibrated so that steady-state throughputs
-land in the paper's ballpark; EXPERIMENTS.md records the comparison.
+land in the paper's ballpark; DESIGN.md §3 lists the deliberate
+deviations.
 """
 
 from __future__ import annotations

@@ -41,7 +41,6 @@ def precondition_device(
     seed: int = rng.DEFAULT_SEED,
     churn_multiplier: float = 2.0,
     batch_pages: int = 4096,
-    start_page: int = 0,
     npages: int | None = None,
 ) -> None:
     """Age the drive per the paper's §3.4 recipe.
@@ -52,10 +51,9 @@ def precondition_device(
     steady state.  The device is left idle (settled) so the following
     experiment starts from a quiescent but aged drive.
 
-    ``start_page``/``npages`` restrict preconditioning to one
-    partition: in the over-provisioning experiments (§4.6) only the
-    PTS partition is preconditioned while the reserved range stays
-    trimmed.
+    ``npages`` restricts preconditioning to ``[0, npages)``: in the
+    over-provisioning experiments (§4.6) only the range the filesystem
+    is shown is preconditioned while the reserved tail stays trimmed.
     """
     npages = ssd.npages if npages is None else npages
     # Batches must stay well below the range size; otherwise a whole
@@ -64,14 +62,14 @@ def precondition_device(
     batch_pages = max(1, min(batch_pages, npages // 16))
     for offset in range(0, npages, batch_pages):
         count = min(batch_pages, npages - offset)
-        ssd.write_range(start_page + offset, count, background=True)
+        ssd.write_range(offset, count, background=True)
 
     generator = rng.substream(seed, "precondition")
     remaining = int(npages * churn_multiplier)
     while remaining > 0:
         # A random permutation pass guarantees unique pages per batch
         # while remaining uniform over the address range.
-        order = generator.permutation(npages) + start_page
+        order = generator.permutation(npages)
         for offset in range(0, min(remaining, npages), batch_pages):
             batch = order[offset : offset + min(batch_pages, remaining - offset)]
             if batch.size == 0:
@@ -86,20 +84,18 @@ def apply_drive_state(
     ssd: SSD,
     state: DriveState,
     seed: int = rng.DEFAULT_SEED,
-    start_page: int = 0,
     npages: int | None = None,
 ) -> None:
     """Put the drive in the requested initial condition.
 
     The whole drive is always trimmed first; preconditioning then ages
-    only ``[start_page, start_page + npages)`` — the partition the PTS
-    will use — so any reserved range keeps acting as over-provisioning
-    (§4.6).
+    only ``[0, npages)`` — the range the block layer exposes — so any
+    reserved tail keeps acting as over-provisioning (§4.6).
     """
     if state == DriveState.TRIMMED:
         trim_device(ssd)
     elif state == DriveState.PRECONDITIONED:
         trim_device(ssd)
-        precondition_device(ssd, seed=seed, start_page=start_page, npages=npages)
+        precondition_device(ssd, seed=seed, npages=npages)
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown drive state {state!r}")

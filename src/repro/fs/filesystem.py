@@ -1,4 +1,4 @@
-"""Extent-based filesystem over a block device / partition.
+"""Extent-based filesystem over a block device.
 
 This is the ext4 stand-in of the reproduction (§3.5 of the paper).
 Files are lists of extents; the allocator policy decides where new
@@ -162,10 +162,6 @@ class ExtentFilesystem:
                                          seed=seed)
         self.discard = discard
         self._files: dict[str, FileMeta] = {}
-        # Retry-with-backoff over transient device errors (fault
-        # injection; repro.faults.RetryPolicy).  None — the default —
-        # keeps every write on the direct submission path.
-        self.retry = None
 
     # ------------------------------------------------------------------
     # Namespace
@@ -293,16 +289,8 @@ class ExtentFilesystem:
         identical either way: one host request for the same pages.
         """
         run = self._single_run(meta, first_page, count)
-        retry = self.retry
         if run is not None:
-            if retry is not None:
-                return retry.run(lambda: self.device.write_range(
-                    run[0], run[1], background=background))
             return self.device.write_range(run[0], run[1], background=background)
-        if retry is not None:
-            lpns = self._file_lpns(meta, first_page, count)
-            return retry.run(
-                lambda: self.device.write_pages(lpns, background=background))
         return self.device.write_pages(
             self._file_lpns(meta, first_page, count), background=background
         )

@@ -60,13 +60,10 @@ class LSMStore(KVStore):
         # The SSD under the filesystem: the write path reads its busy
         # horizon directly (see _write_many), so it must exist and
         # share this store's clock.
-        device = fs.device
-        while not hasattr(device, "ssd"):
-            device = getattr(device, "parent", None)
-            if device is None:
-                raise ConfigError("the LSM store needs an SSD under its "
-                                  "filesystem's device stack")
-        self._ssd = device.ssd
+        self._ssd = getattr(fs.device, "ssd", None)
+        if self._ssd is None:
+            raise ConfigError("the LSM store needs an SSD under its "
+                              "filesystem's block device")
         if self._ssd.clock is not clock:
             raise ConfigError("the LSM store and its SSD must share one clock")
         self.config = config or LSMConfig()

@@ -1,4 +1,4 @@
-"""Tests for the block layer: device wrapper, iostat, blktrace, partitions."""
+"""Tests for the block layer: the device, its exposed range, iostat, blktrace."""
 
 from __future__ import annotations
 
@@ -8,11 +8,6 @@ import pytest
 from repro.block.blktrace import BlkTrace
 from repro.block.device import BlockDevice
 from repro.block.iostat import IOStat
-from repro.block.partition import (
-    Partition,
-    overprovisioned_partition,
-    whole_device_partition,
-)
 from repro.errors import ConfigError, OutOfRangeError
 
 
@@ -128,36 +123,36 @@ class TestBlkTrace:
 
 
 class TestPartition:
-    def test_translation(self, device, tiny_ssd):
-        part = Partition(device, 100, 200)
-        part.write_range(0, 4)
-        assert tiny_ssd.is_mapped(100)
-        assert not tiny_ssd.is_mapped(0)
+    """The paper's over-provisioning partition (§4.6) is the block
+    device's exposed range: ``[0, npages × (1 − reserved_fraction))``."""
 
-    def test_bounds_enforced(self, device):
-        part = Partition(device, 100, 200)
+    def test_bounds_enforced(self, tiny_ssd):
+        device = BlockDevice(tiny_ssd, 0.25)
+        exposed = device.npages
+        device.write_range(exposed - 2, 2)
         with pytest.raises(OutOfRangeError):
-            part.write_range(199, 2)
+            device.write_range(exposed - 1, 2)
         with pytest.raises(OutOfRangeError):
-            part.write_pages(np.array([200], dtype=np.int64))
+            device.write_pages(np.array([exposed], dtype=np.int64))
+        with pytest.raises(OutOfRangeError):
+            device.write_pages([3, -1])
+        with pytest.raises(OutOfRangeError):
+            device.read_range(exposed, 1)
+        with pytest.raises(OutOfRangeError):
+            device.trim_range(0, exposed + 1)
+        # The drive itself still takes the reserved range (aging and
+        # blkdiscard run below the block layer).
+        tiny_ssd.write_range(exposed, 1)
 
-    def test_does_not_fit_rejected(self, device):
-        with pytest.raises(ConfigError):
-            Partition(device, 0, device.npages + 1)
+    def test_does_not_fit_rejected(self, tiny_ssd):
+        for fraction in (-0.1, 1.0, 1.5):
+            with pytest.raises(ConfigError, match="reserved_fraction"):
+                BlockDevice(tiny_ssd, fraction)
+        with pytest.raises(ConfigError, match="empty"):
+            BlockDevice(tiny_ssd, 1.0 - 1e-9)
 
-    def test_whole_device(self, device):
-        part = whole_device_partition(device)
-        assert part.npages == device.npages
-
-    def test_overprovisioned(self, device):
-        part = overprovisioned_partition(device, 0.25)
-        assert part.npages == int(device.npages * 0.75)
-        with pytest.raises(ConfigError):
-            overprovisioned_partition(device, 1.0)
-
-    def test_trim_all_confined(self, device, tiny_ssd):
-        device.write_range(0, device.npages)
-        part = Partition(device, 0, 100)
-        part.trim_all()
-        assert not tiny_ssd.is_mapped(50)
-        assert tiny_ssd.is_mapped(150)
+    def test_overprovisioned(self, tiny_ssd):
+        device = BlockDevice(tiny_ssd, 0.25)
+        assert device.npages == int(tiny_ssd.npages * 0.75)
+        assert device.capacity_bytes == device.npages * tiny_ssd.page_size
+        assert BlockDevice(tiny_ssd).npages == tiny_ssd.npages

@@ -9,6 +9,7 @@ results to an uninterrupted run.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -18,10 +19,11 @@ from repro.campaign import (
     CampaignStore,
     canonical_line,
     run_campaign,
+    runner,
 )
 from repro.core.experiment import Engine, ExperimentSpec
 from repro.core.pitfalls import check_plan, plan_from_specs
-from repro.errors import ConfigError
+from repro.errors import CampaignError, ConfigError
 from repro.flash.state import DriveState
 from repro.units import MIB
 
@@ -44,6 +46,18 @@ def micro_campaign(name: str = "micro") -> CampaignSpec:
             "dataset_fraction": (0.25, 0.3),
         },
     )
+
+
+_execute_cell = runner._execute_cell
+
+
+def execute_cell_or_die(spec_dict, trace_out=None):
+    """The worker entry point, except that the last cell of the micro
+    grid takes its worker process down (module level: the pool pickles
+    it by name)."""
+    if (spec_dict["engine"], spec_dict["dataset_fraction"]) == ("btree", 0.3):
+        os._exit(9)
+    return _execute_cell(spec_dict, trace_out)
 
 
 class TestGridExpansion:
@@ -243,6 +257,30 @@ class TestRunCampaign:
         pooled = run_campaign(micro_campaign(), workers=2)
         assert pooled.ran == 4
         assert pooled.to_jsonl() == outcome.to_jsonl()
+
+    def test_dead_worker_ends_in_a_resumable_error(self, finished, monkeypatch):
+        """A worker that dies mid-cell: one error naming the unfinished
+        cells and the file, every finished cell on disk, and a resume
+        that runs exactly the rest to the uninterrupted bytes."""
+        outcome, path = finished
+        out = path.parent / "dead-worker.jsonl"
+        names = [spec.name for spec in micro_campaign().cells()]
+        with monkeypatch.context() as patched:
+            patched.setattr(runner, "_execute_cell", execute_cell_or_die)
+            with pytest.raises(CampaignError, match="--resume") as error:
+                run_campaign(micro_campaign(), workers=2, out=out)
+        message = str(error.value)
+        assert str(out) in message and names[3] in message
+        on_disk = CampaignStore(out).load()
+        assert on_disk  # the fourth cell starts only after one finished
+        for cell, name in zip(outcome.cells, names):
+            assert (cell.cell_hash in on_disk) != (name in message)
+        resumed = run_campaign(micro_campaign(), workers=2, out=out,
+                               resume=True)
+        assert resumed.ran == 4 - len(on_disk)
+        assert resumed.skipped == len(on_disk)
+        assert resumed.to_jsonl() == outcome.to_jsonl()
+        assert len(CampaignStore(out).load()) == 4
 
     def test_progress_callback_sees_every_fresh_cell(self):
         seen = []

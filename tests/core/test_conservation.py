@@ -3,20 +3,26 @@
 Each law is a pure function of ``Stack.snapshot()`` dicts (DESIGN.md
 §10.5).  They are evaluated at **every sample** — ``MetricsCollector.
 sample`` is wrapped on the class, the seam the perf ledger uses — and
-once more at the end of the run, for six of the golden specs and an
+once more at the end of the run, for ten of the golden specs and an
 open-loop run with a shard kill on either engine.  Every law below
 was seen to fail under a one-line mutation of the counter it reads
-(CHANGES.md, PR 21).
+(CHANGES.md, PRs 21 and 22).
+
+The exposed range is a law of the same kind: under software
+over-provisioning no layer ever touches a page of the reserved tail.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.experiment import Engine, ExperimentSpec, run_experiment
 from repro.core.metrics import MetricsCollector, ops_in
+from repro.errors import OutOfRangeError
+from repro.flash.state import DriveState
 from repro.units import MIB
-from tests.core.test_golden_fingerprints import SPECS
+from tests.core.test_golden_fingerprints import FAST, OP25, SPECS
 
 #: The snapshot entries that may fall: space in use right now.
 GAUGES = {"fs.used_pages", "fs.used_bytes"}
@@ -30,7 +36,11 @@ KILL = dict(
 
 RUNS = {name: SPECS[name] for name in (
     "closed-loop-lsm", "closed-loop-btree", "pooled-lsm", "pool16-btree",
-    "fleet-2shard-lsm", "out-of-space-pool4-lsm")} | {
+    "fleet-2shard-lsm", "out-of-space-pool4-lsm",
+    # Reads: batched gets, the leaf walk, every op kind pooled, and
+    # retried writes beside fault-delayed reads.
+    "read-only-lsm", "scan-mix-btree", "pool4-mixed-lsm",
+    "faults-pool4-btree")} | {
     f"open-loop-kill-{engine.value}": dict(engine=engine, **KILL)
     for engine in (Engine.LSM, Engine.BTREE)}
 
@@ -126,6 +136,51 @@ def test_laws_hold_at_every_sample_and_at_the_end(name, watched):
         assert result.counters["fleet.completed"] == result.ops_issued
         assert result.counters["fleet.offered"] == result.fleet["offered"]
         assert result.counters["fleet.recovery_seconds"] > 0.0
+
+
+@pytest.mark.parametrize("state", list(DriveState))
+@pytest.mark.parametrize("engine", list(Engine))
+def test_the_reserved_range_is_never_touched(engine, state, watched):
+    """Software over-provisioning (§4.6): the filesystem is shown 75 %
+    of the drive, and neither aging, the load, the run nor a direct
+    request puts a page of the other 25 % anywhere."""
+    result = run_experiment(ExperimentSpec(
+        engine=engine, drive_state=state, trace_lba=True, **OP25, **FAST))
+    stack = watched[-1][0]
+    (shard,) = stack.shards
+    ssd, device, trace = shard.ssd, shard.device, shard.trace
+    exposed = device.npages
+    assert exposed == int(ssd.npages * 0.75)
+    assert shard.fs.counters()["fs.npages"] == exposed
+    # blktrace spans the drive, so the reserved tail counts as never
+    # written; the FTL (aged below the block layer) maps none of it.
+    assert result.lba_histogram.size == ssd.npages
+    assert result.lba_histogram[:exposed].any()
+    assert not result.lba_histogram[exposed:].any()
+    assert not trace.read_histogram[exposed:].any()
+    assert result.lba_never_written >= 0.25
+    l2p = ssd.ftl.state_arrays()[0]
+    assert (l2p[exposed:] < 0).all()
+    if state is DriveState.PRECONDITIONED:
+        assert (l2p[:exposed] >= 0).all()
+
+    def observed():
+        return (stack.snapshot(), trace.histogram.tolist(),
+                trace.read_histogram.tolist(), trace.total_write_requests,
+                trace.total_read_requests, stack.clock.now)
+
+    before = observed()
+    for refused in (
+            lambda: device.write_range(exposed - 1, 2),
+            lambda: device.write_pages(np.array([0, exposed])),
+            lambda: device.read_range(exposed, 1),
+            lambda: device.read_ranges([exposed - 1], [2]),
+            lambda: device.trim_range(exposed - 1, 2)):
+        with pytest.raises(OutOfRangeError):
+            refused()
+    assert observed() == before
+    device.write_range(exposed - 1, 1)  # the last exposed page is served
+    assert observed() != before
 
 
 def test_snapshot_names_every_layer():

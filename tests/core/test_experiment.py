@@ -92,15 +92,17 @@ class TestBuildStack:
         (shard,) = stack.shards
         assert stack.store is shard.store  # the bare engine, no router
         assert shard.store.clock is stack.clock
-        assert shard.fs.device is shard.partition
-        assert shard.partition.parent is shard.device
+        assert shard.fs.device is shard.device
         assert shard.device.ssd is shard.ssd
+        assert shard.device.npages == shard.ssd.npages
+        assert shard.device.retry is None
         assert shard.trace is None
 
     def test_op_partition_restricts_space(self):
         spec = ExperimentSpec(op_reserved_fraction=0.25, **FAST)
         (shard,) = build_stack(spec).shards
-        assert shard.partition.npages == int(shard.ssd.npages * 0.75)
+        assert shard.device.npages == int(shard.ssd.npages * 0.75)
+        assert shard.fs.allocator.npages == shard.device.npages
         assert shard.fs.capacity_bytes < shard.ssd.capacity_bytes
 
     def test_engine_selection(self):

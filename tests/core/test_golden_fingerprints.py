@@ -78,6 +78,17 @@ OUT_OF_SPACE = dict(
 POOL16 = dict(capacity_bytes=48 * MIB, duration_capacity_writes=2.5,
               sample_interval=0.2, nclients=16)
 
+#: Software over-provisioning (§4.6): the filesystem sees 75 % of the
+#: drive, the reserved tail stays trimmed.
+OP25 = dict(op_reserved_fraction=0.25, dataset_fraction=0.4)
+
+#: Transient device faults absorbed by the block layer's retry budget.
+FAULTS = dict(
+    faults={"read": 0.05, "program": 0.02, "latency": 0.05,
+            "read_penalty_ms": 2.0},
+    read_fraction=0.25,
+)
+
 SPECS = {
     "closed-loop-lsm": dict(engine=Engine.LSM, **FAST),
     "closed-loop-btree": dict(engine=Engine.BTREE, **FAST),
@@ -110,6 +121,21 @@ SPECS = {
     "out-of-space-pool4-btree": dict(engine=Engine.BTREE, **OUT_OF_SPACE),
     "pool16-lsm": dict(engine=Engine.LSM, **POOL16),
     "pool16-btree": dict(engine=Engine.BTREE, **POOL16),
+    # The exposed range and the retry wrap; recorded at the last commit
+    # that had ``Partition`` and the filesystem's retry branches.
+    "op25-preconditioned-lsm": dict(
+        engine=Engine.LSM, drive_state=DriveState.PRECONDITIONED,
+        trace_lba=True, **OP25, **FAST),
+    "op25-preconditioned-btree": dict(
+        engine=Engine.BTREE, drive_state=DriveState.PRECONDITIONED,
+        trace_lba=True, **OP25, **FAST),
+    "op25-pool4-ssd3-btree": dict(
+        engine=Engine.BTREE, ssd="ssd3", nclients=4, read_fraction=0.25,
+        **OP25, **FAST),
+    "faults-lsm": dict(engine=Engine.LSM, **FAULTS, **FAST),
+    "faults-btree": dict(engine=Engine.BTREE, **FAULTS, **FAST),
+    "faults-pool4-btree": dict(engine=Engine.BTREE, nclients=4, **FAULTS,
+                               **FAST),
 }
 
 GOLDEN = {
@@ -153,6 +179,18 @@ GOLDEN = {
         "c43eb208caee46016c2639fc838cc9b606937256044a1f8de6f95d5df814f70d",
     "pool16-btree":
         "a96e05a429d9384f2090c39b13146ad2d483bd46ee2030ae77e0a9e1851a4785",
+    "op25-preconditioned-lsm":
+        "82e6e14978f0bef302f96bea86702989222f013926068ea83e0fce72debb05b3",
+    "op25-preconditioned-btree":
+        "9f521b159db8ac610a5ab3734385dfdd4c5e45acf6610272d823dfc1ee54b100",
+    "op25-pool4-ssd3-btree":
+        "b99f4fa7160f9242868b51d59dc29442be0f5f5cafb31a9b2598a99366eac2fb",
+    "faults-lsm":
+        "b722097189fa59a35315aed00d70cc762372da844cdc4721bbf32dce9ecbc553",
+    "faults-btree":
+        "a4777d58ecef86be4305d1cd3ef680b03adc71e89e6bd54ca6e24fd6c11e1e0c",
+    "faults-pool4-btree":
+        "8fff27e723995c4815a896e37b9d306c799e077c31039050ba9f0a3eefac3ba6",
 }
 
 

@@ -253,7 +253,7 @@ class TestRetryPolicy:
         clock = VirtualClock()
         ssd = SSD(make_tiny_config(nblocks=64), clock)
         fs = ExtentFilesystem(BlockDevice(ssd))
-        fs.retry = RetryPolicy(8, 0.0005)
+        fs.device.retry = RetryPolicy(8, 0.0005)
         # Rate 0.5: most multi-page files hit at least one program
         # fault; the retry wrap must absorb every one of them.
         ssd.faults = make_plan({"program": 0.5}, seed=3)

@@ -166,8 +166,8 @@ class TestTheLog:
         assert ranged._free == paged._free and ranged._heads == paged._heads
 
     def test_log_owns_its_pages(self):
-        """A whole-device ``Partition`` hands the caller's array through
-        unshifted; mutating it after the call must not reach the log."""
+        """The block layer hands the caller's array through as it is;
+        mutating it after the call must not reach the log."""
         ftl = FlashTranslationLayer(make_tiny_config())
         ftl.write_range(0, 4)  # opens a block: what follows is logged
         lpns = np.array([10, 11, 12], dtype=np.int64)

@@ -1,9 +1,8 @@
 """The batched read chain vs the per-request one (DESIGN.md §13.1).
 
-``Partition.read_ranges`` → ``BlockDevice.read_ranges`` →
-``SSD.read_ranges`` take a scan's reads down the device stack in one
-call.  A twin stack takes the same ranges through ``read_range`` one
-request at a time; everything observable must come out equal — the
+``BlockDevice.read_ranges`` → ``SSD.read_ranges`` take a scan's reads
+down the device stack in one call.  A twin stack takes the same ranges
+through ``read_range`` one request at a time; everything observable must come out equal — the
 latency list (``==``, no tolerance), the SMART counters, the FTL's read
 count, ``IOStat`` bins, ``BlkTrace`` histograms and the request stream
 an observer sees — whichever way the SSD serves the batch: memoised
@@ -18,7 +17,6 @@ import pytest
 from repro.block.blktrace import BlkTrace
 from repro.block.device import BlockDevice
 from repro.block.iostat import IOStat
-from repro.block.partition import Partition, whole_device_partition
 from repro.core.clock import VirtualClock
 from repro.errors import OutOfRangeError
 from repro.faults.plan import FaultPlan
@@ -47,17 +45,16 @@ class RequestLog:
 
 
 class Stack:
-    """SSD + block device + observers behind a partition."""
+    """SSD + block device + observers."""
 
-    def __init__(self, mode: str, partition=whole_device_partition):
+    def __init__(self, mode: str, reserved_fraction: float = 0.0):
         self.clock = VirtualClock()
         self.ssd = SSD(make_tiny_config(), self.clock)
-        block = BlockDevice(self.ssd)
-        self.observers = (IOStat(block.page_size, bin_seconds=1e-4),
-                          BlkTrace(block.npages), RequestLog())
+        self.device = BlockDevice(self.ssd, reserved_fraction)
+        self.observers = (IOStat(self.device.page_size, bin_seconds=1e-4),
+                          BlkTrace(self.ssd.npages), RequestLog())
         for observer in self.observers:
-            block.attach(observer)
-        self.device = partition(block)
+            self.device.attach(observer)
         self.tracer = None
         if "channels" in mode:
             self.ssd.enable_channel_timing()
@@ -152,14 +149,22 @@ class TestReadRanges:
         assert batched.ssd.ftl.total_read_pages == 4
 
     @pytest.mark.parametrize("mode", ["scalar+backlog", "channels"])
-    def test_offset_partition_translates_and_checks(self, mode):
-        def part(block):
-            return Partition(block, 64, 256)
-
-        batched, looped = Stack(mode, part), Stack(mode, part)
-        assert_batch_matches_loop(batched, looped,
-                                  [(0, 2), (255, 1), (100, 0), (30, 9)])
+    def test_reserved_tail_raises_like_the_loop(self, mode):
+        batched, looped = Stack(mode, 0.5), Stack(mode, 0.5)
+        exposed = batched.device.npages
+        assert exposed == batched.ssd.npages // 2
+        assert_batch_matches_loop(
+            batched, looped,
+            [(0, 2), (exposed - 1, 1), (100, 0), (exposed, 0), (30, 9)])
         assert [start for _t, start, _n in batched.observers[2].reads] == \
-            [64, 319, 94]
+            [0, exposed - 1, 30]
+        # The drive would serve pages past ``exposed``; the block layer
+        # does not, and what it refuses reaches no counter or observer.
+        ranges = [(0, 1), (exposed - 6, 7), (8, 1)]
         with pytest.raises(OutOfRangeError):
-            batched.device.read_ranges([0, 250], [1, 7])
+            batched.device.read_ranges(*zip(*ranges))
+        with pytest.raises(OutOfRangeError):
+            for start, length in ranges:
+                looped.device.read_range(start, length)
+        assert batched.state() == looped.state()
+        assert batched.ssd.smart.host_read_requests == 4
