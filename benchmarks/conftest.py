@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.figures import SCALES
+from repro.core.figures import SCALES, clear_cells
 
 OUT_DIR = Path(__file__).parent / "out"
 
@@ -38,5 +38,8 @@ def archive():
 
 
 def run_once(benchmark, func):
-    """Run a figure function exactly once under pytest-benchmark."""
+    """Run a figure function exactly once under pytest-benchmark, from
+    an empty cell cache: the timing means "this figure alone" whatever
+    pytest collected before it."""
+    clear_cells()
     return benchmark.pedantic(func, rounds=1, iterations=1)

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 ``repro figures``                list the reproducible paper figures
-``repro run-figure fig5``        reproduce one figure and print its rows
+``repro run-figure fig7 fig8``   reproduce figures (or ``all``), sharing their cells
 ``repro run --engine lsm ...``   run a single custom experiment
 ``repro campaign --preset ...``  run a grid of experiments on a worker pool
 ``repro profile``                cProfile one fig-2 cell (top-N hot spots)
@@ -16,7 +16,7 @@ import sys
 from repro.bench import WORKLOADS, profile_case
 from repro.campaign import PRESETS, run_campaign
 from repro.core.experiment import Engine, ExperimentSpec, run_experiment
-from repro.core.figures import FIGURES, SCALES
+from repro.core.figures import CELL_COUNTS, FIGURES, SCALES
 from repro.core.metrics import end_to_end_write_amplification
 from repro.core.pitfalls import PITFALLS, EvaluationPlan, check_plan, render_report
 from repro.core.report import (render_campaign, render_series,
@@ -59,8 +59,10 @@ def _build_parser() -> argparse.ArgumentParser:
     figures = sub.add_parser("figures", help="list reproducible figures")
     figures.set_defaults(func=_cmd_figures)
 
-    run_figure = sub.add_parser("run-figure", help="reproduce one paper figure")
-    run_figure.add_argument("figure", choices=sorted(FIGURES))
+    run_figure = sub.add_parser(
+        "run-figure", help="reproduce paper figures in one process")
+    run_figure.add_argument("figures", nargs="+", metavar="figure",
+                            choices=[*FIGURES, "all"])
     run_figure.add_argument("--scale", choices=sorted(SCALES), default="default")
     run_figure.add_argument("--out", help="also write the rendered text to a file")
     run_figure.set_defaults(func=_cmd_run_figure)
@@ -274,11 +276,17 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_run_figure(args) -> int:
-    figure = FIGURES[args.figure](SCALES[args.scale])
-    print(figure.text)
+    names = list(FIGURES) if "all" in args.figures else args.figures
+    before = dict(CELL_COUNTS)
+    texts = []
+    for name in names:
+        texts.append(FIGURES[name](SCALES[args.scale]).text)
+        print(texts[-1])
+    print(f"{CELL_COUNTS['run'] - before['run']} cell(s) run, "
+          f"{CELL_COUNTS['shared'] - before['shared']} shared")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(figure.text + "\n")
+            handle.write("\n\n".join(texts) + "\n")
     return 0
 
 

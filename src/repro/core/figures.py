@@ -2,11 +2,13 @@
 
 Each ``figN_*`` function runs the corresponding scaled experiment(s)
 and returns a :class:`FigureResult` whose ``text`` holds the same
-rows/series the paper's figure reports.  The benchmark suite
-(`benchmarks/bench_figNN_*.py`) and the CLI are thin wrappers around
-these functions; the ledger's claim table
+rows/series the paper's figure reports.  ``repro run-figure`` prints
+them, the benchmark suite (`benchmarks/bench_figNN_*.py`) asserts each
+figure's expected shape, and the ledger's claim table
 (``benchmarks/ledger/claims.py``) records which of the paper's
-qualitative results hold.
+qualitative results hold.  As in the paper the figures share
+measurements (Fig 8 is computed from Fig 7's runs), so every result
+comes through :func:`run_cell`: one simulation per distinct cell.
 
 Scales
 ======
@@ -17,11 +19,11 @@ benchmark suite, ``FULL`` is the closest to the paper's geometry
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.analysis.cdf import cdf_knee, coverage_fraction, write_probability_cdf
-from repro.campaign.runner import CampaignOutcome, run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.analysis.stats import (
     coefficient_of_variation,
@@ -33,6 +35,7 @@ from repro.core.cost import CostOption, compare_costs, render_heatmap
 from repro.core.experiment import Engine, ExperimentResult, ExperimentSpec, run_experiment
 from repro.core.metrics import end_to_end_write_amplification
 from repro.core.report import render_series, render_table
+from repro.errors import ConfigError
 from repro.flash.state import DriveState
 from repro.units import MIB
 
@@ -99,13 +102,53 @@ def _series_rows(result: ExperimentResult) -> list[list]:
 _SERIES_HEADERS = ["t(s)", "KOps/s", "devW MB/s", "devR MB/s", "WA-A", "WA-D"]
 
 
-def _grid_items(outcome: CampaignOutcome):
-    """(axis key, live result) pairs in grid order — the row order the
-    figure tables used before they were campaign-backed."""
-    campaign = outcome.campaign
-    return [
-        (campaign.key_for(cell.spec), cell.result) for cell in outcome.cells
-    ]
+#: The cell cache (DESIGN.md §5.5): one simulated result per distinct
+#: spec for the life of the process, keyed by the canonical JSON of
+#: ``spec.to_dict()`` minus ``name`` (which ``stable_hash()`` includes).
+_CELLS: dict[str, ExperimentResult] = {}
+#: Since the cache was last emptied: cells simulated, requests shared.
+CELL_COUNTS = {"run": 0, "shared": 0}
+
+
+def clear_cells() -> None:
+    """Empty the cell cache (tests and standalone timings start cold)."""
+    _CELLS.clear()
+    CELL_COUNTS.update(run=0, shared=0)
+
+
+def run_cell(spec: ExperimentSpec) -> ExperimentResult:
+    """The result of *spec*, simulated at most once per process.
+
+    Each request gets its own :class:`ExperimentResult` carrying the
+    caller's spec; ``samples``, ``counters`` and every other field are
+    shared with the cached run and must be treated as read-only.
+    """
+    fields = spec.to_dict()
+    del fields["name"]
+    key = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    cached = _CELLS.get(key)
+    if cached is None:
+        cached = _CELLS[key] = run_experiment(spec)
+        CELL_COUNTS["run"] += 1
+    else:
+        CELL_COUNTS["shared"] += 1
+    return replace(cached, spec=spec)
+
+
+def _run_grid(campaign: CampaignSpec) -> dict[tuple, ExperimentResult]:
+    """Every cell of the grid, keyed by axis coordinates in grid order."""
+    return {campaign.key_for(spec): run_cell(spec) for spec in campaign.cells()}
+
+
+def _completed(figure_id: str, result: ExperimentResult) -> ExperimentResult:
+    """*result*, for a derived line or heatmap that cannot do without it."""
+    if result.out_of_space or result.steady is None:
+        spec = result.spec
+        raise ConfigError(
+            f"{figure_id}: cell {spec.name!r} (dataset/cap {spec.dataset_fraction:g}, "
+            f"{spec.op_reserved_fraction:.0%} reserved) ran out of space"
+        )
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +159,7 @@ def fig2_steady_state(scale: Scale = DEFAULT) -> FigureResult:
     results = {}
     sections = []
     for engine in (Engine.LSM, Engine.BTREE):
-        result = run_experiment(spec_for(scale, engine))
+        result = run_cell(spec_for(scale, engine))
         results[engine.value] = result
         label = "RocksDB-model (LSM)" if engine is Engine.LSM else "WiredTiger-model (B+Tree)"
         sections.append(
@@ -147,7 +190,7 @@ def fig3_drive_state(scale: Scale = DEFAULT) -> FigureResult:
     rows = []
     for engine in (Engine.LSM, Engine.BTREE):
         for state in (DriveState.TRIMMED, DriveState.PRECONDITIONED):
-            result = run_experiment(spec_for(scale, engine, drive_state=state))
+            result = run_cell(spec_for(scale, engine, drive_state=state))
             results[(engine.value, state.value)] = result
             steady = result.steady
             rows.append([
@@ -184,7 +227,7 @@ def fig4_lba_cdf(scale: Scale = DEFAULT) -> FigureResult:
     data = {}
     rows = []
     for engine in (Engine.LSM, Engine.BTREE):
-        result = run_experiment(spec_for(scale, engine, trace_lba=True))
+        result = run_cell(spec_for(scale, engine, trace_lba=True))
         x, y = write_probability_cdf(result.lba_histogram)
         data[engine.value] = {
             "cdf": (x, y),
@@ -223,10 +266,9 @@ def fig5_dataset_size(scale: Scale = DEFAULT,
             "dataset_fraction": tuple(fractions),
         },
     )
-    outcome = run_campaign(campaign)
+    results = _run_grid(campaign)
     rows = []
-    for key, result in _grid_items(outcome):
-        engine, state, fraction = key
+    for (engine, state, fraction), result in results.items():
         if result.out_of_space or result.steady is None:
             rows.append([engine, state, fraction, "OUT OF SPACE", "-", "-"])
             continue
@@ -241,7 +283,7 @@ def fig5_dataset_size(scale: Scale = DEFAULT,
         rows, title="Fig 5: impact of the dataset size",
     )
     return FigureResult("fig5", "Dataset size sweep",
-                        {"results": outcome.results(), "campaign": campaign}, text)
+                        {"results": results, "campaign": campaign}, text)
 
 
 # ----------------------------------------------------------------------
@@ -251,20 +293,13 @@ FIG6_FRACTIONS = (0.25, 0.37, 0.5, 0.62, 0.75, 0.88)
 
 
 def fig6_space_amplification(scale: Scale = DEFAULT,
-                             fractions: tuple[float, ...] = FIG6_FRACTIONS,
-                             base_results: dict | None = None) -> FigureResult:
+                             fractions: tuple[float, ...] = FIG6_FRACTIONS) -> FigureResult:
     """Disk utilization, space amplification, and the cost heatmap."""
     rows = []
     measurements: dict[tuple[str, float], ExperimentResult] = {}
     for engine in (Engine.LSM, Engine.BTREE):
         for fraction in fractions:
-            key = (engine.value, "trimmed", fraction)
-            if base_results and key in base_results:
-                result = base_results[key]
-            else:
-                result = run_experiment(
-                    spec_for(scale, engine, dataset_fraction=fraction)
-                )
+            result = run_cell(spec_for(scale, engine, dataset_fraction=fraction))
             measurements[(engine.value, fraction)] = result
             if result.out_of_space:
                 rows.append([engine.value, fraction, "OUT OF SPACE", "-"])
@@ -279,31 +314,34 @@ def fig6_space_amplification(scale: Scale = DEFAULT,
         rows, title="Fig 6a/6b: disk utilization and space amplification",
     )
 
-    # Fig 6c: cost heatmap from the 0.5-fraction steady measurements,
-    # presented at the paper's drive size (ratios are scale-free).
-    heatmap_text, grid = _cost_heatmap_from(measurements, fractions)
+    # Fig 6c: cost heatmap from the 0.5-fraction steady measurements.
+    reference = 0.5 if 0.5 in fractions else fractions[min(2, len(fractions) - 1)]
+    _options, grid, heatmap = _cost_heatmap("fig6", {
+        engine: (measurements[(engine, reference)], 0.0) for engine in ("lsm", "btree")
+    })
     text += "\n\nFig 6c: cheapest system per (dataset, target throughput)\n"
-    text += heatmap_text
+    text += heatmap
     return FigureResult(
         "fig6", "Space amplification and storage cost",
         {"measurements": measurements, "grid": grid}, text,
     )
 
 
-def _cost_heatmap_from(measurements, fractions):
-    reference = 0.5 if 0.5 in fractions else fractions[min(2, len(fractions) - 1)]
-    lsm = measurements[("lsm", reference)]
-    btree = measurements[("btree", reference)]
+def _cost_heatmap(figure_id: str,
+                  candidates: dict[str, tuple[ExperimentResult, float]]):
+    """The cheapest of *candidates* (name -> measured cell, fraction of
+    the drive it reserves) per (dataset, target throughput), presented
+    at the paper's drive size (measured ratios are scale-free)."""
     options = [
         CostOption.from_measurement(
-            "lsm", lsm.steady.kv_tput, PAPER_DRIVE_BYTES, lsm.peak_space_amp),
-        CostOption.from_measurement(
-            "btree", btree.steady.kv_tput, PAPER_DRIVE_BYTES, btree.peak_space_amp),
+            name, _completed(figure_id, result).steady.kv_tput, PAPER_DRIVE_BYTES,
+            result.peak_space_amp, reserved_fraction=reserved)
+        for name, (result, reserved) in candidates.items()
     ]
     datasets = [i * TB for i in range(1, 6)]
     targets = [i * 1000.0 for i in range(5, 26, 5)]
     grid = compare_costs(options, datasets, targets)
-    return render_heatmap(grid, dataset_unit=TB, target_unit=1000.0), grid
+    return options, grid, render_heatmap(grid, dataset_unit=TB, target_unit=1000.0)
 
 
 # ----------------------------------------------------------------------
@@ -329,26 +367,27 @@ def fig7_overprovisioning(scale: Scale = DEFAULT,
             "op_reserved_fraction": (0.0, reserved_fraction),
         },
     )
-    outcome = run_campaign(campaign)
-    results = outcome.results()
+    results = _run_grid(campaign)
     rows = []
-    for key, result in _grid_items(outcome):
-        engine, state, reserved = key
+    for (engine, state, reserved), result in results.items():
+        op = "extra-OP" if reserved else "no-OP"
+        if result.out_of_space or result.steady is None:
+            rows.append([engine, state, op, "OUT OF SPACE", "-"])
+            continue
         steady = result.steady
         rows.append([
-            engine, state,
-            "extra-OP" if reserved else "no-OP",
+            engine, state, op,
             f"{steady.kv_tput / KOPS:.2f}", f"{steady.wa_d:.2f}",
         ])
     text = render_table(
         ["engine", "state", "OP", "KOps/s", "WA-D"],
         rows, title=f"Fig 7: extra over-provisioning ({reserved_fraction:.0%} reserved)",
     )
-    lsm_gain = (
-        results[("lsm", "preconditioned", reserved_fraction)].steady.kv_tput
-        / max(results[("lsm", "preconditioned", 0.0)].steady.kv_tput, 1e-9)
+    no_op, extra = (
+        _completed("fig7", results[("lsm", "preconditioned", reserved)]).steady.kv_tput
+        for reserved in (0.0, reserved_fraction)
     )
-    text += f"\n  LSM preconditioned speedup from extra OP: x{lsm_gain:.2f}"
+    text += f"\n  LSM preconditioned speedup from extra OP: x{extra / max(no_op, 1e-9):.2f}"
     return FigureResult("fig7", "SSD software over-provisioning",
                         {"results": results, "campaign": campaign}, text)
 
@@ -356,29 +395,17 @@ def fig7_overprovisioning(scale: Scale = DEFAULT,
 # ----------------------------------------------------------------------
 # Figure 8: cost comparison of OP vs no-OP (LSM engine)
 # ----------------------------------------------------------------------
-def fig8_op_cost(scale: Scale = DEFAULT, reserved_fraction: float | None = None,
-                 fig7: FigureResult | None = None) -> FigureResult:
+def fig8_op_cost(scale: Scale = DEFAULT,
+                 reserved_fraction: float | None = None) -> FigureResult:
     """Cheapest RocksDB-model deployment: extra OP or full capacity."""
-    if fig7 is None:
-        fig7 = fig7_overprovisioning(scale, reserved_fraction)
-    results = fig7.data["results"]
+    results = fig7_overprovisioning(scale, reserved_fraction).data["results"]
     reserved_fraction = max(key[2] for key in results)
-    no_op = results[("lsm", "preconditioned", 0.0)]
-    extra = results[("lsm", "preconditioned", reserved_fraction)]
-    options = [
-        CostOption.from_measurement(
-            "no-OP", no_op.steady.kv_tput, PAPER_DRIVE_BYTES, no_op.peak_space_amp),
-        CostOption.from_measurement(
-            "extra-OP", extra.steady.kv_tput, PAPER_DRIVE_BYTES,
-            extra.peak_space_amp, reserved_fraction=reserved_fraction),
-    ]
-    datasets = [i * TB for i in range(1, 6)]
-    targets = [i * 1000.0 for i in range(5, 26, 5)]
-    grid = compare_costs(options, datasets, targets)
-    text = (
-        "Fig 8: cheapest RocksDB-model configuration (preconditioned SSD)\n"
-        + render_heatmap(grid, dataset_unit=TB, target_unit=1000.0)
-    )
+    options, grid, heatmap = _cost_heatmap("fig8", {
+        "no-OP": (results[("lsm", "preconditioned", 0.0)], 0.0),
+        "extra-OP": (results[("lsm", "preconditioned", reserved_fraction)],
+                     reserved_fraction),
+    })
+    text = f"Fig 8: cheapest RocksDB-model configuration (preconditioned SSD)\n{heatmap}"
     return FigureResult("fig8", "Over-provisioning storage-cost comparison",
                         {"grid": grid, "options": options}, text)
 
@@ -401,13 +428,14 @@ def fig9_ssd_types(scale: Scale = DEFAULT,
             "ssd": ("ssd1", "ssd2", "ssd3"),
         },
     )
-    outcome = run_campaign(campaign)
-    results = outcome.results()
+    results = _run_grid(campaign)
+    for result in results.values():  # the ratios (and Fig 10) compare them all
+        _completed("fig9", result)
     rows = [
-        [key[0], key[1],
+        [engine, ssd,
          f"{result.steady.kv_tput / KOPS:.2f}",
          f"{result.steady.wa_d:.2f}"]
-        for key, result in _grid_items(outcome)
+        for (engine, ssd), result in results.items()
     ]
     text = render_table(
         ["engine", "SSD", "KOps/s", "WA-D"],
@@ -429,28 +457,24 @@ def fig9_ssd_types(scale: Scale = DEFAULT,
 # Figure 10: throughput variability per SSD type
 # ----------------------------------------------------------------------
 def fig10_variability(scale: Scale = DEFAULT,
-                      dataset_fraction: float = 0.05,
-                      fig9: FigureResult | None = None) -> FigureResult:
+                      dataset_fraction: float = 0.05) -> FigureResult:
     """Fine-grained throughput over time for each SSD type."""
-    if fig9 is None:
-        fig9 = fig9_ssd_types(scale, dataset_fraction)
-    results = fig9.data["results"]
+    # Fig 9's cells, shared; it raises unless all six completed.
+    results = fig9_ssd_types(scale, dataset_fraction).data["results"]
     rows = []
     series = {}
-    for engine in ("lsm", "btree"):
-        for ssd in ("ssd1", "ssd2", "ssd3"):
-            result = results[(engine, ssd)]
-            t = [s.t for s in result.samples]
-            v = [s.kv_tput for s in result.samples]
-            wt, wv = windowed_average(t, v, window=scale.sample_interval * 2)
-            series[(engine, ssd)] = (wt, wv)
-            mean = sum(v) / max(len(v), 1)
-            rows.append([
-                engine, ssd,
-                f"{coefficient_of_variation(v):.2f}",
-                f"{relative_swing(v):.2f}",
-                f"{fraction_below(v, 0.05 * mean):.2f}",
-            ])
+    for (engine, ssd), result in results.items():
+        t = [s.t for s in result.samples]
+        v = [s.kv_tput for s in result.samples]
+        wt, wv = windowed_average(t, v, window=scale.sample_interval * 2)
+        series[(engine, ssd)] = (wt, wv)
+        mean = sum(v) / max(len(v), 1)
+        rows.append([
+            engine, ssd,
+            f"{coefficient_of_variation(v):.2f}",
+            f"{relative_swing(v):.2f}",
+            f"{fraction_below(v, 0.05 * mean):.2f}",
+        ])
     text = render_table(
         ["engine", "SSD", "coeff. of variation", "relative swing", "stalled fraction"],
         rows, title="Fig 10: throughput variability by SSD type",
@@ -474,7 +498,7 @@ def fig11_workloads(scale: Scale = DEFAULT) -> FigureResult:
         rows = []
         for engine in (Engine.LSM, Engine.BTREE):
             for state in (DriveState.TRIMMED, DriveState.PRECONDITIONED):
-                result = run_experiment(
+                result = run_cell(
                     spec_for(scale, engine, drive_state=state, **overrides)
                 )
                 results[(variant, engine.value, state.value)] = result

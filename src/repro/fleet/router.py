@@ -19,7 +19,7 @@ tests:
 
 from __future__ import annotations
 
-import numpy as np
+from bisect import bisect_left
 
 from repro.errors import ConfigError
 
@@ -75,15 +75,15 @@ class HashRouter(Router):
                 # size — the consistency property.
                 points.append((mix64((shard << 20) | v), shard))
         points.sort()
-        self._ring = np.array([p for p, _ in points], dtype=np.uint64)
-        self._owners = np.array([s for _, s in points], dtype=np.int64)
+        # Int lists: a bisect costs a quarter of a numpy scalar search.
+        self._ring = [p for p, _ in points]
+        self._owners = [s for _, s in points]
 
     def shard_for(self, key: int) -> int:
-        h = mix64(key)
-        idx = int(np.searchsorted(self._ring, np.uint64(h), side="left"))
+        idx = bisect_left(self._ring, mix64(key))
         if idx == len(self._ring):  # wrap past the last point
             idx = 0
-        return int(self._owners[idx])
+        return self._owners[idx]
 
 
 class RangeRouter(Router):

@@ -113,16 +113,33 @@ class TestCli:
         assert code == 0
         assert "btree on ssd3" in capsys.readouterr().out
 
-    def test_run_figure_to_file(self, tmp_path, capsys, monkeypatch):
-        # fig4 is among the fastest figures; run it at the small scale.
-        out_file = tmp_path / "fig.txt"
+    def test_run_figure_to_file(self, tmp_path, capsys):
+        # fig2's two cells are two of fig3's four.
         from repro.core import figures
 
-        monkeypatch.setitem(figures.SCALES, "small", figures.SMALL)
-        code = main(["run-figure", "fig4", "--scale", "small",
+        figures.clear_cells()
+        out_file = tmp_path / "figs.txt"
+        code = main(["run-figure", "fig2", "fig3", "--scale", "small",
                      "--out", str(out_file)])
         assert code == 0
-        assert "LBA" in out_file.read_text()
+        fig2 = figures.fig2_steady_state(figures.SMALL).text
+        fig3 = figures.fig3_drive_state(figures.SMALL).text
+        assert capsys.readouterr().out == \
+            f"{fig2}\n{fig3}\n4 cell(s) run, 2 shared\n"
+        assert out_file.read_text() == f"{fig2}\n\n{fig3}\n"
+
+    def test_run_figure_all_is_the_registry_in_order(self, capsys, monkeypatch):
+        from repro.core import figures
+
+        calls = []
+        for name in figures.FIGURES:
+            monkeypatch.setitem(
+                figures.FIGURES, name,
+                lambda scale, name=name: calls.append(name)
+                or figures.FigureResult(name, name, {}, name))
+        assert main(["run-figure", "all", "--scale", "small"]) == 0
+        assert calls == list(figures.FIGURES)
+        assert capsys.readouterr().out.endswith("fig11\n0 cell(s) run, 0 shared\n")
 
     def test_unknown_figure_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.fleet import HashRouter, RangeRouter, make_router
+from repro.fleet.router import mix64
 
 NKEYS = 10_000
 
@@ -108,3 +109,21 @@ class TestHashRouter:
         moved = np.count_nonzero(before != after)
         # Ideal is 1/5 of keys; allow generous slack for vnode variance.
         assert moved < NKEYS * 0.35
+
+    @pytest.mark.parametrize("nshards,vnodes", ((4, 64), (3, 1)))
+    def test_matches_numpy_searchsorted(self, nshards, vnodes):
+        """The bisect lookup places every key where a uint64
+        ``np.searchsorted`` over an independently built ring does,
+        hashes past the last ring point (the wrap-around) included."""
+        points = sorted((mix64((shard << 20) | v), shard)
+                        for shard in range(nshards) for v in range(vnodes))
+        ring = np.array([p for p, _ in points], dtype=np.uint64)
+        ring_owners = np.array([s for _, s in points])
+        keys = np.arange(4 * NKEYS)
+        hashes = np.array([mix64(int(k)) for k in keys], dtype=np.uint64)
+        idx = np.searchsorted(ring, hashes, side="left")
+        wrapped = idx == len(ring)
+        assert wrapped.any()
+        idx[wrapped] = 0
+        router = HashRouter(nshards, NKEYS, vnodes=vnodes)
+        assert np.array_equal(owners(router, keys), ring_owners[idx])
