@@ -7,8 +7,8 @@ The package bundles:
 * a flash SSD simulator (:mod:`repro.flash`) with FTL, garbage
   collection, trim/preconditioning and SSD1/SSD2/SSD3 device profiles;
 * an OS block layer (:mod:`repro.block`): the device the filesystem
-  mounts, its exposed range (software over-provisioning) and
-  iostat/blktrace-style monitors;
+  mounts, its exposed range (software over-provisioning), its
+  iostat byte counters and a blktrace-style monitor;
 * an extent filesystem (:mod:`repro.fs`);
 * two key-value engines: an LSM tree (:mod:`repro.lsm`, the RocksDB
   model) and a B+Tree (:mod:`repro.btree`, the WiredTiger model);

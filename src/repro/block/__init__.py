@@ -1,11 +1,9 @@
-"""OS block layer: the device the filesystem mounts, iostat, blktrace."""
+"""OS block layer: the device the filesystem mounts, and blktrace."""
 
 from repro.block.blktrace import BlkTrace
 from repro.block.device import BlockDevice
-from repro.block.iostat import IOStat
 
 __all__ = [
     "BlockDevice",
-    "IOStat",
     "BlkTrace",
 ]

@@ -7,11 +7,16 @@ filesystem fewer LBAs than the trimmed drive has.  :class:`BlockDevice`
 is that layer in the simulator: the filesystem mounts it, it exposes a
 prefix of the :class:`~repro.flash.ssd.SSD`'s logical space (a reserved
 tail is never written and acts as extra spare space for garbage
-collection), refuses requests outside that range, notifies registered
-observers (:class:`~repro.block.iostat.IOStat`,
-:class:`~repro.block.blktrace.BlkTrace`) about every request, and
-re-drives writes that hit a transient device error within its retry
-budget (:class:`~repro.faults.retry.RetryPolicy`).
+collection), refuses requests outside that range, re-drives writes
+that hit a transient device error within its retry budget
+(:class:`~repro.faults.retry.RetryPolicy`), and tells attached
+observers (:class:`~repro.block.blktrace.BlkTrace`) about each request.
+
+``bytes_written`` / ``bytes_read`` (``block.*`` in a snapshot) are the
+cumulative per-device counters ``iostat`` reports deltas of: a window's
+MB/s is their change between the two snapshots that bound the window
+over the virtual time between them, each request counted whole where
+it executes, like a KV operation (``MetricsCollector.sample``).
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ from repro.flash.ssd import SSD
 
 
 class BlockObserver(Protocol):
-    """Interface for iostat/blktrace-style request observers."""
+    """Interface for blktrace-style request observers.  *t* is the
+    submission time: a request never moves the clock (its caller
+    advances by the latency returned), so it is read once served."""
 
     def on_write(self, t: float, start: int, npages: int, lpns: np.ndarray | None) -> None:
         """Called for every write request (either a range or a page list)."""
@@ -55,16 +62,14 @@ class BlockDevice:
         # injection; repro.faults.RetryPolicy).  None — the default —
         # submits every write once.
         self.retry = None
-        self._clock = ssd.clock  # hot-path cache for request timestamps
+        # Bytes of the requests that succeeded (a retried write once).
+        self.bytes_written = 0
+        self.bytes_read = 0
         self._observers: list[BlockObserver] = []
 
     def attach(self, observer: BlockObserver) -> None:
         """Register an observer for subsequent requests."""
         self._observers.append(observer)
-
-    def detach(self, observer: BlockObserver) -> None:
-        """Unregister a previously attached observer."""
-        self._observers.remove(observer)
 
     # ------------------------------------------------------------------
     # Device protocol
@@ -74,6 +79,11 @@ class BlockDevice:
         """Exposed capacity in bytes."""
         return self.npages * self.page_size
 
+    def counters(self) -> dict:
+        """The cumulative byte counters, layer-labelled."""
+        return {"block.bytes_written": self.bytes_written,
+                "block.bytes_read": self.bytes_read}
+
     def write_pages(self, lpns: np.ndarray, background: bool = False) -> float:
         """Write a batch of (unique) pages; returns host-visible latency."""
         arr = np.asarray(lpns)
@@ -82,15 +92,15 @@ class BlockDevice:
         if int(arr.min()) < 0 or int(arr.max()) >= self.npages:
             raise OutOfRangeError(
                 f"write outside the exposed range of {self.npages} pages")
-        t = self._clock.now
         retry = self.retry
         if retry is None:
             latency = self.ssd.write_pages(lpns, background=background)
         else:
             latency = retry.run(
                 lambda: self.ssd.write_pages(lpns, background=background))
+        self.bytes_written += int(arr.size) * self.page_size
         for observer in self._observers:
-            observer.on_write(t, -1, int(arr.size), arr)
+            observer.on_write(self.ssd.clock.now, -1, int(arr.size), arr)
         return latency
 
     def write_range(self, start: int, npages: int, background: bool = False) -> float:
@@ -99,15 +109,15 @@ class BlockDevice:
             return 0.0
         if start < 0 or start + npages > self.npages:
             self._refuse(start, npages)
-        t = self._clock.now
         retry = self.retry
         if retry is None:
             latency = self.ssd.write_range(start, npages, background=background)
         else:
             latency = retry.run(lambda: self.ssd.write_range(
                 start, npages, background=background))
+        self.bytes_written += npages * self.page_size
         for observer in self._observers:
-            observer.on_write(t, start, npages, None)
+            observer.on_write(self.ssd.clock.now, start, npages, None)
         return latency
 
     def read_range(self, start: int, npages: int) -> float:
@@ -116,27 +126,30 @@ class BlockDevice:
             return 0.0
         if start < 0 or start + npages > self.npages:
             self._refuse(start, npages)
-        t = self._clock.now
         latency = self.ssd.read_range(start, npages)
+        self.bytes_read += npages * self.page_size
         for observer in self._observers:
-            observer.on_read(t, start, npages)
+            observer.on_read(self.ssd.clock.now, start, npages)
         return latency
 
     def read_ranges(self, starts, lens) -> list[float]:
         """``read_range`` of every ``(start, npages)`` as one submission;
         each range is still its own request to SMART and the observers."""
         exposed = self.npages
+        pages = 0
         for i, (start, npages) in enumerate(zip(starts, lens)):
-            if npages > 0 and (start < 0 or start + npages > exposed):
-                # Like the loop: the requests before the bad one are served.
-                self.read_ranges(starts[:i], lens[:i])
-                self._refuse(start, npages)
-        t = self._clock.now
+            if npages > 0:
+                if start < 0 or start + npages > exposed:
+                    # Like the loop: the requests before the bad one are served.
+                    self.read_ranges(starts[:i], lens[:i])
+                    self._refuse(start, npages)
+                pages += npages
         latencies = self.ssd.read_ranges(starts, lens)
+        self.bytes_read += pages * self.page_size
         for observer in self._observers:
             for start, npages in zip(starts, lens):
                 if npages > 0:
-                    observer.on_read(t, start, npages)
+                    observer.on_read(self.ssd.clock.now, start, npages)
         return latencies
 
     def trim_range(self, start: int, npages: int) -> None:

@@ -3,7 +3,10 @@
 The collector samples exactly the five metrics the paper defines:
 
 i.   KV-store throughput (operations per second);
-ii.  device throughput as observed by the OS (via the iostat monitor);
+ii.  device throughput as observed by the OS: like ``iostat``, a
+     window's MB/s is the change of the block layer's cumulative byte
+     counters between the two snapshots that bound it, over the virtual
+     time between them;
 iii. application-level write amplification WA-A = host bytes written /
      user bytes written (the paper's "user-level" WA, which factors in
      filesystem overhead);
@@ -190,14 +193,13 @@ class MetricsCollector:
         recent = {key: snap[key] - self._window[key] for key in snap}
         host, nand = total[HOST_WRITTEN], total[NAND_WRITTEN]
         window = max(now - self._window_start, 1e-9)
-        iostat = self.stack.iostat
 
         point = Sample(
             t=now - self._t_start,
             ops=ops_in(total),
             kv_tput=ops_in(recent) / window,
-            dev_write_mbps=iostat.write_rate(self._window_start, now) / 1e6,
-            dev_read_mbps=iostat.read_rate(self._window_start, now) / 1e6,
+            dev_write_mbps=recent["block.bytes_written"] / window / 1e6,
+            dev_read_mbps=recent["block.bytes_read"] / window / 1e6,
             wa_a=host / max(total["kv.user_bytes_written"], 1),
             wa_d=nand / max(host, 1),
             wa_d_window=(recent[NAND_WRITTEN] / recent[HOST_WRITTEN]

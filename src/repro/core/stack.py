@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING, Any
 from repro import rng as rng_mod
 from repro.block.blktrace import BlkTrace
 from repro.block.device import BlockDevice
-from repro.block.iostat import IOStat
 from repro.btree.config import BTreeConfig
 from repro.btree.store import BTreeStore
 from repro.core.clock import VirtualClock
@@ -52,29 +51,24 @@ class Shard:
 
     def snapshot(self) -> dict[str, Any]:
         """This shard's counters, every layer, as one labelled dict."""
-        return {**self.ssd.smart.labelled(), **self.fs.counters(),
-                **self.store.counters()}
+        return {**self.ssd.smart.labelled(), **self.device.counters(),
+                **self.fs.counters(), **self.store.counters()}
 
 
 @dataclass
 class Stack:
     """N shard stacks on one clock.  ``store`` is what the driver is
     handed: the bare engine for one closed-loop shard, the router-fronted
-    :class:`~repro.fleet.sharded.ShardedStore` otherwise.  ``iostat``
-    observes every shard's device, so its rates are the fleet's."""
+    :class:`~repro.fleet.sharded.ShardedStore` otherwise."""
 
     clock: VirtualClock
-    iostat: IOStat
     shards: list[Shard]
     store: KVStore
 
     def snapshot(self) -> dict[str, Any]:
         """Every counter as one flat ``layer.name`` dict: the sum over
-        :meth:`shard_snapshots` plus the shared block-layer monitor."""
-        snap = sum_counters(self.shard_snapshots())
-        snap["block.bytes_written"] = self.iostat.total_bytes_written
-        snap["block.bytes_read"] = self.iostat.total_bytes_read
-        return snap
+        :meth:`shard_snapshots`."""
+        return sum_counters(self.shard_snapshots())
 
     def shard_snapshots(self) -> list[dict[str, Any]]:
         """The per-shard dicts :meth:`snapshot` sums."""
@@ -111,10 +105,7 @@ def build_stack(spec: ExperimentSpec) -> Stack:
     profile = get_profile(spec.ssd, spec.capacity_bytes // spec.nshards)
     if spec.ssd_options:
         profile = replace(profile, **spec.ssd_options)
-    iostat = IOStat(profile.page_size,
-                    bin_seconds=min(0.05, spec.sample_interval / 5))
-    shards = [_build_shard(spec, profile, _shard_seed(spec.seed, index),
-                           clock, iostat)
+    shards = [_build_shard(spec, profile, _shard_seed(spec.seed, index), clock)
               for index in range(spec.nshards)]
     store = shards[0].store
     if spec.nshards > 1 or spec.arrival is not None:
@@ -125,14 +116,13 @@ def build_stack(spec: ExperimentSpec) -> Stack:
         # The victim shard records per-key WAL/journal positions so the
         # crash can compute exactly which writes the lost buffers held.
         shards[spec.kill_shard].store.enable_crash_tracking()
-    return Stack(clock, iostat, shards, store)
+    return Stack(clock, shards, store)
 
 
 def _build_shard(spec: ExperimentSpec, profile, seed: int,
-                 clock: VirtualClock, iostat: IOStat) -> Shard:
+                 clock: VirtualClock) -> Shard:
     ssd = SSD(profile, clock, make_policy(spec.gc_policy))
     device = BlockDevice(ssd, spec.op_reserved_fraction)
-    device.attach(iostat)
     trace = None
     if spec.trace_lba:
         # Sized to the drive, not the exposed range: a reserved tail

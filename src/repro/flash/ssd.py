@@ -99,14 +99,12 @@ class ChannelTimeline:
     write backlog (a read-heavy workload would otherwise spuriously
     "overwhelm the write cache").
 
-    Running aggregates (DESIGN.md §8) make the per-op queries O(1)
-    between mutations: ``write_max`` / ``busy_max`` are the exact
-    maxima of the two horizon vectors (work only ever extends a
-    horizon, so a single ``max`` per mutation maintains them), and the
-    last ``backlog`` answer is memoized against a mutation epoch.  All
-    query results are bit-identical to recomputing from the vectors —
-    the fast paths only skip work whose outcome is provably an exact
-    ``0.0`` or a repeat of a memoized exact sum.
+    Running aggregates (DESIGN.md §8) make the common per-op queries
+    O(1): ``write_max`` / ``busy_max`` are the exact maxima of the two
+    horizon vectors (work only ever extends a horizon, so a single
+    ``max`` per mutation maintains them).  All query results are
+    bit-identical to recomputing from the vectors — the fast paths
+    only skip work whose outcome is provably an exact ``0.0``.
     """
 
     def __init__(self, nchannels: int, start: float = 0.0):
@@ -115,23 +113,13 @@ class ChannelTimeline:
         self.cursor = 0
         self.write_max = float(start)  # == max(write_busy), maintained
         self.busy_max = float(start)  # == max(busy), maintained
-        self._epoch = 0  # bumped on every write-horizon mutation
-        self._memo_epoch = -1
-        self._memo_now = 0.0
-        self._memo_backlog = 0.0
 
     def backlog(self, now: float) -> float:
         """Mean seconds of queued *write* work per channel (the
         write-cache drain horizon)."""
         if self.write_max <= now:
             return 0.0  # every term of the sum would be an exact 0.0
-        if self._memo_epoch == self._epoch and self._memo_now == now:
-            return self._memo_backlog
-        value = mean_write_backlog(self.write_busy, now)
-        self._memo_epoch = self._epoch
-        self._memo_now = now
-        self._memo_backlog = value
-        return value
+        return mean_write_backlog(self.write_busy, now)
 
     def backlog_exceeds(self, now: float, threshold: float) -> bool:
         """Exact ``backlog(now) > threshold`` with an O(1) reject.
@@ -155,7 +143,6 @@ class ChannelTimeline:
         self.write_busy = [now] * len(self.write_busy)
         self.write_max = now
         self.busy_max = now
-        self._epoch += 1
 
 
 class SSD:
@@ -696,7 +683,6 @@ class SSD:
             channels.cursor = (c + 1) % nchannels
         channels.busy_max = busy_max
         channels.write_max = write_max
-        channels._epoch += 1
 
     def _read_channelized(self, start: int, npages: int, nbytes: int) -> float:
         """Latency of a read served by per-channel FIFO queues.

@@ -384,7 +384,7 @@ class ExtentFilesystem:
     def file_device_pages(self, name: str) -> np.ndarray:
         """All device pages of a file, in file order (for tests/traces)."""
         meta = self._lookup(name)
-        return np.asarray(self._file_lpns(meta, 0, meta.npages), dtype=np.int64)
+        return self._file_lpns(meta, 0, meta.npages)
 
     def check_invariants(self) -> None:
         """Verify allocator/file consistency; raises on bugs."""
@@ -413,12 +413,6 @@ class ExtentFilesystem:
         if name not in self._files:
             raise FileNotFoundError_(f"no such file: {name!r}")
         return self._files[name]
-
-    #: Page counts up to this are submitted as Python-int lists when
-    #: they fall inside one extent run — the dominant shape of journal
-    #: records and page reconciliations, where numpy round-trips cost
-    #: more than the I/O bookkeeping itself.
-    SMALL_IO_PAGES = 8
 
     def _single_run(self, meta: FileMeta, first_page: int,
                     count: int) -> tuple[int, int] | None:
@@ -488,17 +482,8 @@ class ExtentFilesystem:
         return starts, lens
 
     def _file_lpns(self, meta: FileMeta, first_page: int, count: int):
-        """Device pages for a file range: a Python-int list for small
-        single-run requests, an int64 array otherwise."""
-        if count <= self.SMALL_IO_PAGES:
-            run = self._single_run(meta, first_page, count)
-            if run is not None:
-                start, length = run
-                return list(range(start, start + length))
+        """Device pages for a file range, as an int64 array."""
         starts, lens = self._run_arrays(meta, first_page, count)
-        if len(starts) == 1:
-            s0 = int(starts[0])
-            return np.arange(s0, s0 + count, dtype=np.int64)
         # Concatenation of per-run aranges without materializing
         # them: repeat each run's (start - pages_before_run) and
         # add the global page index.

@@ -153,7 +153,6 @@ class ClientPool:
         clock = store.clock
         scheduler = self._scheduler
         heap = scheduler._heap
-        next_time = scheduler.next_time
         per_client = outcome.per_client_ops
         sink = outcome.latencies.sink(client_id)
         planner = BatchPlanner(spec, *self._substreams(client_id))
@@ -261,21 +260,13 @@ class ClientPool:
             if self._next_sample is not None and now >= self._next_sample:
                 self._maybe_sample(clock)
             seg = segment_cap
-            if heap:
-                # Inline next_time() for the common live head (heap
-                # entries are (time, seq, fn, event-or-None) tuples;
-                # task resumes carry no cancellable handle).
-                head = heap[0]
-                ev = head[3]
-                due = head[0] <= now if ev is None or not ev.cancelled \
-                    else next_time() <= now
-                if due:
-                    # Another task's event is due (or an op scheduled
-                    # background work): suspend until this operation's
-                    # completion time, exactly where a one-op-per-event
-                    # client would have yielded.
-                    seg = 1
-                    yield 0.0
+            if heap and heap[0][0] <= now:  # next_time(), inlined
+                # Another task's event is due (or an op scheduled
+                # background work): suspend until this operation's
+                # completion time, exactly where a one-op-per-event
+                # client would have yielded.
+                seg = 1
+                yield 0.0
         # Anchor the client's completion on the timeline: step-local
         # time is discarded when a task returns, so end with one no-op
         # event at the last op's completion — the same final event a

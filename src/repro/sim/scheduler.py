@@ -39,30 +39,6 @@ from repro.errors import ConfigError
 from repro.obs.tracer import NULL_TRACER
 
 
-class _Event:
-    """A scheduled event; ``cancelled`` events are skipped when popped.
-
-    Heap entries are ``(time, seq, fn, event-or-None)`` tuples rather
-    than the events themselves (DESIGN.md §8): tuple comparison runs
-    entirely in C and never reaches the callable (``seq`` is unique),
-    where an ``__lt__`` method would pay a Python dispatch on every
-    sift step of every push/pop.  An :class:`_Event` — the handle
-    carrying the label and the ``cancelled`` flag — rides along only
-    for :meth:`Scheduler.schedule` callers (who may cancel); the
-    per-operation task-step path pushes ``None`` instead and skips the
-    allocation entirely.
-    """
-
-    __slots__ = ("time", "seq", "fn", "label", "cancelled")
-
-    def __init__(self, time: float, seq: int, fn: Callable[[], None], label: str):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.label = label
-        self.cancelled = False
-
-
 class Task:
     """A cooperative task: a generator stepped by the scheduler."""
 
@@ -85,16 +61,14 @@ class Task:
             return
         if type(yielded) is float and yielded >= 0.0:
             # The per-operation hot path: a clock read and a heap push.
-            # The guard above is the negative-delay validation, the
-            # follow-up reuses this task's one bound step, and no
-            # _Event handle is allocated (nothing ever cancels a task's
-            # own resume; the flight recorder labels it "task").
+            # The guard above is the negative-delay validation and the
+            # follow-up reuses this task's one bound step.
             scheduler = self._scheduler
             clock = scheduler.clock
             now = clock._step_now if clock._capturing else clock._now
             heapq.heappush(scheduler._heap,
                            (now + yielded, next(scheduler._seq),
-                            self._bound_step, None))
+                            self._bound_step, "task"))
         else:
             self._suspend(yielded)
 
@@ -121,7 +95,12 @@ class Scheduler:
 
     def __init__(self, clock: VirtualClock):
         self.clock = clock
-        self._heap: list[_Event] = []
+        # Heap entries are plain ``(time, seq, fn, label)`` tuples
+        # (DESIGN.md §8): tuple comparison runs entirely in C and never
+        # reaches the callable (``seq`` is unique), where an ``__lt__``
+        # method would pay a Python dispatch on every sift step.  An
+        # event, once scheduled, runs: nothing cancels one.
+        self._heap: list[tuple] = []
         self._seq = itertools.count()
         self.events_run = 0
         # Flight recorder (repro.obs): the event timeline.  Emits one
@@ -130,17 +109,14 @@ class Scheduler:
         self.obs_tracer = NULL_TRACER
 
     def schedule(self, delay: float, fn: Callable[[], None],
-                 label: str = "event") -> _Event:
-        """Fire *fn* after *delay* virtual seconds; returns the event."""
+                 label: str = "event") -> None:
+        """Fire *fn* after *delay* virtual seconds."""
         if delay < 0:
             raise ConfigError(f"cannot schedule an event {delay!r}s in the past")
         # now + a non-negative delay can never be in the past, so the
         # delay check is the only validation an event time needs.
-        time = self.clock.now + delay
-        seq = next(self._seq)
-        event = _Event(time, seq, fn, label)
-        heapq.heappush(self._heap, (time, seq, fn, event))
-        return event
+        heapq.heappush(self._heap,
+                       (self.clock.now + delay, next(self._seq), fn, label))
 
     def spawn(self, gen: Generator, label: str = "task",
               delay: float = 0.0) -> Task:
@@ -173,9 +149,7 @@ class Scheduler:
         ran = 0
         try:
             while heap:
-                time, _seq, fn, event = pop(heap)
-                if event is not None and event.cancelled:
-                    continue
+                time, _seq, fn, label = pop(heap)
                 if time > clock._now:
                     clock._now = time
                 clock._step_now = clock._now
@@ -183,8 +157,7 @@ class Scheduler:
                 try:
                     fn()
                     if obs_on:
-                        obs.span(event.label if event is not None else "task",
-                                 "sched", time, clock._step_now - time)
+                        obs.span(label, "sched", time, clock._step_now - time)
                 finally:
                     clock._step_now = clock._now
                     clock._capturing = False
@@ -193,27 +166,9 @@ class Scheduler:
             self.events_run += ran
 
     def next_time(self) -> float:
-        """Virtual time of the earliest pending event (inf when idle).
-
-        This is the batched client pool's interleaving horizon
-        (DESIGN.md §7): a client may keep executing operations inside
-        one event step only while its clock stays *before* this time —
-        crossing it means another task's event must run first.  Events
-        scheduled mid-step (background work spawned by an operation)
-        land at or before the current step time, so consulting this
-        after every operation also stops a batch right after the op
-        that scheduled new work.
-        """
+        """Virtual time of the earliest pending event (inf when idle):
+        the batched drivers' interleaving horizon (DESIGN.md §7), which
+        their per-op checks read straight off the heap head
+        (:class:`~repro.workload.plan.EventAwareUntil`)."""
         heap = self._heap
-        if not heap:
-            return math.inf
-        head = heap[0]
-        event = head[3]
-        if event is None or not event.cancelled:  # the hot path
-            return head[0]
-        while heap:
-            event = heap[0][3]
-            if event is None or not event.cancelled:
-                break
-            heapq.heappop(heap)
         return heap[0][0] if heap else math.inf

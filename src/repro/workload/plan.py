@@ -147,10 +147,9 @@ class EventAwareUntil:
     so events scheduled *during* the batch interrupt it too.
     """
 
-    __slots__ = ("scheduler", "cap", "_heap")
+    __slots__ = ("cap", "_heap")
 
     def __init__(self, scheduler, cap: float | None = None):
-        self.scheduler = scheduler
         self.cap = cap
         # The scheduler's heap list is mutated in place for the
         # scheduler's whole lifetime, so holding a direct reference is
@@ -169,13 +168,7 @@ class EventAwareUntil:
         touch the scheduler.
         """
         heap = self._heap
-        if heap:
-            head = heap[0]  # (time, seq, fn, event-or-None): _Event doc
-            ev = head[3]
-            next_time = head[0] if ev is None or not ev.cancelled \
-                else self.scheduler.next_time()
-        else:
-            next_time = math.inf
+        next_time = heap[0][0] if heap else math.inf
         cap = self.cap
         return next_time if cap is None or next_time < cap else cap
 
@@ -190,13 +183,9 @@ class EventAwareUntil:
         cap = self.cap
         if cap is not None and now >= cap:
             return True
-        heap = self._heap
+        heap = self._heap  # entries are (time, seq, fn, label)
         if heap:
-            head = heap[0]  # (time, seq, fn, event-or-None): _Event doc
-            ev = head[3]
-            if ev is None or not ev.cancelled:  # the hot path
-                return head[0] <= now
-            return self.scheduler.next_time() <= now
+            return heap[0][0] <= now
         return False
 
     def __lt__(self, now) -> bool:

@@ -1,4 +1,5 @@
-"""Tests for the block layer: the device, its exposed range, iostat, blktrace."""
+"""Tests for the block layer: the device, its exposed range and byte
+counters, blktrace."""
 
 from __future__ import annotations
 
@@ -7,8 +8,9 @@ import pytest
 
 from repro.block.blktrace import BlkTrace
 from repro.block.device import BlockDevice
-from repro.block.iostat import IOStat
-from repro.errors import ConfigError, OutOfRangeError
+from repro.errors import ConfigError, OutOfRangeError, ProgramFaultError
+from repro.faults import FaultPlan, RetryPolicy
+from repro.rng import substream
 
 
 @pytest.fixture
@@ -32,41 +34,79 @@ class TestBlockDevice:
             def on_read(self, t, start, npages):
                 seen.append(("r", npages))
 
-        probe = Probe()
-        device.attach(probe)
+        device.write_range(0, 1)  # before attaching: not shown
+        device.attach(Probe())
         device.write_range(0, 4)
         device.write_pages(np.array([9, 11], dtype=np.int64))
         device.read_range(0, 2)
         assert seen == [("w", 4), ("w", 2), ("r", 2)]
-        device.detach(probe)
-        device.write_range(0, 1)
-        assert len(seen) == 3
 
 
-class TestIOStat:
-    def test_windowed_rates(self, device, clock):
-        stat = IOStat(device.page_size, bin_seconds=0.01)
-        device.attach(stat)
+class TestByteCounters:
+    """``bytes_written`` / ``bytes_read``: what iostat reads deltas of."""
+
+    def test_writes_count_their_pages(self, device, clock):
+        assert device.counters() == {"block.bytes_written": 0,
+                                     "block.bytes_read": 0}
         device.write_range(0, 10)
-        clock.advance(1.0)
+        clock.advance(1.0)  # cumulative: no window, no bin
         device.write_range(0, 30)
-        assert stat.total_bytes_written == 40 * 4096
-        assert stat.bytes_written_between(0.0, 0.5) == 10 * 4096
-        assert stat.bytes_written_between(0.5, 1.5) == 30 * 4096
-        assert stat.write_rate(0.0, 0.5) == pytest.approx(10 * 4096 / 0.5)
+        # A page list counts pages, not the extents they fall in.
+        device.write_pages(np.array([1, 9, 17, 25], dtype=np.int64))
+        device.write_pages([3, 5])
+        assert device.counters() == {"block.bytes_written": 46 * 4096,
+                                     "block.bytes_read": 0}
+        assert type(device.bytes_written) is int
 
-    def test_read_rates(self, device, clock):
-        stat = IOStat(device.page_size, bin_seconds=0.01)
-        device.attach(stat)
+    def test_reads_count_their_pages(self, device):
         device.write_range(0, 4)
         device.read_range(0, 4)
-        assert stat.total_bytes_read == 4 * 4096
-        assert stat.read_rate(0.0, 1.0) == pytest.approx(4 * 4096)
+        # One submission, one bump; an empty range is no request.
+        assert len(device.read_ranges([0, 50, 7], [3, 0, 1])) == 3
+        assert device.counters() == {"block.bytes_written": 4 * 4096,
+                                     "block.bytes_read": 8 * 4096}
+        assert type(device.bytes_read) is int
 
-    def test_empty_window_zero(self):
-        stat = IOStat(4096)
-        assert stat.write_rate(0.0, 1.0) == 0.0
-        assert stat.write_rate(1.0, 1.0) == 0.0
+    def test_empty_and_trim_requests_count_nothing(self, device):
+        device.write_range(0, 8)
+        before = device.counters()
+        device.write_range(4, 0)
+        device.write_pages([])
+        device.read_range(4, 0)
+        device.read_ranges([], [])
+        device.trim_range(0, 8)
+        assert device.counters() == before
+
+    def test_a_refused_request_counts_nothing(self, tiny_ssd):
+        device = BlockDevice(tiny_ssd, 0.25)
+        exposed = device.npages
+        for refused in (lambda: device.write_range(exposed - 1, 2),
+                        lambda: device.write_pages([0, exposed]),
+                        lambda: device.read_range(exposed, 1)):
+            with pytest.raises(OutOfRangeError):
+                refused()
+        assert device.counters() == {"block.bytes_written": 0,
+                                     "block.bytes_read": 0}
+        # A batch is served up to the bad request, like the loop.
+        with pytest.raises(OutOfRangeError):
+            device.read_ranges([0, exposed - 1, 8], [2, 2, 1])
+        assert device.bytes_read == 2 * 4096
+
+    def test_a_retried_write_counts_once_and_a_failed_one_never(self, device):
+        smart = device.ssd.smart
+        device.ssd.faults = FaultPlan({"program": 0.5}, substream(3, "faults"))
+        device.retry = RetryPolicy(8, 1e-4)
+        for page in range(20):
+            device.write_range(page, 1)
+        assert smart.program_failures > 0
+        assert device.bytes_written == smart.host_bytes_written == 20 * 4096
+        device.ssd.faults = FaultPlan({"program": 1.0}, substream(3, "faults"))
+        for device.retry in (RetryPolicy(1, 1e-4), None):  # budget spent, none
+            for failing in (lambda: device.write_range(0, 2),
+                            lambda: device.write_pages([1, 2])):
+                with pytest.raises(ProgramFaultError):
+                    failing()
+        assert device.bytes_written == smart.host_bytes_written == 20 * 4096
 
 
 class TestBlkTrace:

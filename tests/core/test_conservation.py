@@ -3,10 +3,11 @@
 Each law is a pure function of ``Stack.snapshot()`` dicts (DESIGN.md
 §10.5).  They are evaluated at **every sample** — ``MetricsCollector.
 sample`` is wrapped on the class, the seam the perf ledger uses — and
-once more at the end of the run, for ten of the golden specs and an
-open-loop run with a shard kill on either engine.  Every law below
-was seen to fail under a one-line mutation of the counter it reads
-(CHANGES.md, PRs 21 and 22).
+once more at the end of the run, for ten of the golden specs, Fig 2's
+LSM cell at the small figure scale and an open-loop run with a shard
+kill on either engine.  Every law below was seen to fail under a
+one-line mutation of the counter it reads (CHANGES.md, PRs 21, 22
+and 24).
 
 The exposed range is a law of the same kind: under software
 over-provisioning no layer ever touches a page of the reserved tail.
@@ -18,7 +19,9 @@ import numpy as np
 import pytest
 
 from repro.core.experiment import Engine, ExperimentSpec, run_experiment
+from repro.core.figures import SMALL, spec_for
 from repro.core.metrics import MetricsCollector, ops_in
+from repro.counters import sum_counters
 from repro.errors import OutOfRangeError
 from repro.flash.state import DriveState
 from repro.units import MIB
@@ -41,6 +44,8 @@ RUNS = {name: SPECS[name] for name in (
     # retried writes beside fault-delayed reads.
     "read-only-lsm", "scan-mix-btree", "pool4-mixed-lsm",
     "faults-pool4-btree")} | {
+    # Its first window opens where the load phase's last writes land.
+    "fig2-small-lsm": spec_for(SMALL, Engine.LSM).to_dict()} | {
     f"open-loop-kill-{engine.value}": dict(engine=engine, **KILL)
     for engine in (Engine.LSM, Engine.BTREE)}
 
@@ -71,12 +76,29 @@ def monotone(earlier: dict, later: dict) -> list[str]:
 
 
 def shards_sum_to_fleet(fleet: dict, shards: list[dict]) -> bool:
-    """The fleet's counters are the field-for-field sum of its shards';
-    only the block-layer monitor, shared by all shards, is the fleet's
-    alone."""
-    return {key: sum(shard[key] for shard in shards) for key in shards[0]} == {
-        key: value for key, value in fleet.items()
-        if not key.startswith("block.")}
+    """The fleet's counters are the field-for-field sum of its shards',
+    every layer's."""
+    return fleet == {key: sum(shard[key] for shard in shards)
+                     for key in shards[0]}
+
+
+def windows_sum_to_block_bytes(samples, earlier: dict, later: dict) -> bool:
+    """Device MB/s is a delta of the block layer's counters: the
+    windows of a run tile the span its samples cover, so rate × window
+    summed over the samples is every byte the device was sent between
+    the snapshot at the start of the measurement and the one at the
+    last sample — none from the load phase, none dropped at the tail."""
+    moved = {"written": 0.0, "read": 0.0}
+    opened = 0.0
+    for point in samples:
+        moved["written"] += point.dev_write_mbps * 1e6 * (point.t - opened)
+        moved["read"] += point.dev_read_mbps * 1e6 * (point.t - opened)
+        opened = point.t
+    return all(
+        moved[verb] == pytest.approx(
+            later[f"block.bytes_{verb}"] - earlier[f"block.bytes_{verb}"],
+            rel=1e-9)
+        for verb in moved)
 
 
 def kv_ops_are_issued_plus_loaded(result) -> bool:
@@ -87,11 +109,14 @@ def kv_ops_are_issued_plus_loaded(result) -> bool:
         ops_in(result.counters) == result.ops_issued + result.spec.nkeys)
 
 
-def check(earlier: dict, later: dict, stack) -> None:
-    assert shards_sum_to_fleet(later, stack.shard_snapshots())
-    assert nand_is_host_plus_relocated(later)
-    assert block_matches_flash(earlier, later)
-    assert monotone(earlier, later) == []
+def check(earlier: list[dict], later: list[dict], fleet: dict) -> None:
+    """The laws between two lists of per-shard snapshots; *fleet* is
+    what the stack reported where *later* was taken."""
+    assert shards_sum_to_fleet(fleet, later)
+    assert nand_is_host_plus_relocated(fleet)
+    for before, after in zip(earlier, later, strict=True):  # each device
+        assert block_matches_flash(before, after)
+    assert monotone(sum_counters(earlier), fleet) == []
 
 
 # ----------------------------------------------------------------------
@@ -105,13 +130,13 @@ def watched(monkeypatch):
 
     def checked_start(self):
         start(self)
-        seen[:] = [(self.stack, self.stack.snapshot())]
+        seen[:] = [(self.stack, self.stack.shard_snapshots())]
 
     def checked_sample(self):
         point = sample(self)
-        snap = self.stack.snapshot()
-        check(seen[-1][1], snap, self.stack)
-        seen.append((self.stack, snap))
+        shards = self.stack.shard_snapshots()
+        check(seen[-1][1], shards, self.stack.snapshot())
+        seen.append((self.stack, shards))
         return point
 
     monkeypatch.setattr(MetricsCollector, "start_measurement", checked_start)
@@ -124,10 +149,13 @@ def test_laws_hold_at_every_sample_and_at_the_end(name, watched):
     result = run_experiment(ExperimentSpec(**RUNS[name]))
     assert len(watched) == len(result.samples) + 1
     stack, last = watched[-1]
+    first = watched[0][1]
     final = {key: value for key, value in result.counters.items()
              if not key.startswith("fleet.")}
-    check(last, final, stack)
-    check(watched[0][1], final, stack)  # over the whole measured phase
+    check(last, stack.shard_snapshots(), final)
+    check(first, stack.shard_snapshots(), final)  # the whole measured phase
+    assert windows_sum_to_block_bytes(
+        result.samples, sum_counters(first), sum_counters(last))
     assert kv_ops_are_issued_plus_loaded(result)
     if name.startswith("out-of-space"):
         assert result.out_of_space

@@ -12,6 +12,17 @@ them (the two ``pool16`` ones later, see ``POOL16``); they are what
 pins the drivers, the extent stream, FTL mappings, merge orders and
 read charges end to end.
 
+Twenty-five of the twenty-six were re-recorded when device MB/s
+became a delta of the block layer's own counters (``IOStat``'s
+timestamp bins are gone): with ``dev_write_mbps`` / ``dev_read_mbps``
+dropped from ``samples`` and ``steady`` all twenty-six digests were
+equal before and after (CHANGES.md, PR 24, has the table and the
+recipe is in ``.claude/skills/verify/SKILL.md``), and the two fields
+that moved are held by a law the old values broke — the windows of a
+run sum to the bytes the block layer counted
+(``tests/core/test_conservation.py``).  ``out-of-space-pool4-btree``
+has no samples and kept its literal.
+
 A mismatch means simulated behaviour changed.  If that is *intended*
 (and justified by an independent reference, per the ROADMAP standing
 rule), regenerate with::
@@ -140,57 +151,57 @@ SPECS = {
 
 GOLDEN = {
     "closed-loop-lsm":
-        "90deb04475905a36a97df2c8d37c0b6ed321ad3776a5a4c0b2ace17e68c034fb",
+        "429f8eb154a17d89537a263ec9d2c8cea4513bf0e7949bc09bec48a8d599490c",
     "closed-loop-btree":
-        "5cccc886bb1a9d47b2ce6f8945bb803e662776e3364a6aea59795cd46ffbe21c",
+        "a435c2aac62e71e5d94a660a7d69dc438fc740fd1e7620073b9f34ecffdc1100",
     "pooled-lsm":
-        "f15fdae314a369c0d88aaf9c594de282c2c8b0469d7d74848adcb14125837f63",
+        "0f2c11752866934ee5a8a4fa808d739165495688355fceeb6b492d2fe222fdb2",
     "read-only-lsm":
-        "10b7c3638e6ce61faaf7e0b787aa4986ac02cbd3ad5075e20a3bc40fc9eea671",
+        "41aa55be377a7e17bc7ad3d73c3852bbe86148c921fbc0504c3abd2d68a57739",
     "read-only-btree":
-        "20d98215ded9c2205134c5b8c08490b8c8a9f0ff2870330cbd9c239e2650a85f",
+        "2ed30cfdbf97d59e0337e7b7f645e2530b90da9b36430eaa71ac62282aeafffa",
     "scan-mix-lsm":
-        "4e7808ce9dee34de9134e18b6e1119542231f00718bd0d4f43c832e991ca7c4f",
+        "db0437bbbed858130a81d2ac286a6c0709fa94a9ccf7be04c0377bac14af381c",
     "scan-mix-btree":
-        "e0eef795ae0878d7756a996c8a9621635e4ce7addcc9b0c8ce8c6eb62925cc8c",
+        "8063d876ab2685b86915adb8cb02f93c2d7730bdb40619c37f1bffea7f753333",
     "pooled-zipfian-scan-mix-lsm":
-        "43798a07f18f690380aad1ff5c91711fc2717c4e29ef2f85d46c774fd99a438d",
+        "321c0bd3e099f831c9f209ff67dec3b3c2a941f3cd47e25dd8c47d7b9265a8d9",
     "fleet-2shard-lsm":
-        "d13da012f758350cff3f008d5bfb5b3b98cab67a8a36e0182b181d95e4794f82",
+        "1cced29af0679417105a095c031aa4538a11aa3ad0a8f79b7fb7b8e2ccb22828",
     "pipeline-lsm":
-        "31704e1230f0a312dda943ff3af2d3e90439f48136d30762cbd236317699b130",
+        "030e3bbb253236340faf53ebab9db65dcf4aa154b617462b4f3c24843c7b9d99",
     "pipeline-btree":
-        "4e31d6db980f5e0a4c626f5deca86b991566d463b6c0c8e930ddd3abcaa63ce0",
+        "47dd803e234c63f31ce8fa6a25764ada521151c4ab288020612eb7a88a06fa95",
     "pipeline-preconditioned-lsm":
-        "0f7ba2d5ca39a92be99cb753b9980e68504a8e2bb7b6e05d5596ab5319db45df",
+        "66f73a144b41511fb43a60021e00ab86387b6ba5d3b3fa52b3902d6072348ecd",
     "pool1-mixed-lsm":
-        "5761b695ac4b92febd06244a4f4514ffecbee7dd55dc0e08a55505153783fb7a",
+        "df792b704dfdb1a0c9862d73c1a359deebc446ef4122ceac27b4edb77bc33bd0",
     "pool1-mixed-btree":
-        "75b1b85aebe0cbc90b8c65f6afd05a3f1f5d4ae3a2f1e09d90d7bf2897bbaf0b",
+        "70da663756ba602abaad338aab4dd7d670b1f98d88cf18d41c64d0ce74a6567f",
     "pool4-mixed-lsm":
-        "0cf36ecb8a1a52b8017d91e19c18e1b8b6f5c2899366c2f2a7d87141c7c03516",
+        "d6ee45d98a96d389fee28ec7628428c87c1f7038e7452dd5a0ed7eec2e412de5",
     "pool4-mixed-btree":
-        "39c3e89e37ef07fb3c821d09e1fc30621a4a5dfc0072235f9e244de6d1ec4d64",
+        "6410b12ffcc8511e872b5dd71140790834a2f679eb45258a678e9a1cb66547c7",
     "out-of-space-pool4-lsm":
-        "b3d9cc91df5def0b88c635739538333af1e3da59ce6751bdd5279093bcb9df5b",
+        "96e1103037d4cedbc30bea4a2f739c3e36489e792ee9674ad4c7dd1e813b1cb7",
     "out-of-space-pool4-btree":
         "7bf780bd2912ed8ea67f3a4d78982df58785893a7979c6596a73e4688ab45059",
     "pool16-lsm":
-        "c43eb208caee46016c2639fc838cc9b606937256044a1f8de6f95d5df814f70d",
+        "0958a9727d80acd57544e5ad3edb22d4b843fb1b0e0504a5fc94c35d0cacd79c",
     "pool16-btree":
-        "a96e05a429d9384f2090c39b13146ad2d483bd46ee2030ae77e0a9e1851a4785",
+        "4214e729d8cd325c5d0e081891c0a648b73a6c2de85dcfd4e85cdc8fd5c1e20c",
     "op25-preconditioned-lsm":
-        "82e6e14978f0bef302f96bea86702989222f013926068ea83e0fce72debb05b3",
+        "0a7f45a3b1891417482bc34d655fc0ff751dadce324f69e53ff0ed4aa18b94d1",
     "op25-preconditioned-btree":
-        "9f521b159db8ac610a5ab3734385dfdd4c5e45acf6610272d823dfc1ee54b100",
+        "db2b5c8232e9f30f2f97c21dc4f12562a16fc532ee1531f6d8243efae3d2df5f",
     "op25-pool4-ssd3-btree":
-        "b99f4fa7160f9242868b51d59dc29442be0f5f5cafb31a9b2598a99366eac2fb",
+        "d2067c32237d2043e3bf7cb88ac3c6be7eb9ab5028a3d532b80e932467fb586d",
     "faults-lsm":
-        "b722097189fa59a35315aed00d70cc762372da844cdc4721bbf32dce9ecbc553",
+        "bbe3cd3c60616f10c9082d2749e4ea23d05726589eeafa93e98cb0bba8673d6a",
     "faults-btree":
-        "a4777d58ecef86be4305d1cd3ef680b03adc71e89e6bd54ca6e24fd6c11e1e0c",
+        "b419f7cce95a8384f23bda2aafc92d2d594c1f5e94e0e036d9a754eb4739b5a4",
     "faults-pool4-btree":
-        "8fff27e723995c4815a896e37b9d306c799e077c31039050ba9f0a3eefac3ba6",
+        "c2dc12501f37738ab4575d304b51c44b72534d9a22c5c25743237b600eb1fc59",
 }
 
 

@@ -4,8 +4,8 @@
 down the device stack in one call.  A twin stack takes the same ranges
 through ``read_range`` one request at a time; everything observable must come out equal — the
 latency list (``==``, no tolerance), the SMART counters, the FTL's read
-count, ``IOStat`` bins, ``BlkTrace`` histograms and the request stream
-an observer sees — whichever way the SSD serves the batch: memoised
+count, the device's ``bytes_read``, ``BlkTrace`` histograms and the
+request stream an observer sees — whichever way the SSD serves the batch: memoised
 scalar timing under a live write backlog, or its per-request fallback
 under channel timing, the tracer, or a fault plan.
 """
@@ -16,7 +16,6 @@ import pytest
 
 from repro.block.blktrace import BlkTrace
 from repro.block.device import BlockDevice
-from repro.block.iostat import IOStat
 from repro.core.clock import VirtualClock
 from repro.errors import OutOfRangeError
 from repro.faults.plan import FaultPlan
@@ -51,8 +50,7 @@ class Stack:
         self.clock = VirtualClock()
         self.ssd = SSD(make_tiny_config(), self.clock)
         self.device = BlockDevice(self.ssd, reserved_fraction)
-        self.observers = (IOStat(self.device.page_size, bin_seconds=1e-4),
-                          BlkTrace(self.ssd.npages), RequestLog())
+        self.observers = (BlkTrace(self.ssd.npages), RequestLog())
         for observer in self.observers:
             self.device.attach(observer)
         self.tracer = None
@@ -75,11 +73,11 @@ class Stack:
                 substream(5, "faults"))
 
     def state(self) -> tuple:
-        iostat, blktrace, log = self.observers
+        blktrace, log = self.observers
         channels = self.ssd._channels
         return (
             self.ssd.smart.snapshot(), self.ssd.ftl.total_read_pages,
-            dict(iostat._read_bins), iostat.total_bytes_read,
+            self.device.bytes_read,
             blktrace.read_histogram.tolist(), blktrace.total_read_requests,
             log.reads,
             None if channels is None else (list(channels.busy),
@@ -147,6 +145,8 @@ class TestReadRanges:
         assert batched.ssd.smart == looped.ssd.smart
         assert batched.ssd.smart.host_read_requests == 1
         assert batched.ssd.ftl.total_read_pages == 4
+        assert batched.device.bytes_read == looped.device.bytes_read \
+            == 4 * batched.device.page_size
 
     @pytest.mark.parametrize("mode", ["scalar+backlog", "channels"])
     def test_reserved_tail_raises_like_the_loop(self, mode):
@@ -156,7 +156,7 @@ class TestReadRanges:
         assert_batch_matches_loop(
             batched, looped,
             [(0, 2), (exposed - 1, 1), (100, 0), (exposed, 0), (30, 9)])
-        assert [start for _t, start, _n in batched.observers[2].reads] == \
+        assert [start for _t, start, _n in batched.observers[1].reads] == \
             [0, exposed - 1, 30]
         # The drive would serve pages past ``exposed``; the block layer
         # does not, and what it refuses reaches no counter or observer.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.clock import VirtualClock
@@ -48,14 +50,14 @@ class TestEventOrdering:
         with pytest.raises(ConfigError):
             sched.schedule(-0.1, lambda: None)
 
-    def test_cancelled_events_are_skipped(self):
-        sched, _clock = make_scheduler()
-        fired = []
-        event = sched.schedule(0.1, lambda: fired.append("x"))
-        sched.schedule(0.2, lambda: fired.append("y"))
-        event.cancelled = True
+    def test_next_time_is_the_earliest_pending_event(self):
+        sched, clock = make_scheduler()
+        assert sched.next_time() == math.inf
+        sched.schedule(0.2, lambda: None)
+        sched.schedule(0.1, lambda: sched.schedule(0.05, lambda: None))
+        assert sched.next_time() == 0.1
         sched.run()
-        assert fired == ["y"]
+        assert sched.next_time() == math.inf and clock.now == 0.2
 
     def test_trace_records_time_seq_label(self):
         # The event timeline is the flight recorder's "sched" spans: one

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro import rng as rng_mod
 from repro.core.clock import VirtualClock
@@ -109,11 +108,3 @@ class TestEventAwareUntil:
         assert not (10.0 >= until)
         scheduler.schedule(3.0, lambda: None)
         assert 10.0 >= until  # no caching: the new event interrupts
-
-    def test_cancelled_events_are_skipped(self):
-        scheduler, until = self.make()
-        event = scheduler.schedule(1.0, lambda: None)
-        event.cancelled = True
-        assert not (2.0 >= until)
-        with pytest.raises(IndexError):
-            _ = scheduler._heap[0]  # lazily drained by next_time()
