@@ -3,8 +3,6 @@
 from repro.analysis.cdf import (
     cdf_knee,
     coverage_fraction,
-    downsample_cdf,
-    read_probability_cdf,
     write_probability_cdf,
 )
 from repro.analysis.stats import (
@@ -25,11 +23,9 @@ __all__ = [
     "wa_fifo_uniform",
     "wa_for_config",
     "wa_greedy_uniform",
-    "read_probability_cdf",
     "write_probability_cdf",
     "coverage_fraction",
     "cdf_knee",
-    "downsample_cdf",
     "windowed_average",
     "coefficient_of_variation",
     "relative_swing",

@@ -12,11 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 
-def _probability_cdf(histogram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) of a Fig-4-style access CDF.
+def write_probability_cdf(histogram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) of the Fig-4 CDF over a per-LBA write histogram.
 
-    ``x`` is the fraction of the LBA space (sorted by decreasing access
-    count), ``y`` the cumulative fraction of all accesses landing there.
+    ``x`` is the fraction of the LBA space (sorted by decreasing write
+    count), ``y`` the cumulative fraction of all writes landing there.
     """
     hist = np.asarray(histogram, dtype=np.float64)
     total = hist.sum()
@@ -29,21 +29,6 @@ def _probability_cdf(histogram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def write_probability_cdf(histogram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Fig-4 CDF over a per-LBA *write* histogram."""
-    return _probability_cdf(histogram)
-
-
-def read_probability_cdf(histogram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The same CDF over a per-LBA *read* histogram.
-
-    Takes :attr:`repro.block.blktrace.BlkTrace.read_histogram`; the
-    curve answers "what fraction of reads hits what fraction of the
-    address space" — flat-then-saturating for skewed read mixes.
-    """
-    return _probability_cdf(histogram)
-
-
 def coverage_fraction(histogram: np.ndarray) -> float:
     """Fraction of the LBA space written at least once."""
     hist = np.asarray(histogram)
@@ -52,19 +37,12 @@ def coverage_fraction(histogram: np.ndarray) -> float:
     return float(np.count_nonzero(hist)) / len(hist)
 
 
-def cdf_knee(histogram: np.ndarray, level: float = 0.999) -> float:
-    """The x at which the CDF reaches *level* — the paper's dotted
-    line marking where WiredTiger's curve saturates."""
+def cdf_knee(histogram: np.ndarray) -> float:
+    """The x at which the CDF reaches 0.999 — the paper's dotted line
+    marking where WiredTiger's curve saturates."""
     x, y = write_probability_cdf(histogram)
-    idx = np.searchsorted(y, level)
+    idx = np.searchsorted(y, 0.999)
     if idx >= len(x):
         return 1.0
     return float(x[idx])
 
-
-def downsample_cdf(x: np.ndarray, y: np.ndarray, points: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Thin a CDF to ~*points* points for compact text reports."""
-    if len(x) <= points:
-        return x, y
-    idx = np.linspace(0, len(x) - 1, points).astype(np.int64)
-    return x[idx], y[idx]

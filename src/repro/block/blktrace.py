@@ -1,13 +1,9 @@
-"""Per-LBA access histograms (the ``blktrace`` analogue, §4.3 / Fig 4).
+"""Per-LBA write histogram (the ``blktrace`` analogue, §4.3 / Fig 4).
 
 The paper explains WiredTiger's low WA-D on a trimmed drive by tracing
 the host write access pattern and observing that ~45% of the LBA space
 is never written.  :class:`BlkTrace` records exactly that histogram so
 :func:`repro.analysis.cdf.write_probability_cdf` can regenerate Fig 4.
-Reads are traced with the same resolution: the read histogram shows
-which part of the address space a read-mixed workload actually
-touches (and how skew concentrates it), the mirror-image question the
-paper's blktrace methodology raises for the write path.
 """
 
 from __future__ import annotations
@@ -16,14 +12,12 @@ import numpy as np
 
 
 class BlkTrace:
-    """Counts accesses per logical page over the device's address space."""
+    """Counts writes per logical page over the device's address space."""
 
     def __init__(self, npages: int):
         self.npages = npages
         self._hist = np.zeros(npages, dtype=np.int64)
-        self._read_hist = np.zeros(npages, dtype=np.int64)
         self.total_write_requests = 0
-        self.total_read_requests = 0
 
     # BlockObserver interface -------------------------------------------------
     def on_write(self, t: float, start: int, npages: int, lpns: np.ndarray | None) -> None:
@@ -33,32 +27,12 @@ class BlkTrace:
             self._hist[start : start + npages] += 1
         self.total_write_requests += 1
 
-    def on_read(self, t: float, start: int, npages: int) -> None:
-        self._read_hist[start : start + npages] += 1
-        self.total_read_requests += 1
-
     # Queries ------------------------------------------------------------------
     @property
     def histogram(self) -> np.ndarray:
         """Write counts indexed by logical page (a copy)."""
         return self._hist.copy()
 
-    @property
-    def read_histogram(self) -> np.ndarray:
-        """Read counts indexed by logical page (a copy)."""
-        return self._read_hist.copy()
-
     def fraction_never_written(self) -> float:
         """Fraction of the LBA space with zero writes recorded."""
         return float(np.count_nonzero(self._hist == 0)) / self.npages
-
-    def fraction_never_read(self) -> float:
-        """Fraction of the LBA space with zero reads recorded."""
-        return float(np.count_nonzero(self._read_hist == 0)) / self.npages
-
-    def reset(self) -> None:
-        """Clear both histograms (e.g. after the load phase)."""
-        self._hist[:] = 0
-        self._read_hist[:] = 0
-        self.total_write_requests = 0
-        self.total_read_requests = 0

@@ -10,7 +10,7 @@ tail is never written and acts as extra spare space for garbage
 collection), refuses requests outside that range, re-drives writes
 that hit a transient device error within its retry budget
 (:class:`~repro.faults.retry.RetryPolicy`), and tells attached
-observers (:class:`~repro.block.blktrace.BlkTrace`) about each request.
+observers (:class:`~repro.block.blktrace.BlkTrace`) about each write.
 
 ``bytes_written`` / ``bytes_read`` (``block.*`` in a snapshot) are the
 cumulative per-device counters ``iostat`` reports deltas of: a window's
@@ -30,15 +30,13 @@ from repro.flash.ssd import SSD
 
 
 class BlockObserver(Protocol):
-    """Interface for blktrace-style request observers.  *t* is the
-    submission time: a request never moves the clock (its caller
-    advances by the latency returned), so it is read once served."""
+    """Interface for blktrace-style observers of host writes, the
+    requests Fig 4 traces.  *t* is the submission time: a request never
+    moves the clock (its caller advances by the latency returned), so
+    it is read once served."""
 
     def on_write(self, t: float, start: int, npages: int, lpns: np.ndarray | None) -> None:
         """Called for every write request (either a range or a page list)."""
-
-    def on_read(self, t: float, start: int, npages: int) -> None:
-        """Called for every read request (always a consecutive range)."""
 
 
 class BlockDevice:
@@ -128,13 +126,11 @@ class BlockDevice:
             self._refuse(start, npages)
         latency = self.ssd.read_range(start, npages)
         self.bytes_read += npages * self.page_size
-        for observer in self._observers:
-            observer.on_read(self.ssd.clock.now, start, npages)
         return latency
 
     def read_ranges(self, starts, lens) -> list[float]:
         """``read_range`` of every ``(start, npages)`` as one submission;
-        each range is still its own request to SMART and the observers."""
+        each range is still its own request to SMART."""
         exposed = self.npages
         pages = 0
         for i, (start, npages) in enumerate(zip(starts, lens)):
@@ -146,10 +142,6 @@ class BlockDevice:
                 pages += npages
         latencies = self.ssd.read_ranges(starts, lens)
         self.bytes_read += pages * self.page_size
-        for observer in self._observers:
-            for start, npages in zip(starts, lens):
-                if npages > 0:
-                    observer.on_read(self.ssd.clock.now, start, npages)
         return latencies
 
     def trim_range(self, start: int, npages: int) -> None:

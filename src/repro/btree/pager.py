@@ -24,14 +24,15 @@ class Pager:
     #: Slots pre-allocated (fallocate-style) per file extension; real
     #: engines grow files in large chunks to limit fragmentation.
     GROW_CHUNK_SLOTS = 32
+    #: The one tree file (WiredTiger keeps a table in one file).
+    FILENAME = "btree.wt"
 
-    def __init__(self, fs: ExtentFilesystem, page_bytes: int, filename: str = "btree.wt"):
+    def __init__(self, fs: ExtentFilesystem, page_bytes: int):
         if page_bytes <= 0:
             raise ConfigError("page_bytes must be positive")
         self.fs = fs
         self.page_bytes = page_bytes
-        self.filename = filename
-        self.fs.create(filename)
+        self.fs.create(self.FILENAME)
         self._nslots = 0
         self._free_slots: list[int] = []
         self.pages_written = 0
@@ -47,8 +48,9 @@ class Pager:
     # ------------------------------------------------------------------
     # Slot lifecycle
     # ------------------------------------------------------------------
-    def write_new(self, background: bool = False) -> tuple[int, float]:
-        """Write a page into a fresh slot (copy-on-write target).
+    def write_new(self) -> tuple[int, float]:
+        """Write a page into a fresh slot (copy-on-write target) as a
+        foreground request.
 
         Returns (slot, latency).  Freed slots are recycled before the
         file grows; growth reserves a whole chunk of slots without
@@ -56,7 +58,7 @@ class Pager:
         """
         self.pages_written += 1
         slot = self.alloc_slot()
-        return slot, self._write_slot(slot, background)
+        return slot, self._write_slot(slot, background=False)
 
     def alloc_slot(self) -> int:
         """Take a fresh slot, growing the file by a chunk if needed.
@@ -67,7 +69,7 @@ class Pager:
         writes into one :meth:`write_slots` submission.
         """
         if not self._free_slots:
-            self.fs.reserve(self.filename, self.GROW_CHUNK_SLOTS * self.page_bytes)
+            self.fs.reserve(self.FILENAME, self.GROW_CHUNK_SLOTS * self.page_bytes)
             grown = range(self._nslots, self._nslots + self.GROW_CHUNK_SLOTS)
             self._nslots += self.GROW_CHUNK_SLOTS
             self._free_slots.extend(reversed(grown))
@@ -94,7 +96,7 @@ class Pager:
         run = self._slot_run(slot)
         if run is not None:
             return self.fs.device.read_range(*run)
-        return self.fs.pread(self.filename, slot * self.page_bytes, self.page_bytes)
+        return self.fs.pread(self.FILENAME, slot * self.page_bytes, self.page_bytes)
 
     def _write_slot(self, slot: int, background: bool) -> float:
         """Submit one slot write, via the cached device range if any."""
@@ -102,7 +104,7 @@ class Pager:
         if run is not None:
             return self.fs.device.write_range(run[0], run[1], background=background)
         return self.fs.pwrite(
-            self.filename, slot * self.page_bytes, self.page_bytes,
+            self.FILENAME, slot * self.page_bytes, self.page_bytes,
             background=background,
         )
 
@@ -116,7 +118,7 @@ class Pager:
             page_size = self._fs_page_size
             first_page = offset // page_size
             last_page = -(-(offset + self.page_bytes) // page_size)
-            run = self.fs.page_run(self.filename, first_page, last_page - first_page)
+            run = self.fs.page_run(self.FILENAME, first_page, last_page - first_page)
             self._slot_runs[slot] = run
             return run
 
@@ -144,7 +146,7 @@ class Pager:
     @property
     def file_bytes(self) -> int:
         """The file's on-disk footprint."""
-        return self.fs.file_size(self.filename)
+        return self.fs.file_size(self.FILENAME)
 
     def _check_slot(self, slot: int) -> None:
         if not 0 <= slot < self._nslots:

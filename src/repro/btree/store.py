@@ -579,17 +579,18 @@ class BTreeStore(KVStore):
         latency += self._reconcile_all(evicted)
         return latency
 
-    def _reconcile_all(self, leaves: list[LeafNode], background: bool = False) -> float:
+    def _reconcile_all(self, leaves: list[LeafNode]) -> float:
         latency = 0.0
         for leaf in leaves:
             if leaf.dirty:
-                latency += self._reconcile(leaf, background)
+                latency += self._reconcile(leaf)
         return latency
 
-    def _reconcile(self, leaf: LeafNode, background: bool) -> float:
-        """Write a dirty leaf copy-on-write and free its old slot."""
+    def _reconcile(self, leaf: LeafNode) -> float:
+        """Write a dirty leaf copy-on-write (in the foreground: eviction
+        is on the op's path) and free its old slot."""
         old_slot = leaf.slot
-        slot, latency = self.pager.write_new(background=background)
+        slot, latency = self.pager.write_new()
         leaf.slot = slot
         leaf.dirty = False
         if old_slot >= 0:

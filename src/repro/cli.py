@@ -4,8 +4,12 @@
 ``repro run-figure fig7 fig8``   reproduce figures (or ``all``), sharing their cells
 ``repro run --engine lsm ...``   run a single custom experiment
 ``repro campaign --preset ...``  run a grid of experiments on a worker pool
-``repro profile``                cProfile one fig-2 cell (top-N hot spots)
 ``repro pitfalls``               print the seven-pitfall checklist
+
+There is no profiling subcommand: ``python -m cProfile -s tottime -m
+repro.cli run <spec flags>`` profiles any spec ``repro run`` accepts,
+through the same :func:`~repro.core.experiment.run_experiment` route,
+and prints the run's report and then the pstats table.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench import WORKLOADS, profile_case
 from repro.campaign import PRESETS, run_campaign
 from repro.core.experiment import Engine, ExperimentSpec, run_experiment
 from repro.core.figures import CELL_COUNTS, FIGURES, SCALES
@@ -111,42 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                "cell to PREFIX-<cellhash>.json and record its "
                                "latency attribution in the JSONL output")
     campaign.set_defaults(func=_cmd_campaign)
-
-    profile = sub.add_parser(
-        "profile",
-        help="cProfile one fig-2 cell and print the hottest functions",
-        description=(
-            "Run one fig-2 cell under cProfile and print the top-N "
-            "functions (DESIGN.md §8), so perf work starts from measured hot "
-            "spots.  Profiles rank; the perf ledger (benchmarks/ledger) "
-            "decides."
-        ),
-    )
-    profile.add_argument("--engine", choices=[e.value for e in Engine],
-                         default="lsm")
-    profile.add_argument("--workload", choices=sorted(WORKLOADS),
-                         default="update")
-    profile.add_argument("--clients", type=int, default=1,
-                         help="1 = inline runner; >1 = pooled cell")
-    profile.add_argument("--scale", choices=sorted(SCALES), default="small")
-    profile.add_argument("--shards", type=int, default=1,
-                         help=">1 profiles the fleet path (router + "
-                              "per-shard stacks, DESIGN.md §10)")
-    profile.add_argument("--arrival", choices=sorted(ARRIVALS), default=None,
-                         help="profile the open-loop fleet driver with this "
-                              "arrival process (implies the fleet path)")
-    profile.add_argument("--arrival-rate", type=float, default=0.0,
-                         help="open-loop offered load, ops/s (with --arrival)")
-    profile.add_argument("--queue-cap", type=int, default=0,
-                         help="per-shard admission bound (with --arrival; "
-                              "0 = spec default)")
-    profile.add_argument("--top", type=int, default=30,
-                         help="rows to print (default %(default)s)")
-    profile.add_argument("--sort", choices=["cumulative", "tottime", "ncalls"],
-                         default="cumulative",
-                         help="pstats sort key (default %(default)s)")
-    profile.add_argument("--out", help="also write the table to a file")
-    profile.set_defaults(func=_cmd_profile)
 
     pitfalls = sub.add_parser("pitfalls", help="print the 7-pitfall checklist")
     pitfalls.set_defaults(func=_cmd_pitfalls)
@@ -409,6 +376,8 @@ def _cmd_campaign(args) -> int:
         from repro.campaign.store import CampaignStore
 
         store = CampaignStore(args.render)
+        if not store.path.exists():
+            raise ConfigError(f"campaign file {store.path} does not exist")
         records = list(store.load().values())  # file (= completion) order
         if not records:
             print(f"no completed cells in {args.render}")
@@ -453,20 +422,6 @@ def _cmd_campaign(args) -> int:
           f"in {outcome.wall_seconds:.1f}s with {args.workers} worker(s)")
     print()
     print(render_campaign(outcome.records, title=f"campaign {campaign.name!r}"))
-    return 0
-
-
-def _cmd_profile(args) -> int:
-    table = profile_case(
-        Engine(args.engine), args.scale, workload_name=args.workload,
-        nclients=args.clients, top=args.top,
-        sort=args.sort, nshards=args.shards, arrival=args.arrival,
-        arrival_rate=args.arrival_rate, queue_cap=args.queue_cap,
-    )
-    print(table)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(table)
     return 0
 
 

@@ -34,10 +34,8 @@ from repro.errors import ConfigError
 class VirtualClock:
     """A monotonically increasing virtual clock measured in seconds."""
 
-    def __init__(self, start: float = 0.0):
-        if start < 0:
-            raise ConfigError(f"clock cannot start at negative time {start!r}")
-        self._now = float(start)
+    def __init__(self):
+        self._now = 0.0
         self._step_now = self._now  # absolute step-local time in capture mode
         self._capturing = False
 

@@ -14,24 +14,30 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
 import numpy as np
 
 from repro import rng as rng_mod
 from repro.analysis.stats import slo_attainment
+from repro.btree.config import BTreeConfig
 from repro.core.metrics import (ClientLatencies, MetricsCollector, Sample,
                                 ops_in)
 from repro.core.stack import Engine, Stack, build_stack
 from repro.core.steady_state import SteadySummary, summarize
 from repro.errors import ConfigError
 from repro.faults import validate_faults
+from repro.flash.config import SSDConfig
+from repro.flash.gc import POLICIES
+from repro.flash.profiles import get_profile
 from repro.flash.state import DriveState
 from repro.fleet.arrival import make_arrival, validate_arrival
 from repro.fleet.pool import AVAILABILITY_TARGET, FleetCounters, FleetPool
 from repro.fleet.router import ROUTERS
 from repro.fleet.sharded import ShardedStore
+from repro.fs.allocator import STRATEGIES
+from repro.lsm.config import LSMConfig
 from repro.lsm.memtable import SCAN_KEY_SPAN
 from repro.obs.tracer import NULL_TRACER, attach_tracer
 from repro.sim.clients import ClientPool
@@ -202,6 +208,53 @@ class ExperimentSpec:
                     f"{self.kill_shard} with nshards={self.nshards}")
         elif self.kill_shard:
             raise ConfigError("kill_shard requires kill_at")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.max_ops is not None and self.max_ops <= 0:
+            raise ConfigError("max_ops must be positive (None: no op budget)")
+        if self.fs_strategy not in STRATEGIES:
+            raise ConfigError(f"unknown fs_strategy {self.fs_strategy!r}; "
+                              f"expected one of {list(STRATEGIES)}")
+        if self.gc_policy not in POLICIES:
+            raise ConfigError(f"unknown gc_policy {self.gc_policy!r}; "
+                              f"expected one of {sorted(POLICIES)}")
+        engine_cls = LSMConfig if Engine(self.engine) is Engine.LSM else BTreeConfig
+        for name, options, cls in (("engine_options", self.engine_options, engine_cls),
+                                   ("ssd_options", self.ssd_options, SSDConfig)):
+            known = {f.name for f in fields(cls)}
+            if set(options) - known:
+                raise ConfigError(
+                    f"unknown {name} {sorted(set(options) - known)}; "
+                    f"{cls.__name__} takes {sorted(known)}")
+        # Both configs validate their values as the stack will build them.
+        engine = engine_cls(**self.engine_options)
+        ssd = self.shard_ssd()
+        if engine_cls is BTreeConfig:
+            self._check_btree_fits(engine, ssd)
+
+    def _check_btree_fits(self, config: BTreeConfig, ssd: SSDConfig) -> None:
+        """A value must fit a leaf page and the journal ring a shard."""
+        if config.leaf_entry_bytes(self.value_bytes) > config.leaf_page_bytes:
+            # A split would leave an empty right sibling.
+            raise ConfigError(
+                f"value_bytes {self.value_bytes} does not fit one "
+                f"{config.leaf_page_bytes}-byte B+Tree leaf page; at most "
+                f"{config.leaf_page_bytes - config.leaf_entry_bytes(0)}")
+        exposed = int(ssd.logical_pages * (1.0 - self.op_reserved_fraction))
+        if (config.journal_enabled
+                and config.journal_ring_bytes > exposed * ssd.page_size):
+            # The store pre-allocates its journal ring when it is built.
+            raise ConfigError(
+                f"the {config.journal_ring_bytes}-byte B+Tree journal ring "
+                f"does not fit a shard's {exposed * ssd.page_size}-byte "
+                "exposed range")
+
+    def shard_ssd(self) -> SSDConfig:
+        """The drive of each shard: the named profile at 1/nshards of
+        the capacity, with ``ssd_options`` applied."""
+        profile = get_profile(self.ssd, self.capacity_bytes // self.nshards)
+        return replace(profile, **self.ssd_options) if self.ssd_options else profile
 
     @property
     def nkeys(self) -> int:

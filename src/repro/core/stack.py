@@ -5,7 +5,7 @@ they counted (DESIGN.md §10.5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any
 
@@ -18,7 +18,6 @@ from repro.core.clock import VirtualClock
 from repro.counters import sum_counters
 from repro.faults import FaultPlan, RetryPolicy
 from repro.flash.gc import make_policy
-from repro.flash.profiles import get_profile
 from repro.flash.ssd import SSD
 from repro.flash.state import apply_drive_state
 from repro.fleet.router import make_router
@@ -102,9 +101,7 @@ def build_stack(spec: ExperimentSpec) -> Stack:
     process) puts them behind a router.
     """
     clock = VirtualClock()
-    profile = get_profile(spec.ssd, spec.capacity_bytes // spec.nshards)
-    if spec.ssd_options:
-        profile = replace(profile, **spec.ssd_options)
+    profile = spec.shard_ssd()
     shards = [_build_shard(spec, profile, _shard_seed(spec.seed, index), clock)
               for index in range(spec.nshards)]
     store = shards[0].store

@@ -54,54 +54,49 @@ def cusum(values, k: float = 0.5, h: float = 7.0) -> list[int]:
     return alarms
 
 
-def series_is_steady(values, k: float = 0.5, h: float = 7.0,
-                     rel_band: float = 0.05, rel_drift: float = 0.10) -> bool:
+def series_is_steady(values) -> bool:
     """Whether a series shows no sustained drift.
 
     Three checks, in order:
 
-    * a series whose total spread is within ``rel_band`` of its mean is
-      steady regardless of CUSUM (CUSUM on near-constant data only
-      amplifies noise);
-    * a first-third vs last-third mean shift above ``rel_drift`` is a
-      drift — this catches short monotone ramps that CUSUM needs many
-      samples to accumulate;
-    * otherwise the series must be CUSUM-alarm-free.
+    * a series whose total spread is within 5 % of its mean is steady
+      regardless of CUSUM (CUSUM on near-constant data only amplifies
+      noise);
+    * a first-third vs last-third mean shift above 10 % is a drift —
+      this catches short monotone ramps that CUSUM needs many samples
+      to accumulate;
+    * otherwise the series must be free of :func:`cusum` alarms.
     """
     data = np.asarray(values, dtype=np.float64)
     if data.size < 2:
         return True
     mean = float(np.abs(data).mean())
-    if mean > 0 and float(data.max() - data.min()) <= rel_band * mean:
+    if mean > 0 and float(data.max() - data.min()) <= 0.05 * mean:
         return True
     third = max(1, data.size // 3)
     head = float(data[:third].mean())
     tail = float(data[-third:].mean())
     scale = max(abs(head), abs(tail), 1e-12)
-    if abs(tail - head) / scale > rel_drift:
+    if abs(tail - head) / scale > 0.10:
         return False
-    return not cusum(data, k, h)
+    return not cusum(data)
 
 
-def steady_start_index(
-    samples: list[Sample],
-    metrics: tuple[str, ...] = ("kv_tput", "wa_a", "wa_d"),
-    k: float = 0.5,
-    h: float = 7.0,
-    min_tail: int = 8,
-) -> int | None:
-    """First index such that every metric is steady from there on.
+def steady_start_index(samples: list[Sample]) -> int | None:
+    """First index such that throughput, WA-A and WA-D are all steady
+    from there on (the paper's holistic criterion).
 
-    Returns None when no suffix of at least *min_tail* samples is
-    steady — i.e. the test was too short to report steady-state
-    numbers, which is precisely pitfall 1.
+    Returns None when no suffix of at least eight samples is steady —
+    i.e. the test was too short to report steady-state numbers, which
+    is precisely pitfall 1.
     """
     n = len(samples)
-    if n < min_tail:
+    if n < 8:
         return None
-    columns = {m: np.array([getattr(s, m) for s in samples]) for m in metrics}
-    for start in range(0, n - min_tail + 1):
-        if all(series_is_steady(col[start:]) for col in columns.values()):
+    columns = [np.array([getattr(s, m) for s in samples])
+               for m in ("kv_tput", "wa_a", "wa_d")]
+    for start in range(0, n - 8 + 1):
+        if all(series_is_steady(col[start:]) for col in columns):
             return start
     return None
 
@@ -129,11 +124,11 @@ class SteadySummary:
     detected: bool  # False = no steady suffix found; tail used instead
 
 
-def summarize(samples: list[Sample], tail_fraction: float = 0.3) -> SteadySummary:
+def summarize(samples: list[Sample]) -> SteadySummary:
     """Steady-state summary of a sample series.
 
     Uses CUSUM detection when possible and otherwise falls back to the
-    trailing *tail_fraction* of the run (flagged via ``detected``).
+    trailing 30 % of the run (flagged via ``detected``).
 
     Rates are **time-weighted**: sampling windows are not equally long
     (a write stall stretches its window), so an unweighted mean of
@@ -145,7 +140,7 @@ def summarize(samples: list[Sample], tail_fraction: float = 0.3) -> SteadySummar
     start = steady_start_index(samples)
     detected = start is not None
     if start is None:
-        start = max(0, int(len(samples) * (1.0 - tail_fraction)))
+        start = max(0, int(len(samples) * 0.7))
     tail = samples[start:]
 
     previous_t = samples[start - 1].t if start > 0 else 0.0

@@ -203,17 +203,12 @@ class _NoFaults:
     """Injection disabled: the ``ssd.faults`` default.
 
     ``enabled`` is a class attribute, so hot paths pay one attribute
-    load + truth test and never call into this object.
+    load + truth test; it has no methods, so a call past that guard
+    raises ``AttributeError``.
     """
 
     enabled = False
     degrade = None
-
-    def on_write(self, ssd) -> float:  # pragma: no cover - guarded out
-        return 0.0
-
-    def on_read(self, ssd) -> float:  # pragma: no cover - guarded out
-        return 0.0
 
 
 NO_FAULTS = _NoFaults()

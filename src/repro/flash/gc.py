@@ -276,13 +276,16 @@ class WindowedGreedyPolicy(GCPolicy):
         return best
 
 
+#: The policies a spec's ``gc_policy`` may name.
+POLICIES = {
+    "greedy": GreedyPolicy,
+    "fifo": FifoPolicy,
+    "windowed-greedy": WindowedGreedyPolicy,
+}
+
+
 def make_policy(name: str) -> GCPolicy:
     """Build a policy by name: ``greedy``, ``fifo`` or ``windowed-greedy``."""
-    policies = {
-        "greedy": GreedyPolicy,
-        "fifo": FifoPolicy,
-        "windowed-greedy": WindowedGreedyPolicy,
-    }
-    if name not in policies:
-        raise ConfigError(f"unknown GC policy {name!r}; expected one of {sorted(policies)}")
-    return policies[name]()
+    if name not in POLICIES:
+        raise ConfigError(f"unknown GC policy {name!r}; expected one of {sorted(POLICIES)}")
+    return POLICIES[name]()

@@ -18,6 +18,10 @@ Three strategies are provided:
 * **first-fit** (ablation): always allocate at the lowest possible
   address, keeping the file footprint compact.
 
+A request takes as many extents as the strategy carves for it; there
+is no contiguous mode.  A file that happens to sit in one extent is
+found by ``ExtentFilesystem.contiguous_device_range``, not requested.
+
 The free list is a pair of parallel int64 arrays with in-place
 carving, ``searchsorted`` coalescing and a batched :meth:`~
 ExtentAllocator.free_many` (DESIGN.md §12).  The extent stream is part
@@ -78,21 +82,15 @@ class ExtentAllocator:
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------
-    def alloc(self, npages: int, contiguous: bool = False) -> list[Extent]:
-        """Allocate *npages*, returning the extents granted.
-
-        With ``contiguous=True`` a single extent is returned or
-        :class:`NoSpaceError` is raised; otherwise the request may be
-        satisfied by multiple extents.
-        """
+    def alloc(self, npages: int) -> list[Extent]:
+        """Allocate *npages*, returning the extents granted (one or
+        more, in the order the strategy carved them)."""
         if npages <= 0:
             raise ConfigError("allocation size must be positive")
         if npages > self.free_pages:
             raise NoSpaceError(
                 f"requested {npages} pages but only {self.free_pages} free"
             )
-        if contiguous:
-            return [self._alloc_contiguous(npages)]
         granted: list[Extent] = []
         remaining = npages
         take_some = self._take_some
@@ -190,12 +188,6 @@ class ExtentAllocator:
         n = self._n
         return list(zip(self._s[:n].tolist(), self._l[:n].tolist()))
 
-    def largest_free_extent(self) -> int:
-        """Size of the largest free extent in pages (0 when full)."""
-        if self._n == 0:
-            return 0
-        return int(self._l[:self._n].max())
-
     def check_invariants(self) -> None:
         """Verify internal consistency; raises ``AssertionError`` on bugs."""
         n = self._n
@@ -272,46 +264,6 @@ class ExtentAllocator:
                 self._carve_at(idx, take_from, take)
                 return (take_from, take)
         raise NoSpaceError("free accounting drifted: no extent found")
-
-    def _alloc_contiguous(self, npages: int) -> Extent:
-        n = self._n
-        if self.strategy == "scatter" and n:
-            lens = self._l[:n]
-            pivot = self._scatter_pivot()
-            # First extent from the pivot (wrapping) with enough room.
-            cand = np.flatnonzero(lens[pivot:] >= npages)
-            if cand.size:
-                idx = pivot + int(cand[0])
-            else:
-                cand = np.flatnonzero(lens[:pivot] >= npages)
-                idx = int(cand[0]) if cand.size else -1
-            if idx >= 0:
-                take_from = int(self._s[idx])
-                self._carve_at(idx, take_from, npages)
-                return (take_from, npages)
-        elif self.strategy == "first-fit" and n:
-            cand = np.flatnonzero(self._l[:n] >= npages)
-            if cand.size:
-                idx = int(cand[0])
-                take_from = int(self._s[idx])
-                self._carve_at(idx, take_from, npages)
-                return (take_from, npages)
-        elif n:  # next-fit: walk from the rotor, wrapping
-            for idx in self._scan_indices():
-                start = int(self._s[idx])
-                length = int(self._l[idx])
-                take_from = start
-                if start < self._rotor < start + length:
-                    take_from = self._rotor
-                    if start + length - take_from < npages:
-                        take_from = start  # tail too small: use the extent head
-                if start + length - take_from >= npages:
-                    self._carve_at(idx, take_from, npages)
-                    return (take_from, npages)
-        raise NoSpaceError(
-            f"no contiguous extent of {npages} pages "
-            f"(largest free: {self.largest_free_extent()})"
-        )
 
     def _scan_indices(self):
         """Scan order for the non-scatter strategies (ablation paths)."""

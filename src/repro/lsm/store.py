@@ -716,7 +716,7 @@ class LSMStore(KVStore):
         from repro.sim.resources import Resource
 
         self.scheduler = scheduler
-        self._bg_worker = Resource(scheduler, capacity=1, name="lsm-bg")
+        self._bg_worker = Resource(scheduler, name="lsm-bg")
 
     # ------------------------------------------------------------------
     # Crash recovery (fault injection; DESIGN.md §11)

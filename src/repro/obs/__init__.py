@@ -2,11 +2,11 @@
 
 The observability substrate (DESIGN.md §9).  Every layer of the stack
 holds a tracer reference that defaults to :data:`NULL_TRACER`, a
-shared no-op whose ``enabled`` flag is ``False`` — instrumentation
-sites hoist that flag into a local and skip all event construction
-when it is off, so a run without tracing executes the exact same
-arithmetic (and produces byte-identical fingerprints) as before the
-tracer existed.
+shared object that is only an ``enabled`` flag set to ``False`` —
+instrumentation sites hoist that flag into a local and skip all event
+construction when it is off, so a run without tracing executes the
+exact same arithmetic (and produces byte-identical fingerprints) as
+before the tracer existed.
 
 A real :class:`Tracer` records typed span/instant/counter events
 stamped on the virtual clock into a bounded ring and accumulates a

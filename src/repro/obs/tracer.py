@@ -31,47 +31,13 @@ from repro.obs.sink import RingSink
 class NullTracer:
     """Shared do-nothing tracer; the default wired into every layer.
 
-    ``enabled`` is a plain class attribute (always ``False``) so the
-    hot-path guard ``if tracer.enabled:`` is one attribute load.
+    It is one flag: ``enabled`` is a class attribute (always ``False``)
+    so the hot-path guard ``if tracer.enabled:`` is one attribute load,
+    and it has no methods, so a call that skipped the guard raises
+    ``AttributeError`` instead of costing time unnoticed.
     """
 
     enabled = False
-    in_op = False
-    tid = 0
-    shard = None
-
-    def enable(self):  # pragma: no cover - trivial
-        pass
-
-    def disable(self):  # pragma: no cover - trivial
-        pass
-
-    def span(self, name, cat, t0, dur, args=None):
-        pass
-
-    def instant(self, name, cat, args=None):
-        pass
-
-    def counter(self, name, values):
-        pass
-
-    def op_begin(self, tid=None):
-        pass
-
-    def add(self, component, seconds):
-        pass
-
-    def op_suspend(self):
-        pass
-
-    def op_resume(self):
-        pass
-
-    def op_end(self, kind, t0, latency):
-        pass
-
-    def op_write(self, kind, t0, latency, penalty):
-        pass
 
 
 #: The process-wide no-op tracer every layer defaults to.

@@ -6,8 +6,8 @@ engine work and per-channel device service can share one timeline:
 
 * :mod:`repro.sim.scheduler` — the event heap (keyed on ``(time,
   seq)``) and cooperative generator tasks;
-* :mod:`repro.sim.resources` — capacity-limited resources with FIFO
-  wait queues (e.g. the LSM engine's background worker);
+* :mod:`repro.sim.resources` — a one-token resource with a FIFO wait
+  queue (the LSM engine's background worker);
 * :mod:`repro.sim.clients` — the multi-client workload driver
   (:class:`~repro.sim.clients.ClientPool`).
 

@@ -1,8 +1,8 @@
-"""Capacity-limited resources with FIFO wait queues (DESIGN.md §4.1).
+"""A one-token resource with a FIFO wait queue (DESIGN.md §4.1).
 
-A :class:`Resource` models a contended facility — a background worker
-pool, a device queue slot — with a fixed number of tokens.  Tasks
-acquire a token by yielding a request::
+A :class:`Resource` models a contended facility — the LSM engine's
+background worker — as one token.  Tasks acquire it by yielding a
+request::
 
     def job(resource):
         yield resource.request()
@@ -41,32 +41,23 @@ class Request:
 
 
 class Resource:
-    """*capacity* tokens handed to waiting tasks in FIFO order."""
+    """One token handed to waiting tasks in FIFO order."""
 
-    def __init__(self, scheduler: Scheduler, capacity: int = 1,
-                 name: str = "resource"):
-        if capacity < 1:
-            raise ConfigError("resource capacity must be >= 1")
+    def __init__(self, scheduler: Scheduler, name: str = "resource"):
         self.scheduler = scheduler
-        self.capacity = capacity
         self.name = name
-        self.in_use = 0
+        self.held = False
         self._waiting: deque[Request] = deque()
 
-    @property
-    def queue_depth(self) -> int:
-        """Requests currently waiting for a token."""
-        return len(self._waiting)
-
     def request(self) -> Request:
-        """A yieldable acquisition request (one token)."""
+        """A yieldable acquisition request for the token."""
         return Request(self)
 
     def release(self) -> None:
-        """Return a token; the oldest waiter (if any) is granted next."""
-        if self.in_use <= 0:
+        """Return the token; the oldest waiter (if any) is granted next."""
+        if not self.held:
             raise ConfigError(f"release of idle resource {self.name!r}")
-        self.in_use -= 1
+        self.held = False
         self._grant_next()
 
     # ------------------------------------------------------------------
@@ -77,9 +68,9 @@ class Resource:
         self._grant_next()
 
     def _grant_next(self) -> None:
-        while self._waiting and self.in_use < self.capacity:
+        if self._waiting and not self.held:
             granted = self._waiting.popleft()
-            self.in_use += 1
+            self.held = True
             self.scheduler.schedule(
                 0.0, granted.task._resume, label=f"{self.name}-grant"
             )

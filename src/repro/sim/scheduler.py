@@ -47,17 +47,13 @@ class Task:
         self._gen = gen
         self._send = gen.send  # bound once: called every step
         self.label = label
-        self.done = False
-        self.result = None
         self._bound_step = self._step  # one bound-method alloc, reused
 
     def _step(self, send_value=None) -> None:
         """Run the generator to its next suspension point."""
         try:
             yielded = self._send(send_value)
-        except StopIteration as stop:
-            self.done = True
-            self.result = stop.value
+        except StopIteration:
             return
         if type(yielded) is float and yielded >= 0.0:
             # The per-operation hot path: a clock read and a heap push.
@@ -119,11 +115,9 @@ class Scheduler:
                        (self.clock.now + delay, next(self._seq), fn, label))
 
     def spawn(self, gen: Generator, label: str = "task",
-              delay: float = 0.0) -> Task:
+              delay: float = 0.0) -> None:
         """Start a cooperative task; its first step runs after *delay*."""
-        task = Task(self, gen, label)
-        self.schedule(delay, task._step, label=label)
-        return task
+        self.schedule(delay, Task(self, gen, label)._step, label=label)
 
     def run(self) -> None:
         """Run events in time order until the heap drains.

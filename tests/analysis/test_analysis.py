@@ -8,8 +8,6 @@ import pytest
 from repro.analysis.cdf import (
     cdf_knee,
     coverage_fraction,
-    downsample_cdf,
-    read_probability_cdf,
     write_probability_cdf,
 )
 from repro.analysis.stats import (
@@ -46,34 +44,6 @@ class TestCdf:
         hist[0] = 1000
         _x, y = write_probability_cdf(hist)
         assert y[0] > 0.9
-
-    def test_downsample(self):
-        x, y = write_probability_cdf(np.ones(1000))
-        dx, dy = downsample_cdf(x, y, points=50)
-        assert len(dx) == 50
-        assert dy[-1] == pytest.approx(1.0)
-
-    def test_read_cdf_matches_write_cdf_shape(self):
-        # Same math over the read histogram: bit-identical curves for
-        # identical histograms.
-        hist = np.zeros(100)
-        hist[:25] = 4
-        wx, wy = write_probability_cdf(hist)
-        rx, ry = read_probability_cdf(hist)
-        assert np.array_equal(wx, rx)
-        assert np.array_equal(wy, ry)
-        assert ry[24] == pytest.approx(1.0)
-
-    def test_read_cdf_from_blktrace(self):
-        from repro.block.blktrace import BlkTrace
-
-        trace = BlkTrace(100)
-        trace.on_read(0.0, 0, 10)
-        trace.on_read(0.0, 0, 10)
-        trace.on_read(0.0, 10, 10)
-        x, y = read_probability_cdf(trace.read_histogram)
-        assert y[9] == pytest.approx(2 / 3)   # hottest 10% takes 2/3 of reads
-        assert y[19] == pytest.approx(1.0)
 
 
 class TestStats:

@@ -31,15 +31,12 @@ class TestBlockDevice:
             def on_write(self, t, start, npages, lpns):
                 seen.append(("w", npages))
 
-            def on_read(self, t, start, npages):
-                seen.append(("r", npages))
-
         device.write_range(0, 1)  # before attaching: not shown
         device.attach(Probe())
         device.write_range(0, 4)
         device.write_pages(np.array([9, 11], dtype=np.int64))
-        device.read_range(0, 2)
-        assert seen == [("w", 4), ("w", 2), ("r", 2)]
+        device.read_range(0, 2)  # reads are not traced
+        assert seen == [("w", 4), ("w", 2)]
 
 
 class TestByteCounters:
@@ -134,32 +131,6 @@ class TestBlkTrace:
         assert trace.fraction_never_written() == pytest.approx(
             1 - half / device.npages
         )
-
-    def test_reset(self, device):
-        trace = BlkTrace(device.npages)
-        device.attach(trace)
-        device.write_range(0, 5)
-        device.read_range(0, 5)
-        trace.reset()
-        assert trace.fraction_never_written() == 1.0
-        assert trace.fraction_never_read() == 1.0
-        assert trace.total_read_requests == 0
-
-    def test_read_histogram(self, device):
-        trace = BlkTrace(device.npages)
-        device.attach(trace)
-        device.read_range(0, 4)
-        device.read_range(2, 4)
-        hist = trace.read_histogram
-        assert hist[0] == 1 and hist[2] == 2 and hist[5] == 1
-        assert trace.total_read_requests == 2
-        assert trace.fraction_never_read() == pytest.approx(
-            1 - 6 / device.npages
-        )
-        # Reads leave the write histogram untouched and vice versa.
-        assert trace.total_write_requests == 0
-        device.write_range(10, 2)
-        assert trace.read_histogram[10] == 0
 
 
 class TestPartition:

@@ -92,10 +92,13 @@ class TestGridExpansion:
             CampaignSpec("bad", MICRO_BASE, {"name": ("a", "b")})
 
     def test_axis_values_validated_like_any_spec(self):
-        campaign = CampaignSpec("bad", MICRO_BASE,
-                                {"read_fraction": (0.0, 1.5)})
-        with pytest.raises(ConfigError):
-            campaign.cells()
+        for axis in ({"read_fraction": (0.0, 1.5)},
+                     # Name typos fail at expansion, not in a worker.
+                     {"gc_policy": ("greedy", "gredy")},
+                     {"fs_strategy": ("scatter", "next_fit")}):
+            campaign = CampaignSpec("bad", MICRO_BASE, axis)
+            with pytest.raises(ConfigError):
+                campaign.cells()
 
 
 class TestPlanDerivation:

@@ -1,10 +1,8 @@
-"""The profiler entry point (DESIGN.md §8) and the 16-client fig-2 cell."""
+"""The 16-client fig-2 cell, in readable numbers."""
 
 from __future__ import annotations
 
-from repro.bench import profile_case
-from repro.cli import main
-from repro.core.experiment import Engine, ExperimentSpec, run_experiment
+from repro.core.experiment import ExperimentSpec, run_experiment
 from tests.core.test_golden_fingerprints import SPECS
 
 
@@ -36,24 +34,3 @@ def test_pool16_cell_matches_committed_sim_block():
         "samples": 4,
     }
 
-
-def test_profile_case_reports_hot_spots():
-    table = profile_case(Engine.LSM, "small", nclients=4, top=5,
-                         sort="tottime")
-    assert "fig2-update-pool4-lsm" in table
-    assert "ncalls" in table  # the pstats table rendered
-
-
-def test_profile_cli_smoke(capsys, tmp_path):
-    out_path = tmp_path / "profile.txt"
-    assert main(["profile", "--engine", "btree", "--scale", "small",
-                 "--top", "3", "--out", str(out_path)]) == 0
-    out = capsys.readouterr().out
-    assert "fig2-update-btree" in out
-    assert out_path.read_text().startswith("profile of fig2-update-btree")
-
-
-def test_profile_fleet_path():
-    table = profile_case(Engine.LSM, "small", nclients=4, nshards=2, top=5)
-    assert "fleet path" in table
-    assert "shards2" in table

@@ -41,12 +41,40 @@ class TestSpec:
         dict(op_reserved_fraction=-0.2),
         dict(op_reserved_fraction=1.0),
         dict(distribution="pareto"),
+        # Each of these used to get past construction and fail later —
+        # a numpy ValueError, a TypeError, a worker — or run nothing.
+        dict(seed=-1),
+        dict(max_ops=0),
+        dict(max_ops=-5),
+        dict(gc_policy="gredy"),
+        dict(fs_strategy="next_fit"),
+        dict(engine_options={"memtable_size": 1}),
+        dict(engine=Engine.BTREE, engine_options={"memtable_bytes": 1}),
+        dict(ssd_options={"chanels": 4}),
+        dict(engine=Engine.BTREE, value_bytes=40_000),
+        dict(engine=Engine.BTREE, value_bytes=32_745),
+        dict(engine=Engine.BTREE, value_bytes=8_200,
+             engine_options={"leaf_page_bytes": 8 * 1024}),
+        # Found by tests/core/test_spec_fuzz.py: a NoSpaceError traceback
+        # from the B+Tree's constructor, which pre-allocates 2 MiB.
+        dict(engine=Engine.BTREE, capacity_bytes=8 * MIB, nshards=2,
+             op_reserved_fraction=0.6),
+        dict(ssd="ssd9"),
+        dict(ssd_options={"channels": 0}),
     ])
     def test_fails_fast_before_building_the_stack(self, bad):
         """Bad fractions/ranges must raise at construction, not after
         the whole device has been assembled and preconditioned."""
         with pytest.raises(ConfigError):
             ExperimentSpec(**bad)
+
+    def test_the_largest_btree_value_fills_one_leaf(self):
+        # 32 KiB leaf − 16 B key − 8 B entry overhead: the largest value
+        # a split can leave on both sides.  The LSM has no such bound.
+        ExperimentSpec(engine=Engine.BTREE, value_bytes=32_744)
+        ExperimentSpec(engine=Engine.LSM, value_bytes=40_000)
+        ExperimentSpec(engine=Engine.BTREE, value_bytes=8_000,
+                       engine_options={"leaf_page_bytes": 16 * 1024})
 
     def test_lsm_scans_beyond_the_packed_key_range_fail_before_the_load(self):
         big = dict(capacity_bytes=8192 * MIB, value_bytes=16)  # 2^27 keys

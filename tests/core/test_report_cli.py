@@ -148,6 +148,8 @@ class TestCli:
     @pytest.mark.parametrize("bad", [
         ["--clients", "0"],
         ["--read-fraction", "0.8", "--scan-fraction", "0.5"],
+        ["--seed", "-1"],
+        ["--engine", "btree", "--value-bytes", "40000"],
     ])
     def test_bad_spec_is_one_line_on_stderr_and_exit_2(self, bad, capsys):
         assert main(["run", "--engine", "lsm", "--capacity-mib", "24"] + bad) == 2
@@ -160,6 +162,7 @@ class TestCli:
         (["--merge", "only-an-output.jsonl"], "--merge needs"),
         (["--merge", "out.jsonl", "no-such-input.jsonl"], "does not exist"),
         ([], "--preset is required"),
+        (["--render", "no-such-campaign.jsonl"], "does not exist"),
     ])
     def test_campaign_misuse_is_one_line_on_stderr_and_exit_2(
             self, bad, message, capsys, tmp_path, monkeypatch):

@@ -114,6 +114,10 @@ class TestFaultPlanDevice:
     def test_no_faults_singleton_is_off(self):
         assert NO_FAULTS.enabled is False
         assert NO_FAULTS.degrade is None
+        # Hot paths check ``enabled`` first; nothing past it is callable.
+        for name in ("on_write", "on_read"):
+            with pytest.raises(AttributeError):
+                getattr(NO_FAULTS, name)
 
     def test_program_fault_raises_and_counts(self):
         ssd, _clock = make_ssd()

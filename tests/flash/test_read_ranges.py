@@ -2,19 +2,18 @@
 
 ``BlockDevice.read_ranges`` → ``SSD.read_ranges`` take a scan's reads
 down the device stack in one call.  A twin stack takes the same ranges
-through ``read_range`` one request at a time; everything observable must come out equal — the
-latency list (``==``, no tolerance), the SMART counters, the FTL's read
-count, the device's ``bytes_read``, ``BlkTrace`` histograms and the
-request stream an observer sees — whichever way the SSD serves the batch: memoised
-scalar timing under a live write backlog, or its per-request fallback
-under channel timing, the tracer, or a fault plan.
+through ``read_range`` one request at a time; everything observable must
+come out equal — the latency list (``==``, no tolerance), the SMART
+counters (one host read request per non-empty range), the FTL's read
+count and the device's ``bytes_read`` — whichever way the SSD serves the
+batch: memoised scalar timing under a live write backlog, or its
+per-request fallback under channel timing, the tracer, or a fault plan.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.block.blktrace import BlkTrace
 from repro.block.device import BlockDevice
 from repro.core.clock import VirtualClock
 from repro.errors import OutOfRangeError
@@ -30,29 +29,13 @@ RANGES = [(0, 1), (40, 3), (7, 1), (100, 0), (300, 17), (41, 3), (0, 64),
           (511, 1), (12, 17), (5, 0), (200, 8)]
 
 
-class RequestLog:
-    """An observer keeping the read requests it is shown, in order."""
-
-    def __init__(self):
-        self.reads = []
-
-    def on_write(self, t, start, npages, lpns):
-        pass
-
-    def on_read(self, t, start, npages):
-        self.reads.append((t, start, npages))
-
-
 class Stack:
-    """SSD + block device + observers."""
+    """SSD + block device."""
 
     def __init__(self, mode: str, reserved_fraction: float = 0.0):
         self.clock = VirtualClock()
         self.ssd = SSD(make_tiny_config(), self.clock)
         self.device = BlockDevice(self.ssd, reserved_fraction)
-        self.observers = (BlkTrace(self.ssd.npages), RequestLog())
-        for observer in self.observers:
-            self.device.attach(observer)
         self.tracer = None
         if "channels" in mode:
             self.ssd.enable_channel_timing()
@@ -73,13 +56,10 @@ class Stack:
                 substream(5, "faults"))
 
     def state(self) -> tuple:
-        blktrace, log = self.observers
         channels = self.ssd._channels
         return (
             self.ssd.smart.snapshot(), self.ssd.ftl.total_read_pages,
             self.device.bytes_read,
-            blktrace.read_histogram.tolist(), blktrace.total_read_requests,
-            log.reads,
             None if channels is None else (list(channels.busy),
                                            channels.busy_max),
             None if self.tracer is None else (
@@ -156,10 +136,10 @@ class TestReadRanges:
         assert_batch_matches_loop(
             batched, looped,
             [(0, 2), (exposed - 1, 1), (100, 0), (exposed, 0), (30, 9)])
-        assert [start for _t, start, _n in batched.observers[1].reads] == \
-            [0, exposed - 1, 30]
+        assert batched.ssd.smart.host_read_requests == 3
+        assert batched.device.bytes_read == 12 * batched.device.page_size
         # The drive would serve pages past ``exposed``; the block layer
-        # does not, and what it refuses reaches no counter or observer.
+        # does not, and what it refuses reaches no counter.
         ranges = [(0, 1), (exposed - 6, 7), (8, 1)]
         with pytest.raises(OutOfRangeError):
             batched.device.read_ranges(*zip(*ranges))

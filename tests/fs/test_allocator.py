@@ -42,21 +42,10 @@ class TestBasics:
 
     def test_double_free_detected(self):
         alloc = ExtentAllocator(100)
-        [(start, n)] = alloc.alloc(10, contiguous=True)
+        [(start, n)] = alloc.alloc(10)
         alloc.free(start, n)
         with pytest.raises(ConfigError):
             alloc.free(start, n)
-
-    def test_contiguous_respected(self):
-        alloc = ExtentAllocator(100, strategy="first-fit")
-        [(s1, n1)] = alloc.alloc(40, contiguous=True)
-        assert n1 == 40
-        alloc.alloc(50)
-        alloc.free(s1, 40)
-        with pytest.raises(NoSpaceError):
-            alloc.alloc(41, contiguous=True)
-        [(s2, n2)] = alloc.alloc(40, contiguous=True)
-        assert (s2, n2) == (s1, 40)
 
 
 class TestNextFitBehaviour:
@@ -64,20 +53,20 @@ class TestNextFitBehaviour:
         """Consecutive allocations land at increasing addresses even when
         earlier space is freed."""
         alloc = ExtentAllocator(1000, strategy="next-fit")
-        [(s1, _)] = alloc.alloc(100, contiguous=True)
+        [(s1, _)] = alloc.alloc(100)
         alloc.free(s1, 100)
-        [(s2, _)] = alloc.alloc(100, contiguous=True)
+        [(s2, _)] = alloc.alloc(100)
         assert s2 > s1  # did not immediately reuse the freed space
 
     def test_rotor_wraps_around(self):
         alloc = ExtentAllocator(300, strategy="next-fit")
         allocated = []
         for _ in range(3):
-            [(s, n)] = alloc.alloc(100, contiguous=True)
+            [(s, n)] = alloc.alloc(100)
             allocated.append((s, n))
         for s, n in allocated:
             alloc.free(s, n)
-        [(s, _)] = alloc.alloc(100, contiguous=True)
+        [(s, _)] = alloc.alloc(100)
         assert s == 0  # wrapped to the beginning
 
     def test_scatter_eventually_covers_address_space(self):
@@ -99,9 +88,9 @@ class TestNextFitBehaviour:
 
     def test_first_fit_reuses_immediately(self):
         alloc = ExtentAllocator(1000, strategy="first-fit")
-        [(s1, _)] = alloc.alloc(100, contiguous=True)
+        [(s1, _)] = alloc.alloc(100)
         alloc.free(s1, 100)
-        [(s2, _)] = alloc.alloc(100, contiguous=True)
+        [(s2, _)] = alloc.alloc(100)
         assert s2 == s1
 
     def test_unknown_strategy_rejected(self):
@@ -146,8 +135,8 @@ class TestScatterPivotStream:
 class TestCoalescing:
     def test_adjacent_frees_merge(self):
         alloc = ExtentAllocator(100)
-        a = alloc.alloc(30, contiguous=True)[0]
-        b = alloc.alloc(30, contiguous=True)[0]
+        a = alloc.alloc(30)[0]
+        b = alloc.alloc(30)[0]
         alloc.alloc(40)
         alloc.free(a[0], a[1])
         alloc.free(b[0], b[1])
@@ -201,8 +190,7 @@ class FreePageModel:
     The free list is the set's maximal runs.  ``take``/``give`` replay
     what the allocator under test granted or was handed back (checking
     it only ever grants free pages); ``first_fit`` predicts the
-    first-fit policy outright: the lowest free pages, or the lowest
-    run that fits a contiguous request.
+    first-fit policy outright: the lowest free pages.
     """
 
     def __init__(self, npages):
@@ -228,9 +216,7 @@ class FreePageModel:
                 out.append((page, 1))
         return out
 
-    def first_fit(self, n, contiguous=False):
-        if contiguous:
-            return [next((s, n) for s, length in self.runs() if length >= n)]
+    def first_fit(self, n):
         return self.runs(sorted(self.pages)[:n])
 
 
@@ -246,10 +232,10 @@ def _first_fit_pair(npages):
             FreePageModel(npages))
 
 
-def _alloc(alloc, model, npages, contiguous=False):
+def _alloc(alloc, model, npages):
     """Allocate on *alloc*; the first-fit model must predict the grant."""
-    got = alloc.alloc(npages, contiguous=contiguous)
-    assert got == model.first_fit(npages, contiguous)
+    got = alloc.alloc(npages)
+    assert got == model.first_fit(npages)
     model.take(got)
     return got
 
@@ -286,9 +272,9 @@ class TestEdgeCasePins:
 
         for order in it.permutations(range(3)):
             alloc, model = _first_fit_pair(128)
-            runs = [_alloc(alloc, model, 10, contiguous=True)[0]
+            runs = [_alloc(alloc, model, 10)[0]
                     for _ in range(3)]
-            _alloc(alloc, model, 20, contiguous=True)  # pin a neighbour
+            _alloc(alloc, model, 20)  # pin a neighbour
             assert runs == [(0, 10), (10, 10), (20, 10)]
             for idx in order:
                 _free(alloc, model, *runs[idx])
@@ -308,8 +294,6 @@ class TestEdgeCasePins:
         assert alloc.free_pages == 32
         with pytest.raises(NoSpaceError):
             alloc.alloc(33)
-        with pytest.raises(NoSpaceError):
-            alloc.alloc(2, contiguous=True)
         _assert_matches(alloc, model)
         got = _alloc(alloc, model, 5)
         assert got == [(0, 1), (2, 1), (4, 1), (6, 1), (8, 1)]
@@ -321,18 +305,18 @@ class TestEdgeCasePins:
         for take_at in ("head", "tail", "middle"):
             alloc, model = _first_fit_pair(100)
             # leave one free extent [20, 80) surrounded by used space
-            _alloc(alloc, model, 100, contiguous=True)
+            _alloc(alloc, model, 100)
             _free(alloc, model, 20, 60)
             if take_at == "head":
-                assert _alloc(alloc, model, 10, contiguous=True) == [(20, 10)]
+                assert _alloc(alloc, model, 10) == [(20, 10)]
             elif take_at == "tail":
                 # first-fit takes from the head; carve the tail by
                 # freeing a second, earlier extent the request skips
                 _free(alloc, model, 0, 5)
-                assert _alloc(alloc, model, 5, contiguous=True) == [(0, 5)]
+                assert _alloc(alloc, model, 5) == [(0, 5)]
                 assert _alloc(alloc, model, 60) == [(20, 60)]
             else:
-                got = _alloc(alloc, model, 10, contiguous=True)
+                got = _alloc(alloc, model, 10)
                 _free(alloc, model, got[0][0] + 2, 6)  # hole mid-extent
             _assert_matches(alloc, model)
 
@@ -360,7 +344,7 @@ class TestEdgeCasePins:
 
     def test_free_many_matches_the_model(self):
         alloc, model = _first_fit_pair(256)
-        chunks = [_alloc(alloc, model, 16, contiguous=True)[0]
+        chunks = [_alloc(alloc, model, 16)[0]
                   for _ in range(16)]
         # Non-adjacent chunks: eight separate runs join the free list.
         alloc.free_many(chunks[1::2])

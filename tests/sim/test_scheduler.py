@@ -135,18 +135,6 @@ class TestTasks:
         assert log == [("fast", 0.0), ("slow", 0.0),
                        ("fast", pytest.approx(0.1)), ("slow", pytest.approx(0.35))]
 
-    def test_task_result_recorded(self):
-        sched, _clock = make_scheduler()
-
-        def task():
-            yield 0.1
-            return 42
-
-        handle = sched.spawn(task())
-        sched.run()
-        assert handle.done
-        assert handle.result == 42
-
     def test_invalid_yield_rejected(self):
         sched, _clock = make_scheduler()
 
@@ -161,7 +149,7 @@ class TestTasks:
 class TestResources:
     def test_fifo_grant_order(self):
         sched, clock = make_scheduler()
-        resource = Resource(sched, capacity=1)
+        resource = Resource(sched)
         order = []
 
         def worker(name, hold):
@@ -179,55 +167,11 @@ class TestResources:
         assert names == ["a", "b", "c"]
         assert times == pytest.approx([0.0, 0.2, 0.4])
 
-    def test_capacity_allows_parallel_holders(self):
-        sched, clock = make_scheduler()
-        resource = Resource(sched, capacity=2)
-        grants = []
-
-        def worker(name):
-            yield resource.request()
-            grants.append((name, clock.now))
-            yield 0.3
-            resource.release()
-
-        for name in "abc":
-            sched.spawn(worker(name))
-        sched.run()
-        assert dict(grants)["a"] == pytest.approx(0.0)
-        assert dict(grants)["b"] == pytest.approx(0.0)
-        assert dict(grants)["c"] == pytest.approx(0.3)
-
-    def test_queue_depth_visible(self):
-        sched, _clock = make_scheduler()
-        resource = Resource(sched, capacity=1)
-        depths = []
-
-        def holder():
-            yield resource.request()
-            yield 1.0
-            depths.append(resource.queue_depth)
-            resource.release()
-
-        def waiter():
-            yield resource.request()
-            resource.release()
-
-        sched.spawn(holder())
-        sched.spawn(waiter())
-        sched.spawn(waiter())
-        sched.run()
-        assert depths == [2]
-
     def test_release_of_idle_resource_rejected(self):
         sched, _clock = make_scheduler()
-        resource = Resource(sched, capacity=1)
+        resource = Resource(sched)
         with pytest.raises(ConfigError):
             resource.release()
-
-    def test_capacity_validated(self):
-        sched, _clock = make_scheduler()
-        with pytest.raises(ConfigError):
-            Resource(sched, capacity=0)
 
 
 class TestClockCapture:
