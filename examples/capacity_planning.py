@@ -17,6 +17,8 @@ from repro.units import MIB
 
 TB = 10**12
 PAPER_DRIVE = 400 * 10**9
+PE_CYCLES = 3000
+SECONDS_PER_DAY = 86_400
 
 
 def measure(engine, op_reserved=0.0):
@@ -65,22 +67,18 @@ def main():
     print("     but costs capacity (more drives when capacity-bound): pitfall 6.")
 
     # §4.2.ii: end-to-end WA (WA-A x WA-D) determines drive lifetime.
-    from repro.flash import lifetime_estimate
-
+    # The flash absorbs capacity x P/E cycles bytes (3k: enterprise
+    # MLC/TLC); the host writes user bytes x WA-A, the flash WA-D times
+    # that.
     for name, tput, wa_a, wa_d in (
         ("lsm", lsm_tput, 9.8, 2.2),
         ("btree", btree_tput, 10.3, 1.35),
     ):
-        estimate = lifetime_estimate(
-            capacity_bytes=PAPER_DRIVE,
-            user_bytes_per_second=tput * 4016,
-            wa_app=wa_a,
-            wa_device=wa_d,
-            pe_cycles=3000,
-        )
+        host_bytes_per_day = tput * 4016 * wa_a * SECONDS_PER_DAY
+        lifetime_days = PAPER_DRIVE * PE_CYCLES / (host_bytes_per_day * wa_d)
         print(f"\n{name}: end-to-end WA={wa_a * wa_d:.1f} -> device lifetime "
-              f"~{estimate.lifetime_years:.1f} years at "
-              f"{estimate.drive_writes_per_day:.2f} host DWPD")
+              f"~{lifetime_days / 365:.1f} years at "
+              f"{host_bytes_per_day / PAPER_DRIVE:.2f} host DWPD")
     print("  -> ignoring WA-D (pitfall 2) misestimates SSD lifetime by the")
     print("     WA-D factor itself.")
 

@@ -30,6 +30,6 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.11",
     install_requires=["numpy"],
-    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
+    extras_require={"test": ["pytest", "hypothesis"]},
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

@@ -3,18 +3,18 @@
 Each ``figN_*`` function runs the corresponding scaled experiment(s)
 and returns a :class:`FigureResult` whose ``text`` holds the same
 rows/series the paper's figure reports.  ``repro run-figure`` prints
-them, the benchmark suite (`benchmarks/bench_figNN_*.py`) asserts each
-figure's expected shape, and the ledger's claim table
-(``benchmarks/ledger/claims.py``) records which of the paper's
-qualitative results hold.  As in the paper the figures share
-measurements (Fig 8 is computed from Fig 7's runs), so every result
-comes through :func:`run_cell`: one simulation per distinct cell.
+them, and one claim table (``benchmarks/ledger/claims.py``) says which
+of the paper's qualitative results hold: the ledger counts it and
+``tests/integration/test_paper_claims.py`` asserts every verdict.  As
+in the paper the figures share measurements (Fig 8 is computed from
+Fig 7's runs), so every result comes through :func:`run_cell`: one
+simulation per distinct cell.
 
 Scales
 ======
-``SMALL`` is for tests/CI (seconds per figure), ``DEFAULT`` drives the
-benchmark suite, ``FULL`` is the closest to the paper's geometry
-(400 MiB device = the 400 GB drive at 1/1000).
+``SMALL`` is what tier-1 and the ledger run (seconds per figure),
+``DEFAULT`` is ``run-figure``'s default, ``FULL`` is the closest to the
+paper's geometry (400 MiB device = the 400 GB drive at 1/1000).
 """
 
 from __future__ import annotations
@@ -518,7 +518,7 @@ def fig11_workloads(scale: Scale = DEFAULT) -> FigureResult:
                         {"results": results}, "\n\n".join(sections))
 
 
-#: Registry used by the CLI and the benchmark suite.
+#: Registry used by the CLI, the ledger and the claim test.
 FIGURES = {
     "fig2": fig2_steady_state,
     "fig3": fig3_drive_state,

@@ -10,9 +10,8 @@ Public surface:
 """
 
 from repro.flash.config import SSDConfig
-from repro.flash.endurance import EnduranceEstimate, lifetime_estimate
 from repro.flash.ftl import FlashTranslationLayer, WorkUnits
-from repro.flash.gc import FifoPolicy, GCPolicy, GreedyPolicy, WindowedGreedyPolicy, make_policy
+from repro.flash.gc import FifoPolicy, GCPolicy, GreedyPolicy, make_policy
 from repro.flash.profiles import (
     PROFILES,
     SSD1_ENTERPRISE,
@@ -33,15 +32,12 @@ from repro.flash.state import (
 __all__ = [
     "SSDConfig",
     "SSD",
-    "EnduranceEstimate",
-    "lifetime_estimate",
     "FlashTranslationLayer",
     "WorkUnits",
     "SmartAttributes",
     "GCPolicy",
     "GreedyPolicy",
     "FifoPolicy",
-    "WindowedGreedyPolicy",
     "make_policy",
     "PROFILES",
     "SSD1_ENTERPRISE",

@@ -54,12 +54,6 @@ class SSDConfig:
     gc_low_watermark: float = 0.02  # start GC when free blocks fall below this
     gc_high_watermark: float = 0.05  # collect until free blocks reach this
 
-    # Hot/cold stream separation (Stoica & Ailamaki [67]): first writes
-    # and overwrites go to different open blocks, so data with similar
-    # update frequency shares erase blocks and GC relocates less.
-    # Off by default — the paper's drives behave like mixed-stream FTLs.
-    stream_separation: bool = False
-
     # Device class switches.
     byte_addressable: bool = False  # Optane-like: in-place updates, no GC, WA-D == 1
 

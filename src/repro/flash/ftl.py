@@ -25,8 +25,12 @@ GC), ``trim_range``, ``mapped_pages``/``utilization``/``is_mapped``,
 ``check_invariants`` and ``state_arrays`` (the one read accessor for
 white-box tests).  Deferral is exact for the reason
 ``VictimIndex.pending`` is: whatever is stale is on the log, and every
-reader drains it first.  Stream-separated devices need ``l2p`` at
-write time to split hot from cold, so they never log.
+reader drains it first.
+
+There is one host write stream: first writes and overwrites share the
+open block.  Relocations have their own, which never triggers
+collection.  DESIGN.md §3 says why a hint-free hot/cold split is not
+modelled.
 
 One deliberate approximation: a request that does not fit the open
 block invalidates the previous versions of its whole batch before
@@ -90,21 +94,9 @@ class FlashTranslationLayer:
         self._erase_count = np.zeros(config.nblocks, dtype=np.int64)
         self._free: list[int] = list(range(config.nblocks - 1, -1, -1))
 
-        # Open-block write heads.  Without stream separation only
-        # "cold" (host) and "gc" (relocations) are used.  With it, host
-        # overwrites go to "hot", and data relocated more than once —
-        # provably cold, it survived a whole block lifetime twice —
-        # compacts into the frozen "gc2" stream where greedy collection
-        # stops dragging it around (Stoica & Ailamaki [67]).
-        self._heads: dict[str, list[int]] = {
-            "cold": [-1, 0],
-            "hot": [-1, 0],
-            "gc": [-1, 0],
-            "gc2": [-1, 0],
-        }
-        self._reloc_count = (
-            np.zeros(n_logical, dtype=np.uint8) if config.stream_separation else None
-        )
+        # Open-block write heads: "cold" takes host writes, "gc" takes
+        # relocations.
+        self._heads: dict[str, list[int]] = {"cold": [-1, 0], "gc": [-1, 0]}
         self._seq = 0
         # Victim-selection index (DESIGN.md §8): kept incrementally in
         # sync by every valid-count mutation below, so GC never scans
@@ -122,7 +114,7 @@ class FlashTranslationLayer:
         # ``write_pages`` entry has a placeholder start and its lpns in
         # ``_log_arrays`` beside their offset in the open block.
         # ``_log_room`` is what the open block has left after the log;
-        # 0 while no block is open and on stream-separated devices.
+        # 0 while no block is open.
         self._log_starts: list[int] = []
         self._log_lens: list[int] = []
         self._log_arrays: list[tuple[int, np.ndarray]] = []
@@ -273,13 +265,12 @@ class FlashTranslationLayer:
         index = self._victim_index
         pend = index.pending
         if blocks.size <= 16:
-            # Small batches are what the immediate route sees: every
-            # host write of a stream-separated device, a journal record
-            # that straddles a block end, a short trim.  Whole-array
-            # ops are disproportionately slow there, and consecutive
-            # pages share a block, so the decrements are applied run by
-            # run on Python ints, with one deferred victim-index note
-            # per run (see VictimIndex.flush).
+            # Small batches are what the immediate route sees: a
+            # journal record that straddles a block end, a short trim.
+            # Whole-array ops are disproportionately slow there, and
+            # consecutive pages share a block, so the decrements are
+            # applied run by run on Python ints, with one deferred
+            # victim-index note per run (see VictimIndex.flush).
             last = -1
             count = 0
             for b in blocks.tolist():
@@ -312,20 +303,9 @@ class FlashTranslationLayer:
         self._flush_log()
         self._log_room = 0  # stays 0 if the device turns out to be full
         work = WorkUnits()
-        if self.config.stream_separation:
-            overwrite = self._l2p[lpns] >= 0
-            hot = lpns[overwrite]
-            cold = lpns[~overwrite]
-            self._invalidate(self._l2p[hot])
-            self._reloc_count[lpns] = 0  # host writes reset the cold clock
-            if cold.size:
-                self._program(cold, work, head="cold")
-            if hot.size:
-                self._program(hot, work, head="hot")
-        else:
-            self._invalidate(self._l2p[lpns])
-            self._program(lpns, work, head="cold")
-            self._log_room = self._ppb - self._heads["cold"][1]
+        self._invalidate(self._l2p[lpns])
+        self._program(lpns, work, head="cold")
+        self._log_room = self._ppb - self._heads["cold"][1]
         work.host_pages += lpns.size
         self.total_host_pages += lpns.size
         return work
@@ -396,7 +376,7 @@ class FlashTranslationLayer:
             self._victim_index.close(
                 block, int(self._valid_count[block]), self._seq)
             self._seq += 1
-        if head in ("cold", "hot") and len(self._free) <= self._low_count:
+        if head == "cold" and len(self._free) <= self._low_count:
             self._collect(work)  # GC heads must never re-enter collection
         if not self._free:
             raise DeviceFullError("no free blocks available")
@@ -464,22 +444,11 @@ class FlashTranslationLayer:
             # freed anyway.
             self._p2l[base : base + self._ppb] = -1
             self._valid_count[victim] -= valid_lpns.size
-            if self._reloc_count is not None:
-                counts = self._reloc_count[valid_lpns]
-                frozen = valid_lpns[counts >= 1]
-                fresh = valid_lpns[counts < 1]
-                self._reloc_count[valid_lpns] = np.minimum(counts + 1, 255)
-                if fresh.size:
-                    self._program(fresh, work, head="gc")
-                if frozen.size:
-                    self._program(frozen, work, head="gc2")
-            else:
-                self._program(valid_lpns, work, head="gc")
+            self._program(valid_lpns, work, head="gc")
             work.gc_pages += int(valid_lpns.size)
             self.total_gc_pages += int(valid_lpns.size)
         assert self._valid_count[victim] == 0
         self._state[victim] = _FREE
-        self._victim_index.reclaim()
         self._erase_count[victim] += 1
         self._free.append(victim)
         work.erases += 1

@@ -3,18 +3,20 @@
 The FTL calls a policy to choose which closed block to reclaim.  The
 default is the classical *greedy* policy (fewest valid pages first),
 which is what enterprise FTLs approximate and what the analytical
-models cited by the paper [21, 31, 67] assume.  A FIFO policy is
-provided as an ablation (``benchmarks/bench_ablation_gc_policy.py``)
-to show how victim selection changes WA-D.
+models cited by the paper [21, 31, 67] assume.  *FIFO* (oldest closed
+block first) is the regime with an exact closed form: under uniform
+random overwrites its WA-D sits above greedy's and just under the FIFO
+fixed point, and ``tests/flash/test_wa_closed_forms.py`` holds both
+policies to ``analysis/wa_model.py``.
 
 Selection never scans the block array (DESIGN.md §8): each policy's
 ``select_indexed`` reads a :class:`VictimIndex` the FTL keeps
 incrementally up to date, which answers the policy's argmin over the
-closed blocks — fewest valid pages, oldest close, fewest valid among
-the oldest — including its tie-breaking.  The argmin itself is spelled
-out, as a whole-device scan, in ``tests/flash/test_gc_index.py`` and
-in the naive FTL (``tests/flash/naive_ftl.py``), which hold the index
-to it victim for victim.
+closed blocks — fewest valid pages, oldest close — including its
+tie-breaking.  The argmin itself is spelled out, as a whole-device
+scan, in ``tests/flash/test_gc_index.py`` and in the naive FTL
+(``tests/flash/naive_ftl.py``), which hold the index to it victim for
+victim.
 """
 
 from __future__ import annotations
@@ -67,24 +69,19 @@ class VictimIndex:
     mutation hooks; policies only read.
     """
 
-    __slots__ = ("heap", "fifo", "pending", "nclosed", "_compact_at")
+    __slots__ = ("heap", "fifo", "pending", "_compact_at")
 
     def __init__(self, nblocks: int):
         self.heap: list[tuple[int, int]] = []
         self.fifo: deque[tuple[int, int]] = deque()
         self.pending: list[int] = []
-        self.nclosed = 0
         self._compact_at = max(64, 4 * nblocks)
 
     def close(self, block: int, valid: int, seq: int) -> None:
-        """A block just transitioned OPEN → CLOSED."""
+        """A block just transitioned OPEN → CLOSED.  (An erase needs no
+        hook: the reclaimed block's entries go stale and stay lazy.)"""
         heappush(self.heap, (valid, block))
         self.fifo.append((seq, block))
-        self.nclosed += 1
-
-    def reclaim(self) -> None:
-        """A closed block was just erased (stale entries stay lazy)."""
-        self.nclosed -= 1
 
     def flush(self, valid_count, state) -> None:
         """Reconcile deferred decrements into the greedy heap.
@@ -131,22 +128,6 @@ class VictimIndex:
             fifo.popleft()
         return None
 
-    def oldest(self, window: int, valid_count, state, closed_seq):
-        """Up to *window* oldest closed blocks, oldest first.
-
-        Stale entries at the head are dropped; stale entries further in
-        are skipped without mutation (they die when they reach the
-        head).
-        """
-        self.fifo_min(valid_count, state, closed_seq)  # trim the head
-        out: list[int] = []
-        for seq, block in self.fifo:
-            if state[block] == _CLOSED and closed_seq[block] == seq:
-                out.append(block)
-                if len(out) >= window:
-                    break
-        return out
-
     def maybe_compact(self, valid_count, state, closed_seq) -> None:
         """Drop stale entries in bulk once the structures outgrow the
         device (amortized O(1) per push; called by the FTL after
@@ -184,7 +165,6 @@ class VictimIndex:
             for seq, block in self.fifo
             if state[block] == _CLOSED and closed_seq[block] == seq
         }
-        assert self.nclosed == closed.size, "closed-block count drifted"
         for block in closed.tolist():
             key = (int(valid_count[block]), block)
             assert key in live_heap, f"block {block} missing from greedy heap"
@@ -241,51 +221,12 @@ class FifoPolicy(GCPolicy):
         return block
 
 
-class WindowedGreedyPolicy(GCPolicy):
-    """Greedy restricted to the *window* oldest closed blocks.
-
-    A compromise between greedy and FIFO used by several controllers;
-    included for ablation studies.
-    """
-
-    name = "windowed-greedy"
-
-    def __init__(self, window: int = 32):
-        if window <= 0:
-            raise ConfigError("window must be positive")
-        self.window = window
-
-    def select_indexed(self, index: VictimIndex, valid_count, state,
-                       closed_seq) -> int:
-        if index.nclosed <= self.window:
-            # The window covers every closed block: plain greedy, ties
-            # to the lowest block index.
-            entry = index.greedy_min(valid_count, state)
-            if entry is None:
-                raise ConfigError(
-                    "no closed block available for garbage collection")
-            return entry[1]
-        best = -1
-        best_valid = None
-        # Oldest first, so the strict < keeps the oldest among equal
-        # valid counts.
-        for block in index.oldest(self.window, valid_count, state, closed_seq):
-            valid = valid_count[block]
-            if best_valid is None or valid < best_valid:
-                best, best_valid = block, valid
-        return best
-
-
 #: The policies a spec's ``gc_policy`` may name.
-POLICIES = {
-    "greedy": GreedyPolicy,
-    "fifo": FifoPolicy,
-    "windowed-greedy": WindowedGreedyPolicy,
-}
+POLICIES = {"greedy": GreedyPolicy, "fifo": FifoPolicy}
 
 
 def make_policy(name: str) -> GCPolicy:
-    """Build a policy by name: ``greedy``, ``fifo`` or ``windowed-greedy``."""
+    """Build a policy by name: ``greedy`` or ``fifo``."""
     if name not in POLICIES:
         raise ConfigError(f"unknown GC policy {name!r}; expected one of {sorted(POLICIES)}")
     return POLICIES[name]()

@@ -14,7 +14,7 @@ Three strategies are provided:
   This produces a *cyclic sequential* overwrite pattern whose WA-D is
   ~1 regardless of utilization — a useful contrast showing how much
   the filesystem's reuse policy matters
-  (``benchmarks/bench_ablation_allocator.py``).
+  (``tests/integration/test_ablations.py``).
 * **first-fit** (ablation): always allocate at the lowest possible
   address, keeping the file footprint compact.
 

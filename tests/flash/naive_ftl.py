@@ -19,7 +19,7 @@ from repro.flash.gc import _CLOSED, _FREE, _OPEN
 class NaiveFTL:
     def __init__(self, config: SSDConfig, fifo: bool = False):
         self.ppb, self.nblocks = config.pages_per_block, config.nblocks
-        self.fifo, self.separation = fifo, config.stream_separation
+        self.fifo = fifo
         self.l2p: dict[int, int] = {}
         self.p2l: dict[int, int] = {}  # valid pages only
         self.occupied: set[int] = set()  # programmed since the last erase
@@ -28,9 +28,7 @@ class NaiveFTL:
         self.closes = 0
         self.erase_counts = [0] * self.nblocks
         self.free = list(range(self.nblocks - 1, -1, -1))  # next block: the last
-        self.heads: dict[str, tuple[int, int] | None] = dict.fromkeys(
-            ("cold", "hot", "gc", "gc2"))
-        self.relocations: dict[int, int] = {}  # since the last host write
+        self.heads: dict[str, tuple[int, int] | None] = dict.fromkeys(("cold", "gc"))
         self.host_pages = self.gc_pages = 0
         spare = (config.total_pages - config.logical_pages) // self.ppb
         self.low = max(2, min(int(self.nblocks * config.gc_low_watermark), spare - 3))
@@ -44,17 +42,12 @@ class NaiveFTL:
         return (self.host_pages + self.gc_pages) / self.host_pages if self.host_pages else 1.0
 
     def write(self, lpns: list[int]) -> tuple[int, int, int]:
-        """Invalidate the whole request, then program it; first writes
-        before overwrites when the device separates streams."""
+        """Invalidate the whole request, then program it."""
         work = [len(lpns), 0, 0]
-        hot = [lpn for lpn in lpns if self.separation and lpn in self.l2p]
-        cold = [lpn for lpn in lpns if lpn not in hot]
         for lpn in lpns:
             self.p2l.pop(self.l2p.get(lpn), None)
-            self.relocations.pop(lpn, None)
-        for head, group in (("cold", cold), ("hot", hot)):
-            for lpn in group:
-                self._program(lpn, head, work)
+        for lpn in lpns:
+            self._program(lpn, "cold", work)
         self.host_pages += len(lpns)
         return tuple(work)
 
@@ -80,7 +73,7 @@ class NaiveFTL:
             self.state[full] = _CLOSED
             self.closed_at[full] = self.closes
             self.closes += 1
-        if head in ("cold", "hot") and len(self.free) <= self.low:
+        if head == "cold" and len(self.free) <= self.low:
             self._collect(work)  # relocation never re-enters collection
         block = self.free.pop()
         self.state[block] = _OPEN
@@ -103,15 +96,8 @@ class NaiveFTL:
     def _reclaim(self, victim: int, work: list[int]) -> None:
         pages = range(victim * self.ppb, (victim + 1) * self.ppb)
         survivors = [self.p2l.pop(p) for p in pages if p in self.p2l]
-        # Data relocated before (since its last host write) is frozen.
-        frozen = [lpn for lpn in survivors
-                  if self.separation and self.relocations.get(lpn, 0) >= 1]
         for lpn in survivors:
-            self.relocations[lpn] = self.relocations.get(lpn, 0) + 1
-        for lpn in (lpn for lpn in survivors if lpn not in frozen):
             self._program(lpn, "gc", work)
-        for lpn in frozen:
-            self._program(lpn, "gc2", work)
         self.occupied.difference_update(pages)  # the erase
         self.state[victim] = _FREE
         self.erase_counts[victim] += 1

@@ -56,7 +56,6 @@ stream = st.fixed_dictionaries(dict(
     # and trims that land on still-logged pages, the common case.
     window=st.sampled_from([8, 64, LOGICAL]),
     prefill=st.booleans(),  # start full: GC-heavy churn from the first op
-    separation=st.booleans(),
     policy=st.sampled_from(sorted(POLICIES)),
 ))
 
@@ -68,9 +67,8 @@ def assert_same_state(ftl: FlashTranslationLayer, naive: NaiveFTL) -> None:
     assert valid_count.tolist() == [naive.valid_in(b) for b in range(naive.nblocks)]
 
 
-def run_lockstep(ops, window=LOGICAL, prefill=False, separation=False,
-                 policy="greedy"):
-    config = make_tiny_config(stream_separation=separation)
+def run_lockstep(ops, window=LOGICAL, prefill=False, policy="greedy"):
+    config = make_tiny_config()
     ftl = FlashTranslationLayer(config, POLICIES[policy]())
     naive = NaiveFTL(config, fifo=policy == "fifo")
     if prefill:
@@ -119,40 +117,38 @@ def run_lockstep(ops, window=LOGICAL, prefill=False, separation=False,
 # 23 journal records on one page, then the page's neighbours.
 @example(dict(ops=[("range", 0, 8, False), ("journal", 3, 23, False),
                    ("range", 2, 4, False)],
-              window=LOGICAL, prefill=False, separation=False, policy="greedy"))
+              window=LOGICAL, prefill=False, policy="greedy"))
 # Exactly fill the open block, keep logging into the next one.
 @example(dict(ops=[("range", 5, 3, False), ("fill", 100, 0, False),
                    ("range", 5, 3, False), ("fill", 100, 0, False),
                    ("journal", 5, 4, False)],
-              window=LOGICAL, prefill=True, separation=False, policy="greedy"))
+              window=LOGICAL, prefill=True, policy="greedy"))
 # Straddle a block boundary with logged overwrites of the same pages pending.
 @example(dict(ops=[("range", 10, 6, False), ("range", 12, 6, False),
                    ("fill", 8, 11, False), ("range", 10, 6, False)],
-              window=LOGICAL, prefill=True, separation=False, policy="fifo"))
+              window=LOGICAL, prefill=True, policy="fifo"))
 # A trim landing on still-logged pages; a caller that reuses its buffer.
 @example(dict(ops=[("pages", [4, 9, 2, 7], True, False), ("range", 0, 8, False),
                    ("trim", 2, 5, False), ("pages", [3, 4, 5], True, False)],
-              window=LOGICAL, prefill=False, separation=False, policy="greedy"))
+              window=LOGICAL, prefill=False, policy="greedy"))
 def test_lockstep_with_naive_ftl(stream):
     run_lockstep(**stream)
 
 
-@pytest.mark.parametrize("separation", [False, True])
 @pytest.mark.parametrize("policy", sorted(POLICIES))
-def test_gc_heavy_churn_in_lockstep(policy, separation):
+def test_gc_heavy_churn_in_lockstep(policy):
     """Small overwrites of a full device: hundreds of block closes and
     reclaims with the log in play on every one of them."""
     rng = np.random.default_rng(5)
     ops = [("range", int(rng.integers(0, LOGICAL)), int(rng.integers(1, 9)),
             i % 50 == 0) for i in range(600)]
-    ftl = run_lockstep(ops, prefill=True, separation=separation, policy=policy)
+    ftl = run_lockstep(ops, prefill=True, policy=policy)
     assert ftl.total_erases > 50
 
 
 class TestTheLog:
-    @pytest.mark.parametrize("separation", [False, True])
-    def test_write_range_equals_write_pages(self, separation):
-        config = make_tiny_config(stream_separation=separation)
+    def test_write_range_equals_write_pages(self):
+        config = make_tiny_config()
         ranged = FlashTranslationLayer(config)
         paged = FlashTranslationLayer(config)
         rng = np.random.default_rng(11)

@@ -6,8 +6,7 @@ selection never scans the block array.  What the index must answer is
 each policy's argmin over the closed blocks; ``expected_victim``
 computes that argmin here, by scanning the FTL's state, every time the
 collector is about to reclaim a block.  GC-heavy workloads must pick
-the *expected victim every time* for greedy, FIFO and windowed-greedy,
-with and without stream separation.
+the *expected victim every time* for greedy and FIFO.
 """
 
 from __future__ import annotations
@@ -17,19 +16,17 @@ import pytest
 
 from repro.core.clock import VirtualClock
 from repro.flash.config import SSDConfig
-from repro.flash.gc import (
-    _CLOSED, FifoPolicy, GreedyPolicy, VictimIndex, WindowedGreedyPolicy,
-)
+from repro.flash.gc import _CLOSED, FifoPolicy, GreedyPolicy, VictimIndex
 from repro.flash.ssd import SSD
 from repro.rng import substream
 
 
-def build_ssd(policy, stream_separation: bool) -> SSD:
+def build_ssd(policy) -> SSD:
     # Low over-provisioning + high utilization: the collector runs
     # constantly and every closed block is a plausible victim.
     config = SSDConfig(
         page_size=4096, pages_per_block=32, nblocks=64,
-        hw_overprovision=0.20, stream_separation=stream_separation,
+        hw_overprovision=0.20,
     )
     return SSD(config, VirtualClock(), policy)
 
@@ -39,12 +36,8 @@ def expected_victim(ftl) -> int:
     first of equals, so each list's order is the tie-break)."""
     valid = ftl.state_arrays()[2].tolist()
     closed = np.flatnonzero(ftl._state == _CLOSED).tolist()  # by block index
-    by_age = sorted(closed, key=ftl._closed_seq.__getitem__)  # oldest first
-    policy = ftl.policy
-    if isinstance(policy, FifoPolicy):
-        victim = by_age[0]
-    elif isinstance(policy, WindowedGreedyPolicy) and len(closed) > policy.window:
-        victim = min(by_age[:policy.window], key=valid.__getitem__)
+    if isinstance(ftl.policy, FifoPolicy):
+        victim = min(closed, key=ftl._closed_seq.__getitem__)  # the oldest
     else:
         victim = min(closed, key=valid.__getitem__)
     if valid[victim] >= ftl.config.pages_per_block:
@@ -83,20 +76,12 @@ def drive_gc_heavy(ssd: SSD, seed: int = 7, rounds: int = 400) -> None:
             ssd.trim_range(start, 40)
 
 
-POLICIES = [
-    ("greedy", GreedyPolicy, {}),
-    ("fifo", FifoPolicy, {}),
-    ("windowed", WindowedGreedyPolicy, {"window": 8}),
-]
+POLICIES = [("greedy", GreedyPolicy), ("fifo", FifoPolicy)]
 
 
-@pytest.mark.parametrize("stream_separation", [False, True],
-                         ids=["mixed", "stream-separated"])
-@pytest.mark.parametrize("name,policy_cls,kwargs", POLICIES,
-                         ids=[p[0] for p in POLICIES])
-def test_indexed_matches_scan_oracle_block_for_block(
-        name, policy_cls, kwargs, stream_separation):
-    ssd = build_ssd(policy_cls(**kwargs), stream_separation)
+@pytest.mark.parametrize("name,policy_cls", POLICIES, ids=[p[0] for p in POLICIES])
+def test_indexed_matches_scan_oracle_block_for_block(name, policy_cls):
+    ssd = build_ssd(policy_cls())
     victims, expected = record_victims(ssd)
     drive_gc_heavy(ssd)
 
@@ -111,7 +96,7 @@ def test_indexed_matches_scan_oracle_block_for_block(
 def test_fully_valid_fallback_folded_into_index():
     """FIFO's oldest block being fully valid must divert to the greedy
     minimum through the index — the choice a rescan would make."""
-    ssd = build_ssd(FifoPolicy(), stream_separation=False)
+    ssd = build_ssd(FifoPolicy())
     ftl = ssd.ftl
     victims, expected = record_victims(ssd)
     diverted: list[bool] = []  # per reclaim: victim is not the oldest block
@@ -140,7 +125,7 @@ def test_victim_index_survives_reuse_cycles():
     """Blocks that are reclaimed and re-closed must not resurrect stale
     index entries (closed_seq disambiguates deque entries; the heap's
     exact-match test discards stale valid counts)."""
-    ssd = build_ssd(GreedyPolicy(), stream_separation=False)
+    ssd = build_ssd(GreedyPolicy())
     rng = substream(3, "cycles")
     npages = ssd.config.logical_pages
     ssd.write_range(0, npages)
@@ -155,7 +140,7 @@ def test_victim_index_survives_reuse_cycles():
 
 def test_index_structures_stay_bounded():
     """Lazy heap/deque growth is compacted against the device size."""
-    ssd = build_ssd(GreedyPolicy(), stream_separation=False)
+    ssd = build_ssd(GreedyPolicy())
     rng = substream(5, "bounded")
     npages = ssd.config.logical_pages
     ssd.write_range(0, npages)
@@ -170,7 +155,7 @@ def test_index_structures_stay_bounded():
 
 
 def test_victim_index_check_catches_drift():
-    ssd = build_ssd(GreedyPolicy(), stream_separation=False)
+    ssd = build_ssd(GreedyPolicy())
     npages = ssd.config.logical_pages
     ssd.write_range(0, npages)
     index = ssd.ftl._victim_index

@@ -1,7 +1,7 @@
 """Every ``examples/*.py`` runs to the end as a script.
 
-They are the only callers of some public names (``lifetime_estimate``,
-the CUSUM walkthrough), so a rename that misses them fails here.
+They are the only callers of some public names (the CUSUM
+walkthrough), so a rename that misses them fails here.
 """
 
 from __future__ import annotations
