@@ -513,11 +513,15 @@ class SSD:
             if background:
                 latency = 0.0
             else:
+                # Mean positive backlog <= write_max - now (+ <= 16 ulps
+                # of rounding, dwarfed by transfer > 0): within the drain
+                # window the cache term cannot win, so skip the sum.
                 transfer = nbytes / self._bus_bytes_per_s
-                completion = max(
-                    now + transfer + self._host_write_latency,
-                    now + self.backlog_seconds() - self._cache_drain_window,
-                )
+                completion = now + transfer + self._host_write_latency
+                window = self._cache_drain_window
+                if channels.write_max - now > window:
+                    completion = max(completion,
+                                     now + channels.backlog(now) - window)
                 latency = completion - now
         else:
             flash_time = (
@@ -610,22 +614,21 @@ class SSD:
     def _queue_flash_work(self, work: WorkUnits, fold: float, now: float) -> None:
         """Stripe program/erase work across the per-channel horizons.
 
-        Pages go round-robin from the interleaving cursor; erases (a
-        block-granularity operation) land on the cursor channel.  The
-        cursor rotates past the channels a request touched, so small
-        requests spread over the array instead of piling on channel 0.
+        Pages go round-robin from the interleaving cursor: the first
+        ``pages % C`` lanes get ``pages // C + 1`` pages, the rest
+        ``pages // C``.  Erases (a block-granularity operation) land on
+        the cursor channel.  The cursor advances by ``pages % C`` (by
+        one when ``pages`` is a multiple of ``C``) and by one more for
+        erases, so small requests spread over the array.
 
         This loop is the only writer of the write horizons besides
         ``ChannelTimeline.reset``.  Per touched channel, program/erase
         time queues behind ``max(horizon, now)`` on *both* horizons
         (``busy``, the FIFO occupancy, and ``write_busy``, the
-        write-cache drain); the running maxima follow, and the mutation
-        epoch is bumped once per request — without the bump a memoized
-        ``backlog`` answer for the same ``now`` would go stale.  Plain
-        locals rather than a method per channel: this is the device
-        model's hottest edge.
+        write-cache drain) and the running maxima follow.  It is the
+        device model's hottest edge: plain locals, the two per-lane
+        costs computed once, lanes wrapped by subtraction.
         """
-        cfg = self.config
         channels = self._channels
         busy = channels.busy
         write_busy = channels.write_busy
@@ -633,17 +636,18 @@ class SSD:
         write_max = channels.write_max
         nchannels = len(busy)
         degrade = self.faults.degrade  # None unless a window is configured
-        pages = work.programmed_pages
+        cursor = channels.cursor
+        pages = work.host_pages + work.gc_pages
         if pages:
             base, extra = divmod(pages, nchannels)
-            cursor = channels.cursor
-            program_time = cfg.program_time
-            for i in range(nchannels):
-                npages_here = base + (1 if i < extra else 0)
-                if npages_here == 0:
-                    break
-                c = (cursor + i) % nchannels
-                seconds = npages_here * program_time * fold
+            program_time = self._program_time
+            more = (base + 1) * program_time * fold
+            less = base * program_time * fold
+            for i in range(pages if pages < nchannels else nchannels):
+                c = cursor + i
+                if c >= nchannels:
+                    c -= nchannels
+                seconds = more if i < extra else less
                 if degrade is not None:
                     seconds = degrade.scaled(c, now, seconds)
                 b = busy[c]
@@ -660,10 +664,10 @@ class SSD:
                 write_busy[c] = w
                 if w > write_max:
                     write_max = w
-            channels.cursor = (cursor + max(extra, min(pages, 1))) % nchannels
+            cursor = (cursor + (extra or 1)) % nchannels
         if work.erases:
-            c = channels.cursor
-            seconds = work.erases * cfg.erase_time * fold
+            c = cursor
+            seconds = work.erases * self._erase_time * fold
             if degrade is not None:
                 seconds = degrade.scaled(c, now, seconds)
             b = busy[c]
@@ -680,7 +684,8 @@ class SSD:
             write_busy[c] = w
             if w > write_max:
                 write_max = w
-            channels.cursor = (c + 1) % nchannels
+            cursor = (cursor + 1) % nchannels
+        channels.cursor = cursor
         channels.busy_max = busy_max
         channels.write_max = write_max
 
@@ -693,38 +698,36 @@ class SSD:
         behind same-channel work and overlap across channels.
 
         A read touches at most ``channels`` (8 or 16) lanes, so the
-        fold is a plain loop: there is nothing to vectorise, and numpy
-        call overhead alone exceeds it (measured in DESIGN.md §13.3).
+        fold is one plain pass: nothing to vectorise (DESIGN.md §13.3).
+        Reads hold nothing in the write cache, so only ``busy`` moves,
+        and ``busy_max`` takes the completion maximum once.
         """
         cfg = self.config
         channels = self._channels
         busy = channels.busy
-        busy_max = channels.busy_max
         nchannels = len(busy)
         now = self.clock.now
         base, extra = divmod(npages, nchannels)
         first = start % nchannels
         page_read_time = cfg.page_read_time
+        more = (base + 1) * page_read_time
+        less = base * page_read_time
         degrade = self.faults.degrade  # None unless a window is configured
         completion = now
-        # Read service time extends only the FIFO occupancy: reads
-        # contend for the channel but hold nothing in the write cache,
-        # so write_busy, write_max and the backlog memo's epoch are
-        # untouched.
-        for i in range(min(npages, nchannels)):
-            c = (first + i) % nchannels
-            npages_here = base + (1 if i < extra else 0)
+        for i in range(npages if npages < nchannels else nchannels):
+            c = first + i
+            if c >= nchannels:
+                c -= nchannels
             done = busy[c]
             if now > done:
                 done = now
-            seconds = npages_here * page_read_time
+            seconds = more if i < extra else less
             if degrade is not None:
                 seconds = degrade.scaled(c, now, seconds)
             done += seconds
             busy[c] = done
             if done > completion:
                 completion = done
-            if done > busy_max:
-                busy_max = done
-        channels.busy_max = busy_max
+        if completion > channels.busy_max:
+            channels.busy_max = completion
         return cfg.read_latency + nbytes / cfg.bus_bytes_per_s + (completion - now)

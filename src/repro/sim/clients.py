@@ -179,8 +179,9 @@ class ClientPool:
         offset = 0
         # Adaptive segment size (DESIGN.md §8): while interleave-bound
         # (we just yielded because another event was due) the next call
-        # will be stopped after one op anyway, so a 1-op segment takes
-        # the engines' single-op fast path; the moment a call ends with
+        # will be stopped after one op anyway, so the next call is a
+        # 1-op segment (the same batch method, prologue and all: the
+        # engines have no single-op path); the moment a call ends with
         # no event due, the full segment size returns.  Only the call
         # granularity changes — the op stream and timing are governed
         # by `until` either way.

@@ -78,23 +78,6 @@ def test_randomized_mutations_match_oracle(nchannels):
     assert ssd.smart.blocks_erased > 0 and ssd.smart.host_read_requests > 0
 
 
-def test_memoized_backlog_is_invalidated_by_mutation():
-    """No answer is remembered (the memo this guarded is gone: 0 hits
-    in 115 726 calls on ``btree-pool16``): a repeat at one instant is
-    recomputed, so a write in between shows."""
-    ssd, timeline, clock = timed_ssd(4)
-    ssd.write_range(0, 1, background=True)
-    clock.advance(50e-6)  # a quarter of the one queued page program
-    now = clock.now
-    first = timeline.backlog(now)
-    assert first > 0.0
-    assert timeline.backlog(now) == first
-    ssd.write_range(8, 2, background=True)  # same instant, more work
-    assert timeline.backlog(now) == oracle_backlog(timeline, now) > first
-    ssd.settle()
-    assert timeline.backlog(now) == 0.0
-
-
 def test_drained_timeline_short_circuits_to_exact_zero():
     ssd, timeline, clock = timed_ssd(8)
     ssd.write_range(2, 10, background=True)
