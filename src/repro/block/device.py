@@ -150,10 +150,6 @@ class BlockDevice:
             self._refuse(start, npages)
         self.ssd.trim_range(start, npages)
 
-    def backlog_seconds(self) -> float:
-        """Seconds of queued device work (used for engine stall logic)."""
-        return self.ssd.backlog_seconds()
-
     def _refuse(self, start: int, npages: int) -> None:
         raise OutOfRangeError(
             f"range [{start}, {start + npages}) outside the exposed range "

@@ -483,7 +483,9 @@ def run_measured_phase(spec: ExperimentSpec, stack: Stack, collector,
     runner at one client and records per-op latencies; more than one
     shard always takes the pool, so fleet results carry latencies at
     every depth.  An arrival process replaces the closed loop with the
-    open-loop :class:`~repro.fleet.pool.FleetPool`.  The run stops once
+    open-loop :class:`~repro.fleet.pool.FleetPool`.  Concurrency (more
+    than one client, or arrivals) first switches every device to
+    per-channel timing, here and nowhere else.  The run stops once
     host writes reach ``duration_capacity_writes`` device capacities,
     or at ``spec.max_ops``.  A mix of only gets and scans never moves
     the host-write counter, so without a ``max_ops`` it gets the op
@@ -506,8 +508,10 @@ def run_measured_phase(spec: ExperimentSpec, stack: Stack, collector,
         return run_workload(stack.store, workload, **limits)
     if tracer is None:
         tracer = NULL_TRACER
+    if spec.nclients > 1 or spec.arrival is not None:
+        stack.enable_channel_timing()
     if spec.arrival is None:
-        return ClientPool(stack.store, workload, spec.nclients, ssd=stack,
+        return ClientPool(stack.store, workload, spec.nclients,
                           tracer=tracer, **limits).run()
     arrival = make_arrival(
         spec.arrival, spec.arrival_rate,
@@ -515,7 +519,7 @@ def run_measured_phase(spec: ExperimentSpec, stack: Stack, collector,
         **spec.arrival_options,
     )
     return FleetPool(
-        stack.store, workload, arrival, queue_cap=spec.queue_cap, ssd=stack,
+        stack.store, workload, arrival, queue_cap=spec.queue_cap,
         tracer=tracer, kill_at=spec.kill_at, kill_shard=spec.kill_shard,
         retry_limit=spec.retry_limit,
         retry_backoff=spec.retry_backoff_ms / 1e3,

@@ -9,8 +9,7 @@ explaining the SSD2 results (§4.7):
 
 * every write is programmed by the FTL immediately (bookkeeping), but
   its *flash time* — programs for host data, programs for GC
-  relocations, and erases, divided by the internal parallelism — is
-  queued on a busy horizon ``busy_until``;
+  relocations, and erases — is queued on a busy horizon;
 * a host write completes once its bytes are transferred and the
   outstanding flash work fits inside the controller cache.  While the
   backlog fits in the cache the host only observes the (low) cache
@@ -18,8 +17,7 @@ explaining the SSD2 results (§4.7):
   stalls until the flash catches up.  Large bursty writes therefore
   overwhelm small-cache devices exactly as described for RocksDB on
   SSD2;
-* reads observe a latency floor plus a contention penalty proportional
-  to the current write backlog.
+* reads observe a service floor and wait for queued work.
 
 Garbage collection inflates the queued flash time (relocated pages are
 real programs), so a rising WA-D directly reduces the drain rate — the
@@ -30,23 +28,17 @@ perform off the user thread) extend the busy horizon without blocking
 the caller; engines translate backlog into write stalls themselves,
 like RocksDB's slowdown/stop conditions do.
 
-Channel-parallel timing (DESIGN.md §4.3)
-========================================
+Two timelines, one interface (DESIGN.md §4.3)
+=============================================
 
-The single-threaded model above folds the device's internal parallelism
-into scalar division (``/ channels``) plus a scalar read-contention
-penalty — adequate when only one operation is ever outstanding.  Under
-the discrete-event subsystem many clients keep multiple requests in
-flight, and queue depth interacts with channel-level parallelism (Roh
-et al.): reads on *different* channels overlap while reads on the
-*same* channel — or behind queued program/erase work — wait their turn.
-:meth:`SSD.enable_channel_timing` switches the device to a per-channel
-service model: every channel keeps its own busy horizon, program and
-erase work is striped page-wise round-robin, and a read's latency is
-the completion time of its slowest channel.  The scalar read-contention
-multiplier is then retired — contention *emerges* from the queues.  The
-scalar path is untouched, so single-client runs remain bit-identical to
-the seed model.
+The horizon lives in a *timeline*, and an ``SSD`` holds one:
+:class:`ScalarTimeline`, the queue-depth-1 model (one horizon, internal
+parallelism folded into ``/ channels``, reads charged a penalty
+proportional to the write backlog), or :class:`ChannelTimeline`, one
+FIFO server per channel (Roh et al.), where contention *emerges* from
+the queues.  They answer the same calls, so the SSD never asks which
+one runs; :meth:`SSD.enable_channel_timing` swaps the scalar one for a
+channel one, once.  Nothing outside this module names either class.
 """
 
 from __future__ import annotations
@@ -62,27 +54,129 @@ from repro.flash.gc import GCPolicy
 from repro.flash.smart import SmartAttributes
 from repro.obs.tracer import NULL_TRACER
 
+#: Bounds the rounding of a mean of at most 2**10 positive parts above
+#: their maximum ((1 + 2**-53)**(2**10) < 1 + 2**-42).
+_ROUNDING_SLACK = 1.0 + 2.0**-40
 
-def mean_write_backlog(write_busy: list, now: float) -> float:
-    """Mean seconds of queued write work per channel at time *now*.
 
-    The positive parts of the per-channel horizons are accumulated in
-    channel order (drained channels contribute an exact ``0.0`` and are
-    skipped), then divided by the channel count.  This is **the** one
-    definition of the write backlog: :meth:`ChannelTimeline.backlog`
-    and the engines' stall-replay loops (``lsm/store.py``) all call it,
-    so the device model and the engine heuristics cannot drift by one
-    float ulp.
+class _Timeline:
+    """Where a device's queued flash work lives; the interface both
+    timing models answer, every query at a virtual time *now*.
+
+    * ``write(work, fold, now, done, degrade)`` queues one write's flash
+      work (``fold``: the SLC fold multiplier; ``degrade``: the fault
+      plan's degraded-channel window or None) and returns its host
+      latency: the later of *done* — transfer plus cache insertion —
+      and the moment the backlog past it fits the cache window.  A
+      background write (*done* None) returns 0.0.
+    * ``read(start, npages, now, degrade)`` times one read;
+      ``read_many(starts, lens, now)`` a batch issued at one instant;
+      ``ideal_read(npages)`` is a read's latency on an idle device (the
+      tracer's service share; the rest is queueing).
+    * ``backlog(now)`` is the seconds of queued *write* work,
+      ``backlog_exceeds(now, threshold)`` the SLC fold trigger and
+      ``write_horizon()`` the time from which the backlog is an exact
+      0.0; ``drain_wait(now)`` is the wait until idle and ``reset(now)``
+      idles the device.
+
+    Queued seconds drain ``lanes`` at a time, and a write's flash time
+    is divided by ``lane_share`` before it queues (the tracer's GC
+    share reads both).
     """
-    total = 0.0
-    for b in write_busy:
-        d = b - now
-        if d > 0.0:
-            total += d
-    return total / len(write_busy)
+
+    def __init__(self, config: SSDConfig):
+        self._program_time = config.program_time
+        self._erase_time = config.erase_time
+        self._window = config.cache_drain_window
+        self._page_size = config.page_size
+        self._bus = config.bus_bytes_per_s
+        self._read_latency = config.read_latency
+        self._page_read_time = config.page_read_time
+
+    def trace_occupancy(self, tracer, now: float) -> None:
+        """Emit the timeline's own trace counters (none by default)."""
 
 
-class ChannelTimeline:
+class ScalarTimeline(_Timeline):
+    """One busy horizon, adequate while one request is outstanding.
+
+    ``busy_until`` is both the FIFO occupancy and the write-cache drain
+    horizon; reads do not move it but pay a penalty proportional to
+    the backlog they find, saturating at ``read_contention_window``.
+    """
+
+    lanes = 1
+
+    def __init__(self, config: SSDConfig):
+        super().__init__(config)
+        self.busy_until = 0.0
+        self.lane_share = config.channels
+        self._contention = config.read_contention
+        self._contention_window = config.read_contention_window
+
+    def write_horizon(self) -> float:
+        return self.busy_until
+
+    def backlog(self, now: float) -> float:
+        backlog = self.busy_until - now
+        return backlog if backlog > 0.0 else 0.0
+
+    drain_wait = backlog
+
+    def backlog_exceeds(self, now: float, threshold: float) -> bool:
+        return self.busy_until - now > threshold
+
+    def reset(self, now: float) -> None:
+        self.busy_until = now
+
+    def write(self, work: WorkUnits, fold: float, now: float,
+              done: float | None, degrade) -> float:
+        flash_time = (
+            (work.host_pages + work.gc_pages) * self._program_time
+            + work.erases * self._erase_time
+        ) / self.lane_share * fold
+        busy_until = self.busy_until
+        if now > busy_until:
+            busy_until = now
+        busy_until += flash_time
+        self.busy_until = busy_until
+        if done is None:
+            return 0.0
+        cached = busy_until - self._window
+        if cached > done:
+            done = cached
+        return done - now
+
+    def read(self, start: int, npages: int, now: float, degrade) -> float:
+        latency = self.ideal_read(npages)
+        backlog = self.busy_until - now
+        if backlog > 0 and self._contention > 0:
+            saturation = min(1.0, backlog / self._contention_window)
+            latency *= 1.0 + self._contention * saturation
+        return latency
+
+    def read_many(self, starts, lens, now: float) -> list[float]:
+        """Nothing a latency depends on moves inside the batch, so each
+        distinct length is computed once."""
+        by_length: dict[int, float] = {}
+        latencies = []
+        for npages in lens:
+            if npages <= 0:
+                latencies.append(0.0)
+                continue
+            latency = by_length.get(npages)
+            if latency is None:
+                latency = by_length[npages] = self.read(0, npages, now, None)
+            latencies.append(latency)
+        return latencies
+
+    def ideal_read(self, npages: int) -> float:
+        return (self._read_latency
+                + npages * self._page_read_time / self.lane_share
+                + npages * self._page_size / self._bus)
+
+
+class ChannelTimeline(_Timeline):
     """Per-channel busy horizons: the device as a set of FIFO servers.
 
     Each channel serves its queued flash work in arrival order; the
@@ -93,56 +187,187 @@ class ChannelTimeline:
     — program, erase *and* read service time — and is what later
     requests on the same channel queue behind.  ``write_busy`` counts
     only program/erase work: it is the controller *write-cache* drain
-    horizon, the quantity behind host write completion, the SLC fold
-    trigger, and engine stall heuristics.  Reads occupy channels but
-    hold no data in the write cache, so they must never appear in the
-    write backlog (a read-heavy workload would otherwise spuriously
-    "overwhelm the write cache").
+    horizon behind host write completion, the SLC fold trigger and
+    engine stalls.  Reads hold no data in the write cache, so they never
+    appear in the write backlog.
 
-    Running aggregates (DESIGN.md §8) make the common per-op queries
-    O(1): ``write_max`` / ``busy_max`` are the exact maxima of the two
-    horizon vectors (work only ever extends a horizon, so a single
-    ``max`` per mutation maintains them).  All query results are
-    bit-identical to recomputing from the vectors — the fast paths
-    only skip work whose outcome is provably an exact ``0.0``.
+    ``write_max`` / ``busy_max`` are the exact maxima of the two vectors
+    (work only ever extends a horizon, so one ``max`` per mutation
+    maintains them) and make the common queries O(1) (DESIGN.md §8);
+    the fast paths only skip work whose outcome is provably exact.
     """
 
-    def __init__(self, nchannels: int, start: float = 0.0):
+    lane_share = 1
+
+    def __init__(self, config: SSDConfig, start: float = 0.0):
+        super().__init__(config)
+        self.lanes = nchannels = config.channels
         self.busy = [float(start)] * nchannels
         self.write_busy = [float(start)] * nchannels
         self.cursor = 0
         self.write_max = float(start)  # == max(write_busy), maintained
         self.busy_max = float(start)  # == max(busy), maintained
 
+    def write_horizon(self) -> float:
+        return self.write_max
+
     def backlog(self, now: float) -> float:
-        """Mean seconds of queued *write* work per channel (the
-        write-cache drain horizon)."""
+        """Mean seconds of queued write work per channel: the positive
+        parts of the horizons summed in channel order, over the channel
+        count."""
         if self.write_max <= now:
             return 0.0  # every term of the sum would be an exact 0.0
-        return mean_write_backlog(self.write_busy, now)
+        total = 0.0
+        for b in self.write_busy:
+            d = b - now
+            if d > 0.0:
+                total += d
+        return total / self.lanes
 
     def backlog_exceeds(self, now: float, threshold: float) -> bool:
-        """Exact ``backlog(now) > threshold`` with an O(1) reject.
-
-        The mean positive part is bounded by the max positive part, so
-        a ``write_max`` within *threshold* of *now* decides the
-        comparison without touching the vector (the SLC fold trigger's
-        common case).
-        """
-        if self.write_max - now <= threshold:
+        """Exact, with an O(1) reject: the mean positive part is at most
+        the max one, so a ``write_max`` within *threshold* of *now*
+        decides it (the fold trigger's common case).  The float sum can
+        overshoot that bound by ``channels`` ulps, so the reject keeps
+        a 2**-40 relative margin."""
+        if (self.write_max - now) * _ROUNDING_SLACK <= threshold:
             return False
         return self.backlog(now) > threshold
 
-    def max_backlog(self, now: float) -> float:
-        """Seconds until the most-loaded channel goes idle (any work)."""
+    def drain_wait(self, now: float) -> float:
+        """Until the most-loaded channel goes idle (any work)."""
         return max(0.0, self.busy_max - now)
 
     def reset(self, now: float) -> None:
-        """Consider every channel idle as of *now*."""
-        self.busy = [now] * len(self.busy)
-        self.write_busy = [now] * len(self.write_busy)
+        self.busy = [now] * self.lanes
+        self.write_busy = [now] * self.lanes
         self.write_max = now
         self.busy_max = now
+
+    def write(self, work: WorkUnits, fold: float, now: float,
+              done: float | None, degrade) -> float:
+        """Pages go round-robin from the cursor: the first ``pages % C``
+        lanes get ``pages // C + 1``, the rest ``pages // C``; erases land
+        on the cursor channel.  The cursor advances by ``pages % C`` (by
+        one when ``C`` divides ``pages``) and by one per erase.  Work
+        queues behind ``max(horizon, now)`` on *both* horizons.  The
+        hottest edge: plain locals, two precomputed lane costs, lanes
+        wrapped by subtraction.  Admission skips the sum within the
+        cache window: the mean is at most ``write_max - now`` (+ <= 16
+        ulps, dwarfed by the transfer time inside *done*)."""
+        busy = self.busy
+        write_busy = self.write_busy
+        busy_max = self.busy_max
+        write_max = self.write_max
+        nchannels = self.lanes
+        cursor = self.cursor
+        pages = work.host_pages + work.gc_pages
+        if pages:
+            base, extra = divmod(pages, nchannels)
+            program_time = self._program_time
+            more = (base + 1) * program_time * fold
+            less = base * program_time * fold
+            for i in range(pages if pages < nchannels else nchannels):
+                c = cursor + i
+                if c >= nchannels:
+                    c -= nchannels
+                seconds = more if i < extra else less
+                if degrade is not None:
+                    seconds = degrade.scaled(c, now, seconds)
+                b = busy[c]
+                if now > b:
+                    b = now
+                b += seconds
+                busy[c] = b
+                if b > busy_max:
+                    busy_max = b
+                w = write_busy[c]
+                if now > w:
+                    w = now
+                w += seconds
+                write_busy[c] = w
+                if w > write_max:
+                    write_max = w
+            cursor = (cursor + (extra or 1)) % nchannels
+        if work.erases:
+            c = cursor
+            seconds = work.erases * self._erase_time * fold
+            if degrade is not None:
+                seconds = degrade.scaled(c, now, seconds)
+            b = busy[c]
+            if now > b:
+                b = now
+            b += seconds
+            busy[c] = b
+            if b > busy_max:
+                busy_max = b
+            w = write_busy[c]
+            if now > w:
+                w = now
+            w += seconds
+            write_busy[c] = w
+            if w > write_max:
+                write_max = w
+            cursor = (cursor + 1) % nchannels
+        self.cursor = cursor
+        self.busy_max = busy_max
+        self.write_max = write_max
+        if done is None:
+            return 0.0
+        window = self._window
+        if write_max - now > window:
+            done = max(done, now + self.backlog(now) - window)
+        return done - now
+
+    def read(self, start: int, npages: int, now: float, degrade) -> float:
+        """Page *start + i* is served by channel ``(start + i) %
+        channels`` (the static striping of a consecutive LBA range) and
+        the read completes with its slowest channel.  At most 8 or 16
+        lanes: one plain pass (DESIGN.md §13.3).  Only ``busy`` moves;
+        ``busy_max`` takes the completion once."""
+        busy = self.busy
+        nchannels = self.lanes
+        base, extra = divmod(npages, nchannels)
+        first = start % nchannels
+        page_read_time = self._page_read_time
+        more = (base + 1) * page_read_time
+        less = base * page_read_time
+        completion = now
+        for i in range(npages if npages < nchannels else nchannels):
+            c = first + i
+            if c >= nchannels:
+                c -= nchannels
+            done = busy[c]
+            if now > done:
+                done = now
+            seconds = more if i < extra else less
+            if degrade is not None:
+                seconds = degrade.scaled(c, now, seconds)
+            done += seconds
+            busy[c] = done
+            if done > completion:
+                completion = done
+        if completion > self.busy_max:
+            self.busy_max = completion
+        return (self._read_latency + npages * self._page_size / self._bus
+                + (completion - now))
+
+    def read_many(self, starts, lens, now: float) -> list[float]:
+        """One request after another: each queues behind the last."""
+        read = self.read
+        return [read(start, npages, now, None) if npages > 0 else 0.0
+                for start, npages in zip(starts, lens)]
+
+    def ideal_read(self, npages: int) -> float:
+        return (self._read_latency + npages * self._page_size / self._bus
+                + (-(-npages // self.lanes)) * self._page_read_time)
+
+    def trace_occupancy(self, tracer, now: float) -> None:
+        """The write backlog beside the busiest channel's horizon."""
+        tracer.counter("channel_occupancy", {
+            "write_backlog_s": self.backlog(now),
+            "busy_max_s": max(0.0, self.busy_max - now),
+        })
 
 
 class SSD:
@@ -161,12 +386,8 @@ class SSD:
         # frozen, so these can never go stale).
         self._npages = config.logical_pages
         self._page_size = config.page_size
-        self._program_time = config.program_time
-        self._erase_time = config.erase_time
-        self._nchannels = config.channels
         self._bus_bytes_per_s = config.bus_bytes_per_s
         self._host_write_latency = config.write_latency
-        self._cache_drain_window = config.cache_drain_window
         self._fold_penalty = config.fold_penalty
         self._fold_threshold = 1.25 * config.cache_drain_window
         if config.byte_addressable:
@@ -175,8 +396,7 @@ class SSD:
         else:
             self.ftl = FlashTranslationLayer(config, policy)
             self._mapped = None
-        self._busy_until = 0.0
-        self._channels: ChannelTimeline | None = None
+        self._timeline = ScalarTimeline(config)
         self.tracer = NULL_TRACER
         self.faults = NO_FAULTS  # fault injection (repro.faults)
         # Tracing-only observation of the outstanding flash work split
@@ -226,6 +446,8 @@ class SSD:
             work = self.ftl.write_pages(lpns)
         else:
             lpns = np.asarray(lpns, dtype=np.int64)
+            if int(lpns.min()) < 0 or int(lpns.max()) >= self._npages:
+                raise OutOfRangeError("logical page outside device address space")
             self._mapped[lpns] = True
             work = WorkUnits(host_pages=n)
         latency = self._account_write(n, work, background)
@@ -263,26 +485,17 @@ class SSD:
             # accounting, bounds already checked against the same
             # logical space.
             ftl.total_read_pages += npages
-        cfg = self.config
         nbytes = npages * self._page_size
-        if self._channels is not None:
-            latency = self._read_channelized(start, npages, nbytes)
-        else:
-            latency = self._read_scalar(npages)
+        faults = self.faults
+        latency = self._timeline.read(start, npages, self.clock.now,
+                                      faults.degrade)
         smart = self.smart
         smart.host_bytes_read += nbytes
         smart.nand_bytes_read += nbytes
         smart.host_read_requests += 1
         tracer = self.tracer
         if tracer.enabled:
-            if self._channels is not None:
-                ideal = (cfg.read_latency + nbytes / cfg.bus_bytes_per_s
-                         + (-(-npages // cfg.channels)) * cfg.page_read_time)
-            else:
-                ideal = (cfg.read_latency
-                         + npages * cfg.page_read_time / cfg.channels
-                         + nbytes / cfg.bus_bytes_per_s)
-            queueing = latency - ideal
+            queueing = latency - self._timeline.ideal_read(npages)
             if queueing < 0.0:
                 queueing = 0.0
             device_service = latency - queueing
@@ -293,7 +506,6 @@ class SSD:
                 "pages": npages, "device_service": device_service,
                 "queueing": queueing,
             })
-        faults = self.faults
         if faults.enabled:
             extra = faults.on_read(self)
             if extra:
@@ -302,53 +514,31 @@ class SSD:
 
     def read_ranges(self, starts, lens) -> list[float]:
         """``read_range`` of every ``(start, npages)``, submitted at one
-        instant: the same latencies and the same accounting.  Reads
-        move neither the clock nor the scalar write horizon, so a
-        latency is computed once per distinct length; channel queues,
-        the tracer and fault draws are per-request state: the loop.
+        instant: the same latencies and the same accounting, timed by
+        the timeline in one call.  The tracer and fault draws are
+        per-request state: the loop.
         """
-        if (self._channels is not None or self.tracer.enabled
-                or self.faults.enabled):
+        if self.tracer.enabled or self.faults.enabled:
             return [self.read_range(start, npages)
                     for start, npages in zip(starts, lens)]
-        by_length: dict[int, float] = {}
-        latencies = []
+        limit = self._npages
         pages = requests = 0
-        try:
-            for start, npages in zip(starts, lens):
-                if npages <= 0:
-                    latencies.append(0.0)
-                    continue
-                if start < 0 or start + npages > self._npages:
+        for i, (start, npages) in enumerate(zip(starts, lens)):
+            if npages > 0:
+                if start < 0 or start + npages > limit:
+                    # Like the loop: the requests before the bad one are served.
+                    self.read_ranges(starts[:i], lens[:i])
                     self._check(start, npages)
-                latency = by_length.get(npages)
-                if latency is None:
-                    latency = by_length[npages] = self._read_scalar(npages)
-                latencies.append(latency)
                 pages += npages
                 requests += 1
-        finally:  # an out-of-range request leaves the earlier ones counted
-            if self.ftl is not None:
-                self.ftl.total_read_pages += pages
-            self.smart.host_bytes_read += pages * self._page_size
-            self.smart.nand_bytes_read += pages * self._page_size
-            self.smart.host_read_requests += requests
+        latencies = self._timeline.read_many(starts, lens, self.clock.now)
+        if self.ftl is not None:
+            self.ftl.total_read_pages += pages
+        smart = self.smart
+        smart.host_bytes_read += pages * self._page_size
+        smart.nand_bytes_read += pages * self._page_size
+        smart.host_read_requests += requests
         return latencies
-
-    def _read_scalar(self, npages: int) -> float:
-        """Scalar-timing latency of one *npages* read issued now: the
-        service floor plus the write-backlog contention penalty."""
-        cfg = self.config
-        latency = (
-            cfg.read_latency
-            + npages * cfg.page_read_time / cfg.channels
-            + npages * self._page_size / cfg.bus_bytes_per_s
-        )
-        backlog = self.backlog_seconds()
-        if backlog > 0 and cfg.read_contention > 0:
-            saturation = min(1.0, backlog / cfg.read_contention_window)
-            latency *= 1.0 + cfg.read_contention * saturation
-        return latency
 
     def trim_range(self, start: int, npages: int) -> None:
         """TRIM a consecutive logical range (invalidate its data)."""
@@ -369,60 +559,31 @@ class SSD:
     # Busy-horizon queries used by engines for stall decisions
     # ------------------------------------------------------------------
     def enable_channel_timing(self) -> None:
-        """Switch to the per-channel service model (DESIGN.md §4.3).
-
-        Any scalar backlog accumulated so far carries over: each channel
-        starts at the current busy horizon, preserving the drain time.
-        Idempotent; used by the multi-client driver before the measured
-        phase.
-        """
-        if self._channels is None:
-            start = max(self._busy_until, self.clock.now)
-            self._channels = ChannelTimeline(self.config.channels, start)
+        """Switch to the per-channel service model (DESIGN.md §4.3),
+        once: each channel starts at the scalar horizon, so the drain
+        time carries over.  ``run_measured_phase`` calls it."""
+        timeline = self._timeline
+        if isinstance(timeline, ScalarTimeline):
+            start = max(timeline.write_horizon(), self.clock.now)
+            self._timeline = ChannelTimeline(self.config, start)
 
     @property
-    def channel_timing_enabled(self) -> bool:
-        """Whether the per-channel service model is active."""
-        return self._channels is not None
-
-    def channel_backlogs(self) -> list[float]:
-        """Per-channel seconds of queued work (empty in scalar mode)."""
-        if self._channels is None:
-            return []
-        now = self.clock.now
-        return [max(0.0, b - now) for b in self._channels.busy]
-
-    @property
-    def scalar_busy_until(self) -> float:
-        """Absolute drain time of the scalar busy horizon.
-
-        Only meaningful while channel timing is off; engine batch fast
-        paths read it once per run to recompute the write-stall penalty
-        without a call chain per operation (DESIGN.md §6).
-        """
-        return self._busy_until
+    def write_horizon(self) -> float:
+        """Absolute time from which :meth:`backlog_seconds` is an exact
+        0.0.  It moves only when the device queues a write, so engine
+        batch paths read it once per run of writes (DESIGN.md §6.3)."""
+        return self._timeline.write_horizon()
 
     def backlog_seconds(self, at: float | None = None) -> float:
-        """Seconds of queued *write* work not yet completed at time *at*.
-
-        In channel mode this is the *mean* per-channel program/erase
-        backlog — the horizon at which the write cache drains under
-        perfect interleaving, which is what the controller cache and
-        engine stall heuristics care about.  Read service time is
-        excluded: reads occupy channels (visible in read latencies and
-        :meth:`channel_backlogs`) but hold nothing in the write cache.
-        """
-        now = self.clock.now if at is None else at
-        if self._channels is not None:
-            return self._channels.backlog(now)
-        return max(0.0, self._busy_until - now)
+        """Seconds of queued *write* work not yet completed at time *at*
+        (default now) — under channel timing the mean per-channel
+        program/erase backlog, the write cache's drain horizon.  Reads
+        hold nothing in the write cache and never count."""
+        return self._timeline.backlog(self.clock.now if at is None else at)
 
     def drain(self) -> float:
         """Advance the clock until the device is idle; returns the wait."""
-        if self._channels is not None:
-            wait = self._channels.max_backlog(self.clock.now)
-        else:
-            wait = self.backlog_seconds()
+        wait = self._timeline.drain_wait(self.clock.now)
         if wait > 0:
             self.clock.advance(wait)
         return wait
@@ -433,9 +594,7 @@ class SSD:
         Used between experiment phases (e.g. after preconditioning) to
         model the idle gap before the measured run starts.
         """
-        self._busy_until = self.clock.now
-        if self._channels is not None:
-            self._channels.reset(self.clock.now)
+        self._timeline.reset(self.clock.now)
 
     # ------------------------------------------------------------------
     # Measurements
@@ -490,55 +649,21 @@ class SSD:
             smart.nand_bytes_written += work.host_pages * page_size
 
         now = self.clock.now
-        channels = self._channels
+        timeline = self._timeline
         fold = 1.0
-        if self._fold_penalty > 1.0:
-            # The SLC cache is overwhelmed: folding into QLC multiplies
-            # the effective cost of the incoming writes (§4.7's "large
-            # bursty writes overwhelm the cache").  Synchronous writers
-            # self-clock at the cache window and never reach this
-            # threshold; bursty background writers (LSM flushes and
-            # compactions) push far past it and pay the folding cost.
-            # The channel path's trigger check is O(1) unless the
-            # backlog is actually near the threshold.
-            if channels is not None:
-                overwhelmed = channels.backlog_exceeds(now, self._fold_threshold)
-            else:
-                overwhelmed = self._busy_until - now > self._fold_threshold
-            if overwhelmed:
-                fold = self._fold_penalty
-                smart.fold_events += 1
-        if channels is not None:
-            self._queue_flash_work(work, fold, now)
-            if background:
-                latency = 0.0
-            else:
-                # Mean positive backlog <= write_max - now (+ <= 16 ulps
-                # of rounding, dwarfed by transfer > 0): within the drain
-                # window the cache term cannot win, so skip the sum.
-                transfer = nbytes / self._bus_bytes_per_s
-                completion = now + transfer + self._host_write_latency
-                window = self._cache_drain_window
-                if channels.write_max - now > window:
-                    completion = max(completion,
-                                     now + channels.backlog(now) - window)
-                latency = completion - now
-        else:
-            flash_time = (
-                (work.host_pages + work.gc_pages) * self._program_time
-                + work.erases * self._erase_time
-            ) / self._nchannels * fold
-            start = max(self._busy_until, now)
-            self._busy_until = start + flash_time
-            if background:
-                latency = 0.0
-            else:
-                transfer = nbytes / self._bus_bytes_per_s
-                completion = max(
-                    now + transfer + self._host_write_latency,
-                    self._busy_until - self._cache_drain_window,
-                )
-                latency = completion - now
+        # The SLC cache is overwhelmed: folding into QLC multiplies the
+        # effective cost of the incoming writes (§4.7's "large bursty
+        # writes overwhelm the cache").  Synchronous writers self-clock
+        # at the cache window and never reach this threshold; bursty
+        # background writers (LSM flushes and compactions) push far
+        # past it and pay the folding cost.
+        if (self._fold_penalty > 1.0
+                and timeline.backlog_exceeds(now, self._fold_threshold)):
+            fold = self._fold_penalty
+            smart.fold_events += 1
+        done = None if background else (
+            now + nbytes / self._bus_bytes_per_s + self._host_write_latency)
+        latency = timeline.write(work, fold, now, done, self.faults.degrade)
         tracer = self.tracer
         if tracer.enabled:
             self._trace_write(tracer, npages, nbytes, work, fold,
@@ -552,17 +677,15 @@ class SSD:
         Tracing only — reads model state, never writes it, so enabling
         the tracer cannot change a simulated result.  The GC share of
         the outstanding flash work is tracked in ``_gc_obs`` as a
-        (gc seconds, total seconds) pair drained proportionally at the
-        device's service rate; a foreground write's queueing time is
-        split into ``gc_wait`` by the share at admission.
+        (gc seconds, total seconds) pair in the timeline's lane
+        seconds, drained proportionally at its service rate; a
+        foreground write's queueing time is split into ``gc_wait`` by
+        the share at admission.
         """
+        timeline = self._timeline
         obs = self._gc_obs
         gc_out, total_out, last_t = obs
-        drained = now - last_t
-        if self._channels is not None:
-            # Channel mode queues undivided per-page seconds; the array
-            # drains them nchannels at a time.
-            drained *= self._nchannels
+        drained = (now - last_t) * timeline.lanes
         if total_out > 0.0 and drained > 0.0:
             if drained >= total_out:
                 gc_out = 0.0
@@ -570,13 +693,11 @@ class SSD:
             else:
                 gc_out -= drained * gc_out / total_out
                 total_out -= drained
-        flash_seconds = (work.programmed_pages * self._program_time
-                         + work.erases * self._erase_time) * fold
-        gc_seconds = (work.gc_pages * self._program_time
-                      + work.erases * self._erase_time) * fold
-        if self._channels is None:
-            flash_seconds /= self._nchannels
-            gc_seconds /= self._nchannels
+        cfg = self.config
+        flash_seconds = (work.programmed_pages * cfg.program_time
+                         + work.erases * cfg.erase_time) * fold / timeline.lane_share
+        gc_seconds = (work.gc_pages * cfg.program_time
+                      + work.erases * cfg.erase_time) * fold / timeline.lane_share
         total_out += flash_seconds
         gc_out += gc_seconds
         obs[0] = gc_out
@@ -604,130 +725,4 @@ class SSD:
                 "erases": work.erases, "device_service": device_service,
                 "queueing": queueing, "gc_wait": gc_wait,
             })
-        channels = self._channels
-        if channels is not None:
-            tracer.counter("channel_occupancy", {
-                "write_backlog_s": channels.backlog(now),
-                "busy_max_s": max(0.0, channels.busy_max - now),
-            })
-
-    def _queue_flash_work(self, work: WorkUnits, fold: float, now: float) -> None:
-        """Stripe program/erase work across the per-channel horizons.
-
-        Pages go round-robin from the interleaving cursor: the first
-        ``pages % C`` lanes get ``pages // C + 1`` pages, the rest
-        ``pages // C``.  Erases (a block-granularity operation) land on
-        the cursor channel.  The cursor advances by ``pages % C`` (by
-        one when ``pages`` is a multiple of ``C``) and by one more for
-        erases, so small requests spread over the array.
-
-        This loop is the only writer of the write horizons besides
-        ``ChannelTimeline.reset``.  Per touched channel, program/erase
-        time queues behind ``max(horizon, now)`` on *both* horizons
-        (``busy``, the FIFO occupancy, and ``write_busy``, the
-        write-cache drain) and the running maxima follow.  It is the
-        device model's hottest edge: plain locals, the two per-lane
-        costs computed once, lanes wrapped by subtraction.
-        """
-        channels = self._channels
-        busy = channels.busy
-        write_busy = channels.write_busy
-        busy_max = channels.busy_max
-        write_max = channels.write_max
-        nchannels = len(busy)
-        degrade = self.faults.degrade  # None unless a window is configured
-        cursor = channels.cursor
-        pages = work.host_pages + work.gc_pages
-        if pages:
-            base, extra = divmod(pages, nchannels)
-            program_time = self._program_time
-            more = (base + 1) * program_time * fold
-            less = base * program_time * fold
-            for i in range(pages if pages < nchannels else nchannels):
-                c = cursor + i
-                if c >= nchannels:
-                    c -= nchannels
-                seconds = more if i < extra else less
-                if degrade is not None:
-                    seconds = degrade.scaled(c, now, seconds)
-                b = busy[c]
-                if now > b:
-                    b = now
-                b += seconds
-                busy[c] = b
-                if b > busy_max:
-                    busy_max = b
-                w = write_busy[c]
-                if now > w:
-                    w = now
-                w += seconds
-                write_busy[c] = w
-                if w > write_max:
-                    write_max = w
-            cursor = (cursor + (extra or 1)) % nchannels
-        if work.erases:
-            c = cursor
-            seconds = work.erases * self._erase_time * fold
-            if degrade is not None:
-                seconds = degrade.scaled(c, now, seconds)
-            b = busy[c]
-            if now > b:
-                b = now
-            b += seconds
-            busy[c] = b
-            if b > busy_max:
-                busy_max = b
-            w = write_busy[c]
-            if now > w:
-                w = now
-            w += seconds
-            write_busy[c] = w
-            if w > write_max:
-                write_max = w
-            cursor = (cursor + 1) % nchannels
-        channels.cursor = cursor
-        channels.busy_max = busy_max
-        channels.write_max = write_max
-
-    def _read_channelized(self, start: int, npages: int, nbytes: int) -> float:
-        """Latency of a read served by per-channel FIFO queues.
-
-        Page *start + i* maps to channel ``(start + i) % channels`` (the
-        static striping of a consecutive LBA range); the request
-        completes when its slowest channel finishes, so reads queue
-        behind same-channel work and overlap across channels.
-
-        A read touches at most ``channels`` (8 or 16) lanes, so the
-        fold is one plain pass: nothing to vectorise (DESIGN.md §13.3).
-        Reads hold nothing in the write cache, so only ``busy`` moves,
-        and ``busy_max`` takes the completion maximum once.
-        """
-        cfg = self.config
-        channels = self._channels
-        busy = channels.busy
-        nchannels = len(busy)
-        now = self.clock.now
-        base, extra = divmod(npages, nchannels)
-        first = start % nchannels
-        page_read_time = cfg.page_read_time
-        more = (base + 1) * page_read_time
-        less = base * page_read_time
-        degrade = self.faults.degrade  # None unless a window is configured
-        completion = now
-        for i in range(npages if npages < nchannels else nchannels):
-            c = first + i
-            if c >= nchannels:
-                c -= nchannels
-            done = busy[c]
-            if now > done:
-                done = now
-            seconds = more if i < extra else less
-            if degrade is not None:
-                seconds = degrade.scaled(c, now, seconds)
-            done += seconds
-            busy[c] = done
-            if done > completion:
-                completion = done
-        if completion > channels.busy_max:
-            channels.busy_max = completion
-        return cfg.read_latency + nbytes / cfg.bus_bytes_per_s + (completion - now)
+        timeline.trace_occupancy(tracer, now)

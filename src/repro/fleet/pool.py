@@ -90,7 +90,6 @@ class FleetPool:
         on_sample: Callable[[], None] | None = None,
         max_ops: int | None = None,
         queue_cap: int = 64,
-        ssd=None,
         tracer=NULL_TRACER,
         kill_at: float | None = None,
         kill_shard: int = 0,
@@ -108,7 +107,6 @@ class FleetPool:
         self.on_sample = on_sample
         self.max_ops = max_ops  # bounds *offered* ops, so overload runs end
         self.queue_cap = queue_cap
-        self.ssd = ssd
         self.tracer = tracer
         self.nshards = len(store.shards)
         # Chaos knobs (DESIGN.md §11).  `chaos` gates every new branch
@@ -128,12 +126,10 @@ class FleetPool:
         scheduler.obs_tracer = self.tracer
         self._scheduler = scheduler
         # Open-loop runs are inherently concurrent (source + N service
-        # tasks), so the event-driven engine mode and the per-channel
-        # device model are always on — unlike the closed-loop pool,
-        # whose one-client case stays on the seed's inline path.
+        # tasks), so the event-driven engine mode is always on — unlike
+        # the closed-loop pool, whose one-client case stays on the
+        # seed's inline path.
         self.store.attach_scheduler(scheduler)
-        if self.ssd is not None:
-            self.ssd.enable_channel_timing()
         n = self.nshards
         outcome = RunOutcome(
             latencies=ClientLatencies(n),

@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.core.clock import VirtualClock
 from repro.errors import ConfigError, NoSpaceError, StoreClosedError
-from repro.flash.ssd import mean_write_backlog
 from repro.fs.filesystem import ExtentFilesystem
 from repro.kv.api import KVStore, as_int_list
 from repro.kv.stats import KVStats
@@ -57,8 +56,8 @@ class LSMStore(KVStore):
                  config: LSMConfig | None = None):
         self.fs = fs
         self.clock = clock
-        # The SSD under the filesystem: the write path reads its busy
-        # horizon directly (see _write_many), so it must exist and
+        # The SSD under the filesystem: the write path asks it for
+        # its write backlog (see _write_many), so it must exist and
         # share this store's clock.
         self._ssd = getattr(fs.device, "ssd", None)
         if self._ssd is None:
@@ -466,11 +465,10 @@ class LSMStore(KVStore):
         Works in every driver mode (DESIGN.md §7.2): between device
         events a write's only side effects are pure accounting plus the
         stall penalty, and inside one batch call no other scheduler
-        event can run, so the busy horizon — the scalar ``busy_until``
-        or the per-channel ``write_busy`` vector — is a constant and
-        the clock/penalty recurrence is replayed locally, op by op
-        (step-local capture time accumulates advances identically
-        since the §7 clock refactor).  The op that triggers device
+        event can run, so the device's write backlog is a fixed
+        function of time and the clock/penalty recurrence is replayed
+        locally, op by op (step-local capture time accumulates advances
+        identically since the §7 clock refactor).  The op that triggers device
         work (WAL write-out, memtable rotation) is a
         :meth:`_write_one`, which also spawns the event-mode
         background jobs; an event-aware ``until`` then stops the batch
@@ -508,7 +506,7 @@ class LSMStore(KVStore):
          l0_stop_files, payload, entry_bytes, wal_record) = consts
         clock = self.clock
         stats = self._stats
-        ssd = self._ssd
+        backlog_at = self._ssd.backlog_seconds
         keys_list = keys if type(keys) is list else as_int_list(keys)
         seeds_list = None if vseeds is None else (
             vseeds if type(vseeds) is list else as_int_list(vseeds))
@@ -563,13 +561,7 @@ class LSMStore(KVStore):
                 else:
                     bound = until.snapshot()
                 l0_stop = len(self.version.levels[0]) >= l0_stop_files
-                channels = ssd._channels
-                if channels is None:
-                    write_busy = None
-                    wmax = ssd.scalar_busy_until
-                else:
-                    write_busy = channels.write_busy
-                    wmax = channels.write_max  # exact max(write_busy)
+                wmax = self._ssd.write_horizon
                 took = 0
                 if wmax <= now and not l0_stop:
                     # Zero backlog stays zero: per-op latency is the
@@ -590,23 +582,15 @@ class LSMStore(KVStore):
                             if bound is not None and now >= bound:
                                 break
                 else:
-                    # The stall input is the device's write backlog:
-                    # what is left of the scalar busy horizon, or in
-                    # channel mode the mean per-channel backlog — the
-                    # *same function* the device model uses
-                    # (mean_write_backlog, shared with
-                    # ChannelTimeline.backlog), so the two cannot
-                    # drift.  Once the replay clock passes the max
-                    # horizon every remaining term is an exact 0.0 and
-                    # the sum is skipped outright.
+                    # The stall input is the device's own backlog at
+                    # the replay clock, as the per-op path asks it; past
+                    # the write horizon it is an exact 0.0, unasked.
                     stall = self.stall_seconds
                     for _ in range(cap):
                         if now >= wmax:
                             backlog = 0.0
-                        elif write_busy is None:
-                            backlog = wmax - now
                         else:
-                            backlog = mean_write_backlog(write_busy, now)
+                            backlog = backlog_at(now)
                         if backlog > hard or l0_stop:
                             penalty = max(0.0, backlog - hard)
                             penalty += (hard - soft) * slowdown
@@ -946,7 +930,7 @@ class LSMStore(KVStore):
 
     def _stall_penalty(self) -> float:
         """RocksDB-style slowdown/stop based on device backlog."""
-        backlog = self.fs.device.backlog_seconds()
+        backlog = self._ssd.backlog_seconds()
         config = self.config
         penalty = 0.0
         if backlog > config.backlog_hard_limit or \

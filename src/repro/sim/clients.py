@@ -82,7 +82,6 @@ class ClientPool:
         sample_interval: float | None = None,
         on_sample: Callable[[], None] | None = None,
         max_ops: int | None = None,
-        ssd=None,
         tracer=NULL_TRACER,
     ):
         if nclients < 1:
@@ -96,7 +95,6 @@ class ClientPool:
         self.sample_interval = sample_interval
         self.on_sample = on_sample
         self.max_ops = max_ops
-        self.ssd = ssd
         self.tracer = tracer
 
     def run(self) -> RunOutcome:
@@ -107,12 +105,9 @@ class ClientPool:
         self._scheduler = scheduler
         if self.nclients > 1:
             # The degenerate one-client case keeps the seed's inline
-            # background work and scalar device timing — bit-identical
-            # to run_workload; concurrency turns on the event-driven
-            # engine mode and the per-channel device model.
+            # background work — bit-identical to run_workload;
+            # concurrency turns on the event-driven engine mode.
             self.store.attach_scheduler(scheduler)
-            if self.ssd is not None:
-                self.ssd.enable_channel_timing()
         outcome = RunOutcome(
             per_client_ops=[0] * self.nclients,
             latencies=ClientLatencies(self.nclients),

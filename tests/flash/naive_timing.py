@@ -1,17 +1,28 @@
-"""A naive per-channel timing model: the independent reference for the
-channel half of ``flash/ssd.py`` (DESIGN.md §4.3).
+"""Naive device timing models: the independent references for the two
+timelines of ``flash/ssd.py`` (DESIGN.md §4.3).
 
-Written from the model's description, not from its code: one busy
-horizon and one write-cache horizon per channel, and nothing else —
-no running maxima, no early exit from the write-cache admission check,
-no wrap-by-subtraction.  A write's pages go round-robin from the
-cursor through a general ``divmod`` stripe, every foreground write
-sums the whole write backlog, and a read counts its pages per channel
-one page at a time.  The flash work of a write (host pages, GC
-relocations, erases) comes from ``naive_ftl.py``, so the device's own
-FTL is not consulted either.  Floats are combined in the order the
-model's formulas are written, which is what lets the lockstep compare
-with ``==``.
+Written from the models' descriptions, not from their code.
+
+``NaiveScalarTiming`` is one busy horizon: a write's flash time is its
+programs and erases divided by the channel count, queued behind the
+horizon; a foreground write completes once transferred *and* once the
+backlog left past that fits the cache window; a read pays its service
+floor times a contention factor that grows with the write backlog it
+finds, saturating at the contention window.
+
+``NaiveTiming`` is one busy horizon and one write-cache horizon per
+channel, and nothing else — no running maxima, no early exit from the
+write-cache admission check, no wrap-by-subtraction.  A write's pages
+go round-robin from the cursor through a general ``divmod`` stripe,
+every foreground write sums the whole write backlog, and a read counts
+its pages per channel one page at a time.
+
+Both take a write's flash work (host pages, GC relocations, erases)
+from ``naive_ftl.py``, so the device's own FTL is not consulted
+either, and both fold into QLC (``fold_penalty``) once the write
+backlog passes 1.25 cache windows.  Floats are combined in the order
+the models' formulas are written, which is what lets the lockstep
+compare with ``==``.
 """
 
 from __future__ import annotations
@@ -21,13 +32,58 @@ from collections import Counter
 from repro.flash.config import SSDConfig
 
 
-class NaiveTiming:
+class NaiveScalarTiming:
     def __init__(self, config: SSDConfig):
         self.cfg = config
+        self.busy = 0.0
+        self.fold_events = 0
+
+    def backlog(self, now: float) -> float:
+        return max(0.0, self.busy - now)
+
+    def drain_wait(self, now: float) -> float:
+        return self.backlog(now)
+
+    def write(self, now: float, npages: int, work: tuple[int, int, int],
+              background: bool) -> float:
+        cfg = self.cfg
+        host_pages, gc_pages, erases = work
+        fold = 1.0
+        if cfg.fold_penalty > 1.0 and self.backlog(now) > 1.25 * cfg.cache_drain_window:
+            fold = cfg.fold_penalty
+            self.fold_events += 1
+        flash = ((host_pages + gc_pages) * cfg.program_time
+                 + erases * cfg.erase_time) / cfg.channels * fold
+        self.busy = max(self.busy, now) + flash
+        if background:
+            return 0.0
+        transfer = npages * cfg.page_size / cfg.bus_bytes_per_s
+        completion = max(now + transfer + cfg.write_latency,
+                         self.busy - cfg.cache_drain_window)
+        return completion - now
+
+    def read(self, now: float, start: int, npages: int) -> float:
+        cfg = self.cfg
+        latency = (cfg.read_latency + npages * cfg.page_read_time / cfg.channels
+                   + npages * cfg.page_size / cfg.bus_bytes_per_s)
+        backlog = self.backlog(now)
+        if backlog > 0:
+            latency *= 1.0 + cfg.read_contention * min(
+                1.0, backlog / cfg.read_contention_window)
+        return latency
+
+    def settle(self, now: float) -> None:
+        self.busy = now
+
+
+class NaiveTiming:
+    def __init__(self, config: SSDConfig, start: float = 0.0):
+        self.cfg = config
         self.n = config.channels
-        self.busy = [0.0] * self.n  # FIFO occupancy: program, erase, read
-        self.write_busy = [0.0] * self.n  # write-cache drain: program, erase
+        self.busy = [start] * self.n  # FIFO occupancy: program, erase, read
+        self.write_busy = [start] * self.n  # write-cache drain: program, erase
         self.cursor = 0
+        self.fold_events = 0
 
     def backlog(self, now: float) -> float:
         """Mean positive write backlog per channel."""
@@ -36,6 +92,10 @@ class NaiveTiming:
             if b - now > 0.0:
                 total += b - now
         return total / self.n
+
+    def drain_wait(self, now: float) -> float:
+        """Until the busiest channel is idle, reads included."""
+        return max(0.0, max(self.busy) - now)
 
     def _queue(self, channel: int, now: float, seconds: float) -> None:
         self.busy[channel] = max(self.busy[channel], now) + seconds
@@ -50,6 +110,7 @@ class NaiveTiming:
         fold = 1.0
         if cfg.fold_penalty > 1.0 and self.backlog(now) > 1.25 * window:
             fold = cfg.fold_penalty
+            self.fold_events += 1
         pages = host_pages + gc_pages
         base, extra = divmod(pages, n)
         for i in range(n):

@@ -1,6 +1,6 @@
 """ChannelTimeline's running aggregates vs recompute-from-scratch.
 
-The timeline answers ``backlog`` / ``max_backlog`` / ``backlog_exceeds``
+The timeline answers ``backlog`` / ``drain_wait`` / ``backlog_exceeds``
 through running maxima (DESIGN.md §8).  Every fast path must be
 *exactly* the value a from-scratch recomputation over the horizon
 vectors yields.  The horizons have one writer besides
@@ -13,11 +13,10 @@ request.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.clock import VirtualClock
-from repro.flash.ssd import SSD, ChannelTimeline, mean_write_backlog
+from repro.flash.ssd import SSD, ChannelTimeline
 from repro.rng import substream
 from tests.conftest import make_tiny_config
 
@@ -27,7 +26,8 @@ def timed_ssd(nchannels: int):
     clock = VirtualClock()
     ssd = SSD(make_tiny_config(channels=nchannels), clock)
     ssd.enable_channel_timing()
-    return ssd, ssd._channels, clock
+    assert type(ssd._timeline) is ChannelTimeline
+    return ssd, ssd._timeline, clock
 
 
 def oracle_backlog(timeline: ChannelTimeline, now: float) -> float:
@@ -39,7 +39,7 @@ def oracle_backlog(timeline: ChannelTimeline, now: float) -> float:
     return total / len(timeline.write_busy)
 
 
-def oracle_max_backlog(timeline: ChannelTimeline, now: float) -> float:
+def oracle_drain_wait(timeline: ChannelTimeline, now: float) -> float:
     return max(0.0, max(timeline.busy) - now)
 
 
@@ -68,9 +68,11 @@ def test_randomized_mutations_match_oracle(nchannels):
         now = clock.now
         # Aggregates answer exactly like the naive scan, at every step.
         assert timeline.backlog(now) == oracle_backlog(timeline, now)
-        assert timeline.max_backlog(now) == oracle_max_backlog(timeline, now)
+        assert ssd.backlog_seconds() == oracle_backlog(timeline, now)
+        assert timeline.drain_wait(now) == oracle_drain_wait(timeline, now)
         assert timeline.write_max == max(timeline.write_busy)
         assert timeline.busy_max == max(timeline.busy)
+        assert ssd.write_horizon == max(timeline.write_busy)
         threshold = float(rng.random()) * 2e-3
         assert timeline.backlog_exceeds(now, threshold) == \
             (oracle_backlog(timeline, now) > threshold)
@@ -84,19 +86,6 @@ def test_drained_timeline_short_circuits_to_exact_zero():
     ssd.read_range(0, 4)
     clock.advance(10.0)
     assert timeline.backlog(clock.now) == 0.0
-    assert timeline.max_backlog(clock.now) == 0.0
+    assert timeline.drain_wait(clock.now) == 0.0
     assert not timeline.backlog_exceeds(clock.now, 0.0)
     assert ssd.backlog_seconds() == 0.0 and ssd.drain() == 0.0
-
-
-def test_mean_write_backlog_is_the_shared_definition():
-    """The module helper *is* ChannelTimeline.backlog's slow path — the
-    engines' stall loops import it, so the two cannot drift."""
-    ssd, timeline, _clock = timed_ssd(5)
-    rng = substream(17, "shared-helper")
-    for _ in range(50):
-        ssd.write_range(int(rng.integers(0, ssd.npages - 8)),
-                        int(rng.integers(1, 8)), background=True)
-    for now in np.linspace(0.0, 0.03, 23).tolist():
-        assert ssd.backlog_seconds(at=now) == timeline.backlog(now) == \
-            mean_write_backlog(timeline.write_busy, now)

@@ -1,6 +1,6 @@
 """The channelized-read fold vs a page-by-page FIFO model (DESIGN.md §13.3).
 
-``SSD._read_channelized`` stripes a read over the per-channel FIFO
+``ChannelTimeline.read`` stripes a read over the per-channel FIFO
 queues lane by lane.  The reference here walks the read *page by page*
 — page ``start + i`` queues one page-read behind channel
 ``(start + i) % channels`` — and shares no code with the device: it
@@ -30,9 +30,9 @@ def make_channel_ssd(**config_overrides) -> SSD:
 
 
 def timeline_state(ssd: SSD) -> tuple:
-    channels = ssd._channels
-    return (list(channels.busy), list(channels.write_busy),
-            channels.busy_max, channels.write_max)
+    timeline = ssd._timeline
+    return (list(timeline.busy), list(timeline.write_busy),
+            timeline.busy_max, timeline.write_max)
 
 
 def model_read(ssd: SSD, start: int, npages: int, degrade=None):
@@ -42,7 +42,7 @@ def model_read(ssd: SSD, start: int, npages: int, degrade=None):
     """
     cfg = ssd.config
     now = ssd.clock.now
-    busy = list(ssd._channels.busy)
+    busy = list(ssd._timeline.busy)
     pages = Counter((start + i) % cfg.channels for i in range(npages))
     for channel, count in pages.items():
         seconds = count * cfg.page_read_time
@@ -52,7 +52,7 @@ def model_read(ssd: SSD, start: int, npages: int, degrade=None):
     completion = max([now] + [busy[c] for c in pages])
     latency = (cfg.read_latency + npages * cfg.page_size / cfg.bus_bytes_per_s
                + (completion - now))
-    return latency, busy, max(ssd._channels.busy_max, completion)
+    return latency, busy, max(ssd._timeline.busy_max, completion)
 
 
 def assert_reads_match_model(ssd: SSD, reads, degrade=None) -> None:
@@ -101,13 +101,13 @@ class TestReadChannelized:
     def test_busy_max_monotone_and_tracks_the_horizons(self):
         ssd = make_channel_ssd()
         rng = substream(11, "busy-max")
-        last = ssd._channels.busy_max
+        last = ssd._timeline.busy_max
         for _ in range(200):
             ssd.read_range(int(rng.integers(0, 256)), int(rng.integers(1, 32)))
-            channels = ssd._channels
-            assert channels.busy_max >= last
-            assert channels.busy_max == max(channels.busy)
-            last = channels.busy_max
+            timeline = ssd._timeline
+            assert timeline.busy_max >= last
+            assert timeline.busy_max == max(timeline.busy)
+            last = timeline.busy_max
             if rng.random() < 0.3:
                 ssd.clock.advance(float(rng.random()) * 1e-3)
 
@@ -127,7 +127,7 @@ class TestDegradeWindow:
         ssd, degrade = self.make(start=0.0, seconds=1.0)
         assert_reads_match_model(ssd, [(0, 16), (2, 3), (7, 9)], degrade)
         # The window really fired: the degraded channel's horizon leads.
-        busy = ssd._channels.busy
+        busy = ssd._timeline.busy
         assert busy[2] == max(busy)
 
     def test_boundary_now_equals_start_is_inside(self):
@@ -135,7 +135,7 @@ class TestDegradeWindow:
         ssd, degrade = self.make(start=0.5, seconds=1.0)
         ssd.clock.advance(0.5)
         assert_reads_match_model(ssd, [(0, 16), (1, 7)], degrade)
-        busy = ssd._channels.busy
+        busy = ssd._timeline.busy
         assert busy[2] == max(busy)
 
     def test_boundary_now_equals_end_is_outside(self):
@@ -144,7 +144,7 @@ class TestDegradeWindow:
         assert_reads_match_model(ssd, [(0, 16), (1, 7)], degrade)
         # No scaling: every lane of an aligned 16-page read adds the
         # same service time, so no channel's horizon stands out.
-        busy = ssd._channels.busy
+        busy = ssd._timeline.busy
         assert busy[2] == busy[3]
 
     def test_before_and_after_window(self):

@@ -6,8 +6,9 @@ through ``read_range`` one request at a time; everything observable must
 come out equal — the latency list (``==``, no tolerance), the SMART
 counters (one host read request per non-empty range), the FTL's read
 count and the device's ``bytes_read`` — whichever way the SSD serves the
-batch: memoised scalar timing under a live write backlog, or its
-per-request fallback under channel timing, the tracer, or a fault plan.
+batch: memoised scalar timing under a live write backlog, the channel
+fold one request after another, or the per-request loop under the
+tracer or a fault plan.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.block.device import BlockDevice
 from repro.core.clock import VirtualClock
 from repro.errors import OutOfRangeError
 from repro.faults.plan import FaultPlan
-from repro.flash.ssd import SSD
+from repro.flash.ssd import SSD, ChannelTimeline
 from repro.obs.tracer import Tracer, attach_tracer
 from repro.rng import substream
 from tests.conftest import make_tiny_config
@@ -56,12 +57,12 @@ class Stack:
                 substream(5, "faults"))
 
     def state(self) -> tuple:
-        channels = self.ssd._channels
+        timeline = self.ssd._timeline
         return (
             self.ssd.smart.snapshot(), self.ssd.ftl.total_read_pages,
             self.device.bytes_read,
-            None if channels is None else (list(channels.busy),
-                                           channels.busy_max),
+            (list(timeline.busy), timeline.busy_max)
+            if isinstance(timeline, ChannelTimeline) else timeline.busy_until,
             None if self.tracer is None else (
                 list(self.tracer.sink.events()), self.tracer.emitted),
             # The next fault draw: both twins consumed the same stream.

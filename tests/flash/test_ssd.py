@@ -7,8 +7,16 @@ import pytest
 
 from repro.core.clock import VirtualClock
 from repro.errors import OutOfRangeError
-from repro.flash.ssd import SSD
+from repro.flash.profiles import get_profile
+from repro.flash.ssd import SSD, ChannelTimeline, ScalarTimeline
+from repro.units import MIB
 from tests.conftest import make_tiny_config
+
+
+def busiest_channel(ssd: SSD) -> float:
+    """Seconds of queued work (reads included) on the most-loaded
+    channel: the drain wait of a channel timeline."""
+    return ssd._timeline.drain_wait(ssd.clock.now)
 
 
 class TestSmartAccounting:
@@ -160,6 +168,17 @@ class TestBounds:
         with pytest.raises(OutOfRangeError):
             tiny_ssd.read_range(-1, 2)
 
+    @pytest.mark.parametrize("profile", ["ssd1", "ssd3"])
+    def test_write_pages_out_of_range(self, clock, profile):
+        """With an FTL (ssd1) or without one (ssd3, byte-addressable),
+        a page list past either end is refused with nothing counted."""
+        ssd = SSD(get_profile(profile, 8 * MIB), clock)
+        for lpn in (-1, ssd.npages):
+            with pytest.raises(OutOfRangeError):
+                ssd.write_pages(np.array([0, lpn], dtype=np.int64))
+        assert ssd.smart.host_bytes_written == 0
+        assert ssd.utilization() == 0.0
+
     def test_zero_length_ops_free(self, tiny_ssd):
         assert tiny_ssd.write_range(0, 0) == 0.0
         assert tiny_ssd.read_range(0, 0) == 0.0
@@ -179,10 +198,10 @@ class TestChannelTiming:
 
     def test_enable_is_idempotent(self, tiny_ssd):
         tiny_ssd.enable_channel_timing()
-        timeline = tiny_ssd._channels
+        timeline = tiny_ssd._timeline
         tiny_ssd.enable_channel_timing()
-        assert tiny_ssd._channels is timeline
-        assert tiny_ssd.channel_timing_enabled
+        assert tiny_ssd._timeline is timeline
+        assert isinstance(timeline, ChannelTimeline)
 
     def test_enable_carries_over_scalar_backlog(self, tiny_ssd):
         tiny_ssd.write_range(0, 512, background=True)
@@ -234,19 +253,24 @@ class TestChannelTiming:
     def test_drain_waits_for_slowest_channel(self, clock):
         ssd = self.make_channelized(clock)
         ssd.write_range(0, 3, background=True)  # uneven striping
-        assert max(ssd.channel_backlogs()) > 0
+        assert busiest_channel(ssd) > ssd.backlog_seconds() > 0
         ssd.drain()
         assert ssd.backlog_seconds() == 0.0
-        assert max(ssd.channel_backlogs()) == 0.0
+        assert busiest_channel(ssd) == 0.0
 
     def test_settle_clears_channels(self, clock):
         ssd = self.make_channelized(clock)
         ssd.write_range(0, 64, background=True)
         ssd.settle()
-        assert ssd.channel_backlogs() == [0.0] * ssd.config.channels
+        assert ssd._timeline.busy == [clock.now] * ssd.config.channels
+        assert busiest_channel(ssd) == 0.0
 
     def test_scalar_mode_reports_no_channel_backlogs(self, tiny_ssd):
-        assert tiny_ssd.channel_backlogs() == []
+        """Until switched, the device is one horizon: its drain wait is
+        its write backlog, with nothing per channel beside it."""
+        tiny_ssd.write_range(0, 3, background=True)
+        assert type(tiny_ssd._timeline) is ScalarTimeline
+        assert busiest_channel(tiny_ssd) == tiny_ssd.backlog_seconds() > 0
 
 
 class TestReadBacklogSeparation:
@@ -271,7 +295,7 @@ class TestReadBacklogSeparation:
     def test_reads_do_not_fill_write_backlog(self, clock):
         ssd = self.make_channelized(clock)
         self.queue_reads(ssd, rounds=50)
-        assert max(ssd.channel_backlogs()) > 0  # channels are busy...
+        assert busiest_channel(ssd) > 0  # channels are busy...
         assert ssd.backlog_seconds() == 0.0     # ...the write cache is not
 
     def test_read_backlog_does_not_stall_host_writes(self, clock):
@@ -281,7 +305,7 @@ class TestReadBacklogSeparation:
         # Pile on far more read service time than the cache drain
         # window; a host write must still complete at the cache floor.
         self.queue_reads(ssd, rounds=200)
-        assert max(ssd.channel_backlogs()) > ssd.config.cache_drain_window
+        assert busiest_channel(ssd) > ssd.config.cache_drain_window
         contended_latency = ssd.write_range(0, 1)
         assert contended_latency == pytest.approx(idle_latency)
 
@@ -290,7 +314,7 @@ class TestReadBacklogSeparation:
         ssd = self.make_channelized(clock, fold_penalty=4.0,
                                     write_cache_bytes=16 * 1024)
         self.queue_reads(ssd, rounds=400)
-        assert max(ssd.channel_backlogs()) > 1.25 * ssd.config.cache_drain_window
+        assert busiest_channel(ssd) > 1.25 * ssd.config.cache_drain_window
         ssd.write_range(0, 8)
         assert ssd.smart.fold_events == 0
 
@@ -316,4 +340,4 @@ class TestReadBacklogSeparation:
         ssd = self.make_channelized(clock)
         self.queue_reads(ssd, rounds=20)
         ssd.drain()
-        assert max(ssd.channel_backlogs()) == 0.0
+        assert busiest_channel(ssd) == 0.0

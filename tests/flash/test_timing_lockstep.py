@@ -1,14 +1,20 @@
-"""``SSD`` under channel timing in lockstep with the naive timing model.
+"""Both ``SSD`` timelines in lockstep with the naive timing models.
 
-The device's channel paths take shortcuts the reference does not: an
-O(1) write-cache admission check, lanes wrapped by subtraction, the
-two per-lane costs computed once per request, running maxima.  The
-reference (``naive_timing.py``, fed its flash work by ``naive_ftl.py``)
-has none of them.  After *every* request the two must agree with
-``==`` on the returned latency, both horizon vectors and the striping
-cursor, on 1, 3, 8 and 16 channels.  Write and read sizes are drawn
-around the channel count (1, C-1, C, C+1, 2C) as well as freely, and
-a prefilled device makes GC relocations and erases part of the work.
+The device's timelines take shortcuts the references do not: an O(1)
+write-cache admission check and fold trigger, lanes wrapped by
+subtraction, the two per-lane costs computed once per request, running
+maxima, a per-length memo for scalar read batches.  The references
+(``naive_timing.py``, fed their flash work by ``naive_ftl.py``) have
+none of them.  Every stream runs twice, once from each timeline; a
+scalar run may switch to channel timing midway (``switch_at``), which
+must carry the horizon over.  After *every* request the device and its
+reference must agree with ``==`` on the returned latency, the write
+backlog, the drain wait, the fold trigger at several thresholds, the
+SLC fold count and the horizons themselves (channel timing: both
+horizon vectors and the striping cursor), on 1, 3, 8 and 16 channels.
+Write and read sizes are drawn around the channel count (1, C-1, C,
+C+1, 2C) as well as freely, and a prefilled device makes GC
+relocations and erases part of the work.
 
 CI runs this file under the derandomized ``ci`` hypothesis profile
 (``tests/conftest.py``): ``--hypothesis-profile=ci``.
@@ -22,10 +28,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.clock import VirtualClock
-from repro.flash.ssd import SSD
+from repro.flash.ssd import SSD, ChannelTimeline, ScalarTimeline
 from tests.conftest import make_tiny_config
 from tests.flash.naive_ftl import NaiveFTL
-from tests.flash.naive_timing import NaiveTiming
+from tests.flash.naive_timing import NaiveScalarTiming, NaiveTiming
 
 LOGICAL = make_tiny_config().logical_pages  # 768 pages in 32-page blocks
 
@@ -44,53 +50,89 @@ op = st.one_of(
     # Virtual time passes in steps of 10 us, up to a few cache windows.
     st.tuples(st.just("advance"), st.integers(0, 400)),
     st.tuples(st.just("settle")),
+    st.tuples(st.just("drain")),
 )
 stream = st.fixed_dictionaries(dict(
     ops=st.lists(op, min_size=10, max_size=120),
     prefill=st.booleans(),  # start full: every write can relocate and erase
     fold_penalty=st.sampled_from([1.0, 3.0]),  # the SLC fold trigger in play
+    switch_at=st.one_of(st.none(), st.integers(0, 120)),  # enable channels here
 ))
 
+#: ``backlog_exceeds`` is checked at these multiples of the cache
+#: window (1.25 is the SLC fold trigger's).
+THRESHOLDS = (0.0, 0.5, 1.25, 3.0)
 
-def run_lockstep(nchannels, ops, prefill=False, fold_penalty=1.0):
+
+def assert_agree(ssd: SSD, model, folds: int) -> None:
+    """The device and its reference, at the current instant."""
+    now = ssd.clock.now
+    timeline = ssd._timeline
+    backlog = model.backlog(now)
+    assert ssd.backlog_seconds() == backlog
+    assert timeline.drain_wait(now) == model.drain_wait(now)
+    assert ssd.smart.fold_events == folds + model.fold_events
+    window = ssd.config.cache_drain_window
+    for k in THRESHOLDS:
+        assert timeline.backlog_exceeds(now, k * window) == (backlog > k * window)
+    if isinstance(model, NaiveTiming):
+        assert isinstance(timeline, ChannelTimeline)
+        assert timeline.busy == model.busy
+        assert timeline.write_busy == model.write_busy
+        assert timeline.cursor == model.cursor
+        assert timeline.busy_max == max(model.busy)
+        assert ssd.write_horizon == max(model.write_busy)
+    else:
+        assert isinstance(timeline, ScalarTimeline)
+        assert ssd.write_horizon == model.busy
+
+
+def run_lockstep(nchannels, ops, prefill=False, fold_penalty=1.0,
+                 switch_at=None, channels=True):
     config = make_tiny_config(channels=nchannels, fold_penalty=fold_penalty)
     clock = VirtualClock()
     ssd = SSD(config, clock)
-    ssd.enable_channel_timing()
-    ftl, timing = NaiveFTL(config), NaiveTiming(config)
+    ftl = NaiveFTL(config)
+    if channels:
+        ssd.enable_channel_timing()
+        model = NaiveTiming(config)
+    else:
+        model = NaiveScalarTiming(config)
+    folds = 0  # counted by a scalar reference since switched away from
     if prefill:
         ops = [("range", 0, (0, LOGICAL), True)] + list(ops)
-    for kind, *args in ops:
+    for i, (kind, *args) in enumerate(ops):
         now = clock.now
+        if i == switch_at:
+            ssd.enable_channel_timing()  # idempotent on a channel run
+            if isinstance(model, NaiveScalarTiming):
+                folds += model.fold_events
+                model = NaiveTiming(config, start=max(model.busy, now))
+            assert_agree(ssd, model, folds)
         if kind == "advance":
             clock.advance(args[0] * 1e-5)
-            continue
-        if kind == "settle":
+        elif kind == "settle":
             ssd.settle()
-            timing.settle(now)
-            continue
-        if kind == "pages":
+            model.settle(now)
+        elif kind == "drain":
+            assert ssd.drain() == model.drain_wait(now)
+        elif kind == "pages":
             lpns, background = args
             got = ssd.write_pages(np.array(lpns, dtype=np.int64), background)
-            want = timing.write(now, len(lpns), ftl.write(lpns), background)
+            assert got == model.write(now, len(lpns), ftl.write(lpns), background)
         else:
             first, (multiple, offset) = args[:2]
             npages = min(max(1, multiple * nchannels + offset), LOGICAL - first)
             if kind == "read":
                 got = ssd.read_range(first, npages)
-                want = timing.read(now, first, npages)
+                want = model.read(now, first, npages)
             else:
                 background = args[2]
                 got = ssd.write_range(first, npages, background)
                 work = ftl.write(list(range(first, first + npages)))
-                want = timing.write(now, npages, work, background)
-        channels = ssd._channels
-        assert got == want
-        assert channels.busy == timing.busy
-        assert channels.write_busy == timing.write_busy
-        assert channels.cursor == timing.cursor
-        assert channels.busy_max == max(timing.busy)
-        assert channels.write_max == max(timing.write_busy)
+                want = model.write(now, npages, work, background)
+            assert got == want
+        assert_agree(ssd, model, folds)
     return ssd
 
 
@@ -100,21 +142,34 @@ def run_lockstep(nchannels, ops, prefill=False, fold_penalty=1.0):
 # A write of exactly C pages moves the cursor by one, not by C.
 @example(stream=dict(ops=[("range", 0, (1, 0), True), ("range", 0, (0, 1), True),
                           ("range", 5, (2, 0), False)],
-                     prefill=False, fold_penalty=1.0))
+                     prefill=False, fold_penalty=1.0, switch_at=None))
 # A foreground write behind more than a cache window of queued work.
 @example(stream=dict(ops=[("range", 0, (0, 48), True), ("range", 48, (0, 48), True),
                           ("range", 96, (0, 3), False), ("advance", 5),
                           ("range", 7, (1, 1), False)],
-                     prefill=False, fold_penalty=3.0))
+                     prefill=False, fold_penalty=3.0, switch_at=None))
+# Work queued and then drained by the clock alone: every query is an
+# exact 0.0, and so is the drain.
+@example(stream=dict(ops=[("range", 2, (0, 10), True), ("read", 0, (0, 4)),
+                          ("advance", 400), ("drain",)],
+                     prefill=False, fold_penalty=1.0, switch_at=None))
+# A switch to channel timing behind a live scalar horizon, then reads
+# and a foreground write against the carried-over backlog.
+@example(stream=dict(ops=[("range", 0, (0, 48), True), ("range", 48, (0, 48), True),
+                          ("read", 3, (1, 1)), ("read", 3, (1, 1)),
+                          ("range", 7, (1, 1), False), ("drain",)],
+                     prefill=False, fold_penalty=3.0, switch_at=3))
 def test_lockstep_with_naive_timing(nchannels, stream):
-    run_lockstep(nchannels, **stream)
+    run_lockstep(nchannels, **stream, channels=True)
+    run_lockstep(nchannels, **stream, channels=False)
 
 
 @pytest.mark.parametrize("nchannels", [1, 3, 8, 16])
 def test_gc_churn_in_lockstep(nchannels):
     """Overwrites of a full device at every striping shape, with reads
     wider than the array and time passing: GC erases land on the
-    cursor channel hundreds of times."""
+    cursor channel hundreds of times — on a channel timeline, on the
+    scalar one, and on a scalar one switched halfway."""
     rng = np.random.default_rng(nchannels)
     shapes = [(0, 1), (1, -1), (1, 0), (1, 1), (2, 0)]
     ops = []
@@ -125,6 +180,8 @@ def test_gc_churn_in_lockstep(nchannels):
         if i % 4 == 0:
             ops.append(("read", where, (2, 3)))
         ops.append(("advance", int(rng.integers(0, 60))))
-    ssd = run_lockstep(nchannels, ops, prefill=True, fold_penalty=3.0)
-    assert ssd.smart.blocks_erased > 50
-    assert ssd.smart.fold_events > 0
+    for channels, switch_at in ((True, None), (False, None), (False, len(ops) // 2)):
+        ssd = run_lockstep(nchannels, ops, prefill=True, fold_penalty=3.0,
+                           switch_at=switch_at, channels=channels)
+        assert ssd.smart.blocks_erased > 50
+        assert ssd.smart.fold_events > 0

@@ -68,7 +68,7 @@ class TestSeedCompatibility:
             load = load_sequential(st, spec.workload())
             stack.drain()
             run = ClientPool(st, spec.workload(), 1, seed=spec.seed,
-                             max_ops=spec.max_ops, ssd=stack).run()
+                             max_ops=spec.max_ops).run()
             outcomes.append((load, run.ops_issued, run.latencies.series(0).tolist()))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][1] == FAST["max_ops"]

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.experiment import Engine, ExperimentSpec, build_stack, run_experiment
+from repro.core.experiment import (Engine, ExperimentSpec, build_stack,
+                                   run_experiment, run_measured_phase)
+from repro.core.metrics import MetricsCollector
 from repro.errors import ConfigError
+from repro.flash.ssd import ChannelTimeline
 from repro.obs import NULL_TRACER, Tracer
 from repro.sim.clients import ClientPool
 from repro.units import MIB
@@ -26,11 +29,15 @@ ENGINES = (Engine.LSM, Engine.BTREE)
 
 
 def loaded_stack(engine: Engine, nclients: int = 1, **overrides):
-    """A freshly built stack with the dataset loaded and drained."""
+    """A freshly built stack with the dataset loaded and drained, its
+    device timed per channel when more than one client will run (as
+    ``run_measured_phase`` does)."""
     spec = ExperimentSpec(engine=engine, nclients=nclients, **FAST, **overrides)
     stack = build_stack(spec)
     load_sequential(stack.store, spec.workload())
     stack.drain()
+    if nclients > 1:
+        stack.enable_channel_timing()
     return spec, stack.clock, stack.shards[0].ssd, stack.store
 
 
@@ -39,7 +46,7 @@ def run_pool(engine: Engine, nclients: int, seed: int = 7,
     spec, clock, ssd, store = loaded_stack(engine, nclients, **overrides)
     pool = ClientPool(
         store, spec.workload(), nclients, seed=seed,
-        max_ops=spec.max_ops, ssd=ssd, tracer=tracer,
+        max_ops=spec.max_ops, tracer=tracer,
     )
     outcome = pool.run()
     return outcome, clock, ssd, store
@@ -87,10 +94,9 @@ class TestSeedCompatibility:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_one_client_keeps_inline_engine_mode(self, engine):
-        outcome, _clock, ssd, store = run_pool(engine, nclients=1)
+        outcome, _clock, _ssd, store = run_pool(engine, nclients=1)
         assert outcome.ops_issued == FAST["max_ops"]
         assert store.scheduler is None  # degenerate case: seed behaviour
-        assert not ssd.channel_timing_enabled
 
 
 class TestDeterminism:
@@ -114,9 +120,8 @@ class TestDeterminism:
 class TestConcurrency:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_multi_client_enables_event_mode(self, engine):
-        outcome, _clock, ssd, store = run_pool(engine, nclients=4)
+        outcome, _clock, _ssd, store = run_pool(engine, nclients=4)
         assert store.scheduler is not None
-        assert ssd.channel_timing_enabled
         assert outcome.ops_issued == FAST["max_ops"]
         assert sum(outcome.per_client_ops) == outcome.ops_issued
         assert all(ops > 0 for ops in outcome.per_client_ops)
@@ -160,6 +165,32 @@ class TestConcurrency:
         assert many.latencies.percentile(99) > one.latencies.percentile(99)
 
 
+class TestDeviceTiming:
+    @pytest.mark.parametrize("overrides, channels", [
+        (dict(), False),
+        (dict(driver="pool"), False),
+        (dict(nshards=2), False),
+        (dict(nclients=4), True),
+        (dict(arrival="poisson", arrival_rate=4000.0), True),
+    ])
+    def test_measured_phase_picks_the_timing_model(self, overrides, channels):
+        """Concurrency — more than one client, or open-loop arrivals —
+        runs every device on per-channel timing; one closed-loop client
+        per store keeps the scalar horizon, whichever driver runs it."""
+        spec = ExperimentSpec(engine=Engine.LSM, **{**FAST, "max_ops": 200},
+                              **overrides)
+        stack = build_stack(spec)
+        workload = spec.workload()
+        collector = MetricsCollector(stack, workload.dataset_bytes)
+        load_sequential(stack.store, workload)
+        stack.drain()
+        collector.start_measurement()
+        outcome = run_measured_phase(spec, stack, collector)
+        assert outcome.ops_issued > 0
+        assert [isinstance(shard.ssd._timeline, ChannelTimeline)
+                for shard in stack.shards] == [channels] * spec.nshards
+
+
 class TestReadHeavyBacklog:
     """Read traffic must not masquerade as write-cache pressure."""
 
@@ -178,7 +209,7 @@ class TestReadHeavyBacklog:
         )
         folds_after_load = ssd.smart.fold_events
         pool = ClientPool(store, spec.workload(), nclients=16, seed=7,
-                          max_ops=max_ops, ssd=ssd)
+                          max_ops=max_ops)
         outcome = pool.run()
         return outcome, store, ssd.smart.fold_events - folds_after_load
 

@@ -104,16 +104,14 @@ def run(store, spec, seed, **limits):
     return state
 
 
-def run_pool(store, spec, nclients, seed, ssd=None, **limits):
+def run_pool(store, spec, nclients, seed, **limits):
     """N closed-loop clients, one scheduler event per operation."""
     state = Run(store.clock, **limits)
     state.per_client_ops = [0] * nclients
     state.latencies = [[] for _ in range(nclients)]
     scheduler = Scheduler(store.clock)
-    if nclients > 1:  # concurrency: event-driven engines, per-channel device
+    if nclients > 1:  # concurrency: event-driven engines
         store.attach_scheduler(scheduler)
-        if ssd is not None:
-            ssd.enable_channel_timing()
 
     def client(i):
         issue = op_stream(store, spec, seed, i)

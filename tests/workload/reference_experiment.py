@@ -37,9 +37,11 @@ def reference_record(spec: ExperimentSpec) -> dict:
             stop_when=lambda: collector.host_bytes_written() >= target_bytes,
             sample_interval=spec.sample_interval, on_sample=collector.sample,
             max_ops=max_ops)
+        if spec.nclients > 1:
+            ssd.enable_channel_timing()  # concurrency: per-channel device
         if spec.nclients > 1 or spec.driver == "pool":
             outcome = reference_driver.run_pool(
-                store, workload, spec.nclients, spec.seed, ssd=ssd, **limits)
+                store, workload, spec.nclients, spec.seed, **limits)
         else:
             outcome = reference_driver.run(store, workload, spec.seed, **limits)
     return {

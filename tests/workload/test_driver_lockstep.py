@@ -57,6 +57,8 @@ def drive(reference: bool, engine, fractions, distribution, scan_length,
                         scan_length=scan_length, distribution=distribution)
     store, ssd = make_store(engine)
     (reference_driver.load if reference else load_sequential)(store, spec)
+    if nclients is not None and nclients > 1:
+        ssd.enable_channel_timing()  # concurrency: per-channel device
     ticks: list[float] = []
     limits = dict(max_ops=max_ops)
     if sample_interval is not None:
@@ -71,11 +73,10 @@ def drive(reference: bool, engine, fractions, distribution, scan_length,
         per_client = None
     elif reference:
         outcome = reference_driver.run_pool(store, spec, nclients, seed=seed,
-                                            ssd=ssd, **limits)
+                                            **limits)
         per_client = (outcome.per_client_ops, outcome.latencies)
     else:
-        outcome = ClientPool(store, spec, nclients, seed=seed, ssd=ssd,
-                             **limits).run()
+        outcome = ClientPool(store, spec, nclients, seed=seed, **limits).run()
         per_client = (outcome.per_client_ops,
                       [outcome.latencies.series(i).tolist()
                        for i in range(nclients)])
