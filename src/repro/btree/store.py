@@ -175,8 +175,8 @@ class BTreeStore(KVStore):
         leaf — and no split can occur (a split needs the descent path).
         Journal, cache, checkpoint, and clock effects are exactly the
         scalar ones, op by op.  Valid in event-driven runs too: the
-        local clock mirror accumulates advances exactly like capture
-        mode's step time (DESIGN.md §7.2), and checkpoints scheduled by
+        local clock mirror accumulates advances exactly like
+        ``clock.advance`` (DESIGN.md §7.2), and checkpoints scheduled by
         an op interrupt the batch through the event-aware ``until``.
         """
         self._ensure_open()

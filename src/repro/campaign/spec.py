@@ -184,10 +184,9 @@ PRESETS: dict[str, CampaignSpec] = {
         },
     ),
     #: The queue-depth sweep (ROADMAP): throughput and tail latency vs
-    #: concurrent clients, per engine and SSD class.  Every cell runs
-    #: on the client pool (``driver="pool"``) so the depth-1 cells
-    #: record per-op latencies too — the pool at one client is
-    #: bit-identical to the inline runner (DESIGN.md §7).
+    #: concurrent clients, per engine and SSD class.  Every cell
+    #: reports per-client results (``driver="pool"``), so the depth-1
+    #: cells record per-op latencies too.
     "queue-depth": CampaignSpec(
         name="queue-depth",
         base=ExperimentSpec(

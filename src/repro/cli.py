@@ -142,13 +142,13 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
                         help="stop after host writes reach DURATION x capacity")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--clients", type=int, default=1,
-                        help="concurrent clients; >1 runs on the event-driven "
-                             "scheduler with channel-parallel device timing")
+                        help="concurrent clients; >1 runs with "
+                             "channel-parallel device timing")
     parser.add_argument("--driver", choices=["auto", "inline", "pool"],
                         default="auto",
-                        help="measured-phase driver; 'pool' forces the client "
-                             "pool even at one client (bit-identical to "
-                             "inline, and it records per-op latencies)")
+                        help="'pool' makes a one-client run on one store "
+                             "record per-op latencies and per-client op "
+                             "counts; the simulated run is the same")
     parser.add_argument("--shards", type=int, default=1,
                         help="store shards, each with its own SSD; >1 routes "
                              "keys through the fleet router (DESIGN.md §10)")

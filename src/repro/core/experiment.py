@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
@@ -43,7 +44,7 @@ from repro.obs.tracer import NULL_TRACER, attach_tracer
 from repro.sim.clients import ClientPool
 from repro.units import MIB
 from repro.workload.keys import DISTRIBUTIONS
-from repro.workload.runner import load_sequential, run_workload
+from repro.workload.runner import load_sequential
 from repro.workload.spec import WorkloadSpec
 
 KEY_BYTES = 16  # the paper's key size (§3.2)
@@ -68,13 +69,14 @@ class ExperimentSpec:
     op_reserved_fraction: float = 0.0  # software over-provisioning (§4.6)
     duration_capacity_writes: float = 3.5  # stop after host writes >= x*capacity
     max_ops: int | None = None
-    nclients: int = 1  # concurrent clients; >1 uses the event-driven pool
-    #: Which measured-phase driver to use: "auto" picks the inline
-    #: runner at one client and the event-driven ClientPool otherwise;
-    #: "pool" forces the pool even at one client (bit-identical to
-    #: inline, DESIGN.md §7 — and it records per-op latencies, which
-    #: the queue-depth campaign needs at depth 1); "inline" forces the
-    #: single-client runner.
+    nclients: int = 1  # concurrent closed-loop clients (ClientPool)
+    #: Whether a one-client run on one store reports per-client
+    #: results: "pool" records per-op latencies and per-client op
+    #: counts (the queue-depth campaign needs them at depth 1); "auto"
+    #: and "inline" do not.  Every closed loop runs on ClientPool
+    #: either way, and the simulated run is the same.  More clients or
+    #: shards always report them; "inline" is refused there and with
+    #: arrivals, "pool" with arrivals.
     driver: str = "auto"
     #: Fleet shape (DESIGN.md §10): >1 splits the device budget into N
     #: independent shard stacks behind a key router on one clock.
@@ -117,8 +119,12 @@ class ExperimentSpec:
     op_timeout_ms: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.dataset_fraction:
-            raise ConfigError("dataset_fraction must be positive")
+        # Written so that NaN fails too (it fails every comparison).
+        for name in ("dataset_fraction", "duration_capacity_writes",
+                     "sample_interval", "slo_ms", "op_timeout_ms", "kill_at"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
         if self.value_bytes < 0:
             raise ConfigError("value_bytes cannot be negative")
         for name in ("read_fraction", "scan_fraction", "delete_fraction"):
@@ -143,19 +149,15 @@ class ExperimentSpec:
             )
         if not 0.0 <= self.op_reserved_fraction < 1.0:
             raise ConfigError("op_reserved_fraction must be in [0, 1)")
-        if self.duration_capacity_writes <= 0:
-            raise ConfigError("duration_capacity_writes must be positive")
-        if self.sample_interval <= 0:
-            raise ConfigError("sample_interval must be positive")
         if self.nclients < 1:
             raise ConfigError("nclients must be >= 1")
         if self.driver not in ("auto", "inline", "pool"):
             raise ConfigError(
                 f"unknown driver {self.driver!r}; expected auto, inline or pool"
             )
-        if self.driver == "inline" and self.nclients > 1:
-            raise ConfigError("the inline driver is single-client; "
-                              "use driver='auto' or 'pool' with nclients > 1")
+        if self.driver == "inline" and (self.nclients > 1 or self.nshards > 1):
+            raise ConfigError("the inline driver is one client on one store; "
+                              "use driver='auto' or 'pool'")
         if self.nshards < 1:
             raise ConfigError("nshards must be >= 1")
         if self.router not in ROUTERS:
@@ -165,8 +167,6 @@ class ExperimentSpec:
             )
         if self.queue_cap < 1:
             raise ConfigError("queue_cap must be >= 1")
-        if self.slo_ms <= 0:
-            raise ConfigError("slo_ms must be positive")
         if self.arrival is not None:
             # Validates the process name, the rate (> 0) and the
             # option names/values through the constructors themselves.
@@ -177,10 +177,10 @@ class ExperimentSpec:
                     "open-loop arrivals replace closed-loop clients; "
                     "nclients must be 1 when arrival is set"
                 )
-            if self.driver == "inline":
+            if self.driver != "auto":
                 raise ConfigError(
-                    "open-loop arrivals need the event-driven fleet "
-                    "driver; driver='inline' is closed-loop only"
+                    "open-loop arrivals run the fleet driver; "
+                    f"driver={self.driver!r} is closed-loop only"
                 )
         elif self.arrival_rate:
             raise ConfigError("arrival_rate requires an arrival process")
@@ -191,13 +191,9 @@ class ExperimentSpec:
             validate_faults(self.faults)
         if self.retry_limit < 0:
             raise ConfigError("retry_limit must be >= 0")
-        if self.retry_backoff_ms < 0:
-            raise ConfigError("retry_backoff_ms must be >= 0")
-        if self.op_timeout_ms is not None and self.op_timeout_ms <= 0:
-            raise ConfigError("op_timeout_ms must be positive")
+        if not 0 <= self.retry_backoff_ms < math.inf:
+            raise ConfigError("retry_backoff_ms must be >= 0 and finite")
         if self.kill_at is not None:
-            if self.kill_at <= 0:
-                raise ConfigError("kill_at must be positive")
             if self.arrival is None:
                 raise ConfigError(
                     "kill_at requires an open-loop arrival process; "
@@ -476,14 +472,13 @@ def run_measured_phase(spec: ExperimentSpec, stack: Stack, collector,
                        tracer=None):
     """Drive *spec*'s measured phase on a loaded stack; the outcome.
 
-    The one place a spec becomes a driver.  ``spec.driver`` picks the
-    closed-loop one — the inline runner for one client on one store
-    (unless ``driver="pool"``), the event-driven :class:`~repro.sim.
-    clients.ClientPool` otherwise, which is bit-identical to the inline
-    runner at one client and records per-op latencies; more than one
-    shard always takes the pool, so fleet results carry latencies at
-    every depth.  An arrival process replaces the closed loop with the
-    open-loop :class:`~repro.fleet.pool.FleetPool`.  Concurrency (more
+    The one place a spec becomes a driver: the closed loop is the
+    event-driven :class:`~repro.sim.clients.ClientPool` at every
+    client count, and an arrival process replaces it with the open-loop
+    :class:`~repro.fleet.pool.FleetPool`.  One client on one store
+    reports per-client latencies and op counts only under
+    ``driver="pool"``; more than one shard always reports them, so
+    fleet results carry latencies at every depth.  Concurrency (more
     than one client, or arrivals) first switches every device to
     per-channel timing, here and nowhere else.  The run stops once
     host writes reach ``duration_capacity_writes`` device capacities,
@@ -503,16 +498,16 @@ def run_measured_phase(spec: ExperimentSpec, stack: Stack, collector,
         on_sample=collector.sample,
         max_ops=max_ops,
     )
-    if (spec.arrival is None and spec.nshards == 1 and spec.nclients == 1
-            and spec.driver != "pool"):
-        return run_workload(stack.store, workload, **limits)
     if tracer is None:
         tracer = NULL_TRACER
     if spec.nclients > 1 or spec.arrival is not None:
         stack.enable_channel_timing()
     if spec.arrival is None:
+        per_client = (spec.nclients > 1 or spec.nshards > 1
+                      or spec.driver == "pool")
         return ClientPool(stack.store, workload, spec.nclients,
-                          tracer=tracer, **limits).run()
+                          tracer=tracer, per_client=per_client,
+                          **limits).run()
     arrival = make_arrival(
         spec.arrival, spec.arrival_rate,
         rng_mod.substream(spec.seed, "arrival"),

@@ -82,9 +82,9 @@ def render_campaign(records: Sequence[dict], title: str = "") -> str:
     campaign file can be re-rendered without re-running anything
     (``repro campaign --render``).  Tail-latency columns (pooled p95 /
     p99 across clients — response time across shards for open-loop
-    fleet cells — in microseconds) are filled for pool-driven cells;
-    the inline runner records no per-op latencies, so its cells show
-    ``-``.  Fleet columns (offered ops/s, goodput ops/s, SLO
+    fleet cells — in microseconds) are filled for cells that record
+    per-op latencies; a one-client cell on one store records none
+    unless ``driver="pool"``, so it shows ``-``.  Fleet columns (offered ops/s, goodput ops/s, SLO
     attainment) are filled for fleet cells; fleet cells with per-shard
     latency rows (open-loop runs) are followed by a per-shard
     breakdown table, and traced cells by their per-op latency

@@ -10,6 +10,7 @@ controller write-back cache (the mechanism behind the SSD2 results in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -66,8 +67,10 @@ class SSDConfig:
             raise ConfigError("channels must be positive")
         if not 0.0 < self.gc_low_watermark <= self.gc_high_watermark < 1.0:
             raise ConfigError("GC watermarks must satisfy 0 < low <= high < 1")
-        if min(self.read_latency, self.program_time, self.erase_time) < 0:
-            raise ConfigError("latencies must be non-negative")
+        if not all(0.0 <= t < math.inf for t in (
+                self.read_latency, self.page_read_time, self.program_time,
+                self.erase_time, self.write_latency)):
+            raise ConfigError("latencies must be non-negative and finite")
         if not self.byte_addressable:
             spare_blocks = (self.total_pages - self.logical_pages) // self.pages_per_block
             if spare_blocks < 5:

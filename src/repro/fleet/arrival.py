@@ -29,8 +29,8 @@ class ArrivalProcess:
     name = "abstract"
 
     def __init__(self, rate: float, rng: np.random.Generator):
-        if rate <= 0:
-            raise ConfigError("arrival rate must be > 0")
+        if not 0 < rate < math.inf:
+            raise ConfigError("arrival rate must be > 0 and finite")
         self.rate = rate
         self._rng = rng
 
@@ -62,8 +62,8 @@ class DiurnalArrival(ArrivalProcess):
     def __init__(self, rate: float, rng: np.random.Generator,
                  period: float = 4.0, amplitude: float = 0.5):
         super().__init__(rate, rng)
-        if period <= 0:
-            raise ConfigError("diurnal period must be > 0")
+        if not 0 < period < math.inf:
+            raise ConfigError("diurnal period must be > 0 and finite")
         if not 0.0 <= amplitude <= 1.0:
             raise ConfigError("diurnal amplitude must be in [0, 1]")
         self.period = period
@@ -99,8 +99,9 @@ class BurstyArrival(ArrivalProcess):
     def __init__(self, rate: float, rng: np.random.Generator,
                  on_seconds: float = 0.25, off_seconds: float = 0.25):
         super().__init__(rate, rng)
-        if on_seconds <= 0 or off_seconds <= 0:
-            raise ConfigError("bursty on_seconds/off_seconds must be > 0")
+        if not (0 < on_seconds < math.inf and 0 < off_seconds < math.inf):
+            raise ConfigError(
+                "bursty on_seconds/off_seconds must be > 0 and finite")
         self.on_seconds = on_seconds
         self.off_seconds = off_seconds
         self._rate_on = rate * (on_seconds + off_seconds) / on_seconds

@@ -7,7 +7,7 @@ admits it into the owning shard's bounded FIFO queue; a per-shard
 *service* task (spawned on the idle→busy transition, exiting when its
 queue drains) executes admitted operations one at a time through the
 per-op :func:`~repro.workload.plan.draw_op` / :func:`~repro.workload.
-runner.apply_op` halves, whose draws the closed-loop drivers' planner
+runner.apply_op` halves, whose draws the closed-loop pool's planner
 replicates, so the op stream for a given seed is identical — only the
 *timing* of issue changes.
 
@@ -20,8 +20,8 @@ arrival), which is the open-loop quantity SLO attainment is defined
 over; queue depth seen by each arrival is accumulated per shard.
 
 Determinism: the arrival timeline comes from the ``"arrival"`` RNG
-substream, the op stream from the seed runner's ``workload-keys`` /
-``workload-ops`` substreams, and all cross-task ordering flows through
+substream, the op stream from closed-loop client 0's ``workload-keys``
+/ ``workload-ops`` substreams, and all cross-task ordering flows through
 the event heap's ``(time, seq)`` key — a run is a pure function of
 (seed, spec, arrival config, fleet shape).
 """
@@ -127,8 +127,8 @@ class FleetPool:
         self._scheduler = scheduler
         # Open-loop runs are inherently concurrent (source + N service
         # tasks), so the event-driven engine mode is always on — unlike
-        # the closed-loop pool, whose one-client case stays on the
-        # seed's inline path.
+        # the closed-loop pool, whose lone client keeps background
+        # work inline.
         self.store.attach_scheduler(scheduler)
         n = self.nshards
         outcome = RunOutcome(
@@ -208,7 +208,7 @@ class FleetPool:
                 # backoff off the "fleet-retry" substream.
                 if outcome.health[shard] == "down":
                     self._begin_recovery(shard)
-                self._retry_or_fail(kind, key, shard, clock._step_now)
+                self._retry_or_fail(kind, key, shard, clock.now)
                 continue
             depth = len(queues[shard]) + (1 if busy[shard] else 0)
             row.qdepth_sum += depth
@@ -223,7 +223,7 @@ class FleetPool:
                 # so value seeds stay unique and deterministic.
                 version = self._version
                 self._version += 1
-            queues[shard].append((kind, key, version, clock._step_now))
+            queues[shard].append((kind, key, version, clock.now))
             row.admitted += 1
             if not busy[shard]:
                 busy[shard] = True
@@ -246,7 +246,7 @@ class FleetPool:
         timeout = self.op_timeout
         while queue:
             kind, key, version, t_arr = queue.popleft()
-            if timeout is not None and clock._step_now - t_arr > timeout:
+            if timeout is not None and clock.now - t_arr > timeout:
                 # The op aged past its deadline while queued; the
                 # client has given up, so don't burn service on it.
                 row.timeouts += 1
@@ -265,9 +265,9 @@ class FleetPool:
                 # killing the run (availability accounting picks it up).
                 row.failed += 1
                 continue
-            # Service tasks run inside an event step; the capture-mode
-            # step time is the op's completion time (see ClientPool).
-            now = clock._step_now
+            # Service tasks run inside an event step, so the clock is
+            # the op's completion time (see ClientPool).
+            now = clock.now
             sink.append(now - t_arr)  # response = queueing + service
             row.completed += 1
             if chaos and outcome.health[shard] == "degraded":
@@ -279,8 +279,8 @@ class FleetPool:
             )
             yield 0.0  # suspend until this op's completion time
         self._busy[shard] = False
-        # Anchor the final op's completion on the timeline (step-local
-        # time is discarded when a task returns).
+        # Anchor the final op's completion on the timeline
+        # (Scheduler.run restores global time when a step ends).
         yield 0.0
 
     # ------------------------------------------------------------------

@@ -467,8 +467,7 @@ class LSMStore(KVStore):
         stall penalty, and inside one batch call no other scheduler
         event can run, so the device's write backlog is a fixed
         function of time and the clock/penalty recurrence is replayed
-        locally, op by op (step-local capture time accumulates advances
-        identically since the §7 clock refactor).  The op that triggers device
+        locally, op by op.  The op that triggers device
         work (WAL write-out, memtable rotation) is a
         :meth:`_write_one`, which also spawns the event-mode
         background jobs; an event-aware ``until`` then stops the batch
@@ -551,11 +550,7 @@ class LSMStore(KVStore):
                 # and the L0 stop condition are constants — and the
                 # replay schedules no events, so a live until proxy
                 # can be snapshotted to a plain float for the window.
-                # The clock read/advance pair follows the capture
-                # protocol of Scheduler.run, the one place that enters
-                # and leaves capture mode.
-                capturing = clock._capturing
-                now = clock._step_now if capturing else clock._now
+                now = clock.now
                 if until is None or type(until) is float:
                     bound = until
                 else:
@@ -647,14 +642,11 @@ class LSMStore(KVStore):
                                 crash_log.append((k, s, vlen, KIND_PUT,
                                                   wal_record))
                 stats.user_bytes_written += took * payload
-                # Store `now` back into the field it was read from.
-                # It only grew from that value; the comparison keeps
-                # the clock monotone by construction, not by trust.
-                if capturing:
-                    if now > clock._step_now:
-                        clock._step_now = now
-                elif now > clock._now:
-                    clock._now = now
+                # Store `now` back.  It only grew from the value read;
+                # the comparison keeps the clock monotone by
+                # construction, not by trust.
+                if now > clock.now:
+                    clock.now = now
                 done += took
                 # `now` is the clock as just stored, so the boundary
                 # check can reuse the local instead of re-reading it.

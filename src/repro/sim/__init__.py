@@ -8,12 +8,9 @@ engine work and per-channel device service can share one timeline:
   seq)``) and cooperative generator tasks;
 * :mod:`repro.sim.resources` — a one-token resource with a FIFO wait
   queue (the LSM engine's background worker);
-* :mod:`repro.sim.clients` — the multi-client workload driver
-  (:class:`~repro.sim.clients.ClientPool`).
-
-The pre-existing inline runner (:func:`repro.workload.runner.
-run_workload`) remains the degenerate one-client case and is
-bit-identical to a one-client :class:`ClientPool` run.
+* :mod:`repro.sim.clients` — the closed-loop workload driver
+  (:class:`~repro.sim.clients.ClientPool`), whose lone client is the
+  paper's single user thread.
 """
 
 from repro.sim.clients import ClientPool

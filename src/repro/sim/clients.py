@@ -1,32 +1,37 @@
-"""The multi-client workload driver (DESIGN.md §4.4, §7).
+"""The closed-loop workload driver (DESIGN.md §4.4, §7).
 
 A :class:`ClientPool` runs *nclients* closed-loop clients against one
 shared store on the discrete-event scheduler.  Each client is a
-cooperative task: it issues operations (whose latency is captured by
-the clock's step time), suspends until the last operation's completion
-time whenever another task's event is due, then resumes — so at any
-instant up to *nclients* operations are outstanding and the device's
-per-channel queues see a real queue depth.
+cooperative task: it issues operations (each advancing the clock by its
+latency), suspends until the last operation's completion time whenever
+another task's event is due, then resumes — so at any instant up to
+*nclients* operations are outstanding and the device's per-channel
+queues see a real queue depth.
+
+One client is the paper's single user thread (§3.2), and the pool is
+the only closed-loop driver: a *lone* client runs with no scheduler
+attached to the engine (background work stays inline) and nothing else
+on the heap, so it issues whole ``CHECK_EVERY`` windows bounded only by
+the next sampling boundary, a plain float ``until``.
 
 Each client is *batched* (DESIGN.md §7): it plans windows of
 operations through the shared :class:`~repro.workload.plan.
-BatchPlanner` and issues same-kind runs through the store's batch API
-with an event-scheduler-aware ``until`` (:class:`~repro.workload.plan.
-EventAwareUntil`).  A batch call executes operations back to back
-inside one event step only while no other event is pending before the
-client's clock — the moment an operation's completion reaches another
-task's event time (or an operation schedules background work), the
-batch returns, the client yields, and the event order proceeds exactly
-as if every operation had been its own scheduler event.  That
-one-op-per-event pool is ``tests/workload/reference_driver.py``; the
-tests hold this module to it.
+BatchPlanner` and issues same-kind runs through the store's batch API.
+With more than one client, ``until`` is event-scheduler-aware
+(:class:`~repro.workload.plan.EventAwareUntil`): a batch call executes
+operations back to back inside one event step only while no other
+event is pending before the client's clock — the moment an operation's
+completion reaches another task's event time (or an operation
+schedules background work), the batch returns, the client yields, and
+the event order proceeds exactly as if every operation had been its
+own scheduler event.  That one-op-per-event pool is
+``tests/workload/reference_driver.py``; the tests hold this module to
+it at every client count.
 
 Reproducibility rules:
 
-* client 0 draws from the seed runner's RNG substreams
-  (``workload-keys`` / ``workload-ops``), so a one-client pool issues
-  the exact operation stream of :func:`repro.workload.runner.
-  run_workload` and its outcome is bit-identical to the seed path;
+* client 0 draws from the ``workload-keys`` / ``workload-ops`` RNG
+  substreams (the open-loop fleet's source draws from them too);
 * client *i* > 0 draws from ``client{i}-keys`` / ``client{i}-ops``
   substreams — statistically independent, deterministic per seed;
 * all cross-client ordering flows through the event heap's ``(time,
@@ -39,15 +44,17 @@ Reproducibility rules:
 
 Per-operation latencies are recorded as the operation's user-visible
 latency (the value the per-op KV call returns and the batch methods
-append to their ``latencies`` sink).
+append to their ``latencies`` sink), unless ``per_client=False``, in
+which case the outcome carries neither ``per_client_ops`` nor
+latencies.
 
-``stop_when`` / ``max_ops`` / sampling are pool-global, mirroring the
-inline runner: the sampling callback fires when *any* client's
-completion crosses the boundary, the op budget counts operations
-across all clients, and ``stop_when`` is evaluated whenever the
-global op count crosses a :data:`~repro.workload.runner.CHECK_EVERY`
-boundary (batch segments are cut at those boundaries so the check
-lands on the same op counts as with one op per event).
+``stop_when`` / ``max_ops`` / sampling are pool-global: the sampling
+callback fires when *any* client's completion crosses the boundary,
+the op budget counts operations across all clients, and ``stop_when``
+is evaluated whenever the global op count crosses a :data:`~repro.
+workload.runner.CHECK_EVERY` boundary (batch segments are cut at those
+boundaries so the check lands on the same op counts as with one op
+per event).
 """
 
 from __future__ import annotations
@@ -83,6 +90,7 @@ class ClientPool:
         on_sample: Callable[[], None] | None = None,
         max_ops: int | None = None,
         tracer=NULL_TRACER,
+        per_client: bool = True,
     ):
         if nclients < 1:
             raise ConfigError("nclients must be >= 1")
@@ -96,6 +104,7 @@ class ClientPool:
         self.on_sample = on_sample
         self.max_ops = max_ops
         self.tracer = tracer
+        self.per_client = per_client
 
     def run(self) -> RunOutcome:
         """Drive all clients until stop/budget/out-of-space; blocking."""
@@ -104,14 +113,14 @@ class ClientPool:
         scheduler.obs_tracer = self.tracer
         self._scheduler = scheduler
         if self.nclients > 1:
-            # The degenerate one-client case keeps the seed's inline
-            # background work — bit-identical to run_workload;
-            # concurrency turns on the event-driven engine mode.
+            # A lone client keeps background work inline; concurrency
+            # turns on the event-driven engine mode.
             self.store.attach_scheduler(scheduler)
-        outcome = RunOutcome(
-            per_client_ops=[0] * self.nclients,
-            latencies=ClientLatencies(self.nclients),
-        )
+        self._per_client_ops = [0] * self.nclients
+        outcome = RunOutcome()
+        if self.per_client:
+            outcome.per_client_ops = self._per_client_ops
+            outcome.latencies = ClientLatencies(self.nclients)
         self._stop = False
         self._outcome = outcome
         self._next_sample = (
@@ -125,7 +134,7 @@ class ClientPool:
         except NoSpaceError:
             # Raised from a *scheduled* event (LSM flush/compaction,
             # B+Tree checkpoint) rather than a client's own operation;
-            # the run ends and is reported, like the inline runner.
+            # the run ends and is reported, like a client's own.
             outcome.out_of_space = True
             self._stop = True
         outcome.run_seconds = clock.now - start
@@ -135,7 +144,8 @@ class ClientPool:
     # ------------------------------------------------------------------
     # The client task (DESIGN.md §7)
     # ------------------------------------------------------------------
-    #: Largest single batch-call segment.  Must divide CHECK_EVERY so
+    #: Largest single batch-call segment of one of several clients (a
+    #: lone client's is CHECK_EVERY).  Must divide CHECK_EVERY so
     #: segments still end exactly on the global stop_when boundaries;
     #: smaller segments keep the per-call key-list slices short in the
     #: interleave-heavy regime where `until` stops after an op or two.
@@ -148,20 +158,27 @@ class ClientPool:
         clock = store.clock
         scheduler = self._scheduler
         heap = scheduler._heap
-        per_client = outcome.per_client_ops
-        sink = outcome.latencies.sink(client_id)
+        per_client = self._per_client_ops
+        sink = (None if outcome.latencies is None
+                else outcome.latencies.sink(client_id))
         planner = BatchPlanner(spec, *self._substreams(client_id))
-        until = EventAwareUntil(scheduler)
+        # A lone client has the heap to itself (no scheduler attached
+        # to the engine, nothing else spawned), so its bound is the
+        # plain sampling boundary and its segments run whole windows:
+        # a float `until` and long runs keep the engines' fast paths
+        # (the LSM's bulk get_many planning) in play.
+        lone = self.nclients == 1
+        until = None if lone else EventAwareUntil(scheduler)
         put_many = store.put_many
         get_many = store.get_many
         scan_many = store.scan_many
         delete_many = store.delete_many
-        segment_cap = self.SEGMENT_CAP
+        check_every = CHECK_EVERY
+        segment_cap = check_every if lone else self.SEGMENT_CAP
         vlen = spec.value_bytes
         scan_length = spec.scan_length
         max_ops = self.max_ops
         stop_when = self.stop_when
-        check_every = CHECK_EVERY
         tracer = self.tracer
         tr_on = tracer.enabled
         version = 1
@@ -217,7 +234,10 @@ class ClientPool:
             end = offset + cap
             if end > cur_len:
                 end = cur_len
-            until.cap = self._next_sample
+            if lone:
+                until = self._next_sample
+            else:
+                until.cap = self._next_sample
             if tr_on:
                 # Ops this call issues belong to this client's track.
                 tracer.tid = client_id
@@ -248,11 +268,7 @@ class ClientPool:
             offset += took
             if offset >= cur_len:
                 cur_keys = None
-            # Client tasks always run inside an event step, so the
-            # capture-mode step time *is* clock.now — read it without
-            # the property dispatch (Scheduler.run owns the capture
-            # protocol and set this field on entry to the step).
-            now = clock._step_now
+            now = clock.now
             if self._next_sample is not None and now >= self._next_sample:
                 self._maybe_sample(clock)
             seg = segment_cap
@@ -263,8 +279,8 @@ class ClientPool:
                 # client would have yielded.
                 seg = 1
                 yield 0.0
-        # Anchor the client's completion on the timeline: step-local
-        # time is discarded when a task returns, so end with one no-op
+        # Anchor the client's completion on the timeline: Scheduler.run
+        # restores global time when a step ends, so end with one no-op
         # event at the last op's completion — the same final event a
         # one-op-per-event client's last resume-and-return produces.
         yield 0.0
@@ -282,7 +298,7 @@ class ClientPool:
         return chooser, op_rng
 
     def _maybe_sample(self, clock) -> None:
-        """The inline runner's boundary-crossing sampler, pool-global."""
+        """The boundary-crossing sampler, pool-global."""
         self._next_sample = _after_op_sample(
             clock, self._next_sample, self.sample_interval, self.on_sample
         )

@@ -15,16 +15,15 @@ Two kinds of work run on the timeline:
   :class:`repro.sim.resources.Request` suspends it until the resource
   grants the request.
 
-While an event runs, the shared :class:`~repro.core.clock.VirtualClock`
-is in *capture* mode: ``clock.advance(dt)`` accumulates a step-local
-offset instead of moving global time, so a key-value operation executed
-inside one client's step observes a locally consistent ``clock.now``
-while other clients' events remain pending at earlier global times.
-The offset determines when the step's follow-up event fires, which is
-how per-operation latency turns into client think/completion times.
-:meth:`Scheduler.run` is the one loop and the one place that enters
-and leaves capture mode; the timeline of dispatched events is the
-flight recorder's ``sched`` spans (``Scheduler.obs_tracer``).
+:meth:`Scheduler.run` is the one loop and it owns global time: it
+sets the shared :class:`~repro.core.clock.VirtualClock`'s ``now`` to
+an event's time before the event runs and restores global time after
+it, so a key-value operation executed inside one client's step
+advances ``clock.now`` from there while other clients' events remain
+pending at earlier global times.  Where the step left ``clock.now``
+is when its follow-up event fires, which is how per-operation latency
+turns into client completion times.  The timeline of dispatched events
+is the flight recorder's ``sched`` spans (``Scheduler.obs_tracer``).
 """
 
 from __future__ import annotations
@@ -60,10 +59,8 @@ class Task:
             # The guard above is the negative-delay validation and the
             # follow-up reuses this task's one bound step.
             scheduler = self._scheduler
-            clock = scheduler.clock
-            now = clock._step_now if clock._capturing else clock._now
             heapq.heappush(scheduler._heap,
-                           (now + yielded, next(scheduler._seq),
+                           (scheduler.clock.now + yielded, next(scheduler._seq),
                             self._bound_step, "task"))
         else:
             self._suspend(yielded)
@@ -122,39 +119,37 @@ class Scheduler:
     def run(self) -> None:
         """Run events in time order until the heap drains.
 
-        This loop is the capture protocol (``core/clock.py`` only holds
-        its three fields): before an event runs, global time jumps to
-        the event's time — events pop in time order, so this never
-        moves backwards — and ``clock.advance`` accumulates into the
-        step-local time from there; after it, the step-local time
-        falls back to global time, so what one client's step consumed
-        never leaks into the time other tasks' pending events see.
-        Steps cannot nest (one loop, one thread), so there is no
-        re-entrancy guard.  The inner try/finally leaves capture mode
-        even when an event raises; the outer one keeps ``events_run``
-        honest then (the pool turns NoSpaceError into a reported
-        outcome).
+        Global time lives in a local here: before an event runs it
+        jumps to the event's time — events pop in time order, so it
+        never moves backwards — and ``clock.now`` is set to it, so
+        ``clock.advance`` accumulates from there; after the event,
+        ``clock.now`` is set back to global time, so what one client's
+        step consumed never leaks into the time other tasks' pending
+        events see.  Steps cannot nest (one loop, one thread), so there
+        is no re-entrancy guard.  The inner try/finally restores global
+        time even when an event raises; the outer one keeps
+        ``events_run`` honest then (the pool turns NoSpaceError into a
+        reported outcome).
         """
         clock = self.clock
         heap = self._heap
         pop = heapq.heappop
         obs = self.obs_tracer
         obs_on = obs.enabled
+        now = clock.now
         ran = 0
         try:
             while heap:
                 time, _seq, fn, label = pop(heap)
-                if time > clock._now:
-                    clock._now = time
-                clock._step_now = clock._now
-                clock._capturing = True
+                if time > now:
+                    now = time
+                clock.now = now
                 try:
                     fn()
                     if obs_on:
-                        obs.span(label, "sched", time, clock._step_now - time)
+                        obs.span(label, "sched", time, clock.now - time)
                 finally:
-                    clock._step_now = clock._now
-                    clock._capturing = False
+                    clock.now = now
                 ran += 1
         finally:
             self.events_run += ran

@@ -1,4 +1,5 @@
-"""Workload generation and the single-user-thread runner."""
+"""Workload generation: specs, key choosers, the batch planner and
+the load phase."""
 
 from repro.workload.keys import (
     HotspotKeys,
@@ -9,14 +10,13 @@ from repro.workload.keys import (
     make_chooser,
 )
 from repro.workload.plan import BatchPlanner, EventAwareUntil, OpRun
-from repro.workload.runner import RunOutcome, load_sequential, run_workload
+from repro.workload.runner import RunOutcome, load_sequential
 from repro.workload.spec import WorkloadSpec
 
 __all__ = [
     "WorkloadSpec",
     "RunOutcome",
     "load_sequential",
-    "run_workload",
     "BatchPlanner",
     "OpRun",
     "EventAwareUntil",

@@ -1,14 +1,12 @@
 """The shared batch planner: RNG windows → same-kind op runs.
 
-Both workload drivers — the inline runner (:mod:`repro.workload.
-runner`) and the batched multi-client pool (:mod:`repro.sim.clients`)
-— generate operations the same way: one bulk RNG draw per
+Every client of the closed-loop pool (:mod:`repro.sim.clients`)
+generates operations the same way: one bulk RNG draw per
 ``CHECK_EVERY`` window produces the window's keys and op-kind draws,
 the kinds are split with a vectorized ``searchsorted`` against the
 spec's cumulative fractions, and consecutive ops of the same kind are
 segmented into runs that the engines' batch API (``put_many`` & co.)
-can execute in one call.  This module is that logic, extracted so the
-two drivers cannot drift (DESIGN.md §7).
+can execute in one call (DESIGN.md §7).
 
 The RNG contract is the one the batched runner has pinned since
 DESIGN.md §6: ``chooser.batch(n)`` and ``op_rng.random(n)`` consume
@@ -18,8 +16,8 @@ window issues a bit-identical op stream to a one-op-at-a-time loop
 substreams.
 
 :class:`EventAwareUntil` is the second half of the shared layer: a
-scheduler-aware ``until`` value for batch calls issued from inside an
-event step.  The KVStore batch contract only requires ``until`` to
+scheduler-aware ``until`` value for batch calls issued by one of
+several clients.  The KVStore batch contract only requires ``until`` to
 support ``clock.now >= until`` (Python evaluates that through the
 proxy's ``__le__`` when ``until`` is not a float), which lets the
 proxy consult the event heap *live*: a batch stops right after the

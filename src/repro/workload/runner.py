@@ -1,43 +1,30 @@
-"""Drives a key-value store with a workload on the virtual clock.
+"""What every workload driver shares: the load phase, the outcome,
+the sampling rule and the per-op issue half.
 
-The runner is the paper's single user thread (§3.2): operations are
-issued in order, each advancing the virtual clock by its latency, and
-a sampling callback fires at a fixed virtual-time interval so metrics
-become a time series (the paper's 10-minute averages map to our
-sampling windows; see DESIGN.md §2).
-
-Execution is batched (DESIGN.md §6): keys and op types are drawn with
-one RNG call per ``CHECK_EVERY`` window and dispatched as runs through
-the engines' batch API (``put_many`` & co.).  The window draw and run
-segmentation live in the shared batch planner
-(:class:`repro.workload.plan.BatchPlanner`, DESIGN.md §7): the key and
-op-draw substreams are independent generators and numpy's bulk draws
-consume them exactly like the equivalent scalar draws, so the op
-stream, clock and metrics are those of a loop issuing one per-op KV
-call at a time — which is what ``tests/workload/reference_driver.py``
-is, and what the tests hold this module to.  Sampling stays exact
-because batch calls stop at the ``until`` boundary — right after the
-op that crosses it, where a per-op loop would fire the callback.
-
-Multi-client workloads are driven by :class:`repro.sim.clients.
-ClientPool` on the discrete-event scheduler (DESIGN.md §4); it
-consumes the same planner, so a one-client pool issues the exact
-operation stream of this runner.
+The measured phase has two drivers, both on the discrete-event
+scheduler: the closed-loop :class:`repro.sim.clients.ClientPool`
+(whose lone client is the paper's single user thread, §3.2) and the
+open-loop :class:`repro.fleet.pool.FleetPool`.  This module holds what
+they have in common — :func:`load_sequential` (the sequential load
+phase), :class:`RunOutcome`, the ``stop_when`` window
+:data:`CHECK_EVERY`, the boundary-crossing sampler that turns metrics
+into a time series (the paper's 10-minute averages map to sampling
+windows; DESIGN.md §2) and :func:`apply_op`, the per-op execution
+half of the open-loop sources.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro import rng as rng_mod
 from repro.errors import ConfigError, NoSpaceError
 from repro.kv.api import KVStore
 from repro.kv.values import seeds_for, value_for
-from repro.workload.keys import make_chooser
-from repro.workload.plan import READ, SCAN, UPDATE, BatchPlanner, update_seeds
+from repro.workload.plan import READ, SCAN, UPDATE
 from repro.workload.spec import WorkloadSpec
 
 if TYPE_CHECKING:
@@ -45,9 +32,8 @@ if TYPE_CHECKING:
     from repro.fleet.pool import FleetCounters
 
 
-#: How often (in completed ops) drivers re-evaluate ``stop_when``.
-#: Shared with the client pool so both drivers stop at the same op
-#: counts (part of the bit-identical seed-compatibility contract).
+#: How often (in completed or offered ops) drivers re-evaluate
+#: ``stop_when`` — the reference driver's stop rule (DESIGN.md §6.1).
 #: It is also the generation window: keys/op-draws are drawn once per
 #: window, so the stop checks land on window boundaries.
 CHECK_EVERY = 64
@@ -91,7 +77,7 @@ def load_sequential(store: KVStore, spec: WorkloadSpec) -> RunOutcome:
     """Ingest all keys in sequential order (the paper's load phase),
     through the engines' ``put_many`` in :data:`LOAD_CHUNK` slices."""
     outcome = RunOutcome()
-    start = store_clock(store).now
+    start = store.clock.now
     try:
         vlen = spec.value_bytes
         for lo in range(0, spec.nkeys, LOAD_CHUNK):
@@ -102,7 +88,7 @@ def load_sequential(store: KVStore, spec: WorkloadSpec) -> RunOutcome:
     except NoSpaceError as exc:
         outcome.ops_issued += getattr(exc, "ops_done", 0)
         outcome.out_of_space = True
-    outcome.load_seconds = store_clock(store).now - start
+    outcome.load_seconds = store.clock.now - start
     return outcome
 
 
@@ -120,8 +106,8 @@ def validate_sampling(sample_interval: float | None,
             f"(got sample_interval={sample_interval!r}, "
             f"on_sample={'set' if on_sample else None!r})"
         )
-    if sample_interval is not None and sample_interval <= 0:
-        raise ConfigError("sample_interval must be positive")
+    if sample_interval is not None and not 0 < sample_interval < math.inf:
+        raise ConfigError("sample_interval must be positive and finite")
 
 
 def apply_op(
@@ -151,74 +137,8 @@ def apply_op(
     return version, latency
 
 
-def run_workload(
-    store: KVStore,
-    spec: WorkloadSpec,
-    seed: int = rng_mod.DEFAULT_SEED,
-    stop_when: Callable[[], bool] = lambda: False,
-    sample_interval: float | None = None,
-    on_sample: Callable[[], None] | None = None,
-    max_ops: int | None = None,
-) -> RunOutcome:
-    """Run the measured phase until *stop_when* (or *max_ops*).
-
-    ``on_sample`` fires whenever the virtual clock crosses a sampling
-    boundary.  Returns the run outcome; an out-of-space condition ends
-    the run and is reported rather than raised (the paper reports
-    RocksDB running out of space for large datasets, §4.4).
-    """
-    validate_sampling(sample_interval, on_sample)
-    clock = store_clock(store)
-    key_rng = rng_mod.substream(seed, "workload-keys")
-    op_rng = rng_mod.substream(seed, "workload-ops")
-    chooser = make_chooser(spec.distribution, spec.nkeys, key_rng)
-    outcome = RunOutcome()
-    version = 1
-    next_sample = clock.now + sample_interval if sample_interval else None
-
-    # The shared planner draws one RNG window per CHECK_EVERY ops and
-    # segments it into runs of same-type ops, dispatched through the
-    # store's batch API; a call returns early at the sampling boundary.
-    planner = BatchPlanner(spec, chooser, op_rng)
-    vlen = spec.value_bytes
-    scan_length = spec.scan_length
-    try:
-        while True:
-            if max_ops is not None and outcome.ops_issued >= max_ops:
-                break
-            if outcome.ops_issued % CHECK_EVERY == 0 and stop_when():
-                break
-            n = CHECK_EVERY
-            if max_ops is not None:
-                n = min(n, max_ops - outcome.ops_issued)
-            for run in planner.plan(n):
-                keys = run.keys
-                seeds = update_seeds(keys, version) if run.kind == UPDATE else None
-                offset = 0
-                while offset < len(run):
-                    if run.kind == UPDATE:
-                        took = store.put_many(keys[offset:], seeds[offset:],
-                                              vlen, until=next_sample)
-                        version += took
-                    elif run.kind == READ:
-                        took = store.get_many(keys[offset:], until=next_sample)
-                    elif run.kind == SCAN:
-                        took = store.scan_many(keys[offset:], scan_length,
-                                               until=next_sample)
-                    else:  # DELETE run
-                        took = store.delete_many(keys[offset:], until=next_sample)
-                    offset += took
-                    outcome.ops_issued += took
-                    next_sample = _after_op_sample(clock, next_sample,
-                                                   sample_interval, on_sample)
-    except NoSpaceError as exc:
-        outcome.ops_issued += getattr(exc, "ops_done", 0)
-        outcome.out_of_space = True
-    return outcome
-
-
 def _after_op_sample(clock, next_sample, sample_interval, on_sample):
-    """The per-op boundary check the runner and the pool share.
+    """The per-op boundary check both pools share.
 
     Fires ``on_sample`` when the clock reached the boundary and returns
     the next one.  Batch calls return control right after the crossing
@@ -234,7 +154,3 @@ def _after_op_sample(clock, next_sample, sample_interval, on_sample):
             next_sample = clock.now + sample_interval
     return next_sample
 
-
-def store_clock(store: KVStore):
-    """The store's virtual clock (both engines expose ``.clock``)."""
-    return store.clock

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.experiment import Engine, ExperimentSpec, build_stack, run_experiment
@@ -61,6 +63,20 @@ class TestSpec:
              op_reserved_fraction=0.6),
         dict(ssd="ssd9"),
         dict(ssd_options={"channels": 0}),
+        # NaN passes `x <= 0`; these ran (or died in int()) at the load.
+        dict(duration_capacity_writes=math.nan),
+        dict(duration_capacity_writes=math.inf),
+        dict(sample_interval=math.nan),
+        dict(sample_interval=math.inf),
+        dict(slo_ms=math.nan),
+        dict(arrival="poisson", arrival_rate=1000.0, kill_at=math.nan),
+        dict(arrival="poisson", arrival_rate=math.nan),
+        dict(arrival="poisson", arrival_rate=1000.0, op_timeout_ms=math.nan),
+        dict(retry_backoff_ms=math.nan),
+        dict(ssd_options={"program_time": math.nan}),
+        # A driver the spec's shape would silently ignore.
+        dict(driver="inline", nshards=2),
+        dict(driver="pool", arrival="poisson", arrival_rate=1000.0),
     ])
     def test_fails_fast_before_building_the_stack(self, bad):
         """Bad fractions/ranges must raise at construction, not after

@@ -47,6 +47,7 @@ DEFECTS = [
     dict(fs_strategy="next_fit"),
     dict(engine_options={"no_such_option": 1}),
     dict(ssd_options={"chanels": 4}),
+    dict(duration_capacity_writes=float("nan")),
 ]
 
 

@@ -20,7 +20,7 @@ import pytest
 from repro.core.experiment import Engine, ExperimentSpec, build_stack
 from repro.sim.clients import ClientPool
 from repro.units import MIB
-from repro.workload.runner import load_sequential, run_workload
+from repro.workload.runner import load_sequential
 from tests.workload import reference_driver
 from tests.workload.reference_experiment import assert_matches_reference
 
@@ -103,22 +103,6 @@ class TestPoolEquivalence:
 
 
 class TestSeedCompatibilityBatched:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_one_client_batched_pool_matches_inline_runner(self, engine):
-        """A 1-client pool == the inline runner."""
-        spec = ExperimentSpec(engine=engine, **FAST)
-        stack = build_stack(spec)
-        clock_a, ssd_a, store_a = stack.clock, stack.shards[0].ssd, stack.store
-        load_sequential(store_a, spec.workload())
-        stack.drain()
-        legacy = run_workload(store_a, spec.workload(), seed=7,
-                              max_ops=spec.max_ops)
-        pooled, clock_b, ssd_b, store_b = pool_outcome(engine, 1)
-        assert pooled.ops_issued == legacy.ops_issued
-        assert clock_b.now == clock_a.now
-        assert ssd_b.smart.as_dict() == ssd_a.smart.as_dict()
-        assert asdict(store_b.stats.snapshot()) == asdict(store_a.stats.snapshot())
-
     def test_driver_validation(self):
         from repro.errors import ConfigError
 

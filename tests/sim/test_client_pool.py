@@ -12,7 +12,7 @@ from repro.flash.ssd import ChannelTimeline
 from repro.obs import NULL_TRACER, Tracer
 from repro.sim.clients import ClientPool
 from repro.units import MIB
-from repro.workload.runner import load_sequential, run_workload
+from repro.workload.runner import load_sequential
 
 #: Small but real: exercises flush/compaction/checkpoint paths in
 #: milliseconds.  The write-byte budget is set high so max_ops decides
@@ -66,31 +66,24 @@ def run_pool_timeline(engine: Engine, nclients: int, seed: int = 7):
 
 
 class TestSeedCompatibility:
-    """A one-client pool must be bit-identical to the inline runner."""
+    """The lone client: the paper's single user thread."""
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_one_client_matches_inline_runner(self, engine):
-        spec, clock_a, _ssd, store_a = loaded_stack(engine)
-        legacy = run_workload(store_a, spec.workload(), seed=7,
-                              max_ops=spec.max_ops)
-        outcome, clock_b, _ssd, store_b = run_pool(engine, nclients=1)
-        assert outcome.ops_issued == legacy.ops_issued
-        assert clock_b.now == clock_a.now  # bit-identical, not approx
-        assert store_b.stats.snapshot() == store_a.stats.snapshot()
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_one_client_experiment_matches_legacy_path(self, engine):
-        """driver="pool" routes a 1-client experiment through the pool:
-        bit-identical to the inline runner, and it records latencies."""
-        legacy = run_experiment(ExperimentSpec(engine=engine, **FAST))
+    def test_per_client_changes_nothing_else(self, engine):
+        """driver="pool" makes a 1-client experiment record per-client
+        results; everything simulated stays bit-identical."""
+        plain = run_experiment(ExperimentSpec(engine=engine, **FAST))
         pooled = run_experiment(
             ExperimentSpec(engine=engine, driver="pool", **FAST))
-        assert pooled.ops_issued == legacy.ops_issued
-        assert pooled.run_seconds == legacy.run_seconds
-        assert pooled.samples == legacy.samples
-        assert pooled.smart == legacy.smart
-        assert legacy.client_latencies is None
+        assert pooled.ops_issued == plain.ops_issued
+        assert pooled.run_seconds == plain.run_seconds
+        assert pooled.samples == plain.samples
+        assert pooled.smart == plain.smart
+        assert pooled.counters == plain.counters
+        assert plain.client_latencies is None
+        assert plain.per_client_ops is None
         assert pooled.client_latencies.count() == pooled.ops_issued
+        assert pooled.per_client_ops == [pooled.ops_issued]
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_one_client_keeps_inline_engine_mode(self, engine):

@@ -1,10 +1,12 @@
-"""The runner against the reference driver: the DESIGN.md §6 contract.
+"""The lone client against the reference driver: the DESIGN.md §6
+contract.
 
-The shipped driver (vectorized RNG windows + engine batch API) must be
-*bit-identical* to one user thread issuing one KV call per operation
-(``reference_driver.py``, which shares no code with it): same op
-stream, same virtual clock, same SMART counters, same sample
-boundaries, for both engines and every distribution.
+A one-client :class:`~repro.sim.clients.ClientPool` (vectorized RNG
+windows + engine batch API) must be *bit-identical* to one user thread
+issuing one KV call per operation (``reference_driver.py``, which
+shares no code with it): same op stream, same virtual clock, same
+SMART counters, same sample boundaries, for both engines and every
+distribution.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from repro.fs.filesystem import ExtentFilesystem
 from repro.kv.values import seeds_for, value_for
 from repro.lsm.config import LSMConfig
 from repro.lsm.store import LSMStore
+from repro.sim.clients import ClientPool
 from repro.workload.keys import make_chooser
-from repro.workload.runner import load_sequential, run_workload
+from repro.workload.runner import load_sequential
 from repro.workload.spec import WorkloadSpec
 from tests.conftest import make_tiny_config
 from tests.workload import reference_driver
@@ -62,7 +65,8 @@ def state_fingerprint(store, ssd, ticks):
 
 def drive(engine: str, spec: WorkloadSpec, reference: bool, *, seed=17,
           max_ops=1200, sample_interval=None, stop_when=None):
-    """Load and run *spec* on a fresh store with one of the two drivers."""
+    """Load and run *spec* on a fresh store with the reference driver
+    or the lone client."""
     store, ssd = make_store(engine)
     ticks: list[float] = []
     load_out = (reference_driver.load if reference else load_sequential)(
@@ -74,8 +78,12 @@ def drive(engine: str, spec: WorkloadSpec, reference: bool, *, seed=17,
                       on_sample=lambda: ticks.append(store.clock.now))
     if stop_when is not None:
         kwargs["stop_when"] = stop_when(store)
-    run = reference_driver.run if reference else run_workload
-    outcome = run(store, spec, seed=seed, max_ops=max_ops, **kwargs)
+    if reference:
+        outcome = reference_driver.run(store, spec, seed=seed,
+                                       max_ops=max_ops, **kwargs)
+    else:
+        outcome = ClientPool(store, spec, 1, seed=seed, max_ops=max_ops,
+                             per_client=False, **kwargs).run()
     return ((outcome.ops_issued, outcome.out_of_space),
             state_fingerprint(store, ssd, ticks))
 
@@ -171,11 +179,16 @@ class TestBatchedRunnerEquivalence:
         # at the same op with the same partial accounting.
         spec = WorkloadSpec(nkeys=900, value_bytes=2000)
         results = []
-        for load_keys, run in ((reference_driver.load, reference_driver.run),
-                               (load_sequential, run_workload)):
+        for reference in (True, False):
             store, ssd = make_store("lsm", nblocks=32)
-            load = load_keys(store, spec)
-            outcome = run(store, spec, seed=9, max_ops=100_000)
+            if reference:
+                load = reference_driver.load(store, spec)
+                outcome = reference_driver.run(store, spec, seed=9,
+                                               max_ops=100_000)
+            else:
+                load = load_sequential(store, spec)
+                outcome = ClientPool(store, spec, 1, seed=9, max_ops=100_000,
+                                     per_client=False).run()
             results.append((load.ops_issued, load.out_of_space,
                             outcome.ops_issued, outcome.out_of_space,
                             store.clock.now, ssd.smart.as_dict()))

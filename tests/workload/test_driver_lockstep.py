@@ -1,14 +1,16 @@
-"""The shipped drivers in lockstep with the reference driver (DESIGN.md §6.1).
+"""The shipped driver in lockstep with the reference driver (DESIGN.md §6.1).
 
-``run_workload`` and ``ClientPool`` plan RNG windows, cut them into
-same-kind runs and issue those through the engines' batch API under an
-``until`` bound; ``reference_driver.py`` issues one per-op KV call at a
-time and shares no code with them.  Over drawn workloads — op mix,
-distribution, budgets that end mid-window, sampling intervals down to
-a few ops, stop conditions, one to five clients — both must leave the
-same store behind: op counts, clock, SMART, engine counters, every
-sample time, the value version each key ended on and, for the pool,
-every latency of every client.
+``ClientPool`` plans RNG windows, cuts them into same-kind runs and
+issues those through the engines' batch API under an ``until`` bound —
+a plain float for a lone client, a live event-aware one for several;
+``reference_driver.py`` issues one per-op KV call at a time and shares
+no code with it.  Over drawn workloads — op mix, distribution, budgets
+that end mid-window, sampling intervals down to a few ops, stop
+conditions, one to five clients, and a lone client that records
+nothing per client (the reference's single user thread) — both must
+leave the same store behind: op counts, clock, SMART, engine counters,
+every sample time, the value version each key ended on and, when
+recorded, every latency of every client.
 
 CI also runs this file under the derandomized ``ci`` hypothesis
 profile (``tests/conftest.py``): ``--hypothesis-profile=ci``.
@@ -24,7 +26,7 @@ from repro.core.experiment import Engine, ExperimentSpec
 from repro.sim.clients import ClientPool
 from repro.units import MIB
 from repro.workload.keys import DISTRIBUTIONS
-from repro.workload.runner import load_sequential, run_workload
+from repro.workload.runner import load_sequential
 from repro.workload.spec import WorkloadSpec
 from tests.workload import reference_driver
 from tests.workload.reference_experiment import assert_matches_reference
@@ -38,12 +40,14 @@ workload = st.fixed_dictionaries(dict(
     distribution=st.sampled_from(sorted(DISTRIBUTIONS)),
     scan_length=st.integers(1, 30),
     max_ops=st.integers(1, 700),
-    # 700 ops take 0.015 (LSM, 5 clients) to 0.25 (B+Tree, inline)
+    # 700 ops take 0.015 (LSM, 5 clients) to 0.25 (B+Tree, 1 client)
     # virtual seconds on the tiny device.
     sample_interval=st.sampled_from([None, 0.002, 0.01, 0.05]),
     stop_after=st.sampled_from([None, 0.005, 0.03]),  # seconds into the run
     seed=st.integers(0, 2**32 - 1),
-    # None: the inline runner; otherwise a pool of that many clients.
+    # None: a lone client with per_client=False, against the
+    # reference's single user thread; otherwise a pool of that many
+    # clients against the reference pool.
     nclients=st.sampled_from([None, 1, 2, 5]),
 ))
 
@@ -68,8 +72,13 @@ def drive(reference: bool, engine, fractions, distribution, scan_length,
         deadline = store.clock.now + stop_after
         limits["stop_when"] = lambda: store.clock.now > deadline
     if nclients is None:
-        run = reference_driver.run if reference else run_workload
-        outcome = run(store, spec, seed=seed, **limits)
+        if reference:
+            outcome = reference_driver.run(store, spec, seed=seed, **limits)
+        else:
+            outcome = ClientPool(store, spec, 1, seed=seed, per_client=False,
+                                 **limits).run()
+            assert outcome.per_client_ops is None
+            assert outcome.latencies is None
         per_client = None
     elif reference:
         outcome = reference_driver.run_pool(store, spec, nclients, seed=seed,
@@ -98,6 +107,11 @@ def drive(reference: bool, engine, fractions, distribution, scan_length,
 @example(dict(engine="lsm", fractions=(0.0, 0.5, 0.0), distribution="hotspot",
               scan_length=30, max_ops=65, sample_interval=None,
               stop_after=None, seed=5, nclients=1))
+# A read-heavy LSM lone client sampled every ~5 ops: the float bound
+# cuts every bulk-planned get_many call (8+ keys) mid-run.
+@example(dict(engine="lsm", fractions=(0.9, 0.0, 0.0), distribution="uniform",
+              scan_length=1, max_ops=500, sample_interval=0.0005,
+              stop_after=None, seed=23, nclients=None))
 def test_shipped_drivers_match_the_reference(workload):
     assert drive(False, **workload) == drive(True, **workload)
 

@@ -1,4 +1,5 @@
-"""Tests for workload specs, key distributions and the runner."""
+"""Tests for workload specs, key distributions, the load phase and
+the lone closed-loop client."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from repro.flash.ssd import SSD
 from repro.fs.filesystem import ExtentFilesystem
 from repro.lsm.config import LSMConfig
 from repro.lsm.store import LSMStore
+from repro.sim.clients import ClientPool
 from repro.workload.keys import (
     HotspotKeys,
     SequentialKeys,
@@ -20,7 +22,7 @@ from repro.workload.keys import (
     ZipfianKeys,
     make_chooser,
 )
-from repro.workload.runner import load_sequential, run_workload
+from repro.workload.runner import load_sequential
 from repro.workload.spec import WorkloadSpec
 from tests.conftest import make_tiny_config
 
@@ -115,15 +117,17 @@ class TestRunner:
     def test_run_respects_max_ops(self):
         store = make_store()
         spec = WorkloadSpec(nkeys=100, value_bytes=100)
-        outcome = run_workload(store, spec, max_ops=250)
+        outcome = ClientPool(store, spec, 1, per_client=False,
+                             max_ops=250).run()
         assert outcome.ops_issued == 250
 
     def test_stop_when_callback(self):
         store = make_store()
         spec = WorkloadSpec(nkeys=100, value_bytes=100)
-        outcome = run_workload(
-            store, spec, stop_when=lambda: store.clock.now > 0.05, max_ops=100_000
-        )
+        outcome = ClientPool(
+            store, spec, 1, per_client=False,
+            stop_when=lambda: store.clock.now > 0.05, max_ops=100_000,
+        ).run()
         assert store.clock.now > 0.05
         assert outcome.ops_issued < 100_000
 
@@ -131,7 +135,8 @@ class TestRunner:
         store = make_store()
         spec = WorkloadSpec(nkeys=100, value_bytes=100, read_fraction=0.5)
         load_sequential(store, spec)
-        run_workload(store, spec, max_ops=400)
+        ClientPool(store, spec, 1, per_client=False,
+                   max_ops=400).run()
         assert store.stats.gets > 100
         assert store.stats.puts > 100 + 100  # load + update share
 
@@ -139,10 +144,10 @@ class TestRunner:
         store = make_store()
         spec = WorkloadSpec(nkeys=100, value_bytes=100)
         ticks = []
-        run_workload(
-            store, spec, max_ops=2000,
+        ClientPool(
+            store, spec, 1, per_client=False, max_ops=2000,
             sample_interval=0.01, on_sample=lambda: ticks.append(store.clock.now),
-        )
+        ).run()
         assert len(ticks) > 2
         assert all(b > a for a, b in zip(ticks, ticks[1:]))
 
@@ -151,7 +156,8 @@ class TestRunner:
         for _ in range(2):
             store = make_store()
             spec = WorkloadSpec(nkeys=100, value_bytes=100)
-            run_workload(store, spec, seed=5, max_ops=500)
+            ClientPool(store, spec, 1, seed=5, per_client=False,
+                       max_ops=500).run()
             results.append(store.clock.now)
         assert results[0] == results[1]
 
@@ -160,14 +166,16 @@ class TestRunner:
         spec = WorkloadSpec(nkeys=50, value_bytes=64, scan_fraction=1.0,
                             scan_length=10)
         load_sequential(store, spec)
-        run_workload(store, spec, max_ops=20)
+        ClientPool(store, spec, 1, per_client=False,
+                   max_ops=20).run()
         assert store.stats.scans == 20
 
     def test_delete_workload_issues_deletes(self):
         store = make_store()
         spec = WorkloadSpec(nkeys=100, value_bytes=100, delete_fraction=0.3)
         load_sequential(store, spec)
-        run_workload(store, spec, max_ops=400)
+        ClientPool(store, spec, 1, per_client=False,
+                   max_ops=400).run()
         assert store.stats.deletes > 50
         assert store.stats.puts > 100  # load + the update share
 
@@ -182,7 +190,8 @@ class TestRunner:
         ):
             store = make_store()
             load_sequential(store, spec)
-            run_workload(store, spec, seed=11, max_ops=300)
+            ClientPool(store, spec, 1, seed=11, per_client=False,
+                       max_ops=300).run()
             assert store.stats.deletes == 0
             clocks.append(store.clock.now)
         assert clocks[0] == clocks[1]
@@ -191,10 +200,10 @@ class TestRunner:
         store = make_store()
         spec = WorkloadSpec(nkeys=100, value_bytes=100)
         with pytest.raises(ConfigError):
-            run_workload(store, spec, sample_interval=0.1)
+            ClientPool(store, spec, 1, per_client=False, sample_interval=0.1)
         with pytest.raises(ConfigError):
-            run_workload(store, spec, on_sample=lambda: None)
+            ClientPool(store, spec, 1, per_client=False, on_sample=lambda: None)
         with pytest.raises(ConfigError):
-            run_workload(store, spec, sample_interval=0.0,
-                         on_sample=lambda: None)
+            ClientPool(store, spec, 1, per_client=False, sample_interval=0.0,
+                       on_sample=lambda: None)
         assert store.stats.ops == 0  # rejected before any op ran
