@@ -25,7 +25,7 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.errors import ConfigError, OutOfRangeError
+from repro.errors import ConfigError, DeviceError, OutOfRangeError
 from repro.flash.ssd import SSD
 
 
@@ -103,9 +103,9 @@ class BlockDevice:
 
     def write_range(self, start: int, npages: int, background: bool = False) -> float:
         """Write a consecutive page range; returns host-visible latency."""
-        if npages <= 0:
-            return 0.0
-        if start < 0 or start + npages > self.npages:
+        if npages <= 0 or start < 0 or start + npages > self.npages:
+            if npages == 0:
+                return 0.0
             self._refuse(start, npages)
         retry = self.retry
         if retry is None:
@@ -120,9 +120,9 @@ class BlockDevice:
 
     def read_range(self, start: int, npages: int) -> float:
         """Read a consecutive page range; returns host-visible latency."""
-        if npages <= 0:
-            return 0.0
-        if start < 0 or start + npages > self.npages:
+        if npages <= 0 or start < 0 or start + npages > self.npages:
+            if npages == 0:
+                return 0.0
             self._refuse(start, npages)
         latency = self.ssd.read_range(start, npages)
         self.bytes_read += npages * self.page_size
@@ -131,11 +131,13 @@ class BlockDevice:
     def read_ranges(self, starts, lens) -> list[float]:
         """``read_range`` of every ``(start, npages)`` as one submission;
         each range is still its own request to SMART."""
+        if len(starts) != len(lens):
+            raise DeviceError(f"{len(starts)} starts for {len(lens)} lengths")
         exposed = self.npages
         pages = 0
         for i, (start, npages) in enumerate(zip(starts, lens)):
-            if npages > 0:
-                if start < 0 or start + npages > exposed:
+            if npages:
+                if npages < 0 or start < 0 or start + npages > exposed:
                     # Like the loop: the requests before the bad one are served.
                     self.read_ranges(starts[:i], lens[:i])
                     self._refuse(start, npages)

@@ -46,7 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.clock import VirtualClock
-from repro.errors import OutOfRangeError
+from repro.errors import DeviceError, OutOfRangeError
 from repro.faults.plan import NO_FAULTS
 from repro.flash.config import SSDConfig
 from repro.flash.ftl import FlashTranslationLayer, WorkUnits
@@ -457,9 +457,9 @@ class SSD:
 
     def write_range(self, start: int, npages: int, background: bool = False) -> float:
         """Write a consecutive logical range."""
-        if npages <= 0:
-            return 0.0
-        if start < 0 or start + npages > self._npages:
+        if npages <= 0 or start < 0 or start + npages > self._npages:
+            if npages == 0:
+                return 0.0
             self._check(start, npages)
         faults = self.faults
         extra = faults.on_write(self) if faults.enabled else 0.0
@@ -475,9 +475,9 @@ class SSD:
 
     def read_range(self, start: int, npages: int) -> float:
         """Read a consecutive logical range; returns host-visible latency."""
-        if npages <= 0:
-            return 0.0
-        if start < 0 or start + npages > self._npages:
+        if npages <= 0 or start < 0 or start + npages > self._npages:
+            if npages == 0:
+                return 0.0
             self._check(start, npages)
         ftl = self.ftl
         if ftl is not None:
@@ -518,14 +518,16 @@ class SSD:
         the timeline in one call.  The tracer and fault draws are
         per-request state: the loop.
         """
+        if len(starts) != len(lens):
+            raise DeviceError(f"{len(starts)} starts for {len(lens)} lengths")
         if self.tracer.enabled or self.faults.enabled:
             return [self.read_range(start, npages)
                     for start, npages in zip(starts, lens)]
         limit = self._npages
         pages = requests = 0
         for i, (start, npages) in enumerate(zip(starts, lens)):
-            if npages > 0:
-                if start < 0 or start + npages > limit:
+            if npages:
+                if npages < 0 or start < 0 or start + npages > limit:
                     # Like the loop: the requests before the bad one are served.
                     self.read_ranges(starts[:i], lens[:i])
                     self._check(start, npages)
@@ -542,7 +544,7 @@ class SSD:
 
     def trim_range(self, start: int, npages: int) -> None:
         """TRIM a consecutive logical range (invalidate its data)."""
-        if npages <= 0:
+        if npages == 0:
             return
         self._check(start, npages)
         if self.ftl is not None:
@@ -621,7 +623,7 @@ class SSD:
     # Internals
     # ------------------------------------------------------------------
     def _check(self, start: int, npages: int) -> None:
-        if start < 0 or start + npages > self._npages:
+        if npages < 0 or start < 0 or start + npages > self._npages:
             raise OutOfRangeError(
                 f"range [{start}, {start + npages}) outside logical space "
                 f"of {self._npages} pages"

@@ -209,8 +209,8 @@ class ExtentFilesystem:
         is rewritten (the read-modify-write a real filesystem performs
         with direct I/O).  Returns host-visible latency.
         """
-        meta = self._lookup(name)
-        if nbytes <= 0:
+        meta = self._lookup(name, nbytes)
+        if nbytes == 0:
             return 0.0
 
         old_size = meta.size_bytes
@@ -236,8 +236,8 @@ class ExtentFilesystem:
         not count as valid data for garbage collection, exactly like a
         real fallocate over a trimmed range.
         """
-        meta = self._lookup(name)
-        if nbytes <= 0:
+        meta = self._lookup(name, nbytes)
+        if nbytes == 0:
             return
         old_pages = _ceil_div(meta.size_bytes, self.page_size)
         new_size = meta.size_bytes + nbytes
@@ -249,8 +249,8 @@ class ExtentFilesystem:
     def pwrite(self, name: str, offset: int, nbytes: int,
                background: bool = False) -> float:
         """Write *nbytes* within (or extending) a file at a byte offset."""
-        meta = self._lookup(name)
-        if nbytes <= 0:
+        meta = self._lookup(name, nbytes)
+        if nbytes == 0:
             return 0.0
         if offset < 0 or offset > meta.size_bytes:
             raise FilesystemError(
@@ -324,27 +324,48 @@ class ExtentFilesystem:
         """
         return self._single_run(self._lookup(name), first_page, count)
 
+    def byte_runs(self, name: str, offset: int, nbytes: int) -> list:
+        """Device ``(start, npages)`` runs backing a byte range of a
+        file, in file order (none for an empty range)."""
+        meta = self._files.get(name)
+        if meta is None or nbytes <= 0:
+            self._lookup(name, nbytes)
+            return []
+        if offset < 0 or offset + nbytes > meta.size_bytes:
+            raise FilesystemError(
+                f"pread [{offset}, {offset + nbytes}) beyond EOF "
+                f"{meta.size_bytes} of {name!r}"
+            )
+        page_size = self.page_size
+        first_page = offset // page_size
+        count = -(-(offset + nbytes) // page_size) - first_page
+        run = self._single_run(meta, first_page, count)
+        if run is not None:
+            return [run]
+        starts, lens = self._run_arrays(meta, first_page, count)
+        return list(zip(starts.tolist(), lens.tolist()))
+
     def pread(self, name: str, offset: int, nbytes: int) -> float:
         """Read a byte range; returns host-visible latency."""
         latency = 0.0
-        for start, length in self._byte_range_runs(name, offset, nbytes):
+        for start, length in self.byte_runs(name, offset, nbytes):
             latency += self.device.read_range(start, length)
         return latency
 
-    def pread_many(self, names, offsets, nbytes) -> float:
-        """Read several byte ranges as one device submission.
-
-        Returns the very float ``latency += pread(name, offset,
-        size)`` builds in order — a range's device runs are summed
-        first, then the ranges — going down the device stack once.
-        """
-        ranges = [self._byte_range_runs(name, offset, size)
-                  for name, offset, size in zip(names, offsets, nbytes)]
-        runs = [run for group in ranges for run in group]
+    def read_runs(self, groups) -> float:
+        """Read byte ranges resolved by :meth:`byte_runs`, one group of
+        device runs per range, as one device submission: the very float
+        ``latency += pread(...)`` builds over the ranges in order (a
+        group's runs summed first).  A resolution stays valid until its
+        file is deleted: allocated file pages never move (:meth:`page_run`)."""
         latencies = iter(self.device.read_ranges(
-            [start for start, _ in runs], [length for _, length in runs]))
+            [start for group in groups for start, _ in group],
+            [npages for group in groups for _, npages in group]))
         total = 0.0
-        for group in ranges:
+        for group in groups:
+            if len(group) == 1:  # 0.0 + x is x
+                total += next(latencies)
+                continue
             latency = 0.0
             for _run in group:
                 latency += next(latencies)
@@ -409,9 +430,11 @@ class ExtentFilesystem:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _lookup(self, name: str) -> FileMeta:
+    def _lookup(self, name: str, nbytes: int = 0) -> FileMeta:
         if name not in self._files:
             raise FileNotFoundError_(f"no such file: {name!r}")
+        if nbytes < 0:
+            raise FilesystemError(f"negative length {nbytes} on {name!r}")
         return self._files[name]
 
     def _single_run(self, meta: FileMeta, first_page: int,
@@ -439,43 +462,19 @@ class ExtentFilesystem:
             return (int(meta._es[idx]) + skip, count)
         return None
 
-    def _byte_range_runs(self, name: str, offset: int, nbytes: int) -> list:
-        """Device ``(start, npages)`` runs backing a byte range of a file."""
-        meta = self._files.get(name) or self._lookup(name)
-        if nbytes <= 0:
-            return []
-        if offset < 0 or offset + nbytes > meta.size_bytes:
-            raise FilesystemError(
-                f"pread [{offset}, {offset + nbytes}) beyond EOF "
-                f"{meta.size_bytes} of {name!r}"
-            )
-        page_size = self.page_size
-        first_page = offset // page_size
-        count = -(-(offset + nbytes) // page_size) - first_page
-        run = self._single_run(meta, first_page, count)
-        if run is not None:
-            return [run]
-        starts, lens = self._run_arrays(meta, first_page, count)
-        return list(zip(starts.tolist(), lens.tolist()))
-
-    def _run_bounds(self, meta: FileMeta, first_page: int, count: int):
-        """(first_extent, last_extent, skip) covering the page range."""
+    def _run_arrays(self, meta: FileMeta, first_page: int,
+                    count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Device runs covering a page range, as (starts, lens) arrays."""
         cum = meta.cumulative()
         if meta._ne == 0 or first_page + count > int(cum[-1]):
             raise FilesystemError(
                 f"file {meta.name!r} has no pages for requested range"
             )
         i0 = int(cum.searchsorted(first_page, side="right"))
-        i1 = int(cum.searchsorted(first_page + count - 1, side="right"))
-        preceding = int(cum[i0 - 1]) if i0 > 0 else 0
-        return i0, i1, first_page - preceding
-
-    def _run_arrays(self, meta: FileMeta, first_page: int,
-                    count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Device runs covering a page range, as (starts, lens) arrays."""
-        i0, i1, skip = self._run_bounds(meta, first_page, count)
-        starts = meta._es[i0 : i1 + 1].copy()
-        lens = meta._el[i0 : i1 + 1].copy()
+        i1 = int(cum.searchsorted(first_page + count - 1, side="right")) + 1
+        skip = first_page - (int(cum[i0 - 1]) if i0 > 0 else 0)
+        starts = meta._es[i0:i1].copy()
+        lens = meta._el[i0:i1].copy()
         starts[0] += skip
         lens[0] -= skip
         lens[-1] = count - int(lens[:-1].sum())
@@ -496,3 +495,4 @@ class ExtentFilesystem:
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
+

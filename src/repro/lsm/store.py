@@ -313,7 +313,7 @@ class LSMStore(KVStore):
                     f"scans need keys in [0, {SCAN_KEY_SPAN}); a table holds "
                     f"[{run.tables[0].min_key}, {run.tables[-1].max_key}]")
             if run.comp is None:
-                run.build_scan_columns()
+                run.build_scan_columns(self.fs.byte_runs)
             sources.append((run.comp, run.vlens, run))
         return sources
 
@@ -436,27 +436,29 @@ class LSMStore(KVStore):
 
         # Table t of a run reads its entries first_t .. min(max(first_t,
         # pos + pops), last_t): from pos in the table holding it, from
-        # the table's own start in every later one.
-        names: list = []
-        offsets: list = []
-        nbytes: list = []
+        # the table's own start in every later one.  For every table
+        # starting at or past pos + pops (from tk on) that is its first
+        # entry alone, resolved once per run (head_runs); tables
+        # t0 .. tk - 1 — usually one or two — resolve here.
+        byte_runs = self.fs.byte_runs
+        groups: list = []
         for run, pos, si in charged:
             ahead = pos + pops[si]
-            if len(run.tables) == 1:  # every L0 run: plain ints
-                offset = int(run.lo[pos])
-                names.append(run.names[0])
-                offsets.append(offset)
-                nbytes.append(int(run.hi[min(ahead, len(run.hi) - 1)]) - offset)
-                continue
-            t0 = int(run.max_keys.searchsorted(start_key))
-            first = run.starts[t0:].copy()
-            first[0] = pos
-            last = np.minimum(np.maximum(first, ahead), run.lasts[t0:])
-            lo = run.lo[first]
-            names.extend(run.names[t0:].tolist())
-            offsets.extend(lo.tolist())
-            nbytes.extend((run.hi[last] - lo).tolist())
-        return self.fs.pread_many(names, offsets, nbytes)
+            if len(run.tables) == 1:  # every L0 run
+                t0, tk = 0, 1
+            else:
+                t0 = int(run.max_keys.searchsorted(start_key))
+                tk = int(run.starts.searchsorted(ahead))  # >= t0
+            first = pos
+            for t in range(t0, tk):
+                if t > t0:
+                    first = int(run.starts[t])
+                offset = int(run.lo[first])
+                last = min(max(first, ahead), int(run.lasts[t]))
+                groups.append(byte_runs(run.names[t], offset,
+                                        int(run.hi[last]) - offset))
+            groups.extend(run.head_runs[tk:])
+        return self.fs.read_runs(groups)
 
     def _write_many(self, keys, vseeds, vlen: int, until: float | None,
                     latencies: list | None, delete: bool) -> int:

@@ -38,8 +38,10 @@ class ReadRun:
     locating each table's bloom filter inside the run's one bit slab
     (``bits`` is None when filters are disabled).  Scans
     (``LSMStore._scan_merge``): the packed composite ``comp`` — sorted
-    as well, the key being its high bits — with ``vlens`` and each
-    entry's byte bounds ``lo``/``hi`` in its table's file.
+    as well, the key being its high bits — with ``vlens``, each
+    entry's byte bounds ``lo``/``hi`` in its table's file, and per table
+    its first entry's device runs by the filesystem's ``byte_runs``
+    (``head_runs``; a table's file never changes while in the manifest).
     """
 
     def __init__(self, tables: list[SSTable], config: LSMConfig):
@@ -70,7 +72,7 @@ class ReadRun:
             self.mask = sizes - np.uint64(1)
             self.base = np.cumsum(sizes) - sizes
 
-    def build_scan_columns(self) -> None:
+    def build_scan_columns(self, byte_runs) -> None:
         tables = self.tables
         self.comp = pack_scan_comp(
             np.concatenate([t.keys for t in tables]),
@@ -79,6 +81,9 @@ class ReadRun:
         self.vlens = np.concatenate([t.vlens for t in tables])
         self.lo = np.concatenate([t._offsets[:-1] for t in tables])
         self.hi = np.concatenate([t._offsets[1:] for t in tables])
+        self.byte_runs = byte_runs
+        self.head_runs = [byte_runs(t.filename, 0, int(t._offsets[1]))
+                          for t in tables]
 
 
 class Version:
@@ -262,8 +267,9 @@ class Version:
                     fresh = ReadRun(run.tables, self.config)
                     if run.keys is not None:
                         fresh.build_point_columns()
-                    if run.comp is not None:
-                        fresh.build_scan_columns()
+                    if run.comp is not None:  # and a fresh head resolution
+                        fresh.build_scan_columns(run.byte_runs)
+                        assert fresh.head_runs == run.head_runs
                     for name, column in vars(fresh).items():
                         if isinstance(column, np.ndarray):
                             assert np.array_equal(column, getattr(run, name)), name

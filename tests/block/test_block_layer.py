@@ -8,7 +8,8 @@ import pytest
 
 from repro.block.blktrace import BlkTrace
 from repro.block.device import BlockDevice
-from repro.errors import ConfigError, OutOfRangeError, ProgramFaultError
+from repro.errors import (ConfigError, DeviceError, OutOfRangeError,
+                          ProgramFaultError)
 from repro.faults import FaultPlan, RetryPolicy
 from repro.rng import substream
 
@@ -88,6 +89,30 @@ class TestByteCounters:
         with pytest.raises(OutOfRangeError):
             device.read_ranges([0, exposed - 1, 8], [2, 2, 1])
         assert device.bytes_read == 2 * 4096
+
+    @pytest.mark.parametrize("request_, error", [
+        pytest.param(lambda d: d.read_ranges([0, 1, 2], [1]), DeviceError,
+                     id="more-starts"),
+        pytest.param(lambda d: d.read_ranges([0], [1, 1]), DeviceError,
+                     id="more-lengths"),
+        pytest.param(lambda d: d.read_ranges([0, 9], [-2, 1]),
+                     OutOfRangeError, id="negative-in-batch"),
+        pytest.param(lambda d: d.read_range(0, -3), OutOfRangeError,
+                     id="negative-read"),
+        pytest.param(lambda d: d.write_range(0, -3), OutOfRangeError,
+                     id="negative-write"),
+        pytest.param(lambda d: d.trim_range(0, -1), OutOfRangeError,
+                     id="negative-trim"),
+    ])
+    def test_a_malformed_request_is_refused_whole(self, device, request_, error):
+        """Unequal batch columns or a negative length: refused before
+        the drive sees anything, where a zero length is a no-op."""
+        device.write_range(0, 16)
+        before = (device.counters(), device.ssd.smart.snapshot())
+        with pytest.raises(DeviceError) as raised:
+            request_(device)
+        assert raised.type is error
+        assert (device.counters(), device.ssd.smart.snapshot()) == before
 
     def test_a_retried_write_counts_once_and_a_failed_one_never(self, device):
         smart = device.ssd.smart

@@ -17,6 +17,7 @@ from collections import Counter
 import pytest
 
 from repro.core.clock import VirtualClock
+from repro.errors import OutOfRangeError
 from repro.faults.plan import FaultPlan
 from repro.flash.ssd import SSD
 from repro.rng import substream
@@ -73,11 +74,12 @@ class TestReadChannelized:
         assert_reads_match_model(ssd, [(5, npages), (0, npages),
                                        (npages, npages)])
 
-    def test_zero_and_negative_page_reads_are_free(self):
+    def test_zero_page_reads_are_free_and_negative_ones_refused(self):
         ssd = make_channel_ssd()
         before = timeline_state(ssd)
         assert ssd.read_range(0, 0) == 0.0
-        assert ssd.read_range(0, -3) == 0.0
+        with pytest.raises(OutOfRangeError):
+            ssd.read_range(0, -3)
         assert timeline_state(ssd) == before
 
     def test_single_channel_device(self):
@@ -110,6 +112,44 @@ class TestReadChannelized:
             last = timeline.busy_max
             if rng.random() < 0.3:
                 ssd.clock.advance(float(rng.random()) * 1e-3)
+
+
+class TestClosedForms:
+    """Reads on idle channels in the closed forms of "B+-tree Index
+    Optimization by Exploiting Internal Parallelism of Flash-based SSDs"
+    (Roh et al.), at ``now = 0``, ``==`` with no tolerance."""
+
+    @pytest.mark.parametrize("channels", [1, 3, 8, 16])
+    def test_a_k_page_read(self, channels):
+        """``read_latency + k·page_size/bus + ⌈k/C⌉·page_read_time``,
+        wherever the read starts."""
+        for npages in range(1, 3 * channels + 2):
+            for start in (0, 1, channels - 1, 5 * channels + 2):
+                ssd = make_channel_ssd(channels=channels)
+                cfg = ssd.config
+                assert ssd.clock.now == 0.0
+                assert ssd.read_range(start, npages) == (
+                    cfg.read_latency
+                    + npages * cfg.page_size / cfg.bus_bytes_per_s
+                    + -(-npages // channels) * cfg.page_read_time)
+
+    @pytest.mark.parametrize("channels", [1, 3, 8, 16])
+    def test_a_batch_of_one_page_reads_on_distinct_channels(self, channels):
+        """k <= C one-page reads on k distinct channels, submitted as one
+        ``read_ranges`` batch: each pays one page read, not a queue of
+        k — unlike the same k reads on one channel."""
+        one_page = None
+        for k in range(1, channels + 1):
+            ssd = make_channel_ssd(channels=channels)
+            cfg = ssd.config
+            one_page = (cfg.read_latency + cfg.page_size / cfg.bus_bytes_per_s
+                        + cfg.page_read_time)
+            assert ssd.read_ranges(list(range(3, 3 + k)), [1] * k) == [one_page] * k
+        stacked = make_channel_ssd(channels=channels).read_ranges(
+            [channels * i for i in range(channels)], [1] * channels)
+        assert stacked[0] == one_page
+        assert stacked == sorted(stacked)
+        assert len(set(stacked)) == channels
 
 
 class TestDegradeWindow:

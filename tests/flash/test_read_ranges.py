@@ -17,7 +17,7 @@ import pytest
 
 from repro.block.device import BlockDevice
 from repro.core.clock import VirtualClock
-from repro.errors import OutOfRangeError
+from repro.errors import DeviceError, OutOfRangeError
 from repro.faults.plan import FaultPlan
 from repro.flash.ssd import SSD, ChannelTimeline
 from repro.obs.tracer import Tracer, attach_tracer
@@ -128,6 +128,31 @@ class TestReadRanges:
         assert batched.ssd.ftl.total_read_pages == 4
         assert batched.device.bytes_read == looped.device.bytes_read \
             == 4 * batched.device.page_size
+
+    @pytest.mark.parametrize("mode", ["scalar", "channels", "channels+tracer"])
+    @pytest.mark.parametrize("request_, error", [
+        pytest.param(lambda ssd: ssd.read_ranges([0, 1, 2], [1]), DeviceError,
+                     id="more-starts"),
+        pytest.param(lambda ssd: ssd.read_ranges([0], [1, 1]), DeviceError,
+                     id="more-lengths"),
+        pytest.param(lambda ssd: ssd.read_ranges([0, 9], [-2, 1]),
+                     OutOfRangeError, id="negative-in-batch"),
+        pytest.param(lambda ssd: ssd.read_range(0, -3), OutOfRangeError,
+                     id="negative-read"),
+        pytest.param(lambda ssd: ssd.write_range(0, -3), OutOfRangeError,
+                     id="negative-write"),
+        pytest.param(lambda ssd: ssd.trim_range(0, -1), OutOfRangeError,
+                     id="negative-trim"),
+    ])
+    def test_malformed_ssd_requests_are_refused(self, mode, request_, error):
+        """Unequal batch columns or a negative length: refused before
+        anything is served (a zero length stays a no-op)."""
+        stack = Stack(mode)
+        before = stack.state()
+        with pytest.raises(DeviceError) as raised:
+            request_(stack.ssd)
+        assert raised.type is error
+        assert stack.state() == before
 
     @pytest.mark.parametrize("mode", ["scalar+backlog", "channels"])
     def test_reserved_tail_raises_like_the_loop(self, mode):

@@ -97,6 +97,29 @@ class TestIO:
         assert wlat > 0
         assert rlat > 0
 
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda fs, n: fs.append("a", n), id="append"),
+        pytest.param(lambda fs, n: fs.reserve("a", n), id="reserve"),
+        pytest.param(lambda fs, n: fs.pwrite("a", 4096, n), id="pwrite"),
+        pytest.param(lambda fs, n: fs.pread("a", 4096, n), id="pread"),
+        pytest.param(lambda fs, n: fs.byte_runs("a", 4096, n), id="byte_runs"),
+    ])
+    def test_negative_length_refused_zero_a_no_op(self, filesystem, tiny_ssd,
+                                                  call):
+        filesystem.create("a")
+        filesystem.append("a", 8192)
+
+        def state():
+            return (filesystem.file_size("a"), filesystem.used_pages,
+                    tiny_ssd.smart.snapshot())
+
+        before = state()
+        for nbytes in (-1, -100):
+            with pytest.raises(FilesystemError, match="negative"):
+                call(filesystem, nbytes)
+        assert call(filesystem, 0) in (0.0, None, [])
+        assert state() == before
+
     def test_no_space_raises(self, filesystem, tiny_ssd):
         filesystem.create("a")
         with pytest.raises(NoSpaceError):
@@ -138,11 +161,12 @@ class TestFragmentation:
         assert filesystem.pread("big", 0, 4096 * 50) > 0
         filesystem.check_invariants()
 
-    def test_pread_many_adds_up_like_the_pread_loop(self):
+    def test_read_runs_adds_up_like_the_pread_loop(self):
         """Six extents under one file: a range's device runs are summed
-        before the range joins the total, so ``pread_many`` returns the
-        very float ``latency += pread(...)`` builds — a flat sum over
-        the device runs rounds differently on this data."""
+        before the range joins the total, so ``read_runs`` over the
+        ranges' ``byte_runs`` returns the very float ``latency +=
+        pread(...)`` builds — a flat sum over the device runs rounds
+        differently on this data."""
         def build():
             clock = VirtualClock()
             ssd = SSD(make_tiny_config(), clock)
@@ -167,17 +191,21 @@ class TestFragmentation:
         for name, offset, nbytes in ranges:
             total += looped.pread(name, offset, nbytes)
         batched, batched_ssd = build()
-        assert batched.pread_many(*zip(*ranges)) == total
+        groups = [batched.byte_runs(*read) for read in ranges]
+        assert [len(group) for group in groups] == [6, 1, 3, 1, 0, 5]
+        assert batched.read_runs(groups) == total
+        assert batched_ssd.smart == looped_ssd.smart
+        assert batched.read_runs([]) == batched.read_runs([[]]) == 0.0
         assert batched_ssd.smart == looped_ssd.smart
         flat = 0.0
-        for name, offset, nbytes in ranges:
-            for start, npages in looped._byte_range_runs(name, offset, nbytes):
+        for group in groups:
+            for start, npages in group:
                 flat += looped_ssd.read_range(start, npages)
         assert flat != total
         with pytest.raises(FilesystemError):
-            batched.pread_many(["f1", "big"], [0, 4096 * 39], [10, 4097])
+            batched.byte_runs("big", 4096 * 39, 4097)
         with pytest.raises(FileNotFoundError_):
-            batched.pread_many(["nope"], [0], [0])
+            batched.byte_runs("nope", 0, 0)
 
 
 class TestPropertyBased:

@@ -9,7 +9,7 @@ bit-identical clocks, stats, and SMART counters — including under
 ``until`` cuts and interleaved writes that invalidate the reuse
 cursors.  A scan's per-op and batch calls share their loop, so on the
 LSM every per-op scan is also held to ``reference_reads.scan``: the
-pairs it returns and the reads it pays.
+pairs it returns and the reads it pays, as device requests.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import pytest
 from repro.kv.values import value_for
 from repro.workload.spec import WorkloadSpec
 from tests.lsm import reference_reads
-from tests.lsm.test_scan_kernel import record_reads
+from tests.lsm.test_scan_kernel import device_reads, record_reads
 from tests.workload.test_batched_runner import make_store
 from repro.workload.runner import load_sequential
 
@@ -47,7 +47,7 @@ def checked_scan(store, reads: list | None, start: int, count: int) -> None:
     pairs, expected = reference_reads.scan(store, start, count)
     mark = len(reads)
     assert store.scan(start, count)[1] == pairs
-    assert reads[mark:] == expected
+    assert reads[mark:] == device_reads(store, expected)
 
 
 def assert_twins_equal(a, ssd_a, b, ssd_b):

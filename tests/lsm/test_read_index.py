@@ -4,8 +4,8 @@
 flat rows of preads; ``get()`` walks ``_find`` table by table.  Twin
 stores hold the identical tree: one serves batches, the other per-op
 gets, and everything observable must match exactly — per-op latencies,
-the clock, ``KVStats``, the SMART read counters and the ``fs.pread``
-call sequence — and must be what ``reference_reads.get`` says a get
+the clock, ``KVStats``, the SMART read counters and the device read
+requests — and must be what ``reference_reads.get`` says a get
 returns and pays.  Also pins the index's per-level invalidation.
 """
 
@@ -27,7 +27,8 @@ from repro.lsm.memtable import KIND_DELETE, KIND_PUT
 from repro.lsm.store import LSMStore
 from tests.conftest import make_tiny_config
 from tests.lsm import reference_reads, test_scan_kernel
-from tests.lsm.test_scan_kernel import install_tree, populate
+from tests.lsm.test_scan_kernel import (device_reads, install_tree, populate,
+                                        record_reads)
 
 KEYSPACE = 300
 #: Tombstones, sub-block values, and values larger than a 4 KiB block.
@@ -79,21 +80,6 @@ def build_store(tree: dict, bloom_bits: int) -> LSMStore:
     return install_tree(make_store(bloom_bits_per_key=bloom_bits), tree)
 
 
-def record_preads(store: LSMStore, fail_at: int | None = None) -> list:
-    """Log every ``fs.pread``; raise ENOSPC on call number *fail_at*."""
-    calls: list = []
-    inner = store.fs.pread
-
-    def pread(name, offset, nbytes):
-        if len(calls) == fail_at:
-            raise NoSpaceError("injected")
-        calls.append((name, offset, nbytes))
-        return inner(name, offset, nbytes)
-
-    store.fs.pread = pread
-    return calls
-
-
 def get_per_op(store: LSMStore, keys, until=None, latencies=None,
                values=None) -> int:
     """One ``get()`` per key, the batch API's contract."""
@@ -135,13 +121,13 @@ class TestLockstep:
         tree = random_tree(seed)
         bulk = build_store(tree, bloom_bits)
         twin = build_store(tree, bloom_bits)
-        bulk_preads, twin_preads = record_preads(bulk), record_preads(twin)
+        bulk_reads, twin_reads = record_reads(bulk), record_reads(twin)
         for keys, cut in batches:
             until = None
             if cut is not None:
                 until = bulk.clock.now + cut * len(keys) * 200e-6
             expected = [reference_reads.get(twin, key) for key in keys]
-            mark, before = len(twin_preads), twin.stats.user_bytes_read
+            mark, before = len(twin_reads), twin.stats.user_bytes_read
             bulk_lat: list = []
             twin_lat: list = []
             values: list = []
@@ -149,11 +135,11 @@ class TestLockstep:
             assert bulk.get_many(keys, until, bulk_lat) == done
             assert bulk_lat == twin_lat
             assert state(bulk) == state(twin)
-            assert bulk_preads == twin_preads
+            assert bulk_reads == twin_reads
             # Third leg: what each get returns and pays.
             assert values == [value for value, _reads in expected[:done]]
-            assert twin_preads[mark:] == [
-                read for _value, reads in expected[:done] for read in reads]
+            assert twin_reads[mark:] == device_reads(twin, [
+                read for _value, reads in expected[:done] for read in reads])
             assert twin.stats.user_bytes_read - before == sum(
                 twin.config.key_bytes + value.length for value in values
                 if value is not None)
@@ -166,16 +152,17 @@ class TestLockstep:
                            (2, ([5, 25, 40], [KIND_PUT] * 3, [40] * 3))],
                 "memtables": [([], [], []), ([], [], [])]}
         store = build_store(tree, bloom_bits=0)
-        preads = record_preads(store)
+        reads = record_reads(store)
         keys = [15, 25, 4, 41, 35, 20, 15, 15]
         expected = [reference_reads.get(store, key) for key in keys]
         assert store.get_many(keys) == len(keys)
-        assert preads == [read for _value, reads in expected for read in reads]
+        assert reads == device_reads(
+            store, [read for _value, op_reads in expected for read in op_reads])
         assert [value is not None for value, _reads in expected] == [
             key in (25, 20) for key in keys]
         first, second = (t.filename for _lvl, t in store.version.all_tables())
         miss = [(first, 0, 9040), (second, 0, 240)]
-        assert preads == (
+        assert reads == device_reads(store,
             miss                      # 15: absent, inside both ranges
             + [miss[0], (second, 0, 240)]   # 25: L1 false positive, L2 hit
             + []                      # 4, 41: outside every range
@@ -186,16 +173,17 @@ class TestLockstep:
 
     @pytest.mark.parametrize("fail_at", [0, 3, 11])
     def test_pread_fault_mid_batch(self, fail_at):
+        """ENOSPC on the device read number *fail_at*."""
         tree = random_tree(7)
         keys = list(range(0, KEYSPACE, 7))
         outcomes = []
         for get in (LSMStore.get_many, get_per_op):
             store = build_store(tree, bloom_bits=2)
-            preads = record_preads(store, fail_at=fail_at)
+            reads = record_reads(store, fail_at=fail_at)
             latencies: list = []
             with pytest.raises(NoSpaceError) as raised:
                 get(store, keys, None, latencies)
-            outcomes.append((preads, latencies, state(store),
+            outcomes.append((reads, latencies, state(store),
                              getattr(raised.value, "ops_done", None)))
         (*bulk, bulk_done), (*twin, _) = outcomes
         assert bulk == twin

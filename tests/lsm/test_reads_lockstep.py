@@ -2,10 +2,11 @@
 
 Over drawn streams of writes, gets, scans and their batch forms on the
 multi-level ``populate()`` tree, with bloom filters on, nearly useless
-and off: every read returns what ``reference_reads`` says and pays
+and off, on an aged filesystem or one where every table page is its
+own extent: every read returns what ``reference_reads`` says and pays
 exactly its ``(file, offset, nbytes)`` reads, in order — a batch the
-concatenation of its ops'.  Run it after any change to an engine's
-read path.
+concatenation of its ops' — as device requests recorded at the block
+layer.  Run it after any change to an engine's read path.
 
 CI also runs this file under the derandomized ``ci`` hypothesis
 profile (``tests/conftest.py``): ``--hypothesis-profile=ci``.
@@ -13,12 +14,12 @@ profile (``tests/conftest.py``): ``--hypothesis-profile=ci``.
 
 from __future__ import annotations
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.kv.values import Value
 from tests.lsm import reference_reads
-from tests.lsm.test_scan_kernel import make_store, populate
+from tests.lsm.test_scan_kernel import device_reads, make_store, populate
 
 key = st.integers(-5, 450)  # populate() writes 0..399
 written = st.integers(0, 450)  # a negative key cannot be scanned over
@@ -35,9 +36,16 @@ ops = st.lists(st.one_of(
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(bloom_bits=st.sampled_from([0, 2, 10]), ops=ops)
-def test_reads_return_and_pay_what_the_reference_says(bloom_bits, ops):
-    store = make_store(bloom_bits_per_key=bloom_bits)
+@given(bloom_bits=st.sampled_from([0, 2, 10]), fragmented=st.booleans(),
+       ops=ops)
+# Multi-page values at the low keys, then scans that start below them:
+# heads and reached windows several extents long.
+@example(bloom_bits=10, fragmented=True,
+         ops=[("put", k, 5000) for k in range(0, 400, 5)]
+         + [("scan_many", [-5, 0, 1, 100, 250], 7), ("scan", 3, 100)])
+def test_reads_return_and_pay_what_the_reference_says(bloom_bits, fragmented,
+                                                      ops):
+    store = make_store(fragmented, bloom_bits_per_key=bloom_bits)
     populate([store])
     key_bytes = store.config.key_bytes
     for i, (name, arg, *rest) in enumerate(ops):
@@ -66,7 +74,7 @@ def test_reads_return_and_pay_what_the_reference_says(bloom_bits, ops):
             assert store.scan_many(arg, rest[0]) == len(arg)
             values = [value for pairs, _reads in expected for _key, value in pairs]
             reads = [read for _pairs, op_reads in expected for read in op_reads]
-        assert store.preads[mark:] == reads
+        assert store.preads[mark:] == device_reads(store, reads)
         assert store.stats.user_bytes_read - before == sum(
             key_bytes + value.length for value in values if value is not None)
     store.check_invariants()

@@ -1,13 +1,16 @@
 """The LSM scan merge vs the reference reads (DESIGN.md §13.1, §13.4).
 
 The store serves a scan with one composite-key argsort over one packed
-column per sorted run, the reads planned per run and submitted
-together through ``fs.pread_many``.  ``reference_reads.scan`` says what
-that must return and pay: a ``heapq`` merge over per-table iterators,
-one read per table — it shares no merge or charging code with the
-store.  Every scan here is checked against it: the pairs, the
-``user_bytes_read`` they add up to and the stream of ``(file, offset,
-nbytes)`` reads, in order (``==``, no tolerance).  Twin stores holding
+column per sorted run, the reads planned per run — the head reads of
+tables the merge never reaches resolved to device runs once per run —
+and submitted together through ``fs.read_runs``.
+``reference_reads.scan`` says what that must return and pay: a
+``heapq`` merge over per-table iterators, one read per table — it
+shares no merge or charging code with the store.  Every scan here is
+checked against it: the pairs, the ``user_bytes_read`` they add up to
+and the reads, in order (``==``, no tolerance), recorded at the block
+layer and compared with the reference's ``(file, offset, nbytes)``
+reads mapped to device runs by ``fs.byte_runs``.  Twin stores holding
 the identical tree then check the loop around the merge: one serves
 the scans per op, the other as one ``scan_many`` batch, and per-op
 latencies, the virtual clock, ``KVStats`` and device read bytes must
@@ -23,7 +26,7 @@ import pytest
 
 from repro.block.device import BlockDevice
 from repro.core.clock import VirtualClock
-from repro.errors import ConfigError
+from repro.errors import ConfigError, NoSpaceError
 from repro.flash.ssd import SSD
 from repro.fs.filesystem import ExtentFilesystem
 from repro.kv.values import Value
@@ -37,10 +40,20 @@ from tests.conftest import make_tiny_config
 from tests.lsm import reference_reads
 
 
-def make_store(**config_overrides) -> LSMStore:
+def make_store(fragmented: bool = False, **config_overrides) -> LSMStore:
+    """A small-config store; *fragmented* puts it on a first-fit
+    filesystem whose low pages are one-page holes, so every page of a
+    table the store writes is an extent of its own."""
     clock = VirtualClock()
     ssd = SSD(make_tiny_config(nblocks=128), clock)
-    fs = ExtentFilesystem(BlockDevice(ssd))
+    fs = ExtentFilesystem(BlockDevice(ssd),
+                          strategy="first-fit" if fragmented else "scatter")
+    if fragmented:
+        for i in range(600):
+            fs.create(f"pad{i}")
+            fs.reserve(f"pad{i}", 1)
+        for i in range(0, 600, 2):
+            fs.delete(f"pad{i}")
     params = dict(
         memtable_bytes=8 * 1024,
         max_bytes_for_level_base=16 * 1024,
@@ -52,24 +65,39 @@ def make_store(**config_overrides) -> LSMStore:
     return store
 
 
-def record_reads(store: LSMStore) -> list:
-    """Record every read the store issues, whichever entry point it
-    takes, into one stream: (file, offset, nbytes)."""
+def record_reads(store: LSMStore, fail_at: int | None = None) -> list:
+    """Record every device read below the store's filesystem, in order,
+    as ``(start, npages)`` — a ``BlockDevice.read_range`` call or one
+    request of a ``read_ranges`` batch — and raise ENOSPC instead of
+    submitting the request that would be read number *fail_at*."""
     reads: list = []
-    fs = store.fs
-    pread, pread_many = fs.pread, fs.pread_many
+    device = store.fs.device
+    read_range, read_ranges = device.read_range, device.read_ranges
 
-    def recording_pread(name, offset, nbytes):
-        reads.append((name, offset, nbytes))
-        return pread(name, offset, nbytes)
+    def note(requests: list) -> None:
+        if fail_at is not None and 0 <= fail_at - len(reads) < len(requests):
+            raise NoSpaceError("injected")
+        reads.extend(requests)
 
-    def recording_pread_many(names, offsets, nbytes):
-        reads.extend(zip(names, offsets, nbytes))
-        return pread_many(names, offsets, nbytes)
+    def recording_read_range(start, npages):
+        note([(start, npages)])
+        return read_range(start, npages)
 
-    fs.pread = recording_pread
-    fs.pread_many = recording_pread_many
+    def recording_read_ranges(starts, lens):
+        note(list(zip(starts, lens)))
+        return read_ranges(starts, lens)
+
+    device.read_range = recording_read_range
+    device.read_ranges = recording_read_ranges
     return reads
+
+
+def device_reads(store: LSMStore, reads) -> list:
+    """The device requests, in order, that pay the ``(file, offset,
+    nbytes)`` *reads* the reference names."""
+    byte_runs = store.fs.byte_runs
+    return [run for name, offset, nbytes in reads
+            for run in byte_runs(name, offset, nbytes)]
 
 
 def make_pair(**config_overrides) -> tuple[LSMStore, LSMStore]:
@@ -145,7 +173,7 @@ def assert_scans_identical(per_op, batched, start_keys, count) -> None:
         mark, before = len(per_op.preads), per_op.stats.user_bytes_read
         latency, got = per_op.scan(key, count)
         assert got == pairs
-        assert per_op.preads[mark:] == reads
+        assert per_op.preads[mark:] == device_reads(per_op, reads)
         assert per_op.stats.user_bytes_read - before == sum(
             key_bytes + value.length for _key, value in pairs)
         lat_ref.append(latency)
@@ -330,8 +358,8 @@ TREE = {
 }
 
 
-def build_pair(tree: dict) -> tuple[LSMStore, LSMStore]:
-    return install_tree(make_store(), tree), install_tree(make_store(), tree)
+def build_pair(tree: dict, fragmented: bool = False) -> tuple[LSMStore, LSMStore]:
+    return tuple(install_tree(make_store(fragmented), tree) for _ in range(2))
 
 
 class TestRunPlan:
@@ -357,8 +385,9 @@ class TestRunPlan:
         per_op, batched = build_pair(TREE)
         assert_scans_identical(per_op, batched, [36], 40)
         first, second, third = (t.filename for t in batched.version.levels[2])
-        reads = {name: (offset, nbytes)
-                 for name, offset, nbytes in batched.preads}
+        # The reads the scan just paid, in file terms.
+        reads = {name: (offset, nbytes) for name, offset, nbytes
+                 in reference_reads.scan(batched, 36, 40)[1]}
         config = batched.config
         entry = config.key_bytes + config.entry_overhead + 40
         big = entry - 40 + 9000
@@ -393,10 +422,39 @@ class TestRunPlan:
             assert_scans_identical(per_op, batched, [0, 49, 50, 99, 149, 150],
                                    count)
 
+    def test_heads_and_windows_that_span_extents(self):
+        """Every page its own extent: L2's 9 000-byte and L3's 4 100-byte
+        first entries make head reads of several device runs, and the
+        windows reached across a page boundary are several runs too —
+        each still charged as one range, in order."""
+        per_op, batched = build_pair(TREE, fragmented=True)
+        starts = [-3, 0, 9, 36, 41, 60, 89, 100, 110, 130, 151, 299]
+        for count in (0, 1, 5, 40, 100):
+            assert_scans_identical(per_op, batched, starts, count)
+        heads = {(table.filename, 0, int(table._offsets[1]))
+                 for _level, table in batched.version.all_tables()}
+        spans = {"head": False, "window": False}
+        for key in starts:
+            for read in reference_reads.scan(batched, key, 40)[1]:
+                if len(batched.fs.byte_runs(*read)) > 1:
+                    spans["head" if read in heads else "window"] = True
+        assert spans == {"head": True, "window": True}
+        assert any(len(group) > 1 for run in batched.version.runs()
+                   if run.comp is not None for group in run.head_runs)
+
     def test_a_stale_scan_column_fails_the_invariant_check(self):
         _per_op, batched = build_pair(TREE)
         batched.scan_many([0], 5)
         run = next(run for run in batched.version.runs() if len(run.tables) > 1)
         run.hi = run.hi + 1
+        with pytest.raises(AssertionError):
+            batched.version.check_invariants()
+
+    def test_a_stale_head_run_fails_the_invariant_check(self):
+        _per_op, batched = build_pair(TREE)
+        batched.scan_many([0], 5)
+        run = next(run for run in batched.version.runs() if len(run.tables) > 1)
+        (start, npages), = run.head_runs[-1]
+        run.head_runs[-1] = [(start + 1, npages)]
         with pytest.raises(AssertionError):
             batched.version.check_invariants()
