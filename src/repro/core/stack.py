@@ -62,7 +62,7 @@ class Stack:
 
     clock: VirtualClock
     shards: list[Shard]
-    store: KVStore
+    store: KVStore | ShardedStore
 
     def snapshot(self) -> dict[str, Any]:
         """Every counter as one flat ``layer.name`` dict: the sum over

@@ -5,11 +5,14 @@ task that emits operations on an :class:`~repro.fleet.arrival.
 ArrivalProcess` timeline, routes each through the fleet's router, and
 admits it into the owning shard's bounded FIFO queue; a per-shard
 *service* task (spawned on the idle→busy transition, exiting when its
-queue drains) executes admitted operations one at a time through the
-per-op :func:`~repro.workload.plan.draw_op` / :func:`~repro.workload.
-runner.apply_op` halves, whose draws the closed-loop pool's planner
-replicates, so the op stream for a given seed is identical — only the
-*timing* of issue changes.
+queue drains) executes admitted operations one at a time, each as a
+one-op call of the shard engine's batch API (``put_many`` & co.; the
+:class:`~repro.kv.api.KVStore` batch contract makes that call
+bit-identical to the per-op one).  The op stream is the closed-loop
+pool's client 0's: the source draws it through the same
+:class:`~repro.workload.plan.BatchPlanner`, a ``CHECK_EVERY`` window at
+a time, and hands it out one op per arrival — so for a given seed only
+the *timing* of issue differs.
 
 Overload is observable rather than fatal: when an arrival finds the
 queue at ``queue_cap`` (counting the in-service op) it is *rejected*
@@ -28,6 +31,7 @@ the event heap's ``(time, seq)`` key — a run is a pure function of
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -38,12 +42,12 @@ from repro.counters import Counters
 from repro.errors import NoSpaceError, TransientDeviceError
 from repro.fleet.arrival import ArrivalProcess
 from repro.fleet.sharded import ShardedStore
+from repro.kv.values import value_for
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.scheduler import Scheduler
-from repro.workload.keys import make_chooser
-from repro.workload.plan import UPDATE, draw_op
+from repro.workload.plan import READ, SCAN, UPDATE, BatchPlanner
 from repro.workload.runner import (CHECK_EVERY, RunOutcome, _after_op_sample,
-                                   apply_op, validate_sampling)
+                                   validate_sampling)
 from repro.workload.spec import WorkloadSpec
 
 #: Health states that accept new work; "recovering"/"down" fail fast.
@@ -109,14 +113,12 @@ class FleetPool:
         self.queue_cap = queue_cap
         self.tracer = tracer
         self.nshards = len(store.shards)
-        # Chaos knobs (DESIGN.md §11).  `chaos` gates every new branch
-        # on the hot paths so a plain run is byte-identical to PR 7.
+        # Chaos knobs (DESIGN.md §11).
         self.kill_at = kill_at
         self.kill_shard = kill_shard
         self.retry_limit = retry_limit
         self.retry_backoff = retry_backoff
         self.op_timeout = op_timeout
-        self._chaos = kill_at is not None or op_timeout is not None
         self._jitter_rng = rng_mod.substream(seed, "fleet-retry")
 
     def run(self) -> RunOutcome:
@@ -148,8 +150,10 @@ class FleetPool:
         start = clock.now
         self._down_at = [0.0] * n
         self._degraded_left = [0] * n
-        if self.kill_at is not None:
-            scheduler.schedule(self.kill_at, self._kill, label="chaos-kill")
+        # No event of its own (see _kill): a kill the traffic never
+        # reaches never happens, and never stretches the run.
+        self._kill_time = (math.inf if self.kill_at is None
+                           else start + self.kill_at)
         scheduler.spawn(self._source(), label="arrival-source")
         try:
             scheduler.run()
@@ -167,23 +171,17 @@ class FleetPool:
     # The traffic source: arrivals → route → admit/reject
     # ------------------------------------------------------------------
     def _source(self):
-        spec = self.spec
         outcome = self._outcome
         rows = outcome.fleet
+        health = outcome.health
         qdepth_max = outcome.qdepth_max
         clock = self.store.clock
         router = self.store.router
-        queues = self._queues
-        busy = self._busy
-        scheduler = self._scheduler
         arrival = self.arrival
         queue_cap = self.queue_cap
         max_ops = self.max_ops
         stop_when = self.stop_when
-        key_rng = rng_mod.substream(self.seed, "workload-keys")
-        op_rng = rng_mod.substream(self.seed, "workload-ops")
-        chooser = make_chooser(spec.distribution, spec.nkeys, key_rng)
-        chaos = self._chaos
+        ops = BatchPlanner.for_client(self.spec, self.seed).ops(CHECK_EVERY)
         offered = 0
         while True:
             if self._stop:
@@ -196,56 +194,74 @@ class FleetPool:
             yield arrival.next_gap()  # suspend until the next arrival
             if self._stop:
                 break
-            kind, key = draw_op(spec, chooser, op_rng)
+            if clock.now >= self._kill_time:
+                self._kill()
+            kind, key = next(ops)
             shard = router.shard_for(key)
             row = rows[shard]
             offered += 1
             row.offered += 1
-            if chaos and outcome.health[shard] not in _SERVING:
+            if health[shard] not in _SERVING:
                 # Fail fast: no queueing behind a dead shard.  The
                 # first arrival that notices the outage triggers the
                 # recovery protocol; the op itself is retried with
                 # backoff off the "fleet-retry" substream.
-                if outcome.health[shard] == "down":
+                if health[shard] == "down":
                     self._begin_recovery(shard)
                 self._retry_or_fail(kind, key, shard, clock.now)
                 continue
-            depth = len(queues[shard]) + (1 if busy[shard] else 0)
+            depth = self._admit(shard, kind, key, clock.now)
             row.qdepth_sum += depth
             if depth > qdepth_max[shard]:
                 qdepth_max[shard] = depth
             if depth >= queue_cap:
                 row.rejected += 1
-                continue
-            version = 0
+
+    def _admit(self, shard: int, kind: int, key: int, t_arr: float) -> int:
+        """Queue an op at *shard* unless the queue is full; returns the
+        depth the op found (queued ops plus the one in service).
+
+        At ``queue_cap`` the op is not admitted.  Versions advance per
+        *admitted* update, fleet-global, so value seeds stay unique and
+        deterministic; an admission into an idle shard spawns its
+        service task.
+        """
+        queue = self._queues[shard]
+        busy = self._busy[shard]
+        depth = len(queue) + busy
+        if depth < self.queue_cap:
+            vseed = 0
             if kind == UPDATE:
-                # Versions advance per *admitted* update, fleet-global,
-                # so value seeds stay unique and deterministic.
-                version = self._version
+                vseed = value_for(key, self._version,
+                                  self.spec.value_bytes).seed
                 self._version += 1
-            queues[shard].append((kind, key, version, clock.now))
-            row.admitted += 1
-            if not busy[shard]:
-                busy[shard] = True
-                scheduler.spawn(self._service(shard), label=f"shard{shard}")
+            queue.append((kind, key, vseed, t_arr))
+            self._outcome.fleet[shard].admitted += 1
+            if not busy:
+                self._busy[shard] = True
+                self._scheduler.spawn(self._service(shard),
+                                      label=f"shard{shard}")
+        return depth
 
     # ------------------------------------------------------------------
     # Per-shard service: FIFO, one op outstanding, exits when drained
     # ------------------------------------------------------------------
     def _service(self, shard: int):
         spec = self.spec
+        vlen = spec.value_bytes
+        scan_length = spec.scan_length
         outcome = self._outcome
         row = outcome.fleet[shard]
+        health = outcome.health
         store = self.store.shards[shard]  # already routed: go direct
         clock = store.clock
         queue = self._queues[shard]
         sink = outcome.latencies.sink(shard)
         tracer = self.tracer
         tr_on = tracer.enabled
-        chaos = self._chaos
         timeout = self.op_timeout
         while queue:
-            kind, key, version, t_arr = queue.popleft()
+            kind, key, vseed, t_arr = queue.popleft()
             if timeout is not None and clock.now - t_arr > timeout:
                 # The op aged past its deadline while queued; the
                 # client has given up, so don't burn service on it.
@@ -255,7 +271,15 @@ class FleetPool:
                 tracer.tid = shard
                 tracer.shard = shard
             try:
-                _version, _latency = apply_op(store, spec, kind, key, version)
+                # One-op batch calls, timed by the response time below.
+                if kind == UPDATE:
+                    store.put_many([key], [vseed], vlen)
+                elif kind == READ:
+                    store.get_many([key])
+                elif kind == SCAN:
+                    store.scan_many([key], scan_length)
+                else:  # DELETE
+                    store.delete_many([key])
             except NoSpaceError:
                 outcome.out_of_space = True
                 self._stop = True
@@ -270,14 +294,16 @@ class FleetPool:
             now = clock.now
             sink.append(now - t_arr)  # response = queueing + service
             row.completed += 1
-            if chaos and outcome.health[shard] == "degraded":
+            if health[shard] == "degraded":
                 self._degraded_left[shard] -= 1
                 if self._degraded_left[shard] <= 0:
-                    outcome.health[shard] = "up"
+                    health[shard] = "up"
             self._next_sample = _after_op_sample(
                 clock, self._next_sample, self.sample_interval, self.on_sample
             )
             yield 0.0  # suspend until this op's completion time
+            if clock.now >= self._kill_time:
+                self._kill()
         self._busy[shard] = False
         # Anchor the final op's completion on the timeline
         # (Scheduler.run restores global time when a step ends).
@@ -289,19 +315,21 @@ class FleetPool:
     def _kill(self) -> None:
         """Crash the victim shard: drop its queue, mark it down.
 
-        Fired from the event heap at ``kill_at`` virtual seconds after
-        the run starts.  Queued ops are failed immediately (the shard's
-        memory is gone); the op in service, if any, had already reached
-        the device and completes.  Recovery is *lazy*: the outage is
-        only noticed — and repair started — when traffic next routes to
-        the shard, like a health check driven by real requests.
+        Dated ``kill_at`` seconds into the run and carried out by the
+        first source or service step at or after then, before anything
+        else it does: only those steps touch queues and health.  Queued
+        ops fail (the shard's memory is gone); the op in service had
+        reached the device and completes.  Recovery is *lazy*: it starts
+        when traffic next routes to the shard, like a health check
+        driven by real requests.
         """
         shard = self.kill_shard
         outcome = self._outcome
-        if self._stop or outcome.health[shard] != "up":
+        killed_at, self._kill_time = self._kill_time, math.inf
+        if self._stop:
             return
         outcome.health[shard] = "down"
-        self._down_at[shard] = self.store.clock.now
+        self._down_at[shard] = killed_at
         queue = self._queues[shard]
         dropped = len(queue)
         outcome.fleet[shard].failed += dropped
@@ -357,8 +385,6 @@ class FleetPool:
         outcome = self._outcome
         row = outcome.fleet[shard]
         rng = self._jitter_rng
-        queues = self._queues
-        busy = self._busy
         for attempt in range(self.retry_limit):
             row.retries += 1
             backoff = self.retry_backoff * (2.0 ** attempt)
@@ -372,19 +398,6 @@ class FleetPool:
                 continue
             if health not in _SERVING:
                 continue
-            depth = len(queues[shard]) + (1 if busy[shard] else 0)
-            if depth >= self.queue_cap:
-                continue
-            version = 0
-            if kind == UPDATE:
-                version = self._version
-                self._version += 1
-            queues[shard].append((kind, key, version, t_arr))
-            row.admitted += 1
-            if not busy[shard]:
-                busy[shard] = True
-                self._scheduler.spawn(
-                    self._service(shard), label=f"shard{shard}"
-                )
-            return
+            if self._admit(shard, kind, key, t_arr) < self.queue_cap:
+                return
         row.failed += 1

@@ -67,7 +67,6 @@ from repro.errors import ConfigError, NoSpaceError
 from repro.kv.api import KVStore
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.scheduler import Scheduler
-from repro.workload.keys import make_chooser
 from repro.workload.plan import (
     READ, SCAN, UPDATE, BatchPlanner, EventAwareUntil, update_seeds,
 )
@@ -161,7 +160,7 @@ class ClientPool:
         per_client = self._per_client_ops
         sink = (None if outcome.latencies is None
                 else outcome.latencies.sink(client_id))
-        planner = BatchPlanner(spec, *self._substreams(client_id))
+        planner = BatchPlanner.for_client(spec, self.seed, client_id)
         # A lone client has the heap to itself (no scheduler attached
         # to the engine, nothing else spawned), so its bound is the
         # plain sampling boundary and its segments run whole windows:
@@ -284,18 +283,6 @@ class ClientPool:
         # event at the last op's completion — the same final event a
         # one-op-per-event client's last resume-and-return produces.
         yield 0.0
-
-    def _substreams(self, client_id: int):
-        """(key chooser, op rng) for one client's deterministic stream."""
-        if client_id == 0:
-            key_label, op_label = "workload-keys", "workload-ops"
-        else:
-            key_label = f"client{client_id}-keys"
-            op_label = f"client{client_id}-ops"
-        key_rng = rng_mod.substream(self.seed, key_label)
-        op_rng = rng_mod.substream(self.seed, op_label)
-        chooser = make_chooser(self.spec.distribution, self.spec.nkeys, key_rng)
-        return chooser, op_rng
 
     def _maybe_sample(self, clock) -> None:
         """The boundary-crossing sampler, pool-global."""

@@ -1,19 +1,21 @@
 """The shared batch planner: RNG windows → same-kind op runs.
 
-Every client of the closed-loop pool (:mod:`repro.sim.clients`)
-generates operations the same way: one bulk RNG draw per
-``CHECK_EVERY`` window produces the window's keys and op-kind draws,
-the kinds are split with a vectorized ``searchsorted`` against the
-spec's cumulative fractions, and consecutive ops of the same kind are
-segmented into runs that the engines' batch API (``put_many`` & co.)
-can execute in one call (DESIGN.md §7).
+Every driver generates operations the same way — each client of the
+closed-loop pool (:mod:`repro.sim.clients`) and the open-loop fleet's
+source (:mod:`repro.fleet.pool`), which hands a window out one op per
+arrival: one bulk RNG draw per ``CHECK_EVERY`` window produces the
+window's keys and op-kind draws, the kinds are split with a vectorized
+``searchsorted`` against the spec's cumulative fractions, and
+consecutive ops of the same kind are segmented into runs that the
+engines' batch API (``put_many`` & co.) can execute in one call
+(DESIGN.md §7).
 
 The RNG contract is the one the batched runner has pinned since
 DESIGN.md §6: ``chooser.batch(n)`` and ``op_rng.random(n)`` consume
 the generators exactly like ``n`` scalar draws, so a planner-driven
 window issues a bit-identical op stream to a one-op-at-a-time loop
-(:func:`draw_op`; ``tests/workload/reference_driver.py``) for the same
-substreams.
+(``tests/workload/reference_driver.py``, ``tests/fleet/
+reference_fleet.py``) for the same substreams.
 
 :class:`EventAwareUntil` is the second half of the shared layer: a
 scheduler-aware ``until`` value for batch calls issued by one of
@@ -32,13 +34,14 @@ import math
 
 import numpy as np
 
+from repro import rng as rng_mod
 from repro.kv.values import seeds_for
-from repro.workload.keys import KeyChooser
+from repro.workload.keys import KeyChooser, make_chooser
 from repro.workload.spec import WorkloadSpec
 
-#: Op kinds, in the cumulative-threshold order shared with
-#: :func:`draw_op`'s strict-< comparison chain (searchsorted
-#: side="right": kind = number of thresholds <= draw).
+#: Op kinds, in the order of :meth:`WorkloadSpec.thresholds`
+#: (searchsorted side="right": kind = number of thresholds <= draw,
+#: which is a strict ``draw < threshold`` comparison chain).
 READ, SCAN, DELETE, UPDATE = 0, 1, 2, 3
 
 
@@ -77,6 +80,31 @@ class BatchPlanner:
         self.thresholds = np.array(spec.thresholds())
         self._update_only = self.thresholds[-1] == 0.0
 
+    @classmethod
+    def for_client(cls, spec: WorkloadSpec, seed: int,
+                   client_id: int = 0) -> BatchPlanner:
+        """Client *client_id*'s planner on its own RNG substreams.
+
+        Client 0 — and the open-loop fleet's source — draws from
+        ``workload-keys`` / ``workload-ops``; client *i* > 0 from
+        ``client{i}-keys`` / ``client{i}-ops``: statistically
+        independent, deterministic per seed.
+        """
+        prefix = "workload" if client_id == 0 else f"client{client_id}"
+        key_rng = rng_mod.substream(seed, f"{prefix}-keys")
+        op_rng = rng_mod.substream(seed, f"{prefix}-ops")
+        return cls(spec, make_chooser(spec.distribution, spec.nkeys, key_rng),
+                   op_rng)
+
+    def ops(self, window: int):
+        """The stream as ``(kind, key)`` pairs, one op at a time, drawn
+        *window* ops per :meth:`plan` call; it never ends."""
+        while True:
+            for run in self.plan(window):
+                kind = run.kind
+                for key in run.keys.tolist():
+                    yield kind, key
+
     def plan(self, n: int) -> list[OpRun]:
         """The next *n* ops of the stream, as same-kind runs in order."""
         keys = self.chooser.batch(n)
@@ -97,30 +125,6 @@ class BatchPlanner:
             runs.append(OpRun(kind, keys[i:j]))
             i = j
         return runs
-
-
-def draw_op(spec: WorkloadSpec, chooser: KeyChooser,
-            op_rng: np.random.Generator) -> tuple[int, int]:
-    """Draw the next (kind, key) of a client's op stream.
-
-    The scalar half of the shared op-issue path: one key draw followed
-    by one op-kind draw, dispatched through the cumulative thresholds
-    with strict ``<`` in (read, scan, delete, else update) order —
-    the exact comparison chain the planner's ``searchsorted(side=
-    "right")`` split replicates, so the per-op open-loop fleet
-    sources and the planner-driven closed-loop drivers produce the
-    same op stream from the same substreams.
-    """
-    key = chooser.next_key()
-    draw = op_rng.random()
-    t_read, t_scan, t_delete = spec.thresholds()
-    if draw < t_read:
-        return READ, key
-    if draw < t_scan:
-        return SCAN, key
-    if draw < t_delete:
-        return DELETE, key
-    return UPDATE, key
 
 
 def update_seeds(keys: np.ndarray, version: int) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""What every workload driver shares: the load phase, the outcome,
-the sampling rule and the per-op issue half.
+"""What every workload driver shares: the load phase, the outcome and
+the sampling rule.
 
 The measured phase has two drivers, both on the discrete-event
 scheduler: the closed-loop :class:`repro.sim.clients.ClientPool`
@@ -7,10 +7,13 @@ scheduler: the closed-loop :class:`repro.sim.clients.ClientPool`
 open-loop :class:`repro.fleet.pool.FleetPool`.  This module holds what
 they have in common — :func:`load_sequential` (the sequential load
 phase), :class:`RunOutcome`, the ``stop_when`` window
-:data:`CHECK_EVERY`, the boundary-crossing sampler that turns metrics
-into a time series (the paper's 10-minute averages map to sampling
-windows; DESIGN.md §2) and :func:`apply_op`, the per-op execution
-half of the open-loop sources.
+:data:`CHECK_EVERY` and the boundary-crossing sampler that turns
+metrics into a time series (the paper's 10-minute averages map to
+sampling windows; DESIGN.md §2).  Both draw their ops through
+:class:`~repro.workload.plan.BatchPlanner` and issue them through the
+engines' batch API (``put_many`` & co.); no shipped driver calls the
+per-op ``put``/``get``/``scan``/``delete`` — the examples and the
+tests' reference drivers do.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ import numpy as np
 
 from repro.errors import ConfigError, NoSpaceError
 from repro.kv.api import KVStore
-from repro.kv.values import seeds_for, value_for
-from repro.workload.plan import READ, SCAN, UPDATE
+from repro.kv.values import seeds_for
 from repro.workload.spec import WorkloadSpec
 
 if TYPE_CHECKING:
@@ -108,33 +110,6 @@ def validate_sampling(sample_interval: float | None,
         )
     if sample_interval is not None and not 0 < sample_interval < math.inf:
         raise ConfigError("sample_interval must be positive and finite")
-
-
-def apply_op(
-    store: KVStore,
-    spec: WorkloadSpec,
-    kind: int,
-    key: int,
-    version: int,
-) -> tuple[int, float]:
-    """Execute one already-drawn operation; returns (version, latency).
-
-    The execution half of the per-op issue path (the drawing half is
-    :func:`repro.workload.plan.draw_op`), used by the open-loop fleet
-    sources, whose service is per-op by definition.  The returned
-    latency is the op's user-visible latency, the same value the
-    engines append into a batch call's ``latencies`` sink.
-    """
-    if kind == READ:
-        latency, _value = store.get(key)
-    elif kind == SCAN:
-        latency, _pairs = store.scan(key, spec.scan_length)
-    elif kind == UPDATE:
-        latency = store.put(key, value_for(key, version, spec.value_bytes))
-        version += 1
-    else:  # DELETE
-        latency = store.delete(key)
-    return version, latency
 
 
 def _after_op_sample(clock, next_sample, sample_interval, on_sample):

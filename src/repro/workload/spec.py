@@ -46,11 +46,11 @@ class WorkloadSpec:
     def thresholds(self) -> tuple[float, float, float]:
         """Cumulative op-kind thresholds in (read, scan, delete) order.
 
-        The single source of the op-mix draw shared by every driver:
-        the scalar dispatch compares ``draw < threshold`` in this order
-        (:func:`repro.workload.plan.draw_op`) and the batch planner
-        feeds the same three floats to its vectorized ``searchsorted``
-        split, so a draw maps to the same op kind everywhere.
+        The single source of the op-mix draw: the batch planner, which
+        every shipped driver draws through, feeds the three floats to
+        its vectorized ``searchsorted`` split, and the tests' per-op
+        reference drivers compare ``draw < threshold`` in this order,
+        so a draw maps to the same op kind everywhere.
         """
         read = self.read_fraction
         scan = read + self.scan_fraction

@@ -100,6 +100,31 @@ FAULTS = dict(
     read_fraction=0.25,
 )
 
+#: Open-loop traffic over two shards, every op kind in the mix: a
+#: poisson source that at times fills a queue, so admission rejects.
+OPEN_LOOP = dict(
+    capacity_bytes=24 * MIB,
+    dataset_fraction=0.3,
+    duration_capacity_writes=50.0,
+    sample_interval=0.05,
+    max_ops=2500,
+    nshards=2,
+    arrival="poisson",
+    arrival_rate=8000.0,
+    queue_cap=16,
+    read_fraction=0.25,
+    scan_fraction=0.1,
+    delete_fraction=0.05,
+    scan_length=20,
+)
+
+#: The same fleet past saturation with a shard kill, an op deadline and
+#: device faults: fail-fast, retries, recovery, timeouts, engine retries.
+OPEN_LOOP_CHAOS = dict(
+    OPEN_LOOP, arrival_rate=24_000.0, kill_at=0.05, kill_shard=1,
+    op_timeout_ms=4.0, faults=FAULTS["faults"],
+)
+
 SPECS = {
     "closed-loop-lsm": dict(engine=Engine.LSM, **FAST),
     "closed-loop-btree": dict(engine=Engine.BTREE, **FAST),
@@ -147,6 +172,13 @@ SPECS = {
     "faults-btree": dict(engine=Engine.BTREE, **FAULTS, **FAST),
     "faults-pool4-btree": dict(engine=Engine.BTREE, nclients=4, **FAULTS,
                                **FAST),
+    # The open loop (FleetPool).  Recorded while its source still drew
+    # one op at a time and its shards served through the per-op API;
+    # the planner-drawn, batch-served fleet reproduces them.
+    "open-loop-mix-lsm": dict(engine=Engine.LSM, **OPEN_LOOP),
+    "open-loop-mix-btree": dict(engine=Engine.BTREE, **OPEN_LOOP),
+    "open-loop-chaos-lsm": dict(engine=Engine.LSM, **OPEN_LOOP_CHAOS),
+    "open-loop-chaos-btree": dict(engine=Engine.BTREE, **OPEN_LOOP_CHAOS),
 }
 
 GOLDEN = {
@@ -202,6 +234,14 @@ GOLDEN = {
         "b419f7cce95a8384f23bda2aafc92d2d594c1f5e94e0e036d9a754eb4739b5a4",
     "faults-pool4-btree":
         "c2dc12501f37738ab4575d304b51c44b72534d9a22c5c25743237b600eb1fc59",
+    "open-loop-mix-lsm":
+        "90cba74ccacac481d37437afba4bcc13ee0e28af93925f785ef85e56f5f9f869",
+    "open-loop-mix-btree":
+        "08aaca5733ea01b9c87de837b53bc3c726cb8dcecf1907ea0072e9d41dae45ea",
+    "open-loop-chaos-lsm":
+        "6b69fe95fe17a4dd3c8ce985d9ed41528cd72f8af3182984c5aff64b31e19709",
+    "open-loop-chaos-btree":
+        "d26ab59becfce73bf52c37111011a20f9b772d39c2745b2b952845b6aa2413b4",
 }
 
 

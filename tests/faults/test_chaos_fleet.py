@@ -7,11 +7,14 @@ FAST scale as the fleet suite.
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
 
-import repro.fleet.pool as pool_mod
 from repro.core.experiment import Engine, ExperimentSpec, run_experiment
 from repro.errors import TransientDeviceError
+from repro.lsm.store import LSMStore
 from repro.units import MIB
 
 FAST = dict(
@@ -55,6 +58,19 @@ class TestShardKill:
         # The untouched shard never left "up" and never recovered.
         assert fleet["per_shard"][0]["recovery_seconds"] == 0.0
         assert fleet["per_shard"][0]["health"] == "up"
+
+    def test_kill_after_the_traffic_never_fires(self):
+        # 500 arrivals at 8 000/s are over in well under a second: a
+        # kill due at 5 s finds no traffic left, so it neither happens
+        # nor stretches the measured phase to its time.
+        spec = chaos_spec(max_ops=500)
+        late = dataclasses.replace(spec, kill_at=5.0, kill_shard=1)
+        plain, killed = (run_experiment(s).to_dict() for s in (spec, late))
+        for key in ("spec", "cell"):  # the spec and its hash
+            assert plain.pop(key) != killed.pop(key)
+        assert plain["run_seconds"] < 1.0
+        assert json.dumps(killed, sort_keys=True, default=repr) == \
+            json.dumps(plain, sort_keys=True, default=repr)
 
     def test_chaos_run_is_deterministic(self):
         spec = chaos_spec(kill_at=0.05, kill_shard=1, op_timeout_ms=20.0,
@@ -136,17 +152,20 @@ class TestOpTimeout:
 
 class TestDeviceErrorsThroughFleet:
     def test_retry_exhausted_op_fails_without_killing_run(self, monkeypatch):
-        original = pool_mod.apply_op
+        # The engine tier gives up on the first five gets (the load
+        # phase issues none): each device error reaches the shard's
+        # service, which fails that op and serves on.
+        original = LSMStore.get_many
         state = {"left": 5}
 
-        def flaky(store, spec, kind, key, version):
+        def flaky(store, keys, until=None, latencies=None):
             if state["left"] > 0:
                 state["left"] -= 1
                 raise TransientDeviceError("injected by test")
-            return original(store, spec, kind, key, version)
+            return original(store, keys, until, latencies)
 
-        monkeypatch.setattr(pool_mod, "apply_op", flaky)
-        result = run_experiment(chaos_spec())
+        monkeypatch.setattr(LSMStore, "get_many", flaky)
+        result = run_experiment(chaos_spec(read_fraction=0.5))
         fleet = result.fleet
         assert not result.out_of_space
         assert fleet["failed"] == 5

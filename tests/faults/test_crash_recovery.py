@@ -9,6 +9,8 @@ that never crashed.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.block.device import BlockDevice
@@ -77,6 +79,47 @@ def extend_until_partial(store, start_key=1000, value_bytes=64, limit=400):
                 and store.fs.file_size(wal.filename) > 0):
             return n
     raise AssertionError("never reached a partially-durable WAL")
+
+
+def mixed_ops(nkeys=120):
+    """``(key, version)`` writes, ``version`` None for a delete: a load,
+    a second version over a prefix, deletes over the next stretch, then
+    puts and deletes interleaved."""
+    ops = [(key, 0) for key in range(nkeys)]
+    ops += [(key, 1) for key in range(nkeys // 3)]
+    ops += [(key, None) for key in range(nkeys // 3, nkeys // 2)]
+    ops += [(key, 2 if key % 3 else None)
+            for key in range(nkeys // 2, 3 * nkeys // 4)]
+    return ops
+
+
+def issue(store, ops, sizes=None, value_bytes=64):
+    """Issue *ops* one per-op call each (*sizes* None), or as
+    ``put_many``/``delete_many`` calls: same-kind runs cut to the next
+    size of the cycle *sizes*."""
+    if sizes is None:
+        for key, version in ops:
+            if version is None:
+                store.delete(key)
+            else:
+                store.put(key, value_for(key, version, value_bytes))
+        return
+    cycle = itertools.cycle(sizes)
+    i = 0
+    while i < len(ops):
+        deleting = ops[i][1] is None
+        j = i
+        end = min(len(ops), i + next(cycle))
+        while j < end and (ops[j][1] is None) == deleting:
+            j += 1
+        keys = [key for key, _ in ops[i:j]]
+        if deleting:
+            assert store.delete_many(keys) == len(keys)
+        else:
+            seeds = [value_for(key, version, value_bytes).seed
+                     for key, version in ops[i:j]]
+            assert store.put_many(keys, seeds, value_bytes) == len(keys)
+        i = j
 
 
 class TestLSMCrashRecovery:
@@ -153,6 +196,42 @@ class TestLSMCrashRecovery:
         # immediately after must lose nothing more.
         _lat2, lost2 = store.crash_and_recover()
         assert lost2 == set()
+
+
+class TestLSMCrashLogThroughBatches:
+    """The batch write path logs what the per-op path logs.
+
+    A killed fleet shard's WAL records are logged by ``_write_many``'s
+    replay, which the fleet's one-op calls and the closed loop's longer
+    runs both go through.  Batches of mixed sizes must leave the crash
+    the same lost set and the store the same recovered reads as the
+    per-op calls."""
+
+    @pytest.mark.parametrize("sizes", [(1,), (2, 7, 1), (1, 5, 2, 17, 3, 40),
+                                       (1000,)],
+                             ids=["ones", "short", "mixed", "whole-runs"])
+    def test_batches_recover_like_per_op(self, sizes):
+        outcomes = []
+        for batches in (None, sizes):
+            store = make_lsm()
+            store.enable_crash_tracking()
+            issue(store, mixed_ops(), batches)
+            latency, lost = store.crash_and_recover()
+            reads = [store.get(key)[1] for key in range(120)]
+            outcomes.append((latency, lost, reads, store.clock.now))
+        per_op, batched = outcomes
+        # The crash severed a buffered tail holding puts and deletes.
+        assert per_op[1] & {key for key, v in mixed_ops() if v is None}
+        assert per_op[1] & {key for key, v in mixed_ops() if v is not None}
+        assert batched == per_op
+
+    def test_batched_double_crash_loses_nothing_more(self):
+        store = make_lsm()
+        store.enable_crash_tracking()
+        issue(store, mixed_ops(), (1, 5, 2, 17, 3, 40))
+        _lat, lost = store.crash_and_recover()
+        assert lost
+        assert store.crash_and_recover()[1] == set()
 
 
 class TestBTreeCrashRecovery:

@@ -55,8 +55,9 @@ class TestSeedCompatibility:
         driver; a one-shard ``ShardedStore`` over an identical second
         stack (shard 0 keeps the experiment seed, a 1-shard router is
         the identity) must coincide with it under the same driver in
-        load order, op stream and timing — checked through clock,
-        SMART and op counters.
+        load order, op stream and timing — checked through the clock,
+        every latency and the whole counter snapshot (engine counters
+        included).
         """
         spec = ExperimentSpec(engine=engine, **FAST)
         bare, fleet = build_stack(spec), build_stack(spec)
@@ -74,7 +75,6 @@ class TestSeedCompatibility:
         assert outcomes[0][1] == FAST["max_ops"]
         assert fleet.clock.now == bare.clock.now
         assert fleet.snapshot() == bare.snapshot()
-        assert fleet_store.stats.snapshot() == bare.store.stats.snapshot()
 
 
 def test_fleet_drain_reports_how_far_the_shared_clock_moved():

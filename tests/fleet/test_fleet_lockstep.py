@@ -1,0 +1,162 @@
+"""The open-loop fleet in lockstep with the reference fleet (DESIGN.md §10.2).
+
+``FleetPool`` draws its op stream through the batch planner a window at
+a time and serves each admitted op as a one-op call of the shard
+engine's batch API; ``reference_fleet.py`` draws one key and one op
+kind per arrival and serves through the per-op KV API, sharing no code
+with either.  Over drawn fleets — engine, one to three shards, router,
+arrival rate from idle to far past saturation, queue cap, op mix, op
+budget, op deadline, sampling and a stop condition, no kill — both must
+leave the same fleet behind: per-shard admission accounting and queue
+depths, every response time of every shard, the clock, every sample
+time, and each shard's SMART counters, engine counters and contents.
+
+CI also runs this file under the derandomized ``ci`` hypothesis
+profile (``tests/conftest.py``): ``--hypothesis-profile=ci``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import asdict
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro import rng as rng_mod
+from repro.block.device import BlockDevice
+from repro.btree.config import BTreeConfig
+from repro.btree.store import BTreeStore
+from repro.core.clock import VirtualClock
+from repro.flash.ssd import SSD
+from repro.fleet.arrival import make_arrival
+from repro.fleet.pool import FleetPool
+from repro.fleet.router import make_router
+from repro.fleet.sharded import ShardedStore
+from repro.fs.filesystem import ExtentFilesystem
+from repro.lsm.config import LSMConfig
+from repro.lsm.store import LSMStore
+from repro.workload.keys import DISTRIBUTIONS
+from repro.workload.runner import load_sequential
+from repro.workload.spec import WorkloadSpec
+from tests.conftest import make_tiny_config
+from tests.fleet import reference_fleet
+
+fraction = st.sampled_from([0.0, 0.1, 0.3, 0.5])
+fleet = st.fixed_dictionaries(dict(
+    engine=st.sampled_from(["lsm", "btree"]),
+    nshards=st.integers(1, 3),
+    router=st.sampled_from(["hash", "range"]),
+    # A tiny-device op is served in tens of microseconds to a few
+    # milliseconds, so these run from idle queues to constant rejects.
+    rate=st.sampled_from([500.0, 5_000.0, 50_000.0, 500_000.0]),
+    queue_cap=st.integers(1, 8),
+    fractions=st.tuples(fraction, fraction, fraction).filter(
+        lambda f: sum(f) <= 1.0),  # read, scan, delete; the rest update
+    distribution=st.sampled_from(sorted(DISTRIBUTIONS)),
+    scan_length=st.integers(1, 30),
+    max_ops=st.integers(1, 400),
+    op_timeout=st.sampled_from([None, 0.0002, 0.002, 0.02]),
+    sample_interval=st.sampled_from([None, 0.002, 0.01]),
+    stop_after=st.sampled_from([None, 0.005]),  # seconds into the run
+    seed=st.integers(0, 2**32 - 1),
+))
+
+
+def make_shards(engine: str, nshards: int):
+    """*nshards* tiny engine stacks on one clock, with their SSDs."""
+    clock = VirtualClock()
+    stores, ssds = [], []
+    for _ in range(nshards):
+        ssd = SSD(make_tiny_config(nblocks=128), clock)
+        fs = ExtentFilesystem(BlockDevice(ssd))
+        if engine == "lsm":
+            store = LSMStore(fs, clock, LSMConfig(
+                memtable_bytes=8 * 1024, max_bytes_for_level_base=16 * 1024,
+                target_file_bytes=8 * 1024))
+        else:
+            store = BTreeStore(fs, clock, BTreeConfig(
+                cache_bytes=64 * 1024, leaf_page_bytes=8 * 1024,
+                journal_ring_bytes=64 * 1024, checkpoint_log_bytes=32 * 1024))
+        stores.append(store)
+        ssds.append(ssd)
+    return clock, stores, ssds
+
+
+def drive(reference: bool, engine, nshards, router, rate, queue_cap,
+          fractions, distribution, scan_length, max_ops, op_timeout,
+          sample_interval, stop_after, seed):
+    """Load a fleet and run one drawn open loop; everything observable."""
+    read, scan, delete = fractions
+    spec = WorkloadSpec(nkeys=150, value_bytes=120, read_fraction=read,
+                        scan_fraction=scan, delete_fraction=delete,
+                        scan_length=scan_length, distribution=distribution)
+    clock, stores, ssds = make_shards(engine, nshards)
+    route = make_router(router, nshards, spec.nkeys)
+    if reference:
+        reference_fleet.load(stores, route, spec)
+    else:
+        load_sequential(ShardedStore(stores, route, clock), spec)
+    for ssd in ssds:
+        ssd.drain()
+        ssd.enable_channel_timing()  # arrivals: per-channel devices
+    arrival = make_arrival("poisson", rate, rng_mod.substream(seed, "arrival"))
+    ticks: list[float] = []
+    limits = dict(stop_when=lambda: False)
+    if sample_interval is not None:
+        limits.update(sample_interval=sample_interval,
+                      on_sample=lambda: ticks.append(clock.now))
+    if stop_after is not None:
+        deadline = clock.now + stop_after
+        limits["stop_when"] = lambda: clock.now > deadline
+    if reference:
+        rows, out_of_space = reference_fleet.run(
+            stores, route, spec, arrival, seed, max_ops, queue_cap,
+            op_timeout=op_timeout, **limits)
+    else:
+        outcome = FleetPool(ShardedStore(stores, route, clock), spec, arrival,
+                            seed=seed, max_ops=max_ops, queue_cap=queue_cap,
+                            op_timeout=op_timeout, **limits).run()
+        rows = [dict(offered=row.offered, admitted=row.admitted,
+                     rejected=row.rejected, completed=row.completed,
+                     timeouts=row.timeouts, qdepth_sum=row.qdepth_sum,
+                     qdepth_max=depth,
+                     responses=outcome.latencies.series(i).tolist())
+                for i, (row, depth) in enumerate(zip(outcome.fleet,
+                                                     outcome.qdepth_max))]
+        out_of_space = outcome.out_of_space
+        assert outcome.health == ["up"] * nshards
+        assert not any(row.failed or row.retries or row.lost_keys
+                       for row in outcome.fleet)
+    shards = [dict(smart=ssd.smart.as_dict(),
+                   stats=asdict(store.stats.snapshot()),
+                   disk=store.disk_bytes_used)
+              for store, ssd in zip(stores, ssds)]
+    state = dict(clock=clock.now, ticks=ticks, out_of_space=out_of_space,
+                 rows=rows, shards=shards)
+    # Read last (they move the clock): every live key with the value
+    # version it ended on.
+    state["contents"] = [store.scan(0, 1 << 40)[1] for store in stores]
+    return state
+
+
+@settings(deadline=None)
+@given(fleet)
+# Two LSM shards past saturation: rejects, deadline drops, every op
+# kind, a sample every ~100 arrivals.
+@example(dict(engine="lsm", nshards=2, router="hash", rate=50_000.0,
+              queue_cap=6, fractions=(0.3, 0.1, 0.1), distribution="uniform",
+              scan_length=7, max_ops=400, op_timeout=0.0002,
+              sample_interval=0.002, stop_after=None, seed=17))
+# Three B+Tree shards on contiguous ranges, a stop condition mid-run.
+@example(dict(engine="btree", nshards=3, router="range", rate=5_000.0,
+              queue_cap=8, fractions=(0.1, 0.0, 0.1), distribution="zipfian",
+              scan_length=1, max_ops=400, op_timeout=None,
+              sample_interval=0.01, stop_after=0.005, seed=3))
+# One shard, queue cap 1: every arrival that finds the op in service
+# is rejected.
+@example(dict(engine="btree", nshards=1, router="hash", rate=50_000.0,
+              queue_cap=1, fractions=(0.5, 0.3, 0.0), distribution="hotspot",
+              scan_length=30, max_ops=200, op_timeout=None,
+              sample_interval=None, stop_after=None, seed=5))
+def test_fleet_matches_the_reference(fleet):
+    assert drive(False, **fleet) == drive(True, **fleet)

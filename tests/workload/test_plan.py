@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from repro import rng as rng_mod
@@ -15,14 +17,11 @@ from repro.workload.spec import WorkloadSpec
 
 
 def make_planner(spec: WorkloadSpec, seed: int = 11) -> BatchPlanner:
-    key_rng = rng_mod.substream(seed, "workload-keys")
-    op_rng = rng_mod.substream(seed, "workload-ops")
-    chooser = make_chooser(spec.distribution, spec.nkeys, key_rng)
-    return BatchPlanner(spec, chooser, op_rng)
+    return BatchPlanner.for_client(spec, seed)
 
 
 def scalar_stream(spec: WorkloadSpec, n: int, seed: int = 11):
-    """(kind, key) pairs as the per-op ``draw_op`` dispatch draws them."""
+    """(kind, key) pairs drawn one key and one op draw at a time."""
     key_rng = rng_mod.substream(seed, "workload-keys")
     op_rng = rng_mod.substream(seed, "workload-ops")
     chooser = make_chooser(spec.distribution, spec.nkeys, key_rng)
@@ -53,6 +52,14 @@ class TestBatchPlanner:
             for run in planner.plan(64):
                 planned.extend((run.kind, int(k)) for k in run.keys)
         assert planned == scalar_stream(spec, 256)
+
+    def test_client_zero_ops_are_the_scalar_stream(self):
+        # The open-loop source's view: client 0's planner, one op at a
+        # time across window boundaries.
+        spec = WorkloadSpec(nkeys=500, value_bytes=64, read_fraction=0.3,
+                            scan_fraction=0.2, delete_fraction=0.1)
+        ops = BatchPlanner.for_client(spec, seed=11).ops(64)
+        assert list(islice(ops, 200)) == scalar_stream(spec, 200)
 
     def test_runs_are_maximal_and_ordered(self):
         spec = WorkloadSpec(nkeys=500, value_bytes=64, read_fraction=0.5)
