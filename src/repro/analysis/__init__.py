@@ -11,18 +11,8 @@ from repro.analysis.stats import (
     relative_swing,
     windowed_average,
 )
-from repro.analysis.wa_model import (
-    lambert_w,
-    wa_fifo_uniform,
-    wa_for_config,
-    wa_greedy_uniform,
-)
 
 __all__ = [
-    "lambert_w",
-    "wa_fifo_uniform",
-    "wa_for_config",
-    "wa_greedy_uniform",
     "write_probability_cdf",
     "coverage_fraction",
     "cdf_knee",

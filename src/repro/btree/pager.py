@@ -130,24 +130,6 @@ class Pager:
             raise ConfigError(f"double free of page slot {slot}")
         self._free_slots.append(slot)
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def nslots(self) -> int:
-        """Total slots the file currently holds."""
-        return self._nslots
-
-    @property
-    def free_slot_count(self) -> int:
-        """Recyclable slots inside the file."""
-        return len(self._free_slots)
-
-    @property
-    def file_bytes(self) -> int:
-        """The file's on-disk footprint."""
-        return self.fs.file_size(self.FILENAME)
-
     def _check_slot(self, slot: int) -> None:
         if not 0 <= slot < self._nslots:
             raise ConfigError(f"page slot {slot} out of range [0, {self._nslots})")

@@ -765,15 +765,6 @@ class BTreeStore(KVStore):
         if self._closed:
             raise StoreClosedError("the B+Tree store is closed")
 
-    def count_keys(self) -> int:
-        """Total keys in the tree (test support; walks the leaf chain)."""
-        total = 0
-        leaf = self._first_leaf
-        while leaf is not None:
-            total += len(leaf)
-            leaf = leaf.next_leaf
-        return total
-
     def check_invariants(self) -> None:
         """Verify tree ordering and size bounds (test support)."""
         previous_last = None

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import CampaignStore, canonical_line
+from repro.campaign.store import CampaignStore
 from repro.core.experiment import ExperimentResult, ExperimentSpec, run_experiment
 from repro.core.pitfalls import EvaluationPlan, PitfallViolation, check_plan
 from repro.errors import CampaignError, ConfigError
@@ -39,11 +39,6 @@ class CellOutcome:
     record: dict  # canonical serialized result
     result: ExperimentResult | None  # live object; None if loaded from disk
     from_cache: bool = False
-
-    @property
-    def cell_hash(self) -> str:
-        """The stable spec hash keying this cell in the store."""
-        return self.record["cell"]
 
 
 @dataclass
@@ -70,15 +65,6 @@ class CampaignOutcome:
             for cell in self.cells
             if cell.result is not None
         }
-
-    def to_jsonl(self) -> str:
-        """The campaign's merged results as canonical JSONL text.
-
-        Grid-ordered and byte-deterministic: two passes over the same
-        grid — interrupted-then-resumed or not — produce identical
-        text.
-        """
-        return "\n".join(canonical_line(record) for record in self.records) + "\n"
 
 
 def _execute_cell(spec_dict: dict, trace_out: str | None = None) -> ExperimentResult:

@@ -92,14 +92,6 @@ class CampaignSpec:
         """The grid dimensions, in declaration order."""
         return tuple(name for name, _values in self.axes)
 
-    @property
-    def ncells(self) -> int:
-        """Size of the full cross product."""
-        size = 1
-        for _name, values in self.axes:
-            size *= len(values)
-        return size
-
     def cells(self) -> list[ExperimentSpec]:
         """Expand the grid into fully-specified cells, in grid order.
 

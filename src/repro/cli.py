@@ -437,4 +437,4 @@ def _cmd_pitfalls(args) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

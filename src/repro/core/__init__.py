@@ -24,7 +24,6 @@ from repro.core.pitfalls import (
     EvaluationPlan,
     PitfallViolation,
     check_plan,
-    compliant_plan,
     render_report,
 )
 from repro.core.steady_state import (
@@ -58,6 +57,5 @@ __all__ = [
     "EvaluationPlan",
     "PitfallViolation",
     "check_plan",
-    "compliant_plan",
     "render_report",
 ]

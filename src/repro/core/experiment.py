@@ -49,6 +49,13 @@ from repro.workload.spec import WorkloadSpec
 
 KEY_BYTES = 16  # the paper's key size (§3.2)
 
+#: Spec fields that count something: an int or a numpy integer, never
+#: a bool or a float (each used to die deep in the stack, or to run
+#: silently on a truncated value).
+_INTEGER_FIELDS = ("capacity_bytes", "value_bytes", "scan_length", "max_ops",
+                   "nclients", "nshards", "queue_cap", "kill_shard",
+                   "retry_limit", "seed")
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -119,6 +126,17 @@ class ExperimentSpec:
     op_timeout_ms: float | None = None
 
     def __post_init__(self) -> None:
+        for name, kind in (("engine", Engine), ("drive_state", DriveState)):
+            value = getattr(self, name)
+            names = [member.value for member in kind]
+            if value not in names:
+                raise ConfigError(f"unknown {name} {value!r}; "
+                                  f"expected one of {names}")
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))) \
+                    and not (name == "max_ops" and value is None):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         # Written so that NaN fails too (it fails every comparison).
         for name in ("dataset_fraction", "duration_capacity_writes",
                      "sample_interval", "slo_ms", "op_timeout_ms", "kill_at"):
@@ -204,7 +222,7 @@ class ExperimentSpec:
                     f"{self.kill_shard} with nshards={self.nshards}")
         elif self.kill_shard:
             raise ConfigError("kill_shard requires kill_at")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError(
                 f"seed must be a non-negative integer, got {self.seed!r}")
         if self.max_ops is not None and self.max_ops <= 0:

@@ -106,14 +106,8 @@ _SERIES_HEADERS = ["t(s)", "KOps/s", "devW MB/s", "devR MB/s", "WA-A", "WA-D"]
 #: spec for the life of the process, keyed by the canonical JSON of
 #: ``spec.to_dict()`` minus ``name`` (which ``stable_hash()`` includes).
 _CELLS: dict[str, ExperimentResult] = {}
-#: Since the cache was last emptied: cells simulated, requests shared.
+#: Cells simulated and requests shared, over the process's lifetime.
 CELL_COUNTS = {"run": 0, "shared": 0}
-
-
-def clear_cells() -> None:
-    """Empty the cell cache (tests and standalone timings start cold)."""
-    _CELLS.clear()
-    CELL_COUNTS.update(run=0, shared=0)
 
 
 def run_cell(spec: ExperimentSpec) -> ExperimentResult:
@@ -254,8 +248,7 @@ def fig4_lba_cdf(scale: Scale = DEFAULT) -> FigureResult:
 FIG5_FRACTIONS = (0.25, 0.37, 0.5, 0.62)
 
 
-def fig5_dataset_size(scale: Scale = DEFAULT,
-                      fractions: tuple[float, ...] = FIG5_FRACTIONS) -> FigureResult:
+def fig5_dataset_size(scale: Scale = DEFAULT) -> FigureResult:
     """Steady-state throughput, WA-D, WA-A vs dataset/capacity ratio."""
     campaign = CampaignSpec(
         name="fig5",
@@ -263,7 +256,7 @@ def fig5_dataset_size(scale: Scale = DEFAULT,
         axes={
             "engine": (Engine.LSM, Engine.BTREE),
             "drive_state": (DriveState.TRIMMED, DriveState.PRECONDITIONED),
-            "dataset_fraction": tuple(fractions),
+            "dataset_fraction": FIG5_FRACTIONS,
         },
     )
     results = _run_grid(campaign)
@@ -292,13 +285,12 @@ def fig5_dataset_size(scale: Scale = DEFAULT,
 FIG6_FRACTIONS = (0.25, 0.37, 0.5, 0.62, 0.75, 0.88)
 
 
-def fig6_space_amplification(scale: Scale = DEFAULT,
-                             fractions: tuple[float, ...] = FIG6_FRACTIONS) -> FigureResult:
+def fig6_space_amplification(scale: Scale = DEFAULT) -> FigureResult:
     """Disk utilization, space amplification, and the cost heatmap."""
     rows = []
     measurements: dict[tuple[str, float], ExperimentResult] = {}
     for engine in (Engine.LSM, Engine.BTREE):
-        for fraction in fractions:
+        for fraction in FIG6_FRACTIONS:
             result = run_cell(spec_for(scale, engine, dataset_fraction=fraction))
             measurements[(engine.value, fraction)] = result
             if result.out_of_space:
@@ -315,9 +307,8 @@ def fig6_space_amplification(scale: Scale = DEFAULT,
     )
 
     # Fig 6c: cost heatmap from the 0.5-fraction steady measurements.
-    reference = 0.5 if 0.5 in fractions else fractions[min(2, len(fractions) - 1)]
     _options, grid, heatmap = _cost_heatmap("fig6", {
-        engine: (measurements[(engine, reference)], 0.0) for engine in ("lsm", "btree")
+        engine: (measurements[(engine, 0.5)], 0.0) for engine in ("lsm", "btree")
     })
     text += "\n\nFig 6c: cheapest system per (dataset, target throughput)\n"
     text += heatmap
@@ -347,8 +338,7 @@ def _cost_heatmap(figure_id: str,
 # ----------------------------------------------------------------------
 # Figure 7: software over-provisioning (pitfall 6)
 # ----------------------------------------------------------------------
-def fig7_overprovisioning(scale: Scale = DEFAULT,
-                          reserved_fraction: float | None = None) -> FigureResult:
+def fig7_overprovisioning(scale: Scale = DEFAULT) -> FigureResult:
     """Throughput and WA-D with and without an OP partition.
 
     The paper reserves 100 GB of a trimmed 400 GB drive (25%) — half of
@@ -356,8 +346,7 @@ def fig7_overprovisioning(scale: Scale = DEFAULT,
     test scale the LSM engine's fixed overheads leave less headroom, so
     the reservation shrinks to 15% there.
     """
-    if reserved_fraction is None:
-        reserved_fraction = 0.25 if scale.capacity_bytes >= 96 * MIB else 0.15
+    reserved_fraction = 0.25 if scale.capacity_bytes >= 96 * MIB else 0.15
     campaign = CampaignSpec(
         name="fig7",
         base=spec_for(scale, Engine.LSM),
@@ -395,10 +384,9 @@ def fig7_overprovisioning(scale: Scale = DEFAULT,
 # ----------------------------------------------------------------------
 # Figure 8: cost comparison of OP vs no-OP (LSM engine)
 # ----------------------------------------------------------------------
-def fig8_op_cost(scale: Scale = DEFAULT,
-                 reserved_fraction: float | None = None) -> FigureResult:
+def fig8_op_cost(scale: Scale = DEFAULT) -> FigureResult:
     """Cheapest RocksDB-model deployment: extra OP or full capacity."""
-    results = fig7_overprovisioning(scale, reserved_fraction).data["results"]
+    results = fig7_overprovisioning(scale).data["results"]
     reserved_fraction = max(key[2] for key in results)
     options, grid, heatmap = _cost_heatmap("fig8", {
         "no-OP": (results[("lsm", "preconditioned", 0.0)], 0.0),
@@ -413,13 +401,12 @@ def fig8_op_cost(scale: Scale = DEFAULT,
 # ----------------------------------------------------------------------
 # Figure 9: SSD types (pitfall 7)
 # ----------------------------------------------------------------------
-def fig9_ssd_types(scale: Scale = DEFAULT,
-                   dataset_fraction: float = 0.05) -> FigureResult:
+def fig9_ssd_types(scale: Scale = DEFAULT) -> FigureResult:
     """Steady throughput on SSD1/SSD2/SSD3 with a small trimmed dataset."""
     # The paper's dataset is 10x smaller than the default; below ~8 MiB
     # (scaled) the dataset degenerates against fixed engine buffer
     # sizes, so small scales raise the fraction instead.
-    dataset_fraction = max(dataset_fraction, 8 * MIB / scale.capacity_bytes)
+    dataset_fraction = max(0.05, 8 * MIB / scale.capacity_bytes)
     campaign = CampaignSpec(
         name="fig9",
         base=spec_for(scale, Engine.LSM, dataset_fraction=dataset_fraction),
@@ -456,11 +443,10 @@ def fig9_ssd_types(scale: Scale = DEFAULT,
 # ----------------------------------------------------------------------
 # Figure 10: throughput variability per SSD type
 # ----------------------------------------------------------------------
-def fig10_variability(scale: Scale = DEFAULT,
-                      dataset_fraction: float = 0.05) -> FigureResult:
+def fig10_variability(scale: Scale = DEFAULT) -> FigureResult:
     """Fine-grained throughput over time for each SSD type."""
     # Fig 9's cells, shared; it raises unless all six completed.
-    results = fig9_ssd_types(scale, dataset_fraction).data["results"]
+    results = fig9_ssd_types(scale).data["results"]
     rows = []
     series = {}
     for (engine, ssd), result in results.items():

@@ -161,22 +161,6 @@ def plan_from_specs(specs, notes: str = "") -> EvaluationPlan:
     )
 
 
-def compliant_plan() -> EvaluationPlan:
-    """A plan that follows every guideline (what this library's own
-    benchmark suite implements)."""
-    return EvaluationPlan(
-        run_until_host_writes_capacity_multiple=3.5,
-        uses_steady_state_detection=True,
-        reports_wa_d=True,
-        controls_drive_state=True,
-        reports_drive_state=True,
-        dataset_fractions=(0.25, 0.37, 0.5, 0.62),
-        reports_space_amplification=True,
-        considers_overprovisioning=True,
-        ssd_types=("ssd1", "ssd2", "ssd3"),
-    )
-
-
 def render_report(violations: list[PitfallViolation]) -> str:
     """Human-readable pitfall report."""
     if not violations:

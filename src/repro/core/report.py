@@ -26,17 +26,17 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence], title: str = 
     return "\n".join(lines)
 
 
-def render_series(
-    title: str,
-    headers: Sequence[str],
-    series: Sequence[Sequence],
-    max_points: int = 12,
-) -> str:
+#: Rows a rendered time series keeps; longer series are thinned evenly.
+SERIES_POINTS = 12
+
+
+def render_series(title: str, headers: Sequence[str],
+                  series: Sequence[Sequence]) -> str:
     """Render a (possibly thinned) time series as a table."""
     rows = list(series)
-    if len(rows) > max_points:
-        step = (len(rows) - 1) / (max_points - 1)
-        rows = [rows[round(i * step)] for i in range(max_points)]
+    if len(rows) > SERIES_POINTS:
+        step = (len(rows) - 1) / (SERIES_POINTS - 1)
+        rows = [rows[round(i * step)] for i in range(SERIES_POINTS)]
     return render_table(headers, rows, title=title)
 
 

@@ -25,20 +25,23 @@ from repro.core.metrics import Sample
 from repro.errors import ConfigError
 
 
-def cusum(values, k: float = 0.5, h: float = 7.0) -> list[int]:
+#: CUSUM slack ``k`` and decision interval ``h``, in sigma units.
+#: h=7 keeps the false-alarm rate on ~100-sample noise series around
+#: 1% while still detecting 30% mean shifts with certainty (measured
+#: empirically; see tests).
+CUSUM_K = 0.5
+CUSUM_H = 7.0
+
+
+def cusum(values) -> list[int]:
     """Two-sided tabular CUSUM; returns alarm indices.
 
-    *values* are standardized against their own mean/std, so ``k`` (the
-    slack) and ``h`` (the decision interval) are in sigma units.  The
-    default h=7 keeps the false-alarm rate on ~100-sample noise series
-    around 1% while still detecting 30% mean shifts with certainty
-    (measured empirically; see tests).
+    *values* are standardized against their own mean/std, so
+    :data:`CUSUM_K` and :data:`CUSUM_H` are in sigma units.
     """
     data = np.asarray(values, dtype=np.float64)
     if data.size == 0:
         return []
-    if k < 0 or h <= 0:
-        raise ConfigError("cusum requires k >= 0 and h > 0")
     std = float(data.std())
     if std == 0.0:
         return []
@@ -46,9 +49,9 @@ def cusum(values, k: float = 0.5, h: float = 7.0) -> list[int]:
     alarms: list[int] = []
     high = low = 0.0
     for idx, value in enumerate(z):
-        high = max(0.0, high + value - k)
-        low = max(0.0, low - value - k)
-        if high > h or low > h:
+        high = max(0.0, high + value - CUSUM_K)
+        low = max(0.0, low - value - CUSUM_K)
+        if high > CUSUM_H or low > CUSUM_H:
             alarms.append(idx)
             high = low = 0.0
     return alarms

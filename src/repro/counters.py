@@ -35,11 +35,6 @@ class Counters:
         """Return an independent copy of the current counters."""
         return type(self)(**self.as_dict())
 
-    def delta(self, earlier):
-        """Return counters accumulated since *earlier* (a snapshot)."""
-        return type(self)(**{name: value - getattr(earlier, name)
-                             for name, value in self.as_dict().items()})
-
     def labelled(self) -> dict:
         """``{"<layer>.<field>": value}`` — this block's part of a snapshot."""
         return {f"{self.layer}.{name}": value

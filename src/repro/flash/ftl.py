@@ -22,10 +22,10 @@ request to a log and :meth:`_flush_log` applies the whole log in one
 array pass.  The log is drained exactly where FTL state is observed: a
 request that does not fit the open block (which closes it and may run
 GC), ``trim_range``, ``mapped_pages``/``utilization``/``is_mapped``,
-``check_invariants`` and ``state_arrays`` (the one read accessor for
-white-box tests).  Deferral is exact for the reason
-``VictimIndex.pending`` is: whatever is stale is on the log, and every
-reader drains it first.
+``check_invariants`` and ``state_arrays`` (the white-box readers for
+tests, the only names ``tests/core/test_product_only.py`` exempts).
+Deferral is exact for the reason ``VictimIndex.pending`` is: whatever
+is stale is on the log, and every reader drains it first.
 
 There is one host write stream: first writes and overwrites share the
 open block.  Relocations have their own, which never triggers
@@ -228,11 +228,6 @@ class FlashTranslationLayer:
     def utilization(self) -> float:
         """Fraction of the logical space that has data associated."""
         return self.mapped_pages / self.config.logical_pages
-
-    @property
-    def erase_counts(self) -> np.ndarray:
-        """Per-block erase counters (wear), as a copy."""
-        return self._erase_count.copy()
 
     def device_write_amplification(self) -> float:
         """Lifetime WA-D measured from actual page programs."""

@@ -7,7 +7,7 @@ models cited by the paper [21, 31, 67] assume.  *FIFO* (oldest closed
 block first) is the regime with an exact closed form: under uniform
 random overwrites its WA-D sits above greedy's and just under the FIFO
 fixed point, and ``tests/flash/test_wa_closed_forms.py`` holds both
-policies to ``analysis/wa_model.py``.
+policies to the closed forms in ``tests/flash/wa_model.py``.
 
 Selection never scans the block array (DESIGN.md §8): each policy's
 ``select_indexed`` reads a :class:`VictimIndex` the FTL keeps

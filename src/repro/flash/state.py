@@ -36,20 +36,24 @@ def trim_device(ssd: SSD) -> None:
     ssd.settle()
 
 
+#: Random writes after the sequential fill, in multiples of the range.
+PRECONDITION_CHURN = 2.0
+#: Pages per preconditioning write request (at most 1/16 of the range).
+PRECONDITION_BATCH_PAGES = 4096
+
+
 def precondition_device(
     ssd: SSD,
     seed: int = rng.DEFAULT_SEED,
-    churn_multiplier: float = 2.0,
-    batch_pages: int = 4096,
     npages: int | None = None,
 ) -> None:
     """Age the drive per the paper's §3.4 recipe.
 
     First write the target logical range sequentially so every address
     has associated data, then issue uniformly random writes totalling
-    ``churn_multiplier`` times the range so garbage collection reaches
-    steady state.  The device is left idle (settled) so the following
-    experiment starts from a quiescent but aged drive.
+    :data:`PRECONDITION_CHURN` times the range so garbage collection
+    reaches steady state.  The device is left idle (settled) so the
+    following experiment starts from a quiescent but aged drive.
 
     ``npages`` restricts preconditioning to ``[0, npages)``: in the
     over-provisioning experiments (§4.6) only the range the filesystem
@@ -59,13 +63,13 @@ def precondition_device(
     # Batches must stay well below the range size; otherwise a whole
     # permutation pass would invalidate every block before GC observes
     # it, hiding the relocation cost the recipe is meant to create.
-    batch_pages = max(1, min(batch_pages, npages // 16))
+    batch_pages = max(1, min(PRECONDITION_BATCH_PAGES, npages // 16))
     for offset in range(0, npages, batch_pages):
         count = min(batch_pages, npages - offset)
         ssd.write_range(offset, count, background=True)
 
     generator = rng.substream(seed, "precondition")
-    remaining = int(npages * churn_multiplier)
+    remaining = int(npages * PRECONDITION_CHURN)
     while remaining > 0:
         # A random permutation pass guarantees unique pages per batch
         # while remaining uniform over the address range.

@@ -7,7 +7,7 @@ tests:
 * :class:`HashRouter` — consistent hashing over a ring of virtual
   nodes.  Keys and vnode points are mixed with a splitmix64 finalizer
   (never Python's ``hash``, whose string salting would break
-  cross-process determinism); each shard contributes ``vnodes``
+  cross-process determinism); each shard contributes ``VNODES``
   points, so load is uniform within tolerance and growing the fleet
   by one shard only remaps the ~1/(n+1) of keys that land on the new
   shard's points.
@@ -60,16 +60,13 @@ class HashRouter(Router):
     #: Ring points per shard.  Enough that per-shard load is within a
     #: few percent of uniform at small fleet sizes, small enough that
     #: the ring fits in cache.
-    DEFAULT_VNODES = 64
+    VNODES = 64
 
-    def __init__(self, nshards: int, nkeys: int, vnodes: int = DEFAULT_VNODES):
+    def __init__(self, nshards: int, nkeys: int):
         super().__init__(nshards, nkeys)
-        if vnodes < 1:
-            raise ConfigError("vnodes must be >= 1")
-        self.vnodes = vnodes
         points = []
         for shard in range(nshards):
-            for v in range(vnodes):
+            for v in range(self.VNODES):
                 # One mix per (shard, vnode) pair; the pair is packed so
                 # a shard's points are identical regardless of fleet
                 # size — the consistency property.
@@ -103,17 +100,12 @@ ROUTERS = {
 }
 
 
-def make_router(name: str, nshards: int, nkeys: int, **options) -> Router:
-    """Construct a router by name; unknown names/options fail fast."""
+def make_router(name: str, nshards: int, nkeys: int) -> Router:
+    """Construct a router by name; an unknown name fails fast."""
     try:
         cls = ROUTERS[name]
     except KeyError:
         raise ConfigError(
             f"unknown router {name!r}; expected one of {sorted(ROUTERS)}"
         ) from None
-    try:
-        return cls(nshards, nkeys, **options)
-    except TypeError:
-        raise ConfigError(
-            f"invalid options for router {name!r}: {sorted(options)}"
-        ) from None
+    return cls(nshards, nkeys)

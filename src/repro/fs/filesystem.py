@@ -191,10 +191,6 @@ class ExtentFilesystem:
                 self.device.trim_range(start, length)
         del self._files[name]
 
-    def list_files(self) -> list[str]:
-        """Names of all files, sorted."""
-        return sorted(self._files)
-
     def file_size(self, name: str) -> int:
         """Byte size of the named file."""
         return self._lookup(name).size_bytes
@@ -401,11 +397,6 @@ class ExtentFilesystem:
                 "fs.peak_used_pages": peak,
                 "fs.peak_used_bytes": peak * self.page_size,
                 "fs.npages": self.allocator.npages}
-
-    def file_device_pages(self, name: str) -> np.ndarray:
-        """All device pages of a file, in file order (for tests/traces)."""
-        meta = self._lookup(name)
-        return self._file_lpns(meta, 0, meta.npages)
 
     def check_invariants(self) -> None:
         """Verify allocator/file consistency; raises on bugs."""

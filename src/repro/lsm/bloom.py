@@ -92,8 +92,8 @@ class BloomFilter:
 
         Scalar fast path: the k probe positions are derived with
         Python-int mixing (no temporary numpy arrays) and probing stops
-        at the first clear bit — same verdict as the vectorized
-        :meth:`may_contain_many`, an order of magnitude cheaper for the
+        at the first clear bit — same verdict as a vectorized probe of
+        :meth:`_positions`, an order of magnitude cheaper for the
         one-key-per-table probes of the LSM read path.
         """
         raw = int(key) & _MASK64
@@ -107,9 +107,3 @@ class BloomFilter:
                 return False
             probe = (probe + h2) & _MASK64
         return True
-
-    def may_contain_many(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized membership test."""
-        if len(keys) == 0:
-            return np.zeros(0, dtype=bool)
-        return self._bits[self._positions(np.asarray(keys))].all(axis=1)

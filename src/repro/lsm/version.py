@@ -132,11 +132,6 @@ class Version:
         self._check_level(level)
         return self._level_bytes[level]
 
-    @property
-    def total_files(self) -> int:
-        """Number of live SSTables."""
-        return sum(len(level) for level in self.levels)
-
     def all_tables(self):
         """Iterate over (level, table) pairs, top level first."""
         for level, tables in enumerate(self.levels):

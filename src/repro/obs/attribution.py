@@ -4,7 +4,7 @@ Each user-visible operation's latency is decomposed into additive
 components; the residual (latency minus everything the instrumented
 layers claimed) is booked as ``cpu_other``, which makes the components
 sum to the recorded latency *exactly* — the invariant the trace
-schema checker and the acceptance tests pin.
+schema checker (``tests/obs/schema.py``) and the acceptance tests pin.
 """
 
 from __future__ import annotations

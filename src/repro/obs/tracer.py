@@ -52,9 +52,12 @@ class Tracer:
     nothing and attribution covers the measured phase only.
     """
 
-    def __init__(self, clock=None, ring_capacity: int = 200_000):
-        self.clock = clock
-        self.sink = RingSink(ring_capacity)
+    #: Events the ring keeps: the most recent ones win.
+    RING_CAPACITY = 200_000
+
+    def __init__(self):
+        self.clock = None  # bound by attach_tracer
+        self.sink = RingSink(self.RING_CAPACITY)
         self.attribution = AttributionTable()
         self.emitted = 0  # events handed to the sink
         self.enabled = False
@@ -67,10 +70,6 @@ class Tracer:
     # -- lifecycle -----------------------------------------------------
     def enable(self) -> None:
         self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-        self.in_op = False
 
     def events(self):
         return self.sink.events()
@@ -97,10 +96,9 @@ class Tracer:
         self.sink.append(("C", self.clock.now, 0.0, name, "counter", self.tid, values))
 
     # -- op attribution context ----------------------------------------
-    def op_begin(self, tid=None) -> None:
-        """Open the attribution context for one user-visible op."""
-        if tid is not None:
-            self.tid = tid
+    def op_begin(self) -> None:
+        """Open the attribution context for one user-visible op (on
+        the driver's current ``tid``)."""
         self.in_op = True
         self._suspended = False
         self._comp = {}

@@ -111,10 +111,9 @@ class Scheduler:
         heapq.heappush(self._heap,
                        (self.clock.now + delay, next(self._seq), fn, label))
 
-    def spawn(self, gen: Generator, label: str = "task",
-              delay: float = 0.0) -> None:
-        """Start a cooperative task; its first step runs after *delay*."""
-        self.schedule(delay, Task(self, gen, label)._step, label=label)
+    def spawn(self, gen: Generator, label: str = "task") -> None:
+        """Start a cooperative task; its first step runs now."""
+        self.schedule(0.0, Task(self, gen, label)._step, label=label)
 
     def run(self) -> None:
         """Run events in time order until the heap drains.

@@ -82,12 +82,11 @@ class ZipfianKeys(KeyChooser):
     #: Keys drawn per internal refill; scalar callers amortize the
     #: vector draw over this many next_key() calls.
     REFILL = 1024
+    #: The skew exponent; numpy's zipf sampler requires it to be > 1.
+    THETA = 1.2
 
-    def __init__(self, nkeys: int, rng: np.random.Generator, theta: float = 1.2):
+    def __init__(self, nkeys: int, rng: np.random.Generator):
         super().__init__(nkeys, rng)
-        if theta <= 1.0:
-            raise ConfigError("numpy's zipf sampler requires theta > 1")
-        self.theta = theta
         self._buffer = np.empty(0, dtype=np.int64)
         self._pos = 0
 
@@ -115,7 +114,7 @@ class ZipfianKeys(KeyChooser):
         out = np.empty(self.REFILL, dtype=np.int64)
         filled = 0
         while filled < self.REFILL:
-            draw = self.rng.zipf(self.theta, size=self.REFILL - filled)
+            draw = self.rng.zipf(self.THETA, size=self.REFILL - filled)
             draw = draw[draw <= self.nkeys]
             take = len(draw)
             out[filled : filled + take] = draw - 1
@@ -128,21 +127,16 @@ class ZipfianKeys(KeyChooser):
 class HotspotKeys(KeyChooser):
     """A fraction of operations targets a small hot range."""
 
-    def __init__(
-        self,
-        nkeys: int,
-        rng: np.random.Generator,
-        hot_fraction: float = 0.2,
-        hot_probability: float = 0.8,
-    ):
+    #: The hot range's share of the key space, and of the operations.
+    HOT_FRACTION = 0.2
+    HOT_PROBABILITY = 0.8
+
+    def __init__(self, nkeys: int, rng: np.random.Generator):
         super().__init__(nkeys, rng)
-        if not 0 < hot_fraction <= 1 or not 0 <= hot_probability <= 1:
-            raise ConfigError("hotspot parameters out of range")
-        self.hot_keys = max(1, int(nkeys * hot_fraction))
-        self.hot_probability = hot_probability
+        self.hot_keys = max(1, int(nkeys * self.HOT_FRACTION))
 
     def next_key(self) -> int:
-        if self.rng.random() < self.hot_probability:
+        if self.rng.random() < self.HOT_PROBABILITY:
             return int(self.rng.integers(0, self.hot_keys))
         return int(self.rng.integers(self.hot_keys, self.nkeys))
 
@@ -159,8 +153,8 @@ _CHOOSERS: dict[str, type[KeyChooser]] = {
 DISTRIBUTIONS = frozenset(_CHOOSERS)
 
 
-def make_chooser(name: str, nkeys: int, rng: np.random.Generator, **kwargs) -> KeyChooser:
+def make_chooser(name: str, nkeys: int, rng: np.random.Generator) -> KeyChooser:
     """Build a key chooser by name."""
     if name not in _CHOOSERS:
         raise ConfigError(f"unknown distribution {name!r}; expected one of {sorted(_CHOOSERS)}")
-    return _CHOOSERS[name](nkeys, rng, **kwargs)
+    return _CHOOSERS[name](nkeys, rng)

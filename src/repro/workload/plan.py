@@ -151,8 +151,8 @@ class EventAwareUntil:
 
     __slots__ = ("cap", "_heap")
 
-    def __init__(self, scheduler, cap: float | None = None):
-        self.cap = cap
+    def __init__(self, scheduler):
+        self.cap = None
         # The scheduler's heap list is mutated in place for the
         # scheduler's whole lifetime, so holding a direct reference is
         # safe — and saves two attribute hops plus a method call on

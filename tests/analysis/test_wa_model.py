@@ -6,13 +6,13 @@ import math
 
 import pytest
 
-from repro.analysis.wa_model import (
+from repro.errors import ConfigError
+from tests.flash.wa_model import (
     lambert_w,
     wa_fifo_uniform,
     wa_for_config,
     wa_greedy_uniform,
 )
-from repro.errors import ConfigError
 
 
 class TestLambertW:

@@ -106,6 +106,11 @@ def pager(clock):
     return Pager(fs, 32 * 1024)
 
 
+def file_bytes(pager):
+    """The tree file's on-disk footprint."""
+    return pager.fs.file_size(Pager.FILENAME)
+
+
 class TestPager:
     def test_write_new_allocates_slots(self, pager):
         slot1, lat1 = pager.write_new()
@@ -115,11 +120,11 @@ class TestPager:
 
     def test_free_slots_recycled(self, pager):
         slot, _ = pager.write_new()
-        before = pager.nslots
+        before = file_bytes(pager)
         pager.free(slot)
         slot2, _ = pager.write_new()
         assert slot2 == slot
-        assert pager.nslots == before
+        assert file_bytes(pager) == before
 
     def test_double_free_rejected(self, pager):
         slot, _ = pager.write_new()
@@ -129,24 +134,28 @@ class TestPager:
 
     def test_grows_in_chunks(self, pager):
         pager.write_new()
-        assert pager.nslots == Pager.GROW_CHUNK_SLOTS
-        assert pager.free_slot_count == Pager.GROW_CHUNK_SLOTS - 1
+        assert file_bytes(pager) == Pager.GROW_CHUNK_SLOTS * pager.page_bytes
+        slots = {pager.write_new()[0] for _ in range(Pager.GROW_CHUNK_SLOTS - 1)}
+        assert file_bytes(pager) == Pager.GROW_CHUNK_SLOTS * pager.page_bytes
+        pager.write_new()
+        assert file_bytes(pager) == 2 * Pager.GROW_CHUNK_SLOTS * pager.page_bytes
+        assert len(slots) == Pager.GROW_CHUNK_SLOTS - 1
 
     def test_read_and_bounds(self, pager):
         slot, _ = pager.write_new()
         assert pager.read(slot) > 0
         with pytest.raises(ConfigError):
-            pager.read(pager.nslots)
+            pager.read(Pager.GROW_CHUNK_SLOTS)
 
     def test_file_footprint_stays_put(self, pager):
         """CoW recycling must not grow the file once slots exist."""
         slots = [pager.write_new()[0] for _ in range(10)]
-        size = pager.file_bytes
+        size = file_bytes(pager)
         for _ in range(50):
             slot, _ = pager.write_new()
             pager.free(slots.pop(0))
             slots.append(slot)
-        assert pager.file_bytes == size
+        assert file_bytes(pager) == size
 
 
 class TestPageCache:

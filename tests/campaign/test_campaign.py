@@ -60,11 +60,16 @@ def execute_cell_or_die(spec_dict, trace_out=None):
     return _execute_cell(spec_dict, trace_out)
 
 
+def to_jsonl(outcome) -> str:
+    """A campaign's merged results as canonical JSONL text, grid order."""
+    return "".join(canonical_line(record) + "\n" for record in outcome.records)
+
+
 class TestGridExpansion:
     def test_cross_product_in_grid_order(self):
         campaign = micro_campaign()
         cells = campaign.cells()
-        assert campaign.ncells == len(cells) == 4
+        assert len(cells) == 4
         assert [(c.engine.value, c.dataset_fraction) for c in cells] == [
             ("lsm", 0.25), ("lsm", 0.3), ("btree", 0.25), ("btree", 0.3),
         ]
@@ -205,14 +210,14 @@ class TestRunCampaign:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 4
         assert {json.loads(line)["cell"] for line in lines} == \
-            {cell.cell_hash for cell in outcome.cells}
+            {cell.record["cell"] for cell in outcome.cells}
 
     def test_resume_skips_every_finished_cell(self, finished):
         outcome, path = finished
         resumed = run_campaign(micro_campaign(), out=path, resume=True)
         assert resumed.ran == 0 and resumed.skipped == 4
         assert all(cell.from_cache for cell in resumed.cells)
-        assert resumed.to_jsonl() == outcome.to_jsonl()
+        assert to_jsonl(resumed) == to_jsonl(outcome)
 
     def test_interrupted_campaign_resumes_byte_identically(self, finished):
         """Kill a campaign mid-grid; the resumed merged results must be
@@ -223,7 +228,7 @@ class TestRunCampaign:
         interrupted.write_text("\n".join(survivors) + "\n", encoding="utf-8")
         resumed = run_campaign(micro_campaign(), out=interrupted, resume=True)
         assert resumed.ran == 2 and resumed.skipped == 2
-        assert resumed.to_jsonl() == outcome.to_jsonl()
+        assert to_jsonl(resumed) == to_jsonl(outcome)
         # And the store itself now holds all four cells.
         assert len(CampaignStore(interrupted).load()) == 4
 
@@ -238,7 +243,7 @@ class TestRunCampaign:
                         encoding="utf-8")
         resumed = run_campaign(micro_campaign(), out=torn, resume=True)
         assert resumed.ran == 2 and resumed.skipped == 2
-        assert resumed.to_jsonl() == outcome.to_jsonl()
+        assert to_jsonl(resumed) == to_jsonl(outcome)
         assert torn.read_bytes() == path.read_bytes()
 
     def test_without_resume_completed_work_is_not_clobbered(self, finished):
@@ -251,7 +256,7 @@ class TestRunCampaign:
         fresh_path = path.parent / "fresh.jsonl"
         fresh = run_campaign(micro_campaign(), out=fresh_path, resume=False)
         assert fresh.ran == 4 and fresh.skipped == 0
-        assert fresh.to_jsonl() == outcome.to_jsonl()
+        assert to_jsonl(fresh) == to_jsonl(outcome)
 
     def test_worker_pool_matches_inline_run(self, finished):
         """The multiprocessing path must be a pure speedup: same grid,
@@ -259,7 +264,7 @@ class TestRunCampaign:
         outcome, _path = finished
         pooled = run_campaign(micro_campaign(), workers=2)
         assert pooled.ran == 4
-        assert pooled.to_jsonl() == outcome.to_jsonl()
+        assert to_jsonl(pooled) == to_jsonl(outcome)
 
     def test_dead_worker_ends_in_a_resumable_error(self, finished, monkeypatch):
         """A worker that dies mid-cell: one error naming the unfinished
@@ -277,12 +282,12 @@ class TestRunCampaign:
         on_disk = CampaignStore(out).load()
         assert on_disk  # the fourth cell starts only after one finished
         for cell, name in zip(outcome.cells, names):
-            assert (cell.cell_hash in on_disk) != (name in message)
+            assert (cell.record["cell"] in on_disk) != (name in message)
         resumed = run_campaign(micro_campaign(), workers=2, out=out,
                                resume=True)
         assert resumed.ran == 4 - len(on_disk)
         assert resumed.skipped == len(on_disk)
-        assert resumed.to_jsonl() == outcome.to_jsonl()
+        assert to_jsonl(resumed) == to_jsonl(outcome)
         assert len(CampaignStore(out).load()) == 4
 
     def test_progress_callback_sees_every_fresh_cell(self):

@@ -4,9 +4,12 @@ milliseconds."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import settings
 
+from repro.core import figures
 from repro.core.clock import VirtualClock
 from repro.flash.config import SSDConfig
 from repro.flash.ssd import SSD
@@ -45,6 +48,12 @@ def make_tiny_config(**overrides) -> SSDConfig:
     return SSDConfig(**params)
 
 
+def counters_since(block, earlier):
+    """The counters *block* accumulated since *earlier*, its snapshot."""
+    return type(block)(**{name: value - getattr(earlier, name)
+                          for name, value in block.as_dict().items()})
+
+
 @pytest.fixture
 def clock() -> VirtualClock:
     return VirtualClock()
@@ -58,3 +67,40 @@ def tiny_config() -> SSDConfig:
 @pytest.fixture
 def tiny_ssd(tiny_config, clock) -> SSD:
     return SSD(tiny_config, clock)
+
+
+def spy_on(patch: pytest.MonkeyPatch, name: str) -> list:
+    """Record the spec of every call to ``figures.<name>``."""
+    real, specs = getattr(figures, name), []
+
+    def spy(spec):
+        specs.append(spec)
+        return real(spec)
+
+    patch.setattr(figures, name, spy)
+    return specs
+
+
+@pytest.fixture(scope="session")
+def figure_sweep():
+    """The ten figures at SMALL, run once per session: cold from an
+    empty cell cache, then warm.
+
+    ``passes`` is ``[cold, warm]``, each ``{figure_id: (specs
+    requested, specs simulated, figure)}``; ``cells`` is the cache the
+    sweep filled.  The process's own cache is put back afterwards.
+    """
+    cells: dict = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(figures, "_CELLS", cells)
+        requested = spy_on(patch, "run_cell")
+        simulated = spy_on(patch, "run_experiment")
+        passes = []
+        for _ in ("cold", "warm"):
+            record = {}
+            for figure_id, build in figures.FIGURES.items():
+                asked, ran = len(requested), len(simulated)
+                figure = build(figures.SMALL)
+                record[figure_id] = (requested[asked:], simulated[ran:], figure)
+            passes.append(record)
+    return SimpleNamespace(passes=passes, cells=cells)

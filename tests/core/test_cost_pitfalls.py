@@ -9,7 +9,6 @@ from repro.core.pitfalls import (
     PITFALLS,
     EvaluationPlan,
     check_plan,
-    compliant_plan,
     render_report,
 )
 from repro.errors import ConfigError
@@ -102,7 +101,18 @@ class TestPitfalls:
         assert sorted(v.pitfall_id for v in violations) == [1, 2, 3, 4, 5, 6, 7]
 
     def test_compliant_plan_passes(self):
-        assert check_plan(compliant_plan()) == []
+        plan = EvaluationPlan(
+            run_until_host_writes_capacity_multiple=3.5,
+            uses_steady_state_detection=True,
+            reports_wa_d=True,
+            controls_drive_state=True,
+            reports_drive_state=True,
+            dataset_fractions=(0.25, 0.37, 0.5, 0.62),
+            reports_space_amplification=True,
+            considers_overprovisioning=True,
+            ssd_types=("ssd1", "ssd2", "ssd3"),
+        )
+        assert check_plan(plan) == []
 
     def test_rule_of_thumb_satisfies_pitfall_one(self):
         plan = EvaluationPlan(run_until_host_writes_capacity_multiple=3.0)

@@ -77,6 +77,23 @@ class TestSpec:
         # A driver the spec's shape would silently ignore.
         dict(driver="inline", nshards=2),
         dict(driver="pool", arrival="poisson", arrival_rate=1000.0),
+        # Counts that are not integers: each died deep in the stack (a
+        # TypeError, an IndexError, numpy) or ran on a truncated value;
+        # a bool passed as 1.  Unknown names raised the enum's ValueError.
+        dict(nclients=2.5),
+        dict(nshards=2.0),
+        dict(value_bytes=100.5),
+        dict(scan_length=2.5),
+        dict(arrival="poisson", arrival_rate=1000.0, nshards=2, kill_at=0.05,
+             kill_shard=1.0),
+        dict(max_ops=2.5),
+        dict(capacity_bytes=24.5 * MIB),
+        dict(queue_cap=2.5),
+        dict(retry_limit=2.5),
+        dict(nclients=True),
+        dict(seed=True),
+        dict(drive_state="nope"),
+        dict(engine="nope"),
     ])
     def test_fails_fast_before_building_the_stack(self, bad):
         """Bad fractions/ranges must raise at construction, not after

@@ -1,14 +1,16 @@
 """The figure sweep and its cell cache (DESIGN.md §5.5).
 
-One sweep of the ten figures at a 36 MiB scale (the shape of SMALL: a
-15 % reservation, a Fig 9 dataset fraction that is none of Fig 5's)
-is run cold and then warm by a module fixture; the tests read what it
-recorded.  The text digests were recorded at the parent of the commit
-that introduced the cache, which re-simulated all 72 cells — except
-Fig 2's, re-recorded when device MB/s became a delta of the block
-layer's counters: only its devW / devR columns moved (the other nine
-figures print neither), and what they print now sums to the bytes
-written and read (``tests/core/test_conservation.py``).
+The session's one sweep of the ten figures at SMALL, cold and then
+warm (``figure_sweep`` in ``tests/conftest.py``; the paper-claims
+test reads the same figures), is what these tests read.  The text
+digests are of SMALL texts recorded at the parent of the commit that
+made the sweep a session fixture; the 36 MiB digests pinned before
+that were recorded at the parent of the commit that introduced the
+cache, which re-simulated all 72 cells — except Fig 2's, re-recorded
+when device MB/s became a delta of the block layer's counters: only
+its devW / devR columns moved (the other nine figures print neither),
+and what they print now sums to the bytes written and read
+(``tests/core/test_conservation.py``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import pytest
 
 from repro.core import figures
 from repro.core.experiment import Engine, ExperimentResult, run_experiment
-from repro.core.figures import FIGURES, SMALL, Scale, spec_for
+from repro.core.figures import SMALL, Scale, spec_for
 from repro.errors import ConfigError
 from repro.units import MIB
 
@@ -31,38 +33,19 @@ TINY = Scale("tiny", 36 * MIB, 1.5, 0.1)
 REQUESTS = {"fig2": 2, "fig3": 4, "fig4": 2, "fig5": 16, "fig6": 12,
             "fig7": 8, "fig8": 8, "fig9": 6, "fig10": 6, "fig11": 8}
 
-#: sha256 of every figure's text at TINY, from the parent commit.
+#: sha256 of every figure's text at SMALL, from the parent commit.
 PARENT_TEXT_SHA256 = {
-    "fig2": "adc315078249a450b5aef922a87770747f18f564d00413a83548bbb5e389ab1c",
-    "fig3": "afb998415f599c4581595f3aead4558bed460fbd8613de84985eb1cc662bdea8",
-    "fig4": "1675c6c61765f133a63bbcc4c8afe40d607831f656feeb247c46b34d9b2b4636",
-    "fig5": "5ea7346cfc67a32aaef25676c84dc1ef026149ad48ecefbcc400d600533efb2c",
-    "fig6": "51a3e7d5dcf0fef93cc8a97fa4a39699ff16188b36efe48fda4aa739870c9c29",
-    "fig7": "74e19b3ea226b6fb561d82f2d2acff0e048ea0e88e8af181f2f3f4a8b973156a",
-    "fig8": "682c9a8d43b270dba5c3b23c02c37746c16920e965942a7b994651afe6f4c845",
-    "fig9": "68369ca8240b5307024c1b2e73a8e493472ee5594f23ebc680ebd6c2596dae11",
-    "fig10": "86d73bfd7150b429c6c345c66ea4cf58ea3d85fa82cf6501ac2be8ae864f9073",
-    "fig11": "b9f7e52cdd77499fa5303abc614ff0e2797107427df434869ff09ac804d6b7d1",
+    "fig2": "f5507ffb2d8bf0c98dc4e3632c42aa953dc6e774cc46ff72f44eb39ff3d84d96",
+    "fig3": "e290304ba605ea509bd0bf7e467a7f747874ea85032e36f6a3bbb22121407c2e",
+    "fig4": "09e3f77c84c3d7fe7ddf35c1f1dad44ca60ad7b681a934e5c977e56b78aaaba3",
+    "fig5": "65c3522e7d3c41ca0475b6c1b5242cd50e4da877222a3dbc14211d2e6edee96f",
+    "fig6": "7611072068c29056741706c18b566ef58996a35c53b8e69c9bbfbf8847dd1fd0",
+    "fig7": "00b79ab8f947cd7e5025794ff356b69c86990f524a8abd07538a44ac3fea5250",
+    "fig8": "a7af2849ba709a5f2d70f83d48c0264fc820ab5de032c5234e3eb21e484bac90",
+    "fig9": "5932312a978137f7c6c428023e9103f61f7cf92f3f04ce3f5a9b1a3771be5942",
+    "fig10": "4ef39055a68078b9d0d13b8d1c97cd05e398ba2162a89185425838326513c770",
+    "fig11": "c1c812644d6e911606ab374173db0fd77d213484c803127e42181b27495ae87b",
 }
-
-
-@pytest.fixture(autouse=True)
-def empty_cache():
-    figures.clear_cells()
-    yield
-    figures.clear_cells()
-
-
-def spy_on(monkeypatch, name: str) -> list:
-    """Record the spec of every call to ``figures.<name>``."""
-    real, specs = getattr(figures, name), []
-
-    def spy(spec):
-        specs.append(spec)
-        return real(spec)
-
-    monkeypatch.setattr(figures, name, spy)
-    return specs
 
 
 def results_in(payload) -> list[ExperimentResult]:
@@ -73,23 +56,26 @@ def results_in(payload) -> list[ExperimentResult]:
     return []
 
 
-@pytest.fixture(scope="module")
-def sweep():
-    """The ten figures cold, then warm: per figure and pass, the cells
-    requested, the cells simulated, and the figure."""
-    figures.clear_cells()
-    with pytest.MonkeyPatch.context() as patch:
-        requested = spy_on(patch, "run_cell")
-        simulated = spy_on(patch, "run_experiment")
-        passes = []
-        for _ in ("cold", "warm"):
-            record = {}
-            for figure_id, function in FIGURES.items():
-                asked, ran = len(requested), len(simulated)
-                figure = function(TINY)
-                record[figure_id] = (requested[asked:], simulated[ran:], figure)
-            passes.append(record)
-    return passes
+@pytest.fixture
+def sweep(figure_sweep):
+    """``[cold, warm]``: per figure, the cells requested, the cells
+    simulated, and the figure."""
+    return figure_sweep.passes
+
+
+def out_of_space_when(monkeypatch, figure_sweep, ran_out) -> None:
+    """Serve SMALL cells from the sweep's cache, and make every cell
+    ``ran_out(spec)`` picks report that it ran out of space."""
+    monkeypatch.setattr(figures, "_CELLS", dict(figure_sweep.cells))
+    real = figures.run_cell
+
+    def run_cell(spec):
+        result = real(spec)
+        if ran_out(spec):
+            result = replace(result, out_of_space=True, steady=None)
+        return result
+
+    monkeypatch.setattr(figures, "run_cell", run_cell)
 
 
 def cell_key(spec) -> str:
@@ -166,35 +152,35 @@ class TestOutOfSpace:
     """A cell that ran out of space is a table row; a derived line or
     heatmap that needs it is one ConfigError naming figure and cell."""
 
-    def test_fig7_reservation_too_large(self):
+    def test_fig7_reservation_too_large(self, monkeypatch, figure_sweep):
+        out_of_space_when(monkeypatch, figure_sweep,
+                          lambda spec: spec.op_reserved_fraction > 0)
         with pytest.raises(ConfigError, match=r"fig7: cell 'fig7/engine=lsm,"
-                           r"drive_state=preconditioned,op_reserved_fraction=0\.4'"):
-            figures.fig7_overprovisioning(SMALL, reserved_fraction=0.4)
+                           r"drive_state=preconditioned,op_reserved_fraction=0\.15'"):
+            figures.fig7_overprovisioning(SMALL)
         with pytest.raises(ConfigError, match="fig7: cell"):
-            figures.fig8_op_cost(SMALL, reserved_fraction=0.4)
+            figures.fig8_op_cost(SMALL)
 
-    def test_fig9_dataset_too_large(self):
+    def test_fig9_dataset_too_large(self, monkeypatch, figure_sweep):
+        out_of_space_when(monkeypatch, figure_sweep,
+                          lambda spec: spec.ssd == "ssd1")
         with pytest.raises(ConfigError, match=r"fig9: cell 'fig9/engine=lsm,ssd=ssd1' "
-                           r"\(dataset/cap 0\.9"):
-            figures.fig9_ssd_types(SMALL, dataset_fraction=0.9)
+                           r"\(dataset/cap 0\.1666"):
+            figures.fig9_ssd_types(SMALL)
         with pytest.raises(ConfigError, match="fig9: cell"):
-            figures.fig10_variability(SMALL, dataset_fraction=0.9)
+            figures.fig10_variability(SMALL)
 
-    def test_fig6_reference_cell_out_of_space(self):
+    def test_fig6_reference_cell_out_of_space(self, monkeypatch, figure_sweep):
+        out_of_space_when(monkeypatch, figure_sweep,
+                          lambda spec: spec.dataset_fraction == 0.5)
         with pytest.raises(ConfigError, match=r"fig6: cell 'lsm' \("
-                           r"dataset/cap 0\.88"):
-            figures.fig6_space_amplification(SMALL, fractions=(0.8, 0.88))
+                           r"dataset/cap 0\.5"):
+            figures.fig6_space_amplification(SMALL)
 
-    def test_fig7_renders_a_row_the_speedup_line_does_not_need(self, monkeypatch):
-        real = figures.run_experiment
-
-        def btree_extra_op_runs_out(spec):
-            result = real(spec)
-            if spec.engine is Engine.BTREE and spec.op_reserved_fraction:
-                result = replace(result, out_of_space=True, steady=None)
-            return result
-
-        monkeypatch.setattr(figures, "run_experiment", btree_extra_op_runs_out)
-        text = figures.fig7_overprovisioning(TINY).text
+    def test_fig7_renders_a_row_the_speedup_line_does_not_need(
+            self, monkeypatch, figure_sweep):
+        out_of_space_when(monkeypatch, figure_sweep, lambda spec: (
+            spec.engine is Engine.BTREE and spec.op_reserved_fraction > 0))
+        text = figures.fig7_overprovisioning(SMALL).text
         assert text.count("OUT OF SPACE") == 2
         assert "LSM preconditioned speedup from extra OP" in text

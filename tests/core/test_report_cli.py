@@ -6,9 +6,10 @@ import pytest
 
 from repro.cli import _build_parser, _render_fleet, _spec_from_args, main
 from repro.core.experiment import ExperimentSpec, run_experiment
-from repro.core.report import render_campaign, render_series, render_table
-from repro.obs.schema import validate_chrome_trace
+from repro.core.report import (SERIES_POINTS, render_campaign, render_series,
+                               render_table)
 from repro.units import MIB
+from tests.obs.schema import validate_chrome_trace
 
 
 class TestRenderTable:
@@ -28,16 +29,16 @@ class TestRenderTable:
 
     def test_series_thinning(self):
         rows = [[i, i * 2] for i in range(100)]
-        text = render_series("t", ["a", "b"], rows, max_points=10)
+        text = render_series("t", ["a", "b"], rows)
         body = text.splitlines()[3:]
-        assert len(body) == 10
+        assert len(body) == SERIES_POINTS
         assert body[0].startswith("0")
         assert body[-1].startswith("99")
 
     def test_series_short_not_thinned(self):
-        rows = [[i] for i in range(5)]
-        text = render_series("t", ["a"], rows, max_points=10)
-        assert len(text.splitlines()) == 3 + 5
+        rows = [[i] for i in range(SERIES_POINTS)]
+        text = render_series("t", ["a"], rows)
+        assert len(text.splitlines()) == 3 + SERIES_POINTS
 
 
 def test_run_and_campaign_render_the_same_shard_table():
@@ -113,11 +114,11 @@ class TestCli:
         assert code == 0
         assert "btree on ssd3" in capsys.readouterr().out
 
-    def test_run_figure_to_file(self, tmp_path, capsys):
+    def test_run_figure_to_file(self, tmp_path, capsys, monkeypatch):
         # fig2's two cells are two of fig3's four.
         from repro.core import figures
 
-        figures.clear_cells()
+        monkeypatch.setattr(figures, "_CELLS", {})
         out_file = tmp_path / "figs.txt"
         code = main(["run-figure", "fig2", "fig3", "--scale", "small",
                      "--out", str(out_file)])

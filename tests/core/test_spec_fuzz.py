@@ -48,6 +48,12 @@ DEFECTS = [
     dict(engine_options={"no_such_option": 1}),
     dict(ssd_options={"chanels": 4}),
     dict(duration_capacity_writes=float("nan")),
+    dict(nclients=2.5),
+    dict(value_bytes=100.5),
+    dict(scan_length=2.5),
+    dict(max_ops=2.5),
+    dict(nshards=2.0),
+    dict(seed=True),
 ]
 
 

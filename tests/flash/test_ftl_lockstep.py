@@ -101,7 +101,7 @@ def run_lockstep(ops, window=LOGICAL, prefill=False, policy="greedy"):
                                   naive.write(list(range(first, first + npages)))))
         for work, expected in steps:
             assert astuple(work) == expected
-        assert ftl.erase_counts.tolist() == naive.erase_counts
+        assert ftl._erase_count.tolist() == naive.erase_counts
         assert ftl._free == naive.free
         assert ftl._state.tolist() == naive.state
         assert ftl.device_write_amplification() == naive.wa_d()

@@ -10,7 +10,7 @@ from repro.errors import OutOfRangeError
 from repro.flash.profiles import get_profile
 from repro.flash.ssd import SSD, ChannelTimeline, ScalarTimeline
 from repro.units import MIB
-from tests.conftest import make_tiny_config
+from tests.conftest import counters_since, make_tiny_config
 
 
 def busiest_channel(ssd: SSD) -> float:
@@ -80,7 +80,7 @@ class TestSmartAccounting:
         tiny_ssd.write_range(0, n)
         for _ in range(10):
             tiny_ssd.write_pages(rng.permutation(n)[: n // 2].astype(np.int64))
-        delta = tiny_ssd.smart.delta(before)
+        delta = counters_since(tiny_ssd.smart, before)
         assert delta.gc_reclaims == tiny_ssd.smart.gc_reclaims > 0
 
 

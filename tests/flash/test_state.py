@@ -11,7 +11,7 @@ from repro.flash.state import (
     precondition_device,
     trim_device,
 )
-from tests.conftest import make_tiny_config
+from tests.conftest import counters_since, make_tiny_config
 
 
 class TestTrim:
@@ -24,11 +24,11 @@ class TestTrim:
 
 class TestPrecondition:
     def test_fills_whole_logical_space(self, tiny_ssd):
-        precondition_device(tiny_ssd, churn_multiplier=0.5)
+        precondition_device(tiny_ssd)
         assert tiny_ssd.utilization() == 1.0
 
     def test_triggers_gc(self, tiny_ssd):
-        precondition_device(tiny_ssd, churn_multiplier=2.0)
+        precondition_device(tiny_ssd)
         assert tiny_ssd.smart.blocks_erased > 0
         assert tiny_ssd.device_write_amplification() > 1.0
         tiny_ssd.ftl.check_invariants()
@@ -37,12 +37,12 @@ class TestPrecondition:
         results = []
         for _ in range(2):
             ssd = SSD(make_tiny_config(), clock)
-            precondition_device(ssd, seed=42, churn_multiplier=1.0)
+            precondition_device(ssd, seed=42)
             results.append(ssd.smart.nand_bytes_written)
         assert results[0] == results[1]
 
     def test_leaves_device_settled(self, tiny_ssd):
-        precondition_device(tiny_ssd, churn_multiplier=1.0)
+        precondition_device(tiny_ssd)
         assert tiny_ssd.backlog_seconds() == 0.0
 
 
@@ -55,7 +55,7 @@ class TestInitialStateEffect:
         apply_drive_state(ssd, DriveState.TRIMMED)
         before = ssd.smart.snapshot()
         ssd.write_range(0, ssd.npages // 2)
-        delta = ssd.smart.delta(before)
+        delta = counters_since(ssd.smart, before)
         assert delta.nand_bytes_written == delta.host_bytes_written
 
     def test_first_writes_costly_on_preconditioned(self, clock):
@@ -66,5 +66,5 @@ class TestInitialStateEffect:
         n = ssd.npages
         for _ in range(6):
             ssd.write_pages(rng.permutation(n)[: n // 2].astype(np.int64))
-        delta = ssd.smart.delta(before)
+        delta = counters_since(ssd.smart, before)
         assert delta.nand_bytes_written > 1.2 * delta.host_bytes_written

@@ -7,7 +7,7 @@ WA-D the simulator measures must
 * grow monotonically with raw utilization,
 * for greedy cleaning, stay below the FIFO model and within the
   0.55-1.05x band of the small-spare greedy estimate that exact greedy
-  analyses predict (:func:`repro.analysis.wa_model.wa_for_config`),
+  analyses predict (:func:`tests.flash.wa_model.wa_for_config`),
 * for FIFO cleaning, stay above the greedy simulation and just under
   the FIFO fixed point (blocks are not infinitely large), and
 * fall, by what the greedy estimate says, when the block layer keeps a
@@ -19,12 +19,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.wa_model import wa_fifo_uniform, wa_for_config
 from repro.block.device import BlockDevice
 from repro.core.clock import VirtualClock
 from repro.flash.config import SSDConfig
 from repro.flash.gc import make_policy
 from repro.flash.ssd import SSD
+from tests.conftest import counters_since
+from tests.flash.wa_model import wa_fifo_uniform, wa_for_config
 
 HW_OP = (0.08, 0.15, 0.25, 0.5)
 
@@ -50,7 +51,7 @@ def steady_wa(hw_overprovision: float, policy: str = "greedy",
     churn(6)  # warm up to steady state
     baseline = ssd.smart.snapshot()
     churn(3)
-    delta = ssd.smart.delta(baseline)
+    delta = counters_since(ssd.smart, baseline)
     return delta.nand_bytes_written / delta.host_bytes_written
 
 

@@ -1,4 +1,5 @@
-"""Analytical device write-amplification models.
+"""Analytical device write-amplification models: the closed-form oracle
+``test_wa_closed_forms.py`` holds the simulated FTL against.
 
 The storage community has closed-form models for the WA-D of a
 page-mapped FTL under uniform random writes (the paper cites
@@ -17,8 +18,8 @@ standard forms are implemented:
   victim validity *p* solves the classic fixed point
   ``p = exp(-(1 - p) / u)`` and ``WA = 1 / (1 - p)``.
 
-:func:`lambert_w` (principal branch, Halley iteration) is provided as
-a dependency-free utility for users extending these models.
+:func:`lambert_w` (principal branch, Halley iteration) is a
+dependency-free utility for extending these models.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 ``benchmarks/ledger/claims.py`` is the table: one predicate per claim
 over a figure's data.  The ledger counts how many hold; this module
-runs the ten ``FIGURES`` at ``SCALES["small"]`` once and asserts every
+reads the ten ``FIGURES`` at ``SCALES["small"]`` from the session's one
+sweep (``figure_sweep`` in ``tests/conftest.py``) and asserts every
 verdict, so a claim that flips either way fails here.  The classes
 below group the claims by the paper's pitfall and add the checks the
 table does not carry, over the same figure data.
@@ -15,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.figures import FIGURES, SCALES
 
 _PATH = Path(__file__).parents[2] / "benchmarks" / "ledger" / "claims.py"
 _SPEC = importlib.util.spec_from_file_location("ledger_claims", _PATH)
@@ -29,8 +29,9 @@ NOT_HELD_AT_SMALL = {"fig7.lsm-trimmed-op-faster"}
 
 
 @pytest.fixture(scope="module")
-def data():
-    return {figure: build(SCALES["small"]).data for figure, build in FIGURES.items()}
+def data(figure_sweep):
+    cold, _warm = figure_sweep.passes
+    return {figure_id: figure.data for figure_id, (_, _, figure) in cold.items()}
 
 
 @pytest.fixture(scope="module")

@@ -42,15 +42,6 @@ class TestStats:
         stats = KVStats(puts=3, gets=2, deletes=1, scans=4)
         assert stats.ops == 10
 
-    def test_delta(self):
-        stats = KVStats(puts=5, user_bytes_written=500)
-        earlier = stats.snapshot()
-        stats.puts += 2
-        stats.user_bytes_written += 100
-        delta = stats.delta(earlier)
-        assert delta.puts == 2
-        assert delta.user_bytes_written == 100
-
     def test_snapshot_is_independent(self):
         stats = KVStats(puts=1)
         snap = stats.snapshot()

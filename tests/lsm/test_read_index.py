@@ -244,9 +244,9 @@ class TestInvalidation:
         built = list(version._read_runs)
         assert all(runs is not None for runs in built)
         # One memtable's worth of writes: a flush into L0 only.
-        files = version.total_files
+        files = sum(map(len, version.levels))
         key = 0
-        while version.total_files == files:
+        while sum(map(len, version.levels)) == files:
             store.put(key, Value(key, 44))
             key += 1
         touched = [level for level, runs in enumerate(version._read_runs)

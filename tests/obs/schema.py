@@ -1,12 +1,12 @@
-"""Schema checker for exported traces (used by the CI trace-smoke job).
+"""Schema checker for exported traces: the oracle the trace tests and
+CI's trace-smoke steps hold ``repro run --trace`` output against.
 
 Validates the structural contract a Chrome ``trace_event`` consumer
 (Perfetto) relies on, plus this repo's own invariant: every op span's
-attribution components sum to its recorded total latency.
+attribution components sum to its recorded total latency.  It imports
+only the standard library, so it runs where only numpy is installed::
 
-Run as a module::
-
-    python -m repro.obs.schema trace.json
+    python tests/obs/schema.py trace.json
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def _check_op_sum(ev: dict, where: str) -> str | None:
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
-        print("usage: python -m repro.obs.schema TRACE.json", file=sys.stderr)
+        print("usage: python tests/obs/schema.py TRACE.json", file=sys.stderr)
         return 2
     errors = validate_chrome_trace(argv[0])
     if errors:

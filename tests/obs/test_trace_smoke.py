@@ -20,8 +20,8 @@ import pytest
 from repro.core.experiment import Engine, ExperimentSpec, run_experiment
 from repro.flash.state import DriveState
 from repro.obs import Tracer, write_chrome_trace
-from repro.obs.schema import validate_chrome_trace
 from repro.units import MIB
+from tests.obs.schema import validate_chrome_trace
 
 
 def _pool_spec(engine: Engine) -> ExperimentSpec:

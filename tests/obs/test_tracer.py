@@ -15,7 +15,14 @@ from repro.obs import (
     attach_tracer,
     write_chrome_trace,
 )
-from repro.obs.schema import validate_chrome_trace
+from tests.obs.schema import validate_chrome_trace
+
+
+def clocked_tracer(clock) -> Tracer:
+    """A tracer stamping *clock*, as ``attach_tracer`` binds it."""
+    tracer = Tracer()
+    attach_tracer(tracer, clock=clock)
+    return tracer
 
 
 class TestNullTracer:
@@ -25,7 +32,7 @@ class TestNullTracer:
         # ``if tracer.enabled:`` guard fails instead of costing time.
         for name in ("span", "instant", "counter", "op_begin", "add",
                      "op_suspend", "op_resume", "op_end", "op_write",
-                     "enable", "disable", "in_op"):
+                     "enable", "in_op"):
             with pytest.raises(AttributeError):
                 getattr(NULL_TRACER, name)
 
@@ -37,9 +44,10 @@ class TestNullTracer:
 
 class TestOpAttribution:
     def test_residual_books_to_cpu_other(self):
-        tracer = Tracer(clock=VirtualClock())
+        tracer = clocked_tracer(VirtualClock())
         tracer.enable()
-        tracer.op_begin(tid=3)
+        tracer.tid = 3
+        tracer.op_begin()
         tracer.add("device_service", 0.2)
         tracer.add("queueing", 0.3)
         tracer.op_end("read", 1.0, 1.0)
@@ -53,7 +61,7 @@ class TestOpAttribution:
         assert total == pytest.approx(args["total"])
 
     def test_add_outside_op_is_dropped(self):
-        tracer = Tracer(clock=VirtualClock())
+        tracer = clocked_tracer(VirtualClock())
         tracer.enable()
         tracer.add("queueing", 5.0)  # background work, no op context
         tracer.op_begin()
@@ -64,7 +72,7 @@ class TestOpAttribution:
         assert args["cpu_other"] == pytest.approx(1.0)
 
     def test_suspend_resume_brackets_inline_background_work(self):
-        tracer = Tracer(clock=VirtualClock())
+        tracer = clocked_tracer(VirtualClock())
         tracer.enable()
         tracer.op_begin()
         tracer.add("device_service", 0.1)
@@ -79,7 +87,7 @@ class TestOpAttribution:
         assert args["queueing"] == pytest.approx(0.2)
 
     def test_op_write_fast_path(self):
-        tracer = Tracer(clock=VirtualClock())
+        tracer = clocked_tracer(VirtualClock())
         tracer.enable()
         tracer.op_write("update", 2.0, 1.0, 0.25)
         tracer.op_write("update", 3.0, 0.5, 0.0)
@@ -93,7 +101,7 @@ class TestOpAttribution:
 
     def test_instants_and_counters_stamp_the_virtual_clock(self):
         clock = VirtualClock()
-        tracer = Tracer(clock=clock)
+        tracer = clocked_tracer(clock)
         tracer.enable()
         clock.advance(1.5)
         tracer.instant("gc_reclaim", "gc", {"victim": 7})
@@ -116,7 +124,8 @@ class TestSinks:
         """Every emitting method counts, so the tracer can say how many
         events a 10-event ring evicted — and 0 while it still fits."""
         clock = VirtualClock()
-        tracer = Tracer(clock=clock, ring_capacity=10)
+        tracer = clocked_tracer(clock)
+        tracer.sink = RingSink(capacity=10)
         tracer.enable()
         for i in range(4):
             tracer.span("wal_append", "lsm", float(i), 0.1)
@@ -149,9 +158,10 @@ class TestAttach:
 
 class TestChromeExport:
     def _tracer_with_ops(self):
-        tracer = Tracer(clock=VirtualClock())
+        tracer = clocked_tracer(VirtualClock())
         tracer.enable()
-        tracer.op_begin(tid=1)
+        tracer.tid = 1
+        tracer.op_begin()
         tracer.add("device_service", 0.0004)
         tracer.op_end("update", 0.0, 0.001)
         tracer.instant("memtable_flush", "lsm", {"bytes": 1 << 20})

@@ -75,14 +75,14 @@ class TestEventOrdering:
         sched.schedule(0.2, lambda: None, label="late")
         sched.schedule(0.1, lambda: clock.advance(0.25), label="early")
         sched.schedule(0.2, lambda: None, label="late-tie")
-        sched.spawn(task(), label="worker", delay=0.3)
+        sched.spawn(task(), label="worker")
         sched.run()
         spans = [e for e in tracer.events() if e[4] == "sched"]
         # A task's own resumes carry no handle, hence the generic label.
         assert [e[3] for e in spans] == \
-            ["early", "late", "late-tie", "worker", "task"]
-        assert [e[1] for e in spans] == pytest.approx([0.1, 0.2, 0.2, 0.3, 0.35])
-        assert [e[2] for e in spans] == pytest.approx([0.25, 0.0, 0.0, 0.05, 0.0])
+            ["worker", "task", "early", "late", "late-tie"]
+        assert [e[1] for e in spans] == pytest.approx([0.0, 0.05, 0.1, 0.2, 0.2])
+        assert [e[2] for e in spans] == pytest.approx([0.05, 0.0, 0.25, 0.0, 0.0])
         assert sched.events_run == len(spans) == tracer.emitted
 
 

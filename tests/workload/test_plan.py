@@ -91,7 +91,9 @@ class TestBatchPlanner:
 class TestEventAwareUntil:
     def make(self, cap=None):
         scheduler = Scheduler(VirtualClock())
-        return scheduler, EventAwareUntil(scheduler, cap=cap)
+        until = EventAwareUntil(scheduler)
+        until.cap = cap
+        return scheduler, until
 
     def test_idle_scheduler_never_stops_the_batch(self):
         _sched, until = self.make()

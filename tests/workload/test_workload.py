@@ -72,22 +72,20 @@ class TestKeyChoosers:
         assert [chooser.next_key() for _ in range(7)] == [0, 1, 2, 0, 1, 2, 0]
 
     def test_zipfian_skewed(self):
-        keys = ZipfianKeys(1000, fresh_rng(), theta=1.3).batch(5000)
+        keys = ZipfianKeys(1000, fresh_rng()).batch(5000)
         assert keys.min() >= 0 and keys.max() < 1000
         _values, counts = np.unique(keys, return_counts=True)
         top_share = np.sort(counts)[::-1][:10].sum() / len(keys)
         assert top_share > 0.3  # heavy hitters dominate
 
     def test_zipfian_requires_theta(self):
-        with pytest.raises(ConfigError):
-            ZipfianKeys(100, fresh_rng(), theta=1.0)
+        assert ZipfianKeys.THETA > 1.0  # numpy's zipf sampler needs it
 
     def test_hotspot_concentration(self):
-        chooser = HotspotKeys(1000, fresh_rng(), hot_fraction=0.1,
-                              hot_probability=0.9)
+        chooser = HotspotKeys(1000, fresh_rng())
         keys = chooser.batch(5000)
-        hot_share = (keys < 100).mean()
-        assert 0.85 < hot_share < 0.95
+        hot_share = (keys < 1000 * HotspotKeys.HOT_FRACTION).mean()
+        assert abs(hot_share - HotspotKeys.HOT_PROBABILITY) < 0.05
 
     def test_make_chooser_unknown(self):
         with pytest.raises(ConfigError):
