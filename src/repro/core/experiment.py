@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Any
 
 import numpy as np
@@ -30,15 +30,12 @@ from repro.core.steady_state import SteadySummary, summarize
 from repro.errors import ConfigError
 from repro.faults import validate_faults
 from repro.flash.config import SSDConfig
-from repro.flash.gc import POLICIES
 from repro.flash.profiles import get_profile
 from repro.flash.state import DriveState
 from repro.fleet.arrival import make_arrival, validate_arrival
 from repro.fleet.pool import AVAILABILITY_TARGET, FleetCounters, FleetPool
 from repro.fleet.router import ROUTERS
 from repro.fleet.sharded import ShardedStore
-from repro.fs.allocator import STRATEGIES
-from repro.lsm.config import LSMConfig
 from repro.lsm.memtable import SCAN_KEY_SPAN
 from repro.obs.tracer import NULL_TRACER, attach_tracer
 from repro.sim.clients import ClientPool
@@ -95,17 +92,11 @@ class ExperimentSpec:
     #: ``arrival_rate`` ops/s; None keeps the closed-loop drivers.
     arrival: str | None = None
     arrival_rate: float = 0.0
-    arrival_options: dict = field(default_factory=dict)
     queue_cap: int = 64  # per-shard admission bound (open-loop only)
     slo_ms: float = 5.0  # response-time objective for SLO attainment
     sample_interval: float = 0.25
     seed: int = rng_mod.DEFAULT_SEED
-    fs_strategy: str = "scatter"
-    fs_discard: bool = False
-    gc_policy: str = "greedy"
     trace_lba: bool = False
-    engine_options: dict = field(default_factory=dict)
-    ssd_options: dict = field(default_factory=dict)  # SSDConfig overrides
     #: Fault injection (repro.faults, DESIGN.md §11): a dict of fault
     #: kinds, e.g. ``{"program": 0.01, "latency": 0.005}``.  None (the
     #: default) keeps every fault hook a no-op and all fingerprints
@@ -122,7 +113,8 @@ class ExperimentSpec:
     retry_limit: int = 3
     retry_backoff_ms: float = 0.5
     #: Per-op service timeout in the open-loop fleet (queued ops older
-    #: than this fail instead of being served); None disables it.
+    #: than this fail instead of being served); None disables it, and a
+    #: closed loop, which has no queue, refuses it.
     op_timeout_ms: float | None = None
 
     def __post_init__(self) -> None:
@@ -186,10 +178,9 @@ class ExperimentSpec:
         if self.queue_cap < 1:
             raise ConfigError("queue_cap must be >= 1")
         if self.arrival is not None:
-            # Validates the process name, the rate (> 0) and the
-            # option names/values through the constructors themselves.
-            validate_arrival(self.arrival, self.arrival_rate,
-                             self.arrival_options)
+            # Validates the process name and the rate (> 0) through
+            # the constructors themselves.
+            validate_arrival(self.arrival, self.arrival_rate)
             if self.nclients > 1:
                 raise ConfigError(
                     "open-loop arrivals replace closed-loop clients; "
@@ -202,6 +193,10 @@ class ExperimentSpec:
                 )
         elif self.arrival_rate:
             raise ConfigError("arrival_rate requires an arrival process")
+        elif self.op_timeout_ms is not None:
+            raise ConfigError(
+                "op_timeout_ms requires an open-loop arrival process; "
+                "closed-loop clients wait for every op")
         if self.nshards > 1 and self.trace_lba:
             raise ConfigError("trace_lba is single-device only; "
                               "it is not supported with nshards > 1")
@@ -227,25 +222,9 @@ class ExperimentSpec:
                 f"seed must be a non-negative integer, got {self.seed!r}")
         if self.max_ops is not None and self.max_ops <= 0:
             raise ConfigError("max_ops must be positive (None: no op budget)")
-        if self.fs_strategy not in STRATEGIES:
-            raise ConfigError(f"unknown fs_strategy {self.fs_strategy!r}; "
-                              f"expected one of {list(STRATEGIES)}")
-        if self.gc_policy not in POLICIES:
-            raise ConfigError(f"unknown gc_policy {self.gc_policy!r}; "
-                              f"expected one of {sorted(POLICIES)}")
-        engine_cls = LSMConfig if Engine(self.engine) is Engine.LSM else BTreeConfig
-        for name, options, cls in (("engine_options", self.engine_options, engine_cls),
-                                   ("ssd_options", self.ssd_options, SSDConfig)):
-            known = {f.name for f in fields(cls)}
-            if set(options) - known:
-                raise ConfigError(
-                    f"unknown {name} {sorted(set(options) - known)}; "
-                    f"{cls.__name__} takes {sorted(known)}")
-        # Both configs validate their values as the stack will build them.
-        engine = engine_cls(**self.engine_options)
-        ssd = self.shard_ssd()
-        if engine_cls is BTreeConfig:
-            self._check_btree_fits(engine, ssd)
+        ssd = self.shard_ssd()  # an unknown profile name fails here
+        if Engine(self.engine) is Engine.BTREE:
+            self._check_btree_fits(BTreeConfig(), ssd)
 
     def _check_btree_fits(self, config: BTreeConfig, ssd: SSDConfig) -> None:
         """A value must fit a leaf page and the journal ring a shard."""
@@ -266,9 +245,8 @@ class ExperimentSpec:
 
     def shard_ssd(self) -> SSDConfig:
         """The drive of each shard: the named profile at 1/nshards of
-        the capacity, with ``ssd_options`` applied."""
-        profile = get_profile(self.ssd, self.capacity_bytes // self.nshards)
-        return replace(profile, **self.ssd_options) if self.ssd_options else profile
+        the capacity."""
+        return get_profile(self.ssd, self.capacity_bytes // self.nshards)
 
     @property
     def nkeys(self) -> int:
@@ -296,9 +274,6 @@ class ExperimentSpec:
         spec = {f.name: getattr(self, f.name) for f in fields(self)}
         spec["engine"] = Engine(self.engine).value
         spec["drive_state"] = DriveState(self.drive_state).value
-        spec["engine_options"] = dict(self.engine_options)
-        spec["ssd_options"] = dict(self.ssd_options)
-        spec["arrival_options"] = dict(self.arrival_options)
         return spec
 
     @classmethod
@@ -526,11 +501,8 @@ def run_measured_phase(spec: ExperimentSpec, stack: Stack, collector,
         return ClientPool(stack.store, workload, spec.nclients,
                           tracer=tracer, per_client=per_client,
                           **limits).run()
-    arrival = make_arrival(
-        spec.arrival, spec.arrival_rate,
-        rng_mod.substream(spec.seed, "arrival"),
-        **spec.arrival_options,
-    )
+    arrival = make_arrival(spec.arrival, spec.arrival_rate,
+                           rng_mod.substream(spec.seed, "arrival"))
     return FleetPool(
         stack.store, workload, arrival, queue_cap=spec.queue_cap,
         tracer=tracer, kill_at=spec.kill_at, kill_shard=spec.kill_shard,

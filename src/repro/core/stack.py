@@ -17,7 +17,6 @@ from repro.btree.store import BTreeStore
 from repro.core.clock import VirtualClock
 from repro.counters import sum_counters
 from repro.faults import FaultPlan, RetryPolicy
-from repro.flash.gc import make_policy
 from repro.flash.ssd import SSD
 from repro.flash.state import apply_drive_state
 from repro.fleet.router import make_router
@@ -118,7 +117,7 @@ def build_stack(spec: ExperimentSpec) -> Stack:
 
 def _build_shard(spec: ExperimentSpec, profile, seed: int,
                  clock: VirtualClock) -> Shard:
-    ssd = SSD(profile, clock, make_policy(spec.gc_policy))
+    ssd = SSD(profile, clock)
     device = BlockDevice(ssd, spec.op_reserved_fraction)
     trace = None
     if spec.trace_lba:
@@ -129,12 +128,7 @@ def _build_shard(spec: ExperimentSpec, profile, seed: int,
     # Only the exposed range is aged; a reserved tail stays trimmed so
     # it provides software over-provisioning (§3.4, §4.6).
     apply_drive_state(ssd, spec.drive_state, seed, npages=device.npages)
-    fs = ExtentFilesystem(
-        device,
-        strategy=spec.fs_strategy,
-        discard=spec.fs_discard,
-        seed=seed,
-    )
+    fs = ExtentFilesystem(device, seed=seed)
     store = _make_store(spec, fs, clock)
     if spec.faults is not None:
         # Fault draws come from a dedicated substream so two runs of
@@ -161,5 +155,5 @@ def _shard_seed(seed: int, shard: int) -> int:
 def _make_store(spec: ExperimentSpec, fs: ExtentFilesystem, clock: VirtualClock):
     engine = Engine(spec.engine)
     if engine is Engine.LSM:
-        return LSMStore(fs, clock, LSMConfig(**spec.engine_options))
-    return BTreeStore(fs, clock, BTreeConfig(**spec.engine_options))
+        return LSMStore(fs, clock, LSMConfig())
+    return BTreeStore(fs, clock, BTreeConfig())

@@ -11,7 +11,7 @@ Public surface:
 
 from repro.flash.config import SSDConfig
 from repro.flash.ftl import FlashTranslationLayer, WorkUnits
-from repro.flash.gc import FifoPolicy, GCPolicy, GreedyPolicy, make_policy
+from repro.flash.gc import FifoPolicy, GCPolicy, GreedyPolicy
 from repro.flash.profiles import (
     PROFILES,
     SSD1_ENTERPRISE,
@@ -38,7 +38,6 @@ __all__ = [
     "GCPolicy",
     "GreedyPolicy",
     "FifoPolicy",
-    "make_policy",
     "PROFILES",
     "SSD1_ENTERPRISE",
     "SSD2_CONSUMER",

@@ -1,13 +1,14 @@
 """Garbage-collection victim-selection policies.
 
-The FTL calls a policy to choose which closed block to reclaim.  The
-default is the classical *greedy* policy (fewest valid pages first),
+The FTL calls a policy to choose which closed block to reclaim.  Every
+stack runs the classical *greedy* policy (fewest valid pages first),
 which is what enterprise FTLs approximate and what the analytical
 models cited by the paper [21, 31, 67] assume.  *FIFO* (oldest closed
 block first) is the regime with an exact closed form: under uniform
 random overwrites its WA-D sits above greedy's and just under the FIFO
 fixed point, and ``tests/flash/test_wa_closed_forms.py`` holds both
-policies to the closed forms in ``tests/flash/wa_model.py``.
+policies to the closed forms in ``tests/flash/wa_model.py``.  Tests
+build it as ``SSD(config, clock, FifoPolicy())``.
 
 Selection never scans the block array (DESIGN.md §8): each policy's
 ``select_indexed`` reads a :class:`VictimIndex` the FTL keeps
@@ -219,14 +220,3 @@ class FifoPolicy(GCPolicy):
         if block is None:
             raise ConfigError("no closed block available for garbage collection")
         return block
-
-
-#: The policies a spec's ``gc_policy`` may name.
-POLICIES = {"greedy": GreedyPolicy, "fifo": FifoPolicy}
-
-
-def make_policy(name: str) -> GCPolicy:
-    """Build a policy by name: ``greedy`` or ``fifo``."""
-    if name not in POLICIES:
-        raise ConfigError(f"unknown GC policy {name!r}; expected one of {sorted(POLICIES)}")
-    return POLICIES[name]()

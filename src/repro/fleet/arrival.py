@@ -7,11 +7,11 @@ inter-arrival gaps in virtual seconds from its own RNG substream,
 independent of how the fleet is keeping up — which is what makes the
 latency-vs-offered-load and SLO curves measurable.
 
-Every process is a pure function of (rate, options, RNG stream):
-re-seeding reproduces the arrival timeline exactly (pinned by tests).
-``rate`` is the *mean* arrival rate in ops/second for all three
-processes; diurnal and bursty reshape the short-term intensity around
-that mean.
+Every process is a pure function of (rate, RNG stream): re-seeding
+reproduces the arrival timeline exactly (pinned by tests).  ``rate``
+is the *mean* arrival rate in ops/second for all three processes;
+diurnal and bursty reshape the short-term intensity around that mean,
+each with a fixed shape (class constants).
 """
 
 from __future__ import annotations
@@ -51,24 +51,19 @@ class PoissonArrival(ArrivalProcess):
 class DiurnalArrival(ArrivalProcess):
     """Sinusoidally modulated Poisson arrivals (a compressed day).
 
-    Intensity ``rate(t) = rate * (1 + amplitude * sin(2πt/period))``,
+    Intensity ``rate(t) = rate * (1 + AMPLITUDE * sin(2πt/PERIOD))``,
     realized by thinning a Poisson stream at the peak intensity.  The
     process keeps its own arrival-timeline clock, so the stream is
     reproducible from the RNG alone.
     """
 
     name = "diurnal"
+    PERIOD = 4.0      # seconds of one compressed day
+    AMPLITUDE = 0.5   # peak-to-mean swing, in [0, 1]
 
-    def __init__(self, rate: float, rng: np.random.Generator,
-                 period: float = 4.0, amplitude: float = 0.5):
+    def __init__(self, rate: float, rng: np.random.Generator):
         super().__init__(rate, rng)
-        if not 0 < period < math.inf:
-            raise ConfigError("diurnal period must be > 0 and finite")
-        if not 0.0 <= amplitude <= 1.0:
-            raise ConfigError("diurnal amplitude must be in [0, 1]")
-        self.period = period
-        self.amplitude = amplitude
-        self._peak = rate * (1.0 + amplitude)
+        self._peak = rate * (1.0 + self.AMPLITUDE)
         self._t = 0.0
 
     def next_gap(self) -> float:
@@ -77,7 +72,7 @@ class DiurnalArrival(ArrivalProcess):
         while True:
             self._t += self._rng.exponential(1.0 / self._peak)
             intensity = self.rate * (
-                1.0 + self.amplitude * math.sin(two_pi * self._t / self.period)
+                1.0 + self.AMPLITUDE * math.sin(two_pi * self._t / self.PERIOD)
             )
             if self._rng.random() * self._peak < intensity:
                 return self._t - start
@@ -87,25 +82,22 @@ class BurstyArrival(ArrivalProcess):
     """On/off (interrupted Poisson) arrivals.
 
     Alternates exponentially distributed on-windows (mean
-    ``on_seconds``) where arrivals flow at an elevated rate and silent
-    off-windows (mean ``off_seconds``); the on-rate is scaled so the
+    ``ON_SECONDS``) where arrivals flow at an elevated rate and silent
+    off-windows (mean ``OFF_SECONDS``); the on-rate is scaled so the
     long-run mean stays *rate*.  The queue-depth spikes at window
     starts are the point: they expose tail latency a smooth stream at
     the same mean hides.
     """
 
     name = "bursty"
+    ON_SECONDS = 0.25
+    OFF_SECONDS = 0.25
 
-    def __init__(self, rate: float, rng: np.random.Generator,
-                 on_seconds: float = 0.25, off_seconds: float = 0.25):
+    def __init__(self, rate: float, rng: np.random.Generator):
         super().__init__(rate, rng)
-        if not (0 < on_seconds < math.inf and 0 < off_seconds < math.inf):
-            raise ConfigError(
-                "bursty on_seconds/off_seconds must be > 0 and finite")
-        self.on_seconds = on_seconds
-        self.off_seconds = off_seconds
-        self._rate_on = rate * (on_seconds + off_seconds) / on_seconds
-        self._remaining_on = rng.exponential(on_seconds)
+        on, off = self.ON_SECONDS, self.OFF_SECONDS
+        self._rate_on = rate * (on + off) / on
+        self._remaining_on = rng.exponential(on)
 
     def next_gap(self) -> float:
         gap = 0.0
@@ -117,8 +109,8 @@ class BurstyArrival(ArrivalProcess):
             # The on-window ends before the candidate arrival: spend
             # the remainder, sit out one off-window, start a new
             # on-window and redraw.
-            gap += self._remaining_on + self._rng.exponential(self.off_seconds)
-            self._remaining_on = self._rng.exponential(self.on_seconds)
+            gap += self._remaining_on + self._rng.exponential(self.OFF_SECONDS)
+            self._remaining_on = self._rng.exponential(self.ON_SECONDS)
 
 
 ARRIVALS = {
@@ -128,28 +120,21 @@ ARRIVALS = {
 }
 
 
-def make_arrival(name: str, rate: float, rng: np.random.Generator,
-                 **options) -> ArrivalProcess:
+def make_arrival(name: str, rate: float,
+                 rng: np.random.Generator) -> ArrivalProcess:
     """Construct an arrival process by name; fail fast on bad config."""
-    try:
-        cls = ARRIVALS[name]
-    except KeyError:
+    if name not in ARRIVALS:
         raise ConfigError(
             f"unknown arrival process {name!r}; "
             f"expected one of {sorted(ARRIVALS)}"
-        ) from None
-    try:
-        return cls(rate, rng, **options)
-    except TypeError:
-        raise ConfigError(
-            f"invalid options for arrival process {name!r}: {sorted(options)}"
-        ) from None
+        )
+    return ARRIVALS[name](rate, rng)
 
 
-def validate_arrival(name: str, rate: float, options: dict) -> None:
+def validate_arrival(name: str, rate: float) -> None:
     """Spec-time validation: constructs (and discards) the process.
 
-    Uses a throwaway RNG so option *values* are checked by the same
-    code paths that will run, without touching any experiment stream.
+    Uses a throwaway RNG so the rate is checked by the same code path
+    that will run, without touching any experiment stream.
     """
-    make_arrival(name, rate, np.random.default_rng(0), **options)
+    make_arrival(name, rate, np.random.default_rng(0))

@@ -1,24 +1,15 @@
 """Extent allocator for the simulated filesystem.
 
-Three strategies are provided:
+One strategy, *scatter*: each allocation is taken from a
+pseudo-randomly chosen free extent (weighted by size).  This models an
+aged ext4: space freed by deleted files is reused at effectively
+arbitrary positions, so a workload that constantly creates and deletes
+files (the LSM engine's SSTables) both covers the *whole* LBA space
+over time (Fig 4 of the paper) and produces a random overwrite pattern
+at device level — the pattern for which garbage collection exhibits
+the utilization-dependent WA-D the paper measures (Figs 2c, 3c, 5b).
 
-* **scatter** (default): allocations are taken from a pseudo-randomly
-  chosen free extent (weighted by size).  This models an aged ext4:
-  space freed by deleted files is reused at effectively arbitrary
-  positions, so a workload that constantly creates and deletes files
-  (the LSM engine's SSTables) both covers the *whole* LBA space over
-  time (Fig 4 of the paper) and produces a random overwrite pattern at
-  device level — the pattern for which garbage collection exhibits the
-  utilization-dependent WA-D the paper measures (Figs 2c, 3c, 5b).
-* **next-fit** (ablation): a rotor walks the address space and wraps.
-  This produces a *cyclic sequential* overwrite pattern whose WA-D is
-  ~1 regardless of utilization — a useful contrast showing how much
-  the filesystem's reuse policy matters
-  (``tests/integration/test_ablations.py``).
-* **first-fit** (ablation): always allocate at the lowest possible
-  address, keeping the file footprint compact.
-
-A request takes as many extents as the strategy carves for it; there
+A request takes as many extents as the pivots carve for it; there
 is no contiguous mode.  A file that happens to sit in one extent is
 found by ``ExtentFilesystem.contiguous_device_range``, not requested.
 
@@ -33,15 +24,11 @@ by a recorded stream and a set-of-free-pages model in
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from repro.errors import ConfigError, NoSpaceError
 
 Extent = tuple[int, int]  # (start_page, npages)
-
-STRATEGIES = ("scatter", "next-fit", "first-fit")
 
 
 class ExtentAllocator:
@@ -50,8 +37,8 @@ class ExtentAllocator:
     The free list is two parallel int64 arrays, sorted by start
     (DESIGN.md §12):
 
-    * the scatter strategy's per-allocation weight vector is one
-      ``astype`` of the live length column;
+    * the per-allocation scatter weight vector is one ``astype`` of
+      the live length column;
     * carving edits the free list in place (one or two element stores);
     * :meth:`free_many` returns a whole batch of extents (file
       deletion — the LSM's table retirement path) in a single sorted
@@ -61,13 +48,10 @@ class ExtentAllocator:
     #: Initial free-list capacity (grows by doubling).
     _INITIAL_CAPACITY = 16
 
-    def __init__(self, npages: int, strategy: str = "scatter", seed: int = 0):
+    def __init__(self, npages: int, seed: int = 0):
         if npages <= 0:
             raise ConfigError("allocator needs a positive page count")
-        if strategy not in STRATEGIES:
-            raise ConfigError(f"unknown allocation strategy {strategy!r}")
         self.npages = npages
-        self.strategy = strategy
         self._rng = np.random.default_rng(seed)
         cap = self._INITIAL_CAPACITY
         self._s = np.empty(cap, dtype=np.int64)  # extent starts, sorted
@@ -75,7 +59,6 @@ class ExtentAllocator:
         self._s[0] = 0
         self._l[0] = npages
         self._n = 1
-        self._rotor = 0
         self.free_pages = npages
         self.peak_used_pages = 0
 
@@ -84,7 +67,7 @@ class ExtentAllocator:
     # ------------------------------------------------------------------
     def alloc(self, npages: int) -> list[Extent]:
         """Allocate *npages*, returning the extents granted (one or
-        more, in the order the strategy carved them)."""
+        more, in the order they were carved)."""
         if npages <= 0:
             raise ConfigError("allocation size must be positive")
         if npages > self.free_pages:
@@ -243,58 +226,22 @@ class ExtentAllocator:
         return int(cdf.searchsorted(self._rng.random(), side="right"))
 
     def _take_some(self, limit: int) -> Extent:
-        n = self._n
-        if self.strategy == "scatter" and n:
-            pivot = self._scatter_pivot()
-            start = int(self._s[pivot])
-            take = int(self._l[pivot])
-            if take > limit:
-                take = limit
-            self._carve_at(pivot, start, take)
-            return (start, take)
-        for idx in self._scan_indices():
-            start = int(self._s[idx])
-            length = int(self._l[idx])
-            take_from = start
-            if self.strategy == "next-fit" and start < self._rotor < start + length:
-                take_from = self._rotor
-            available = start + length - take_from
-            take = min(limit, available)
-            if take > 0:
-                self._carve_at(idx, take_from, take)
-                return (take_from, take)
-        raise NoSpaceError("free accounting drifted: no extent found")
-
-    def _scan_indices(self):
-        """Scan order for the non-scatter strategies (ablation paths)."""
-        n = self._n
-        if self.strategy == "first-fit" or n == 0:
-            return range(n)
-        pivot = int(np.searchsorted(self._s[:n], self._rotor, side="left"))
-        if pivot > 0 and int(self._s[pivot - 1]) + int(self._l[pivot - 1]) > self._rotor:
-            pivot -= 1  # rotor points inside the previous extent
-        return chain(range(pivot, n), range(pivot))
-
-    def _carve_at(self, idx: int, take_from: int, take: int) -> None:
-        """Remove [take_from, take_from+take) from the free extent at
-        index *idx*, splitting it in place."""
-        s, l = self._s, self._l
-        extent_start = int(s[idx])
-        length = int(l[idx])
-        head = take_from - extent_start
-        tail = (extent_start + length) - (take_from + take)
-        if head > 0:
-            l[idx] = head
-            if tail > 0:
-                self._insert(idx + 1, take_from + take, tail)
-        elif tail > 0:
-            s[idx] = take_from + take
-            l[idx] = tail
+        """The head of a size-weighted random free extent, at most
+        *limit* pages of it."""
+        if not self._n:
+            raise NoSpaceError("free accounting drifted: no extent found")
+        pivot = self._scatter_pivot()
+        start = int(self._s[pivot])
+        length = int(self._l[pivot])
+        if length > limit:
+            self._s[pivot] = start + limit
+            self._l[pivot] = length - limit
+            take = limit
         else:
-            self._delete(idx)
+            self._delete(pivot)
+            take = length
         self.free_pages -= take
         used = self.npages - self.free_pages
         if used > self.peak_used_pages:
             self.peak_used_pages = used
-        end = take_from + take
-        self._rotor = 0 if end >= self.npages else end
+        return (start, take)

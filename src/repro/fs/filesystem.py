@@ -1,16 +1,13 @@
 """Extent-based filesystem over a block device.
 
 This is the ext4 stand-in of the reproduction (§3.5 of the paper).
-Files are lists of extents; the allocator policy decides where new
-extents land (see :mod:`repro.fs.allocator`).  Two paper-relevant
-semantics are modeled explicitly:
-
-* ``nodiscard`` (default, like the paper's mount options): deleting a
-  file frees its extents in the filesystem but does **not** TRIM them
-  on the device, so the SSD keeps treating the stale pages as valid
-  until they are overwritten — a key ingredient of the LSM engine's
-  device-level write amplification;
-* ``discard=True`` (ablation): deletions TRIM the freed extents.
+Files are lists of extents; the scatter allocator decides where new
+extents land (see :mod:`repro.fs.allocator`).  The filesystem is
+mounted ``nodiscard``, like the paper's: deleting a file frees its
+extents in the filesystem but does **not** TRIM them on the device, so
+the SSD keeps treating the stale pages as valid until they are
+overwritten — a key ingredient of the LSM engine's device-level write
+amplification.
 
 Filesystem metadata overhead is not modeled; the paper states it is
 negligible relative to the multi-GB datasets (§3.3).
@@ -154,13 +151,10 @@ class FileMeta:
 class ExtentFilesystem:
     """A minimal extent filesystem exposing the operations engines need."""
 
-    def __init__(self, device, strategy: str = "scatter", discard: bool = False,
-                 seed: int = 0):
+    def __init__(self, device, seed: int = 0):
         self.device = device
         self.page_size = device.page_size
-        self.allocator = ExtentAllocator(device.npages, strategy=strategy,
-                                         seed=seed)
-        self.discard = discard
+        self.allocator = ExtentAllocator(device.npages, seed=seed)
         self._files: dict[str, FileMeta] = {}
 
     # ------------------------------------------------------------------
@@ -177,18 +171,12 @@ class ExtentFilesystem:
         return name in self._files
 
     def delete(self, name: str) -> None:
-        """Delete a file, freeing its extents (TRIM only if ``discard``).
+        """Delete a file, freeing its extents without a TRIM (``nodiscard``).
 
         All extents return to the allocator in one batched
-        :meth:`~repro.fs.allocator.ExtentAllocator.free_many` merge;
-        the device sees one TRIM per extent, in file order.
+        :meth:`~repro.fs.allocator.ExtentAllocator.free_many` merge.
         """
-        meta = self._lookup(name)
-        extents = meta.extents
-        self.allocator.free_many(extents)
-        if self.discard:
-            for start, length in extents:
-                self.device.trim_range(start, length)
+        self.allocator.free_many(self._lookup(name).extents)
         del self._files[name]
 
     def file_size(self, name: str) -> int:

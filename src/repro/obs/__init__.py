@@ -19,7 +19,6 @@ from repro.obs.attribution import (
     ATTRIBUTION_COMPONENTS, AttributionTable, render_attribution,
 )
 from repro.obs.export import write_chrome_trace
-from repro.obs.sink import RingSink
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer, attach_tracer
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "AttributionTable",
     "NULL_TRACER",
     "NullTracer",
-    "RingSink",
     "Tracer",
     "attach_tracer",
     "render_attribution",

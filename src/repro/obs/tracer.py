@@ -24,8 +24,9 @@ components don't pollute the op's breakdown.
 
 from __future__ import annotations
 
+from collections import deque
+
 from repro.obs.attribution import AttributionTable
-from repro.obs.sink import RingSink
 
 
 class NullTracer:
@@ -57,9 +58,16 @@ class Tracer:
 
     def __init__(self):
         self.clock = None  # bound by attach_tracer
-        self.sink = RingSink(self.RING_CAPACITY)
+        # Events are plain tuples ``(ph, ts, dur, name, cat, tid,
+        # args)``: the Chrome ``trace_event`` phase letter, virtual
+        # timestamp and duration in seconds, name, category, logical
+        # thread id and an args dict (or None).  The deque evicts the
+        # oldest silently; ``append`` is bound once, so an event costs
+        # no Python frame beyond the emitting method.
+        self._ring: deque = deque(maxlen=self.RING_CAPACITY)
+        self._append = self._ring.append
         self.attribution = AttributionTable()
-        self.emitted = 0  # events handed to the sink
+        self.emitted = 0  # events appended to the ring
         self.enabled = False
         self.in_op = False
         self.tid = 0
@@ -72,28 +80,28 @@ class Tracer:
         self.enabled = True
 
     def events(self):
-        return self.sink.events()
+        return iter(self._ring)
 
     @property
     def dropped(self) -> int:
-        """Emitted events the sink no longer holds (ring overflow)."""
-        return self.emitted - len(self.sink)
+        """Emitted events the ring no longer holds (overflow)."""
+        return self.emitted - len(self._ring)
 
     # -- raw events ----------------------------------------------------
     def span(self, name, cat, t0, dur, args=None) -> None:
         """A completed interval: ``[t0, t0 + dur]`` in virtual seconds."""
         self.emitted += 1
-        self.sink.append(("X", t0, dur, name, cat, self.tid, args))
+        self._append(("X", t0, dur, name, cat, self.tid, args))
 
     def instant(self, name, cat, args=None) -> None:
         """A point event stamped at the current virtual time."""
         self.emitted += 1
-        self.sink.append(("i", self.clock.now, 0.0, name, cat, self.tid, args))
+        self._append(("i", self.clock.now, 0.0, name, cat, self.tid, args))
 
     def counter(self, name, values) -> None:
         """A counter sample: *values* is a dict of series name -> value."""
         self.emitted += 1
-        self.sink.append(("C", self.clock.now, 0.0, name, "counter", self.tid, values))
+        self._append(("C", self.clock.now, 0.0, name, "counter", self.tid, values))
 
     # -- op attribution context ----------------------------------------
     def op_begin(self) -> None:
@@ -136,7 +144,7 @@ class Tracer:
             args["shard"] = self.shard
         args.update(comp)
         self.emitted += 1
-        self.sink.append(("X", t0, latency, f"op:{kind}", "op", self.tid, args))
+        self._append(("X", t0, latency, f"op:{kind}", "op", self.tid, args))
         self.in_op = False
         self._comp = {}
 
@@ -159,7 +167,7 @@ class Tracer:
             args["shard"] = self.shard
         args.update(comp)
         self.emitted += 1
-        self.sink.append(("X", t0, latency, f"op:{kind}", "op", self.tid, args))
+        self._append(("X", t0, latency, f"op:{kind}", "op", self.tid, args))
 
 
 def attach_tracer(tracer, clock=None, ssd=None, store=None) -> None:

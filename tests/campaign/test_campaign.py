@@ -99,8 +99,8 @@ class TestGridExpansion:
     def test_axis_values_validated_like_any_spec(self):
         for axis in ({"read_fraction": (0.0, 1.5)},
                      # Name typos fail at expansion, not in a worker.
-                     {"gc_policy": ("greedy", "gredy")},
-                     {"fs_strategy": ("scatter", "next_fit")}):
+                     {"distribution": ("uniform", "unifrom")},
+                     {"router": ("hash", "rnage")}):
             campaign = CampaignSpec("bad", MICRO_BASE, axis)
             with pytest.raises(ConfigError):
                 campaign.cells()

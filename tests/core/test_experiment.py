@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import pytest
 
+from repro.btree.config import BTreeConfig
+from repro.core import experiment
 from repro.core.experiment import Engine, ExperimentSpec, build_stack, run_experiment
 from repro.core.metrics import end_to_end_write_amplification
 from repro.errors import ConfigError
@@ -48,21 +51,13 @@ class TestSpec:
         dict(seed=-1),
         dict(max_ops=0),
         dict(max_ops=-5),
-        dict(gc_policy="gredy"),
-        dict(fs_strategy="next_fit"),
-        dict(engine_options={"memtable_size": 1}),
-        dict(engine=Engine.BTREE, engine_options={"memtable_bytes": 1}),
-        dict(ssd_options={"chanels": 4}),
         dict(engine=Engine.BTREE, value_bytes=40_000),
         dict(engine=Engine.BTREE, value_bytes=32_745),
-        dict(engine=Engine.BTREE, value_bytes=8_200,
-             engine_options={"leaf_page_bytes": 8 * 1024}),
         # Found by tests/core/test_spec_fuzz.py: a NoSpaceError traceback
         # from the B+Tree's constructor, which pre-allocates 2 MiB.
         dict(engine=Engine.BTREE, capacity_bytes=8 * MIB, nshards=2,
              op_reserved_fraction=0.6),
         dict(ssd="ssd9"),
-        dict(ssd_options={"channels": 0}),
         # NaN passes `x <= 0`; these ran (or died in int()) at the load.
         dict(duration_capacity_writes=math.nan),
         dict(duration_capacity_writes=math.inf),
@@ -73,10 +68,12 @@ class TestSpec:
         dict(arrival="poisson", arrival_rate=math.nan),
         dict(arrival="poisson", arrival_rate=1000.0, op_timeout_ms=math.nan),
         dict(retry_backoff_ms=math.nan),
-        dict(ssd_options={"program_time": math.nan}),
         # A driver the spec's shape would silently ignore.
         dict(driver="inline", nshards=2),
         dict(driver="pool", arrival="poisson", arrival_rate=1000.0),
+        # A deadline a closed loop ran without: only the open-loop
+        # fleet queues ops, so it alone can time them out.
+        dict(op_timeout_ms=5.0, nclients=4),
         # Counts that are not integers: each died deep in the stack (a
         # TypeError, an IndexError, numpy) or ran on a truncated value;
         # a bool passed as 1.  Unknown names raised the enum's ValueError.
@@ -94,6 +91,14 @@ class TestSpec:
         dict(seed=True),
         dict(drive_state="nope"),
         dict(engine="nope"),
+        # Counts and names the rest of the spec bounds.
+        dict(nclients=0),
+        dict(nshards=0),
+        dict(queue_cap=0),
+        dict(retry_limit=-1),
+        dict(router="random"),
+        dict(driver="batched"),
+        dict(kill_shard=1),
     ])
     def test_fails_fast_before_building_the_stack(self, bad):
         """Bad fractions/ranges must raise at construction, not after
@@ -106,8 +111,17 @@ class TestSpec:
         # a split can leave on both sides.  The LSM has no such bound.
         ExperimentSpec(engine=Engine.BTREE, value_bytes=32_744)
         ExperimentSpec(engine=Engine.LSM, value_bytes=40_000)
-        ExperimentSpec(engine=Engine.BTREE, value_bytes=8_000,
-                       engine_options={"leaf_page_bytes": 16 * 1024})
+
+    def test_the_leaf_check_reads_the_btree_config(self, monkeypatch):
+        monkeypatch.setattr(experiment, "BTreeConfig",
+                            partial(BTreeConfig, leaf_page_bytes=16 * 1024))
+        ExperimentSpec(engine=Engine.BTREE, value_bytes=8_000)
+        with pytest.raises(ConfigError, match="16384-byte B"):
+            ExperimentSpec(engine=Engine.BTREE, value_bytes=16_361)
+
+    def test_an_open_loop_deadline_is_accepted(self):
+        ExperimentSpec(arrival="poisson", arrival_rate=1000.0,
+                       op_timeout_ms=5.0)
 
     def test_lsm_scans_beyond_the_packed_key_range_fail_before_the_load(self):
         big = dict(capacity_bytes=8192 * MIB, value_bytes=16)  # 2^27 keys
@@ -144,6 +158,19 @@ class TestSpec:
         assert ExperimentSpec().stable_hash() != spec.stable_hash()
         with pytest.raises(ConfigError):
             ExperimentSpec.from_dict({"no_such_field": 1})
+
+    @pytest.mark.parametrize("name, value", [
+        ("fs_strategy", "scatter"), ("fs_discard", False),
+        ("gc_policy", "greedy"), ("engine_options", {}),
+        ("ssd_options", {}), ("arrival_options", {}),
+    ])
+    def test_a_deleted_field_is_refused_by_name(self, name, value):
+        """A record written while the spec still had these fields
+        (a campaign store, a cell's ``spec``) is refused, not run on
+        a setting it no longer has."""
+        with pytest.raises(ConfigError, match=name):
+            ExperimentSpec.from_dict({**ExperimentSpec().to_dict(),
+                                      name: value})
 
 
 class TestBuildStack:

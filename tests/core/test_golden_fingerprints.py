@@ -21,7 +21,10 @@ recipe is in ``.claude/skills/verify/SKILL.md``), and the two fields
 that moved are held by a law the old values broke — the windows of a
 run sum to the bytes the block layer counted
 (``tests/core/test_conservation.py``).  ``out-of-space-pool4-btree``
-has no samples and kept its literal.
+has no samples and kept its literal.  All thirty were re-recorded
+again when ``ExperimentSpec`` lost six fields only tests set: the
+``--mask spec,cell`` digests below were equal before and after, so
+only the spec's own record and its hash moved.
 
 A mismatch means simulated behaviour changed.  If that is *intended*
 (and justified by an independent reference, per the ROADMAP standing
@@ -29,11 +32,16 @@ rule), regenerate with::
 
     PYTHONPATH=src python tests/core/test_golden_fingerprints.py
 
-and paste the printed dict over ``GOLDEN``.
+and paste the printed dict over ``GOLDEN``.  When only some keys were
+meant to move, first show that nothing else did: ``--mask spec,cell``
+prints the digests with those keys popped from each record, from its
+``steady`` and from every sample; run it at the parent and at the
+change, and the two dicts must be equal.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 
@@ -183,70 +191,75 @@ SPECS = {
 
 GOLDEN = {
     "closed-loop-lsm":
-        "429f8eb154a17d89537a263ec9d2c8cea4513bf0e7949bc09bec48a8d599490c",
+        "0b35a779825239e36382d4d685356c0c460c04b8f669441e31e636f03fe1ddbb",
     "closed-loop-btree":
-        "a435c2aac62e71e5d94a660a7d69dc438fc740fd1e7620073b9f34ecffdc1100",
+        "b8c44aca8d294f70ba03329a399fc73dc04be7b3d084fc2b8b5d4ac5193b38cd",
     "pooled-lsm":
-        "0f2c11752866934ee5a8a4fa808d739165495688355fceeb6b492d2fe222fdb2",
+        "a205af632f996200970071bffa49789020228d832b02aa6807c78f7442757c90",
     "read-only-lsm":
-        "41aa55be377a7e17bc7ad3d73c3852bbe86148c921fbc0504c3abd2d68a57739",
+        "14202449759cb17dd2de43b96db105c6d9a48c05abb829ddd6b48b7d64e78fea",
     "read-only-btree":
-        "2ed30cfdbf97d59e0337e7b7f645e2530b90da9b36430eaa71ac62282aeafffa",
+        "89d24fbcae2acdf9c042488fd59c9d0be3af9ebb9166cfcf2be418edd342f6fa",
     "scan-mix-lsm":
-        "db0437bbbed858130a81d2ac286a6c0709fa94a9ccf7be04c0377bac14af381c",
+        "b27bf67b2108cf3562736bca50649dc603f357395a4656531517ee98057857a5",
     "scan-mix-btree":
-        "8063d876ab2685b86915adb8cb02f93c2d7730bdb40619c37f1bffea7f753333",
+        "82cb010babc96178fb4d9d9fe2ecf1b30b166332fe94ae5e72cda8f9bacb9456",
     "pooled-zipfian-scan-mix-lsm":
-        "321c0bd3e099f831c9f209ff67dec3b3c2a941f3cd47e25dd8c47d7b9265a8d9",
+        "89038d65b6940a3f5291ecf81beb3e359a2e34a086a82d6157d29cc503c722db",
     "fleet-2shard-lsm":
-        "1cced29af0679417105a095c031aa4538a11aa3ad0a8f79b7fb7b8e2ccb22828",
+        "b704c63a1b781633c8fb97a49d129af8ff952044534ffb6a2a7bcc727c8c0948",
     "pipeline-lsm":
-        "030e3bbb253236340faf53ebab9db65dcf4aa154b617462b4f3c24843c7b9d99",
+        "e10ea8800308149a72ad256cb3d63a14f3d5376411d34ea8b7c588040f94efee",
     "pipeline-btree":
-        "47dd803e234c63f31ce8fa6a25764ada521151c4ab288020612eb7a88a06fa95",
+        "e68ee84c3f097aea644e68ded94433a18d2c202c6555efcb57bc9572ec3ffd1f",
     "pipeline-preconditioned-lsm":
-        "66f73a144b41511fb43a60021e00ab86387b6ba5d3b3fa52b3902d6072348ecd",
+        "d7c972cafb794c63da9d2bfa0bf9d40043d658c1e5ec172f3ec726913bc9dbfc",
     "pool1-mixed-lsm":
-        "df792b704dfdb1a0c9862d73c1a359deebc446ef4122ceac27b4edb77bc33bd0",
+        "10a75a07d5b0bd6840d4868b967d3a81e227f2fa7686f32d50bdd304c84ba2bb",
     "pool1-mixed-btree":
-        "70da663756ba602abaad338aab4dd7d670b1f98d88cf18d41c64d0ce74a6567f",
+        "f11d762502fe983fc9dbf1939b902b987ab6c4ec623861d4081693aed1ce6d29",
     "pool4-mixed-lsm":
-        "d6ee45d98a96d389fee28ec7628428c87c1f7038e7452dd5a0ed7eec2e412de5",
+        "b6c6947653fdc3eb6c5fc2d57f40c814190dc5dda15b1c57105a95fe2e3b670f",
     "pool4-mixed-btree":
-        "6410b12ffcc8511e872b5dd71140790834a2f679eb45258a678e9a1cb66547c7",
+        "9aeeeee425aa307293e4e2969f756451f35734eda2c75cc62dbe8bf6c3db83d8",
     "out-of-space-pool4-lsm":
-        "96e1103037d4cedbc30bea4a2f739c3e36489e792ee9674ad4c7dd1e813b1cb7",
+        "866d207c0b2d03e25dfbc6110c04d75fdbd91f2f5222e4824af50d6eed42a43f",
     "out-of-space-pool4-btree":
-        "7bf780bd2912ed8ea67f3a4d78982df58785893a7979c6596a73e4688ab45059",
+        "57123f9731f169377a623fc09feb80ad3507f8baac8234e4f06ae50a4d7cfa0a",
     "pool16-lsm":
-        "0958a9727d80acd57544e5ad3edb22d4b843fb1b0e0504a5fc94c35d0cacd79c",
+        "7258250da96aa10e9cb92e19f0407cb633280cd17540bd8f065b8844ce4e5367",
     "pool16-btree":
-        "4214e729d8cd325c5d0e081891c0a648b73a6c2de85dcfd4e85cdc8fd5c1e20c",
+        "4ab14658fdc0960ae5be712ccfb1a7a5fd79dce339401d42a1a76a168b8842e9",
     "op25-preconditioned-lsm":
-        "0a7f45a3b1891417482bc34d655fc0ff751dadce324f69e53ff0ed4aa18b94d1",
+        "d67d6668c27fcb7af909327f1df55bb293c1b6fa321f98920f7b9e0e750bd4c5",
     "op25-preconditioned-btree":
-        "db2b5c8232e9f30f2f97c21dc4f12562a16fc532ee1531f6d8243efae3d2df5f",
+        "04487709be6766f7b66325a3ea6018b2ef1f2401ec5a76096a641d664d5bfa0f",
     "op25-pool4-ssd3-btree":
-        "d2067c32237d2043e3bf7cb88ac3c6be7eb9ab5028a3d532b80e932467fb586d",
+        "67bb399018287d16a405d72e6c50f75716eceab8e00bce801c617731d9921af4",
     "faults-lsm":
-        "bbe3cd3c60616f10c9082d2749e4ea23d05726589eeafa93e98cb0bba8673d6a",
+        "ab9424d54306256455d60dfbb77ec6e74926556d6a31ff0805ef6cd249735b2c",
     "faults-btree":
-        "b419f7cce95a8384f23bda2aafc92d2d594c1f5e94e0e036d9a754eb4739b5a4",
+        "5110709ada524b1b92b4363559298b6a60696edc3c14754e84658c19bf826138",
     "faults-pool4-btree":
-        "c2dc12501f37738ab4575d304b51c44b72534d9a22c5c25743237b600eb1fc59",
+        "6c14faf3b94b37476c708142a85a1590ef3aa106511b9738c255a9973b922487",
     "open-loop-mix-lsm":
-        "90cba74ccacac481d37437afba4bcc13ee0e28af93925f785ef85e56f5f9f869",
+        "51d5fd9e97fe37451129cc26ee8cc48a0165bfe6d35b08bf011604a83c653750",
     "open-loop-mix-btree":
-        "08aaca5733ea01b9c87de837b53bc3c726cb8dcecf1907ea0072e9d41dae45ea",
+        "ebc076e3d359f2991b94b7fec688882a6e1d11f24392dd424585abb8f7b13ae6",
     "open-loop-chaos-lsm":
-        "6b69fe95fe17a4dd3c8ce985d9ed41528cd72f8af3182984c5aff64b31e19709",
+        "b787745e91706416a472db9c294109acee92ccff9eed9c15a94c5d939c9f8d64",
     "open-loop-chaos-btree":
-        "d26ab59becfce73bf52c37111011a20f9b772d39c2745b2b952845b6aa2413b4",
+        "849b048aa8ce329e54487d56412474b181ad5450ecb9bd526e55073c93782fa1",
 }
 
 
-def fingerprint(name: str) -> str:
+def fingerprint(name: str, mask: tuple[str, ...] = ()) -> str:
+    """The digest of *name*'s record, with the *mask* keys popped from
+    the record, from ``steady`` and from every sample."""
     record = run_experiment(ExperimentSpec(**SPECS[name])).to_dict()
+    for part in [record, record["steady"] or {}, *(record["samples"] or [])]:
+        for key in mask:
+            part.pop(key, None)
     text = json.dumps(record, sort_keys=True, default=repr)
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -257,4 +270,9 @@ def test_golden_fingerprint(name):
 
 
 if __name__ == "__main__":
-    print(json.dumps({name: fingerprint(name) for name in SPECS}, indent=4))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--mask", default="",
+                        help="comma-separated keys to pop before digesting")
+    mask = tuple(key for key in parser.parse_args().mask.split(",") if key)
+    print(json.dumps({name: fingerprint(name, mask) for name in SPECS},
+                     indent=4))

@@ -3,13 +3,18 @@
 A name that only tests reach is a setting nobody notices is in play
 (a parameter only a test sets) or code the product carries for a
 test's sake (a method only a test calls).  This check walks the
-product with :mod:`ast` and lists three kinds of finding:
+product with :mod:`ast` and lists five kinds of finding:
 
 1. module-level functions, classes and assignments no product code
    references;
 2. public methods and properties no product code references;
 3. keyword parameters (those with a default, or ``**kwargs``) no
-   product call can set.
+   product call can set;
+4. fields of :class:`~repro.core.experiment.ExperimentSpec` no product
+   file other than the spec's own module sets;
+5. keyword parameters of a class product code reaches only through a
+   registry dict (``ARRIVALS``, ``ROUTERS``, ``_CHOOSERS``) that its
+   dispatch does not pass.
 
 *Product files* are ``src/repro/**``, ``examples/*.py`` and
 ``benchmarks/ledger/*.py`` other than its ``test_*.py``; everything
@@ -21,15 +26,32 @@ in an ``__init__.py`` an import or an ``__all__`` entry is a
 re-export, not a use.
 
 A product call can set a parameter when it passes it by keyword,
-passes enough positional arguments to reach it, or unpacks ``*`` or
-``**``.  A product reference to a callable that is not a call (an
-alias such as ``backlog_at = self._ssd.backlog_seconds``, or an entry
-in a registry) counts as setting all its parameters.  Matching is by
-name, so two definitions that share a name share their uses; a
-constructor's calls are those of its class's name (and a subclass's
-``super().__init__``).  An unpacking assignment (``READ, SCAN,
-DELETE, UPDATE = 0, 1, 2, 3``) is one enumeration: used when any of
-its names is.
+passes enough positional arguments to reach it (a ``*`` unpacking
+reaches them all), or passes it through ``**``.  A ``**`` unpacking
+passes only what can be seen to be in it: the keys of a ``dict(...)``
+call or a dict literal bound to a name in the same scope, or — for
+the enclosing function's own ``**kwargs`` — whatever that function's
+callers pass.  Anything else unpacked passes nothing.  A product
+reference to a callable that is not a call (an alias such as
+``backlog_at = self._ssd.backlog_seconds``) counts as setting all its
+parameters.  An entry in a module-level registry dict is not such a
+reference: the class is constructed with what the registry's
+dispatches pass (``ARRIVALS[name](rate, rng)``, or ``cls =
+ROUTERS[name]`` then ``cls(nshards, nkeys)``).  A registry read for
+its keys only (``in``, ``sorted(...)``) passes nothing; any other use
+of it hands its entries out, which counts as an alias of each.
+Matching is by name, so two definitions that share a name share their
+uses; a constructor's calls are those of its class's name (and a
+subclass's ``super().__init__``).  An unpacking assignment (``READ,
+SCAN, DELETE, UPDATE = 0, 1, 2, 3``) is one enumeration: used when any
+of its names is.
+
+A spec field is set where a product file passes it by keyword to
+``ExperimentSpec(...)``, ``replace(...)``, ``spec_for(...)`` or
+``dict(...)`` (the ledger's rows), or writes a string constant equal
+to its name (a campaign axis, a dict key).  A ``**`` pass-through
+sets no field: the ledger's ``ExperimentSpec(**COMMON, **spec)`` would
+otherwise set them all.
 
 An oracle belongs beside the test that uses it (``tests/flash/
 naive_ftl.py``, ``tests/flash/wa_model.py``, ``tests/obs/schema.py``).
@@ -40,15 +62,32 @@ from __future__ import annotations
 import ast
 import re
 import textwrap
+from dataclasses import dataclass, field
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 
-#: Methods that read private state for white-box tests.  They are
-#: safety code (the invariants a test asserts after every step), and
-#: moving them to ``tests/`` would make the tests read private
-#: attributes instead.
-EXEMPT = frozenset({"check_invariants", "state_arrays"})
+#: Names only tests reach, kept on purpose, with the reason.  A key is
+#: a name (module level or a method) or ``Owner(param=)``.
+EXEMPT = {
+    # A white-box safety reader: the FTL state a test asserts after
+    # every step.  Moving it to tests/ would make the tests read
+    # private attributes instead.
+    "state_arrays": "reads private state for white-box tests",
+    # FIFO is the GC regime with an exact closed form
+    # (tests/flash/test_wa_closed_forms.py holds it to 0.8-1.0 of the
+    # fixed point) and the FTL lockstep's second victim rule; the
+    # stack builds the greedy SSD only.
+    "FifoPolicy": "the closed-form GC regime the FTL tests check",
+    "SSD(policy=)": "how tests build an SSD under FIFO",
+}
+
+#: The spec whose fields kind 4 checks, and the calls that set them.
+SPEC_CLASS = "ExperimentSpec"
+SPEC_SETTERS = frozenset({"ExperimentSpec", "replace", "spec_for", "dict"})
+
+#: Builtins that read only a registry's keys.
+_KEYS_ONLY = frozenset({"sorted", "list", "len", "set", "frozenset", "tuple"})
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -74,16 +113,76 @@ def _callee(func: ast.expr) -> str | None:
     return None
 
 
+@dataclass(frozen=True)
+class _Call:
+    """What one product call can set."""
+
+    nargs: int                 # positional arguments, ``*`` not counted
+    star: bool                 # a ``*`` unpacking reaches every positional
+    keywords: frozenset[str]   # by name, or in a visible ``**`` dict
+    forwards: tuple[str, ...]  # functions whose ``**kwargs`` it passes on
+
+
+@dataclass
+class _Frame:
+    """One scope: the function (None at module level), its ``**kwargs``
+    name, local registry aliases and local dicts of known keys."""
+
+    fn: str | None
+    kwarg: str | None
+    aliases: dict[str, str] = field(default_factory=dict)
+    dicts: dict[str, frozenset[str]] = field(default_factory=dict)
+
+
+def _dict_keys(value: ast.expr) -> frozenset[str] | None:
+    """The keys of ``dict(k=...)`` or ``{"k": ...}``, if all are visible."""
+    if (isinstance(value, ast.Call) and _callee(value.func) == "dict"
+            and not value.args and all(k.arg for k in value.keywords)):
+        return frozenset(k.arg for k in value.keywords)
+    if isinstance(value, ast.Dict) and all(
+            isinstance(k, ast.Constant) and isinstance(k.value, str)
+            for k in value.keys):
+        return frozenset(k.value for k in value.keys)
+    return None
+
+
+def registries(trees: list[ast.Module]) -> dict[str, set[str]]:
+    """Module-level dict literals whose values name callables: each
+    registry's name and the names of its entries."""
+    found: dict[str, set[str]] = {}
+    for tree in trees:
+        for stmt in tree.body:
+            value = getattr(stmt, "value", None)
+            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)) \
+                    or not isinstance(value, ast.Dict):
+                continue
+            entries = {_callee(v) for v in value.values
+                       if isinstance(v, (ast.Name, ast.Attribute))}
+            if entries:
+                for target in _targets(stmt):
+                    if isinstance(target, ast.Name):
+                        found[target.id] = entries
+    return found
+
+
+def _targets(stmt) -> list[ast.expr]:
+    return stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+
+
 class _Uses(ast.NodeVisitor):
     """Every reference in one product file, and every call by name."""
 
     def __init__(self, names: set[str], calls: dict[str, list],
-                 reexport: bool):
+                 registry: dict[str, set[str]], reexport: bool):
         self.names = names
         self.calls = calls
+        self.registry = registry
         self.reexport = reexport
-        self.called: set[int] = set()   # id() of callee nodes
+        self.settings: set[str] = set()  # spec fields this file sets
+        self.called: set[int] = set()    # id() of callee nodes
+        self.handled: set[int] = set()   # id() of registry names read safely
         self.bases: list[list[str]] = []
+        self.frames = [_Frame(None, None)]
 
     def visit_Module(self, node):
         self._body(node.body)
@@ -98,9 +197,11 @@ class _Uses(ast.NodeVisitor):
     def visit_FunctionDef(self, node):
         for child in node.decorator_list + [node.args]:
             self.visit(child)
-        if node.returns is not None:
-            self.visit(node.returns)
+        self._annotation(node.returns)
+        kwarg = node.args.kwarg.arg if node.args.kwarg else None
+        self.frames.append(_Frame(node.name, kwarg))
         self._body(node.body)
+        self.frames.pop()
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
@@ -109,16 +210,66 @@ class _Uses(ast.NodeVisitor):
             if not _is_bare_string(stmt):   # docstrings are prose
                 self.visit(stmt)
 
+    def _registry_of(self, node: ast.expr) -> str | None:
+        name = _callee(node)
+        return name if name in self.registry else None
+
+    def _alias(self, name: str) -> str | None:
+        for frame in reversed(self.frames):
+            if name in frame.aliases:
+                return frame.aliases[name]
+        return None
+
+    def _record(self, node: ast.Call) -> _Call:
+        keywords: set[str] = set()
+        forwards: list[str] = []
+        frame = self.frames[-1]
+        for kw in node.keywords:
+            if kw.arg is not None:
+                keywords.add(kw.arg)
+            elif isinstance(kw.value, ast.Name):
+                if kw.value.id == frame.kwarg:
+                    forwards.append(frame.fn)
+                else:
+                    keywords.update(frame.dicts.get(kw.value.id, ()))
+        starred = [a for a in node.args if isinstance(a, ast.Starred)]
+        return _Call(len(node.args) - len(starred), bool(starred),
+                     frozenset(keywords), tuple(forwards))
+
+    def _dispatch(self, registry: str, node: ast.Call) -> None:
+        for entry in self.registry[registry]:
+            self.calls.setdefault(entry, []).append(self._record(node))
+
     def visit_Call(self, node):
         name = _callee(node.func)
-        if (name == "__init__" and isinstance(node.func, ast.Attribute)
+        if name in SPEC_SETTERS:
+            self.settings.update(k.arg for k in node.keywords if k.arg)
+        if isinstance(node.func, ast.Subscript) \
+                and (registry := self._registry_of(node.func.value)):
+            self.handled.add(id(node.func.value))
+            self._dispatch(registry, node)
+        elif (name == "__init__" and isinstance(node.func, ast.Attribute)
                 and isinstance(node.func.value, ast.Call)
                 and _callee(node.func.value.func) == "super" and self.bases):
             for base in self.bases[-1]:   # super().__init__ sets the base's
-                self.calls.setdefault(base, []).append(node)
+                self.calls.setdefault(base, []).append(self._record(node))
         elif name is not None:
-            self.calls.setdefault(name, []).append(node)
             self.called.add(id(node.func))
+            registry = (self._alias(name) if isinstance(node.func, ast.Name)
+                        else None)
+            if registry:
+                self._dispatch(registry, node)
+            else:
+                self.calls.setdefault(name, []).append(self._record(node))
+            if name in _KEYS_ONLY and node.args \
+                    and self._registry_of(node.args[0]):
+                self.handled.add(id(node.args[0]))
+        self.generic_visit(node)
+
+    def visit_Compare(self, node):
+        for op, right in zip(node.ops, node.comparators):
+            if isinstance(op, (ast.In, ast.NotIn)) and self._registry_of(right):
+                self.handled.add(id(right))
         self.generic_visit(node)
 
     def visit_Name(self, node):
@@ -127,12 +278,23 @@ class _Uses(ast.NodeVisitor):
 
     def visit_Attribute(self, node):
         self._use(node, node.attr)
-        self.visit(node.value)
+        value = node.value
+        if isinstance(value, ast.Name) and not (
+                value.id in self.registry or self._alias(value.id)):
+            self.names.add(value.id)   # reading a member is not an alias
+        else:
+            self.visit(value)
 
     def _use(self, node, name):
         self.names.add(name)
-        if id(node) not in self.called:
-            self.calls.setdefault(name, []).append(None)   # an alias
+        if id(node) in self.called:
+            return
+        self.calls.setdefault(name, []).append(None)   # an alias
+        registry = name if name in self.registry else (
+            self._alias(name) if isinstance(node, ast.Name) else None)
+        if registry and id(node) not in self.handled:
+            for entry in self.registry[registry]:   # its entries escape
+                self.calls.setdefault(entry, []).append(None)
 
     def visit_keyword(self, node):
         if node.arg is not None:
@@ -152,28 +314,104 @@ class _Uses(ast.NodeVisitor):
         if self.reexport and any(isinstance(t, ast.Name) and t.id == "__all__"
                                  for t in node.targets):
             return
-        self.generic_visit(node)
+        self._bind(node)
+
+    def visit_AnnAssign(self, node):
+        self._annotation(node.annotation)
+        self._bind(node)
+
+    def visit_arg(self, node):
+        self._annotation(node.annotation)
+
+    def _annotation(self, node):
+        """A type names what it mentions; it hands no callable out."""
+        for child in ast.walk(node) if node is not None else ():
+            if isinstance(child, (ast.Name, ast.Attribute)):
+                self.names.add(_callee(child))
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                self.names.update(_WORD.findall(child.value))
+
+    def _bind(self, node):
+        """Note a local registry alias or dict of known keys, and read a
+        module-level registry's entries as names, not aliases."""
+        frame = self.frames[-1]
+        targets = [t.id for t in _targets(node) if isinstance(t, ast.Name)]
+        value = node.value
+        if len(targets) == 1 and value is not None:
+            target = targets[0]
+            if isinstance(value, ast.Subscript) \
+                    and (registry := self._registry_of(value.value)):
+                self.handled.add(id(value.value))
+                frame.aliases[target] = registry
+            elif (keys := _dict_keys(value)) is not None:
+                frame.dicts[target] = keys
+            if (frame.fn is None and target in self.registry
+                    and isinstance(value, ast.Dict)):
+                for key, entry in zip(value.keys, value.values):
+                    self.visit(key)
+                    if isinstance(entry, (ast.Name, ast.Attribute)):
+                        self.names.add(_callee(entry))
+                        if isinstance(entry, ast.Attribute):
+                            self.visit(entry.value)
+                    else:
+                        self.visit(entry)
+                return
+        for child in _targets(node) + [value]:
+            if child is not None:
+                self.visit(child)
 
     def visit_Constant(self, node):
         if isinstance(node.value, str):
             self.names.update(_WORD.findall(node.value))
+            self.settings.add(node.value)
 
 
-def product_uses(files: list[Path]) -> tuple[set[str], dict[str, list]]:
-    """Names the product references, and its calls keyed by callee name.
+@dataclass
+class Product:
+    """What the product references: names, calls keyed by callee name
+    (``None`` is a reference that is not a call) and, per file, the
+    spec fields it sets."""
 
-    A ``None`` entry among the calls is a reference that is not a call.
-    """
-    names: set[str] = set()
-    calls: dict[str, list] = {}
-    for path in files:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        _Uses(names, calls, path.name == "__init__.py").visit(tree)
-    return names, calls
+    names: set[str]
+    calls: dict[str, list]
+    settings: dict[Path, set[str]]
 
 
-def _settable(fn: ast.FunctionDef, skip: int,
-              calls: list) -> tuple[set[str], bool]:
+def product_uses(files: list[Path]) -> Product:
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in files}
+    registry = registries(list(trees.values()))
+    product = Product(set(), {}, {})
+    for path, tree in trees.items():
+        uses = _Uses(product.names, product.calls, registry,
+                     path.name == "__init__.py")
+        uses.visit(tree)
+        product.settings[path.resolve()] = uses.settings
+    return product
+
+
+def _forwarded(fn: str, calls: dict[str, list],
+               seen: set[str]) -> set[str] | None:
+    """Keywords the callers of *fn* can pass into its ``**kwargs``
+    (None: any)."""
+    if fn in seen:
+        return set()
+    seen.add(fn)
+    passed: set[str] = set()
+    for call in calls.get(fn, []):
+        if call is None:
+            return None
+        passed |= call.keywords
+        for outer in call.forwards:
+            more = _forwarded(outer, calls, seen)
+            if more is None:
+                return None
+            passed |= more
+    return passed
+
+
+def _settable(fn: ast.FunctionDef, skip: int, calls: list,
+              every_call: dict[str, list]) -> tuple[set[str], bool]:
     """Parameters some call in *calls* can set, and whether ``**`` can."""
     args = fn.args
     positional = [a.arg for a in args.posonlyargs + args.args][skip:]
@@ -181,13 +419,18 @@ def _settable(fn: ast.FunctionDef, skip: int,
     settable: set[str] = set()
     extra = False
     for call in calls:
-        if call is None or any(isinstance(a, ast.Starred) for a in call.args) \
-                or any(k.arg is None for k in call.keywords):
+        if call is None:
             return named, True
-        settable.update(positional[:len(call.args)])
-        for kw in call.keywords:
-            if kw.arg in named:
-                settable.add(kw.arg)
+        keywords = set(call.keywords)
+        for outer in call.forwards:
+            more = _forwarded(outer, every_call, set())
+            if more is None:
+                return named, True
+            keywords |= more
+        settable.update(positional if call.star else positional[:call.nargs])
+        for kw in keywords:
+            if kw in named:
+                settable.add(kw)
             else:
                 extra = True
     return settable, extra
@@ -217,25 +460,43 @@ def _module_names(stmt: ast.stmt) -> list[list[str]]:
             for target in targets]
 
 
-def find_test_only(src: Path, files: list[Path]) -> list[str]:
+def _fields(cls: ast.ClassDef) -> list[str]:
+    return [stmt.target.id for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)]
+
+
+def find_test_only(src: Path, files: list[Path], exempt=EXEMPT,
+                   hits: set[str] | None = None) -> list[str]:
     """Every name under *src* that no file in *files* uses, one a line.
 
     *files* is the product; the definitions checked are those under
-    *src* (a package directory).
+    *src* (a package directory).  A finding whose key is in *exempt*
+    is left out and its key added to *hits*.
     """
-    names, calls = product_uses(files)
+    product = product_uses(files)
+    calls = product.calls
     findings: list[str] = []
+    hits = set() if hits is None else hits
 
-    def check_params(where: str, fn, callee: str, skip: int) -> None:
+    def flag(where: str, key: str) -> None:
+        if key in exempt:
+            hits.add(key)
+        else:
+            findings.append(where)
+
+    def check_params(where: str, fn, owner: str, callee: str,
+                     skip: int) -> None:
         params = _keyword_params(fn)
         if not params and fn.args.kwarg is None:
             return
-        settable, extra = _settable(fn, skip, calls.get(callee, []))
+        settable, extra = _settable(fn, skip, calls.get(callee, []), calls)
         for param in params:
             if param not in settable:
-                findings.append(f"{where}({param}=)")
+                flag(f"{where}({param}=)", f"{owner}({param}=)")
         if fn.args.kwarg is not None and not extra:
-            findings.append(f"{where}(**{fn.args.kwarg.arg})")
+            kwarg = fn.args.kwarg.arg
+            flag(f"{where}(**{kwarg})", f"{owner}(**{kwarg})")
 
     for path in sorted(src.rglob("*.py")):
         module = path.relative_to(src.parent).with_suffix("")
@@ -243,28 +504,37 @@ def find_test_only(src: Path, files: list[Path]) -> list[str]:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for stmt in tree.body:
             for group in _module_names(stmt):
-                if not names.intersection(group):
-                    findings.extend(f"{module}.{name}" for name in group
-                                    if not name.startswith("__"))
+                if not product.names.intersection(group):
+                    for name in group:
+                        if not name.startswith("__"):
+                            flag(f"{module}.{name}", name)
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                check_params(f"{module}.{stmt.name}", stmt, stmt.name, 0)
+                check_params(f"{module}.{stmt.name}", stmt, stmt.name,
+                             stmt.name, 0)
             if not isinstance(stmt, ast.ClassDef):
                 continue
+            if stmt.name == SPEC_CLASS:
+                elsewhere = set().union(*(
+                    sets for where, sets in product.settings.items()
+                    if where != path.resolve()))
+                for name in _fields(stmt):
+                    if name not in elsewhere:
+                        flag(f"{module}.{stmt.name}({name}=)",
+                             f"{stmt.name}({name}=)")
             for fn in stmt.body:
                 if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
                 where = f"{module}.{stmt.name}.{fn.name}"
-                public = not fn.name.startswith("_")
-                if public and fn.name not in names and fn.name not in EXEMPT:
-                    findings.append(where)
+                if not fn.name.startswith("_") and fn.name not in product.names:
+                    flag(where, fn.name)
                 decorators = _decorators(fn)
                 if "property" in decorators or "setter" in decorators:
                     continue
                 skip = 0 if "staticmethod" in decorators else 1
                 if fn.name == "__init__":
-                    check_params(where, fn, stmt.name, skip)
+                    check_params(where, fn, stmt.name, stmt.name, skip)
                 elif not fn.name.startswith("__"):
-                    check_params(where, fn, fn.name, skip)
+                    check_params(where, fn, fn.name, fn.name, skip)
     return sorted(set(findings))
 
 
@@ -273,6 +543,12 @@ def test_no_name_in_src_is_reached_only_by_tests():
     assert found == [], (
         "only tests reach these; delete them, make a parameter a "
         "constant, or move an oracle to tests/:\n  " + "\n  ".join(found))
+
+
+def test_every_exemption_is_still_needed():
+    hits: set[str] = set()
+    find_test_only(ROOT / "src" / "repro", product_files(ROOT), hits=hits)
+    assert hits == set(EXEMPT)
 
 
 # -- the check catches what it claims -----------------------------------
@@ -284,7 +560,7 @@ _FIXTURE = {
         __all__ = ["Reexported", "Store", "forward", "open_store"]
     ''',
     "src/repro/mod.py": '''
-        """Three kinds of finding beside four opaque cases."""
+        """Five kinds of finding beside the opaque cases."""
 
         class Reexported:
             pass
@@ -309,21 +585,53 @@ _FIXTURE = {
             def __init__(self, depth=3):
                 self.depth = depth
 
+        class Shaped:
+            def __init__(self, rate, period=4.0):
+                self.rate = rate
+
         REGISTRY = {"reached": Reached}
+        SHAPES = {"shaped": Shaped}
 
         def build(name, **options):
             return REGISTRY[name](**options)
 
         def forward(kind, **options):
             return build(kind, **options)
+
+        def make_shape(name, rate, options):
+            if name not in SHAPES:
+                raise KeyError(sorted(SHAPES))
+            cls = SHAPES[name]
+            return cls(rate, **options)
+    ''',
+    "src/repro/spec.py": '''
+        """The spec; its own module does not set its fields."""
+        from dataclasses import dataclass, replace
+
+        @dataclass
+        class ExperimentSpec:
+            name: str = "run"
+            seed: int = 0
+            shape: str = "shaped"
+            only_tests: int = 0
+
+            def reseeded(self):
+                return replace(self, only_tests=1)
     ''',
     "examples/app.py": '''
         """Product code outside the package."""
         from repro import Store, forward, open_store
+        from repro.mod import make_shape
+        from repro.spec import ExperimentSpec
 
         Store(10, 5).used()
         open_store(3)
         forward("reached", depth=2)
+        AXES = {"seed": [1, 2]}
+
+        def run(options, **overrides):
+            spec = ExperimentSpec(name="app", shape="shaped", **overrides)
+            return make_shape(spec.shape, 1.0, options), spec.reseeded()
     ''',
     "benchmarks/ledger/probes.py": '''
         """A probe names the method it wraps in a string."""
@@ -339,10 +647,14 @@ _FIXTURE = {
     "tests/test_mod.py": '''
         """Test code: nothing here is a product use."""
         from repro import Reexported, open_store
+        from repro.mod import make_shape
+        from repro.spec import ExperimentSpec
 
         def test_open_store():
             assert open_store(1, only_tests=True)
             assert Reexported()
+            assert make_shape("shaped", 1.0, {"period": 2.0})
+            assert ExperimentSpec(only_tests=3)
     ''',
 }
 
@@ -355,10 +667,18 @@ def test_the_walker_flags_each_kind_and_no_opaque_case(tmp_path):
     assert find_test_only(tmp_path / "src" / "repro", product_files(tmp_path)) == [
         # module level, reached only through the package's re-export
         "repro.mod.Reexported",
+        # a registry entry is built with what its dispatch passes: here
+        # a positional rate and a ``**`` of a parameter, which passes
+        # nothing; a forwarded ``**kwargs`` (Reached) carries its
+        # callers' keywords
+        "repro.mod.Shaped.__init__(period=)",
         # a dead default: no call at all passes it
         "repro.mod.Store.__init__(dead=)",
         # a public method only a test calls
         "repro.mod.Store.test_only",
         # a parameter only a test sets
         "repro.mod.open_store(only_tests=)",
+        # a spec field set only by its own module, a test and a ``**``
+        # pass-through; a keyword or a string key sets the others
+        "repro.spec.ExperimentSpec(only_tests=)",
     ]

@@ -1,10 +1,9 @@
 """No spec hangs or dies three layers down (ROADMAP 2(c), first half).
 
 Hypothesis draws whole :class:`ExperimentSpec`\\ s at 8–24 MiB — engine,
-the op mix, key distribution, seed, value size, engine / SSD option
-names, GC policy and allocation strategy names, an op budget, a
-reserved range, 1–4 clients, 1–2 shards and an optional Poisson
-arrival process — and every draw has exactly two acceptable endings:
+SSD profile, the op mix, key distribution, seed, value size, an op
+budget, a reserved range, 1–4 clients, 1–2 shards and an optional
+Poisson arrival process — and every draw has exactly two acceptable endings:
 a ``ConfigError`` (from the spec itself, before anything is loaded, or
 from the stack it describes) or a result on which the conservation
 laws of ``tests/core/test_conservation.py`` hold at every sample and
@@ -21,9 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.experiment import Engine, ExperimentSpec, run_experiment
 from repro.errors import ConfigError
-from repro.flash.gc import POLICIES
-from repro.fs.allocator import STRATEGIES
-from repro.units import KIB, MIB
+from repro.units import MIB
 from repro.workload.keys import DISTRIBUTIONS
 from tests.core.test_conservation import check_run, watching
 
@@ -38,15 +35,13 @@ MIXES = [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (1.0, 0.0, 0.0),
 
 #: One bad value per draw at most: each used to get past the spec and
 #: end in a numpy ``ValueError``, an ``IndexError`` in a leaf split, a
-#: ``TypeError`` from a config dataclass, a worker, or an empty run.
+#: ``TypeError`` from a config dataclass, a worker, an empty run, or a
+#: setting the run silently ignored.
 DEFECTS = [
     dict(seed=-1),
     dict(value_bytes=40_000),  # B+Tree: no leaf holds it; LSM: fine
     dict(max_ops=0),
-    dict(gc_policy="gredy"),
-    dict(fs_strategy="next_fit"),
-    dict(engine_options={"no_such_option": 1}),
-    dict(ssd_options={"chanels": 4}),
+    dict(op_timeout_ms=5.0),  # closed loop: no queue to time out
     dict(duration_capacity_writes=float("nan")),
     dict(nclients=2.5),
     dict(value_bytes=100.5),
@@ -73,12 +68,7 @@ def spec_fields(draw) -> dict:
         distribution=draw(st.sampled_from(sorted(DISTRIBUTIONS))),
         seed=draw(st.integers(0, 2**63)),
         max_ops=draw(st.integers(1, 2000)),
-        gc_policy=draw(st.sampled_from(list(POLICIES))),
-        fs_strategy=draw(st.sampled_from(STRATEGIES)),
-        engine_options=draw(st.sampled_from(
-            [{}, {"memtable_bytes": 512 * KIB} if engine is Engine.LSM
-             else {"cache_bytes": 1 * MIB}])),
-        ssd_options=draw(st.sampled_from([{}, {"channels": 4}])),
+        ssd=draw(st.sampled_from(["ssd1", "ssd2", "ssd3"])),
         op_reserved_fraction=draw(st.sampled_from([0.0, 0.25, 0.6])),
         nshards=draw(st.integers(1, 2)),
         duration_capacity_writes=0.5,

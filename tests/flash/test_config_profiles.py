@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError
@@ -33,6 +35,12 @@ class TestConfigValidation:
     def test_watermark_ordering(self):
         with pytest.raises(ConfigError):
             SSDConfig(gc_low_watermark=0.2, gc_high_watermark=0.1)
+
+    def test_channels_and_latencies(self):
+        with pytest.raises(ConfigError):
+            SSDConfig(channels=0)
+        with pytest.raises(ConfigError):  # NaN passes `x < 0`
+            SSDConfig(program_time=math.nan)
 
     def test_logical_capacity_excludes_op(self):
         config = SSDConfig(nblocks=100, pages_per_block=100, hw_overprovision=0.25)

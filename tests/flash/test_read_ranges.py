@@ -64,7 +64,7 @@ class Stack:
             (list(timeline.busy), timeline.busy_max)
             if isinstance(timeline, ChannelTimeline) else timeline.busy_until,
             None if self.tracer is None else (
-                list(self.tracer.sink.events()), self.tracer.emitted),
+                list(self.tracer.events()), self.tracer.emitted),
             # The next fault draw: both twins consumed the same stream.
             self.ssd.faults.enabled and self.ssd.faults.rng.random(),
         )

@@ -22,12 +22,13 @@ import pytest
 from repro.block.device import BlockDevice
 from repro.core.clock import VirtualClock
 from repro.flash.config import SSDConfig
-from repro.flash.gc import make_policy
+from repro.flash.gc import FifoPolicy, GreedyPolicy
 from repro.flash.ssd import SSD
 from tests.conftest import counters_since
 from tests.flash.wa_model import wa_fifo_uniform, wa_for_config
 
 HW_OP = (0.08, 0.15, 0.25, 0.5)
+POLICIES = {"greedy": GreedyPolicy, "fifo": FifoPolicy}
 
 
 def steady_wa(hw_overprovision: float, policy: str = "greedy",
@@ -36,7 +37,7 @@ def steady_wa(hw_overprovision: float, policy: str = "greedy",
     config = SSDConfig(name="validation", pages_per_block=256,
                        nblocks=int(round(128 * (1 + hw_overprovision))),
                        hw_overprovision=hw_overprovision)
-    ssd = SSD(config, VirtualClock(), make_policy(policy))
+    ssd = SSD(config, VirtualClock(), POLICIES[policy]())
     device = BlockDevice(ssd, reserved_fraction)
     n = device.npages
     device.write_range(0, n, background=True)

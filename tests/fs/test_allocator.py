@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.experiment import ExperimentSpec
 from repro.errors import ConfigError, NoSpaceError
 from repro.fs.allocator import ExtentAllocator
 
@@ -49,30 +50,14 @@ class TestBasics:
 
 
 class TestNextFitBehaviour:
-    def test_rotor_walks_forward(self):
-        """Consecutive allocations land at increasing addresses even when
-        earlier space is freed."""
-        alloc = ExtentAllocator(1000, strategy="next-fit")
-        [(s1, _)] = alloc.alloc(100)
-        alloc.free(s1, 100)
-        [(s2, _)] = alloc.alloc(100)
-        assert s2 > s1  # did not immediately reuse the freed space
-
-    def test_rotor_wraps_around(self):
-        alloc = ExtentAllocator(300, strategy="next-fit")
-        allocated = []
-        for _ in range(3):
-            [(s, n)] = alloc.alloc(100)
-            allocated.append((s, n))
-        for s, n in allocated:
-            alloc.free(s, n)
-        [(s, _)] = alloc.alloc(100)
-        assert s == 0  # wrapped to the beginning
+    """Scatter, not next-fit: churn reaches the whole address space
+    rather than cycling a rotor through it, and nothing can ask for
+    another placement."""
 
     def test_scatter_eventually_covers_address_space(self):
         """The aged-ext4 behaviour behind Fig 4: create/delete churn
         touches the whole address space over time."""
-        alloc = ExtentAllocator(1024, strategy="scatter", seed=3)
+        alloc = ExtentAllocator(1024, seed=3)
         touched: set[int] = set()
         import collections
         held = collections.deque()
@@ -86,16 +71,14 @@ class TestNextFitBehaviour:
                     alloc.free(start, n)
         assert len(touched) / 1024 > 0.95
 
-    def test_first_fit_reuses_immediately(self):
-        alloc = ExtentAllocator(1000, strategy="first-fit")
-        [(s1, _)] = alloc.alloc(100)
-        alloc.free(s1, 100)
-        [(s2, _)] = alloc.alloc(100)
-        assert s2 == s1
-
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ConfigError):
-            ExtentAllocator(10, strategy="best-fit")
+        with pytest.raises(TypeError):
+            ExtentAllocator(10, strategy="next-fit")
+        # A stored spec that names a strategy is refused, not run on
+        # the one placement there is.
+        with pytest.raises(ConfigError, match="fs_strategy"):
+            ExperimentSpec.from_dict({**ExperimentSpec().to_dict(),
+                                      "fs_strategy": "next-fit"})
 
 
 class TestScatterPivotStream:
@@ -119,7 +102,7 @@ class TestScatterPivotStream:
             assert a.random() == b.random()  # streams stay aligned
 
     def test_length_cache_stays_in_sync(self):
-        alloc = ExtentAllocator(512, strategy="scatter", seed=1)
+        alloc = ExtentAllocator(512, seed=1)
         rng = np.random.default_rng(3)
         held: list[tuple[int, int]] = []
         for _ in range(300):
@@ -189,12 +172,15 @@ class FreePageModel:
 
     The free list is the set's maximal runs.  ``take``/``give`` replay
     what the allocator under test granted or was handed back (checking
-    it only ever grants free pages); ``first_fit`` predicts the
-    first-fit policy outright: the lowest free pages.
+    it only ever grants free pages); ``scatter`` predicts the grant
+    outright: the head of a run drawn with ``rng.choice`` weighted by
+    run length, again until the request is met, on a generator seeded
+    as the allocator's.
     """
 
-    def __init__(self, npages):
+    def __init__(self, npages, seed=0):
         self.npages, self.pages, self.peak_used = npages, set(range(npages)), 0
+        self.rng = np.random.default_rng(seed)
 
     def take(self, extents):
         for start, n in extents:
@@ -216,8 +202,18 @@ class FreePageModel:
                 out.append((page, 1))
         return out
 
-    def first_fit(self, n):
-        return self.runs(sorted(self.pages)[:n])
+    def scatter(self, n):
+        pages, grant = set(self.pages), []
+        while n:
+            runs = self.runs(pages)
+            lengths = np.array([length for _, length in runs], dtype=float)
+            start, length = runs[self.rng.choice(len(runs),
+                                                 p=lengths / lengths.sum())]
+            take = min(n, length)
+            grant.append((start, take))
+            pages -= set(range(start, start + take))
+            n -= take
+        return grant
 
 
 def _assert_matches(alloc, model):
@@ -227,15 +223,14 @@ def _assert_matches(alloc, model):
     alloc.check_invariants()
 
 
-def _first_fit_pair(npages):
-    return (ExtentAllocator(npages, strategy="first-fit"),
-            FreePageModel(npages))
+def _scatter_pair(npages, seed=0):
+    return ExtentAllocator(npages, seed=seed), FreePageModel(npages, seed)
 
 
 def _alloc(alloc, model, npages):
-    """Allocate on *alloc*; the first-fit model must predict the grant."""
+    """Allocate on *alloc*; the model must predict the grant."""
     got = alloc.alloc(npages)
-    assert got == model.first_fit(npages)
+    assert got == model.scatter(npages)
     model.take(got)
     return got
 
@@ -261,8 +256,8 @@ SCATTER_STREAM_SHA256 = \
 
 class TestEdgeCasePins:
     """Edge cases pinned against :class:`FreePageModel`: identical free
-    lists and accounting after every step, first-fit grants predicted
-    by the model, the scatter extent stream pinned as a literal."""
+    lists and accounting after every step, every grant predicted by
+    the model, the scatter extent stream pinned as a literal too."""
 
     def test_coalescing_across_adjacent_frees(self):
         # free B, then A, then C where A|B|C are address-adjacent:
@@ -271,7 +266,7 @@ class TestEdgeCasePins:
         import itertools as it
 
         for order in it.permutations(range(3)):
-            alloc, model = _first_fit_pair(128)
+            alloc, model = _scatter_pair(128)
             runs = [_alloc(alloc, model, 10)[0]
                     for _ in range(3)]
             _alloc(alloc, model, 20)  # pin a neighbour
@@ -282,13 +277,15 @@ class TestEdgeCasePins:
             assert alloc.free_extents()[0] == (0, 30)
 
     def test_exhaustion_mid_alloc_with_partial_extents(self):
-        # Fragment the space into single free pages, then ask for more
-        # than exists: the allocator must raise without corrupting
-        # accounting, and a satisfiable scattered request must then
-        # return the predicted multi-extent answer.
-        alloc, model = _first_fit_pair(64)
-        [(start, n)] = _alloc(alloc, model, 64)  # everything
-        for page in range(start, start + n, 2):
+        # Fragment the space into single free pages (one-page grants,
+        # every other one freed), then ask for more than exists: the
+        # allocator must raise without corrupting accounting, and a
+        # satisfiable request must then return the predicted
+        # multi-extent answer.
+        alloc, model = _scatter_pair(64)
+        pages = [_alloc(alloc, model, 1)[0] for _ in range(64)]
+        assert pages == [(page, 1) for page in range(64)]
+        for page in range(0, 64, 2):
             _free(alloc, model, page, 1)  # free alternate pages
         _assert_matches(alloc, model)
         assert alloc.free_pages == 32
@@ -296,33 +293,32 @@ class TestEdgeCasePins:
             alloc.alloc(33)
         _assert_matches(alloc, model)
         got = _alloc(alloc, model, 5)
-        assert got == [(0, 1), (2, 1), (4, 1), (6, 1), (8, 1)]
+        assert len(got) == 5 and all(n == 1 and start % 2 == 0
+                                     for start, n in got)
         _assert_matches(alloc, model)
 
     def test_carve_splits_at_both_extent_boundaries(self):
-        # Taking from the head, the tail, and the middle of one free
-        # extent exercises all three _carve_at branches.
-        for take_at in ("head", "tail", "middle"):
-            alloc, model = _first_fit_pair(100)
+        # A grant carves the drawn extent at its head, or takes it up
+        # to both boundaries; a free inside a granted run has used
+        # pages at both of its own and splits nothing in the free list.
+        for case in ("head", "whole", "hole"):
+            alloc, model = _scatter_pair(100)
             # leave one free extent [20, 80) surrounded by used space
             _alloc(alloc, model, 100)
             _free(alloc, model, 20, 60)
-            if take_at == "head":
+            if case == "head":
                 assert _alloc(alloc, model, 10) == [(20, 10)]
-            elif take_at == "tail":
-                # first-fit takes from the head; carve the tail by
-                # freeing a second, earlier extent the request skips
-                _free(alloc, model, 0, 5)
-                assert _alloc(alloc, model, 5) == [(0, 5)]
+                assert alloc.free_extents() == [(30, 50)]
+            elif case == "whole":
                 assert _alloc(alloc, model, 60) == [(20, 60)]
+                assert alloc.free_extents() == []
             else:
                 got = _alloc(alloc, model, 10)
                 _free(alloc, model, got[0][0] + 2, 6)  # hole mid-extent
             _assert_matches(alloc, model)
 
     def test_scatter_stream_pinned_under_churn(self):
-        alloc = ExtentAllocator(512, strategy="scatter", seed=11)
-        model = FreePageModel(512)
+        alloc, model = _scatter_pair(512, seed=11)
         rng = np.random.default_rng(2)
         held: list[tuple[int, int]] = []
         granted: list[list[tuple[int, int]]] = []
@@ -332,9 +328,8 @@ class TestEdgeCasePins:
                 _free(alloc, model, *ext)
             elif alloc.free_pages:
                 want = int(rng.integers(1, min(48, alloc.free_pages) + 1))
-                got = alloc.alloc(want)
+                got = _alloc(alloc, model, want)
                 assert sum(n for _, n in got) == want
-                model.take(got)
                 granted.append(got)
                 held.extend(got)
             _assert_matches(alloc, model)
@@ -343,7 +338,7 @@ class TestEdgeCasePins:
             SCATTER_STREAM_SHA256
 
     def test_free_many_matches_the_model(self):
-        alloc, model = _first_fit_pair(256)
+        alloc, model = _scatter_pair(256)
         chunks = [_alloc(alloc, model, 16)[0]
                   for _ in range(16)]
         # Non-adjacent chunks: eight separate runs join the free list.

@@ -134,21 +134,13 @@ class TestIO:
 
 class TestDiscardSemantics:
     def test_nodiscard_keeps_device_mapping(self, tiny_ssd):
-        fs = ExtentFilesystem(BlockDevice(tiny_ssd), discard=False)
+        fs = ExtentFilesystem(BlockDevice(tiny_ssd))
         fs.create("a")
         fs.append("a", 50 * 4096)
         pages = device_pages(fs, "a")
         fs.delete("a")
         # Paper setup (nodiscard): stale data still valid on the device.
-        assert all(tiny_ssd.is_mapped(int(p)) for p in pages[:10])
-
-    def test_discard_unmaps_on_delete(self, tiny_ssd):
-        fs = ExtentFilesystem(BlockDevice(tiny_ssd), discard=True)
-        fs.create("a")
-        fs.append("a", 50 * 4096)
-        pages = device_pages(fs, "a")
-        fs.delete("a")
-        assert not any(tiny_ssd.is_mapped(int(p)) for p in pages[:10])
+        assert all(tiny_ssd.is_mapped(int(p)) for p in pages)
 
 
 class TestFragmentation:
@@ -168,20 +160,27 @@ class TestFragmentation:
         filesystem.check_invariants()
 
     def test_read_runs_adds_up_like_the_pread_loop(self):
-        """Six extents under one file: a range's device runs are summed
-        before the range joins the total, so ``read_runs`` over the
-        ranges' ``byte_runs`` returns the very float ``latency +=
+        """Thirty-two extents under one file: a range's device runs are
+        summed before the range joins the total, so ``read_runs`` over
+        the ranges' ``byte_runs`` returns the very float ``latency +=
         pread(...)`` builds — a flat sum over the device runs rounds
         differently on this data."""
         def build():
             clock = VirtualClock()
             ssd = SSD(make_tiny_config(), clock)
-            fs = ExtentFilesystem(BlockDevice(ssd), strategy="first-fit")
+            fs = ExtentFilesystem(BlockDevice(ssd))
             for i, npages in enumerate([3, 5, 4, 9, 6, 2, 7, 11, 5, 3]):
                 fs.create(f"f{i}")
                 fs.append(f"f{i}", 4096 * npages, background=True)
-            for i in range(0, 10, 2):
-                fs.delete(f"f{i}")
+            # The rest in one-page files; every other one and every
+            # other f-file deleted leave holes of one to seven pages.
+            pads = fs.allocator.free_pages
+            for i in range(pads):
+                fs.create(f"pad{i}")
+                fs.reserve(f"pad{i}", 1)
+            for name in [f"f{i}" for i in range(0, 10, 2)] + [
+                    f"pad{i}" for i in range(0, pads, 2)]:
+                fs.delete(name)
             fs.create("big")
             fs.append("big", 4096 * 40, background=True)
             clock.advance(1e-3)  # part of the write backlog still queued
@@ -192,13 +191,13 @@ class TestFragmentation:
                   ("big", 4096 * 2 + 17, 4096 * 9), ("big", 4096 * 30, 100),
                   ("f3", 0, 0), ("big", 4096 * 6, 4096 * 30)]
         looped, looped_ssd = build()
-        assert looped._files["big"].nextents == 6
+        assert looped._files["big"].nextents == 32
         total = 0.0
         for name, offset, nbytes in ranges:
             total += looped.pread(name, offset, nbytes)
         batched, batched_ssd = build()
         groups = [batched.byte_runs(*read) for read in ranges]
-        assert [len(group) for group in groups] == [6, 1, 3, 1, 0, 5]
+        assert [len(group) for group in groups] == [32, 1, 6, 1, 0, 25]
         assert batched.read_runs(groups) == total
         assert batched_ssd.smart == looped_ssd.smart
         assert batched.read_runs([]) == batched.read_runs([[]]) == 0.0

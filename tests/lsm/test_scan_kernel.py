@@ -41,18 +41,19 @@ from tests.lsm import reference_reads
 
 
 def make_store(fragmented: bool = False, **config_overrides) -> LSMStore:
-    """A small-config store; *fragmented* puts it on a first-fit
-    filesystem whose low pages are one-page holes, so every page of a
-    table the store writes is an extent of its own."""
+    """A small-config store; *fragmented* fills its filesystem with
+    one-page files and deletes every other one first, so the free
+    space is one-page holes and every page of a table the store writes
+    is an extent of its own."""
     clock = VirtualClock()
     ssd = SSD(make_tiny_config(nblocks=128), clock)
-    fs = ExtentFilesystem(BlockDevice(ssd),
-                          strategy="first-fit" if fragmented else "scatter")
+    fs = ExtentFilesystem(BlockDevice(ssd))
     if fragmented:
-        for i in range(600):
+        npages = fs.allocator.free_pages
+        for i in range(npages):
             fs.create(f"pad{i}")
             fs.reserve(f"pad{i}", 1)
-        for i in range(0, 600, 2):
+        for i in range(0, npages, 2):
             fs.delete(f"pad{i}")
     params = dict(
         memtable_bytes=8 * 1024,

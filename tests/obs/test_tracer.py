@@ -10,7 +10,6 @@ from repro.core.clock import VirtualClock
 from repro.obs import (
     NULL_TRACER,
     NullTracer,
-    RingSink,
     Tracer,
     attach_tracer,
     write_chrome_trace,
@@ -112,20 +111,24 @@ class TestOpAttribution:
 
 
 class TestSinks:
-    def test_ring_bound(self):
-        sink = RingSink(capacity=10)
+    def test_ring_bound(self, monkeypatch):
+        monkeypatch.setattr(Tracer, "RING_CAPACITY", 10)
+        clock = VirtualClock()
+        tracer = clocked_tracer(clock)
+        tracer.enable()
         for i in range(25):
-            sink.append(("i", float(i), 0.0, "e", "c", 0, None))
-        events = list(sink.events())
+            clock.now = float(i)
+            tracer.instant("e", "c")
+        events = list(tracer.events())
         assert len(events) == 10
         assert events[0][1] == 15.0  # oldest retained
 
-    def test_ring_overflow_is_reported(self):
+    def test_ring_overflow_is_reported(self, monkeypatch):
         """Every emitting method counts, so the tracer can say how many
         events a 10-event ring evicted — and 0 while it still fits."""
+        monkeypatch.setattr(Tracer, "RING_CAPACITY", 10)
         clock = VirtualClock()
         tracer = clocked_tracer(clock)
-        tracer.sink = RingSink(capacity=10)
         tracer.enable()
         for i in range(4):
             tracer.span("wal_append", "lsm", float(i), 0.1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.experiment import (Engine, ExperimentSpec, build_stack,
@@ -187,19 +189,25 @@ class TestDeviceTiming:
 class TestReadHeavyBacklog:
     """Read traffic must not masquerade as write-cache pressure."""
 
+    @pytest.fixture(autouse=True)
+    def small_write_cache(self, monkeypatch):
+        """Every shard's drive with a 256 KiB write cache."""
+        shard_ssd = ExperimentSpec.shard_ssd
+        monkeypatch.setattr(
+            ExperimentSpec, "shard_ssd",
+            lambda spec: replace(shard_ssd(spec), write_cache_bytes=256 * 1024))
+
     def run_measured_phase(self, max_ops: int, **workload):
         """Load, drain, snapshot fold count, then run 16 clients.
 
         The write-heavy load phase may legitimately fold on the small
         scaled cache; the measured phase is what the read-pollution bug
-        poisoned, hence the post-load snapshot.  The cache is shrunk via
-        ``ssd_options`` so that read service backlog dwarfs the drain
-        window, the regime where the old accounting misfired.
+        poisoned, hence the post-load snapshot.  The cache is shrunk
+        (``small_write_cache``) so that read service backlog dwarfs the
+        drain window, the regime where the old accounting misfired.
         """
         spec, _clock, ssd, store = loaded_stack(
-            Engine.LSM, nclients=16, ssd="ssd2",
-            ssd_options={"write_cache_bytes": 256 * 1024}, **workload,
-        )
+            Engine.LSM, nclients=16, ssd="ssd2", **workload)
         folds_after_load = ssd.smart.fold_events
         pool = ClientPool(store, spec.workload(), nclients=16, seed=7,
                           max_ops=max_ops)
