@@ -33,15 +33,14 @@ from repro.flash.config import SSDConfig
 from repro.flash.profiles import get_profile
 from repro.flash.state import DriveState
 from repro.fleet.arrival import make_arrival, validate_arrival
-from repro.fleet.pool import AVAILABILITY_TARGET, FleetCounters, FleetPool
+from repro.fleet.pool import (AVAILABILITY_TARGET, FleetCounters, FleetPool,
+                              open_loop_outcome)
 from repro.fleet.router import ROUTERS
-from repro.fleet.sharded import ShardedStore
 from repro.lsm.memtable import SCAN_KEY_SPAN
 from repro.obs.tracer import NULL_TRACER, attach_tracer
-from repro.sim.clients import ClientPool
 from repro.units import MIB
 from repro.workload.keys import DISTRIBUTIONS
-from repro.workload.runner import load_sequential
+from repro.workload.runner import RunOutcome, load_sequential
 from repro.workload.spec import WorkloadSpec
 
 KEY_BYTES = 16  # the paper's key size (§3.2)
@@ -73,14 +72,14 @@ class ExperimentSpec:
     op_reserved_fraction: float = 0.0  # software over-provisioning (§4.6)
     duration_capacity_writes: float = 3.5  # stop after host writes >= x*capacity
     max_ops: int | None = None
-    nclients: int = 1  # concurrent closed-loop clients (ClientPool)
+    nclients: int = 1  # concurrent closed-loop clients of FleetPool
     #: Whether a one-client run on one store reports per-client
     #: results: "pool" records per-op latencies and per-client op
     #: counts (the queue-depth campaign needs them at depth 1); "auto"
-    #: and "inline" do not.  Every closed loop runs on ClientPool
-    #: either way, and the simulated run is the same.  More clients or
-    #: shards always report them; "inline" is refused there and with
-    #: arrivals, "pool" with arrivals.
+    #: and "inline" do not.  Every closed loop runs on FleetPool's
+    #: clients either way, and the simulated run is the same.  More
+    #: clients or shards always report them; "inline" is refused there
+    #: and with arrivals, "pool" with arrivals.
     driver: str = "auto"
     #: Fleet shape (DESIGN.md §10): >1 splits the device budget into N
     #: independent shard stacks behind a key router on one clock.
@@ -417,7 +416,7 @@ def run_experiment(spec: ExperimentSpec, tracer=None) -> ExperimentResult:
 
     # Load phase: sequential ingest (§3.2).  WA baselines include it;
     # the time series starts after it, exactly like the paper's plots.
-    load = load_sequential(stack.store, workload)
+    load = load_sequential(stack.stores, stack.router, workload)
     if not load.out_of_space:
         stack.drain()
     collector.start_measurement()
@@ -426,20 +425,24 @@ def run_experiment(spec: ExperimentSpec, tracer=None) -> ExperimentResult:
     shards_base = stack.shard_snapshots()
 
     run_start = clock.now
-    outcome = load
-    if not load.out_of_space:
-        outcome = run_measured_phase(spec, stack, collector, tracer)
+    if load.out_of_space:
+        # The measured phase never ran: nothing offered, nothing done.
+        phase = (RunOutcome() if spec.arrival is None
+                 else open_loop_outcome(spec.nshards))
+    else:
+        phase = run_measured_phase(spec, stack, collector, tracer)
         _close_series(collector, spec, clock, run_start)
+    outcome = load if load.out_of_space else phase
 
     samples = collector.samples
     run_seconds = clock.now - run_start
     counters = stack.snapshot()
-    if outcome.fleet is not None:
-        counters.update(FleetCounters.total(outcome.fleet).labelled())
+    if phase.fleet is not None:
+        counters.update(FleetCounters.total(phase.fleet).labelled())
     fleet = None
-    if isinstance(stack.store, ShardedStore):
+    if spec.nshards > 1 or spec.arrival is not None:
         fleet = _fleet_summary(
-            spec, outcome, run_seconds,
+            spec, phase, run_seconds,
             [ops_in(now) - ops_in(base) for now, base
              in zip(stack.shard_snapshots(), shards_base)])
     trace = stack.shards[0].trace
@@ -447,7 +450,7 @@ def run_experiment(spec: ExperimentSpec, tracer=None) -> ExperimentResult:
         spec=spec,
         samples=samples,
         steady=summarize(samples) if samples else None,
-        out_of_space=outcome.out_of_space or load.out_of_space,
+        out_of_space=outcome.out_of_space,
         load_seconds=load.load_seconds,
         run_seconds=run_seconds,
         ops_issued=outcome.ops_issued,
@@ -465,52 +468,44 @@ def run_measured_phase(spec: ExperimentSpec, stack: Stack, collector,
                        tracer=None):
     """Drive *spec*'s measured phase on a loaded stack; the outcome.
 
-    The one place a spec becomes a driver: the closed loop is the
-    event-driven :class:`~repro.sim.clients.ClientPool` at every
-    client count, and an arrival process replaces it with the open-loop
-    :class:`~repro.fleet.pool.FleetPool`.  One client on one store
-    reports per-client latencies and op counts only under
-    ``driver="pool"``; more than one shard always reports them, so
-    fleet results carry latencies at every depth.  Concurrency (more
-    than one client, or arrivals) first switches every device to
-    per-channel timing, here and nowhere else.  The run stops once
-    host writes reach ``duration_capacity_writes`` device capacities,
-    or at ``spec.max_ops``.  A mix of only gets and scans never moves
-    the host-write counter, so without a ``max_ops`` it gets the op
-    budget a pure-update run would need to reach the write target.
+    The one place a spec becomes a driver: a :class:`~repro.fleet.pool.
+    FleetPool` over the stack's shard engines and router, whose source
+    is the spec's closed-loop clients or, given an arrival process, its
+    open-loop arrivals.  One client on one store reports per-client
+    latencies and op counts only under ``driver="pool"``; more than
+    one shard always reports them, so fleet results carry latencies at
+    every depth.  Concurrency (more than one client, or arrivals) first
+    switches every device to per-channel timing, here and nowhere else.
+    The run stops once host writes reach ``duration_capacity_writes``
+    device capacities, or at ``spec.max_ops``.  A mix of only gets and
+    scans never moves the host-write counter, so without a ``max_ops``
+    it gets the op budget a pure-update run would need to reach the
+    write target.
     """
-    workload = spec.workload()
     target_bytes = int(spec.duration_capacity_writes * spec.capacity_bytes)
     max_ops = spec.max_ops
     if max_ops is None and spec.read_fraction + spec.scan_fraction >= 1.0:
         max_ops = max(1, target_bytes // max(spec.value_bytes, 1))
-    limits = dict(
-        seed=spec.seed,
-        stop_when=lambda: collector.host_bytes_written() >= target_bytes,
-        sample_interval=spec.sample_interval,
-        on_sample=collector.sample,
-        max_ops=max_ops,
-    )
-    if tracer is None:
-        tracer = NULL_TRACER
     if spec.nclients > 1 or spec.arrival is not None:
         stack.enable_channel_timing()
-    if spec.arrival is None:
-        per_client = (spec.nclients > 1 or spec.nshards > 1
-                      or spec.driver == "pool")
-        return ClientPool(stack.store, workload, spec.nclients,
-                          tracer=tracer, per_client=per_client,
-                          **limits).run()
-    arrival = make_arrival(spec.arrival, spec.arrival_rate,
-                           rng_mod.substream(spec.seed, "arrival"))
+    arrival = None
+    if spec.arrival is not None:
+        arrival = make_arrival(spec.arrival, spec.arrival_rate,
+                               rng_mod.substream(spec.seed, "arrival"))
     return FleetPool(
-        stack.store, workload, arrival, queue_cap=spec.queue_cap,
-        tracer=tracer, kill_at=spec.kill_at, kill_shard=spec.kill_shard,
+        stack.stores, stack.router, spec.workload(),
+        nclients=spec.nclients, arrival=arrival, seed=spec.seed,
+        stop_when=lambda: collector.host_bytes_written() >= target_bytes,
+        sample_interval=spec.sample_interval, on_sample=collector.sample,
+        max_ops=max_ops, queue_cap=spec.queue_cap,
+        tracer=NULL_TRACER if tracer is None else tracer,
+        kill_at=spec.kill_at, kill_shard=spec.kill_shard,
         retry_limit=spec.retry_limit,
         retry_backoff=spec.retry_backoff_ms / 1e3,
         op_timeout=(spec.op_timeout_ms / 1e3
                     if spec.op_timeout_ms is not None else None),
-        **limits,
+        per_client=(spec.nclients > 1 or spec.nshards > 1
+                    or spec.driver == "pool"),
     ).run()
 
 
@@ -542,7 +537,7 @@ def _fleet_summary(spec, outcome, run_seconds, shard_ops):
     total = (FleetCounters.total(outcome.fleet) if open_loop else
              FleetCounters(offered=completed, admitted=completed))
     offered = total.offered
-    latencies = outcome.latencies  # None when the load ran out of space
+    latencies = outcome.latencies  # None when the phase never ran
     pooled = latencies.pooled() if latencies is not None else []
     summary = {
         "nshards": spec.nshards,

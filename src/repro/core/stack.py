@@ -19,8 +19,7 @@ from repro.counters import sum_counters
 from repro.faults import FaultPlan, RetryPolicy
 from repro.flash.ssd import SSD
 from repro.flash.state import apply_drive_state
-from repro.fleet.router import make_router
-from repro.fleet.sharded import ShardedStore
+from repro.fleet.router import Router, make_router
 from repro.fs.filesystem import ExtentFilesystem
 from repro.kv.api import KVStore
 from repro.lsm.config import LSMConfig
@@ -55,13 +54,18 @@ class Shard:
 
 @dataclass
 class Stack:
-    """N shard stacks on one clock.  ``store`` is what the driver is
-    handed: the bare engine for one closed-loop shard, the router-fronted
-    :class:`~repro.fleet.sharded.ShardedStore` otherwise."""
+    """N shard stacks on one clock, and the router that says which
+    shard owns a key (one shard owns them all)."""
 
     clock: VirtualClock
     shards: list[Shard]
-    store: KVStore | ShardedStore
+    router: Router
+
+    @property
+    def stores(self) -> list[KVStore]:
+        """Each shard's engine, in shard order: what the load phase and
+        the driver are handed, beside :attr:`router`."""
+        return [shard.store for shard in self.shards]
 
     def snapshot(self) -> dict[str, Any]:
         """Every counter as one flat ``layer.name`` dict: the sum over
@@ -96,23 +100,18 @@ def build_stack(spec: ExperimentSpec) -> Stack:
     Each shard owns 1/nshards of the device budget as its own SSD +
     filesystem + engine instance (independent channels and GC, per Roh
     et al.'s internal-parallelism observation), aged from a per-shard
-    seed.  A fleet spec (more than one shard, or an open-loop arrival
-    process) puts them behind a router.
+    seed, behind the spec's router.
     """
     clock = VirtualClock()
     profile = spec.shard_ssd()
     shards = [_build_shard(spec, profile, _shard_seed(spec.seed, index), clock)
               for index in range(spec.nshards)]
-    store = shards[0].store
-    if spec.nshards > 1 or spec.arrival is not None:
-        store = ShardedStore(
-            [shard.store for shard in shards],
-            make_router(spec.router, spec.nshards, spec.nkeys), clock)
     if spec.kill_at is not None:
         # The victim shard records per-key WAL/journal positions so the
         # crash can compute exactly which writes the lost buffers held.
         shards[spec.kill_shard].store.enable_crash_tracking()
-    return Stack(clock, shards, store)
+    return Stack(clock, shards,
+                 make_router(spec.router, spec.nshards, spec.nkeys))
 
 
 def _build_shard(spec: ExperimentSpec, profile, seed: int,

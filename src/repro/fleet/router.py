@@ -51,6 +51,19 @@ class Router:
         """The shard owning *key*."""
         raise NotImplementedError
 
+    def shard_run(self, keys: list[int], lo: int, hi: int) -> tuple[int, int]:
+        """The shard owning ``keys[lo]`` and the end of its run: the
+        largest ``end <= hi`` with ``keys[lo:end]`` all on that shard.
+        One shard owns every run whole, with no per-key call."""
+        if self.nshards == 1:
+            return 0, hi
+        shard_for = self.shard_for
+        shard = shard_for(keys[lo])
+        end = lo + 1
+        while end < hi and shard_for(keys[end]) == shard:
+            end += 1
+        return shard, end
+
 
 class HashRouter(Router):
     """Consistent hashing over a ring of per-shard virtual nodes."""

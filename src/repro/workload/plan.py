@@ -1,14 +1,13 @@
 """The shared batch planner: RNG windows → same-kind op runs.
 
-Every driver generates operations the same way — each client of the
-closed-loop pool (:mod:`repro.sim.clients`) and the open-loop fleet's
-source (:mod:`repro.fleet.pool`), which hands a window out one op per
-arrival: one bulk RNG draw per ``CHECK_EVERY`` window produces the
-window's keys and op-kind draws, the kinds are split with a vectorized
-``searchsorted`` against the spec's cumulative fractions, and
-consecutive ops of the same kind are segmented into runs that the
-engines' batch API (``put_many`` & co.) can execute in one call
-(DESIGN.md §7).
+Every source of the driver (:mod:`repro.fleet.pool`) generates
+operations the same way — each closed-loop client, and the open-loop
+source, which hands a window out one op per arrival: one bulk RNG draw
+per ``CHECK_EVERY`` window produces the window's keys and op-kind
+draws, the kinds are split with a vectorized ``searchsorted`` against
+the spec's cumulative fractions, and consecutive ops of the same kind
+are segmented into runs that the engines' batch API (``put_many`` &
+co.) can execute in one call (DESIGN.md §7).
 
 The RNG contract is the one the batched runner has pinned since
 DESIGN.md §6: ``chooser.batch(n)`` and ``op_rng.random(n)`` consume

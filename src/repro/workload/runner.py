@@ -1,26 +1,23 @@
-"""What every workload driver shares: the load phase, the outcome and
-the sampling rule.
+"""The load phase and what a measured phase reports.
 
-The measured phase has two drivers, both on the discrete-event
-scheduler: the closed-loop :class:`repro.sim.clients.ClientPool`
-(whose lone client is the paper's single user thread, §3.2) and the
-open-loop :class:`repro.fleet.pool.FleetPool`.  This module holds what
-they have in common — :func:`load_sequential` (the sequential load
-phase), :class:`RunOutcome`, the ``stop_when`` window
-:data:`CHECK_EVERY` and the boundary-crossing sampler that turns
-metrics into a time series (the paper's 10-minute averages map to
-sampling windows; DESIGN.md §2).  Both draw their ops through
-:class:`~repro.workload.plan.BatchPlanner` and issue them through the
-engines' batch API (``put_many`` & co.); no shipped driver calls the
-per-op ``put``/``get``/``scan``/``delete`` — the examples and the
-tests' reference drivers do.
+The measured phase has one driver, :class:`repro.fleet.pool.FleetPool`
+on the discrete-event scheduler, with two sources: closed-loop clients
+(a lone one is the paper's single user thread, §3.2) and open-loop
+arrivals.  This module holds :func:`load_sequential` (the sequential
+load phase), :class:`RunOutcome`, the ``stop_when`` window
+:data:`CHECK_EVERY` and the sampling arguments' check; the sampling
+windows are what turn metrics into a time series (the paper's
+10-minute averages, DESIGN.md §2).  Every op goes through the engines'
+batch API (``put_many`` & co.); no shipped driver calls the per-op
+``put``/``get``/``scan``/``delete`` — the examples and the tests'
+reference drivers do.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -32,6 +29,7 @@ from repro.workload.spec import WorkloadSpec
 if TYPE_CHECKING:
     from repro.core.metrics import ClientLatencies
     from repro.fleet.pool import FleetCounters
+    from repro.fleet.router import Router
 
 
 #: How often (in completed or offered ops) drivers re-evaluate
@@ -48,7 +46,7 @@ LOAD_CHUNK = 4096
 class RunOutcome:
     """What happened during a (partial) load or measured phase, under
     any driver.  ``ops_issued`` counts *completed* operations; slotted,
-    because the pools update it on every batch segment of every client.
+    because the closed clients update it on every batch segment.
 
     Closed-loop drivers have no admission control: every op offered is
     admitted and completes.  An open-loop run attaches one
@@ -67,7 +65,7 @@ class RunOutcome:
     out_of_space: bool = False
     load_seconds: float = 0.0
     run_seconds: float = 0.0
-    events_run: int = 0  # scheduler events dispatched (pools only)
+    events_run: int = 0  # scheduler events dispatched (measured phase)
     per_client_ops: list[int] | None = None
     latencies: ClientLatencies | None = None  # per client; per shard open-loop
     fleet: list[FleetCounters] | None = None
@@ -75,22 +73,34 @@ class RunOutcome:
     health: list[str] | None = None  # final per-shard state
 
 
-def load_sequential(store: KVStore, spec: WorkloadSpec) -> RunOutcome:
-    """Ingest all keys in sequential order (the paper's load phase),
-    through the engines' ``put_many`` in :data:`LOAD_CHUNK` slices."""
+def load_sequential(stores: Sequence[KVStore], router: Router,
+                    spec: WorkloadSpec) -> RunOutcome:
+    """Ingest all keys in sequential order (the paper's load phase):
+    :data:`LOAD_CHUNK` keys at a time, each chunk cut at the end of
+    every same-shard run and put through the owning shard's
+    ``put_many``; then flush the shards in order."""
     outcome = RunOutcome()
-    start = store.clock.now
+    clock = stores[0].clock
+    start = clock.now
     try:
         vlen = spec.value_bytes
         for lo in range(0, spec.nkeys, LOAD_CHUNK):
             keys = np.arange(lo, min(spec.nkeys, lo + LOAD_CHUNK),
                              dtype=np.int64)
-            outcome.ops_issued += store.put_many(keys, seeds_for(keys, 0), vlen)
-        store.flush()
+            seeds = seeds_for(keys, 0).tolist()
+            keys = keys.tolist()
+            i, n = 0, len(keys)
+            while i < n:
+                shard, j = router.shard_run(keys, i, n)
+                outcome.ops_issued += stores[shard].put_many(
+                    keys[i:j], seeds[i:j], vlen)
+                i = j
+        for store in stores:
+            store.flush()
     except NoSpaceError as exc:
         outcome.ops_issued += getattr(exc, "ops_done", 0)
         outcome.out_of_space = True
-    outcome.load_seconds = store.clock.now - start
+    outcome.load_seconds = clock.now - start
     return outcome
 
 
@@ -110,22 +120,3 @@ def validate_sampling(sample_interval: float | None,
         )
     if sample_interval is not None and not 0 < sample_interval < math.inf:
         raise ConfigError("sample_interval must be positive and finite")
-
-
-def _after_op_sample(clock, next_sample, sample_interval, on_sample):
-    """The per-op boundary check both pools share.
-
-    Fires ``on_sample`` when the clock reached the boundary and returns
-    the next one.  Batch calls return control right after the crossing
-    op (their ``until`` contract), so the callback observes the store
-    exactly as it is when that op completes.
-    """
-    if next_sample is not None and clock.now >= next_sample:
-        on_sample()
-        next_sample += sample_interval
-        if next_sample <= clock.now:
-            # A stall carried the clock past several boundaries;
-            # resynchronize instead of firing empty windows.
-            next_sample = clock.now + sample_interval
-    return next_sample
-

@@ -13,6 +13,7 @@ from repro.core import figures
 from repro.core.clock import VirtualClock
 from repro.flash.config import SSDConfig
 from repro.flash.ssd import SSD
+from repro.fleet.router import make_router
 from repro.units import usec
 
 # ``--hypothesis-profile=ci``: ten times the default example count,
@@ -24,6 +25,9 @@ from repro.units import usec
 # (tests/kv/test_kv_model.py) under it.
 settings.register_profile("ci", max_examples=1000, derandomize=True,
                           deadline=None)
+
+#: The router of a one-shard store list (``[store]``): every key to shard 0.
+LONE_ROUTER = make_router("range", 1, 1)
 
 
 def make_tiny_config(**overrides) -> SSDConfig:

@@ -178,7 +178,8 @@ class TestBuildStack:
         spec = ExperimentSpec(**FAST)
         stack = build_stack(spec)
         (shard,) = stack.shards
-        assert stack.store is shard.store  # the bare engine, no router
+        assert stack.stores == [shard.store]
+        assert stack.router.nshards == 1
         assert shard.store.clock is stack.clock
         assert shard.fs.device is shard.device
         assert shard.device.ssd is shard.ssd
@@ -194,8 +195,8 @@ class TestBuildStack:
         assert shard.fs.capacity_bytes < shard.ssd.capacity_bytes
 
     def test_engine_selection(self):
-        lsm = build_stack(ExperimentSpec(engine=Engine.LSM, **FAST)).store
-        btree = build_stack(ExperimentSpec(engine=Engine.BTREE, **FAST)).store
+        (lsm,) = build_stack(ExperimentSpec(engine=Engine.LSM, **FAST)).stores
+        (btree,) = build_stack(ExperimentSpec(engine=Engine.BTREE, **FAST)).stores
         assert lsm.name == "lsm"
         assert btree.name == "btree"
 

@@ -28,11 +28,19 @@ from repro.workload.keys import make_chooser
 
 def load(shards, router, spec):
     """Ingest every key once, in key order, on the shard owning it;
-    then flush the shards in order."""
-    for key in range(spec.nkeys):
-        shards[router.shard_for(key)].put(key, value_for(key, 0, spec.value_bytes))
-    for store in shards:
-        store.flush()
+    then flush the shards in order.  Returns the puts that completed,
+    stopping at the first one that found no space."""
+    done = 0
+    try:
+        for key in range(spec.nkeys):
+            shards[router.shard_for(key)].put(
+                key, value_for(key, 0, spec.value_bytes))
+            done += 1
+        for store in shards:
+            store.flush()
+    except NoSpaceError:
+        pass
+    return done
 
 
 def run(shards, router, spec, arrival, seed, max_ops, queue_cap,

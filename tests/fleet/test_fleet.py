@@ -3,8 +3,8 @@
 Three contracts pin the fleet subsystem (DESIGN.md §10.4):
 
 1. *Seed compatibility*: ``nshards=1`` without an arrival process
-   hands the bare engine to the driver, and a one-shard fleet stack
-   reproduces the single-store stack op for op.
+   reports no fleet block, and the one-shard router's whole-run answer
+   drives the store op for op like a router asked key by key.
 2. *Accounting*: open-loop offered = admitted + rejected, globally
    and per shard, and admission never exceeds the queue cap.
 3. *Determinism*: the same spec reproduces the same fleet summary,
@@ -12,6 +12,8 @@ Three contracts pin the fleet subsystem (DESIGN.md §10.4):
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -21,9 +23,8 @@ from repro.core.experiment import (
     build_stack,
     run_experiment,
 )
-from repro.fleet.router import make_router
-from repro.fleet.sharded import ShardedStore
-from repro.sim.clients import ClientPool
+from repro.fleet.pool import FleetPool
+from repro.fleet.router import RangeRouter
 from repro.units import MIB
 from repro.workload.runner import load_sequential
 
@@ -49,28 +50,31 @@ class TestSeedCompatibility:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_one_shard_fleet_matches_legacy_run(self, engine):
-        """A one-shard fleet reproduces the single store.
-
-        The closed-loop one-shard stack hands the bare engine to the
-        driver; a one-shard ``ShardedStore`` over an identical second
-        stack (shard 0 keeps the experiment seed, a 1-shard router is
-        the identity) must coincide with it under the same driver in
-        load order, op stream and timing — checked through the clock,
-        every latency and the whole counter snapshot (engine counters
-        included).
+        """The one-shard router hands the load and the lone client whole
+        runs without asking a key; over an identical second stack, a
+        router that claims two shards (so ``shard_run`` asks every key)
+        and answers shard 0 must coincide with it in load order, op
+        stream and timing — checked through the clock, every latency
+        and the whole counter snapshot (engine counters included).
         """
+
+        class EveryKeyAsked(RangeRouter):
+            def shard_for(self, key: int) -> int:
+                asked.append(key)
+                return 0
+
+        asked: list[int] = []
         spec = ExperimentSpec(engine=engine, **FAST)
         bare, fleet = build_stack(spec), build_stack(spec)
-        assert bare.store is bare.shards[0].store and len(fleet.shards) == 1
-        fleet_store = ShardedStore([fleet.store], make_router("hash", 1, spec.nkeys),
-                                   fleet.clock)
         outcomes = []
-        for stack, st in ((bare, bare.store), (fleet, fleet_store)):
-            load = load_sequential(st, spec.workload())
+        for stack, router in ((bare, bare.router),
+                              (fleet, EveryKeyAsked(2, spec.nkeys))):
+            load = load_sequential(stack.stores, router, spec.workload())
             stack.drain()
-            run = ClientPool(st, spec.workload(), 1, seed=spec.seed,
-                             max_ops=spec.max_ops).run()
+            run = FleetPool(stack.stores, router, spec.workload(),
+                            seed=spec.seed, max_ops=spec.max_ops).run()
             outcomes.append((load, run.ops_issued, run.latencies.series(0).tolist()))
+        assert len(asked) >= spec.nkeys + FAST["max_ops"]
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][1] == FAST["max_ops"]
         assert fleet.clock.now == bare.clock.now
@@ -163,6 +167,30 @@ class TestOpenLoop:
         assert fleet["offered"] == fleet["completed"] == result.ops_issued
         assert sum(row["ops"] for row in fleet["per_shard"]) == \
             result.ops_issued
+
+
+class TestLoadOutOfSpace:
+    """A load that runs out of space leaves no measured phase: its fleet
+    block counts no traffic and keeps the shape of one that ran."""
+
+    @pytest.mark.parametrize("source", [
+        dict(arrival="poisson", arrival_rate=20_000.0),
+        dict(nclients=4),
+    ], ids=["open-loop", "closed-loop"])
+    def test_fleet_block_counts_no_measured_traffic(self, source):
+        spec = ExperimentSpec(engine=Engine.BTREE, capacity_bytes=24 * MIB,
+                              dataset_fraction=0.7, nshards=2, **source)
+        result = run_experiment(spec)
+        assert result.out_of_space and result.run_seconds == 0
+        assert 0 < result.ops_issued < spec.nkeys  # the load's puts
+        fleet = result.fleet
+        assert fleet["offered"] == fleet["admitted"] == fleet["completed"] == 0
+        assert [row["ops"] for row in fleet["per_shard"]] == [0, 0]
+        ran = run_experiment(replace(spec, dataset_fraction=0.3, max_ops=200))
+        assert not ran.out_of_space and ran.fleet["completed"]
+        assert fleet.keys() == ran.fleet.keys()
+        assert [row.keys() for row in fleet["per_shard"]] == \
+            [row.keys() for row in ran.fleet["per_shard"]]
 
 
 class TestValidation:

@@ -1,8 +1,8 @@
 """The open-loop fleet in lockstep with the reference fleet (DESIGN.md §10.2).
 
-``FleetPool`` draws its op stream through the batch planner a window at
-a time and serves each admitted op as a one-op call of the shard
-engine's batch API; ``reference_fleet.py`` draws one key and one op
+``FleetPool``'s open source draws its op stream through the batch
+planner a window at a time and serves each admitted op as a one-op call
+of the shard engine's batch API; ``reference_fleet.py`` draws one key and one op
 kind per arrival and serves through the per-op KV API, sharing no code
 with either.  Over drawn fleets — engine, one to three shards, router,
 arrival rate from idle to far past saturation, queue cap, op mix, op
@@ -19,27 +19,19 @@ from __future__ import annotations
 
 from dataclasses import asdict
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import rng as rng_mod
-from repro.block.device import BlockDevice
-from repro.btree.config import BTreeConfig
-from repro.btree.store import BTreeStore
-from repro.core.clock import VirtualClock
-from repro.flash.ssd import SSD
 from repro.fleet.arrival import make_arrival
 from repro.fleet.pool import FleetPool
 from repro.fleet.router import make_router
-from repro.fleet.sharded import ShardedStore
-from repro.fs.filesystem import ExtentFilesystem
-from repro.lsm.config import LSMConfig
-from repro.lsm.store import LSMStore
 from repro.workload.keys import DISTRIBUTIONS
 from repro.workload.runner import load_sequential
 from repro.workload.spec import WorkloadSpec
-from tests.conftest import make_tiny_config
 from tests.fleet import reference_fleet
+from tests.workload.test_batched_runner import make_shards
 
 fraction = st.sampled_from([0.0, 0.1, 0.3, 0.5])
 fleet = st.fixed_dictionaries(dict(
@@ -62,26 +54,6 @@ fleet = st.fixed_dictionaries(dict(
 ))
 
 
-def make_shards(engine: str, nshards: int):
-    """*nshards* tiny engine stacks on one clock, with their SSDs."""
-    clock = VirtualClock()
-    stores, ssds = [], []
-    for _ in range(nshards):
-        ssd = SSD(make_tiny_config(nblocks=128), clock)
-        fs = ExtentFilesystem(BlockDevice(ssd))
-        if engine == "lsm":
-            store = LSMStore(fs, clock, LSMConfig(
-                memtable_bytes=8 * 1024, max_bytes_for_level_base=16 * 1024,
-                target_file_bytes=8 * 1024))
-        else:
-            store = BTreeStore(fs, clock, BTreeConfig(
-                cache_bytes=64 * 1024, leaf_page_bytes=8 * 1024,
-                journal_ring_bytes=64 * 1024, checkpoint_log_bytes=32 * 1024))
-        stores.append(store)
-        ssds.append(ssd)
-    return clock, stores, ssds
-
-
 def drive(reference: bool, engine, nshards, router, rate, queue_cap,
           fractions, distribution, scan_length, max_ops, op_timeout,
           sample_interval, stop_after, seed):
@@ -95,7 +67,7 @@ def drive(reference: bool, engine, nshards, router, rate, queue_cap,
     if reference:
         reference_fleet.load(stores, route, spec)
     else:
-        load_sequential(ShardedStore(stores, route, clock), spec)
+        load_sequential(stores, route, spec)
     for ssd in ssds:
         ssd.drain()
         ssd.enable_channel_timing()  # arrivals: per-channel devices
@@ -113,7 +85,7 @@ def drive(reference: bool, engine, nshards, router, rate, queue_cap,
             stores, route, spec, arrival, seed, max_ops, queue_cap,
             op_timeout=op_timeout, **limits)
     else:
-        outcome = FleetPool(ShardedStore(stores, route, clock), spec, arrival,
+        outcome = FleetPool(stores, route, spec, arrival=arrival,
                             seed=seed, max_ops=max_ops, queue_cap=queue_cap,
                             op_timeout=op_timeout, **limits).run()
         rows = [dict(offered=row.offered, admitted=row.admitted,
@@ -160,3 +132,24 @@ def drive(reference: bool, engine, nshards, router, rate, queue_cap,
               sample_interval=None, stop_after=None, seed=5))
 def test_fleet_matches_the_reference(fleet):
     assert drive(False, **fleet) == drive(True, **fleet)
+
+
+@pytest.mark.parametrize("router", ["hash", "range"])
+@pytest.mark.parametrize("engine", ["lsm", "btree"])
+def test_routed_load_that_runs_out_of_space(engine, router):
+    """Two shards too small for the dataset: the routed load stops
+    mid-chunk, inside one shard's segment, and counts what the per-op
+    load completed — the segments before plus the partial one."""
+    spec = WorkloadSpec(nkeys=3000, value_bytes=2000)  # < one LOAD_CHUNK
+    done = []
+    for reference in (True, False):
+        _clock, stores, _ssds = make_shards(engine, 2, nblocks=32)
+        route = make_router(router, 2, spec.nkeys)
+        if reference:
+            done.append(reference_fleet.load(stores, route, spec))
+        else:
+            load = load_sequential(stores, route, spec)
+            assert load.out_of_space
+            done.append(load.ops_issued)
+    assert 0 < done[0] < spec.nkeys
+    assert done[1] == done[0]

@@ -21,6 +21,7 @@ import pytest
 
 from repro.kv.values import value_for
 from repro.workload.spec import WorkloadSpec
+from tests.conftest import LONE_ROUTER
 from tests.lsm import reference_reads
 from tests.lsm.test_scan_kernel import device_reads, record_reads
 from tests.workload.test_batched_runner import make_store
@@ -33,8 +34,8 @@ def twin_stores(engine: str, nkeys: int = 300, value_bytes: int = 120):
     spec = WorkloadSpec(nkeys=nkeys, value_bytes=value_bytes)
     a, ssd_a = make_store(engine)
     b, ssd_b = make_store(engine)
-    load_sequential(a, spec)
-    load_sequential(b, spec)
+    load_sequential([a], LONE_ROUTER, spec)
+    load_sequential([b], LONE_ROUTER, spec)
     return (a, ssd_a), (b, ssd_b)
 
 
@@ -146,8 +147,8 @@ def test_lsm_bulk_and_lazy_probe_paths_agree():
     spec = WorkloadSpec(nkeys=300, value_bytes=120)
     a, ssd_a = make_store("lsm")
     b, ssd_b = make_store("lsm")
-    load_sequential(a, spec)
-    load_sequential(b, spec)
+    load_sequential([a], LONE_ROUTER, spec)
+    load_sequential([b], LONE_ROUTER, spec)
 
     class NeverUntil:
         """A live (non-float) bound that never stops the batch."""

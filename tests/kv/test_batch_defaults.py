@@ -34,6 +34,7 @@ from repro.kv.stats import KVStats
 from repro.kv.values import Value
 from repro.workload.runner import load_sequential
 from repro.workload.spec import WorkloadSpec
+from tests.conftest import LONE_ROUTER
 from tests.workload.test_batched_runner import make_store
 
 METHODS = ("put_many", "get_many", "delete_many", "scan_many")
@@ -114,7 +115,8 @@ class Subject:
         if self.kind == "stub":
             return StubStore()
         store, _ssd = make_store(self.kind)
-        load_sequential(store, WorkloadSpec(nkeys=NKEYS, value_bytes=VLEN))
+        load_sequential([store], LONE_ROUTER,
+                        WorkloadSpec(nkeys=NKEYS, value_bytes=VLEN))
         store.requests = 0   # device requests so far
         store.fail_at = None  # the request that raises
         device = store.fs.device

@@ -1,4 +1,4 @@
-"""ClientPool against the reference pool (DESIGN.md §7).
+"""FleetPool's closed clients against the reference pool (DESIGN.md §7).
 
 The shipped pool client issues operation segments through the engines'
 batch API with an event-scheduler-aware ``until``; the reference pool
@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 
 from repro.core.experiment import Engine, ExperimentSpec, build_stack
-from repro.sim.clients import ClientPool
+from repro.fleet.pool import FleetPool
 from repro.units import MIB
 from repro.workload.runner import load_sequential
+from tests.conftest import LONE_ROUTER
 from tests.workload import reference_driver
 from tests.workload.reference_experiment import assert_matches_reference
 
@@ -45,17 +46,18 @@ def pool_outcome(engine: Engine, nclients: int, reference: bool = False,
     per-channel device timing."""
     spec = ExperimentSpec(engine=engine, nclients=nclients, **FAST, **overrides)
     stack = build_stack(spec)
-    clock, ssd, store = stack.clock, stack.shards[0].ssd, stack.store
-    load_sequential(store, spec.workload())
+    clock, ssd, store = stack.clock, stack.shards[0].ssd, stack.shards[0].store
+    load_sequential(stack.stores, stack.router, spec.workload())
     stack.drain()
     if nclients > 1:
         stack.enable_channel_timing()
     if reference:
-        outcome = reference_driver.run_pool(store, spec.workload(), nclients,
+        outcome = reference_driver.run_pool([store], LONE_ROUTER,
+                                            spec.workload(), nclients,
                                             seed=7, max_ops=spec.max_ops)
     else:
-        outcome = ClientPool(store, spec.workload(), nclients, seed=7,
-                             max_ops=spec.max_ops).run()
+        outcome = FleetPool(stack.stores, stack.router, spec.workload(),
+                            nclients, seed=7, max_ops=spec.max_ops).run()
     return outcome, clock, ssd, store
 
 

@@ -11,10 +11,11 @@ from repro.core.experiment import (Engine, ExperimentSpec, build_stack,
 from repro.core.metrics import MetricsCollector
 from repro.errors import ConfigError
 from repro.flash.ssd import ChannelTimeline
+from repro.fleet.pool import FleetPool
 from repro.obs import NULL_TRACER, Tracer
-from repro.sim.clients import ClientPool
 from repro.units import MIB
 from repro.workload.runner import load_sequential
+from tests.conftest import LONE_ROUTER
 
 #: Small but real: exercises flush/compaction/checkpoint paths in
 #: milliseconds.  The write-byte budget is set high so max_ops decides
@@ -36,18 +37,18 @@ def loaded_stack(engine: Engine, nclients: int = 1, **overrides):
     ``run_measured_phase`` does)."""
     spec = ExperimentSpec(engine=engine, nclients=nclients, **FAST, **overrides)
     stack = build_stack(spec)
-    load_sequential(stack.store, spec.workload())
+    load_sequential(stack.stores, stack.router, spec.workload())
     stack.drain()
     if nclients > 1:
         stack.enable_channel_timing()
-    return spec, stack.clock, stack.shards[0].ssd, stack.store
+    return spec, stack.clock, stack.shards[0].ssd, stack.shards[0].store
 
 
 def run_pool(engine: Engine, nclients: int, seed: int = 7,
              tracer=NULL_TRACER, **overrides):
     spec, clock, ssd, store = loaded_stack(engine, nclients, **overrides)
-    pool = ClientPool(
-        store, spec.workload(), nclients, seed=seed,
+    pool = FleetPool(
+        [store], LONE_ROUTER, spec.workload(), nclients, seed=seed,
         max_ops=spec.max_ops, tracer=tracer,
     )
     outcome = pool.run()
@@ -177,7 +178,7 @@ class TestDeviceTiming:
         stack = build_stack(spec)
         workload = spec.workload()
         collector = MetricsCollector(stack, workload.dataset_bytes)
-        load_sequential(stack.store, workload)
+        load_sequential(stack.stores, stack.router, workload)
         stack.drain()
         collector.start_measurement()
         outcome = run_measured_phase(spec, stack, collector)
@@ -209,8 +210,8 @@ class TestReadHeavyBacklog:
         spec, _clock, ssd, store = loaded_stack(
             Engine.LSM, nclients=16, ssd="ssd2", **workload)
         folds_after_load = ssd.smart.fold_events
-        pool = ClientPool(store, spec.workload(), nclients=16, seed=7,
-                          max_ops=max_ops)
+        pool = FleetPool([store], LONE_ROUTER, spec.workload(), nclients=16,
+                         seed=7, max_ops=max_ops)
         outcome = pool.run()
         return outcome, store, ssd.smart.fold_events - folds_after_load
 
@@ -242,15 +243,16 @@ class TestValidation:
     def test_nclients_validated(self):
         _spec, _clock, ssd, store = loaded_stack(Engine.LSM)
         with pytest.raises(ConfigError):
-            ClientPool(store, _spec.workload(), nclients=0)
+            FleetPool([store], LONE_ROUTER, _spec.workload(), nclients=0)
 
     def test_sampling_args_fail_fast(self):
         spec, _clock, _ssd, store = loaded_stack(Engine.LSM)
         with pytest.raises(ConfigError):
-            ClientPool(store, spec.workload(), nclients=2, sample_interval=0.1)
+            FleetPool([store], LONE_ROUTER, spec.workload(), nclients=2,
+                      sample_interval=0.1)
         with pytest.raises(ConfigError):
-            ClientPool(store, spec.workload(), nclients=2,
-                       on_sample=lambda: None)
+            FleetPool([store], LONE_ROUTER, spec.workload(), nclients=2,
+                      on_sample=lambda: None)
 
     def test_spec_nclients_validated(self):
         with pytest.raises(ConfigError):

@@ -4,10 +4,13 @@ The paper's method (§3.2) is one user thread issuing operations in
 order against one stack; its queue-depth model is N such threads, each
 with exactly one operation outstanding.  This module says that with the
 public per-op KV API (``put``/``get``/``scan``/``delete``) and nothing
-else: no planner, no batch call, no ``until``.  It shares no code with
-the shipped drivers (``repro.workload.runner``, ``repro.workload.plan``,
-``repro.sim.clients``) — the way ``tests/flash/naive_ftl.py`` shares
-none with the FTL — so agreement with them is rightness, not sameness.
+else: no planner, no batch call, no ``until``.  Over several shards
+every call goes to the shard ``router.shard_for(key)`` names, one key
+at a time, the way ``tests/fleet/reference_fleet.py`` routes.  It
+shares no code with the shipped drivers (``repro.workload.runner``,
+``repro.workload.plan``, ``repro.fleet.pool``) — the way
+``tests/flash/naive_ftl.py`` shares none with the FTL — so agreement
+with them is rightness, not sameness.
 """
 
 from __future__ import annotations
@@ -21,22 +24,26 @@ from repro.sim.scheduler import Scheduler
 from repro.workload.keys import make_chooser
 
 
-def load(store, spec):
-    """Ingest every key once, in key order, then flush."""
+def load(stores, router, spec):
+    """Ingest every key once, in key order, on the shard owning it;
+    then flush the shards in order."""
     outcome = SimpleNamespace(ops_issued=0, out_of_space=False)
     try:
         for key in range(spec.nkeys):
-            store.put(key, value_for(key, 0, spec.value_bytes))
+            stores[router.shard_for(key)].put(
+                key, value_for(key, 0, spec.value_bytes))
             outcome.ops_issued += 1
-        store.flush()
+        for store in stores:
+            store.flush()
     except NoSpaceError:
         outcome.out_of_space = True
     return outcome
 
 
-def op_stream(store, spec, seed, client=0):
+def op_stream(stores, router, spec, seed, client=0):
     """Client *client*'s op stream as a function: each call draws a key,
-    then an op kind, issues that one op and returns its latency."""
+    then an op kind, issues that one op on the key's shard and returns
+    its latency."""
     prefix = "workload" if client == 0 else f"client{client}"
     chooser = make_chooser(spec.distribution, spec.nkeys,
                            rng_mod.substream(seed, f"{prefix}-keys"))
@@ -48,6 +55,7 @@ def op_stream(store, spec, seed, client=0):
         nonlocal version
         key = chooser.next_key()
         draw = op_rng.random()
+        store = stores[router.shard_for(key)]
         if draw < t_read:
             return store.get(key)[0]
         if draw < t_scan:
@@ -91,10 +99,10 @@ class Run:
                 self.next_sample = now + self.sample_interval
 
 
-def run(store, spec, seed, **limits):
+def run(stores, router, spec, seed, **limits):
     """One user thread: issue ops back to back until told to stop."""
-    state = Run(store.clock, **limits)
-    issue = op_stream(store, spec, seed)
+    state = Run(stores[0].clock, **limits)
+    issue = op_stream(stores, router, spec, seed)
     try:
         while state.may_issue():
             issue()
@@ -104,17 +112,18 @@ def run(store, spec, seed, **limits):
     return state
 
 
-def run_pool(store, spec, nclients, seed, **limits):
+def run_pool(stores, router, spec, nclients, seed, **limits):
     """N closed-loop clients, one scheduler event per operation."""
-    state = Run(store.clock, **limits)
+    state = Run(stores[0].clock, **limits)
     state.per_client_ops = [0] * nclients
     state.latencies = [[] for _ in range(nclients)]
-    scheduler = Scheduler(store.clock)
+    scheduler = Scheduler(stores[0].clock)
     if nclients > 1:  # concurrency: event-driven engines
-        store.attach_scheduler(scheduler)
+        for store in stores:
+            store.attach_scheduler(scheduler)
 
     def client(i):
-        issue = op_stream(store, spec, seed, i)
+        issue = op_stream(stores, router, spec, seed, i)
         while state.may_issue():
             try:
                 state.latencies[i].append(issue())

@@ -18,10 +18,11 @@ from tests.workload import reference_driver
 
 def reference_record(spec: ExperimentSpec) -> dict:
     stack = build_stack(spec)
-    clock, store, ssd = stack.clock, stack.store, stack.shards[0].ssd
+    clock, ssd = stack.clock, stack.shards[0].ssd
     workload = spec.workload()
     collector = MetricsCollector(stack, workload.dataset_bytes)
-    outcome = reference_driver.load(store, workload)
+    stores, router = stack.stores, stack.router
+    outcome = reference_driver.load(stores, router, workload)
     load_seconds = run_start = clock.now
     if not outcome.out_of_space:  # else the load's count is the result
         ssd.drain()
@@ -41,9 +42,10 @@ def reference_record(spec: ExperimentSpec) -> dict:
             ssd.enable_channel_timing()  # concurrency: per-channel device
         if spec.nclients > 1 or spec.driver == "pool":
             outcome = reference_driver.run_pool(
-                store, workload, spec.nclients, spec.seed, **limits)
+                stores, router, workload, spec.nclients, spec.seed, **limits)
         else:
-            outcome = reference_driver.run(store, workload, spec.seed, **limits)
+            outcome = reference_driver.run(stores, router, workload,
+                                           spec.seed, **limits)
     return {
         "ops_issued": outcome.ops_issued,
         "out_of_space": outcome.out_of_space,

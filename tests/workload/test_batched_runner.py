@@ -1,7 +1,7 @@
 """The lone client against the reference driver: the DESIGN.md §6
 contract.
 
-A one-client :class:`~repro.sim.clients.ClientPool` (vectorized RNG
+A one-client :class:`~repro.fleet.pool.FleetPool` (vectorized RNG
 windows + engine batch API) must be *bit-identical* to one user thread
 issuing one KV call per operation (``reference_driver.py``, which
 shares no code with it): same op stream, same virtual clock, same
@@ -22,20 +22,21 @@ from repro.btree.config import BTreeConfig
 from repro.btree.store import BTreeStore
 from repro.core.clock import VirtualClock
 from repro.flash.ssd import SSD
+from repro.fleet.pool import FleetPool
 from repro.fs.filesystem import ExtentFilesystem
 from repro.kv.values import seeds_for, value_for
 from repro.lsm.config import LSMConfig
 from repro.lsm.store import LSMStore
-from repro.sim.clients import ClientPool
 from repro.workload.keys import make_chooser
 from repro.workload.runner import load_sequential
 from repro.workload.spec import WorkloadSpec
-from tests.conftest import make_tiny_config
+from tests.conftest import LONE_ROUTER, make_tiny_config
 from tests.workload import reference_driver
 
 
-def make_store(engine: str, nblocks: int = 128):
-    clock = VirtualClock()
+def make_store(engine: str, nblocks: int = 128, clock=None):
+    """A tiny engine stack and its SSD, on *clock* or a fresh one."""
+    clock = clock or VirtualClock()
     ssd = SSD(make_tiny_config(nblocks=nblocks), clock)
     fs = ExtentFilesystem(BlockDevice(ssd))
     if engine == "lsm":
@@ -47,6 +48,14 @@ def make_store(engine: str, nblocks: int = 128):
                          journal_ring_bytes=64 * 1024,
                          checkpoint_log_bytes=32 * 1024)
     return BTreeStore(fs, clock, config), ssd
+
+
+def make_shards(engine: str, nshards: int, nblocks: int = 128):
+    """*nshards* tiny engine stacks on one clock, with their SSDs."""
+    clock = VirtualClock()
+    stores, ssds = zip(*(make_store(engine, nblocks, clock)
+                         for _ in range(nshards)))
+    return clock, list(stores), list(ssds)
 
 
 def state_fingerprint(store, ssd, ticks):
@@ -69,8 +78,8 @@ def drive(engine: str, spec: WorkloadSpec, reference: bool, *, seed=17,
     or the lone client."""
     store, ssd = make_store(engine)
     ticks: list[float] = []
-    load_out = (reference_driver.load if reference else load_sequential)(
-        store, spec)
+    load_out = (reference_driver.load([store], LONE_ROUTER, spec) if reference
+                else load_sequential([store], LONE_ROUTER, spec))
     assert load_out.ops_issued == spec.nkeys
     kwargs = {}
     if sample_interval is not None:
@@ -79,11 +88,11 @@ def drive(engine: str, spec: WorkloadSpec, reference: bool, *, seed=17,
     if stop_when is not None:
         kwargs["stop_when"] = stop_when(store)
     if reference:
-        outcome = reference_driver.run(store, spec, seed=seed,
+        outcome = reference_driver.run([store], LONE_ROUTER, spec, seed=seed,
                                        max_ops=max_ops, **kwargs)
     else:
-        outcome = ClientPool(store, spec, 1, seed=seed, max_ops=max_ops,
-                             per_client=False, **kwargs).run()
+        outcome = FleetPool([store], LONE_ROUTER, spec, seed=seed,
+                            max_ops=max_ops, per_client=False, **kwargs).run()
     return ((outcome.ops_issued, outcome.out_of_space),
             state_fingerprint(store, ssd, ticks))
 
@@ -182,13 +191,13 @@ class TestBatchedRunnerEquivalence:
         for reference in (True, False):
             store, ssd = make_store("lsm", nblocks=32)
             if reference:
-                load = reference_driver.load(store, spec)
-                outcome = reference_driver.run(store, spec, seed=9,
-                                               max_ops=100_000)
+                load = reference_driver.load([store], LONE_ROUTER, spec)
+                outcome = reference_driver.run([store], LONE_ROUTER, spec,
+                                               seed=9, max_ops=100_000)
             else:
-                load = load_sequential(store, spec)
-                outcome = ClientPool(store, spec, 1, seed=9, max_ops=100_000,
-                                     per_client=False).run()
+                load = load_sequential([store], LONE_ROUTER, spec)
+                outcome = FleetPool([store], LONE_ROUTER, spec, seed=9,
+                                    max_ops=100_000, per_client=False).run()
             results.append((load.ops_issued, load.out_of_space,
                             outcome.ops_issued, outcome.out_of_space,
                             store.clock.now, ssd.smart.as_dict()))
@@ -214,8 +223,8 @@ class TestBatchApiDirect:
         spec = WorkloadSpec(nkeys=100, value_bytes=100)
         a, _ = make_store("lsm")
         b, _ = make_store("lsm")
-        reference_driver.load(a, spec)
-        load_sequential(b, spec)
+        reference_driver.load([a], LONE_ROUTER, spec)
+        load_sequential([b], LONE_ROUTER, spec)
         for key in range(50):
             a.get(key)
         for key in range(30):

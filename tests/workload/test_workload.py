@@ -11,10 +11,10 @@ from repro.block.device import BlockDevice
 from repro.core.clock import VirtualClock
 from repro.errors import ConfigError
 from repro.flash.ssd import SSD
+from repro.fleet.pool import FleetPool
 from repro.fs.filesystem import ExtentFilesystem
 from repro.lsm.config import LSMConfig
 from repro.lsm.store import LSMStore
-from repro.sim.clients import ClientPool
 from repro.workload.keys import (
     HotspotKeys,
     SequentialKeys,
@@ -24,7 +24,7 @@ from repro.workload.keys import (
 )
 from repro.workload.runner import load_sequential
 from repro.workload.spec import WorkloadSpec
-from tests.conftest import make_tiny_config
+from tests.conftest import LONE_ROUTER, make_tiny_config
 
 
 def fresh_rng():
@@ -105,7 +105,7 @@ class TestRunner:
     def test_load_sequential_ingests_all(self):
         store = make_store()
         spec = WorkloadSpec(nkeys=300, value_bytes=100)
-        outcome = load_sequential(store, spec)
+        outcome = load_sequential([store], LONE_ROUTER, spec)
         assert outcome.ops_issued == 300
         assert not outcome.out_of_space
         assert outcome.load_seconds > 0
@@ -115,15 +115,15 @@ class TestRunner:
     def test_run_respects_max_ops(self):
         store = make_store()
         spec = WorkloadSpec(nkeys=100, value_bytes=100)
-        outcome = ClientPool(store, spec, 1, per_client=False,
-                             max_ops=250).run()
+        outcome = FleetPool([store], LONE_ROUTER, spec, per_client=False,
+                            max_ops=250).run()
         assert outcome.ops_issued == 250
 
     def test_stop_when_callback(self):
         store = make_store()
         spec = WorkloadSpec(nkeys=100, value_bytes=100)
-        outcome = ClientPool(
-            store, spec, 1, per_client=False,
+        outcome = FleetPool(
+            [store], LONE_ROUTER, spec, per_client=False,
             stop_when=lambda: store.clock.now > 0.05, max_ops=100_000,
         ).run()
         assert store.clock.now > 0.05
@@ -132,9 +132,9 @@ class TestRunner:
     def test_mixed_workload_issues_reads(self):
         store = make_store()
         spec = WorkloadSpec(nkeys=100, value_bytes=100, read_fraction=0.5)
-        load_sequential(store, spec)
-        ClientPool(store, spec, 1, per_client=False,
-                   max_ops=400).run()
+        load_sequential([store], LONE_ROUTER, spec)
+        FleetPool([store], LONE_ROUTER, spec, per_client=False,
+                  max_ops=400).run()
         assert store.stats.gets > 100
         assert store.stats.puts > 100 + 100  # load + update share
 
@@ -142,8 +142,8 @@ class TestRunner:
         store = make_store()
         spec = WorkloadSpec(nkeys=100, value_bytes=100)
         ticks = []
-        ClientPool(
-            store, spec, 1, per_client=False, max_ops=2000,
+        FleetPool(
+            [store], LONE_ROUTER, spec, per_client=False, max_ops=2000,
             sample_interval=0.01, on_sample=lambda: ticks.append(store.clock.now),
         ).run()
         assert len(ticks) > 2
@@ -154,8 +154,8 @@ class TestRunner:
         for _ in range(2):
             store = make_store()
             spec = WorkloadSpec(nkeys=100, value_bytes=100)
-            ClientPool(store, spec, 1, seed=5, per_client=False,
-                       max_ops=500).run()
+            FleetPool([store], LONE_ROUTER, spec, seed=5, per_client=False,
+                      max_ops=500).run()
             results.append(store.clock.now)
         assert results[0] == results[1]
 
@@ -163,17 +163,17 @@ class TestRunner:
         store = make_store()
         spec = WorkloadSpec(nkeys=50, value_bytes=64, scan_fraction=1.0,
                             scan_length=10)
-        load_sequential(store, spec)
-        ClientPool(store, spec, 1, per_client=False,
-                   max_ops=20).run()
+        load_sequential([store], LONE_ROUTER, spec)
+        FleetPool([store], LONE_ROUTER, spec, per_client=False,
+                  max_ops=20).run()
         assert store.stats.scans == 20
 
     def test_delete_workload_issues_deletes(self):
         store = make_store()
         spec = WorkloadSpec(nkeys=100, value_bytes=100, delete_fraction=0.3)
-        load_sequential(store, spec)
-        ClientPool(store, spec, 1, per_client=False,
-                   max_ops=400).run()
+        load_sequential([store], LONE_ROUTER, spec)
+        FleetPool([store], LONE_ROUTER, spec, per_client=False,
+                  max_ops=400).run()
         assert store.stats.deletes > 50
         assert store.stats.puts > 100  # load + the update share
 
@@ -187,9 +187,9 @@ class TestRunner:
                          delete_fraction=0.0),
         ):
             store = make_store()
-            load_sequential(store, spec)
-            ClientPool(store, spec, 1, seed=11, per_client=False,
-                       max_ops=300).run()
+            load_sequential([store], LONE_ROUTER, spec)
+            FleetPool([store], LONE_ROUTER, spec, seed=11, per_client=False,
+                      max_ops=300).run()
             assert store.stats.deletes == 0
             clocks.append(store.clock.now)
         assert clocks[0] == clocks[1]
@@ -198,10 +198,10 @@ class TestRunner:
         store = make_store()
         spec = WorkloadSpec(nkeys=100, value_bytes=100)
         with pytest.raises(ConfigError):
-            ClientPool(store, spec, 1, per_client=False, sample_interval=0.1)
+            FleetPool([store], LONE_ROUTER, spec, sample_interval=0.1)
         with pytest.raises(ConfigError):
-            ClientPool(store, spec, 1, per_client=False, on_sample=lambda: None)
+            FleetPool([store], LONE_ROUTER, spec, on_sample=lambda: None)
         with pytest.raises(ConfigError):
-            ClientPool(store, spec, 1, per_client=False, sample_interval=0.0,
-                       on_sample=lambda: None)
+            FleetPool([store], LONE_ROUTER, spec, sample_interval=0.0,
+                      on_sample=lambda: None)
         assert store.stats.ops == 0  # rejected before any op ran
