@@ -42,10 +42,10 @@ def demo_device():
     failed = 0
     for i in range(200):
         try:
-            ssd.write_range((i * 8) % 2048, 8)
+            ssd.write_runs([(i * 8) % 2048], [8])
         except ProgramFaultError:
             failed += 1
-        ssd.read_range((i * 8) % 2048, 8)
+        ssd.read_runs([(i * 8) % 2048], [8])
     smart = ssd.smart
     print(f"200 writes ({failed} failed) + 200 reads:")
     print(f"  media errors      {smart.media_errors}")
@@ -62,7 +62,7 @@ def demo_device():
     device.retry = RetryPolicy(8, 0.0005)
     fs = ExtentFilesystem(device)
     fs.create("f")
-    total = sum(fs.pwrite("f", i * 4096, 4096) for i in range(50))
+    total = sum(fs.append("f", 4096) for _ in range(50))
     print(f"50 retried file writes: {ssd.smart.program_failures} faults "
           f"absorbed, {total * 1e3:.2f} ms total virtual latency")
     print()

@@ -20,11 +20,10 @@ class BlkTrace:
         self.total_write_requests = 0
 
     # BlockObserver interface -------------------------------------------------
-    def on_write(self, t: float, start: int, npages: int, lpns: np.ndarray | None) -> None:
-        if lpns is not None:
-            np.add.at(self._hist, lpns, 1)
-        else:
-            self._hist[start : start + npages] += 1
+    def on_write(self, t: float, starts, lens) -> None:
+        hist = self._hist
+        for start, npages in zip(starts, lens):
+            hist[start : start + npages] += 1
         self.total_write_requests += 1
 
     # Queries ------------------------------------------------------------------

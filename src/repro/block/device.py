@@ -11,6 +11,9 @@ collection), refuses requests outside that range, re-drives writes
 that hit a transient device error within its retry budget
 (:class:`~repro.faults.retry.RetryPolicy`), and tells attached
 observers (:class:`~repro.block.blktrace.BlkTrace`) about each write.
+It has one entry per direction, both taking device runs: ``write_runs``
+(all the runs of a call are one request) and ``read_runs`` (each run is
+its own request).
 
 ``bytes_written`` / ``bytes_read`` (``block.*`` in a snapshot) are the
 cumulative per-device counters ``iostat`` reports deltas of: a window's
@@ -23,9 +26,8 @@ from __future__ import annotations
 
 from typing import Protocol
 
-import numpy as np
-
 from repro.errors import ConfigError, DeviceError, OutOfRangeError
+from repro.flash.ftl import run_pages
 from repro.flash.ssd import SSD
 
 
@@ -35,8 +37,8 @@ class BlockObserver(Protocol):
     moves the clock (its caller advances by the latency returned), so
     it is read once served."""
 
-    def on_write(self, t: float, start: int, npages: int, lpns: np.ndarray | None) -> None:
-        """Called for every write request (either a range or a page list)."""
+    def on_write(self, t: float, starts, lens) -> None:
+        """Called for every write request with its device runs."""
 
 
 class BlockDevice:
@@ -82,55 +84,44 @@ class BlockDevice:
         return {"block.bytes_written": self.bytes_written,
                 "block.bytes_read": self.bytes_read}
 
-    def write_pages(self, lpns: np.ndarray, background: bool = False) -> float:
-        """Write a batch of (unique) pages; returns host-visible latency."""
-        arr = np.asarray(lpns)
-        if arr.size == 0:
+    def write_runs(self, starts, lens, background: bool = False) -> float:
+        """Write the disjoint page runs ``(starts[i], lens[i])`` as one
+        host request; returns host-visible latency.  A run outside the
+        exposed range refuses the whole request before any is submitted."""
+        try:
+            (start,), (npages,) = starts, lens  # one run: no array work
+        except ValueError:
+            npages = run_pages(starts, lens, self.npages)
+        else:
+            if npages < 0 or start < 0 or start + npages > self.npages:
+                self._refuse(start, npages)
+        if npages == 0:
             return 0.0
-        if int(arr.min()) < 0 or int(arr.max()) >= self.npages:
-            raise OutOfRangeError(
-                f"write outside the exposed range of {self.npages} pages")
         retry = self.retry
         if retry is None:
-            latency = self.ssd.write_pages(lpns, background=background)
+            latency = self.ssd.write_runs(starts, lens, background)
         else:
             latency = retry.run(
-                lambda: self.ssd.write_pages(lpns, background=background))
-        self.bytes_written += int(arr.size) * self.page_size
-        for observer in self._observers:
-            observer.on_write(self.ssd.clock.now, -1, int(arr.size), arr)
-        return latency
-
-    def write_range(self, start: int, npages: int, background: bool = False) -> float:
-        """Write a consecutive page range; returns host-visible latency."""
-        if npages <= 0 or start < 0 or start + npages > self.npages:
-            if npages == 0:
-                return 0.0
-            self._refuse(start, npages)
-        retry = self.retry
-        if retry is None:
-            latency = self.ssd.write_range(start, npages, background=background)
-        else:
-            latency = retry.run(lambda: self.ssd.write_range(
-                start, npages, background=background))
+                lambda: self.ssd.write_runs(starts, lens, background))
         self.bytes_written += npages * self.page_size
         for observer in self._observers:
-            observer.on_write(self.ssd.clock.now, start, npages, None)
+            observer.on_write(self.ssd.clock.now, starts, lens)
         return latency
 
-    def read_range(self, start: int, npages: int) -> float:
-        """Read a consecutive page range; returns host-visible latency."""
-        if npages <= 0 or start < 0 or start + npages > self.npages:
-            if npages == 0:
-                return 0.0
-            self._refuse(start, npages)
-        latency = self.ssd.read_range(start, npages)
-        self.bytes_read += npages * self.page_size
-        return latency
-
-    def read_ranges(self, starts, lens) -> list[float]:
-        """``read_range`` of every ``(start, npages)`` as one submission;
-        each range is still its own request to SMART."""
+    def read_runs(self, starts, lens) -> list[float]:
+        """Read the page runs ``(starts[i], lens[i])`` as one submission;
+        each run is still its own request to SMART.  A run outside the
+        exposed range raises once the runs before it are served."""
+        try:
+            (start,), (npages,) = starts, lens  # one run: no batch
+        except ValueError:
+            pass
+        else:
+            if npages and (npages < 0 or start < 0 or start + npages > self.npages):
+                self._refuse(start, npages)
+            latencies = self.ssd.read_runs(starts, lens)
+            self.bytes_read += npages * self.page_size
+            return latencies
         if len(starts) != len(lens):
             raise DeviceError(f"{len(starts)} starts for {len(lens)} lengths")
         exposed = self.npages
@@ -139,10 +130,10 @@ class BlockDevice:
             if npages:
                 if npages < 0 or start < 0 or start + npages > exposed:
                     # Like the loop: the requests before the bad one are served.
-                    self.read_ranges(starts[:i], lens[:i])
+                    self.read_runs(starts[:i], lens[:i])
                     self._refuse(start, npages)
                 pages += npages
-        latencies = self.ssd.read_ranges(starts, lens)
+        latencies = self.ssd.read_runs(starts, lens)
         self.bytes_read += pages * self.page_size
         return latencies
 

@@ -37,13 +37,10 @@ class Pager:
         self._free_slots: list[int] = []
         self.pages_written = 0
         self.pages_read = 0
-        # slot -> (device_start, npages) | None, resolved lazily.  A
-        # slot's device pages are fixed once its extent is allocated
-        # (the tree file only ever grows), so I/O on a cached slot is
-        # submitted as a device range directly; None marks slots that
-        # span extents and must go through the filesystem.
-        self._slot_runs: dict[int, tuple[int, int] | None] = {}
-        self._fs_page_size = fs.page_size
+        # slot -> the filesystem's device runs for the slot's bytes,
+        # resolved on first use: the tree file is never deleted, so a
+        # resolution stays valid (ExtentFilesystem.byte_runs).
+        self._slot_runs: dict[int, list] = {}
 
     # ------------------------------------------------------------------
     # Slot lifecycle
@@ -93,34 +90,19 @@ class Pager:
         """Read one page slot; returns latency."""
         self._check_slot(slot)
         self.pages_read += 1
-        run = self._slot_run(slot)
-        if run is not None:
-            return self.fs.device.read_range(*run)
-        return self.fs.pread(self.FILENAME, slot * self.page_bytes, self.page_bytes)
+        runs = self._slot_runs.get(slot) or self._resolve(slot)
+        return self.fs.read_runs((runs,))
 
     def _write_slot(self, slot: int, background: bool) -> float:
-        """Submit one slot write, via the cached device range if any."""
-        run = self._slot_run(slot)
-        if run is not None:
-            return self.fs.device.write_range(run[0], run[1], background=background)
-        return self.fs.pwrite(
-            self.FILENAME, slot * self.page_bytes, self.page_bytes,
-            background=background,
-        )
+        """Submit one slot write as one request."""
+        runs = self._slot_runs.get(slot) or self._resolve(slot)
+        return self.fs.write_runs(runs, background)
 
-    def _slot_run(self, slot: int) -> tuple[int, int] | None:
-        """The slot's device range — exactly what the filesystem would
-        resolve for its byte span — cached after the first lookup."""
-        try:
-            return self._slot_runs[slot]
-        except KeyError:
-            offset = slot * self.page_bytes
-            page_size = self._fs_page_size
-            first_page = offset // page_size
-            last_page = -(-(offset + self.page_bytes) // page_size)
-            run = self.fs.page_run(self.FILENAME, first_page, last_page - first_page)
-            self._slot_runs[slot] = run
-            return run
+    def _resolve(self, slot: int) -> list:
+        """Resolve the slot's device runs and cache them."""
+        runs = self._slot_runs[slot] = self.fs.byte_runs(
+            self.FILENAME, slot * self.page_bytes, self.page_bytes)
+        return runs
 
     def free(self, slot: int) -> None:
         """Return a slot to the in-file free list (space is *not*

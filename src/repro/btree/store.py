@@ -60,7 +60,6 @@ class BTreeStore(KVStore):
         self.journal_bytes = 0
         self._journal_offset = 0
         self._journal_since_checkpoint = 0
-        self._ring_run = None  # cached journal-ring device range
         #: Last leaf a batched read/scan touched — the cross-call
         #: descent-reuse cursor (DESIGN.md §7.3).  Always validated
         #: against the leaf's *current* key bounds before reuse, which
@@ -71,9 +70,6 @@ class BTreeStore(KVStore):
         if self.config.journal_enabled:
             fs.create(self.JOURNAL_FILE)
             fs.reserve(self.JOURNAL_FILE, self.config.journal_ring_bytes)
-            # The ring is pre-allocated and never extended or deleted,
-            # so its device range is fixed for the store's lifetime.
-            self._ring_run = fs.contiguous_device_range(self.JOURNAL_FILE)
         self.cache.insert(id(self._root), self._root)
 
     # ------------------------------------------------------------------
@@ -194,16 +190,10 @@ class BTreeStore(KVStore):
         keys_list = as_int_list(keys)
         seeds_list = as_int_list(vseeds)
         # Inlined journal-record accounting (see _journal): every put
-        # writes one ring record, so the call overhead is hot.  When
-        # the ring occupies one extent (it is pre-allocated, so this is
-        # the norm) records are submitted as cached device ranges.
+        # writes one ring record, so the call overhead is hot.
         journal = config.journal_enabled
         record_bytes = payload + 32
         ring = config.journal_ring_bytes
-        page_size = self.fs.page_size
-        fs_device = self.fs.device
-        ring_run = self._ring_run if journal else None
-        ring_base = ring_run[0] if ring_run is not None else None
         pwrite = self.fs.pwrite
         checkpoint_interval = config.checkpoint_interval
         checkpoint_log_bytes = config.checkpoint_log_bytes
@@ -269,13 +259,6 @@ class BTreeStore(KVStore):
                         latency += pwrite(self.JOURNAL_FILE, start, ring - start)
                         latency += pwrite(self.JOURNAL_FILE, 0,
                                           record_bytes - (ring - start))
-                    elif ring_base is not None:
-                        # The exact page range pwrite would submit.
-                        first_page = start // page_size
-                        last_page = -(-(start + record_bytes) // page_size)
-                        latency += fs_device.write_range(
-                            ring_base + first_page, last_page - first_page
-                        )
                     else:
                         latency += pwrite(self.JOURNAL_FILE, start, record_bytes)
                     self._journal_offset = (start + record_bytes) % ring

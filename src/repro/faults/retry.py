@@ -2,9 +2,9 @@
 
 The engine tier must not lose durability writes to a transient fault:
 WAL write-outs, SSTable flushes, compaction output, journal records
-and checkpoints all reach the drive through the block layer, whether
-by way of the filesystem or a cached device range, and
-:class:`~repro.block.device.BlockDevice` wraps its write submission in
+and checkpoints all reach the drive through the filesystem and the
+block layer's one write entry, and
+:class:`~repro.block.device.BlockDevice` wraps that submission in
 ``retry.run(...)`` when a policy is attached.  Each failed attempt
 re-drives the whole request — the FTL commits nothing
 on a program fault — and charges an exponentially growing backoff to

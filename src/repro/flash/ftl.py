@@ -17,9 +17,9 @@ WA-D is *measured* from actual relocations, never modeled.
 Host writes are *write-behind*.  A request that still fits the open
 host block closes nothing and triggers no collection — its work is
 ``(n, 0, 0)`` by construction — and nothing reads the mapping until
-that block closes, so ``write_range``/``write_pages`` only append the
-request to a log and :meth:`_flush_log` applies the whole log in one
-array pass.  The log is drained exactly where FTL state is observed: a
+that block closes, so ``write_runs`` only appends the request's runs
+to a log and :meth:`_flush_log` applies the whole log in one array
+pass.  The log is drained exactly where FTL state is observed: a
 request that does not fit the open block (which closes it and may run
 GC), ``trim_range``, ``mapped_pages``/``utilization``/``is_mapped``,
 ``check_invariants`` and ``state_arrays`` (the white-box readers for
@@ -47,7 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigError, DeviceFullError, OutOfRangeError
+from repro.errors import (
+    ConfigError, DeviceError, DeviceFullError, OutOfRangeError,
+)
 from repro.flash.config import SSDConfig
 from repro.flash.gc import (
     _BAD, _CLOSED, _FREE, _OPEN, GCPolicy, GreedyPolicy, VictimIndex,
@@ -73,6 +75,34 @@ class WorkUnits:
     def programmed_pages(self) -> int:
         """Total pages programmed (host + GC)."""
         return self.host_pages + self.gc_pages
+
+
+def run_pages(starts, lens, limit: int) -> int:
+    """Pages in one request of device runs ``(starts[i], lens[i])``.
+
+    The whole request is refused before anything is submitted:
+    ``DeviceError`` when the two columns differ in length,
+    ``OutOfRangeError`` when a run has a negative length or leaves
+    ``[0, limit)``.
+    """
+    if len(starts) != len(lens):
+        raise DeviceError(f"{len(starts)} starts for {len(lens)} lengths")
+    total = 0
+    for start, npages in zip(starts, lens):
+        if npages < 0 or start < 0 or start + npages > limit:
+            raise OutOfRangeError(
+                f"run [{start}, {start + npages}) outside [0, {limit})")
+        total += npages
+    return int(total)
+
+
+def run_lpns(starts, lens) -> np.ndarray:
+    """The pages of runs ``(starts[i], lens[i])`` in order, as one int64
+    array: each run's start less the pages before it, repeated, plus
+    the running page index."""
+    lens = np.asarray(lens, dtype=np.int64)
+    return np.repeat(np.asarray(starts, dtype=np.int64) - np.cumsum(lens) + lens,
+                     lens) + np.arange(int(lens.sum()), dtype=np.int64)
 
 
 class FlashTranslationLayer:
@@ -109,15 +139,12 @@ class FlashTranslationLayer:
         # Reusable 0..ppb iota: the programming paths slice it instead
         # of allocating an arange per open-block chunk.
         self._iota = np.arange(ppb, dtype=np.int64)
-        # Write-behind log (module docstring): the requests programmed,
-        # in order, at the cold head since the last drain.  A
-        # ``write_pages`` entry has a placeholder start and its lpns in
-        # ``_log_arrays`` beside their offset in the open block.
-        # ``_log_room`` is what the open block has left after the log;
-        # 0 while no block is open.
+        # Write-behind log (module docstring): the runs programmed, in
+        # order, at the cold head since the last drain.  ``_log_room``
+        # is what the open block has left after the log; 0 while no
+        # block is open.
         self._log_starts: list[int] = []
         self._log_lens: list[int] = []
-        self._log_arrays: list[tuple[int, np.ndarray]] = []
         self._log_room = 0
         # Watermarks are clamped by the physical spare capacity: with S
         # spare blocks the collector can sustainably keep at most S-2
@@ -143,33 +170,29 @@ class FlashTranslationLayer:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def write_pages(self, lpns: np.ndarray) -> WorkUnits:
-        """Write the given logical pages (must be unique within the batch).
+    def write_runs(self, starts, lens) -> WorkUnits:
+        """Write the disjoint logical runs ``(starts[i], lens[i])``, in
+        order, as one request.
 
         Returns the physical work performed, including any garbage
         collection triggered by the writes.
         """
-        n = len(lpns)
-        if n == 0:
+        try:
+            (start,), (npages,) = starts, lens  # one run: no array work
+        except ValueError:
+            npages = run_pages(starts, lens, self._logical_pages)
+        else:
+            if npages < 0 or start < 0 or start + npages > self._logical_pages:
+                raise OutOfRangeError("logical page outside device address space")
+        if npages == 0:
             return WorkUnits()
-        lpns = np.asarray(lpns, dtype=np.int64)
-        self._check_range(lpns)
-        if n <= self._log_room:
-            # A copy: the caller may reuse its array before the drain.
-            self._log_arrays.append((self._ppb - self._log_room, lpns.copy()))
-            return self._log(0, n)
-        return self._write_through(lpns)
-
-    def write_range(self, start: int, npages: int) -> WorkUnits:
-        """Write ``npages`` consecutive logical pages starting at *start*."""
-        if npages <= 0:
-            return WorkUnits()
-        if start < 0 or start + npages > self._logical_pages:
-            raise OutOfRangeError("logical page outside device address space")
         if npages <= self._log_room:
-            return self._log(start, npages)
-        return self._write_through(
-            np.arange(start, start + npages, dtype=np.int64))
+            self._log_room -= npages
+            self._log_starts.extend(starts)
+            self._log_lens.extend(lens)
+            self.total_host_pages += npages
+            return WorkUnits(npages)
+        return self._write_through(run_lpns(starts, lens))
 
     def retire_free_block(self) -> bool:
         """Retire one free block as grown-bad (fault injection).
@@ -245,10 +268,6 @@ class FlashTranslationLayer:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _check_range(self, lpns: np.ndarray) -> None:
-        if lpns.size and (int(lpns.min()) < 0 or int(lpns.max()) >= self.config.logical_pages):
-            raise OutOfRangeError("logical page outside device address space")
-
     def _invalidate(self, ppns: np.ndarray) -> None:
         """Drop the physical pages in *ppns* (entries may be -1)."""
         live = ppns[ppns >= 0]
@@ -305,14 +324,6 @@ class FlashTranslationLayer:
         self.total_host_pages += lpns.size
         return work
 
-    def _log(self, start: int, npages: int) -> WorkUnits:
-        """Append one request that fits the open block to the write log."""
-        self._log_room -= npages
-        self._log_starts.append(start)
-        self._log_lens.append(npages)
-        self.total_host_pages += npages
-        return WorkUnits(npages)
-
     def _flush_log(self) -> None:
         """Apply the logged requests to the mapping in one array pass.
 
@@ -323,15 +334,10 @@ class FlashTranslationLayer:
         if not self._log_lens:
             return
         block, off = self._heads["cold"]
-        total = self._ppb - self._log_room - off
-        lens = np.array(self._log_lens)
-        lpns = np.repeat(np.array(self._log_starts) - np.cumsum(lens) + lens,
-                         lens) + self._iota[:total]
-        for at, batch in self._log_arrays:
-            lpns[at - off : at - off + batch.size] = batch
+        lpns = run_lpns(self._log_starts, self._log_lens)
         self._log_starts.clear()
         self._log_lens.clear()
-        self._log_arrays.clear()
+        total = int(lpns.size)
         # A stable sort keeps log order among equal lpns, so the last
         # of each run is the copy that survives.
         order = np.argsort(lpns, kind="stable")

@@ -49,7 +49,7 @@ from repro.core.clock import VirtualClock
 from repro.errors import DeviceError, OutOfRangeError
 from repro.faults.plan import NO_FAULTS
 from repro.flash.config import SSDConfig
-from repro.flash.ftl import FlashTranslationLayer, WorkUnits
+from repro.flash.ftl import FlashTranslationLayer, WorkUnits, run_pages
 from repro.flash.gc import GCPolicy
 from repro.flash.smart import SmartAttributes
 from repro.obs.tracer import NULL_TRACER
@@ -425,14 +425,21 @@ class SSD:
     # ------------------------------------------------------------------
     # I/O
     # ------------------------------------------------------------------
-    def write_pages(self, lpns: np.ndarray, background: bool = False) -> float:
-        """Write the given (unique) logical pages.
+    def write_runs(self, starts, lens, background: bool = False) -> float:
+        """Write the disjoint logical runs ``(starts[i], lens[i])`` as one
+        host request.
 
         Returns the host-visible latency in seconds; background writes
         return 0.0 but still queue flash work and count in SMART.
         """
-        n = len(lpns)
-        if n == 0:
+        try:
+            (start,), (npages,) = starts, lens  # one run: no array work
+        except ValueError:
+            npages = run_pages(starts, lens, self._npages)
+        else:
+            if npages < 0 or start < 0 or start + npages > self._npages:
+                self._check(start, npages)
+        if npages == 0:
             return 0.0
         faults = self.faults
         # Faults draw before the FTL touches any state: a program
@@ -440,33 +447,10 @@ class SSD:
         # the identical request on retry.
         extra = faults.on_write(self) if faults.enabled else 0.0
         if self.ftl is not None:
-            # The FTL validates the range itself and converts (or
-            # copies) what it needs, so the array round-trip is
-            # skipped here.
-            work = self.ftl.write_pages(lpns)
+            work = self.ftl.write_runs(starts, lens)
         else:
-            lpns = np.asarray(lpns, dtype=np.int64)
-            if int(lpns.min()) < 0 or int(lpns.max()) >= self._npages:
-                raise OutOfRangeError("logical page outside device address space")
-            self._mapped[lpns] = True
-            work = WorkUnits(host_pages=n)
-        latency = self._account_write(n, work, background)
-        if extra:
-            latency += extra
-        return latency
-
-    def write_range(self, start: int, npages: int, background: bool = False) -> float:
-        """Write a consecutive logical range."""
-        if npages <= 0 or start < 0 or start + npages > self._npages:
-            if npages == 0:
-                return 0.0
-            self._check(start, npages)
-        faults = self.faults
-        extra = faults.on_write(self) if faults.enabled else 0.0
-        if self.ftl is not None:
-            work = self.ftl.write_range(start, npages)
-        else:
-            self._mapped[start : start + npages] = True
+            for start, n in zip(starts, lens):
+                self._mapped[start : start + n] = True
             work = WorkUnits(host_pages=npages)
         latency = self._account_write(npages, work, background)
         if extra:
@@ -474,7 +458,10 @@ class SSD:
         return latency
 
     def read_range(self, start: int, npages: int) -> float:
-        """Read a consecutive logical range; returns host-visible latency."""
+        """One read request: the per-request body of :meth:`read_runs`,
+        the read entry every layer above calls.  Returns its latency.
+        (It keeps this public name because the perf ledger's probes time
+        the SSD's reads by it.)"""
         if npages <= 0 or start < 0 or start + npages > self._npages:
             if npages == 0:
                 return 0.0
@@ -512,12 +499,23 @@ class SSD:
                 latency += extra
         return latency
 
-    def read_ranges(self, starts, lens) -> list[float]:
-        """``read_range`` of every ``(start, npages)``, submitted at one
-        instant: the same latencies and the same accounting, timed by
-        the timeline in one call.  The tracer and fault draws are
-        per-request state: the loop.
+    def read_runs(self, starts, lens) -> list[float]:
+        """Read the logical runs ``(starts[i], lens[i])``, submitted at
+        one instant, each its own host request; returns their
+        host-visible latencies.  A run outside the logical space raises
+        once the runs before it are served.
+
+        The tracer and fault draws are per-request state, and one run
+        needs no batch: those go request by request.  Otherwise the
+        timeline times the batch in one call — nothing a latency
+        depends on moves inside it — and the accounting is summed.
         """
+        try:
+            (start,), (npages,) = starts, lens  # one run: no batch
+        except ValueError:
+            pass
+        else:
+            return [self.read_range(start, npages)]
         if len(starts) != len(lens):
             raise DeviceError(f"{len(starts)} starts for {len(lens)} lengths")
         if self.tracer.enabled or self.faults.enabled:
@@ -529,7 +527,7 @@ class SSD:
             if npages:
                 if npages < 0 or start < 0 or start + npages > limit:
                     # Like the loop: the requests before the bad one are served.
-                    self.read_ranges(starts[:i], lens[:i])
+                    self.read_runs(starts[:i], lens[:i])
                     self._check(start, npages)
                 pages += npages
                 requests += 1

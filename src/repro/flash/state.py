@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from enum import Enum
 
-import numpy as np
-
 from repro import rng
 from repro.flash.ssd import SSD
 
@@ -66,7 +64,7 @@ def precondition_device(
     batch_pages = max(1, min(PRECONDITION_BATCH_PAGES, npages // 16))
     for offset in range(0, npages, batch_pages):
         count = min(batch_pages, npages - offset)
-        ssd.write_range(offset, count, background=True)
+        ssd.write_runs((offset,), (count,), background=True)
 
     generator = rng.substream(seed, "precondition")
     remaining = int(npages * PRECONDITION_CHURN)
@@ -78,7 +76,7 @@ def precondition_device(
             batch = order[offset : offset + min(batch_pages, remaining - offset)]
             if batch.size == 0:
                 break
-            ssd.write_pages(np.asarray(batch, dtype=np.int64), background=True)
+            ssd.write_runs(batch.tolist(), [1] * batch.size, background=True)
         remaining -= npages
 
     ssd.settle()

@@ -10,8 +10,7 @@ at device level — the pattern for which garbage collection exhibits
 the utilization-dependent WA-D the paper measures (Figs 2c, 3c, 5b).
 
 A request takes as many extents as the pivots carve for it; there
-is no contiguous mode.  A file that happens to sit in one extent is
-found by ``ExtentFilesystem.contiguous_device_range``, not requested.
+is no contiguous mode.
 
 The free list is a pair of parallel int64 arrays with in-place
 carving, ``searchsorted`` coalescing and a batched :meth:`~

@@ -22,6 +22,13 @@ columns with a cached cumulative page count): new extents are pushed
 as one coalescing batch, page runs resolve with two ``searchsorted``
 calls, and deletion frees the whole table in one allocator pass
 (DESIGN.md §12).
+
+Engines reach the device only through this layer.  A write goes down
+as one block request of the range's device runs (``write_runs``), a
+read as one request per run (``read_runs``); a caller that resolved a
+range once with :meth:`ExtentFilesystem.byte_runs` submits it again
+through :meth:`~ExtentFilesystem.write_runs` /
+:meth:`~ExtentFilesystem.read_runs`.
 """
 
 from __future__ import annotations
@@ -37,11 +44,13 @@ class FileMeta:
 
     Extents live in a pair of parallel growable int64 arrays; the
     cumulative page count per extent is cached as an int64 column and
-    invalidated by every extent mutation.
+    invalidated by every extent mutation.  ``_first`` is the first
+    extent's device start as a Python int: extents are only appended
+    and a merge only lengthens the tail, so it never changes once set.
     """
 
     __slots__ = ("name", "size_bytes", "_es", "_el", "_ne",
-                 "_pages", "_cum")
+                 "_pages", "_cum", "_first")
 
     def __init__(self, name: str):
         self.name = name
@@ -51,16 +60,12 @@ class FileMeta:
         self._ne = 0
         self._pages = 0
         self._cum: np.ndarray | None = None
+        self._first = 0
 
     @property
     def npages(self) -> int:
         """Pages allocated to the file."""
         return self._pages
-
-    @property
-    def nextents(self) -> int:
-        """Number of (coalesced) extents backing the file."""
-        return self._ne
 
     @property
     def extents(self) -> list[Extent]:
@@ -101,6 +106,8 @@ class FileMeta:
             if last_start + last_len == extent[0]:
                 self._el[ne - 1] = last_len + extent[1]
                 return
+        else:
+            self._first = int(extent[0])
         self._grow(ne + 1)
         self._es[ne] = extent[0]
         self._el[ne] = extent[1]
@@ -132,6 +139,7 @@ class FileMeta:
         else:
             cs, cl = es, el
             base = 0
+            self._first = int(es[0])
         ends = cs + cl
         first = np.empty(len(cs), dtype=bool)
         first[0] = True
@@ -232,30 +240,24 @@ class ExtentFilesystem:
 
     def pwrite(self, name: str, offset: int, nbytes: int,
                background: bool = False) -> float:
-        """Write *nbytes* within (or extending) a file at a byte offset."""
-        meta = self._lookup(name, nbytes)
-        if nbytes == 0:
+        """Overwrite *nbytes* of a file at a byte offset; the range must
+        lie within the file (``reserve`` grows it first)."""
+        meta = self._files.get(name)
+        if meta is None or nbytes <= 0:
+            self._lookup(name, nbytes)
             return 0.0
-        if offset < 0 or offset > meta.size_bytes:
-            raise FilesystemError(
-                f"pwrite at offset {offset} beyond EOF {meta.size_bytes} of {name!r}"
-            )
         end = offset + nbytes
-        latency = 0.0
-        if end > meta.size_bytes:
-            # Grow first (allocating pages), then overwrite in place below;
-            # the grown region's write is charged by append.
-            grow = end - meta.size_bytes
-            latency += self.append(name, grow, background=background)
-            nbytes -= grow
-            end = offset + nbytes
-            if nbytes <= 0:
-                return latency
-        first_page = offset // self.page_size
-        last_page = _ceil_div(end, self.page_size)
-        latency += self._write_file_pages(meta, first_page,
-                                          last_page - first_page, background)
-        return latency
+        if offset < 0 or end > meta.size_bytes:
+            raise FilesystemError(
+                f"pwrite [{offset}, {end}) beyond EOF {meta.size_bytes} of {name!r}"
+            )
+        page_size = self.page_size
+        first_page = offset // page_size
+        count = -(-end // page_size) - first_page
+        if meta._ne == 1:  # a one-extent file (the journal ring): arithmetic
+            return self.device.write_runs((meta._first + first_page,),
+                                          (count,), background)
+        return self._write_file_pages(meta, first_page, count, background)
 
     def _push_new_extents(self, meta: FileMeta, npages: int) -> None:
         """Allocate *npages* and append the granted extents to *meta*
@@ -264,85 +266,53 @@ class ExtentFilesystem:
 
     def _write_file_pages(self, meta: FileMeta, first_page: int, count: int,
                           background: bool) -> float:
-        """Submit a file page range to the device.
-
-        A range inside one extent — the overwhelmingly common shape —
-        is submitted as a consecutive device range (no page-list
-        materialization anywhere down the stack); only extent-spanning
-        ranges build the explicit page list.  Device accounting is
-        identical either way: one host request for the same pages.
-        """
-        run = self._single_run(meta, first_page, count)
-        if run is not None:
-            return self.device.write_range(run[0], run[1], background=background)
-        return self.device.write_pages(
-            self._file_lpns(meta, first_page, count), background=background
-        )
-
-    def contiguous_device_range(self, name: str) -> tuple[int, int] | None:
-        """(device_start, npages) when the file occupies one extent.
-
-        Fixed-footprint hot files (the B+Tree's pre-allocated journal
-        ring) cache this translation and submit their page writes as
-        device ranges directly — exactly the range ``pwrite`` would
-        compute, minus the per-record resolution.  Returns None for
-        multi-extent files; callers must then go through ``pwrite``.
-        The cache is sound only while the file is neither extended nor
-        deleted, which a ring guarantees by construction.
-        """
-        meta = self._lookup(name)
-        if meta.nextents == 1:
-            return (int(meta._es[0]), int(meta._el[0]))
-        return None
-
-    def page_run(self, name: str, first_page: int,
-                 count: int) -> tuple[int, int] | None:
-        """Device range of file pages [first_page, first_page+count), or
-        None when the range spans extents.
-
-        Once allocated, a file page's device location never changes
-        (extents are only appended, and appending can only merge into
-        the tail extent without moving it), so fixed-slot writers (the
-        B+Tree pager) may cache this resolution for files they never
-        truncate or delete and submit device ranges directly.
-        """
-        return self._single_run(self._lookup(name), first_page, count)
+        """Submit a file page range to the device as one request of its
+        device runs."""
+        starts, lens = self._runs(meta, first_page, count)
+        return self.device.write_runs(starts, lens, background)
 
     def byte_runs(self, name: str, offset: int, nbytes: int) -> list:
         """Device ``(start, npages)`` runs backing a byte range of a
-        file, in file order (none for an empty range)."""
-        meta = self._files.get(name)
-        if meta is None or nbytes <= 0:
-            self._lookup(name, nbytes)
-            return []
-        if offset < 0 or offset + nbytes > meta.size_bytes:
-            raise FilesystemError(
-                f"pread [{offset}, {offset + nbytes}) beyond EOF "
-                f"{meta.size_bytes} of {name!r}"
-            )
-        page_size = self.page_size
-        first_page = offset // page_size
-        count = -(-(offset + nbytes) // page_size) - first_page
-        run = self._single_run(meta, first_page, count)
-        if run is not None:
-            return [run]
-        starts, lens = self._run_arrays(meta, first_page, count)
-        return list(zip(starts.tolist(), lens.tolist()))
+        file, in file order (none for an empty range).  A resolution
+        stays valid until its file is deleted: extents are only
+        appended, and appending can only merge into the tail extent
+        without moving it, so an allocated file page never moves."""
+        return list(zip(*self._byte_columns(name, offset, nbytes)))
+
+    def write_runs(self, runs, background: bool = False) -> float:
+        """Write the device runs of one :meth:`byte_runs` resolution as
+        one request; returns host-visible latency."""
+        try:
+            ((start, npages),) = runs  # one run
+        except ValueError:
+            pass
+        else:
+            return self.device.write_runs((start,), (npages,), background)
+        return self.device.write_runs([start for start, _ in runs],
+                                      [npages for _, npages in runs],
+                                      background)
 
     def pread(self, name: str, offset: int, nbytes: int) -> float:
-        """Read a byte range; returns host-visible latency."""
+        """Read a byte range, one request per device run; returns
+        host-visible latency."""
         latency = 0.0
-        for start, length in self.byte_runs(name, offset, nbytes):
-            latency += self.device.read_range(start, length)
+        for run_latency in self.device.read_runs(
+                *self._byte_columns(name, offset, nbytes)):
+            latency += run_latency
         return latency
 
     def read_runs(self, groups) -> float:
         """Read byte ranges resolved by :meth:`byte_runs`, one group of
         device runs per range, as one device submission: the very float
         ``latency += pread(...)`` builds over the ranges in order (a
-        group's runs summed first).  A resolution stays valid until its
-        file is deleted: allocated file pages never move (:meth:`page_run`)."""
-        latencies = iter(self.device.read_ranges(
+        group's runs summed first)."""
+        try:
+            (((start, npages),),) = groups  # one range of one run: no batch
+        except ValueError:
+            pass
+        else:
+            return self.device.read_runs((start,), (npages,))[0]
+        latencies = iter(self.device.read_runs(
             [start for group in groups for start, _ in group],
             [npages for group in groups for _, npages in group]))
         total = 0.0
@@ -397,6 +367,7 @@ class ExtentFilesystem:
                 assert not overlap, f"files share pages {sorted(overlap)[:4]}"
                 claimed.update(pages)
             assert meta.npages == sum(l for _, l in meta.extents)
+            assert not meta.extents or meta._first == meta.extents[0][0]
             assert meta.npages >= _ceil_div(meta.size_bytes, self.page_size)
         free = {
             page
@@ -416,10 +387,27 @@ class ExtentFilesystem:
             raise FilesystemError(f"negative length {nbytes} on {name!r}")
         return self._files[name]
 
-    def _single_run(self, meta: FileMeta, first_page: int,
-                    count: int) -> tuple[int, int] | None:
-        """(device_start, count) when the page range sits in one extent,
-        else None (callers fall back to the multi-run path)."""
+    def _byte_columns(self, name: str, offset: int,
+                      nbytes: int) -> tuple[list[int], list[int]]:
+        """:meth:`byte_runs` as ``(starts, lens)`` columns."""
+        meta = self._files.get(name)
+        if meta is None or nbytes <= 0:
+            self._lookup(name, nbytes)
+            return [], []
+        if offset < 0 or offset + nbytes > meta.size_bytes:
+            raise FilesystemError(
+                f"range [{offset}, {offset + nbytes}) beyond EOF "
+                f"{meta.size_bytes} of {name!r}"
+            )
+        page_size = self.page_size
+        first_page = offset // page_size
+        return self._runs(meta, first_page,
+                          -(-(offset + nbytes) // page_size) - first_page)
+
+    def _runs(self, meta: FileMeta, first_page: int,
+              count: int) -> tuple[list[int], list[int]]:
+        """Device runs covering file pages [first_page, first_page+count),
+        as ``(starts, lens)`` lists in file order."""
         ne = meta._ne
         if ne == 1:
             # One-extent files (the pre-allocated journal ring, small
@@ -428,48 +416,23 @@ class ExtentFilesystem:
                 raise FilesystemError(
                     f"file {meta.name!r} has no pages for requested range"
                 )
-            return (int(meta._es[0]) + first_page, count)
+            return [meta._first + first_page], [count]
         cum = meta.cumulative()
         if ne == 0 or first_page + count > int(cum[-1]):
             raise FilesystemError(
                 f"file {meta.name!r} has no pages for requested range"
             )
-        idx = int(cum.searchsorted(first_page, side="right"))
-        preceding = int(cum[idx - 1]) if idx > 0 else 0
-        skip = first_page - preceding
-        if skip + count <= int(meta._el[idx]):
-            return (int(meta._es[idx]) + skip, count)
-        return None
-
-    def _run_arrays(self, meta: FileMeta, first_page: int,
-                    count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Device runs covering a page range, as (starts, lens) arrays."""
-        cum = meta.cumulative()
-        if meta._ne == 0 or first_page + count > int(cum[-1]):
-            raise FilesystemError(
-                f"file {meta.name!r} has no pages for requested range"
-            )
         i0 = int(cum.searchsorted(first_page, side="right"))
-        i1 = int(cum.searchsorted(first_page + count - 1, side="right")) + 1
         skip = first_page - (int(cum[i0 - 1]) if i0 > 0 else 0)
-        starts = meta._es[i0:i1].copy()
-        lens = meta._el[i0:i1].copy()
+        if skip + count <= int(meta._el[i0]):
+            return [int(meta._es[i0]) + skip], [count]
+        i1 = int(cum.searchsorted(first_page + count - 1, side="right")) + 1
+        starts = meta._es[i0:i1].tolist()
+        lens = meta._el[i0:i1].tolist()
         starts[0] += skip
         lens[0] -= skip
-        lens[-1] = count - int(lens[:-1].sum())
+        lens[-1] = count - sum(lens[:-1])
         return starts, lens
-
-    def _file_lpns(self, meta: FileMeta, first_page: int, count: int):
-        """Device pages for a file range, as an int64 array."""
-        starts, lens = self._run_arrays(meta, first_page, count)
-        # Concatenation of per-run aranges without materializing
-        # them: repeat each run's (start - pages_before_run) and
-        # add the global page index.
-        before = np.empty(len(lens), dtype=np.int64)
-        before[0] = 0
-        np.cumsum(lens[:-1], out=before[1:])
-        return np.repeat(starts - before, lens) + np.arange(
-            count, dtype=np.int64)
 
 
 def _ceil_div(a: int, b: int) -> int:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -50,6 +51,13 @@ def make_tiny_config(**overrides) -> SSDConfig:
     )
     params.update(overrides)
     return SSDConfig(**params)
+
+
+def one_page_runs(lpns):
+    """Distinct pages as the ``(starts, lens)`` columns of one request
+    of length-1 runs (``write_runs``)."""
+    lpns = np.asarray(lpns, dtype=np.int64)
+    return lpns, np.ones(lpns.size, dtype=np.int64)
 
 
 def counters_since(block, earlier):

@@ -17,17 +17,20 @@ from __future__ import annotations
 
 import contextlib
 
-import numpy as np
 import pytest
 
 from repro.core.experiment import Engine, ExperimentSpec, run_experiment
 from repro.core.figures import SMALL, spec_for
 from repro.core.metrics import MetricsCollector, ops_in
 from repro.counters import sum_counters
-from repro.errors import OutOfRangeError
+from repro.block.blktrace import BlkTrace
+from repro.block.device import BlockDevice
+from repro.core.clock import VirtualClock
+from repro.errors import DeviceError, OutOfRangeError
 from repro.flash.ssd import SSD
 from repro.flash.state import DriveState
 from repro.units import MIB
+from tests.conftest import make_tiny_config
 from tests.core.test_golden_fingerprints import FAST, OP25, SPECS
 
 #: The snapshot entries that may fall: space in use right now.
@@ -190,18 +193,13 @@ def test_the_reserved_range_is_never_touched(engine, state, watched,
     of the drive, and neither aging, the load, the run nor a direct
     request puts a page of the other 25 % anywhere."""
     reads = []  # every (start, npages) the drive is asked to read
-    read_range, read_ranges = SSD.read_range, SSD.read_ranges
+    read_runs = SSD.read_runs
 
-    def spied_range(self, start, npages):
-        reads.append((start, npages))
-        return read_range(self, start, npages)
-
-    def spied_ranges(self, starts, lens):
+    def spied(self, starts, lens):
         reads.extend(zip(starts, lens))
-        return read_ranges(self, starts, lens)
+        return read_runs(self, starts, lens)
 
-    monkeypatch.setattr(SSD, "read_range", spied_range)
-    monkeypatch.setattr(SSD, "read_ranges", spied_ranges)
+    monkeypatch.setattr(SSD, "read_runs", spied)
     result = run_experiment(ExperimentSpec(
         engine=engine, drive_state=state, trace_lba=True, **OP25, **FAST))
     stack = watched[-1][0]
@@ -227,16 +225,62 @@ def test_the_reserved_range_is_never_touched(engine, state, watched,
                 trace.total_write_requests, len(reads), stack.clock.now)
 
     before = observed()
+    # Refused writes: test_a_refused_write_commits_nothing_on_any_layer.
     for refused in (
-            lambda: device.write_range(exposed - 1, 2),
-            lambda: device.write_pages(np.array([0, exposed])),
-            lambda: device.read_range(exposed, 1),
-            lambda: device.read_ranges([exposed - 1], [2]),
+            lambda: device.read_runs([exposed], [1]),
+            lambda: device.read_runs([exposed - 1], [2]),
             lambda: device.trim_range(exposed - 1, 2)):
         with pytest.raises(OutOfRangeError):
             refused()
     assert observed() == before
-    device.write_range(exposed - 1, 1)  # the last exposed page is served
+    device.write_runs([exposed - 1], [1])  # the last exposed page is served
+    assert observed() != before
+
+
+#: Requests ``write_runs`` refuses whole, as ``(starts, lens)`` against a
+#: layer's page limit, with the error each raises.
+REFUSED_WRITES = {
+    "past-the-end": (lambda limit: ([limit - 1], [2]), OutOfRangeError),
+    "one-run-past-the-end": (lambda limit: ([0, limit], [1, 1]), OutOfRangeError),
+    "negative-start": (lambda limit: ([-1], [2]), OutOfRangeError),
+    "negative-length": (lambda limit: ([4, 8], [2, -1]), OutOfRangeError),
+    "more-starts": (lambda limit: ([0, 1, 2], [1]), DeviceError),
+    "more-lengths": (lambda limit: ([0], [1, 1]), DeviceError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_WRITES))
+@pytest.mark.parametrize("layer", ["ftl", "ssd", "block"])
+def test_a_refused_write_commits_nothing_on_any_layer(layer, case):
+    """One refusal contract for the one write entry of each layer: a
+    request with any bad run raises before anything is committed —
+    SMART, the block byte counters, the FTL's write-behind log and
+    blktrace are as they were — and a request at the limit is served.
+    The block layer's limit is its exposed range (a 25 % reserved tail
+    here), the drive's and the FTL's the logical space."""
+    ssd = SSD(make_tiny_config(), VirtualClock())
+    device = BlockDevice(ssd, 0.25)
+    trace = BlkTrace(ssd.npages)
+    device.attach(trace)
+    ftl = ssd.ftl
+    device.write_runs([0], [4])  # opens a block: the next request is logged
+    device.write_runs([10, 2], [3, 1])
+    target, limit = {"ftl": (ftl, ssd.npages), "ssd": (ssd, ssd.npages),
+                     "block": (device, device.npages)}[layer]
+
+    def observed():
+        return (ssd.smart.snapshot(), device.counters(),
+                list(ftl._log_starts), list(ftl._log_lens), ftl._log_room,
+                ftl.total_host_pages, trace.histogram.tolist(),
+                trace.total_write_requests)
+
+    before = observed()
+    request, error = REFUSED_WRITES[case]
+    with pytest.raises(DeviceError) as raised:
+        target.write_runs(*request(limit))
+    assert raised.type is error
+    assert observed() == before
+    target.write_runs([limit - 1], [1])
     assert observed() != before
 
 

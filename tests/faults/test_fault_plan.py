@@ -123,7 +123,7 @@ class TestFaultPlanDevice:
         ssd, _clock = make_ssd()
         ssd.faults = make_plan({"program": 1.0})
         with pytest.raises(ProgramFaultError):
-            ssd.write_range(0, 4)
+            ssd.write_runs([0], [4])
         assert ssd.smart.program_failures == 1
         # Nothing was committed: the host request never reached the FTL.
         assert ssd.smart.host_write_requests == 0
@@ -134,18 +134,18 @@ class TestFaultPlanDevice:
 
     def test_latency_fault_adds_write_latency(self):
         ssd, _clock = make_ssd()
-        clean = ssd.write_range(0, 4)
+        clean = ssd.write_runs([0], [4])
         ssd.faults = make_plan({"latency": 1.0, "latency_ms": 3.0})
-        spiked = ssd.write_range(4, 4)
+        spiked = ssd.write_runs([4], [4])
         assert spiked >= clean + 3.0e-3 - 1e-12
         assert ssd.smart.latency_spikes == 1
 
     def test_read_fault_adds_penalty(self):
         ssd, _clock = make_ssd()
-        ssd.write_range(0, 4)
-        clean = ssd.read_range(0, 4)
+        ssd.write_runs([0], [4])
+        clean = ssd.read_runs([0], [4])[0]
         ssd.faults = make_plan({"read": 1.0, "read_penalty_ms": 2.0})
-        slow = ssd.read_range(0, 4)
+        slow = ssd.read_runs([0], [4])[0]
         assert slow == pytest.approx(clean + 2.0e-3)
         assert ssd.smart.media_errors == 1
 
@@ -153,10 +153,10 @@ class TestFaultPlanDevice:
         # Control: the same write without faults, to isolate the one
         # block the injection retires from blocks the write opens.
         control, _ = make_ssd()
-        control.write_range(0, 4)
+        control.write_runs([0], [4])
         ssd, _clock = make_ssd()
         ssd.faults = make_plan({"bad_block": 1.0})
-        ssd.write_range(0, 4)
+        ssd.write_runs([0], [4])
         assert ssd.smart.realloc_blocks == 1
         assert ssd.ftl.free_blocks == control.ftl.free_blocks - 1
         ssd.ftl.check_invariants()
@@ -167,7 +167,7 @@ class TestFaultPlanDevice:
         # Hammer writes: retirement must stop at the GC high watermark
         # margin instead of wedging the collector.
         for i in range(200):
-            ssd.write_range((i * 4) % 128, 4)
+            ssd.write_runs([(i * 4) % 128], [4])
         assert ssd.ftl.free_blocks > 0
         ssd.ftl.check_invariants()
 
@@ -180,10 +180,10 @@ class TestFaultPlanDevice:
             latencies = []
             for i in range(50):
                 try:
-                    latencies.append(ssd.write_range((i * 4) % 64, 4))
+                    latencies.append(ssd.write_runs([(i * 4) % 64], [4]))
                 except ProgramFaultError:
                     latencies.append(-1.0)
-                latencies.append(ssd.read_range(0, 4))
+                latencies.append(ssd.read_runs([0], [4])[0])
             outcomes.append((latencies, ssd.smart.as_dict()))
         assert outcomes[0] == outcomes[1]
 
@@ -205,11 +205,11 @@ class TestDegradeWindow:
     def test_degraded_channel_slows_channelized_reads(self):
         ssd, _clock = make_ssd()
         ssd.enable_channel_timing()
-        ssd.write_range(0, 8)
-        clean = ssd.read_range(0, 8)
+        ssd.write_runs([0], [8])
+        clean = ssd.read_runs([0], [8])[0]
         ssd.faults = make_plan({"degrade": {"channel": 0, "start": 0.0,
                                             "seconds": 1e9, "factor": 8.0}})
-        degraded = ssd.read_range(0, 8)
+        degraded = ssd.read_runs([0], [8])[0]
         assert degraded > clean
 
 
@@ -263,7 +263,7 @@ class TestRetryPolicy:
         ssd.faults = make_plan({"program": 0.5}, seed=3)
         fs.create("f")
         total = 0.0
-        for i in range(20):
-            total += fs.pwrite("f", i * 4096, 4096)
+        for _ in range(20):
+            total += fs.append("f", 4096)
         assert ssd.smart.program_failures > 0
         assert total > 0.0

@@ -5,8 +5,8 @@ through running maxima (DESIGN.md §8).  Every fast path must be
 *exactly* the value a from-scratch recomputation over the horizon
 vectors yields.  The horizons have one writer besides
 ``reset`` — the SSD's own request paths — so these tests drive
-randomized request / query interleavings through ``SSD.write_range`` /
-``write_pages`` / ``read_range`` / ``settle`` under channel timing and
+randomized request / query interleavings through ``SSD.write_runs`` /
+``read_runs`` / ``settle`` under channel timing and
 compare against the naive oracle with ``==`` (no tolerance) after every
 request.
 """
@@ -18,7 +18,7 @@ import pytest
 from repro.core.clock import VirtualClock
 from repro.flash.ssd import SSD, ChannelTimeline
 from repro.rng import substream
-from tests.conftest import make_tiny_config
+from tests.conftest import make_tiny_config, one_page_runs
 
 
 def timed_ssd(nchannels: int):
@@ -52,15 +52,14 @@ def test_randomized_mutations_match_oracle(nchannels):
         roll = rng.random()
         if roll < 0.20:
             count = int(rng.integers(1, 40))
-            ssd.write_range(int(rng.integers(0, npages - count)), count,
-                            background=bool(rng.integers(0, 2)))
+            ssd.write_runs([int(rng.integers(0, npages - count))], [count], background=bool(rng.integers(0, 2)))
         elif roll < 0.40:
             lpns = rng.choice(npages, size=int(rng.integers(1, 40)),
                               replace=False)
-            ssd.write_pages(lpns, background=bool(rng.integers(0, 2)))
+            ssd.write_runs(*one_page_runs(lpns), background=bool(rng.integers(0, 2)))
         elif roll < 0.70:
             count = int(rng.integers(1, 40))
-            ssd.read_range(int(rng.integers(0, npages - count)), count)
+            ssd.read_runs([int(rng.integers(0, npages - count))], [count])
         elif roll < 0.95:
             clock.advance(float(rng.random()) * 2e-3)  # drain a little
         else:
@@ -82,8 +81,8 @@ def test_randomized_mutations_match_oracle(nchannels):
 
 def test_drained_timeline_short_circuits_to_exact_zero():
     ssd, timeline, clock = timed_ssd(8)
-    ssd.write_range(2, 10, background=True)
-    ssd.read_range(0, 4)
+    ssd.write_runs([2], [10], background=True)
+    ssd.read_runs([0], [4])
     clock.advance(10.0)
     assert timeline.backlog(clock.now) == 0.0
     assert timeline.drain_wait(clock.now) == 0.0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError, OutOfRangeError
 from repro.flash.ftl import FlashTranslationLayer
 from repro.flash.gc import FifoPolicy, GreedyPolicy
-from tests.conftest import make_tiny_config
+from tests.conftest import make_tiny_config, one_page_runs
 
 
 def make_ftl(**overrides) -> FlashTranslationLayer:
@@ -26,7 +26,7 @@ class TestBasicWrites:
 
     def test_write_maps_pages(self):
         ftl = make_ftl()
-        work = ftl.write_range(10, 5)
+        work = ftl.write_runs([10], [5])
         assert work.host_pages == 5
         assert work.gc_pages == 0
         assert ftl.mapped_pages == 5
@@ -35,27 +35,27 @@ class TestBasicWrites:
 
     def test_empty_write_is_noop(self):
         ftl = make_ftl()
-        work = ftl.write_pages(np.array([], dtype=np.int64))
+        work = ftl.write_runs(*one_page_runs(np.array([], dtype=np.int64)))
         assert work.host_pages == 0
         assert ftl.mapped_pages == 0
 
     def test_overwrite_does_not_grow_mapping(self):
         ftl = make_ftl()
-        ftl.write_range(0, 8)
-        ftl.write_range(0, 8)
+        ftl.write_runs([0], [8])
+        ftl.write_runs([0], [8])
         assert ftl.mapped_pages == 8
         ftl.check_invariants()
 
     def test_out_of_range_write_rejected(self):
         ftl = make_ftl()
         with pytest.raises(OutOfRangeError):
-            ftl.write_range(ftl.config.logical_pages - 2, 5)
+            ftl.write_runs([ftl.config.logical_pages - 2], [5])
         with pytest.raises(OutOfRangeError):
-            ftl.write_pages(np.array([-1], dtype=np.int64))
+            ftl.write_runs(*one_page_runs(np.array([-1], dtype=np.int64)))
 
     def test_sequential_fill_has_unit_wad(self):
         ftl = make_ftl()
-        ftl.write_range(0, ftl.config.logical_pages)
+        ftl.write_runs([0], [ftl.config.logical_pages])
         assert ftl.device_write_amplification() == 1.0
 
     def test_byte_addressable_config_rejected(self):
@@ -67,10 +67,10 @@ class TestGarbageCollection:
     def test_random_churn_triggers_gc(self):
         ftl = make_ftl()
         n = ftl.config.logical_pages
-        ftl.write_range(0, n)
+        ftl.write_runs([0], [n])
         rng = np.random.default_rng(7)
         for _ in range(12):
-            ftl.write_pages(rng.permutation(n)[: n // 4].astype(np.int64))
+            ftl.write_runs(*one_page_runs(rng.permutation(n)[: n // 4].astype(np.int64)))
         assert ftl.total_erases > 0
         assert ftl.total_gc_pages > 0
         assert ftl.device_write_amplification() > 1.0
@@ -79,10 +79,10 @@ class TestGarbageCollection:
     def test_gc_preserves_all_mappings(self):
         ftl = make_ftl()
         n = ftl.config.logical_pages
-        ftl.write_range(0, n)
+        ftl.write_runs([0], [n])
         rng = np.random.default_rng(3)
         for _ in range(8):
-            ftl.write_pages(rng.permutation(n)[: n // 3].astype(np.int64))
+            ftl.write_runs(*one_page_runs(rng.permutation(n)[: n // 3].astype(np.int64)))
         assert ftl.mapped_pages == n  # nothing lost to GC
         ftl.check_invariants()
 
@@ -91,7 +91,7 @@ class TestGarbageCollection:
         n = ftl.config.logical_pages
         rng = np.random.default_rng(11)
         for _ in range(20):
-            ftl.write_pages(rng.permutation(n)[: n // 2].astype(np.int64))
+            ftl.write_runs(*one_page_runs(rng.permutation(n)[: n // 2].astype(np.int64)))
             assert ftl.free_blocks >= 1
 
     def test_greedy_beats_fifo_on_wad(self):
@@ -100,10 +100,10 @@ class TestGarbageCollection:
         for policy in (GreedyPolicy(), FifoPolicy()):
             ftl = FlashTranslationLayer(make_tiny_config(), policy)
             n = ftl.config.logical_pages
-            ftl.write_range(0, n)
+            ftl.write_runs([0], [n])
             rng = np.random.default_rng(5)
             for _ in range(30):
-                ftl.write_pages(rng.permutation(n)[: n // 2].astype(np.int64))
+                ftl.write_runs(*one_page_runs(rng.permutation(n)[: n // 2].astype(np.int64)))
             results[policy.name] = ftl.device_write_amplification()
         assert results["greedy"] <= results["fifo"]
 
@@ -113,12 +113,12 @@ class TestGarbageCollection:
         for fraction in (0.4, 0.95):
             ftl = make_ftl()
             n = int(ftl.config.logical_pages * fraction)
-            ftl.write_range(0, n)
+            ftl.write_runs([0], [n])
             rng = np.random.default_rng(9)
             before = ftl.total_host_pages + ftl.total_gc_pages
             before_host = ftl.total_host_pages
             for _ in range(25):
-                ftl.write_pages(rng.permutation(n)[: n // 2].astype(np.int64))
+                ftl.write_runs(*one_page_runs(rng.permutation(n)[: n // 2].astype(np.int64)))
             programmed = ftl.total_host_pages + ftl.total_gc_pages - before
             host = ftl.total_host_pages - before_host
             wads.append(programmed / host)
@@ -128,7 +128,7 @@ class TestGarbageCollection:
 class TestTrim:
     def test_trim_unmaps(self):
         ftl = make_ftl()
-        ftl.write_range(0, 100)
+        ftl.write_runs([0], [100])
         count = ftl.trim_range(0, 50)
         assert count == 50
         assert ftl.mapped_pages == 50
@@ -148,12 +148,12 @@ class TestTrim:
         ftl = make_ftl()
         n = ftl.config.logical_pages
         rng = np.random.default_rng(2)
-        ftl.write_range(0, n)
+        ftl.write_runs([0], [n])
         for _ in range(10):
-            ftl.write_pages(rng.permutation(n)[: n // 2].astype(np.int64))
+            ftl.write_runs(*one_page_runs(rng.permutation(n)[: n // 2].astype(np.int64)))
         ftl.trim_range(0, n)
         host0, gc0 = ftl.total_host_pages, ftl.total_gc_pages
-        ftl.write_range(0, n // 2)
+        ftl.write_runs([0], [n // 2])
         relocated = ftl.total_gc_pages - gc0
         # Nothing valid remains, so GC (if any) relocates nothing.
         assert relocated == 0
@@ -182,7 +182,7 @@ class TestPropertyBased:
             if end <= start:
                 continue
             if kind == "write":
-                ftl.write_range(start, end - start)
+                ftl.write_runs([start], [end - start])
                 model.update(range(start, end))
             else:
                 ftl.trim_range(start, end - start)
@@ -199,6 +199,6 @@ class TestPropertyBased:
         n = ftl.config.logical_pages
         rng = np.random.default_rng(seed)
         for _ in range(6):
-            ftl.write_pages(rng.permutation(n)[: n // 3].astype(np.int64))
+            ftl.write_runs(*one_page_runs(rng.permutation(n)[: n // 3].astype(np.int64)))
         assert ftl.device_write_amplification() >= 1.0
         ftl.check_invariants()

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.flash.config import SSDConfig
 from repro.flash.ftl import FlashTranslationLayer
+from tests.conftest import one_page_runs
 
 DIGESTS = {
     7: "96e555d65b67b9a4b90c5d976a7175b2e16753815f30bb941489c8dfc11044ae",
@@ -46,10 +47,10 @@ def _drive(seed: int, check: bool = False) -> FlashTranslationLayer:
         kind = int(rng.integers(0, 3))
         if kind == 0:  # scattered batch (compaction-sized when large)
             lpns = np.unique(rng.integers(0, n, size=int(rng.integers(1, 80))))
-            ftl.write_pages(lpns.astype(np.int64))
+            ftl.write_runs(*one_page_runs(lpns.astype(np.int64)))
         elif kind == 1:  # sequential range (flush/WAL shaped)
             start = int(rng.integers(0, n - 1))
-            ftl.write_range(start, int(rng.integers(1, min(120, n - start) + 1)))
+            ftl.write_runs([start], [int(rng.integers(1, min(120, n - start) + 1))])
         else:
             start = int(rng.integers(0, n - 1))
             ftl.trim_range(start, int(rng.integers(1, min(60, n - start) + 1)))

@@ -17,6 +17,7 @@ CI runs this file under the derandomized ``ci`` hypothesis profile
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import astuple
 
 import numpy as np
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DeviceFullError, OutOfRangeError
+from repro.errors import DeviceFullError
 from repro.flash.ftl import FlashTranslationLayer
 from repro.flash.gc import FifoPolicy, GreedyPolicy
 from tests.conftest import make_tiny_config
@@ -46,7 +47,11 @@ op = st.one_of(
     st.tuples(st.just("journal"), lpn, st.integers(2, 23), check),
     # Exactly fill the open block (extra 0) or straddle its end.
     st.tuples(st.just("fill"), lpn, st.integers(0, 40), check),
-    st.tuples(st.just("pages"), st.lists(lpn, min_size=1, max_size=80, unique=True),
+    # One request of several disjoint runs (length 1 included); the
+    # boolean: the caller reuses its buffers after the call.
+    st.tuples(st.just("runs"),
+              st.lists(st.tuples(lpn, st.one_of(st.just(1), st.integers(1, 24))),
+                       min_size=1, max_size=12),
               st.booleans(), check),
     st.tuples(st.just("trim"), lpn, st.integers(1, 60), check),
 )
@@ -67,6 +72,23 @@ def assert_same_state(ftl: FlashTranslationLayer, naive: NaiveFTL) -> None:
     assert valid_count.tolist() == [naive.valid_in(b) for b in range(naive.nblocks)]
 
 
+def disjoint_runs(drawn, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """The drawn ``(lpn, npages)`` runs folded into the window, each cut
+    at the first page an earlier run took (an emptied run is dropped):
+    the ``(starts, lens)`` columns of one request."""
+    starts, lens, taken = [], [], set()
+    for first, npages in drawn:
+        first %= window
+        pages = list(itertools.takewhile(
+            lambda page: page not in taken,
+            range(first, min(first + npages, LOGICAL))))
+        if pages:
+            taken.update(pages)
+            starts.append(first)
+            lens.append(len(pages))
+    return np.array(starts, dtype=np.int64), np.array(lens, dtype=np.int64)
+
+
 def run_lockstep(ops, window=LOGICAL, prefill=False, policy="greedy"):
     config = make_tiny_config()
     ftl = FlashTranslationLayer(config, POLICIES[policy]())
@@ -74,12 +96,14 @@ def run_lockstep(ops, window=LOGICAL, prefill=False, policy="greedy"):
     if prefill:
         ops = [("range", 0, LOGICAL, True)] + list(ops)
     for kind, where, arg, checked in ops:
-        if kind == "pages":
-            lpns = np.array(list(dict.fromkeys(v % window for v in where)))
-            expected = naive.write(lpns.tolist())
-            work = ftl.write_pages(lpns)
-            if arg:  # the caller reuses its buffer after the call
-                lpns[:] = 0
+        if kind == "runs":
+            starts, lens = disjoint_runs(where, window)
+            expected = naive.write([page for first, npages in zip(starts, lens)
+                                    for page in range(first, first + npages)])
+            work = ftl.write_runs(starts, lens)
+            if arg:  # the caller reuses its buffers after the call
+                starts[:] = 0
+                lens[:] = 0
             steps = [(work, expected)]
         else:
             start = where % window
@@ -97,7 +121,7 @@ def run_lockstep(ops, window=LOGICAL, prefill=False, policy="greedy"):
                 if kind == "trim":
                     assert ftl.trim_range(first, npages) == naive.trim(first, npages)
                 else:
-                    steps.append((ftl.write_range(first, npages),
+                    steps.append((ftl.write_runs([first], [npages]),
                                   naive.write(list(range(first, first + npages)))))
         for work, expected in steps:
             assert astuple(work) == expected
@@ -127,9 +151,14 @@ def run_lockstep(ops, window=LOGICAL, prefill=False, policy="greedy"):
 @example(dict(ops=[("range", 10, 6, False), ("range", 12, 6, False),
                    ("fill", 8, 11, False), ("range", 10, 6, False)],
               window=LOGICAL, prefill=True, policy="fifo"))
-# A trim landing on still-logged pages; a caller that reuses its buffer.
-@example(dict(ops=[("pages", [4, 9, 2, 7], True, False), ("range", 0, 8, False),
-                   ("trim", 2, 5, False), ("pages", [3, 4, 5], True, False)],
+# A trim landing on still-logged pages; a caller that reuses its buffers.
+@example(dict(ops=[("runs", [(4, 1), (9, 1), (2, 1), (7, 1)], True, False),
+                   ("range", 0, 8, False), ("trim", 2, 5, False),
+                   ("runs", [(3, 3), (20, 2), (4, 1)], True, False)],
+              window=LOGICAL, prefill=False, policy="greedy"))
+# Runs that straddle the open block's end in one request.
+@example(dict(ops=[("range", 0, 30, False),
+                   ("runs", [(100, 1), (40, 5), (60, 1)], False, True)],
               window=LOGICAL, prefill=False, policy="greedy"))
 def test_lockstep_with_naive_ftl(stream):
     run_lockstep(**stream)
@@ -147,44 +176,17 @@ def test_gc_heavy_churn_in_lockstep(policy):
 
 
 class TestTheLog:
-    def test_write_range_equals_write_pages(self):
-        config = make_tiny_config()
-        ranged = FlashTranslationLayer(config)
-        paged = FlashTranslationLayer(config)
-        rng = np.random.default_rng(11)
-        for _ in range(400):
-            npages = int(rng.integers(1, 48))
-            start = int(rng.integers(0, LOGICAL - npages))
-            assert ranged.write_range(start, npages) == \
-                paged.write_pages(np.arange(start, start + npages))
-        for mine, theirs in zip(ranged.state_arrays(), paged.state_arrays()):
-            assert np.array_equal(mine, theirs)
-        assert ranged._free == paged._free and ranged._heads == paged._heads
-
     def test_log_owns_its_pages(self):
-        """The block layer hands the caller's array through as it is;
-        mutating it after the call must not reach the log."""
+        """The block layer hands the caller's columns through as they
+        are; mutating them after the call must not reach the log."""
         ftl = FlashTranslationLayer(make_tiny_config())
-        ftl.write_range(0, 4)  # opens a block: what follows is logged
-        lpns = np.array([10, 11, 12], dtype=np.int64)
-        ftl.write_pages(lpns)
-        lpns[:] = 500
-        assert [ftl.is_mapped(p) for p in (10, 11, 12, 500)] == [True] * 3 + [False]
-        ftl.check_invariants()
-
-    def test_out_of_range_request_logs_nothing(self):
-        ftl = FlashTranslationLayer(make_tiny_config())
-        ftl.write_range(0, 4)
-        ftl.write_range(2, 4)  # logged
-        for bad in (lambda: ftl.write_range(LOGICAL - 1, 2),
-                    lambda: ftl.write_range(-1, 2),
-                    lambda: ftl.write_pages(np.array([6, LOGICAL])),
-                    lambda: ftl.write_pages([-1])):
-            with pytest.raises(OutOfRangeError):
-                bad()
-        assert ftl.total_host_pages == 8
-        assert ftl.mapped_pages == 6
-        assert not ftl.is_mapped(6) and not ftl.is_mapped(LOGICAL - 1)
+        ftl.write_runs([0], [4])  # opens a block: what follows is logged
+        starts = np.array([10, 12], dtype=np.int64)
+        lens = np.array([1, 2], dtype=np.int64)
+        ftl.write_runs(starts, lens)
+        starts[:] = 500
+        assert [ftl.is_mapped(p) for p in (10, 12, 13, 500)] == [True] * 3 + [False]
+        assert not ftl.is_mapped(11)
         ftl.check_invariants()
 
     def test_device_full_leaves_drained_state_consistent(self):
@@ -198,7 +200,7 @@ class TestTheLog:
         with pytest.raises(DeviceFullError):
             for start in range(0, LOGICAL, 5):
                 for npages in (5, 2):  # the second overwrites the first
-                    ftl.write_range(start, npages)
+                    ftl.write_runs([start], [npages])
                     written += npages
         assert ftl.total_host_pages == written
         assert ftl.mapped_pages >= 5 * (written // 7)

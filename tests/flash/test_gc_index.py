@@ -19,6 +19,7 @@ from repro.flash.config import SSDConfig
 from repro.flash.gc import _CLOSED, FifoPolicy, GreedyPolicy, VictimIndex
 from repro.flash.ssd import SSD
 from repro.rng import substream
+from tests.conftest import one_page_runs
 
 
 def build_ssd(policy) -> SSD:
@@ -67,10 +68,10 @@ def drive_gc_heavy(ssd: SSD, seed: int = 7, rounds: int = 400) -> None:
     """Random overwrites + periodic trims at ~83% utilization."""
     rng = substream(seed, "gc-heavy")
     npages = ssd.config.logical_pages
-    ssd.write_range(0, npages)  # fill the logical space
+    ssd.write_runs([0], [npages])  # fill the logical space
     for i in range(rounds):
         lpns = np.unique(rng.integers(0, npages, size=17))
-        ssd.write_pages(lpns)
+        ssd.write_runs(*one_page_runs(lpns))
         if i % 7 == 0:
             start = int(rng.integers(0, npages - 40))
             ssd.trim_range(start, 40)
@@ -110,12 +111,12 @@ def test_fully_valid_fallback_folded_into_index():
 
     ftl._reclaim = note_diversion
     npages = ssd.config.logical_pages
-    ssd.write_range(0, npages)  # sequential fill: closed blocks are
+    ssd.write_runs([0], [npages])  # sequential fill: closed blocks are
     # fully valid, and stay so where no overwrite lands
     rng = substream(11, "fallback")
     for lowest in (npages // 2, 0):  # spare the oldest blocks, then don't
         for _ in range(150):
-            ssd.write_pages(np.unique(rng.integers(lowest, npages, size=9)))
+            ssd.write_runs(*one_page_runs(np.unique(rng.integers(lowest, npages, size=9))))
     assert victims and victims == expected
     assert any(diverted) and not all(diverted)
     ftl.check_invariants()
@@ -128,12 +129,12 @@ def test_victim_index_survives_reuse_cycles():
     ssd = build_ssd(GreedyPolicy())
     rng = substream(3, "cycles")
     npages = ssd.config.logical_pages
-    ssd.write_range(0, npages)
+    ssd.write_runs([0], [npages])
     for _ in range(60):
         # Whole-range rewrites force every block through multiple
         # close → reclaim → reuse cycles.
-        ssd.write_range(0, npages // 2)
-        ssd.write_pages(np.unique(rng.integers(0, npages, size=33)))
+        ssd.write_runs([0], [npages // 2])
+        ssd.write_runs(*one_page_runs(np.unique(rng.integers(0, npages, size=33))))
         ssd.ftl.check_invariants()
     assert ssd.ftl.total_erases > 100
 
@@ -143,9 +144,9 @@ def test_index_structures_stay_bounded():
     ssd = build_ssd(GreedyPolicy())
     rng = substream(5, "bounded")
     npages = ssd.config.logical_pages
-    ssd.write_range(0, npages)
+    ssd.write_runs([0], [npages])
     for _ in range(3000):
-        ssd.write_pages(rng.integers(0, npages, size=1))
+        ssd.write_runs(*one_page_runs(rng.integers(0, npages, size=1)))
     index = ssd.ftl._victim_index
     bound = 2 * index._compact_at  # pushes between compaction checks
     assert len(index.heap) <= bound
@@ -157,7 +158,7 @@ def test_index_structures_stay_bounded():
 def test_victim_index_check_catches_drift():
     ssd = build_ssd(GreedyPolicy())
     npages = ssd.config.logical_pages
-    ssd.write_range(0, npages)
+    ssd.write_runs([0], [npages])
     index = ssd.ftl._victim_index
     assert isinstance(index, VictimIndex)
     ssd.ftl.check_invariants()

@@ -60,7 +60,7 @@ def assert_reads_match_model(ssd: SSD, reads, degrade=None) -> None:
     for start, npages in reads:
         before = timeline_state(ssd)
         latency, busy, busy_max = model_read(ssd, start, npages, degrade)
-        assert ssd.read_range(start, npages) == latency, (start, npages)
+        assert ssd.read_runs([start], [npages])[0] == latency, (start, npages)
         # Reads move only the FIFO occupancy, never the write horizons.
         assert timeline_state(ssd) == (busy, before[1], busy_max, before[3]), \
             (start, npages)
@@ -77,9 +77,9 @@ class TestReadChannelized:
     def test_zero_page_reads_are_free_and_negative_ones_refused(self):
         ssd = make_channel_ssd()
         before = timeline_state(ssd)
-        assert ssd.read_range(0, 0) == 0.0
+        assert ssd.read_runs([0], [0])[0] == 0.0
         with pytest.raises(OutOfRangeError):
-            ssd.read_range(0, -3)
+            ssd.read_runs([0], [-3])
         assert timeline_state(ssd) == before
 
     def test_single_channel_device(self):
@@ -94,7 +94,7 @@ class TestReadChannelized:
             start = int(rng.integers(0, 512))
             npages = int(rng.integers(1, 48))
             if rng.random() < 0.3:
-                ssd.write_range(start, npages)
+                ssd.write_runs([start], [npages])
             else:
                 assert_reads_match_model(ssd, [(start, npages)])
             if rng.random() < 0.2:
@@ -105,7 +105,7 @@ class TestReadChannelized:
         rng = substream(11, "busy-max")
         last = ssd._timeline.busy_max
         for _ in range(200):
-            ssd.read_range(int(rng.integers(0, 256)), int(rng.integers(1, 32)))
+            ssd.read_runs([int(rng.integers(0, 256))], [int(rng.integers(1, 32))])
             timeline = ssd._timeline
             assert timeline.busy_max >= last
             assert timeline.busy_max == max(timeline.busy)
@@ -128,7 +128,7 @@ class TestClosedForms:
                 ssd = make_channel_ssd(channels=channels)
                 cfg = ssd.config
                 assert ssd.clock.now == 0.0
-                assert ssd.read_range(start, npages) == (
+                assert ssd.read_runs([start], [npages])[0] == (
                     cfg.read_latency
                     + npages * cfg.page_size / cfg.bus_bytes_per_s
                     + -(-npages // channels) * cfg.page_read_time)
@@ -136,7 +136,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("channels", [1, 3, 8, 16])
     def test_a_batch_of_one_page_reads_on_distinct_channels(self, channels):
         """k <= C one-page reads on k distinct channels, submitted as one
-        ``read_ranges`` batch: each pays one page read, not a queue of
+        ``read_runs`` batch: each pays one page read, not a queue of
         k — unlike the same k reads on one channel."""
         one_page = None
         for k in range(1, channels + 1):
@@ -144,9 +144,8 @@ class TestClosedForms:
             cfg = ssd.config
             one_page = (cfg.read_latency + cfg.page_size / cfg.bus_bytes_per_s
                         + cfg.page_read_time)
-            assert ssd.read_ranges(list(range(3, 3 + k)), [1] * k) == [one_page] * k
-        stacked = make_channel_ssd(channels=channels).read_ranges(
-            [channels * i for i in range(channels)], [1] * channels)
+            assert ssd.read_runs(list(range(3, 3 + k)), [1] * k) == [one_page] * k
+        stacked = make_channel_ssd(channels=channels).read_runs([channels * i for i in range(channels)], [1] * channels)
         assert stacked[0] == one_page
         assert stacked == sorted(stacked)
         assert len(set(stacked)) == channels

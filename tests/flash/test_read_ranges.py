@@ -1,8 +1,9 @@
 """The batched read chain vs the per-request one (DESIGN.md §13.1).
 
-``BlockDevice.read_ranges`` → ``SSD.read_ranges`` take a scan's reads
+``BlockDevice.read_runs`` → ``SSD.read_runs`` take a scan's reads
 down the device stack in one call.  A twin stack takes the same ranges
-through ``read_range`` one request at a time; everything observable must
+through one-run ``read_runs`` calls, one request at a time (the SSD's
+one-run branch, not its batch); everything observable must
 come out equal — the latency list (``==``, no tolerance), the SMART
 counters (one host read request per non-empty range), the FTL's read
 count and the device's ``bytes_read`` — whichever way the SSD serves the
@@ -43,7 +44,7 @@ class Stack:
         if "backlog" in mode:
             # Queue more program time than the clock then covers, so
             # reads see a live write horizon.
-            self.ssd.write_range(0, 512, background=True)
+            self.ssd.write_runs([0], [512], background=True)
             self.clock.advance(1e-3)
             assert 0 < self.ssd.backlog_seconds() < \
                 self.ssd.config.read_contention_window
@@ -78,8 +79,8 @@ MODES = ["scalar", "scalar+backlog", "channels", "channels+backlog",
 def assert_batch_matches_loop(batched: Stack, looped: Stack, ranges) -> list:
     starts = [start for start, _ in ranges]
     lens = [npages for _, npages in ranges]
-    latencies = batched.device.read_ranges(starts, lens)
-    assert latencies == [looped.device.read_range(start, npages)
+    latencies = batched.device.read_runs(starts, lens)
+    assert latencies == [looped.device.read_runs([start], [npages])[0]
                          for start, npages in ranges]
     assert batched.state() == looped.state()
     return latencies
@@ -99,16 +100,16 @@ class TestReadRanges:
 
     def test_contention_factor_is_live_in_the_scalar_batch(self):
         """The memoised latencies carry the write-backlog penalty."""
-        idle = Stack("scalar").device.read_ranges([0, 9], [3, 3])
-        busy = Stack("scalar+backlog").device.read_ranges([0, 9], [3, 3])
+        idle = Stack("scalar").device.read_runs([0, 9], [3, 3])
+        busy = Stack("scalar+backlog").device.read_runs([0, 9], [3, 3])
         assert busy[0] > idle[0] and busy == [busy[0]] * 2
 
     @pytest.mark.parametrize("mode", ["scalar", "channels", "scalar+tracer"])
     def test_zero_length_ranges_touch_nothing(self, mode):
         stack = Stack(mode)
         before = stack.state()
-        assert stack.device.read_ranges([0, 50, 10**9], [0, 0, 0]) == [0.0] * 3
-        assert stack.device.read_ranges([], []) == []
+        assert stack.device.read_runs([0, 50, 10**9], [0, 0, 0]) == [0.0] * 3
+        assert stack.device.read_runs([], []) == []
         assert stack.state() == before
 
     @pytest.mark.parametrize("mode", ["scalar", "channels"])
@@ -117,10 +118,10 @@ class TestReadRanges:
         npages = batched.ssd.npages
         ranges = [(0, 4), (npages - 2, 3), (8, 1)]
         with pytest.raises(OutOfRangeError):
-            batched.device.read_ranges(*zip(*ranges))
+            batched.device.read_runs(*zip(*ranges))
         with pytest.raises(OutOfRangeError):
             for start, length in ranges:
-                looped.device.read_range(start, length)
+                looped.device.read_runs([start], [length])
         # The request before the bad one was served and counted, the
         # one after it never issued — on both.
         assert batched.ssd.smart == looped.ssd.smart
@@ -131,15 +132,15 @@ class TestReadRanges:
 
     @pytest.mark.parametrize("mode", ["scalar", "channels", "channels+tracer"])
     @pytest.mark.parametrize("request_, error", [
-        pytest.param(lambda ssd: ssd.read_ranges([0, 1, 2], [1]), DeviceError,
+        pytest.param(lambda ssd: ssd.read_runs([0, 1, 2], [1]), DeviceError,
                      id="more-starts"),
-        pytest.param(lambda ssd: ssd.read_ranges([0], [1, 1]), DeviceError,
+        pytest.param(lambda ssd: ssd.read_runs([0], [1, 1]), DeviceError,
                      id="more-lengths"),
-        pytest.param(lambda ssd: ssd.read_ranges([0, 9], [-2, 1]),
+        pytest.param(lambda ssd: ssd.read_runs([0, 9], [-2, 1]),
                      OutOfRangeError, id="negative-in-batch"),
-        pytest.param(lambda ssd: ssd.read_range(0, -3), OutOfRangeError,
+        pytest.param(lambda ssd: ssd.read_runs([0], [-3])[0], OutOfRangeError,
                      id="negative-read"),
-        pytest.param(lambda ssd: ssd.write_range(0, -3), OutOfRangeError,
+        pytest.param(lambda ssd: ssd.write_runs([0], [-3]), OutOfRangeError,
                      id="negative-write"),
         pytest.param(lambda ssd: ssd.trim_range(0, -1), OutOfRangeError,
                      id="negative-trim"),
@@ -168,9 +169,9 @@ class TestReadRanges:
         # does not, and what it refuses reaches no counter.
         ranges = [(0, 1), (exposed - 6, 7), (8, 1)]
         with pytest.raises(OutOfRangeError):
-            batched.device.read_ranges(*zip(*ranges))
+            batched.device.read_runs(*zip(*ranges))
         with pytest.raises(OutOfRangeError):
             for start, length in ranges:
-                looped.device.read_range(start, length)
+                looped.device.read_runs([start], [length])
         assert batched.state() == looped.state()
         assert batched.ssd.smart.host_read_requests == 4

@@ -11,12 +11,12 @@ from repro.flash.state import (
     precondition_device,
     trim_device,
 )
-from tests.conftest import counters_since, make_tiny_config
+from tests.conftest import counters_since, make_tiny_config, one_page_runs
 
 
 class TestTrim:
     def test_trim_empties_device(self, tiny_ssd):
-        tiny_ssd.write_range(0, 200)
+        tiny_ssd.write_runs([0], [200])
         trim_device(tiny_ssd)
         assert tiny_ssd.utilization() == 0.0
         assert tiny_ssd.backlog_seconds() == 0.0
@@ -54,7 +54,7 @@ class TestInitialStateEffect:
         ssd = SSD(make_tiny_config(), clock)
         apply_drive_state(ssd, DriveState.TRIMMED)
         before = ssd.smart.snapshot()
-        ssd.write_range(0, ssd.npages // 2)
+        ssd.write_runs([0], [ssd.npages // 2])
         delta = counters_since(ssd.smart, before)
         assert delta.nand_bytes_written == delta.host_bytes_written
 
@@ -65,6 +65,6 @@ class TestInitialStateEffect:
         rng = np.random.default_rng(1)
         n = ssd.npages
         for _ in range(6):
-            ssd.write_pages(rng.permutation(n)[: n // 2].astype(np.int64))
+            ssd.write_runs(*one_page_runs(rng.permutation(n)[: n // 2].astype(np.int64)))
         delta = counters_since(ssd.smart, before)
         assert delta.nand_bytes_written > 1.2 * delta.host_bytes_written

@@ -31,6 +31,7 @@ from repro.core.clock import VirtualClock
 from repro.flash.ssd import SSD, ChannelTimeline, ScalarTimeline
 from tests.conftest import make_tiny_config
 from tests.flash.naive_ftl import NaiveFTL
+from tests.flash.test_ftl_lockstep import disjoint_runs
 from tests.flash.naive_timing import NaiveScalarTiming, NaiveTiming
 
 LOGICAL = make_tiny_config().logical_pages  # 768 pages in 32-page blocks
@@ -44,7 +45,10 @@ size = st.one_of(
 lpn = st.integers(0, LOGICAL - 1)
 op = st.one_of(
     st.tuples(st.just("range"), lpn, size, st.booleans()),
-    st.tuples(st.just("pages"), st.lists(lpn, min_size=1, max_size=40, unique=True),
+    # One request of several disjoint runs, length 1 included.
+    st.tuples(st.just("runs"),
+              st.lists(st.tuples(lpn, st.one_of(st.just(1), st.integers(1, 16))),
+                       min_size=1, max_size=10),
               st.booleans()),
     st.tuples(st.just("read"), lpn, size),
     # Virtual time passes in steps of 10 us, up to a few cache windows.
@@ -116,19 +120,22 @@ def run_lockstep(nchannels, ops, prefill=False, fold_penalty=1.0,
             model.settle(now)
         elif kind == "drain":
             assert ssd.drain() == model.drain_wait(now)
-        elif kind == "pages":
-            lpns, background = args
-            got = ssd.write_pages(np.array(lpns, dtype=np.int64), background)
+        elif kind == "runs":
+            drawn, background = args
+            starts, lens = disjoint_runs(drawn, LOGICAL)
+            lpns = [page for first, npages in zip(starts.tolist(), lens.tolist())
+                    for page in range(first, first + npages)]
+            got = ssd.write_runs(starts, lens, background)
             assert got == model.write(now, len(lpns), ftl.write(lpns), background)
         else:
             first, (multiple, offset) = args[:2]
             npages = min(max(1, multiple * nchannels + offset), LOGICAL - first)
             if kind == "read":
-                got = ssd.read_range(first, npages)
+                (got,) = ssd.read_runs([first], [npages])
                 want = model.read(now, first, npages)
             else:
                 background = args[2]
-                got = ssd.write_range(first, npages, background)
+                got = ssd.write_runs([first], [npages], background)
                 work = ftl.write(list(range(first, first + npages)))
                 want = model.write(now, npages, work, background)
             assert got == want

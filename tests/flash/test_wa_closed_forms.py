@@ -24,7 +24,7 @@ from repro.core.clock import VirtualClock
 from repro.flash.config import SSDConfig
 from repro.flash.gc import FifoPolicy, GreedyPolicy
 from repro.flash.ssd import SSD
-from tests.conftest import counters_since
+from tests.conftest import counters_since, one_page_runs
 from tests.flash.wa_model import wa_fifo_uniform, wa_for_config
 
 HW_OP = (0.08, 0.15, 0.25, 0.5)
@@ -40,14 +40,14 @@ def steady_wa(hw_overprovision: float, policy: str = "greedy",
     ssd = SSD(config, VirtualClock(), POLICIES[policy]())
     device = BlockDevice(ssd, reserved_fraction)
     n = device.npages
-    device.write_range(0, n, background=True)
+    device.write_runs([0], [n], background=True)
     rng = np.random.default_rng(0)
 
     def churn(passes: int) -> None:
         for _ in range(passes):
             order = rng.permutation(n)
             for start in range(0, n, 256):
-                device.write_pages(order[start:start + 256], background=True)
+                device.write_runs(*one_page_runs(order[start:start + 256]), background=True)
 
     churn(6)  # warm up to steady state
     baseline = ssd.smart.snapshot()

@@ -90,8 +90,8 @@ def test_fleet_drain_reports_how_far_the_shared_clock_moved():
     for small, large in ((0, 1), (1, 0)):
         stack = build_stack(ExperimentSpec(nshards=2, capacity_bytes=48 * MIB))
         clock, ssds = stack.clock, [shard.ssd for shard in stack.shards]
-        ssds[small].write_range(0, 64, background=True)
-        ssds[large].write_range(0, 2048, background=True)
+        ssds[small].write_runs([0], [64], background=True)
+        ssds[large].write_runs([0], [2048], background=True)
         backlogs = [ssd.backlog_seconds() for ssd in ssds]
         assert 0.0 < backlogs[small] < backlogs[large]
         start = clock.now

@@ -79,16 +79,25 @@ class TestIO:
         assert filesystem.file_size("a") == 8192
         assert filesystem.used_pages == 2  # no growth
 
-    def test_pwrite_extending(self, filesystem):
+    def test_pwrite_past_eof_rejected(self, filesystem, tiny_ssd):
+        """``pwrite`` overwrites; a range ending past EOF is refused with
+        nothing written (``reserve`` or ``append`` grow a file)."""
         filesystem.create("a")
-        filesystem.append("a", 4096)
-        filesystem.pwrite("a", 4096, 4096)
-        assert filesystem.file_size("a") == 8192
-
-    def test_pwrite_past_eof_rejected(self, filesystem):
-        filesystem.create("a")
-        with pytest.raises(FilesystemError):
-            filesystem.pwrite("a", 10, 1)
+        filesystem.create("b")
+        filesystem.append("b", 100)
+        filesystem.create("c")
+        filesystem.append("c", 4096)
+        before = (tiny_ssd.smart.snapshot(), filesystem.used_pages)
+        for name, offset, nbytes in (("a", 10, 1),      # empty file
+                                     ("b", 50, 4096),   # straddles EOF
+                                     ("c", 4096, 4096),  # starts at EOF
+                                     ("c", -1, 2)):
+            with pytest.raises(FilesystemError, match="beyond EOF"):
+                filesystem.pwrite(name, offset, nbytes)
+        assert (tiny_ssd.smart.snapshot(), filesystem.used_pages) == before
+        assert [filesystem.file_size(n) for n in "abc"] == [0, 100, 4096]
+        filesystem.pwrite("c", 0, 4096)  # the whole file: served
+        assert tiny_ssd.smart.host_write_requests == before[0].host_write_requests + 1
 
     def test_pread_past_eof_rejected(self, filesystem):
         filesystem.create("a")
@@ -191,7 +200,7 @@ class TestFragmentation:
                   ("big", 4096 * 2 + 17, 4096 * 9), ("big", 4096 * 30, 100),
                   ("f3", 0, 0), ("big", 4096 * 6, 4096 * 30)]
         looped, looped_ssd = build()
-        assert looped._files["big"].nextents == 32
+        assert len(looped._files["big"].extents) == 32
         total = 0.0
         for name, offset, nbytes in ranges:
             total += looped.pread(name, offset, nbytes)
@@ -205,7 +214,7 @@ class TestFragmentation:
         flat = 0.0
         for group in groups:
             for start, npages in group:
-                flat += looped_ssd.read_range(start, npages)
+                flat += looped_ssd.read_runs([start], [npages])[0]
         assert flat != total
         with pytest.raises(FilesystemError):
             batched.byte_runs("big", 4096 * 39, 4097)

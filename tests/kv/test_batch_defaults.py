@@ -129,7 +129,7 @@ class Subject:
                 return fn(*args, **kwargs)
             return call
 
-        for name in ("write_pages", "write_range", "read_range", "read_ranges"):
+        for name in ("write_runs", "read_runs"):
             setattr(device, name, counted(getattr(device, name)))
         return store
 

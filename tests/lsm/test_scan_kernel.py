@@ -68,28 +68,21 @@ def make_store(fragmented: bool = False, **config_overrides) -> LSMStore:
 
 def record_reads(store: LSMStore, fail_at: int | None = None) -> list:
     """Record every device read below the store's filesystem, in order,
-    as ``(start, npages)`` — a ``BlockDevice.read_range`` call or one
-    request of a ``read_ranges`` batch — and raise ENOSPC instead of
-    submitting the request that would be read number *fail_at*."""
+    as ``(start, npages)`` — one request of a ``BlockDevice.read_runs``
+    submission — and raise ENOSPC instead of submitting the request
+    that would be read number *fail_at*."""
     reads: list = []
     device = store.fs.device
-    read_range, read_ranges = device.read_range, device.read_ranges
+    read_runs = device.read_runs
 
-    def note(requests: list) -> None:
+    def recording_read_runs(starts, lens):
+        requests = list(zip(starts, lens))
         if fail_at is not None and 0 <= fail_at - len(reads) < len(requests):
             raise NoSpaceError("injected")
         reads.extend(requests)
+        return read_runs(starts, lens)
 
-    def recording_read_range(start, npages):
-        note([(start, npages)])
-        return read_range(start, npages)
-
-    def recording_read_ranges(starts, lens):
-        note(list(zip(starts, lens)))
-        return read_ranges(starts, lens)
-
-    device.read_range = recording_read_range
-    device.read_ranges = recording_read_ranges
+    device.read_runs = recording_read_runs
     return reads
 
 
