@@ -79,6 +79,22 @@ class TestIO:
         assert filesystem.file_size("a") == 8192
         assert filesystem.used_pages == 2  # no growth
 
+    def test_pwrite_extending(self, filesystem, tiny_ssd):
+        """An extending ``pwrite`` is refused; ``reserve`` grows the file
+        and the ``pwrite`` then writes only the new page, in one request."""
+        filesystem.create("a")
+        filesystem.append("a", 4096)
+        with pytest.raises(FilesystemError, match="beyond EOF"):
+            filesystem.pwrite("a", 4096, 4096)
+        assert filesystem.file_size("a") == 4096
+        filesystem.reserve("a", 4096)
+        before = tiny_ssd.smart.snapshot()
+        filesystem.pwrite("a", 4096, 4096)
+        assert filesystem.file_size("a") == 8192
+        assert tiny_ssd.smart.host_write_requests == before.host_write_requests + 1
+        assert tiny_ssd.smart.host_bytes_written == before.host_bytes_written + 4096
+        filesystem.check_invariants()
+
     def test_pwrite_past_eof_rejected(self, filesystem, tiny_ssd):
         """``pwrite`` overwrites; a range ending past EOF is refused with
         nothing written (``reserve`` or ``append`` grow a file)."""
