@@ -74,11 +74,6 @@ class BlockDevice:
     # ------------------------------------------------------------------
     # Device protocol
     # ------------------------------------------------------------------
-    @property
-    def capacity_bytes(self) -> int:
-        """Exposed capacity in bytes."""
-        return self.npages * self.page_size
-
     def counters(self) -> dict:
         """The cumulative byte counters, layer-labelled."""
         return {"block.bytes_written": self.bytes_written,

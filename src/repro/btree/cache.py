@@ -33,11 +33,6 @@ class PageCache:
     def __len__(self) -> int:
         return len(self._resident)
 
-    @property
-    def used_bytes(self) -> int:
-        """Bytes of resident pages."""
-        return self._bytes
-
     def touch(self, leaf_id: int) -> bool:
         """Mark a page as used; returns True on hit."""
         if leaf_id in self._resident:

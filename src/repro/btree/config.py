@@ -40,7 +40,6 @@ class BTreeConfig:
     # space (WiredTiger pre-allocates and reuses log files), so its LBA
     # footprint is fixed; checkpoints are triggered by time or by the
     # amount of journal written since the last one.
-    journal_enabled: bool = True
     journal_ring_bytes: int = 2 * 1024 * KIB
     checkpoint_interval: float = 5.0  # virtual seconds
     checkpoint_log_bytes: int = 1024 * KIB

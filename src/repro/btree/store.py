@@ -25,7 +25,7 @@ from repro.btree.config import BTreeConfig
 from repro.btree.node import InternalNode, LeafNode
 from repro.btree.pager import Pager
 from repro.core.clock import VirtualClock
-from repro.errors import ConfigError, NoSpaceError, StoreClosedError
+from repro.errors import NoSpaceError, StoreClosedError
 from repro.fs.filesystem import ExtentFilesystem
 from repro.kv.api import KVStore, as_int_list
 from repro.kv.stats import KVStats
@@ -67,9 +67,8 @@ class BTreeStore(KVStore):
         #: unlinked, and an empty leaf never passes the bounds test.
         self._read_cursor: LeafNode | None = None
         self.tracer = NULL_TRACER  # flight recorder (repro.obs)
-        if self.config.journal_enabled:
-            fs.create(self.JOURNAL_FILE)
-            fs.reserve(self.JOURNAL_FILE, self.config.journal_ring_bytes)
+        fs.create(self.JOURNAL_FILE)
+        fs.reserve(self.JOURNAL_FILE, self.config.journal_ring_bytes)
         self.cache.insert(id(self._root), self._root)
 
     # ------------------------------------------------------------------
@@ -191,7 +190,6 @@ class BTreeStore(KVStore):
         seeds_list = as_int_list(vseeds)
         # Inlined journal-record accounting (see _journal): every put
         # writes one ring record, so the call overhead is hot.
-        journal = config.journal_enabled
         record_bytes = payload + 32
         ring = config.journal_ring_bytes
         pwrite = self.fs.pwrite
@@ -249,22 +247,21 @@ class BTreeStore(KVStore):
                 adjust(leaf.nbytes - before)
                 if leaf.nbytes > page_bytes:
                     latency += self._split_leaf(leaf, path, appending)
-                if journal:
-                    if tr_on:
-                        jbase = latency
-                    self.journal_bytes += record_bytes
-                    self._journal_since_checkpoint += record_bytes
-                    start = self._journal_offset
-                    if start + record_bytes > ring:
-                        latency += pwrite(self.JOURNAL_FILE, start, ring - start)
-                        latency += pwrite(self.JOURNAL_FILE, 0,
-                                          record_bytes - (ring - start))
-                    else:
-                        latency += pwrite(self.JOURNAL_FILE, start, record_bytes)
-                    self._journal_offset = (start + record_bytes) % ring
-                    if tr_on and latency > jbase:
-                        tracer.span("journal_append", "btree", now,
-                                    latency - jbase, {"bytes": record_bytes})
+                if tr_on:
+                    jbase = latency
+                self.journal_bytes += record_bytes
+                self._journal_since_checkpoint += record_bytes
+                start = self._journal_offset
+                if start + record_bytes > ring:
+                    latency += pwrite(self.JOURNAL_FILE, start, ring - start)
+                    latency += pwrite(self.JOURNAL_FILE, 0,
+                                      record_bytes - (ring - start))
+                else:
+                    latency += pwrite(self.JOURNAL_FILE, start, record_bytes)
+                self._journal_offset = (start + record_bytes) % ring
+                if tr_on and latency > jbase:
+                    tracer.span("journal_append", "btree", now,
+                                latency - jbase, {"bytes": record_bytes})
                 stats.puts += 1
                 stats.user_bytes_written += payload
                 if (now - self._last_checkpoint >= checkpoint_interval
@@ -582,8 +579,6 @@ class BTreeStore(KVStore):
 
     def _journal(self, payload_bytes: int) -> float:
         """Write one record into the pre-allocated journal ring."""
-        if not self.config.journal_enabled:
-            return 0.0
         nbytes = payload_bytes + 32  # record header
         self.journal_bytes += nbytes
         self._journal_since_checkpoint += nbytes
@@ -612,11 +607,6 @@ class BTreeStore(KVStore):
         per-record tracking is needed to recover — the fleet calls
         this unconditionally on shards scheduled to be killed.
         """
-        if not self.config.journal_enabled:
-            raise ConfigError(
-                "crash recovery requires journal_enabled: without the "
-                "journal, updates since the last checkpoint are "
-                "unrecoverable")
 
     def crash_and_recover(self) -> tuple[float, set[int]]:
         """Kill the store at the current instant and recover.
@@ -632,11 +622,6 @@ class BTreeStore(KVStore):
         synchronous log.  The caller schedules the recovery time; the
         store does not advance the clock itself.
         """
-        if not self.config.journal_enabled:
-            raise ConfigError(
-                "crash recovery requires journal_enabled: without the "
-                "journal, updates since the last checkpoint are "
-                "unrecoverable")
         fs = self.fs
         latency = 0.0
         replay_bytes = min(self._journal_since_checkpoint,

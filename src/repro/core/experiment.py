@@ -222,6 +222,19 @@ class ExperimentSpec:
         if self.max_ops is not None and self.max_ops <= 0:
             raise ConfigError("max_ops must be positive (None: no op budget)")
         ssd = self.shard_ssd()  # an unknown profile name fails here
+        degrade = (self.faults or {}).get("degrade")
+        if degrade is not None:
+            # A window that can never fire would run a healthy device
+            # under a faulty spec's name.
+            if self.nclients == 1 and self.arrival is None:
+                raise ConfigError(
+                    "faults.degrade slows one flash channel, and one "
+                    "closed-loop client runs on the channel-less scalar "
+                    "device timing; set nclients > 1 or an arrival process")
+            if degrade["channel"] >= ssd.channels:
+                raise ConfigError(
+                    f"faults.degrade.channel {degrade['channel']} is not "
+                    f"below the {ssd.channels} channels of {self.ssd!r}")
         if Engine(self.engine) is Engine.BTREE:
             self._check_btree_fits(BTreeConfig(), ssd)
 
@@ -234,8 +247,7 @@ class ExperimentSpec:
                 f"{config.leaf_page_bytes}-byte B+Tree leaf page; at most "
                 f"{config.leaf_page_bytes - config.leaf_entry_bytes(0)}")
         exposed = int(ssd.logical_pages * (1.0 - self.op_reserved_fraction))
-        if (config.journal_enabled
-                and config.journal_ring_bytes > exposed * ssd.page_size):
+        if config.journal_ring_bytes > exposed * ssd.page_size:
             # The store pre-allocates its journal ring when it is built.
             raise ConfigError(
                 f"the {config.journal_ring_bytes}-byte B+Tree journal ring "

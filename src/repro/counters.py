@@ -31,10 +31,6 @@ class Counters:
         """Plain-dict view, for reports and serialization."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def snapshot(self):
-        """Return an independent copy of the current counters."""
-        return type(self)(**self.as_dict())
-
     def labelled(self) -> dict:
         """``{"<layer>.<field>": value}`` — this block's part of a snapshot."""
         return {f"{self.layer}.{name}": value

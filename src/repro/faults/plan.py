@@ -33,8 +33,9 @@ Fault kinds (all optional keys of the ``faults`` spec dict):
     A dict ``{"channel", "start", "seconds", "factor"}``: during the
     window ``[start, start + seconds)`` on the virtual clock, flash
     service on the given channel runs ``factor`` times slower.  Only
-    observable in channel-timing mode (the scalar device model has no
-    per-channel service).
+    the channel timeline has channels, so ``ExperimentSpec`` refuses
+    the window on a one-client closed loop (scalar timing) and on a
+    channel the profile does not have.
 """
 
 from __future__ import annotations

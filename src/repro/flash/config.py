@@ -43,8 +43,6 @@ class SSDConfig:
     bus_bytes_per_s: float = 2000e6
     write_cache_bytes: int = 4 * MIB
     write_latency: float = usec(20.0)  # host-visible latency floor per write request
-    read_contention: float = 2.0  # read slowdown factor at full write backlog
-    read_contention_window: float = 0.050  # seconds of backlog treated as "full"
     # SLC-cache folding: consumer QLC drives stage writes in an SLC
     # cache and later fold them into QLC; once the cache is overwhelmed
     # every incoming byte effectively costs this multiple of the
@@ -97,11 +95,6 @@ class SSDConfig:
     def logical_bytes(self) -> int:
         """Nominal capacity in bytes."""
         return self.logical_pages * self.page_size
-
-    @property
-    def block_bytes(self) -> int:
-        """Size of one erase block in bytes."""
-        return self.pages_per_block * self.page_size
 
     @property
     def sustained_program_rate(self) -> float:

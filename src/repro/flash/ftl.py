@@ -21,9 +21,9 @@ that block closes, so ``write_runs`` only appends the request's runs
 to a log and :meth:`_flush_log` applies the whole log in one array
 pass.  The log is drained exactly where FTL state is observed: a
 request that does not fit the open block (which closes it and may run
-GC), ``trim_range``, ``mapped_pages``/``utilization``/``is_mapped``,
-``check_invariants`` and ``state_arrays`` (the white-box readers for
-tests, the only names ``tests/core/test_product_only.py`` exempts).
+GC), ``trim_range``, ``check_invariants`` and ``state_arrays`` (the
+white-box reader for tests, the only method
+``tests/core/test_product_only.py`` exempts).
 Deferral is exact for the reason ``VictimIndex.pending`` is: whatever
 is stale is on the log, and every reader drains it first.
 
@@ -240,30 +240,6 @@ class FlashTranslationLayer:
     def free_blocks(self) -> int:
         """Number of blocks currently free (erased and unallocated)."""
         return len(self._free)
-
-    @property
-    def mapped_pages(self) -> int:
-        """Logical pages that currently have data associated."""
-        self._flush_log()
-        return int(np.count_nonzero(self._l2p >= 0))
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of the logical space that has data associated."""
-        return self.mapped_pages / self.config.logical_pages
-
-    def device_write_amplification(self) -> float:
-        """Lifetime WA-D measured from actual page programs."""
-        if self.total_host_pages == 0:
-            return 1.0
-        return (self.total_host_pages + self.total_gc_pages) / self.total_host_pages
-
-    def is_mapped(self, lpn: int) -> bool:
-        """Whether the logical page currently has data associated."""
-        if not 0 <= lpn < self.config.logical_pages:
-            raise OutOfRangeError(f"lpn {lpn} outside logical space")
-        self._flush_log()
-        return bool(self._l2p[lpn] >= 0)
 
     # ------------------------------------------------------------------
     # Internals

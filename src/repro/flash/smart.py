@@ -3,9 +3,9 @@
 The paper measures device-level write amplification (WA-D) "via SMART
 attributes of the device" (§3.3): the ratio between bytes written to
 flash (host writes plus garbage-collection relocations) and bytes the
-host sent.  This module provides the same cumulative counters; the
-shared :class:`~repro.counters.Counters` base gives them the
-snapshot/delta helpers so windowed WA-D can be computed as well.
+host sent.  This module provides the same cumulative counters; a run
+reads them in its counter snapshots (``flash.*``), whose deltas give
+windowed WA-D as well.
 """
 
 from __future__ import annotations

@@ -43,8 +43,6 @@ channel one, once.  Nothing outside this module names either class.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.clock import VirtualClock
 from repro.errors import DeviceError, OutOfRangeError
 from repro.faults.plan import NO_FAULTS
@@ -102,17 +100,19 @@ class ScalarTimeline(_Timeline):
 
     ``busy_until`` is both the FIFO occupancy and the write-cache drain
     horizon; reads do not move it but pay a penalty proportional to
-    the backlog they find, saturating at ``read_contention_window``.
+    the backlog they find: ``READ_CONTENTION`` times the service time
+    at ``READ_CONTENTION_WINDOW`` seconds of backlog and beyond, in
+    proportion below it.
     """
 
     lanes = 1
+    READ_CONTENTION = 2.0  # extra read service per unit of saturation
+    READ_CONTENTION_WINDOW = 0.050  # seconds of backlog that saturate
 
     def __init__(self, config: SSDConfig):
         super().__init__(config)
         self.busy_until = 0.0
         self.lane_share = config.channels
-        self._contention = config.read_contention
-        self._contention_window = config.read_contention_window
 
     def write_horizon(self) -> float:
         return self.busy_until
@@ -150,9 +150,9 @@ class ScalarTimeline(_Timeline):
     def read(self, start: int, npages: int, now: float, degrade) -> float:
         latency = self.ideal_read(npages)
         backlog = self.busy_until - now
-        if backlog > 0 and self._contention > 0:
-            saturation = min(1.0, backlog / self._contention_window)
-            latency *= 1.0 + self._contention * saturation
+        if backlog > 0:
+            saturation = min(1.0, backlog / self.READ_CONTENTION_WINDOW)
+            latency *= 1.0 + self.READ_CONTENTION * saturation
         return latency
 
     def read_many(self, starts, lens, now: float) -> list[float]:
@@ -390,12 +390,8 @@ class SSD:
         self._host_write_latency = config.write_latency
         self._fold_penalty = config.fold_penalty
         self._fold_threshold = 1.25 * config.cache_drain_window
-        if config.byte_addressable:
-            self.ftl = None
-            self._mapped = np.zeros(config.logical_pages, dtype=bool)
-        else:
-            self.ftl = FlashTranslationLayer(config, policy)
-            self._mapped = None
+        self.ftl = (None if config.byte_addressable
+                    else FlashTranslationLayer(config, policy))
         self._timeline = ScalarTimeline(config)
         self.tracer = NULL_TRACER
         self.faults = NO_FAULTS  # fault injection (repro.faults)
@@ -449,8 +445,6 @@ class SSD:
         if self.ftl is not None:
             work = self.ftl.write_runs(starts, lens)
         else:
-            for start, n in zip(starts, lens):
-                self._mapped[start : start + n] = True
             work = WorkUnits(host_pages=npages)
         latency = self._account_write(npages, work, background)
         if extra:
@@ -547,8 +541,6 @@ class SSD:
         self._check(start, npages)
         if self.ftl is not None:
             self.ftl.trim_range(start, npages)
-        else:
-            self._mapped[start : start + npages] = False
         self.smart.trim_commands += 1
 
     def trim_all(self) -> None:
@@ -602,20 +594,6 @@ class SSD:
     def device_write_amplification(self) -> float:
         """Lifetime WA-D from SMART counters."""
         return self.smart.device_write_amplification()
-
-    def utilization(self) -> float:
-        """Fraction of logical pages with data associated."""
-        if self.ftl is not None:
-            return self.ftl.utilization
-        return float(np.count_nonzero(self._mapped)) / self.npages
-
-    def is_mapped(self, lpn: int) -> bool:
-        """Whether a logical page currently has data associated."""
-        if self.ftl is not None:
-            return self.ftl.is_mapped(lpn)
-        if not 0 <= lpn < self.npages:
-            raise OutOfRangeError(f"lpn {lpn} outside logical space")
-        return bool(self._mapped[lpn])
 
     # ------------------------------------------------------------------
     # Internals

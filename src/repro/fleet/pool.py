@@ -295,15 +295,6 @@ class FleetPool:
         cur_seeds = None
         cur_len = 0
         offset = 0
-        # Adaptive segment size (DESIGN.md §8): while interleave-bound
-        # (we just yielded because another event was due) the next call
-        # will be stopped after one op anyway, so the next call is a
-        # 1-op segment (the same batch method, prologue and all: the
-        # engines have no single-op path); the moment a call ends with
-        # no event due, the full segment size returns.  Only the call
-        # granularity changes — the op stream and timing are governed
-        # by `until` either way.
-        seg = segment_cap
         while True:
             issued = outcome.ops_issued
             if not proceed(issued):
@@ -329,8 +320,8 @@ class FleetPool:
             # run; `until` handles the sampling boundary and event
             # interleaving per op.
             cap = check_every - issued % check_every
-            if cap > seg:
-                cap = seg
+            if cap > segment_cap:
+                cap = segment_cap
             if max_ops is not None and max_ops - issued < cap:
                 cap = max_ops - issued
             end = offset + cap
@@ -376,13 +367,11 @@ class FleetPool:
             now = clock.now
             if self._next_sample is not None and now >= self._next_sample:
                 self._sample()
-            seg = segment_cap
-            if heap and heap[0][0] <= now:  # next_time(), inlined
+            if heap and heap[0][0] <= now:  # the next event, inlined
                 # Another task's event is due (or an op scheduled
                 # background work): suspend until this operation's
                 # completion time, exactly where a one-op-per-event
                 # client would have yielded.
-                seg = 1
                 yield 0.0
         # Anchor the client's completion on the timeline: Scheduler.run
         # restores global time when a step ends, so end with one no-op

@@ -339,11 +339,6 @@ class ExtentFilesystem:
         """Bytes of allocated space (page granularity, like ``df``)."""
         return self.used_pages * self.page_size
 
-    @property
-    def capacity_bytes(self) -> int:
-        """Total filesystem capacity in bytes."""
-        return self.allocator.npages * self.page_size
-
     def counters(self) -> dict:
         """Space accounting as layer-labelled counters: pages and bytes
         in use now (gauges), their high-water marks (the paper reports

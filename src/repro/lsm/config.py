@@ -24,7 +24,6 @@ class LSMConfig:
 
     # Write path.
     memtable_bytes: int = 1 * MIB
-    wal_enabled: bool = True
     wal_buffer_bytes: int = 64 * KIB
     wal_entry_overhead: int = 17
 

@@ -75,9 +75,8 @@ class LSMStore(KVStore):
         self.executor = CompactionExecutor(self.fs, self.config,
                                            self._next_table_id)
         self.memtable = MemTable(self.config)
-        self.wal = WriteAheadLog(self.fs, self.config, next(self._wal_ids)) \
-            if self.config.wal_enabled else None
-        self._immutables: list[tuple[MemTable, WriteAheadLog | None]] = []
+        self.wal = WriteAheadLog(self.fs, self.config, next(self._wal_ids))
+        self._immutables: list[tuple[MemTable, WriteAheadLog]] = []
         self._closed = False
         self.flushed_bytes = 0  # memtable flush traffic (part of WA-A)
         self.stall_seconds = 0.0  # cumulative write-stall time
@@ -521,13 +520,12 @@ class LSMStore(KVStore):
                 cap = n - done
                 wal = self.wal
                 memtable = self.memtable
-                if wal is not None:
-                    # Records that stay below the buffered write-out
-                    # threshold (the next one past this cap triggers
-                    # the device write).
-                    wal_cap = (wal_buffer_bytes - 1 - wal._buffered) // wal_record
-                    if wal_cap < cap:
-                        cap = wal_cap
+                # Records that stay below the buffered write-out
+                # threshold (the next one past this cap triggers the
+                # device write).
+                wal_cap = (wal_buffer_bytes - 1 - wal._buffered) // wal_record
+                if wal_cap < cap:
+                    cap = wal_cap
                 # Entries that keep the memtable below its flush
                 # threshold (the next one rotates it).
                 mem_cap = (memtable_bytes - 1
@@ -630,19 +628,18 @@ class LSMStore(KVStore):
                         memtable.bulk_put(keys_list[done:done + took], first_seq,
                                           seeds_list[done:done + took], vlen)
                     stats.puts += took
-                if wal is not None:
-                    wal._buffered += took * wal_record
-                    if self._crash is not None:
-                        crash_log = self._crash.setdefault(wal.log_id, [])
-                        if delete:
-                            for k in keys_list[done:done + took]:
-                                crash_log.append((k, 0, 0, KIND_DELETE,
-                                                  wal_record))
-                        else:
-                            for k, s in zip(keys_list[done:done + took],
-                                            seeds_list[done:done + took]):
-                                crash_log.append((k, s, vlen, KIND_PUT,
-                                                  wal_record))
+                wal._buffered += took * wal_record
+                if self._crash is not None:
+                    crash_log = self._crash.setdefault(wal.log_id, [])
+                    if delete:
+                        for k in keys_list[done:done + took]:
+                            crash_log.append((k, 0, 0, KIND_DELETE,
+                                              wal_record))
+                    else:
+                        for k, s in zip(keys_list[done:done + took],
+                                        seeds_list[done:done + took]):
+                            crash_log.append((k, s, vlen, KIND_PUT,
+                                              wal_record))
                 stats.user_bytes_written += took * payload
                 # Store `now` back.  It only grew from the value read;
                 # the comparison keeps the clock monotone by
@@ -662,8 +659,7 @@ class LSMStore(KVStore):
     def flush(self) -> None:
         """Flush the memtable and run compactions to completion."""
         self._ensure_open()
-        if self.wal is not None:
-            self.wal.sync()
+        self.wal.sync()
         if len(self.memtable):
             self._rotate_memtable()
         self._flush_immutables()
@@ -732,12 +728,7 @@ class LSMStore(KVStore):
         replay: list = []
         lost_status: dict[int, bool] = {}
         latency = 0.0
-        for memtable, wal in live:
-            if wal is None:
-                # No WAL: the whole memtable was volatile.
-                for key in memtable._entries:
-                    lost_status[key] = True
-                continue
+        for _memtable, wal in live:
             records = self._crash.get(wal.log_id, [])
             # The buffer tail never reached the device: walk back from
             # the end until the unwritten bytes are accounted for.
@@ -755,10 +746,9 @@ class LSMStore(KVStore):
                 latency += read_latency
         # Drop the volatile state and the replayed logs.
         for _memtable, wal in live:
-            if wal is not None:
-                wal._buffered = 0
-                wal.discard()
-                self._crash.pop(wal.log_id, None)
+            wal._buffered = 0
+            wal.discard()
+            self._crash.pop(wal.log_id, None)
         self._immutables = []
         rebuilt = MemTable(self.config)
         seq = self._next_seq
@@ -776,8 +766,7 @@ class LSMStore(KVStore):
             self._flush_one(rebuilt, None)
             self._run_compactions()
         self.memtable = MemTable(self.config)
-        self.wal = WriteAheadLog(fs, self.config, next(self._wal_ids)) \
-            if self.config.wal_enabled else None
+        self.wal = WriteAheadLog(fs, self.config, next(self._wal_ids))
         tracer = self.tracer
         if tracer.enabled:
             tracer.instant("crash_recover", "fault", {
@@ -805,16 +794,15 @@ class LSMStore(KVStore):
         config = self.config
         payload = config.key_bytes + vlen
         latency = config.cpu_overhead
-        if self.wal is not None:
-            wal_latency = self.wal.append(payload)
-            latency += wal_latency
-            if tr_on and wal_latency > 0.0:
-                tracer.span("wal_append", "lsm", t0, wal_latency,
-                            {"bytes": payload})
-            if self._crash is not None:
-                self._crash.setdefault(self.wal.log_id, []).append(
-                    (key, vseed, vlen, KIND_DELETE if delete else KIND_PUT,
-                     payload + config.wal_entry_overhead))
+        wal_latency = self.wal.append(payload)
+        latency += wal_latency
+        if tr_on and wal_latency > 0.0:
+            tracer.span("wal_append", "lsm", t0, wal_latency,
+                        {"bytes": payload})
+        if self._crash is not None:
+            self._crash.setdefault(self.wal.log_id, []).append(
+                (key, vseed, vlen, KIND_DELETE if delete else KIND_PUT,
+                 payload + config.wal_entry_overhead))
         seq = self._next_seq
         self._next_seq = seq + 1
         if delete:
@@ -869,8 +857,7 @@ class LSMStore(KVStore):
     def _rotate_memtable(self) -> None:
         self._immutables.append((self.memtable, self.wal))
         self.memtable = MemTable(self.config)
-        if self.config.wal_enabled:
-            self.wal = WriteAheadLog(self.fs, self.config, next(self._wal_ids))
+        self.wal = WriteAheadLog(self.fs, self.config, next(self._wal_ids))
 
     def _flush_immutables(self) -> None:
         while self._immutables:

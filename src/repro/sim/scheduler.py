@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from typing import Callable, Generator
 
 from repro.core.clock import VirtualClock
@@ -153,10 +152,3 @@ class Scheduler:
         finally:
             self.events_run += ran
 
-    def next_time(self) -> float:
-        """Virtual time of the earliest pending event (inf when idle):
-        the batched drivers' interleaving horizon (DESIGN.md §7), which
-        their per-op checks read straight off the heap head
-        (:class:`~repro.workload.plan.EventAwareUntil`)."""
-        heap = self._heap
-        return heap[0][0] if heap else math.inf

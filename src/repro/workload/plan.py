@@ -143,9 +143,9 @@ class EventAwareUntil:
     Compares like a float against ``clock.now`` (the batch methods'
     ``now >= until`` check reaches :meth:`__le__` by reflection), but
     is evaluated fresh at every check: ``cap`` is the driver's next
-    sampling boundary (or None) and the scheduler's
-    :meth:`~repro.sim.scheduler.Scheduler.next_time` is consulted live
-    so events scheduled *during* the batch interrupt it too.
+    sampling boundary (or None) and the time of the scheduler's next
+    event (its heap head) is read live, so events scheduled *during*
+    the batch interrupt it too.
     """
 
     __slots__ = ("cap", "_heap")
@@ -164,8 +164,8 @@ class EventAwareUntil:
         An engine replay loop that provably schedules no events (pure
         accounting between device events, e.g. the LSM write replay)
         may hoist the live bound out of its per-op path: with the heap
-        unchanged, ``reached(now)`` is exactly ``now >= min(cap,
-        next_time())``.  Never cache this across operations that can
+        unchanged, ``reached(now)`` is exactly ``now >= min(cap, next
+        event time)``.  Never cache this across operations that can
         touch the scheduler.
         """
         heap = self._heap

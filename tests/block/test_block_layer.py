@@ -24,7 +24,6 @@ class TestBlockDevice:
     def test_forwards_geometry(self, device, tiny_ssd):
         assert device.page_size == tiny_ssd.page_size
         assert device.npages == tiny_ssd.npages
-        assert device.capacity_bytes == tiny_ssd.capacity_bytes
 
     def test_observers_see_writes(self, device):
         seen = []
@@ -109,11 +108,11 @@ class TestByteCounters:
         """Unequal batch columns or a negative length: refused before
         the drive sees anything, where a zero length is a no-op."""
         device.write_runs([0], [16])
-        before = (device.counters(), device.ssd.smart.snapshot())
+        before = (device.counters(), device.ssd.smart.as_dict())
         with pytest.raises(DeviceError) as raised:
             request_(device)
         assert raised.type is error
-        assert (device.counters(), device.ssd.smart.snapshot()) == before
+        assert (device.counters(), device.ssd.smart.as_dict()) == before
 
     def test_a_retried_write_counts_once_and_a_failed_one_never(self, device):
         smart = device.ssd.smart
@@ -192,5 +191,4 @@ class TestPartition:
     def test_overprovisioned(self, tiny_ssd):
         device = BlockDevice(tiny_ssd, 0.25)
         assert device.npages == int(tiny_ssd.npages * 0.75)
-        assert device.capacity_bytes == device.npages * tiny_ssd.page_size
         assert BlockDevice(tiny_ssd).npages == tiny_ssd.npages

@@ -205,9 +205,9 @@ class TestPageCache:
         leaf = self.make_leaf(100)
         cache.insert(id(leaf), leaf)
         cache.adjust(50)
-        assert cache.used_bytes == 150
+        assert cache._bytes == 150  # the budget's running total
         cache.forget(id(leaf))
-        assert cache.used_bytes == 50  # adjustment was external to the page
+        assert cache._bytes == 50  # adjustment was external to the page
         assert id(leaf) not in cache
 
     def test_dirty_pages_listing(self):

@@ -126,7 +126,7 @@ class TestTreeGrowth:
         store = make_store()
         for key in range(1000):
             store.put(key, Value(key, 100))
-        assert store.cache.used_bytes <= store.config.cache_bytes * 2
+        assert store.cache._bytes <= store.config.cache_bytes * 2
         assert store.pager.pages_written > 0
 
 
@@ -166,14 +166,6 @@ class TestDurabilityMechanics:
             store.put(key % 300, value_for(key % 300, key, 100))
         journal_size = store.fs.file_size(BTreeStore.JOURNAL_FILE)
         assert journal_size == store.config.journal_ring_bytes
-
-    def test_journal_disabled(self):
-        store = make_store(journal_enabled=False)
-        for key in range(100):
-            store.put(key, Value(key, 100))
-        assert not store.fs.exists(BTreeStore.JOURNAL_FILE)
-        _lat, value = store.get(50)
-        assert value == Value(50, 100)
 
     def test_write_amplification_flat(self):
         """WA-A must not trend over time (Fig 2d)."""

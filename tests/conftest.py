@@ -61,9 +61,18 @@ def one_page_runs(lpns):
 
 
 def counters_since(block, earlier):
-    """The counters *block* accumulated since *earlier*, its snapshot."""
-    return type(block)(**{name: value - getattr(earlier, name)
+    """The counters *block* accumulated since *earlier*, its
+    ``as_dict()``."""
+    return type(block)(**{name: value - earlier[name]
                           for name, value in block.as_dict().items()})
+
+
+def mapped(device):
+    """Which logical pages hold data, one bool per page, read through
+    the FTL's white-box accessor (``state_arrays`` drains the
+    write-behind log first).  *device* is an SSD or its FTL."""
+    l2p, _p2l, _valid = getattr(device, "ftl", device).state_arrays()
+    return l2p >= 0
 
 
 @pytest.fixture

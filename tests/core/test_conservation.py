@@ -269,7 +269,7 @@ def test_a_refused_write_commits_nothing_on_any_layer(layer, case):
                      "block": (device, device.npages)}[layer]
 
     def observed():
-        return (ssd.smart.snapshot(), device.counters(),
+        return (ssd.smart.as_dict(), device.counters(),
                 list(ftl._log_starts), list(ftl._log_lens), ftl._log_room,
                 ftl.total_host_pages, trace.histogram.tolist(),
                 trace.total_write_requests)

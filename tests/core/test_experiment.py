@@ -14,6 +14,7 @@ from repro.core.metrics import end_to_end_write_amplification
 from repro.errors import ConfigError
 from repro.flash.state import DriveState
 from repro.units import MIB
+from tests.conftest import mapped
 
 FAST = dict(
     capacity_bytes=24 * MIB,
@@ -192,7 +193,7 @@ class TestBuildStack:
         (shard,) = build_stack(spec).shards
         assert shard.device.npages == int(shard.ssd.npages * 0.75)
         assert shard.fs.allocator.npages == shard.device.npages
-        assert shard.fs.capacity_bytes < shard.ssd.capacity_bytes
+        assert shard.fs.allocator.npages < shard.ssd.npages
 
     def test_engine_selection(self):
         (lsm,) = build_stack(ExperimentSpec(engine=Engine.LSM, **FAST)).stores
@@ -203,7 +204,7 @@ class TestBuildStack:
     def test_preconditioned_drive_is_full(self):
         spec = ExperimentSpec(drive_state=DriveState.PRECONDITIONED, **FAST)
         ssd = build_stack(spec).shards[0].ssd
-        assert ssd.utilization() == 1.0
+        assert mapped(ssd).all()
 
 
 class TestRunExperiment:

@@ -18,12 +18,24 @@ product with :mod:`ast` and lists five kinds of finding:
 
 *Product files* are ``src/repro/**``, ``examples/*.py`` and
 ``benchmarks/ledger/*.py`` other than its ``test_*.py``; everything
-else is test code.  A *reference* is an identifier in code: a name or
-an attribute, a keyword-argument name, an imported name, or a word in
-a string constant that is not a docstring (the ledger's probes name
-methods in strings).  Comments and docstrings are not references, and
-in an ``__init__.py`` an import or an ``__all__`` entry is a
-re-export, not a use.
+else is test code.  A *reference* is an identifier in code: a name
+that is not a function's own variable, an attribute, an imported
+name, or a word in a string constant that is not a docstring (the
+ledger's probes name methods in strings).  A keyword argument's name
+sets a parameter or a field (below) and references nothing.  Comments
+and docstrings are not references, and in an ``__init__.py`` an
+import or an ``__all__`` entry is a re-export, not a use.
+
+A method or property is used by owner: an attribute whose receiver is
+typed credits only the classes of the receiver's hierarchy (its
+ancestors and descendants) that define it.  A receiver is typed when
+it is ``self``, ``cls``, ``super()`` or a class; a parameter or a
+dataclass field annotated with a class; a name or a ``self``
+attribute bound only to constructor calls, to calls of functions whose
+return annotation names a class, or to typed values; or an attribute
+of a typed receiver typed so.  Any other receiver, a structural
+(``Protocol``) type, a hierarchy that does not define the member, and
+a word in a string credit every namesake.
 
 A product call can set a parameter when it passes it by keyword,
 passes enough positional arguments to reach it (a ``*`` unpacking
@@ -40,11 +52,11 @@ dispatches pass (``ARRIVALS[name](rate, rng)``, or ``cls =
 ROUTERS[name]`` then ``cls(nshards, nkeys)``).  A registry read for
 its keys only (``in``, ``sorted(...)``) passes nothing; any other use
 of it hands its entries out, which counts as an alias of each.
-Matching is by name, so two definitions that share a name share their
-uses; a constructor's calls are those of its class's name (and a
-subclass's ``super().__init__``).  An unpacking assignment (``READ,
-SCAN, DELETE, UPDATE = 0, 1, 2, 3``) is one enumeration: used when any
-of its names is.
+Parameters are matched by the callee's name, so two functions that
+share a name share their calls; a constructor's calls are those of
+its class's name (and a subclass's ``super().__init__``).  An
+unpacking assignment (``READ, SCAN, DELETE, UPDATE = 0, 1, 2, 3``) is
+one enumeration: used when any of its names is.
 
 A spec field is set where a product file passes it by keyword to
 ``ExperimentSpec(...)``, ``replace(...)``, ``spec_for(...)`` or
@@ -126,12 +138,14 @@ class _Call:
 @dataclass
 class _Frame:
     """One scope: the function (None at module level), its ``**kwargs``
-    name, local registry aliases and local dicts of known keys."""
+    name, local registry aliases, local dicts of known keys and the
+    types of the names it binds."""
 
     fn: str | None
     kwarg: str | None
     aliases: dict[str, str] = field(default_factory=dict)
     dicts: dict[str, frozenset[str]] = field(default_factory=dict)
+    types: dict = field(default_factory=dict)
 
 
 def _dict_keys(value: ast.expr) -> frozenset[str] | None:
@@ -169,41 +183,369 @@ def _targets(stmt) -> list[ast.expr]:
     return stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
 
 
+# -- receiver types: which class a method use credits --------------------
+#
+# A type is a frozenset of product class names (empty: only ``None``)
+# or None: untyped, which credits every namesake.
+
+_MISSING = object()
+
+
+def _merge(a, b):
+    return None if a is None or b is None else a | b
+
+
+def _scope_nodes(body: list[ast.stmt]):
+    """Every node of *body* in its own scope: nested functions, classes
+    and lambdas are left out (their names are bound, not walked)."""
+    stack = list(reversed(body))
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef, ast.Lambda)):
+            continue
+        stack.extend(reversed(list(ast.iter_child_nodes(node))))
+
+
+@dataclass
+class _Class:
+    bases: list[str]
+    members: set[str] = field(default_factory=set)      # defined in the body
+    returns: dict[str, ast.expr] = field(default_factory=dict)  # annotated
+    fields: dict[str, ast.expr] = field(default_factory=dict)   # annotated
+    protocol: bool = False
+
+
+class _Model:
+    """Product classes, their hierarchy and the types of their
+    attributes: what a receiver can be typed as.
+
+    An expression is typed when it is ``self`` or ``cls`` (the method's
+    class), ``super()``, a name bound only to typed values (a parameter
+    or field annotated with a class, a constructor call, a call of a
+    function whose return annotation names a class), a class itself, a
+    conditional expression of typed values, or an attribute of a typed
+    receiver whose every assignment is typed.
+    """
+
+    def __init__(self, trees: list[ast.Module]):
+        self.classes: dict[str, _Class] = {}
+        self.functions: dict[str, list[ast.expr | None]] = {}
+        for tree in trees:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    self._add_class(node)
+            for stmt in tree.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    self.functions.setdefault(stmt.name, []).append(stmt.returns)
+        self.children: dict[str, set[str]] = {}
+        for name, cls in self.classes.items():
+            for base in cls.bases:
+                if base in self.classes:
+                    self.children.setdefault(base, set()).add(name)
+        self.attrs: dict[str, dict] = {}
+        self.untyped_attrs: set[str] = set()
+        self._nodes: dict[int, list[ast.AST]] = {}
+        for _ in range(2):   # attributes typed from attributes settle
+            self._type_attributes(trees)
+
+    def _add_class(self, node: ast.ClassDef) -> None:
+        bases = [b for b in map(_callee, node.bases) if b]
+        cls = self.classes.setdefault(node.name, _Class(bases))
+        cls.protocol |= "Protocol" in bases
+        for stmt in node.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                cls.members.add(stmt.name)
+                if stmt.returns is not None:
+                    cls.returns[stmt.name] = stmt.returns
+            elif isinstance(stmt, ast.AnnAssign) \
+                    and isinstance(stmt.target, ast.Name):
+                cls.members.add(stmt.target.id)
+                cls.fields[stmt.target.id] = stmt.annotation
+            elif isinstance(stmt, ast.Assign):
+                cls.members.update(t.id for t in stmt.targets
+                                   if isinstance(t, ast.Name))
+
+    def nodes(self, body: list[ast.stmt]) -> list[ast.AST]:
+        """:func:`_scope_nodes` of *body*, walked once."""
+        key = id(body)
+        if key not in self._nodes:
+            self._nodes[key] = list(_scope_nodes(body))
+        return self._nodes[key]
+
+    # -- the hierarchy ------------------------------------------------
+    def mro(self, name: str) -> list[str]:
+        order, stack = [], [name]
+        while stack:
+            current = stack.pop(0)
+            if current in self.classes and current not in order:
+                order.append(current)
+                stack.extend(self.classes[current].bases)
+        return order
+
+    def family(self, name: str) -> set[str]:
+        """The class, its ancestors and its descendants."""
+        found = set(self.mro(name))
+        stack = [name]
+        while stack:
+            for child in self.children.get(stack.pop(), ()):
+                if child not in found:
+                    found.add(child)
+                    stack.append(child)
+        return found
+
+    def owners(self, types, member: str) -> set[str] | None:
+        """The classes a use of *member* on a receiver of *types*
+        credits; None when the receiver is untyped (or structural, or
+        its hierarchy does not define *member*)."""
+        if not types or any(self.classes[t].protocol for t in types):
+            return None
+        found = {c for t in types for c in self.family(t)
+                 if member in self.classes[c].members
+                 or member in self.attrs.get(c, ())}
+        return found or None
+
+    # -- types --------------------------------------------------------
+    def annotation(self, node):
+        if isinstance(node, ast.Constant):
+            if node.value is None:
+                return frozenset()
+            if isinstance(node.value, str):
+                try:
+                    node = ast.parse(node.value, mode="eval").body
+                except SyntaxError:
+                    return None
+                return self.annotation(node)
+            return None
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            name = _callee(node)
+            return frozenset({name}) if name in self.classes else None
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+            return _merge(self.annotation(node.left),
+                          self.annotation(node.right))
+        if isinstance(node, ast.Subscript) and _callee(node.value) == "Optional":
+            return self.annotation(node.slice)
+        return None
+
+    def _returns(self, annotations) -> frozenset | None:
+        found = frozenset()
+        for annotation in annotations:
+            found = _merge(found, None if annotation is None
+                           else self.annotation(annotation))
+        return found or None
+
+    def member_type(self, types, name: str, called: bool):
+        """The type of ``receiver.name`` (or of calling it)."""
+        if not types or (not called and name in self.untyped_attrs):
+            return None
+        found = frozenset()
+        for t in types:
+            for c in self.mro(t):
+                cls, held = self.classes[c], self.attrs.get(c, {})
+                if not called and name in held:
+                    member = held[name]
+                elif not called and name in cls.fields:
+                    member = self.annotation(cls.fields[name])
+                elif name in cls.members:   # a method, or a property
+                    member = self._returns([cls.returns.get(name)])
+                else:
+                    continue
+                break
+            else:
+                return None
+            found = _merge(found, member)
+        return found or None
+
+    def expr(self, node, find, owner: str | None):
+        """The type of expression *node*; *find* looks a name up in the
+        enclosing scopes (``_MISSING`` if unbound)."""
+        if isinstance(node, ast.Constant) and node.value is None:
+            return frozenset()
+        if isinstance(node, ast.Name):
+            bound = find(node.id)
+            if bound is not _MISSING:
+                return bound
+            return frozenset({node.id}) if node.id in self.classes else None
+        if isinstance(node, ast.Attribute):
+            return self.member_type(self.expr(node.value, find, owner),
+                                    node.attr, called=False)
+        if isinstance(node, ast.IfExp):
+            return _merge(self.expr(node.body, find, owner),
+                          self.expr(node.orelse, find, owner))
+        if not isinstance(node, ast.Call):
+            return None
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            return self.member_type(self.expr(func.value, find, owner),
+                                    func.attr, called=True)
+        if not isinstance(func, ast.Name):
+            return None
+        if func.id == "super":
+            return frozenset({owner}) if owner else None
+        bound = find(func.id)
+        if bound is not _MISSING:
+            return bound if func.id == "cls" else None
+        if func.id in self.classes:
+            return frozenset({func.id})
+        if func.id in self.functions:
+            return self._returns(self.functions[func.id])
+        return None
+
+    def scope(self, fn, owner: str | None, find) -> dict:
+        """The types of the names *fn* binds (a module when *fn* is a
+        list of statements); *owner* is the class of a method."""
+        local: dict = {}
+
+        def lookup(name):
+            return local[name] if name in local else find(name)
+
+        def bind(name, types):
+            local[name] = _merge(local[name], types) if name in local else types
+
+        if isinstance(fn, list):
+            body = fn
+        else:
+            body = fn.body
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            static = "staticmethod" in _decorators(fn)
+            for i, arg in enumerate(positional + args.kwonlyargs):
+                if i == 0 and owner and not static and arg in positional:
+                    local[arg.arg] = frozenset({owner})
+                else:
+                    local[arg.arg] = self.annotation(arg.annotation)
+            for arg in (args.vararg, args.kwarg):
+                if arg is not None:
+                    local[arg.arg] = None
+        handled: set[int] = set()
+        for node in self.nodes(body):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) \
+                    and len(_targets(node)) == 1 \
+                    and isinstance(_targets(node)[0], ast.Name):
+                target = _targets(node)[0]
+                handled.add(id(target))
+                if isinstance(node, ast.AnnAssign):
+                    bind(target.id, self.annotation(node.annotation))
+                elif node.value is not None:
+                    bind(target.id, self.expr(node.value, lookup, owner))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) \
+                    and id(node) not in handled:
+                bind(node.id, None)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef)):
+                bind(node.name, None)
+        return local
+
+    def _type_attributes(self, trees: list[ast.Module]) -> None:
+        """Type every attribute from its assignments anywhere in the
+        product: one untyped assignment leaves it untyped."""
+        attrs: dict[str, dict] = {}
+        untyped: set[str] = set()
+
+        def visit(body, owner, find):
+            for node in self.nodes(body):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    local = self.scope(node, owner, find)
+                    visit(node.body, None, lambda n, local=local:
+                          local[n] if n in local else find(n))
+                elif isinstance(node, ast.ClassDef):
+                    visit(node.body, node.name, find)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    store(node, find, owner)
+
+        def store(node, find, owner):
+            for target in _targets(node):
+                for sub in ast.walk(target):
+                    if not isinstance(sub, ast.Attribute) \
+                            or not isinstance(sub.ctx, ast.Store):
+                        continue
+                    receiver = self.expr(sub.value, find, owner)
+                    if not receiver or sub is not target:
+                        untyped.add(sub.attr)
+                        continue
+                    types = (self.annotation(node.annotation)
+                             if isinstance(node, ast.AnnAssign)
+                             else self.expr(node.value, find, owner))
+                    for t in receiver:
+                        held = attrs.setdefault(t, {})
+                        held[sub.attr] = (_merge(held[sub.attr], types)
+                                          if sub.attr in held else types)
+
+        for tree in trees:
+            module = self.scope(tree.body, None, lambda n: _MISSING)
+            visit(tree.body, None,
+                  lambda n, module=module: module.get(n, _MISSING))
+        self.attrs, self.untyped_attrs = attrs, untyped
+
+
 class _Uses(ast.NodeVisitor):
     """Every reference in one product file, and every call by name."""
 
-    def __init__(self, names: set[str], calls: dict[str, list],
-                 registry: dict[str, set[str]], reexport: bool):
+    def __init__(self, names: set[str], owned: dict[str, set[str]],
+                 calls: dict[str, list], registry: dict[str, set[str]],
+                 model: _Model, reexport: bool):
         self.names = names
+        self.owned = owned
         self.calls = calls
+        self.model = model
         self.registry = registry
         self.reexport = reexport
         self.settings: set[str] = set()  # spec fields this file sets
         self.called: set[int] = set()    # id() of callee nodes
         self.handled: set[int] = set()   # id() of registry names read safely
         self.bases: list[list[str]] = []
+        self.classes: list[str] = []     # enclosing classes, innermost last
+        self.method_of: str | None = None  # the class whose body this is
         self.frames = [_Frame(None, None)]
 
     def visit_Module(self, node):
+        self.frames[0].types = self.model.scope(node.body, None, self._find)
         self._body(node.body)
 
     def visit_ClassDef(self, node):
         for child in node.bases + node.keywords + node.decorator_list:
             self.visit(child)
         self.bases.append([b for b in map(_callee, node.bases) if b])
-        self._body(node.body)
+        self.classes.append(node.name)
+        for stmt in node.body:
+            self.method_of = node.name
+            if not _is_bare_string(stmt):
+                self.visit(stmt)
+        self.method_of = None
+        self.classes.pop()
         self.bases.pop()
 
     def visit_FunctionDef(self, node):
+        owner, self.method_of = self.method_of, None
         for child in node.decorator_list + [node.args]:
             self.visit(child)
         self._annotation(node.returns)
         kwarg = node.args.kwarg.arg if node.args.kwarg else None
-        self.frames.append(_Frame(node.name, kwarg))
+        frame = _Frame(node.name, kwarg)
+        frame.types = self.model.scope(node, owner, self._find)
+        self.frames.append(frame)
         self._body(node.body)
         self.frames.pop()
 
     visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Lambda(self, node):
+        outer = self.frames[-1]
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        self.visit(args)
+        self.frames.append(_Frame(outer.fn, outer.kwarg, outer.aliases,
+                                  outer.dicts, {a.arg: None for a in params}))
+        self.visit(node.body)
+        self.frames.pop()
+
+    def _find(self, name: str):
+        for frame in reversed(self.frames):
+            if name in frame.types:
+                return frame.types[name]
+        return _MISSING
 
     def _body(self, body):
         for stmt in body:
@@ -274,10 +616,17 @@ class _Uses(ast.NodeVisitor):
 
     def visit_Name(self, node):
         if not isinstance(node.ctx, ast.Store):
-            self._use(node, node.id)
+            # A function's own variable is no use of a namesake.
+            local = any(node.id in frame.types for frame in self.frames[1:])
+            self._use(node, node.id, credit=not local)
 
     def visit_Attribute(self, node):
-        self._use(node, node.attr)
+        receiver = self.model.expr(node.value, self._find,
+                                   self.classes[-1] if self.classes else None)
+        owners = self.model.owners(receiver, node.attr)
+        if owners is not None:   # a typed receiver credits its owners only
+            self.owned.setdefault(node.attr, set()).update(owners)
+        self._use(node, node.attr, credit=owners is None)
         value = node.value
         if isinstance(value, ast.Name) and not (
                 value.id in self.registry or self._alias(value.id)):
@@ -285,8 +634,9 @@ class _Uses(ast.NodeVisitor):
         else:
             self.visit(value)
 
-    def _use(self, node, name):
-        self.names.add(name)
+    def _use(self, node, name, credit=True):
+        if credit:
+            self.names.add(name)
         if id(node) in self.called:
             return
         self.calls.setdefault(name, []).append(None)   # an alias
@@ -297,9 +647,7 @@ class _Uses(ast.NodeVisitor):
                 self.calls.setdefault(entry, []).append(None)
 
     def visit_keyword(self, node):
-        if node.arg is not None:
-            self.names.add(node.arg)
-        self.visit(node.value)
+        self.visit(node.value)   # its name sets a parameter (calls), no more
 
     def visit_ImportFrom(self, node):
         if not self.reexport:
@@ -368,11 +716,13 @@ class _Uses(ast.NodeVisitor):
 
 @dataclass
 class Product:
-    """What the product references: names, calls keyed by callee name
+    """What the product references: names (untyped uses), the owners
+    a typed use of a member credits, calls keyed by callee name
     (``None`` is a reference that is not a call) and, per file, the
     spec fields it sets."""
 
     names: set[str]
+    owned: dict[str, set[str]]
     calls: dict[str, list]
     settings: dict[Path, set[str]]
 
@@ -381,10 +731,11 @@ def product_uses(files: list[Path]) -> Product:
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in files}
     registry = registries(list(trees.values()))
-    product = Product(set(), {}, {})
+    model = _Model(list(trees.values()))
+    product = Product(set(), {}, {}, {})
     for path, tree in trees.items():
-        uses = _Uses(product.names, product.calls, registry,
-                     path.name == "__init__.py")
+        uses = _Uses(product.names, product.owned, product.calls, registry,
+                     model, path.name == "__init__.py")
         uses.visit(tree)
         product.settings[path.resolve()] = uses.settings
     return product
@@ -525,7 +876,8 @@ def find_test_only(src: Path, files: list[Path], exempt=EXEMPT,
                 if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
                 where = f"{module}.{stmt.name}.{fn.name}"
-                if not fn.name.startswith("_") and fn.name not in product.names:
+                if not fn.name.startswith("_") and fn.name not in product.names \
+                        and stmt.name not in product.owned.get(fn.name, ()):
                     flag(where, fn.name)
                 decorators = _decorators(fn)
                 if "property" in decorators or "setter" in decorators:
@@ -603,6 +955,31 @@ _FIXTURE = {
                 raise KeyError(sorted(SHAPES))
             cls = SHAPES[name]
             return cls(rate, **options)
+
+        class Disk:
+            @property
+            def blocks(self):
+                return 8
+
+            def size(self):
+                return 1
+
+            def label(self):
+                return "disk"
+
+        class Drive:
+            def __init__(self, blocks):
+                self.blocks = blocks
+
+            def size(self):
+                return self.blocks
+
+            def label(self):
+                return "drive"
+
+        def describe(drive: Drive, thing):
+            size = drive.size()
+            return size, thing.label()
     ''',
     "src/repro/spec.py": '''
         """The spec; its own module does not set its fields."""
@@ -621,10 +998,11 @@ _FIXTURE = {
     "examples/app.py": '''
         """Product code outside the package."""
         from repro import Store, forward, open_store
-        from repro.mod import make_shape
+        from repro.mod import Disk, Drive, describe, make_shape
         from repro.spec import ExperimentSpec
 
         Store(10, 5).used()
+        describe(Drive(blocks=4), Disk())
         open_store(3)
         forward("reached", depth=2)
         AXES = {"seed": [1, 2]}
@@ -665,6 +1043,11 @@ def test_the_walker_flags_each_kind_and_no_opaque_case(tmp_path):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(text), encoding="utf-8")
     assert find_test_only(tmp_path / "src" / "repro", product_files(tmp_path)) == [
+        # namesakes: a typed receiver credits its own class only (and
+        # a keyword no property), an untyped one every namesake
+        # (``label``), and a function's own variable none (``size``)
+        "repro.mod.Disk.blocks",
+        "repro.mod.Disk.size",
         # module level, reached only through the package's re-export
         "repro.mod.Reexported",
         # a registry entry is built with what its dispatch passes: here

@@ -235,11 +235,6 @@ class TestLSMCrashLogThroughBatches:
 
 
 class TestBTreeCrashRecovery:
-    def test_crash_without_journal_raises(self):
-        store = make_btree(journal_enabled=False)
-        with pytest.raises(ConfigError, match="journal"):
-            store.enable_crash_tracking()
-
     def test_journal_makes_all_keys_durable(self):
         oracle = make_btree()
         target = make_btree()

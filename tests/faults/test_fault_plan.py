@@ -76,6 +76,25 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown fault kind"):
             ExperimentSpec(faults={"bogus": 0.1})
 
+    # A degrade window that can never fire used to run a healthy device
+    # under the faulty spec (run_seconds unchanged); the spec refuses it
+    # at construction, before any load.
+    DEGRADE = {"channel": 0, "start": 0.0, "seconds": 100.0, "factor": 50.0}
+
+    def test_spec_refuses_degrade_on_the_scalar_timeline(self):
+        with pytest.raises(ConfigError, match="scalar device timing"):
+            ExperimentSpec(engine="btree", capacity_bytes=24 << 20,
+                           faults={"degrade": self.DEGRADE})
+
+    def test_spec_refuses_degrade_on_a_missing_channel(self):
+        spec = ExperimentSpec(engine="btree", capacity_bytes=24 << 20,
+                              nclients=2, faults={"degrade": self.DEGRADE})
+        channels = spec.shard_ssd().channels
+        with pytest.raises(ConfigError, match=f"below the {channels} channels"):
+            ExperimentSpec(engine="btree", capacity_bytes=24 << 20, nclients=2,
+                           faults={"degrade": {**self.DEGRADE,
+                                               "channel": channels}})
+
     def test_spec_negative_retry_limit(self):
         with pytest.raises(ConfigError, match="retry_limit must be >= 0"):
             ExperimentSpec(retry_limit=-1)

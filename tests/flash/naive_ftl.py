@@ -38,9 +38,6 @@ class NaiveFTL:
     def valid_in(self, block: int) -> int:
         return sum(p in self.p2l for p in range(block * self.ppb, (block + 1) * self.ppb))
 
-    def wa_d(self) -> float:
-        return (self.host_pages + self.gc_pages) / self.host_pages if self.host_pages else 1.0
-
     def write(self, lpns: list[int]) -> tuple[int, int, int]:
         """Invalidate the whole request, then program it."""
         work = [len(lpns), 0, 0]

@@ -68,8 +68,9 @@ class NaiveScalarTiming:
                    + npages * cfg.page_size / cfg.bus_bytes_per_s)
         backlog = self.backlog(now)
         if backlog > 0:
-            latency *= 1.0 + cfg.read_contention * min(
-                1.0, backlog / cfg.read_contention_window)
+            # Read contention: up to 2x extra service, saturating at
+            # 50 ms of write backlog.
+            latency *= 1.0 + 2.0 * min(1.0, backlog / 0.050)
         return latency
 
     def settle(self, now: float) -> None:

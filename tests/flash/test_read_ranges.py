@@ -46,8 +46,7 @@ class Stack:
             # reads see a live write horizon.
             self.ssd.write_runs([0], [512], background=True)
             self.clock.advance(1e-3)
-            assert 0 < self.ssd.backlog_seconds() < \
-                self.ssd.config.read_contention_window
+            assert 0 < self.ssd.backlog_seconds() < 0.050  # below saturation
         if "tracer" in mode:
             self.tracer = Tracer()
             attach_tracer(self.tracer, clock=self.clock, ssd=self.ssd)
@@ -60,7 +59,7 @@ class Stack:
     def state(self) -> tuple:
         timeline = self.ssd._timeline
         return (
-            self.ssd.smart.snapshot(), self.ssd.ftl.total_read_pages,
+            self.ssd.smart.as_dict(), self.ssd.ftl.total_read_pages,
             self.device.bytes_read,
             (list(timeline.busy), timeline.busy_max)
             if isinstance(timeline, ChannelTimeline) else timeline.busy_until,

@@ -10,7 +10,8 @@ from repro.errors import OutOfRangeError
 from repro.flash.profiles import get_profile
 from repro.flash.ssd import SSD, ChannelTimeline, ScalarTimeline
 from repro.units import MIB
-from tests.conftest import counters_since, make_tiny_config, one_page_runs
+from tests.conftest import (counters_since, make_tiny_config, mapped,
+                            one_page_runs)
 
 
 def busiest_channel(ssd: SSD) -> float:
@@ -51,7 +52,7 @@ class TestSmartAccounting:
         tiny_ssd.write_runs([0], [10])
         tiny_ssd.trim_all()
         assert tiny_ssd.smart.trim_commands == 1
-        assert tiny_ssd.utilization() == 0.0
+        assert not mapped(tiny_ssd).any()
 
     def test_gc_attributable_counters(self, tiny_ssd):
         assert tiny_ssd.smart.gc_reclaims == 0
@@ -74,7 +75,7 @@ class TestSmartAccounting:
         as_dict = tiny_ssd.smart.as_dict()
         for key in ("gc_reclaims", "gc_pages_moved", "gc_flash_reads"):
             assert as_dict[key] == 0
-        before = tiny_ssd.smart.snapshot()
+        before = tiny_ssd.smart.as_dict()
         n = tiny_ssd.npages
         rng = np.random.default_rng(1)
         tiny_ssd.write_runs([0], [n])
@@ -145,19 +146,6 @@ class TestByteAddressable:
         assert ssd.device_write_amplification() == 1.0
         assert ssd.smart.blocks_erased == 0
 
-    def test_mapping_tracked(self, clock):
-        ssd = self.make_optane(clock)
-        ssd.write_runs([5], [3])
-        assert ssd.is_mapped(5)
-        assert not ssd.is_mapped(20)
-        ssd.trim_range(5, 3)
-        assert not ssd.is_mapped(5)
-
-    def test_utilization(self, clock):
-        ssd = self.make_optane(clock)
-        ssd.write_runs([0], [ssd.npages // 2])
-        assert ssd.utilization() == pytest.approx(0.5, abs=0.01)
-
 
 class TestBounds:
     def test_write_out_of_range(self, tiny_ssd):
@@ -177,7 +165,8 @@ class TestBounds:
             with pytest.raises(OutOfRangeError):
                 ssd.write_runs(*one_page_runs(np.array([0, lpn], dtype=np.int64)))
         assert ssd.smart.host_bytes_written == 0
-        assert ssd.utilization() == 0.0
+        if ssd.ftl is not None:
+            assert not mapped(ssd).any()
 
     def test_zero_length_ops_free(self, tiny_ssd):
         assert tiny_ssd.write_runs([0], [0]) == 0.0

@@ -11,21 +11,22 @@ from repro.flash.state import (
     precondition_device,
     trim_device,
 )
-from tests.conftest import counters_since, make_tiny_config, one_page_runs
+from tests.conftest import (counters_since, make_tiny_config, mapped,
+                            one_page_runs)
 
 
 class TestTrim:
     def test_trim_empties_device(self, tiny_ssd):
         tiny_ssd.write_runs([0], [200])
         trim_device(tiny_ssd)
-        assert tiny_ssd.utilization() == 0.0
+        assert not mapped(tiny_ssd).any()
         assert tiny_ssd.backlog_seconds() == 0.0
 
 
 class TestPrecondition:
     def test_fills_whole_logical_space(self, tiny_ssd):
         precondition_device(tiny_ssd)
-        assert tiny_ssd.utilization() == 1.0
+        assert mapped(tiny_ssd).all()
 
     def test_triggers_gc(self, tiny_ssd):
         precondition_device(tiny_ssd)
@@ -53,7 +54,7 @@ class TestInitialStateEffect:
     def test_first_writes_cheap_on_trimmed(self, clock):
         ssd = SSD(make_tiny_config(), clock)
         apply_drive_state(ssd, DriveState.TRIMMED)
-        before = ssd.smart.snapshot()
+        before = ssd.smart.as_dict()
         ssd.write_runs([0], [ssd.npages // 2])
         delta = counters_since(ssd.smart, before)
         assert delta.nand_bytes_written == delta.host_bytes_written
@@ -61,7 +62,7 @@ class TestInitialStateEffect:
     def test_first_writes_costly_on_preconditioned(self, clock):
         ssd = SSD(make_tiny_config(), clock)
         apply_drive_state(ssd, DriveState.PRECONDITIONED)
-        before = ssd.smart.snapshot()
+        before = ssd.smart.as_dict()
         rng = np.random.default_rng(1)
         n = ssd.npages
         for _ in range(6):

@@ -50,7 +50,7 @@ def steady_wa(hw_overprovision: float, policy: str = "greedy",
                 device.write_runs(*one_page_runs(order[start:start + 256]), background=True)
 
     churn(6)  # warm up to steady state
-    baseline = ssd.smart.snapshot()
+    baseline = ssd.smart.as_dict()
     churn(3)
     delta = counters_since(ssd.smart, baseline)
     return delta.nand_bytes_written / delta.host_bytes_written

@@ -17,8 +17,6 @@ profile (``tests/conftest.py``): ``--hypothesis-profile=ci``.
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -100,7 +98,7 @@ def drive(reference: bool, engine, nshards, router, rate, queue_cap,
         assert not any(row.failed or row.retries or row.lost_keys
                        for row in outcome.fleet)
     shards = [dict(smart=ssd.smart.as_dict(),
-                   stats=asdict(store.stats.snapshot()),
+                   stats=store.stats.as_dict(),
                    disk=store.disk_bytes_used)
               for store, ssd in zip(stores, ssds)]
     state = dict(clock=clock.now, ticks=ticks, out_of_space=out_of_space,

@@ -16,7 +16,7 @@ from repro.errors import (
 from repro.flash.ssd import SSD
 from repro.fs.filesystem import ExtentFilesystem
 from repro.core.clock import VirtualClock
-from tests.conftest import make_tiny_config
+from tests.conftest import make_tiny_config, mapped
 
 
 def device_pages(fs, name: str) -> list[int]:
@@ -88,11 +88,11 @@ class TestIO:
             filesystem.pwrite("a", 4096, 4096)
         assert filesystem.file_size("a") == 4096
         filesystem.reserve("a", 4096)
-        before = tiny_ssd.smart.snapshot()
+        before = tiny_ssd.smart.as_dict()
         filesystem.pwrite("a", 4096, 4096)
         assert filesystem.file_size("a") == 8192
-        assert tiny_ssd.smart.host_write_requests == before.host_write_requests + 1
-        assert tiny_ssd.smart.host_bytes_written == before.host_bytes_written + 4096
+        assert tiny_ssd.smart.host_write_requests == before["host_write_requests"] + 1
+        assert tiny_ssd.smart.host_bytes_written == before["host_bytes_written"] + 4096
         filesystem.check_invariants()
 
     def test_pwrite_past_eof_rejected(self, filesystem, tiny_ssd):
@@ -103,17 +103,17 @@ class TestIO:
         filesystem.append("b", 100)
         filesystem.create("c")
         filesystem.append("c", 4096)
-        before = (tiny_ssd.smart.snapshot(), filesystem.used_pages)
+        before = (tiny_ssd.smart.as_dict(), filesystem.used_pages)
         for name, offset, nbytes in (("a", 10, 1),      # empty file
                                      ("b", 50, 4096),   # straddles EOF
                                      ("c", 4096, 4096),  # starts at EOF
                                      ("c", -1, 2)):
             with pytest.raises(FilesystemError, match="beyond EOF"):
                 filesystem.pwrite(name, offset, nbytes)
-        assert (tiny_ssd.smart.snapshot(), filesystem.used_pages) == before
+        assert (tiny_ssd.smart.as_dict(), filesystem.used_pages) == before
         assert [filesystem.file_size(n) for n in "abc"] == [0, 100, 4096]
         filesystem.pwrite("c", 0, 4096)  # the whole file: served
-        assert tiny_ssd.smart.host_write_requests == before[0].host_write_requests + 1
+        assert tiny_ssd.smart.host_write_requests == before[0]["host_write_requests"] + 1
 
     def test_pread_past_eof_rejected(self, filesystem):
         filesystem.create("a")
@@ -142,7 +142,7 @@ class TestIO:
 
         def state():
             return (filesystem.file_size("a"), filesystem.used_pages,
-                    tiny_ssd.smart.snapshot())
+                    tiny_ssd.smart.as_dict())
 
         before = state()
         for nbytes in (-1, -100):
@@ -165,7 +165,7 @@ class TestDiscardSemantics:
         pages = device_pages(fs, "a")
         fs.delete("a")
         # Paper setup (nodiscard): stale data still valid on the device.
-        assert all(tiny_ssd.is_mapped(int(p)) for p in pages)
+        assert mapped(tiny_ssd)[pages].all()
 
 
 class TestFragmentation:

@@ -14,8 +14,6 @@ pairs it returns and the reads it pays, as device requests.
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 
@@ -53,7 +51,7 @@ def checked_scan(store, reads: list | None, start: int, count: int) -> None:
 
 def assert_twins_equal(a, ssd_a, b, ssd_b):
     assert a.clock.now == b.clock.now
-    assert asdict(a.stats.snapshot()) == asdict(b.stats.snapshot())
+    assert a.stats.as_dict() == b.stats.as_dict()
     assert ssd_a.smart.as_dict() == ssd_b.smart.as_dict()
 
 
@@ -166,5 +164,5 @@ def test_lsm_bulk_and_lazy_probe_paths_agree():
     assert a.get_many(keys) == len(keys)  # bulk pre-planned
     assert b.get_many(keys, until=NeverUntil()) == len(keys)  # lazy
     assert a.clock.now == b.clock.now
-    assert asdict(a.stats.snapshot()) == asdict(b.stats.snapshot())
+    assert a.stats.as_dict() == b.stats.as_dict()
     assert ssd_a.smart.as_dict() == ssd_b.smart.as_dict()

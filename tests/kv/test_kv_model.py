@@ -23,6 +23,8 @@ profile (``tests/conftest.py``): ``--hypothesis-profile=ci``.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -61,7 +63,7 @@ class Model:
         self.store = store
         self.key_bytes = store.config.key_bytes
         self.live: dict[int, Value] = {}
-        self.stats = store.stats.snapshot()
+        self.stats = replace(store.stats)  # a copy the model bumps
         #: key -> every version (None: absent) it held before a write
         #: since the last sync, oldest first.
         self.unsynced: dict[int, list] = {}

@@ -44,6 +44,6 @@ class TestStats:
 
     def test_snapshot_is_independent(self):
         stats = KVStats(puts=1)
-        snap = stats.snapshot()
+        snap = stats.as_dict()
         stats.puts = 99
-        assert snap.puts == 1
+        assert snap["puts"] == 1

@@ -186,13 +186,6 @@ class TestTreeMechanics:
             _lat, got = store.get(key)
             assert got == value, f"key {key}"
 
-    def test_wal_disabled_still_correct(self):
-        store = make_store(wal_enabled=False)
-        for key in range(500):
-            store.put(key, Value(key, 64))
-        _lat, value = store.get(123)
-        assert value == Value(123, 64)
-
     def test_tombstones_dropped_at_bottom(self):
         store = make_store()
         for key in range(300):

@@ -97,7 +97,7 @@ def get_per_op(store: LSMStore, keys, until=None, latencies=None,
 
 def state(store: LSMStore) -> tuple:
     smart = store.fs.device.ssd.smart
-    return (store.clock.now, store.stats.snapshot(), smart.host_bytes_read,
+    return (store.clock.now, store.stats.as_dict(), smart.host_bytes_read,
             smart.host_read_requests)
 
 
@@ -187,7 +187,7 @@ class TestLockstep:
                              getattr(raised.value, "ops_done", None)))
         (*bulk, bulk_done), (*twin, _) = outcomes
         assert bulk == twin
-        assert bulk_done == len(bulk[1]) == bulk[2][1].gets
+        assert bulk_done == len(bulk[1]) == bulk[2][1]["gets"]
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

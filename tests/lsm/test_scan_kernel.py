@@ -153,7 +153,7 @@ def install_tree(store: LSMStore, tree: dict) -> LSMStore:
 
 
 def state(store: LSMStore) -> tuple:
-    return (store.clock.now, store.stats.snapshot(),
+    return (store.clock.now, store.stats.as_dict(),
             store.fs.device.ssd.smart.host_bytes_read, store.preads)
 
 
@@ -224,7 +224,7 @@ def assert_scan_refused(store: LSMStore, start_keys) -> None:
     """A scan outside the packing is a ConfigError with nothing
     charged; the store goes on serving everything else."""
     def charged():
-        return store.clock.now, store.stats.snapshot(), len(store.preads)
+        return store.clock.now, store.stats.as_dict(), len(store.preads)
 
     before = charged()
     with pytest.raises(ConfigError):

@@ -12,8 +12,6 @@ per-client op counts, per-op latency series, and sample series.
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 
@@ -74,7 +72,7 @@ class TestPoolEquivalence:
         assert shipped.per_client_ops == reference.per_client_ops
         assert clock_b.now == clock_a.now  # bit-identical, not approx
         assert ssd_b.smart.as_dict() == ssd_a.smart.as_dict()
-        assert asdict(store_b.stats.snapshot()) == asdict(store_a.stats.snapshot())
+        assert store_b.stats.as_dict() == store_a.stats.as_dict()
         # Latency series, not just percentiles: every op's latency in
         # completion order, per client.
         for client in range(nclients):

@@ -105,7 +105,7 @@ class TestDeterminism:
         assert first.ops_issued == second.ops_issued
         assert first.per_client_ops == second.per_client_ops
         assert clock_a.now == clock_b.now
-        assert store_a.stats.snapshot() == store_b.stats.snapshot()
+        assert store_a.stats.as_dict() == store_b.stats.as_dict()
 
     def test_different_seed_different_trace(self):
         first, *_ = run_pool_timeline(Engine.LSM, nclients=4, seed=7)

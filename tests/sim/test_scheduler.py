@@ -11,6 +11,7 @@ from repro.errors import ConfigError
 from repro.obs import Tracer
 from repro.sim.resources import Resource
 from repro.sim.scheduler import Scheduler
+from repro.workload.plan import EventAwareUntil
 
 
 def make_scheduler():
@@ -51,13 +52,16 @@ class TestEventOrdering:
             sched.schedule(-0.1, lambda: None)
 
     def test_next_time_is_the_earliest_pending_event(self):
+        # The drivers' interleaving horizon: a live bound with no
+        # sampling cap is the heap head.
         sched, clock = make_scheduler()
-        assert sched.next_time() == math.inf
+        horizon = EventAwareUntil(sched)
+        assert horizon.snapshot() == math.inf
         sched.schedule(0.2, lambda: None)
         sched.schedule(0.1, lambda: sched.schedule(0.05, lambda: None))
-        assert sched.next_time() == 0.1
+        assert horizon.snapshot() == 0.1
         sched.run()
-        assert sched.next_time() == math.inf and clock.now == 0.2
+        assert horizon.snapshot() == math.inf and clock.now == 0.2
 
     def test_trace_records_time_seq_label(self):
         # The event timeline is the flight recorder's "sched" spans: one

@@ -11,8 +11,6 @@ distribution.
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 
@@ -62,7 +60,7 @@ def state_fingerprint(store, ssd, ticks):
     state = {
         "clock": store.clock.now,
         "smart": ssd.smart.as_dict(),
-        "stats": asdict(store.stats.snapshot()),
+        "stats": store.stats.as_dict(),
         "disk": store.disk_bytes_used,
         "ticks": list(ticks),
     }
@@ -232,4 +230,4 @@ class TestBatchApiDirect:
         assert b.get_many(np.arange(50, dtype=np.int64)) == 50
         assert b.delete_many(np.arange(30, dtype=np.int64)) == 30
         assert a.clock.now == b.clock.now
-        assert asdict(a.stats.snapshot()) == asdict(b.stats.snapshot())
+        assert a.stats.as_dict() == b.stats.as_dict()
