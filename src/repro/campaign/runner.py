@@ -5,7 +5,8 @@ virtual clock, device, filesystem and store, fully determined by its
 spec — so cells are embarrassingly parallel.  ``workers > 1`` runs
 them on a :class:`~concurrent.futures.ProcessPoolExecutor`: the first
 wall-clock speedup this repository can honestly claim, since inside a
-cell the "time" is virtual and only the grid is real work.
+cell the "time" is virtual and only the grid is real work.  The pool
+loop, :func:`simulate_cells`, also runs the figures' cells.
 
 Completed cells are appended to a JSONL store keyed by the cell's
 stable spec hash.  With ``resume=True`` an interrupted campaign skips
@@ -17,7 +18,7 @@ byte-identical to an uninterrupted run (tested).
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -125,19 +126,16 @@ def run_campaign(
                 "resume=True to skip them or delete the file to start over"
             )
 
-    outcomes: dict[int, CellOutcome] = {}
-    pending: list[tuple[int, ExperimentSpec, str]] = []
-    for index, spec in enumerate(cells):
-        digest = spec.stable_hash()
-        if digest in cached:
-            outcomes[index] = CellOutcome(
-                index=index, spec=spec, record=cached[digest],
-                result=None, from_cache=True,
-            )
-        else:
-            pending.append((index, spec, digest))
+    outcomes = {
+        index: CellOutcome(index=index, spec=spec, record=cached[spec.stable_hash()],
+                           result=None, from_cache=True)
+        for index, spec in enumerate(cells) if spec.stable_hash() in cached
+    }
+    pending = [index for index in range(len(cells)) if index not in outcomes]
 
-    def finish(index: int, spec: ExperimentSpec, result: ExperimentResult) -> None:
+    def finish(position: int, result: ExperimentResult) -> None:
+        index = pending[position]
+        spec = cells[index]
         record = result.to_dict()
         record["campaign"] = campaign.name
         if store is not None:
@@ -147,35 +145,13 @@ def run_campaign(
         if progress is not None:
             progress(outcome)
 
-    if workers == 1 or len(pending) <= 1:
-        for index, spec, _digest in pending:
-            finish(index, spec, _execute_cell(spec.to_dict(), trace_out))
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-            futures = {
-                pool.submit(_execute_cell, spec.to_dict(), trace_out):
-                    (index, spec)
-                for index, spec, _digest in pending
-            }
-            remaining = set(futures)
-            while remaining:
-                done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index, spec = futures[future]
-                    try:
-                        finish(index, spec, future.result())
-                    except BrokenProcessPool:
-                        # A worker died: its cell and those still queued
-                        # are lost, the ones that finished are kept.
-                        continue
-        lost = [spec.name for index, spec, _digest in pending
-                if index not in outcomes]
-        if lost:
-            kept = "nothing was kept (no output file)" if store is None else \
-                f"finished cells are in {store.path}; re-run with --resume"
-            raise CampaignError(
-                f"a campaign worker died with {len(lost)} of {len(cells)} "
-                f"cells unfinished ({', '.join(lost)}); {kept}")
+    lost = simulate_cells([cells[index] for index in pending], workers, finish, trace_out)
+    if lost:
+        kept = "nothing was kept (no output file)" if store is None else \
+            f"finished cells are in {store.path}; re-run with --resume"
+        raise CampaignError(
+            f"a campaign worker died with {len(lost)} of {len(cells)} "
+            f"cells unfinished ({', '.join(spec.name for spec in lost)}); {kept}")
 
     ordered = [outcomes[index] for index in range(len(cells))]
     plan = campaign.plan()
@@ -188,3 +164,30 @@ def run_campaign(
         plan=plan,
         violations=check_plan(plan),
     )
+
+
+def simulate_cells(specs: list[ExperimentSpec], workers: int,
+                   finish: Callable[[int, ExperimentResult], None],
+                   trace_out: str | None = None) -> list[ExperimentSpec]:
+    """Simulate *specs* on up to *workers* processes (inline for one
+    worker or one cell), calling ``finish(index, result)`` as each
+    completes; returns the specs a dead worker left unfinished."""
+    if workers == 1 or len(specs) <= 1:
+        for index, spec in enumerate(specs):
+            finish(index, _execute_cell(spec.to_dict(), trace_out))
+        return []
+    lost = dict(enumerate(specs))
+    with ProcessPoolExecutor(max_workers=min(workers, len(specs))) as pool:
+        futures = {pool.submit(_execute_cell, spec.to_dict(), trace_out): index
+                   for index, spec in enumerate(specs)}
+        for future in as_completed(futures):
+            try:
+                result = future.result()
+            except BrokenProcessPool:
+                # A worker died: its cell and those still queued are
+                # lost, the ones that finished are kept.
+                continue
+            index = futures[future]
+            del lost[index]
+            finish(index, result)
+    return list(lost.values())

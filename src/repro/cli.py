@@ -36,7 +36,7 @@ from repro.workload.keys import DISTRIBUTIONS
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code (2: a bad spec; 1: a
-    campaign a dead worker cut short)."""
+    campaign or figure a dead worker cut short)."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     figures.set_defaults(func=_cmd_figures)
 
     run_figure = sub.add_parser(
-        "run-figure", help="reproduce paper figures in one process")
+        "run-figure", help="reproduce paper figures (cells shared, on a worker pool)")
     run_figure.add_argument("figures", nargs="+", metavar="figure",
                             choices=[*FIGURES, "all"])
     run_figure.add_argument("--scale", choices=sorted(SCALES), default="default")

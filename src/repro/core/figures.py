@@ -7,8 +7,8 @@ them, and one claim table (``benchmarks/ledger/claims.py``) says which
 of the paper's qualitative results hold: the ledger counts it and
 ``tests/integration/test_paper_claims.py`` asserts every verdict.  As
 in the paper the figures share measurements (Fig 8 is computed from
-Fig 7's runs), so every result comes through :func:`run_cell`: one
-simulation per distinct cell.
+Fig 7's runs), so every result comes through :func:`run_cells`: one
+simulation per distinct cell, on the campaign's worker pool.
 
 Scales
 ======
@@ -20,10 +20,12 @@ paper's geometry (400 MiB device = the 400 GB drive at 1/1000).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.analysis.cdf import cdf_knee, coverage_fraction, write_probability_cdf
+from repro.campaign.runner import simulate_cells
 from repro.campaign.spec import CampaignSpec
 from repro.analysis.stats import (
     coefficient_of_variation,
@@ -32,15 +34,17 @@ from repro.analysis.stats import (
     windowed_average,
 )
 from repro.core.cost import CostOption, compare_costs, render_heatmap
-from repro.core.experiment import Engine, ExperimentResult, ExperimentSpec, run_experiment
+from repro.core.experiment import Engine, ExperimentResult, ExperimentSpec
 from repro.core.metrics import end_to_end_write_amplification
 from repro.core.report import render_series, render_table
-from repro.errors import ConfigError
+from repro.errors import CampaignError, ConfigError
 from repro.flash.state import DriveState
 from repro.units import MIB
 
 TB = 10**12
 KOPS = 1000.0
+ENGINES = (Engine.LSM, Engine.BTREE)
+STATES = (DriveState.TRIMMED, DriveState.PRECONDITIONED)
 
 
 @dataclass(frozen=True)
@@ -110,28 +114,34 @@ _CELLS: dict[str, ExperimentResult] = {}
 CELL_COUNTS = {"run": 0, "shared": 0}
 
 
-def run_cell(spec: ExperimentSpec) -> ExperimentResult:
-    """The result of *spec*, simulated at most once per process.
+def run_cells(requests: dict[Any, ExperimentSpec]) -> dict[Any, ExperimentResult]:
+    """The result of every requested spec, under the request's key,
+    each distinct cell simulated at most once per process.
 
-    Each request gets its own :class:`ExperimentResult` carrying the
-    caller's spec; ``samples``, ``counters`` and every other field are
-    shared with the cached run and must be treated as read-only.
+    The cells the cache lacks run on the campaign's worker pool, one
+    worker per CPU this process may run on.  Each request gets its own
+    :class:`ExperimentResult` carrying its spec; ``samples``,
+    ``counters`` and every other field are shared with the cached run
+    and must be treated as read-only.
     """
-    fields = spec.to_dict()
-    del fields["name"]
-    key = json.dumps(fields, sort_keys=True, separators=(",", ":"))
-    cached = _CELLS.get(key)
-    if cached is None:
-        cached = _CELLS[key] = run_experiment(spec)
+    keys = {}
+    for request, spec in requests.items():
+        fields = spec.to_dict()
+        del fields["name"]
+        keys[request] = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    missing = {keys[r]: spec for r, spec in requests.items() if keys[r] not in _CELLS}
+    order = list(missing)
+
+    def finish(index: int, result: ExperimentResult) -> None:
+        _CELLS[order[index]] = result
         CELL_COUNTS["run"] += 1
-    else:
-        CELL_COUNTS["shared"] += 1
-    return replace(cached, spec=spec)
 
-
-def _run_grid(campaign: CampaignSpec) -> dict[tuple, ExperimentResult]:
-    """Every cell of the grid, keyed by axis coordinates in grid order."""
-    return {campaign.key_for(spec): run_cell(spec) for spec in campaign.cells()}
+    lost = simulate_cells(list(missing.values()), len(os.sched_getaffinity(0)), finish)
+    if lost:
+        raise CampaignError(f"a figure worker died with {len(lost)} of {len(missing)} "
+                            f"cells unfinished ({', '.join(s.name for s in lost)})")
+    CELL_COUNTS["shared"] += len(requests) - len(missing)
+    return {r: replace(_CELLS[keys[r]], spec=spec) for r, spec in requests.items()}
 
 
 def _completed(figure_id: str, result: ExperimentResult) -> ExperimentResult:
@@ -150,12 +160,10 @@ def _completed(figure_id: str, result: ExperimentResult) -> ExperimentResult:
 # ----------------------------------------------------------------------
 def fig2_steady_state(scale: Scale = DEFAULT) -> FigureResult:
     """Throughput and write amplification over time on a trimmed SSD."""
-    results = {}
+    results = run_cells({engine.value: spec_for(scale, engine) for engine in ENGINES})
     sections = []
-    for engine in (Engine.LSM, Engine.BTREE):
-        result = run_cell(spec_for(scale, engine))
-        results[engine.value] = result
-        label = "RocksDB-model (LSM)" if engine is Engine.LSM else "WiredTiger-model (B+Tree)"
+    for engine, result in results.items():
+        label = "RocksDB-model (LSM)" if engine == "lsm" else "WiredTiger-model (B+Tree)"
         sections.append(
             render_series(f"Fig 2 [{label}] trimmed SSD", _SERIES_HEADERS,
                           _series_rows(result))
@@ -180,18 +188,13 @@ def fig2_steady_state(scale: Scale = DEFAULT) -> FigureResult:
 # ----------------------------------------------------------------------
 def fig3_drive_state(scale: Scale = DEFAULT) -> FigureResult:
     """Trimmed vs preconditioned drive: throughput and WA-D over time."""
-    results = {}
-    rows = []
-    for engine in (Engine.LSM, Engine.BTREE):
-        for state in (DriveState.TRIMMED, DriveState.PRECONDITIONED):
-            result = run_cell(spec_for(scale, engine, drive_state=state))
-            results[(engine.value, state.value)] = result
-            steady = result.steady
-            rows.append([
-                engine.value, state.value,
-                f"{steady.kv_tput / KOPS:.2f}", f"{steady.wa_d:.2f}",
-                f"{result.samples[0].wa_d:.2f}",
-            ])
+    results = run_cells({(engine.value, state.value): spec_for(scale, engine, drive_state=state)
+                         for engine in ENGINES for state in STATES})
+    rows = [
+        [engine, state, f"{result.steady.kv_tput / KOPS:.2f}",
+         f"{result.steady.wa_d:.2f}", f"{result.samples[0].wa_d:.2f}"]
+        for (engine, state), result in results.items()
+    ]
     text = render_table(
         ["engine", "drive state", "steady KOps/s", "steady WA-D", "initial WA-D"],
         rows, title="Fig 3: impact of the initial SSD state",
@@ -220,20 +223,21 @@ def fig4_lba_cdf(scale: Scale = DEFAULT) -> FigureResult:
     """Which fraction of the LBA space each engine writes."""
     data = {}
     rows = []
-    for engine in (Engine.LSM, Engine.BTREE):
-        result = run_cell(spec_for(scale, engine, trace_lba=True))
+    results = run_cells({engine.value: spec_for(scale, engine, trace_lba=True)
+                         for engine in ENGINES})
+    for engine, result in results.items():
         x, y = write_probability_cdf(result.lba_histogram)
-        data[engine.value] = {
+        data[engine] = {
             "cdf": (x, y),
             "never_written": result.lba_never_written,
             "knee": cdf_knee(result.lba_histogram),
             "coverage": coverage_fraction(result.lba_histogram),
         }
         rows.append([
-            engine.value,
-            f"{data[engine.value]['coverage']:.2f}",
+            engine,
+            f"{data[engine]['coverage']:.2f}",
             f"{result.lba_never_written:.2f}",
-            f"{data[engine.value]['knee']:.2f}",
+            f"{data[engine]['knee']:.2f}",
         ])
     text = render_table(
         ["engine", "LBA coverage", "never written", "CDF=1 at x"],
@@ -254,12 +258,12 @@ def fig5_dataset_size(scale: Scale = DEFAULT) -> FigureResult:
         name="fig5",
         base=spec_for(scale, Engine.LSM),
         axes={
-            "engine": (Engine.LSM, Engine.BTREE),
-            "drive_state": (DriveState.TRIMMED, DriveState.PRECONDITIONED),
+            "engine": ENGINES,
+            "drive_state": STATES,
             "dataset_fraction": FIG5_FRACTIONS,
         },
     )
-    results = _run_grid(campaign)
+    results = run_cells({campaign.key_for(spec): spec for spec in campaign.cells()})
     rows = []
     for (engine, state, fraction), result in results.items():
         if result.out_of_space or result.steady is None:
@@ -287,20 +291,16 @@ FIG6_FRACTIONS = (0.25, 0.37, 0.5, 0.62, 0.75, 0.88)
 
 def fig6_space_amplification(scale: Scale = DEFAULT) -> FigureResult:
     """Disk utilization, space amplification, and the cost heatmap."""
-    rows = []
-    measurements: dict[tuple[str, float], ExperimentResult] = {}
-    for engine in (Engine.LSM, Engine.BTREE):
-        for fraction in FIG6_FRACTIONS:
-            result = run_cell(spec_for(scale, engine, dataset_fraction=fraction))
-            measurements[(engine.value, fraction)] = result
-            if result.out_of_space:
-                rows.append([engine.value, fraction, "OUT OF SPACE", "-"])
-                continue
-            rows.append([
-                engine.value, fraction,
-                f"{result.peak_disk_utilization * 100:.0f}%",
-                f"{result.peak_space_amp:.2f}",
-            ])
+    measurements = run_cells({
+        (engine.value, fraction): spec_for(scale, engine, dataset_fraction=fraction)
+        for engine in ENGINES for fraction in FIG6_FRACTIONS
+    })
+    rows = [
+        [engine, fraction, "OUT OF SPACE", "-"] if result.out_of_space else
+        [engine, fraction, f"{result.peak_disk_utilization * 100:.0f}%",
+         f"{result.peak_space_amp:.2f}"]
+        for (engine, fraction), result in measurements.items()
+    ]
     text = render_table(
         ["engine", "dataset/cap", "disk utilization", "space amp"],
         rows, title="Fig 6a/6b: disk utilization and space amplification",
@@ -351,12 +351,12 @@ def fig7_overprovisioning(scale: Scale = DEFAULT) -> FigureResult:
         name="fig7",
         base=spec_for(scale, Engine.LSM),
         axes={
-            "engine": (Engine.LSM, Engine.BTREE),
-            "drive_state": (DriveState.TRIMMED, DriveState.PRECONDITIONED),
+            "engine": ENGINES,
+            "drive_state": STATES,
             "op_reserved_fraction": (0.0, reserved_fraction),
         },
     )
-    results = _run_grid(campaign)
+    results = run_cells({campaign.key_for(spec): spec for spec in campaign.cells()})
     rows = []
     for (engine, state, reserved), result in results.items():
         op = "extra-OP" if reserved else "no-OP"
@@ -411,11 +411,11 @@ def fig9_ssd_types(scale: Scale = DEFAULT) -> FigureResult:
         name="fig9",
         base=spec_for(scale, Engine.LSM, dataset_fraction=dataset_fraction),
         axes={
-            "engine": (Engine.LSM, Engine.BTREE),
+            "engine": ENGINES,
             "ssd": ("ssd1", "ssd2", "ssd3"),
         },
     )
-    results = _run_grid(campaign)
+    results = run_cells({campaign.key_for(spec): spec for spec in campaign.cells()})
     for result in results.values():  # the ratios (and Fig 10) compare them all
         _completed("fig9", result)
     rows = [
@@ -478,23 +478,20 @@ def fig11_workloads(scale: Scale = DEFAULT) -> FigureResult:
         "mixed-50-50": dict(read_fraction=0.5),
         "small-values-128B": dict(value_bytes=128),
     }
-    results = {}
+    results = run_cells({
+        (variant, engine.value, state.value):
+            spec_for(scale, engine, drive_state=state, **overrides)
+        for variant, overrides in variants.items()
+        for engine in ENGINES for state in STATES
+    })
     sections = []
-    for variant, overrides in variants.items():
-        rows = []
-        for engine in (Engine.LSM, Engine.BTREE):
-            for state in (DriveState.TRIMMED, DriveState.PRECONDITIONED):
-                result = run_cell(
-                    spec_for(scale, engine, drive_state=state, **overrides)
-                )
-                results[(variant, engine.value, state.value)] = result
-                steady = result.steady
-                first = result.samples[0]
-                rows.append([
-                    engine.value, state.value,
-                    f"{first.kv_tput / KOPS:.2f}", f"{steady.kv_tput / KOPS:.2f}",
-                    f"{first.wa_d:.2f}", f"{steady.wa_d:.2f}",
-                ])
+    for variant in variants:
+        rows = [
+            [engine, state,
+             f"{result.samples[0].kv_tput / KOPS:.2f}", f"{result.steady.kv_tput / KOPS:.2f}",
+             f"{result.samples[0].wa_d:.2f}", f"{result.steady.wa_d:.2f}"]
+            for (name, engine, state), result in results.items() if name == variant
+        ]
         sections.append(render_table(
             ["engine", "state", "initial KOps/s", "steady KOps/s",
              "initial WA-D", "steady WA-D"],

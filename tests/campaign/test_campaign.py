@@ -21,6 +21,7 @@ from repro.campaign import (
     run_campaign,
     runner,
 )
+from repro.core import figures
 from repro.core.experiment import Engine, ExperimentSpec
 from repro.core.pitfalls import check_plan, plan_from_specs
 from repro.errors import CampaignError, ConfigError
@@ -289,6 +290,29 @@ class TestRunCampaign:
         assert resumed.skipped == len(on_disk)
         assert to_jsonl(resumed) == to_jsonl(outcome)
         assert len(CampaignStore(out).load()) == 4
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="on one CPU figure cells run inline, where "
+                               "the dying cell would end the test process")
+    def test_dead_figure_worker_ends_in_one_error(self, monkeypatch):
+        """A figure's cell runner on the same pool: one error naming the
+        lost cells, no --resume hint (a figure has no output file), and
+        the finished cells kept in the process's cache."""
+        monkeypatch.setattr(figures, "_CELLS", {})
+        cells = dict(enumerate(micro_campaign().cells()))
+        with monkeypatch.context() as patched:
+            patched.setattr(runner, "_execute_cell", execute_cell_or_die)
+            with pytest.raises(CampaignError) as error:
+                figures.run_cells(cells)
+        message = str(error.value)
+        assert message.startswith("a figure worker died with ")
+        assert cells[3].name in message and "--resume" not in message
+        lost = [spec for spec in cells.values() if spec.name in message]
+        assert len(figures._CELLS) == 4 - len(lost)
+        ran = figures.CELL_COUNTS["run"]
+        results = figures.run_cells(cells)
+        assert figures.CELL_COUNTS["run"] - ran == len(lost)
+        assert [r.spec for r in results.values()] == list(cells.values())
 
     def test_progress_callback_sees_every_fresh_cell(self):
         seen = []

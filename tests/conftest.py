@@ -90,38 +90,27 @@ def tiny_ssd(tiny_config, clock) -> SSD:
     return SSD(tiny_config, clock)
 
 
-def spy_on(patch: pytest.MonkeyPatch, name: str) -> list:
-    """Record the spec of every call to ``figures.<name>``."""
-    real, specs = getattr(figures, name), []
-
-    def spy(spec):
-        specs.append(spec)
-        return real(spec)
-
-    patch.setattr(figures, name, spy)
-    return specs
-
-
 @pytest.fixture(scope="session")
 def figure_sweep():
     """The ten figures at SMALL, run once per session: cold from an
-    empty cell cache, then warm.
+    empty cell cache, then warm, on the cell runner's worker pool.
 
-    ``passes`` is ``[cold, warm]``, each ``{figure_id: (specs
-    requested, specs simulated, figure)}``; ``cells`` is the cache the
-    sweep filled.  The process's own cache is put back afterwards.
+    ``passes`` is ``[cold, warm]``, each ``{figure_id: (cells
+    requested, cells simulated, figure)}``, the two counts read from
+    ``figures.CELL_COUNTS``; ``cells`` is the cache the sweep filled.
+    The process's own cache is put back afterwards.
     """
     cells: dict = {}
+    counts = figures.CELL_COUNTS
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(figures, "_CELLS", cells)
-        requested = spy_on(patch, "run_cell")
-        simulated = spy_on(patch, "run_experiment")
         passes = []
         for _ in ("cold", "warm"):
             record = {}
             for figure_id, build in figures.FIGURES.items():
-                asked, ran = len(requested), len(simulated)
+                ran, shared = counts["run"], counts["shared"]
                 figure = build(figures.SMALL)
-                record[figure_id] = (requested[asked:], simulated[ran:], figure)
+                ran, shared = counts["run"] - ran, counts["shared"] - shared
+                record[figure_id] = (ran + shared, ran, figure)
             passes.append(record)
     return SimpleNamespace(passes=passes, cells=cells)

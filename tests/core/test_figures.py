@@ -1,12 +1,13 @@
 """The figure sweep and its cell cache (DESIGN.md §5.5).
 
 The session's one sweep of the ten figures at SMALL, cold and then
-warm (``figure_sweep`` in ``tests/conftest.py``; the paper-claims
-test reads the same figures), is what these tests read.  The text
-digests are of SMALL texts recorded at the parent of the commit that
-made the sweep a session fixture; the 36 MiB digests pinned before
-that were recorded at the parent of the commit that introduced the
-cache, which re-simulated all 72 cells — except Fig 2's, re-recorded
+warm on the cell runner's worker pool (``figure_sweep`` in
+``tests/conftest.py``; the paper-claims test reads the same figures),
+is what these tests read.  The text digests are of SMALL texts
+recorded at the parent of the commit that made the sweep a session
+fixture; the 36 MiB digests pinned before that were recorded at the
+parent of the commit that introduced the cache, which re-simulated
+all 72 cells — except Fig 2's, re-recorded
 when device MB/s became a delta of the block layer's counters: only
 its devW / devR columns moved (the other nine figures print neither),
 and what they print now sums to the bytes written and read
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -58,24 +60,19 @@ def results_in(payload) -> list[ExperimentResult]:
 
 @pytest.fixture
 def sweep(figure_sweep):
-    """``[cold, warm]``: per figure, the cells requested, the cells
-    simulated, and the figure."""
+    """``[cold, warm]``: per figure, how many cells it requested and
+    how many were simulated, and the figure."""
     return figure_sweep.passes
 
 
 def out_of_space_when(monkeypatch, figure_sweep, ran_out) -> None:
-    """Serve SMALL cells from the sweep's cache, and make every cell
-    ``ran_out(spec)`` picks report that it ran out of space."""
-    monkeypatch.setattr(figures, "_CELLS", dict(figure_sweep.cells))
-    real = figures.run_cell
-
-    def run_cell(spec):
-        result = real(spec)
-        if ran_out(spec):
-            result = replace(result, out_of_space=True, steady=None)
-        return result
-
-    monkeypatch.setattr(figures, "run_cell", run_cell)
+    """Serve SMALL cells from the sweep's cache, where every cell
+    ``ran_out(spec)`` picks reports that it ran out of space."""
+    monkeypatch.setattr(figures, "_CELLS", {
+        key: replace(result, out_of_space=True, steady=None)
+        if ran_out(result.spec) else result
+        for key, result in figure_sweep.cells.items()
+    })
 
 
 def cell_key(spec) -> str:
@@ -85,22 +82,27 @@ def cell_key(spec) -> str:
 
 
 class TestSharing:
-    def test_each_distinct_cell_is_simulated_once(self, sweep):
+    def test_each_distinct_cell_is_simulated_once(self, sweep, figure_sweep):
         cold, warm = sweep
-        assert {f: len(asked) for f, (asked, _, _) in cold.items()} == REQUESTS
-        requested = [spec for asked, _, _ in cold.values() for spec in asked]
-        simulated = [spec for _, ran, _ in cold.values() for spec in ran]
-        distinct = {cell_key(spec) for spec in requested}
-        assert (len(requested), len(distinct)) == (72, 40)
-        assert len(simulated) == 40
-        assert {cell_key(spec) for spec in simulated} == distinct
+        for record in sweep:
+            assert {f: asked for f, (asked, _, _) in record.items()} == REQUESTS
+        assert sum(ran for _, ran, _ in cold.values()) == 40
         assert not any(ran for _, ran, _ in warm.values())
+        # The 40 cells the cache holds are the distinct cells the
+        # results carry, and fig4's two (it keeps derived data only).
+        carried = {cell_key(r.spec) for _, _, figure in cold.values()
+                   for r in results_in(figure.data)}
+        carried |= {cell_key(spec_for(SMALL, engine, trace_lba=True))
+                    for engine in figures.ENGINES}
+        cached = {cell_key(result.spec) for result in figure_sweep.cells.values()}
+        assert len(figure_sweep.cells) == len(cached) == 40
+        assert carried == cached
 
     def test_derived_figures_simulate_nothing(self, sweep):
         cold, _ = sweep
-        assert [len(cold[f][1]) for f in ("fig7", "fig8")] == [4, 0]
-        assert [len(cold[f][1]) for f in ("fig9", "fig10")] == [6, 0]
-        assert len(cold["fig6"][1]) == 4  # 0.75 and 0.88; the rest is fig5's
+        assert [cold[f][1] for f in ("fig7", "fig8")] == [4, 0]
+        assert [cold[f][1] for f in ("fig9", "fig10")] == [6, 0]
+        assert cold["fig6"][1] == 4  # 0.75 and 0.88; the rest is fig5's
 
     def test_results_carry_the_requesting_spec(self, sweep):
         cold, _ = sweep
@@ -109,8 +111,9 @@ class TestSharing:
             if figure_id in ("fig4", "fig8", "fig10"):  # derived data only
                 assert not found
                 continue
-            assert len(found) == len(asked)
-            assert {id(r.spec) for r in found} == {id(spec) for spec in asked}
+            assert len(found) == asked
+            if "campaign" in figure.data:
+                assert [r.spec for r in found] == figure.data["campaign"].cells()
         fig3 = cold["fig3"][2].data["results"][("lsm", "trimmed")]
         fig5 = cold["fig5"][2].data["results"][("lsm", "trimmed", 0.5)]
         assert fig3.spec.name == "lsm"
@@ -133,6 +136,27 @@ class TestSharing:
                 for figure_id, (_, _, figure) in record.items()
             }
             assert digests == PARENT_TEXT_SHA256
+
+    def test_pool_and_inline_give_the_same_bytes(self, monkeypatch):
+        """fig2 and fig11 cold twice: with the process pinned to one CPU
+        (the cells run inline) and on every CPU it may run on (a pool
+        wherever that is two or more)."""
+        cpus = os.sched_getaffinity(0)
+        runs = []
+        for allowed in ({min(cpus)}, cpus):
+            monkeypatch.setattr(figures, "_CELLS", {})
+            ran = figures.CELL_COUNTS["run"]
+            os.sched_setaffinity(0, allowed)
+            try:
+                runs.append({f: figures.FIGURES[f](SMALL) for f in ("fig2", "fig11")})
+            finally:
+                os.sched_setaffinity(0, cpus)
+            assert figures.CELL_COUNTS["run"] - ran == 10
+        inline, pooled = runs
+        for figure_id, figure in inline.items():
+            assert figure.text == pooled[figure_id].text
+            assert [r.to_dict() for r in results_in(figure.data)] == \
+                [r.to_dict() for r in results_in(pooled[figure_id].data)]
 
     def test_run_experiment_itself_is_not_memoized(self, monkeypatch):
         import repro.core.experiment as experiment
