@@ -3,15 +3,11 @@
 The paper's methodology is a *grid*, not a run (engines x SSDs x drive
 states x dataset sizes x over-provisioning).  This package expands a
 declarative :class:`CampaignSpec` into cells, runs them on a process
-pool, persists resumable JSONL results, and audits the grid itself
+pool, persists resumable JSONL records, and audits the grid itself
 against the seven pitfalls.
 """
 
-from repro.campaign.runner import (
-    CampaignOutcome,
-    CellOutcome,
-    run_campaign,
-)
+from repro.campaign.runner import CampaignOutcome, run_campaign
 from repro.campaign.spec import PRESETS, CampaignSpec
 from repro.campaign.store import CampaignStore, canonical_line, merge_stores
 
@@ -19,7 +15,6 @@ __all__ = [
     "CampaignOutcome",
     "CampaignSpec",
     "CampaignStore",
-    "CellOutcome",
     "PRESETS",
     "canonical_line",
     "merge_stores",

@@ -1,4 +1,4 @@
-"""JSON-lines persistence for campaign results.
+"""JSON-lines persistence for campaign records.
 
 One line per completed cell, keyed by the cell spec's stable hash.
 Appends are canonical (sorted keys, fixed separators) so that a
@@ -15,6 +15,7 @@ import os
 from pathlib import Path
 from typing import Sequence
 
+from repro.core.experiment import ExperimentSpec
 from repro.errors import ConfigError
 
 
@@ -60,6 +61,21 @@ class CampaignStore:
                     out.append((cell, record))
         return out
 
+    def checked_records(self) -> list[tuple[str, dict]]:
+        """:meth:`records`, refusing a file with a stale record, whose
+        ``cell`` is not its spec's hash (written before a change to the
+        spec or the hash): a resume would run and record it twice."""
+        pairs = self.records()
+        for cell, record in pairs:
+            try:
+                current = ExperimentSpec.from_dict(record["spec"]).stable_hash()
+            except (ConfigError, KeyError, TypeError, ValueError):
+                current = None
+            if cell != current:
+                raise ConfigError(f"{self.path} holds cell {cell}, keyed by an "
+                                  "older spec hash; use a fresh file")
+        return pairs
+
     def append(self, record: dict) -> None:
         """Durably append one completed cell record.
 
@@ -97,26 +113,27 @@ def merge_stores(out: str | Path, inputs: Sequence[str | Path],
     stable).  Refuses a non-empty *out* so completed work is never
     silently mixed into — unless *force*, which instead seeds the
     dedup set from *out*'s existing cells and appends only new ones
-    (the incremental "fold this shard in" workflow).  Returns
+    (the incremental "fold this shard in" workflow).  A missing input
+    or a stale record is refused before anything is written.  Returns
     ``(merged, duplicates_dropped)``.
     """
     out_store = CampaignStore(out)
-    seen: set[str] = set()
-    existing = out_store.records()
-    if existing:
-        if not force:
-            raise ConfigError(
-                f"{out_store.path} already holds completed cells; merge into "
-                "a fresh file, delete it first, or pass --force to append "
-                "only cells it does not hold yet"
-            )
-        seen.update(cell for cell, _record in existing)
-    merged = dropped = 0
+    if out_store.records() and not force:
+        raise ConfigError(
+            f"{out_store.path} already holds completed cells; merge into "
+            "a fresh file, delete it first, or pass --force to append "
+            "only cells it does not hold yet"
+        )
+    seen = {cell for cell, _record in out_store.checked_records()}
+    sources = []  # every input is read and checked before one is merged
     for path in inputs:
         store = CampaignStore(path)
         if not store.path.exists():
             raise ConfigError(f"merge input {store.path} does not exist")
-        for cell, record in store.records():
+        sources.append(store.checked_records())
+    merged = dropped = 0
+    for records in sources:
+        for cell, record in records:
             if cell in seen:
                 dropped += 1
                 continue

@@ -83,16 +83,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run a declarative experiment grid on a worker pool",
         description=(
             "Expand a preset grid into cells, audit it against the seven "
-            "pitfalls, run the cells (in parallel with --workers), and "
-            "persist one JSONL record per completed cell.  --resume skips "
-            "cells already recorded in the output file.  --render re-renders "
-            "a finished JSONL file without running anything."
+            "pitfalls, run the cells on one worker per CPU this process may "
+            "use (taskset pins it), and persist one JSONL record per "
+            "completed cell, in grid order.  --resume skips cells already recorded in the "
+            "output file.  --render re-renders a finished JSONL file "
+            "without running anything."
         ),
     )
     campaign.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    campaign.add_argument("--workers", type=int, default=1,
-                          help="worker processes (cells are independent "
-                               "simulations; default 1 = in-process)")
     campaign.add_argument("--out", default=None,
                           help="JSONL results path (default campaign-<preset>.jsonl)")
     campaign.add_argument("--resume", action="store_true",
@@ -406,20 +404,18 @@ def _cmd_campaign(args) -> int:
     out = args.out or f"campaign-{args.preset}.jsonl"
     done = 0
 
-    def progress(cell) -> None:
+    def progress(record: dict) -> None:
         nonlocal done
         done += 1
-        steady = cell.record.get("steady")
+        steady = record["steady"]
         tput = f"{steady['kv_tput'] / 1000.0:.2f} KOps/s" if steady else "no steady"
-        status = "out-of-space" if cell.record.get("out_of_space") else tput
-        print(f"  [{done}] {cell.spec.name}: {status}", flush=True)
+        status = "out-of-space" if record["out_of_space"] else tput
+        print(f"  [{done}] {record['spec']['name']}: {status}", flush=True)
 
-    outcome = run_campaign(
-        campaign, workers=args.workers, out=out,
-        resume=args.resume, progress=progress, trace_out=args.trace,
-    )
+    outcome = run_campaign(campaign, out=out, resume=args.resume,
+                           progress=progress, trace_out=args.trace)
     print(f"{outcome.ran} cell(s) run, {outcome.skipped} resumed from {out} "
-          f"in {outcome.wall_seconds:.1f}s with {args.workers} worker(s)")
+          f"in {outcome.wall_seconds:.1f}s")
     print()
     print(render_campaign(outcome.records, title=f"campaign {campaign.name!r}"))
     return 0

@@ -302,13 +302,12 @@ class ExperimentSpec:
         return cls(**params)
 
     def stable_hash(self) -> str:
-        """A short content hash of the spec, stable across processes.
-
-        Campaign stores key completed cells by this hash, so a resumed
-        campaign recognizes finished work regardless of grid order.
-        """
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
+        """A short content hash of what the spec simulates (every field
+        but ``name``), stable across processes: a cell's key wherever
+        its record is kept (a campaign store, the figures' cache)."""
+        spec = self.to_dict()
+        del spec["name"]
+        canonical = json.dumps(spec, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
@@ -317,7 +316,9 @@ class ExperimentResult:
     """Everything a run produced.  ``counters`` is the stack's final
     snapshot (whole run, load included; an open-loop run adds its
     ``fleet.*`` totals): ``smart``, ``kv_ops`` and the peak space figures
-    are views of it, and it is not part of :meth:`to_dict`."""
+    are views of it.  :meth:`from_record` reads a record back: all of
+    it but ``client_latencies``, the per-op series behind the two
+    summaries."""
 
     spec: ExperimentSpec
     samples: list[Sample]
@@ -330,6 +331,8 @@ class ExperimentResult:
     lba_histogram: np.ndarray | None = None
     lba_never_written: float | None = None
     client_latencies: ClientLatencies | None = None  # pool-driven runs only
+    client_latency_summary: list[dict[str, float]] | None = None
+    latency: dict[str, float] | None = None  # all clients pooled
     per_client_ops: list[int] | None = None
     attribution: dict[str, Any] | None = None  # traced runs only (repro.obs)
     fleet: dict[str, Any] | None = None  # fleet runs only (DESIGN.md §10.3)
@@ -365,13 +368,9 @@ class ExperimentResult:
         return not self.out_of_space
 
     def to_dict(self, include_samples: bool = True) -> dict[str, Any]:
-        """JSON-serializable record of the run (one campaign cell).
-
-        The LBA histogram (a large array) is summarized rather than
-        embedded; latencies are reduced to their percentile summary.
-        All values round-trip through JSON without loss, which is what
-        makes campaign resume byte-deterministic.
-        """
+        """The run's record (one cell): every value round-trips through
+        JSON without loss, which makes campaign resume byte-deterministic
+        and :meth:`from_record` exact."""
         return {
             "cell": self.spec.stable_hash(),
             "spec": self.spec.to_dict(),
@@ -380,26 +379,35 @@ class ExperimentResult:
             "load_seconds": self.load_seconds,
             "run_seconds": self.run_seconds,
             "ops_issued": self.ops_issued,
+            "counters": self.counters,
             "smart": self.smart,
             "peak_disk_utilization": self.peak_disk_utilization,
             "peak_space_amp": self.peak_space_amp,
             "samples": [asdict(s) for s in self.samples] if include_samples else None,
+            "lba_histogram": (self.lba_histogram.tolist()
+                              if self.lba_histogram is not None else None),
             "lba_never_written": self.lba_never_written,
-            "client_latency_summary": (
-                self.client_latencies.summary()
-                if self.client_latencies is not None and self.client_latencies.count()
-                else None
-            ),
-            "latency": (
-                self.client_latencies.pooled_summary()
-                if self.client_latencies is not None and self.client_latencies.count()
-                else None
-            ),
+            "client_latency_summary": self.client_latency_summary,
+            "latency": self.latency,
             "per_client_ops": self.per_client_ops,
             "kv_ops": self.kv_ops,
             "attribution": self.attribution,
             "fleet": self.fleet,
         }
+
+    @classmethod
+    def from_record(cls, record: dict[str, Any]) -> "ExperimentResult":
+        """The result *record* (a :meth:`to_dict` with its samples)
+        stands for; the keys derived from counters and spec go unread."""
+        steady, histogram = record["steady"], record["lba_histogram"]
+        return cls(**{
+            **{f.name: record[f.name] for f in fields(cls) if f.name in record},
+            "spec": ExperimentSpec.from_dict(record["spec"]),
+            "samples": [Sample(**sample) for sample in record["samples"]],
+            "steady": SteadySummary(**steady) if steady is not None else None,
+            "lba_histogram": (np.asarray(histogram, dtype=np.int64)
+                              if histogram is not None else None),
+        })
 
 
 def run_experiment(spec: ExperimentSpec, tracer=None) -> ExperimentResult:
@@ -458,6 +466,8 @@ def run_experiment(spec: ExperimentSpec, tracer=None) -> ExperimentResult:
             [ops_in(now) - ops_in(base) for now, base
              in zip(stack.shard_snapshots(), shards_base)])
     trace = stack.shards[0].trace
+    latencies = outcome.latencies
+    recorded = latencies is not None and latencies.count() > 0
     return ExperimentResult(
         spec=spec,
         samples=samples,
@@ -469,7 +479,9 @@ def run_experiment(spec: ExperimentSpec, tracer=None) -> ExperimentResult:
         counters=counters,
         lba_histogram=trace.histogram if trace else None,
         lba_never_written=trace.fraction_never_written() if trace else None,
-        client_latencies=outcome.latencies,
+        client_latencies=latencies,
+        client_latency_summary=latencies.summary() if recorded else None,
+        latency=latencies.pooled_summary() if recorded else None,
         per_client_ops=outcome.per_client_ops,
         attribution=tracer.attribution.as_dict() if tracer is not None else None,
         fleet=fleet,

@@ -8,7 +8,7 @@ of the paper's qualitative results hold: the ledger counts it and
 ``tests/integration/test_paper_claims.py`` asserts every verdict.  As
 in the paper the figures share measurements (Fig 8 is computed from
 Fig 7's runs), so every result comes through :func:`run_cells`: one
-simulation per distinct cell, on the campaign's worker pool.
+simulation per distinct cell, its record cached for the process.
 
 Scales
 ======
@@ -19,13 +19,11 @@ paper's geometry (400 MiB device = the 400 GB drive at 1/1000).
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.analysis.cdf import cdf_knee, coverage_fraction, write_probability_cdf
-from repro.campaign.runner import simulate_cells
+from repro.campaign.runner import cell_records
 from repro.campaign.spec import CampaignSpec
 from repro.analysis.stats import (
     coefficient_of_variation,
@@ -37,7 +35,7 @@ from repro.core.cost import CostOption, compare_costs, render_heatmap
 from repro.core.experiment import Engine, ExperimentResult, ExperimentSpec
 from repro.core.metrics import end_to_end_write_amplification
 from repro.core.report import render_series, render_table
-from repro.errors import CampaignError, ConfigError
+from repro.errors import ConfigError
 from repro.flash.state import DriveState
 from repro.units import MIB
 
@@ -106,10 +104,9 @@ def _series_rows(result: ExperimentResult) -> list[list]:
 _SERIES_HEADERS = ["t(s)", "KOps/s", "devW MB/s", "devR MB/s", "WA-A", "WA-D"]
 
 
-#: The cell cache (DESIGN.md §5.5): one simulated result per distinct
-#: spec for the life of the process, keyed by the canonical JSON of
-#: ``spec.to_dict()`` minus ``name`` (which ``stable_hash()`` includes).
-_CELLS: dict[str, ExperimentResult] = {}
+#: The cell cache (DESIGN.md §5.5): one record per distinct cell for
+#: the life of the process, keyed by ``spec.stable_hash()``.
+_CELLS: dict[str, dict] = {}
 #: Cells simulated and requests shared, over the process's lifetime.
 CELL_COUNTS = {"run": 0, "shared": 0}
 
@@ -118,30 +115,24 @@ def run_cells(requests: dict[Any, ExperimentSpec]) -> dict[Any, ExperimentResult
     """The result of every requested spec, under the request's key,
     each distinct cell simulated at most once per process.
 
-    The cells the cache lacks run on the campaign's worker pool, one
-    worker per CPU this process may run on.  Each request gets its own
-    :class:`ExperimentResult` carrying its spec; ``samples``,
-    ``counters`` and every other field are shared with the cached run
-    and must be treated as read-only.
+    The cells the cache lacks run on the campaign's worker pool
+    (:func:`~repro.campaign.runner.cell_records`; a dead worker is one
+    ``CampaignError``, finished cells stay cached).  A call rebuilds
+    each distinct cell from its record once and gives each request its
+    own :class:`ExperimentResult` carrying its spec; ``samples``,
+    ``counters`` and every other field are shared with the other
+    requests for that cell and must be treated as read-only.
     """
-    keys = {}
-    for request, spec in requests.items():
-        fields = spec.to_dict()
-        del fields["name"]
-        keys[request] = json.dumps(fields, sort_keys=True, separators=(",", ":"))
-    missing = {keys[r]: spec for r, spec in requests.items() if keys[r] not in _CELLS}
-    order = list(missing)
-
-    def finish(index: int, result: ExperimentResult) -> None:
-        _CELLS[order[index]] = result
+    def count(_record: dict) -> None:
         CELL_COUNTS["run"] += 1
 
-    lost = simulate_cells(list(missing.values()), len(os.sched_getaffinity(0)), finish)
-    if lost:
-        raise CampaignError(f"a figure worker died with {len(lost)} of {len(missing)} "
-                            f"cells unfinished ({', '.join(s.name for s in lost)})")
-    CELL_COUNTS["shared"] += len(requests) - len(missing)
-    return {r: replace(_CELLS[keys[r]], spec=spec) for r, spec in requests.items()}
+    ran = CELL_COUNTS["run"]
+    records = cell_records(list(requests.values()), _CELLS, count)
+    CELL_COUNTS["shared"] += len(requests) - (CELL_COUNTS["run"] - ran)
+    distinct = {record["cell"]: record for record in records}
+    built = {cell: ExperimentResult.from_record(record) for cell, record in distinct.items()}
+    return {request: replace(built[record["cell"]], spec=spec)
+            for (request, spec), record in zip(requests.items(), records)}
 
 
 def _completed(figure_id: str, result: ExperimentResult) -> ExperimentResult:

@@ -30,6 +30,7 @@ report percentiles per depth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -102,19 +103,18 @@ class ClientLatencies:
 
         This is the campaign table's tail-latency row source: pooled
         percentiles cannot be derived from the per-client rows of
-        :meth:`summary`, so they are summarized here before a result
-        is serialized.
+        :meth:`summary`, so they are summarized here when the run ends.
+        One copy of the series, partitioned in place after its mean:
+        the run's peak memory pays for no more.
         """
-        data = self.pooled()
+        data = np.fromiter(chain.from_iterable(self._series), np.float64,
+                           self.count())
         if not data.size:
             return {"ops": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
-        return {
-            "ops": int(data.size),
-            "mean": float(data.mean()),
-            "p50": float(np.percentile(data, 50)),
-            "p95": float(np.percentile(data, 95)),
-            "p99": float(np.percentile(data, 99)),
-        }
+        mean = float(data.mean())
+        p50, p95, p99 = np.percentile(data, (50, 95, 99), overwrite_input=True)
+        return {"ops": int(data.size), "mean": mean, "p50": float(p50),
+                "p95": float(p95), "p99": float(p99)}
 
     def summary(self) -> list[dict[str, float]]:
         """Per-client {ops, mean, p50, p95, p99} rows (seconds)."""

@@ -77,10 +77,10 @@ def render_shard_table(per_shard: Sequence[dict], title: str = "") -> str:
 def render_campaign(records: Sequence[dict], title: str = "") -> str:
     """Consolidated cross-cell table for a campaign's JSONL records.
 
-    Takes the serialized records (as stored/loaded by
-    :class:`repro.campaign.store.CampaignStore`), so a finished
-    campaign file can be re-rendered without re-running anything
-    (``repro campaign --render``).  Tail-latency columns (pooled p95 /
+    Takes cell records (``ExperimentResult.to_dict()``, as a campaign
+    returns and stores them), so a finished campaign file of any age
+    can be re-rendered without re-running anything (``repro campaign
+    --render``).  Tail-latency columns (pooled p95 /
     p99 across clients — response time across shards for open-loop
     fleet cells — in microseconds) are filled for cells that record
     per-op latencies; a one-client cell on one store records none

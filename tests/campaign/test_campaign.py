@@ -8,8 +8,10 @@ results to an uninterrupted run.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import time
 
 import pytest
 
@@ -21,12 +23,14 @@ from repro.campaign import (
     run_campaign,
     runner,
 )
+from repro.cli import main
 from repro.core import figures
-from repro.core.experiment import Engine, ExperimentSpec
+from repro.core.experiment import Engine, ExperimentResult, ExperimentSpec
 from repro.core.pitfalls import check_plan, plan_from_specs
 from repro.errors import CampaignError, ConfigError
 from repro.flash.state import DriveState
 from repro.units import MIB
+from tests.conftest import NEEDS_A_POOL, one_cpu
 
 #: Cells small enough that a full campaign runs in well under a second.
 MICRO_BASE = ExperimentSpec(
@@ -58,6 +62,14 @@ def execute_cell_or_die(spec_dict, trace_out=None):
     it by name)."""
     if (spec_dict["engine"], spec_dict["dataset_fraction"]) == ("btree", 0.3):
         os._exit(9)
+    return _execute_cell(spec_dict, trace_out)
+
+
+def execute_cell_first_last(spec_dict, trace_out=None):
+    """The worker entry point, except that the first cell of the micro
+    grid finishes after the others have."""
+    if (spec_dict["engine"], spec_dict["dataset_fraction"]) == ("lsm", 0.25):
+        time.sleep(1.0)
     return _execute_cell(spec_dict, trace_out)
 
 
@@ -201,9 +213,11 @@ class TestRunCampaign:
         assert outcome.ran == 4 and outcome.skipped == 0
         assert [record["spec"]["engine"] for record in outcome.records] == \
             ["lsm", "lsm", "btree", "btree"]
-        results = outcome.results()
-        assert set(results) == {("lsm", 0.25), ("lsm", 0.3),
-                                ("btree", 0.25), ("btree", 0.3)}
+        campaign = micro_campaign()
+        results = {campaign.key_for(result.spec): result for result in
+                   map(ExperimentResult.from_record, outcome.records)}
+        assert list(results) == [("lsm", 0.25), ("lsm", 0.3),
+                                 ("btree", 0.25), ("btree", 0.3)]
         assert all(r.steady is not None for r in results.values())
 
     def test_one_jsonl_line_per_cell(self, finished):
@@ -211,13 +225,12 @@ class TestRunCampaign:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 4
         assert {json.loads(line)["cell"] for line in lines} == \
-            {cell.record["cell"] for cell in outcome.cells}
+            {record["cell"] for record in outcome.records}
 
     def test_resume_skips_every_finished_cell(self, finished):
         outcome, path = finished
         resumed = run_campaign(micro_campaign(), out=path, resume=True)
         assert resumed.ran == 0 and resumed.skipped == 4
-        assert all(cell.from_cache for cell in resumed.cells)
         assert to_jsonl(resumed) == to_jsonl(outcome)
 
     def test_interrupted_campaign_resumes_byte_identically(self, finished):
@@ -259,14 +272,35 @@ class TestRunCampaign:
         assert fresh.ran == 4 and fresh.skipped == 0
         assert to_jsonl(fresh) == to_jsonl(outcome)
 
+    @NEEDS_A_POOL
     def test_worker_pool_matches_inline_run(self, finished):
-        """The multiprocessing path must be a pure speedup: same grid,
-        same bytes out."""
+        """The multiprocessing path must be a pure speedup: the grid
+        with the process pinned to one CPU (the cells run inline) and on
+        every CPU it may run on (a pool wherever that is two or more)
+        gives the same records."""
         outcome, _path = finished
-        pooled = run_campaign(micro_campaign(), workers=2)
-        assert pooled.ran == 4
+        with one_cpu():
+            inline = run_campaign(micro_campaign())
+        pooled = run_campaign(micro_campaign())
+        assert inline.ran == pooled.ran == 4
+        assert inline.records == pooled.records
         assert to_jsonl(pooled) == to_jsonl(outcome)
 
+    @NEEDS_A_POOL
+    def test_store_is_written_in_grid_order(self, finished, monkeypatch):
+        """A pool appends records in grid order, not completion order:
+        with the first cell finishing last, the file and what progress
+        sees are still the uninterrupted run's."""
+        _outcome, path = finished
+        out = path.parent / "first-last.jsonl"
+        seen = []
+        monkeypatch.setattr(runner, "_execute_cell", execute_cell_first_last)
+        run_campaign(micro_campaign(), out=out, progress=seen.append)
+        assert out.read_bytes() == path.read_bytes()
+        assert [record["cell"] for record in seen] == \
+            [spec.stable_hash() for spec in micro_campaign().cells()]
+
+    @NEEDS_A_POOL
     def test_dead_worker_ends_in_a_resumable_error(self, finished, monkeypatch):
         """A worker that dies mid-cell: one error naming the unfinished
         cells and the file, every finished cell on disk, and a resume
@@ -277,23 +311,20 @@ class TestRunCampaign:
         with monkeypatch.context() as patched:
             patched.setattr(runner, "_execute_cell", execute_cell_or_die)
             with pytest.raises(CampaignError, match="--resume") as error:
-                run_campaign(micro_campaign(), workers=2, out=out)
+                run_campaign(micro_campaign(), out=out)
         message = str(error.value)
         assert str(out) in message and names[3] in message
         on_disk = CampaignStore(out).load()
         assert on_disk  # the fourth cell starts only after one finished
-        for cell, name in zip(outcome.cells, names):
-            assert (cell.record["cell"] in on_disk) != (name in message)
-        resumed = run_campaign(micro_campaign(), workers=2, out=out,
-                               resume=True)
+        for record, name in zip(outcome.records, names):
+            assert (record["cell"] in on_disk) != (name in message)
+        resumed = run_campaign(micro_campaign(), out=out, resume=True)
         assert resumed.ran == 4 - len(on_disk)
         assert resumed.skipped == len(on_disk)
         assert to_jsonl(resumed) == to_jsonl(outcome)
         assert len(CampaignStore(out).load()) == 4
 
-    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
-                        reason="on one CPU figure cells run inline, where "
-                               "the dying cell would end the test process")
+    @NEEDS_A_POOL
     def test_dead_figure_worker_ends_in_one_error(self, monkeypatch):
         """A figure's cell runner on the same pool: one error naming the
         lost cells, no --resume hint (a figure has no output file), and
@@ -305,7 +336,7 @@ class TestRunCampaign:
             with pytest.raises(CampaignError) as error:
                 figures.run_cells(cells)
         message = str(error.value)
-        assert message.startswith("a figure worker died with ")
+        assert message.startswith("a worker died with ")
         assert cells[3].name in message and "--resume" not in message
         lost = [spec for spec in cells.values() if spec.name in message]
         assert len(figures._CELLS) == 4 - len(lost)
@@ -316,14 +347,39 @@ class TestRunCampaign:
 
     def test_progress_callback_sees_every_fresh_cell(self):
         seen = []
-        run_campaign(micro_campaign(), progress=lambda cell: seen.append(cell.index))
-        assert sorted(seen) == [0, 1, 2, 3]
+        outcome = run_campaign(micro_campaign(), progress=seen.append)
+        assert sorted(canonical_line(record) for record in seen) == \
+            sorted(canonical_line(record) for record in outcome.records)
 
     def test_resume_requires_an_output_path(self):
         with pytest.raises(ConfigError):
             run_campaign(micro_campaign(), resume=True)
-        with pytest.raises(ConfigError):
-            run_campaign(micro_campaign(), workers=0)
+
+    @pytest.mark.parametrize("age", ["hash-with-name", "deleted-field"])
+    def test_resume_refuses_a_stale_record(self, finished, age, capsys):
+        """A record written before the hash dropped ``name``, or before
+        a spec field was deleted, is keyed by what is no longer its
+        spec's hash: resume refuses the file (it would run the cell
+        again and record it twice), ``--render`` still shows it."""
+        _outcome, path = finished
+        lines = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        if age == "hash-with-name":
+            canonical = json.dumps(record["spec"], sort_keys=True,
+                                   separators=(",", ":"))
+            record["cell"] = hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        else:
+            record["spec"]["fs_discard"] = False
+        stale = path.parent / f"stale-{age}.jsonl"
+        stale.write_text("\n".join([canonical_line(record), *lines[1:2]]) + "\n",
+                         encoding="utf-8")
+        before = stale.read_bytes()
+        with pytest.raises(ConfigError, match=str(stale)):
+            run_campaign(micro_campaign(), out=stale, resume=True)
+        assert stale.read_bytes() == before
+        assert main(["campaign", "--render", str(stale)]) == 0
+        assert record["cell"] in capsys.readouterr().out
+        assert stale.read_bytes() == before
 
     def test_outcome_carries_the_pitfall_audit(self, finished):
         outcome, _path = finished

@@ -7,7 +7,21 @@ import json
 import pytest
 
 from repro.campaign import CampaignStore, merge_stores
+from repro.core.experiment import ExperimentSpec
 from repro.errors import ConfigError
+
+#: Cells by label, each a distinct spec.
+SEEDS = {"aaa": 1, "bbb": 2, "ccc": 3, "old": 4}
+
+
+def key(label: str) -> str:
+    return ExperimentSpec(seed=SEEDS[label]).stable_hash()
+
+
+def rec(label: str, **fields) -> dict:
+    """A record keyed the way a run keys it: by its spec's hash."""
+    spec = ExperimentSpec(seed=SEEDS[label])
+    return {"cell": spec.stable_hash(), "spec": spec.to_dict(), **fields}
 
 
 def write_store(path, records):
@@ -23,65 +37,65 @@ def cells_in(path):
 
 def test_merge_concatenates_and_dedupes(tmp_path):
     write_store(tmp_path / "a.jsonl",
-                [{"cell": "aaa", "x": 1}, {"cell": "bbb", "x": 2}])
+                [rec("aaa", x=1), rec("bbb", x=2)])
     write_store(tmp_path / "b.jsonl",
-                [{"cell": "bbb", "x": 9}, {"cell": "ccc", "x": 3}])
+                [rec("bbb", x=9), rec("ccc", x=3)])
     merged, dropped = merge_stores(
         tmp_path / "out.jsonl", [tmp_path / "a.jsonl", tmp_path / "b.jsonl"])
     assert (merged, dropped) == (3, 1)
-    assert cells_in(tmp_path / "out.jsonl") == ["aaa", "bbb", "ccc"]
+    assert cells_in(tmp_path / "out.jsonl") == [key("aaa"), key("bbb"), key("ccc")]
     # First wins: cells are deterministic functions of their spec, so
     # keeping the earliest record keeps the merge stable.
     records = dict(CampaignStore(tmp_path / "out.jsonl").records())
-    assert records["bbb"]["x"] == 2
+    assert records[key("bbb")]["x"] == 2
 
 
 def test_merge_refuses_nonempty_output(tmp_path):
-    write_store(tmp_path / "a.jsonl", [{"cell": "aaa"}])
-    write_store(tmp_path / "out.jsonl", [{"cell": "old"}])
+    write_store(tmp_path / "a.jsonl", [rec("aaa")])
+    write_store(tmp_path / "out.jsonl", [rec("old")])
     with pytest.raises(ConfigError, match="already holds completed cells"):
         merge_stores(tmp_path / "out.jsonl", [tmp_path / "a.jsonl"])
 
 
 def test_merge_force_appends_only_new_cells(tmp_path):
     write_store(tmp_path / "out.jsonl",
-                [{"cell": "aaa", "x": 1}, {"cell": "bbb", "x": 2}])
+                [rec("aaa", x=1), rec("bbb", x=2)])
     write_store(tmp_path / "a.jsonl",
-                [{"cell": "bbb", "x": 9}, {"cell": "ccc", "x": 3}])
+                [rec("bbb", x=9), rec("ccc", x=3)])
     merged, dropped = merge_stores(
         tmp_path / "out.jsonl", [tmp_path / "a.jsonl"], force=True)
     # Only the genuinely new cell lands; the existing record for bbb
     # is kept (first wins), not duplicated or overwritten.
     assert (merged, dropped) == (1, 1)
-    assert cells_in(tmp_path / "out.jsonl") == ["aaa", "bbb", "ccc"]
+    assert cells_in(tmp_path / "out.jsonl") == [key("aaa"), key("bbb"), key("ccc")]
     records = dict(CampaignStore(tmp_path / "out.jsonl").records())
-    assert records["bbb"]["x"] == 2
+    assert records[key("bbb")]["x"] == 2
 
 
 def test_merge_force_into_empty_behaves_like_plain(tmp_path):
-    write_store(tmp_path / "a.jsonl", [{"cell": "aaa"}])
+    write_store(tmp_path / "a.jsonl", [rec("aaa")])
     merged, dropped = merge_stores(
         tmp_path / "out.jsonl", [tmp_path / "a.jsonl"], force=True)
     assert (merged, dropped) == (1, 0)
-    assert cells_in(tmp_path / "out.jsonl") == ["aaa"]
+    assert cells_in(tmp_path / "out.jsonl") == [key("aaa")]
 
 
 def test_merge_refusal_mentions_force(tmp_path):
-    write_store(tmp_path / "a.jsonl", [{"cell": "aaa"}])
-    write_store(tmp_path / "out.jsonl", [{"cell": "old"}])
+    write_store(tmp_path / "a.jsonl", [rec("aaa")])
+    write_store(tmp_path / "out.jsonl", [rec("old")])
     with pytest.raises(ConfigError, match="--force"):
         merge_stores(tmp_path / "out.jsonl", [tmp_path / "a.jsonl"])
 
 
 def test_merge_missing_input(tmp_path):
-    write_store(tmp_path / "a.jsonl", [{"cell": "aaa"}])
+    write_store(tmp_path / "a.jsonl", [rec("aaa")])
     with pytest.raises(ConfigError, match="does not exist"):
         merge_stores(tmp_path / "out.jsonl",
                      [tmp_path / "a.jsonl", tmp_path / "missing.jsonl"])
 
 
 def test_merge_tolerates_torn_line(tmp_path):
-    write_store(tmp_path / "a.jsonl", [{"cell": "aaa"}])
+    write_store(tmp_path / "a.jsonl", [rec("aaa")])
     with (tmp_path / "a.jsonl").open("a", encoding="utf-8") as handle:
         handle.write('{"cell": "tor')  # killed mid-append
     merged, dropped = merge_stores(tmp_path / "out.jsonl",
@@ -90,8 +104,21 @@ def test_merge_tolerates_torn_line(tmp_path):
 
 
 def test_merged_output_is_canonical(tmp_path):
-    write_store(tmp_path / "a.jsonl", [{"cell": "aaa", "spec": {"z": 1, "a": 2}}])
+    write_store(tmp_path / "a.jsonl", [rec("aaa")])
     merge_stores(tmp_path / "out.jsonl", [tmp_path / "a.jsonl"])
     line = (tmp_path / "out.jsonl").read_text(encoding="utf-8").strip()
     assert line == json.dumps(json.loads(line), sort_keys=True,
                               separators=(",", ":"))
+
+
+def test_merge_refuses_a_stale_record(tmp_path):
+    """A record keyed by an older hash (here the one that included the
+    spec's name) is refused, and nothing is written."""
+    stale = rec("bbb")
+    stale["cell"] = "0123456789abcdef"
+    write_store(tmp_path / "a.jsonl", [rec("aaa")])
+    write_store(tmp_path / "b.jsonl", [stale])
+    with pytest.raises(ConfigError, match=str(tmp_path / "b.jsonl")):
+        merge_stores(tmp_path / "out.jsonl",
+                     [tmp_path / "a.jsonl", tmp_path / "b.jsonl"])
+    assert not (tmp_path / "out.jsonl").exists()

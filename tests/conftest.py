@@ -4,6 +4,8 @@ milliseconds."""
 
 from __future__ import annotations
 
+import contextlib
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +28,24 @@ from repro.units import usec
 # (tests/kv/test_kv_model.py) under it.
 settings.register_profile("ci", max_examples=1000, derandomize=True,
                           deadline=None)
+
+#: On one CPU the cell runner runs every cell inline: a test of the
+#: pool (or of a worker dying in it) has nothing to check there.
+NEEDS_A_POOL = pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2,
+    reason="on one CPU cells run inline, without a worker pool")
+
+
+@contextlib.contextmanager
+def one_cpu():
+    """Pin the process to one CPU, so the cell runner runs inline."""
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
+
 
 #: The router of a one-shard store list (``[store]``): every key to shard 0.
 LONE_ROUTER = make_router("range", 1, 1)
@@ -97,7 +117,8 @@ def figure_sweep():
 
     ``passes`` is ``[cold, warm]``, each ``{figure_id: (cells
     requested, cells simulated, figure)}``, the two counts read from
-    ``figures.CELL_COUNTS``; ``cells`` is the cache the sweep filled.
+    ``figures.CELL_COUNTS``; ``cells`` is the cache the sweep filled,
+    one record per cell hash.
     The process's own cache is put back afterwards.
     """
     cells: dict = {}

@@ -213,6 +213,9 @@ def test_the_reserved_range_is_never_touched(engine, state, watched,
     assert result.lba_histogram.size == ssd.npages
     assert result.lba_histogram[:exposed].any()
     assert not result.lba_histogram[exposed:].any()
+    # ...and counts every page the block layer wrote, load included.
+    assert result.lba_histogram.sum() * ssd.config.page_size == \
+        result.counters["block.bytes_written"]
     assert max(start + npages for start, npages in reads if npages) <= exposed
     assert result.lba_never_written >= 0.25
     l2p = ssd.ftl.state_arrays()[0]
@@ -297,4 +300,4 @@ def test_snapshot_names_every_layer():
     assert sum(result.kv_ops.values()) == ops_in(result.counters)
     btree = run_experiment(ExperimentSpec(**SPECS["closed-loop-btree"]))
     assert btree.counters["btree.cache_misses"] > 0
-    assert "counters" not in btree.to_dict()
+    assert btree.to_dict()["counters"] == btree.counters

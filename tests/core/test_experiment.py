@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -157,6 +158,8 @@ class TestSpec:
         assert clone == spec
         assert clone.stable_hash() == spec.stable_hash()
         assert ExperimentSpec().stable_hash() != spec.stable_hash()
+        # A cell is what it simulates: the name is not part of it.
+        assert replace(spec, name="other").stable_hash() == spec.stable_hash()
         with pytest.raises(ConfigError):
             ExperimentSpec.from_dict({"no_such_field": 1})
 

@@ -16,18 +16,19 @@ and what they print now sums to the bytes written and read
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
-import json
-import os
 from dataclasses import replace
 
 import pytest
 
 from repro.core import figures
-from repro.core.experiment import Engine, ExperimentResult, run_experiment
+from repro.core.experiment import (Engine, ExperimentResult, ExperimentSpec,
+                                   run_experiment)
 from repro.core.figures import SMALL, Scale, spec_for
 from repro.errors import ConfigError
 from repro.units import MIB
+from tests.conftest import one_cpu
 
 TINY = Scale("tiny", 36 * MIB, 1.5, 0.1)
 
@@ -66,19 +67,13 @@ def sweep(figure_sweep):
 
 
 def out_of_space_when(monkeypatch, figure_sweep, ran_out) -> None:
-    """Serve SMALL cells from the sweep's cache, where every cell
+    """Serve SMALL cells from the sweep's cache, where every record
     ``ran_out(spec)`` picks reports that it ran out of space."""
     monkeypatch.setattr(figures, "_CELLS", {
-        key: replace(result, out_of_space=True, steady=None)
-        if ran_out(result.spec) else result
-        for key, result in figure_sweep.cells.items()
+        cell: {**record, "out_of_space": True, "steady": None}
+        if ran_out(ExperimentSpec.from_dict(record["spec"])) else record
+        for cell, record in figure_sweep.cells.items()
     })
-
-
-def cell_key(spec) -> str:
-    fields = spec.to_dict()
-    del fields["name"]
-    return json.dumps(fields, sort_keys=True)
 
 
 class TestSharing:
@@ -90,13 +85,13 @@ class TestSharing:
         assert not any(ran for _, ran, _ in warm.values())
         # The 40 cells the cache holds are the distinct cells the
         # results carry, and fig4's two (it keeps derived data only).
-        carried = {cell_key(r.spec) for _, _, figure in cold.values()
+        carried = {r.spec.stable_hash() for _, _, figure in cold.values()
                    for r in results_in(figure.data)}
-        carried |= {cell_key(spec_for(SMALL, engine, trace_lba=True))
+        carried |= {spec_for(SMALL, engine, trace_lba=True).stable_hash()
                     for engine in figures.ENGINES}
-        cached = {cell_key(result.spec) for result in figure_sweep.cells.values()}
-        assert len(figure_sweep.cells) == len(cached) == 40
-        assert carried == cached
+        assert len(figure_sweep.cells) == 40
+        assert carried == set(figure_sweep.cells)
+        assert all(record["cell"] == cell for cell, record in figure_sweep.cells.items())
 
     def test_derived_figures_simulate_nothing(self, sweep):
         cold, _ = sweep
@@ -118,10 +113,19 @@ class TestSharing:
         fig5 = cold["fig5"][2].data["results"][("lsm", "trimmed", 0.5)]
         assert fig3.spec.name == "lsm"
         assert fig5.spec.name == "fig5/engine=lsm,drive_state=trimmed,dataset_fraction=0.5"
-        assert fig3.to_dict()["cell"] != fig5.to_dict()["cell"]
-        # One simulation, two result objects, shared (read-only) payload.
-        assert fig3 is not fig5
-        assert fig3.samples is fig5.samples and fig3.counters is fig5.counters
+        # One cell, one record, two result objects.
+        assert fig3.to_dict()["cell"] == fig5.to_dict()["cell"]
+        assert fig3 is not fig5 and fig3.samples == fig5.samples
+
+    def test_one_call_rebuilds_each_cell_once(self, figure_sweep, monkeypatch):
+        """Two requests for one cell in one call share its rebuilt,
+        read-only payload; only the spec is each request's own."""
+        monkeypatch.setattr(figures, "_CELLS", figure_sweep.cells)
+        spec = spec_for(SMALL, Engine.LSM)
+        results = figures.run_cells({"a": spec, "b": replace(spec, name="b")})
+        assert [r.spec.name for r in results.values()] == ["lsm", "b"]
+        assert results["a"].samples is results["b"].samples
+        assert results["a"].counters is results["b"].counters
 
     def test_every_result_is_its_own_object(self, sweep):
         found = [r for record in sweep for _, _, figure in record.values()
@@ -141,16 +145,12 @@ class TestSharing:
         """fig2 and fig11 cold twice: with the process pinned to one CPU
         (the cells run inline) and on every CPU it may run on (a pool
         wherever that is two or more)."""
-        cpus = os.sched_getaffinity(0)
         runs = []
-        for allowed in ({min(cpus)}, cpus):
+        for pin in (one_cpu, contextlib.nullcontext):
             monkeypatch.setattr(figures, "_CELLS", {})
             ran = figures.CELL_COUNTS["run"]
-            os.sched_setaffinity(0, allowed)
-            try:
+            with pin():
                 runs.append({f: figures.FIGURES[f](SMALL) for f in ("fig2", "fig11")})
-            finally:
-                os.sched_setaffinity(0, cpus)
             assert figures.CELL_COUNTS["run"] - ran == 10
         inline, pooled = runs
         for figure_id, figure in inline.items():

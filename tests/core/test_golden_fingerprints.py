@@ -24,7 +24,11 @@ run sum to the bytes the block layer counted
 has no samples and kept its literal.  All thirty were re-recorded
 again when ``ExperimentSpec`` lost six fields only tests set: the
 ``--mask spec,cell`` digests below were equal before and after, so
-only the spec's own record and its hash moved.
+only the spec's own record and its hash moved; and once more when the
+record gained the counter snapshot and the LBA histogram and the hash
+dropped ``name``: ``--mask cell,counters,lba_histogram`` was equal
+before and after.  Every record also reads back into its result
+(``ExperimentResult.from_record``) exactly.
 
 A mismatch means simulated behaviour changed.  If that is *intended*
 (and justified by an independent reference, per the ROADMAP standing
@@ -42,12 +46,15 @@ change, and the two dicts must be equal.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 
 import pytest
 
-from repro.core.experiment import Engine, ExperimentSpec, run_experiment
+from repro.campaign import canonical_line
+from repro.core.experiment import (Engine, ExperimentResult, ExperimentSpec,
+                                   run_experiment)
 from repro.flash.state import DriveState
 from repro.units import MIB
 
@@ -191,72 +198,77 @@ SPECS = {
 
 GOLDEN = {
     "closed-loop-lsm":
-        "0b35a779825239e36382d4d685356c0c460c04b8f669441e31e636f03fe1ddbb",
+        "773e29e90320edbdbad9dcc47c127b853f05fecc6f1e0e654a5e2187fd1e2d79",
     "closed-loop-btree":
-        "b8c44aca8d294f70ba03329a399fc73dc04be7b3d084fc2b8b5d4ac5193b38cd",
+        "bde317c0c8a120c26314115660c9d0ec1965ce1e16aa3496f068048475ecd7ab",
     "pooled-lsm":
-        "a205af632f996200970071bffa49789020228d832b02aa6807c78f7442757c90",
+        "633ff0b69184513bc519545a5f2a87e5abb5adbcc4c60453fde6a4e8df7877c8",
     "read-only-lsm":
-        "14202449759cb17dd2de43b96db105c6d9a48c05abb829ddd6b48b7d64e78fea",
+        "aa510c4a21ead4cb27de45bbb81a1bffd486306cadd9be523aaa0a46e01dac2e",
     "read-only-btree":
-        "89d24fbcae2acdf9c042488fd59c9d0be3af9ebb9166cfcf2be418edd342f6fa",
+        "3fa34945e907512c11a49f2a59265bfbd4bda6cb890175b09275b442849a7381",
     "scan-mix-lsm":
-        "b27bf67b2108cf3562736bca50649dc603f357395a4656531517ee98057857a5",
+        "b0a5936c81f42f58e98a8f9f0b369c063a12d9eb8dda19f1ce311f5dbce823ec",
     "scan-mix-btree":
-        "82cb010babc96178fb4d9d9fe2ecf1b30b166332fe94ae5e72cda8f9bacb9456",
+        "06aad0e5e63d5301509454657119986b0f66a1ea586016f56291b46c70cc8387",
     "pooled-zipfian-scan-mix-lsm":
-        "89038d65b6940a3f5291ecf81beb3e359a2e34a086a82d6157d29cc503c722db",
+        "7891f433af004ad504f29bcaafafbc039032a77b9ae793eb65f593a9019816ac",
     "fleet-2shard-lsm":
-        "b704c63a1b781633c8fb97a49d129af8ff952044534ffb6a2a7bcc727c8c0948",
+        "c5348693121d79b2c4e3090f09c19ea12c47cac920fb8a8744a76c69ffc8d77b",
     "pipeline-lsm":
-        "e10ea8800308149a72ad256cb3d63a14f3d5376411d34ea8b7c588040f94efee",
+        "f60c9c6b9db1ed91636c6411776fb73b89276f9c8f09444dc0fdefd5bd11ca2c",
     "pipeline-btree":
-        "e68ee84c3f097aea644e68ded94433a18d2c202c6555efcb57bc9572ec3ffd1f",
+        "b8cd99bed0f44e668a0c92686443a63c9987740e7b4f7a182309d1660397ad4f",
     "pipeline-preconditioned-lsm":
-        "d7c972cafb794c63da9d2bfa0bf9d40043d658c1e5ec172f3ec726913bc9dbfc",
+        "f3abc5779d92d301868d8e6e12eb1e2490cf08fec2f77a1279dc9b18688accec",
     "pool1-mixed-lsm":
-        "10a75a07d5b0bd6840d4868b967d3a81e227f2fa7686f32d50bdd304c84ba2bb",
+        "4057131ea2479ec6935183ac98b63f954eab7904793d87c98d1e1a4c82428cfd",
     "pool1-mixed-btree":
-        "f11d762502fe983fc9dbf1939b902b987ab6c4ec623861d4081693aed1ce6d29",
+        "3bab88db86d77e769a372a4a1e7ed4fb2f7621b271cb8ae39574d7654e38121e",
     "pool4-mixed-lsm":
-        "b6c6947653fdc3eb6c5fc2d57f40c814190dc5dda15b1c57105a95fe2e3b670f",
+        "cd12f92c4803a4f4ef5ddd2b31d893da854b3e95c3bdce5c9479bd9780cad3b8",
     "pool4-mixed-btree":
-        "9aeeeee425aa307293e4e2969f756451f35734eda2c75cc62dbe8bf6c3db83d8",
+        "4c5be7402518a9aaf06c8036b072f220669b7b0ff78916b9b02d39059ab83b0b",
     "out-of-space-pool4-lsm":
-        "866d207c0b2d03e25dfbc6110c04d75fdbd91f2f5222e4824af50d6eed42a43f",
+        "d5ce7dab1d2bf720409bbfd425771a59fd89e8734dc31a022eb462f51f9787e7",
     "out-of-space-pool4-btree":
-        "57123f9731f169377a623fc09feb80ad3507f8baac8234e4f06ae50a4d7cfa0a",
+        "fc51421806f10886759f31f3acb8f3328450e3bb37b2672029f23a64428d9f0f",
     "pool16-lsm":
-        "7258250da96aa10e9cb92e19f0407cb633280cd17540bd8f065b8844ce4e5367",
+        "2ae0cb71918a571806326e981a75cba705bdbd2ad41d3ea4c7f380850465ec03",
     "pool16-btree":
-        "4ab14658fdc0960ae5be712ccfb1a7a5fd79dce339401d42a1a76a168b8842e9",
+        "b324d032099605a00a5def273efb911c421f3a0c52cb750c1d7c88ffda9da9b8",
     "op25-preconditioned-lsm":
-        "d67d6668c27fcb7af909327f1df55bb293c1b6fa321f98920f7b9e0e750bd4c5",
+        "2fdef0f8fa3a935838bc4b1badfe6c84b1f672c46af340a88d3541f0699452e6",
     "op25-preconditioned-btree":
-        "04487709be6766f7b66325a3ea6018b2ef1f2401ec5a76096a641d664d5bfa0f",
+        "e4bc6d6539d50864279c9037394cc8cf67712a37d84fc860c18a37b6aa5bc7da",
     "op25-pool4-ssd3-btree":
-        "67bb399018287d16a405d72e6c50f75716eceab8e00bce801c617731d9921af4",
+        "9734bff15e73b7ef0d0d2a7e07c8002647e83cc83f109a16c7085c93b0e5730c",
     "faults-lsm":
-        "ab9424d54306256455d60dfbb77ec6e74926556d6a31ff0805ef6cd249735b2c",
+        "07d617c0f734a7e16403c31b4df501b822b0ac67d1210aa3a54ba8b4acf03ca2",
     "faults-btree":
-        "5110709ada524b1b92b4363559298b6a60696edc3c14754e84658c19bf826138",
+        "4bb690420cf058b923ac3a2f7cd9b13bc5686e3425a726d935fdb020374d7929",
     "faults-pool4-btree":
-        "6c14faf3b94b37476c708142a85a1590ef3aa106511b9738c255a9973b922487",
+        "547e2902773b20e66b05064e0454e1119209bbee83416516158587ea2b65dac5",
     "open-loop-mix-lsm":
-        "51d5fd9e97fe37451129cc26ee8cc48a0165bfe6d35b08bf011604a83c653750",
+        "7f64e5d5c38bcb47a2ce545517c9b9c72fa6f911c5d1d4c516a96481fe0020ad",
     "open-loop-mix-btree":
-        "ebc076e3d359f2991b94b7fec688882a6e1d11f24392dd424585abb8f7b13ae6",
+        "c650f32aeba7520e4288f2e82a8a8a2e6ba1ddd301def3873eafcfa37b52daf9",
     "open-loop-chaos-lsm":
-        "b787745e91706416a472db9c294109acee92ccff9eed9c15a94c5d939c9f8d64",
+        "54b858892d0b78cac3c9dffe3be3fc0047385b4c1a5299117cee3925de219de2",
     "open-loop-chaos-btree":
-        "849b048aa8ce329e54487d56412474b181ad5450ecb9bd526e55073c93782fa1",
+        "621fcbe3333ecf830ed924ba5468d187bde43b644f61bf8e04c97aeefca1b004",
 }
+
+
+@functools.cache
+def run(name: str) -> ExperimentResult:
+    return run_experiment(ExperimentSpec(**SPECS[name]))
 
 
 def fingerprint(name: str, mask: tuple[str, ...] = ()) -> str:
     """The digest of *name*'s record, with the *mask* keys popped from
     the record, from ``steady`` and from every sample."""
-    record = run_experiment(ExperimentSpec(**SPECS[name])).to_dict()
+    record = run(name).to_dict()
     for part in [record, record["steady"] or {}, *(record["samples"] or [])]:
         for key in mask:
             part.pop(key, None)
@@ -267,6 +279,14 @@ def fingerprint(name: str, mask: tuple[str, ...] = ()) -> str:
 @pytest.mark.parametrize("name", list(SPECS))
 def test_golden_fingerprint(name):
     assert fingerprint(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", list(SPECS))
+def test_record_reads_back_into_its_result(name):
+    """A stored record (canonical JSON) is the result it came from."""
+    record = run(name).to_dict()
+    stored = json.loads(canonical_line(record))
+    assert ExperimentResult.from_record(stored).to_dict() == record
 
 
 if __name__ == "__main__":
