@@ -3,8 +3,8 @@
 The paper's methodology is a *grid*, not a run (engines x SSDs x drive
 states x dataset sizes x over-provisioning).  This package expands a
 declarative :class:`CampaignSpec` into cells, runs them on a process
-pool, persists resumable JSONL records, and audits the grid itself
-against the seven pitfalls.
+pool, keeps their records in a JSONL store that a re-run reuses, and
+audits the grid itself against the seven pitfalls.
 """
 
 from repro.campaign.runner import CampaignOutcome, run_campaign

@@ -3,12 +3,14 @@
 Every cell is an isolated simulation fully determined by its spec, so
 cells are embarrassingly parallel.  A cell's one form is its record
 (``ExperimentResult.to_dict()``) keyed by ``ExperimentSpec.
-stable_hash()``; :func:`cell_records` simulates the cells it has no
-record for on one worker per CPU this process may use, for
-:func:`run_campaign` and the figures' ``run_cells``.  A campaign
-appends each record to a JSONL store in grid order on any number of
-CPUs; ``resume=True`` skips those, and interrupt plus resume is
-byte-identical to an uninterrupted run (tested).
+stable_hash()``, and a :class:`~repro.campaign.store.CampaignStore`
+holds records; :func:`cell_records` simulates the cells a store does
+not hold yet on one worker per CPU this process may use, for
+:func:`run_campaign` and the figures' ``run_cells``.  Reuse is the
+rule: re-running a campaign on its output file runs only the cells the
+file lacks and appends them in grid order on any number of CPUs, so an
+interrupted run plus a re-run is byte-identical to an uninterrupted
+run (tested).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.pitfalls import EvaluationPlan, PitfallViolation, check_plan
-from repro.errors import CampaignError, ConfigError
+from repro.errors import CampaignError
 
 
 @dataclass
@@ -62,50 +64,28 @@ def _execute_cell(spec_dict: dict, trace_out: str | None = None) -> dict:
 def run_campaign(
     campaign: CampaignSpec,
     out: str | Path | None = None,
-    resume: bool = False,
     progress: Callable[[dict], None] | None = None,
     trace_out: str | None = None,
 ) -> CampaignOutcome:
     """Run (or finish) a campaign; returns its records in grid order.
 
-    ``out`` persists one JSONL record per completed cell as it
-    finishes; ``resume=True`` first skips the cells that file holds
-    (:meth:`CampaignStore.checked_records`).  Without ``resume``, an
-    ``out`` file that already holds completed cells is refused rather
-    than clobbered.  ``progress`` sees each fresh record; ``trace_out``
-    traces every fresh cell (see :func:`_execute_cell`).
+    ``out`` is the JSONL store (memory without it): the cells it
+    already holds are reused (:meth:`CampaignStore.checked` refuses a
+    stale file), and each new record is appended to it in grid order.
+    ``progress`` sees each new record; ``trace_out`` traces every new
+    cell (see :func:`_execute_cell`).
     """
-    if resume and out is None:
-        raise ConfigError("resume requires an output path")
     start = time.monotonic()
     cells = campaign.cells()
-    store = CampaignStore(out) if out is not None else None
-    known: dict[str, dict] = {}
-    if store is not None:
-        if resume:
-            known = dict(store.checked_records())
-        elif store.load():
-            # Refuse to clobber completed work: hours of finished cells
-            # must not vanish because --resume was forgotten.
-            raise ConfigError(
-                f"{store.path} already holds completed cells; pass "
-                "resume=True to skip them or delete the file to start over"
-            )
-    skipped = sum(spec.stable_hash() in known for spec in cells)
+    store = CampaignStore(out).checked()
+    skipped = sum(spec.stable_hash() in store.cells for spec in cells)
 
     def finish(record: dict) -> None:
         record["campaign"] = campaign.name
-        if store is not None:
-            store.append(record)
         if progress is not None:
             progress(record)
 
-    try:
-        records = cell_records(cells, known, finish, trace_out)
-    except CampaignError as error:
-        kept = "nothing was kept (no output file)" if store is None else \
-            f"finished cells are in {store.path}; re-run with --resume"
-        raise CampaignError(f"{error}; {kept}") from None
+    records = cell_records(cells, store, finish, trace_out)
     plan = campaign.plan()
     return CampaignOutcome(
         campaign=campaign,
@@ -118,28 +98,31 @@ def run_campaign(
     )
 
 
-def cell_records(specs: list[ExperimentSpec], known: dict[str, dict],
-                 finish: Callable[[dict], None],
+def cell_records(specs: list[ExperimentSpec], store: CampaignStore,
+                 finish: Callable[[dict], None] | None = None,
                  trace_out: str | None = None) -> list[dict]:
     """The record of each of *specs*, in order.
 
-    *known* holds the records at hand by cell hash.  The distinct cells
-    it lacks are simulated on one worker per CPU this process may use,
-    capped at their number (one CPU or one cell runs inline); each new
-    record goes to ``finish(record)`` in spec order, whatever the number
-    of workers, then into *known*.
+    The distinct cells *store* does not hold are simulated on one
+    worker per CPU this process may use, capped at their number (one
+    CPU or one cell runs inline); each new record goes to
+    ``finish(record)``, which may add keys to it, and then into *store*,
+    in spec order whatever the number of workers.
     A worker that dies ends the call in one :class:`CampaignError`
-    naming the unfinished cells; the finished ones are in *known*.
+    naming the unfinished cells, and the store's file if it has one:
+    the finished cells are in *store*, so re-running the same command
+    runs only the rest.
     """
     missing: dict[str, ExperimentSpec] = {}
     for spec in specs:
         cell = spec.stable_hash()
-        if cell not in known:
+        if cell not in store.cells:
             missing.setdefault(cell, spec)
 
     def done(record: dict) -> None:
-        finish(record)
-        known[record["cell"]] = record
+        if finish is not None:
+            finish(record)
+        store.append(record)
 
     workers = min(len(os.sched_getaffinity(0)), len(missing))
     if workers <= 1:
@@ -159,8 +142,10 @@ def cell_records(specs: list[ExperimentSpec], known: dict[str, dict],
                     # lost, the ones that finished are kept.
                     continue
                 done(record)
-    lost = [spec.name for cell, spec in missing.items() if cell not in known]
+    lost = [spec.name for cell, spec in missing.items() if cell not in store.cells]
     if lost:
+        kept = "" if store.path is None else \
+            f"; finished cells are in {store.path}, re-run the same command"
         raise CampaignError(f"a worker died with {len(lost)} of {len(missing)} "
-                            f"cells unfinished ({', '.join(lost)})")
-    return [known[spec.stable_hash()] for spec in specs]
+                            f"cells unfinished ({', '.join(lost)}){kept}")
+    return [store.cells[spec.stable_hash()] for spec in specs]

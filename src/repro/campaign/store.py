@@ -1,11 +1,13 @@
-"""JSON-lines persistence for campaign records.
+"""Cell records, keyed by the cell spec's stable hash: a JSON-lines
+file, or memory when there is no path.
 
-One line per completed cell, keyed by the cell spec's stable hash.
-Appends are canonical (sorted keys, fixed separators) so that a
-resumed campaign's merged output is byte-identical to an uninterrupted
-run; a truncated final line — the signature of a killed process — is
-ignored on load and dropped by the next append rather than poisoning
-the resume.
+A store is a cache of cells: what it holds does not run again, and the
+first record of a cell wins wherever records are read (render, reuse
+and merge).  Appends are canonical (sorted keys, fixed separators), so
+a campaign or figure sweep that was cut short and re-run writes the
+bytes an uninterrupted run does; a truncated final line — the
+signature of a killed process — is ignored on load and dropped by the
+next append.
 """
 
 from __future__ import annotations
@@ -25,24 +27,28 @@ def canonical_line(record: dict) -> str:
 
 
 class CampaignStore:
-    """Append-only JSONL store of completed cell records."""
+    """Append-only store of completed cell records.
 
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
+    ``cells`` holds the first record of each cell by hash, in the order
+    the cells were first recorded; with a *path* it starts as what the
+    file holds, and every append goes to the file first.
+    """
 
-    def load(self) -> dict[str, dict]:
-        """Completed records by cell hash (last wins, for resume lookups)."""
-        return dict(self.records())
+    def __init__(self, path: str | Path | None = None):
+        self.path = None if path is None else Path(path)
+        self.cells: dict[str, dict] = {}
+        for cell, record in self.records():
+            self.cells.setdefault(cell, record)
 
     def records(self) -> list[tuple[str, dict]]:
-        """(cell hash, record) pairs in file order; tolerates torn lines.
+        """The file's (cell hash, record) pairs in file order,
+        duplicates included; tolerates torn lines.
 
-        Preserves duplicates and order, which is what merging needs.
         A record is complete only once its newline is on disk: an
         unterminated tail is what :meth:`append` drops, so it is not
         reported here either, even if it happens to parse.
         """
-        if not self.path.exists():
+        if self.path is None or not self.path.exists():
             return []
         out: list[tuple[str, dict]] = []
         with self.path.open("r", encoding="utf-8") as handle:
@@ -61,12 +67,11 @@ class CampaignStore:
                     out.append((cell, record))
         return out
 
-    def checked_records(self) -> list[tuple[str, dict]]:
-        """:meth:`records`, refusing a file with a stale record, whose
-        ``cell`` is not its spec's hash (written before a change to the
-        spec or the hash): a resume would run and record it twice."""
-        pairs = self.records()
-        for cell, record in pairs:
+    def checked(self) -> CampaignStore:
+        """This store, refusing one with a stale record, whose ``cell``
+        is not its spec's hash (written before a change to the spec or
+        the hash): it would run and record that cell twice."""
+        for cell, record in self.cells.items():
             try:
                 current = ExperimentSpec.from_dict(record["spec"]).stable_hash()
             except (ConfigError, KeyError, TypeError, ValueError):
@@ -74,70 +79,59 @@ class CampaignStore:
             if cell != current:
                 raise ConfigError(f"{self.path} holds cell {cell}, keyed by an "
                                   "older spec hash; use a fresh file")
-        return pairs
+        return self
 
     def append(self, record: dict) -> None:
-        """Durably append one completed cell record.
+        """Hold one completed cell record, durably if the store has a file.
 
-        An unterminated tail — the fragment a killed writer left — is
-        truncated away first; appending after it would glue the new
-        record onto the fragment and lose both.
+        In the file, an unterminated tail — the fragment a killed
+        writer left — is truncated away first; appending after it would
+        glue the new record onto the fragment and lose both.
         """
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a+b") as handle:
-            end = pos = handle.seek(0, os.SEEK_END)
-            keep = 0  # offset just past the last newline
-            while pos > 0:
-                step = min(pos, 1 << 16)
-                pos -= step
-                handle.seek(pos)
-                cut = handle.read(step).rfind(b"\n")
-                if cut >= 0:
-                    keep = pos + cut + 1
-                    break
-            if keep != end:
-                handle.truncate(keep)
-            handle.write((canonical_line(record) + "\n").encode("utf-8"))
-            handle.flush()
-            os.fsync(handle.fileno())
+        if self.path is not None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with self.path.open("a+b") as handle:
+                end = pos = handle.seek(0, os.SEEK_END)
+                keep = 0  # offset just past the last newline
+                while pos > 0:
+                    step = min(pos, 1 << 16)
+                    pos -= step
+                    handle.seek(pos)
+                    cut = handle.read(step).rfind(b"\n")
+                    if cut >= 0:
+                        keep = pos + cut + 1
+                        break
+                if keep != end:
+                    handle.truncate(keep)
+                handle.write((canonical_line(record) + "\n").encode("utf-8"))
+                handle.flush()
+                os.fsync(handle.fileno())
+        self.cells.setdefault(record["cell"], record)
 
 
-def merge_stores(out: str | Path, inputs: Sequence[str | Path],
-                 force: bool = False) -> tuple[int, int]:
-    """Concatenate campaign stores into *out*, deduplicating by cell.
+def merge_stores(out: str | Path, inputs: Sequence[str | Path]) -> tuple[int, int]:
+    """Append to *out* the cells of *inputs* that it does not hold yet.
 
     Inputs are taken in order and, within each, in file order; the
-    first record seen for a cell hash wins (cells are deterministic
-    functions of their spec, so duplicates across shards of one
-    campaign are interchangeable — keeping the first keeps the merge
-    stable).  Refuses a non-empty *out* so completed work is never
-    silently mixed into — unless *force*, which instead seeds the
-    dedup set from *out*'s existing cells and appends only new ones
-    (the incremental "fold this shard in" workflow).  A missing input
-    or a stale record is refused before anything is written.  Returns
-    ``(merged, duplicates_dropped)``.
+    first record seen for a cell hash wins, *out*'s own included
+    (cells are deterministic functions of their spec, so duplicates
+    across shards of one campaign are interchangeable — keeping the
+    first keeps the merge stable).  A missing input or a stale record
+    is refused before anything is written.  Returns ``(merged,
+    duplicates_dropped)``.
     """
-    out_store = CampaignStore(out)
-    if out_store.records() and not force:
-        raise ConfigError(
-            f"{out_store.path} already holds completed cells; merge into "
-            "a fresh file, delete it first, or pass --force to append "
-            "only cells it does not hold yet"
-        )
-    seen = {cell for cell, _record in out_store.checked_records()}
+    out_store = CampaignStore(out).checked()
     sources = []  # every input is read and checked before one is merged
     for path in inputs:
-        store = CampaignStore(path)
-        if not store.path.exists():
-            raise ConfigError(f"merge input {store.path} does not exist")
-        sources.append(store.checked_records())
+        if not Path(path).exists():
+            raise ConfigError(f"merge input {path} does not exist")
+        sources.append(CampaignStore(path).checked())
     merged = dropped = 0
-    for records in sources:
-        for cell, record in records:
-            if cell in seen:
+    for source in sources:
+        for cell, record in source.records():
+            if cell in out_store.cells:
                 dropped += 1
                 continue
-            seen.add(cell)
             out_store.append(record)
             merged += 1
     return merged, dropped

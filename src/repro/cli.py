@@ -4,6 +4,7 @@
 ``repro run-figure fig7 fig8``   reproduce figures (or ``all``), sharing their cells
 ``repro run --engine lsm ...``   run a single custom experiment
 ``repro campaign --preset ...``  run a grid of experiments on a worker pool
+                                 (``--out`` keeps cell records a re-run reuses)
 ``repro pitfalls``               print the seven-pitfall checklist
 
 There is no profiling subcommand: ``python -m cProfile -s tottime -m
@@ -17,9 +18,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.campaign import PRESETS, run_campaign
+from repro.campaign import PRESETS, CampaignStore, merge_stores, run_campaign
+from repro.core import figures as figure_module
 from repro.core.experiment import Engine, ExperimentSpec, run_experiment
-from repro.core.figures import CELL_COUNTS, FIGURES, SCALES
+from repro.core.figures import FIGURES, SCALES
 from repro.core.metrics import end_to_end_write_amplification
 from repro.core.pitfalls import PITFALLS, EvaluationPlan, check_plan, render_report
 from repro.core.report import (render_campaign, render_series,
@@ -35,8 +37,10 @@ from repro.workload.keys import DISTRIBUTIONS
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point; returns a process exit code (2: a bad spec; 1: a
-    campaign or figure a dead worker cut short)."""
+    """Entry point; returns a process exit code (2: a bad spec or
+    input file; 1: a campaign or figure a dead worker cut short, whose
+    finished cells a re-run of the same command reuses from its
+    ``--out`` file)."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
@@ -63,11 +67,21 @@ def _build_parser() -> argparse.ArgumentParser:
     figures.set_defaults(func=_cmd_figures)
 
     run_figure = sub.add_parser(
-        "run-figure", help="reproduce paper figures (cells shared, on a worker pool)")
+        "run-figure", help="reproduce paper figures (cells shared, on a worker pool)",
+        description=(
+            "Reproduce paper figures, sharing their cells in one process and "
+            "running the missing ones on one worker per CPU this process may "
+            "use.  With --out the cell records are kept in a JSONL file: a "
+            "re-run with the same --out reuses them and runs only the cells "
+            "the file lacks."
+        ),
+    )
     run_figure.add_argument("figures", nargs="+", metavar="figure",
                             choices=[*FIGURES, "all"])
     run_figure.add_argument("--scale", choices=sorted(SCALES), default="default")
-    run_figure.add_argument("--out", help="also write the rendered text to a file")
+    run_figure.add_argument("--out", metavar="JSONL",
+                            help="keep the figures' cell records in this "
+                                 "file and reuse the ones it holds")
     run_figure.set_defaults(func=_cmd_run_figure)
 
     run = sub.add_parser("run", help="run a single custom experiment")
@@ -85,28 +99,26 @@ def _build_parser() -> argparse.ArgumentParser:
             "Expand a preset grid into cells, audit it against the seven "
             "pitfalls, run the cells on one worker per CPU this process may "
             "use (taskset pins it), and persist one JSONL record per "
-            "completed cell, in grid order.  --resume skips cells already recorded in the "
-            "output file.  --render re-renders a finished JSONL file "
-            "without running anything."
+            "completed cell, in grid order.  Cells the output file already "
+            "holds are reused, not run again, so re-running the same command "
+            "finishes an interrupted campaign.  --render re-renders a "
+            "finished JSONL file without running anything."
         ),
     )
     campaign.add_argument("--preset", choices=sorted(PRESETS), default=None)
     campaign.add_argument("--out", default=None,
-                          help="JSONL results path (default campaign-<preset>.jsonl)")
-    campaign.add_argument("--resume", action="store_true",
-                          help="skip cells already recorded in --out")
+                          help="JSONL results path, whose cells are reused "
+                               "(default campaign-<preset>.jsonl)")
     campaign.add_argument("--dry-run", action="store_true",
                           help="print the grid and pitfall audit, run nothing")
     campaign.add_argument("--render", metavar="JSONL", default=None,
                           help="render the consolidated table from a finished "
                                "campaign file, running nothing")
-    campaign.add_argument("--force", action="store_true",
-                          help="with --merge: allow a non-empty output file, "
-                               "appending only cells it does not hold yet")
     campaign.add_argument("--merge", metavar="JSONL", nargs="+", default=None,
                           help="merge campaign files: first path is the "
-                               "(fresh) output, the rest are inputs; "
-                               "duplicate cells are dropped (first wins)")
+                               "output, the rest are inputs; only cells the "
+                               "output does not hold yet are appended "
+                               "(first wins)")
     campaign.add_argument("--trace", metavar="PREFIX", default=None,
                           help="trace every cell: write one Chrome trace per "
                                "cell to PREFIX-<cellhash>.json and record its "
@@ -242,16 +254,17 @@ def _cmd_figures(args) -> int:
 
 def _cmd_run_figure(args) -> int:
     names = list(FIGURES) if "all" in args.figures else args.figures
-    before = dict(CELL_COUNTS)
-    texts = []
-    for name in names:
-        texts.append(FIGURES[name](SCALES[args.scale]).text)
-        print(texts[-1])
-    print(f"{CELL_COUNTS['run'] - before['run']} cell(s) run, "
-          f"{CELL_COUNTS['shared'] - before['shared']} shared")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write("\n\n".join(texts) + "\n")
+    held = figure_module.STORE  # the process's own cells
+    store = CampaignStore(args.out).checked() if args.out else held
+    figure_module.STORE = store
+    before = len(store.cells)
+    try:
+        for name in names:
+            print(FIGURES[name](SCALES[args.scale]).text)
+    finally:
+        figure_module.STORE = held
+    print(f"{len(store.cells) - before} cell(s) run"
+          + (f", {len(store.cells)} held in {args.out}" if args.out else ""))
     return 0
 
 
@@ -360,26 +373,21 @@ def _finish_trace(tracer, result, path: str) -> None:
 
 def _cmd_campaign(args) -> int:
     if args.merge is not None:
-        from repro.campaign import merge_stores
-
         if len(args.merge) < 2:
             raise ConfigError(
                 "--merge needs an output path and at least one input")
         out, inputs = args.merge[0], args.merge[1:]
-        merged, dropped = merge_stores(out, inputs, force=args.force)
+        merged, dropped = merge_stores(out, inputs)
         print(f"merged {merged} cell(s) from {len(inputs)} file(s) into {out}"
               + (f" ({dropped} duplicate(s) dropped)" if dropped else ""))
         return 0
     if args.render is not None:
-        from repro.campaign.store import CampaignStore
-
         store = CampaignStore(args.render)
         if not store.path.exists():
             raise ConfigError(f"campaign file {store.path} does not exist")
-        records = list(store.load().values())  # file (= completion) order
+        records = list(store.cells.values())  # file (= grid) order
         if not records:
-            print(f"no completed cells in {args.render}")
-            return 1
+            raise ConfigError(f"campaign file {store.path} holds no completed cell")
         names = {record.get("campaign", "?") for record in records}
         print(render_campaign(
             records,
@@ -412,8 +420,8 @@ def _cmd_campaign(args) -> int:
         status = "out-of-space" if record["out_of_space"] else tput
         print(f"  [{done}] {record['spec']['name']}: {status}", flush=True)
 
-    outcome = run_campaign(campaign, out=out, resume=args.resume,
-                           progress=progress, trace_out=args.trace)
+    outcome = run_campaign(campaign, out=out, progress=progress,
+                           trace_out=args.trace)
     print(f"{outcome.ran} cell(s) run, {outcome.skipped} resumed from {out} "
           f"in {outcome.wall_seconds:.1f}s")
     print()

@@ -64,7 +64,6 @@ class CostGrid:
     datasets: list[int]
     targets: list[float]
     winners: list[list[str]]  # winners[i][j]: dataset i, target j
-    drive_counts: list[list[dict[str, int]]]
 
     def winner_at(self, dataset_bytes: int, target_tput: float) -> str:
         i = self.datasets.index(dataset_bytes)
@@ -85,19 +84,15 @@ def compare_costs(
     if len(options) < 2:
         raise ConfigError("cost comparison needs at least two options")
     winners: list[list[str]] = []
-    counts: list[list[dict[str, int]]] = []
     for dataset in datasets:
         row: list[str] = []
-        row_counts: list[dict[str, int]] = []
         for target in targets:
             needed = {o.name: drives_needed(o, dataset, target) for o in options}
             best = min(needed.values())
             cheapest = [name for name, n in needed.items() if n == best]
             row.append(cheapest[0] if len(cheapest) == 1 else "tie")
-            row_counts.append(needed)
         winners.append(row)
-        counts.append(row_counts)
-    return CostGrid(list(datasets), list(targets), winners, counts)
+    return CostGrid(list(datasets), list(targets), winners)
 
 
 def render_heatmap(grid: CostGrid, dataset_unit: float = 1.0,

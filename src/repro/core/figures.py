@@ -8,7 +8,7 @@ of the paper's qualitative results hold: the ledger counts it and
 ``tests/integration/test_paper_claims.py`` asserts every verdict.  As
 in the paper the figures share measurements (Fig 8 is computed from
 Fig 7's runs), so every result comes through :func:`run_cells`: one
-simulation per distinct cell, its record cached for the process.
+simulation per distinct cell, its record kept in :data:`STORE`.
 
 Scales
 ======
@@ -25,6 +25,7 @@ from typing import Any
 from repro.analysis.cdf import cdf_knee, coverage_fraction, write_probability_cdf
 from repro.campaign.runner import cell_records
 from repro.campaign.spec import CampaignSpec
+from repro.campaign.store import CampaignStore
 from repro.analysis.stats import (
     coefficient_of_variation,
     fraction_below,
@@ -104,31 +105,24 @@ def _series_rows(result: ExperimentResult) -> list[list]:
 _SERIES_HEADERS = ["t(s)", "KOps/s", "devW MB/s", "devR MB/s", "WA-A", "WA-D"]
 
 
-#: The cell cache (DESIGN.md §5.5): one record per distinct cell for
-#: the life of the process, keyed by ``spec.stable_hash()``.
-_CELLS: dict[str, dict] = {}
-#: Cells simulated and requests shared, over the process's lifetime.
-CELL_COUNTS = {"run": 0, "shared": 0}
+#: Where figure cells live (DESIGN.md §5.5): an in-memory store for the
+#: life of the process, or the file ``repro run-figure --out`` opens.
+STORE = CampaignStore()
 
 
 def run_cells(requests: dict[Any, ExperimentSpec]) -> dict[Any, ExperimentResult]:
     """The result of every requested spec, under the request's key,
-    each distinct cell simulated at most once per process.
+    each distinct cell simulated only if :data:`STORE` lacks it.
 
-    The cells the cache lacks run on the campaign's worker pool
+    The missing cells run on the campaign's worker pool
     (:func:`~repro.campaign.runner.cell_records`; a dead worker is one
-    ``CampaignError``, finished cells stay cached).  A call rebuilds
-    each distinct cell from its record once and gives each request its
-    own :class:`ExperimentResult` carrying its spec; ``samples``,
-    ``counters`` and every other field are shared with the other
-    requests for that cell and must be treated as read-only.
+    ``CampaignError``, finished cells stay in the store).  A call
+    rebuilds each distinct cell from its record once and gives each
+    request its own :class:`ExperimentResult` carrying its spec;
+    ``samples``, ``counters`` and every other field are shared with the
+    other requests for that cell and must be treated as read-only.
     """
-    def count(_record: dict) -> None:
-        CELL_COUNTS["run"] += 1
-
-    ran = CELL_COUNTS["run"]
-    records = cell_records(list(requests.values()), _CELLS, count)
-    CELL_COUNTS["shared"] += len(requests) - (CELL_COUNTS["run"] - ran)
+    records = cell_records(list(requests.values()), STORE)
     distinct = {record["cell"]: record for record in records}
     built = {cell: ExperimentResult.from_record(record) for cell, record in distinct.items()}
     return {request: replace(built[record["cell"]], spec=spec)

@@ -165,7 +165,6 @@ class FlashTranslationLayer:
         self.total_gc_pages = 0
         self.total_erases = 0
         self.total_read_pages = 0
-        self.total_trimmed_pages = 0
 
     # ------------------------------------------------------------------
     # Public API
@@ -230,7 +229,6 @@ class FlashTranslationLayer:
         if count:
             self._invalidate(view)
             view[mapped] = -1
-        self.total_trimmed_pages += count
         return count
 
     # ------------------------------------------------------------------

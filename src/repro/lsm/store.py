@@ -82,7 +82,6 @@ class LSMStore(KVStore):
         self.stall_seconds = 0.0  # cumulative write-stall time
         self.scheduler = None  # event-driven background work when attached
         self._bg_worker = None  # FIFO background-thread resource
-        self.inline_takeovers = 0  # write-path flushes forced by pile-up
         # Cached batch-write constants per write kind (frozen config +
         # record geometry for the last-seen vlen; DESIGN.md §8).
         self._put_consts = None
@@ -827,7 +826,6 @@ class LSMStore(KVStore):
             elif len(self._immutables) > self.config.max_immutable_memtables:
                 # Too many immutables awaiting the background worker:
                 # the write path stops and catches up inline.
-                self.inline_takeovers += 1
                 self._flush_inline()
             else:
                 self.scheduler.spawn(self._background_job(), label="lsm-flush")

@@ -42,7 +42,6 @@ class Task:
 
     def __init__(self, scheduler: "Scheduler", gen: Generator, label: str):
         self._scheduler = scheduler
-        self._gen = gen
         self._send = gen.send  # bound once: called every step
         self.label = label
         self._bound_step = self._step  # one bound-method alloc, reused

@@ -1,9 +1,9 @@
 """Tests for the campaign orchestration subsystem.
 
 Covers grid expansion, the pitfall self-audit, JSONL persistence, the
-multiprocessing path, and the headline resume guarantee: a campaign
-interrupted mid-grid and resumed produces byte-identical merged
-results to an uninterrupted run.
+multiprocessing path, and the headline reuse guarantee: a campaign
+interrupted mid-grid and re-run on the same file produces
+byte-identical merged results to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.campaign import (
     CampaignSpec,
     CampaignStore,
     canonical_line,
+    merge_stores,
     run_campaign,
     runner,
 )
@@ -152,9 +153,17 @@ class TestStore:
         store = CampaignStore(tmp_path / "results.jsonl")
         store.append({"cell": "abc", "x": 1.5})
         store.append({"cell": "def", "x": [1, 2]})
-        loaded = store.load()
+        loaded = CampaignStore(store.path).cells
+        assert loaded == store.cells
         assert set(loaded) == {"abc", "def"}
         assert loaded["abc"]["x"] == 1.5
+
+    def test_a_store_without_a_path_holds_its_records(self):
+        store = CampaignStore()
+        store.append({"cell": "abc", "x": 1})
+        store.append({"cell": "abc", "x": 2})
+        assert store.path is None
+        assert store.cells == {"abc": {"cell": "abc", "x": 1}}
 
     def test_torn_final_line_is_ignored(self, tmp_path):
         path = tmp_path / "results.jsonl"
@@ -162,7 +171,7 @@ class TestStore:
         store.append({"cell": "abc", "x": 1})
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"cell": "trunc')  # killed mid-write
-        assert set(store.load()) == {"abc"}
+        assert set(CampaignStore(path).cells) == {"abc"}
 
     def test_append_after_torn_tail_keeps_every_completed_cell(self, tmp_path):
         """A killed worker's fragment must not swallow the next record."""
@@ -172,7 +181,7 @@ class TestStore:
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"cell":"b","x"')  # killed mid-write, no newline
         store.append({"cell": "c"})
-        assert set(store.load()) == {"a", "c"}
+        assert set(CampaignStore(path).cells) == {"a", "c"}
         assert path.read_text(encoding="utf-8") == '{"cell":"a"}\n{"cell":"c"}\n'
 
     def test_torn_tail_longer_than_one_read_chunk(self, tmp_path):
@@ -183,21 +192,21 @@ class TestStore:
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"cell":"torn","x":"' + "z" * 200_000)
         store.append({"cell": "c"})
-        assert store.load() == {"big": big, "c": {"cell": "c"}}
+        assert CampaignStore(path).cells == {"big": big, "c": {"cell": "c"}}
         # A file that is nothing but a fragment is emptied, not glued to.
         path.write_text('{"cell":"torn"', encoding="utf-8")
         store.append({"cell": "c"})
         assert path.read_text(encoding="utf-8") == '{"cell":"c"}\n'
 
     def test_unterminated_record_is_not_complete(self, tmp_path):
-        """Complete iff newline-terminated: load() must not report a
+        """Complete iff newline-terminated: a store must not hold a
         cell that the next append() is going to drop."""
         path = tmp_path / "results.jsonl"
         path.write_text('{"cell":"a"}\n{"cell":"b"}', encoding="utf-8")
-        assert set(CampaignStore(path).load()) == {"a"}
+        assert set(CampaignStore(path).cells) == {"a"}
 
     def test_missing_file_is_empty(self, tmp_path):
-        assert CampaignStore(tmp_path / "nope.jsonl").load() == {}
+        assert CampaignStore(tmp_path / "nope.jsonl").cells == {}
 
 
 class TestRunCampaign:
@@ -228,10 +237,14 @@ class TestRunCampaign:
             {record["cell"] for record in outcome.records}
 
     def test_resume_skips_every_finished_cell(self, finished):
+        """The same campaign on the same file, twice, with no flag: the
+        second run reuses all four cells and leaves the file alone."""
         outcome, path = finished
-        resumed = run_campaign(micro_campaign(), out=path, resume=True)
+        before = path.read_bytes()
+        resumed = run_campaign(micro_campaign(), out=path)
         assert resumed.ran == 0 and resumed.skipped == 4
         assert to_jsonl(resumed) == to_jsonl(outcome)
+        assert path.read_bytes() == before
 
     def test_interrupted_campaign_resumes_byte_identically(self, finished):
         """Kill a campaign mid-grid; the resumed merged results must be
@@ -240,11 +253,11 @@ class TestRunCampaign:
         interrupted = path.parent / "interrupted.jsonl"
         survivors = path.read_text(encoding="utf-8").splitlines()[:2]
         interrupted.write_text("\n".join(survivors) + "\n", encoding="utf-8")
-        resumed = run_campaign(micro_campaign(), out=interrupted, resume=True)
+        resumed = run_campaign(micro_campaign(), out=interrupted)
         assert resumed.ran == 2 and resumed.skipped == 2
         assert to_jsonl(resumed) == to_jsonl(outcome)
         # And the store itself now holds all four cells.
-        assert len(CampaignStore(interrupted).load()) == 4
+        assert len(CampaignStore(interrupted).cells) == 4
 
     def test_torn_file_resumes_to_the_uninterrupted_bytes(self, finished):
         """Kill a worker mid-append: two whole lines and a fragment of
@@ -255,22 +268,10 @@ class TestRunCampaign:
         lines = path.read_text(encoding="utf-8").splitlines()
         torn.write_text("\n".join(lines[:2]) + "\n" + lines[2][:40],
                         encoding="utf-8")
-        resumed = run_campaign(micro_campaign(), out=torn, resume=True)
+        resumed = run_campaign(micro_campaign(), out=torn)
         assert resumed.ran == 2 and resumed.skipped == 2
         assert to_jsonl(resumed) == to_jsonl(outcome)
         assert torn.read_bytes() == path.read_bytes()
-
-    def test_without_resume_completed_work_is_not_clobbered(self, finished):
-        """Forgetting --resume must not silently destroy finished
-        cells; starting over requires deleting the file explicitly."""
-        outcome, path = finished
-        with pytest.raises(ConfigError, match="resume"):
-            run_campaign(micro_campaign(), out=path, resume=False)
-        assert len(CampaignStore(path).load()) == 4  # untouched
-        fresh_path = path.parent / "fresh.jsonl"
-        fresh = run_campaign(micro_campaign(), out=fresh_path, resume=False)
-        assert fresh.ran == 4 and fresh.skipped == 0
-        assert to_jsonl(fresh) == to_jsonl(outcome)
 
     @NEEDS_A_POOL
     def test_worker_pool_matches_inline_run(self, finished):
@@ -303,47 +304,72 @@ class TestRunCampaign:
     @NEEDS_A_POOL
     def test_dead_worker_ends_in_a_resumable_error(self, finished, monkeypatch):
         """A worker that dies mid-cell: one error naming the unfinished
-        cells and the file, every finished cell on disk, and a resume
-        that runs exactly the rest to the uninterrupted bytes."""
+        cells and the file, every finished cell on disk, and a re-run
+        that runs exactly the rest to the uninterrupted records."""
         outcome, path = finished
         out = path.parent / "dead-worker.jsonl"
         names = [spec.name for spec in micro_campaign().cells()]
         with monkeypatch.context() as patched:
             patched.setattr(runner, "_execute_cell", execute_cell_or_die)
-            with pytest.raises(CampaignError, match="--resume") as error:
+            with pytest.raises(CampaignError, match="re-run the same command") as error:
                 run_campaign(micro_campaign(), out=out)
         message = str(error.value)
         assert str(out) in message and names[3] in message
-        on_disk = CampaignStore(out).load()
+        on_disk = CampaignStore(out).cells
         assert on_disk  # the fourth cell starts only after one finished
         for record, name in zip(outcome.records, names):
             assert (record["cell"] in on_disk) != (name in message)
-        resumed = run_campaign(micro_campaign(), out=out, resume=True)
+        resumed = run_campaign(micro_campaign(), out=out)
         assert resumed.ran == 4 - len(on_disk)
         assert resumed.skipped == len(on_disk)
         assert to_jsonl(resumed) == to_jsonl(outcome)
-        assert len(CampaignStore(out).load()) == 4
+        assert len(CampaignStore(out).cells) == 4
 
     @NEEDS_A_POOL
-    def test_dead_figure_worker_ends_in_one_error(self, monkeypatch):
+    def test_dead_figure_worker_ends_in_one_error(self, tmp_path, monkeypatch):
         """A figure's cell runner on the same pool: one error naming the
-        lost cells, no --resume hint (a figure has no output file), and
-        the finished cells kept in the process's cache."""
-        monkeypatch.setattr(figures, "_CELLS", {})
+        lost cells, the finished cells kept in the figures' store, and
+        a re-run that simulates only the lost ones.  Only a store with
+        a file (``run-figure --out``) is named, with the re-run hint."""
         cells = dict(enumerate(micro_campaign().cells()))
-        with monkeypatch.context() as patched:
-            patched.setattr(runner, "_execute_cell", execute_cell_or_die)
-            with pytest.raises(CampaignError) as error:
-                figures.run_cells(cells)
-        message = str(error.value)
-        assert message.startswith("a worker died with ")
-        assert cells[3].name in message and "--resume" not in message
-        lost = [spec for spec in cells.values() if spec.name in message]
-        assert len(figures._CELLS) == 4 - len(lost)
-        ran = figures.CELL_COUNTS["run"]
-        results = figures.run_cells(cells)
-        assert figures.CELL_COUNTS["run"] - ran == len(lost)
-        assert [r.spec for r in results.values()] == list(cells.values())
+        for path in (None, tmp_path / "figures.jsonl"):
+            store = CampaignStore(path)
+            monkeypatch.setattr(figures, "STORE", store)
+            with monkeypatch.context() as patched:
+                patched.setattr(runner, "_execute_cell", execute_cell_or_die)
+                with pytest.raises(CampaignError) as error:
+                    figures.run_cells(cells)
+            message = str(error.value)
+            assert message.startswith("a worker died with ")
+            assert cells[3].name in message
+            named = path is not None and str(path) in message
+            assert named == ("re-run" in message) == (path is not None)
+            lost = [spec for spec in cells.values() if spec.name in message]
+            assert len(store.cells) == 4 - len(lost)
+            assert CampaignStore(path).cells == (store.cells if path else {})
+            results = figures.run_cells(cells)
+            assert len(store.cells) == 4
+            assert [r.spec for r in results.values()] == list(cells.values())
+
+    def test_a_twice_recorded_cell_is_its_first_record(self, finished, capsys):
+        """One cell recorded twice (say by two campaigns whose files
+        were joined with `cat`): render, reuse and merge all take the
+        first record."""
+        _outcome, path = finished
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        twin = {**json.loads(lines[0]), "campaign": "twin"}
+        doubled = path.parent / "doubled.jsonl"
+        doubled.write_text("".join(lines) + canonical_line(twin) + "\n",
+                           encoding="utf-8")
+        before = doubled.read_bytes()
+        assert main(["campaign", "--render", str(doubled)]) == 0
+        assert "campaign micro (4 cells" in capsys.readouterr().out
+        rerun = run_campaign(micro_campaign(), out=doubled)
+        assert rerun.ran == 0 and rerun.records[0]["campaign"] == "micro"
+        assert doubled.read_bytes() == before
+        merged = path.parent / "doubled-merged.jsonl"
+        assert merge_stores(merged, [doubled]) == (4, 1)
+        assert merged.read_bytes() == path.read_bytes()
 
     def test_progress_callback_sees_every_fresh_cell(self):
         seen = []
@@ -351,15 +377,11 @@ class TestRunCampaign:
         assert sorted(canonical_line(record) for record in seen) == \
             sorted(canonical_line(record) for record in outcome.records)
 
-    def test_resume_requires_an_output_path(self):
-        with pytest.raises(ConfigError):
-            run_campaign(micro_campaign(), resume=True)
-
     @pytest.mark.parametrize("age", ["hash-with-name", "deleted-field"])
     def test_resume_refuses_a_stale_record(self, finished, age, capsys):
         """A record written before the hash dropped ``name``, or before
         a spec field was deleted, is keyed by what is no longer its
-        spec's hash: resume refuses the file (it would run the cell
+        spec's hash: a re-run refuses the file (it would run the cell
         again and record it twice), ``--render`` still shows it."""
         _outcome, path = finished
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -375,7 +397,7 @@ class TestRunCampaign:
                          encoding="utf-8")
         before = stale.read_bytes()
         with pytest.raises(ConfigError, match=str(stale)):
-            run_campaign(micro_campaign(), out=stale, resume=True)
+            run_campaign(micro_campaign(), out=stale)
         assert stale.read_bytes() == before
         assert main(["campaign", "--render", str(stale)]) == 0
         assert record["cell"] in capsys.readouterr().out

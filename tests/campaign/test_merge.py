@@ -1,4 +1,4 @@
-"""Merging campaign stores: dedupe, ordering, refusal semantics."""
+"""Merging campaign stores: dedupe, ordering, refusal of bad inputs."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from repro.core.experiment import ExperimentSpec
 from repro.errors import ConfigError
 
 #: Cells by label, each a distinct spec.
-SEEDS = {"aaa": 1, "bbb": 2, "ccc": 3, "old": 4}
+SEEDS = {"aaa": 1, "bbb": 2, "ccc": 3}
 
 
 def key(label: str) -> str:
@@ -50,20 +50,15 @@ def test_merge_concatenates_and_dedupes(tmp_path):
     assert records[key("bbb")]["x"] == 2
 
 
-def test_merge_refuses_nonempty_output(tmp_path):
-    write_store(tmp_path / "a.jsonl", [rec("aaa")])
-    write_store(tmp_path / "out.jsonl", [rec("old")])
-    with pytest.raises(ConfigError, match="already holds completed cells"):
-        merge_stores(tmp_path / "out.jsonl", [tmp_path / "a.jsonl"])
-
-
 def test_merge_force_appends_only_new_cells(tmp_path):
+    """A merge into a non-empty output appends only the cells it does
+    not hold yet."""
     write_store(tmp_path / "out.jsonl",
                 [rec("aaa", x=1), rec("bbb", x=2)])
     write_store(tmp_path / "a.jsonl",
                 [rec("bbb", x=9), rec("ccc", x=3)])
     merged, dropped = merge_stores(
-        tmp_path / "out.jsonl", [tmp_path / "a.jsonl"], force=True)
+        tmp_path / "out.jsonl", [tmp_path / "a.jsonl"])
     # Only the genuinely new cell lands; the existing record for bbb
     # is kept (first wins), not duplicated or overwritten.
     assert (merged, dropped) == (1, 1)
@@ -73,18 +68,14 @@ def test_merge_force_appends_only_new_cells(tmp_path):
 
 
 def test_merge_force_into_empty_behaves_like_plain(tmp_path):
+    """An output that exists but holds no completed record (here only
+    a killed writer's fragment) is merged into like a fresh one."""
+    (tmp_path / "out.jsonl").write_text('{"cell":"torn', encoding="utf-8")
     write_store(tmp_path / "a.jsonl", [rec("aaa")])
     merged, dropped = merge_stores(
-        tmp_path / "out.jsonl", [tmp_path / "a.jsonl"], force=True)
+        tmp_path / "out.jsonl", [tmp_path / "a.jsonl"])
     assert (merged, dropped) == (1, 0)
     assert cells_in(tmp_path / "out.jsonl") == [key("aaa")]
-
-
-def test_merge_refusal_mentions_force(tmp_path):
-    write_store(tmp_path / "a.jsonl", [rec("aaa")])
-    write_store(tmp_path / "out.jsonl", [rec("old")])
-    with pytest.raises(ConfigError, match="--force"):
-        merge_stores(tmp_path / "out.jsonl", [tmp_path / "a.jsonl"])
 
 
 def test_merge_missing_input(tmp_path):

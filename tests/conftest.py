@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.campaign import CampaignStore
 from repro.core import figures
 from repro.core.clock import VirtualClock
 from repro.flash.config import SSDConfig
@@ -110,28 +111,43 @@ def tiny_ssd(tiny_config, clock) -> SSD:
     return SSD(tiny_config, clock)
 
 
+def count_requests(patch) -> list[int]:
+    """Count the cells the figures request, through *patch* (a
+    ``MonkeyPatch``): the returned ``[n]`` grows by the number of specs
+    each ``figures.run_cells`` call asks for."""
+    counts = [0]
+    real = figures.run_cells
+
+    def run_cells(requests):
+        counts[0] += len(requests)
+        return real(requests)
+
+    patch.setattr(figures, "run_cells", run_cells)
+    return counts
+
+
 @pytest.fixture(scope="session")
 def figure_sweep():
     """The ten figures at SMALL, run once per session: cold from an
-    empty cell cache, then warm, on the cell runner's worker pool.
+    empty in-memory store, then warm, on the cell runner's worker pool.
 
     ``passes`` is ``[cold, warm]``, each ``{figure_id: (cells
-    requested, cells simulated, figure)}``, the two counts read from
-    ``figures.CELL_COUNTS``; ``cells`` is the cache the sweep filled,
-    one record per cell hash.
-    The process's own cache is put back afterwards.
+    requested, cells simulated, figure)}``: requests counted around
+    ``figures.run_cells``, simulations as the store's growth;
+    ``cells`` is what the store holds, one record per cell hash.
+    The process's own store is put back afterwards.
     """
-    cells: dict = {}
-    counts = figures.CELL_COUNTS
+    store = CampaignStore()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(figures, "_CELLS", cells)
+        asked = count_requests(patch)
+        patch.setattr(figures, "STORE", store)
         passes = []
         for _ in ("cold", "warm"):
             record = {}
             for figure_id, build in figures.FIGURES.items():
-                ran, shared = counts["run"], counts["shared"]
+                before = asked[0], len(store.cells)
                 figure = build(figures.SMALL)
-                ran, shared = counts["run"] - ran, counts["shared"] - shared
-                record[figure_id] = (ran + shared, ran, figure)
+                record[figure_id] = (asked[0] - before[0],
+                                     len(store.cells) - before[1], figure)
             passes.append(record)
-    return SimpleNamespace(passes=passes, cells=cells)
+    return SimpleNamespace(passes=passes, cells=store.cells)

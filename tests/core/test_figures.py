@@ -1,4 +1,4 @@
-"""The figure sweep and its cell cache (DESIGN.md §5.5).
+"""The figure sweep and its cell store (DESIGN.md §5.5).
 
 The session's one sweep of the ten figures at SMALL, cold and then
 warm on the cell runner's worker pool (``figure_sweep`` in
@@ -22,6 +22,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.campaign import CampaignStore
 from repro.core import figures
 from repro.core.experiment import (Engine, ExperimentResult, ExperimentSpec,
                                    run_experiment)
@@ -66,14 +67,23 @@ def sweep(figure_sweep):
     return figure_sweep.passes
 
 
+def store_of(records) -> CampaignStore:
+    """An in-memory store holding *records*."""
+    store = CampaignStore()
+    for record in records:
+        store.append(record)
+    return store
+
+
 def out_of_space_when(monkeypatch, figure_sweep, ran_out) -> None:
-    """Serve SMALL cells from the sweep's cache, where every record
-    ``ran_out(spec)`` picks reports that it ran out of space."""
-    monkeypatch.setattr(figures, "_CELLS", {
-        cell: {**record, "out_of_space": True, "steady": None}
+    """Serve SMALL cells from a store of the sweep's records, where
+    every record ``ran_out(spec)`` picks reports that it ran out of
+    space."""
+    monkeypatch.setattr(figures, "STORE", store_of(
+        {**record, "out_of_space": True, "steady": None}
         if ran_out(ExperimentSpec.from_dict(record["spec"])) else record
-        for cell, record in figure_sweep.cells.items()
-    })
+        for record in figure_sweep.cells.values()
+    ))
 
 
 class TestSharing:
@@ -83,7 +93,7 @@ class TestSharing:
             assert {f: asked for f, (asked, _, _) in record.items()} == REQUESTS
         assert sum(ran for _, ran, _ in cold.values()) == 40
         assert not any(ran for _, ran, _ in warm.values())
-        # The 40 cells the cache holds are the distinct cells the
+        # The 40 cells the store holds are the distinct cells the
         # results carry, and fig4's two (it keeps derived data only).
         carried = {r.spec.stable_hash() for _, _, figure in cold.values()
                    for r in results_in(figure.data)}
@@ -120,7 +130,7 @@ class TestSharing:
     def test_one_call_rebuilds_each_cell_once(self, figure_sweep, monkeypatch):
         """Two requests for one cell in one call share its rebuilt,
         read-only payload; only the spec is each request's own."""
-        monkeypatch.setattr(figures, "_CELLS", figure_sweep.cells)
+        monkeypatch.setattr(figures, "STORE", store_of(figure_sweep.cells.values()))
         spec = spec_for(SMALL, Engine.LSM)
         results = figures.run_cells({"a": spec, "b": replace(spec, name="b")})
         assert [r.spec.name for r in results.values()] == ["lsm", "b"]
@@ -147,11 +157,10 @@ class TestSharing:
         wherever that is two or more)."""
         runs = []
         for pin in (one_cpu, contextlib.nullcontext):
-            monkeypatch.setattr(figures, "_CELLS", {})
-            ran = figures.CELL_COUNTS["run"]
+            monkeypatch.setattr(figures, "STORE", CampaignStore())
             with pin():
                 runs.append({f: figures.FIGURES[f](SMALL) for f in ("fig2", "fig11")})
-            assert figures.CELL_COUNTS["run"] - ran == 10
+            assert len(figures.STORE.cells) == 10
         inline, pooled = runs
         for figure_id, figure in inline.items():
             assert figure.text == pooled[figure_id].text

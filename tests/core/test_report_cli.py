@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
+from repro.campaign import CampaignStore
 from repro.cli import _build_parser, _render_fleet, _spec_from_args, main
+from repro.core import figures
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.report import (SERIES_POINTS, render_campaign, render_series,
                                render_table)
 from repro.units import MIB
+from tests.conftest import count_requests, one_cpu
 from tests.obs.schema import validate_chrome_trace
 
 
@@ -115,23 +120,58 @@ class TestCli:
         assert "btree on ssd3" in capsys.readouterr().out
 
     def test_run_figure_to_file(self, tmp_path, capsys, monkeypatch):
-        # fig2's two cells are two of fig3's four.
-        from repro.core import figures
-
-        monkeypatch.setattr(figures, "_CELLS", {})
-        out_file = tmp_path / "figs.txt"
+        """`--out F` keeps the sweep's cell records in F, not in the
+        process's store; fig2's two cells are two of fig3's four."""
+        held = CampaignStore()
+        monkeypatch.setattr(figures, "STORE", held)
+        out_file = tmp_path / "figs.jsonl"
+        asked = count_requests(monkeypatch)
         code = main(["run-figure", "fig2", "fig3", "--scale", "small",
                      "--out", str(out_file)])
-        assert code == 0
+        assert code == 0 and asked == [6]
+        assert figures.STORE is held and not held.cells
+        printed = capsys.readouterr().out
+        # The file's records give the same texts, running nothing.
+        monkeypatch.setattr(figures, "STORE", CampaignStore(out_file))
         fig2 = figures.fig2_steady_state(figures.SMALL).text
         fig3 = figures.fig3_drive_state(figures.SMALL).text
-        assert capsys.readouterr().out == \
-            f"{fig2}\n{fig3}\n4 cell(s) run, 2 shared\n"
-        assert out_file.read_text() == f"{fig2}\n\n{fig3}\n"
+        assert len(figures.STORE.cells) == 4
+        assert printed == \
+            f"{fig2}\n{fig3}\n4 cell(s) run, 4 held in {out_file}\n"
+        assert len(out_file.read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("pin", [one_cpu, contextlib.nullcontext],
+                             ids=["one-cpu", "pooled"])
+    def test_interrupted_figure_sweep_reruns_to_the_same_bytes(
+            self, pin, tmp_path, capsys):
+        """A `run-figure --out` sweep cut short after k records, once
+        with a torn tail, and re-run with the same --out: the file's
+        bytes and the printed texts are the uninterrupted run's.  A
+        finished sweep re-run simulates nothing and leaves the file
+        alone."""
+        argv = ["run-figure", "fig2", "fig3", "--scale", "small", "--out"]
+        full = tmp_path / "full.jsonl"
+        assert main(argv + [str(full)]) == 0
+        texts, _closing = capsys.readouterr().out[:-1].rsplit("\n", 1)
+        lines = full.read_text(encoding="utf-8").splitlines(keepends=True)
+        cuts = {"cut.jsonl": "".join(lines[:1]),
+                "torn.jsonl": "".join(lines[:2]) + lines[2][:40]}
+        with pin():
+            for name, kept in cuts.items():
+                cut = tmp_path / name
+                cut.write_text(kept, encoding="utf-8")
+                assert main(argv + [str(cut)]) == 0
+                ran = 4 - kept.count("\n")
+                assert capsys.readouterr().out == \
+                    f"{texts}\n{ran} cell(s) run, 4 held in {cut}\n"
+                assert cut.read_bytes() == full.read_bytes()
+            before = full.read_bytes()
+            assert main(argv + [str(full)]) == 0
+            assert capsys.readouterr().out == \
+                f"{texts}\n0 cell(s) run, 4 held in {full}\n"
+            assert full.read_bytes() == before
 
     def test_run_figure_all_is_the_registry_in_order(self, capsys, monkeypatch):
-        from repro.core import figures
-
         calls = []
         for name in figures.FIGURES:
             monkeypatch.setitem(
@@ -140,7 +180,7 @@ class TestCli:
                 or figures.FigureResult(name, name, {}, name))
         assert main(["run-figure", "all", "--scale", "small"]) == 0
         assert calls == list(figures.FIGURES)
-        assert capsys.readouterr().out.endswith("fig11\n0 cell(s) run, 0 shared\n")
+        assert capsys.readouterr().out.endswith("fig11\n0 cell(s) run\n")
 
     def test_unknown_figure_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -202,14 +242,29 @@ class TestCli:
         assert "engine=lsm" in out
 
     def test_campaign_runs_and_resumes(self, tmp_path, capsys):
-        out_path = str(tmp_path / "smoke.jsonl")
-        assert main(["campaign", "--preset", "smoke", "--out", out_path]) == 0
+        """The same command twice: the second run reuses every cell
+        its output file holds and leaves the file alone."""
+        out_path = tmp_path / "smoke.jsonl"
+        argv = ["campaign", "--preset", "smoke", "--out", str(out_path)]
+        assert main(argv) == 0
         first = capsys.readouterr().out
         assert "4 cell(s) run, 0 resumed" in first
-        assert len((tmp_path / "smoke.jsonl").read_text().splitlines()) == 4
-        assert main(["campaign", "--preset", "smoke", "--out", out_path,
-                     "--resume"]) == 0
+        before = out_path.read_bytes()
+        assert len(before.splitlines()) == 4
+        assert main(argv) == 0
         assert "0 cell(s) run, 4 resumed" in capsys.readouterr().out
+        assert out_path.read_bytes() == before
+
+    def test_rendering_an_empty_campaign_file_is_one_error(self, tmp_path, capsys):
+        """A file with no completed record is a bad input, like a
+        missing one: one `error:` line on stderr, exit 2."""
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text('{"cell":"torn', encoding="utf-8")
+        assert main(["campaign", "--render", str(empty)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(empty) in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_campaign_requires_known_preset(self):
         with pytest.raises(SystemExit):
