@@ -17,11 +17,10 @@ latencies.  No file contents are kept: key-value payloads are (seed,
 length) descriptors rather than real bytes, so ``append`` / ``pwrite``
 take a byte count and ``pread`` returns a latency.
 
-File extent tables are array-backed (parallel int64 start/length
-columns with a cached cumulative page count): new extents are pushed
-as one coalescing batch, page runs resolve with two ``searchsorted``
-calls, and deletion frees the whole table in one allocator pass
-(DESIGN.md §12).
+A file's extent table is three plain lists — device starts, lengths
+and a running page count — so a page range resolves with ``bisect``,
+and deleting a file frees its extents as one allocator batch
+(DESIGN.md §12.1).
 
 Engines reach the device only through this layer.  A write goes down
 as one block request of the range's device runs (``write_runs``), a
@@ -33,127 +32,47 @@ through :meth:`~ExtentFilesystem.write_runs` /
 
 from __future__ import annotations
 
-import numpy as np
+from bisect import bisect_left, bisect_right
 
 from repro.errors import FileExistsError_, FileNotFoundError_, FilesystemError
 from repro.fs.allocator import Extent, ExtentAllocator
 
 
 class FileMeta:
-    """Metadata of one file: its extents (in file order) and byte size.
+    """Metadata of one file: its byte size and its extents in file order.
 
-    Extents live in a pair of parallel growable int64 arrays; the
-    cumulative page count per extent is cached as an int64 column and
-    invalidated by every extent mutation.  ``_first`` is the first
-    extent's device start as a Python int: extents are only appended
-    and a merge only lengthens the tail, so it never changes once set.
+    Extent ``i`` is ``starts[i]``/``lens[i]`` on the device and begins
+    at file page ``offsets[i]``; ``offsets[-1]`` is the file's page
+    count.  Extents are only appended and a merge only lengthens the
+    tail, so an allocated file page never moves.
     """
 
-    __slots__ = ("name", "size_bytes", "_es", "_el", "_ne",
-                 "_pages", "_cum", "_first")
+    __slots__ = ("name", "size_bytes", "starts", "lens", "offsets")
 
     def __init__(self, name: str):
         self.name = name
         self.size_bytes = 0
-        self._es = np.empty(4, dtype=np.int64)  # extent device starts
-        self._el = np.empty(4, dtype=np.int64)  # parallel lengths
-        self._ne = 0
-        self._pages = 0
-        self._cum: np.ndarray | None = None
-        self._first = 0
-
-    @property
-    def npages(self) -> int:
-        """Pages allocated to the file."""
-        return self._pages
+        self.starts: list[int] = []
+        self.lens: list[int] = []
+        self.offsets = [0]
 
     @property
     def extents(self) -> list[Extent]:
         """The extent table as (start, npages) tuples (a copy)."""
-        ne = self._ne
-        return list(zip(self._es[:ne].tolist(), self._el[:ne].tolist()))
-
-    def cumulative(self) -> np.ndarray:
-        """``cumulative()[i]`` = pages in extents[0..i]; cached."""
-        if self._cum is None:
-            self._cum = np.cumsum(self._el[:self._ne])
-        return self._cum
-
-    # ------------------------------------------------------------------
-    # Extent mutation
-    # ------------------------------------------------------------------
-    def _grow(self, need: int) -> None:
-        cap = self._es.size
-        if need <= cap:
-            return
-        while cap < need:
-            cap *= 2
-        es = np.empty(cap, dtype=np.int64)
-        el = np.empty(cap, dtype=np.int64)
-        ne = self._ne
-        es[:ne] = self._es[:ne]
-        el[:ne] = self._el[:ne]
-        self._es, self._el = es, el
-
-    def push_extent(self, extent: Extent) -> None:
-        """Append one extent, merging with the previous if adjacent."""
-        self._cum = None
-        self._pages += extent[1]
-        ne = self._ne
-        if ne:
-            last_start = int(self._es[ne - 1])
-            last_len = int(self._el[ne - 1])
-            if last_start + last_len == extent[0]:
-                self._el[ne - 1] = last_len + extent[1]
-                return
-        else:
-            self._first = int(extent[0])
-        self._grow(ne + 1)
-        self._es[ne] = extent[0]
-        self._el[ne] = extent[1]
-        self._ne = ne + 1
+        return list(zip(self.starts, self.lens))
 
     def push_extents(self, extents: list[Extent]) -> None:
-        """Append a batch of extents in one coalescing array pass.
-
-        Equivalent to pushing them one by one: runs of file-order
-        adjacency (including adjacency with the current tail extent)
-        collapse into single extents, exactly as the iterative
-        tail-merge would produce.
-        """
-        k = len(extents)
-        if k <= 1:
-            for extent in extents:
-                self.push_extent(extent)
-            return
-        self._cum = None
-        es = np.fromiter((e[0] for e in extents), dtype=np.int64, count=k)
-        el = np.fromiter((e[1] for e in extents), dtype=np.int64, count=k)
-        self._pages += int(el.sum())
-        ne = self._ne
-        if ne:
-            # Fold the current tail extent into the coalesce pass.
-            cs = np.concatenate([self._es[ne - 1 : ne], es])
-            cl = np.concatenate([self._el[ne - 1 : ne], el])
-            base = ne - 1
-        else:
-            cs, cl = es, el
-            base = 0
-            self._first = int(es[0])
-        ends = cs + cl
-        first = np.empty(len(cs), dtype=bool)
-        first[0] = True
-        np.not_equal(cs[1:], ends[:-1], out=first[1:])
-        idx_first = np.flatnonzero(first)
-        new_s = cs[idx_first]
-        last_ends = np.empty(len(idx_first), dtype=np.int64)
-        last_ends[:-1] = ends[idx_first[1:] - 1]
-        last_ends[-1] = ends[-1]
-        need = base + len(new_s)
-        self._grow(need)
-        self._es[base:need] = new_s
-        self._el[base:need] = last_ends - new_s
-        self._ne = need
+        """Append extents in file order; one that begins where the
+        tail extent ends lengthens it instead."""
+        starts, lens, offsets = self.starts, self.lens, self.offsets
+        for start, npages in extents:
+            if starts and starts[-1] + lens[-1] == start:
+                lens[-1] += npages
+                offsets[-1] += npages
+            else:
+                starts.append(start)
+                lens.append(npages)
+                offsets.append(offsets[-1] + npages)
 
 
 class ExtentFilesystem:
@@ -181,8 +100,8 @@ class ExtentFilesystem:
     def delete(self, name: str) -> None:
         """Delete a file, freeing its extents without a TRIM (``nodiscard``).
 
-        All extents return to the allocator in one batched
-        :meth:`~repro.fs.allocator.ExtentAllocator.free_many` merge.
+        All extents return to the allocator as one
+        :meth:`~repro.fs.allocator.ExtentAllocator.free_many` batch.
         """
         self.allocator.free_many(self._lookup(name).extents)
         del self._files[name]
@@ -211,7 +130,7 @@ class ExtentFilesystem:
         old_pages = _ceil_div(old_size, page_size)
         new_pages = _ceil_div(new_size, page_size)
         if new_pages > old_pages:
-            self._push_new_extents(meta, new_pages - old_pages)
+            meta.push_extents(self.allocator.alloc(new_pages - old_pages))
         meta.size_bytes = new_size
 
         # Pages touched: the (possibly partial) page containing old EOF
@@ -235,7 +154,7 @@ class ExtentFilesystem:
         new_size = meta.size_bytes + nbytes
         new_pages = _ceil_div(new_size, self.page_size)
         if new_pages > old_pages:
-            self._push_new_extents(meta, new_pages - old_pages)
+            meta.push_extents(self.allocator.alloc(new_pages - old_pages))
         meta.size_bytes = new_size
 
     def pwrite(self, name: str, offset: int, nbytes: int,
@@ -254,15 +173,10 @@ class ExtentFilesystem:
         page_size = self.page_size
         first_page = offset // page_size
         count = -(-end // page_size) - first_page
-        if meta._ne == 1:  # a one-extent file (the journal ring): arithmetic
-            return self.device.write_runs((meta._first + first_page,),
+        if len(meta.starts) == 1:  # a one-extent file (the journal ring)
+            return self.device.write_runs((meta.starts[0] + first_page,),
                                           (count,), background)
         return self._write_file_pages(meta, first_page, count, background)
-
-    def _push_new_extents(self, meta: FileMeta, npages: int) -> None:
-        """Allocate *npages* and append the granted extents to *meta*
-        as one coalescing batch."""
-        meta.push_extents(self.allocator.alloc(npages))
 
     def _write_file_pages(self, meta: FileMeta, first_page: int, count: int,
                           background: bool) -> float:
@@ -361,9 +275,14 @@ class ExtentFilesystem:
                 overlap = claimed.intersection(pages)
                 assert not overlap, f"files share pages {sorted(overlap)[:4]}"
                 claimed.update(pages)
-            assert meta.npages == sum(l for _, l in meta.extents)
-            assert not meta.extents or meta._first == meta.extents[0][0]
-            assert meta.npages >= _ceil_div(meta.size_bytes, self.page_size)
+            offsets = meta.offsets
+            assert len(offsets) == len(meta.lens) + 1 and offsets[0] == 0
+            assert all(a + n == b for a, n, b in zip(offsets, meta.lens,
+                                                     offsets[1:]))
+            assert all(s + n != t for s, n, t in zip(meta.starts, meta.lens,
+                                                     meta.starts[1:])), \
+                "uncoalesced neighbouring extents"
+            assert offsets[-1] >= _ceil_div(meta.size_bytes, self.page_size)
         free = {
             page
             for start, length in self.allocator.free_extents()
@@ -403,30 +322,22 @@ class ExtentFilesystem:
               count: int) -> tuple[list[int], list[int]]:
         """Device runs covering file pages [first_page, first_page+count),
         as ``(starts, lens)`` lists in file order."""
-        ne = meta._ne
-        if ne == 1:
-            # One-extent files (the pre-allocated journal ring, small
-            # logs) resolve with pure arithmetic.
-            if first_page + count > meta._pages:
-                raise FilesystemError(
-                    f"file {meta.name!r} has no pages for requested range"
-                )
-            return [meta._first + first_page], [count]
-        cum = meta.cumulative()
-        if ne == 0 or first_page + count > int(cum[-1]):
+        offsets = meta.offsets
+        end = first_page + count
+        if end > offsets[-1]:
             raise FilesystemError(
                 f"file {meta.name!r} has no pages for requested range"
             )
-        i0 = int(cum.searchsorted(first_page, side="right"))
-        skip = first_page - (int(cum[i0 - 1]) if i0 > 0 else 0)
-        if skip + count <= int(meta._el[i0]):
-            return [int(meta._es[i0]) + skip], [count]
-        i1 = int(cum.searchsorted(first_page + count - 1, side="right")) + 1
-        starts = meta._es[i0:i1].tolist()
-        lens = meta._el[i0:i1].tolist()
+        i = bisect_right(offsets, first_page) - 1
+        skip = first_page - offsets[i]
+        if end <= offsets[i + 1]:
+            return [meta.starts[i] + skip], [count]
+        j = bisect_left(offsets, end, i + 2)
+        starts = meta.starts[i:j]
+        lens = meta.lens[i:j]
         starts[0] += skip
         lens[0] -= skip
-        lens[-1] = count - sum(lens[:-1])
+        lens[-1] = end - offsets[j - 1]
         return starts, lens
 
 

@@ -21,8 +21,9 @@ from repro.fleet.router import make_router
 from repro.units import usec
 
 # ``--hypothesis-profile=ci``: ten times the default example count,
-# the same examples on every run.  CI's tier-1 job runs the FTL
-# lockstep (tests/flash/test_ftl_lockstep.py), the device-timing
+# the same examples on every run.  CI's tier-1 job runs the allocator's
+# property tests and model lockstep (tests/fs/test_allocator.py), the
+# FTL lockstep (tests/flash/test_ftl_lockstep.py), the device-timing
 # lockstep (tests/flash/test_timing_lockstep.py), the driver lockstep
 # (tests/workload/test_driver_lockstep.py), the LSM reads lockstep
 # (tests/lsm/test_reads_lockstep.py) and the KV model

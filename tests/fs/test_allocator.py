@@ -81,25 +81,91 @@ class TestNextFitBehaviour:
                                       "fs_strategy": "next-fit"})
 
 
+def _free_list(lengths, gaps):
+    """An allocator whose free list is the extents of *lengths*, each
+    after a used run of *gaps* pages."""
+    starts, at = [], 0
+    for length, gap in zip(lengths, gaps):
+        starts.append(at + gap)
+        at += gap + length
+    alloc = ExtentAllocator(at)
+    alloc._s, alloc._l = starts, list(lengths)
+    alloc.free_pages = sum(lengths)
+    alloc.check_invariants()
+    return alloc
+
+
+def _untemper(y):
+    """The MT19937 word whose tempered output is *y*."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xefc60000
+    x = y
+    for _ in range(5):
+        x = y ^ ((x << 7) & 0x9d2c5680)
+    y = x = x & 0xffffffff
+    for _ in range(3):
+        x = y ^ (x >> 11)
+    return x
+
+
+def _generator_drawing(k):
+    """A generator whose first ``random()`` is ``k / 2**53``: numpy
+    builds an MT19937 double from the top 27 and 26 bits of the next
+    two words, which are the tempered ``key[pos]`` and ``key[pos+1]``."""
+    bitgen = np.random.MT19937(0)
+    state = bitgen.state
+    key = state["state"]["key"].copy()
+    key[0] = _untemper((k >> 26) << 5)
+    key[1] = _untemper((k & (2**26 - 1)) << 6)
+    state["state"] = {"key": key, "pos": 0}
+    bitgen.state = state
+    return np.random.Generator(bitgen)
+
+
 class TestScatterPivotStream:
     def test_inlined_choice_matches_numpy_choice(self):
-        # _scatter_pivot hand-inlines rng.choice(count, p=w / w.sum())
-        # (same arithmetic, one random() draw).  Pin the equivalence so
-        # a numpy whose Generator.choice internals differ is caught —
-        # the extent stream, and with it every figure, depends on it.
+        # _scatter_pivot is rng.choice(count, p=w / w.sum()) inlined
+        # (same arithmetic, one random() draw).  Drive it against
+        # Generator.choice from the same seed, so that a numpy whose
+        # choice internals differ is caught: the extent stream, and with
+        # it every figure, depends on it.
         rng_master = np.random.default_rng(7)
-        for _ in range(500):
-            count = int(rng_master.integers(1, 60))
-            weights = rng_master.integers(1, 5000, size=count).astype(np.float64)
+        for trial in range(500):
+            count = int(rng_master.integers(1, 130))
+            top = 4 if trial % 3 == 0 else 5000  # small tops tie weights
+            lengths = rng_master.integers(1, top, size=count).tolist()
+            alloc = _free_list(lengths,
+                               rng_master.integers(1, 9, size=count).tolist())
             seed = int(rng_master.integers(0, 2**32))
-            a = np.random.default_rng(seed)
-            b = np.random.default_rng(seed)
-            expected = int(a.choice(count, p=weights / weights.sum()))
-            cdf = (weights / weights.sum()).cumsum()
+            alloc._rng = np.random.default_rng(seed)
+            numpy_rng = np.random.default_rng(seed)
+            weights = np.array(lengths, dtype=np.float64)
+            expected = int(numpy_rng.choice(count, p=weights / weights.sum()))
+            assert alloc._scatter_pivot() == expected
+            assert alloc._rng.random() == numpy_rng.random()  # aligned
+
+    def test_draws_at_the_cdf_steps_match_numpy_choice(self):
+        # The draws a seed rarely reaches: equal to a CDF step, and one
+        # step of random()'s 2**-53 grid below and above it.
+        rng = np.random.default_rng(5)
+        for lengths in ([1, 1, 1], [3, 3, 3, 3, 3, 3, 3], [1, 2, 4, 8, 16],
+                        [7], rng.integers(1, 100, size=40).tolist()):
+            alloc = _free_list(lengths, [1] * len(lengths))
+            weights = np.array(lengths, dtype=np.float64)
+            p = weights / weights.sum()
+            cdf = p.cumsum()
             cdf /= cdf[-1]
-            pivot = int(cdf.searchsorted(b.random(), side="right"))
-            assert pivot == expected
-            assert a.random() == b.random()  # streams stay aligned
+            for step in cdf:
+                at = int(step * 2**53)  # exact: a power-of-two scale
+                for k in (at - 1, at, at + 1):
+                    if not 0 <= k < 2**53:
+                        continue
+                    assert _generator_drawing(k).random() == k / 2**53
+                    numpy_rng = _generator_drawing(k)
+                    alloc._rng = _generator_drawing(k)
+                    expected = int(numpy_rng.choice(len(lengths), p=p))
+                    assert alloc._scatter_pivot() == expected, (lengths, k)
+                    assert alloc._rng.random() == numpy_rng.random()
 
     def test_length_cache_stays_in_sync(self):
         alloc = ExtentAllocator(512, seed=1)
@@ -128,7 +194,7 @@ class TestCoalescing:
 
 
 class TestPropertyBased:
-    @settings(max_examples=60, deadline=None)
+    @settings(deadline=None)
     @given(
         ops=st.lists(
             st.tuples(st.sampled_from(["alloc", "free"]), st.integers(1, 40)),
@@ -152,7 +218,7 @@ class TestPropertyBased:
             alloc.check_invariants()
         assert alloc.free_pages == 512 - sum(n for _, n in held)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(deadline=None)
     @given(sizes=st.lists(st.integers(1, 30), min_size=1, max_size=30))
     def test_no_extent_handed_out_twice(self, sizes):
         alloc = ExtentAllocator(1024)
@@ -165,6 +231,28 @@ class TestPropertyBased:
                 assert not pages & claimed
                 claimed |= pages
         alloc.check_invariants()
+
+    @settings(deadline=None)
+    @given(ops=st.lists(st.tuples(st.integers(1, 40), st.integers(0, 3),
+                                  st.integers(0, 63)),
+                        min_size=1, max_size=60))
+    def test_lockstep_with_the_page_model(self, ops):
+        """Every grant predicted and every free list equal to
+        :class:`FreePageModel`'s, through single and batched frees."""
+        alloc, model = _scatter_pair(256, seed=3)
+        held: list[tuple[int, int]] = []
+        for size, nfree, pick in ops:
+            if size <= alloc.free_pages:
+                held.extend(_alloc(alloc, model, size))
+            if held and nfree:
+                i = pick % len(held)
+                batch, held[i:i + nfree] = held[i:i + nfree], []
+                if len(batch) == 1:
+                    alloc.free(*batch[0])
+                else:
+                    alloc.free_many(batch)
+                model.give(batch)
+            _assert_matches(alloc, model)
 
 
 class FreePageModel:
@@ -360,3 +448,25 @@ class TestEdgeCasePins:
             alloc.free_many(got)
         with pytest.raises(ConfigError):
             alloc.free_many(got[:1])
+
+    def test_refused_batch_frees_nothing(self):
+        # Each batch holds a freeable extent first, then one the free
+        # list or the batch itself refuses: a per-extent loop would
+        # free the first before it raised.
+        alloc = ExtentAllocator(64)
+        held = alloc.alloc(40)
+        assert held == [(0, 40)]
+        alloc.free(30, 10)  # [30, 40) is free again
+        for batch in ([(0, 4), (32, 2)],             # already free
+                      [(0, 4), (60, 8)],             # past the end
+                      [(0, 4), (-1, 1)],             # before the start
+                      [(0, 4), (10, 6), (14, 4)],    # overlap each other
+                      [(0, 4), (10, 4), (10, 4)],    # the same one twice
+                      [(0, 4), (20, 0)]):            # empty
+            before = (alloc.free_extents(), alloc.free_pages)
+            with pytest.raises(ConfigError):
+                alloc.free_many(batch)
+            assert (alloc.free_extents(), alloc.free_pages) == before
+            alloc.check_invariants()
+        alloc.free_many([(10, 6), (0, 4)])  # a good batch, out of order
+        assert alloc.free_extents() == [(0, 4), (10, 6), (30, 34)]

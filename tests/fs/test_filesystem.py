@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -278,3 +280,78 @@ class TestPropertyBased:
             sorted(model)
         assert fs.used_pages == sum(-(-size // 4096) for size in model.values())
         fs.check_invariants()
+
+
+def page_runs(pages: list[int]) -> list[tuple[int, int]]:
+    """Maximal runs of consecutive device pages, in list order."""
+    runs: list[tuple[int, int]] = []
+    for page in pages:
+        if runs and runs[-1][0] + runs[-1][1] == page:
+            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+        else:
+            runs.append((page, 1))
+    return runs
+
+
+class TestExtentTablesAgainstPageLists:
+    """An independent reference for the extent tables: each file is the
+    list of device pages behind its pages (file page i maps to
+    ``pages[i]``), grown by the extents the allocator grants.  Shares
+    no code with ``src/``."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_byte_runs_match_the_page_lists(self, seed):
+        rng = random.Random(seed)
+        fs = ExtentFilesystem(BlockDevice(SSD(make_tiny_config(),
+                                              VirtualClock())))
+        # Holes of one to seven pages over half the device, so that a
+        # grant spans extents and a file's extents interleave.
+        pads = 0
+        while fs.used_pages < fs.allocator.npages // 2:
+            fs.create(f"pad{pads}")
+            fs.reserve(f"pad{pads}", 4096 * (1 + pads % 7))
+            pads += 1
+        for i in range(0, pads, 2):
+            fs.delete(f"pad{i}")
+        grants: list[tuple[int, int]] = []
+        alloc = fs.allocator.alloc
+
+        def spy(npages):
+            got = alloc(npages)
+            grants.extend(got)
+            return got
+
+        fs.allocator.alloc = spy
+        sizes: dict[str, int] = {}
+        pages: dict[str, list[int]] = {}
+        for _ in range(60):
+            name = f"f{rng.randrange(4)}"
+            kind = rng.choice(["append", "append", "reserve", "delete"])
+            if kind == "delete":
+                if name in sizes:
+                    fs.delete(name)
+                    del sizes[name], pages[name]
+                continue
+            if name not in sizes:
+                fs.create(name)
+                sizes[name], pages[name] = 0, []
+            nbytes = rng.randint(1, 40_000)
+            grants.clear()
+            try:
+                getattr(fs, kind)(name, nbytes)
+            except NoSpaceError:
+                assert not grants
+                continue
+            sizes[name] += nbytes
+            pages[name] += [page for start, npages in grants
+                            for page in range(start, start + npages)]
+            assert len(pages[name]) == -(-sizes[name] // 4096)
+            fs.check_invariants()
+            for other, size in sizes.items():
+                for _ in range(3 if size else 0):
+                    offset = rng.randrange(size)
+                    nbytes = rng.randint(1, size - offset)
+                    first = offset // 4096
+                    last = -(-(offset + nbytes) // 4096)
+                    assert fs.byte_runs(other, offset, nbytes) == \
+                        page_runs(pages[other][first:last])
