@@ -8,7 +8,8 @@ The package bundles:
   collection, trim/preconditioning and SSD1/SSD2/SSD3 device profiles;
 * an OS block layer (:mod:`repro.block`): the device the filesystem
   mounts, its exposed range (software over-provisioning), its
-  iostat byte counters and a blktrace-style monitor;
+  iostat byte counters and, for Fig 4, its blktrace-style per-LBA
+  write histogram;
 * an extent filesystem (:mod:`repro.fs`);
 * two key-value engines: an LSM tree (:mod:`repro.lsm`, the RocksDB
   model) and a B+Tree (:mod:`repro.btree`, the WiredTiger model);
@@ -16,7 +17,10 @@ The package bundles:
 * the paper's benchmarking methodology (:mod:`repro.core`): metrics,
   CUSUM steady-state detection, experiment orchestration, the storage
   cost model, the seven-pitfall checklist, and one function per paper
-  figure (:mod:`repro.core.figures`).
+  figure (:mod:`repro.core.figures`);
+* campaigns (:mod:`repro.campaign`): grids of cells, each turned into
+  its record by one cell runner (``run_cell``, also ``repro run``'s),
+  traced or not.
 
 Quickstart::
 

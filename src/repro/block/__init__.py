@@ -1,9 +1,8 @@
-"""OS block layer: the device the filesystem mounts, and blktrace."""
+"""OS block layer: the device the filesystem mounts, which counts its
+own bytes and, for Fig 4, its per-LBA writes."""
 
-from repro.block.blktrace import BlkTrace
 from repro.block.device import BlockDevice
 
 __all__ = [
     "BlockDevice",
-    "BlkTrace",
 ]

@@ -9,11 +9,11 @@ prefix of the :class:`~repro.flash.ssd.SSD`'s logical space (a reserved
 tail is never written and acts as extra spare space for garbage
 collection), refuses requests outside that range, re-drives writes
 that hit a transient device error within its retry budget
-(:class:`~repro.faults.retry.RetryPolicy`), and tells attached
-observers (:class:`~repro.block.blktrace.BlkTrace`) about each write.
-It has one entry per direction, both taking device runs: ``write_runs``
-(all the runs of a call are one request) and ``read_runs`` (each run is
-its own request).
+(:class:`~repro.faults.retry.RetryPolicy`), and, when asked, counts
+the writes each logical page takes (``lba_histogram``, Fig 4).  It has
+one entry per direction, both taking device runs: ``write_runs`` (all
+the runs of a call are one request) and ``read_runs`` (each run is its
+own request).
 
 ``bytes_written`` / ``bytes_read`` (``block.*`` in a snapshot) are the
 cumulative per-device counters ``iostat`` reports deltas of: a window's
@@ -24,21 +24,11 @@ it executes, like a KV operation (``MetricsCollector.sample``).
 
 from __future__ import annotations
 
-from typing import Protocol
+import numpy as np
 
 from repro.errors import ConfigError, DeviceError, OutOfRangeError
 from repro.flash.ftl import run_pages
 from repro.flash.ssd import SSD
-
-
-class BlockObserver(Protocol):
-    """Interface for blktrace-style observers of host writes, the
-    requests Fig 4 traces.  *t* is the submission time: a request never
-    moves the clock (its caller advances by the latency returned), so
-    it is read once served."""
-
-    def on_write(self, t: float, starts, lens) -> None:
-        """Called for every write request with its device runs."""
 
 
 class BlockDevice:
@@ -65,11 +55,14 @@ class BlockDevice:
         # Bytes of the requests that succeeded (a retried write once).
         self.bytes_written = 0
         self.bytes_read = 0
-        self._observers: list[BlockObserver] = []
+        # Writes per logical page of the whole drive, so a reserved tail
+        # counts as never written (the paper's blktrace, Fig 4).  None —
+        # the default — counts nothing; see :meth:`count_lba_writes`.
+        self.lba_histogram: np.ndarray | None = None
 
-    def attach(self, observer: BlockObserver) -> None:
-        """Register an observer for subsequent requests."""
-        self._observers.append(observer)
+    def count_lba_writes(self) -> None:
+        """Count, from now on, the writes each logical page takes."""
+        self.lba_histogram = np.zeros(self.ssd.npages, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Device protocol
@@ -99,8 +92,10 @@ class BlockDevice:
             latency = retry.run(
                 lambda: self.ssd.write_runs(starts, lens, background))
         self.bytes_written += npages * self.page_size
-        for observer in self._observers:
-            observer.on_write(self.ssd.clock.now, starts, lens)
+        histogram = self.lba_histogram
+        if histogram is not None:
+            for start, run in zip(starts, lens):
+                histogram[start:start + run] += 1
         return latency
 
     def read_runs(self, starts, lens) -> list[float]:

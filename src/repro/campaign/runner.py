@@ -4,8 +4,10 @@ Every cell is an isolated simulation fully determined by its spec, so
 cells are embarrassingly parallel.  A cell's one form is its record
 (``ExperimentResult.to_dict()``) keyed by ``ExperimentSpec.
 stable_hash()``, and a :class:`~repro.campaign.store.CampaignStore`
-holds records; :func:`cell_records` simulates the cells a store does
-not hold yet on one worker per CPU this process may use, for
+holds records.  :func:`run_cell` turns one spec into its record,
+traced or not, for ``repro run`` and for the workers of
+:func:`cell_records`, which simulates the cells a store does not hold
+yet on one worker per CPU this process may use, for
 :func:`run_campaign` and the figures' ``run_cells``.  Reuse is the
 rule: re-running a campaign on its output file runs only the cells the
 file lacks and appends them in grid order on any number of CPUs, so an
@@ -28,6 +30,7 @@ from repro.campaign.store import CampaignStore
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.pitfalls import EvaluationPlan, PitfallViolation, check_plan
 from repro.errors import CampaignError
+from repro.obs import Tracer, write_chrome_trace
 
 
 @dataclass
@@ -43,22 +46,23 @@ class CampaignOutcome:
     violations: list[PitfallViolation] = field(default_factory=list)
 
 
-def _execute_cell(spec_dict: dict, trace_out: str | None = None) -> dict:
-    """Worker entry point: the record of the serialized spec (the
-    contract the JSONL store uses).  ``trace_out`` also writes the
-    cell's Chrome trace to ``<trace_out>-<cellhash>.json``; tracing
-    never changes simulated results, it only fills ``attribution``.
+def run_cell(spec: ExperimentSpec, trace_path: str | None = None) -> dict:
+    """The record of *spec*: the one route from a spec to its record,
+    for ``repro run``, campaigns and the figures (and what a worker
+    runs).  ``trace_path`` attaches the flight recorder and writes the
+    cell's Chrome trace there; the record then also says what the ring
+    kept, ``trace: {events, dropped}``.  Tracing never changes simulated
+    results, it only fills ``attribution`` and ``trace``.
     """
-    spec = ExperimentSpec.from_dict(spec_dict)
-    if trace_out is None:
+    if trace_path is None:
         return run_experiment(spec).to_dict()
-    from repro.obs import Tracer, write_chrome_trace
-
     tracer = Tracer()
     result = run_experiment(spec, tracer=tracer)
-    write_chrome_trace(tracer.events(), f"{trace_out}-{spec.stable_hash()}.json",
-                       attribution=result.attribution)
-    return result.to_dict()
+    events = write_chrome_trace(tracer.events(), trace_path,
+                                attribution=result.attribution)
+    record = result.to_dict()
+    record["trace"] = {"events": events, "dropped": tracer.dropped}
+    return record
 
 
 def run_campaign(
@@ -73,7 +77,7 @@ def run_campaign(
     already holds are reused (:meth:`CampaignStore.checked` refuses a
     stale file), and each new record is appended to it in grid order.
     ``progress`` sees each new record; ``trace_out`` traces every new
-    cell (see :func:`_execute_cell`).
+    cell to ``<trace_out>-<cell>.json`` (see :func:`run_cell`).
     """
     start = time.monotonic()
     cells = campaign.cells()
@@ -107,7 +111,8 @@ def cell_records(specs: list[ExperimentSpec], store: CampaignStore,
     worker per CPU this process may use, capped at their number (one
     CPU or one cell runs inline); each new record goes to
     ``finish(record)``, which may add keys to it, and then into *store*,
-    in spec order whatever the number of workers.
+    in spec order whatever the number of workers.  ``trace_out``
+    traces each of them to ``<trace_out>-<cell>.json``.
     A worker that dies ends the call in one :class:`CampaignError`
     naming the unfinished cells, and the store's file if it has one:
     the finished cells are in *store*, so re-running the same command
@@ -124,14 +129,17 @@ def cell_records(specs: list[ExperimentSpec], store: CampaignStore,
             finish(record)
         store.append(record)
 
+    def trace_path(cell: str) -> str | None:
+        return None if trace_out is None else f"{trace_out}-{cell}.json"
+
     workers = min(len(os.sched_getaffinity(0)), len(missing))
     if workers <= 1:
-        for spec in missing.values():
-            done(_execute_cell(spec.to_dict(), trace_out))
+        for cell, spec in missing.items():
+            done(run_cell(spec, trace_path(cell)))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_execute_cell, spec.to_dict(), trace_out)
-                       for spec in missing.values()]
+            futures = [pool.submit(run_cell, spec, trace_path(cell))
+                       for cell, spec in missing.items()]
             # In spec order, as inline: a record that completes early
             # waits for the cells before it.
             for future in futures:

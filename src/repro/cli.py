@@ -7,10 +7,12 @@
                                  (``--out`` keeps cell records a re-run reuses)
 ``repro pitfalls``               print the seven-pitfall checklist
 
-There is no profiling subcommand: ``python -m cProfile -s tottime -m
-repro.cli run <spec flags>`` profiles any spec ``repro run`` accepts,
-through the same :func:`~repro.core.experiment.run_experiment` route,
-and prints the run's report and then the pstats table.
+``repro run`` turns its spec into a record through the cell runner a
+campaign uses (:func:`~repro.campaign.runner.run_cell`) and prints from
+that record, rebuilt as the figures rebuild theirs.  There is no
+profiling subcommand: ``python -m cProfile -s tottime -m repro.cli run
+<spec flags>`` profiles any spec ``repro run`` accepts, through the
+same route, and prints the run's report and then the pstats table.
 """
 
 from __future__ import annotations
@@ -18,19 +20,21 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.campaign import PRESETS, CampaignStore, merge_stores, run_campaign
+from repro.campaign import (PRESETS, CampaignStore, merge_stores, run_campaign,
+                            run_cell)
 from repro.core import figures as figure_module
-from repro.core.experiment import Engine, ExperimentSpec, run_experiment
+from repro.core.experiment import Engine, ExperimentResult, ExperimentSpec
 from repro.core.figures import FIGURES, SCALES
 from repro.core.metrics import end_to_end_write_amplification
 from repro.core.pitfalls import PITFALLS, EvaluationPlan, check_plan, render_report
-from repro.core.report import (render_campaign, render_series,
+from repro.core.report import (render_campaign, render_ring, render_series,
                                render_shard_table, render_table)
 from repro.errors import CampaignError, ConfigError
 from repro.flash.profiles import PROFILES
 from repro.flash.state import DriveState
 from repro.fleet import ARRIVALS, ROUTERS
 from repro.fleet.pool import AVAILABILITY_TARGET
+from repro.obs import render_attribution
 from repro.rng import DEFAULT_SEED
 from repro.units import MIB
 from repro.workload.keys import DISTRIBUTIONS
@@ -122,7 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--trace", metavar="PREFIX", default=None,
                           help="trace every cell: write one Chrome trace per "
                                "cell to PREFIX-<cellhash>.json and record its "
-                               "latency attribution in the JSONL output")
+                               "latency attribution and ring evictions in "
+                               "the JSONL output")
     campaign.set_defaults(func=_cmd_campaign)
 
     pitfalls = sub.add_parser("pitfalls", help="print the 7-pitfall checklist")
@@ -269,13 +274,8 @@ def _cmd_run_figure(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    spec = _spec_from_args(args)
-    tracer = None
-    if args.trace:
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-    result = run_experiment(spec, tracer=tracer)
+    record = run_cell(_spec_from_args(args), args.trace)
+    result = ExperimentResult.from_record(record)
     rows = [
         [f"{s.t:.2f}", f"{s.kv_tput:.0f}", f"{s.dev_write_mbps:.0f}",
          f"{s.dev_read_mbps:.0f}", f"{s.wa_a:.1f}", f"{s.wa_d:.2f}",
@@ -290,14 +290,14 @@ def _cmd_run(args) -> int:
     if result.out_of_space:
         print("RUN ENDED: out of space")
     open_loop = result.fleet is not None and result.fleet["arrival"] is not None
-    if result.client_latencies is not None and not open_loop:
+    if result.client_latency_summary is not None and not open_loop:
         # Open-loop latencies are per shard, not per client; the fleet
         # per-shard breakdown below already covers them.
         rows = [
             [str(row["client"]), str(row["ops"]), f"{row['mean'] * 1e6:.0f}",
              f"{row['p50'] * 1e6:.0f}", f"{row['p95'] * 1e6:.0f}",
              f"{row['p99'] * 1e6:.0f}"]
-            for row in result.client_latencies.summary()
+            for row in result.client_latency_summary
         ]
         print(render_table(
             ["client", "ops", "mean us", "p50 us", "p95 us", "p99 us"],
@@ -315,9 +315,12 @@ def _cmd_run(args) -> int:
             f"{end_to_end_write_amplification(steady):.1f}, "
             f"space amp={steady.space_amp:.2f}"
         )
-    if tracer is not None:
+    if args.trace:
         print()
-        _finish_trace(tracer, result, args.trace)
+        print(render_attribution(result.attribution,
+                                 title="per-op latency attribution"))
+        print(f"trace written to {args.trace} ({render_ring(record['trace'])}; "
+              f"open at https://ui.perfetto.dev)")
     return 0
 
 
@@ -355,20 +358,6 @@ def _render_fleet(fleet: dict) -> str:
     lines.append(render_shard_table(fleet["per_shard"],
                                     title="per-shard breakdown"))
     return "\n".join(lines)
-
-
-def _finish_trace(tracer, result, path: str) -> None:
-    """Close a traced run: write the Chrome trace to *path*, then print
-    the attribution table and what the ring evicted."""
-    from repro.obs import render_attribution, write_chrome_trace
-
-    nevents = write_chrome_trace(tracer.events(), path,
-                                 attribution=result.attribution)
-    print(render_attribution(result.attribution,
-                             title="per-op latency attribution"))
-    print(f"trace written to {path} ({nevents} events, "
-          f"{tracer.dropped} older ones evicted from the ring; "
-          f"open at https://ui.perfetto.dev)")
 
 
 def _cmd_campaign(args) -> int:

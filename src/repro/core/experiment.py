@@ -465,7 +465,7 @@ def run_experiment(spec: ExperimentSpec, tracer=None) -> ExperimentResult:
             spec, phase, run_seconds,
             [ops_in(now) - ops_in(base) for now, base
              in zip(stack.shard_snapshots(), shards_base)])
-    trace = stack.shards[0].trace
+    histogram = stack.shards[0].device.lba_histogram
     latencies = outcome.latencies
     recorded = latencies is not None and latencies.count() > 0
     return ExperimentResult(
@@ -477,8 +477,9 @@ def run_experiment(spec: ExperimentSpec, tracer=None) -> ExperimentResult:
         run_seconds=run_seconds,
         ops_issued=outcome.ops_issued,
         counters=counters,
-        lba_histogram=trace.histogram if trace else None,
-        lba_never_written=trace.fraction_never_written() if trace else None,
+        lba_histogram=histogram,
+        lba_never_written=(float(np.count_nonzero(histogram == 0)) / histogram.size
+                           if histogram is not None else None),
         client_latencies=latencies,
         client_latency_summary=latencies.summary() if recorded else None,
         latency=latencies.pooled_summary() if recorded else None,

@@ -440,15 +440,14 @@ def fig10_variability(scale: Scale = DEFAULT) -> FigureResult:
         wt, wv = windowed_average(t, v, window=scale.sample_interval * 2)
         series[(engine, ssd)] = (wt, wv)
         mean = sum(v) / max(len(v), 1)
-        rows.append([
-            engine, ssd,
-            f"{coefficient_of_variation(v):.2f}",
-            f"{relative_swing(v):.2f}",
-            f"{fraction_below(v, 0.05 * mean):.2f}",
-        ])
+        rows.append([engine, ssd, coefficient_of_variation(v), relative_swing(v),
+                     fraction_below(v, 0.05 * mean)])
+    # The rows keep the numbers (the claims compare them); the table
+    # shows them rounded.
     text = render_table(
         ["engine", "SSD", "coeff. of variation", "relative swing", "stalled fraction"],
-        rows, title="Fig 10: throughput variability by SSD type",
+        [[engine, ssd, *(f"{x:.2f}" for x in stats)] for engine, ssd, *stats in rows],
+        title="Fig 10: throughput variability by SSD type",
     )
     return FigureResult("fig10", "Throughput variability",
                         {"series": series, "rows": rows}, text)

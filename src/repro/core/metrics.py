@@ -57,10 +57,6 @@ class ClientLatencies:
         """Number of client series being recorded."""
         return len(self._series)
 
-    def record(self, client: int, latency: float) -> None:
-        """Record one completed operation's latency for *client*."""
-        self._series[client].append(latency)
-
     def sink(self, client: int) -> list[float]:
         """The mutable latency list for *client*.
 
@@ -85,18 +81,6 @@ class ClientLatencies:
         if not self.count():
             return np.empty(0, dtype=np.float64)
         return np.concatenate([self.series(c) for c in range(self.nclients)])
-
-    def percentile(self, q: float, client: int | None = None) -> float:
-        """The q-th latency percentile, pooled or for one client."""
-        data = self.pooled() if client is None else self.series(client)
-        if not data.size:
-            return 0.0
-        return float(np.percentile(data, q))
-
-    def mean(self, client: int | None = None) -> float:
-        """Mean latency, pooled or for one client."""
-        data = self.pooled() if client is None else self.series(client)
-        return float(data.mean()) if data.size else 0.0
 
     def pooled_summary(self) -> dict[str, float]:
         """{ops, mean, p50, p95, p99} over all clients' ops together.

@@ -88,9 +88,9 @@ def render_campaign(records: Sequence[dict], title: str = "") -> str:
     attainment) are filled for fleet cells; fleet cells with per-shard
     latency rows (open-loop runs) are followed by a per-shard
     breakdown table, and traced cells by their per-op latency
-    attribution tables.  GC columns come from the device's
-    GC-attributable SMART counters; records from before those counters
-    existed show ``-``.
+    attribution tables and what their trace ring evicted.  GC columns
+    come from the device's GC-attributable SMART counters; records from
+    before those counters existed show ``-``.
     """
     rows = []
     attributions = []
@@ -153,7 +153,8 @@ def render_campaign(records: Sequence[dict], title: str = "") -> str:
         if fleet is not None and any("p95" in row for row in fleet["per_shard"]):
             shard_sections.append((record["cell"], fleet))
         if record.get("attribution"):
-            attributions.append((record["cell"], record["attribution"]))
+            attributions.append((record["cell"], record["attribution"],
+                                 record.get("trace")))
     text = render_table(
         ["engine", "SSD", "state", "data/cap", "OP", "clients", "shards",
          "KOps/s", "WA-A", "WA-D", "space amp", "p95 us", "p99 us",
@@ -172,11 +173,19 @@ def render_campaign(records: Sequence[dict], title: str = "") -> str:
     if attributions:
         from repro.obs.attribution import render_attribution
 
-        for cell, attribution in attributions:
-            sections.append(render_attribution(
-                attribution, title=f"latency attribution [{cell}]",
-            ))
+        for cell, attribution, trace in attributions:
+            table = render_attribution(
+                attribution, title=f"latency attribution [{cell}]")
+            if trace is not None:
+                table += f"\ntrace [{cell}]: {render_ring(trace)}"
+            sections.append(table)
     return "\n\n".join(sections)
+
+
+def render_ring(trace: dict) -> str:
+    """What a traced cell's ring kept, from its record's ``trace``."""
+    return (f"{trace['events']} events, {trace['dropped']} older ones "
+            f"evicted from the ring")
 
 
 def _fmt(cell) -> str:

@@ -10,7 +10,6 @@ from enum import Enum
 from typing import TYPE_CHECKING, Any
 
 from repro import rng as rng_mod
-from repro.block.blktrace import BlkTrace
 from repro.block.device import BlockDevice
 from repro.btree.config import BTreeConfig
 from repro.btree.store import BTreeStore
@@ -44,7 +43,6 @@ class Shard:
     device: BlockDevice
     fs: ExtentFilesystem
     store: KVStore
-    trace: BlkTrace | None
 
     def snapshot(self) -> dict[str, Any]:
         """This shard's counters, every layer, as one labelled dict."""
@@ -118,12 +116,8 @@ def _build_shard(spec: ExperimentSpec, profile, seed: int,
                  clock: VirtualClock) -> Shard:
     ssd = SSD(profile, clock)
     device = BlockDevice(ssd, spec.op_reserved_fraction)
-    trace = None
     if spec.trace_lba:
-        # Sized to the drive, not the exposed range: a reserved tail
-        # counts among the LBAs never written (Fig 4).
-        trace = BlkTrace(ssd.npages)
-        device.attach(trace)
+        device.count_lba_writes()
     # Only the exposed range is aged; a reserved tail stays trimmed so
     # it provides software over-provisioning (§3.4, §4.6).
     apply_drive_state(ssd, spec.drive_state, seed, npages=device.npages)
@@ -136,7 +130,7 @@ def _build_shard(spec: ExperimentSpec, profile, seed: int,
         ssd.faults = FaultPlan(spec.faults,
                                rng_mod.substream(seed, "faults"))
         device.retry = RetryPolicy(spec.retry_limit, spec.retry_backoff_ms / 1e3)
-    return Shard(ssd, device, fs, store, trace)
+    return Shard(ssd, device, fs, store)
 
 
 def _shard_seed(seed: int, shard: int) -> int:

@@ -164,7 +164,6 @@ class FlashTranslationLayer:
         self.total_host_pages = 0
         self.total_gc_pages = 0
         self.total_erases = 0
-        self.total_read_pages = 0
 
     # ------------------------------------------------------------------
     # Public API

@@ -460,12 +460,6 @@ class SSD:
             if npages == 0:
                 return 0.0
             self._check(start, npages)
-        ftl = self.ftl
-        if ftl is not None:
-            # Reads never touch the mapping: the FTL's share is pure
-            # accounting, bounds already checked against the same
-            # logical space.
-            ftl.total_read_pages += npages
         nbytes = npages * self._page_size
         faults = self.faults
         latency = self._timeline.read(start, npages, self.clock.now,
@@ -526,8 +520,6 @@ class SSD:
                 pages += npages
                 requests += 1
         latencies = self._timeline.read_many(starts, lens, self.clock.now)
-        if self.ftl is not None:
-            self.ftl.total_read_pages += pages
         smart = self.smart
         smart.host_bytes_read += pages * self._page_size
         smart.nand_bytes_read += pages * self._page_size

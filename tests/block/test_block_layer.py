@@ -1,12 +1,11 @@
-"""Tests for the block layer: the device, its exposed range and byte
-counters, blktrace."""
+"""Tests for the block layer: the device, its exposed range, its byte
+counters and its per-LBA write histogram (blktrace)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.block.blktrace import BlkTrace
 from repro.block.device import BlockDevice
 from repro.errors import (ConfigError, DeviceError, OutOfRangeError,
                           ProgramFaultError)
@@ -24,21 +23,6 @@ class TestBlockDevice:
     def test_forwards_geometry(self, device, tiny_ssd):
         assert device.page_size == tiny_ssd.page_size
         assert device.npages == tiny_ssd.npages
-
-    def test_observers_see_writes(self, device):
-        seen = []
-
-        class Probe:
-            def on_write(self, t, starts, lens):
-                seen.append(("w", list(zip(starts, lens))))
-
-        device.write_runs([0], [1])  # before attaching: not shown
-        device.attach(Probe())
-        device.write_runs([0], [4])
-        device.write_runs([9, 11], [1, 3])
-        device.read_runs([0], [2])  # reads are not traced
-        assert seen == [("w", [(0, 4)]), ("w", [(9, 1), (11, 3)])]
-
 
 class TestByteCounters:
     """``bytes_written`` / ``bytes_read``: what iostat reads deltas of."""
@@ -132,31 +116,61 @@ class TestByteCounters:
 
 
 class TestBlkTrace:
+    """``lba_histogram``: writes per logical page, counted by the device
+    once :meth:`BlockDevice.count_lba_writes` is called (Fig 4)."""
+
     def test_histogram_counts(self, device):
-        trace = BlkTrace(device.npages)
-        device.attach(trace)
+        device.count_lba_writes()
         device.write_runs([0], [4])
         device.write_runs([2], [4])
-        hist = trace.histogram
+        hist = device.lba_histogram
         assert hist[0] == 1 and hist[2] == 2 and hist[5] == 1
-        assert trace.total_write_requests == 2
+        assert hist.sum() * device.page_size == device.bytes_written
 
     def test_page_list_writes(self, device):
-        trace = BlkTrace(device.npages)
-        device.attach(trace)
+        device.count_lba_writes()
         device.write_runs(*one_page_runs(np.array([1, 1 + 7], dtype=np.int64)))
         device.write_runs([20, 8], [3, 1])
-        assert trace.histogram[[1, 8, 20, 22, 23]].tolist() == [1, 2, 1, 1, 0]
-        assert trace.total_write_requests == 2
+        assert device.lba_histogram[[1, 8, 20, 22, 23]].tolist() == [1, 2, 1, 1, 0]
 
-    def test_fraction_never_written(self, device):
-        trace = BlkTrace(device.npages)
-        device.attach(trace)
-        half = device.npages // 2
-        device.write_runs([0], [half])
-        assert trace.fraction_never_written() == pytest.approx(
-            1 - half / device.npages
-        )
+    def test_counts_from_the_call_on_and_writes_only(self, device):
+        assert device.lba_histogram is None  # off by default
+        device.write_runs([0], [1])  # before counting: not shown
+        device.count_lba_writes()
+        device.write_runs([0], [4])
+        device.write_runs([9, 11], [1, 3])
+        device.read_runs([0], [2])  # reads are not counted
+        device.read_runs([0, 9], [1, 1])
+        assert device.lba_histogram[:16].tolist() == \
+            [1, 1, 1, 1, 0, 0, 0, 0, 0, 1, 0, 1, 1, 1, 0, 0]
+
+    def test_fraction_never_written(self, tiny_ssd):
+        """The histogram spans the drive, not the exposed range: a
+        reserved tail counts among the pages never written."""
+        device = BlockDevice(tiny_ssd, 0.25)
+        device.count_lba_writes()
+        device.write_runs([0], [device.npages])
+        hist = device.lba_histogram
+        assert hist.size == tiny_ssd.npages
+        assert np.count_nonzero(hist == 0) == tiny_ssd.npages - device.npages
+
+    def test_refused_and_retried_requests(self, device):
+        """A refused request counts nothing; a retried write counts once,
+        a failed one never."""
+        device.count_lba_writes()
+        with pytest.raises(OutOfRangeError):
+            device.write_runs([0, device.npages], [1, 1])
+        assert not device.lba_histogram.any()
+        device.ssd.faults = FaultPlan({"program": 0.5}, substream(3, "faults"))
+        device.retry = RetryPolicy(8, 1e-4)
+        for page in range(20):
+            device.write_runs([page], [1])
+        assert device.ssd.smart.program_failures > 0
+        device.ssd.faults = FaultPlan({"program": 1.0}, substream(3, "faults"))
+        device.retry = None
+        with pytest.raises(ProgramFaultError):
+            device.write_runs([0], [2])
+        assert device.lba_histogram[:21].tolist() == [1] * 20 + [0]
 
 
 class TestPartition:

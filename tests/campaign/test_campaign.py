@@ -54,24 +54,24 @@ def micro_campaign(name: str = "micro") -> CampaignSpec:
     )
 
 
-_execute_cell = runner._execute_cell
+run_cell = runner.run_cell
 
 
-def execute_cell_or_die(spec_dict, trace_out=None):
-    """The worker entry point, except that the last cell of the micro
-    grid takes its worker process down (module level: the pool pickles
-    it by name)."""
-    if (spec_dict["engine"], spec_dict["dataset_fraction"]) == ("btree", 0.3):
+def run_cell_or_die(spec, trace_path=None):
+    """The cell runner, except that the last cell of the micro grid
+    takes its worker process down (module level: the pool pickles it by
+    name)."""
+    if (spec.engine, spec.dataset_fraction) == ("btree", 0.3):
         os._exit(9)
-    return _execute_cell(spec_dict, trace_out)
+    return run_cell(spec, trace_path)
 
 
-def execute_cell_first_last(spec_dict, trace_out=None):
-    """The worker entry point, except that the first cell of the micro
-    grid finishes after the others have."""
-    if (spec_dict["engine"], spec_dict["dataset_fraction"]) == ("lsm", 0.25):
+def run_cell_first_last(spec, trace_path=None):
+    """The cell runner, except that the first cell of the micro grid
+    finishes after the others have."""
+    if (spec.engine, spec.dataset_fraction) == ("lsm", 0.25):
         time.sleep(1.0)
-    return _execute_cell(spec_dict, trace_out)
+    return run_cell(spec, trace_path)
 
 
 def to_jsonl(outcome) -> str:
@@ -295,7 +295,7 @@ class TestRunCampaign:
         _outcome, path = finished
         out = path.parent / "first-last.jsonl"
         seen = []
-        monkeypatch.setattr(runner, "_execute_cell", execute_cell_first_last)
+        monkeypatch.setattr(runner, "run_cell", run_cell_first_last)
         run_campaign(micro_campaign(), out=out, progress=seen.append)
         assert out.read_bytes() == path.read_bytes()
         assert [record["cell"] for record in seen] == \
@@ -310,7 +310,7 @@ class TestRunCampaign:
         out = path.parent / "dead-worker.jsonl"
         names = [spec.name for spec in micro_campaign().cells()]
         with monkeypatch.context() as patched:
-            patched.setattr(runner, "_execute_cell", execute_cell_or_die)
+            patched.setattr(runner, "run_cell", run_cell_or_die)
             with pytest.raises(CampaignError, match="re-run the same command") as error:
                 run_campaign(micro_campaign(), out=out)
         message = str(error.value)
@@ -336,7 +336,7 @@ class TestRunCampaign:
             store = CampaignStore(path)
             monkeypatch.setattr(figures, "STORE", store)
             with monkeypatch.context() as patched:
-                patched.setattr(runner, "_execute_cell", execute_cell_or_die)
+                patched.setattr(runner, "run_cell", run_cell_or_die)
                 with pytest.raises(CampaignError) as error:
                     figures.run_cells(cells)
             message = str(error.value)

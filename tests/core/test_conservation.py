@@ -23,7 +23,6 @@ from repro.core.experiment import Engine, ExperimentSpec, run_experiment
 from repro.core.figures import SMALL, spec_for
 from repro.core.metrics import MetricsCollector, ops_in
 from repro.counters import sum_counters
-from repro.block.blktrace import BlkTrace
 from repro.block.device import BlockDevice
 from repro.core.clock import VirtualClock
 from repro.errors import DeviceError, OutOfRangeError
@@ -204,12 +203,13 @@ def test_the_reserved_range_is_never_touched(engine, state, watched,
         engine=engine, drive_state=state, trace_lba=True, **OP25, **FAST))
     stack = watched[-1][0]
     (shard,) = stack.shards
-    ssd, device, trace = shard.ssd, shard.device, shard.trace
+    ssd, device = shard.ssd, shard.device
     exposed = device.npages
     assert exposed == int(ssd.npages * 0.75)
     assert shard.fs.counters()["fs.npages"] == exposed
-    # blktrace spans the drive, so the reserved tail counts as never
-    # written; the FTL (aged below the block layer) maps none of it.
+    # The block layer's histogram spans the drive, so the reserved tail
+    # counts as never written; the FTL (aged below the block layer)
+    # maps none of it.
     assert result.lba_histogram.size == ssd.npages
     assert result.lba_histogram[:exposed].any()
     assert not result.lba_histogram[exposed:].any()
@@ -224,8 +224,8 @@ def test_the_reserved_range_is_never_touched(engine, state, watched,
         assert (l2p[:exposed] >= 0).all()
 
     def observed():
-        return (stack.snapshot(), trace.histogram.tolist(),
-                trace.total_write_requests, len(reads), stack.clock.now)
+        return (stack.snapshot(), device.lba_histogram.tolist(), len(reads),
+                stack.clock.now)
 
     before = observed()
     # Refused writes: test_a_refused_write_commits_nothing_on_any_layer.
@@ -257,14 +257,13 @@ REFUSED_WRITES = {
 def test_a_refused_write_commits_nothing_on_any_layer(layer, case):
     """One refusal contract for the one write entry of each layer: a
     request with any bad run raises before anything is committed —
-    SMART, the block byte counters, the FTL's write-behind log and
-    blktrace are as they were — and a request at the limit is served.
+    SMART, the block byte counters and LBA histogram and the FTL's
+    write-behind log are as they were — and a request at the limit is served.
     The block layer's limit is its exposed range (a 25 % reserved tail
     here), the drive's and the FTL's the logical space."""
     ssd = SSD(make_tiny_config(), VirtualClock())
     device = BlockDevice(ssd, 0.25)
-    trace = BlkTrace(ssd.npages)
-    device.attach(trace)
+    device.count_lba_writes()
     ftl = ssd.ftl
     device.write_runs([0], [4])  # opens a block: the next request is logged
     device.write_runs([10, 2], [3, 1])
@@ -274,8 +273,7 @@ def test_a_refused_write_commits_nothing_on_any_layer(layer, case):
     def observed():
         return (ssd.smart.as_dict(), device.counters(),
                 list(ftl._log_starts), list(ftl._log_lens), ftl._log_room,
-                ftl.total_host_pages, trace.histogram.tolist(),
-                trace.total_write_requests)
+                ftl.total_host_pages, device.lba_histogram.tolist())
 
     before = observed()
     request, error = REFUSED_WRITES[case]

@@ -189,7 +189,7 @@ class TestBuildStack:
         assert shard.device.ssd is shard.ssd
         assert shard.device.npages == shard.ssd.npages
         assert shard.device.retry is None
-        assert shard.trace is None
+        assert shard.device.lba_histogram is None
 
     def test_op_partition_restricts_space(self):
         spec = ExperimentSpec(op_reserved_fraction=0.25, **FAST)

@@ -22,6 +22,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analysis.stats import coefficient_of_variation
 from repro.campaign import CampaignStore
 from repro.core import figures
 from repro.core.experiment import (Engine, ExperimentResult, ExperimentSpec,
@@ -150,6 +151,19 @@ class TestSharing:
                 for figure_id, (_, _, figure) in record.items()
             }
             assert digests == PARENT_TEXT_SHA256
+
+    def test_fig10_rows_keep_the_numbers(self, sweep):
+        """The claims compare Fig 10's statistics, not their rounded
+        text: each row carries its cell's coefficient of variation of
+        ``kv_tput`` as the float itself."""
+        cold, _ = sweep
+        results = cold["fig9"][2].data["results"]
+        rows = cold["fig10"][2].data["rows"]
+        assert len(rows) == len(results) == 6
+        for engine, ssd, cv, *_ in rows:
+            samples = results[(engine, ssd)].samples
+            assert type(cv) is float
+            assert cv == coefficient_of_variation([s.kv_tput for s in samples])
 
     def test_pool_and_inline_give_the_same_bytes(self, monkeypatch):
         """fig2 and fig11 cold twice: with the process pinned to one CPU

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.metrics import ClientLatencies
@@ -12,12 +13,13 @@ class TestEmptySeries:
     def test_everything_is_zero(self):
         lat = ClientLatencies(3)
         assert lat.count() == 0
-        assert lat.percentile(50) == 0.0
-        assert lat.percentile(99, client=1) == 0.0
-        assert lat.mean() == 0.0
         assert lat.pooled().size == 0
         assert lat.pooled_summary() == {
             "ops": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0,
+        }
+        assert lat.summary()[1] == {
+            "client": 1, "ops": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0,
+            "p99": 0.0,
         }
 
     def test_per_client_summary_rows_exist_with_zero_ops(self):
@@ -27,22 +29,24 @@ class TestEmptySeries:
 
     def test_mixed_empty_and_nonempty_clients(self):
         lat = ClientLatencies(2)
-        lat.record(0, 3e-4)
+        lat.sink(0).append(3e-4)
         assert lat.count(1) == 0
-        assert lat.percentile(50, client=1) == 0.0
+        assert lat.summary()[1]["p50"] == 0.0
         # The empty client doesn't distort the pooled percentile.
-        assert lat.percentile(50) == pytest.approx(3e-4)
+        assert lat.pooled_summary()["p50"] == pytest.approx(3e-4)
 
 
 class TestSingleOp:
     def test_every_percentile_is_that_op(self):
         lat = ClientLatencies(1)
-        lat.record(0, 2.5e-4)
+        lat.sink(0).append(2.5e-4)
         for q in (0, 1, 50, 95, 99, 100):
-            assert lat.percentile(q) == pytest.approx(2.5e-4)
-        assert lat.mean() == pytest.approx(2.5e-4)
+            assert np.percentile(lat.pooled(), q) == pytest.approx(2.5e-4)
+        (row,) = lat.summary()
+        assert row["mean"] == row["p50"] == row["p99"] == pytest.approx(2.5e-4)
         summary = lat.pooled_summary()
         assert summary["ops"] == 1
+        assert summary["mean"] == pytest.approx(2.5e-4)
         assert summary["p50"] == summary["p99"] == pytest.approx(2.5e-4)
 
 
@@ -50,14 +54,14 @@ class TestAllEqual:
     def test_percentiles_collapse_to_the_common_value(self):
         lat = ClientLatencies(2)
         for client in range(2):
-            for _ in range(100):
-                lat.record(client, 1e-3)
-        assert lat.percentile(50) == pytest.approx(1e-3)
-        assert lat.percentile(99) == pytest.approx(1e-3)
-        assert lat.percentile(99, client=1) == pytest.approx(1e-3)
-        assert lat.mean() == pytest.approx(1e-3)
+            lat.sink(client).extend([1e-3] * 100)
+        for row in lat.summary():
+            assert row["ops"] == 100
+            for stat in ("mean", "p50", "p99"):
+                assert row[stat] == pytest.approx(1e-3)
         summary = lat.pooled_summary()
-        assert summary["p95"] == summary["p99"] == pytest.approx(1e-3)
+        for stat in ("mean", "p50", "p95", "p99"):
+            assert summary[stat] == pytest.approx(1e-3)
         assert summary["ops"] == 200
 
 

@@ -35,7 +35,9 @@ attribute bound only to constructor calls, to calls of functions whose
 return annotation names a class, or to typed values; or an attribute
 of a typed receiver typed so.  Any other receiver, a structural
 (``Protocol``) type, a hierarchy that does not define the member, and
-a word in a string credit every namesake.
+a word in a string credit every namesake.  An attribute of a name that
+an import from outside ``repro`` bound (``np.percentile``) credits no
+product member and calls no product function.
 
 A product call can set a parameter when it passes it by keyword,
 passes enough positional arguments to reach it (a ``*`` unpacking
@@ -498,6 +500,7 @@ class _Uses(ast.NodeVisitor):
         self.classes: list[str] = []     # enclosing classes, innermost last
         self.method_of: str | None = None  # the class whose body this is
         self.frames = [_Frame(None, None)]
+        self.foreign: set[str] = set()   # names imported from outside repro
 
     def visit_Module(self, node):
         self.frames[0].types = self.model.scope(node.body, None, self._find)
@@ -582,8 +585,16 @@ class _Uses(ast.NodeVisitor):
         for entry in self.registry[registry]:
             self.calls.setdefault(entry, []).append(self._record(node))
 
+    def _foreign(self, node: ast.expr) -> bool:
+        """Whether *node* is a name an import from outside ``repro``
+        bound (``np``), not rebound in the file's scopes."""
+        return (isinstance(node, ast.Name) and node.id in self.foreign
+                and self._find(node.id) is _MISSING)
+
     def visit_Call(self, node):
         name = _callee(node.func)
+        if isinstance(node.func, ast.Attribute) and self._foreign(node.func.value):
+            name = None   # ``np.percentile(...)`` calls no product function
         if name in SPEC_SETTERS:
             self.settings.update(k.arg for k in node.keywords if k.arg)
         if isinstance(node.func, ast.Subscript) \
@@ -621,6 +632,9 @@ class _Uses(ast.NodeVisitor):
             self._use(node, node.id, credit=not local)
 
     def visit_Attribute(self, node):
+        if self._foreign(node.value):
+            self.names.add(node.value.id)   # a member of that module, not ours
+            return
         receiver = self.model.expr(node.value, self._find,
                                    self.classes[-1] if self.classes else None)
         owners = self.model.owners(receiver, node.attr)
@@ -652,11 +666,16 @@ class _Uses(ast.NodeVisitor):
     def visit_ImportFrom(self, node):
         if not self.reexport:
             self.names.update(a.name for a in node.names)
+        if node.level == 0 and node.module.split(".")[0] != "repro":
+            self.foreign.update(a.asname or a.name for a in node.names)
 
     def visit_Import(self, node):
         if not self.reexport:
             for alias in node.names:
                 self.names.update(alias.name.split("."))
+        self.foreign.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names
+                            if alias.name.split(".")[0] != "repro")
 
     def visit_Assign(self, node):
         if self.reexport and any(isinstance(t, ast.Name) and t.id == "__all__"
@@ -930,6 +949,9 @@ _FIXTURE = {
             def test_only(self):
                 return 3
 
+            def percentile(self, q):
+                return q
+
         def open_store(size, only_tests=False):
             return Store(size)
 
@@ -997,6 +1019,8 @@ _FIXTURE = {
     ''',
     "examples/app.py": '''
         """Product code outside the package."""
+        import numpy as np
+
         from repro import Store, forward, open_store
         from repro.mod import Disk, Drive, describe, make_shape
         from repro.spec import ExperimentSpec
@@ -1006,6 +1030,7 @@ _FIXTURE = {
         open_store(3)
         forward("reached", depth=2)
         AXES = {"seed": [1, 2]}
+        MEDIAN = np.percentile([1.0, 2.0], 50)
 
         def run(options, **overrides):
             spec = ExperimentSpec(name="app", shape="shaped", **overrides)
@@ -1057,6 +1082,9 @@ def test_the_walker_flags_each_kind_and_no_opaque_case(tmp_path):
         "repro.mod.Shaped.__init__(period=)",
         # a dead default: no call at all passes it
         "repro.mod.Store.__init__(dead=)",
+        # a method whose only namesake use is on a module outside repro
+        # (``np.percentile``)
+        "repro.mod.Store.percentile",
         # a public method only a test calls
         "repro.mod.Store.test_only",
         # a parameter only a test sets

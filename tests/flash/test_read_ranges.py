@@ -59,8 +59,7 @@ class Stack:
     def state(self) -> tuple:
         timeline = self.ssd._timeline
         return (
-            self.ssd.smart.as_dict(), self.ssd.ftl.total_read_pages,
-            self.device.bytes_read,
+            self.ssd.smart.as_dict(), self.device.bytes_read,
             (list(timeline.busy), timeline.busy_max)
             if isinstance(timeline, ChannelTimeline) else timeline.busy_until,
             None if self.tracer is None else (
@@ -125,7 +124,7 @@ class TestReadRanges:
         # one after it never issued — on both.
         assert batched.ssd.smart == looped.ssd.smart
         assert batched.ssd.smart.host_read_requests == 1
-        assert batched.ssd.ftl.total_read_pages == 4
+        assert batched.ssd.smart.host_bytes_read == 4 * batched.device.page_size
         assert batched.device.bytes_read == looped.device.bytes_read \
             == 4 * batched.device.page_size
 

@@ -11,16 +11,25 @@ Two properties make the flight recorder trustworthy:
   recorded latency, the attribution table covers exactly the measured
   ops, and the exported file passes the Chrome trace_event schema
   checker.
+
+``repro run --trace`` and a traced campaign share one cell runner
+(``run_cell``), and both say how many events the bounded ring evicted.
 """
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+
 import pytest
 
+from repro.campaign import CampaignSpec, run_campaign
+from repro.cli import _build_parser, _spec_from_args, main
 from repro.core.experiment import Engine, ExperimentSpec, run_experiment
 from repro.flash.state import DriveState
 from repro.obs import Tracer, write_chrome_trace
 from repro.units import MIB
+from tests.conftest import one_cpu
 from tests.obs.schema import validate_chrome_trace
 
 
@@ -110,3 +119,58 @@ class TestStableHash:
         # untraced campaigns must agree on cell identity for resume.
         spec = _pool_spec(Engine.LSM)
         assert "tracer" not in spec.to_dict()
+
+
+#: A ring far smaller than the events one traced cell emits.
+SMALL_RING = 300
+
+RUN_ARGS = ["run", "--engine", "lsm", "--clients", "2", "--capacity-mib", "24",
+            "--dataset-fraction", "0.3", "--duration", "0.5"]
+
+
+def trace_events(path) -> list[dict]:
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)["traceEvents"]
+
+
+class TestTraceRoute:
+    def test_run_and_campaign_report_what_the_ring_evicted(
+            self, tmp_path, capsys, monkeypatch):
+        """With a ring smaller than the run, ``repro run --trace`` prints
+        ``emitted - capacity`` evicted events; a traced campaign cell of
+        the same spec records that count, writes its trace to
+        ``PREFIX-<cell>.json`` byte for byte as the run did, and
+        ``campaign --render`` prints the count beside its table."""
+        whole = tmp_path / "whole.json"
+        assert main([*RUN_ARGS, "--trace", str(whole)]) == 0
+        assert "0 older ones evicted from the ring" in capsys.readouterr().out
+        emitted = sum(event["ph"] != "M" for event in trace_events(whole))
+        assert emitted > SMALL_RING
+
+        monkeypatch.setattr(Tracer, "RING_CAPACITY", SMALL_RING)
+        ring = tmp_path / "ring.json"
+        assert main([*RUN_ARGS, "--trace", str(ring)]) == 0
+        events = trace_events(ring)
+        assert sum(event["ph"] != "M" for event in events) == SMALL_RING
+        assert validate_chrome_trace(str(ring)) == []
+        counts = (f"{len(events)} events, {emitted - SMALL_RING} older ones "
+                  f"evicted from the ring")
+        assert f"trace written to {ring} ({counts}; open at " \
+            in capsys.readouterr().out
+
+        spec = _spec_from_args(_build_parser().parse_args(RUN_ARGS))
+        campaign = CampaignSpec("traced", replace(spec, name="base"),
+                                {"seed": (spec.seed,)})
+        prefix, out = tmp_path / "cells", tmp_path / "traced.jsonl"
+        with one_cpu():  # the patched ring is this process's
+            (record,) = run_campaign(campaign, out=out,
+                                     trace_out=str(prefix)).records
+        cell = spec.stable_hash()
+        assert record["cell"] == cell
+        assert record["trace"] == {"events": len(events),
+                                   "dropped": emitted - SMALL_RING}
+        traced = tmp_path / f"cells-{cell}.json"
+        assert traced.read_bytes() == ring.read_bytes()
+        capsys.readouterr()
+        assert main(["campaign", "--render", str(out)]) == 0
+        assert f"trace [{cell}]: {counts}" in capsys.readouterr().out
