@@ -45,9 +45,9 @@ from repro.workload.spec import WorkloadSpec
 
 KEY_BYTES = 16  # the paper's key size (§3.2)
 
-#: Spec fields that count something: an int or a numpy integer, never
-#: a bool or a float (each used to die deep in the stack, or to run
-#: silently on a truncated value).
+#: Spec fields that count something: an int (a numpy integer becomes
+#: one), never a bool or a float (each used to die deep in the stack,
+#: or to run silently on a truncated value).
 _INTEGER_FIELDS = ("capacity_bytes", "value_bytes", "scan_length", "max_ops",
                    "nclients", "nshards", "queue_cap", "kill_shard",
                    "retry_limit", "seed")
@@ -117,6 +117,10 @@ class ExperimentSpec:
     op_timeout_ms: float | None = None
 
     def __post_init__(self) -> None:
+        for spec_field in fields(self):  # numpy numbers hash as Python's
+            value = getattr(self, spec_field.name)
+            if isinstance(value, (np.integer, np.floating)):
+                object.__setattr__(self, spec_field.name, value.item())
         for name, kind in (("engine", Engine), ("drive_state", DriveState)):
             value = getattr(self, name)
             names = [member.value for member in kind]
@@ -125,7 +129,7 @@ class ExperimentSpec:
                                   f"expected one of {names}")
         for name in _INTEGER_FIELDS:
             value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))) \
+            if (isinstance(value, bool) or not isinstance(value, int)) \
                     and not (name == "max_ops" and value is None):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         # Written so that NaN fails too (it fails every comparison).

@@ -34,6 +34,14 @@ def _splitmix64_int(z: int) -> int:
     return z
 
 
+def key_hashes(key: int) -> tuple[int, int]:
+    """:func:`probe_matrix`'s ``(h1, h2)`` of one key as Python ints:
+    geometry-free, so a point get hashes once for every filter."""
+    raw = int(key) & _MASK64
+    return (_splitmix64_int(raw),
+            _splitmix64_int((raw + 0x9E3779B97F4A7C15) & _MASK64) | 1)
+
+
 def _splitmix64(values: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer: a non-linear 64-bit mix.
 
@@ -76,6 +84,8 @@ class BloomFilter:
         self.nbits = 1 << int(np.ceil(np.log2(self.nbits)))
         self.k = max(1, min(16, int(round(0.69 * bits_per_key))))
         self._bits = np.zeros(self.nbits, dtype=bool)
+        # Zero-copy; indexing it yields Python bools, not numpy scalars.
+        self._bitview = memoryview(self._bits)
 
     def _positions(self, keys: np.ndarray) -> np.ndarray:
         """(len(keys), k) array of bit positions (double hashing)."""
@@ -87,23 +97,14 @@ class BloomFilter:
             return
         self._bits[self._positions(np.asarray(keys))] = True
 
-    def may_contain(self, key: int) -> bool:
+    def may_contain(self, h1: int, h2: int) -> bool:
         """False means definitely absent; True means possibly present.
 
-        Scalar fast path: the k probe positions are derived with
-        Python-int mixing (no temporary numpy arrays) and probing stops
-        at the first clear bit — same verdict as a vectorized probe of
-        :meth:`_positions`, an order of magnitude cheaper for the
-        one-key-per-table probes of the LSM read path.
+        Probes the key's :func:`key_hashes` at :meth:`_positions`'s k
+        bits in order, stopping at the first clear one.
         """
-        raw = int(key) & _MASK64
-        h1 = _splitmix64_int(raw)
-        h2 = _splitmix64_int((raw + 0x9E3779B97F4A7C15) & _MASK64) | 1
-        bits = self._bits
-        mask = self.nbits - 1
-        probe = h1
-        for _ in range(self.k):
-            if not bits[probe & mask]:
+        bits, mask = self._bitview, self.nbits - 1
+        for i in range(self.k):
+            if not bits[(h1 + i * h2) & mask]:
                 return False
-            probe = (probe + h2) & _MASK64
         return True

@@ -8,9 +8,12 @@ charge data-block reads at the right file offsets.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.kv.values import Value
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.config import LSMConfig
 from repro.lsm.memtable import KIND_DELETE, KIND_PUT
@@ -50,6 +53,7 @@ class SSTable:
         self.max_key = int(keys[-1])
         self._bloom: BloomFilter | None = None
         self._bloom_enabled = config.bloom_bits_per_key > 0
+        self._views: tuple[memoryview, memoryview] | None = None
 
     # ------------------------------------------------------------------
     # Metadata
@@ -86,45 +90,40 @@ class SSTable:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def may_contain(self, key: int) -> bool:
-        """Bloom-filter test (no device I/O; filters are cached)."""
+    def probe(self, key: int, h1: int, h2: int) -> tuple[int, int, int] | None:
+        """``(offset, nbytes, row)`` of the block a get of *key* reads
+        here (*row* -1: a false positive, entry 0's block is read), or
+        None if the key range or the (cached) filter rules it out."""
         if key < self.min_key or key > self.max_key:
-            return False
-        if not self._bloom_enabled:
-            return True  # no filter: every in-range probe pays a read
-        return self.bloom.may_contain(key)
+            return None
+        if self._bloom_enabled and not self.bloom.may_contain(h1, h2):
+            return None
+        views = self._views
+        if views is None:
+            # Zero-copy, made by the first probe (like the filter): they
+            # index to Python ints; bisect on one beats np.searchsorted.
+            views = self._views = memoryview(self.keys), memoryview(self._offsets)
+        keys, offsets = views
+        entry = row = bisect_left(keys, key)
+        if keys[row] != key:
+            entry, row = 0, -1
+        start = offsets[entry]
+        block = self.config.block_bytes
+        end = min(start + max(block, offsets[entry + 1] - start), offsets[-1])
+        block_start = start // block * block
+        return block_start, end - block_start, row
 
-    def find(self, key: int) -> int:
-        """Index of *key* in the table, or -1."""
-        idx = int(np.searchsorted(self.keys, key))
-        if idx < len(self.keys) and int(self.keys[idx]) == key:
-            return idx
-        return -1
-
-    def entry(self, idx: int) -> tuple[int, int, int, int, int]:
-        """(key, seq, vseed, vlen, kind) at *idx*."""
-        return (
-            int(self.keys[idx]),
-            int(self.seqs[idx]),
-            int(self.vseeds[idx]),
-            int(self.vlens[idx]),
-            int(self.kinds[idx]),
-        )
-
-    def read_extent(self, idx: int) -> tuple[int, int]:
-        """(offset, nbytes) of the data block holding entry *idx*.
-
-        The block is the config's block size or the entry itself if
-        larger (large values span blocks, as in RocksDB).
-        """
-        start = int(self._offsets[idx])
-        nbytes = max(self.config.block_bytes, int(self._offsets[idx + 1]) - start)
-        end = min(start + nbytes, self.data_bytes)
-        block_start = (start // self.config.block_bytes) * self.config.block_bytes
-        return block_start, end - block_start
+    def value(self, row: int) -> Value | None:
+        """The value at entry *row*, or None for a tombstone (``item``
+        yields Python ints; three more views cost ~0.5 MiB of RSS)."""
+        if self.kinds.item(row) == KIND_DELETE:
+            return None
+        return Value(self.vseeds.item(row), self.vlens.item(row))
 
     def read_extents(self) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`read_extent` of every entry, as (offsets, nbytes) columns."""
+        """Per entry, (offset, nbytes) columns of the block a get reads:
+        from the block boundary at or below the entry, one block or the
+        entry if larger (as in RocksDB), clamped to the end of file."""
         block = self.config.block_bytes
         start = self._offsets[:-1]
         end = np.minimum(start + np.maximum(block, self._offsets[1:] - start),

@@ -36,6 +36,7 @@ from repro.fs.filesystem import ExtentFilesystem
 from repro.kv.api import KVStore, as_int_list
 from repro.kv.stats import KVStats
 from repro.kv.values import Value
+from repro.lsm.bloom import key_hashes
 from repro.lsm.compaction import CompactionExecutor, CompactionPicker
 from repro.lsm.config import LSMConfig
 from repro.lsm.memtable import (KIND_DELETE, KIND_PUT, SCAN_KEY_SHIFT,
@@ -137,10 +138,11 @@ class LSMStore(KVStore):
     # ------------------------------------------------------------------
     #: Read batches at least this large are planned through the
     #: manifest's read index; smaller runs (the norm for mixed
-    #: workloads, where same-kind runs are short) go through get() per
-    #: key.  Planning costs ~75 us per batch plus ~3.5 us per key
-    #: against ~13 us per get(): the crossover (DESIGN.md §13.2).
-    BULK_PROBE_MIN = 8
+    #: workloads, where same-kind runs are short, and the fleet's
+    #: one-op calls) go through get() per key.  Planning costs ~120-150
+    #: us per batch plus ~4 us per key against ~12 us per get(): the
+    #: crossover (DESIGN.md §13.2).
+    BULK_PROBE_MIN = 20
 
     def put_many(self, keys, vseeds, vlen: int, until: float | None = None,
                  latencies: list | None = None) -> int:
@@ -941,34 +943,25 @@ class LSMStore(KVStore):
             entry = memtable.get(key)
             if entry is not None:
                 return 0.0, self._to_value(entry)
+        # One hash per get: every candidate table's filter takes the pair.
+        h1, h2 = key_hashes(key)
+        pread = self.fs.pread
+        version = self.version
         latency = 0.0
-        for table in self.version.levels[0]:
-            if not table.may_contain(key):
-                continue
-            idx = table.find(key)
-            latency += self._charge_block_read(table, max(idx, 0))
-            if idx >= 0:
-                return latency, self._entry_value(table, idx)
-        for level in range(1, self.config.num_levels):
-            table = self.version.find_table(level, key) if self.version.levels[level] else None
-            if table is None or not table.may_contain(key):
-                continue
-            idx = table.find(key)
-            latency += self._charge_block_read(table, max(idx, 0))
-            if idx >= 0:
-                return latency, self._entry_value(table, idx)
+        for level, tables in enumerate(version.levels):
+            if level and tables:
+                # A sorted level: the one table whose range may hold the key.
+                table = version.find_table(level, key)
+                tables = () if table is None else (table,)
+            for table in tables:
+                block = table.probe(key, h1, h2)
+                if block is None:
+                    continue
+                offset, nbytes, row = block
+                latency += pread(table.filename, offset, nbytes)
+                if row >= 0:
+                    return latency, table.value(row)
         return (latency, None) if latency else None
-
-    def _charge_block_read(self, table, idx: int) -> float:
-        offset, nbytes = table.read_extent(idx)
-        read_latency = self.fs.pread(table.filename, offset, nbytes)
-        return read_latency
-
-    def _entry_value(self, table, idx: int) -> Value | None:
-        _key, _seq, vseed, vlen, kind = table.entry(idx)
-        if kind == KIND_DELETE:
-            return None
-        return Value(vseed, vlen)
 
     @staticmethod
     def _to_value(entry: tuple[int, int, int, int]) -> Value | None:

@@ -32,7 +32,7 @@ class ReadRun:
     range and filename.  Per entry, the tables' columns concatenated,
     each group built by its first user.  Point reads
     (:meth:`Version.plan_reads`): the globally sorted ``keys`` with the
-    data-block extent (:meth:`SSTable.read_extent`, precomputed; entry
+    data-block extent (:meth:`SSTable.read_extents`, precomputed; entry
     0's is what a bloom false positive is charged) and the user bytes a
     hit returns (0 for a tombstone), plus the ``base``/``mask``
     locating each table's bloom filter inside the run's one bit slab

@@ -6,6 +6,7 @@ import math
 from dataclasses import replace
 from functools import partial
 
+import numpy as np
 import pytest
 
 from repro.btree.config import BTreeConfig
@@ -162,6 +163,20 @@ class TestSpec:
         assert replace(spec, name="other").stable_hash() == spec.stable_hash()
         with pytest.raises(ConfigError):
             ExperimentSpec.from_dict({"no_such_field": 1})
+
+    @pytest.mark.parametrize("name, numpy_value, value", [
+        ("seed", np.int64(5), 5), ("max_ops", np.int64(100), 100),
+        ("nclients", np.int64(2), 2),
+        ("capacity_bytes", np.int64(64 * MIB), 64 * MIB),
+        ("dataset_fraction", np.float32(0.5), 0.5),
+    ])
+    def test_a_numpy_number_hashes_like_its_python_value(self, name,
+                                                         numpy_value, value):
+        spec = ExperimentSpec(**{name: numpy_value})
+        plain = ExperimentSpec(**{name: value})
+        assert spec.stable_hash() == plain.stable_hash()
+        assert spec.to_dict() == plain.to_dict()
+        assert type(spec.to_dict()[name]) is type(value)
 
     @pytest.mark.parametrize("name, value", [
         ("fs_strategy", "scatter"), ("fs_discard", False),

@@ -32,13 +32,16 @@ from hypothesis import strategies as st
 
 from repro.kv.values import Value
 from repro.lsm.memtable import SCAN_KEY_SPAN
+from repro.lsm.store import LSMStore
 from tests.lsm import test_scan_kernel
 from tests.workload import test_batched_runner
 
 TOP = SCAN_KEY_SPAN - 8
 key = st.one_of(st.integers(0, 40), st.integers(0, 600),
                 st.integers(TOP, SCAN_KEY_SPAN - 1))
-keys = st.lists(key, min_size=1, max_size=16)  # the LSM plans 8 and up
+keys = st.lists(key, min_size=1, max_size=16)
+# The LSM plans batches of BULK_PROBE_MIN keys and up.
+get_keys = st.lists(key, min_size=1, max_size=LSMStore.BULK_PROBE_MIN + 8)
 vlen = st.sampled_from([24, 120, 700, 5000])
 count = st.sampled_from([0, 1, 5, 40, 1 << 40])
 ops = st.lists(st.one_of(
@@ -47,7 +50,7 @@ ops = st.lists(st.one_of(
     st.tuples(st.just("delete"), key),
     st.tuples(st.just("delete_many"), keys),
     st.tuples(st.just("get"), key),
-    st.tuples(st.just("get_many"), keys),
+    st.tuples(st.just("get_many"), get_keys),
     st.tuples(st.just("scan"), key, count),
     st.tuples(st.just("scan_many"), keys, count),
     st.tuples(st.just("flush")),

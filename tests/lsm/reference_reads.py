@@ -5,9 +5,11 @@ as a ``heapq`` merge over one iterator per memtable and per table, a
 get as a walk over the tables one at a time.  Each returns the answer
 and the ``(filename, offset, nbytes)`` reads, in order, that the store
 must charge for it.  It reads the store's data — memtable dicts, the
-manifest's levels, a table's columns, offsets and bloom filter — and
-shares no code with ``repro.lsm.store`` or ``repro.lsm.version``; it
-touches neither the clock nor any counter.
+manifest's levels, a table's columns, offsets and bloom bits — and
+shares no code with ``repro.lsm.store``, ``repro.lsm.version`` or the
+table's and filter's own probes (a filter verdict is the vectorized
+gather of its bit positions, an entry a ``searchsorted``, a block
+extent computed here); it touches neither the clock nor any counter.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ def scan(store, start_key: int, count: int):
     def table_entries(table, window):
         for idx in range(window[1], table.nentries):
             window[2] = idx + 1
-            yield table.entry(idx)
+            yield (int(table.keys[idx]), int(table.seqs[idx]),
+                   int(table.vseeds[idx]), int(table.vlens[idx]),
+                   int(table.kinds[idx]))
 
     for entries in _memtables(store):
         pull(iter(sorted((key, *entry) for key, entry in entries.items()
@@ -86,12 +90,25 @@ def get(store, key: int):
         for table in tables:
             if not table.min_key <= key <= table.max_key:
                 continue
-            if table.bloom is not None and not table.bloom.may_contain(key):
+            bloom = table.bloom
+            if bloom is not None and not bloom._bits[bloom._positions([key])].all():
                 continue
             idx = int(np.searchsorted(table.keys, key))
             found = int(table.keys[idx]) == key
-            reads.append((table.filename, *table.read_extent(idx if found else 0)))
+            reads.append((table.filename, *_block(table, idx if found else 0)))
             if found:
-                _key, _seq, vseed, vlen, kind = table.entry(idx)
-                return (Value(vseed, vlen) if kind == KIND_PUT else None), reads
+                kind = int(table.kinds[idx])
+                value = Value(int(table.vseeds[idx]), int(table.vlens[idx]))
+                return (value if kind == KIND_PUT else None), reads
     return None, reads
+
+
+def _block(table, idx: int) -> tuple[int, int]:
+    """``(offset, nbytes)`` of the data block a get of entry *idx*
+    reads: from the block boundary at or below the entry, one block or
+    the whole entry if larger, never past the end of the file."""
+    block = table.config.block_bytes
+    start, end = int(table._offsets[idx]), int(table._offsets[idx + 1])
+    stop = min(start + max(block, end - start), int(table._offsets[-1]))
+    first = start - start % block
+    return first, stop - first

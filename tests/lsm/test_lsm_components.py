@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.lsm.bloom import BloomFilter
+from repro.kv.values import Value
+from repro.lsm.bloom import BloomFilter, key_hashes
 from repro.lsm.config import LSMConfig
 from repro.lsm.memtable import KIND_DELETE, KIND_PUT, MemTable
 from repro.lsm.sstable import SSTable, split_into_tables
@@ -82,7 +83,7 @@ class TestBloom:
         bloom = BloomFilter(1000, 10)
         keys = np.arange(0, 5000, 5, dtype=np.int64)
         bloom.add_many(keys)
-        assert all(bloom.may_contain(int(k)) for k in keys[:200])
+        assert all(bloom.may_contain(*key_hashes(k)) for k in keys[:200].tolist())
         assert may_contain_many(bloom, keys).all()
 
     def test_false_positive_rate_reasonable(self):
@@ -94,10 +95,10 @@ class TestBloom:
 
     def test_empty_filter_rejects(self):
         bloom = BloomFilter(100, 10)
-        assert not bloom.may_contain(42)
+        assert not bloom.may_contain(*key_hashes(42))
 
     def test_scalar_probe_matches_vectorized(self):
-        # The Python-int fast path of may_contain must agree with the
+        # key_hashes + may_contain (Python ints) must agree with the
         # numpy path on every key, including negatives and the 64-bit
         # extremes (two's-complement wrap in the mixer).
         bloom = BloomFilter(500, 10)
@@ -111,7 +112,7 @@ class TestBloom:
         ])
         vectorized = may_contain_many(bloom, probes)
         for key, expected in zip(probes.tolist(), vectorized.tolist()):
-            assert bloom.may_contain(key) == expected
+            assert bloom.may_contain(*key_hashes(key)) == expected
 
     def test_invalid_bits_rejected(self):
         with pytest.raises(ConfigError):
@@ -130,12 +131,45 @@ class TestSSTable:
             SSTable(1, config, empty, empty, empty.astype(np.uint64), empty,
                     np.empty(0, dtype=np.int8))
 
-    def test_find_and_entry(self):
+    def test_probe_hit_reads_the_entrys_block(self):
         table = make_sstable([2, 4, 6])
-        assert table.find(4) == 1
-        assert table.find(5) == -1
-        key, _seq, _vseed, vlen, kind = table.entry(1)
-        assert key == 4 and vlen == 100 and kind == KIND_PUT
+        offset, nbytes, row = table.probe(4, *key_hashes(4))
+        assert row == 1
+        offsets, sizes = table.read_extents()
+        assert (offset, nbytes) == (offsets[1], sizes[1])
+        assert table.value(row) == Value(0, 100)
+
+    def test_probe_outside_the_range_or_the_filter_reads_nothing(self):
+        table = make_sstable(range(0, 500, 2))
+        assert table.probe(-1, *key_hashes(-1)) is None
+        assert table.probe(499, *key_hashes(499)) is None
+        rejected = [k for k in range(1, 498, 2)
+                    if not table.bloom.may_contain(*key_hashes(k))]
+        assert rejected
+        assert all(table.probe(k, *key_hashes(k)) is None for k in rejected)
+
+    def test_a_false_positive_reads_entry_zeros_block(self):
+        # Two bits per key: plenty of odd keys pass the filter.
+        table = make_sstable(range(0, 5000, 2),
+                             config=LSMConfig(bloom_bits_per_key=2))
+        offsets, sizes = table.read_extents()
+        admitted = [k for k in range(1, 4998, 2)
+                    if table.bloom.may_contain(*key_hashes(k))]
+        assert admitted
+        for k in admitted:
+            assert table.probe(k, *key_hashes(k)) == (offsets[0], sizes[0], -1)
+
+    def test_value_of_a_tombstone_is_none(self):
+        n = 3
+        table = SSTable(1, LSMConfig(), np.array([2, 4, 6], dtype=np.int64),
+                        np.arange(n, dtype=np.int64),
+                        np.array([7, 0, 9], dtype=np.uint64),
+                        np.array([100, 0, 50], dtype=np.int64),
+                        np.array([KIND_PUT, KIND_DELETE, KIND_PUT], dtype=np.int8))
+        assert table.probe(4, *key_hashes(4))[2] == 1
+        assert table.value(1) is None
+        assert table.value(0) == Value(7, 100)
+        assert table.value(2) == Value(9, 50)
 
     def test_metadata(self):
         table = make_sstable([2, 4, 6])
@@ -150,13 +184,21 @@ class TestSSTable:
         assert not table.overlaps(21, 30)
         assert not table.overlaps(0, 9)
 
-    def test_read_extent_within_file(self):
-        table = make_sstable(range(0, 500, 2))
-        for idx in (0, 100, 249):
-            offset, nbytes = table.read_extent(idx)
-            assert 0 <= offset < table.data_bytes
-            assert offset + nbytes <= table.data_bytes
-            assert nbytes > 0
+    def test_every_probe_extent_is_its_read_extents_row(self):
+        # Values of mixed sizes, some past a block: extents that span
+        # blocks and ones clamped to the end of the file.
+        n = 300
+        vlens = np.array([100, 5000, 30, 9000, 700] * (n // 5), dtype=np.int64)
+        table = SSTable(1, LSMConfig(), np.arange(0, 2 * n, 2, dtype=np.int64),
+                        np.arange(n, dtype=np.int64),
+                        np.arange(n, dtype=np.uint64), vlens,
+                        np.zeros(n, dtype=np.int8))
+        offsets, sizes = table.read_extents()
+        for row, key in enumerate(table.keys.tolist()):
+            assert table.probe(key, *key_hashes(key)) == (
+                offsets[row], sizes[row], row)
+            assert 0 <= offsets[row] < table.data_bytes
+            assert 0 < offsets[row] + sizes[row] <= table.data_bytes
 
     def test_split_into_tables_respects_target(self):
         config = LSMConfig(target_file_bytes=10_000)

@@ -7,6 +7,9 @@ gets, and everything observable must match exactly — per-op latencies,
 the clock, ``KVStats``, the SMART read counters and the device read
 requests — and must be what ``reference_reads.get`` says a get
 returns and pays.  Also pins the index's per-level invalidation.
+
+CI also runs this file under the derandomized ``ci`` hypothesis
+profile (``tests/conftest.py``): ``--hypothesis-profile=ci``.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ def state(store: LSMStore) -> tuple:
 
 
 class TestLockstep:
-    @settings(max_examples=60, deadline=None,
+    @settings(deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -153,7 +156,8 @@ class TestLockstep:
                 "memtables": [([], [], []), ([], [], [])]}
         store = build_store(tree, bloom_bits=0)
         reads = record_reads(store)
-        keys = [15, 25, 4, 41, 35, 20, 15, 15]
+        keys = [15, 25, 4, 41, 35, 20, 15, 15] * 3
+        assert len(keys) >= LSMStore.BULK_PROBE_MIN  # the planned path
         expected = [reference_reads.get(store, key) for key in keys]
         assert store.get_many(keys) == len(keys)
         assert reads == device_reads(
@@ -162,14 +166,14 @@ class TestLockstep:
             key in (25, 20) for key in keys]
         first, second = (t.filename for _lvl, t in store.version.all_tables())
         miss = [(first, 0, 9040), (second, 0, 240)]
-        assert reads == device_reads(store,
+        assert reads == device_reads(store, (
             miss                      # 15: absent, inside both ranges
             + [miss[0], (second, 0, 240)]   # 25: L1 false positive, L2 hit
             + []                      # 4, 41: outside every range
             + [(second, 0, 240)]      # 35: only inside L2's range
             + [(first, 8192, 9888)]   # 20: L1 hit, block-aligned start
-            + miss + miss)
-        assert store.stats.user_bytes_read == (16 + 40) + (16 + 9000)
+            + miss + miss) * 3)
+        assert store.stats.user_bytes_read == 3 * ((16 + 40) + (16 + 9000))
 
     @pytest.mark.parametrize("fail_at", [0, 3, 11])
     def test_pread_fault_mid_batch(self, fail_at):
@@ -189,7 +193,7 @@ class TestLockstep:
         assert bulk == twin
         assert bulk_done == len(bulk[1]) == bulk[2][1]["gets"]
 
-    @settings(max_examples=60, deadline=None,
+    @settings(deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(0, 2**32 - 1),
            starts=st.lists(st.integers(-10, KEYSPACE + 10), min_size=1,

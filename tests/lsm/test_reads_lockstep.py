@@ -18,9 +18,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.kv.values import Value
+from repro.lsm.store import LSMStore
 from tests.lsm import reference_reads
 from tests.lsm.test_scan_kernel import device_reads, make_store, populate
 
+BULK = LSMStore.BULK_PROBE_MIN
 key = st.integers(-5, 450)  # populate() writes 0..399
 written = st.integers(0, 450)  # a negative key cannot be scanned over
 count = st.sampled_from([0, 1, 7, 100])
@@ -28,8 +30,13 @@ ops = st.lists(st.one_of(
     st.tuples(st.just("put"), written, st.sampled_from([24, 48, 5000])),
     st.tuples(st.just("delete"), written),
     st.tuples(st.just("get"), key),
-    # Nine keys and up: the planned path (LSMStore.BULK_PROBE_MIN).
-    st.tuples(st.just("get_many"), st.lists(key, min_size=9, max_size=20)),
+    # Below LSMStore.BULK_PROBE_MIN keys: a get() per key, as the
+    # fleet and the short runs of mixed workloads issue them; from it
+    # up: the planned path.
+    st.tuples(st.just("get_many"),
+              st.lists(key, min_size=1, max_size=BULK - 1)),
+    st.tuples(st.just("get_many"),
+              st.lists(key, min_size=BULK, max_size=BULK + 12)),
     st.tuples(st.just("scan"), key, count),
     st.tuples(st.just("scan_many"), st.lists(key, min_size=1, max_size=6), count),
 ), min_size=1, max_size=40)

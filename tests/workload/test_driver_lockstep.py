@@ -123,7 +123,7 @@ def drive(reference: bool, engine, fractions, distribution, scan_length,
               stop_after=None, seed=5, nclients=1, nshards=1,
               router="range"))
 # A read-heavy LSM lone client sampled every ~5 ops: the float bound
-# cuts every bulk-planned get_many call (8+ keys) mid-run.
+# cuts every bulk-planned get_many call (BULK_PROBE_MIN keys and up) mid-run.
 @example(dict(engine="lsm", fractions=(0.9, 0.0, 0.0), distribution="uniform",
               scan_length=1, max_ops=500, sample_interval=0.0005,
               stop_after=None, seed=23, nclients=None, nshards=1,
