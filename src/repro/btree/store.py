@@ -72,104 +72,20 @@ class BTreeStore(KVStore):
         self.cache.insert(id(self._root), self._root)
 
     # ------------------------------------------------------------------
-    # KVStore interface
-    # ------------------------------------------------------------------
-    def put(self, key: int, value: Value) -> float:
-        """Insert or update a key."""
-        self._ensure_open()
-        tracer = self.tracer
-        tr_on = tracer.enabled
-        if tr_on:
-            t0 = self.clock.now
-            tracer.op_begin()
-        latency = self.config.cpu_overhead
-        leaf, path = self._descend(key)
-        latency += self._make_resident(leaf)
-        before = leaf.nbytes
-        appending = not leaf.keys or key >= leaf.keys[-1]
-        leaf.upsert(key, value.seed, value.length, self.config)
-        self.cache.adjust(leaf.nbytes - before)
-        if leaf.nbytes > self.config.leaf_page_bytes:
-            latency += self._split_leaf(leaf, path, appending)
-        latency += self._journal(self.config.key_bytes + value.length)
-        self._stats.puts += 1
-        self._stats.user_bytes_written += self.config.key_bytes + value.length
-        self._maybe_checkpoint()
-        if tr_on:
-            tracer.op_end("update", t0, latency)
-        self.clock.advance(latency)
-        return latency
-
-    def get(self, key: int) -> tuple[float, Value | None]:
-        """Point lookup."""
-        self._ensure_open()
-        tracer = self.tracer
-        tr_on = tracer.enabled
-        if tr_on:
-            t0 = self.clock.now
-            tracer.op_begin()
-        latency = self.config.cpu_overhead
-        leaf, _path = self._descend(key)
-        latency += self._make_resident(leaf)
-        idx = leaf.find(key)
-        value = None
-        if idx >= 0:
-            value = Value(leaf.vseeds[idx], leaf.vlens[idx])
-            self._stats.user_bytes_read += self.config.key_bytes + value.length
-        self._stats.gets += 1
-        self._maybe_checkpoint()
-        if tr_on:
-            tracer.op_end("read", t0, latency)
-        self.clock.advance(latency)
-        return latency, value
-
-    def delete(self, key: int) -> float:
-        """Remove a key if present."""
-        self._ensure_open()
-        tracer = self.tracer
-        tr_on = tracer.enabled
-        if tr_on:
-            t0 = self.clock.now
-            tracer.op_begin()
-        latency = self.config.cpu_overhead
-        leaf, path = self._descend(key)
-        latency += self._make_resident(leaf)
-        before = leaf.nbytes
-        if leaf.remove(key, self.config):
-            self.cache.adjust(leaf.nbytes - before)
-            if not leaf.keys and path:
-                self._drop_leaf(leaf, path)
-        latency += self._journal(self.config.key_bytes)
-        self._stats.deletes += 1
-        self._stats.user_bytes_written += self.config.key_bytes
-        self._maybe_checkpoint()
-        if tr_on:
-            tracer.op_end("delete", t0, latency)
-        self.clock.advance(latency)
-        return latency
-
-    def scan(self, start_key: int, count: int) -> tuple[float, list[tuple[int, Value]]]:
-        """Ordered range scan over the leaf chain."""
-        latencies: list = []
-        pairs: list = []
-        self._scan_each([start_key], count, None, latencies, pairs)
-        return latencies[0], pairs
-
-    # ------------------------------------------------------------------
-    # Batch API (bit-identical to the per-op loop; DESIGN.md §6)
+    # KVStore interface: one body per op kind (DESIGN.md §6)
     # ------------------------------------------------------------------
     def put_many(self, keys, vseeds, vlen: int, until: float | None = None,
                  latencies: list | None = None) -> int:
         """Batched puts with tree-descent reuse.
 
         Operations are applied strictly in order (reordering would
-        change the journal/eviction sequence and break the scalar
-        equivalence contract), but the descent is skipped when the
+        change the journal/eviction sequence, and a batch must equal
+        its ops as one-op batches), but the descent is skipped when the
         previous op's leaf provably covers the key — an in-place update
         of a key the leaf already holds, or an append to the rightmost
         leaf — and no split can occur (a split needs the descent path).
-        Journal, cache, checkpoint, and clock effects are exactly the
-        scalar ones, op by op.  Valid in event-driven runs too: the
+        Journal, cache, checkpoint, and clock effects are exactly a
+        one-op batch's, op by op.  Valid in event-driven runs too: the
         local clock mirror accumulates advances exactly like
         ``clock.advance`` (DESIGN.md §7.2), and checkpoints scheduled by
         an op interrupt the batch through the event-aware ``until``.
@@ -282,7 +198,8 @@ class BTreeStore(KVStore):
         return done
 
     def get_many(self, keys, until: float | None = None,
-                 latencies: list | None = None) -> int:
+                 latencies: list | None = None,
+                 out: list | None = None) -> int:
         """Batched point lookups with cached-leaf descent reuse.
 
         Same reuse rule as :meth:`put_many` (DESIGN.md §7.3): when the
@@ -292,7 +209,7 @@ class BTreeStore(KVStore):
         restructure the tree (checkpoints write pages back but move no
         keys), so the cached leaf stays valid across the whole run.
         Cache touches, faults, checkpoint triggers, and clock effects
-        are exactly the scalar ones, op by op.
+        are exactly a one-op batch's, op by op.
         """
         self._ensure_open()
         n = len(keys)
@@ -335,6 +252,9 @@ class BTreeStore(KVStore):
                 idx = leaf.find(key)
                 if idx >= 0:
                     stats.user_bytes_read += key_bytes + leaf.vlens[idx]
+                if out is not None:
+                    out.append(Value(leaf.vseeds[idx], leaf.vlens[idx])
+                               if idx >= 0 else None)
                 stats.gets += 1
                 if (now - self._last_checkpoint >= checkpoint_interval
                         or self._journal_since_checkpoint >= checkpoint_log_bytes):
@@ -357,8 +277,58 @@ class BTreeStore(KVStore):
             self._read_cursor = leaf
         return done
 
+    def delete_many(self, keys, until: float | None = None,
+                    latencies: list | None = None) -> int:
+        """Batched deletes, one full descent each.
+
+        Each op faults its leaf in, removes the key (unlinking a leaf
+        it leaves empty) and journals a key-only record; the journal,
+        cache, checkpoint and clock effects follow op by op.
+        """
+        self._ensure_open()
+        clock = self.clock
+        config = self.config
+        cpu = config.cpu_overhead
+        key_bytes = config.key_bytes
+        stats = self._stats
+        adjust = self.cache.adjust
+        append = None if latencies is None else latencies.append
+        tracer = self.tracer
+        tr_on = tracer.enabled
+        done = 0
+        try:
+            for key in as_int_list(keys):
+                if tr_on:
+                    t0 = clock.now
+                    tracer.op_begin()
+                latency = cpu
+                leaf, path = self._descend(key)
+                latency += self._make_resident(leaf)
+                before = leaf.nbytes
+                if leaf.remove(key, config):
+                    adjust(leaf.nbytes - before)
+                    if not leaf.keys and path:
+                        self._drop_leaf(leaf, path)
+                latency += self._journal(key_bytes)
+                stats.deletes += 1
+                stats.user_bytes_written += key_bytes
+                self._maybe_checkpoint()
+                if tr_on:
+                    tracer.op_end("delete", t0, latency)
+                clock.advance(latency)
+                done += 1
+                if append is not None:
+                    append(latency)
+                if until is not None and clock.now >= until:
+                    break
+        except NoSpaceError as exc:
+            exc.ops_done = done
+            raise
+        return done
+
     def scan_many(self, start_keys, count: int, until: float | None = None,
-                  latencies: list | None = None) -> int:
+                  latencies: list | None = None,
+                  out: list | None = None) -> int:
         """Batched range scans with cached-leaf descent reuse.
 
         The leaf a scan ends on seeds the next scan's start-leaf
@@ -366,16 +336,8 @@ class BTreeStore(KVStore):
         skipped (scans often revisit a neighbourhood, and the
         rightmost leaf absorbs every past-the-end start key).  The
         walk faults in each visited leaf and accounts its qualifying
-        entries with one bisect plus a slice sum (DESIGN.md §13).  A
-        per-op :meth:`scan` is this loop over one start key, with the
-        pairs collected.
+        entries with one bisect plus a slice sum (DESIGN.md §13).
         """
-        return self._scan_each(start_keys, count, until, latencies, None)
-
-    def _scan_each(self, start_keys, count: int, until, latencies: list | None,
-                   out: list | None) -> int:
-        """The scan loop behind :meth:`scan_many` and :meth:`scan`;
-        *out*, when given, receives the scans' ``(key, Value)`` pairs."""
         self._ensure_open()
         n = len(start_keys)
         if n == 0:

@@ -204,7 +204,7 @@ class ExperimentSpec:
             raise ConfigError("trace_lba is single-device only; "
                               "it is not supported with nshards > 1")
         if self.faults is not None:
-            validate_faults(self.faults)
+            object.__setattr__(self, "faults", validate_faults(self.faults))
         if self.retry_limit < 0:
             raise ConfigError("retry_limit must be >= 0")
         if not 0 <= self.retry_backoff_ms < math.inf:

@@ -40,6 +40,11 @@ Fault kinds (all optional keys of the ``faults`` spec dict):
 
 from __future__ import annotations
 
+import math
+import numbers
+
+import numpy as np
+
 from repro.errors import ConfigError, ProgramFaultError
 
 #: Recognized keys of a ``faults`` spec dict.
@@ -54,53 +59,73 @@ FAULT_KINDS = (
 )
 _RATE_KINDS = ("read", "program", "latency", "bad_block")
 _DEGRADE_KEYS = ("channel", "start", "seconds", "factor")
+#: What each degrade key must be (written so that NaN fails too).
+_DEGRADE_RULES = {
+    "channel": ("an int >= 0", lambda v: v >= 0),
+    "start": (">= 0 and finite", lambda v: 0 <= v < math.inf),
+    "seconds": ("> 0 and finite", lambda v: 0 < v < math.inf),
+    "factor": (">= 1 and finite", lambda v: 1 <= v < math.inf),
+}
 
 
-def validate_faults(faults: object) -> None:
-    """Fail fast (``ConfigError``) on a malformed ``faults`` dict."""
+def _number(value: object, integer: bool = False) -> int | float | None:
+    """*value* as a Python number (numpy's become Python's), or None
+    for anything else: a bool, a string, a float where an int is due."""
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if integer else numbers.Real):
+        return None
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def validate_faults(faults: object) -> dict:
+    """*faults* with numpy numbers as Python's; ``ConfigError`` if it
+    is malformed."""
     if not isinstance(faults, dict):
         raise ConfigError(
             f"faults must be a dict of fault kinds, got {type(faults).__name__}"
         )
-    for key in faults:
+    normal = {}
+    for key, value in faults.items():
         if key not in FAULT_KINDS:
             raise ConfigError(
                 f"unknown fault kind {key!r} (expected one of "
                 f"{', '.join(FAULT_KINDS)})"
             )
-    for key in _RATE_KINDS:
-        if key in faults:
-            rate = faults[key]
-            if not isinstance(rate, (int, float)) or not 0.0 <= rate <= 1.0:
+        if key == "degrade":
+            normal[key] = _validate_degrade(value)
+            continue
+        number = _number(value)
+        # Written so that NaN fails too (it fails every comparison).
+        if key in _RATE_KINDS:
+            if number is None or not 0.0 <= number <= 1.0:
                 raise ConfigError(
-                    f"fault rate {key!r} must be within [0, 1], got {rate!r}"
+                    f"fault rate {key!r} must be within [0, 1], got {value!r}"
                 )
-    for key in ("latency_ms", "read_penalty_ms"):
-        if key in faults:
-            value = faults[key]
-            if not isinstance(value, (int, float)) or value <= 0:
-                raise ConfigError(f"faults.{key} must be > 0, got {value!r}")
-    if "degrade" in faults:
-        degrade = faults["degrade"]
-        if not isinstance(degrade, dict):
-            raise ConfigError("faults.degrade must be a dict with keys "
-                              + ", ".join(_DEGRADE_KEYS))
-        for key in _DEGRADE_KEYS:
-            if key not in degrade:
-                raise ConfigError(f"faults.degrade is missing {key!r}")
-        for key in degrade:
-            if key not in _DEGRADE_KEYS:
-                raise ConfigError(f"faults.degrade has unknown key {key!r}")
-        channel = degrade["channel"]
-        if not isinstance(channel, int) or channel < 0:
+        elif number is None or not 0 < number < math.inf:
             raise ConfigError(
-                f"faults.degrade.channel must be an int >= 0, got {channel!r}")
-        if degrade["start"] < 0:
-            raise ConfigError("faults.degrade.start must be >= 0")
-        if degrade["seconds"] <= 0:
-            raise ConfigError("faults.degrade.seconds must be > 0")
-        if degrade["factor"] < 1.0:
-            raise ConfigError("faults.degrade.factor must be >= 1")
+                f"faults.{key} must be > 0 and finite, got {value!r}")
+        normal[key] = number
+    return normal
+
+
+def _validate_degrade(degrade: object) -> dict:
+    if not isinstance(degrade, dict):
+        raise ConfigError("faults.degrade must be a dict with keys "
+                          + ", ".join(_DEGRADE_KEYS))
+    for key in _DEGRADE_KEYS:
+        if key not in degrade:
+            raise ConfigError(f"faults.degrade is missing {key!r}")
+    normal = {}
+    for key, value in degrade.items():
+        if key not in _DEGRADE_KEYS:
+            raise ConfigError(f"faults.degrade has unknown key {key!r}")
+        number = _number(value, integer=key == "channel")
+        rule, holds = _DEGRADE_RULES[key]
+        if number is None or not holds(number):
+            raise ConfigError(
+                f"faults.degrade.{key} must be {rule}, got {value!r}")
+        normal[key] = number
+    return normal
 
 
 class DegradeWindow:
@@ -131,7 +156,7 @@ class FaultPlan:
                  "latency_s", "read_penalty_s", "bad_block_rate", "degrade")
 
     def __init__(self, faults: dict, rng):
-        validate_faults(faults)
+        faults = validate_faults(faults)
         self.rng = rng
         self.read_rate = float(faults.get("read", 0.0))
         self.program_rate = float(faults.get("program", 0.0))

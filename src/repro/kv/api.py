@@ -2,10 +2,11 @@
 
 Keys are 64-bit integers (the paper's 16-byte string keys are modeled
 by an accounting ``key_bytes`` parameter in each engine's config);
-values are :class:`~repro.kv.values.Value` descriptors.  All methods
-that perform I/O return the synchronous (user-visible) latency in
-virtual seconds and advance the shared clock by that amount, matching
-the single-user-thread methodology of §3.2.
+values are :class:`~repro.kv.values.Value` descriptors.  Every
+operation advances the shared clock by its synchronous (user-visible)
+latency in virtual seconds, matching the single-user-thread
+methodology of §3.2: a per-op call returns it, a batch call appends it
+to ``latencies``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Sequence
 
-from repro.errors import NoSpaceError
 from repro.kv.stats import KVStats
 from repro.kv.values import Value
 
@@ -44,16 +44,15 @@ class KVStore(ABC):
     Batch API contract (DESIGN.md §6)
     =================================
 
-    ``put_many`` / ``get_many`` / ``delete_many`` / ``scan_many`` apply
-    their operations *in order* with per-op clock advancement and are
+    Each engine has one body per op kind, its ``put_many`` /
+    ``get_many`` / ``delete_many`` / ``scan_many``.  A batch applies
+    its operations *in order* with per-op clock advancement and is
     required to be bit-identical — clock, SMART counters, stats, and
-    store state — to the equivalent sequence of per-op calls.
-    ``put_many`` and ``scan_many`` are each engine's own (its per-op
-    ``put``/``scan`` may share their body); ``get_many`` and
-    ``delete_many`` default to the per-op loop below, which an engine
-    overrides where batching pays.  Three further conventions let the
-    batched workload drivers use these methods without losing the
-    semantics of a driver that issues one per-op call at a time:
+    store state — to n one-op batches.  The per-op ``put`` / ``get`` /
+    ``delete`` / ``scan`` are defined once, here, as exactly those
+    one-op batches.  Three further conventions let the batched
+    workload drivers use these methods without losing the semantics of
+    a driver that issues one op at a time:
 
     * ``until``: stop after the first operation that carries the clock
       to or past this bound and return the count performed, so
@@ -64,33 +63,41 @@ class KVStore(ABC):
       passes :class:`repro.workload.plan.EventAwareUntil`, which
       consults the event scheduler on every comparison (DESIGN.md §7);
     * ``latencies``: when a list is passed, each completed operation
-      appends its user-visible latency — the same float the per-op
-      call would return — before the ``until`` check, so a batch cut
-      short (or aborted by out-of-space) has appended exactly the
-      completed ops;
-    * on out-of-space, the raised :class:`NoSpaceError` carries the
-      number of completed operations in ``ops_done`` (the in-flight
-      op is not counted, matching a per-op loop that would have
-      counted only completed calls).
+      appends its user-visible latency — the float a one-op batch
+      reports — before the ``until`` check, so a batch cut short (or
+      aborted by out-of-space) has appended exactly the completed ops;
+    * on out-of-space, the raised :class:`~repro.errors.NoSpaceError`
+      carries the number of completed operations in ``ops_done``
+      (the in-flight op is not counted).
     """
 
     name: str = "abstract"
 
-    @abstractmethod
     def put(self, key: int, value: Value) -> float:
         """Insert or update a key; returns user-visible latency."""
+        latencies: list = []
+        self.put_many([key], [value.seed], value.length, latencies=latencies)
+        return latencies[0]
 
-    @abstractmethod
     def get(self, key: int) -> tuple[float, Value | None]:
         """Look up a key; returns (latency, value-or-None)."""
+        latencies: list = []
+        values: list = []
+        self.get_many([key], latencies=latencies, out=values)
+        return latencies[0], values[0]
 
-    @abstractmethod
     def delete(self, key: int) -> float:
         """Delete a key; returns user-visible latency."""
+        latencies: list = []
+        self.delete_many([key], latencies=latencies)
+        return latencies[0]
 
-    @abstractmethod
     def scan(self, start_key: int, count: int) -> tuple[float, list[tuple[int, Value]]]:
         """Return up to *count* pairs with key >= start_key, in order."""
+        latencies: list = []
+        pairs: list = []
+        self.scan_many([start_key], count, latencies=latencies, out=pairs)
+        return latencies[0], pairs
 
     # ------------------------------------------------------------------
     # Batch API (see class docstring for the contract)
@@ -106,54 +113,30 @@ class KVStore(ABC):
         is the one value length all of them share.
         """
 
+    @abstractmethod
     def get_many(self, keys: Sequence[int], until: float | None = None,
-                 latencies: list | None = None) -> int:
+                 latencies: list | None = None,
+                 out: list | None = None) -> int:
         """Look up a batch of keys; returns the operations performed.
 
-        Lookups are issued for their timing/accounting side effects
-        (this is the workload-driver surface); use :meth:`get` when the
-        values themselves are needed.
+        *out*, when given, receives each lookup's value (None for an
+        absent key).
         """
-        clock = self.clock
-        done = 0
-        append = None if latencies is None else latencies.append
-        try:
-            for i in range(len(keys)):
-                latency, _value = self.get(int(keys[i]))
-                done += 1
-                if append is not None:
-                    append(latency)
-                if until is not None and clock.now >= until:
-                    break
-        except NoSpaceError as exc:
-            exc.ops_done = done
-            raise
-        return done
 
+    @abstractmethod
     def delete_many(self, keys: Sequence[int], until: float | None = None,
                     latencies: list | None = None) -> int:
         """Delete a batch of keys; returns the operations performed."""
-        clock = self.clock
-        done = 0
-        append = None if latencies is None else latencies.append
-        try:
-            for i in range(len(keys)):
-                latency = self.delete(int(keys[i]))
-                done += 1
-                if append is not None:
-                    append(latency)
-                if until is not None and clock.now >= until:
-                    break
-        except NoSpaceError as exc:
-            exc.ops_done = done
-            raise
-        return done
 
     @abstractmethod
     def scan_many(self, start_keys: Sequence[int], count: int,
                   until: float | None = None,
-                  latencies: list | None = None) -> int:
-        """Issue a batch of scans; returns the operations performed."""
+                  latencies: list | None = None,
+                  out: list | None = None) -> int:
+        """Issue a batch of scans; returns the operations performed.
+
+        *out*, when given, receives the scans' ``(key, Value)`` pairs.
+        """
 
     @abstractmethod
     def flush(self) -> None:

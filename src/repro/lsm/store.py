@@ -93,55 +93,14 @@ class LSMStore(KVStore):
         self._crash = None
 
     # ------------------------------------------------------------------
-    # KVStore interface
-    # ------------------------------------------------------------------
-    def put(self, key: int, value: Value) -> float:
-        """Insert/update a key."""
-        return self._write_one(key, value.seed, value.length, False)
-
-    def delete(self, key: int) -> float:
-        """Write a tombstone for a key."""
-        return self._write_one(key, 0, 0, True)
-
-    def get(self, key: int) -> tuple[float, Value | None]:
-        """Point lookup."""
-        self._ensure_open()
-        tracer = self.tracer
-        tr_on = tracer.enabled
-        if tr_on:
-            t0 = self.clock.now
-            tracer.op_begin()
-        latency = self.config.cpu_overhead
-        entry = self._find(key)
-        value = None
-        if entry is not None:
-            read_latency, found = entry
-            latency += read_latency
-            value = found
-        self._stats.gets += 1
-        if value is not None:
-            self._stats.user_bytes_read += self.config.key_bytes + value.length
-        if tr_on:
-            tracer.op_end("read", t0, latency)
-        self.clock.advance(latency)
-        return latency, value
-
-    def scan(self, start_key: int, count: int) -> tuple[float, list[tuple[int, Value]]]:
-        """Ordered range scan of up to *count* live pairs."""
-        latencies: list = []
-        pairs: list = []
-        self._scan_each([start_key], count, None, latencies, pairs)
-        return latencies[0], pairs
-
-    # ------------------------------------------------------------------
-    # Batch API (DESIGN.md §6)
+    # KVStore interface: one body per op kind (DESIGN.md §6)
     # ------------------------------------------------------------------
     #: Read batches at least this large are planned through the
     #: manifest's read index; smaller runs (the norm for mixed
     #: workloads, where same-kind runs are short, and the fleet's
-    #: one-op calls) go through get() per key.  Planning costs ~120-150
-    #: us per batch plus ~4 us per key against ~12 us per get(): the
-    #: crossover (DESIGN.md §13.2).
+    #: one-op calls) walk the tree per key (:meth:`_find`).  Planning
+    #: costs ~120-150 us per batch plus ~4 us per key against ~12 us
+    #: per walked get: the crossover (DESIGN.md §13.2).
     BULK_PROBE_MIN = 20
 
     def put_many(self, keys, vseeds, vlen: int, until: float | None = None,
@@ -152,8 +111,7 @@ class LSMStore(KVStore):
         put's only side effects are pure accounting plus the write-stall
         penalty, so runs of ops are applied as one dict update while the
         clock/penalty recurrence is replayed op by op.  The op that
-        triggers device work is a :meth:`_write_one`, which is all a
-        per-op :meth:`put` is.
+        triggers device work is a :meth:`_write_one`.
         """
         return self._write_many(keys, vseeds, vlen, until, latencies, False)
 
@@ -163,7 +121,8 @@ class LSMStore(KVStore):
         return self._write_many(keys, None, 0, until, latencies, True)
 
     def get_many(self, keys, until: float | None = None,
-                 latencies: list | None = None) -> int:
+                 latencies: list | None = None,
+                 out: list | None = None) -> int:
         """Batched point lookups (DESIGN.md §13.2).
 
         Lookups never mutate the tree, so a large run resolves its
@@ -171,40 +130,45 @@ class LSMStore(KVStore):
         the manifest's read index (bloom filters and index blocks are
         memory-resident: planning costs no simulated I/O).  What is
         left per op is the planned data-block reads, issued in stream
-        order with :meth:`get`'s exact latency arithmetic.
+        order with a walked lookup's exact latency arithmetic.
         """
         self._ensure_open()
         n = len(keys)
+        keys_list = as_int_list(keys)
+        key_bytes = self.config.key_bytes
         # Planning pays off only when the batch is expected to run to
         # completion: a float `until` is a sampling boundary (rarely
         # crossed mid-run), but a live event-aware bound stops
         # deep-pool batches after an op or two, and planning the
-        # remainder on every re-issued call would be quadratic.  Those
-        # and short runs go through get() per op.
-        if n < self.BULK_PROBE_MIN or not (until is None
-                                           or type(until) is float):
-            return KVStore.get_many(self, keys, until, latencies)
-        key_bytes = self.config.key_bytes
-        memtables = [self.memtable._entries]
-        memtables.extend(m._entries for m, _wal in reversed(self._immutables))
-        memtable_bytes = {}
-        misses = []
-        for i, key in enumerate(as_int_list(keys)):
-            for entries in memtables:
-                entry = entries.get(key)
-                if entry is not None:
-                    if entry[3] == KIND_PUT:
-                        memtable_bytes[i] = key_bytes + entry[2]
-                    break
-            else:
-                misses.append(i)
-        bounds, names, offsets, nbytes, hit_bytes = self.version.plan_reads(
-            np.asarray(keys, dtype=np.int64), np.array(misses, dtype=np.int64))
-        for i, user_bytes in memtable_bytes.items():
-            hit_bytes[i] = user_bytes
+        # remainder on every re-issued call would be quadratic.  Those,
+        # short runs and lookups whose values are wanted walk the tree
+        # op by op.
+        bounds = None
+        if (n >= self.BULK_PROBE_MIN and out is None
+                and (until is None or type(until) is float)):
+            memtables = [self.memtable._entries]
+            memtables.extend(m._entries
+                             for m, _wal in reversed(self._immutables))
+            memtable_bytes = {}
+            misses = []
+            for i, key in enumerate(keys_list):
+                for entries in memtables:
+                    entry = entries.get(key)
+                    if entry is not None:
+                        if entry[3] == KIND_PUT:
+                            memtable_bytes[i] = key_bytes + entry[2]
+                        break
+                else:
+                    misses.append(i)
+            bounds, names, offsets, nbytes, hit_bytes = \
+                self.version.plan_reads(np.asarray(keys, dtype=np.int64),
+                                        np.array(misses, dtype=np.int64))
+            for i, user_bytes in memtable_bytes.items():
+                hit_bytes[i] = user_bytes
         clock = self.clock
         cpu = self.config.cpu_overhead
         stats = self._stats
+        find = self._find
         pread = self.fs.pread
         append = None if latencies is None else latencies.append
         tracer = self.tracer
@@ -215,13 +179,22 @@ class LSMStore(KVStore):
                 if tr_on:
                     t0 = clock.now
                     tracer.op_begin()
-                read_latency = 0.0
-                for row in range(bounds[i], bounds[i + 1]):
-                    read_latency += pread(names[row], offsets[row],
-                                          nbytes[row])
+                if bounds is None:
+                    entry = find(keys_list[i])
+                    read_latency, value = (0.0, None) if entry is None \
+                        else entry
+                    if value is not None:
+                        stats.user_bytes_read += key_bytes + value.length
+                    if out is not None:
+                        out.append(value)
+                else:
+                    read_latency = 0.0
+                    for row in range(bounds[i], bounds[i + 1]):
+                        read_latency += pread(names[row], offsets[row],
+                                              nbytes[row])
+                    stats.user_bytes_read += hit_bytes[i]
                 latency = cpu + read_latency
                 stats.gets += 1
-                stats.user_bytes_read += hit_bytes[i]
                 if tr_on:
                     tracer.op_end("read", t0, latency)
                 clock.advance(latency)
@@ -236,7 +209,8 @@ class LSMStore(KVStore):
         return done
 
     def scan_many(self, start_keys, count: int, until: float | None = None,
-                  latencies: list | None = None) -> int:
+                  latencies: list | None = None,
+                  out: list | None = None) -> int:
         """Batched range scans with cursor reuse (DESIGN.md §7.3).
 
         Scans never mutate the tree, so one ``scan_many`` call shares
@@ -244,15 +218,8 @@ class LSMStore(KVStore):
         the memtables' packed sorted columns (memoized per memtable)
         and the read index's sorted runs.  Each scan is then one
         composite-key argsort (:meth:`_scan_merge`) whose reads are
-        planned per run and submitted together.  A per-op :meth:`scan`
-        is this loop over one start key, with the pairs collected.
+        planned per run and submitted together.
         """
-        return self._scan_each(start_keys, count, until, latencies, None)
-
-    def _scan_each(self, start_keys, count: int, until, latencies: list | None,
-                   out: list | None) -> int:
-        """The scan loop behind :meth:`scan_many` and :meth:`scan`;
-        *out*, when given, receives the scans' ``(key, Value)`` pairs."""
         self._ensure_open()
         n = len(start_keys)
         if n == 0:
@@ -784,8 +751,8 @@ class LSMStore(KVStore):
     def _write_one(self, key: int, vseed: int, vlen: int, delete: bool) -> float:
         """One put or tombstone through every step of the write path:
         WAL append (with its write-out), memtable insert, rotation and
-        flush, stall penalty.  :meth:`put` and :meth:`delete` are
-        this, and so is the op of a batch that triggers device work."""
+        flush, stall penalty.  :meth:`_write_many` runs it for the op
+        of a batch that triggers device work."""
         self._ensure_open()
         tracer = self.tracer
         tr_on = tracer.enabled

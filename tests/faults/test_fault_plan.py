@@ -72,6 +72,48 @@ class TestValidation:
             validate_faults({"degrade": {"channel": 0, "start": 0.0,
                                          "seconds": 1.0, "factor": 0.5}})
 
+    # A spec takes fault dicts from JSON, numpy or code: it keeps them
+    # as plain Python numbers (so the spec hashes) and refuses what a
+    # run could not use.
+    @pytest.mark.parametrize("faults, normal", [
+        ({"program": np.float32(0.25)}, {"program": 0.25}),
+        ({"read": np.float64(0.5), "latency_ms": np.int64(3)},
+         {"read": 0.5, "latency_ms": 3}),
+        ({"degrade": {"channel": np.int64(1), "start": np.float32(0.5),
+                      "seconds": np.int64(2), "factor": np.float64(4.0)}},
+         {"degrade": {"channel": 1, "start": 0.5, "seconds": 2,
+                      "factor": 4.0}}),
+    ], ids=["rate", "rate-and-penalty", "degrade"])
+    def test_spec_keeps_numpy_numbers_as_python_numbers(self, faults, normal):
+        spec = ExperimentSpec(engine="btree", capacity_bytes=24 << 20,
+                              nclients=2, faults=faults)
+        assert spec.faults == normal
+        values = [*spec.faults.values(),
+                  *spec.faults.get("degrade", {}).values()]
+        assert {type(v) for v in values} <= {int, float, dict}
+        assert spec.stable_hash() == ExperimentSpec(
+            engine="btree", capacity_bytes=24 << 20, nclients=2,
+            faults=normal).stable_hash()
+
+    @pytest.mark.parametrize("faults, match", [
+        ({"program": True}, r"fault rate 'program' must be within \[0, 1\]"),
+        ({"latency_ms": float("nan")}, "faults.latency_ms must be > 0"),
+        ({"degrade": {"channel": 0, "start": "soon", "seconds": 1,
+                      "factor": 2}}, "faults.degrade.start must be >= 0"),
+        ({"degrade": {"channel": True, "start": 0, "seconds": 1,
+                      "factor": 2}}, "faults.degrade.channel must be an int"),
+        ({"degrade": {"channel": 0, "start": 0, "seconds": float("nan"),
+                      "factor": 2}}, "faults.degrade.seconds must be > 0"),
+        ({"degrade": {"channel": 0, "start": 0, "seconds": 1,
+                      "factor": float("inf")}},
+         "faults.degrade.factor must be >= 1 and finite"),
+    ], ids=["bool-rate", "nan-penalty", "text-start", "bool-channel",
+            "nan-seconds", "inf-factor"])
+    def test_spec_refuses_what_a_run_cannot_use(self, faults, match):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentSpec(engine="btree", capacity_bytes=24 << 20,
+                           nclients=2, faults=faults)
+
     def test_spec_validates_faults(self):
         with pytest.raises(ConfigError, match="unknown fault kind"):
             ExperimentSpec(faults={"bogus": 0.1})

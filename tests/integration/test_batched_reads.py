@@ -4,12 +4,12 @@
 of PR 4 (bulk bloom probes and amortized manifest lookups for the LSM,
 sorted-snapshot cursor reuse for LSM scans, cached-leaf descent reuse
 for the B+Tree).  These tests drive the batch methods directly against
-a twin store serving one per-op call at a time and require
-bit-identical clocks, stats, and SMART counters — including under
-``until`` cuts and interleaved writes that invalidate the reuse
-cursors.  A scan's per-op and batch calls share their loop, so on the
-LSM every per-op scan is also held to ``reference_reads.scan``: the
-pairs it returns and the reads it pays, as device requests.
+a twin store serving one per-op call (a one-op batch) at a time and
+require bit-identical clocks, stats, and SMART counters — including
+under ``until`` cuts and interleaved writes that invalidate the reuse
+cursors.  Both twins run the same body, so on the LSM every per-op
+scan is also held to ``reference_reads.scan``: the pairs it returns
+and the reads it pays, as device requests.
 """
 
 from __future__ import annotations

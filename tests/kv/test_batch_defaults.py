@@ -11,15 +11,14 @@ an engine runs them in.
 * each completed op appends exactly one latency before the ``until``
   check, so a cut or aborted batch has appended exactly ``done`` ops.
 
-Each case runs against every *subject* of its method: the two default
-loops ``KVStore`` still has (``get_many``, ``delete_many``) on a
-fixed-latency stub, and the LSM's and the B+Tree's own method on the
-tiny device.  What a batch must do is read off a per-op dry run on an
-identical twin — its latencies, its clock after each op, the device
+Each case runs against every *subject* of its method: the LSM's and
+the B+Tree's own method on the tiny device.  What a batch must do is
+read off a dry run on an identical twin that issues the stream as
+one-op batches — its latencies, its clock after each op, the device
 requests each op issued — so no expectation is a constant of one
 subject.  Out-of-space is armed by request count: the n-th device
 request from now raises, which lands in the same op on both twins
-because a batch issues the per-op calls' requests in their order.
+because a batch issues its one-op batches' requests in their order.
 """
 
 from __future__ import annotations
@@ -27,11 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.clock import VirtualClock
 from repro.errors import NoSpaceError
-from repro.kv.api import KVStore
-from repro.kv.stats import KVStats
-from repro.kv.values import Value
 from repro.workload.runner import load_sequential
 from repro.workload.spec import WorkloadSpec
 from tests.conftest import LONE_ROUTER
@@ -49,71 +44,17 @@ KEYS = _RNG.integers(0, NKEYS + 50, size=NOPS).tolist()
 SEEDS = _RNG.integers(0, 1 << 60, size=NOPS).tolist()
 
 
-class StubStore(KVStore):
-    """Fixed-latency store that can be armed to fail at the Nth op."""
-
-    name = "stub"
-
-    def __init__(self, op_latency: float = 1.0, fail_at: int | None = None):
-        self.clock = VirtualClock()
-        self.op_latency = op_latency
-        self.fail_at = fail_at  # 0-based op index that raises
-        self.ops = 0
-        self._stats = KVStats()
-
-    def _op(self) -> float:
-        if self.fail_at is not None and self.ops == self.fail_at:
-            raise NoSpaceError("stub device full")
-        self.ops += 1
-        self.clock.advance(self.op_latency)
-        return self.op_latency
-
-    def put(self, key, value):
-        return self._op()
-
-    def get(self, key):
-        return self._op(), None
-
-    def delete(self, key):
-        return self._op()
-
-    def scan(self, start_key, count):
-        return self._op(), []
-
-    def put_many(self, keys, vseeds, vlen, until=None, latencies=None):
-        raise NotImplementedError("every engine has its own")
-
-    def scan_many(self, start_keys, count, until=None, latencies=None):
-        raise NotImplementedError("every engine has its own")
-
-    def flush(self):
-        pass
-
-    def close(self):
-        pass
-
-    @property
-    def stats(self):
-        return self._stats
-
-    @property
-    def disk_bytes_used(self):
-        return 0
-
-
 class Subject:
     """One body of one batch method, behind what the cases need."""
 
     def __init__(self, kind: str, method: str):
-        self.kind = kind  # "stub", "lsm" or "btree"
+        self.kind = kind  # "lsm" or "btree"
         self.method = method
         self.label = f"{kind}.{method}"
         self._dry = None  # dry_run()'s result: the same on every call
 
     def fresh(self):
         """An identical store on every call."""
-        if self.kind == "stub":
-            return StubStore()
         store, _ssd = make_store(self.kind)
         load_sequential([store], LONE_ROUTER,
                         WorkloadSpec(nkeys=NKEYS, value_bytes=VLEN))
@@ -133,28 +74,22 @@ class Subject:
             setattr(device, name, counted(getattr(device, name)))
         return store
 
-    def requests(self, store) -> int:
-        return store.ops if self.kind == "stub" else store.requests
-
     def arm(self, store, nth: int) -> None:
         """The *nth* device request from now (0: the next) raises."""
-        store.fail_at = self.requests(store) + nth
+        store.fail_at = store.requests + nth
 
     def per_op(self, store, i: int) -> float:
-        """Op *i* of the stream as one per-op call."""
-        if self.method == "put_many":
-            return store.put(KEYS[i], Value(SEEDS[i], VLEN))
-        if self.method == "get_many":
-            return store.get(KEYS[i])[0]
-        if self.method == "delete_many":
-            return store.delete(KEYS[i])
-        return store.scan(KEYS[i], SCAN_COUNT)[0]
+        """Op *i* of the stream as a one-op batch; its latency."""
+        sink: list[float] = []
+        assert self.batch(store, i, i + 1, latencies=sink) == 1
+        return sink[0]
 
-    def batch(self, store, first: int = 0, **kwargs) -> int:
-        """Ops ``first..NOPS`` of the stream as one batch call."""
-        keys = KEYS[first:]
+    def batch(self, store, first: int = 0, stop: int = NOPS,
+              **kwargs) -> int:
+        """Ops ``first..stop`` of the stream as one batch call."""
+        keys = KEYS[first:stop]
         if self.method == "put_many":
-            return store.put_many(keys, SEEDS[first:], VLEN, **kwargs)
+            return store.put_many(keys, SEEDS[first:stop], VLEN, **kwargs)
         if self.method == "get_many":
             return store.get_many(keys, **kwargs)
         if self.method == "delete_many":
@@ -163,23 +98,21 @@ class Subject:
 
     def completed(self, store) -> int:
         """The store's own count of this method's ops since ``fresh``."""
-        if self.kind == "stub":
-            return store.ops
         stats = store.stats
         return {"put_many": stats.puts - NKEYS, "get_many": stats.gets,
                 "delete_many": stats.deletes, "scan_many": stats.scans}[self.method]
 
     def dry_run(self):
-        """The stream per op on a fresh twin: ``(latencies, clock,
+        """The stream as one-op batches on a fresh twin: ``(latencies, clock,
         requests)`` with ``clock[i]`` / ``requests[i]`` read before op
         *i* (and after the last op at index ``NOPS``)."""
         if self._dry is None:
             store = self.fresh()
-            latencies, clock, requests = [], [store.clock.now], [self.requests(store)]
+            latencies, clock, requests = [], [store.clock.now], [store.requests]
             for i in range(NOPS):
                 latencies.append(self.per_op(store, i))
                 clock.append(store.clock.now)
-                requests.append(self.requests(store))
+                requests.append(store.requests)
             self._dry = latencies, clock, requests
         return self._dry
 
@@ -193,7 +126,7 @@ class Subject:
                   if requests[i + 1] > requests[i])
         first = op if earliest == 0 else 0
         nth = requests[op] - requests[first]
-        # The per-op loop on an armed twin agrees with the prediction.
+        # One-op batches on an armed twin agree with the prediction.
         twin = self.fresh()
         for i in range(first):
             self.per_op(twin, i)
@@ -209,16 +142,9 @@ class Subject:
         return store, first, op - first
 
 
-#: Every body a batch method runs in: the default loops on the stub,
-#: each engine's own method (the B+Tree's ``delete_many`` *is* the
-#: default loop, on a real device).
-SUBJECTS = {
-    method: [Subject(kind, method)
-             for kind in (("stub", "lsm", "btree")
-                          if method in ("get_many", "delete_many")
-                          else ("lsm", "btree"))]
-    for method in METHODS
-}
+#: Every body a batch method runs in: each engine's own method.
+SUBJECTS = {method: [Subject(kind, method) for kind in ("lsm", "btree")]
+            for method in METHODS}
 
 
 class TestUntilBreakAfterOp:

@@ -6,11 +6,14 @@ Hypothesis draws per-op **and** batch calls alike — ``put``/``put_many``,
 ``delete``/``delete_many``, ``get``/``get_many``, ``scan``/``scan_many``,
 ``flush``, ``crash_and_recover`` — over a dense key range (overwrites
 and tombstones pile up), a spread one (every table of every level) and
-the top eight keys the LSM's scan packing admits.  Per-op reads are
-compared with the dict, batch reads through the ``user_bytes_read``
-they must add up to; a crash may lose only keys written since the last
-sync, each falling back to a version it held before; the final
-``scan(0, 2^40)`` is the sorted dict.
+the top eight keys the LSM's scan packing admits (a per-op call is a
+one-op batch that returns what it read).  Per-op reads are compared
+with the dict, batch reads through the ``user_bytes_read`` they must
+add up to; a crash may lose only keys written since the last sync,
+each falling back to a version it held before; the final
+``scan(0, 2^40)`` is the sorted dict.  On the B+Tree every step also
+keeps the journal arithmetic: one record per write, its payload behind
+a 32-byte header, laid end to end around the ring.
 
 Every example starts from a prefilled tree — on the LSM one whose
 deeper levels hold runs of several tables, so a scan crosses table
@@ -30,6 +33,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.btree.store import BTreeStore
 from repro.kv.values import Value
 from repro.lsm.memtable import SCAN_KEY_SPAN
 from repro.lsm.store import LSMStore
@@ -67,6 +71,11 @@ class Model:
         self.key_bytes = store.config.key_bytes
         self.live: dict[int, Value] = {}
         self.stats = replace(store.stats)  # a copy the model bumps
+        #: The B+Tree's journal and write counts as first seen.
+        self.journal0 = (getattr(store, "journal_bytes", 0),
+                         getattr(store, "_journal_offset", 0),
+                         self.stats.user_bytes_written,
+                         self.stats.puts + self.stats.deletes)
         #: key -> every version (None: absent) it held before a write
         #: since the last sync, oldest first.
         self.unsynced: dict[int, list] = {}
@@ -160,7 +169,17 @@ class Model:
         self.unsynced.clear()  # recovery leaves everything it kept durable
 
     def check(self):
-        assert self.store.stats == self.stats
+        store, stats = self.store, self.stats
+        assert store.stats == stats
+        if isinstance(store, BTreeStore):
+            # Every write journals its payload behind a 32-byte header,
+            # laid end to end around the ring.
+            journal0, offset0, written0, writes0 = self.journal0
+            journal = store.journal_bytes - journal0
+            writes = stats.puts + stats.deletes - writes0
+            assert journal == stats.user_bytes_written - written0 + 32 * writes
+            assert store._journal_offset == \
+                (offset0 + journal) % store.config.journal_ring_bytes
 
 
 def prefilled(engine: str) -> Model:

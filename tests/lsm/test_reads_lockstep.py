@@ -30,7 +30,7 @@ ops = st.lists(st.one_of(
     st.tuples(st.just("put"), written, st.sampled_from([24, 48, 5000])),
     st.tuples(st.just("delete"), written),
     st.tuples(st.just("get"), key),
-    # Below LSMStore.BULK_PROBE_MIN keys: a get() per key, as the
+    # Below LSMStore.BULK_PROBE_MIN keys: a tree walk per key, as the
     # fleet and the short runs of mixed workloads issue them; from it
     # up: the planned path.
     st.tuples(st.just("get_many"),
