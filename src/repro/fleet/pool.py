@@ -28,12 +28,13 @@ traffic:
 * **Open arrivals**: one *source* task emits client 0's op stream on
   an :class:`~repro.fleet.arrival.ArrivalProcess` timeline, one op per
   arrival, routes each by key and admits it into the owning shard's
-  bounded FIFO queue; a per-shard *service* task (spawned on the
-  idle→busy transition, exiting when its queue drains) executes
-  admitted operations one at a time as one-op batch calls.  When an
-  arrival finds the queue at ``queue_cap`` (counting the in-service
-  op) it is *rejected* and counted, so offered load, admitted load and
-  goodput diverge measurably past saturation.  Recorded latency is the
+  bounded FIFO queue; one *server* task per shard executes admitted
+  operations one at a time as one-op batch calls, parks with no event
+  pending when its queue drains and is woken by the admission that
+  finds its shard idle.  When an arrival finds the queue at
+  ``queue_cap`` (counting the in-service op) it is *rejected* and
+  counted, so offered load, admitted load and goodput diverge
+  measurably past saturation.  Recorded latency is the
   *response time* (completion − arrival), the quantity SLO attainment
   is defined over.  Shard kill, retries and op timeouts are the
   service side's (DESIGN.md §11).
@@ -63,9 +64,9 @@ from repro.errors import ConfigError, NoSpaceError, TransientDeviceError
 from repro.fleet.arrival import ArrivalProcess
 from repro.fleet.router import Router
 from repro.kv.api import KVStore
-from repro.kv.values import value_for
+from repro.kv.values import value_seed
 from repro.obs.tracer import NULL_TRACER
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import Scheduler, Task
 from repro.workload.plan import (READ, SCAN, UPDATE, BatchPlanner,
                                  EventAwareUntil, update_seeds)
 from repro.workload.runner import CHECK_EVERY, RunOutcome, validate_sampling
@@ -76,6 +77,10 @@ _SERVING = ("up", "degraded")
 
 #: SLO target the error budget is burned against (three nines).
 AVAILABILITY_TARGET = 0.999
+
+
+def _anchor() -> None:
+    """A no-op event: puts a failed op's end on the global timeline."""
 
 
 @dataclass(slots=True)
@@ -170,15 +175,14 @@ class FleetPool:
         self._scheduler = scheduler
         n = len(self.shards)
         if self.arrival is not None or self.nclients > 1:
-            # Concurrency (several clients, or a source beside service
-            # tasks) turns on the event-driven engine mode; a lone
+            # Concurrency (several clients, or a source beside the
+            # servers) turns on the event-driven engine mode; a lone
             # client keeps background work inline.
             for store in self.shards:
                 store.attach_scheduler(scheduler)
         self._stop = False
-        self._next_sample = (
-            clock.now + self.sample_interval if self.sample_interval else None
-        )
+        self._next_sample = (clock.now + self.sample_interval
+                             if self.sample_interval else None)
         start = clock.now
         if self.arrival is None:
             outcome = RunOutcome()
@@ -198,6 +202,8 @@ class FleetPool:
             self._down_at = [0.0] * n
             self._degraded_left = [0] * n
             self._jitter_rng = rng_mod.substream(self.seed, "fleet-retry")
+            self._servers = [Task(scheduler, self._service(shard),
+                                  f"shard{shard}") for shard in range(n)]
             # No event of its own (see _kill): a kill the traffic never
             # reaches never happens, and never stretches the run.
             self._kill_time = (math.inf if self.kill_at is None
@@ -233,18 +239,17 @@ class FleetPool:
         return True
 
     def _sample(self) -> None:
-        """Fire ``on_sample`` if an op's completion reached the
-        boundary, and move the boundary on.  Batch calls return right
-        after the crossing op (their ``until`` contract), so the
+        """Fire ``on_sample`` at an op's completion past the boundary
+        (the caller checks) and move the boundary on.  Batch calls return
+        right after the crossing op (their ``until`` contract), so the
         callback observes the stores as that op left them."""
         now = self.clock.now
-        if self._next_sample is not None and now >= self._next_sample:
-            self.on_sample()
-            self._next_sample += self.sample_interval
-            if self._next_sample <= now:
-                # A stall carried the clock past several boundaries;
-                # resynchronize instead of firing empty windows.
-                self._next_sample = now + self.sample_interval
+        self.on_sample()
+        self._next_sample += self.sample_interval
+        if self._next_sample <= now:
+            # A stall carried the clock past several boundaries;
+            # resynchronize instead of firing empty windows.
+            self._next_sample = now + self.sample_interval
 
     # ------------------------------------------------------------------
     # The closed source: one client task (DESIGN.md §7.2)
@@ -412,7 +417,11 @@ class FleetPool:
                 # backoff off the "fleet-retry" substream.
                 if health[shard] == "down":
                     self._begin_recovery(shard)
-                self._retry_or_fail(kind, key, shard, clock.now)
+                if self.retry_limit > 0:
+                    retry = self._retry(kind, key, shard, clock.now)
+                    self._scheduler.spawn(retry, label=f"retry{shard}")
+                else:
+                    row.failed += 1
                 continue
             depth = self._admit(shard, kind, key, clock.now)
             row.qdepth_sum += depth
@@ -427,8 +436,8 @@ class FleetPool:
 
         At ``queue_cap`` the op is not admitted.  Versions advance per
         *admitted* update, fleet-global, so value seeds stay unique and
-        deterministic; an admission into an idle shard spawns its
-        service task.
+        deterministic; an admission into an idle shard wakes its
+        server.
         """
         queue = self._queues[shard]
         busy = self._busy[shard]
@@ -436,19 +445,17 @@ class FleetPool:
         if depth < self.queue_cap:
             vseed = 0
             if kind == UPDATE:
-                vseed = value_for(key, self._version,
-                                  self.spec.value_bytes).seed
+                vseed = value_seed(key, self._version)
                 self._version += 1
             queue.append((kind, key, vseed, t_arr))
             self._outcome.fleet[shard].admitted += 1
             if not busy:
                 self._busy[shard] = True
-                self._scheduler.spawn(self._service(shard),
-                                      label=f"shard{shard}")
+                self._servers[shard].wake()
         return depth
 
     # ------------------------------------------------------------------
-    # Per-shard service: FIFO, one op outstanding, exits when drained
+    # Per-shard server: FIFO, one op outstanding, parks when drained
     # ------------------------------------------------------------------
     def _service(self, shard: int):
         spec = self.spec
@@ -464,52 +471,54 @@ class FleetPool:
         tracer = self.tracer
         tr_on = tracer.enabled
         timeout = self.op_timeout
-        while queue:
-            kind, key, vseed, t_arr = queue.popleft()
-            if timeout is not None and clock.now - t_arr > timeout:
-                # The op aged past its deadline while queued; the
-                # client has given up, so don't burn service on it.
-                row.timeouts += 1
-                continue
-            if tr_on:
-                tracer.tid = shard
-                tracer.shard = shard
-            try:
-                # One-op batch calls, timed by the response time below.
-                if kind == UPDATE:
-                    store.put_many([key], [vseed], vlen)
-                elif kind == READ:
-                    store.get_many([key])
-                elif kind == SCAN:
-                    store.scan_many([key], scan_length)
-                else:  # DELETE
-                    store.delete_many([key])
-            except NoSpaceError:
-                outcome.out_of_space = True
-                self._stop = True
-                break
-            except TransientDeviceError:
-                # Engine-tier retries exhausted: the op fails without
-                # killing the run (availability accounting picks it up).
-                row.failed += 1
-                continue
-            # Service tasks run inside an event step, so the clock is
-            # the op's completion time.
-            now = clock.now
-            sink.append(now - t_arr)  # response = queueing + service
-            row.completed += 1
-            if health[shard] == "degraded":
-                self._degraded_left[shard] -= 1
-                if self._degraded_left[shard] <= 0:
-                    health[shard] = "up"
-            self._sample()
-            yield 0.0  # suspend until this op's completion time
-            if clock.now >= self._kill_time:
-                self._kill()
-        self._busy[shard] = False
-        # Anchor the final op's completion on the timeline
-        # (Scheduler.run restores global time when a step ends).
-        yield 0.0
+        while True:
+            while queue:
+                kind, key, vseed, t_arr = queue.popleft()
+                if timeout is not None and clock.now - t_arr > timeout:
+                    # The op aged past its deadline while queued; the
+                    # client has given up, so don't burn service on it.
+                    row.timeouts += 1
+                    continue
+                if tr_on:
+                    tracer.tid = shard
+                    tracer.shard = shard
+                try:
+                    # One-op batch calls, timed by the response time below.
+                    if kind == UPDATE:
+                        store.put_many([key], [vseed], vlen)
+                    elif kind == READ:
+                        store.get_many([key])
+                    elif kind == SCAN:
+                        store.scan_many([key], scan_length)
+                    else:  # DELETE
+                        store.delete_many([key])
+                except NoSpaceError:
+                    outcome.out_of_space = True
+                    self._stop = True
+                    self._scheduler.schedule(0.0, _anchor)
+                    break
+                except TransientDeviceError:
+                    # Engine-tier retries exhausted: the op fails without
+                    # killing the run (availability accounting picks it up).
+                    row.failed += 1
+                    self._scheduler.schedule(0.0, _anchor)
+                    continue
+                # The server runs inside an event step, so the clock is
+                # the op's completion time.
+                now = clock.now
+                sink.append(now - t_arr)  # response = queueing + service
+                row.completed += 1
+                if health[shard] == "degraded":
+                    self._degraded_left[shard] -= 1
+                    if self._degraded_left[shard] <= 0:
+                        health[shard] = "up"
+                if self._next_sample is not None and now >= self._next_sample:
+                    self._sample()
+                yield 0.0  # suspend until this op's completion time
+                if clock.now >= self._kill_time:
+                    self._kill()
+            self._busy[shard] = False
+            yield  # park: no event until an admission wakes the server
 
     # ------------------------------------------------------------------
     # Chaos: shard kill, recovery protocol, retry with backoff + jitter
@@ -537,10 +546,8 @@ class FleetPool:
         outcome.fleet[shard].failed += dropped
         queue.clear()
         if self.tracer.enabled:
-            self.tracer.instant(
-                "shard_down", "fault",
-                {"shard": shard, "dropped": dropped},
-            )
+            self.tracer.instant("shard_down", "fault",
+                                {"shard": shard, "dropped": dropped})
 
     def _begin_recovery(self, shard: int) -> None:
         """Start crash recovery; the shard serves again once it ends."""
@@ -549,30 +556,18 @@ class FleetPool:
         seconds, lost = self.shards[shard].crash_and_recover()
         outcome.fleet[shard].recovery_seconds += seconds
         outcome.fleet[shard].lost_keys += len(lost)
-        self._scheduler.schedule(
-            seconds, lambda: self._finish_recovery(shard),
-            label=f"recover{shard}",
-        )
+        self._scheduler.schedule(seconds, lambda: self._finish_recovery(shard),
+                                 label=f"recover{shard}")
 
     def _finish_recovery(self, shard: int) -> None:
         """Recovery done: degraded until a queue's worth of completions."""
         outcome = self._outcome
         outcome.health[shard] = "degraded"
         self._degraded_left[shard] = self.queue_cap
-        outcome.fleet[shard].downtime_seconds += (
-            self.clock.now - self._down_at[shard]
-        )
+        outcome.fleet[shard].downtime_seconds += (self.clock.now
+                                                  - self._down_at[shard])
         if self.tracer.enabled:
             self.tracer.instant("shard_up", "fault", {"shard": shard})
-
-    def _retry_or_fail(self, kind, key: int, shard: int, t_arr: float) -> None:
-        """Queue a failed-fast op for retry, or fail it outright."""
-        if self.retry_limit > 0:
-            self._scheduler.spawn(
-                self._retry(kind, key, shard, t_arr), label=f"retry{shard}"
-            )
-        else:
-            self._outcome.fleet[shard].failed += 1
 
     def _retry(self, kind, key: int, shard: int, t_arr: float):
         """Re-attempt admission with exponential backoff + jitter.
@@ -593,13 +588,11 @@ class FleetPool:
             backoff *= 1.0 + rng.random()
             yield backoff
             if self._stop:
-                return
+                break  # never served: the stop ends its retries
             health = outcome.health[shard]
             if health == "down":
                 self._begin_recovery(shard)
-                continue
-            if health not in _SERVING:
-                continue
-            if self._admit(shard, kind, key, t_arr) < self.queue_cap:
+            elif (health in _SERVING
+                  and self._admit(shard, kind, key, t_arr) < self.queue_cap):
                 return
         row.failed += 1

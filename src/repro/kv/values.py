@@ -37,11 +37,15 @@ def materialize(value: Value) -> bytes:
     return np.random.default_rng(value.seed & 0xFFFFFFFFFFFFFFFF).bytes(value.length)
 
 
+def value_seed(key: int, version: int) -> int:
+    """The payload seed of (key, version)'s value."""
+    return (key * 0x9E3779B97F4A7C15 + version * 0xC2B2AE3D27D4EB4F) & 0xFFFFFFFFFFFFFFFF
+
+
 def value_for(key: int, version: int, length: int) -> Value:
     """A deterministic value for (key, version): workloads use this so
     that every write of a key has distinguishable, reproducible content."""
-    seed = (key * 0x9E3779B97F4A7C15 + version * 0xC2B2AE3D27D4EB4F) & 0xFFFFFFFFFFFFFFFF
-    return Value(seed=seed, length=length)
+    return Value(seed=value_seed(key, version), length=length)
 
 
 _KEY_MULT = np.uint64(0x9E3779B97F4A7C15)
@@ -49,10 +53,10 @@ _VERSION_MULT = np.uint64(0xC2B2AE3D27D4EB4F)
 
 
 def seeds_for(keys: np.ndarray, versions: np.ndarray | int) -> np.ndarray:
-    """Vectorized :func:`value_for` seeds for whole key batches.
+    """Vectorized :func:`value_seed` for whole key batches.
 
     ``seeds_for(keys, versions)[i]`` equals
-    ``value_for(keys[i], versions[i], ...).seed`` bit for bit (uint64
+    ``value_seed(keys[i], versions[i])`` bit for bit (uint64
     wrap-around matches the masked Python-int arithmetic), so the
     batched workload runner produces the exact payload stream of the
     scalar path.

@@ -13,9 +13,11 @@ import numpy as np
 
 from repro.errors import ConfigError
 
+# uint64 *array* arithmetic wraps mod 2^64 silently: no np.errstate.
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_S27, _S30, _S31, _ONE = (np.uint64(n) for n in (27, 30, 31, 1))
 
 _MASK64 = (1 << 64) - 1
 
@@ -51,11 +53,11 @@ def _splitmix64(values: np.ndarray) -> np.ndarray:
     xors break that linearity.
     """
     z = values.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
+    z ^= z >> _S30
     z *= _MIX1
-    z ^= z >> np.uint64(27)
+    z ^= z >> _S27
     z *= _MIX2
-    z ^= z >> np.uint64(31)
+    z ^= z >> _S31
     return z
 
 
@@ -66,11 +68,10 @@ def probe_matrix(keys: np.ndarray, k: int) -> np.ndarray:
     so the LSM read index (:mod:`repro.lsm.version`) hashes a probe set
     once and masks the same matrix against every table's filter.
     """
-    with np.errstate(over="ignore"):
-        raw = np.asarray(keys).astype(np.uint64)
-        h1 = _splitmix64(raw)
-        h2 = _splitmix64(raw + _GOLDEN) | np.uint64(1)
-        return h1[:, None] + np.arange(k, dtype=np.uint64)[None, :] * h2[:, None]
+    raw = np.asarray(keys).astype(np.uint64)
+    h1 = _splitmix64(raw)
+    h2 = _splitmix64(raw + _GOLDEN) | _ONE
+    return h1[:, None] + np.arange(k, dtype=np.uint64)[None, :] * h2[:, None]
 
 
 class BloomFilter:

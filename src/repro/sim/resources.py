@@ -72,5 +72,5 @@ class Resource:
             granted = self._waiting.popleft()
             self.held = True
             self.scheduler.schedule(
-                0.0, granted.task._resume, label=f"{self.name}-grant"
+                0.0, granted.task._step, label=f"{self.name}-grant"
             )

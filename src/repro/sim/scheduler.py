@@ -11,9 +11,9 @@ Two kinds of work run on the timeline:
   (:meth:`Scheduler.schedule`);
 * **cooperative tasks** — generators that ``yield`` between steps
   (:meth:`Scheduler.spawn`).  Yielding a ``float`` suspends the task
-  for that many virtual seconds; yielding a
-  :class:`repro.sim.resources.Request` suspends it until the resource
-  grants the request.
+  for that many virtual seconds, a :class:`repro.sim.resources.Request`
+  until the resource grants the request; a bare ``yield`` parks it, no
+  event pending, until its owner calls :meth:`Task.wake`.
 
 :meth:`Scheduler.run` is the one loop and it owns global time: it
 sets the shared :class:`~repro.core.clock.VirtualClock`'s ``now`` to
@@ -63,9 +63,16 @@ class Task:
         else:
             self._suspend(yielded)
 
+    def wake(self) -> None:
+        """Schedule a parked task's next step now.  A task not yet
+        stepped is parked at its first step: ``spawn`` wakes it."""
+        self._scheduler.schedule(0.0, self._step, self.label)
+
     def _suspend(self, yielded) -> None:
         # Plain float delays never reach here: _step schedules them
         # directly (the per-operation hot path).
+        if yielded is None:
+            return  # parked: no event until wake()
         if isinstance(yielded, (int, float)):
             self._scheduler.schedule(float(yielded), self._step, label=self.label)
         elif hasattr(yielded, "_enqueue"):  # a Resource request
@@ -73,12 +80,8 @@ class Task:
         else:
             raise ConfigError(
                 f"task {self.label!r} yielded {yielded!r}; tasks may yield a "
-                "delay in seconds or a resource request"
+                "delay in seconds, a resource request or nothing (park)"
             )
-
-    def _resume(self) -> None:
-        """Resume after a resource grant (called via a scheduled event)."""
-        self._step(None)
 
 
 class Scheduler:
@@ -111,7 +114,7 @@ class Scheduler:
 
     def spawn(self, gen: Generator, label: str = "task") -> None:
         """Start a cooperative task; its first step runs now."""
-        self.schedule(0.0, Task(self, gen, label)._step, label=label)
+        Task(self, gen, label).wake()
 
     def run(self) -> None:
         """Run events in time order until the heap drains.
@@ -150,4 +153,3 @@ class Scheduler:
                 ran += 1
         finally:
             self.events_run += ran
-

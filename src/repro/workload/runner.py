@@ -53,12 +53,12 @@ class RunOutcome:
     :class:`~repro.fleet.pool.FleetCounters` block per shard (``fleet``;
     a fleet total is their sum) beside the per-shard state that does
     not add up.  Every offered op ends in exactly one of rejected /
-    completed / failed / timed-out / still in flight at the stop
-    (queued, or backing off before a retry).  ``failed`` mixes ops
-    dropped after admission with ops bounced off a down shard whose
-    retries ran out before any, so offered = admitted + rejected is
-    *not* a law; ``completed + timeouts <= admitted <= offered -
-    rejected`` is.
+    completed / failed / timed-out, or is still queued in a run that ran
+    out of space: a stop fails each op backing off before a retry, and
+    the servers drain their queues.  ``failed`` mixes ops dropped after
+    admission with ops bounced off a down shard whose retries ran out or
+    were stopped before any, so offered = admitted + rejected is *not* a
+    law; ``completed + timeouts <= admitted <= offered - rejected`` is.
     """
 
     ops_issued: int = 0

@@ -104,7 +104,8 @@ class TestShardKill:
 
 class TestOutcomePartition:
     """Every offered op ends in exactly one of rejected / completed /
-    failed / timed-out / still in flight when the run stopped."""
+    failed / timed-out, or is still queued in a run that ran out of
+    space."""
 
     @pytest.mark.parametrize("kill_at", (None, 0.05))
     @pytest.mark.parametrize("seed", range(10))
@@ -129,6 +130,23 @@ class TestOutcomePartition:
             assert sum(row[key] for row in fleet["per_shard"]) == fleet[key]
         assert sum(row["ops"] for row in fleet["per_shard"]) == \
             fleet["completed"]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_stop_during_an_outage_leaves_nothing_in_flight(self, seed):
+        # The write budget stops the source a few milliseconds after the
+        # kill, while ops bounced off the dead shard are backing off for
+        # 20 ms or more: each of those is never served, so it ends
+        # failed, and a run that kept its space partitions exactly.
+        spec = chaos_spec(seed=seed, capacity_bytes=64 * MIB,
+                          dataset_fraction=0.5, duration_capacity_writes=0.02,
+                          max_ops=None, arrival_rate=200_000.0, queue_cap=8,
+                          kill_at=0.005, retry_limit=8, retry_backoff_ms=20.0)
+        result = run_experiment(spec)
+        fleet = result.fleet
+        assert not result.out_of_space
+        assert fleet["retries"] > 0 and fleet["per_shard"][0]["failed"] > 0
+        assert fleet["offered"] == (fleet["rejected"] + fleet["completed"]
+                                    + fleet["failed"] + fleet["timeouts"])
 
     def test_offered_is_not_admitted_plus_rejected_under_a_kill(self):
         fleet = run_experiment(chaos_spec(

@@ -13,6 +13,7 @@ Three contracts pin the fleet subsystem (DESIGN.md §10.4):
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -25,6 +26,7 @@ from repro.core.experiment import (
 )
 from repro.fleet.pool import FleetPool
 from repro.fleet.router import RangeRouter
+from repro.sim.scheduler import Task
 from repro.units import MIB
 from repro.workload.runner import load_sequential
 
@@ -156,6 +158,24 @@ class TestOpenLoop:
         ops = [row["ops"] for row in fleet["per_shard"]]
         assert len(ops) == 2
         assert min(ops) > 0
+
+    def test_one_server_task_per_shard(self, monkeypatch):
+        # Each shard's server lives for the whole run: it parks when its
+        # queue drains and the next admission wakes it, so busy periods
+        # come and go without a Task being built for each.
+        labels = Counter()
+        init = Task.__init__
+
+        def counting_init(self, scheduler, gen, label):
+            labels[label] += 1
+            init(self, scheduler, gen, label)
+
+        monkeypatch.setattr(Task, "__init__", counting_init)
+        fleet = run_experiment(open_loop_spec(arrival_rate=2000.0)).fleet
+        served = [i for i, row in enumerate(fleet["per_shard"]) if row["ops"]]
+        assert served == [0, 1]
+        assert fleet["completed"] > 100 * len(served)  # many busy periods
+        assert [labels[f"shard{i}"] for i in served] == [1] * len(served)
 
     def test_closed_loop_multi_shard(self):
         result = run_experiment(

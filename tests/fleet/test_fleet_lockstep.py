@@ -6,10 +6,14 @@ of the shard engine's batch API; ``reference_fleet.py`` draws one key and one op
 kind per arrival and serves through the per-op KV API, sharing no code
 with either.  Over drawn fleets — engine, one to three shards, router,
 arrival rate from idle to far past saturation, queue cap, op mix, op
-budget, op deadline, sampling and a stop condition, no kill — both must
-leave the same fleet behind: per-shard admission accounting and queue
-depths, every response time of every shard, the clock, every sample
-time, and each shard's SMART counters, engine counters and contents.
+budget, op deadline, sampling, a stop condition, and a shard kill with
+its retries (limit and backoff), the stop landing mid-outage too —
+both must leave the same fleet behind: per-shard admission, failure,
+retry and recovery accounting, queue depths and final health, every
+response time of every shard, the clock, every sample time, and each
+shard's SMART counters, engine counters and contents.  The reference
+also holds the outcome partition: in a run that kept its space every
+offered op ended rejected, completed, failed or timed out.
 
 CI also runs this file under the derandomized ``ci`` hypothesis
 profile (``tests/conftest.py``): ``--hypothesis-profile=ci``.
@@ -32,6 +36,7 @@ from tests.fleet import reference_fleet
 from tests.workload.test_batched_runner import make_shards
 
 fraction = st.sampled_from([0.0, 0.1, 0.3, 0.5])
+NO_KILL = dict(kill_at=None, kill_shard=0, retry_limit=3, retry_backoff=0.0005)
 fleet = st.fixed_dictionaries(dict(
     engine=st.sampled_from(["lsm", "btree"]),
     nshards=st.integers(1, 3),
@@ -48,13 +53,19 @@ fleet = st.fixed_dictionaries(dict(
     op_timeout=st.sampled_from([None, 0.0002, 0.002, 0.02]),
     sample_interval=st.sampled_from([None, 0.002, 0.01]),
     stop_after=st.sampled_from([None, 0.005]),  # seconds into the run
+    kill_at=st.sampled_from([None, 0.0005, 0.002, 0.01]),
+    kill_shard=st.integers(0, 2),  # modulo the shard count
+    retry_limit=st.integers(0, 4),
+    # Backoffs from far below an op's service time to past the stop.
+    retry_backoff=st.sampled_from([0.0001, 0.001, 0.004]),
     seed=st.integers(0, 2**32 - 1),
 ))
 
 
 def drive(reference: bool, engine, nshards, router, rate, queue_cap,
           fractions, distribution, scan_length, max_ops, op_timeout,
-          sample_interval, stop_after, seed):
+          sample_interval, stop_after, kill_at, kill_shard, retry_limit,
+          retry_backoff, seed):
     """Load a fleet and run one drawn open loop; everything observable."""
     read, scan, delete = fractions
     spec = WorkloadSpec(nkeys=150, value_bytes=120, read_fraction=read,
@@ -62,6 +73,11 @@ def drive(reference: bool, engine, nshards, router, rate, queue_cap,
                         scan_length=scan_length, distribution=distribution)
     clock, stores, ssds = make_shards(engine, nshards)
     route = make_router(router, nshards, spec.nkeys)
+    kill_shard %= nshards
+    chaos = dict(kill_at=kill_at, kill_shard=kill_shard,
+                 retry_limit=retry_limit, retry_backoff=retry_backoff)
+    if kill_at is not None:
+        stores[kill_shard].enable_crash_tracking()
     if reference:
         reference_fleet.load(stores, route, spec)
     else:
@@ -79,30 +95,34 @@ def drive(reference: bool, engine, nshards, router, rate, queue_cap,
         deadline = clock.now + stop_after
         limits["stop_when"] = lambda: clock.now > deadline
     if reference:
-        rows, out_of_space = reference_fleet.run(
+        rows, health, out_of_space = reference_fleet.run(
             stores, route, spec, arrival, seed, max_ops, queue_cap,
-            op_timeout=op_timeout, **limits)
+            op_timeout=op_timeout, **chaos, **limits)
+        if not out_of_space:
+            for row in rows:
+                assert row["offered"] == (row["rejected"] + row["completed"]
+                                          + row["failed"] + row["timeouts"])
     else:
         outcome = FleetPool(stores, route, spec, arrival=arrival,
                             seed=seed, max_ops=max_ops, queue_cap=queue_cap,
-                            op_timeout=op_timeout, **limits).run()
+                            op_timeout=op_timeout, **chaos, **limits).run()
         rows = [dict(offered=row.offered, admitted=row.admitted,
                      rejected=row.rejected, completed=row.completed,
-                     timeouts=row.timeouts, qdepth_sum=row.qdepth_sum,
-                     qdepth_max=depth,
+                     timeouts=row.timeouts, failed=row.failed,
+                     retries=row.retries, lost_keys=row.lost_keys,
+                     recovery_seconds=row.recovery_seconds,
+                     downtime_seconds=row.downtime_seconds,
+                     qdepth_sum=row.qdepth_sum, qdepth_max=depth,
                      responses=outcome.latencies.series(i).tolist())
                 for i, (row, depth) in enumerate(zip(outcome.fleet,
                                                      outcome.qdepth_max))]
-        out_of_space = outcome.out_of_space
-        assert outcome.health == ["up"] * nshards
-        assert not any(row.failed or row.retries or row.lost_keys
-                       for row in outcome.fleet)
+        health, out_of_space = outcome.health, outcome.out_of_space
     shards = [dict(smart=ssd.smart.as_dict(),
                    stats=store.stats.as_dict(),
                    disk=store.disk_bytes_used)
               for store, ssd in zip(stores, ssds)]
     state = dict(clock=clock.now, ticks=ticks, out_of_space=out_of_space,
-                 rows=rows, shards=shards)
+                 rows=rows, health=health, shards=shards)
     # Read last (they move the clock): every live key with the value
     # version it ended on.
     state["contents"] = [store.scan(0, 1 << 40)[1] for store in stores]
@@ -116,18 +136,38 @@ def drive(reference: bool, engine, nshards, router, rate, queue_cap,
 @example(dict(engine="lsm", nshards=2, router="hash", rate=50_000.0,
               queue_cap=6, fractions=(0.3, 0.1, 0.1), distribution="uniform",
               scan_length=7, max_ops=400, op_timeout=0.0002,
-              sample_interval=0.002, stop_after=None, seed=17))
+              sample_interval=0.002, stop_after=None, seed=17, **NO_KILL))
 # Three B+Tree shards on contiguous ranges, a stop condition mid-run.
 @example(dict(engine="btree", nshards=3, router="range", rate=5_000.0,
               queue_cap=8, fractions=(0.1, 0.0, 0.1), distribution="zipfian",
               scan_length=1, max_ops=400, op_timeout=None,
-              sample_interval=0.01, stop_after=0.005, seed=3))
+              sample_interval=0.01, stop_after=0.005, seed=3, **NO_KILL))
 # One shard, queue cap 1: every arrival that finds the op in service
 # is rejected.
 @example(dict(engine="btree", nshards=1, router="hash", rate=50_000.0,
               queue_cap=1, fractions=(0.5, 0.3, 0.0), distribution="hotspot",
               scan_length=30, max_ops=200, op_timeout=None,
-              sample_interval=None, stop_after=None, seed=5))
+              sample_interval=None, stop_after=None, seed=5, **NO_KILL))
+# An LSM shard killed mid-run: its queue drops, the next arrival starts
+# the recovery, retries back off past the stop and fail there.
+@example(dict(engine="lsm", nshards=2, router="hash", rate=50_000.0,
+              queue_cap=4, fractions=(0.3, 0.0, 0.1), distribution="uniform",
+              scan_length=5, max_ops=400, op_timeout=None,
+              sample_interval=None, stop_after=0.005, kill_at=0.002,
+              kill_shard=1, retry_limit=4, retry_backoff=0.004, seed=11))
+# A kill that loses WAL-tail keys, a retry admitted after the recovery,
+# and degraded service until a queue's worth of completions.
+@example(dict(engine="lsm", nshards=2, router="range", rate=5_000.0,
+              queue_cap=3, fractions=(0.3, 0.0, 0.0), distribution="uniform",
+              scan_length=5, max_ops=400, op_timeout=0.02,
+              sample_interval=0.01, stop_after=None, kill_at=0.0005,
+              kill_shard=0, retry_limit=2, retry_backoff=0.001, seed=23))
+# No retries: every op that meets the dead shard fails on the spot.
+@example(dict(engine="btree", nshards=3, router="hash", rate=500_000.0,
+              queue_cap=2, fractions=(0.5, 0.0, 0.0), distribution="zipfian",
+              scan_length=1, max_ops=300, op_timeout=None,
+              sample_interval=None, stop_after=None, kill_at=0.0005,
+              kill_shard=2, retry_limit=0, retry_backoff=0.0001, seed=29))
 def test_fleet_matches_the_reference(fleet):
     assert drive(False, **fleet) == drive(True, **fleet)
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
 from repro.kv.values import Value
-from repro.lsm.bloom import BloomFilter, key_hashes
+from repro.lsm.bloom import BloomFilter, key_hashes, probe_matrix
 from repro.lsm.config import LSMConfig
 from repro.lsm.memtable import KIND_DELETE, KIND_PUT, MemTable
 from repro.lsm.sstable import SSTable, split_into_tables
@@ -113,6 +115,40 @@ class TestBloom:
         vectorized = may_contain_many(bloom, probes)
         for key, expected in zip(probes.tolist(), vectorized.tolist()):
             assert bloom.may_contain(*key_hashes(key)) == expected
+
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    def test_probe_matrix_wraps_silently(self, n):
+        # Keys near 2^63 overflow every multiply and add of the mix:
+        # uint64 arrays wrap mod 2^64 without a warning, so the matrix
+        # needs no np.errstate and equals the expression that had one,
+        # bit for bit.
+        keys = np.array([2**63 - 1 - i for i in range(n - 1)] + [-(2**63)],
+                        dtype=np.int64)
+        mix1, mix2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+
+        def mix(z):
+            z = z.astype(np.uint64, copy=True)
+            z ^= z >> np.uint64(30)
+            z *= mix1
+            z ^= z >> np.uint64(27)
+            z *= mix2
+            z ^= z >> np.uint64(31)
+            return z
+
+        with np.errstate(over="ignore"):
+            raw = keys.astype(np.uint64)
+            h1 = mix(raw)
+            h2 = mix(raw + np.uint64(0x9E3779B97F4A7C15)) | np.uint64(1)
+            expected = (h1[:, None] + np.arange(7, dtype=np.uint64)[None, :]
+                        * h2[:, None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probes = probe_matrix(keys, 7)
+        assert probes.dtype == np.uint64
+        assert np.array_equal(probes, expected)
+        for row, key in zip(probes.tolist(), keys.tolist()):
+            h1, h2 = key_hashes(key)
+            assert row == [(h1 + i * h2) % 2**64 for i in range(7)]
 
     def test_invalid_bits_rejected(self):
         with pytest.raises(ConfigError):

@@ -10,7 +10,7 @@ from repro.core.clock import VirtualClock
 from repro.errors import ConfigError
 from repro.obs import Tracer
 from repro.sim.resources import Resource
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import Scheduler, Task
 from repro.workload.plan import EventAwareUntil
 
 
@@ -138,6 +138,34 @@ class TestTasks:
         # first completes: the timeline interleaves.
         assert log == [("fast", 0.0), ("slow", 0.0),
                        ("fast", pytest.approx(0.1)), ("slow", pytest.approx(0.35))]
+
+    def test_a_parked_task_costs_no_event_until_woken(self):
+        # A bare yield parks: the heap drains around the parked task,
+        # and each wake runs its next step at the waker's time, with
+        # the task's label.  A task never stepped is parked at its
+        # first step.
+        sched, clock = make_scheduler()
+        tracer = Tracer()
+        tracer.enable()
+        sched.obs_tracer = tracer
+        steps = []
+
+        def server():
+            while True:
+                steps.append(clock.now)
+                yield
+
+        task = Task(sched, server(), "server")
+        sched.schedule(0.5, task.wake)
+        sched.schedule(0.75, lambda: None)
+        sched.schedule(2.0, task.wake)
+        sched.run()
+        assert steps == [0.5, 2.0]
+        spans = [e for e in tracer.events() if e[4] == "sched"]
+        assert [(e[1], e[3]) for e in spans] == [
+            (0.5, "event"), (0.5, "server"), (0.75, "event"),
+            (2.0, "event"), (2.0, "server")]
+        assert sched.events_run == 5
 
     def test_invalid_yield_rejected(self):
         sched, _clock = make_scheduler()
