@@ -56,12 +56,11 @@ def seeds_for(keys: np.ndarray, versions: np.ndarray | int) -> np.ndarray:
     """Vectorized :func:`value_seed` for whole key batches.
 
     ``seeds_for(keys, versions)[i]`` equals
-    ``value_seed(keys[i], versions[i])`` bit for bit (uint64
-    wrap-around matches the masked Python-int arithmetic), so the
-    batched workload runner produces the exact payload stream of the
-    scalar path.
+    ``value_seed(keys[i], versions[i])`` bit for bit (1-d *keys*: uint64
+    array arithmetic wraps silently, as the masked Python-int arithmetic
+    does), so the batched workload runner produces the exact payload
+    stream of the scalar path.
     """
-    with np.errstate(over="ignore"):
-        k = np.asarray(keys, dtype=np.int64).astype(np.uint64)
-        v = np.asarray(versions, dtype=np.int64).astype(np.uint64)
-        return k * _KEY_MULT + v * _VERSION_MULT
+    k = np.asarray(keys, dtype=np.int64).astype(np.uint64)
+    v = np.asarray(versions, dtype=np.int64).astype(np.uint64)
+    return k * _KEY_MULT + v * _VERSION_MULT

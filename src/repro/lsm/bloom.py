@@ -66,11 +66,12 @@ def probe_matrix(keys: np.ndarray, k: int) -> np.ndarray:
 
     The values depend only on the keys — never on a filter's geometry —
     so the LSM read index (:mod:`repro.lsm.version`) hashes a probe set
-    once and masks the same matrix against every table's filter.
+    once (one mix over ``[raw, raw + golden]``: h1, then h2) and masks
+    the same matrix against every table's filter.
     """
     raw = np.asarray(keys).astype(np.uint64)
-    h1 = _splitmix64(raw)
-    h2 = _splitmix64(raw + _GOLDEN) | _ONE
+    h = _splitmix64(np.concatenate([raw, raw + _GOLDEN]))
+    h1, h2 = h[:len(raw)], h[len(raw):] | _ONE
     return h1[:, None] + np.arange(k, dtype=np.uint64)[None, :] * h2[:, None]
 
 

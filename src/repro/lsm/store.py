@@ -99,9 +99,9 @@ class LSMStore(KVStore):
     #: manifest's read index; smaller runs (the norm for mixed
     #: workloads, where same-kind runs are short, and the fleet's
     #: one-op calls) walk the tree per key (:meth:`_find`).  Planning
-    #: costs ~120-150 us per batch plus ~4 us per key against ~12 us
-    #: per walked get: the crossover (DESIGN.md §13.2).
-    BULK_PROBE_MIN = 20
+    #: costs ~70 us per batch plus ~1 us per key against ~12 us per
+    #: walked get: the crossover (DESIGN.md §13.2).
+    BULK_PROBE_MIN = 10
 
     def put_many(self, keys, vseeds, vlen: int, until: float | None = None,
                  latencies: list | None = None) -> int:

@@ -6,10 +6,9 @@ ranges, kept ordered by ``min_key`` so point lookups and overlap
 queries are binary searches.
 
 Batched reads go through a lazily built *read index* (DESIGN.md §13.1,
-§13.2): per sorted run — a whole L1+ level, or one L0 table — the
-tables' columns concatenated into one, so a key batch resolves, and a
-scan merges and plans its reads, in array operations per level, not
-per table.
+§13.2): a key batch resolves in one pass over the whole manifest's
+point index, and a scan merges and plans its reads over per-run
+columns — a whole L1+ level, or one L0 table — not per table.
 """
 
 from __future__ import annotations
@@ -26,51 +25,24 @@ from repro.lsm.sstable import SSTable
 
 
 class ReadRun:
-    """Read index of one sorted run: disjoint tables ordered by key.
+    """Scan group of one sorted run: disjoint tables ordered by key.
 
-    Per table: its first and last entries' positions in the run, key
-    range and filename.  Per entry, the tables' columns concatenated,
-    each group built by its first user.  Point reads
-    (:meth:`Version.plan_reads`): the globally sorted ``keys`` with the
-    data-block extent (:meth:`SSTable.read_extents`, precomputed; entry
-    0's is what a bloom false positive is charged) and the user bytes a
-    hit returns (0 for a tombstone), plus the ``base``/``mask``
-    locating each table's bloom filter inside the run's one bit slab
-    (``bits`` is None when filters are disabled).  Scans
-    (``LSMStore._scan_merge``): the packed composite ``comp`` — sorted
-    as well, the key being its high bits — with ``vlens``, each
-    entry's byte bounds ``lo``/``hi`` in its table's file, and per table
-    its first entry's device runs by the filesystem's ``byte_runs``
+    Per table: its first and last entries' positions in the run, max
+    key and filename.  Per entry, built by the run's first scan
+    (``LSMStore._scan_merge``): the packed composite ``comp`` — sorted,
+    the key being its high bits — with ``vlens``, each entry's byte
+    bounds ``lo``/``hi`` in its table's file, and per table its first
+    entry's device runs by the filesystem's ``byte_runs``
     (``head_runs``; a table's file never changes while in the manifest).
     """
 
-    def __init__(self, tables: list[SSTable], config: LSMConfig):
+    def __init__(self, tables: list[SSTable]):
         self.tables = tables
-        self.config = config
-        self.min_keys = np.array([t.min_key for t in tables], dtype=np.int64)
         self.max_keys = np.array([t.max_key for t in tables], dtype=np.int64)
         self.names = np.array([t.filename for t in tables], dtype=object)
         self.starts = np.cumsum([0] + [t.nentries for t in tables[:-1]])
         self.lasts = np.cumsum([t.nentries for t in tables]) - 1
-        self.keys = self.comp = None
-
-    def build_point_columns(self) -> None:
-        tables, config = self.tables, self.config
-        self.keys = np.concatenate([t.keys for t in tables])
-        extents = [t.read_extents() for t in tables]
-        self.offsets = np.concatenate([offsets for offsets, _ in extents])
-        self.nbytes = np.concatenate([nbytes for _, nbytes in extents])
-        self.hit_bytes = np.where(
-            np.concatenate([t.kinds for t in tables]) == KIND_PUT,
-            np.concatenate([t.vlens for t in tables]) + config.key_bytes, 0)
-        self.bits = None
-        if config.bloom_bits_per_key > 0:
-            blooms = [t.bloom for t in tables]
-            sizes = np.array([b.nbits for b in blooms], dtype=np.uint64)
-            self.k = blooms[0].k
-            self.bits = np.concatenate([b._bits for b in blooms])
-            self.mask = sizes - np.uint64(1)
-            self.base = np.cumsum(sizes) - sizes
+        self.comp = None
 
     def build_scan_columns(self, byte_runs) -> None:
         tables = self.tables
@@ -86,6 +58,54 @@ class ReadRun:
                           for t in tables]
 
 
+class PointIndex:
+    """Point-read index of a non-empty manifest's *runs*, in probe
+    order (DESIGN.md §13.2): keys clamped to [``lo``, ``hi``], moved by
+    ``-lo`` and, in run *r*, by ``shift[r]``, so all runs' tables and
+    entries concatenate into sorted columns.  Each run starts with a
+    sentinel table (name None, mask 0) that takes the keys below its
+    tables and admits none.  Per table: key range, filename, first
+    entry and bloom ``base``/``mask`` in one bit slab (``bits``; None
+    without filters).  Per entry: key, data-block extent
+    (:meth:`SSTable.read_extents`) and the user bytes a hit returns.
+    """
+
+    def __init__(self, runs: list[list[SSTable]], config: LSMConfig):
+        tables = [t for run in runs for t in run]
+        lo = min(t.min_key for t in tables) - 1
+        hi = max(t.max_key for t in tables) + 1
+        stride = hi - lo + 1
+        int64 = np.iinfo(np.int64)
+        if lo < int64.min or hi > int64.max or len(runs) * stride > int64.max:
+            raise ConfigError(f"{len(runs)} runs over keys [{lo + 1}, "
+                              f"{hi - 1}] overflow the int64 point index")
+        self.lo, self.hi = lo, hi
+        self.shift = np.arange(len(runs), dtype=np.int64) * stride
+        slots = [t for run in runs for t in (None, *run)]
+        at = np.repeat(self.shift, [len(run) + 1 for run in runs])
+        self.min_keys = at + [0 if t is None else t.min_key - lo for t in slots]
+        self.max_keys = at + [-1 if t is None else t.max_key - lo for t in slots]
+        self.names = np.array([t and t.filename for t in slots], dtype=object)
+        nentries = np.array([0 if t is None else t.nentries for t in slots])
+        self.starts = np.cumsum(nentries) - nentries
+        self.keys = np.repeat(at, nentries) + (
+            np.concatenate([t.keys for t in tables]) - lo)
+        extents = [t.read_extents() for t in tables]
+        self.offsets = np.concatenate([offsets for offsets, _ in extents])
+        self.nbytes = np.concatenate([nbytes for _, nbytes in extents])
+        self.hit_bytes = np.where(
+            np.concatenate([t.kinds for t in tables]) == KIND_PUT,
+            np.concatenate([t.vlens for t in tables]) + config.key_bytes, 0)
+        self.bits = None
+        if config.bloom_bits_per_key > 0:
+            sizes = np.array([0 if t is None else t.bloom.nbits
+                              for t in slots], dtype=np.uint64)
+            self.k = tables[0].bloom.k
+            self.bits = np.concatenate([t.bloom._bits for t in tables])
+            self.mask = np.maximum(sizes, 1) - np.uint64(1)  # sentinel: 0
+            self.base = np.cumsum(sizes) - sizes
+
+
 class Version:
     """Mutable manifest: which SSTables live on which level."""
 
@@ -94,10 +114,11 @@ class Version:
         self.levels: list[list[SSTable]] = [[] for _ in range(config.num_levels)]
         self._level_bytes = [0] * config.num_levels
         self._min_keys: list[list[int]] = [[] for _ in range(config.num_levels)]
-        # Read index: per level its list of ReadRuns, or None when a
+        # Scan groups: per level its list of ReadRuns, or None when a
         # manifest change on that level made it stale (rebuilt by the
-        # next plan_reads; the other levels keep theirs).
+        # next scan).  Any change drops the whole point index.
         self._read_runs: list[list[ReadRun] | None] = [None] * config.num_levels
+        self._point_index: PointIndex | None = None
 
     # ------------------------------------------------------------------
     # Mutation
@@ -113,6 +134,7 @@ class Version:
             self._min_keys[level].insert(idx, table.min_key)
         self._level_bytes[level] += table.data_bytes
         self._read_runs[level] = None
+        self._point_index = None
 
     def remove(self, level: int, table: SSTable) -> None:
         """Uninstall a table from a level."""
@@ -123,6 +145,7 @@ class Version:
             del self._min_keys[level][idx]
         self._level_bytes[level] -= table.data_bytes
         self._read_runs[level] = None
+        self._point_index = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -172,28 +195,28 @@ class Version:
         return [list(tables)] if tables else []
 
     def runs(self):
-        """The read index's runs in probe order (L0 newest first, then
-        one per sorted level), rebuilding stale levels."""
+        """The scan groups in probe order (L0 newest first, then one
+        per sorted level), rebuilding stale levels."""
         for level in range(self.config.num_levels):
             runs = self._read_runs[level]
             if runs is None:
                 runs = self._read_runs[level] = [
-                    ReadRun(group, self.config)
-                    for group in self._run_tables(level)]
+                    ReadRun(group) for group in self._run_tables(level)]
             yield from runs
+
+    def _point_runs(self) -> list[list[SSTable]]:
+        return [group for level in range(self.config.num_levels)
+                for group in self._run_tables(level)]
 
     def plan_reads(self, keys: np.ndarray, ops: np.ndarray) -> tuple:
         """Every data-block read the per-key probe walk would issue.
 
-        *ops* are the positions in *keys* to resolve (the keys that
-        missed every memtable).  Runs are walked in the scalar read
-        path's order — L0 newest first, then one run per sorted level —
-        and a key drops out at its first hit, so per key the reads are
-        exactly ``LSMStore._find``'s: one per table whose range and
-        bloom filter admit the key, entry 0's block on a false
-        positive.  Per run: one ``searchsorted`` assigns tables, one
-        gather over the bit slab gives the bloom verdicts, one
-        ``searchsorted`` finds the entries.
+        *ops* are the ascending positions in *keys* to resolve (the
+        memtable misses).  Per key the reads are ``LSMStore._find``'s:
+        in probe order, one per table whose range and filter admit the
+        key (entry 0's block on a false positive) up to its first hit,
+        resolved in one pass over the (keys × runs) :class:`PointIndex`
+        matrix, whose key-major, run-ascending pairs are the rows.
 
         Returns ``(bounds, names, offsets, nbytes, hit_bytes)`` as
         lists: op *i* reads rows ``bounds[i]:bounds[i + 1]`` of the
@@ -201,45 +224,39 @@ class Version:
         """
         n = len(keys)
         hit_bytes = np.zeros(n, dtype=np.int64)
-        rows = []
-        probes = None
-        for run in self.runs():
-            if not len(ops):
-                break
-            if run.keys is None:
-                run.build_point_columns()
-            k = keys[ops]
-            t = run.min_keys.searchsorted(k, side="right") - 1
-            sel = np.flatnonzero((t >= 0) & (k <= run.max_keys[t]))
-            if run.bits is not None and len(sel):
-                if probes is None:
-                    probes = probe_matrix(keys, run.k)
-                ts = t[sel, None]
-                bit = (probes[ops[sel]] & run.mask[ts]) + run.base[ts]
-                sel = sel[run.bits[bit].all(axis=1)]
-            if not len(sel):
-                continue
-            t, k, probed = t[sel], k[sel], ops[sel]
-            pos = run.keys.searchsorted(k)
-            hit = run.keys[pos] == k
-            pos = np.where(hit, pos, run.starts[t])
-            rows.append((probed, run.names[t], run.offsets[pos],
-                         run.nbytes[pos]))
-            hit_bytes[probed[hit]] = run.hit_bytes[pos[hit]]
-            alive = np.ones(len(ops), dtype=bool)
-            alive[sel[hit]] = False
-            ops = ops[alive]
-        if not rows:
+        if not len(ops) or not any(self.levels):
             return [0] * (n + 1), [], [], [], hit_bytes.tolist()
-        probed = np.concatenate([row[0] for row in rows])
-        # Stable: a key's rows stay in run (= probe) order.
-        order = np.argsort(probed, kind="stable")
+        index = self._point_index
+        if index is None:
+            index = self._point_index = PointIndex(self._point_runs(),
+                                                   self.config)
+        # Clamped, never raw: a key below lo meets each sentinel as lo.
+        k = keys[ops]
+        q = (np.minimum(np.maximum(k, index.lo), index.hi)
+             - index.lo)[:, None] + index.shift
+        t = index.min_keys.searchsorted(q, side="right") - 1
+        pair = np.flatnonzero(q <= index.max_keys[t])
+        t, q = t.ravel()[pair], q.ravel()[pair]
+        row = pair // len(index.shift)
+        if index.bits is not None:
+            probes = probe_matrix(k, index.k)[row]
+            passed = index.bits[(probes & index.mask[t, None])
+                                + index.base[t, None]].all(axis=1)
+            row, t, q = row[passed], t[passed], q[passed]
+        pos = index.keys.searchsorted(q)
+        hit = index.keys[pos] == q
+        pos = np.where(hit, pos, index.starts[t])
+        # A key's first hit ends its walk: keep the pairs with no hit
+        # before them in their row (a row's pairs are contiguous).
+        before = np.cumsum(hit) - hit
+        kept = before == before[row.searchsorted(row)]
+        probed, t, pos, hit = ops[row[kept]], t[kept], pos[kept], hit[kept]
+        hit_bytes[probed[hit]] = index.hit_bytes[pos[hit]]
         bounds = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(probed, minlength=n), out=bounds[1:])
-        names, offsets, nbytes = (
-            np.concatenate([row[col] for row in rows])[order].tolist()
-            for col in (1, 2, 3))
-        return bounds.tolist(), names, offsets, nbytes, hit_bytes.tolist()
+        return (bounds.tolist(), index.names[t].tolist(),
+                index.offsets[pos].tolist(), index.nbytes[pos].tolist(),
+                hit_bytes.tolist())
 
     def deepest_nonempty_level(self) -> int:
         """Index of the deepest level with data, or -1 when empty."""
@@ -253,15 +270,17 @@ class Version:
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Verify manifest consistency; raises ``AssertionError`` on bugs."""
+        if self._point_index is not None:  # a built index is a fresh one
+            fresh = PointIndex(self._point_runs(), self.config)
+            for name, value in vars(fresh).items():
+                assert np.array_equal(value, getattr(self._point_index, name)), name
         for level, tables in enumerate(self.levels):
             assert self._level_bytes[level] == sum(t.data_bytes for t in tables)
             runs = self._read_runs[level]
-            if runs is not None:  # a built read index must mirror the level
+            if runs is not None:  # built scan groups mirror the level
                 assert [run.tables for run in runs] == self._run_tables(level)
                 for run in runs:  # and hold what a fresh build would
-                    fresh = ReadRun(run.tables, self.config)
-                    if run.keys is not None:
-                        fresh.build_point_columns()
+                    fresh = ReadRun(run.tables)
                     if run.comp is not None:  # and a fresh head resolution
                         fresh.build_scan_columns(run.byte_runs)
                         assert fresh.head_runs == run.head_runs
@@ -281,3 +300,4 @@ class Version:
     def _check_level(self, level: int) -> None:
         if not 0 <= level < self.config.num_levels:
             raise ConfigError(f"level {level} out of range")
+

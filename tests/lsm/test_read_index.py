@@ -6,7 +6,8 @@ stores hold the identical tree: one serves batches, the other per-op
 gets, and everything observable must match exactly — per-op latencies,
 the clock, ``KVStats``, the SMART read counters and the device read
 requests — and must be what ``reference_reads.get`` says a get
-returns and pays.  Also pins the index's per-level invalidation.
+returns and pays.  Also pins when the whole-manifest point index and
+the per-level scan groups are rebuilt.
 
 CI also runs this file under the derandomized ``ci`` hypothesis
 profile (``tests/conftest.py``): ``--hypothesis-profile=ci``.
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.block.device import BlockDevice
 from repro.core.clock import VirtualClock
-from repro.errors import NoSpaceError
+from repro.errors import ConfigError, NoSpaceError
 from repro.flash.ssd import SSD
 from repro.fs.filesystem import ExtentFilesystem
 from repro.kv.values import Value
@@ -70,6 +71,37 @@ def random_tree(seed: int) -> dict:
     memtables = [random_entries(rng, 0, KEYSPACE - 1) if rng.random() < 0.7
                  else ([], [], []) for _ in range(2)]
     return {"tables": tables, "memtables": memtables}
+
+
+def put_table(keys, vlen: int = 40) -> tuple:
+    return list(keys), [KIND_PUT] * len(keys), [vlen] * len(keys)
+
+
+NO_MEMTABLES = [([], [], []), ([], [], [])]
+#: Two overlapping L0 tables (listed oldest first) over two sorted
+#: levels; every stored key lies in [3, 120].
+EDGE_TREE = {"tables": [
+    (0, put_table([10, 40, 70])),
+    (0, put_table([20, 30, 50], vlen=700)),
+    (1, put_table([3, 15, 25])),
+    (1, put_table([60, 90, 120], vlen=4100)),
+    (3, ([5, 30, 45, 100], [KIND_PUT, KIND_DELETE, KIND_PUT, KIND_PUT],
+         [24, 0, 9000, 40]))],
+    "memtables": NO_MEMTABLES}
+#: name -> (tree, batch, per key how many blocks the plan reads, all of
+#: the newest L0 table; None: not pinned).
+EDGE_BATCHES = {
+    "below-every-table": (EDGE_TREE, [-2**63, -3, -1, 0, 1, 2] * 2,
+                          [0] * 12),
+    "above-every-table": (EDGE_TREE, [121, 122, 500, 2**63 - 1] * 3,
+                          [0] * 12),
+    "newest-l0-hits": (EDGE_TREE, [20, 30, 50, 50, 20] * 2, [1] * 10),
+    "repeated-keys": (EDGE_TREE, [45, 45, 46, 45, 30, 30, 46, 3, 3, 45],
+                      None),
+    "empty-manifest": ({"tables": [], "memtables": [
+        ([7], [KIND_PUT], [24]), ([], [], [])]}, [7, 8, -1, 7] * 3,
+        [0] * 12),
+}
 
 
 def make_store(**config_overrides) -> LSMStore:
@@ -175,6 +207,43 @@ class TestLockstep:
             + miss + miss) * 3)
         assert store.stats.user_bytes_read == 3 * ((16 + 40) + (16 + 9000))
 
+    @pytest.mark.parametrize("bloom_bits", [0, 10])
+    @pytest.mark.parametrize("case", sorted(EDGE_BATCHES))
+    def test_edge_batches_match_per_op_gets(self, case, bloom_bits):
+        """Keys outside every table, one L0 table answering the whole
+        batch, repeated keys and an empty manifest: the one-pass plan
+        is the per-op walk, and says so row by row."""
+        tree, keys, reads = EDGE_BATCHES[case]
+        assert len(keys) >= LSMStore.BULK_PROBE_MIN  # the planned path
+        bulk, twin = (build_store(tree, bloom_bits) for _ in range(2))
+        bulk_reads, twin_reads = record_reads(bulk), record_reads(twin)
+        expected = [reference_reads.get(twin, key) for key in keys]
+        bounds, planned, *_ = bulk.version.plan_reads(
+            np.array(keys, dtype=np.int64), np.arange(len(keys)))
+        if reads is not None:  # the plan's tables, ahead of any replay
+            assert bounds == np.cumsum([0] + reads).tolist()
+            assert all(name == bulk.version.levels[0][0].filename
+                       for name in planned)
+        bulk_lat: list = []
+        twin_lat: list = []
+        assert bulk.get_many(keys, None, bulk_lat) == len(keys) == \
+            get_per_op(twin, keys, None, twin_lat)
+        assert bulk_lat == twin_lat
+        assert state(bulk) == state(twin)
+        assert bulk_reads == twin_reads == device_reads(twin, [
+            read for _value, reads in expected for read in reads])
+        bulk.check_invariants()
+
+    def test_a_key_span_past_int64_is_refused(self):
+        """Runs × stride must fit int64; a walked batch still works."""
+        tree = {"tables": [(1, put_table([-2**62])), (2, put_table([2**62]))],
+                "memtables": NO_MEMTABLES}
+        store = build_store(tree, bloom_bits=10)
+        assert store.get_many([0] * (LSMStore.BULK_PROBE_MIN - 1)) == \
+            LSMStore.BULK_PROBE_MIN - 1
+        with pytest.raises(ConfigError, match="overflow the int64"):
+            store.get_many([0] * LSMStore.BULK_PROBE_MIN)
+
     @pytest.mark.parametrize("fail_at", [0, 3, 11])
     def test_pread_fault_mid_batch(self, fail_at):
         """ENOSPC on the device read number *fail_at*."""
@@ -238,11 +307,19 @@ class TestInvalidation:
         self.assert_batches_match(bulk, twin, keys)
 
     def test_only_touched_levels_are_rebuilt(self):
+        """The point index serves batch after batch until the manifest
+        changes, then the next batch builds a new one; the scan groups
+        are rebuilt only on the levels a change touched."""
         store = make_store(**SMALL)
         populate([store])
         keys = list(range(0, 450, 3))
+        store.scan_many(keys[:4], 5)
         store.get_many(keys)
         version = store.version
+        index = version._point_index
+        assert index is not None
+        store.get_many(keys[::-1])
+        assert version._point_index is index
         deepest = version.deepest_nonempty_level()
         assert deepest >= 2
         built = list(version._read_runs)
@@ -253,25 +330,34 @@ class TestInvalidation:
         while sum(map(len, version.levels)) == files:
             store.put(key, Value(key, 44))
             key += 1
+        assert version._point_index is None
         touched = [level for level, runs in enumerate(version._read_runs)
                    if runs is not built[level]]
         assert 0 in touched and deepest not in touched
         store.get_many(keys)
+        store.scan_many(keys[:4], 5)
+        assert version._point_index not in (None, index)
         assert version._read_runs[deepest] is built[deepest]
         assert version._read_runs[0] is not built[0]
         store.check_invariants()
 
     def test_add_and_remove_invalidate_one_level(self):
+        """A manifest change drops the whole point index and that
+        level's scan groups, nothing else."""
         store = build_store(random_tree(11), bloom_bits=10)
         version = store.version
+        store.scan_many(list(range(0, KEYSPACE, 50)), 3)
         store.get_many(list(range(0, KEYSPACE, 5)))
         built = list(version._read_runs)
         level = version.deepest_nonempty_level()
         table = version.levels[level][0]
         version.remove(level, table)
+        assert version._point_index is None
         assert [lvl for lvl, runs in enumerate(version._read_runs)
                 if runs is not built[lvl]] == [level]
+        store.get_many(list(range(0, KEYSPACE, 5)))
         version.add(level, table)
+        assert version._point_index is None
         assert version._read_runs[level] is None
         version.check_invariants()
 
@@ -290,10 +376,21 @@ class TestInvalidation:
 
     def test_check_invariants_catches_a_stale_index(self):
         store = build_store(random_tree(11), bloom_bits=10)
+        store.scan_many(list(range(0, KEYSPACE, 50)), 3)
         store.get_many(list(range(0, KEYSPACE, 5)))
         version = store.version
         level = version.deepest_nonempty_level()
         version.check_invariants()
+        # A point index kept across a manifest change.
+        index, table = version._point_index, version.levels[level][0]
+        version.remove(level, table)
+        version._point_index = index
+        with pytest.raises(AssertionError):
+            version.check_invariants()
+        version.add(level, table)
+        version._point_index = index
+        version.check_invariants()
+        # Scan groups of another level.
         version._read_runs[level] = version._read_runs[0] or []
         with pytest.raises(AssertionError):
             version.check_invariants()

@@ -11,6 +11,8 @@ distribution.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from repro.core.clock import VirtualClock
 from repro.flash.ssd import SSD
 from repro.fleet.pool import FleetPool
 from repro.fs.filesystem import ExtentFilesystem
-from repro.kv.values import seeds_for, value_for
+from repro.kv.values import seeds_for, value_for, value_seed
 from repro.lsm.config import LSMConfig
 from repro.lsm.store import LSMStore
 from repro.workload.keys import make_chooser
@@ -131,6 +133,20 @@ def test_seeds_for_matches_value_for():
     assert seeds_for(keys, 0).tolist() == [
         value_for(int(k), 0, 64).seed for k in keys
     ]
+
+
+@pytest.mark.parametrize("versions", [2**62 + 5, np.arange(2**62, 2**62 + 4)])
+def test_seeds_for_wraps_silently(versions):
+    """Keys near 2^63 and versions near 2^62 overflow both products and
+    the sum: uint64 array arithmetic wraps mod 2^64 without a warning,
+    to ``value_seed``'s masked Python-int arithmetic."""
+    keys = np.array([2**63 - 1, 2**63 - 2, -(2**63), 2**62], dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seeds = seeds_for(keys, versions)
+    assert seeds.tolist() == [
+        value_seed(key, version) for key, version in
+        zip(keys.tolist(), np.broadcast_to(versions, len(keys)).tolist())]
 
 
 class TestBatchedRunnerEquivalence:
