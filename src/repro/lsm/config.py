@@ -44,7 +44,12 @@ class LSMConfig:
 
     # Write-stall model: RocksDB slows down and then stops user writes
     # when compaction falls behind; our proxy for "behind" is the
-    # device backlog in seconds of queued flash work.
+    # device backlog b in seconds of queued flash work, read when the
+    # write is issued.  Each write pays a penalty on top of its CPU
+    # cost (and its WAL write-out, if any): nothing while b <= soft,
+    # (b - soft) * slowdown_factor while b <= hard, and
+    # (hard - soft) * slowdown_factor + max(0, b - hard) past the hard
+    # limit or while L0 holds l0_stop_files tables.
     backlog_soft_limit: float = 0.25
     backlog_hard_limit: float = 1.0
     slowdown_factor: float = 0.08

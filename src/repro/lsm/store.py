@@ -15,8 +15,8 @@ one file per sorted level; bloom filters (memory-resident) gate the
 data-block reads.
 
 In event-driven mode (``attach_scheduler``, DESIGN.md §4.2) flushes
-and compactions are not run inline: a memtable rotation enqueues a
-background job that acquires the single background-worker resource,
+and compactions are not run inline: a memtable rotation spawns a
+background job that waits for the single background worker,
 flushes the oldest immutable memtable and then runs compactions one
 picker round per event — device work lands on the timeline when the
 "background thread" gets to it, and the write path only takes over
@@ -79,10 +79,11 @@ class LSMStore(KVStore):
         self.wal = WriteAheadLog(self.fs, self.config, next(self._wal_ids))
         self._immutables: list[tuple[MemTable, WriteAheadLog]] = []
         self._closed = False
-        self.flushed_bytes = 0  # memtable flush traffic (part of WA-A)
-        self.stall_seconds = 0.0  # cumulative write-stall time
         self.scheduler = None  # event-driven background work when attached
-        self._bg_worker = None  # FIFO background-thread resource
+        # The one background worker (event mode): whether a job holds
+        # it, and how many spawned jobs wait for it (_background_job).
+        self._bg_busy = False
+        self._bg_pending = 0
         # Cached batch-write constants per write kind (frozen config +
         # record geometry for the last-seen vlen; DESIGN.md §8).
         self._put_consts = None
@@ -111,7 +112,7 @@ class LSMStore(KVStore):
         put's only side effects are pure accounting plus the write-stall
         penalty, so runs of ops are applied as one dict update while the
         clock/penalty recurrence is replayed op by op.  The op that
-        triggers device work is a :meth:`_write_one`.
+        triggers device work is a one-op segment of the same loop.
         """
         return self._write_many(keys, vseeds, vlen, until, latencies, False)
 
@@ -436,10 +437,10 @@ class LSMStore(KVStore):
         stall penalty, and inside one batch call no other scheduler
         event can run, so the device's write backlog is a fixed
         function of time and the clock/penalty recurrence is replayed
-        locally, op by op.  The op that triggers device
-        work (WAL write-out, memtable rotation) is a
-        :meth:`_write_one`, which also spawns the event-mode
-        background jobs; an event-aware ``until`` then stops the batch
+        locally, op by op.  The op that triggers device work (WAL
+        write-out, memtable rotation, which may spawn an event-mode
+        background job) is a one-op segment of the same loop, timed
+        after that work; an event-aware ``until`` then stops the batch
         right after it.
         """
         if self._closed:
@@ -473,7 +474,6 @@ class LSMStore(KVStore):
         (_, cpu, soft, hard, slowdown, memtable_bytes, wal_buffer_bytes,
          l0_stop_files, payload, entry_bytes, wal_record) = consts
         clock = self.clock
-        stats = self._stats
         backlog_at = self._ssd.backlog_seconds
         keys_list = keys if type(keys) is list else as_int_list(keys)
         seeds_list = None if vseeds is None else (
@@ -500,25 +500,43 @@ class LSMStore(KVStore):
                            - memtable.approximate_bytes) // entry_bytes
                 if mem_cap < cap:
                     cap = mem_cap
-                if cap <= 0:
-                    # The next op triggers a WAL write-out or a memtable
-                    # rotation: the one-op body performs the device work.
-                    latency = self._write_one(
-                        keys_list[done], 0 if delete else seeds_list[done],
-                        vlen, delete)
-                    done += 1
-                    if append is not None:
-                        append(latency)
-                    if until is not None and clock.now >= until:
-                        break
-                    continue
+                now = clock.now
+                cost = cpu  # per-op latency before the stall penalty
+                device = cap <= 0
+                if device:
+                    # The next op writes the WAL out or rotates the
+                    # memtable: a one-op segment whose device work comes
+                    # before its timing, so the stall rule reads the
+                    # backlog that work leaves.  The write-out goes
+                    # first: one that runs out of space leaves the op
+                    # unapplied.
+                    cap = 1
+                    if tr_on:
+                        tracer.op_begin()
+                    wal_latency = wal.append(payload)
+                    if tr_on and wal_latency > 0.0:
+                        tracer.span("wal_append", "lsm", now, wal_latency,
+                                    {"bytes": payload})
+                    cost = cpu + wal_latency
+                    self._apply_writes(keys_list, seeds_list, done, 1,
+                                       delete, consts)
+                    if memtable.full:
+                        self._rotate_memtable()
+                        if (self.scheduler is None or len(self._immutables)
+                                > self.config.max_immutable_memtables):
+                            # No background worker, or too many
+                            # immutables awaiting it: the write path
+                            # stops and catches up inline.
+                            self._flush_inline()
+                        else:
+                            self.scheduler.spawn(self._background_job(),
+                                                 label="lsm-flush")
 
                 # Replay the clock/stall recurrence locally: no device
                 # work can occur inside this run, so the busy horizon
                 # and the L0 stop condition are constants — and the
                 # replay schedules no events, so a live until proxy
                 # can be snapshotted to a plain float for the window.
-                now = clock.now
                 if until is None or type(until) is float:
                     bound = until
                 else:
@@ -526,10 +544,10 @@ class LSMStore(KVStore):
                 l0_stop = len(self.version.levels[0]) >= l0_stop_files
                 wmax = self._ssd.write_horizon
                 took = 0
-                if wmax <= now and not l0_stop:
+                if wmax <= now and not l0_stop and not device:
                     # Zero backlog stays zero: per-op latency is the
                     # constant CPU cost (accumulated op by op, so float
-                    # rounding matches _write_one's clock advances).
+                    # rounding matches per-op clock advances).
                     if bound is None and append is None and not tr_on:
                         for _ in range(cap):
                             now += cpu
@@ -545,10 +563,10 @@ class LSMStore(KVStore):
                             if bound is not None and now >= bound:
                                 break
                 else:
-                    # The stall input is the device's own backlog at
-                    # the replay clock, as the per-op path asks it; past
-                    # the write horizon it is an exact 0.0, unasked.
-                    stall = self.stall_seconds
+                    # The stall rule (RocksDB's slowdown and stop): its
+                    # input is the device's own backlog at the replay
+                    # clock; past the write horizon it is an exact 0.0,
+                    # unasked.
                     for _ in range(cap):
                         if now >= wmax:
                             backlog = 0.0
@@ -561,54 +579,30 @@ class LSMStore(KVStore):
                             penalty = (backlog - soft) * slowdown
                         else:
                             penalty = 0.0
-                        stall += penalty
+                        latency = cost + penalty
                         if tr_on:
-                            tracer.op_write(wkind, now, cpu + penalty, penalty)
-                        now += cpu + penalty
+                            if device:
+                                if penalty > 0.0:
+                                    tracer.add("write_stall", penalty)
+                                    tracer.instant("write_stall", "lsm", {
+                                        "backlog_s": backlog,
+                                        "penalty_s": penalty,
+                                        "l0_files": len(self.version.levels[0]),
+                                    })
+                                tracer.op_end(wkind, now, latency)
+                            else:
+                                tracer.op_write(wkind, now, latency, penalty)
+                        now += latency
                         took += 1
                         if append is not None:
-                            append(cpu + penalty)
+                            append(latency)
                         if bound is not None and now >= bound:
                             break
-                    self.stall_seconds = stall
 
-                first_seq = self._next_seq
-                self._next_seq = first_seq + took
-                if delete:
-                    if took == 1:
-                        # memtable.delete, inlined with the entry size
-                        # already in hand (the queue-depth hot path
-                        # lands here once per interleaved op).
-                        memtable._entries[keys_list[done]] = \
-                            (first_seq, 0, 0, KIND_DELETE)
-                        memtable.approximate_bytes += entry_bytes
-                    else:
-                        memtable.bulk_delete(keys_list[done:done + took],
-                                             first_seq)
-                    stats.deletes += took
-                else:
-                    if took == 1:
-                        # memtable.put, inlined (see the delete branch).
-                        memtable._entries[keys_list[done]] = \
-                            (first_seq, seeds_list[done], vlen, KIND_PUT)
-                        memtable.approximate_bytes += entry_bytes
-                    else:
-                        memtable.bulk_put(keys_list[done:done + took], first_seq,
-                                          seeds_list[done:done + took], vlen)
-                    stats.puts += took
-                wal._buffered += took * wal_record
-                if self._crash is not None:
-                    crash_log = self._crash.setdefault(wal.log_id, [])
-                    if delete:
-                        for k in keys_list[done:done + took]:
-                            crash_log.append((k, 0, 0, KIND_DELETE,
-                                              wal_record))
-                    else:
-                        for k, s in zip(keys_list[done:done + took],
-                                        seeds_list[done:done + took]):
-                            crash_log.append((k, s, vlen, KIND_PUT,
-                                              wal_record))
-                stats.user_bytes_written += took * payload
+                if not device:
+                    wal._buffered += took * wal_record
+                    self._apply_writes(keys_list, seeds_list, done, took,
+                                       delete, consts)
                 # Store `now` back.  It only grew from the value read;
                 # the comparison keeps the clock monotone by
                 # construction, not by trust.
@@ -623,6 +617,49 @@ class LSMStore(KVStore):
             exc.ops_done = done
             raise
         return done
+
+    def _apply_writes(self, keys_list: list, seeds_list: list | None,
+                      lo: int, took: int, delete: bool, consts: tuple) -> None:
+        """Apply ops ``lo .. lo + took`` of a write batch to the store's
+        memory: sequence numbers, the memtable, the crash record and
+        the stats (the WAL buffer bytes are the caller's)."""
+        vlen = consts[0]
+        payload, entry_bytes, wal_record = consts[8:]
+        memtable = self.memtable
+        stats = self._stats
+        first_seq = self._next_seq
+        self._next_seq = first_seq + took
+        if delete:
+            if took == 1:
+                # memtable.delete, inlined with the entry size already
+                # in hand (the queue-depth hot path lands here once per
+                # interleaved op).
+                memtable._entries[keys_list[lo]] = \
+                    (first_seq, 0, 0, KIND_DELETE)
+                memtable.approximate_bytes += entry_bytes
+            else:
+                memtable.bulk_delete(keys_list[lo:lo + took], first_seq)
+            stats.deletes += took
+        else:
+            if took == 1:
+                # memtable.put, inlined (see the delete branch).
+                memtable._entries[keys_list[lo]] = \
+                    (first_seq, seeds_list[lo], vlen, KIND_PUT)
+                memtable.approximate_bytes += entry_bytes
+            else:
+                memtable.bulk_put(keys_list[lo:lo + took], first_seq,
+                                  seeds_list[lo:lo + took], vlen)
+            stats.puts += took
+        if self._crash is not None:
+            crash_log = self._crash.setdefault(self.wal.log_id, [])
+            if delete:
+                for k in keys_list[lo:lo + took]:
+                    crash_log.append((k, 0, 0, KIND_DELETE, wal_record))
+            else:
+                for k, s in zip(keys_list[lo:lo + took],
+                                seeds_list[lo:lo + took]):
+                    crash_log.append((k, s, vlen, KIND_PUT, wal_record))
+        stats.user_bytes_written += took * payload
 
     def flush(self) -> None:
         """Flush the memtable and run compactions to completion."""
@@ -655,10 +692,7 @@ class LSMStore(KVStore):
 
     def attach_scheduler(self, scheduler) -> None:
         """Run flushes/compactions as scheduled background tasks."""
-        from repro.sim.resources import Resource
-
         self.scheduler = scheduler
-        self._bg_worker = Resource(scheduler, name="lsm-bg")
 
     # ------------------------------------------------------------------
     # Crash recovery (fault injection; DESIGN.md §11)
@@ -748,58 +782,6 @@ class LSMStore(KVStore):
     # ------------------------------------------------------------------
     # Write-path internals
     # ------------------------------------------------------------------
-    def _write_one(self, key: int, vseed: int, vlen: int, delete: bool) -> float:
-        """One put or tombstone through every step of the write path:
-        WAL append (with its write-out), memtable insert, rotation and
-        flush, stall penalty.  :meth:`_write_many` runs it for the op
-        of a batch that triggers device work."""
-        self._ensure_open()
-        tracer = self.tracer
-        tr_on = tracer.enabled
-        if tr_on:
-            t0 = self.clock.now
-            tracer.op_begin()
-        config = self.config
-        payload = config.key_bytes + vlen
-        latency = config.cpu_overhead
-        wal_latency = self.wal.append(payload)
-        latency += wal_latency
-        if tr_on and wal_latency > 0.0:
-            tracer.span("wal_append", "lsm", t0, wal_latency,
-                        {"bytes": payload})
-        if self._crash is not None:
-            self._crash.setdefault(self.wal.log_id, []).append(
-                (key, vseed, vlen, KIND_DELETE if delete else KIND_PUT,
-                 payload + config.wal_entry_overhead))
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        if delete:
-            self.memtable.delete(key, seq)
-            self._stats.deletes += 1
-        else:
-            self.memtable.put(key, seq, vseed, vlen)
-            self._stats.puts += 1
-        self._stats.user_bytes_written += payload
-        latency += self._after_write()
-        if tr_on:
-            tracer.op_end("delete" if delete else "update", t0, latency)
-        self.clock.advance(latency)
-        return latency
-
-    def _after_write(self) -> float:
-        """Rotate/flush/compact as needed; return stall penalty."""
-        if self.memtable.full:
-            self._rotate_memtable()
-            if self.scheduler is None:
-                self._flush_inline()
-            elif len(self._immutables) > self.config.max_immutable_memtables:
-                # Too many immutables awaiting the background worker:
-                # the write path stops and catches up inline.
-                self._flush_inline()
-            else:
-                self.scheduler.spawn(self._background_job(), label="lsm-flush")
-        return self._stall_penalty()
-
     def _flush_inline(self) -> None:
         """Flush + compact on the write path (no scheduler / takeover).
 
@@ -836,16 +818,16 @@ class LSMStore(KVStore):
             wal.sync()
         arrays = memtable.sorted_arrays()
         if len(arrays[0]):
-            before = self.flushed_bytes
+            flushed = 0
             for table in split_into_tables(self._next_table_id, self.config, *arrays):
                 self.fs.create(table.filename)
                 self.fs.append(table.filename, table.data_bytes, background=True)
-                self.flushed_bytes += table.data_bytes
+                flushed += table.data_bytes
                 self.version.add(0, table)
             tracer = self.tracer
             if tracer.enabled:
                 tracer.instant("memtable_flush", "lsm", {
-                    "bytes": self.flushed_bytes - before,
+                    "bytes": flushed,
                     "entries": len(arrays[0]),
                 })
         if wal is not None:
@@ -857,15 +839,23 @@ class LSMStore(KVStore):
         while (compaction := self.picker.pick(self.version)) is not None:
             self.executor.run(compaction, self.version)
 
-    def _background_job(self):
+    def _background_job(self, granted: bool = False):
         """One scheduled flush + follow-up compactions (event mode).
 
-        The job queues on the background-worker resource (flushes and
-        compactions serialize, like a one-thread RocksDB background
-        pool) and yields between compaction rounds so each lands as its
-        own event on the timeline.
+        Flushes and compactions serialize on one background worker,
+        like a one-thread RocksDB background pool.  A job that finds
+        the worker busy only counts itself pending; one that finds it
+        free takes it and steps once before its body.  A finishing job
+        hands the worker to the next pending one, spawned *granted*,
+        so jobs run in spawn order.  The job yields between compaction
+        rounds so each lands as its own event on the timeline.
         """
-        yield self._bg_worker.request()
+        if not granted:
+            if self._bg_busy:
+                self._bg_pending += 1
+                return
+            self._bg_busy = True
+            yield 0.0
         try:
             if self._immutables:
                 memtable, wal = self._immutables.pop(0)
@@ -874,29 +864,12 @@ class LSMStore(KVStore):
                 self.executor.run(compaction, self.version)
                 yield 0.0
         finally:
-            self._bg_worker.release()
-
-    def _stall_penalty(self) -> float:
-        """RocksDB-style slowdown/stop based on device backlog."""
-        backlog = self._ssd.backlog_seconds()
-        config = self.config
-        penalty = 0.0
-        if backlog > config.backlog_hard_limit or \
-                len(self.version.levels[0]) >= config.l0_stop_files:
-            penalty = max(0.0, backlog - config.backlog_hard_limit)
-            penalty += (config.backlog_hard_limit - config.backlog_soft_limit) \
-                * config.slowdown_factor
-        elif backlog > config.backlog_soft_limit:
-            penalty = (backlog - config.backlog_soft_limit) * config.slowdown_factor
-        self.stall_seconds += penalty
-        tracer = self.tracer
-        if tracer.enabled and penalty > 0.0:
-            tracer.add("write_stall", penalty)
-            tracer.instant("write_stall", "lsm", {
-                "backlog_s": backlog, "penalty_s": penalty,
-                "l0_files": len(self.version.levels[0]),
-            })
-        return penalty
+            if self._bg_pending:
+                self._bg_pending -= 1
+                self.scheduler.spawn(self._background_job(granted=True),
+                                     label="lsm-flush")
+            else:
+                self._bg_busy = False
 
     # ------------------------------------------------------------------
     # Read-path internals

@@ -138,15 +138,9 @@ class Tracer:
         comp = self._comp
         residual = latency - sum(comp.values())
         comp["cpu_other"] = comp.get("cpu_other", 0.0) + residual
-        self.attribution.add(kind, latency, comp)
-        args = {"total": latency}
-        if self.shard is not None:
-            args["shard"] = self.shard
-        args.update(comp)
-        self.emitted += 1
-        self._append(("X", t0, latency, f"op:{kind}", "op", self.tid, args))
         self.in_op = False
         self._comp = {}
+        self._op_span(kind, t0, latency, comp)
 
     def op_write(self, kind: str, t0: float, latency: float,
                  penalty: float) -> None:
@@ -161,6 +155,11 @@ class Tracer:
             comp = {"write_stall": penalty, "cpu_other": latency - penalty}
         else:
             comp = {"cpu_other": latency}
+        self._op_span(kind, t0, latency, comp)
+
+    def _op_span(self, kind: str, t0: float, latency: float,
+                 comp: dict) -> None:
+        """Attribute one finished op and append its span."""
         self.attribution.add(kind, latency, comp)
         args = {"total": latency}
         if self.shard is not None:

@@ -3,22 +3,17 @@
 The subsystem generalizes the single-threaded virtual-clock loop into
 an event-driven scheduler so that many concurrent clients, background
 engine work and per-channel device service can share one timeline:
-
-* :mod:`repro.sim.scheduler` — the event heap (keyed on ``(time,
-  seq)``) and cooperative generator tasks;
-* :mod:`repro.sim.resources` — a one-token resource with a FIFO wait
-  queue (the LSM engine's background worker).
+:mod:`repro.sim.scheduler` holds the event heap (keyed on ``(time,
+seq)``) and cooperative generator tasks.
 
 The tasks that drive a measured phase — closed-loop clients, whose lone
 client is the paper's single user thread, or open-loop arrivals — are
 :class:`repro.fleet.pool.FleetPool`'s.
 """
 
-from repro.sim.resources import Resource
 from repro.sim.scheduler import Scheduler, Task
 
 __all__ = [
-    "Resource",
     "Scheduler",
     "Task",
 ]

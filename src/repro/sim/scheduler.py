@@ -10,10 +10,11 @@ Two kinds of work run on the timeline:
 * **callbacks** — plain functions fired once at a scheduled time
   (:meth:`Scheduler.schedule`);
 * **cooperative tasks** — generators that ``yield`` between steps
-  (:meth:`Scheduler.spawn`).  Yielding a ``float`` suspends the task
-  for that many virtual seconds, a :class:`repro.sim.resources.Request`
-  until the resource grants the request; a bare ``yield`` parks it, no
-  event pending, until its owner calls :meth:`Task.wake`.
+  (:meth:`Scheduler.spawn`).  Yielding a delay suspends the task for
+  that many virtual seconds; a bare ``yield`` parks it, no event
+  pending, until its owner calls :meth:`Task.wake`.  A delay is a
+  finite, non-negative int or float: anything else raises
+  :class:`~repro.errors.ConfigError`.
 
 :meth:`Scheduler.run` is the one loop and it owns global time: it
 sets the shared :class:`~repro.core.clock.VirtualClock`'s ``now`` to
@@ -30,11 +31,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Callable, Generator
 
 from repro.core.clock import VirtualClock
 from repro.errors import ConfigError
 from repro.obs.tracer import NULL_TRACER
+
+_INF = math.inf
 
 
 class Task:
@@ -52,10 +56,11 @@ class Task:
             yielded = self._send(send_value)
         except StopIteration:
             return
-        if type(yielded) is float and yielded >= 0.0:
+        if type(yielded) is float and 0.0 <= yielded < _INF:
             # The per-operation hot path: a clock read and a heap push.
-            # The guard above is the negative-delay validation and the
-            # follow-up reuses this task's one bound step.
+            # The guard above is the delay validation (NaN fails both
+            # compares) and the follow-up reuses this task's one bound
+            # step.
             scheduler = self._scheduler
             heapq.heappush(scheduler._heap,
                            (scheduler.clock.now + yielded, next(scheduler._seq),
@@ -69,19 +74,16 @@ class Task:
         self._scheduler.schedule(0.0, self._step, self.label)
 
     def _suspend(self, yielded) -> None:
-        # Plain float delays never reach here: _step schedules them
+        # Valid float delays never reach here: _step schedules them
         # directly (the per-operation hot path).
         if yielded is None:
             return  # parked: no event until wake()
-        if isinstance(yielded, (int, float)):
-            self._scheduler.schedule(float(yielded), self._step, label=self.label)
-        elif hasattr(yielded, "_enqueue"):  # a Resource request
-            yielded._enqueue(self)
-        else:
+        if not isinstance(yielded, (int, float)):
             raise ConfigError(
                 f"task {self.label!r} yielded {yielded!r}; tasks may yield a "
-                "delay in seconds, a resource request or nothing (park)"
+                "delay in seconds or nothing (park)"
             )
+        self._scheduler.schedule(yielded, self._step, label=self.label)
 
 
 class Scheduler:
@@ -105,10 +107,11 @@ class Scheduler:
     def schedule(self, delay: float, fn: Callable[[], None],
                  label: str = "event") -> None:
         """Fire *fn* after *delay* virtual seconds."""
-        if delay < 0:
-            raise ConfigError(f"cannot schedule an event {delay!r}s in the past")
-        # now + a non-negative delay can never be in the past, so the
-        # delay check is the only validation an event time needs.
+        if type(delay) is bool or not 0.0 <= delay < _INF:
+            raise ConfigError(f"cannot schedule an event {delay!r}s from now: "
+                              "a delay is finite and non-negative")
+        # now + a finite non-negative delay can never be in the past,
+        # so the delay check is the only validation an event time needs.
         heapq.heappush(self._heap,
                        (self.clock.now + delay, next(self._seq), fn, label))
 

@@ -126,8 +126,9 @@ class TestConcurrency:
     def test_lsm_background_work_on_timeline(self):
         timeline, *_ = run_pool_timeline(Engine.LSM, nclients=4)
         labels = {label for label, _time, _seconds in timeline}
+        # A job's spawn is its own event; its body runs in later "task"
+        # resumes (tests/lsm/test_lsm_store.py, TestBackgroundWorker).
         assert "lsm-flush" in labels
-        assert "lsm-bg-grant" in labels
 
     def test_btree_checkpoints_on_timeline(self):
         timeline, *_ = run_pool_timeline(Engine.BTREE, nclients=4)

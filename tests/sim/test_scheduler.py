@@ -1,4 +1,4 @@
-"""Tests for the discrete-event scheduler, tasks and resources."""
+"""Tests for the discrete-event scheduler and its tasks."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 from repro.core.clock import VirtualClock
 from repro.errors import ConfigError
 from repro.obs import Tracer
-from repro.sim.resources import Resource
 from repro.sim.scheduler import Scheduler, Task
 from repro.workload.plan import EventAwareUntil
 
@@ -50,6 +49,15 @@ class TestEventOrdering:
         clock.advance(1.0)
         with pytest.raises(ConfigError):
             sched.schedule(-0.1, lambda: None)
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf, True])
+    def test_delay_must_be_a_finite_number(self, delay):
+        # NaN compares false both ways, so a bare `delay < 0` let it
+        # onto the heap, where it fired out of time order.
+        sched, _clock = make_scheduler()
+        with pytest.raises(ConfigError):
+            sched.schedule(delay, lambda: None)
+        assert sched._heap == []
 
     def test_next_time_is_the_earliest_pending_event(self):
         # The drivers' interleaving horizon: a live bound with no
@@ -177,33 +185,24 @@ class TestTasks:
         with pytest.raises(ConfigError):
             sched.run()
 
-
-class TestResources:
-    def test_fifo_grant_order(self):
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, True, -1])
+    def test_yielded_delay_must_be_a_finite_number(self, delay):
+        # Each one used to run: NaN out of time order, inf moved the
+        # clock to inf, True slept a second.  The task's earlier and
+        # later steps never run past the refusal.
         sched, clock = make_scheduler()
-        resource = Resource(sched)
-        order = []
+        ran = []
 
-        def worker(name, hold):
-            yield resource.request()
-            order.append((name, clock.now))
-            yield hold
-            resource.release()
+        def task():
+            yield 1.0
+            ran.append(clock.now)
+            yield delay
+            ran.append("after")
 
-        sched.spawn(worker("a", 0.2))
-        sched.spawn(worker("b", 0.2))
-        sched.spawn(worker("c", 0.2))
-        sched.run()
-        names = [n for n, _t in order]
-        times = [t for _n, t in order]
-        assert names == ["a", "b", "c"]
-        assert times == pytest.approx([0.0, 0.2, 0.4])
-
-    def test_release_of_idle_resource_rejected(self):
-        sched, _clock = make_scheduler()
-        resource = Resource(sched)
+        sched.spawn(task())
         with pytest.raises(ConfigError):
-            resource.release()
+            sched.run()
+        assert ran == [1.0] and clock.now == 1.0
 
 
 class TestClockCapture:
