@@ -55,8 +55,6 @@ class BTreeStore(KVStore):
         self._closed = False
         self._last_checkpoint = clock.now
         self.checkpoints = 0
-        self.scheduler = None  # event-driven checkpoints when attached
-        self._checkpoint_pending = False
         self.journal_bytes = 0
         self._journal_offset = 0
         self._journal_since_checkpoint = 0
@@ -85,10 +83,10 @@ class BTreeStore(KVStore):
         of a key the leaf already holds, or an append to the rightmost
         leaf — and no split can occur (a split needs the descent path).
         Journal, cache, checkpoint, and clock effects are exactly a
-        one-op batch's, op by op.  Valid in event-driven runs too: the
-        local clock mirror accumulates advances exactly like
-        ``clock.advance`` (DESIGN.md §7.2), and checkpoints scheduled by
-        an op interrupt the batch through the event-aware ``until``.
+        one-op batch's, op by op.  Valid under every driver: the local
+        clock mirror accumulates advances exactly like
+        ``clock.advance`` (DESIGN.md §7.2), and a due checkpoint runs
+        inside the op that made it due.
         """
         self._ensure_open()
         n = len(keys)
@@ -605,7 +603,6 @@ class BTreeStore(KVStore):
         if isinstance(self._root, LeafNode):
             self.cache.insert(id(self._root), self._root)
         self._read_cursor = None
-        self._checkpoint_pending = False
         tracer = self.tracer
         if tracer.enabled:
             tracer.instant("crash_recover", "fault", {
@@ -617,30 +614,12 @@ class BTreeStore(KVStore):
     # ------------------------------------------------------------------
     # Checkpoints
     # ------------------------------------------------------------------
-    def attach_scheduler(self, scheduler) -> None:
-        """Run due checkpoints as scheduled events (DESIGN.md §4.2)."""
-        self.scheduler = scheduler
-
     def _maybe_checkpoint(self) -> None:
         due_by_time = (
             self.clock.now - self._last_checkpoint >= self.config.checkpoint_interval
         )
         due_by_log = self._journal_since_checkpoint >= self.config.checkpoint_log_bytes
-        if not (due_by_time or due_by_log):
-            return
-        if self.scheduler is None:
-            self._checkpoint()
-        elif not self._checkpoint_pending:
-            # The checkpoint "thread" wakes up off the user path: the
-            # dirty set it writes back is whatever is dirty when the
-            # event fires, not when the trigger crossed.
-            self._checkpoint_pending = True
-            self.scheduler.schedule(0.0, self._run_scheduled_checkpoint,
-                                    label="btree-checkpoint")
-
-    def _run_scheduled_checkpoint(self) -> None:
-        self._checkpoint_pending = False
-        if not self._closed:
+        if due_by_time or due_by_log:
             self._checkpoint()
 
     def _checkpoint(self) -> None:

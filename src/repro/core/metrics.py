@@ -22,7 +22,7 @@ inflections (e.g. WiredTiger's drop when garbage collection starts).
 Multi-client runs additionally record a per-client latency series
 (:class:`ClientLatencies`): the paper's single-thread methodology only
 needs mean throughput, but under queue depth the *distribution* of
-per-operation latency is the signal (DESIGN.md §4.4), so the client
+per-operation latency is the signal (DESIGN.md §4.3), so the client
 pool feeds every completed operation's latency here and benchmarks
 report percentiles per depth.
 """

@@ -24,11 +24,14 @@ real programs), so a rising WA-D directly reduces the drain rate — the
 causal chain behind Figures 2, 3, 5 and 7 of the paper.
 
 Background writes (flushes, compactions, checkpoints — work the engines
-perform off the user thread) extend the busy horizon without blocking
-the caller; engines translate backlog into write stalls themselves,
-like RocksDB's slowdown/stop conditions do.
+run inside an op but off its latency) extend the busy horizon without
+blocking the caller.  The next foreground write pays for them once
+the backlog no longer fits the cache: that wait is what binds a
+write-heavy engine to device bandwidth.  The LSM's write-stall rule
+reads the same backlog and slows writers further only past its soft
+limit.
 
-Two timelines, one interface (DESIGN.md §4.3)
+Two timelines, one interface (DESIGN.md §4.2)
 =============================================
 
 The horizon lives in a *timeline*, and an ``SSD`` holds one:
@@ -543,7 +546,7 @@ class SSD:
     # Busy-horizon queries used by engines for stall decisions
     # ------------------------------------------------------------------
     def enable_channel_timing(self) -> None:
-        """Switch to the per-channel service model (DESIGN.md §4.3),
+        """Switch to the per-channel service model (DESIGN.md §4.2),
         once: each channel starts at the scalar horizon, so the drain
         time carries over.  ``run_measured_phase`` calls it."""
         timeline = self._timeline

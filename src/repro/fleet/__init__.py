@@ -2,7 +2,7 @@
 (:class:`~repro.fleet.pool.FleetPool`: closed-loop clients or open-loop
 arrivals over the shard list), SLO metrics.
 
-See DESIGN.md §4.4 and §10.  The modules here deliberately avoid
+See DESIGN.md §4.3 and §10.  The modules here deliberately avoid
 importing the experiment layer (stack assembly lives in
 :mod:`repro.core.stack`) so the dependency graph stays acyclic.
 """

@@ -1,9 +1,9 @@
-"""The measured-phase driver (DESIGN.md §4.4, §7.2, §10.2).
+"""The measured-phase driver (DESIGN.md §4.3, §7.2, §10.2).
 
 A :class:`FleetPool` drives every measured phase over a list of shard
 engines on one clock, behind a :class:`~repro.fleet.router.Router`.
 One constructor, one :meth:`~FleetPool.run` (scheduler, tracer, an
-out-of-space raised from a scheduled event), one stop gate
+out-of-space raised by a killed shard's recovery), one stop gate
 (``stop_when`` / ``max_ops``) and one sampler serve two sources of
 traffic:
 
@@ -15,9 +15,8 @@ traffic:
   (:meth:`~repro.fleet.router.Router.shard_run`) and issues each
   segment through the owning shard engine's batch API (``put_many`` &
   co.).  One client is the paper's single user thread (§3.2): a
-  *lone* client runs with no scheduler attached to the engines and
-  nothing else on the heap, so its ``until`` is the plain float
-  sampling boundary.  Several clients get a live
+  *lone* client has nothing else on the heap, so its ``until`` is the
+  plain float sampling boundary.  Several clients get a live
   :class:`~repro.workload.plan.EventAwareUntil`: a batch call runs ops
   back to back only while no other event is due before the client's
   clock, so the event order is exactly that of one scheduler event per
@@ -174,12 +173,6 @@ class FleetPool:
         scheduler.obs_tracer = self.tracer
         self._scheduler = scheduler
         n = len(self.shards)
-        if self.arrival is not None or self.nclients > 1:
-            # Concurrency (several clients, or a source beside the
-            # servers) turns on the event-driven engine mode; a lone
-            # client keeps background work inline.
-            for store in self.shards:
-                store.attach_scheduler(scheduler)
         self._stop = False
         self._next_sample = (clock.now + self.sample_interval
                              if self.sample_interval else None)
@@ -212,9 +205,9 @@ class FleetPool:
         try:
             scheduler.run()
         except NoSpaceError:
-            # Raised from a scheduled background event (flush,
-            # compaction, checkpoint) rather than a task's own op; the
-            # run ends and is reported, like a task's own.
+            # Raised outside an op's own handler: a killed shard's
+            # recovery flush (_begin_recovery, from the source or a
+            # retry task).  The run ends and is reported, like an op's.
             outcome.out_of_space = True
             self._stop = True
         if outcome.fleet is not None:
@@ -273,11 +266,11 @@ class FleetPool:
         sink = (None if outcome.latencies is None
                 else outcome.latencies.sink(client_id))
         planner = BatchPlanner.for_client(spec, self.seed, client_id)
-        # A lone client has the heap to itself (no scheduler attached
-        # to the engines, nothing else spawned), so its bound is the
-        # plain sampling boundary and its segments run whole windows:
-        # a float `until` and long runs keep the engines' fast paths
-        # (the LSM's bulk get_many planning) in play.
+        # A lone client has the heap to itself (nothing else spawned),
+        # so its bound is the plain sampling boundary and its segments
+        # run whole windows: a float `until` and long runs keep the
+        # engines' fast paths (the LSM's bulk get_many planning) in
+        # play.
         lone = self.nclients == 1
         until = None if lone else EventAwareUntil(scheduler)
         put_many = [store.put_many for store in shards]
@@ -373,10 +366,9 @@ class FleetPool:
             if self._next_sample is not None and now >= self._next_sample:
                 self._sample()
             if heap and heap[0][0] <= now:  # the next event, inlined
-                # Another task's event is due (or an op scheduled
-                # background work): suspend until this operation's
-                # completion time, exactly where a one-op-per-event
-                # client would have yielded.
+                # Another task's event is due: suspend until this
+                # operation's completion time, exactly where a
+                # one-op-per-event client would have yielded.
                 yield 0.0
         # Anchor the client's completion on the timeline: Scheduler.run
         # restores global time when a step ends, so end with one no-op

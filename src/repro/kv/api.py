@@ -142,17 +142,6 @@ class KVStore(ABC):
     def flush(self) -> None:
         """Persist all buffered state (background device work)."""
 
-    def attach_scheduler(self, scheduler) -> None:
-        """Opt into event-driven background work (DESIGN.md §4.2).
-
-        When a :class:`repro.sim.scheduler.Scheduler` is attached,
-        engines run their background work (LSM flushes/compactions,
-        B+Tree checkpoints) as scheduled tasks on its timeline instead
-        of inline bookkeeping, so write stalls emerge from the event
-        order.  The default is a no-op: engines that do not override
-        this keep the seed's inline behaviour.
-        """
-
     @abstractmethod
     def close(self) -> None:
         """Flush and mark the store closed."""

@@ -2,8 +2,8 @@
 
 Defaults are the paper's RocksDB setup scaled by 1/1000 together with
 the device (DESIGN.md §2): a small memtable, leveled compaction with a
-size multiplier, L0 file-count triggers and RocksDB-style write stalls
-driven by the compaction backlog.
+size multiplier, an L0 file-count trigger and RocksDB-style write
+stalls driven by the device backlog.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class LSMConfig:
 
     # Tree shape (leveled compaction).
     l0_compaction_trigger: int = 4
-    l0_stop_files: int = 20
     max_bytes_for_level_base: int = 1 * MIB  # L1 target
     level_size_multiplier: int = 8
     num_levels: int = 7
@@ -43,22 +42,21 @@ class LSMConfig:
     cpu_overhead: float = usec(30.0)
 
     # Write-stall model: RocksDB slows down and then stops user writes
-    # when compaction falls behind; our proxy for "behind" is the
-    # device backlog b in seconds of queued flash work, read when the
-    # write is issued.  Each write pays a penalty on top of its CPU
-    # cost (and its WAL write-out, if any): nothing while b <= soft,
-    # (b - soft) * slowdown_factor while b <= hard, and
-    # (hard - soft) * slowdown_factor + max(0, b - hard) past the hard
-    # limit or while L0 holds l0_stop_files tables.
+    # when compaction falls behind.  Flushes and compactions run inside
+    # the op that fills the memtable, so L0 never piles up; the one
+    # proxy for "behind" is the device backlog b in seconds of queued
+    # flash work, read when the write is issued.  Each write pays a
+    # penalty on top of its CPU cost (and its WAL write-out, if any):
+    # nothing while b <= soft, (b - soft) * slowdown_factor while
+    # b <= hard, and (hard - soft) * slowdown_factor + (b - hard) past
+    # the hard limit.  It does not set throughput on most cells: a WAL
+    # write-out already waits for the backlog to fit the device's
+    # write cache, well below the soft limit.  It binds where
+    # background work outruns a small cache (fig 9/10's LSM cell on
+    # SSD2).
     backlog_soft_limit: float = 0.25
     backlog_hard_limit: float = 1.0
     slowdown_factor: float = 0.08
-
-    # Event-driven mode only (DESIGN.md §4.2): immutable memtables that
-    # may await a scheduled background flush before the write path
-    # takes over and flushes inline (RocksDB's
-    # ``max_write_buffer_number`` stop condition).
-    max_immutable_memtables: int = 2
 
     def __post_init__(self) -> None:
         if self.key_bytes <= 0:
@@ -81,8 +79,6 @@ class LSMConfig:
             raise ConfigError("target_file_bytes must be positive")
         if not 0 < self.backlog_soft_limit <= self.backlog_hard_limit:
             raise ConfigError("backlog limits must satisfy 0 < soft <= hard")
-        if self.max_immutable_memtables < 1:
-            raise ConfigError("max_immutable_memtables must be >= 1")
 
     def level_target_bytes(self, level: int) -> int:
         """Size target of level *level* (1-based; L0 is count-triggered)."""

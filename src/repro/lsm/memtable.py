@@ -1,7 +1,7 @@
 """The in-memory write buffer of the LSM engine (§2.1.1).
 
 Incoming writes are buffered here; when the memtable reaches its
-configured size it is made immutable and flushed to L0 as an SSTable.
+configured size it is flushed to L0 as SSTables.
 Entries carry a global sequence number so that flush/compaction can
 order versions of the same key.
 """
@@ -135,7 +135,7 @@ class MemTable:
         mutation: puts and tombstones both add at least ``key_bytes``,
         which :class:`~repro.lsm.config.LSMConfig` validates as
         positive.  So consecutive scans between writes reuse one
-        conversion and immutable memtables convert once.  The merge
+        conversion.  The merge
         kernel derives key, recency and kind from the composite by bit
         ops, and a memtable holds one version per key, so sorting the
         composite sorts by key; value seeds are omitted entirely (the

@@ -1,27 +1,22 @@
 """The LSM-tree key-value store (the RocksDB model).
 
-Write path: WAL append (buffered) + memtable insert; a full memtable
-becomes immutable and is flushed to L0 as background device work;
-compactions keep the levels shaped.  The user thread is throttled only
-through the write-stall model: when the device backlog (our proxy for
-"compaction is behind") exceeds the soft limit, writes are delayed;
-past the hard limit they wait for the backlog to drain — RocksDB's
-slowdown/stop conditions.  This is what binds user throughput to
-device bandwidth / (WA-A x WA-D) at steady state, producing the
-dynamics of Fig 2a.
+Write path: WAL append (buffered) + memtable insert.  The op that
+fills the memtable installs a fresh memtable and WAL, then flushes the
+full one to L0 and compacts until the picker has nothing left, all
+inside that op and at every client count, so L0 holds fewer than
+``l0_compaction_trigger`` tables between ops.  That work is background
+device work: it queues flash time without blocking the op.  What
+binds a write-heavy run's throughput to device bandwidth /
+(WA-A x WA-D), the dynamics of Fig 2a, is the device's write cache: a
+WAL write-out, the one foreground write, completes only once the
+queued flash work fits the cache (``flash/ssd.py``).  The
+write-stall rule adds RocksDB's slowdown on top when the device
+backlog passes a soft limit, and a stop past a hard one; it binds
+where background work outruns a small cache (fig 9/10's LSM cell on
+SSD2), and barely anywhere else.
 
-Read path: memtable, immutable memtables, L0 newest-to-oldest, then
-one file per sorted level; bloom filters (memory-resident) gate the
-data-block reads.
-
-In event-driven mode (``attach_scheduler``, DESIGN.md §4.2) flushes
-and compactions are not run inline: a memtable rotation spawns a
-background job that waits for the single background worker,
-flushes the oldest immutable memtable and then runs compactions one
-picker round per event — device work lands on the timeline when the
-"background thread" gets to it, and the write path only takes over
-(flushing inline, RocksDB's stop condition) once too many immutable
-memtables pile up.
+Read path: the memtable, L0 newest-to-oldest, then one file per sorted
+level; bloom filters (memory-resident) gate the data-block reads.
 """
 
 from __future__ import annotations
@@ -77,13 +72,7 @@ class LSMStore(KVStore):
                                            self._next_table_id)
         self.memtable = MemTable(self.config)
         self.wal = WriteAheadLog(self.fs, self.config, next(self._wal_ids))
-        self._immutables: list[tuple[MemTable, WriteAheadLog]] = []
         self._closed = False
-        self.scheduler = None  # event-driven background work when attached
-        # The one background worker (event mode): whether a job holds
-        # it, and how many spawned jobs wait for it (_background_job).
-        self._bg_busy = False
-        self._bg_pending = 0
         # Cached batch-write constants per write kind (frozen config +
         # record geometry for the last-seen vlen; DESIGN.md §8).
         self._put_consts = None
@@ -147,20 +136,15 @@ class LSMStore(KVStore):
         bounds = None
         if (n >= self.BULK_PROBE_MIN and out is None
                 and (until is None or type(until) is float)):
-            memtables = [self.memtable._entries]
-            memtables.extend(m._entries
-                             for m, _wal in reversed(self._immutables))
+            entries = self.memtable._entries
             memtable_bytes = {}
             misses = []
             for i, key in enumerate(keys_list):
-                for entries in memtables:
-                    entry = entries.get(key)
-                    if entry is not None:
-                        if entry[3] == KIND_PUT:
-                            memtable_bytes[i] = key_bytes + entry[2]
-                        break
-                else:
+                entry = entries.get(key)
+                if entry is None:
                     misses.append(i)
+                elif entry[3] == KIND_PUT:
+                    memtable_bytes[i] = key_bytes + entry[2]
             bounds, names, offsets, nbytes, hit_bytes = \
                 self.version.plan_reads(np.asarray(keys, dtype=np.int64),
                                         np.array(misses, dtype=np.int64))
@@ -260,11 +244,11 @@ class LSMStore(KVStore):
 
         A source is a sorted run and *owner* the memtable or
         :class:`~repro.lsm.version.ReadRun` holding its entries, in
-        the order the reads are charged: the active memtable, the
-        immutables in rotation order, then the read index's runs —
-        each L0 table, then one whole level at a time (the order only
-        matters for the read charges — sequence numbers are globally
-        unique, so the merge order itself has no ties).  Raises
+        the order the reads are charged: the memtable, then the read
+        index's runs — each L0 table, then one whole level at a time
+        (the order only matters for the read charges — sequence
+        numbers are globally unique, so the merge order itself has no
+        ties).  Raises
         :class:`ConfigError`, before anything is charged, when a key
         or the sequence counter is outside the composite packing.
         """
@@ -272,9 +256,7 @@ class LSMStore(KVStore):
             raise ConfigError(
                 f"scans need sequence numbers below {SCAN_SEQ_SPAN}; "
                 f"this store has issued {self._next_seq - 1}")
-        sources: list = []
-        for memtable in [self.memtable, *(m for m, _wal in self._immutables)]:
-            sources.append((*memtable.sorted_columns(), memtable))
+        sources: list = [(*self.memtable.sorted_columns(), self.memtable)]
         for run in self.version.runs():
             if run.tables[0].min_key < 0 or run.tables[-1].max_key >= SCAN_KEY_SPAN:
                 raise ConfigError(
@@ -432,16 +414,14 @@ class LSMStore(KVStore):
                     latencies: list | None, delete: bool) -> int:
         """Shared batched write path for puts and deletes.
 
-        Works in every driver mode (DESIGN.md §7.2): between device
+        Works under every driver (DESIGN.md §7.2): between device
         events a write's only side effects are pure accounting plus the
         stall penalty, and inside one batch call no other scheduler
         event can run, so the device's write backlog is a fixed
         function of time and the clock/penalty recurrence is replayed
         locally, op by op.  The op that triggers device work (WAL
-        write-out, memtable rotation, which may spawn an event-mode
-        background job) is a one-op segment of the same loop, timed
-        after that work; an event-aware ``until`` then stops the batch
-        right after it.
+        write-out, memtable rotation with its flush and compactions)
+        is a one-op segment of the same loop, timed after that work.
         """
         if self._closed:
             self._ensure_open()
@@ -462,8 +442,7 @@ class LSMStore(KVStore):
             consts = (
                 vlen, config.cpu_overhead, config.backlog_soft_limit,
                 config.backlog_hard_limit, config.slowdown_factor,
-                config.memtable_bytes, config.wal_buffer_bytes,
-                config.l0_stop_files, payload,
+                config.memtable_bytes, config.wal_buffer_bytes, payload,
                 key_bytes + config.entry_overhead + (0 if delete else vlen),
                 payload + config.wal_entry_overhead,
             )
@@ -472,7 +451,7 @@ class LSMStore(KVStore):
             else:
                 self._put_consts = consts
         (_, cpu, soft, hard, slowdown, memtable_bytes, wal_buffer_bytes,
-         l0_stop_files, payload, entry_bytes, wal_record) = consts
+         payload, entry_bytes, wal_record) = consts
         clock = self.clock
         backlog_at = self._ssd.backlog_seconds
         keys_list = keys if type(keys) is list else as_int_list(keys)
@@ -522,29 +501,19 @@ class LSMStore(KVStore):
                                        delete, consts)
                     if memtable.full:
                         self._rotate_memtable()
-                        if (self.scheduler is None or len(self._immutables)
-                                > self.config.max_immutable_memtables):
-                            # No background worker, or too many
-                            # immutables awaiting it: the write path
-                            # stops and catches up inline.
-                            self._flush_inline()
-                        else:
-                            self.scheduler.spawn(self._background_job(),
-                                                 label="lsm-flush")
 
                 # Replay the clock/stall recurrence locally: no device
                 # work can occur inside this run, so the busy horizon
-                # and the L0 stop condition are constants — and the
-                # replay schedules no events, so a live until proxy
-                # can be snapshotted to a plain float for the window.
+                # is a constant — and the replay schedules no events,
+                # so a live until proxy can be snapshotted to a plain
+                # float for the window.
                 if until is None or type(until) is float:
                     bound = until
                 else:
                     bound = until.snapshot()
-                l0_stop = len(self.version.levels[0]) >= l0_stop_files
                 wmax = self._ssd.write_horizon
                 took = 0
-                if wmax <= now and not l0_stop and not device:
+                if wmax <= now and not device:
                     # Zero backlog stays zero: per-op latency is the
                     # constant CPU cost (accumulated op by op, so float
                     # rounding matches per-op clock advances).
@@ -564,16 +533,16 @@ class LSMStore(KVStore):
                                 break
                 else:
                     # The stall rule (RocksDB's slowdown and stop): its
-                    # input is the device's own backlog at the replay
-                    # clock; past the write horizon it is an exact 0.0,
-                    # unasked.
+                    # only input is the device's own backlog at the
+                    # replay clock; past the write horizon it is an
+                    # exact 0.0, unasked.
                     for _ in range(cap):
                         if now >= wmax:
                             backlog = 0.0
                         else:
                             backlog = backlog_at(now)
-                        if backlog > hard or l0_stop:
-                            penalty = max(0.0, backlog - hard)
+                        if backlog > hard:
+                            penalty = backlog - hard
                             penalty += (hard - soft) * slowdown
                         elif backlog > soft:
                             penalty = (backlog - soft) * slowdown
@@ -624,7 +593,7 @@ class LSMStore(KVStore):
         memory: sequence numbers, the memtable, the crash record and
         the stats (the WAL buffer bytes are the caller's)."""
         vlen = consts[0]
-        payload, entry_bytes, wal_record = consts[8:]
+        payload, entry_bytes, wal_record = consts[7:]
         memtable = self.memtable
         stats = self._stats
         first_seq = self._next_seq
@@ -667,8 +636,6 @@ class LSMStore(KVStore):
         self.wal.sync()
         if len(self.memtable):
             self._rotate_memtable()
-        self._flush_immutables()
-        self._run_compactions()
 
     def close(self) -> None:
         """Flush everything and refuse further operations."""
@@ -690,10 +657,6 @@ class LSMStore(KVStore):
         """Filesystem space occupied (the store owns its filesystem)."""
         return self.fs.used_bytes
 
-    def attach_scheduler(self, scheduler) -> None:
-        """Run flushes/compactions as scheduled background tasks."""
-        self.scheduler = scheduler
-
     # ------------------------------------------------------------------
     # Crash recovery (fault injection; DESIGN.md §11)
     # ------------------------------------------------------------------
@@ -708,12 +671,11 @@ class LSMStore(KVStore):
     def crash_and_recover(self) -> tuple[float, set[int]]:
         """Kill the store at the current instant and rebuild from disk.
 
-        Volatile state — the active and immutable memtables plus every
-        WAL's unwritten buffer tail — is discarded.  Recovery reads
-        each live WAL file, replays its durable records (oldest log
-        first, newest record winning per key) into a fresh memtable
-        that is flushed to L0, then installs an empty memtable and a
-        fresh WAL.  Returns ``(recovery_seconds, lost_keys)``:
+        Volatile state — the memtable and its WAL's unwritten buffer
+        tail — is discarded.  Recovery reads the WAL file, replays its
+        durable records (newest record winning per key) into a fresh
+        memtable that is flushed to L0, then installs an empty memtable
+        and a fresh WAL.  Returns ``(recovery_seconds, lost_keys)``:
         *lost_keys* are the keys whose newest write sat in a lost
         buffer tail, so their reads may now return an older durable
         version — exactly RocksDB's contract with unsynced WAL writes
@@ -725,33 +687,25 @@ class LSMStore(KVStore):
                 "crash_and_recover requires enable_crash_tracking() "
                 "before the writes to be recovered")
         fs = self.fs
-        live = list(self._immutables)
-        live.append((self.memtable, self.wal))
-        replay: list = []
+        wal = self.wal
+        records = self._crash.get(wal.log_id, [])
+        # The buffer tail never reached the device: walk back from the
+        # end until the unwritten bytes are accounted for.
+        buffered = wal._buffered
+        cut = len(records)
+        while buffered > 0 and cut > 0:
+            cut -= 1
+            buffered -= records[cut][4]
         lost_status: dict[int, bool] = {}
-        latency = 0.0
-        for _memtable, wal in live:
-            records = self._crash.get(wal.log_id, [])
-            # The buffer tail never reached the device: walk back from
-            # the end until the unwritten bytes are accounted for.
-            buffered = wal._buffered
-            cut = len(records)
-            while buffered > 0 and cut > 0:
-                cut -= 1
-                buffered -= records[cut][4]
-            for i, rec in enumerate(records):
-                lost_status[rec[0]] = i >= cut
-            replay.extend(records[:cut])
-            size = fs.file_size(wal.filename)
-            if size:
-                read_latency = fs.pread(wal.filename, 0, size)
-                latency += read_latency
-        # Drop the volatile state and the replayed logs.
-        for _memtable, wal in live:
-            wal._buffered = 0
-            wal.discard()
-            self._crash.pop(wal.log_id, None)
-        self._immutables = []
+        for i, rec in enumerate(records):
+            lost_status[rec[0]] = i >= cut
+        replay = records[:cut]
+        size = fs.file_size(wal.filename)
+        latency = fs.pread(wal.filename, 0, size) if size else 0.0
+        # Drop the volatile state and the replayed log.
+        wal._buffered = 0
+        wal.discard()
+        self._crash.pop(wal.log_id, None)
         rebuilt = MemTable(self.config)
         seq = self._next_seq
         for key, vseed, vlen, kind, _nbytes in replay:
@@ -782,8 +736,9 @@ class LSMStore(KVStore):
     # ------------------------------------------------------------------
     # Write-path internals
     # ------------------------------------------------------------------
-    def _flush_inline(self) -> None:
-        """Flush + compact on the write path (no scheduler / takeover).
+    def _rotate_memtable(self) -> None:
+        """Install a fresh memtable and WAL, then flush the full pair to
+        L0 and compact until the picker has nothing left.
 
         The flush's device work is background work whose latency is
         *not* part of the triggering op's user-visible latency, so the
@@ -791,27 +746,20 @@ class LSMStore(KVStore):
         and writes show up as their own trace spans, never as op
         components (DESIGN.md §9.2).
         """
+        memtable, wal = self.memtable, self.wal
+        self.memtable = MemTable(self.config)
+        self.wal = WriteAheadLog(self.fs, self.config, next(self._wal_ids))
         tracer = self.tracer
         if tracer.enabled:
             tracer.op_suspend()
             try:
-                self._flush_immutables()
+                self._flush_one(memtable, wal)
                 self._run_compactions()
             finally:
                 tracer.op_resume()
         else:
-            self._flush_immutables()
-            self._run_compactions()
-
-    def _rotate_memtable(self) -> None:
-        self._immutables.append((self.memtable, self.wal))
-        self.memtable = MemTable(self.config)
-        self.wal = WriteAheadLog(self.fs, self.config, next(self._wal_ids))
-
-    def _flush_immutables(self) -> None:
-        while self._immutables:
-            memtable, wal = self._immutables.pop(0)
             self._flush_one(memtable, wal)
+            self._run_compactions()
 
     def _flush_one(self, memtable: MemTable, wal: WriteAheadLog | None) -> None:
         if wal is not None:
@@ -839,38 +787,6 @@ class LSMStore(KVStore):
         while (compaction := self.picker.pick(self.version)) is not None:
             self.executor.run(compaction, self.version)
 
-    def _background_job(self, granted: bool = False):
-        """One scheduled flush + follow-up compactions (event mode).
-
-        Flushes and compactions serialize on one background worker,
-        like a one-thread RocksDB background pool.  A job that finds
-        the worker busy only counts itself pending; one that finds it
-        free takes it and steps once before its body.  A finishing job
-        hands the worker to the next pending one, spawned *granted*,
-        so jobs run in spawn order.  The job yields between compaction
-        rounds so each lands as its own event on the timeline.
-        """
-        if not granted:
-            if self._bg_busy:
-                self._bg_pending += 1
-                return
-            self._bg_busy = True
-            yield 0.0
-        try:
-            if self._immutables:
-                memtable, wal = self._immutables.pop(0)
-                self._flush_one(memtable, wal)
-            while (compaction := self.picker.pick(self.version)) is not None:
-                self.executor.run(compaction, self.version)
-                yield 0.0
-        finally:
-            if self._bg_pending:
-                self._bg_pending -= 1
-                self.scheduler.spawn(self._background_job(granted=True),
-                                     label="lsm-flush")
-            else:
-                self._bg_busy = False
-
     # ------------------------------------------------------------------
     # Read-path internals
     # ------------------------------------------------------------------
@@ -879,10 +795,6 @@ class LSMStore(KVStore):
         entry = self.memtable.get(key)
         if entry is not None:
             return 0.0, self._to_value(entry)
-        for memtable, _wal in reversed(self._immutables):
-            entry = memtable.get(key)
-            if entry is not None:
-                return 0.0, self._to_value(entry)
         # One hash per get: every candidate table's filter takes the pair.
         h1, h2 = key_hashes(key)
         pread = self.fs.pread

@@ -114,10 +114,10 @@ class Tracer:
     def add(self, component: str, seconds: float) -> None:
         """Claim *seconds* of the current op's latency for *component*.
 
-        Outside an op context (background work: flush tasks,
-        compactions, GC-triggered device writes running as their own
-        scheduler events) this is a no-op — background device time is
-        visible as its own spans, not as op components.
+        Outside an op context (background work: a flush and its
+        compactions, run inside a suspended op) this is a no-op —
+        background device time is visible as its own spans, not as op
+        components.
         """
         if self.in_op:
             comp = self._comp

@@ -1,8 +1,8 @@
 """Deterministic discrete-event simulation core (DESIGN.md §4).
 
 The subsystem generalizes the single-threaded virtual-clock loop into
-an event-driven scheduler so that many concurrent clients, background
-engine work and per-channel device service can share one timeline:
+an event-driven scheduler so that many concurrent clients, open-loop
+arrivals and their per-shard servers can share one timeline:
 :mod:`repro.sim.scheduler` holds the event heap (keyed on ``(time,
 seq)``) and cooperative generator tasks.
 

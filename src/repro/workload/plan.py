@@ -22,9 +22,8 @@ several clients.  The KVStore batch contract only requires ``until`` to
 support ``clock.now >= until`` (Python evaluates that through the
 proxy's ``__le__`` when ``until`` is not a float), which lets the
 proxy consult the event heap *live*: a batch stops right after the
-first operation whose completion reaches another pending event — or
-that scheduled new background work — so queue-depth interleaving is
-preserved op for op (DESIGN.md §7.2).
+first operation whose completion reaches another pending event, so
+queue-depth interleaving is preserved op for op (DESIGN.md §7.2).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ output, like ``grep -v '^owner'``).  A hit is a layer reaching into
 another's internals:
 
 * ``timeline`` — the device timing model is private to
-  ``flash/ssd.py`` (DESIGN.md §4.3);
+  ``flash/ssd.py`` (DESIGN.md §4.2);
 * ``fs-private`` — file-to-device resolution is the filesystem's:
   other layers ask ``byte_runs`` (DESIGN.md §13.1);
 * ``engine-device`` — engines reach the device only through the

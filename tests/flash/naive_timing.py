@@ -1,5 +1,5 @@
 """Naive device timing models: the independent references for the two
-timelines of ``flash/ssd.py`` (DESIGN.md §4.3).
+timelines of ``flash/ssd.py`` (DESIGN.md §4.2).
 
 Written from the models' descriptions, not from their code.
 

@@ -176,7 +176,7 @@ class TestBounds:
 
 
 class TestChannelTiming:
-    """The per-channel service model (DESIGN.md §4.3)."""
+    """The per-channel service model (DESIGN.md §4.2)."""
 
     def make_channelized(self, clock, **overrides):
         ssd = SSD(make_tiny_config(**overrides), clock)

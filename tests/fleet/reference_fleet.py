@@ -75,8 +75,6 @@ def run(shards, router, spec, arrival, seed, max_ops, queue_cap,
     """
     clock = shards[0].clock
     scheduler = Scheduler(clock)
-    for store in shards:
-        store.attach_scheduler(scheduler)
     rows = [dict(offered=0, admitted=0, rejected=0, completed=0, timeouts=0,
                  failed=0, retries=0, lost_keys=0, recovery_seconds=0.0,
                  downtime_seconds=0.0, qdepth_sum=0, qdepth_max=0,
@@ -232,6 +230,6 @@ def run(shards, router, spec, arrival, seed, max_ops, queue_cap,
     scheduler.spawn(source())
     try:
         scheduler.run()
-    except NoSpaceError:  # raised by a scheduled flush/compaction/checkpoint
+    except NoSpaceError:  # raised by a killed shard's recovery flush
         state["out_of_space"] = True
     return rows, health, state["out_of_space"]

@@ -180,6 +180,11 @@ class Model:
             assert journal == stats.user_bytes_written - written0 + 32 * writes
             assert store._journal_offset == \
                 (offset0 + journal) % store.config.journal_ring_bytes
+        else:
+            # Every flush compacts inside the op that filled the
+            # memtable, until the picker is done: L0 never piles up.
+            assert len(store.version.levels[0]) < \
+                store.config.l0_compaction_trigger
 
 
 def prefilled(engine: str) -> Model:

@@ -1,10 +1,10 @@
 """What an LSM read must return and pay, written the slow obvious way.
 
 The reference for ``LSMStore``'s read paths (DESIGN.md §13.4): a scan
-as a ``heapq`` merge over one iterator per memtable and per table, a
-get as a walk over the tables one at a time.  Each returns the answer
+as a ``heapq`` merge over one iterator for the memtable and one per
+table, a get as a walk over the tables one at a time.  Each returns the answer
 and the ``(filename, offset, nbytes)`` reads, in order, that the store
-must charge for it.  It reads the store's data — memtable dicts, the
+must charge for it.  It reads the store's data — the memtable dict, the
 manifest's levels, a table's columns, offsets and bloom bits — and
 shares no code with ``repro.lsm.store``, ``repro.lsm.version`` or the
 table's and filter's own probes (a filter verdict is the vectorized
@@ -20,11 +20,6 @@ import numpy as np
 
 from repro.kv.values import Value
 from repro.lsm.memtable import KIND_PUT
-
-
-def _memtables(store) -> list[dict]:
-    """Memtable dicts, oldest first (the active one last)."""
-    return [m._entries for m, _wal in store._immutables] + [store.memtable._entries]
 
 
 def scan(store, start_key: int, count: int):
@@ -52,9 +47,8 @@ def scan(store, start_key: int, count: int):
                    int(table.vseeds[idx]), int(table.vlens[idx]),
                    int(table.kinds[idx]))
 
-    for entries in _memtables(store):
-        pull(iter(sorted((key, *entry) for key, entry in entries.items()
-                         if key >= start_key)))
+    pull(iter(sorted((key, *entry) for key, entry
+                     in store.memtable._entries.items() if key >= start_key)))
     for _level, table in store.version.all_tables():
         if table.max_key >= start_key:
             first = int(np.searchsorted(table.keys, start_key))
@@ -76,15 +70,15 @@ def scan(store, start_key: int, count: int):
 
 
 def get(store, key: int):
-    """``(value, reads)`` of ``store.get(key)``: memtables newest
-    first, L0 newest first, then the one table per level whose range
+    """``(value, reads)`` of ``store.get(key)``: the memtable, L0
+    newest first, then the one table per level whose range
     holds the key.  A table is read when its range and bloom filter
     admit the key — the block of the entry when it is there, the
     table's first block on a false positive."""
-    for entries in reversed(_memtables(store)):
-        if key in entries:
-            _seq, vseed, vlen, kind = entries[key]
-            return (Value(vseed, vlen) if kind == KIND_PUT else None), []
+    entry = store.memtable._entries.get(key)
+    if entry is not None:
+        _seq, vseed, vlen, kind = entry
+        return (Value(vseed, vlen) if kind == KIND_PUT else None), []
     reads: list = []
     for tables in store.version.levels:
         for table in tables:

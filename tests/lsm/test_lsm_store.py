@@ -15,7 +15,6 @@ from repro.kv.values import Value, value_for
 from repro.lsm.config import LSMConfig
 from repro.lsm.store import LSMStore
 from repro.obs import Tracer, attach_tracer
-from repro.sim.scheduler import Scheduler
 from tests.conftest import make_tiny_config
 
 
@@ -208,12 +207,11 @@ def with_queued_write(store: LSMStore) -> LSMStore:
     return store
 
 
-def documented_penalty(backlog: float, config: LSMConfig,
-                       l0_stop: bool) -> float:
+def documented_penalty(backlog: float, config: LSMConfig) -> float:
     """The stall rule as LSMConfig documents it."""
     soft, hard = config.backlog_soft_limit, config.backlog_hard_limit
-    if backlog > hard or l0_stop:
-        return (hard - soft) * config.slowdown_factor + max(0.0, backlog - hard)
+    if backlog > hard:
+        return (hard - soft) * config.slowdown_factor + (backlog - hard)
     if backlog > soft:
         return (backlog - soft) * config.slowdown_factor
     return 0.0
@@ -223,12 +221,13 @@ class TestWriteStall:
     """The stall rule in closed form, on a one-op ``put_many``."""
 
     #: (soft, hard) as multiples of the queued write's backlog, and
-    #: whether L0 holds ``l0_stop_files`` tables.
+    #: whether the op fills the memtable (and so flushes it and
+    #: compacts before it is timed).
     CASES = {
         "below-soft": (2.0, 4.0, False),
         "between-limits": (0.5, 2.0, False),
         "above-hard": (0.25, 0.5, False),
-        "l0-stop": (2.0, 4.0, True),
+        "rotation": (1.0625, 100.0, True),
     }
 
     @pytest.mark.parametrize("writes_wal_out", [False, True],
@@ -236,20 +235,27 @@ class TestWriteStall:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_latency_is_cpu_plus_documented_penalty(self, case,
                                                     writes_wal_out):
-        soft, hard, l0_stop = self.CASES[case]
+        soft, hard, rotates = self.CASES[case]
         backlog = with_queued_write(make_store())._ssd.backlog_seconds()
         assert backlog > 0.0
         overrides = dict(backlog_soft_limit=soft * backlog,
                          backlog_hard_limit=hard * backlog)
         if writes_wal_out:
             overrides["wal_buffer_bytes"] = 1  # every record writes out
-        if l0_stop:
-            overrides["l0_stop_files"] = 1
         store = make_store(**overrides)
-        if l0_stop:
-            store.put_many([1], [1], 64)
-            store.flush()
-            assert len(store.version.levels[0]) == 1
+        config = store.config
+        if rotates:
+            # Fill the memtable to one entry short of its threshold;
+            # three overlapping L0 tables make the op's flush merge
+            # them with its own.
+            for batch in range(3):
+                store.put_many([7], [batch], 100)
+                store.flush()
+            entry = config.key_bytes + config.entry_overhead + 100
+            fill = (config.memtable_bytes - 1) // entry
+            keys = list(range(10, 10 + fill))
+            store.put_many(keys, keys, 100)
+            compactions = store.executor.stats.compactions
             store._ssd.settle()
         with_queued_write(store)
         tracer = Tracer()
@@ -257,83 +263,45 @@ class TestWriteStall:
         tracer.enable()
         t0 = store.clock.now
         before = store._ssd.backlog_seconds()
-        if not l0_stop:
-            assert before == backlog
+        # (After the fill the same queued write reads back within an
+        # ulp: its horizon sits at a later clock.)
+        assert before == (pytest.approx(backlog) if rotates else backlog)
 
         latencies = []
         assert store.put_many([7], [11], 100, latencies=latencies) == 1
 
-        config = store.config
         after = store._ssd.backlog_seconds(t0)
         wal_spans = [e[2] for e in tracer.events() if e[3] == "wal_append"]
+        if rotates:
+            # The op flushed the memtable it filled and compacted L0,
+            # inside its own call: the penalty reads the backlog that
+            # work queued.
+            assert len(store.memtable) == 0
+            assert store.executor.stats.compactions > compactions
+            assert len(store.version.levels[0]) < config.l0_compaction_trigger
+            assert after > before
         if writes_wal_out:
             # The penalty reads the backlog after the write-out, which
             # queued device work of its own.
             (wal_latency,) = wal_spans
             assert after > before
         else:
-            assert wal_spans == [] and after == before
+            assert wal_spans == []
+            assert rotates or after == before
             wal_latency = 0.0
         soft_limit = config.backlog_soft_limit
         hard_limit = config.backlog_hard_limit
         assert {"below-soft": after <= soft_limit,
                 "between-limits": soft_limit < after <= hard_limit,
                 "above-hard": after > hard_limit,
-                "l0-stop": after <= soft_limit}[case]
-        penalty = documented_penalty(after, config, l0_stop)
+                # Only the op's own flush puts it past the soft limit.
+                "rotation": before <= soft_limit < after}[case]
+        penalty = documented_penalty(after, config)
         assert (penalty > 0.0) == (case != "below-soft")
         assert latencies == [config.cpu_overhead + wal_latency + penalty]
         assert store.clock.now == t0 + latencies[0]
         (op,) = [e for e in tracer.events() if e[4] == "op"]
         assert op[6].get("write_stall", 0.0) == penalty
-
-
-class TestBackgroundWorker:
-    """Event mode: flushes and compactions share one worker, FIFO."""
-
-    def test_jobs_spawned_at_one_instant_run_one_after_another(self):
-        # No CPU cost and no WAL write-out: every put takes zero time,
-        # so both rotations spawn their job at t = 0.
-        store = make_store(cpu_overhead=0.0, wal_buffer_bytes=1 << 30)
-        for batch in range(3):  # three L0 tables: the next flush compacts
-            store.put_many([batch], [batch], 64)
-            store.flush()
-        scheduler = Scheduler(store.clock)
-        store.attach_scheduler(scheduler)
-        tracer = Tracer()
-        tracer.enable()
-        scheduler.obs_tracer = tracer
-        keys = list(range(150))
-        store.put_many(keys, keys, 100)
-        rotated = [memtable for memtable, _wal in store._immutables]
-        assert len(rotated) == 2 and store.clock.now == 0.0
-
-        log = []
-        flush_one, run = store._flush_one, store.executor.run
-        store._flush_one = lambda memtable, wal: (
-            log.append(("flush", memtable, store._bg_pending)),
-            flush_one(memtable, wal))
-        store.executor.run = lambda compaction, version: (
-            log.append(("compact", None, store._bg_pending)),
-            run(compaction, version))
-        scheduler.run()
-
-        flushes = [i for i, (what, _m, _p) in enumerate(log) if what == "flush"]
-        assert [log[i][1] for i in flushes] == rotated  # rotation order
-        first_job = log[flushes[0] + 1:flushes[1]]
-        # The second job waited (pending) through every compaction
-        # round of the first, and was granted only after its last.
-        assert first_job and all(e[0] == "compact" and e[2] == 1
-                                 for e in first_job)
-        assert log[flushes[1]][2] == 0
-        assert not store._bg_busy and store._bg_pending == 0
-        assert store._immutables == []
-        # The free job takes the worker and steps once ("task") before
-        # its body; the waiting one runs in the event spawning it.
-        labels = [e[3] for e in tracer.events() if e[4] == "sched"]
-        assert labels[:3] == ["lsm-flush", "lsm-flush", "task"]
-        assert labels.count("lsm-flush") == 3
-        store.check_invariants()
 
 
 class TestPropertyBased:

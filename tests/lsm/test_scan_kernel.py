@@ -32,7 +32,7 @@ from repro.fs.filesystem import ExtentFilesystem
 from repro.kv.values import Value
 from repro.lsm.config import LSMConfig
 from repro.lsm.memtable import (KIND_DELETE, KIND_PUT, SCAN_KEY_SPAN,
-                                SCAN_SEQ_SPAN, MemTable)
+                                SCAN_SEQ_SPAN)
 from repro.lsm.sstable import SSTable
 from repro.lsm.store import LSMStore
 from repro.rng import substream
@@ -111,7 +111,7 @@ def populate(stores, nkeys: int = 400, seed: int = 17,
             else:
                 store.put(key, Value(key * 7 + i, 40 + (i % 5)))
     # The history crossed several memtable rotations, so reads see
-    # memtable + immutables + multiple levels.
+    # the memtable + multiple levels.
     assert sum(map(len, stores[0].version.levels)) > 1
 
 
@@ -119,8 +119,8 @@ def install_tree(store: LSMStore, tree: dict) -> LSMStore:
     """Hand-build a tree from plain data: ``tree["tables"]`` is a list
     of ``(level, (keys, kinds, vlens))`` — L0 oldest first, deeper
     levels with disjoint ranges; sequence numbers fall from table to
-    table — and ``tree["memtables"]`` the (immutable, active) pair's
-    entries, newest of all."""
+    table — and ``tree["memtables"]`` two sets of entries, older then
+    newer, both written into the one memtable, newest of all."""
     seq = 1_000_000
     for level, (keys, kinds, vlens) in tree["tables"]:
         n = len(keys)
@@ -137,16 +137,13 @@ def install_tree(store: LSMStore, tree: dict) -> LSMStore:
     # pair is unique in a real store, and continuing from the last
     # table's base would reuse that table's numbers.
     seq = 1_000_000
-    immutable = MemTable(store.config)
-    for memtable, (keys, kinds, vlens) in zip((immutable, store.memtable),
-                                              tree["memtables"]):
+    for keys, kinds, vlens in tree["memtables"]:
         for key, kind, vlen in zip(keys, kinds, vlens):
             seq += 1
             if kind == KIND_PUT:
-                memtable.put(key, seq, key, vlen)
+                store.memtable.put(key, seq, key, vlen)
             else:
-                memtable.delete(key, seq)
-    store._immutables.append((immutable, None))
+                store.memtable.delete(key, seq)
     store.fs.device.ssd.drain()
     store.check_invariants()
     return store
@@ -267,7 +264,7 @@ class TestOverflowFallback:
         assert any(len(tables) > 1 for tables in levels[1:])
         sources = store._scan_merge_sources()
         assert len(sources) == (
-            1 + len(store._immutables) + len(levels[0])
+            1 + len(levels[0])
             + sum(1 for tables in levels[1:] if tables))
 
 

@@ -118,9 +118,6 @@ def run_pool(stores, router, spec, nclients, seed, **limits):
     state.per_client_ops = [0] * nclients
     state.latencies = [[] for _ in range(nclients)]
     scheduler = Scheduler(stores[0].clock)
-    if nclients > 1:  # concurrency: event-driven engines
-        for store in stores:
-            store.attach_scheduler(scheduler)
 
     def client(i):
         issue = op_stream(stores, router, spec, seed, i)
@@ -136,8 +133,5 @@ def run_pool(stores, router, spec, nclients, seed, **limits):
 
     for i in range(nclients):
         scheduler.spawn(client(i), label=f"client{i}")
-    try:
-        scheduler.run()
-    except NoSpaceError:  # raised by a scheduled flush/compaction/checkpoint
-        state.out_of_space = True
+    scheduler.run()  # each client catches its own NoSpaceError
     return state
